@@ -64,6 +64,7 @@ from repro.operators.filter import FilterOperator, FilterResult
 from repro.operators.impute import ImputeOperator, ImputeResult
 from repro.operators.resolve import PairJudgmentResult, ResolveOperator
 from repro.operators.sort import SortOperator, SortResult
+from repro.tokenizer.simple import SimpleTokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import Budget, BudgetLease
@@ -557,6 +558,7 @@ class PhysicalPlanner:
         self.default_model = default_model
         self.stats = stats if stats is not None else session.stats
         self._planners: dict[tuple[str, bool], CostPlanner] = {}
+        self._tokenizer = SimpleTokenizer()
 
     # -- planner access --------------------------------------------------------------
 
@@ -569,7 +571,7 @@ class PhysicalPlanner:
         name = self.planner_model(model)
         key = (name, with_stats)
         if key not in self._planners:
-            self._planners[key] = CostPlanner(
+            planner = self._planners[key] = CostPlanner(
                 name,
                 registry=self.session.registry,
                 stats=self.stats if with_stats else None,
@@ -579,6 +581,9 @@ class PhysicalPlanner:
                 # ratios and must stay undiscounted.
                 response_cache=self.session.cache if with_stats else None,
             )
+            # One token memo for every planner: the stats-free baseline in
+            # ``record_run`` re-prices texts the quote already counted.
+            planner.tokenizer = self._tokenizer
         return self._planners[key]
 
     def operator_kwargs(self, budget: "Budget | BudgetLease | None" = None) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -311,7 +312,7 @@ class CostPlanner:
     def _average_item_tokens(self, items: Sequence[str]) -> float:
         if not items:
             raise ConfigurationError("cannot plan over an empty item list")
-        return sum(self.tokenizer.count(str(item)) for item in items) / len(items)
+        return sum(map(self.tokenizer.count, map(str, items))) / len(items)
 
     def _estimate(self, strategy: str, calls: int, prompt_tokens: float, completion_tokens: float) -> CostEstimate:
         usage = Usage(
@@ -379,8 +380,16 @@ class CostPlanner:
         """
         if expansion < 1:
             raise ConfigurationError("expansion must be at least 1")
-        texts = [f"{left} {right}" for left, right in pairs]
-        average = self._average_item_tokens(texts)
+        if not pairs:
+            raise ConfigurationError("cannot plan over an empty pair list")
+        # A pair is priced as the prompt text "<left> <right>".  Whitespace
+        # never joins tokens, so that text's count is exactly the sum of its
+        # two sides' counts; pairs drawn from one item list repeat their
+        # sides, so each distinct side is counted once and weighted by its
+        # uses instead of tokenizing every joined string.
+        sides = Counter(map(str, itertools.chain.from_iterable(pairs)))
+        tokens = sum(self.tokenizer.count(text) * uses for text, uses in sides.items())
+        average = tokens / len(pairs)
         calls = len(pairs) * expansion
         prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + average)
         completion_tokens = calls * _SHORT_COMPLETION_TOKENS

@@ -5,22 +5,33 @@ is close in aggregate: words are split into chunks of at most four characters,
 and punctuation/whitespace boundaries start new tokens.  The resulting counts
 track the usual "one token is roughly four characters of English" heuristic,
 which is all the cost model needs.
+
+The whole rule is one regular expression, ``\\w{1,chunk_size}|[^\\w\\s]``:
+scanning left to right, a greedy ``\\w{1,n}`` cuts every maximal word run into
+chunks of at most ``n`` characters, and any other non-space character is its
+own token.  Whitespace never joins or belongs to a token, so counts are
+additive across it: ``count(a + " " + b) == count(a) + count(b)``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
-_WORD_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+from repro.exceptions import ConfigurationError
 
 #: Maximum number of characters folded into a single token chunk.
 _CHUNK_SIZE = 4
 
+#: Texts longer than this are counted afresh each time instead of memoized:
+#: the memo's keys are the texts themselves, and long texts are whole prompts
+#: that rarely repeat, so keeping them would only pin memory.  Items, labels
+#: and short completions (the texts that do repeat) sit well below it.
+_MEMO_MAX_CHARS = 128
 
-def _split_word(word: str) -> list[str]:
-    """Split a single word into chunks of at most ``_CHUNK_SIZE`` characters."""
-    return [word[i : i + _CHUNK_SIZE] for i in range(0, len(word), _CHUNK_SIZE)]
+#: Upper bound on memo entries, so distinct short texts cannot grow it forever.
+_MEMO_MAX_ENTRIES = 65536
 
 
 @dataclass
@@ -33,28 +44,26 @@ class SimpleTokenizer:
 
     chunk_size: int = _CHUNK_SIZE
     _cache: dict[str, int] = field(default_factory=dict, repr=False)
+    _findall: Callable[[str], list[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
+            raise ConfigurationError(
+                f"chunk_size must be a positive integer, got {self.chunk_size!r}"
+            )
+        self._findall = re.compile(rf"\w{{1,{self.chunk_size:d}}}|[^\w\s]").findall
 
     def tokenize(self, text: str) -> list[str]:
         """Return the list of tokens for ``text``."""
-        tokens: list[str] = []
-        for piece in _WORD_RE.findall(text):
-            if len(piece) <= self.chunk_size:
-                tokens.append(piece)
-            else:
-                tokens.extend(
-                    piece[i : i + self.chunk_size]
-                    for i in range(0, len(piece), self.chunk_size)
-                )
-        return tokens
+        return self._findall(text)
 
     def count(self, text: str) -> int:
-        """Return the number of tokens in ``text`` (memoized)."""
+        """Return the number of tokens in ``text`` (short texts are memoized)."""
         cached = self._cache.get(text)
         if cached is not None:
             return cached
-        n = len(self.tokenize(text))
-        # Bound the memo so pathological callers cannot grow it without limit.
-        if len(self._cache) < 65536:
+        n = len(self._findall(text))
+        if len(text) <= _MEMO_MAX_CHARS and len(self._cache) < _MEMO_MAX_ENTRIES:
             self._cache[text] = n
         return n
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.planner import CostPlanner
+from repro.core import planner as planner_module
+from repro.core.engine import DeclarativeEngine
+from repro.core.planner import CostEstimate, CostPlanner
 from repro.core.spec import PipelineSpec, PipelineStep, ResolveSpec, SortSpec
 from repro.data.flavors import FLAVORS
 from repro.data.words import random_words
@@ -79,6 +81,16 @@ class TestCostPlannerShapes:
         assert small_context.fits_context(snippets) is False
 
 
+class TestPhysicalPlannerSharesTokenCounts:
+    def test_stats_fed_and_stats_free_planners_share_one_tokenizer(self):
+        """The call-ratio baseline re-uses the counts the quote already made."""
+        physical = DeclarativeEngine(SimulatedLLM(flavor_oracle(), seed=7)).physical
+        with_stats = physical.cost_planner(with_stats=True)
+        stats_free = physical.cost_planner(with_stats=False)
+        assert with_stats is not stats_free
+        assert with_stats.tokenizer is stats_free.tokenizer
+
+
 class TestPlannerAgainstMeasuredCost:
     def test_estimates_are_within_a_factor_of_actual_usage(self):
         """The planner's predictions should land in the right ballpark.
@@ -106,6 +118,32 @@ _extra_items = st.lists(_item, min_size=1, max_size=10)
 
 def _planner() -> CostPlanner:
     return CostPlanner("sim-gpt-3.5-turbo")
+
+
+# Pair sides as callers really pass them: arbitrary text (any Unicode, inner
+# and outer whitespace) and the odd non-string item.
+_side = st.one_of(
+    st.text(max_size=30),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+_pairs = st.lists(st.tuples(_side, _side), min_size=1, max_size=20)
+
+
+def _concatenated_pair_estimate(
+    planner: CostPlanner, pairs: list[tuple[object, object]], expansion: int
+) -> CostEstimate:
+    """``pair_judgments`` as first written: tokenize each joined pair string."""
+    texts = [f"{left} {right}" for left, right in pairs]
+    average = sum(planner.tokenizer.count(text) for text in texts) / len(texts)
+    calls = len(pairs) * expansion
+    return planner._estimate(
+        "pair_judgments",
+        calls,
+        calls * (planner_module._PROMPT_OVERHEAD_TOKENS + average),
+        calls * planner_module._SHORT_COMPLETION_TOKENS,
+    )
 
 
 class TestCostPlannerProperties:
@@ -140,6 +178,23 @@ class TestCostPlannerProperties:
         large = planner.pair_judgments(grown)
         assert small.calls <= large.calls
         assert small.dollars <= large.dollars + 1e-12
+
+    @given(pairs=_pairs, repeats=st.integers(1, 3), expansion=st.integers(1, 45))
+    @settings(max_examples=200)
+    def test_pair_judgments_equal_the_concatenated_string_formula(
+        self, pairs, repeats, expansion
+    ):
+        """Pricing sides additively is exact: calls, usage and dollars."""
+        pairs = pairs * repeats  # repeated sides exercise the weighting
+        estimate = _planner().pair_judgments(pairs, expansion=expansion)
+        assert estimate == _concatenated_pair_estimate(_planner(), pairs, expansion)
+
+    def test_pair_judgments_reject_empty_pairs_and_bad_expansion(self):
+        planner = _planner()
+        with pytest.raises(ConfigurationError):
+            planner.pair_judgments([])
+        with pytest.raises(ConfigurationError):
+            planner.pair_judgments([("a", "b")], expansion=0)
 
     @given(
         branches=st.lists(

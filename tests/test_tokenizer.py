@@ -2,11 +2,46 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, UnknownModelError
+from repro.tokenizer import simple
 from repro.tokenizer.cost import CostModel, CostSummary, PriceTable, Usage
 from repro.tokenizer.simple import SimpleTokenizer, count_tokens
+
+_PIECE_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def reference_tokenize(text: str, chunk_size: int) -> list[str]:
+    """The original piecewise algorithm, kept as the oracle for the one-regex
+    tokenizer: maximal word runs cut left to right into ``chunk_size`` chunks,
+    every other non-space character its own token."""
+    tokens: list[str] = []
+    for piece in _PIECE_RE.findall(text):
+        if len(piece) <= chunk_size:
+            tokens.append(piece)
+        else:
+            tokens.extend(
+                piece[i : i + chunk_size] for i in range(0, len(piece), chunk_size)
+            )
+    return tokens
+
+
+# Full Unicode, weighted towards the classes the rule distinguishes: word
+# characters of several scripts, ``_``, digits, combining marks, punctuation
+# and every kind of whitespace.
+_text = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from("ab_09é\u0301\u4e2d\u6587\u0663 \t\n\r\u00a0\u2003,.!-'\"$"),
+    ),
+    max_size=80,
+)
+_chunk_size = st.integers(1, 8)
 
 
 class TestSimpleTokenizer:
@@ -48,6 +83,58 @@ class TestSimpleTokenizer:
 
     def test_unicode_text_tokenizes(self):
         assert SimpleTokenizer().count("café résumé") >= 2
+
+    @pytest.mark.parametrize("chunk_size", [0, -3, 2.5, "4", None])
+    def test_invalid_chunk_size_rejected_at_construction(self, chunk_size):
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            SimpleTokenizer(chunk_size=chunk_size)
+
+    def test_long_texts_are_not_memoized(self):
+        tokenizer = SimpleTokenizer()
+        long_texts = [f"prompt {i} " + "word " * 40 for i in range(500)]
+        assert all(len(text) > simple._MEMO_MAX_CHARS for text in long_texts)
+        for text in long_texts:
+            assert tokenizer.count(text) == len(tokenizer.tokenize(text))
+        assert tokenizer._cache == {}
+
+    def test_short_repeated_texts_hit_the_memo(self):
+        tokenizer = SimpleTokenizer()
+        # A planner item (~90 characters) must stay memoizable.
+        listing = "Listing 0042: refurbished espresso machine, 15 bar pump, stainless steel, 1 year warranty"
+        assert 85 <= len(listing) <= simple._MEMO_MAX_CHARS
+        expected = len(tokenizer.tokenize(listing))
+        assert tokenizer.count(listing) == expected
+        assert tokenizer._cache == {listing: expected}
+        # A poisoned entry proves the second count is served from the memo.
+        tokenizer._cache[listing] = -1
+        assert tokenizer.count(listing) == -1
+
+
+class TestOneRegexMatchesReference:
+    @given(text=_text, chunk_size=_chunk_size)
+    @settings(max_examples=300)
+    def test_tokens_and_count_equal_the_piecewise_reference(self, text, chunk_size):
+        tokenizer = SimpleTokenizer(chunk_size=chunk_size)
+        expected = reference_tokenize(text, chunk_size)
+        assert tokenizer.tokenize(text) == expected
+        assert tokenizer.count(text) == len(expected)
+        assert tokenizer.count(text) == len(expected)  # memoized answer too
+
+    @given(first=_text, second=_text, chunk_size=_chunk_size)
+    @settings(max_examples=200)
+    def test_count_is_additive_across_a_space(self, first, second, chunk_size):
+        tokenizer = SimpleTokenizer(chunk_size=chunk_size)
+        joined = tokenizer.count(first + " " + second)
+        assert joined == tokenizer.count(first) + tokenizer.count(second)
+
+    @given(text=_text, keep=st.integers(0, 100), chunk_size=_chunk_size)
+    @settings(max_examples=200)
+    def test_truncating_to_k_tokens_counts_k(self, text, keep, chunk_size):
+        # The simulator truncates completions as " ".join(tokens[:k]) and
+        # bills count() of the result.
+        tokenizer = SimpleTokenizer(chunk_size=chunk_size)
+        truncated = " ".join(tokenizer.tokenize(text)[:keep])
+        assert tokenizer.count(truncated) == min(keep, tokenizer.count(text))
 
 
 class TestUsage:
