@@ -32,7 +32,8 @@ pending steps.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Mapping
 
 from repro.core.budget import Budget, BudgetLease
@@ -52,9 +53,15 @@ from repro.core.spec import (
     TopKSpec,
 )
 from repro.core.governor import ConcurrencyGovernor
-from repro.core.workflow import StepReport, Workflow, WorkflowReport, WorkflowStep
+from repro.core.workflow import (
+    StepReport,
+    Workflow,
+    WorkflowReport,
+    WorkflowStep,
+    reject_running_loop,
+)
 from repro.exceptions import SpecError, StoreError
-from repro.llm.base import LLMClient
+from repro.llm.base import Body, Invoke, LLMClient, adrive, drive
 from repro.llm.registry import ModelRegistry
 from repro.operators.base import OperatorResult
 from repro.operators.categorize import CategorizeOperator, CategorizeResult
@@ -72,18 +79,6 @@ from repro.trace import trace_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
-
-
-@dataclass
-class _PipelinePrep:
-    """What the sync and async pipeline entry points share per run."""
-
-    workflow: Workflow
-    quote: PipelineQuote | None
-    store: "Store | None"
-    restored: set[str]
-    spec_runner: Any
-    on_step: Callable[[StepReport], None] | None
 
 
 class DeclarativeEngine:
@@ -492,29 +487,10 @@ class DeclarativeEngine:
                 (``restored`` already stamped); the service layer streams
                 these to polling clients.
         """
-        prep = self._prepare_pipeline(pipeline, quote, store, on_step)
-        try:
-            report = prep.workflow.execute(
-                self.session,
-                max_concurrency=max_concurrency,
-                spec_runner=prep.spec_runner,
-                quote=prep.quote,
-                scheduler=scheduler,
-                on_step=prep.on_step,
-            )
-        except BaseException:
-            # A crashed run's completed steps already checkpointed
-            # themselves; their observations are just as real, so the
-            # profile survives the failure too (the resumed process
-            # warm-starts from everything that did happen).  Best
-            # effort only: a store failure here (locked db, full disk)
-            # must not replace the pipeline's real exception.
-            try:
-                self._save_profile(prep.store)
-            except Exception:
-                pass
-            raise
-        return self._finish_pipeline(report, prep)
+        if scheduler == "async":
+            reject_running_loop("DeclarativeEngine.run_pipeline_async")
+        execute = partial(Workflow.execute, scheduler=scheduler)
+        return drive(self._pipeline(pipeline, quote, max_concurrency, store, on_step, execute))
 
     async def run_pipeline_async(
         self,
@@ -534,31 +510,27 @@ class DeclarativeEngine:
         same quoting, checkpointing, profile persistence, and report — the
         only difference is who owns the loop.
         """
-        prep = self._prepare_pipeline(pipeline, quote, store, on_step)
-        try:
-            report = await prep.workflow.execute_async(
-                self.session,
-                max_concurrency=max_concurrency,
-                spec_runner=prep.spec_runner,
-                quote=prep.quote,
-                on_step=prep.on_step,
+        return await adrive(
+            self._pipeline(
+                pipeline, quote, max_concurrency, store, on_step, Workflow.execute_async
             )
-        except BaseException:
-            try:
-                self._save_profile(prep.store)
-            except Exception:
-                pass
-            raise
-        return self._finish_pipeline(report, prep)
+        )
 
-    def _prepare_pipeline(
+    def _pipeline(
         self,
         pipeline: PipelineSpec | Workflow,
         quote: PipelineQuote | None,
+        max_concurrency: int | None,
         store: "Store | None",
         on_step: "Callable[[StepReport], None] | None",
-    ) -> "_PipelinePrep":
-        """The shared setup of the sync and async pipeline entry points."""
+        execute: Callable[..., Any],
+    ) -> Body:
+        """One pipeline run (a body, see :mod:`repro.llm.base`).
+
+        Quote, checkpoint wiring, the run itself — ``execute`` is
+        :meth:`Workflow.execute` or :meth:`Workflow.execute_async`, handed to
+        the driver — then restored flags, observability and the profile.
+        """
         if isinstance(pipeline, Workflow):
             workflow = pipeline
         else:
@@ -587,29 +559,37 @@ class DeclarativeEngine:
                     step_report.restored = True
                 on_step(step_report)
 
-        return _PipelinePrep(
-            workflow=workflow,
-            quote=quote,
-            store=store,
-            restored=restored,
-            spec_runner=spec_runner,
-            on_step=observer,
-        )
-
-    def _finish_pipeline(
-        self, report: WorkflowReport, prep: "_PipelinePrep"
-    ) -> WorkflowReport:
-        for name in prep.restored:
+        try:
+            report = yield Invoke(
+                execute,
+                workflow,
+                self.session,
+                max_concurrency=max_concurrency,
+                spec_runner=spec_runner,
+                quote=quote,
+                on_step=observer,
+            )
+        except BaseException:
+            # A crashed run's completed steps already checkpointed
+            # themselves; their observations are just as real, so the
+            # profile survives the failure too (the resumed process
+            # warm-starts from everything that did happen).  Best
+            # effort only: a store failure here (locked db, full disk)
+            # must not replace the pipeline's real exception.
+            try:
+                self._save_profile(store)
+            except Exception:
+                pass
+            raise
+        for name in restored:
             report.step_reports[name].restored = True
-        self._absorb_observability(report, prep)
+        self._absorb_observability(report, workflow.name)
         # Persist the (possibly newly grown) observations so the next
         # session warm-starts its quotes from this run.
-        self._save_profile(prep.store)
+        self._save_profile(store)
         return report
 
-    def _absorb_observability(
-        self, report: WorkflowReport, prep: "_PipelinePrep"
-    ) -> None:
+    def _absorb_observability(self, report: WorkflowReport, pipeline_name: str) -> None:
         """Collect the run's span subtree and feed the critical path back.
 
         The subtree rides the report (runtime-only, for
@@ -624,7 +604,7 @@ class DeclarativeEngine:
             report.spans = tracker.subtree(report.span_id)
             path = critical_path(report.spans)
             if path.seconds > 0:
-                self.stats.record_critical_path(prep.workflow.name, path.seconds)
+                self.stats.record_critical_path(pipeline_name, path.seconds)
             # Best effort: spans are diagnostics, never a run failure.
             try:
                 tracker.flush()

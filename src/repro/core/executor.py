@@ -2,15 +2,24 @@
 
 The paper's declarative framing treats every operator as a bag of independent
 unit tasks — pairwise comparisons, rating calls, per-record imputations.  The
-:class:`BatchExecutor` is the single dispatch point those bags go through:
+executors are the single dispatch point those bags go through:
 
-* ``max_concurrency == 1`` (the default) issues the batch through the client's
-  native ``complete_batch`` — sequential, deterministic, and able to exploit
+* ``max_concurrency == 1`` issues the batch through the client's native
+  batch entry point — sequential, deterministic, and able to exploit
   batch-level optimisations such as the response cache's within-batch dedup.
-* ``max_concurrency > 1`` fans the unit tasks out over a thread pool of that
-  size.  Results always come back in input order, and at temperature 0 they
-  are element-wise identical to the sequential path (the equivalence test
-  suite in ``tests/`` asserts this for every converted operator).
+* ``max_concurrency > 1`` fans the unit tasks out — :class:`BatchExecutor`
+  over a thread pool of that size, :class:`AsyncBatchExecutor` as asyncio
+  tasks behind a semaphore.  Results always come back in input order, and at
+  temperature 0 they are element-wise identical to the sequential path (the
+  equivalence test suite in ``tests/`` asserts this for every converted
+  operator).
+
+Everything the two executors decide — request normalisation, when a bag may
+go to the client as one native batch, the temperature-0 dedup partition, the
+budget pre-check, governor feedback, which failure surfaces, what ``map``
+reports — is written once in :class:`_ExecutorCore`, as sans-IO bodies in the
+sense of :mod:`repro.llm.base`.  The two public classes add only how a body
+is driven (on the calling thread, or awaited) and how several are fanned out.
 
 Two reliability hooks ride along:
 
@@ -35,7 +44,7 @@ from typing import Any, Awaitable, Callable, Iterable, Sequence
 from repro.core.budget import Budget, BudgetLease
 from repro.core.governor import ConcurrencyGovernor, estimated_prompt_tokens, is_rate_limit
 from repro.exceptions import BudgetExceededError, ConfigurationError
-from repro.llm.base import LLMResponse, call_acomplete, call_acomplete_batch, call_complete_batch
+from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, drive
 from repro.llm.retry import RetryingClient, RetryStats
 
 #: The documented default thread-pool size for I/O-bound sync dispatch — the
@@ -59,7 +68,7 @@ class BatchRequest:
 
 @dataclass
 class TaskOutcome:
-    """What happened to one task scheduled through :meth:`BatchExecutor.map`.
+    """What happened to one task scheduled through an executor's ``map``.
 
     Three states: the task ran and produced ``value``; the task ran and
     raised ``error`` (``skipped`` is False); or the task never ran
@@ -76,20 +85,6 @@ class TaskOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.skipped
-
-
-def _attach_budget_stop(outcomes: list[TaskOutcome], error: BudgetExceededError) -> None:
-    """Stamp the budget error onto every bare skipped outcome.
-
-    Once a batch stopped because the budget died, *all* tasks it prevented
-    from running share that cause — including ones whose pre-dispatch check
-    never got to run because they were still queued (the concurrent path) or
-    later in the loop (the sequential path).  Tasks skipped for other reasons
-    already carry their own error and are left alone.
-    """
-    for index, outcome in enumerate(outcomes):
-        if outcome.skipped and outcome.error is None:
-            outcomes[index] = TaskOutcome(error=error, skipped=True)
 
 
 class _BudgetPreCheckStop(Exception):
@@ -122,20 +117,74 @@ class _QueueDepth:
             self._instruments.note_dequeued(self._count)
 
 
-class BatchExecutor:
-    """Dispatch a list of independent unit tasks against one LLM client.
+class _Admitted:
+    """Request: make ``call`` while holding one of the governor's admission slots."""
+
+    __slots__ = ("governor", "call")
+
+    def __init__(self, governor: ConcurrencyGovernor, call: Call) -> None:
+        self.governor = governor
+        self.call = call
+
+    def _estimate(self) -> int:
+        return estimated_prompt_tokens(self.call.prompts[0])
+
+    def run(self) -> list[LLMResponse]:
+        with self.governor.admit(self.call.model, estimated_tokens=self._estimate()):
+            return self.call.run()
+
+    async def arun(self) -> list[LLMResponse]:
+        async with self.governor.admit_async(
+            self.call.model, estimated_tokens=self._estimate()
+        ):
+            return await self.call.arun()
+
+
+class _RunTask:
+    """Request: run one ``map`` task.
+
+    On the event loop a coroutine function is awaited natively, a sync
+    callable hops to a worker thread (so blocking work still overlaps), and a
+    sync callable returning an awaitable gets that awaited too.
+    """
+
+    __slots__ = ("task",)
+
+    def __init__(self, task: Callable[[], Any]) -> None:
+        self.task = task
+
+    def run(self) -> Any:
+        return self.task()
+
+    async def arun(self) -> Any:
+        if inspect.iscoroutinefunction(self.task):
+            return await self.task()
+        value = await asyncio.to_thread(self.task)
+        if inspect.isawaitable(value):
+            return await value
+        return value
+
+
+class _ExecutorCore:
+    """Every decision of batch execution, once; see the module docstring.
 
     Args:
         client: the client every unit task is issued through (typically an
-            operator's tracked/cached client, or a session client).
-        max_concurrency: thread-pool size; 1 means sequential native batching.
+            operator's tracked/cached client, or a session client).  Sync-only
+            clients work on the async executor too: dispatch goes through
+            :func:`~repro.llm.base.call_acomplete`, which bridges a client
+            without ``acomplete`` into a worker thread.
+        max_concurrency: how many unit tasks may be in flight at once — the
+            thread-pool size of :class:`BatchExecutor` (default 1: sequential
+            native batching), the number of simultaneously pending awaits of
+            :class:`AsyncBatchExecutor` (default 16).
         budget: optional budget (or per-step :class:`~repro.core.budget.
             BudgetLease`) checked before each dispatch for early stopping.
         governor: optional :class:`~repro.core.governor.ConcurrencyGovernor`
             every unit-task dispatch is admitted through (RPM/TPM quotas,
-            in-flight cap, adaptive backoff).  Sharing one governor between
-            this executor and an :class:`AsyncBatchExecutor` gives sync and
-            async traffic a single admission point.
+            in-flight cap, adaptive backoff).  Sharing one governor between a
+            :class:`BatchExecutor` and an :class:`AsyncBatchExecutor` gives
+            sync and async traffic a single admission point.
         validator: optional response-text validator enabling per-call retries
             (see :class:`~repro.llm.retry.RetryingClient`).
         max_retries: additional attempts per unit task when a validator is set.
@@ -145,11 +194,13 @@ class BatchExecutor:
             current (sessions pass their own automatically).
     """
 
+    _default_concurrency = 1
+
     def __init__(
         self,
         client: Any,
         *,
-        max_concurrency: int = 1,
+        max_concurrency: int | None = None,
         budget: Budget | BudgetLease | None = None,
         governor: ConcurrencyGovernor | None = None,
         validator: Callable[[str], Any] | None = None,
@@ -157,6 +208,8 @@ class BatchExecutor:
         retry_temperature: float = 0.7,
         instruments: Any | None = None,
     ) -> None:
+        if max_concurrency is None:
+            max_concurrency = self._default_concurrency
         if max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be at least 1")
         self.max_concurrency = max_concurrency
@@ -175,7 +228,170 @@ class BatchExecutor:
             self.retry_stats = None
         self._client = client
 
-    # -- dispatch -----------------------------------------------------------------
+    def _fan_out(self, bodies: list[Body]) -> Any:
+        """Drive ``bodies`` concurrently; one :class:`TaskOutcome` each, in order.
+
+        The one thing the two executors do differently.  After the first
+        failure, bodies that have not started are left ``skipped`` (those in
+        flight finish), approximating where a sequential loop would have
+        stopped.
+        """
+        raise NotImplementedError
+
+    # -- bodies -------------------------------------------------------------------
+
+    def _run(self, requests: Iterable[BatchRequest | str]) -> Body:
+        """Body of ``run``: every request's response, in input order."""
+        normalized = [
+            request if isinstance(request, BatchRequest) else BatchRequest(prompt=request)
+            for request in requests
+        ]
+        if not normalized:
+            return []
+        with _QueueDepth(self.instruments, len(normalized)):
+            if self.max_concurrency == 1 or len(normalized) == 1:
+                return (yield from self._run_sequential(normalized))
+            return (yield from self._run_concurrent(normalized))
+
+    def _run_sequential(self, requests: Sequence[BatchRequest]) -> Body:
+        params = {(request.model, request.temperature, request.max_tokens) for request in requests}
+        budget_enforced = self.budget is not None and not self.budget.unlimited
+        if len(params) == 1 and not budget_enforced and self.governor is None:
+            # The common operator case: one prompt list, shared parameters, no
+            # budget limit to check mid-batch and no governor to admit each
+            # dispatch — hand the whole bag to the client's native batch
+            # entry point in a single call.
+            model, temperature, max_tokens = params.pop()
+            prompts = [request.prompt for request in requests]
+            return (yield Call(self._client, prompts, model, temperature, max_tokens))
+        # Heterogeneous parameters (e.g. ensemble votes across models) or a
+        # budget limit that must be able to stop the batch mid-way: dispatch
+        # one by one, in order, so every call is charged before the next one
+        # goes out.
+        responses = []
+        for request in requests:
+            responses.append((yield from self._unit(request)))
+        return responses
+
+    def _run_concurrent(self, requests: Sequence[BatchRequest]) -> Body:
+        # Duplicate temperature-0 requests must not race each other past a
+        # downstream cache's check-then-act: only the first occurrence per
+        # (model, prompt) — the response cache's key, so requests differing
+        # only in max_tokens still count as duplicates — is fanned out;
+        # duplicates are resolved afterwards through the ordinary per-call
+        # path, where they hit the now-warm cache (or, without a cache, pay
+        # their own call — exactly like the sequential loop).
+        seen: set[tuple[str | None, str]] = set()
+        pooled: list[int] = []
+        deferred: list[int] = []
+        for index, request in enumerate(requests):
+            if request.temperature == 0.0:
+                key = (request.model, request.prompt)
+                if key in seen:
+                    deferred.append(index)
+                    continue
+                seen.add(key)
+            pooled.append(index)
+        outcomes = yield Invoke(self._fan_out, [self._unit(requests[index]) for index in pooled])
+        for outcome in outcomes:
+            if outcome.error is not None:
+                # Deterministic propagation: outcomes are in request order, so
+                # this is the failure of the earliest request among those
+                # that ran.
+                raise outcome.error
+        results: list[LLMResponse | None] = [None] * len(requests)
+        for index, outcome in zip(pooled, outcomes):
+            results[index] = outcome.value
+        for index in deferred:
+            results[index] = yield from self._unit(requests[index])
+        assert all(response is not None for response in results)
+        return results
+
+    def _unit(self, request: BatchRequest) -> Body:
+        """Body of one unit task: pre-check, gauges, admission, the call, feedback."""
+        self._check_budget()
+        if self.instruments is not None:
+            self.instruments.note_task_started()
+        try:
+            call = Call(
+                self._client,
+                [request.prompt],
+                request.model,
+                request.temperature,
+                request.max_tokens,
+                single=True,
+            )
+            if self.governor is None:
+                (response,) = yield call
+                return response
+            try:
+                (response,) = yield _Admitted(self.governor, call)
+            except BaseException as exc:
+                if is_rate_limit(exc):
+                    self.governor.record_failure(exc)
+                raise
+            self.governor.record_success()
+            return response
+        finally:
+            if self.instruments is not None:
+                self.instruments.note_task_done()
+
+    def _check_budget(self) -> None:
+        budget = self.budget
+        if budget is not None and not budget.unlimited and budget.remaining <= 0.0:
+            raise BudgetExceededError(budget.spent, budget.limit)
+
+    def _map(self, tasks: Sequence[Callable[[], Any]]) -> Body:
+        """Body of ``map``: one :class:`TaskOutcome` per task, in input order."""
+        bodies = [self._guarded(task) for task in tasks]
+        outcomes = [TaskOutcome(skipped=True) for _ in bodies]
+        if not bodies:
+            return outcomes
+        with _QueueDepth(self.instruments, len(bodies)):
+            if self.max_concurrency == 1 or len(bodies) == 1:
+                for index, body in enumerate(bodies):
+                    try:
+                        outcomes[index] = TaskOutcome(value=(yield from body))
+                    except (asyncio.CancelledError, GeneratorExit):
+                        raise
+                    except BaseException as exc:  # noqa: BLE001 - reported, not raised
+                        outcomes[index] = TaskOutcome(error=exc)
+                        break
+            else:
+                outcomes = yield Invoke(self._fan_out, bodies)
+        # A task the budget pre-check turned away never ran: it is reported
+        # as skipped with the budget error attached.
+        budget_stop: BudgetExceededError | None = None
+        for index, outcome in enumerate(outcomes):
+            if isinstance(outcome.error, _BudgetPreCheckStop):
+                outcomes[index] = TaskOutcome(error=outcome.error.error, skipped=True)
+                budget_stop = budget_stop or outcome.error.error
+        if budget_stop is not None:
+            # Once the budget died, *all* tasks it kept from running share
+            # that cause — including ones whose own pre-check never ran
+            # because they were still queued (fanned out) or later in the
+            # loop (sequential).  Tasks skipped for other reasons already
+            # carry their own error and are left alone.
+            for index, outcome in enumerate(outcomes):
+                if outcome.skipped and outcome.error is None:
+                    outcomes[index] = TaskOutcome(error=budget_stop, skipped=True)
+        return outcomes
+
+    def _guarded(self, task: Callable[[], Any]) -> Body:
+        """Body of one ``map`` task: the budget pre-check, then the task."""
+        try:
+            self._check_budget()
+        except BudgetExceededError as exc:
+            raise _BudgetPreCheckStop(exc) from exc
+        return (yield _RunTask(task))
+
+
+class BatchExecutor(_ExecutorCore):
+    """Dispatch a list of independent unit tasks against one LLM client.
+
+    Sequential at ``max_concurrency == 1`` (the default); a thread pool of
+    that size otherwise.  Arguments: see :class:`_ExecutorCore`.
+    """
 
     def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
         """Execute every request and return the responses in input order.
@@ -183,17 +399,12 @@ class BatchExecutor:
         Plain strings are promoted to default-parameter :class:`BatchRequest`
         objects.  Raises :class:`~repro.exceptions.BudgetExceededError` before
         dispatching further unit tasks once an attached budget is exhausted.
+        The first failure cancels queued (not in-flight) unit tasks and is
+        re-raised deterministically (the earliest request among those that
+        ran), and temperature-0 duplicates of one (model, prompt) wait for
+        the first occurrence instead of racing it past the cache.
         """
-        normalized = [
-            request if isinstance(request, BatchRequest) else BatchRequest(prompt=request)
-            for request in requests
-        ]
-        if not normalized:
-            return []
-        with self._queued(len(normalized)):
-            if self.max_concurrency == 1 or len(normalized) == 1:
-                return self._run_sequential(normalized)
-            return self._run_concurrent(normalized)
+        return drive(self._run(requests))
 
     def map(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskOutcome]:
         """Run independent no-argument callables; outcomes in input order.
@@ -214,462 +425,83 @@ class BatchExecutor:
         concurrent path, so callers can tell the two skip causes apart
         without caring which path executed the batch.
         """
-        task_list = list(tasks)
-        outcomes = [TaskOutcome(skipped=True) for _ in task_list]
-        if not task_list:
-            return outcomes
-        with self._queued(len(task_list)):
-            return self._map(task_list, outcomes)
+        return drive(self._map(tasks))
 
-    def _map(
-        self, task_list: list[Callable[[], Any]], outcomes: list[TaskOutcome]
-    ) -> list[TaskOutcome]:
-        if self.max_concurrency == 1 or len(task_list) == 1:
-            for index, task in enumerate(task_list):
-                try:
-                    self._check_budget()
-                except BudgetExceededError as exc:
-                    # Outcome parity with the concurrent path: every task the
-                    # exhausted budget prevented from running carries the
-                    # error, not just the first one.
-                    for skipped_index in range(index, len(task_list)):
-                        outcomes[skipped_index] = TaskOutcome(error=exc, skipped=True)
-                    break
-                try:
-                    outcomes[index] = TaskOutcome(value=task())
-                except BaseException as exc:  # noqa: BLE001 - reported, not raised
-                    outcomes[index] = TaskOutcome(error=exc)
-                    break
-            return outcomes
-
-        def guarded(task: Callable[[], Any]) -> Any:
-            try:
-                self._check_budget()
-            except BudgetExceededError as exc:
-                raise _BudgetPreCheckStop(exc) from exc
-            return task()
-
-        budget_stop: BudgetExceededError | None = None
+    def _fan_out(self, bodies: list[Body]) -> list[TaskOutcome]:
+        outcomes = [TaskOutcome(skipped=True) for _ in bodies]
         with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-            # Each task runs under a fresh copy of the dispatching thread's
+            # Each body runs under a fresh copy of the dispatching thread's
             # context, so ambient state (the trace labels of repro.trace)
-            # survives the hop into the pool.  One copy per task: a single
+            # survives the hop into the pool.  One copy per body: a single
             # Context object cannot run in two threads at once.
-            futures = {
-                pool.submit(contextvars.copy_context().run, guarded, task): index
-                for index, task in enumerate(task_list)
-            }
-            failed = False
-            for future, index in futures.items():
-                try:
-                    outcomes[index] = TaskOutcome(value=future.result())
-                except CancelledError:
-                    continue  # stays skipped
-                except _BudgetPreCheckStop as stop:
-                    outcomes[index] = TaskOutcome(error=stop.error, skipped=True)
-                    budget_stop = budget_stop or stop.error
-                    if not failed:
-                        failed = True
-                        pool.shutdown(wait=False, cancel_futures=True)
-                except BaseException as exc:  # noqa: BLE001 - reported, not raised
-                    outcomes[index] = TaskOutcome(error=exc)
-                    if not failed:
-                        failed = True
-                        pool.shutdown(wait=False, cancel_futures=True)
-        if budget_stop is not None:
-            _attach_budget_stop(outcomes, budget_stop)
-        return outcomes
-
-    # -- internals ----------------------------------------------------------------
-
-    def _queued(self, count: int):
-        """Keep the queue-depth gauge current over one batch dispatch."""
-        return _QueueDepth(self.instruments, count)
-
-    def _check_budget(self) -> None:
-        budget = self.budget
-        if budget is not None and not budget.unlimited and budget.remaining <= 0.0:
-            raise BudgetExceededError(budget.spent, budget.limit)
-
-    def _complete_one(self, request: BatchRequest) -> LLMResponse:
-        self._check_budget()
-        if self.instruments is not None:
-            self.instruments.note_task_started()
-        try:
-            return self._dispatch_one(request)
-        finally:
-            if self.instruments is not None:
-                self.instruments.note_task_done()
-
-    def _dispatch_one(self, request: BatchRequest) -> LLMResponse:
-        if self.governor is None:
-            return self._client.complete(
-                request.prompt,
-                model=request.model,
-                temperature=request.temperature,
-                max_tokens=request.max_tokens,
-            )
-        with self.governor.admit(
-            request.model, estimated_tokens=estimated_prompt_tokens(request.prompt)
-        ):
-            try:
-                response = self._client.complete(
-                    request.prompt,
-                    model=request.model,
-                    temperature=request.temperature,
-                    max_tokens=request.max_tokens,
-                )
-            except BaseException as exc:
-                if is_rate_limit(exc):
-                    self.governor.record_failure(exc)
-                raise
-        self.governor.record_success()
-        return response
-
-    def _homogeneous_params(
-        self, requests: Sequence[BatchRequest]
-    ) -> tuple[str | None, float, int | None] | None:
-        params = {(request.model, request.temperature, request.max_tokens) for request in requests}
-        if len(params) == 1:
-            return next(iter(params))
-        return None
-
-    @property
-    def _budget_enforced(self) -> bool:
-        return self.budget is not None and not self.budget.unlimited
-
-    def _run_sequential(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
-        params = self._homogeneous_params(requests)
-        if params is not None and not self._budget_enforced and self.governor is None:
-            # The common operator case: one prompt list, shared parameters, no
-            # budget limit to check mid-batch and no governor to admit each
-            # dispatch — hand the whole bag to the client's native batch
-            # entry point in a single call.
-            model, temperature, max_tokens = params
-            return call_complete_batch(
-                self._client,
-                [request.prompt for request in requests],
-                model=model,
-                temperature=temperature,
-                max_tokens=max_tokens,
-            )
-        # Heterogeneous parameters (e.g. ensemble votes across models) or a
-        # budget limit that must be able to stop the batch mid-way: dispatch
-        # one by one, in order, so every call is charged before the next one
-        # goes out.
-        return [self._complete_one(request) for request in requests]
-
-    def _run_concurrent(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
-        results: list[LLMResponse | None] = [None] * len(requests)
-        # Duplicate temperature-0 requests must not race each other past a
-        # downstream cache's check-then-act: only the first occurrence per
-        # (model, prompt) — the response cache's key, so requests differing
-        # only in max_tokens still count as duplicates — goes to the pool;
-        # duplicates are resolved afterwards through the ordinary per-call
-        # path, where they hit the now-warm cache (or, without a cache, pay
-        # their own call — exactly like the sequential loop).
-        seen: set[tuple[str | None, str]] = set()
-        pooled: list[int] = []
-        deferred: list[int] = []
-        for index, request in enumerate(requests):
-            if request.temperature == 0.0:
-                key = (request.model, request.prompt)
-                if key in seen:
-                    deferred.append(index)
-                    continue
-                seen.add(key)
-            pooled.append(index)
-        errors: dict[int, BaseException] = {}
-        with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-            # Fresh context copy per unit task (see map() for the rationale).
-            futures = {
-                pool.submit(
-                    contextvars.copy_context().run, self._complete_one, requests[index]
-                ): index
-                for index in pooled
-            }
+            futures = [
+                pool.submit(contextvars.copy_context().run, drive, body) for body in bodies
+            ]
             # Collect in submission order with result() rather than
             # as_completed(): futures cancelled by shutdown(cancel_futures=
             # True) never notify as_completed's waiters (no worker runs their
             # set_running_or_notify_cancel), which would hang the iterator;
             # result() raises CancelledError on them immediately.
-            cancelled = False
-            for future, index in futures.items():
+            failed = False
+            for index, future in enumerate(futures):
                 try:
-                    results[index] = future.result()
+                    outcomes[index] = TaskOutcome(value=future.result())
                 except CancelledError:
-                    continue
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors[index] = exc
-                    if not cancelled:
-                        # A unit task failed: stop dispatching the queued ones
-                        # (in-flight tasks finish), approximating where the
-                        # sequential loop would have stopped.
-                        cancelled = True
+                    continue  # stays skipped
+                except BaseException as exc:  # noqa: BLE001 - reported to the body
+                    outcomes[index] = TaskOutcome(error=exc)
+                    if not failed:
+                        failed = True
                         pool.shutdown(wait=False, cancel_futures=True)
-        if errors:
-            # Deterministic propagation: surface the failure of the earliest
-            # request among those that ran.
-            raise errors[min(errors)]
-        for index in deferred:
-            results[index] = self._complete_one(requests[index])
-        assert all(response is not None for response in results)
-        return results  # type: ignore[return-value]
+        return outcomes
 
 
-class AsyncBatchExecutor:
-    """Asyncio-native twin of :class:`BatchExecutor`.
+class AsyncBatchExecutor(_ExecutorCore):
+    """The same executor for callers on an event loop: ``run``/``map`` are awaited.
 
-    Same contract — ordered results, per-dispatch budget pre-checks,
-    first-failure cancellation of not-yet-started work, duplicate-prompt
-    dedup ahead of the cache, contextvar-propagated trace labels — but unit
-    tasks are awaited as asyncio tasks bounded by a semaphore instead of
-    fanned over a thread pool.  For I/O-bound provider calls that is the
-    difference between paying one OS thread per concurrent call and paying
-    none: concurrency 64 costs 64 pending awaits, not 64 threads.
-
-    Sync-only clients stay drop-in: dispatch goes through
-    :func:`~repro.llm.base.call_acomplete`, which bridges a client without
-    ``acomplete`` into a worker thread.  An attached
-    :class:`~repro.core.governor.ConcurrencyGovernor` admits every dispatch
-    (``admit_async``), so a governor shared with a sync executor makes both
-    paths obey one set of quotas.
-
-    Args:
-        client: the client every unit task is awaited through.
-        max_concurrency: maximum simultaneously pending unit tasks.
-        budget: optional budget/lease checked before each dispatch.
-        governor: optional shared admission point (quotas, backoff, slots).
-        validator: optional response-text validator enabling per-call retries.
-        max_retries: additional attempts per unit task when a validator is set.
-        retry_temperature: temperature used for those retry attempts.
-        instruments: optional :class:`~repro.obs.SessionInstruments` keeping
-            the queue-depth and in-flight gauges current.
+    Unit tasks are asyncio tasks bounded by a semaphore instead of threads
+    in a pool.  For I/O-bound provider calls that is the difference between
+    paying one OS thread per concurrent call and paying none: concurrency 64
+    costs 64 pending awaits, not 64 threads.  ``map`` tasks may be coroutine
+    functions — awaited natively on the loop — or plain sync callables, which
+    are bridged into worker threads so a wave of blocking operator runs still
+    overlaps.  Arguments: see :class:`_ExecutorCore`.
     """
 
-    def __init__(
-        self,
-        client: Any,
-        *,
-        max_concurrency: int = 16,
-        budget: Budget | BudgetLease | None = None,
-        governor: ConcurrencyGovernor | None = None,
-        validator: Callable[[str], Any] | None = None,
-        max_retries: int = 2,
-        retry_temperature: float = 0.7,
-        instruments: Any | None = None,
-    ) -> None:
-        if max_concurrency < 1:
-            raise ConfigurationError("max_concurrency must be at least 1")
-        self.max_concurrency = max_concurrency
-        self.budget = budget
-        self.governor = governor
-        self.instruments = instruments
-        if validator is not None:
-            client = RetryingClient(
-                client,
-                validator=validator,
-                max_retries=max_retries,
-                retry_temperature=retry_temperature,
-            )
-            self.retry_stats: RetryStats | None = client.stats
-        else:
-            self.retry_stats = None
-        self._client = client
-
-    # -- dispatch -----------------------------------------------------------------
+    _default_concurrency = 16
 
     async def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
-        """Execute every request and return the responses in input order.
-
-        Semantics mirror :meth:`BatchExecutor.run`: plain strings are
-        promoted to default-parameter requests, an exhausted budget raises
-        :class:`~repro.exceptions.BudgetExceededError` before further
-        dispatches, the first failure cancels queued (not in-flight) unit
-        tasks and is re-raised deterministically (earliest request among
-        those that ran), and temperature-0 duplicates of one (model, prompt)
-        defer to the post-batch cache pass instead of racing it.
-        """
-        normalized = [
-            request if isinstance(request, BatchRequest) else BatchRequest(prompt=request)
-            for request in requests
-        ]
-        if not normalized:
-            return []
-        with _QueueDepth(self.instruments, len(normalized)):
-            if self.max_concurrency == 1 or len(normalized) == 1:
-                return await self._run_sequential(normalized)
-            return await self._run_concurrent(normalized)
+        """Awaitable :meth:`BatchExecutor.run`: same results, same failures."""
+        return await adrive(self._run(requests))
 
     async def map(
         self, tasks: Sequence[Callable[[], Any] | Callable[[], Awaitable[Any]]]
     ) -> list[TaskOutcome]:
-        """Run independent no-argument callables; outcomes in input order.
+        """Awaitable :meth:`BatchExecutor.map`: same outcomes."""
+        return await adrive(self._map(tasks))
 
-        The async twin of :meth:`BatchExecutor.map`, with identical outcome
-        semantics (including the budget-skip error attachment).  Tasks may be
-        coroutine functions — awaited natively on the loop — or plain sync
-        callables, which are bridged into worker threads so a wave of
-        blocking operator runs still overlaps in wall-clock time.  Each task
-        runs under the dispatching context (trace labels propagate both into
-        asyncio tasks and across the thread bridge).
-        """
-        task_list = list(tasks)
-        outcomes = [TaskOutcome(skipped=True) for _ in task_list]
-        if not task_list:
-            return outcomes
-        semaphore = asyncio.Semaphore(self.max_concurrency)
-        stopped = False
-        budget_stop: BudgetExceededError | None = None
-
-        async def worker(index: int, task: Callable[[], Any]) -> None:
-            nonlocal stopped, budget_stop
-            async with semaphore:
-                if stopped:
-                    return  # stays skipped: a sibling already failed
-                try:
-                    self._check_budget()
-                except BudgetExceededError as exc:
-                    outcomes[index] = TaskOutcome(error=exc, skipped=True)
-                    budget_stop = budget_stop or exc
-                    stopped = True
-                    return
-                try:
-                    value = await _call_task(task)
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - reported, not raised
-                    outcomes[index] = TaskOutcome(error=exc)
-                    stopped = True
-                    return
-                outcomes[index] = TaskOutcome(value=value)
-
-        with _QueueDepth(self.instruments, len(task_list)):
-            await asyncio.gather(
-                *(
-                    asyncio.create_task(worker(index, task))
-                    for index, task in enumerate(task_list)
-                )
-            )
-        if budget_stop is not None:
-            _attach_budget_stop(outcomes, budget_stop)
-        return outcomes
-
-    # -- internals ----------------------------------------------------------------
-
-    def _check_budget(self) -> None:
-        budget = self.budget
-        if budget is not None and not budget.unlimited and budget.remaining <= 0.0:
-            raise BudgetExceededError(budget.spent, budget.limit)
-
-    async def _complete_one(self, request: BatchRequest) -> LLMResponse:
-        self._check_budget()
-        if self.instruments is not None:
-            self.instruments.note_task_started()
-        try:
-            return await self._dispatch_one(request)
-        finally:
-            if self.instruments is not None:
-                self.instruments.note_task_done()
-
-    async def _dispatch_one(self, request: BatchRequest) -> LLMResponse:
-        if self.governor is None:
-            return await call_acomplete(
-                self._client,
-                request.prompt,
-                model=request.model,
-                temperature=request.temperature,
-                max_tokens=request.max_tokens,
-            )
-        async with self.governor.admit_async(
-            request.model, estimated_tokens=estimated_prompt_tokens(request.prompt)
-        ):
-            try:
-                response = await call_acomplete(
-                    self._client,
-                    request.prompt,
-                    model=request.model,
-                    temperature=request.temperature,
-                    max_tokens=request.max_tokens,
-                )
-            except BaseException as exc:
-                if is_rate_limit(exc):
-                    self.governor.record_failure(exc)
-                raise
-        self.governor.record_success()
-        return response
-
-    @property
-    def _budget_enforced(self) -> bool:
-        return self.budget is not None and not self.budget.unlimited
-
-    async def _run_sequential(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
-        params = {(request.model, request.temperature, request.max_tokens) for request in requests}
-        if len(params) == 1 and not self._budget_enforced and self.governor is None:
-            # Homogeneous parameters, nothing to check mid-batch: hand the
-            # whole bag to the client's native async batch entry point.
-            model, temperature, max_tokens = next(iter(params))
-            return await call_acomplete_batch(
-                self._client,
-                [request.prompt for request in requests],
-                model=model,
-                temperature=temperature,
-                max_tokens=max_tokens,
-            )
-        return [await self._complete_one(request) for request in requests]
-
-    async def _run_concurrent(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
-        results: list[LLMResponse | None] = [None] * len(requests)
-        # Same dispatch-level dedup as the thread path: only the first
-        # occurrence per temperature-0 (model, prompt) goes to the loop
-        # concurrently; duplicates resolve afterwards through the per-call
-        # path, where they hit the now-warm cache.
-        seen: set[tuple[str | None, str]] = set()
-        pooled: list[int] = []
-        deferred: list[int] = []
-        for index, request in enumerate(requests):
-            if request.temperature == 0.0:
-                key = (request.model, request.prompt)
-                if key in seen:
-                    deferred.append(index)
-                    continue
-                seen.add(key)
-            pooled.append(index)
-        errors: dict[int, BaseException] = {}
+    async def _fan_out(self, bodies: list[Body]) -> list[TaskOutcome]:
+        outcomes = [TaskOutcome(skipped=True) for _ in bodies]
         semaphore = asyncio.Semaphore(self.max_concurrency)
         stopped = False
 
-        async def worker(index: int) -> None:
+        async def worker(index: int, body: Body) -> None:
             nonlocal stopped
             async with semaphore:
                 if stopped:
-                    return  # cancelled-equivalent: queued behind the failure
+                    return  # stays skipped: queued behind the failure
                 try:
-                    results[index] = await self._complete_one(requests[index])
+                    outcomes[index] = TaskOutcome(value=await adrive(body))
                 except asyncio.CancelledError:
                     raise
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors[index] = exc
+                except BaseException as exc:  # noqa: BLE001 - reported to the body
+                    outcomes[index] = TaskOutcome(error=exc)
                     stopped = True
 
-        await asyncio.gather(*(asyncio.create_task(worker(index)) for index in pooled))
-        if errors:
-            # Deterministic propagation: the earliest request among those
-            # that ran, exactly like the thread path.
-            raise errors[min(errors)]
-        for index in deferred:
-            results[index] = await self._complete_one(requests[index])
-        assert all(response is not None for response in results)
-        return results  # type: ignore[return-value]
-
-
-async def _call_task(task: Callable[[], Any]) -> Any:
-    """Await a map() task: native coroutine functions run on the loop, sync
-    callables hop to a worker thread (so blocking work still overlaps), and a
-    sync callable returning an awaitable gets that awaited too."""
-    if inspect.iscoroutinefunction(task):
-        return await task()
-    value = await asyncio.to_thread(task)
-    if inspect.isawaitable(value):
-        return await value
-    return value
+        # Each asyncio task copies the dispatching context at creation, so
+        # trace labels and the ambient span reach the bodies as they do
+        # through the thread pool.
+        await asyncio.gather(
+            *(asyncio.create_task(worker(index, body)) for index, body in enumerate(bodies))
+        )
+        return outcomes

@@ -25,13 +25,7 @@ from repro.core.executor import AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.physical import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
-from repro.llm.base import (
-    LLMClient,
-    LLMResponse,
-    call_acomplete,
-    call_acomplete_batch,
-    call_complete_batch,
-)
+from repro.llm.base import Body, Call, LLMClient, LLMResponse, adrive, drive
 from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
@@ -50,74 +44,36 @@ class SessionClient:
     ``budget`` optionally redirects where calls are *charged*: a pipeline
     step's client charges its per-step :class:`BudgetLease` (which forwards
     every dollar to the session budget), so the lease measures exactly the
-    step's own spending even while sibling steps run concurrently.
+    step's own spending even while sibling steps run concurrently.  An
+    explicit ``budget=`` on a call still wins over the bound one.
     """
 
     session: "PromptSession"
     budget: Budget | BudgetLease | None = None
 
+    def _bound(self, budget: Budget | BudgetLease | None) -> Budget | BudgetLease | None:
+        return budget if budget is not None else self.budget
+
     def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
+        self, prompt: str, *, budget: Budget | BudgetLease | None = None, **params
     ) -> LLMResponse:
-        return self.session.complete(
-            prompt,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=self.budget,
-        )
+        return self.session.complete(prompt, budget=self._bound(budget), **params)
 
     def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
+        self, prompts: list[str], *, budget: Budget | BudgetLease | None = None, **params
     ) -> list[LLMResponse]:
-        return self.session.complete_batch(
-            prompts,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=self.budget,
-        )
+        return self.session.complete_batch(prompts, budget=self._bound(budget), **params)
 
     async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
+        self, prompt: str, *, budget: Budget | BudgetLease | None = None, **params
     ) -> LLMResponse:
-        return await self.session.acomplete(
-            prompt,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=self.budget,
-        )
+        return await self.session.acomplete(prompt, budget=self._bound(budget), **params)
 
     async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
+        self, prompts: list[str], *, budget: Budget | BudgetLease | None = None, **params
     ) -> list[LLMResponse]:
         return await self.session.acomplete_batch(
-            prompts,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=self.budget,
+            prompts, budget=self._bound(budget), **params
         )
 
     @property
@@ -220,6 +176,11 @@ class PromptSession:
         ``budget`` redirects the charge (a :class:`BudgetLease` forwards
         every dollar to the session budget, so nothing is lost); by default
         the session's own budget is charged.
+
+        This is :meth:`_issue` for one sync call, written out by hand over
+        the same helpers: the executors cross the session once per unit
+        task, where driving a generator is measurable (see
+        :class:`~repro.llm.base.BaseClient`).
         """
         target = budget if budget is not None else self.budget
         model_name = model or self.config.chat_model
@@ -229,71 +190,9 @@ class PromptSession:
                 prompt, model=model_name, temperature=temperature, max_tokens=max_tokens
             )
         except Exception as exc:
-            self._trace_failure(
-                prompt,
-                model_name,
-                temperature,
-                (time.perf_counter() - start) * 1000.0,
-                exc,
-            )
+            self._trace_failure(prompt, model_name, temperature, start, exc)
             raise
-        return self._settle_completion(prompt, temperature, response, target, start)
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> LLMResponse:
-        """Asyncio-native :meth:`complete`: identical tracing and charging.
-
-        The call is awaited through the client stack's ``acomplete`` chain
-        (sync-only clients are bridged into a worker thread); everything
-        after the response — tracker, cost, trace record, budget charge — is
-        the exact code path the sync method runs, so at temperature 0 the
-        two are observably identical.
-        """
-        target = budget if budget is not None else self.budget
-        model_name = model or self.config.chat_model
-        start = time.perf_counter()
-        try:
-            response = await call_acomplete(
-                self._client, prompt, model=model_name, temperature=temperature, max_tokens=max_tokens
-            )
-        except Exception as exc:
-            self._trace_failure(
-                prompt,
-                model_name,
-                temperature,
-                (time.perf_counter() - start) * 1000.0,
-                exc,
-            )
-            raise
-        return self._settle_completion(prompt, temperature, response, target, start)
-
-    def _settle_completion(
-        self,
-        prompt: str,
-        temperature: float,
-        response: LLMResponse,
-        target: Budget | BudgetLease,
-        start: float,
-    ) -> LLMResponse:
-        """Shared post-call path: track, price, trace, then charge."""
-        duration_ms = (time.perf_counter() - start) * 1000.0
-        self.tracker.record(response)
-        priced = self.cost_model.has_model(response.model)
-        cost = self.cost_model.cost(response.model, response.usage) if priced else 0.0
-        # Trace before charging: the call happened (and is replayable) even
-        # if charging it is what breaches the budget.
-        self._trace_response(prompt, temperature, response, cost, duration_ms)
-        if priced:
-            target.charge(cost)
-        self.instruments.note_budget_spent(self.budget.spent)
-        return response
+        return self._settle([prompt], [response], temperature, target, start)[0]
 
     def complete_batch(
         self,
@@ -312,29 +211,24 @@ class PromptSession:
         :class:`~repro.core.executor.BatchExecutor` with the session budget
         attached (operators constructed by the engine do exactly that).
         """
-        target = budget if budget is not None else self.budget
-        if not target.unlimited and target.remaining <= 0.0:
-            raise BudgetExceededError(target.spent, target.limit or 0.0)
-        model_name = model or self.config.chat_model
-        request_list = list(prompts)
-        start = time.perf_counter()
-        try:
-            responses = call_complete_batch(
-                self._client,
-                request_list,
-                model=model_name,
-                temperature=temperature,
-                max_tokens=max_tokens,
-            )
-        except Exception as exc:
-            # The batch is one dispatch unit: which prompt failed (and which
-            # succeeded before it) is not observable here, so the failure is
-            # traced as a single batch-level record.
-            self._trace_failure(
-                "", model_name, temperature, (time.perf_counter() - start) * 1000.0, exc
-            )
-            raise
-        return self._settle_batch(request_list, responses, temperature, target, start)
+        return drive(self._issue(list(prompts), model, temperature, max_tokens, budget, False))
+
+    async def acomplete(
+        self,
+        prompt: str,
+        *,
+        model: str | None = None,
+        temperature: float = 0.0,
+        max_tokens: int | None = None,
+        budget: Budget | BudgetLease | None = None,
+    ) -> LLMResponse:
+        """Awaitable :meth:`complete`: the same call path, the client stack awaited.
+
+        Sync-only clients are bridged into a worker thread (see
+        :func:`~repro.llm.base.call_acomplete`).
+        """
+        body = self._issue([prompt], model, temperature, max_tokens, budget, True)
+        return (await adrive(body))[0]
 
     async def acomplete_batch(
         self,
@@ -345,37 +239,55 @@ class PromptSession:
         max_tokens: int | None = None,
         budget: Budget | BudgetLease | None = None,
     ) -> list[LLMResponse]:
-        """Asyncio-native :meth:`complete_batch`: identical accounting."""
+        """Awaitable :meth:`complete_batch`: the same call path, awaited."""
+        return await adrive(
+            self._issue(list(prompts), model, temperature, max_tokens, budget, False)
+        )
+
+    def _issue(
+        self,
+        prompts: list[str],
+        model: str | None,
+        temperature: float,
+        max_tokens: int | None,
+        budget: Budget | BudgetLease | None,
+        single: bool,
+    ) -> Body:
+        """The session's one call path: pre-check, dispatch, settle.
+
+        A body in the sense of :mod:`repro.llm.base`: the four public entry
+        points hand it to the sync or the async driver, so tracking, pricing,
+        tracing and charging are the same code whichever way a call arrives.
+        """
         target = budget if budget is not None else self.budget
-        if not target.unlimited and target.remaining <= 0.0:
+        # Only a batch is refused up front: a single call is the unit the
+        # executors pre-check themselves, and on its own it is made, charged
+        # and *then* reported as the breach.
+        if not single and not target.unlimited and target.remaining <= 0.0:
             raise BudgetExceededError(target.spent, target.limit or 0.0)
         model_name = model or self.config.chat_model
-        request_list = list(prompts)
         start = time.perf_counter()
         try:
-            responses = await call_acomplete_batch(
-                self._client,
-                request_list,
-                model=model_name,
-                temperature=temperature,
-                max_tokens=max_tokens,
+            responses = yield Call(
+                self._client, prompts, model_name, temperature, max_tokens, single
             )
         except Exception as exc:
-            self._trace_failure(
-                "", model_name, temperature, (time.perf_counter() - start) * 1000.0, exc
-            )
+            # A batch is one dispatch unit: which prompt failed (and which
+            # succeeded before it) is not observable here, so the failure is
+            # traced as a single batch-level record with no prompt.
+            self._trace_failure(prompts[0] if single else "", model_name, temperature, start, exc)
             raise
-        return self._settle_batch(request_list, responses, temperature, target, start)
+        return self._settle(prompts, responses, temperature, target, start)
 
-    def _settle_batch(
+    def _settle(
         self,
-        request_list: list[str],
+        prompts: list[str],
         responses: list[LLMResponse],
         temperature: float,
         target: Budget | BudgetLease,
         start: float,
     ) -> list[LLMResponse]:
-        """Shared post-batch path: track, trace each response, charge all."""
+        """The post-call path: track, then price, trace and charge each response."""
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         share_ms = elapsed_ms / len(responses) if responses else 0.0
         self.tracker.record_batch(responses)
@@ -383,9 +295,11 @@ class PromptSession:
         # were all made (and tracked), so stopping at the first raise would
         # leave the budget understating real spend.
         charge_error: BudgetExceededError | None = None
-        for prompt, response in zip(request_list, responses):
+        for prompt, response in zip(prompts, responses):
             priced = self.cost_model.has_model(response.model)
             cost = self.cost_model.cost(response.model, response.usage) if priced else 0.0
+            # Trace before charging: the call happened (and is replayable)
+            # even if charging it is what breaches the budget.
             self._trace_response(prompt, temperature, response, cost, share_ms)
             if priced:
                 try:
@@ -446,10 +360,11 @@ class PromptSession:
         prompt: str,
         model: str,
         temperature: float,
-        duration_ms: float,
+        start: float,
         error: BaseException,
     ) -> None:
-        """Record a call that raised (exception class from the taxonomy)."""
+        """Record a call, started at ``start``, that raised (class from the taxonomy)."""
+        duration_ms = (time.perf_counter() - start) * 1000.0
         span = self.spans.record_span(
             "call",
             model,
@@ -492,17 +407,7 @@ class PromptSession:
         ``max_concurrency`` defaults to the session's setting; the session's
         governor (when set) admits every dispatch.
         """
-        return BatchExecutor(
-            self.client(),
-            # "is not None" rather than "or": an explicit invalid 0 must
-            # reach BatchExecutor's validation, not be silently replaced.
-            max_concurrency=(
-                max_concurrency if max_concurrency is not None else self.max_concurrency
-            ),
-            budget=budget,
-            governor=self.governor,
-            instruments=self.instruments,
-        )
+        return self._executor(BatchExecutor, max_concurrency, budget)
 
     def async_batch_executor(
         self,
@@ -510,14 +415,24 @@ class PromptSession:
         max_concurrency: int | None = None,
         budget: Budget | BudgetLease | None = None,
     ) -> AsyncBatchExecutor:
-        """The asyncio-native executor twin, bound to this session's client.
+        """The asyncio-native executor, bound to this session's client.
 
         Shares the session's governor with every sync executor the session
         builds, so both paths go through one admission point.
         ``max_concurrency`` defaults to the session's setting.
         """
-        return AsyncBatchExecutor(
+        return self._executor(AsyncBatchExecutor, max_concurrency, budget)
+
+    def _executor(
+        self,
+        kind: type,
+        max_concurrency: int | None,
+        budget: Budget | BudgetLease | None,
+    ):
+        return kind(
             self.client(),
+            # "is not None" rather than "or": an explicit invalid 0 must
+            # reach the executor's validation, not be silently replaced.
             max_concurrency=(
                 max_concurrency if max_concurrency is not None else self.max_concurrency
             ),
@@ -556,7 +471,7 @@ class PromptSession:
         self.spans.flush()
 
 
-class BudgetScopedSession:
+class BudgetScopedSession(SessionClient):
     """A session view whose LLM calls are charged to a specific budget.
 
     Everything else — tracker, cache, config, registry — forwards to the
@@ -566,80 +481,8 @@ class BudgetScopedSession:
     workflow's lease (which forwards every dollar to the session budget).
     """
 
-    def __init__(self, session: PromptSession, budget: Budget | BudgetLease) -> None:
-        self._session = session
-        self.budget = budget
-
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> LLMResponse:
-        return self._session.complete(
-            prompt,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=budget if budget is not None else self.budget,
-        )
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> list[LLMResponse]:
-        return self._session.complete_batch(
-            prompts,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=budget if budget is not None else self.budget,
-        )
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> LLMResponse:
-        return await self._session.acomplete(
-            prompt,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=budget if budget is not None else self.budget,
-        )
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> list[LLMResponse]:
-        return await self._session.acomplete_batch(
-            prompts,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            budget=budget if budget is not None else self.budget,
-        )
-
     def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
-        return self._session.client(budget if budget is not None else self.budget)
+        return self.session.client(self._bound(budget))
 
     def batch_executor(
         self,
@@ -647,9 +490,8 @@ class BudgetScopedSession:
         max_concurrency: int | None = None,
         budget: Budget | BudgetLease | None = None,
     ) -> BatchExecutor:
-        return self._session.batch_executor(
-            max_concurrency=max_concurrency,
-            budget=budget if budget is not None else self.budget,
+        return self.session.batch_executor(
+            max_concurrency=max_concurrency, budget=self._bound(budget)
         )
 
     def async_batch_executor(
@@ -658,10 +500,9 @@ class BudgetScopedSession:
         max_concurrency: int | None = None,
         budget: Budget | BudgetLease | None = None,
     ) -> AsyncBatchExecutor:
-        return self._session.async_batch_executor(
-            max_concurrency=max_concurrency,
-            budget=budget if budget is not None else self.budget,
+        return self.session.async_batch_executor(
+            max_concurrency=max_concurrency, budget=self._bound(budget)
         )
 
     def __getattr__(self, name: str):
-        return getattr(self._session, name)
+        return getattr(self.session, name)

@@ -43,6 +43,7 @@ element-wise identical to the linear chain (the equivalence suite in
 
 from __future__ import annotations
 
+import asyncio
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -52,7 +53,8 @@ from repro.core.budget import BudgetLease
 from repro.core.dag import topological_waves, transitive_dependencies
 from repro.core.session import BudgetScopedSession, PromptSession
 from repro.core.spec import PipelineSpec, SpecFactory, TaskSpec
-from repro.exceptions import BudgetExceededError, SpecError
+from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
+from repro.llm.base import Body, Invoke, adrive, drive
 from repro.operators.base import OperatorResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +68,23 @@ SpecRunner = Callable[["WorkflowStep", Mapping[str, Any], BudgetLease | None], A
 #: the moment the step settles (``completed`` or ``stopped``).  The service
 #: layer streams these to polling clients.
 StepObserver = Callable[["StepReport"], None]
+
+
+def reject_running_loop(awaitable: str) -> None:
+    """Refuse ``scheduler="async"`` from inside an event loop, naming the way out.
+
+    That scheduler drives its own loop with ``asyncio.run``, which cannot
+    nest; checking first (rather than letting ``asyncio.run`` fail) means no
+    coroutine is built only to be dropped un-awaited.
+    """
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return
+    raise ConfigurationError(
+        'scheduler="async" drives its own event loop and cannot be used from '
+        f"inside a running one; await {awaitable} instead"
+    )
 
 
 @dataclass
@@ -392,8 +411,7 @@ class Workflow:
                 swallowed (an observer must never sink the run).
         """
         if scheduler == "async":
-            import asyncio
-
+            reject_running_loop("Workflow.execute_async")
             return asyncio.run(
                 self.execute_async(
                     session,
@@ -405,37 +423,11 @@ class Workflow:
             )
         if scheduler != "threads":
             raise SpecError(f"unknown scheduler {scheduler!r} (expected 'threads' or 'async')")
-        state = self._prepare_execution(session, spec_runner, quote)
-        executor = session.batch_executor(
-            max_concurrency=max_concurrency, budget=state.budget
+        return drive(
+            self._schedule(
+                session, session.batch_executor, max_concurrency, spec_runner, quote, on_step
+            )
         )
-        with self._pipeline_span(state) as pipeline_span:
-            if pipeline_span is not None:
-                state.report.span_id = pipeline_span.span_id
-            round_index = 0
-            while state.pending:
-                planned = self._plan_round(state, session, spec_runner, quote)
-                if planned is None:
-                    break
-                runnable, thunks, leases = planned
-                # The wave span is ambient while the executor submits the
-                # thunks (each submission copies the current context), so
-                # step spans opened inside worker threads parent correctly.
-                with self._wave_span(state, round_index, runnable):
-                    outcomes = executor.map(thunks)
-                round_index += 1
-                progressed, failure = self._absorb_outcomes(
-                    state, runnable, outcomes, leases, on_step
-                )
-                if failure is not None:
-                    self._finalize(
-                        state.report, session, state.usage_before, state.cost_before
-                    )
-                    raise failure
-                if not progressed:
-                    break  # defensive: nothing completed or stopped this round
-        self._finalize(state.report, session, state.usage_before, state.cost_before)
-        return state.report
 
     async def execute_async(
         self,
@@ -446,22 +438,41 @@ class Workflow:
         quote: "PipelineQuote | None" = None,
         on_step: StepObserver | None = None,
     ) -> WorkflowReport:
-        """The asyncio-native scheduler: identical semantics, awaited waves.
+        """The asyncio-native scheduler: the same rounds, awaited.
 
         Each round of runnable steps goes through the session's
         :class:`~repro.core.executor.AsyncBatchExecutor`: steps whose
         ``run`` is a coroutine function are awaited natively on the loop
         (zero extra threads), while sync steps — including all engine-run
         spec steps — are bridged into worker threads so a wave of blocking
-        operator runs still overlaps.  Waves, inputs, budget apportionment,
-        lease containment, and the final report are computed by the same
-        code the thread scheduler uses, so at temperature 0 the two
-        schedulers produce element-wise identical reports.
+        operator runs still overlaps.  Everything else is :meth:`execute`'s
+        own code, so at temperature 0 the two schedulers produce
+        element-wise identical reports.
+        """
+        return await adrive(
+            self._schedule(
+                session, session.async_batch_executor, max_concurrency, spec_runner, quote, on_step
+            )
+        )
+
+    def _schedule(
+        self,
+        session: PromptSession,
+        make_executor: Callable[..., Any],
+        max_concurrency: int | None,
+        spec_runner: SpecRunner | None,
+        quote: "PipelineQuote | None",
+        on_step: StepObserver | None,
+    ) -> Body:
+        """The round loop both schedulers run (a body, see :mod:`repro.llm.base`).
+
+        ``make_executor`` is the session's thread or asyncio executor
+        factory; the only step that differs between the schedulers is
+        running a wave's thunks through that executor's ``map``, which is
+        handed to the driver.
         """
         state = self._prepare_execution(session, spec_runner, quote)
-        executor = session.async_batch_executor(
-            max_concurrency=max_concurrency, budget=state.budget
-        )
+        executor = make_executor(max_concurrency=max_concurrency, budget=state.budget)
         with self._pipeline_span(state) as pipeline_span:
             if pipeline_span is not None:
                 state.report.span_id = pipeline_span.span_id
@@ -471,10 +482,12 @@ class Workflow:
                 if planned is None:
                     break
                 runnable, thunks, leases = planned
-                # asyncio tasks copy the ambient context at creation, so the
-                # wave span parents step spans exactly like the thread path.
+                # The wave span is ambient while the executor dispatches the
+                # thunks (each pool submission and each asyncio task copies
+                # the current context), so step spans opened inside workers
+                # parent correctly.
                 with self._wave_span(state, round_index, runnable):
-                    outcomes = await executor.map(thunks)
+                    outcomes = yield Invoke(executor.map, thunks)
                 round_index += 1
                 progressed, failure = self._absorb_outcomes(
                     state, runnable, outcomes, leases, on_step
@@ -513,7 +526,7 @@ class Workflow:
         spec_runner: SpecRunner | None,
         quote: "PipelineQuote | None",
     ) -> "_ExecutionState":
-        """Validate the graph and build the state both schedulers share."""
+        """Validate the graph and build the run's mutable state."""
         if not self._steps:
             raise SpecError(f"workflow {self.name!r} has no steps")
         dependencies = {step.name: list(step.depends_on) for step in self._steps}
@@ -788,12 +801,7 @@ class Workflow:
 
 @dataclass
 class _ExecutionState:
-    """Mutable per-run state shared by the thread and async schedulers.
-
-    Bundling it keeps :meth:`Workflow._plan_round` and
-    :meth:`Workflow._absorb_outcomes` identical across the two drivers, which
-    is what guarantees the schedulers stay semantically equivalent.
-    """
+    """Mutable per-run state of :meth:`Workflow._schedule` and its helpers."""
 
     dependencies: dict[str, list[str]]
     closures: Mapping[str, Any]

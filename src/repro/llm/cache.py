@@ -8,11 +8,11 @@ wrapper that any client can be composed with.
 
 The cache is thread-safe: the :class:`~repro.core.executor.BatchExecutor`
 dispatches unit tasks from a thread pool, so ``get``/``put`` (and the hit/miss
-counters they maintain) are serialised behind a lock.  ``CachedClient`` also
-implements the bulk ``complete_batch`` entry point, which additionally
-deduplicates identical prompts *within* one batch so that N copies of a prompt
-cost exactly one inner call — the same guarantee the sequential path gets from
-the cache, preserved when the whole batch is handed downstream at once.
+counters they maintain) are serialised behind a lock.  ``CachedClient``
+additionally deduplicates identical prompts *within* one batch so that N
+copies of a prompt cost exactly one inner call — the same guarantee the
+sequential path gets from the cache, preserved when the whole batch is handed
+downstream at once.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
-from repro.llm.base import (
-    LLMClient,
-    LLMResponse,
-    call_acomplete,
-    call_acomplete_batch,
-    call_complete_batch,
-)
+from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse
 from repro.tokenizer.cost import Usage
 
 
@@ -125,7 +119,7 @@ def _cache_hit_copy(cached: LLMResponse) -> LLMResponse:
     )
 
 
-class CachedClient:
+class CachedClient(BaseClient):
     """Client wrapper that serves repeated temperature-0 calls from a cache.
 
     Cached responses are returned with zero-token usage (the call never went
@@ -142,49 +136,23 @@ class CachedClient:
     def _cache_key_model(self, model: str | None) -> str:
         return model or getattr(self._client, "default_model", "default")
 
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        cache_key_model = self._cache_key_model(model)
-        if temperature == 0.0:
-            cached = self.cache.get(cache_key_model, prompt)
-            if cached is not None:
-                return _cache_hit_copy(cached)
-        response = self._client.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        if temperature == 0.0:
-            self.cache.put(cache_key_model, prompt, response)
-        return response
+    def _body(self, call: Call) -> Body:
+        """Serve the call through the cache, with within-batch dedup.
 
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Serve a whole batch through the cache with within-batch dedup.
-
-        Element-wise equivalent to calling :meth:`complete` per prompt in
-        order: already-cached prompts are hits, the first occurrence of each
-        novel prompt is a miss forwarded to the inner client (as one inner
-        batch), and duplicate occurrences within the batch become hits served
-        from the just-filled cache — so per-prompt hit/miss accounting matches
-        the sequential path exactly while novel prompts cost one inner call
-        each.
+        Element-wise equivalent to one call per prompt in order:
+        already-cached prompts are hits, the first occurrence of each novel
+        prompt is a miss forwarded to the inner client (all misses as one
+        inner call), and duplicate occurrences within the batch become hits
+        served from the just-filled cache — so per-prompt hit/miss accounting
+        matches the sequential path exactly while novel prompts cost one
+        inner call each.  ``get``/``put`` take microseconds, so on the async
+        path they run on the event loop; only a miss waits on the inner
+        client.  Two *concurrent* misses on one prompt may both reach it —
+        the executors' dispatch-level dedup is what prevents that upstream.
         """
-        if temperature != 0.0:
-            return call_complete_batch(
-                self._client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-            )
-        cache_key_model = self._cache_key_model(model)
+        if call.temperature != 0.0:
+            return (yield call.to(self._client))
+        cache, key_model, prompts = self.cache, self._cache_key_model(call.model), call.prompts
         results: list[LLMResponse | None] = [None] * len(prompts)
         pending_indices: list[int] = []
         pending_prompts: list[str] = []
@@ -193,10 +161,10 @@ class CachedClient:
         for index, prompt in enumerate(prompts):
             if prompt in scheduled:
                 # Duplicate of an in-batch miss: resolved from the cache after
-                # the inner batch returns, exactly like the sequential path.
+                # the inner call returns, exactly like the sequential path.
                 duplicate_indices.append(index)
                 continue
-            cached = self.cache.get(cache_key_model, prompt)
+            cached = cache.get(key_model, prompt)
             if cached is not None:
                 results[index] = _cache_hit_copy(cached)
             else:
@@ -204,24 +172,17 @@ class CachedClient:
                 pending_indices.append(index)
                 pending_prompts.append(prompt)
         if pending_prompts:
-            responses = call_complete_batch(
-                self._client,
-                pending_prompts,
-                model=model,
-                temperature=temperature,
-                max_tokens=max_tokens,
-            )
+            responses = yield call.to(self._client, pending_prompts)
             for index, prompt, response in zip(pending_indices, pending_prompts, responses):
-                self.cache.put(cache_key_model, prompt, response)
+                cache.put(key_model, prompt, response)
                 results[index] = response
         for index in duplicate_indices:
-            cached = self.cache.get(cache_key_model, prompts[index])
+            cached = cache.get(key_model, prompts[index])
             assert cached is not None  # its first occurrence was just put
             results[index] = _cache_hit_copy(cached)
-        assert all(response is not None for response in results)
-        return results  # type: ignore[return-value]
+        return results
 
-    async def acomplete(
+    def complete(
         self,
         prompt: str,
         *,
@@ -229,70 +190,15 @@ class CachedClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> LLMResponse:
-        """Async-native :meth:`complete`: the cache lookup stays inline.
-
-        ``get``/``put`` are in-memory (or SQLite) operations measured in
-        microseconds, so they run on the event loop; only a miss awaits the
-        inner client.  Note two concurrent misses on the same prompt may both
-        reach the inner client — the async executor's dispatch-level dedup
-        (mirroring the thread path) is what prevents that race upstream.
-        """
-        cache_key_model = self._cache_key_model(model)
+        """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
         if temperature == 0.0:
-            cached = self.cache.get(cache_key_model, prompt)
+            key_model = self._cache_key_model(model)
+            cached = self.cache.get(key_model, prompt)
             if cached is not None:
                 return _cache_hit_copy(cached)
-        response = await call_acomplete(
-            self._client, prompt, model=model, temperature=temperature, max_tokens=max_tokens
+        response = self._client.complete(
+            prompt, model=model, temperature=temperature, max_tokens=max_tokens
         )
         if temperature == 0.0:
-            self.cache.put(cache_key_model, prompt, response)
+            self.cache.put(key_model, prompt, response)
         return response
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Async-native batch with the same within-batch dedup as the sync path."""
-        if temperature != 0.0:
-            return await call_acomplete_batch(
-                self._client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-            )
-        cache_key_model = self._cache_key_model(model)
-        results: list[LLMResponse | None] = [None] * len(prompts)
-        pending_indices: list[int] = []
-        pending_prompts: list[str] = []
-        scheduled: set[str] = set()
-        duplicate_indices: list[int] = []
-        for index, prompt in enumerate(prompts):
-            if prompt in scheduled:
-                duplicate_indices.append(index)
-                continue
-            cached = self.cache.get(cache_key_model, prompt)
-            if cached is not None:
-                results[index] = _cache_hit_copy(cached)
-            else:
-                scheduled.add(prompt)
-                pending_indices.append(index)
-                pending_prompts.append(prompt)
-        if pending_prompts:
-            responses = await call_acomplete_batch(
-                self._client,
-                pending_prompts,
-                model=model,
-                temperature=temperature,
-                max_tokens=max_tokens,
-            )
-            for index, prompt, response in zip(pending_indices, pending_prompts, responses):
-                self.cache.put(cache_key_model, prompt, response)
-                results[index] = response
-        for index in duplicate_indices:
-            cached = self.cache.get(cache_key_model, prompts[index])
-            assert cached is not None  # its first occurrence was just put
-            results[index] = _cache_hit_copy(cached)
-        assert all(response is not None for response in results)
-        return results  # type: ignore[return-value]

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, ResponseParseError
-from repro.llm.base import (
-    LLMClient,
-    LLMResponse,
-    call_acomplete,
-    call_acomplete_batch,
-    call_complete_batch,
-)
+from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse
 from repro.tokenizer.cost import Usage
 
 
@@ -35,7 +29,7 @@ class RetryStats:
     failures: int = 0
 
 
-class RetryingClient:
+class RetryingClient(BaseClient):
     """LLM client wrapper that retries responses rejected by a validator.
 
     Args:
@@ -77,147 +71,34 @@ class RetryingClient:
         except ResponseParseError:
             return False
 
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Call the wrapped client, retrying while the validator rejects the text.
+    def _body(self, call: Call) -> Body:
+        """Make the first attempts as one inner call, then retry each rejection.
 
-        The returned response is the first accepted one (or the last attempt if
-        none was accepted), with the usage of *all* attempts accumulated onto it
-        and retry metadata attached.
+        The first attempt for every prompt goes to the inner client together
+        (so native batch optimisations like cache dedup apply); only the
+        prompts whose response the validator rejects are re-asked, one call
+        at a time.  Each returned response is the first accepted one (or the
+        last attempt if none was accepted), with the usage of *all* its
+        attempts accumulated onto it and retry metadata attached.
         """
-        return self._retry_loop(
-            prompt, None, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Batch the first attempt, then retry each rejected prompt individually.
-
-        The first attempt for every prompt goes to the inner client as one
-        batch (so native batch optimisations like cache dedup apply); only the
-        prompts whose response the validator rejects fall back to per-prompt
-        retry loops.  Per-prompt usage accumulation, retry metadata, and the
-        aggregate stats counters match the sequential path.
-        """
-        first_attempts = call_complete_batch(
-            self._client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        return [
-            self._retry_loop(
-                prompt, first, model=model, temperature=temperature, max_tokens=max_tokens
-            )
-            for prompt, first in zip(prompts, first_attempts)
-        ]
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Async-native :meth:`complete`: same retry loop, awaited attempts."""
-        return await self._aretry_loop(
-            prompt, None, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Async-native :meth:`complete_batch`: batched first attempt, awaited retries."""
-        first_attempts = await call_acomplete_batch(
-            self._client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        return [
-            await self._aretry_loop(
-                prompt, first, model=model, temperature=temperature, max_tokens=max_tokens
-            )
-            for prompt, first in zip(prompts, first_attempts)
-        ]
-
-    def _retry_loop(
-        self,
-        prompt: str,
-        first_response: LLMResponse | None,
-        *,
-        model: str | None,
-        temperature: float,
-        max_tokens: int | None,
-    ) -> LLMResponse:
-        """Run the attempt loop, optionally reusing an already-made first attempt."""
-        accumulated = Usage()
-        response: LLMResponse | None = None
-        attempts = 0
-        for attempt in range(self.max_retries + 1):
-            attempts += 1
-            with self._stats_lock:
-                self.stats.attempts += 1
-            if attempt == 0 and first_response is not None:
-                response = first_response
-            else:
-                response = self._client.complete(
-                    prompt,
-                    model=model,
-                    temperature=self._attempt_temperature(attempt, temperature),
-                    max_tokens=max_tokens,
-                )
-            if self._settle_attempt(response, accumulated, attempt):
-                break
-        assert response is not None  # at least one attempt always runs
-        return self._finalize(response, accumulated, attempts)
-
-    async def _aretry_loop(
-        self,
-        prompt: str,
-        first_response: LLMResponse | None,
-        *,
-        model: str | None,
-        temperature: float,
-        max_tokens: int | None,
-    ) -> LLMResponse:
-        """The awaited twin of :meth:`_retry_loop` (same accounting helpers)."""
-        accumulated = Usage()
-        response: LLMResponse | None = None
-        attempts = 0
-        for attempt in range(self.max_retries + 1):
-            attempts += 1
-            with self._stats_lock:
-                self.stats.attempts += 1
-            if attempt == 0 and first_response is not None:
-                response = first_response
-            else:
-                response = await call_acomplete(
-                    self._client,
-                    prompt,
-                    model=model,
-                    temperature=self._attempt_temperature(attempt, temperature),
-                    max_tokens=max_tokens,
-                )
-            if self._settle_attempt(response, accumulated, attempt):
-                break
-        assert response is not None  # at least one attempt always runs
-        return self._finalize(response, accumulated, attempts)
-
-    def _attempt_temperature(self, attempt: int, temperature: float) -> float:
-        return temperature if attempt == 0 else max(temperature, self.retry_temperature)
+        first_attempts = yield call.to(self._client)
+        retry_temperature = max(call.temperature, self.retry_temperature)
+        results: list[LLMResponse] = []
+        for prompt, response in zip(call.prompts, first_attempts):
+            accumulated = Usage()
+            for attempt in range(self.max_retries + 1):
+                with self._stats_lock:
+                    self.stats.attempts += 1
+                if attempt > 0:
+                    (response,) = yield call.to(
+                        self._client, [prompt], temperature=retry_temperature, single=True
+                    )
+                if self._settle_attempt(response, accumulated, attempt):
+                    break
+            response.usage = accumulated
+            response.metadata = {**response.metadata, "attempts": attempt + 1}
+            results.append(response)
+        return results
 
     def _settle_attempt(self, response: LLMResponse, accumulated: Usage, attempt: int) -> bool:
         """Account one attempt (usage, stats, trace); True when it was accepted."""
@@ -231,12 +112,6 @@ class RetryingClient:
                 else:
                     self.stats.failures += 1
         return accepted
-
-    @staticmethod
-    def _finalize(response: LLMResponse, accumulated: Usage, attempts: int) -> LLMResponse:
-        response.usage = accumulated
-        response.metadata = {**response.metadata, "attempts": attempts}
-        return response
 
     def _annotate_trace(
         self, response: LLMResponse, attempt: int, accepted: bool

@@ -13,19 +13,19 @@ Two routing policies from the paper's agenda:
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.llm.base import (
+    BaseClient,
+    Body,
+    Call,
+    Gather,
     LLMClient,
     LLMResponse,
-    call_acomplete,
-    call_acomplete_batch,
-    call_complete_batch,
-    sequential_acomplete_batch,
-    sequential_complete_batch,
+    adrive,
+    drive,
 )
 from repro.tokenizer.cost import Usage
 
@@ -38,7 +38,7 @@ class CascadeTier:
     client: LLMClient
 
 
-class CascadeRouter:
+class CascadeRouter(BaseClient):
     """Cheap-to-expensive cascade with confidence-based escalation.
 
     The router asks tiers in order.  The first response whose confidence is at
@@ -58,57 +58,17 @@ class CascadeRouter:
         self.escalations = 0
         self._escalation_lock = threading.Lock()
 
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Run the cascade for one prompt.
+    def _body(self, call: Call) -> Body:
+        """Run the cascade, escalating tier by tier.
 
-        The ``model`` argument is ignored — the cascade's tiers decide which
-        models are called — but kept so the router satisfies the
-        :class:`LLMClient` protocol.
-        """
-        del model
-        accumulated = Usage()
-        response: LLMResponse | None = None
-        used_tiers: list[str] = []
-        for position, tier in enumerate(self.tiers):
-            response = tier.client.complete(
-                prompt, model=tier.model, temperature=temperature, max_tokens=max_tokens
-            )
-            accumulated.add(response.usage)
-            used_tiers.append(tier.model)
-            if response.confidence >= self.confidence_threshold:
-                break
-            if position < len(self.tiers) - 1:
-                with self._escalation_lock:
-                    self.escalations += 1
-        assert response is not None  # guaranteed by the non-empty tier check
-        response.usage = accumulated
-        response.metadata = {**response.metadata, "cascade_tiers": used_tiers}
-        return response
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Run the cascade for a whole batch, escalating tier by tier.
-
-        All prompts are asked at the cheapest tier first (as one inner batch);
+        All prompts are asked at the cheapest tier first (as one inner call);
         only the prompts whose answer fell below the confidence threshold
-        escalate to the next tier's batch.  Per-prompt results — accumulated
-        usage, used-tier metadata, escalation counts — match the sequential
-        cascade exactly.
+        escalate to the next tier's call.  Per-prompt results — accumulated
+        usage, used-tier metadata, escalation counts — are those of running
+        the cascade one prompt at a time.  The call's ``model`` is ignored:
+        the tiers decide which models are asked.
         """
-        del model
+        prompts = call.prompts
         results: list[LLMResponse | None] = [None] * len(prompts)
         accumulated = [Usage() for _ in prompts]
         used_tiers: list[list[str]] = [[] for _ in prompts]
@@ -116,85 +76,8 @@ class CascadeRouter:
         for position, tier in enumerate(self.tiers):
             if not active:
                 break
-            responses = call_complete_batch(
-                tier.client,
-                [prompts[index] for index in active],
-                model=tier.model,
-                temperature=temperature,
-                max_tokens=max_tokens,
-            )
-            still_unsettled: list[int] = []
-            for index, response in zip(active, responses):
-                accumulated[index].add(response.usage)
-                used_tiers[index].append(tier.model)
-                results[index] = response
-                if response.confidence >= self.confidence_threshold:
-                    continue
-                if position < len(self.tiers) - 1:
-                    with self._escalation_lock:
-                        self.escalations += 1
-                    still_unsettled.append(index)
-            active = still_unsettled
-        final: list[LLMResponse] = []
-        for index, response in enumerate(results):
-            assert response is not None  # every prompt settles by the last tier
-            response.usage = accumulated[index]
-            response.metadata = {**response.metadata, "cascade_tiers": used_tiers[index]}
-            final.append(response)
-        return final
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Async-native cascade: tiers awaited in order, same escalation rule."""
-        del model
-        accumulated = Usage()
-        response: LLMResponse | None = None
-        used_tiers: list[str] = []
-        for position, tier in enumerate(self.tiers):
-            response = await call_acomplete(
-                tier.client, prompt, model=tier.model, temperature=temperature, max_tokens=max_tokens
-            )
-            accumulated.add(response.usage)
-            used_tiers.append(tier.model)
-            if response.confidence >= self.confidence_threshold:
-                break
-            if position < len(self.tiers) - 1:
-                with self._escalation_lock:
-                    self.escalations += 1
-        assert response is not None  # guaranteed by the non-empty tier check
-        response.usage = accumulated
-        response.metadata = {**response.metadata, "cascade_tiers": used_tiers}
-        return response
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Async-native tier-batched cascade, element-wise equal to the sync one."""
-        del model
-        results: list[LLMResponse | None] = [None] * len(prompts)
-        accumulated = [Usage() for _ in prompts]
-        used_tiers: list[list[str]] = [[] for _ in prompts]
-        active = list(range(len(prompts)))
-        for position, tier in enumerate(self.tiers):
-            if not active:
-                break
-            responses = await call_acomplete_batch(
-                tier.client,
-                [prompts[index] for index in active],
-                model=tier.model,
-                temperature=temperature,
-                max_tokens=max_tokens,
+            responses = yield call.to(
+                tier.client, [prompts[index] for index in active], model=tier.model
             )
             still_unsettled: list[int] = []
             for index, response in zip(active, responses):
@@ -229,7 +112,7 @@ class EnsembleResponse:
         return [response.text for response in self.responses]
 
 
-class EnsembleClient:
+class EnsembleClient(BaseClient):
     """Fan one prompt out to several (model, client) pairs.
 
     Unlike the cascade, the ensemble always asks every member; aggregation is
@@ -242,6 +125,26 @@ class EnsembleClient:
             raise ConfigurationError("an ensemble needs at least one member")
         self.members = list(members)
 
+    def _ask_all(self, prompt: str, temperature: float, max_tokens: int | None) -> Body:
+        """Ask every member one prompt; returns an :class:`EnsembleResponse`.
+
+        The members' calls are independent, so they are handed to the driver
+        together: the sync driver asks them in member order, the async driver
+        overlaps them in wall-clock time.  The response list comes back in
+        member order either way, so at temperature 0 the result is the same.
+        """
+        answers = yield Gather(
+            [
+                Call(member.client, [prompt], member.model, temperature, max_tokens, True)
+                for member in self.members
+            ]
+        )
+        responses = [answer[0] for answer in answers]
+        usage = Usage()
+        for response in responses:
+            usage.add(response.usage)
+        return EnsembleResponse(responses=responses, usage=usage)
+
     def complete_all(
         self,
         prompt: str,
@@ -250,45 +153,7 @@ class EnsembleClient:
         max_tokens: int | None = None,
     ) -> EnsembleResponse:
         """Ask every member and return all of their responses."""
-        responses = [
-            member.client.complete(
-                prompt, model=member.model, temperature=temperature, max_tokens=max_tokens
-            )
-            for member in self.members
-        ]
-        usage = Usage()
-        for response in responses:
-            usage.add(response.usage)
-        return EnsembleResponse(responses=responses, usage=usage)
-
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """LLMClient-compatible call returning the first member's response.
-
-        Provided so an ensemble can stand in where a single client is
-        expected; callers that want every response use :meth:`complete_all`.
-        """
-        del model
-        return self.complete_all(prompt, temperature=temperature, max_tokens=max_tokens).responses[0]
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """LLMClient-compatible batch call: the first member answers each prompt."""
-        return sequential_complete_batch(
-            self, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
+        return drive(self._ask_all(prompt, temperature, max_tokens))
 
     async def acomplete_all(
         self,
@@ -297,56 +162,24 @@ class EnsembleClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> EnsembleResponse:
-        """Async-native :meth:`complete_all`: members are awaited concurrently.
+        """Awaitable :meth:`complete_all`: the members are asked concurrently."""
+        return await adrive(self._ask_all(prompt, temperature, max_tokens))
 
-        Unlike the cascade, the ensemble always asks every member, so their
-        calls are independent and can overlap in wall-clock time; the response
-        list still comes back in member order, so at temperature 0 the result
-        is element-wise identical to the sequential path.
+    def _body(self, call: Call) -> Body:
+        """LLMClient-compatible calls: the first member's answer, everyone's cost.
+
+        Provided so an ensemble can stand in where a single client is
+        expected; callers that want every response use :meth:`complete_all`.
+        Every member is asked, so — like the cascade with ``cascade_tiers`` —
+        the returned response carries the usage of all of them, and trackers
+        and budgets see what the ensemble really spent.
         """
-        responses = list(
-            await asyncio.gather(
-                *(
-                    call_acomplete(
-                        member.client,
-                        prompt,
-                        model=member.model,
-                        temperature=temperature,
-                        max_tokens=max_tokens,
-                    )
-                    for member in self.members
-                )
-            )
-        )
-        usage = Usage()
-        for response in responses:
-            usage.add(response.usage)
-        return EnsembleResponse(responses=responses, usage=usage)
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Async-native :meth:`complete`: the first member's awaited response."""
-        del model
-        ensemble = await self.acomplete_all(
-            prompt, temperature=temperature, max_tokens=max_tokens
-        )
-        return ensemble.responses[0]
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Async-native batch: the first member answers each prompt, in order."""
-        return await sequential_acomplete_batch(
-            self, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
+        members = [member.model for member in self.members]
+        results: list[LLMResponse] = []
+        for prompt in call.prompts:
+            ensemble = yield from self._ask_all(prompt, call.temperature, call.max_tokens)
+            response = ensemble.responses[0]
+            response.usage = ensemble.usage
+            response.metadata = {**response.metadata, "ensemble_members": members}
+            results.append(response)
+        return results

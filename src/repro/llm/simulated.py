@@ -21,7 +21,7 @@ import threading
 
 from repro.config import DEFAULT_CHAT_MODEL, DEFAULT_SEED
 from repro.exceptions import ContextLengthExceededError, ResponseParseError
-from repro.llm.base import LLMResponse, sequential_complete_batch
+from repro.llm.base import BaseClient, LLMResponse
 from repro.llm.behaviors import BEHAVIORS, BehaviorConfig
 from repro.llm.oracle import Oracle
 from repro.llm.prompts import parse_structured_prompt
@@ -36,7 +36,7 @@ def _stable_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class SimulatedLLM:
+class SimulatedLLM(BaseClient):
     """Noisy-oracle simulation of a text-completion LLM endpoint.
 
     Args:
@@ -118,56 +118,6 @@ class SimulatedLLM:
             finish_reason=finish_reason,
             confidence=confidence,
             metadata={"temperature": temperature},
-        )
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Run one simulated completion per prompt, in input order.
-
-        The simulator has no transport to amortise, so the native batch is the
-        sequential loop; concurrency across batches comes from the
-        :class:`~repro.core.executor.BatchExecutor` calling :meth:`complete`
-        from its worker threads.
-        """
-        return sequential_complete_batch(
-            self, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Async-native completion: the simulator is pure compute, no bridge thread.
-
-        A real provider client would await a network round-trip here; the
-        simulator answers in well under a millisecond, so running it inline on
-        the event loop is both correct and cheaper than hopping threads.
-        """
-        return self.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Async-native batch: one inline simulated completion per prompt."""
-        return self.complete_batch(
-            prompts, model=model, temperature=temperature, max_tokens=max_tokens
         )
 
     # -- internals ------------------------------------------------------------

@@ -18,13 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.llm.base import (
-    LLMClient,
-    LLMResponse,
-    call_acomplete,
-    call_acomplete_batch,
-    call_complete_batch,
-)
+from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse
 from repro.tokenizer.cost import CostModel, CostSummary, Usage
 
 
@@ -109,12 +103,18 @@ class UsageTracker:
             self._by_model.clear()
 
 
-class TrackedClient:
+class TrackedClient(BaseClient):
     """LLM client wrapper that records every call into a :class:`UsageTracker`."""
 
     def __init__(self, client: LLMClient, tracker: UsageTracker) -> None:
         self._client = client
         self.tracker = tracker
+
+    def _body(self, call: Call) -> Body:
+        """Forward the call to the inner client and record it atomically."""
+        responses = yield call.to(self._client)
+        self.tracker.record_batch(responses)
+        return responses
 
     def complete(
         self,
@@ -124,53 +124,9 @@ class TrackedClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> LLMResponse:
+        """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
         response = self._client.complete(
             prompt, model=model, temperature=temperature, max_tokens=max_tokens
         )
         self.tracker.record(response)
         return response
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Forward the batch to the inner client and record it atomically."""
-        responses = call_complete_batch(
-            self._client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        self.tracker.record_batch(responses)
-        return responses
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Async-native :meth:`complete`: await the inner client, then record."""
-        response = await call_acomplete(
-            self._client, prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        self.tracker.record(response)
-        return response
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Async-native batch: await the inner batch and record it atomically."""
-        responses = await call_acomplete_batch(
-            self._client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        self.tracker.record_batch(responses)
-        return responses

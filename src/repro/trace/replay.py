@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from repro import exceptions
 from repro.exceptions import ContextLengthExceededError, ReproError, TraceError
-from repro.llm.base import LLMResponse, sequential_complete_batch
+from repro.llm.base import BaseClient, LLMResponse
 from repro.tokenizer.cost import Usage
 from repro.trace.tracer import TraceRecord
 
@@ -53,7 +53,7 @@ def _raise_recorded(record: TraceRecord) -> None:
     )
 
 
-class ReplayLLM:
+class ReplayLLM(BaseClient):
     """An LLM client that answers every call from a recorded trace.
 
     Attributes:
@@ -114,18 +114,6 @@ class ReplayLLM:
             finish_reason=record.finish_reason,
             confidence=record.confidence,
             metadata={"temperature": temperature, "replayed_call_id": record.call_id},
-        )
-
-    def complete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        return sequential_complete_batch(
-            self, prompts, model=model, temperature=temperature, max_tokens=max_tokens
         )
 
 

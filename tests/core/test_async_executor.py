@@ -18,7 +18,6 @@ Batteries:
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
@@ -30,86 +29,15 @@ from repro.core.executor import (
     BatchRequest,
 )
 from repro.core.governor import ConcurrencyGovernor
-from repro.data.words import random_words
 from repro.exceptions import BudgetExceededError, ConfigurationError
-from repro.llm.base import LLMResponse
 from repro.llm.cache import CachedClient
-from repro.llm.oracle import Oracle
-from repro.llm.prompts import rating_prompt
 from repro.llm.simulated import SimulatedLLM
-from repro.tokenizer.cost import Usage
+from tests.doubles import AsyncEchoClient, EchoClient
+from tests.doubles import rating_prompts as _rating_prompts
+from tests.doubles import simulated_client as _simulated_client
 
 BATCH_SIZES = (1, 2, 7, 64)
 CONCURRENCIES = (1, 4)
-CRITERION = "alphabetical order"
-
-
-def _simulated_client(seed: int = 3) -> SimulatedLLM:
-    oracle = Oracle()
-    oracle.register_key(CRITERION, lambda word: word.lower())
-    return SimulatedLLM(oracle, seed=seed)
-
-
-def _rating_prompts(count: int) -> list[str]:
-    return [rating_prompt(word, CRITERION) for word in random_words(count, seed=5)]
-
-
-class EchoClient:
-    """Sync-only deterministic client: exercises the to_thread bridge."""
-
-    default_model = "echo"
-
-    def __init__(self, budget: Budget | None = None, charge: float = 0.0) -> None:
-        self.budget = budget
-        self.charge = charge
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        with self._lock:
-            self.calls += 1
-        if self.budget is not None:
-            self.budget.charge(self.charge)
-        return LLMResponse(
-            text=f"echo:{prompt}", model=model or self.default_model, usage=Usage(1, 1, 1)
-        )
-
-
-class AsyncEchoClient:
-    """Native-async client that records its peak concurrent in-flight count."""
-
-    def __init__(self, latency: float = 0.0) -> None:
-        self.latency = latency
-        self.calls = 0
-        self.in_flight = 0
-        self.peak_in_flight = 0
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        self.calls += 1
-        self.in_flight += 1
-        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        try:
-            if self.latency:
-                await asyncio.sleep(self.latency)
-            return LLMResponse(
-                text=f"echo:{prompt}", model=model or "async-echo", usage=Usage(1, 1, 1)
-            )
-        finally:
-            self.in_flight -= 1
 
 
 class TestAsyncExecutorBasics:

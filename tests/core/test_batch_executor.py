@@ -3,68 +3,28 @@
 Covers ordered result return, the client-level ``complete_batch`` equivalence
 with the sequential ``complete`` loop across batch sizes {1, 2, 7, 64} and
 ``max_concurrency`` {1, 4}, per-call retry integration, and budget-aware early
-stopping.
+stopping.  :class:`TestEveryDriver` runs the decisions the executors share
+through all three ways of driving them — sequential, thread pool, asyncio.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor, BatchRequest
+from repro.core.governor import ConcurrencyGovernor
 from repro.data.words import random_words
-from repro.exceptions import BudgetExceededError, ConfigurationError
-from repro.llm.base import LLMResponse, sequential_complete_batch
+from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
+from repro.llm.base import sequential_complete_batch
 from repro.llm.cache import CachedClient
-from repro.llm.oracle import Oracle
-from repro.llm.prompts import rating_prompt
-from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
-from repro.tokenizer.cost import Usage
+from tests.doubles import CRITERION, DRIVERS, EchoClient, call, executor_for
+from tests.doubles import rating_prompts as _rating_prompts
+from tests.doubles import simulated_client as _simulated_client
 
 BATCH_SIZES = (1, 2, 7, 64)
 CONCURRENCIES = (1, 4)
-CRITERION = "alphabetical order"
-
-
-def _simulated_client(seed: int = 3) -> SimulatedLLM:
-    oracle = Oracle()
-    oracle.register_key(CRITERION, lambda word: word.lower())
-    return SimulatedLLM(oracle, seed=seed)
-
-
-class EchoClient:
-    """Deterministic fake client that counts calls and optionally charges a budget."""
-
-    default_model = "echo"
-
-    def __init__(self, budget: Budget | None = None, charge: float = 0.0) -> None:
-        self.budget = budget
-        self.charge = charge
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        with self._lock:
-            self.calls += 1
-        if self.budget is not None:
-            self.budget.charge(self.charge)
-        return LLMResponse(
-            text=f"echo:{prompt}", model=model or self.default_model, usage=Usage(1, 1, 1)
-        )
-
-
-def _rating_prompts(count: int) -> list[str]:
-    return [rating_prompt(word, CRITERION) for word in random_words(count, seed=5)]
 
 
 class TestBatchExecutorBasics:
@@ -401,3 +361,78 @@ class TestBatchExecutorMap:
                     outcome.skipped and isinstance(outcome.error, BudgetExceededError)
                     for outcome in outcomes[2:]
                 )
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+class TestEveryDriver:
+    """One executor core: what it decides does not depend on how it is driven."""
+
+    def test_ordered_results_and_promoted_strings(self, driver):
+        client = EchoClient()
+        requests = [f"p{index}" for index in range(20)] + [BatchRequest("q", model="other")]
+        responses = call(executor_for(driver, client), "run", requests)
+        assert [r.text for r in responses] == [f"echo:p{index}" for index in range(20)] + ["echo:q"]
+        assert [r.model for r in responses] == ["echo"] * 20 + ["other"]
+        assert client.calls == 21
+        assert call(executor_for(driver, client), "run", []) == []
+
+    def test_dedup_is_keyed_on_the_cache_key(self, driver):
+        # Requests differing only in max_tokens share a (model, prompt) cache
+        # entry: one backend call, the other a hit.  A different model or a
+        # sampling temperature is a different request.
+        inner = EchoClient()
+        bag = [
+            BatchRequest("same", max_tokens=100),
+            BatchRequest("same", max_tokens=200),
+            BatchRequest("same", model="other"),
+            BatchRequest("same", temperature=0.7),
+            BatchRequest("same", temperature=0.7),
+        ]
+        responses = call(executor_for(driver, CachedClient(inner)), "run", bag)
+        assert inner.calls == 4
+        assert [r.metadata.get("cache_hit") for r in responses] == [None, True, None, None, None]
+
+    def test_duplicates_without_a_cache_each_pay_their_call(self, driver):
+        client = EchoClient()
+        responses = call(executor_for(driver, client), "run", ["same"] * 8)
+        assert client.calls == 8
+        assert all(r.usage.calls == 1 for r in responses)
+
+    def test_validator_retries_and_stats(self, driver):
+        executor = executor_for(
+            driver, EchoClient(), validator=lambda text: not text.endswith("bad"), max_retries=2
+        )
+        responses = call(executor, "run", ["good-1", "bad", "good-2"])
+        assert [r.text for r in responses] == ["echo:good-1", "echo:bad", "echo:good-2"]
+        assert vars(executor.retry_stats) == {"attempts": 5, "retries": 2, "failures": 1}
+        assert responses[1].metadata["attempts"] == responses[1].usage.calls == 3
+
+    def test_governor_hears_of_successes_and_rate_limits(self, driver):
+        class Limited(EchoClient):
+            def complete(self, prompt, **params):
+                if prompt == "limited":
+                    raise RateLimitError(retry_after=0.0)
+                return super().complete(prompt, **params)
+
+        governor = ConcurrencyGovernor(sleep=lambda seconds: None)
+        executor = executor_for(driver, Limited(), governor=governor)
+        assert len(call(executor, "run", ["a", "b", "c"])) == 3
+        assert governor.stats.admitted == 3 and governor.stats.rate_limit_events == 0
+        with pytest.raises(RateLimitError):
+            call(executor, "run", ["limited"])
+        assert governor.stats.rate_limit_events == 1
+        assert governor.in_flight == 0
+
+    def test_map_reports_the_first_failure_and_budget_skips(self, driver):
+        def boom():
+            raise ValueError("boom")
+
+        executor = executor_for(driver, EchoClient(), concurrency=1)
+        outcomes = call(executor, "map", [lambda: 1, boom, lambda: 3])
+        assert (outcomes[0].ok, outcomes[0].value) == (True, 1)
+        assert isinstance(outcomes[1].error, ValueError) and not outcomes[1].skipped
+        assert outcomes[2].skipped and outcomes[2].error is None
+        spent = Budget(limit=1.0)
+        spent.spent = 1.0
+        outcomes = call(executor_for(driver, EchoClient(), budget=spent), "map", [lambda: 1] * 4)
+        assert all(o.skipped and isinstance(o.error, BudgetExceededError) for o in outcomes)

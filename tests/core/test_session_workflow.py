@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
+import gc
+import warnings
+
 import pytest
 
 from repro.core.budget import Budget
 from repro.core.session import PromptSession
 from repro.core.workflow import Workflow
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
-from repro.exceptions import BudgetExceededError, SpecError
+from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
 from repro.llm.prompts import rating_prompt
 from repro.llm.simulated import SimulatedLLM
 
@@ -133,3 +137,47 @@ class TestWorkflow:
         assert report_one.total_cost + report_two.total_cost == pytest.approx(
             session.tracker.cost()
         )
+
+
+class TestAsyncSchedulerInsideARunningLoop:
+    """``scheduler="async"`` owns its loop; inside one it must say so, cleanly.
+
+    Regression: both entry points raised a bare ``RuntimeError`` from
+    ``asyncio.run`` and leaked the never-awaited ``execute_async`` coroutine
+    (a ``RuntimeWarning`` when it was collected).
+    """
+
+    @staticmethod
+    def _inside_a_loop(run, match: str) -> None:
+        async def main() -> None:
+            with pytest.raises(ConfigurationError, match=match):
+                run()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            asyncio.run(main())
+            gc.collect()  # a leaked coroutine warns when it is collected
+        leaked = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not leaked, leaked
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_workflow_execute_names_execute_async(self, session):
+        workflow = Workflow().add_step("only", lambda s, inputs: 1)
+        self._inside_a_loop(
+            lambda: workflow.execute(session, scheduler="async"), "Workflow.execute_async"
+        )
+        assert session.tracker.calls == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_engine_run_pipeline_names_run_pipeline_async(self, session):
+        from repro.core.engine import DeclarativeEngine
+
+        engine = DeclarativeEngine.from_session(session)
+        workflow = Workflow().add_step("only", lambda s, inputs: 1)
+        self._inside_a_loop(
+            lambda: engine.run_pipeline(workflow, scheduler="async"), "run_pipeline_async"
+        )
+
+    def test_the_async_scheduler_still_runs_from_sync_code(self, session):
+        workflow = Workflow().add_step("only", lambda s, inputs: 1)
+        assert workflow.execute(session, scheduler="async").results == {"only": 1}

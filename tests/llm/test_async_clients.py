@@ -12,11 +12,9 @@ working through the :func:`~repro.llm.base.call_acomplete` bridge.
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
-from repro.data.words import random_words
 from repro.llm.base import (
     LLMResponse,
     call_acomplete,
@@ -25,26 +23,14 @@ from repro.llm.base import (
     sequential_complete_batch,
 )
 from repro.llm.cache import CachedClient
-from repro.llm.oracle import Oracle
-from repro.llm.prompts import rating_prompt
 from repro.llm.retry import RetryingClient
 from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
-from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
-from repro.tokenizer.cost import Usage
+from tests.doubles import ConfidenceClient, EchoClient, FlakyClient, yes_no_validator
+from tests.doubles import rating_prompts as _prompts
+from tests.doubles import simulated_client as _simulated_client
 
-CRITERION = "alphabetical order"
 SIZES = (1, 2, 7)
-
-
-def _simulated_client(seed: int = 3) -> SimulatedLLM:
-    oracle = Oracle()
-    oracle.register_key(CRITERION, lambda word: word.lower())
-    return SimulatedLLM(oracle, seed=seed)
-
-
-def _prompts(count: int) -> list[str]:
-    return [rating_prompt(word, CRITERION) for word in random_words(count, seed=5)]
 
 
 def _assert_equivalent(
@@ -123,33 +109,17 @@ class TestTrackedClient:
         assert tracker.calls == 1
 
 
-class FlakyClient:
-    """Rejects the first ``rejections`` responses (via text), then succeeds."""
-
-    def __init__(self, rejections: int) -> None:
-        self.rejections = rejections
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            self.calls += 1
-            calls = self.calls
-        text = "bad" if calls <= self.rejections else f"good:{prompt}"
-        return LLMResponse(text=text, model=model or "flaky", usage=Usage(1, 1, 1))
-
-
 class TestRetryingClient:
     def test_async_retries_match_sync(self):
         sync_client = RetryingClient(
-            FlakyClient(rejections=2), validator=lambda text: text != "bad", max_retries=3
+            FlakyClient(bad_attempts=2), validator=yes_no_validator, max_retries=3
         )
         async_client = RetryingClient(
-            FlakyClient(rejections=2), validator=lambda text: text != "bad", max_retries=3
+            FlakyClient(bad_attempts=2), validator=yes_no_validator, max_retries=3
         )
         sync_response = sync_client.complete("p")
         async_response = asyncio.run(async_client.acomplete("p"))
-        assert async_response.text == sync_response.text == "good:p"
+        assert async_response.text == sync_response.text == "Yes."
         assert async_response.metadata["attempts"] == sync_response.metadata["attempts"] == 3
         assert async_response.usage == sync_response.usage
         assert async_client.stats.attempts == sync_client.stats.attempts
@@ -170,30 +140,12 @@ class TestRetryingClient:
 
     def test_exhausted_retries_return_last_response(self):
         client = RetryingClient(
-            FlakyClient(rejections=10), validator=lambda text: text != "bad", max_retries=2
+            FlakyClient(bad_attempts=10), validator=yes_no_validator, max_retries=2
         )
         response = asyncio.run(client.acomplete("p"))
-        assert response.text == "bad"
+        assert response.text == "garbled ???"
         assert response.metadata["attempts"] == 3
         assert client.stats.failures == 1
-
-
-class ConfidenceClient:
-    """Returns a fixed confidence so cascade escalation is deterministic."""
-
-    def __init__(self, name: str, confidence: float) -> None:
-        self.name = name
-        self.confidence = confidence
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        self.calls += 1
-        return LLMResponse(
-            text=f"{self.name}:{prompt}",
-            model=model or self.name,
-            usage=Usage(1, 1, 1),
-            confidence=self.confidence,
-        )
 
 
 def _cascade(low_confidence: float) -> CascadeRouter:
@@ -266,9 +218,8 @@ class TestSyncBridge:
     """Clients with no async methods work through the duck-typed dispatchers."""
 
     def test_call_acomplete_bridges_sync_only_clients(self):
-        client = FlakyClient(rejections=0)
-        response = asyncio.run(call_acomplete(client, "p"))
-        assert response.text == "good:p"
+        response = asyncio.run(call_acomplete(EchoClient(), "p"))
+        assert response.text == "echo:p"
 
     def test_call_acomplete_batch_uses_native_sync_batch(self):
         prompts = _prompts(4)

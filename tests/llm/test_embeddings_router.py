@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.session import PromptSession
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import ConfigurationError
 from repro.llm.embeddings import HashingEmbedder
 from repro.llm.prompts import pairwise_comparison_prompt
+from repro.llm.registry import default_registry
 from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
 from repro.llm.simulated import SimulatedLLM
+from repro.llm.tracker import TrackedClient, UsageTracker
+from tests.doubles import ENTRY_POINTS, ask
 
 
 class TestHashingEmbedder:
@@ -128,3 +132,33 @@ class TestEnsembleClient:
         ensemble = EnsembleClient([CascadeTier(model="sim-claude", client=client)])
         prompt = pairwise_comparison_prompt(FLAVORS[0], FLAVORS[5], CHOCOLATEY)
         assert ensemble.complete(prompt).model == "sim-claude"
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+    def test_a_session_is_charged_for_every_member(self, entry_point):
+        # Regression: ``complete`` returned the first member's response with
+        # that member's usage only, so a session over a 3-member ensemble
+        # made 3 backend calls and recorded (and charged) one.
+        model = "sim-gpt-3.5-turbo"
+        trackers = [UsageTracker(cost_model=default_registry().cost_model()) for _ in range(3)]
+        ensemble = EnsembleClient(
+            [
+                CascadeTier(model, TrackedClient(SimulatedLLM(flavor_oracle(), seed=seed), tracker))
+                for seed, tracker in enumerate(trackers)
+            ]
+        )
+        session = PromptSession(ensemble, use_cache=False)
+        prompts = [
+            pairwise_comparison_prompt(FLAVORS[0], FLAVORS[index], CHOCOLATEY) for index in (3, 5)
+        ]
+        responses = ask(session.client(), entry_point, prompts)
+        assert [r.metadata["ensemble_members"] for r in responses] == [[model] * 3] * 2
+        assert session.tracker.calls == sum(tracker.calls for tracker in trackers) == 6
+        assert session.tracker.usage.total_tokens == sum(
+            tracker.usage.total_tokens for tracker in trackers
+        )
+        member_dollars = sum(tracker.cost() for tracker in trackers)
+        assert session.tracker.cost() == pytest.approx(member_dollars)
+        assert session.budget.spent == pytest.approx(member_dollars)
+        assert sum(record.cost for record in session.tracer.records()) == pytest.approx(
+            member_dollars
+        )

@@ -4,34 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConfigurationError, ResponseParseError
-from repro.llm.base import LLMResponse
+from repro.exceptions import ConfigurationError
 from repro.llm.retry import RetryingClient
-from repro.tokenizer.cost import Usage
-
-
-class FlakyClient:
-    """Stub client that fails validation for the first ``bad_attempts`` calls."""
-
-    def __init__(self, bad_attempts: int) -> None:
-        self.bad_attempts = bad_attempts
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        self.calls += 1
-        text = "garbled ???" if self.calls <= self.bad_attempts else "Yes."
-        return LLMResponse(
-            text=text,
-            model=model or "stub",
-            usage=Usage(prompt_tokens=10, completion_tokens=5, calls=1),
-            metadata={"temperature": temperature},
-        )
-
-
-def yes_no_validator(text: str) -> bool:
-    if "yes" not in text.lower() and "no" not in text.lower():
-        raise ResponseParseError("no yes/no answer", text)
-    return True
+from tests.doubles import FlakyClient, yes_no_validator
 
 
 class TestRetryingClient:

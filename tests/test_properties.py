@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from repro.consistency.ranking_repair import alignment_insert_position, count_inversions
 from repro.consistency.transitivity import MatchGraph
 from repro.core.budget import Budget
+from repro.core.executor import BatchRequest
+from repro.exceptions import BudgetExceededError
 from repro.llm.base import LLMResponse, sequential_complete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.prompts import build_structured_prompt, parse_structured_prompt
@@ -21,6 +23,7 @@ from repro.quality.validation import wilson_interval
 from repro.quality.voting import majority_vote
 from repro.tokenizer.cost import PriceTable, Usage
 from repro.tokenizer.simple import SimpleTokenizer
+from tests.doubles import EchoClient, call, executor_for
 
 # Text strategies: printable-ish words without newlines or the prompt markers.
 _word = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
@@ -245,3 +248,130 @@ class TestCachedBatchProperties:
         ]
         assert batch_client.cache.stats.hits == loop_client.cache.stats.hits
         assert batch_client.cache.stats.misses == loop_client.cache.stats.misses
+
+
+class _ExplodingEchoClient(EchoClient):
+    """An :class:`EchoClient` on which the prompt ``"boom"`` raises."""
+
+    def complete(self, prompt, **params):
+        if prompt == "boom":
+            raise ValueError("boom")
+        return super().complete(prompt, **params)
+
+
+#: (driver, concurrency): the sequential forms must agree exactly; the
+#: concurrent ones exactly when nothing stops the bag, and up to which of the
+#: not-yet-started tasks still ran when something does.
+_DRIVERS = (("sync", 1), ("async", 1), ("threads", 4), ("async", 4))
+
+_bags = st.lists(
+    st.builds(
+        BatchRequest,
+        prompt=st.sampled_from(["p0", "p1", "p2", "p3"]),  # few prompts: duplicates
+        model=st.sampled_from([None, "a", "b"]),
+        temperature=st.sampled_from([0.0, 0.7]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _outcome_shape(outcome):
+    value = outcome.value
+    if isinstance(value, LLMResponse):
+        value = (value.text, value.model, value.usage, value.metadata)
+    return (outcome.ok, outcome.skipped, type(outcome.error), value)
+
+
+class TestDriverEquivalenceProperties:
+    """One bag, every driver: sequential, thread pool and asyncio agree.
+
+    The bag has duplicate prompts and mixed models and temperatures;
+    optionally one request fails, or the budget affords only the first few
+    calls (every backend call charges a dollar).
+    """
+
+    @staticmethod
+    def _drive(driver, concurrency, bag, afford, method):
+        budget = Budget(limit=float(afford)) if afford is not None else None
+        client = _ExplodingEchoClient(budget=budget, charge=1.0)
+        if method == "run":
+            # Behind a cache: ``run`` keeps temperature-0 duplicates from
+            # racing each other past it, so hits and misses must agree too.
+            executor = executor_for(
+                driver, CachedClient(client), concurrency=concurrency, budget=budget
+            )
+            try:
+                responses = call(executor, "run", bag)
+            except (ValueError, BudgetExceededError) as exc:
+                return type(exc)
+            return [(r.text, r.model, r.usage, r.metadata) for r in responses]
+        # ``map`` tasks are opaque callables with no such protection, so they
+        # go to the backend directly: nothing they return depends on timing.
+        executor = executor_for(driver, client, concurrency=concurrency, budget=budget)
+        tasks = [
+            lambda request=request: client.complete(
+                request.prompt, model=request.model, temperature=request.temperature
+            )
+            for request in bag
+        ]
+        return [_outcome_shape(outcome) for outcome in call(executor, "map", tasks)]
+
+    @given(_bags, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_run_returns_the_same_responses_or_raises_the_same_error(self, bag, data):
+        scenario = data.draw(st.sampled_from(["clean", "one fails", "budget dies"]))
+        afford = None
+        if scenario == "one fails":
+            index = data.draw(st.integers(0, len(bag) - 1))
+            bag = bag[:index] + [BatchRequest(prompt="boom")] + bag[index + 1 :]
+        elif scenario == "budget dies":
+            afford = data.draw(st.integers(0, len(bag)))
+        reference = self._drive("sync", 1, bag, afford, "run")
+        assert {
+            "clean": isinstance(reference, list),
+            "one fails": reference is ValueError,
+            "budget dies": isinstance(reference, list) or reference is BudgetExceededError,
+        }[scenario]
+        for driver, concurrency in _DRIVERS[1:]:
+            outcome = self._drive(driver, concurrency, bag, afford, "run")
+            if concurrency == 1 or scenario != "budget dies":
+                assert outcome == reference, (driver, concurrency)
+            else:
+                # In-flight calls may overshoot where the loop would have
+                # stopped, never the other way round: a bag the loop could
+                # not afford is not affordable concurrently either.
+                assert outcome == reference or outcome is BudgetExceededError
+
+    @given(_bags, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_map_produces_the_same_outcomes(self, bag, data):
+        scenario = data.draw(st.sampled_from(["clean", "one fails", "budget dies"]))
+        afford, failing = None, None
+        if scenario == "one fails":
+            failing = data.draw(st.integers(0, len(bag) - 1))
+            bag = bag[:failing] + [BatchRequest(prompt="boom")] + bag[failing + 1 :]
+        elif scenario == "budget dies":
+            afford = data.draw(st.integers(0, len(bag)))
+        reference = self._drive("sync", 1, bag, afford, "map")
+        for driver, concurrency in _DRIVERS[1:]:
+            outcomes = self._drive(driver, concurrency, bag, afford, "map")
+            if concurrency == 1 or scenario == "clean":
+                assert outcomes == reference, (driver, concurrency)
+            elif scenario == "one fails":
+                # Everything before the failure ran, the failure is reported
+                # in place, and each later task either still ran (it was in
+                # flight) or was skipped.
+                assert outcomes[: failing + 1] == reference[: failing + 1]
+                assert all(ok or skipped for ok, skipped, _, _ in outcomes[failing + 1 :])
+            else:
+                # Several tasks can pass the pre-check on the last dollar and
+                # breach mid-task, which cancels the queue behind them: what
+                # did not complete names the budget, or is a bare skip behind
+                # such a breach — and the budget's death shows on some outcome.
+                stopped = [(skipped, error) for ok, skipped, error, _ in outcomes if not ok]
+                assert all(
+                    error is BudgetExceededError or (skipped and error is type(None))
+                    for skipped, error in stopped
+                )
+                assert not stopped or any(error is BudgetExceededError for _, error in stopped)
