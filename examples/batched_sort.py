@@ -5,8 +5,8 @@ Run with:  python examples/batched_sort.py
 Every fine-grained strategy is a bag of independent unit tasks — here, the 190
 pairwise comparisons behind a 20-item sort.  Passing ``max_concurrency`` to an
 operator (or to ``DeclarativeEngine``/``PromptSession``) fans those unit tasks
-out over a thread pool; at temperature 0 the results are identical to
-sequential execution, only the wall-clock changes.
+out, that many in flight (threads join in when calls wait); at temperature 0
+the results are identical to sequential execution, only the wall-clock changes.
 
 Against the in-process simulator there is no latency to hide, so this example
 wraps the client with a small artificial per-call delay to stand in for API

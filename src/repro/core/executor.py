@@ -7,12 +7,18 @@ executors are the single dispatch point those bags go through:
 * ``max_concurrency == 1`` issues the batch through the client's native
   batch entry point — sequential, deterministic, and able to exploit
   batch-level optimisations such as the response cache's within-batch dedup.
-* ``max_concurrency > 1`` fans the unit tasks out — :class:`BatchExecutor`
-  over a thread pool of that size, :class:`AsyncBatchExecutor` as asyncio
-  tasks behind a semaphore.  Results always come back in input order, and at
-  temperature 0 they are element-wise identical to the sequential path (the
-  equivalence test suite in ``tests/`` asserts this for every converted
-  operator).
+* ``max_concurrency > 1`` fans the unit tasks out, at most that many in
+  flight — :class:`AsyncBatchExecutor` as asyncio tasks behind a semaphore,
+  :class:`BatchExecutor` on threads.  Results always come back in input
+  order, and at temperature 0 they are element-wise identical to the
+  sequential path (the equivalence test suite in ``tests/`` asserts this for
+  every converted operator).
+
+``max_concurrency`` is a ceiling on calls in flight, not a thread count:
+threads appear when calls wait.  A call answered from memory (a warm cache, a
+replayed trace, the simulator) gains nothing from a second thread but its
+turn on the interpreter lock, so the dispatching thread drains a fanned-out
+bag itself and helpers join once it stalls (see :class:`BatchExecutor`).
 
 Everything the two executors decide — request normalisation, when a bag may
 go to the client as one native batch, the temperature-0 dedup partition, the
@@ -37,7 +43,8 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import inspect
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, Sequence
 
@@ -47,13 +54,17 @@ from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, drive
 from repro.llm.retry import RetryingClient, RetryStats
 
-#: The documented default thread-pool size for I/O-bound sync dispatch — the
-#: reference point the async throughput benchmark compares against.  Chosen
-#: like ``ThreadPoolExecutor``'s historical default for I/O workloads, but
-#: fixed so benchmarks are machine-independent: thread-pool cost grows with
-#: pool size (one OS thread per slot), which is exactly the blowup the
-#: asyncio path avoids.
+#: The documented default in-flight ceiling for I/O-bound sync dispatch — the
+#: reference point the async throughput benchmark compares against.  Fixed so
+#: benchmarks are machine-independent: against a backend that waits, the sync
+#: path pays one blocked OS thread per call in flight, which is exactly the
+#: blowup the asyncio path avoids.
 DEFAULT_POOL_SIZE = 8
+
+#: How long a fanned-out bag may start no body before :class:`BatchExecutor`
+#: takes the running calls to be waiting and brings in its helper threads:
+#: long against a call that computes, short against one that waits.
+_STALL_SECONDS = 0.001
 
 
 @dataclass(frozen=True)
@@ -174,10 +185,11 @@ class _ExecutorCore:
             clients work on the async executor too: dispatch goes through
             :func:`~repro.llm.base.call_acomplete`, which bridges a client
             without ``acomplete`` into a worker thread.
-        max_concurrency: how many unit tasks may be in flight at once — the
-            thread-pool size of :class:`BatchExecutor` (default 1: sequential
-            native batching), the number of simultaneously pending awaits of
-            :class:`AsyncBatchExecutor` (default 16).
+        max_concurrency: how many unit tasks may be in flight at once — a
+            ceiling, not a thread count: :class:`BatchExecutor` (default 1:
+            sequential native batching) uses threads beyond the dispatching
+            one only while calls wait; for :class:`AsyncBatchExecutor`
+            (default 16) it is the number of simultaneously pending awaits.
         budget: optional budget (or per-step :class:`~repro.core.budget.
             BudgetLease`) checked before each dispatch for early stopping.
         governor: optional :class:`~repro.core.governor.ConcurrencyGovernor`
@@ -360,9 +372,12 @@ class _ExecutorCore:
             else:
                 outcomes = yield Invoke(self._fan_out, bodies)
         # A task the budget pre-check turned away never ran: it is reported
-        # as skipped with the budget error attached.
+        # as skipped with the budget error attached.  Ctrl-C is no failed task
+        # to report and carry on from: it surfaces, now that the bag settled.
         budget_stop: BudgetExceededError | None = None
         for index, outcome in enumerate(outcomes):
+            if isinstance(outcome.error, (KeyboardInterrupt, SystemExit)):
+                raise outcome.error
             if isinstance(outcome.error, _BudgetPreCheckStop):
                 outcomes[index] = TaskOutcome(error=outcome.error.error, skipped=True)
                 budget_stop = budget_stop or outcome.error.error
@@ -389,8 +404,11 @@ class _ExecutorCore:
 class BatchExecutor(_ExecutorCore):
     """Dispatch a list of independent unit tasks against one LLM client.
 
-    Sequential at ``max_concurrency == 1`` (the default); a thread pool of
-    that size otherwise.  Arguments: see :class:`_ExecutorCore`.
+    Sequential at ``max_concurrency == 1`` (the default).  Above that it is
+    a ceiling on calls in flight, not a thread count: the dispatching thread
+    drains the bag itself, up to ``max_concurrency - 1`` helper threads join
+    it within about a millisecond of a call blocking, and all of them have
+    exited when ``run``/``map`` returns.  Arguments: see :class:`_ExecutorCore`.
     """
 
     def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
@@ -412,7 +430,7 @@ class BatchExecutor(_ExecutorCore):
         This is the entry point the pipeline scheduler uses to run a wave of
         mutually independent steps: each task is an arbitrary callable (a
         whole operator run, not a single prompt), dispatched sequentially at
-        ``max_concurrency == 1`` and over the thread pool otherwise.
+        ``max_concurrency == 1`` and fanned out otherwise.
 
         Unlike :meth:`run`, failures do not raise.  Each task's result or
         exception comes back in its :class:`TaskOutcome`; after the first
@@ -423,36 +441,58 @@ class BatchExecutor(_ExecutorCore):
         reported as skipped *with the budget error attached* — and that
         holds for **every** such task, on both the sequential and the
         concurrent path, so callers can tell the two skip causes apart
-        without caring which path executed the batch.
+        without caring which path executed the batch.  ``KeyboardInterrupt``
+        and ``SystemExit`` are not outcomes: one raised inside a task is
+        re-raised once the tasks in flight finish, so Ctrl-C stops a pipeline.
         """
         return drive(self._map(tasks))
 
     def _fan_out(self, bodies: list[Body]) -> list[TaskOutcome]:
         outcomes = [TaskOutcome(skipped=True) for _ in bodies]
-        with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-            # Each body runs under a fresh copy of the dispatching thread's
-            # context, so ambient state (the trace labels of repro.trace)
-            # survives the hop into the pool.  One copy per body: a single
-            # Context object cannot run in two threads at once.
-            futures = [
-                pool.submit(contextvars.copy_context().run, drive, body) for body in bodies
-            ]
-            # Collect in submission order with result() rather than
-            # as_completed(): futures cancelled by shutdown(cancel_futures=
-            # True) never notify as_completed's waiters (no worker runs their
-            # set_running_or_notify_cancel), which would hang the iterator;
-            # result() raises CancelledError on them immediately.
-            failed = False
-            for index, future in enumerate(futures):
+        queue = deque(enumerate(bodies))
+        stop = threading.Event()  # start no further body: a failure, or the bag is drained
+        helpers: list[threading.Thread] = []
+
+        def work() -> None:
+            # What the dispatching thread and every helper run.  A body gets a
+            # fresh copy of the dispatching context (or of a helper's copy of
+            # it): trace labels and the open span reach it, what it sets stays.
+            while not stop.is_set():
                 try:
-                    outcomes[index] = TaskOutcome(value=future.result())
-                except CancelledError:
-                    continue  # stays skipped
+                    index, body = queue.popleft()
+                except IndexError:
+                    return
+                try:
+                    outcomes[index] = TaskOutcome(value=contextvars.copy_context().run(drive, body))
                 except BaseException as exc:  # noqa: BLE001 - reported to the body
                     outcomes[index] = TaskOutcome(error=exc)
-                    if not failed:
-                        failed = True
-                        pool.shutdown(wait=False, cancel_futures=True)
+                    stop.set()
+
+        def start(target: Callable[[], None]) -> None:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(target,))
+            thread.start()
+            helpers.append(thread)
+
+        def scout() -> None:
+            # The first helper watches before it works: while bodies keep
+            # starting, threads would only take turns on the interpreter lock;
+            # once none has for a while a call is blocked: go to full width
+            # now, not after it returns (eight slow calls are one wave).
+            waiting = len(queue)
+            while not stop.wait(_STALL_SECONDS):
+                if len(queue) == waiting:
+                    for _ in range(min(self.max_concurrency - 1, waiting) - 1):
+                        start(work)
+                    return work()
+                waiting = len(queue)
+
+        start(scout)
+        try:
+            work()
+        finally:
+            stop.set()
+            for thread in helpers:  # complete once the scout, which starts the rest, has exited
+                thread.join()
         return outcomes
 
 
@@ -500,7 +540,7 @@ class AsyncBatchExecutor(_ExecutorCore):
 
         # Each asyncio task copies the dispatching context at creation, so
         # trace labels and the ambient span reach the bodies as they do
-        # through the thread pool.
+        # on the sync executor's threads.
         await asyncio.gather(
             *(asyncio.create_task(worker(index, body)) for index, body in enumerate(bodies))
         )

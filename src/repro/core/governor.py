@@ -6,7 +6,7 @@ tokens-per-minute quotas, a cap on simultaneous in-flight calls, and backing
 off when the backend starts returning 429-style
 :class:`~repro.exceptions.RateLimitError` signals.  The
 :class:`ConcurrencyGovernor` is the single admission point for all of that:
-both the thread-pool :class:`~repro.core.executor.BatchExecutor` and the
+both the threaded :class:`~repro.core.executor.BatchExecutor` and the
 asyncio-native :class:`~repro.core.executor.AsyncBatchExecutor` route every
 unit-task dispatch through one governor instance, so sync and async traffic
 share the same token buckets, the same in-flight slots, and the same adaptive

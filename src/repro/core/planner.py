@@ -88,6 +88,12 @@ class CostEstimate:
         seconds: predicted wall-clock time (sequential dispatch), from the
             observed per-call latency of the same strategy label; ``None``
             until the session has recorded durations for it.
+        known_cached: ``(hits, probed)`` — how many of the spec's
+            statically-known prompts were probed against the durable
+            response cache while estimating, and how many were found (their
+            share of ``dollars`` is already priced at zero).  A fact about
+            the quoting session, not part of the estimate's identity or its
+            wire form.
     """
 
     strategy: str
@@ -95,6 +101,7 @@ class CostEstimate:
     usage: Usage
     dollars: float
     seconds: float | None = None
+    known_cached: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
     def to_dict(self) -> dict[str, object]:
         """A JSON-shaped view (what the service layer returns in quotes)."""
@@ -673,6 +680,9 @@ class CostPlanner:
         if not prompts:
             return (0, 0)
         model = self.spec.name
+        contains_many = getattr(self.response_cache, "contains_many", None)
+        if contains_many is not None:
+            return (contains_many(model, prompts), len(prompts))
         contains = self.response_cache.contains  # type: ignore[attr-defined]
         hits = sum(1 for prompt in prompts if contains(model, prompt))
         return (hits, len(prompts))
@@ -685,15 +695,18 @@ class CostPlanner:
         Unlike the observed-rate discount (an extrapolation capped below
         1), these are certainties — the exact prompts were probed against
         the durable cache — so a fully-cached workload quotes exactly zero
-        dollars.  Returns the estimate plus whether a discount applied.
+        dollars.  The probe's ``(hits, probed)`` rides on the estimate, so
+        whoever writes the quote's note reads it there instead of probing
+        again.  Returns the estimate plus whether a discount applied.
         """
-        if estimate.dollars <= 0.0 or estimate.calls <= 0:
+        hits, probed = self.known_cached_calls(spec)
+        if not probed:
             return estimate, False
-        hits, _ = self.known_cached_calls(spec)
-        if hits <= 0:
-            return estimate, False
-        fraction = min(1.0, hits / max(estimate.calls, 1))
-        return replace(estimate, dollars=estimate.dollars * (1.0 - fraction)), True
+        discounted = hits > 0 and estimate.dollars > 0.0 and estimate.calls > 0
+        dollars = estimate.dollars
+        if discounted:
+            dollars *= 1.0 - min(1.0, hits / estimate.calls)
+        return replace(estimate, dollars=dollars, known_cached=(hits, probed)), discounted
 
     def cache_discount_note(self) -> str | None:
         """The "prior -> observed" annotation for an applied cache discount."""
@@ -967,7 +980,7 @@ class CostPlanner:
             dependencies[step.name] = tuple(step.depends_on)
             if isinstance(step.task, TaskSpec):
                 steps[step.name] = self.estimate_spec(step.task)
-                hits, probed = self.known_cached_calls(step.task)
+                hits, probed = steps[step.name].known_cached
                 known_hits += hits
                 known_probed += probed
             else:

@@ -91,8 +91,8 @@ class PromptSession:
         budget: the monetary budget; defaults to unlimited.
         config: library configuration defaults.
         use_cache: whether identical temperature-0 prompts are deduplicated.
-        max_concurrency: thread-pool size operators use for their independent
-            unit tasks; 1 (the default) keeps everything sequential.
+        max_concurrency: how many independent unit tasks operators keep in
+            flight; 1 (the default) keeps everything sequential.
         governor: optional :class:`~repro.core.governor.ConcurrencyGovernor`
             every executor built from this session routes its dispatches
             through — one admission point (RPM/TPM quotas, in-flight cap,

@@ -393,15 +393,15 @@ class Workflow:
 
         Args:
             session: shared execution context (cache, tracker, budget).
-            max_concurrency: scheduler thread-pool size for independent
-                steps; defaults to the session's ``max_concurrency``.
+            max_concurrency: how many independent steps the scheduler keeps
+                in flight; defaults to the session's ``max_concurrency``.
             spec_runner: executes spec steps (the engine supplies this —
                 see :meth:`DeclarativeEngine.run_pipeline`); required only
                 when the workflow contains spec steps.
             quote: optional pre-flight quote whose per-step dollar estimates
                 weight the budget apportionment.
             scheduler: ``"threads"`` (the default) runs each wave through
-                the session's thread-pool :class:`~repro.core.executor.
+                the session's threaded :class:`~repro.core.executor.
                 BatchExecutor`; ``"async"`` drives its own event loop and
                 runs the waves through the asyncio-native scheduler (see
                 :meth:`execute_async` — call that directly from inside an

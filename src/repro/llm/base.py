@@ -195,8 +195,8 @@ async def sequential_acomplete_batch(
     """The sequential default for ``acomplete_batch``: one awaited call per prompt.
 
     Mirrors :func:`sequential_complete_batch`; concurrency across the batch is
-    the :class:`~repro.core.executor.AsyncBatchExecutor`'s job, exactly as the
-    thread pool is the sync path's.
+    the :class:`~repro.core.executor.AsyncBatchExecutor`'s job, exactly as it
+    is :class:`~repro.core.executor.BatchExecutor`'s on the sync path.
     """
     return [
         await call_acomplete(

@@ -7,7 +7,7 @@ cost-reduction technique available, so the library makes it a first-class
 wrapper that any client can be composed with.
 
 The cache is thread-safe: the :class:`~repro.core.executor.BatchExecutor`
-dispatches unit tasks from a thread pool, so ``get``/``put`` (and the hit/miss
+dispatches unit tasks from several threads, so ``get``/``put`` (and the hit/miss
 counters they maintain) are serialised behind a lock.  ``CachedClient``
 additionally deduplicates identical prompts *within* one batch so that N
 copies of a prompt cost exactly one inner call — the same guarantee the

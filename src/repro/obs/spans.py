@@ -5,8 +5,8 @@ scheduler wave, a step, an operator strategy, a batch execution, or a
 single model call.  Spans form a tree: each records the ``span_id`` of
 the span that was ambient when it started.  The ambient span travels in
 a :class:`contextvars.ContextVar`, the same mechanism the tracer uses
-for labels, so parentage survives both thread-pool workers (the batch
-executor dispatches through ``contextvars.copy_context().run``) and
+for labels, so parentage survives both the batch executor's threads (it
+runs every unit task under ``contextvars.copy_context().run``) and
 asyncio tasks (which copy the context at creation time).
 
 :class:`SpanTracker` is the per-session collector.  Like the trace ring
@@ -109,9 +109,15 @@ class Span:
         )
 
 
+#: Exact types ``json.dumps`` always accepts (NaN and infinities included).
+_JSON_PRIMITIVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _json_safe(value: Any) -> Any:
     """Coerce an attribute value to something json.dumps accepts."""
 
+    if type(value) in _JSON_PRIMITIVES:
+        return value
     try:
         json.dumps(value)
         return value

@@ -65,8 +65,8 @@ class BaseOperator:
         cost_model: optional price table used to convert usage to dollars.
         use_cache: whether identical temperature-0 prompts are served from a
             response cache (recommended; several strategies re-ask pairs).
-        max_concurrency: thread-pool size for the operator's independent unit
-            tasks; 1 (the default) runs them sequentially.
+        max_concurrency: how many of the operator's independent unit tasks may
+            be in flight at once; 1 (the default) runs them sequentially.
         budget: optional budget the operator's batches check before each
             dispatch, so a limit stops a large batch mid-way instead of after
             the fact.  The engine threads its session budget through here; a
@@ -157,8 +157,8 @@ class BaseOperator:
 
         This is the hot path of every fine-grained strategy: the batch runs
         through the operator's :class:`~repro.core.executor.BatchExecutor`,
-        sequentially at ``max_concurrency == 1`` and over a thread pool
-        otherwise.
+        sequentially at ``max_concurrency == 1`` and fanned out (threads join
+        in when calls wait) otherwise.
         """
         return self._complete_requests(
             [

@@ -314,22 +314,21 @@ def compile_plan(
     )
     spec.validate()
     notes: list[str] = []
-    if planner is not None and hasattr(planner, "known_cached_calls"):
-        # Statically-compiled steps have concrete specs, so their prompts
-        # can be probed against the durable response cache right now: a
-        # fresh session quoting a previously-run workload reports the known
-        # hits (priced at zero inside each step's estimate).
-        known_hits = known_probed = 0
-        for step in pipeline_steps:
-            if isinstance(step.task, TaskSpec):
-                hits, probed = planner.known_cached_calls(step.task)
-                known_hits += hits
-                known_probed += probed
-        if known_hits:
-            notes.append(
-                f"persistent cache: {known_hits} of {known_probed} "
-                "statically-known calls already cached (priced at zero)"
-            )
+    # Statically-compiled steps have concrete specs, so estimating them
+    # probed their prompts against the durable response cache: a fresh
+    # session quoting a previously-run workload reports the known hits
+    # (priced at zero inside each step's estimate).
+    known_hits = known_probed = 0
+    for step in pipeline_steps:
+        if isinstance(step.task, TaskSpec) and step.name in quoted:
+            hits, probed = quoted[step.name].known_cached
+            known_hits += hits
+            known_probed += probed
+    if known_hits:
+        notes.append(
+            f"persistent cache: {known_hits} of {known_probed} "
+            "statically-known calls already cached (priced at zero)"
+        )
     discount_note = planner.cache_discount_note() if planner is not None else None
     if discount_note is not None:
         notes.append(discount_note)

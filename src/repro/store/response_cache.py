@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from collections import Counter
+from typing import Any, Sequence
 
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CacheStats
 from repro.store.db import StoreDB
 from repro.tokenizer.cost import Usage
+
+
+#: Keys per ``IN`` query of :meth:`PersistentResponseCache.contains_many`:
+#: under SQLite's historical limit of 999 bound parameters per statement.
+_PROBE_CHUNK = 500
 
 
 def _key(model: str, prompt: str, namespace: str = "") -> str:
@@ -156,6 +162,24 @@ class PersistentResponseCache:
         """
         key = _key(model, prompt, self.namespace)
         return bool(self._db.execute("SELECT 1 FROM cache WHERE key = ?", (key,)))
+
+    def contains_many(self, model: str, prompts: Sequence[str]) -> int:
+        """How many of ``prompts`` are stored: :meth:`contains` summed, in bulk.
+
+        A prompt listed twice counts twice.  One ``IN`` query per
+        :data:`_PROBE_CHUNK` distinct keys rather than one ``SELECT`` per
+        prompt; like :meth:`contains` it counts no hit or miss and touches
+        no entry's recency.
+        """
+        uses = Counter(_key(model, prompt, self.namespace) for prompt in prompts)
+        keys = list(uses)
+        found = 0
+        for start in range(0, len(keys), _PROBE_CHUNK):
+            chunk = keys[start : start + _PROBE_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            rows = self._db.execute(f"SELECT key FROM cache WHERE key IN ({marks})", chunk)
+            found += sum(uses[key] for (key,) in rows)
+        return found
 
     def put(self, model: str, prompt: str, response: LLMResponse) -> None:
         payload = encode_response(response)

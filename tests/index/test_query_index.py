@@ -124,3 +124,51 @@ class TestCacheAwareQuotes:
             quote = query.with_store(store).quote()
             assert quote.total_dollars > 0.0
             assert not any("persistent cache" in note for note in quote.notes)
+
+    def test_each_static_step_is_probed_once_and_the_quote_reads_as_before(
+        self, tmp_path, monkeypatch
+    ):
+        """One bulk probe per static step; per-prompt ``contains`` gives the same quote."""
+        from repro.core.planner import CostPlanner
+        from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep
+        from repro.store import PersistentResponseCache
+
+        items, oracle = product_corpus(4, 1)
+        paid = Dataset(items[:2], name="p").filter("keeps everything")
+        query = Dataset(items, name="p").filter("keeps everything")
+        pipeline = PipelineSpec(
+            name="two filters",
+            steps=[
+                PipelineStep("screen", FilterSpec(items=items, predicates=["keeps everything"])),
+                PipelineStep("again", FilterSpec(items=items[:2], predicates=["keeps everything"])),
+            ],
+        )
+        probes: list[int] = []
+        bulk = PersistentResponseCache.contains_many
+
+        def counted(self, model, prompts):
+            probes.append(len(prompts))
+            return bulk(self, model, prompts)
+
+        with Store(tmp_path / "store.db") as store:
+            client = SimulatedLLM(oracle, seed=11, behavior=clean_behavior())
+            paid.run(PromptSession(client, store=store))
+
+            monkeypatch.setattr(PersistentResponseCache, "contains_many", counted)
+            quote = query.with_store(store).quote()
+            assert probes == [len(items)]
+            del probes[:]
+            planner = CostPlanner(MODEL, response_cache=store.response_cache())
+            pipeline_quote = planner.quote_pipeline(pipeline)
+            assert probes == [len(items), 2]
+
+            # A cache that can only answer one prompt at a time: same words, same numbers.
+            monkeypatch.delattr(PersistentResponseCache, "contains_many")
+            assert query.with_store(store).quote().to_dict() == quote.to_dict()
+            planner = CostPlanner(MODEL, response_cache=store.response_cache())
+            assert planner.quote_pipeline(pipeline).to_dict() == pipeline_quote.to_dict()
+        note = "persistent cache: {} statically-known calls already cached (priced at zero)"
+        assert quote.notes == (note.format("2 of 4"),)
+        assert pipeline_quote.notes == (note.format("4 of 6"),)
+        assert 0.0 < quote.total_dollars == pipeline_quote.total_dollars
+        assert pipeline_quote.steps["again"].dollars == 0.0

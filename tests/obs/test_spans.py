@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextvars
+import enum
+import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.exceptions import BudgetExceededError
@@ -110,6 +113,57 @@ class TestRecordSpan:
         tracker = SpanTracker()
         leaf = tracker.record_span("call", payload=object())
         assert isinstance(leaf.attributes["payload"], str)
+
+    def test_primitives_are_kept_as_they_are(self):
+        # The per-call attributes (cache_hit, cost, call_id, a label) skip
+        # the json.dumps round trip and come back as the same objects.
+        tracker = SpanTracker()
+        values = {"hit": True, "cost": 0.25, "call_id": 7, "model": "gpt", "none": None}
+        values.update(nan=float("nan"), inf=float("inf"))
+        leaf = tracker.record_span("call", **values)
+        assert all(leaf.attributes[key] is value for key, value in values.items())
+        json.dumps(leaf.attributes)  # NaN and infinities are what dumps accepts too
+
+    def test_everything_else_still_goes_through_dumps_or_repr(self):
+        class Tier(enum.IntEnum):
+            CHEAP = 1
+
+        class Opaque:
+            def __repr__(self) -> str:
+                return "<opaque>"
+
+        tracker = SpanTracker()
+        values = {
+            "tier": Tier.CHEAP,  # an int subclass json.dumps accepts: kept
+            "np_float": np.float64(0.5),  # a float subclass: kept
+            "np_int": np.int64(3),  # not JSON: repr
+            "np_bool": np.bool_(True),
+            "pair": (1, "a"),
+            "nested": {"a": [1, 2.5, None]},
+            "bad_key": {(1, 2): "x"},
+            "holds_opaque": [Opaque()],
+            "opaque": Opaque(),
+            "bytes": b"raw",
+        }
+        leaf = tracker.record_span("call", **values)
+        with tracker.span("step") as step:
+            tracker.annotate(step.span_id, **values)
+
+        def reference(value):  # the rule before the fast path
+            try:
+                json.dumps(value)
+                return value
+            except (TypeError, ValueError):
+                return repr(value)
+
+        for attributes in (leaf.attributes, step.attributes):
+            for key, value in values.items():
+                assert attributes[key] == reference(value), key
+                assert type(attributes[key]) is type(reference(value)), key
+        assert leaf.attributes["tier"] is Tier.CHEAP
+        assert leaf.attributes["np_int"] == repr(np.int64(3))
+        assert leaf.attributes["holds_opaque"] == "[<opaque>]"
+        json.dumps(leaf.attributes)
 
     def test_annotate_merges_and_ignores_unknown_ids(self):
         tracker = SpanTracker()

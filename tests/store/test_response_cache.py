@@ -85,6 +85,58 @@ class TestRoundTrip:
         assert isinstance(store.response_cache(), ResponseCacheLike)
 
 
+class TestProbing:
+    """``contains`` / ``contains_many``: what the quote path asks, without serving."""
+
+    def test_contains_many_is_contains_summed(self, store):
+        cache = store.response_cache()
+        for index in range(0, 1200, 2):
+            cache.put("m", f"p{index}", response(str(index)))
+        cache.put("other", "p1", response("another model's entry"))
+        prompts = [f"p{index}" for index in range(1200)] + ["p0", "p0", "p1", "absent"]
+        expected = sum(cache.contains("m", prompt) for prompt in prompts)
+        assert expected == 602
+        assert cache.contains_many("m", prompts) == expected
+        assert cache.contains_many("m", []) == 0
+        assert cache.contains_many("m", ["absent"] * 3) == 0
+
+    def test_one_query_per_chunk_of_distinct_keys(self, store):
+        cache = store.response_cache()
+        cache.put("m", "p0", response("x"))
+        statements = []
+        execute = store.db.execute
+        store.db.execute = lambda sql, parameters=(): (
+            statements.append(sql),
+            execute(sql, parameters),
+        )[1]
+        try:
+            assert cache.contains_many("m", [f"p{index % 90}" for index in range(180)]) == 2
+            assert len(statements) == 1
+            del statements[:]
+            assert cache.contains_many("m", [f"p{index}" for index in range(1001)]) == 1
+            assert len(statements) == 3
+        finally:
+            del store.db.execute
+
+    def test_probing_counts_nothing_and_touches_no_recency(self, tmp_path):
+        with Store(tmp_path / "store.db", max_cache_entries=2) as store:
+            cache = store.response_cache()
+            cache.put("m", "old", response("1"))
+            cache.put("m", "new", response("2"))
+            assert cache.contains("m", "old")
+            assert cache.contains_many("m", ["old", "old", "absent"]) == 2
+            assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+            cache.put("m", "newest", response("3"))  # evicts the LRU entry: still "old"
+            assert not cache.contains("m", "old") and cache.contains("m", "new")
+
+    def test_namespaces_do_not_see_each_other(self, store):
+        ours = PersistentResponseCache(store.db, namespace="a")
+        theirs = PersistentResponseCache(store.db, namespace="b")
+        ours.put("m", "p", response("x"))
+        assert ours.contains_many("m", ["p"]) == 1
+        assert theirs.contains_many("m", ["p"]) == 0
+
+
 class TestPersistence:
     def test_entries_survive_reopen(self, tmp_path):
         path = tmp_path / "store.db"
