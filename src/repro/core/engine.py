@@ -3,10 +3,15 @@
 :class:`DeclarativeEngine` is the user-facing entry point of the library: it
 owns a :class:`~repro.core.session.PromptSession` (shared budget, cache,
 tracker) and turns declarative :mod:`~repro.core.spec` objects into operator
-runs.  The engine's ``max_concurrency`` argument is threaded through to every
-operator it constructs, so all independent unit tasks (pairwise comparisons,
-rating calls, per-record imputations, ...) run through a shared-size thread
-pool; at temperature 0 results are identical to sequential execution.
+runs.  There is one run path, :meth:`DeclarativeEngine.run_spec`; what is
+specific to an operator — how it is built and invoked, what its run teaches
+the statistics store — comes from the spec's declaration in
+:mod:`repro.core.declarations`, and ``engine.sort(spec)`` and its seven
+siblings are typed names for the same call.  The engine's
+``max_concurrency`` argument is threaded through to every operator it
+constructs, so all independent unit tasks (pairwise comparisons, rating
+calls, per-record imputations, ...) run through a shared-size thread pool;
+at temperature 0 results are identical to sequential execution.
 
 Strategy selection is not the engine's job any more: every spec —
 whatever its operator — is resolved by the
@@ -17,7 +22,7 @@ StrategySelector` (the AutoML-style loop the paper sketches in Section 4);
 everything else is picked by estimated cost under the remaining budget.
 After each run the engine feeds what actually happened (observed filter
 selectivities, dedup rates, call counts) back into the session's
-:class:`~repro.core.physical.RuntimeStats`, so later quotes and plans are
+:class:`~repro.core.stats.RuntimeStats`, so later quotes and plans are
 priced from observations instead of static priors.
 
 Multi-operator workflows go through :meth:`DeclarativeEngine.run_pipeline`:
@@ -31,13 +36,14 @@ pending steps.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core.budget import Budget, BudgetLease
-from repro.core.physical import PhysicalPlan, PhysicalPlanner, ResolvedStrategy
+from repro.core.declarations import declaration_for
+from repro.core.physical import PhysicalPlan, PhysicalPlanner
 from repro.core.planner import CostPlanner, PipelineQuote
 from repro.core.session import PromptSession
 from repro.core.spec import (
@@ -64,17 +70,8 @@ from repro.exceptions import SpecError, StoreError
 from repro.llm.base import Body, Invoke, LLMClient, adrive, drive
 from repro.llm.registry import ModelRegistry
 from repro.operators.base import OperatorResult
-from repro.operators.categorize import CategorizeOperator, CategorizeResult
-from repro.operators.cluster import ClusterOperator, ClusterResult
-from repro.operators.filter import FilterOperator, FilterResult
-from repro.operators.impute import ImputeOperator, ImputeResult
-from repro.operators.join import JoinOperator, JoinResult
-from repro.operators.resolve import PairJudgmentResult, ResolveOperator, ResolveResult
-from repro.operators.sort import SortOperator, SortResult
-from repro.operators.top_k import TopKOperator, TopKResult
 from repro.obs import critical_path
 from repro.store.fingerprint import fingerprint_spec
-from repro.tokenizer.cost import Usage
 from repro.trace import trace_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,28 +125,19 @@ class DeclarativeEngine:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _operator_kwargs(self, budget: Budget | BudgetLease | None = None) -> dict:
-        return self.physical.operator_kwargs(budget)
+    @contextmanager
+    def operator_scope(self, label: str) -> Iterator[None]:
+        """Label everything inside as one operator run, ``"<op>:<strategy>"``.
 
-    def _resolve(
-        self, spec: TaskSpec, budget: Budget | BudgetLease | None
-    ) -> ResolvedStrategy:
-        """Resolve the spec's strategy under whichever budget binds the run."""
-        return self.physical.resolve(
-            spec, budget=budget if budget is not None else self.session.budget
-        )
-
-    def _operator_span(self, label: str) -> "ContextManager[Any]":
-        """An ``operator`` span under whatever step span is ambient.
-
-        The label matches the tracer's ``operator=`` trace label
-        (``"<op>:<strategy>"``), so the span waterfall and the trace
-        records name the same work identically.
+        The tracer's ``operator=`` trace label and the ``operator`` span
+        (under whatever step span is ambient) carry the same text, so the
+        span waterfall and the trace records name the same work identically.
         """
         tracker = getattr(self.session, "spans", None)
-        if tracker is None or not tracker.enabled:
-            return nullcontext(None)
-        return tracker.span("operator", label)
+        spans_on = tracker is not None and tracker.enabled
+        span = tracker.span("operator", label) if spans_on else nullcontext()
+        with trace_label(operator=label), span:
+            yield
 
     @property
     def stats(self):
@@ -161,248 +149,93 @@ class DeclarativeEngine:
         """Total dollars spent through this engine."""
         return self.session.spent_dollars
 
-    # -- sort ---------------------------------------------------------------------
-
-    def sort(
-        self, spec: SortSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> SortResult:
-        """Execute a sort spec, its strategy resolved by the physical planner."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = SortOperator(
-            self.session.client(budget), spec.criterion, **self._operator_kwargs(budget)
-        )
-        label = f"sort:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- resolve ------------------------------------------------------------------
-
-    def resolve(
-        self, spec: ResolveSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> PairJudgmentResult | ResolveResult:
-        """Execute a resolve spec.
-
-        With ``pairs`` the spec is a pair-judgment task (the Table 3
-        setting) and returns a :class:`PairJudgmentResult`.  With records
-        only, it is a whole-corpus clustering task and returns a
-        :class:`ResolveResult` whose ``clusters`` hold record indices.
-        """
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = ResolveOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"resolve:{resolved.strategy}"
-        if not spec.pairs:
-            with trace_label(operator=label), self._operator_span(label):
-                result = operator.resolve(
-                    list(spec.records), strategy=resolved.strategy, **resolved.options
-                )
-            self.physical.record_run(spec, resolved, result)
-            self.stats.record_dedup(
-                inputs=len(spec.records), survivors=len(result.clusters)
-            )
-            return result
-        options = dict(resolved.options)
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.judge_pairs(
-                list(spec.pairs),
-                strategy=resolved.strategy,
-                corpus=list(spec.records) or None,
-                neighbors_k=options.pop("neighbors_k", spec.neighbors_k),
-                **options,
-            )
-        self.physical.record_run(spec, resolved, result)
-        self.stats.record_pair_match(
-            judged=len(result.judgments),
-            duplicates=sum(1 for judgment in result.judgments if judgment.is_duplicate),
-        )
-        return result
-
-    # -- impute -------------------------------------------------------------------
-
-    def impute(
-        self, spec: ImputeSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> ImputeResult:
-        """Execute an impute spec, its strategy resolved by the physical planner."""
-        spec.validate()
-        assert spec.data is not None  # validate() guarantees this
-        resolved = self._resolve(spec, budget)
-        operator = ImputeOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"impute:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                spec.data, strategy=resolved.strategy, n_examples=spec.n_examples
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- filter -------------------------------------------------------------------
-
-    def filter(
-        self, spec: FilterSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> FilterResult:
-        """Execute a filter spec, applying conjunctive predicates in order.
-
-        A multi-predicate (fused) spec checks each predicate over the
-        survivors of the previous one, so later predicates never spend calls
-        on items an earlier predicate already rejected.  Strategies resolve
-        *per predicate* (see :meth:`PhysicalPlanner.resolve_filter`): with
-        validation labels, a cheap ``per_item`` pass on an easy predicate
-        can precede an ensemble vote on the hard one.  Each predicate's
-        observed selectivity is recorded into the session's runtime stats.
-        """
-        spec.validate()
-        plans = self.physical.resolve_filter(
-            spec, budget=budget if budget is not None else self.session.budget
-        )
-        survivors = [str(item) for item in spec.items]
-        usage = Usage()
-        cost = 0.0
-        votes = 0
-        decisions = {item: True for item in survivors}
-        result: FilterResult | None = None
-        strategies: dict[str, str] = {}
-        executed: list[str] = []
-        for predicate, resolved in plans:
-            strategies[predicate] = resolved.strategy
-            if not survivors:
-                break
-            if resolved.strategy not in executed:
-                executed.append(resolved.strategy)
-            operator = FilterOperator(
-                self.session.client(budget), predicate, **self._operator_kwargs(budget)
-            )
-            label = f"filter:{resolved.strategy}"
-            with trace_label(operator=label), self._operator_span(label):
-                result = operator.run(
-                    survivors, strategy=resolved.strategy, **resolved.options
-                )
-            for item in survivors:
-                decisions[item] = result.decisions.get(item, False)
-            self.stats.record_filter(
-                predicate, evaluated=len(survivors), kept=len(result.kept)
-            )
-            survivors = list(result.kept)
-            usage.add(result.usage)
-            cost += result.cost
-            votes += result.votes_used
-        merged = FilterResult(
-            strategy="+".join(executed) if executed else plans[0][1].strategy,
-            kept=survivors,
-            decisions=decisions,
-            votes_used=votes,
-        )
-        merged.usage = usage
-        merged.cost = cost
-        if result is not None:
-            merged.metadata = dict(result.metadata)
-        merged.metadata["predicates"] = list(spec.all_predicates)
-        merged.metadata["predicate_strategies"] = strategies
-        return merged
-
-    # -- categorize ---------------------------------------------------------------
-
-    def categorize(
-        self, spec: CategorizeSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> CategorizeResult:
-        """Execute a categorize spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = CategorizeOperator(
-            self.session.client(budget), list(spec.categories), **self._operator_kwargs(budget)
-        )
-        label = f"categorize:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- top-k --------------------------------------------------------------------
-
-    def top_k(
-        self, spec: TopKSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> TopKResult:
-        """Execute a top-k spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = TopKOperator(
-            self.session.client(budget), spec.criterion, **self._operator_kwargs(budget)
-        )
-        label = f"top_k:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), k=spec.k, strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- join ---------------------------------------------------------------------
-
-    def join(
-        self, spec: JoinSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> JoinResult:
-        """Execute a join spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = JoinOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"join:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.left), list(spec.right), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        self.stats.record_join(
-            left=len(spec.left),
-            matched=len({left_index for left_index, _ in result.matches}),
-        )
-        return result
-
-    # -- cluster ------------------------------------------------------------------
-
-    def cluster(
-        self, spec: ClusterSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> ClusterResult:
-        """Execute a cluster spec."""
-        spec.validate()
-        resolved = self._resolve(spec, budget)
-        operator = ClusterOperator(self.session.client(budget), **self._operator_kwargs(budget))
-        label = f"cluster:{resolved.strategy}"
-        with trace_label(operator=label), self._operator_span(label):
-            result = operator.run(
-                list(spec.items), strategy=resolved.strategy, **resolved.options
-            )
-        self.physical.record_run(spec, resolved, result)
-        return result
-
-    # -- pipelines ----------------------------------------------------------------
+    # -- running specs ------------------------------------------------------------
 
     def run_spec(
         self, spec: TaskSpec, *, budget: Budget | BudgetLease | None = None
     ) -> Any:
-        """Execute any supported task spec, dispatching on its type."""
-        if isinstance(spec, SortSpec):
-            return self.sort(spec, budget=budget)
-        if isinstance(spec, ResolveSpec):
-            return self.resolve(spec, budget=budget)
-        if isinstance(spec, ImputeSpec):
-            return self.impute(spec, budget=budget)
-        if isinstance(spec, FilterSpec):
-            return self.filter(spec, budget=budget)
-        if isinstance(spec, CategorizeSpec):
-            return self.categorize(spec, budget=budget)
-        if isinstance(spec, TopKSpec):
-            return self.top_k(spec, budget=budget)
-        if isinstance(spec, JoinSpec):
-            return self.join(spec, budget=budget)
-        if isinstance(spec, ClusterSpec):
-            return self.cluster(spec, budget=budget)
-        raise SpecError(f"cannot execute spec type {type(spec).__name__}")
+        """Execute any declared task spec (the one run path of the engine).
+
+        The spec's :mod:`declaration <repro.core.declarations>` says how:
+        validate, resolve the strategy through the physical planner, build
+        the operator, invoke it under its ``"<op>:<strategy>"`` label, then
+        feed the run back into the session's statistics.  A declaration
+        with a ``run`` function of its own (filter) takes over after
+        validation.
+        """
+        declaration = declaration_for(spec)
+        spec.validate()
+        if declaration.run is not None:
+            return declaration.run(self, spec, budget)
+        resolved = self.physical.resolve(
+            spec, budget=budget if budget is not None else self.session.budget
+        )
+        operator = self.physical.build_operator(spec, budget)
+        with self.operator_scope(f"{declaration.operation}:{resolved.strategy}"):
+            result = declaration.invoke(operator, spec, resolved.strategy, resolved.options)
+        self.physical.record_run(spec, resolved, result)
+        declaration.observe(self.stats, spec, result)
+        return result
+
+    def sort(
+        self, spec: SortSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a sort spec; returns a ``SortResult``."""
+        return self.run_spec(spec, budget=budget)
+
+    def resolve(
+        self, spec: ResolveSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a resolve spec.
+
+        With ``pairs`` the spec is a pair-judgment task (the Table 3
+        setting) and returns a ``PairJudgmentResult``.  With records only,
+        it is a whole-corpus clustering task and returns a ``ResolveResult``
+        whose ``clusters`` hold record indices.
+        """
+        return self.run_spec(spec, budget=budget)
+
+    def impute(
+        self, spec: ImputeSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute an impute spec; returns an ``ImputeResult``."""
+        return self.run_spec(spec, budget=budget)
+
+    def filter(
+        self, spec: FilterSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a filter spec, applying conjunctive predicates in order.
+
+        Returns one merged ``FilterResult`` (see the filter declaration's
+        ``run`` for the per-predicate strategy resolution).
+        """
+        return self.run_spec(spec, budget=budget)
+
+    def categorize(
+        self, spec: CategorizeSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a categorize spec; returns a ``CategorizeResult``."""
+        return self.run_spec(spec, budget=budget)
+
+    def top_k(
+        self, spec: TopKSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a top-k spec; returns a ``TopKResult``."""
+        return self.run_spec(spec, budget=budget)
+
+    def join(
+        self, spec: JoinSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a join spec; returns a ``JoinResult``."""
+        return self.run_spec(spec, budget=budget)
+
+    def cluster(
+        self, spec: ClusterSpec, *, budget: Budget | BudgetLease | None = None
+    ) -> OperatorResult:
+        """Execute a cluster spec; returns a ``ClusterResult``."""
+        return self.run_spec(spec, budget=budget)
+
+    # -- pipelines ----------------------------------------------------------------
 
     def planner(self, model: str | None = None) -> CostPlanner:
         """A cost planner for ``model`` (defaults to the engine's model).

@@ -21,428 +21,38 @@ an explicit layer with two halves:
      this resolves to the paper's default strategy for the operator, so
      unconstrained behaviour is unchanged.
 
-* :class:`RuntimeStats` — a thread-safe store of *observed* execution
-  statistics: per-predicate filter selectivities, dedup survivor ratios and
-  pair match rates, join match selectivities, and per-strategy call counts
-  (estimated vs. actual).  The engine records into it after every operator
-  run; the :class:`~repro.core.planner.CostPlanner` and the query
+* :class:`~repro.core.stats.RuntimeStats` (re-exported here) — the store of
+  *observed* execution statistics the engine records into after every
+  operator run; the :class:`~repro.core.planner.CostPlanner` and the query
   optimizer consult it on subsequent quotes so the second quote of a
   workload is priced from what actually happened rather than from static
   priors.
+
+Nothing here knows one operator from another: candidates, validation
+samples and scorers, the shape a whole-list prompt must fit in context and
+operator construction all come from the spec's
+:mod:`declaration <repro.core.declarations>`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.core.optimizer import StrategyCandidate, StrategySelector
+from repro.core.declarations import OperatorDeclaration, declaration_for
+from repro.core.optimizer import StrategySelector
 from repro.core.planner import CostEstimate, CostPlanner
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
-from repro.data.products import ImputationDataset
-from repro.data.record import Dataset
+from repro.core.spec import PipelineSpec, TaskSpec
+from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError
-from repro.metrics.classification import accuracy as exact_match_accuracy
 from repro.metrics.classification import f1_score
-from repro.metrics.ranking import kendall_tau_b
-from repro.operators.categorize import CategorizeOperator, CategorizeResult
-from repro.operators.filter import FilterOperator, FilterResult
-from repro.operators.impute import ImputeOperator, ImputeResult
-from repro.operators.resolve import PairJudgmentResult, ResolveOperator
-from repro.operators.sort import SortOperator, SortResult
 from repro.tokenizer.simple import SimpleTokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import Budget, BudgetLease
     from repro.core.session import PromptSession
-
-
-# -- runtime statistics ----------------------------------------------------------------
-
-
-@dataclass
-class _Ratio:
-    """A running numerator/denominator pair (observed fraction)."""
-
-    numerator: float = 0.0
-    denominator: float = 0.0
-
-    @property
-    def value(self) -> float | None:
-        if self.denominator <= 0:
-            return None
-        return self.numerator / self.denominator
-
-
-class RuntimeStats:
-    """Observed execution statistics, fed back into subsequent quotes.
-
-    All recorders are thread-safe (pipeline steps run concurrently).  Every
-    getter returns ``None`` until at least one observation exists, so a
-    fresh session quotes exactly from the static priors.
-    """
-
-    #: Per-label latency reservoir bound: enough samples for stable p95
-    #: estimates while keeping exported profiles small.
-    LATENCY_SAMPLE_CAP = 512
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._filter: dict[str, _Ratio] = {}
-        self._dedup = _Ratio()
-        self._pair_match = _Ratio()
-        self._join = _Ratio()
-        self._blocked_pairs = _Ratio()
-        self._probe_candidates = _Ratio()
-        self._calls: dict[str, _Ratio] = {}
-        self._call_counts: dict[str, float] = {}
-        self._runs: dict[str, float] = {}
-        # Per-operator/strategy call durations (ms), most recent last; fed by
-        # the session's tracer so quotes can carry wall-clock estimates.
-        self._latency: dict[str, list[float]] = {}
-        # Session-global cache hits over requests, also fed per traced call;
-        # the planner discounts dollar quotes by the observed hit rate.
-        self._cache = _Ratio()
-        # Per-pipeline critical-path wall-clock seconds (mean over runs),
-        # fed by the engine's span tree after each pipeline execution.
-        self._critical_path: dict[str, _Ratio] = {}
-
-    # -- recorders -------------------------------------------------------------------
-
-    def record_filter(self, predicate: str, *, evaluated: int, kept: int) -> None:
-        """Record one predicate pass: ``kept`` of ``evaluated`` items survived."""
-        if evaluated <= 0:
-            return
-        with self._lock:
-            ratio = self._filter.setdefault(predicate, _Ratio())
-            ratio.numerator += kept
-            ratio.denominator += evaluated
-
-    def record_dedup(self, *, inputs: int, survivors: int) -> None:
-        """Record a whole-corpus dedup: ``survivors`` clusters from ``inputs`` records."""
-        if inputs <= 0:
-            return
-        with self._lock:
-            self._dedup.numerator += survivors
-            self._dedup.denominator += inputs
-
-    def record_pair_match(self, *, judged: int, duplicates: int) -> None:
-        """Record a pair-judgment run: ``duplicates`` of ``judged`` pairs matched."""
-        if judged <= 0:
-            return
-        with self._lock:
-            self._pair_match.numerator += duplicates
-            self._pair_match.denominator += judged
-
-    def record_join(self, *, left: int, matched: int) -> None:
-        """Record a semi-join: ``matched`` of ``left`` records found a partner."""
-        if left <= 0:
-            return
-        with self._lock:
-            self._join.numerator += matched
-            self._join.denominator += left
-
-    def record_blocked_pairs(self, *, candidates: int, upper_bound: int) -> None:
-        """Record a blocking run: the mutual-neighbor blocker emitted
-        ``candidates`` pairs where the k·n bound allowed ``upper_bound``."""
-        if upper_bound <= 0:
-            return
-        with self._lock:
-            self._blocked_pairs.numerator += candidates
-            self._blocked_pairs.denominator += upper_bound
-
-    def record_probe_candidates(self, *, candidates: int, probed: int) -> None:
-        """Record vector-index probes: ``candidates`` rows were distance-ranked
-        across ``probed`` probes.  The rate is a mean candidate count per
-        probe (it can exceed 1), which is what prices an LSH probe against
-        the exact index's full-corpus rank."""
-        if probed <= 0:
-            return
-        with self._lock:
-            self._probe_candidates.numerator += candidates
-            self._probe_candidates.denominator += probed
-
-    def record_calls(self, label: str, *, estimated: int, actual: int) -> None:
-        """Record a strategy run: the planner quoted ``estimated`` calls, it took ``actual``."""
-        with self._lock:
-            self._call_counts[label] = self._call_counts.get(label, 0.0) + actual
-            self._runs[label] = self._runs.get(label, 0.0) + 1
-            if estimated > 0:
-                ratio = self._calls.setdefault(label, _Ratio())
-                ratio.numerator += actual
-                ratio.denominator += estimated
-
-    def record_latency(self, label: str, duration_ms: float) -> None:
-        """Record one call's wall-clock duration under a strategy label.
-
-        The session's tracer feeds this for every traced call that carries
-        an operator label, so the reservoir blends live-call and cache-hit
-        durations in their observed proportions — which is exactly the
-        per-call latency a quote should extrapolate from.
-        """
-        if duration_ms < 0:
-            return
-        with self._lock:
-            samples = self._latency.setdefault(label, [])
-            samples.append(float(duration_ms))
-            if len(samples) > self.LATENCY_SAMPLE_CAP:
-                del samples[: len(samples) - self.LATENCY_SAMPLE_CAP]
-
-    def record_critical_path(self, pipeline: str, seconds: float) -> None:
-        """Record one pipeline run's observed critical-path wall-clock.
-
-        The engine measures the longest dependent chain of step spans after
-        each run (see :func:`repro.obs.critical_path`), which is the
-        wall-clock a concurrency-aware quote should predict — independent
-        branches overlap, so the sum of step durations overstates reality.
-        """
-        if seconds < 0:
-            return
-        with self._lock:
-            ratio = self._critical_path.setdefault(pipeline, _Ratio())
-            ratio.numerator += seconds
-            ratio.denominator += 1
-
-    def record_cache(self, *, hit: bool, requests: int = 1) -> None:
-        """Record cacheable session traffic: ``requests`` calls, hit or missed."""
-        if requests <= 0:
-            return
-        with self._lock:
-            self._cache.numerator += requests if hit else 0
-            self._cache.denominator += requests
-
-    # -- observations ----------------------------------------------------------------
-
-    def filter_selectivity(self, predicate: str) -> float | None:
-        """Observed surviving fraction of ``predicate``, or ``None``."""
-        with self._lock:
-            ratio = self._filter.get(predicate)
-            return ratio.value if ratio is not None else None
-
-    def dedup_survivor_ratio(self) -> float | None:
-        """Observed clusters-per-record ratio of whole-corpus dedups."""
-        with self._lock:
-            return self._dedup.value
-
-    def pair_match_rate(self) -> float | None:
-        """Observed duplicate fraction among judged pairs."""
-        with self._lock:
-            return self._pair_match.value
-
-    def join_selectivity(self) -> float | None:
-        """Observed fraction of left records with at least one join match."""
-        with self._lock:
-            return self._join.value
-
-    def blocked_pair_rate(self) -> float | None:
-        """Observed candidate-pair fraction of the blocker's k·n upper bound."""
-        with self._lock:
-            return self._blocked_pairs.value
-
-    def probe_candidate_rate(self) -> float | None:
-        """Observed mean candidates ranked per index probe, or ``None``."""
-        with self._lock:
-            return self._probe_candidates.value
-
-    def call_ratio(self, label: str) -> float | None:
-        """Observed actual/estimated call ratio for a strategy label."""
-        with self._lock:
-            ratio = self._calls.get(label)
-            return ratio.value if ratio is not None else None
-
-    def call_count(self, label: str) -> int:
-        """Total observed calls recorded under a strategy label.
-
-        Decay-weighted history merged from a workload profile contributes
-        fractionally; the reported count rounds to the nearest whole call.
-        """
-        with self._lock:
-            return int(round(self._call_counts.get(label, 0.0)))
-
-    def run_count(self, label: str) -> int:
-        """How many operator runs were recorded under a strategy label."""
-        with self._lock:
-            return int(round(self._runs.get(label, 0.0)))
-
-    def latency_percentile(self, label: str, quantile: float) -> float | None:
-        """The ``quantile`` (in [0, 1]) of observed call durations, in ms.
-
-        Nearest-rank on the retained reservoir; ``None`` until at least one
-        duration was recorded under ``label``.
-        """
-        if not 0.0 <= quantile <= 1.0:
-            raise ConfigurationError("quantile must be within [0, 1]")
-        with self._lock:
-            samples = self._latency.get(label)
-            if not samples:
-                return None
-            ordered = sorted(samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(quantile * len(ordered)) - 1))
-        return ordered[rank]
-
-    def latency_p50(self, label: str) -> float | None:
-        """Median observed call duration (ms) under a strategy label."""
-        return self.latency_percentile(label, 0.5)
-
-    def latency_p95(self, label: str) -> float | None:
-        """95th-percentile observed call duration (ms) under a strategy label."""
-        return self.latency_percentile(label, 0.95)
-
-    def latency_labels(self) -> list[str]:
-        """Strategy labels with at least one recorded duration."""
-        with self._lock:
-            return sorted(label for label, samples in self._latency.items() if samples)
-
-    def cache_hit_rate(self) -> float | None:
-        """Observed cache-hit fraction of session traffic, or ``None``."""
-        with self._lock:
-            return self._cache.value
-
-    def critical_path_seconds(self, pipeline: str) -> float | None:
-        """Mean observed critical-path seconds of a pipeline, or ``None``."""
-        with self._lock:
-            ratio = self._critical_path.get(pipeline)
-            return ratio.value if ratio is not None else None
-
-    @property
-    def empty(self) -> bool:
-        """Whether nothing has been recorded yet."""
-        with self._lock:
-            return not (
-                self._filter
-                or self._calls
-                or self._call_counts
-                or self._latency
-                or self._dedup.denominator
-                or self._pair_match.denominator
-                or self._join.denominator
-                or self._blocked_pairs.denominator
-                or self._probe_candidates.denominator
-                or self._cache.denominator
-                or self._critical_path
-            )
-
-    def snapshot(self) -> dict[str, Any]:
-        """A plain-dict view of every observed statistic (for debugging/explain)."""
-        with self._lock:
-            return {
-                "filter_selectivity": {
-                    predicate: ratio.value for predicate, ratio in self._filter.items()
-                },
-                "dedup_survivor_ratio": self._dedup.value,
-                "pair_match_rate": self._pair_match.value,
-                "join_selectivity": self._join.value,
-                "blocked_pair_rate": self._blocked_pairs.value,
-                "probe_candidate_rate": self._probe_candidates.value,
-                "call_ratio": {label: ratio.value for label, ratio in self._calls.items()},
-                "call_count": {
-                    label: int(round(count)) for label, count in self._call_counts.items()
-                },
-                "cache_hit_rate": self._cache.value,
-                "critical_path_seconds": {
-                    pipeline: ratio.value
-                    for pipeline, ratio in self._critical_path.items()
-                },
-                "latency_samples": {
-                    label: len(samples) for label, samples in self._latency.items()
-                },
-            }
-
-    # -- durable state (workload profiles) ---------------------------------------
-
-    def export_state(self) -> dict[str, Any]:
-        """Every accumulator as plain JSON-shaped data (see ``repro.store``).
-
-        The export carries raw numerator/denominator pairs rather than the
-        derived ratios, so merging two states (or decay-scaling one) keeps
-        the evidence-weighting exact: a ratio observed over 1000 items
-        outweighs one observed over 10.
-        """
-
-        def pair(ratio: _Ratio) -> list[float]:
-            return [ratio.numerator, ratio.denominator]
-
-        with self._lock:
-            return {
-                "filter": {predicate: pair(r) for predicate, r in self._filter.items()},
-                "dedup": pair(self._dedup),
-                "pair_match": pair(self._pair_match),
-                "join": pair(self._join),
-                "blocked_pairs": pair(self._blocked_pairs),
-                "probe_candidates": pair(self._probe_candidates),
-                "calls": {label: pair(r) for label, r in self._calls.items()},
-                "call_counts": dict(self._call_counts),
-                "runs": dict(self._runs),
-                "cache": pair(self._cache),
-                "critical_path": {
-                    pipeline: pair(r) for pipeline, r in self._critical_path.items()
-                },
-                "latency": {label: list(samples) for label, samples in self._latency.items()},
-            }
-
-    def merge_state(self, state: Mapping[str, Any], *, weight: float = 1.0) -> None:
-        """Add an exported state's counts into this store, scaled by ``weight``.
-
-        ``weight < 1`` is how workload profiles decay: saved observations
-        arrive with reduced evidence mass, so fresh observations of the
-        same statistic overtake them instead of being averaged away.
-        Scaling numerator and denominator alike leaves the merged *ratios*
-        identical to the saved ones until new evidence lands.
-        """
-        if weight <= 0:
-            return
-
-        def add(ratio: _Ratio, pair: Any) -> None:
-            numerator, denominator = pair
-            ratio.numerator += float(numerator) * weight
-            ratio.denominator += float(denominator) * weight
-
-        with self._lock:
-            for predicate, pair in dict(state.get("filter", {})).items():
-                add(self._filter.setdefault(predicate, _Ratio()), pair)
-            add(self._dedup, state.get("dedup", (0, 0)))
-            add(self._pair_match, state.get("pair_match", (0, 0)))
-            add(self._join, state.get("join", (0, 0)))
-            add(self._blocked_pairs, state.get("blocked_pairs", (0, 0)))
-            add(self._probe_candidates, state.get("probe_candidates", (0, 0)))
-            for label, pair in dict(state.get("calls", {})).items():
-                add(self._calls.setdefault(label, _Ratio()), pair)
-            for label, count in dict(state.get("call_counts", {})).items():
-                self._call_counts[label] = (
-                    self._call_counts.get(label, 0.0) + float(count) * weight
-                )
-            for label, count in dict(state.get("runs", {})).items():
-                self._runs[label] = self._runs.get(label, 0.0) + float(count) * weight
-            add(self._cache, state.get("cache", (0, 0)))
-            for pipeline, pair in dict(state.get("critical_path", {})).items():
-                add(self._critical_path.setdefault(pipeline, _Ratio()), pair)
-            # Latency samples have no numerator/denominator to scale, so
-            # decay keeps a weight-sized share of the *most recent* saved
-            # samples — history fades by shrinking its sample mass, and the
-            # merged reservoir stays bounded.
-            for label, saved in dict(state.get("latency", {})).items():
-                saved = [float(value) for value in saved]
-                keep = int(round(len(saved) * min(1.0, weight)))
-                if keep <= 0:
-                    continue
-                samples = self._latency.setdefault(label, [])
-                samples.extend(saved[-keep:])
-                if len(samples) > self.LATENCY_SAMPLE_CAP:
-                    del samples[: len(samples) - self.LATENCY_SAMPLE_CAP]
+    from repro.operators.base import BaseOperator
 
 
 # -- resolved strategies ---------------------------------------------------------------
@@ -518,13 +128,6 @@ class PhysicalPlan:
 
 
 # -- the planner -----------------------------------------------------------------------
-
-#: Minimum labelled sample sizes before validation-driven selection pays.
-_MIN_SORT_VALIDATION = 3
-_MIN_RESOLVE_VALIDATION = 5
-_MIN_IMPUTE_VALIDATION = 5
-_MIN_FILTER_VALIDATION = 5
-_MIN_CATEGORIZE_VALIDATION = 5
 
 #: How many of the cheapest chat models form the default ensemble when a
 #: filter/categorize spec asks for validation-driven selection without
@@ -605,6 +208,14 @@ class PhysicalPlanner:
             "governor": self.session.governor,
         }
 
+    def build_operator(
+        self, spec: TaskSpec, budget: "Budget | BudgetLease | None" = None
+    ) -> "BaseOperator":
+        """The spec's operator over the session client, charged to ``budget``."""
+        return declaration_for(spec).build(
+            spec, self.session.client(budget), **self.operator_kwargs(budget)
+        )
+
     # -- resolution ------------------------------------------------------------------
 
     def resolve(
@@ -667,17 +278,8 @@ class PhysicalPlanner:
 
     def would_validate(self, spec: TaskSpec) -> bool:
         """Whether an ``"auto"`` spec qualifies for validation-driven selection."""
-        if isinstance(spec, SortSpec):
-            return len(spec.validation_order) >= _MIN_SORT_VALIDATION
-        if isinstance(spec, ResolveSpec):
-            return bool(spec.pairs) and len(spec.validation_labels) >= _MIN_RESOLVE_VALIDATION
-        if isinstance(spec, ImputeSpec):
-            return self._impute_validation_size(spec) >= _MIN_IMPUTE_VALIDATION
-        if isinstance(spec, FilterSpec):
-            return len(spec.validation_labels) >= _MIN_FILTER_VALIDATION
-        if isinstance(spec, CategorizeSpec):
-            return len(spec.validation_labels) >= _MIN_CATEGORIZE_VALIDATION
-        return False
+        declaration = declaration_for(spec)
+        return declaration.validation_size(spec) >= declaration.min_validation
 
     # -- cost-based selection ---------------------------------------------------------
 
@@ -702,88 +304,37 @@ class PhysicalPlanner:
         pure overhead on the execution hot path) unless ``want_estimate``
         asks for the chosen candidate's quote (physical-plan inspection).
         """
-        candidates = self._cost_candidates(spec)
-        planner = self.cost_planner()
-        remaining = self._remaining_dollars(spec, budget)
+        declaration = declaration_for(spec)
+        candidates = declaration.candidates(spec)
         considered = tuple(name for name, _ in candidates)
+        remaining = self._remaining_dollars(spec, budget)
 
         if remaining is None:
-            for name, candidate_options in candidates:
-                if not self._fits_context(spec, name, planner):
-                    continue
-                options = self._run_options(spec, candidate_options)
-                estimate = (
-                    self._try_estimate(spec, name, options) if want_estimate else None
-                )
-                return ResolvedStrategy(name, options, "cost", estimate, considered)
-            name, candidate_options = candidates[0]
-            return ResolvedStrategy(
-                name, self._run_options(spec, candidate_options), "cost", None, considered
-            )
+            for name, options in candidates:
+                if self._fits_context(declaration, spec, name):
+                    estimate = (
+                        self._try_estimate(spec, name, options) if want_estimate else None
+                    )
+                    return ResolvedStrategy(name, options, "cost", estimate, considered)
+            name, options = candidates[0]
+            return ResolvedStrategy(name, options, "cost", None, considered)
 
-        estimated: list[tuple[str, dict, CostEstimate | None]] = []
-        for name, candidate_options in candidates:
-            options = self._run_options(spec, candidate_options)
-            estimated.append((name, options, self._try_estimate(spec, name, options)))
-
-        for name, options, estimate in estimated:
-            if estimate is None:
-                continue
-            if not self._fits_context(spec, name, planner):
-                continue
+        priced = [
+            (name, options, self._try_estimate(spec, name, options))
+            for name, options in candidates
+        ]
+        eligible = [
+            entry
+            for entry in priced
+            if entry[2] is not None and self._fits_context(declaration, spec, entry[0])
+        ]
+        for name, options, estimate in eligible:
             if estimate.dollars <= remaining:
                 return ResolvedStrategy(name, options, "cost", estimate, considered)
-        affordable = [
-            entry
-            for entry in estimated
-            if entry[2] is not None and self._fits_context(spec, entry[0], planner)
-        ]
-        if affordable:
-            name, options, estimate = min(affordable, key=lambda entry: entry[2].dollars)
-            return ResolvedStrategy(name, options, "cost", estimate, considered)
-        name, options, estimate = estimated[0]
+        name, options, estimate = (
+            min(eligible, key=lambda entry: entry[2].dollars) if eligible else priced[0]
+        )
         return ResolvedStrategy(name, options, "cost", estimate, considered)
-
-    def _cost_candidates(self, spec: TaskSpec) -> list[tuple[str, dict]]:
-        """Quality-preference-ordered candidates per operator (default first)."""
-        if isinstance(spec, SortSpec):
-            return [("pairwise", {}), ("rating", {}), ("single_prompt", {})]
-        if isinstance(spec, ResolveSpec):
-            if spec.pairs:
-                return [
-                    ("transitive", {"neighbors_k": spec.neighbors_k}),
-                    ("pairwise", {}),
-                ]
-            return [("pairwise", {}), ("blocked_pairwise", {}), ("single_prompt", {})]
-        if isinstance(spec, ImputeSpec):
-            return [("hybrid", {}), ("retrieval", {}), ("llm_only", {}), ("knn", {})]
-        if isinstance(spec, FilterSpec):
-            return [("per_item", {})]
-        if isinstance(spec, CategorizeSpec):
-            return [("per_item", {})]
-        if isinstance(spec, TopKSpec):
-            return [("hybrid_rating_comparison", {}), ("rating_only", {})]
-        if isinstance(spec, JoinSpec):
-            return [("blocked", {})]
-        if isinstance(spec, ClusterSpec):
-            return [("two_phase", {}), ("single_prompt", {})]
-        raise SpecError(f"cannot plan strategies for spec type {type(spec).__name__}")
-
-    @staticmethod
-    def _run_options(spec: TaskSpec, candidate_options: Mapping[str, Any]) -> dict:
-        """Options the chosen strategy runs with.
-
-        Sort and pair-judgment resolves take only the candidate's own
-        options (their strategy choosers always owned the option set);
-        impute takes none (``n_examples`` travels on the spec); the other
-        operators keep the author's ``strategy_options`` with the
-        candidate's merged over them.
-        """
-        if isinstance(spec, SortSpec) or (isinstance(spec, ResolveSpec) and spec.pairs):
-            return dict(candidate_options)
-        if isinstance(spec, ImputeSpec):
-            return {}
-        return {**spec.strategy_options, **candidate_options}
 
     def _remaining_dollars(
         self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
@@ -815,25 +366,18 @@ class PhysicalPlanner:
         except (SpecError, ConfigurationError):
             return None
 
-    def _fits_context(self, spec: TaskSpec, strategy: str, planner: CostPlanner) -> bool:
-        """Whole-list strategies must fit the model context to be eligible."""
+    def _fits_context(
+        self, declaration: OperatorDeclaration, spec: TaskSpec, strategy: str
+    ) -> bool:
+        """A whole-list strategy's one prompt must fit the model context to be eligible."""
         if strategy != "single_prompt":
             return True
-        items = self._context_items(spec)
-        if not items:
-            return True
+        planner = self.cost_planner()
         try:
-            return planner.fits_context(items)
-        except ConfigurationError:
+            prompt = declaration.shapes[strategy](planner, spec)
+        except ConfigurationError:  # nothing to pack into the prompt
             return True
-
-    @staticmethod
-    def _context_items(spec: TaskSpec) -> list[str]:
-        if isinstance(spec, SortSpec) or isinstance(spec, ClusterSpec):
-            return [str(item) for item in spec.items]
-        if isinstance(spec, ResolveSpec):
-            return [str(record) for record in spec.records]
-        return []
+        return prompt.usage.prompt_tokens <= planner.spec.context_length
 
     # -- validation-driven selection --------------------------------------------------
 
@@ -843,155 +387,25 @@ class PhysicalPlanner:
         """Measure candidates on the spec's labelled sample, when it has one."""
         if not self.would_validate(spec):
             return None
-        if isinstance(spec, SortSpec):
-            strategy, options = self._validate_sort(spec, budget)
-        elif isinstance(spec, ResolveSpec):
-            strategy, options = self._validate_resolve(spec, budget)
-        elif isinstance(spec, ImputeSpec):
-            strategy, options = self._validate_impute(spec, budget), {}
-        elif isinstance(spec, FilterSpec):
-            strategy, options = self._validate_filter(spec, budget)
-        elif isinstance(spec, CategorizeSpec):
-            strategy, options = self._validate_categorize(spec, budget)
-        else:  # pragma: no cover - would_validate only matches the types above
-            return None
+        declaration = declaration_for(spec)
+        validation = declaration.validation(self, spec, budget)
+        selector = StrategySelector(
+            run_candidate=validation.run,
+            score=validation.score,
+            validation_size=declaration.validation_size(spec),
+            full_size=validation.full_size,
+        )
+        chosen = selector.select(
+            validation.candidates,
+            budget_dollars=spec.budget_dollars,
+            accuracy_target=spec.accuracy_target,
+        ).candidate
         return ResolvedStrategy(
-            strategy=strategy,
-            options=dict(options),
+            strategy=chosen.name,
+            options=dict(chosen.options),
             decided_by="validation",
-            estimate=self._try_estimate(spec, strategy, options),
+            estimate=self._try_estimate(spec, chosen.name, chosen.options),
         )
-
-    @staticmethod
-    def _impute_validation_size(spec: ImputeSpec) -> int:
-        if spec.data is None:
-            return 0
-        return min(spec.validation_size, len(spec.data.queries))
-
-    def _validate_sort(
-        self, spec: SortSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        validation_items = list(spec.validation_order)
-        candidates = [
-            StrategyCandidate(name="single_prompt", cost_scaling="constant"),
-            StrategyCandidate(name="rating", cost_scaling="linear"),
-            StrategyCandidate(name="pairwise", cost_scaling="quadratic"),
-        ]
-
-        def run_candidate(candidate: StrategyCandidate) -> SortResult:
-            operator = SortOperator(
-                self.session.client(budget), spec.criterion, **self.operator_kwargs(budget)
-            )
-            return operator.run(validation_items, strategy=candidate.name, **candidate.options)
-
-        def score(result: SortResult) -> float:
-            placed = set(result.order)
-            order = list(result.order) + [
-                item for item in validation_items if item not in placed
-            ]
-            tau = kendall_tau_b(order, validation_items)
-            return (tau + 1.0) / 2.0
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(validation_items),
-            full_size=len(spec.items),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
-    def _validate_resolve(
-        self, spec: ResolveSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        labels = dict(spec.validation_labels)
-        validation_pairs = list(labels)
-        candidates = [
-            StrategyCandidate(name="pairwise", cost_scaling="linear"),
-            StrategyCandidate(
-                name="transitive", options={"neighbors_k": spec.neighbors_k}, cost_scaling="linear"
-            ),
-            StrategyCandidate(name="proxy_hybrid", cost_scaling="linear"),
-        ]
-
-        def run_candidate(candidate: StrategyCandidate) -> PairJudgmentResult:
-            operator = ResolveOperator(
-                self.session.client(budget), **self.operator_kwargs(budget)
-            )
-            return operator.judge_pairs(
-                validation_pairs,
-                strategy=candidate.name,
-                corpus=list(spec.records) or None,
-                **candidate.options,
-            )
-
-        def score(result: PairJudgmentResult) -> float:
-            predictions = [judgment.is_duplicate for judgment in result.judgments]
-            truth = [labels[pair] for pair in validation_pairs]
-            return f1_score(predictions, truth)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(validation_pairs),
-            full_size=len(spec.pairs),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
-    def _validate_impute(
-        self, spec: ImputeSpec, budget: "Budget | BudgetLease | None"
-    ) -> str:
-        data = spec.data
-        assert data is not None  # caller checked the validation size
-        validation_size = self._impute_validation_size(spec)
-        validation_records = data.queries.records[:validation_size]
-        validation_data = ImputationDataset(
-            name=f"{data.name}-validation",
-            target_attribute=data.target_attribute,
-            queries=Dataset(validation_records, name=f"{data.name}-validation-queries"),
-            reference=data.reference,
-            ground_truth={
-                record.record_id: data.ground_truth[record.record_id]
-                for record in validation_records
-            },
-        )
-        candidates = [
-            StrategyCandidate(name="knn", cost_scaling="linear"),
-            StrategyCandidate(name="hybrid", cost_scaling="linear"),
-            StrategyCandidate(name="retrieval", cost_scaling="linear"),
-            StrategyCandidate(name="llm_only", cost_scaling="linear"),
-        ]
-
-        def run_candidate(candidate: StrategyCandidate) -> ImputeResult:
-            operator = ImputeOperator(
-                self.session.client(budget), **self.operator_kwargs(budget)
-            )
-            return operator.run(validation_data, strategy=candidate.name, n_examples=spec.n_examples)
-
-        def score(result: ImputeResult) -> float:
-            return exact_match_accuracy(result.predictions, validation_data.ground_truth)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=validation_size,
-            full_size=len(data.queries),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name
 
     def _ensemble_models(self, spec: TaskSpec) -> list[str]:
         """Voter models for filter/categorize ensemble candidates.
@@ -1008,73 +422,9 @@ class PhysicalPlanner:
         by_cost = self.session.registry.chat_models_by_cost()
         return [model.name for model in by_cost[:_DEFAULT_ENSEMBLE_SIZE]]
 
-    def _validate_filter(
-        self, spec: FilterSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        """Pick a filter strategy by measuring candidates on the labelled items.
-
-        Labels are for the *conjunction* of the spec's predicates, so each
-        candidate runs the predicates sequentially over a shrinking survivor
-        set — exactly how the engine executes the full spec — and is scored
-        by the F1 of its final keep/drop decisions against the labels.
-        """
-        labels = {str(item): bool(keep) for item, keep in spec.validation_labels.items()}
-        sample = list(labels)
-        models = self._ensemble_models(spec)
-        candidates = [StrategyCandidate(name="per_item", cost_scaling="linear")]
-        if len(models) >= 2:
-            candidates.append(
-                StrategyCandidate(
-                    name="ensemble_vote", options={"models": models}, cost_scaling="linear"
-                )
-            )
-            candidates.append(
-                StrategyCandidate(
-                    name="adaptive", options={"models": models}, cost_scaling="linear"
-                )
-            )
-
-        def run_candidate(candidate: StrategyCandidate) -> FilterResult:
-            decisions = {item: True for item in sample}
-            survivors = sample
-            merged = FilterResult(strategy=candidate.name, decisions=decisions)
-            for predicate in spec.all_predicates:
-                if not survivors:
-                    break
-                operator = FilterOperator(
-                    self.session.client(budget), predicate, **self.operator_kwargs(budget)
-                )
-                result = operator.run(survivors, strategy=candidate.name, **candidate.options)
-                for item in survivors:
-                    decisions[item] = result.decisions.get(item, False)
-                survivors = list(result.kept)
-                merged.usage.add(result.usage)
-                merged.cost += result.cost
-                merged.votes_used += result.votes_used
-            merged.kept = [item for item in sample if decisions[item]]
-            return merged
-
-        def score(result: FilterResult) -> float:
-            predictions = [result.decisions.get(item, False) for item in sample]
-            truth = [labels[item] for item in sample]
-            return f1_score(predictions, truth)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(sample),
-            full_size=len(spec.items),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
     def resolve_filter(
         self,
-        spec: FilterSpec,
+        spec: TaskSpec,
         *,
         budget: "Budget | BudgetLease | None" = None,
     ) -> list[tuple[str, ResolvedStrategy]]:
@@ -1108,7 +458,7 @@ class PhysicalPlanner:
         return [(predicate, shared) for predicate in predicates]
 
     def _validate_filter_per_predicate(
-        self, spec: FilterSpec, budget: "Budget | BudgetLease | None"
+        self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
     ) -> list[tuple[str, ResolvedStrategy]]:
         """Search per-predicate strategy combinations on the labelled sample.
 
@@ -1125,19 +475,8 @@ class PhysicalPlanner:
         labels = {str(item): bool(keep) for item, keep in spec.validation_labels.items()}
         sample = list(labels)
         truth = [labels[item] for item in sample]
-        models = self._ensemble_models(spec)
-        candidates = [StrategyCandidate(name="per_item", cost_scaling="linear")]
-        if len(models) >= 2:
-            candidates.append(
-                StrategyCandidate(
-                    name="ensemble_vote", options={"models": models}, cost_scaling="linear"
-                )
-            )
-            candidates.append(
-                StrategyCandidate(
-                    name="adaptive", options={"models": models}, cost_scaling="linear"
-                )
-            )
+        declaration = declaration_for(spec)
+        candidates = declaration.validation(self, spec, budget).candidates
         predicates = list(spec.all_predicates)
         considered = tuple(candidate.name for candidate in candidates)
 
@@ -1145,9 +484,7 @@ class PhysicalPlanner:
         measured: dict[tuple[int, int], tuple[dict[str, bool], float]] = {}
         for p, predicate in enumerate(predicates):
             for c, candidate in enumerate(candidates):
-                operator = FilterOperator(
-                    self.session.client(budget), predicate, **self.operator_kwargs(budget)
-                )
+                operator = declaration.predicate_operator(self, predicate, budget)
                 result = operator.run(sample, strategy=candidate.name, **candidate.options)
                 measured[(p, c)] = (dict(result.decisions), result.cost)
 
@@ -1183,50 +520,6 @@ class PhysicalPlanner:
             for p, c in enumerate(chosen)
         ]
 
-    def _validate_categorize(
-        self, spec: CategorizeSpec, budget: "Budget | BudgetLease | None"
-    ) -> tuple[str, dict]:
-        """Pick a categorize strategy by accuracy on the labelled items."""
-        labels = {str(item): str(label) for item, label in spec.validation_labels.items()}
-        sample = list(labels)
-        models = self._ensemble_models(spec)
-        candidates = [
-            StrategyCandidate(name="per_item", cost_scaling="linear"),
-            StrategyCandidate(
-                name="self_consistency", options={"n_samples": 3}, cost_scaling="linear"
-            ),
-        ]
-        if len(models) >= 2:
-            candidates.append(
-                StrategyCandidate(
-                    name="ensemble_vote", options={"models": models}, cost_scaling="linear"
-                )
-            )
-
-        def run_candidate(candidate: StrategyCandidate) -> CategorizeResult:
-            operator = CategorizeOperator(
-                self.session.client(budget),
-                list(spec.categories),
-                **self.operator_kwargs(budget),
-            )
-            return operator.run(sample, strategy=candidate.name, **candidate.options)
-
-        def score(result: CategorizeResult) -> float:
-            return exact_match_accuracy(result.assignments, labels)
-
-        selector = StrategySelector(
-            run_candidate=run_candidate,
-            score=score,
-            validation_size=len(sample),
-            full_size=len(spec.items),
-        )
-        chosen = selector.select(
-            candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        )
-        return chosen.candidate.name, dict(chosen.candidate.options)
-
     # -- feedback --------------------------------------------------------------------
 
     def record_run(self, spec: TaskSpec, resolved: ResolvedStrategy, result: Any) -> None:
@@ -1247,15 +540,16 @@ class PhysicalPlanner:
         denominator), and it is negligible next to the 1..O(n²) LLM calls
         the operator itself just made.
         """
-        if isinstance(spec, FilterSpec):
-            return
         try:
             executed = replace(
                 spec,
                 strategy=resolved.strategy,
                 strategy_options={**spec.strategy_options, **resolved.options},
             )
-            baseline = self.cost_planner(with_stats=False).estimate_spec(executed)
+            structural = self.cost_planner(with_stats=False)
+            if not declaration_for(executed).call_ratio_applies(structural, executed):
+                return
+            baseline = structural.estimate_spec(executed)
         except (SpecError, ConfigurationError):
             return
         usage = getattr(result, "usage", None)

@@ -23,7 +23,7 @@ from repro.config import DEFAULT_CONFIG, ReproConfig
 from repro.core.budget import Budget, BudgetLease
 from repro.core.executor import AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import ConcurrencyGovernor
-from repro.core.physical import RuntimeStats
+from repro.core.stats import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
 from repro.llm.base import Body, Call, LLMClient, LLMResponse, adrive, drive
 from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike

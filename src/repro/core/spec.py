@@ -47,11 +47,22 @@ class TaskSpec:
     strategy_options: dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Raise :class:`SpecError` if the spec is inconsistent."""
+        """Raise :class:`SpecError` if the spec is inconsistent.
+
+        That includes a ``strategy`` its operator does not accept: a
+        misspelt name is refused here, at submit time, rather than after
+        upstream steps have spent their calls.
+        """
         if self.budget_dollars is not None and self.budget_dollars < 0:
             raise SpecError("budget_dollars must be non-negative")
         if self.accuracy_target is not None and not 0.0 <= self.accuracy_target <= 1.0:
             raise SpecError("accuracy_target must be within [0, 1]")
+        if self.strategy != "auto":
+            # Imported here: the declarations import the operators, and this
+            # module stays importable without them (fingerprints, wire form).
+            from repro.core.declarations import check_strategy
+
+            check_strategy(self)
 
 
 @dataclass

@@ -2,11 +2,14 @@
 
 The HTTP service layer (:mod:`repro.service`) accepts whole pipelines as
 JSON bodies and persists submitted specs in the store's job table, so every
-spec the engine can execute needs a faithful wire form.  The codec here is
-deliberately explicit — one arm per spec type, mirroring the checkpoint
-codecs of :mod:`repro.store.checkpoint` — rather than pickling or reflecting
-over arbitrary objects: a JSON payload received over the network must never
-be able to smuggle a callable or an unserialisable value into the engine.
+spec the engine can execute needs a faithful wire form.  The codec walks a
+spec's dataclass fields: sequences cross as lists, mappings as objects,
+scalars as they are, and the few fields that are not JSON-shaped (pair
+tuples, tuple-keyed labels, an imputation dataset) through the field codecs
+the spec's :mod:`declaration <repro.core.declarations>` names.  Only
+declared spec types encode or decode — nothing is pickled or reflected over
+— so a JSON payload received over the network can never smuggle a callable
+or an unserialisable value into the engine.
 
 Two spec features therefore do **not** round-trip, by design:
 
@@ -17,197 +20,38 @@ Two spec features therefore do **not** round-trip, by design:
 * non-JSON values inside ``strategy_options`` — rejected with
   :class:`~repro.exceptions.SpecError` at encode *and* decode time.
 
-Decoded specs are re-validated by the caller (the service layer calls
-``spec.validate()`` on every submission), so the codec restores structure
-and leaves semantic checks to the spec itself.
+Every malformed payload — a wrong container, a non-numeric version, a
+short pair, a missing dataset attribute — is a
+:class:`~repro.exceptions.SpecError`, which the service answers with 400
+``invalid_pipeline``.  Decoded specs are re-validated by the caller (the
+service layer calls ``spec.validate()`` on every submission), so the codec
+restores structure and leaves semantic checks to the spec itself.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import MISSING
 from dataclasses import fields as dataclass_fields
 from typing import Any, Mapping
 
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    PipelineStep,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
-from repro.data.products import ImputationDataset
-from repro.data.record import Dataset, Record
+from repro.core.declarations import DECLARATIONS, json_safe, spec_declaration
+from repro.core.spec import PipelineSpec, PipelineStep, TaskSpec
 from repro.exceptions import SpecError
 
 #: Bump when the wire layout changes; newer payloads are refused on decode.
 SPEC_CODEC_VERSION = 1
 
-_SPEC_TYPES: dict[str, type[TaskSpec]] = {
-    cls.__name__: cls
-    for cls in (
-        SortSpec,
-        ResolveSpec,
-        ImputeSpec,
-        FilterSpec,
-        CategorizeSpec,
-        TopKSpec,
-        JoinSpec,
-        ClusterSpec,
-    )
+#: The JSON shape a field must arrive in, by the type of its dataclass
+#: default (fields with a declared codec are checked by their decoder).
+_JSON_SHAPES: dict[type, Any] = {
+    tuple: list,
+    dict: Mapping,
+    str: str,
+    int: int,
+    type(None): numbers.Real,
 }
-
-
-def _json_safe(value: Any, *, context: str) -> Any:
-    """Pass ``value`` through ``json`` round-trip rules, or raise SpecError.
-
-    Used for the open-ended mappings (``strategy_options``, record
-    attributes): their values must be plain JSON data, not live objects.
-    """
-    try:
-        json.dumps(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{context} is not JSON-serialisable: {exc}") from exc
-    return value
-
-
-def _encode_record(record: Record) -> dict[str, Any]:
-    return {
-        "record_id": record.record_id,
-        "attributes": _json_safe(
-            dict(record.attributes), context=f"record {record.record_id!r} attributes"
-        ),
-    }
-
-
-def _decode_record(data: Mapping[str, Any]) -> Record:
-    return Record(
-        record_id=str(data["record_id"]), attributes=dict(data.get("attributes", {}))
-    )
-
-
-def _encode_dataset(dataset: Dataset) -> dict[str, Any]:
-    return {
-        "name": dataset.name,
-        "records": [_encode_record(record) for record in dataset.records],
-    }
-
-
-def _decode_dataset(data: Mapping[str, Any]) -> Dataset:
-    return Dataset(
-        (_decode_record(record) for record in data.get("records", ())),
-        name=str(data.get("name", "dataset")),
-    )
-
-
-def _encode_imputation(data: ImputationDataset) -> dict[str, Any]:
-    return {
-        "name": data.name,
-        "target_attribute": data.target_attribute,
-        "queries": _encode_dataset(data.queries),
-        "reference": _encode_dataset(data.reference),
-        "ground_truth": dict(data.ground_truth),
-    }
-
-
-def _decode_imputation(data: Mapping[str, Any]) -> ImputationDataset:
-    return ImputationDataset(
-        name=str(data.get("name", "imputation")),
-        target_attribute=str(data["target_attribute"]),
-        queries=_decode_dataset(data.get("queries", {})),
-        reference=_decode_dataset(data.get("reference", {})),
-        ground_truth={str(k): str(v) for k, v in dict(data.get("ground_truth", {})).items()},
-    )
-
-
-def _encode_pairs(pairs: Any) -> list[list[str]]:
-    return [[str(left), str(right)] for left, right in pairs]
-
-
-def _decode_pairs(data: Any) -> list[tuple[str, str]]:
-    return [(str(pair[0]), str(pair[1])) for pair in data]
-
-
-def spec_to_dict(spec: TaskSpec) -> dict[str, Any]:
-    """Encode a concrete task spec as a JSON-shaped dict.
-
-    Raises :class:`SpecError` for spec types without a codec or for specs
-    carrying non-JSON ``strategy_options`` values.
-    """
-    type_name = type(spec).__name__
-    if type_name not in _SPEC_TYPES:
-        raise SpecError(f"no JSON codec for spec type {type_name}")
-    spec_fields: dict[str, Any] = {
-        "budget_dollars": spec.budget_dollars,
-        "accuracy_target": spec.accuracy_target,
-        "strategy": spec.strategy,
-        "strategy_options": _json_safe(
-            dict(spec.strategy_options), context=f"{type_name}.strategy_options"
-        ),
-    }
-    if isinstance(spec, SortSpec):
-        spec_fields.update(
-            items=list(spec.items),
-            criterion=spec.criterion,
-            validation_order=list(spec.validation_order),
-        )
-    elif isinstance(spec, ResolveSpec):
-        spec_fields.update(
-            records=list(spec.records),
-            pairs=_encode_pairs(spec.pairs),
-            validation_labels=[
-                [[left, right], bool(label)]
-                for (left, right), label in spec.validation_labels.items()
-            ],
-            neighbors_k=spec.neighbors_k,
-        )
-    elif isinstance(spec, ImputeSpec):
-        spec_fields.update(
-            data=None if spec.data is None else _encode_imputation(spec.data),
-            n_examples=spec.n_examples,
-            validation_size=spec.validation_size,
-        )
-    elif isinstance(spec, FilterSpec):
-        spec_fields.update(
-            items=list(spec.items),
-            predicate=spec.predicate,
-            predicates=list(spec.predicates),
-            expected_selectivities=list(spec.expected_selectivities),
-            validation_labels={
-                str(item): bool(label) for item, label in spec.validation_labels.items()
-            },
-        )
-    elif isinstance(spec, CategorizeSpec):
-        spec_fields.update(
-            items=list(spec.items),
-            categories=list(spec.categories),
-            validation_labels={
-                str(item): str(label) for item, label in spec.validation_labels.items()
-            },
-        )
-    elif isinstance(spec, TopKSpec):
-        spec_fields.update(items=list(spec.items), criterion=spec.criterion, k=spec.k)
-    elif isinstance(spec, JoinSpec):
-        spec_fields.update(left=list(spec.left), right=list(spec.right))
-    elif isinstance(spec, ClusterSpec):
-        spec_fields.update(items=list(spec.items))
-    # Omit fields still at their dataclass default: the wire form stays
-    # compact, and — decisively — decoding restores the *default object*
-    # (e.g. the empty tuple) rather than a listified copy of it, so a
-    # round-tripped spec compares equal to the original.
-    defaults = _field_defaults(type(spec))
-    spec_fields = {
-        name: value
-        for name, value in spec_fields.items()
-        if name not in defaults or getattr(spec, name) != defaults[name]
-    }
-    return {"type": type_name, "version": SPEC_CODEC_VERSION, "fields": spec_fields}
 
 
 def _field_defaults(cls: type) -> dict[str, Any]:
@@ -220,56 +64,101 @@ def _field_defaults(cls: type) -> dict[str, Any]:
     return defaults
 
 
+def _payload_version(data: Mapping[str, Any], what: str) -> None:
+    """Refuse a ``version`` that is not a number or is newer than this library."""
+    version = data.get("version", 0)
+    if not isinstance(version, int):
+        raise SpecError(f"{what} payload version must be an integer, got {version!r}")
+    if version > SPEC_CODEC_VERSION:
+        raise SpecError(
+            f"{what} payload version {version} is newer than this library's "
+            f"{SPEC_CODEC_VERSION}"
+        )
+
+
+def spec_to_dict(spec: TaskSpec) -> dict[str, Any]:
+    """Encode a concrete task spec as a JSON-shaped dict.
+
+    Raises :class:`SpecError` for spec types without a declaration or for
+    specs carrying values that are not JSON data.
+    """
+    type_name = type(spec).__name__
+    declaration = DECLARATIONS.get(type(spec))
+    if declaration is None:
+        raise SpecError(f"no JSON codec for spec type {type_name}")
+    defaults = _field_defaults(type(spec))
+    spec_fields: dict[str, Any] = {}
+    for spec_field in dataclass_fields(spec):
+        name = spec_field.name
+        value = getattr(spec, name)
+        # Omit fields still at their dataclass default: the wire form stays
+        # compact, and — decisively — decoding restores the *default object*
+        # (e.g. the empty tuple) rather than a listified copy of it, so a
+        # round-tripped spec compares equal to the original.
+        if name in defaults and value == defaults[name]:
+            continue
+        if name in declaration.spec_fields:
+            value = declaration.spec_fields[name].encode(value)
+        elif name == "strategy_options":
+            value = json_safe(dict(value), context=f"{type_name}.strategy_options")
+        elif isinstance(defaults.get(name), tuple):  # a sequence field
+            value = list(value)
+        elif isinstance(defaults.get(name), dict):  # a mapping field
+            value = dict(value)
+        spec_fields[name] = value
+    return {"type": type_name, "version": SPEC_CODEC_VERSION, "fields": spec_fields}
+
+
 def spec_from_dict(data: Mapping[str, Any]) -> TaskSpec:
     """Rebuild a task spec from its wire dict.
 
-    Raises :class:`SpecError` for unknown types, newer payload versions, or
+    Raises :class:`SpecError` for unknown types, newer payload versions,
     fields that do not exist on the spec (a typo in a hand-written payload
-    must fail loudly, not be silently dropped).
+    must fail loudly, not be silently dropped), and fields of the wrong
+    JSON shape.
     """
     if not isinstance(data, Mapping):
         raise SpecError(f"a spec payload must be an object, got {type(data).__name__}")
     type_name = data.get("type")
-    if type_name not in _SPEC_TYPES:
+    declaration = spec_declaration(type_name)
+    if declaration is None:
         raise SpecError(f"unknown spec type {type_name!r}")
-    version = int(data.get("version", 0))
-    if version > SPEC_CODEC_VERSION:
-        raise SpecError(
-            f"spec payload version {version} is newer than this library's "
-            f"{SPEC_CODEC_VERSION}"
-        )
-    cls = _SPEC_TYPES[type_name]
-    spec_fields = dict(data.get("fields", {}))
-    known = {f.name for f in dataclass_fields(cls)}
-    unknown = set(spec_fields) - known
+    _payload_version(data, "spec")
+    cls = declaration.spec_type
+    spec_fields = data.get("fields", {})
+    if not isinstance(spec_fields, Mapping):
+        raise SpecError(f"{type_name} fields must be an object")
+    defaults = _field_defaults(cls)
+    unknown = set(spec_fields) - {f.name for f in dataclass_fields(cls)}
     if unknown:
         raise SpecError(
             f"{type_name} payload carries unknown fields: {sorted(unknown)}"
         )
-    if "strategy_options" in spec_fields:
-        options = spec_fields["strategy_options"]
-        if not isinstance(options, Mapping):
-            raise SpecError(f"{type_name}.strategy_options must be an object")
-        spec_fields["strategy_options"] = _json_safe(
-            dict(options), context=f"{type_name}.strategy_options"
+    decoded: dict[str, Any] = {}
+    for name, value in spec_fields.items():
+        default = defaults.get(name)
+        if value is None and default is None:
+            pass  # an optional field left unset
+        elif name in declaration.spec_fields:
+            try:
+                value = declaration.spec_fields[name].decode(value)
+            except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+                raise SpecError(f"malformed {type_name}.{name}: {exc!r}") from exc
+        else:
+            shape = _JSON_SHAPES.get(type(default))
+            if shape is not None and (
+                not isinstance(value, shape) or isinstance(value, bool)
+            ):
+                raise SpecError(
+                    f"{type_name}.{name} has the wrong JSON type: {value!r:.80}"
+                )
+        decoded[name] = value
+    if "strategy_options" in decoded:
+        decoded["strategy_options"] = json_safe(
+            dict(decoded["strategy_options"]), context=f"{type_name}.strategy_options"
         )
-    if cls is ResolveSpec:
-        if "pairs" in spec_fields:
-            spec_fields["pairs"] = _decode_pairs(spec_fields["pairs"])
-        if "validation_labels" in spec_fields:
-            spec_fields["validation_labels"] = {
-                (str(pair[0]), str(pair[1])): bool(label)
-                for pair, label in spec_fields["validation_labels"]
-            }
-    elif cls is ImputeSpec and spec_fields.get("data") is not None:
-        spec_fields["data"] = _decode_imputation(spec_fields["data"])
-    elif cls is FilterSpec and "validation_labels" in spec_fields:
-        spec_fields["validation_labels"] = {
-            str(item): bool(label)
-            for item, label in dict(spec_fields["validation_labels"]).items()
-        }
     try:
-        return cls(**spec_fields)
+        return cls(**decoded)
     except TypeError as exc:
         raise SpecError(f"malformed {type_name} payload: {exc}") from exc
 
@@ -302,9 +191,16 @@ def step_from_dict(data: Mapping[str, Any]) -> PipelineStep:
     return PipelineStep(
         name=str(data.get("name", "")),
         task=spec_from_dict(data["task"]),
-        depends_on=tuple(str(dep) for dep in data.get("depends_on", ())),
+        depends_on=tuple(str(dep) for dep in _list_of(data, "depends_on", "a step's")),
         description=str(data.get("description", "")),
     )
+
+
+def _list_of(data: Mapping[str, Any], key: str, whose: str) -> list[Any]:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SpecError(f"{whose} {key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def pipeline_to_dict(pipeline: PipelineSpec) -> dict[str, Any]:
@@ -325,16 +221,13 @@ def pipeline_from_dict(data: Mapping[str, Any]) -> PipelineSpec:
         raise SpecError(
             f"a pipeline payload must be an object, got {type(data).__name__}"
         )
-    version = int(data.get("version", 0))
-    if version > SPEC_CODEC_VERSION:
-        raise SpecError(
-            f"pipeline payload version {version} is newer than this library's "
-            f"{SPEC_CODEC_VERSION}"
-        )
+    _payload_version(data, "pipeline")
     budget = data.get("budget_dollars")
+    if budget is not None and (not isinstance(budget, numbers.Real) or isinstance(budget, bool)):
+        raise SpecError(f"a pipeline's budget_dollars must be a number, got {budget!r}")
     return PipelineSpec(
         name=str(data.get("name", "pipeline")),
-        steps=[step_from_dict(step) for step in data.get("steps", ())],
+        steps=[step_from_dict(step) for step in _list_of(data, "steps", "a pipeline's")],
         budget_dollars=None if budget is None else float(budget),
         description=str(data.get("description", "")),
     )

@@ -29,12 +29,8 @@ from dataclasses import dataclass, replace as dataclass_replace
 from typing import Any, Callable, Mapping
 
 from repro.consistency.transitivity import MatchGraph
-from repro.core.planner import (
-    AUTO_DEFAULT_STRATEGY,
-    CostEstimate,
-    CostPlanner,
-    PipelineQuote,
-)
+from repro.core.declarations import default_strategy
+from repro.core.planner import CostEstimate, CostPlanner, PipelineQuote
 from repro.core.spec import (
     CategorizeSpec,
     ClusterSpec,
@@ -586,7 +582,7 @@ def _stats_annotation(node: LogicalNode, planner: CostPlanner | None) -> str:
         # ratio lives under its default — the same mapping the planner
         # applies when it scales the quote, so every scaled step is
         # annotated.  (Query resolve nodes are records-mode: "pairwise".)
-        strategy = AUTO_DEFAULT_STRATEGY.get(node.op, strategy)
+        strategy = default_strategy(node.op) or strategy
     call_ratio = stats.call_ratio(f"{node.op}:{strategy}")
     if call_ratio is not None and node.op != "filter":
         parts.append(f"call ratio observed {call_ratio:.2f}")

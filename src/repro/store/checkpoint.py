@@ -4,10 +4,12 @@ A checkpointed step's result must round-trip through the store byte-exactly
 enough that downstream steps (spec factories materialising their inputs
 from upstream results) and the query layer's output extraction behave
 identically whether the result was computed this run or restored from disk.
-Every :class:`~repro.operators.base.OperatorResult` subclass the engine can
-produce has an explicit codec entry here — an unknown result type refuses
-to encode (the step simply is not checkpointed) rather than pickling
-arbitrary objects into the store.
+The codec walks a result's dataclass fields; the few that are not
+JSON-shaped as they stand (pair judgments, match tuples) go through the
+field codecs of the operator's :mod:`declaration <repro.core.declarations>`.
+Only result types a declaration names (plus ``CountResult``) encode or
+decode — an unknown result type refuses to encode (the step simply is not
+checkpointed) rather than pickling arbitrary objects into the store.
 
 JSON is the wire format: human-inspectable with the ``sqlite3`` CLI, no
 arbitrary-code-execution surface on load (a store file may be shared), and
@@ -17,40 +19,17 @@ every result field in the library is JSON-shaped already apart from tuples
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
+from repro.core.declarations import result_codec
 from repro.exceptions import StoreError
 from repro.operators.base import OperatorResult
-from repro.operators.categorize import CategorizeResult
-from repro.operators.cluster import ClusterResult
-from repro.operators.count import CountResult
-from repro.operators.filter import FilterResult
-from repro.operators.impute import ImputeResult
-from repro.operators.join import JoinResult
-from repro.operators.resolve import PairJudgment, PairJudgmentResult, ResolveResult
-from repro.operators.sort import SortResult
-from repro.operators.top_k import TopKResult
 from repro.tokenizer.cost import Usage
 
 #: Result payload version; bump on layout changes (old rows are re-run).
 CHECKPOINT_VERSION = 1
-
-_RESULT_TYPES: dict[str, type[OperatorResult]] = {
-    cls.__name__: cls
-    for cls in (
-        CategorizeResult,
-        ClusterResult,
-        CountResult,
-        FilterResult,
-        ImputeResult,
-        JoinResult,
-        PairJudgmentResult,
-        ResolveResult,
-        SortResult,
-        TopKResult,
-    )
-}
 
 
 def _encode_usage(usage: Usage) -> dict[str, int]:
@@ -76,59 +55,16 @@ def encode_result(result: OperatorResult) -> str:
     treat that as "do not checkpoint this step".
     """
     type_name = type(result).__name__
-    if type_name not in _RESULT_TYPES:
+    codec = result_codec(type_name)
+    if codec is None or codec[0] is not type(result):
         raise StoreError(f"no checkpoint codec for result type {type_name}")
-    fields: dict[str, Any] = {
-        "strategy": result.strategy,
-        "usage": _encode_usage(result.usage),
-        "cost": result.cost,
-        "metadata": result.metadata,
-    }
-    if isinstance(result, SortResult):
-        fields.update(
-            order=result.order,
-            missing=result.missing,
-            hallucinated=result.hallucinated,
-            scores=result.scores,
-        )
-    elif isinstance(result, FilterResult):
-        fields.update(
-            kept=result.kept, decisions=result.decisions, votes_used=result.votes_used
-        )
-    elif isinstance(result, CategorizeResult):
-        fields.update(assignments=result.assignments, votes_used=result.votes_used)
-    elif isinstance(result, PairJudgmentResult):
-        fields["judgments"] = [
-            {
-                "left": judgment.left,
-                "right": judgment.right,
-                "is_duplicate": judgment.is_duplicate,
-                "source": judgment.source,
-            }
-            for judgment in result.judgments
-        ]
-    elif isinstance(result, (ResolveResult, ClusterResult)):
-        fields["clusters"] = result.clusters
-    elif isinstance(result, ImputeResult):
-        fields.update(
-            predictions=result.predictions,
-            llm_queries=result.llm_queries,
-            proxy_queries=result.proxy_queries,
-        )
-    elif isinstance(result, JoinResult):
-        fields.update(
-            matches=[list(pair) for pair in result.matches],
-            candidate_pairs=result.candidate_pairs,
-            llm_pairs=result.llm_pairs,
-        )
-    elif isinstance(result, TopKResult):
-        fields.update(
-            top_items=result.top_items,
-            ratings=result.ratings,
-            finalists=result.finalists,
-        )
-    elif isinstance(result, CountResult):
-        fields.update(count=result.count, per_item=getattr(result, "per_item", None))
+    fields: dict[str, Any] = {}
+    for result_field in dataclasses.fields(result):
+        value = getattr(result, result_field.name)
+        if result_field.name in codec[1]:
+            value = codec[1][result_field.name].encode(value)
+        fields[result_field.name] = value
+    fields["usage"] = _encode_usage(result.usage)
     try:
         payload = json.dumps(
             {"type": type_name, "version": CHECKPOINT_VERSION, "fields": fields},
@@ -148,34 +84,14 @@ def decode_result(payload: str) -> OperatorResult | None:
     is always safe.
     """
     data = json.loads(payload)
-    type_name = data.get("type")
-    if type_name not in _RESULT_TYPES or int(data.get("version", 0)) > CHECKPOINT_VERSION:
+    codec = result_codec(data.get("type"))
+    if codec is None or int(data.get("version", 0)) > CHECKPOINT_VERSION:
         return None
+    result_type, field_codecs = codec
     fields = dict(data["fields"])
-    usage = _decode_usage(fields.pop("usage", {}))
-    metadata = dict(fields.pop("metadata", {}))
-    if type_name == "PairJudgmentResult":
-        fields["judgments"] = [
-            PairJudgment(
-                left=judgment["left"],
-                right=judgment["right"],
-                is_duplicate=bool(judgment["is_duplicate"]),
-                source=judgment.get("source", "llm"),
-            )
-            for judgment in fields.get("judgments", [])
-        ]
-    elif type_name == "JoinResult":
-        fields["matches"] = [tuple(pair) for pair in fields.get("matches", [])]
-    elif type_name in ("ResolveResult", "ClusterResult"):
-        fields["clusters"] = [list(cluster) for cluster in fields.get("clusters", [])]
-    elif type_name == "FilterResult":
-        fields["decisions"] = {
-            item: bool(flag) for item, flag in fields.get("decisions", {}).items()
-        }
-    elif type_name == "CountResult":
-        if fields.get("per_item") is None:
-            fields.pop("per_item", None)
-    result = _RESULT_TYPES[type_name](**fields)
-    result.usage = usage
-    result.metadata = metadata
-    return result
+    fields["usage"] = _decode_usage(fields.get("usage", {}))
+    fields["metadata"] = dict(fields.get("metadata", {}))
+    for name, field_codec in field_codecs.items():
+        if name in fields:
+            fields[name] = field_codec.decode(fields[name])
+    return result_type(**fields)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 import repro.core.engine as engine_module
-import repro.core.physical as physical_module
+from repro.core.declarations import DECLARATIONS
 from repro.core.physical import PhysicalPlanner
 from repro.core.session import PromptSession
 from repro.core.spec import FilterSpec
@@ -46,6 +46,8 @@ COSTS = {"per_item": 1.0, "ensemble_vote": 3.0, "adaptive": 2.0}
 class StubFilterOperator:
     """Deterministic stand-in: decisions come from the tables above."""
 
+    operation = "filter"
+
     def __init__(self, client, predicate, **kwargs):
         self.predicate = predicate
 
@@ -62,8 +64,9 @@ class StubFilterOperator:
 
 @pytest.fixture
 def stubbed(monkeypatch):
-    monkeypatch.setattr(physical_module, "FilterOperator", StubFilterOperator)
-    monkeypatch.setattr(engine_module, "FilterOperator", StubFilterOperator)
+    # The planner and the engine both build filter operators through the
+    # declaration, so that is the one place to put the stub.
+    monkeypatch.setattr(DECLARATIONS[FilterSpec], "operator", StubFilterOperator, raising=False)
 
 
 def _planner() -> PhysicalPlanner:

@@ -9,6 +9,7 @@ loudly, never smuggled or silently dropped.
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -39,6 +40,7 @@ from repro.core.spec_codec import (
 from repro.core.workflow import StepReport, WorkflowReport
 from repro.data.products import generate_restaurant_dataset
 from repro.exceptions import SpecError
+from repro.service import ServiceApp, ServiceClient, TenantConfig, TenantRegistry
 
 from _service_helpers import CRITERION, MODEL, PREDICATE, WORDS, demo_pipeline, make_client
 
@@ -151,6 +153,79 @@ class TestPipelineCodec:
     def test_malformed_json_is_a_spec_error(self):
         with pytest.raises(SpecError, match="malformed pipeline JSON"):
             pipeline_from_json("{nope")
+
+
+def _one_step(task: dict, **step) -> dict:
+    return {"steps": [{"name": "a", "task": task, **step}]}
+
+
+def _sort_fields(**fields) -> dict:
+    return {"type": "SortSpec", "fields": {"items": ["a", "b"], "criterion": "c", **fields}}
+
+
+#: Well-formed JSON, malformed pipelines: each used to escape the codec as a
+#: TypeError / ValueError / IndexError / KeyError instead of a SpecError.
+MALFORMED_PAYLOADS = {
+    "steps-not-a-list": {"steps": 5},
+    "pipeline-version-not-a-number": {"version": "abc", **_one_step(_sort_fields())},
+    "short-pair": _one_step({"type": "ResolveSpec", "fields": {"pairs": [["a"]]}}),
+    "fields-not-an-object": _one_step({"type": "SortSpec", "fields": [1, 2]}),
+    "spec-version-not-a-number": _one_step({**_sort_fields(), "version": "x"}),
+    "resolve-labels-not-pairs": _one_step(
+        {"type": "ResolveSpec", "fields": {"records": ["a"], "validation_labels": [1]}}
+    ),
+    "filter-labels-not-an-object": _one_step(
+        {
+            "type": "FilterSpec",
+            "fields": {"items": ["a"], "predicate": "p", "validation_labels": [1, 2]},
+        }
+    ),
+    "budget-not-a-number": {"budget_dollars": "lots", **_one_step(_sort_fields())},
+    "spec-budget-not-a-number": _one_step(_sort_fields(budget_dollars="lots")),
+    "dataset-without-target": _one_step(
+        {"type": "ImputeSpec", "fields": {"data": {"name": "d"}}}
+    ),
+    "items-not-a-list": _one_step(_sort_fields(items=5)),
+    "type-not-a-string": _one_step({"type": ["SortSpec"], "fields": {}}),
+    "depends-on-not-a-list": _one_step(_sort_fields(), depends_on=3),
+}
+
+
+def _service_client() -> ServiceClient:
+    registry = TenantRegistry(
+        make_client(),
+        [TenantConfig(tenant_id="acme", api_key="key-acme", budget_dollars=10.0, default_model=MODEL)],
+    )
+    return ServiceClient(ServiceApp(registry), api_key="key-acme")
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("payload", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS)
+    def test_every_malformed_payload_is_a_spec_error_and_a_400(self, payload):
+        with pytest.raises(SpecError):
+            pipeline_from_dict(payload)
+        for path in ("/v1/pipelines", "/v1/pipelines/quote"):
+            response = asyncio.run(_service_client().post(path, json_body=payload))
+            assert response.status == 400
+            assert response.json()["error"]["code"] == "invalid_pipeline"
+
+    def test_an_unknown_strategy_is_refused_at_submit_not_mid_run(self):
+        pipeline = demo_pipeline()
+        pipeline.steps[1].task.strategy = "pairwize"
+        client = make_client()
+        registry = TenantRegistry(
+            client,
+            [TenantConfig(tenant_id="acme", api_key="k", budget_dollars=10.0, default_model=MODEL)],
+        )
+        response = asyncio.run(
+            ServiceClient(ServiceApp(registry), api_key="k").post(
+                "/v1/pipelines", json_body=pipeline_to_dict(pipeline)
+            )
+        )
+        assert response.status == 400
+        message = response.json()["error"]["message"]
+        assert "'pairwize'" in message and "'sort'" in message and "pairwise" in message
+        assert client.calls == 0
 
 
 class TestQuoteAndReportCodecs:
