@@ -36,7 +36,7 @@ pending steps.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
@@ -535,13 +535,34 @@ class DeclarativeEngine:
         if cached is not None:
             restored.add(step.name)
             return cached
-        result = self.run_spec(task, budget=lease)
-        if isinstance(result, OperatorResult):
+        result = None
+        with store.db.step():
             try:
-                store.save_checkpoint(fingerprint, task, result)
-            except Exception:
-                # Best effort: a full disk, a locked database, or a result
-                # without a codec must not fail a step whose (paid-for)
-                # LLM work already succeeded.
-                pass
+                result = self.run_spec(task, budget=lease)
+            finally:
+                self._settle_step(store, fingerprint, task, result)
         return result
+
+    def _settle_step(
+        self, store: "Store", fingerprint: str, task: TaskSpec, result: Any
+    ) -> None:
+        """Write what a step produced as one transaction, however it ended.
+
+        The response-cache rows buffered while the step ran (see
+        :meth:`~repro.store.db.StoreDB.step`), the trace records of its calls
+        and — when it returned a result — its checkpoint commit together, so
+        a checkpoint is never on disk without the calls that paid for it,
+        and a step that raised still keeps every response it bought.  Best
+        effort: a full disk, a locked database, or a result without a codec
+        must not fail a step whose (paid-for) LLM work already succeeded.
+        """
+        db = store.db
+        session_store = getattr(self.session, "store", None)
+        with suppress(Exception), db.atomic():
+            db.flush()
+            # A tracer on another handle would wait on this transaction.
+            if session_store is not None and session_store.db is db:
+                self.session.tracer.flush()
+            if isinstance(result, OperatorResult):
+                with suppress(Exception):  # the rows above commit regardless
+                    store.save_checkpoint(fingerprint, task, result)

@@ -315,8 +315,6 @@ class SpanTracker:
         if self.store is None:
             return 0
         with self._lock:
-            if not self._dirty:
-                return 0
             pending = [self._spans[sid] for sid in sorted(self._dirty) if sid in self._spans]
             self._dirty.clear()
         if not pending:
@@ -324,7 +322,10 @@ class SpanTracker:
         try:
             self.store.save_spans(pending, origin=self.origin)
         except Exception:
-            # A failing store must not take the pipeline down with it.
+            # A failing store must not take the pipeline down with it; the
+            # spans stay dirty for the next try.
+            with self._lock:
+                self._dirty.update(sp.span_id for sp in pending if sp.span_id in self._spans)
             return 0
         return len(pending)
 

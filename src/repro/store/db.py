@@ -27,6 +27,12 @@ All access goes through :meth:`StoreDB.execute` under one re-entrant lock,
 so a single :class:`StoreDB` can be shared by every thread of a concurrent
 pipeline; cross-process writers are serialised by SQLite itself (WAL +
 immediate transactions + busy timeout).
+
+Response-cache writes go through :meth:`StoreDB.buffer` into an overlay
+every cache view on the handle reads first.  Outside a :meth:`StoreDB.step`
+scope each is flushed at once — on disk when ``put`` returns; inside one
+they wait for the scope's exit and reach disk as one transaction, which the
+engine shares with the step's trace rows and checkpoint.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import Any, Iterable
+from collections import OrderedDict
+from contextlib import contextmanager
+from time import monotonic
+from typing import Any, Iterable, Iterator
 
 from repro.exceptions import StoreError
 
@@ -141,6 +150,12 @@ CREATE TABLE IF NOT EXISTS vector_indexes (
 );
 """
 
+#: What a hard kill (the only way past a step's settle) can lose: inside a
+#: step the overlay is flushed once it holds this many rows, or once its
+#: oldest row is this old (checked as a row is buffered).
+MAX_PENDING_ROWS = 256
+MAX_PENDING_SECONDS = 1.0
+
 #: Tables dropped when an older schema is rebuilt.
 _TABLES = (
     "meta",
@@ -167,6 +182,17 @@ class StoreDB:
         self.path = os.fspath(path)
         self._lock = threading.RLock()
         self._conn = self._open()
+        self._depth = 0  # nesting of atomic() on the thread holding the lock
+        self._steps = 0  # open step() scopes, from any thread
+        #: Unwritten cache rows in recency order: key -> ``(model, prompt,
+        #: payload, size, max_entries, max_bytes)``, or ``None`` for a touch.
+        self.pending: OrderedDict[str, tuple | None] = OrderedDict()
+        self._pending_since = 0.0
+        # Rows the open transaction wrote; a ROLLBACK puts them back.
+        self._written: OrderedDict[str, tuple | None] | None = None
+        # (data_version, entries, bytes): an upper bound on the cache table,
+        # so that a flush scans it only when a cap may have been passed.
+        self._cache_totals = (-1, 0, 0)
 
     # -- connection management ---------------------------------------------------
 
@@ -283,17 +309,47 @@ class StoreDB:
         with self._lock:
             return self._conn.execute(sql, tuple(parameters)).fetchall()
 
+    def executemany(self, sql: str, rows: Iterable[Iterable[Any]]) -> None:
+        """Run one statement once per row, as one transaction."""
+        with self.atomic():
+            self._conn.executemany(sql, rows)
+
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
+        """One immediate transaction around the block; re-entrant.
+
+        The lock is held throughout, so a nested scope is always the same
+        thread's and joins the outermost one, which commits on a normal exit
+        and rolls everything back when an exception leaves it.  An exception
+        the block itself handles between two scopes rolls nothing back.
+        """
+        with self._lock:
+            if self._depth == 0:
+                self._conn.execute("BEGIN IMMEDIATE")
+            self._depth += 1
+            try:
+                yield
+                if self._depth == 1:
+                    self._conn.execute("COMMIT")
+            except BaseException:
+                if self._depth == 1:
+                    if self._conn.in_transaction:
+                        self._conn.execute("ROLLBACK")
+                    if self._written is not None:
+                        for key, row in self.pending.items():
+                            self._remember(self._written, key, row)
+                        self.pending = self._written
+                raise
+            finally:
+                self._depth -= 1
+                if self._depth == 0:
+                    self._written = None
+
     def transaction(self, statements: Iterable[tuple[str, Iterable[Any]]]) -> None:
         """Run several statements atomically (one immediate transaction)."""
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                for sql, parameters in statements:
-                    self._conn.execute(sql, tuple(parameters))
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+        with self.atomic():
+            for sql, parameters in statements:
+                self._conn.execute(sql, tuple(parameters))
 
     def next_seq(self) -> int:
         """A monotonically increasing ordinal (LRU ordering without clocks).
@@ -303,22 +359,137 @@ class StoreDB:
         resolution and clock adjustments.  The counter lives in ``meta`` so
         it survives reopening and is shared across processes.
         """
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT value FROM meta WHERE key = 'seq'"
-                ).fetchone()
-                value = int(row[0]) + 1 if row is not None else 1
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('seq', ?)",
-                    (str(value),),
-                )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+        with self.atomic():
+            row = self._conn.execute("SELECT value FROM meta WHERE key = 'seq'").fetchone()
+            value = int(row[0]) + 1 if row is not None else 1
+            self._conn.execute(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES ('seq', ?)", (str(value),)
+            )
             return value
+
+    # -- write-behind -------------------------------------------------------------
+
+    @contextmanager
+    def step(self) -> Iterator[None]:
+        """Defer this handle's cache writes until the block exits.
+
+        Scopes overlap freely (DAG branches, the service's jobs): any exit,
+        normal or not, flushes everything pending on the handle.
+        """
+        with self._lock:
+            self._steps += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._steps -= 1
+            self.flush()
+
+    def defers(self, rows: int) -> bool:
+        """Whether a writer holding ``rows`` unwritten rows may keep waiting:
+        only inside a step, and only below :data:`MAX_PENDING_ROWS`."""
+        return self._steps > 0 and rows < MAX_PENDING_ROWS
+
+    @staticmethod
+    def _remember(pending: "OrderedDict[str, tuple | None]", key: str, row: tuple | None) -> None:
+        if row is None:  # a touch keeps the put it follows
+            row = pending.get(key)
+        pending[key] = row
+        pending.move_to_end(key)
+
+    def buffer(self, key: str, row: tuple | None = None) -> None:
+        """Queue one cache write as the most recent (``row`` as laid out in
+        :attr:`pending`; ``None`` touches a stored key), then flush unless a
+        step defers it."""
+        with self._lock:
+            if not self.pending:
+                self._pending_since = monotonic()
+            self._remember(self.pending, key, row)
+            if (
+                not self.defers(len(self.pending))
+                or monotonic() - self._pending_since >= MAX_PENDING_SECONDS
+            ):
+                self.flush()
+
+    def flush(self) -> None:
+        """Write the pending cache rows and enforce the LRU caps, atomically.
+
+        Recency ordinals continue from the table's maximum in overlay order,
+        so rows land exactly as if each had been written when it was
+        buffered.  Rows leave the overlay only by ``COMMIT``.
+        """
+        with self._lock:
+            if not self.pending:
+                return
+            with self.atomic():
+                rows, self.pending = self.pending, OrderedDict()
+                if self._written is None:
+                    self._written = rows
+                else:
+                    for key, row in rows.items():
+                        self._remember(self._written, key, row)
+                conn = self._conn
+                seq = conn.execute("SELECT COALESCE(MAX(access_seq), 0) FROM cache").fetchone()[0]
+                puts: list[tuple] = []
+                touches: list[tuple] = []
+                for seq, (key, row) in enumerate(rows.items(), seq + 1):
+                    if row is None:
+                        touches.append((seq, key))
+                    else:
+                        puts.append((key, *row[:4], seq))
+                        caps = row[4:]  # the latest writer's, as when each put evicted
+                if touches:
+                    conn.executemany("UPDATE cache SET access_seq = ? WHERE key = ?", touches)
+                if puts:
+                    conn.executemany(
+                        "INSERT OR REPLACE INTO cache (key, model, prompt, payload, size, "
+                        "access_seq) VALUES (?, ?, ?, ?, ?, ?)",
+                        puts,
+                    )
+                    self._evict_cache(len(puts), sum(put[4] for put in puts), *caps)
+
+    def _evict_cache(
+        self, entries: int, size: int, max_entries: int, max_bytes: int | None
+    ) -> None:
+        """Delete least-recently-used cache rows until both caps hold, after
+        ``entries`` rows of ``size`` bytes were written."""
+        conn = self._conn
+        # Another connection's commits move data_version: our totals are stale.
+        version = conn.execute("PRAGMA data_version").fetchone()[0]
+        if version == self._cache_totals[0]:
+            entries, size = self._cache_totals[1] + entries, self._cache_totals[2] + size
+            if entries <= max_entries and (max_bytes is None or size <= max_bytes):
+                self._cache_totals = (version, entries, size)
+                return
+        # Exact totals: the running ones count a replaced row twice.
+        entries, size = conn.execute(
+            "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM cache"
+        ).fetchone()
+        victims: list[tuple[str]] = []
+        lru = conn.execute("SELECT key, size FROM cache ORDER BY access_seq ASC")
+        for key, row_size in lru:
+            # At least one entry is always kept — a single oversized response
+            # must not leave the cache permanently empty and thrashing.
+            if entries <= max_entries and (
+                max_bytes is None or size <= max_bytes or entries <= 1
+            ):
+                break
+            victims.append((key,))
+            entries -= 1
+            size -= row_size
+        lru.close()
+        conn.executemany("DELETE FROM cache WHERE key = ?", victims)
+        self._cache_totals = (version, entries, size)
+
+    def evict(self, table: str, cap: int, oldest: str = "rowid") -> None:
+        """Delete the rows of ``table`` beyond ``cap``, lowest ``oldest`` first."""
+        over = self.execute(f"SELECT COUNT(*) FROM {table}")[0][0] - cap
+        if over > 0:
+            self.execute(
+                f"DELETE FROM {table} WHERE rowid IN "
+                f"(SELECT rowid FROM {table} ORDER BY {oldest} ASC LIMIT ?)",
+                (over,),
+            )
 
     @property
     def lock(self) -> threading.RLock:
@@ -327,7 +498,10 @@ class StoreDB:
 
     def close(self) -> None:
         with self._lock:
-            self._conn.close()
+            try:
+                self.flush()
+            finally:
+                self._conn.close()
 
     def __enter__(self) -> "StoreDB":
         return self

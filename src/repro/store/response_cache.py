@@ -14,7 +14,9 @@ Differences from the in-memory cache, by design:
   arbitrarily long prompts index a fixed-width primary key.
 * Eviction is LRU by both **entry count** (``max_entries``) and **payload
   bytes** (``max_bytes``): recency is a monotonic sequence number from the
-  store (deterministic — no wall clocks), and a ``get`` refreshes it.
+  store (deterministic — no wall clocks), and a ``get`` refreshes it.  The
+  caps are enforced when rows are written (see :meth:`StoreDB.flush`): at
+  once outside a pipeline step, at the step's settle inside one.
 * ``stats`` counts this instance's hits/misses (matching the in-memory
   semantics of a fresh cache); the entries themselves are shared with every
   other instance on the same file.
@@ -120,38 +122,24 @@ class PersistentResponseCache:
         self.max_bytes = max_bytes
         self.namespace = namespace
         self.stats = CacheStats()
-        # Eviction needs COUNT/SUM scans; amortize them on large
-        # entry-capped caches (the overshoot between checks is bounded by
-        # the interval) while staying exact — every put checks — for small
-        # caps and whenever a byte cap is set (one oversized payload could
-        # blow far past a byte budget within an amortization window).
-        if max_bytes is not None:
-            self._evict_interval = 1
-        else:
-            self._evict_interval = max(1, min(64, max_entries // 100))
-        self._puts_since_evict = 0
-
-    #: One-statement LRU ordinal: the next sequence is one past the table's
-    #: current maximum, so a hit's touch and a put's insert are each a
-    #: single autocommit statement on the per-LLM-call hot path (no
-    #: separate counter transaction).  Cross-process ties are harmless —
-    #: only the relative eviction order matters.
-    _NEXT_SEQ = "(SELECT COALESCE(MAX(access_seq), 0) + 1 FROM cache)"
 
     def get(self, model: str, prompt: str) -> LLMResponse | None:
         key = _key(model, prompt, self.namespace)
-        with self._db.lock:
-            rows = self._db.execute("SELECT payload FROM cache WHERE key = ?", (key,))
-            if not rows:
-                self.stats.misses += 1
-                return None
+        db = self._db
+        with db.lock:
+            row = db.pending.get(key)
+            if row is not None:
+                payload = row[2]
+            else:
+                rows = db.execute("SELECT payload FROM cache WHERE key = ?", (key,))
+                if not rows:
+                    self.stats.misses += 1
+                    return None
+                payload = rows[0][0]
             # LRU touch: a hit becomes the most recently used entry.
-            self._db.execute(
-                f"UPDATE cache SET access_seq = {self._NEXT_SEQ} WHERE key = ?",
-                (key,),
-            )
+            db.buffer(key)
             self.stats.hits += 1
-            return decode_response(rows[0][0])
+        return decode_response(payload)
 
     def contains(self, model: str, prompt: str) -> bool:
         """Whether a response is stored, without counting or touching it.
@@ -161,77 +149,53 @@ class PersistentResponseCache:
         entries' LRU recency — quoting a workload is not serving it.
         """
         key = _key(model, prompt, self.namespace)
-        return bool(self._db.execute("SELECT 1 FROM cache WHERE key = ?", (key,)))
+        with self._db.lock:
+            return self._db.pending.get(key) is not None or bool(
+                self._db.execute("SELECT 1 FROM cache WHERE key = ?", (key,))
+            )
 
     def contains_many(self, model: str, prompts: Sequence[str]) -> int:
         """How many of ``prompts`` are stored: :meth:`contains` summed, in bulk.
 
-        A prompt listed twice counts twice.  One ``IN`` query per
-        :data:`_PROBE_CHUNK` distinct keys rather than one ``SELECT`` per
-        prompt; like :meth:`contains` it counts no hit or miss and touches
-        no entry's recency.
+        A prompt listed twice counts twice.  Unwritten rows of the handle's
+        overlay count; the rest is one ``IN`` query per :data:`_PROBE_CHUNK`
+        distinct keys rather than one ``SELECT`` per prompt.  Like
+        :meth:`contains` it counts no hit or miss and touches no entry's
+        recency.
         """
         uses = Counter(_key(model, prompt, self.namespace) for prompt in prompts)
-        keys = list(uses)
-        found = 0
-        for start in range(0, len(keys), _PROBE_CHUNK):
-            chunk = keys[start : start + _PROBE_CHUNK]
-            marks = ",".join("?" * len(chunk))
-            rows = self._db.execute(f"SELECT key FROM cache WHERE key IN ({marks})", chunk)
-            found += sum(uses[key] for (key,) in rows)
+        with self._db.lock:
+            pending = self._db.pending
+            keys = [key for key in uses if pending.get(key) is None]
+            found = sum(uses.values()) - sum(uses[key] for key in keys)
+            for start in range(0, len(keys), _PROBE_CHUNK):
+                chunk = keys[start : start + _PROBE_CHUNK]
+                marks = ",".join("?" * len(chunk))
+                rows = self._db.execute(f"SELECT key FROM cache WHERE key IN ({marks})", chunk)
+                found += sum(uses[key] for (key,) in rows)
         return found
 
     def put(self, model: str, prompt: str, response: LLMResponse) -> None:
         payload = encode_response(response)
         size = len(payload.encode("utf-8")) + len(prompt.encode("utf-8", "surrogatepass"))
-        with self._db.lock:
-            self._db.execute(
-                "INSERT OR REPLACE INTO cache "
-                "(key, model, prompt, payload, size, access_seq) "
-                f"VALUES (?, ?, ?, ?, ?, {self._NEXT_SEQ})",
-                (_key(model, prompt, self.namespace), model, prompt, payload, size),
-            )
-            self._puts_since_evict += 1
-            if self._puts_since_evict >= self._evict_interval:
-                self._puts_since_evict = 0
-                self._evict()
-
-    def _evict(self) -> None:
-        """Delete least-recently-used rows until both caps are satisfied."""
-        rows = self._db.execute("SELECT COUNT(*), COALESCE(SUM(size), 0) FROM cache")
-        count, total_bytes = rows[0]
-        over_entries = max(0, count - self.max_entries)
-        if over_entries:
-            self._db.execute(
-                "DELETE FROM cache WHERE key IN "
-                "(SELECT key FROM cache ORDER BY access_seq ASC LIMIT ?)",
-                (over_entries,),
-            )
-        if self.max_bytes is None:
-            return
-        rows = self._db.execute("SELECT COUNT(*), COALESCE(SUM(size), 0) FROM cache")
-        count, total_bytes = rows[0]
-        while total_bytes > self.max_bytes and count > 1:
-            # Evict one LRU victim at a time; sizes vary per row, so the
-            # count to delete is not computable up front.  At least one
-            # entry is always kept — a single oversized response must not
-            # leave the cache permanently empty and thrashing.
-            victim = self._db.execute(
-                "SELECT key, size FROM cache ORDER BY access_seq ASC LIMIT 1"
-            )
-            self._db.execute("DELETE FROM cache WHERE key = ?", (victim[0][0],))
-            count -= 1
-            total_bytes -= victim[0][1]
+        self._db.buffer(
+            _key(model, prompt, self.namespace),
+            (model, prompt, payload, size, self.max_entries, self.max_bytes),
+        )
 
     def __len__(self) -> int:
+        self._db.flush()
         return int(self._db.execute("SELECT COUNT(*) FROM cache")[0][0])
 
     def total_bytes(self) -> int:
         """Total stored payload bytes (what ``max_bytes`` is enforced over)."""
+        self._db.flush()
         return int(self._db.execute("SELECT COALESCE(SUM(size), 0) FROM cache")[0][0])
 
     def clear(self) -> None:
-        self._db.execute("DELETE FROM cache")
+        with self._db.lock:
+            self._db.pending.clear()
+            self._db.execute("DELETE FROM cache")
         self.stats = CacheStats()
 
     def snapshot(self) -> dict[str, Any]:

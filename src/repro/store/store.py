@@ -139,19 +139,14 @@ class Store:
 
     def save_vector_index(self, name: str, index: "VectorIndex") -> None:
         """Persist a built index under ``name`` (replacing any previous one)."""
-        self.db.execute(
-            "INSERT OR REPLACE INTO vector_indexes "
-            "(name, kind, dimensions, size, payload, updated_seq) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                name,
-                index.kind,
-                index.dimensions,
-                len(index),
-                index.to_payload(),
-                self.db.next_seq(),
-            ),
-        )
+        payload = index.to_payload()
+        with self.db.atomic():
+            self.db.execute(
+                "INSERT OR REPLACE INTO vector_indexes "
+                "(name, kind, dimensions, size, payload, updated_seq) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                (name, index.kind, index.dimensions, len(index), payload, self.db.next_seq()),
+            )
 
     def load_vector_index(self, name: str) -> "VectorIndex | None":
         """Rebuild the stored index, or ``None`` when absent or unreadable.
@@ -220,12 +215,13 @@ class Store:
             self.apply_profile(combined, name=name, decay=decay)
             combined.merge_state(stats.export_state())
             stats = combined
-        profile = WorkloadProfile.from_stats(stats)
-        self.db.execute(
-            "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
-            "VALUES (?, ?, ?)",
-            (name, profile.to_json(), self.db.next_seq()),
-        )
+        payload = WorkloadProfile.from_stats(stats).to_json()
+        with self.db.atomic():
+            self.db.execute(
+                "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
+                "VALUES (?, ?, ?)",
+                (name, payload, self.db.next_seq()),
+            )
 
     def load_profile(self, *, name: str = "default") -> WorkloadProfile | None:
         """The saved profile, or ``None`` when none exists yet."""
@@ -265,25 +261,26 @@ class Store:
         :mod:`repro.store.fingerprint`).
         """
         payload = encode_result(result)
-        self.db.execute(
-            "INSERT OR REPLACE INTO checkpoints "
-            "(fingerprint, payload, spec_type, strategy, calls, cost, access_seq) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                fingerprint,
-                payload,
-                type(spec).__name__,
-                result.strategy,
-                result.usage.calls,
-                result.cost,
-                self.db.next_seq(),
-            ),
-        )
-        self._evict_checkpoints()
+        with self.db.atomic():
+            self.db.execute(
+                "INSERT OR REPLACE INTO checkpoints "
+                "(fingerprint, payload, spec_type, strategy, calls, cost, access_seq) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (
+                    fingerprint,
+                    payload,
+                    type(spec).__name__,
+                    result.strategy,
+                    result.usage.calls,
+                    result.cost,
+                    self.db.next_seq(),
+                ),
+            )
+            self.db.evict("checkpoints", self.max_checkpoints, "access_seq")
 
     def load_checkpoint(self, fingerprint: str) -> OperatorResult | None:
         """The stored result for ``fingerprint``, or ``None`` (a miss)."""
-        with self.db.lock:
+        with self.db.atomic():
             rows = self.db.execute(
                 "SELECT payload FROM checkpoints WHERE fingerprint = ?", (fingerprint,)
             )
@@ -303,16 +300,6 @@ class Store:
             )
             result.metadata["checkpoint_hit"] = True
             return result
-
-    def _evict_checkpoints(self) -> None:
-        rows = self.db.execute("SELECT COUNT(*) FROM checkpoints")
-        over = max(0, int(rows[0][0]) - self.max_checkpoints)
-        if over:
-            self.db.execute(
-                "DELETE FROM checkpoints WHERE fingerprint IN "
-                "(SELECT fingerprint FROM checkpoints ORDER BY access_seq ASC LIMIT ?)",
-                (over,),
-            )
 
     def checkpoint_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM checkpoints")[0][0])
@@ -334,41 +321,42 @@ class Store:
         """
         if not records:
             return
-        statements: list[tuple[str, tuple]] = [
+        rows = [
             (
+                f"{origin}:{record.call_id}",
+                origin,
+                record.call_id,
+                record.step,
+                record.operator,
+                record.model,
+                record.temperature,
+                record.prompt,
+                record.response_text,
+                record.prompt_tokens,
+                record.completion_tokens,
+                record.cost,
+                record.duration_ms,
+                int(record.cache_hit),
+                record.attempt,
+                None if record.parse_ok is None else int(record.parse_ok),
+                record.error,
+                record.finish_reason,
+                record.confidence,
+                record.span_id,
+            )
+            for record in records
+        ]
+        with self.db.atomic():
+            self.db.executemany(
                 "INSERT OR REPLACE INTO traces "
                 "(trace_id, origin, call_id, step, operator, model, temperature, "
                 "prompt, response, prompt_tokens, completion_tokens, cost, "
                 "duration_ms, cache_hit, attempt, parse_ok, error, "
                 "finish_reason, confidence, span_id) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    f"{origin}:{record.call_id}",
-                    origin,
-                    record.call_id,
-                    record.step,
-                    record.operator,
-                    record.model,
-                    record.temperature,
-                    record.prompt,
-                    record.response_text,
-                    record.prompt_tokens,
-                    record.completion_tokens,
-                    record.cost,
-                    record.duration_ms,
-                    int(record.cache_hit),
-                    record.attempt,
-                    None if record.parse_ok is None else int(record.parse_ok),
-                    record.error,
-                    record.finish_reason,
-                    record.confidence,
-                    record.span_id,
-                ),
+                rows,
             )
-            for record in records
-        ]
-        self.db.transaction(statements)
-        self._evict_traces()
+            self.db.evict("traces", self.max_trace_records)
 
     def trace_records(self, *, origin: str | None = None) -> list[TraceRecord]:
         """Stored trace records (optionally one session's), oldest first."""
@@ -413,16 +401,6 @@ class Store:
     def clear_traces(self) -> None:
         self.db.execute("DELETE FROM traces")
 
-    def _evict_traces(self) -> None:
-        rows = self.db.execute("SELECT COUNT(*) FROM traces")
-        over = max(0, int(rows[0][0]) - self.max_trace_records)
-        if over:
-            self.db.execute(
-                "DELETE FROM traces WHERE rowid IN "
-                "(SELECT rowid FROM traces ORDER BY rowid ASC LIMIT ?)",
-                (over,),
-            )
-
     # -- spans --------------------------------------------------------------------
 
     def save_spans(self, spans: list[Span], *, origin: str) -> None:
@@ -435,29 +413,30 @@ class Store:
         """
         if not spans:
             return
-        statements: list[tuple[str, tuple]] = [
+        rows = [
             (
+                f"{origin}:{span.span_id}",
+                origin,
+                span.span_id,
+                span.parent_id,
+                span.kind,
+                span.label,
+                span.start,
+                span.end,
+                span.status,
+                json.dumps(span.attributes, sort_keys=True),
+            )
+            for span in spans
+        ]
+        with self.db.atomic():
+            self.db.executemany(
                 "INSERT OR REPLACE INTO spans "
                 "(row_id, origin, span_id, parent_id, kind, label, "
                 "start_time, end_time, status, attributes) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    f"{origin}:{span.span_id}",
-                    origin,
-                    span.span_id,
-                    span.parent_id,
-                    span.kind,
-                    span.label,
-                    span.start,
-                    span.end,
-                    span.status,
-                    json.dumps(span.attributes, sort_keys=True),
-                ),
+                rows,
             )
-            for span in spans
-        ]
-        self.db.transaction(statements)
-        self._evict_spans()
+            self.db.evict("spans", self.max_span_records)
 
     def load_spans(self, *, origin: str | None = None) -> list[Span]:
         """Stored spans (optionally one tracker's), in creation order."""
@@ -490,16 +469,6 @@ class Store:
     def clear_spans(self) -> None:
         self.db.execute("DELETE FROM spans")
 
-    def _evict_spans(self) -> None:
-        rows = self.db.execute("SELECT COUNT(*) FROM spans")
-        over = max(0, int(rows[0][0]) - self.max_span_records)
-        if over:
-            self.db.execute(
-                "DELETE FROM spans WHERE rowid IN "
-                "(SELECT rowid FROM spans ORDER BY rowid ASC LIMIT ?)",
-                (over,),
-            )
-
     # -- jobs ---------------------------------------------------------------------
 
     _JOB_COLUMNS = (
@@ -516,7 +485,7 @@ class Store:
         touched" is queryable without wall clocks.
         """
         validate_status(job.status)
-        with self.db.lock:
+        with self.db.atomic():
             if job.submitted_seq == 0:
                 rows = self.db.execute(
                     "SELECT submitted_seq FROM jobs WHERE job_id = ?", (job.job_id,)

@@ -112,25 +112,17 @@ class EmbeddingCache:
         """Store vectors under their fingerprints, then enforce the LRU cap."""
         if not vectors:
             return
-        with self._db.lock:
-            for fingerprint, vector in vectors.items():
-                self._db.execute(
-                    "INSERT OR REPLACE INTO embeddings "
-                    "(fingerprint, model, dimensions, vector, access_seq) "
-                    f"VALUES (?, ?, ?, ?, {self._NEXT_SEQ})",
-                    (fingerprint, model, dimensions, encode_vector(vector)),
-                )
-            self._evict()
-
-    def _evict(self) -> None:
-        rows = self._db.execute("SELECT COUNT(*) FROM embeddings")
-        over = max(0, int(rows[0][0]) - self.max_entries)
-        if over:
-            self._db.execute(
-                "DELETE FROM embeddings WHERE fingerprint IN "
-                "(SELECT fingerprint FROM embeddings ORDER BY access_seq ASC LIMIT ?)",
-                (over,),
+        with self._db.atomic():
+            self._db.executemany(
+                "INSERT OR REPLACE INTO embeddings "
+                "(fingerprint, model, dimensions, vector, access_seq) "
+                f"VALUES (?, ?, ?, ?, {self._NEXT_SEQ})",
+                [
+                    (fingerprint, model, dimensions, encode_vector(vector))
+                    for fingerprint, vector in vectors.items()
+                ],
             )
+            self._db.evict("embeddings", self.max_entries, "access_seq")
 
     def __len__(self) -> int:
         return int(self._db.execute("SELECT COUNT(*) FROM embeddings")[0][0])

@@ -41,7 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: traces stay replayable).
 DEFAULT_CAPACITY = 4096
 
-#: How many unflushed records accumulate before a best-effort store flush.
+#: How many unflushed records accumulate before a best-effort store flush
+#: (while the store has a pipeline step open, its own larger bound applies:
+#: the step's settle writes them with the step's other rows).
 DEFAULT_FLUSH_EVERY = 32
 
 
@@ -203,14 +205,16 @@ class Tracer:
                 self._dirty.discard(evicted_id)
                 self._dropped += 1
                 evictions += 1
-            should_flush = len(self._dirty) >= self.flush_every
+            dirty = len(self._dirty)
         if evictions and self.on_drop is not None:
             try:
                 self.on_drop(evictions)
             except Exception:
                 pass
-        if should_flush:
-            self.flush()
+        if dirty >= self.flush_every:
+            db = getattr(self.store, "db", None)
+            if db is None or not db.defers(dirty):
+                self.flush()
         return record
 
     def annotate(self, call_id: int, **updates: Any) -> bool:
@@ -277,16 +281,20 @@ class Tracer:
         """
         if self.store is None:
             return 0
+        # The ids leave the dirty set before their records are read, so an
+        # amendment racing the write marks its record dirty again.
         with self._lock:
-            pending = [replace(self._records[i]) for i in sorted(self._dirty)]
-            if not pending:
-                return 0
+            ids = sorted(self._dirty)
+            self._dirty.clear()
+            pending = [self._records[i] for i in ids]
+        if not pending:
+            return 0
         try:
             self.store.save_trace_records(pending, origin=self.origin)
         except Exception:
+            with self._lock:
+                self._dirty.update(i for i in ids if i in self._records)
             return 0
-        with self._lock:
-            self._dirty.difference_update(record.call_id for record in pending)
         return len(pending)
 
 

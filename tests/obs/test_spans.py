@@ -290,6 +290,27 @@ class TestPersistence:
             pass
         assert tracker.flush() == 0  # swallowed, pipeline unharmed
 
+    def test_store_failure_keeps_spans_dirty_for_the_next_try(self):
+        class FailingStore:
+            def __init__(self) -> None:
+                self.fail = True
+                self.saved: list = []
+
+            def save_spans(self, spans, *, origin):
+                if self.fail:
+                    raise RuntimeError("disk full")
+                self.saved.extend(spans)
+
+        store = FailingStore()
+        tracker = SpanTracker(store=store, flush_every=1)  # type: ignore[arg-type]
+        with tracker.span("step", "s0"):  # auto-flush on close fails silently
+            tracker.record_span("call", "c0")
+        assert store.saved == []
+        store.fail = False
+        assert tracker.flush() == 2  # both spans stayed dirty
+        assert sorted(sp.label for sp in store.saved) == ["c0", "s0"]
+        assert tracker.flush() == 0
+
     def test_span_dict_roundtrip(self):
         sp = Span(
             span_id=3,
