@@ -134,8 +134,7 @@ class DeclarativeEngine:
         span waterfall and the trace records name the same work identically.
         """
         tracker = getattr(self.session, "spans", None)
-        spans_on = tracker is not None and tracker.enabled
-        span = tracker.span("operator", label) if spans_on else nullcontext()
+        span = tracker.span("operator", label) if tracker is not None else nullcontext()
         with trace_label(operator=label), span:
             yield
 
@@ -265,14 +264,14 @@ class DeclarativeEngine:
         return quote
 
     def _dropped_records_note(self) -> str | None:
-        """A warning when the session's trace ring has evicted records."""
-        dropped = getattr(getattr(self.session, "tracer", None), "dropped", 0)
+        """A warning when the session's span ring has evicted records."""
+        dropped = getattr(getattr(self.session, "spans", None), "dropped", 0)
         if not dropped:
             return None
         return (
             f"trace ring dropped {dropped} record(s) before flushing; "
-            "observed statistics may undercount (raise the tracer capacity "
-            "or flush more often)"
+            "observed statistics may undercount (raise the span ring's "
+            "capacity or flush more often)"
         )
 
     def run_pipeline(
@@ -549,7 +548,7 @@ class DeclarativeEngine:
         """Write what a step produced as one transaction, however it ended.
 
         The response-cache rows buffered while the step ran (see
-        :meth:`~repro.store.db.StoreDB.step`), the trace records of its calls
+        :meth:`~repro.store.db.StoreDB.step`), the spans of its calls
         and — when it returned a result — its checkpoint commit together, so
         a checkpoint is never on disk without the calls that paid for it,
         and a step that raised still keeps every response it bought.  Best
@@ -560,9 +559,9 @@ class DeclarativeEngine:
         session_store = getattr(self.session, "store", None)
         with suppress(Exception), db.atomic():
             db.flush()
-            # A tracer on another handle would wait on this transaction.
+            # A span ring on another handle would wait on this transaction.
             if session_store is not None and session_store.db is db:
-                self.session.tracer.flush()
+                self.session.spans.flush()
             if isinstance(result, OperatorResult):
                 with suppress(Exception):  # the rows above commit regardless
                     store.save_checkpoint(fingerprint, task, result)

@@ -15,6 +15,7 @@ path never loses accounting updates.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -29,12 +30,16 @@ from repro.llm.base import Body, Call, LLMClient, LLMResponse, adrive, drive
 from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
-from repro.obs import MetricsRegistry, SessionInstruments, SpanTracker
+from repro.obs import MetricsRegistry, SessionInstruments, Span, SpanTracker
 from repro.tokenizer.cost import CostModel
-from repro.trace import Tracer
+from repro.trace import TraceLabels, Tracer, current_labels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
+
+#: One structured line per call: DEBUG when it settled, WARNING when it raised.
+_LOG = logging.getLogger("repro.calls")
+_LOG.addHandler(logging.NullHandler())  # a library stays off stderr unless asked
 
 
 @dataclass
@@ -150,15 +155,16 @@ class PromptSession:
             store.apply_profile(self.stats, decay=profile_decay)
         # Operational observability: one metric registry (possibly shared
         # across tenants), its per-tenant bound instruments, and the span
-        # tree every pipeline/step/call of this session hangs off.
+        # tree every pipeline/step/call of this session hangs off — one
+        # ``call`` span per call issued through the session, flushed
+        # best-effort into the store's spans table when one exists.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.instruments = SessionInstruments(self.metrics, tenant=tenant_label)
-        self.spans = SpanTracker(store=store)
+        self.spans = SpanTracker(store=store, on_drop=self.instruments.note_trace_dropped)
         if governor is not None:
             governor.bind_instruments(self.instruments)
-        # One structured TraceRecord per call issued through this session;
-        # flushed best-effort into the store's traces table when one exists.
-        self.tracer = Tracer(store=store, on_drop=self.instruments.note_trace_dropped)
+        #: The call spans as :class:`~repro.trace.TraceRecord` views.
+        self.tracer = Tracer(self.spans)
         self._client: LLMClient = CachedClient(client, self.cache) if use_cache else client
         self._raw_client = client
 
@@ -287,25 +293,68 @@ class PromptSession:
         target: Budget | BudgetLease,
         start: float,
     ) -> list[LLMResponse]:
-        """The post-call path: track, then price, trace and charge each response."""
+        """The post-call path: track, price and charge each response, then
+        record the batch — spans, metrics, runtime stats — once."""
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         share_ms = elapsed_ms / len(responses) if responses else 0.0
         self.tracker.record_batch(responses)
+        labels = current_labels()
+        step, operator = labels.step, labels.operator
+        has_model, price = self.cost_model.has_model, self.cost_model.cost
+        calls: list[tuple[str, str, dict]] = []
+        hits = 0
+        spent = 0.0
         # Charge every response before surfacing a limit breach: the calls
         # were all made (and tracked), so stopping at the first raise would
         # leave the budget understating real spend.
         charge_error: BudgetExceededError | None = None
         for prompt, response in zip(prompts, responses):
-            priced = self.cost_model.has_model(response.model)
-            cost = self.cost_model.cost(response.model, response.usage) if priced else 0.0
-            # Trace before charging: the call happened (and is replayable)
-            # even if charging it is what breaches the budget.
-            self._trace_response(prompt, temperature, response, cost, share_ms)
+            model, usage = response.model, response.usage
+            priced = has_model(model)
+            cost = price(model, usage) if priced else 0.0
+            cache_hit = bool(response.metadata.get("cache_hit"))
+            hits += cache_hit
+            spent += cost
+            calls.append(
+                (
+                    model,
+                    "ok",
+                    {
+                        "step": step,
+                        "operator": operator,
+                        "temperature": temperature,
+                        "prompt": prompt,
+                        "response_text": response.text,
+                        "prompt_tokens": usage.prompt_tokens,
+                        "completion_tokens": usage.completion_tokens,
+                        "cost": cost,
+                        "duration_ms": share_ms,
+                        "cache_hit": cache_hit,
+                        "attempt": 0,
+                        "parse_ok": None,
+                        "error": None,
+                        "finish_reason": response.finish_reason,
+                        "confidence": response.confidence,
+                    },
+                )
+            )
             if priced:
                 try:
                     target.charge(cost)
                 except BudgetExceededError as exc:
                     charge_error = charge_error or exc
+        # Recorded whether or not charging breached the budget: the calls
+        # happened, and are replayable.
+        spans = self._record_calls(calls, share_ms, labels, logging.DEBUG)
+        for response, span in zip(responses, spans):
+            # Retry wrappers annotate attempt index / parse outcome by this id.
+            response.metadata["trace_call_id"] = span.span_id
+        count = len(calls)
+        self.instruments.note_calls(
+            hits=hits, misses=count - hits, cost=spent, duration_ms=share_ms
+        )
+        self.stats.record_cache(hit=True, requests=hits)
+        self.stats.record_cache(hit=False, requests=count - hits)
         self.instruments.note_budget_spent(self.budget.spent)
         if charge_error is not None:
             raise charge_error
@@ -313,47 +362,41 @@ class PromptSession:
 
     # -- tracing ------------------------------------------------------------------
 
-    def _trace_response(
+    def _record_calls(
         self,
-        prompt: str,
-        temperature: float,
-        response: LLMResponse,
-        cost: float,
+        calls: list[tuple[str, str, dict]],
         duration_ms: float,
-    ) -> None:
-        """Record one completed call: trace record plus runtime-stats feed."""
-        cache_hit = bool(response.metadata.get("cache_hit"))
-        # The call span is created first so the trace record can carry its
-        # id; the duration is known post-hoc, so the span is backdated.
-        span = self.spans.record_span(
-            "call",
-            response.model,
-            duration_seconds=duration_ms / 1000.0,
-            cache_hit=cache_hit,
-            cost=cost,
-        )
-        record = self.tracer.record(
-            model=response.model,
-            temperature=temperature,
-            prompt=prompt,
-            response_text=response.text,
-            prompt_tokens=response.usage.prompt_tokens,
-            completion_tokens=response.usage.completion_tokens,
-            cost=cost,
-            duration_ms=duration_ms,
-            cache_hit=cache_hit,
-            finish_reason=response.finish_reason,
-            confidence=response.confidence,
-            span_id=None if span is None else span.span_id,
-        )
-        # Retry wrappers annotate attempt index / parse outcome by this id.
-        response.metadata["trace_call_id"] = record.call_id
-        if span is not None:
-            self.spans.annotate(span.span_id, call_id=record.call_id)
-        self.instruments.note_call(cache_hit=cache_hit, cost=cost, duration_ms=duration_ms)
-        self.stats.record_cache(hit=cache_hit)
-        if record.operator:
-            self.stats.record_latency(record.operator, duration_ms)
+        labels: TraceLabels,
+        level: int,
+    ) -> list[Span]:
+        """The one record of each call of a batch: a ``call`` span holding the
+        trace fields, a ``repro.calls`` log line at ``level`` when anyone
+        listens, and the batch's latency under its operator label."""
+        spans = self.spans.record_calls(calls, duration_seconds=duration_ms / 1000.0)
+        if _LOG.isEnabledFor(level):
+            for span in spans:
+                fields = span.attributes
+                _LOG.log(
+                    level,
+                    "AI_CALL call_id=%d step=%s operator=%s model=%s duration_ms=%.3f "
+                    "cache_hit=%s error=%s",
+                    span.span_id,
+                    labels.step,
+                    labels.operator,
+                    span.label,
+                    duration_ms,
+                    fields["cache_hit"],
+                    fields["error"],
+                    extra={
+                        "tenant": self.instruments.tenant,
+                        "job": labels.job,
+                        "span_id": span.span_id,
+                        "parent_span_id": span.parent_id,
+                    },
+                )
+        if labels.operator:
+            self.stats.record_latencies(labels.operator, duration_ms, len(calls))
+        return spans
 
     def _trace_failure(
         self,
@@ -365,24 +408,19 @@ class PromptSession:
     ) -> None:
         """Record a call, started at ``start``, that raised (class from the taxonomy)."""
         duration_ms = (time.perf_counter() - start) * 1000.0
-        span = self.spans.record_span(
-            "call",
-            model,
-            duration_seconds=duration_ms / 1000.0,
-            status="error",
-            error=type(error).__name__,
-        )
-        record = self.tracer.record(
-            model=model,
-            temperature=temperature,
-            prompt=prompt,
-            duration_ms=duration_ms,
-            error=type(error).__name__,
-            span_id=None if span is None else span.span_id,
-        )
-        self.instruments.note_call_error(type(error).__name__)
-        if record.operator:
-            self.stats.record_latency(record.operator, duration_ms)
+        labels = current_labels()
+        name = type(error).__name__
+        fields = {
+            "step": labels.step,
+            "operator": labels.operator,
+            "temperature": temperature,
+            "prompt": prompt,
+            "duration_ms": duration_ms,
+            "cache_hit": False,
+            "error": name,
+        }
+        self._record_calls([(model, "error", fields)], duration_ms, labels, logging.WARNING)
+        self.instruments.note_call_error(name)
 
     def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
         """A client view suitable for handing to operators.
@@ -467,7 +505,6 @@ class PromptSession:
         # saved history underneath (this session's stats do not contain it);
         # the session's own store is replaced exactly.
         target.save_profile(self.stats, name=name, merge=target is not self.store)
-        self.tracer.flush()
         self.spans.flush()
 
 

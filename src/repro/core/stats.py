@@ -133,18 +133,23 @@ class RuntimeStats:
                 ratio.denominator += estimated
 
     def record_latency(self, label: str, duration_ms: float) -> None:
-        """Record one call's wall-clock duration under a strategy label.
+        """Record one call's wall-clock duration under a strategy label."""
+        self.record_latencies(label, duration_ms, 1)
 
-        The session's tracer feeds this for every traced call that carries
-        an operator label, so the reservoir blends live-call and cache-hit
+    def record_latencies(self, label: str, duration_ms: float, count: int) -> None:
+        """Record ``count`` calls of ``duration_ms`` each under a strategy label.
+
+        The session feeds this once per settled batch that carries an
+        operator label (every call of a batch is booked at the same share of
+        its duration), so the reservoir blends live-call and cache-hit
         durations in their observed proportions — which is exactly the
         per-call latency a quote should extrapolate from.
         """
-        if duration_ms < 0:
+        if duration_ms < 0 or count <= 0:
             return
         with self._lock:
             samples = self._latency.setdefault(label, [])
-            samples.append(float(duration_ms))
+            samples.extend([float(duration_ms)] * min(count, self.LATENCY_SAMPLE_CAP))
             if len(samples) > self.LATENCY_SAMPLE_CAP:
                 del samples[: len(samples) - self.LATENCY_SAMPLE_CAP]
 

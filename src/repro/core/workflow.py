@@ -125,7 +125,7 @@ class StepReport:
             made no LLM calls for the step (the report's ``total_*`` deltas
             already reflect that).
         span_id: id of the step's span in the session's span tree (None when
-            the step never dispatched or span tracing is disabled); streamed
+            the step never dispatched or the session keeps no spans); streamed
             in SSE step events so clients can join events to spans/traces.
     """
 
@@ -505,9 +505,9 @@ class Workflow:
     # -- internals ---------------------------------------------------------------
 
     def _pipeline_span(self, state: "_ExecutionState") -> ContextManager[Any]:
-        """The run's root span, or a null context when tracing is off."""
+        """The run's root span, or a null context for a session without spans."""
         tracker = state.spans
-        if tracker is None or not getattr(tracker, "enabled", False):
+        if tracker is None:
             return nullcontext(None)
         return tracker.span("pipeline", self.name, steps=len(self._steps))
 
@@ -516,7 +516,7 @@ class Workflow:
         state: "_ExecutionState", round_index: int, runnable: list[str]
     ) -> ContextManager[Any]:
         tracker = state.spans
-        if tracker is None or not getattr(tracker, "enabled", False):
+        if tracker is None:
             return nullcontext(None)
         return tracker.span("wave", f"wave {round_index}", steps=list(runnable))
 
@@ -735,7 +735,7 @@ class Workflow:
                 inner = lambda: step.run(session, inputs)  # noqa: E731
 
         tracker = state.spans
-        if tracker is None or not getattr(tracker, "enabled", False):
+        if tracker is None:
             return inner
 
         # The step span opens in the worker that actually runs the thunk
@@ -746,8 +746,7 @@ class Workflow:
             with tracker.span(
                 "step", step.name, depends_on=list(step.depends_on)
             ) as span:
-                if span is not None:
-                    state.step_spans[step.name] = span.span_id
+                state.step_spans[step.name] = span.span_id
                 return inner()
 
         return traced

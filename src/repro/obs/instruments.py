@@ -116,11 +116,16 @@ class SessionInstruments:
 
     # -- calls and budget --------------------------------------------
 
-    def note_call(self, *, cache_hit: bool, cost: float, duration_ms: float) -> None:
-        (self._calls_hit if cache_hit else self._calls_miss).inc()
+    def note_calls(self, *, hits: int, misses: int, cost: float, duration_ms: float) -> None:
+        """A settled batch: its cache outcomes, summed cost, and the duration
+        every one of its calls is booked at."""
+        if hits:
+            self._calls_hit.inc(hits)
+        if misses:
+            self._calls_miss.inc(misses)
         if cost > 0:
             self._cost.inc(cost)
-        self._call_seconds.observe(max(0.0, duration_ms) / 1000.0)
+        self._call_seconds.observe_many(max(0.0, duration_ms) / 1000.0, hits + misses)
 
     def note_call_error(self, error: str) -> None:
         self._call_errors.labels(tenant=self.tenant, error=error).inc()

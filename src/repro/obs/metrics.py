@@ -119,15 +119,19 @@ class HistogramChild(_Child):
         self._count = 0
 
     def observe(self, value: float) -> None:
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, count: int) -> None:
+        """*count* observations of the same *value* (a batch's equal shares)."""
         with self._lock:
-            self._sum += value
-            self._count += 1
+            self._sum += value * count
+            self._count += count
             for index, bound in enumerate(self._buckets):
                 if value <= bound:
-                    self._counts[index] += 1
+                    self._counts[index] += count
                     break
             else:
-                self._counts[-1] += 1
+                self._counts[-1] += count
 
     @property
     def count(self) -> int:

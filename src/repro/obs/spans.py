@@ -9,20 +9,21 @@ for labels, so parentage survives both the batch executor's threads (it
 runs every unit task under ``contextvars.copy_context().run``) and
 asyncio tasks (which copy the context at creation time).
 
-:class:`SpanTracker` is the per-session collector.  Like the trace ring
-it holds a bounded FIFO of spans, counts evictions instead of raising,
-and flushes to the store best-effort — observability must never sink the
-run it is watching.
+:class:`SpanTracker` is the per-session collector, and the session's only
+telemetry ring: a model call is a ``call`` span whose attributes are the
+call's audit record (:class:`~repro.trace.TraceRecord` is the typed view
+of one).  It holds a bounded FIFO of spans, counts evictions instead of
+raising, and flushes to the store best-effort — observability must never
+sink the run it is watching.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 import json
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -130,12 +131,17 @@ class SpanTracker:
 
     Spans are kept in insertion order, evicted FIFO past *capacity*
     (counting drops rather than failing), and persisted to the store's
-    ``spans`` table under a per-tracker ``origin`` — mirroring the trace
-    ring's contract so the two can be joined by ``TraceRecord.span_id``.
+    ``spans`` table under a per-tracker ``origin``.  Ids come from one
+    sequence, assigned as a span is admitted: a call's ``call_id`` is its
+    ``span_id``.
 
-    Setting ``enabled`` to ``False`` turns every entry point into a
-    near-no-op: :meth:`span` yields ``None`` without touching the
-    contextvar or the lock, which is what the overhead benchmark pins.
+    *on_drop* is called with the eviction count each time the ring evicts
+    (the session wires it to ``repro_trace_records_dropped_total``),
+    outside the lock; its failures are swallowed.
+
+    Dirty spans are flushed once *flush_every* have accumulated — unless
+    the store has a pipeline step open, whose settle writes them with the
+    step's other rows (``StoreDB.defers``, up to its own larger bound).
     """
 
     def __init__(
@@ -144,25 +150,25 @@ class SpanTracker:
         capacity: int = 8192,
         store: Store | None = None,
         flush_every: int = 128,
-        enabled: bool = True,
+        on_drop: Callable[[int], None] | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.store = store
         self.flush_every = max(1, flush_every)
-        self.enabled = enabled
+        self.on_drop = on_drop
         self.origin = uuid4().hex
         self._lock = threading.Lock()
         self._spans: OrderedDict[int, Span] = OrderedDict()
         self._dirty: set[int] = set()
         self._dropped = 0
-        self._ids = itertools.count(1)
+        self._next_id = 1
 
     # -- recording ---------------------------------------------------
 
     @contextmanager
-    def span(self, kind: str, label: str = "", **attributes: Any) -> Iterator[Span | None]:
+    def span(self, kind: str, label: str = "", **attributes: Any) -> Iterator[Span]:
         """Open a span, make it ambient, and close it on exit.
 
         Exit status is ``ok`` on normal return, ``stopped`` when a
@@ -172,10 +178,15 @@ class SpanTracker:
         propagate.
         """
 
-        if not self.enabled:
-            yield None
-            return
-        sp = self._open(kind, label, attributes)
+        sp = Span(
+            span_id=0,
+            parent_id=current_span_id(self),
+            kind=kind,
+            label=label,
+            start=perf_counter(),
+            attributes={key: _json_safe(value) for key, value in attributes.items()},
+        )
+        self._admit((sp,))
         token = _CURRENT.set((self, sp.span_id))
         try:
             yield sp
@@ -199,22 +210,17 @@ class SpanTracker:
         status: str = "ok",
         parent_id: int | None = None,
         **attributes: Any,
-    ) -> Span | None:
+    ) -> Span:
         """Record an already-finished region as a leaf span.
 
-        Used for model calls, whose duration is only known after the
-        fact: the span is backdated by *duration_seconds* and parented
-        to the ambient span (or an explicit *parent_id*).
+        The span is backdated by *duration_seconds* and parented to the
+        ambient span (or an explicit *parent_id*).
         """
 
-        if not self.enabled:
-            return None
         now = perf_counter()
-        if parent_id is None:
-            parent_id = current_span_id(self)
         sp = Span(
-            span_id=next(self._ids),
-            parent_id=parent_id,
+            span_id=0,
+            parent_id=parent_id if parent_id is not None else current_span_id(self),
             kind=kind,
             label=label,
             start=now - max(0.0, duration_seconds),
@@ -222,33 +228,48 @@ class SpanTracker:
             status=status,
             attributes={key: _json_safe(value) for key, value in attributes.items()},
         )
-        self._admit(sp)
+        self._admit((sp,))
         return sp
 
-    def annotate(self, span_id: int | None, **attributes: Any) -> None:
-        """Merge attributes into a recorded span; unknown ids are ignored."""
+    def record_calls(
+        self,
+        calls: Iterable[tuple[str, str, dict[str, Any]]],
+        *,
+        duration_seconds: float = 0.0,
+    ) -> list[Span]:
+        """Record a settled batch of model calls, one ``call`` span each.
 
-        if span_id is None or not self.enabled:
-            return
+        *calls* holds one ``(model, status, attributes)`` per call, in
+        order; the spans get consecutive ids under one crossing of the
+        lock, the ambient span as parent and *duration_seconds* (a call's
+        share of its batch) as backdated duration.  The attribute dicts are
+        kept as given — the caller passes JSON primitives under
+        :class:`~repro.trace.TraceRecord`'s field names.
+        """
+
+        now = perf_counter()
+        start = now - max(0.0, duration_seconds)
+        parent_id = current_span_id(self)
+        spans = [
+            Span(0, parent_id, "call", model, start, now, status, attributes)
+            for model, status, attributes in calls
+        ]
+        self._admit(spans)
+        return spans
+
+    def annotate(self, span_id: int | None, **attributes: Any) -> bool:
+        """Merge attributes into a recorded span; whether it was still retained."""
+
+        if span_id is None:
+            return False
         with self._lock:
             sp = self._spans.get(span_id)
             if sp is None:
-                return
+                return False
             for key, value in attributes.items():
                 sp.attributes[key] = _json_safe(value)
             self._dirty.add(span_id)
-
-    def _open(self, kind: str, label: str, attributes: Mapping[str, Any]) -> Span:
-        sp = Span(
-            span_id=next(self._ids),
-            parent_id=current_span_id(self),
-            kind=kind,
-            label=label,
-            start=perf_counter(),
-            attributes={key: _json_safe(value) for key, value in attributes.items()},
-        )
-        self._admit(sp)
-        return sp
+            return True
 
     def _close(self, sp: Span, *, status: str, error: str | None = None) -> None:
         with self._lock:
@@ -259,17 +280,38 @@ class SpanTracker:
             if sp.span_id in self._spans:
                 self._dirty.add(sp.span_id)
             pending = len(self._dirty)
-        if self.store is not None and pending >= self.flush_every:
-            self.flush()
+        self._flush_if_due(pending)
 
-    def _admit(self, sp: Span) -> None:
+    def _admit(self, spans: Sequence[Span]) -> None:
+        """Number *spans* and take them into the ring, evicting the oldest."""
+
+        ring, dirty = self._spans, self._dirty
+        evicted = 0
         with self._lock:
-            self._spans[sp.span_id] = sp
-            self._dirty.add(sp.span_id)
-            while len(self._spans) > self.capacity:
-                evicted_id, _ = self._spans.popitem(last=False)
-                self._dirty.discard(evicted_id)
-                self._dropped += 1
+            span_id = self._next_id
+            for sp in spans:
+                sp.span_id = span_id
+                ring[span_id] = sp
+                dirty.add(span_id)
+                span_id += 1
+            self._next_id = span_id
+            while len(ring) > self.capacity:
+                dirty.discard(ring.popitem(last=False)[0])
+                evicted += 1
+            self._dropped += evicted
+            pending = len(dirty)
+        if evicted and self.on_drop is not None:
+            try:
+                self.on_drop(evicted)
+            except Exception:
+                pass
+        self._flush_if_due(pending)
+
+    def _flush_if_due(self, pending: int) -> None:
+        if self.store is not None and pending >= self.flush_every:
+            db = getattr(self.store, "db", None)
+            if db is None or not db.defers(pending):
+                self.flush()
 
     # -- reading -----------------------------------------------------
 
@@ -286,13 +328,11 @@ class SpanTracker:
     def subtree(self, root_id: int) -> list[Span]:
         """The span with *root_id* plus all transitive children, in creation order."""
 
-        with self._lock:
-            snapshot = list(self._spans.values())
         keep = {root_id}
         collected: list[Span] = []
         # Spans are created parent-first, so one pass in creation order
         # sees every parent before its children.
-        for sp in snapshot:
+        for sp in self.spans():
             if sp.span_id in keep or sp.parent_id in keep:
                 keep.add(sp.span_id)
                 collected.append(sp)
@@ -314,8 +354,10 @@ class SpanTracker:
 
         if self.store is None:
             return 0
+        # The ids leave the dirty set before their spans are read, so an
+        # amendment racing the write marks its span dirty again.
         with self._lock:
-            pending = [self._spans[sid] for sid in sorted(self._dirty) if sid in self._spans]
+            pending = [self._spans[sid] for sid in sorted(self._dirty)]
             self._dirty.clear()
         if not pending:
             return 0

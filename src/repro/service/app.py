@@ -23,6 +23,13 @@ GET       ``/metrics``                   Prometheus text exposition of every
                                          (unauthenticated: scrapers carry no
                                          tenant key, and the exposition holds
                                          counts, never payloads)
+GET       ``/healthz``                   liveness: ``200`` whenever the process
+                                         answers (unauthenticated)
+GET       ``/readyz``                    readiness (unauthenticated): ``200``
+                                         with the queue depth once the store
+                                         answers ``SELECT 1`` and job recovery
+                                         has finished, else ``503`` naming the
+                                         failing checks
 ========  =============================  ==========================================
 
 Tenancy rules: a job is visible only to the tenant that submitted it (other
@@ -76,6 +83,7 @@ class ServiceApp:
         self.registry = registry
         self.admission = admission or AdmissionController()
         self.jobs = JobManager(registry, max_active=max_active_jobs)
+        self._recovered = False
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -84,8 +92,11 @@ class ServiceApp:
 
         Called by the lifespan handler; in-process harnesses that skip the
         lifespan protocol call it directly.  Requires a running event loop.
+        ``/readyz`` answers 503 until this has returned.
         """
-        return self.jobs.recover()
+        resumed = self.jobs.recover()
+        self._recovered = True
+        return resumed
 
     async def shutdown(self, *, drain: bool = True) -> None:
         """Graceful stop: refuse new work, then drain (or cleanly cancel)."""
@@ -127,11 +138,17 @@ class ServiceApp:
             name.decode("latin-1").lower(): value.decode("latin-1")
             for name, value in scope.get("headers", [])
         }
-        # Prometheus scrapers carry no tenant credential; the exposition
-        # is operational (counts and durations, no payloads), so /metrics
-        # is matched before authentication.
+        # Prometheus scrapers and orchestrator probes carry no tenant
+        # credential; what they read is operational (counts and durations,
+        # no payloads), so these are matched before authentication.
         if method == "GET" and path == "/metrics":
             await self._metrics(send)
+            return
+        if method == "GET" and path == "/healthz":
+            await _respond(send, 200, {"status": "ok"})
+            return
+        if method == "GET" and path == "/readyz":
+            await self._ready(send)
             return
 
         tenant = self.registry.authenticate(headers.get("x-api-key"))
@@ -251,6 +268,24 @@ class ServiceApp:
             }
         )
         await send({"type": "http.response.body", "body": body, "more_body": False})
+
+    async def _ready(self, send: Send) -> None:
+        """Whether this process should be sent work: each failing check by name."""
+        failing: list[str] = []
+        store = self.registry.store
+        if store is not None:
+            try:
+                store.db.execute("SELECT 1")
+            except Exception:  # noqa: BLE001 - any store failure is "not ready"
+                failing.append("store")
+        if not self._recovered:
+            failing.append("recovery")
+        body = {
+            "status": "unready" if failing else "ready",
+            "failing": failing,
+            "queue_depth": self.jobs.queue_depth(),
+        }
+        await _respond(send, 503 if failing else 200, body)
 
     async def _parse_pipeline(self, receive: Receive, send: Send):
         body = await _read_body(receive)

@@ -34,6 +34,7 @@ from repro.core.planner import PipelineQuote
 from repro.core.spec import PipelineSpec
 from repro.core.spec_codec import pipeline_from_json, pipeline_to_json
 from repro.store.jobs import JobRecord
+from repro.trace import trace_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workflow import StepReport
@@ -155,12 +156,14 @@ class JobManager:
                     else:
                         loop.call_soon_threadsafe(self._note_step, live, payload)
 
-                report = await tenant.engine.run_pipeline_async(
-                    pipeline,
-                    quote=quote,
-                    max_concurrency=tenant.config.max_concurrency,
-                    on_step=on_step,
-                )
+                # The job id rides the trace labels into every call's log line.
+                with trace_label(job=record.job_id):
+                    report = await tenant.engine.run_pipeline_async(
+                        pipeline,
+                        quote=quote,
+                        max_concurrency=tenant.config.max_concurrency,
+                        on_step=on_step,
+                    )
                 record.report = report.to_dict()
                 for name, step in record.report["step_reports"].items():
                     record.steps[name] = step
@@ -244,6 +247,10 @@ class JobManager:
         if live is not None:
             return live.record
         return None if self.store is None else self.store.load_job(job_id)
+
+    def queue_depth(self) -> int:
+        """Accepted jobs, of every tenant, still waiting for a run slot."""
+        return sum(1 for live in self._jobs.values() if live.record.status == "queued")
 
     def active_count(self, tenant_id: str) -> int:
         """Queued-plus-running jobs of one tenant (the admission input)."""

@@ -19,9 +19,12 @@ Robustness rules (exercised by ``tests/store/test_db_edge_cases.py``):
   schema (wrong ``application_id``) raises :class:`StoreError` instead of
   being clobbered; unlike a corrupt blob, it is clearly live data.
 * **Schema versions** — a database written by a *newer* library raises
-  :class:`StoreError` (we cannot know how to read it); an *older* schema is
-  rebuilt from scratch, which is safe because everything in the store is
-  derived data (caches, observations, checkpoints) that a re-run recreates.
+  :class:`StoreError` (we cannot know how to read it); an *older* one is
+  taken forward version by version, each step dropping only the tables
+  whose layout it changed (:data:`_DROPPED_AFTER`) — the response cache,
+  checkpoints, profiles and jobs a tenant paid for survive an upgrade.  A
+  version from before those steps is rebuilt from scratch, which is safe
+  because everything in the store is derived data that a re-run recreates.
 
 All access goes through :meth:`StoreDB.execute` under one re-entrant lock,
 so a single :class:`StoreDB` can be shared by every thread of a concurrent
@@ -32,7 +35,7 @@ Response-cache writes go through :meth:`StoreDB.buffer` into an overlay
 every cache view on the handle reads first.  Outside a :meth:`StoreDB.step`
 scope each is flushed at once — on disk when ``put`` returns; inside one
 they wait for the scope's exit and reach disk as one transaction, which the
-engine shares with the step's trace rows and checkpoint.
+engine shares with the step's call spans and checkpoint.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ from repro.exceptions import StoreError
 #: pragma so a foreign database file is recognised before it is touched.
 APPLICATION_ID = 0x5250_5253  # spells "RPRS"
 
-#: Bump whenever the table layout changes.  Older stores are rebuilt (their
-#: contents are all derived data); newer stores are refused.
-SCHEMA_VERSION = 5
+#: Bump whenever the table layout changes, with a :data:`_DROPPED_AFTER`
+#: entry for the version left behind.  Newer stores are refused.
+SCHEMA_VERSION = 6
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -83,29 +86,6 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     cost REAL NOT NULL,
     access_seq INTEGER NOT NULL
 );
-CREATE TABLE IF NOT EXISTS traces (
-    trace_id TEXT PRIMARY KEY,
-    origin TEXT NOT NULL,
-    call_id INTEGER NOT NULL,
-    step TEXT,
-    operator TEXT,
-    model TEXT NOT NULL,
-    temperature REAL NOT NULL,
-    prompt TEXT NOT NULL,
-    response TEXT,
-    prompt_tokens INTEGER NOT NULL,
-    completion_tokens INTEGER NOT NULL,
-    cost REAL NOT NULL,
-    duration_ms REAL NOT NULL,
-    cache_hit INTEGER NOT NULL,
-    attempt INTEGER NOT NULL,
-    parse_ok INTEGER,
-    error TEXT,
-    finish_reason TEXT,
-    confidence REAL,
-    span_id INTEGER
-);
-CREATE INDEX IF NOT EXISTS traces_origin ON traces (origin, call_id);
 CREATE TABLE IF NOT EXISTS spans (
     row_id TEXT PRIMARY KEY,
     origin TEXT NOT NULL,
@@ -156,18 +136,23 @@ CREATE TABLE IF NOT EXISTS vector_indexes (
 MAX_PENDING_ROWS = 256
 MAX_PENDING_SECONDS = 1.0
 
-#: Tables dropped when an older schema is rebuilt.
+#: The store's tables (anything else in the file is someone else's).
 _TABLES = (
     "meta",
     "cache",
     "profiles",
     "checkpoints",
-    "traces",
     "spans",
     "jobs",
     "embeddings",
     "vector_indexes",
 )
+
+#: Tables a version-``v`` file loses on its way to ``v + 1``; the schema
+#: script recreates the ones still in use.  6 made a call one ``call`` span
+#: (no ``traces`` table; older call spans lack the record's fields).  A
+#: version without an entry predates these steps and loses every table.
+_DROPPED_AFTER: dict[int, tuple[str, ...]] = {5: ("traces", "spans")}
 
 
 class StoreDB:
@@ -240,11 +225,10 @@ class StoreDB:
                 f"this library's {SCHEMA_VERSION}; upgrade the library (the "
                 "store is not forward-compatible)"
             )
-        if version is not None and version < SCHEMA_VERSION:
-            # Everything in the store is derived data; a layout change simply
-            # invalidates it.  Rebuild rather than attempt a migration.
-            for table in _TABLES:
-                conn.execute(f"DROP TABLE IF EXISTS {table}")
+        if version is not None:
+            for step in range(version, SCHEMA_VERSION):
+                for table in _DROPPED_AFTER.get(step, _TABLES + ("traces",)):
+                    conn.execute(f"DROP TABLE IF EXISTS {table}")
         self._initialize(conn)
         return conn
 

@@ -8,7 +8,7 @@ hand one tenant results priced against another's budget.
 
 :class:`StoreNamespace` is the isolation mechanism: a thin view exposing the
 exact surface sessions, engines, and tracers consume (``response_cache``,
-profile save/apply, checkpoint save/load, trace flush, job rows), with the
+profile save/apply, checkpoint save/load, span flush, job rows), with the
 namespace prefix mixed into every key before it reaches the shared tables:
 
 * cache keys — the prefix is hashed into the SHA-256 key digest
@@ -17,7 +17,7 @@ namespace prefix mixed into every key before it reaches the shared tables:
 * profile names and checkpoint fingerprints — prefixed with ``<ns>::``
   (raw fingerprints are bare hex, so a prefixed key can never collide with
   an unprefixed one);
-* trace origins — prefixed the same way, so a tenant's usage summary can
+* span origins — prefixed the same way, so a tenant's usage summary can
   aggregate exactly its own rows.
 
 A namespaced view is what :class:`~repro.service.tenants.TenantRegistry`
@@ -127,9 +127,6 @@ class StoreNamespace:
 
     def delete_vector_index(self, name: str) -> None:
         self.store.delete_vector_index(self._scoped(name))
-
-    def save_trace_records(self, records: "list[TraceRecord]", *, origin: str) -> None:
-        self.store.save_trace_records(records, origin=self._scoped(origin))
 
     def trace_records(self, *, origin: str | None = None) -> "list[TraceRecord]":
         return self.store.trace_records(

@@ -58,8 +58,8 @@ class Store:
         max_cache_entries: LRU entry cap of the response cache.
         max_cache_bytes: optional LRU byte cap of the response cache.
         max_checkpoints: LRU cap on retained step checkpoints.
-        max_trace_records: FIFO cap on retained call-trace rows.
-        max_span_records: FIFO cap on retained span rows.
+        max_span_records: FIFO cap on retained span rows (call records
+            included: a call is a ``call`` span).
     """
 
     def __init__(
@@ -69,21 +69,17 @@ class Store:
         max_cache_entries: int = 100_000,
         max_cache_bytes: int | None = None,
         max_checkpoints: int = 10_000,
-        max_trace_records: int = 50_000,
         max_span_records: int = 50_000,
         max_embedding_entries: int = 500_000,
     ) -> None:
         if max_checkpoints <= 0:
             raise ValueError("max_checkpoints must be positive")
-        if max_trace_records <= 0:
-            raise ValueError("max_trace_records must be positive")
         if max_span_records <= 0:
             raise ValueError("max_span_records must be positive")
         if max_embedding_entries <= 0:
             raise ValueError("max_embedding_entries must be positive")
         self.db = StoreDB(path)
         self.max_checkpoints = max_checkpoints
-        self.max_trace_records = max_trace_records
         self.max_span_records = max_span_records
         self.max_cache_entries = max_cache_entries
         self.max_cache_bytes = max_cache_bytes
@@ -307,109 +303,15 @@ class Store:
     def clear_checkpoints(self) -> None:
         self.db.execute("DELETE FROM checkpoints")
 
-    # -- call traces --------------------------------------------------------------
-
-    def save_trace_records(
-        self, records: list[TraceRecord], *, origin: str
-    ) -> None:
-        """Upsert a tracer's records atomically, keyed by ``origin:call_id``.
-
-        The tracer re-sends amended records (retry annotations arrive after
-        the initial write), so rows are replaced, not duplicated.  Oldest
-        rows beyond ``max_trace_records`` are evicted FIFO by insertion
-        order.
-        """
-        if not records:
-            return
-        rows = [
-            (
-                f"{origin}:{record.call_id}",
-                origin,
-                record.call_id,
-                record.step,
-                record.operator,
-                record.model,
-                record.temperature,
-                record.prompt,
-                record.response_text,
-                record.prompt_tokens,
-                record.completion_tokens,
-                record.cost,
-                record.duration_ms,
-                int(record.cache_hit),
-                record.attempt,
-                None if record.parse_ok is None else int(record.parse_ok),
-                record.error,
-                record.finish_reason,
-                record.confidence,
-                record.span_id,
-            )
-            for record in records
-        ]
-        with self.db.atomic():
-            self.db.executemany(
-                "INSERT OR REPLACE INTO traces "
-                "(trace_id, origin, call_id, step, operator, model, temperature, "
-                "prompt, response, prompt_tokens, completion_tokens, cost, "
-                "duration_ms, cache_hit, attempt, parse_ok, error, "
-                "finish_reason, confidence, span_id) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-            self.db.evict("traces", self.max_trace_records)
-
-    def trace_records(self, *, origin: str | None = None) -> list[TraceRecord]:
-        """Stored trace records (optionally one session's), oldest first."""
-        sql = (
-            "SELECT call_id, step, operator, model, temperature, prompt, "
-            "response, prompt_tokens, completion_tokens, cost, duration_ms, "
-            "cache_hit, attempt, parse_ok, error, finish_reason, confidence, "
-            "span_id FROM traces"
-        )
-        parameters: tuple = ()
-        if origin is not None:
-            sql += " WHERE origin = ?"
-            parameters = (origin,)
-        sql += " ORDER BY origin, call_id"
-        return [
-            TraceRecord(
-                call_id=int(row[0]),
-                step=row[1],
-                operator=row[2],
-                model=row[3],
-                temperature=float(row[4]),
-                prompt=row[5],
-                response_text=row[6],
-                prompt_tokens=int(row[7]),
-                completion_tokens=int(row[8]),
-                cost=float(row[9]),
-                duration_ms=float(row[10]),
-                cache_hit=bool(row[11]),
-                attempt=int(row[12]),
-                parse_ok=None if row[13] is None else bool(row[13]),
-                error=row[14],
-                finish_reason=row[15],
-                confidence=float(row[16]),
-                span_id=None if row[17] is None else int(row[17]),
-            )
-            for row in self.db.execute(sql, parameters)
-        ]
-
-    def trace_count(self) -> int:
-        return int(self.db.execute("SELECT COUNT(*) FROM traces")[0][0])
-
-    def clear_traces(self) -> None:
-        self.db.execute("DELETE FROM traces")
-
     # -- spans --------------------------------------------------------------------
 
     def save_spans(self, spans: list[Span], *, origin: str) -> None:
         """Upsert a tracker's spans atomically, keyed by ``origin:span_id``.
 
         The tracker re-sends spans whose status or attributes changed
-        after the first flush (a span closes, an observer error is
-        annotated), so rows are replaced, not duplicated.  Oldest rows
-        beyond ``max_span_records`` are evicted FIFO.
+        after the first flush (a span closes, a retry annotates its call,
+        an observer error is annotated), so rows are replaced, not
+        duplicated.  Oldest rows beyond ``max_span_records`` are evicted FIFO.
         """
         if not spans:
             return
@@ -438,16 +340,19 @@ class Store:
             )
             self.db.evict("spans", self.max_span_records)
 
-    def load_spans(self, *, origin: str | None = None) -> list[Span]:
-        """Stored spans (optionally one tracker's), in creation order."""
+    def load_spans(self, *, origin: str | None = None, kind: str | None = None) -> list[Span]:
+        """Stored spans (optionally one tracker's, of one kind), in creation order."""
         sql = (
             "SELECT span_id, parent_id, kind, label, start_time, end_time, "
             "status, attributes FROM spans"
         )
-        parameters: tuple = ()
-        if origin is not None:
-            sql += " WHERE origin = ?"
-            parameters = (origin,)
+        filters = {
+            column: value
+            for column, value in (("origin", origin), ("kind", kind))
+            if value is not None
+        }
+        if filters:
+            sql += " WHERE " + " AND ".join(f"{column} = ?" for column in filters)
         sql += " ORDER BY origin, span_id"
         return [
             Span(
@@ -460,7 +365,7 @@ class Store:
                 status=row[6],
                 attributes=json.loads(row[7]),
             )
-            for row in self.db.execute(sql, parameters)
+            for row in self.db.execute(sql, filters.values())
         ]
 
     def span_count(self) -> int:
@@ -468,6 +373,16 @@ class Store:
 
     def clear_spans(self) -> None:
         self.db.execute("DELETE FROM spans")
+
+    def trace_records(self, *, origin: str | None = None) -> list[TraceRecord]:
+        """Stored call records — the ``call`` spans, as their typed views
+        (optionally one session's), oldest first."""
+        return [
+            TraceRecord.from_span(span) for span in self.load_spans(origin=origin, kind="call")
+        ]
+
+    def trace_count(self) -> int:
+        return int(self.db.execute("SELECT COUNT(*) FROM spans WHERE kind = 'call'")[0][0])
 
     # -- jobs ---------------------------------------------------------------------
 

@@ -1,15 +1,14 @@
 """Structured call tracing and deterministic trace replay.
 
-See :mod:`repro.trace.tracer` for the ring-buffer :class:`Tracer` every
-:class:`~repro.core.session.PromptSession` carries, and
+See :mod:`repro.trace.tracer` for :class:`TraceRecord`, the typed view of a
+``call`` span, and the :class:`Tracer` facade every
+:class:`~repro.core.session.PromptSession` carries over its span ring, and
 :mod:`repro.trace.replay` for rebuilding a recorded run as a zero-live-call
 fixture.
 """
 
 from repro.trace.replay import ReplayLLM, replay_trace
 from repro.trace.tracer import (
-    DEFAULT_CAPACITY,
-    DEFAULT_FLUSH_EVERY,
     TraceLabels,
     TraceRecord,
     Tracer,
@@ -19,8 +18,6 @@ from repro.trace.tracer import (
 )
 
 __all__ = [
-    "DEFAULT_CAPACITY",
-    "DEFAULT_FLUSH_EVERY",
     "ReplayLLM",
     "TraceLabels",
     "TraceRecord",

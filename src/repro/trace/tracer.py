@@ -1,17 +1,16 @@
 """Structured per-call tracing: the audit log of every LLM "worker response".
 
 The paper's declarative-crowdsourcing framing treats each LLM call as one
-crowd worker's answer; this module is the corresponding audit trail.  A
-:class:`Tracer` hangs off a :class:`~repro.core.session.PromptSession` and
-records one :class:`TraceRecord` per call issued through the session —
+crowd worker's answer; this module is the corresponding audit trail.  Every
+call issued through a :class:`~repro.core.session.PromptSession` is recorded
+once, as a ``call`` span in the session's :class:`~repro.obs.SpanTracker` —
 whoever triggered it (an operator's unit task, a retry attempt, a
 validation-sample probe) and whatever happened to it (cache hit, parse
-failure, taxonomy exception).
-
-Records live in a bounded, thread-safe ring buffer, so tracing is always on
-without ever growing without bound, and are flushed best-effort into the
-durable :class:`~repro.store.Store` (``traces`` table) when the session has
-one — a store failure can never sink the call that was being traced.
+failure, taxonomy exception).  A :class:`TraceRecord` is the typed view of
+one such span, built on read; the :class:`Tracer` hanging off the session is
+the record-shaped face of that ring and owns no state of its own, so
+capacity, eviction and the best-effort flush into the durable
+:class:`~repro.store.Store` (``spans`` table) are the tracker's.
 
 Attribution works through a :mod:`contextvars` label: the engine wraps each
 operator run in :func:`trace_label` (``operator="sort:pairwise"``) and each
@@ -24,27 +23,11 @@ the call.
 from __future__ import annotations
 
 import contextvars
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
-from uuid import uuid4
+from dataclasses import dataclass, fields
+from typing import Any, Iterator, Sequence
 
-from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import Store
-
-#: Default ring-buffer capacity: enough for every call of a large pipeline
-#: run while bounding memory (records carry full prompt/response text so
-#: traces stay replayable).
-DEFAULT_CAPACITY = 4096
-
-#: How many unflushed records accumulate before a best-effort store flush
-#: (while the store has a pipeline step open, its own larger bound applies:
-#: the step's settle writes them with the step's other rows).
-DEFAULT_FLUSH_EVERY = 32
+from repro.obs.spans import Span, SpanTracker
 
 
 @dataclass(frozen=True)
@@ -53,6 +36,7 @@ class TraceLabels:
 
     step: str | None = None
     operator: str | None = None
+    job: str | None = None
 
 
 _LABELS: contextvars.ContextVar[TraceLabels] = contextvars.ContextVar(
@@ -67,17 +51,19 @@ def current_labels() -> TraceLabels:
 
 @contextmanager
 def trace_label(
-    *, step: str | None = None, operator: str | None = None
+    *, step: str | None = None, operator: str | None = None, job: str | None = None
 ) -> Iterator[TraceLabels]:
-    """Attribute calls made inside the block to ``step``/``operator``.
+    """Attribute calls made inside the block to ``step``/``operator``/``job``.
 
     Unset fields inherit the enclosing label, so a pipeline step label set
     by the scheduler survives the engine nesting an operator label inside.
+    ``job`` (the service's job id) reaches the ``repro.calls`` log lines only.
     """
     current = _LABELS.get()
     merged = TraceLabels(
         step=step if step is not None else current.step,
         operator=operator if operator is not None else current.operator,
+        job=job if job is not None else current.job,
     )
     token = _LABELS.set(merged)
     try:
@@ -91,7 +77,8 @@ class TraceRecord:
     """One structured record of one LLM call issued through a session.
 
     Attributes:
-        call_id: monotonically increasing id within the tracer.
+        call_id: the id of the call's span (one sequence per session,
+            shared with the pipeline / step / operator spans).
         step: pipeline step name the call served, when known.
         operator: ``"<operation>:<strategy>"`` label of the operator run the
             call served, when known (the same label the planner's call
@@ -113,8 +100,8 @@ class TraceRecord:
             taxonomy, normally) when the call raised; ``None`` on success.
         finish_reason / confidence: carried from the response for replay
             fidelity (confidence drives ensemble voting).
-        span_id: id of the call's span in the session's span tree, linking
-            the flat trace log into the pipeline→wave→step hierarchy.
+        span_id: the same id, under the name that links the flat trace log
+            into the pipeline→wave→step hierarchy.
     """
 
     call_id: int
@@ -145,77 +132,48 @@ class TraceRecord:
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in known})
 
+    @classmethod
+    def from_span(cls, span: Span) -> "TraceRecord":
+        """The record a ``call`` span holds: id and model from the span
+        itself, everything else from its attributes (defaults where absent)."""
+        attributes = span.attributes
+        return cls(
+            call_id=span.span_id,
+            model=span.label,
+            span_id=span.span_id,
+            **{name: attributes[name] for name in _ATTRIBUTES if name in attributes},
+        )
+
+
+#: The fields a call span carries as attributes, under the same names.
+_ATTRIBUTES = tuple(
+    f.name for f in fields(TraceRecord) if f.name not in ("call_id", "model", "span_id")
+)
+
 
 class Tracer:
-    """A thread-safe ring buffer of :class:`TraceRecord` objects.
+    """The call records of a :class:`~repro.obs.SpanTracker`, as records.
 
     Args:
-        capacity: maximum records retained; older records are evicted FIFO.
-        store: optional durable :class:`~repro.store.Store`; records are
-            flushed into its ``traces`` table best-effort (failures are
-            swallowed — tracing must never sink the traced call).
-        flush_every: how many unflushed records trigger an automatic flush.
-        on_drop: optional callback invoked with the eviction count each time
-            the ring evicts records (the session wires this to the
-            ``trace_records_dropped_total`` counter); called outside the
-            tracer lock, and its failures are swallowed.
+        spans: the ring to view (a session passes its own); a private one
+            by default.
     """
 
-    def __init__(
-        self,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        store: "Store | None" = None,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-        on_drop: Any | None = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ConfigurationError("capacity must be positive")
-        if flush_every <= 0:
-            raise ConfigurationError("flush_every must be positive")
-        self.capacity = capacity
-        self.store = store
-        self.flush_every = flush_every
-        self.on_drop = on_drop
-        #: Distinguishes this tracer's rows from other sessions sharing the
-        #: same store file.
-        self.origin = uuid4().hex
-        self._lock = threading.Lock()
-        self._records: OrderedDict[int, TraceRecord] = OrderedDict()
-        self._next_id = 0
-        self._dirty: set[int] = set()
-        self._dropped = 0
+    def __init__(self, spans: SpanTracker | None = None) -> None:
+        self.spans = spans if spans is not None else SpanTracker()
 
     # -- recording ----------------------------------------------------------------
 
-    def record(self, **traced: Any) -> TraceRecord:
+    def record(self, *, model: str = "", **traced: Any) -> TraceRecord:
         """Append one record; labels default from the ambient trace context."""
         labels = current_labels()
         traced.setdefault("step", labels.step)
         traced.setdefault("operator", labels.operator)
-        with self._lock:
-            call_id = self._next_id
-            self._next_id += 1
-            record = TraceRecord(call_id=call_id, **traced)
-            self._records[call_id] = record
-            self._dirty.add(call_id)
-            evictions = 0
-            while len(self._records) > self.capacity:
-                evicted_id, _ = self._records.popitem(last=False)
-                self._dirty.discard(evicted_id)
-                self._dropped += 1
-                evictions += 1
-            dirty = len(self._dirty)
-        if evictions and self.on_drop is not None:
-            try:
-                self.on_drop(evictions)
-            except Exception:
-                pass
-        if dirty >= self.flush_every:
-            db = getattr(self.store, "db", None)
-            if db is None or not db.defers(dirty):
-                self.flush()
-        return record
+        (span,) = self.spans.record_calls(
+            [(model, "ok" if traced.get("error") is None else "error", traced)],
+            duration_seconds=traced.get("duration_ms", 0.0) / 1000.0,
+        )
+        return TraceRecord.from_span(span)
 
     def annotate(self, call_id: int, **updates: Any) -> bool:
         """Amend a record post-hoc (retry attempt index, parse outcome).
@@ -223,79 +181,51 @@ class Tracer:
         Returns whether the record was still in the buffer.  Amended records
         are re-flushed on the next :meth:`flush` (the store upserts by id).
         """
-        with self._lock:
-            record = self._records.get(call_id)
-            if record is None:
-                return False
-            for key, value in updates.items():
-                setattr(record, key, value)
-            self._dirty.add(call_id)
-            return True
+        return self.spans.annotate(call_id, **updates)
 
     # -- inspection ---------------------------------------------------------------
 
     def records(self) -> list[TraceRecord]:
         """A snapshot (copies) of the buffered records, oldest first."""
-        with self._lock:
-            return [replace(record) for record in self._records.values()]
+        return [TraceRecord.from_span(span) for span in self.spans.spans() if span.kind == "call"]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return sum(span.kind == "call" for span in self.spans.spans())
+
+    @property
+    def origin(self) -> str:
+        """Distinguishes this session's rows from others sharing a store file."""
+        return self.spans.origin
 
     @property
     def dropped(self) -> int:
-        """How many records the ring has evicted so far."""
-        with self._lock:
-            return self._dropped
+        """How many spans the ring has evicted so far."""
+        return self.spans.dropped
 
-    def clear(self) -> None:
-        """Drop every buffered record (the store's rows are untouched)."""
-        with self._lock:
-            self._records.clear()
-            self._dirty.clear()
+    @property
+    def on_drop(self) -> Any | None:
+        """The ring's eviction callback."""
+        return self.spans.on_drop
 
     def summarize_records(self) -> dict[str, Any]:
-        """A lock-consistent aggregate of the buffered records.
+        """An aggregate of the buffered records, from one snapshot of the ring.
 
-        Computed in one pass while holding the tracer's lock — no record
-        copies, no torn reads — so a concurrent request handler (the
+        A record is complete before it enters the ring and only a retry
+        annotation ever amends it, so a concurrent request handler (the
         service's usage endpoint) can call this while worker threads keep
         recording.  The shape matches the module-level
         :func:`summarize_records`, plus the ring's ``dropped`` count so an
         aggregate over an overflowing buffer is recognisable as partial.
         """
-        with self._lock:
-            summary = _aggregate(self._records.values())
-            summary["dropped"] = self._dropped
+        summary = _aggregate(self.records())
+        summary["dropped"] = self.dropped
         return summary
 
     # -- persistence --------------------------------------------------------------
 
     def flush(self) -> int:
-        """Best-effort write of unflushed records to the store.
-
-        Returns how many records were written; 0 when there is no store or
-        the write failed (the records stay marked dirty for the next try —
-        a locked database or full disk must never sink the traced call).
-        """
-        if self.store is None:
-            return 0
-        # The ids leave the dirty set before their records are read, so an
-        # amendment racing the write marks its record dirty again.
-        with self._lock:
-            ids = sorted(self._dirty)
-            self._dirty.clear()
-            pending = [self._records[i] for i in ids]
-        if not pending:
-            return 0
-        try:
-            self.store.save_trace_records(pending, origin=self.origin)
-        except Exception:
-            with self._lock:
-                self._dirty.update(i for i in ids if i in self._records)
-            return 0
-        return len(pending)
+        """Best-effort write of the ring's unflushed spans; how many were written."""
+        return self.spans.flush()
 
 
 def _aggregate(records: Any) -> dict[str, Any]:

@@ -169,13 +169,13 @@ class TestRecordSpan:
         tracker = SpanTracker()
         with tracker.span("step") as sp:
             pass
-        tracker.annotate(sp.span_id, retries=2)
-        tracker.annotate(10_000, retries=9)  # silently ignored
-        tracker.annotate(None, retries=9)  # silently ignored
+        assert tracker.annotate(sp.span_id, retries=2)
+        assert not tracker.annotate(10_000, retries=9)  # ignored, and says so
+        assert not tracker.annotate(None, retries=9)
         assert tracker.get(sp.span_id).attributes["retries"] == 2
 
 
-class TestCapacityAndDisable:
+class TestCapacity:
     def test_fifo_eviction_counts_dropped(self):
         tracker = SpanTracker(capacity=3)
         for index in range(5):
@@ -183,15 +183,6 @@ class TestCapacityAndDisable:
         assert len(tracker) == 3
         assert tracker.dropped == 2
         assert [sp.label for sp in tracker.spans()] == ["c2", "c3", "c4"]
-
-    def test_disabled_tracker_is_a_no_op(self):
-        tracker = SpanTracker(enabled=False)
-        with tracker.span("pipeline") as sp:
-            assert sp is None
-            assert current_span_id() is None
-        assert tracker.record_span("call") is None
-        assert tracker.spans() == []
-        assert tracker.dropped == 0
 
     def test_clear_resets_everything(self):
         tracker = SpanTracker(capacity=1)

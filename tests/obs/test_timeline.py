@@ -95,7 +95,7 @@ class TestRenderTimeline:
 
     def test_empty_is_placeholder(self):
         assert render_timeline([]) == "(no spans)"
-        assert render_timeline(SpanTracker(enabled=False)) == "(no spans)"
+        assert render_timeline(SpanTracker()) == "(no spans)"
 
     def test_accepts_report_like_objects(self):
         class FakeReport:

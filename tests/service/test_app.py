@@ -357,3 +357,102 @@ class TestLifespan:
         store.close()
         assert record["status"] == "succeeded"
         assert after.status == 503  # draining after shutdown
+
+
+class TestProbes:
+    def test_healthz_and_readyz_need_no_key(self, tmp_path):
+        app, _, store = build_app(tmp_path)
+        client = ServiceClient(app, api_key=None)
+
+        async def scenario():
+            await client.lifespan_startup()
+            live = await client.get("/healthz")
+            ready = await client.get("/readyz")
+            await client.lifespan_shutdown()
+            return live, ready
+
+        live, ready = asyncio.run(scenario())
+        store.close()
+        assert (live.status, live.json()) == (200, {"status": "ok"})
+        assert ready.status == 200
+        assert ready.json() == {"status": "ready", "failing": [], "queue_depth": 0}
+
+    def test_readyz_names_recovery_until_startup_has_run(self, tmp_path):
+        app, _, store = build_app(tmp_path)
+        client = ServiceClient(app, api_key=None)
+
+        async def scenario():
+            before = await client.get("/readyz")
+            live = await client.get("/healthz")
+            app.startup()
+            after = await client.get("/readyz")
+            await app.shutdown()
+            return before, live, after
+
+        before, live, after = asyncio.run(scenario())
+        store.close()
+        assert before.status == 503
+        assert before.json()["failing"] == ["recovery"]
+        assert live.status == 200  # alive, just not ready
+        assert after.status == 200
+
+    def test_readyz_names_a_store_that_does_not_answer(self, tmp_path):
+        app, _, store = build_app(tmp_path)
+        client = ServiceClient(app, api_key=None)
+
+        async def scenario():
+            app.startup()
+            store.close()
+            response = await client.get("/readyz")
+            await app.shutdown()
+            return response
+
+        response = asyncio.run(scenario())
+        assert response.status == 503
+        assert response.json() == {"status": "unready", "failing": ["store"], "queue_depth": 0}
+
+    def test_readyz_reports_jobs_waiting_for_a_slot(self, tmp_path):
+        app, _, store = build_app(tmp_path)
+        client = ServiceClient(app, api_key=ACME_KEY)
+
+        async def scenario():
+            app.startup()
+            # Accepted, not yet scheduled: the job's task has not run.
+            submitted = await client.post("/v1/pipelines", json_body=pipeline_wire())
+            ready = await client.get("/readyz")
+            await poll_to_terminal(client, submitted.json()["job_id"])
+            idle = await client.get("/readyz")
+            await app.shutdown()
+            return ready, idle
+
+        ready, idle = asyncio.run(scenario())
+        store.close()
+        assert (ready.status, ready.json()["queue_depth"]) == (200, 1)
+        assert idle.json()["queue_depth"] == 0
+
+
+class TestJobCorrelation:
+    def test_a_jobs_call_log_lines_carry_its_id_tenant_and_span_ids(self, tmp_path, caplog):
+        import logging
+
+        app, _, store = build_app(tmp_path)
+        client = ServiceClient(app, api_key=ACME_KEY)
+
+        async def scenario():
+            submitted = await client.post("/v1/pipelines", json_body=pipeline_wire())
+            record = await poll_to_terminal(client, submitted.json()["job_id"])
+            await app.shutdown()
+            return record
+
+        with caplog.at_level(logging.DEBUG, logger="repro.calls"):
+            record = asyncio.run(scenario())
+        lines = [entry for entry in caplog.records if entry.name == "repro.calls"]
+        assert lines and len(lines) == record["report"]["total_calls"]
+        assert {(line.tenant, line.job) for line in lines} == {("acme", record["job_id"])}
+        # Every line's span hangs off the job's root span (the report's id),
+        # and is one of the call records the usage endpoint summarises.
+        tracker = app.registry.get("acme").session.spans
+        subtree = {span.span_id for span in tracker.subtree(record["report"]["span_id"])}
+        assert {line.span_id for line in lines} <= subtree
+        assert all(tracker.get(line.span_id).kind == "call" for line in lines)
+        store.close()

@@ -4,8 +4,8 @@ The service's ``GET /v1/tenants/{id}/usage`` handler reads governor stats
 and trace summaries while the tenant's pipelines are mid-flight on worker
 threads.  These tests hammer each snapshot with concurrent writers and
 assert two things: no exceptions (no torn state), and every snapshot is
-*internally consistent* — a copy taken under the lock, not a live view that
-mutates while the handler serialises it.
+*internally consistent* — a copy taken from one snapshot of the state, not a
+live view that mutates while the handler serialises it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 
 from repro.core.governor import ConcurrencyGovernor, GovernorStats
+from repro.obs import SpanTracker
 from repro.trace.tracer import Tracer
 
 
@@ -96,7 +97,7 @@ class TestTracerSummary:
         assert summary["dropped"] == 0
 
     def test_summary_counts_ring_drops(self):
-        tracer = Tracer(capacity=4)
+        tracer = Tracer(SpanTracker(capacity=4))
         for _ in range(10):
             tracer.record(model="m", cost=0.0)
         summary = tracer.summarize_records()
@@ -104,7 +105,7 @@ class TestTracerSummary:
         assert summary["dropped"] == 6
 
     def test_summary_under_reader_writer_hammer(self):
-        tracer = Tracer(capacity=256)
+        tracer = Tracer(SpanTracker(capacity=256))
         stop = threading.Event()
         errors: list[BaseException] = []
 

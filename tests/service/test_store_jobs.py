@@ -144,7 +144,7 @@ class TestStoreNamespace:
     def test_traces_are_scoped(self, store):
         tracer = Tracer()
         tracer.record(model="m", cost=0.25)
-        store.namespace("acme").save_trace_records(tracer.records(), origin="run-1")
+        store.namespace("acme").save_spans(tracer.spans.spans(), origin="run-1")
         assert len(store.namespace("acme").trace_records(origin="run-1")) == 1
         assert store.namespace("beta").trace_records(origin="run-1") == []
         assert store.trace_records(origin="run-1") == []

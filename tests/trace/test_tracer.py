@@ -1,4 +1,4 @@
-"""Tests for the structured call tracer: ring buffer, labels, store flush."""
+"""Tests for the call-record view of the span ring: labels, ids, store flush."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import pytest
 
 from repro.core.session import PromptSession
 from repro.data.flavors import FLAVORS, flavor_oracle
-from repro.exceptions import ConfigurationError, UnknownModelError
+from repro.exceptions import UnknownModelError
 from repro.llm.simulated import SimulatedLLM
+from repro.obs import SpanTracker
 from repro.store import Store
 from repro.trace import (
     TraceLabels,
@@ -47,18 +48,23 @@ class TestTraceLabels:
 
 
 class TestTracerRing:
-    def test_monotonic_call_ids(self):
+    def test_call_ids_come_from_the_span_sequence(self):
         tracer = Tracer()
-        ids = [tracer.record(model="m", prompt=f"p{i}").call_id for i in range(5)]
-        assert ids == [0, 1, 2, 3, 4]
+        with tracer.spans.span("step", "s") as step:
+            ids = [tracer.record(model="m", prompt=f"p{i}").call_id for i in range(5)]
+        assert ids == [step.span_id + 1 + i for i in range(5)]
+        records = tracer.records()  # the step span is not a call record
+        assert [record.call_id for record in records] == ids
+        assert all(record.span_id == record.call_id for record in records)
+        assert all(tracer.spans.get(i).parent_id == step.span_id for i in ids)
 
     def test_ring_evicts_oldest_and_counts_drops(self):
-        tracer = Tracer(capacity=3)
+        tracer = Tracer(SpanTracker(capacity=3))
         for i in range(5):
             tracer.record(model="m", prompt=f"p{i}")
         assert len(tracer) == 3
         assert tracer.dropped == 2
-        assert [record.call_id for record in tracer.records()] == [2, 3, 4]
+        assert [record.prompt for record in tracer.records()] == ["p2", "p3", "p4"]
 
     def test_records_returns_copies(self):
         tracer = Tracer()
@@ -68,7 +74,7 @@ class TestTracerRing:
         assert tracer.records()[0].model == "m"
 
     def test_annotate_amends_and_reports_eviction(self):
-        tracer = Tracer(capacity=2)
+        tracer = Tracer(SpanTracker(capacity=2))
         first = tracer.record(model="m", prompt="p0")
         tracer.record(model="m", prompt="p1")
         assert tracer.annotate(first.call_id, attempt=2, parse_ok=False)
@@ -76,26 +82,20 @@ class TestTracerRing:
         tracer.record(model="m", prompt="p2")  # evicts call 0
         assert not tracer.annotate(first.call_id, attempt=3)
 
-    def test_invalid_configuration_raises_taxonomy_error(self):
-        with pytest.raises(ConfigurationError):
-            Tracer(capacity=0)
-        with pytest.raises(ConfigurationError):
-            Tracer(flush_every=0)
-
     def test_concurrent_records_get_unique_ids(self):
-        tracer = Tracer(capacity=1000)
+        tracer = Tracer()
         with ThreadPoolExecutor(max_workers=8) as pool:
             records = list(
                 pool.map(lambda i: tracer.record(model="m", prompt=f"p{i}"), range(200))
             )
         ids = [record.call_id for record in records]
-        assert sorted(ids) == list(range(200))
+        assert sorted(ids) == list(range(1, 201))
 
 
 class TestStoreFlush:
     def test_flush_round_trips_through_the_store(self):
         store = Store(":memory:")
-        tracer = Tracer(store=store, flush_every=1000)
+        tracer = Tracer(SpanTracker(store=store, flush_every=1000))
         with trace_label(step="s1", operator="sort:pairwise"):
             tracer.record(
                 model="m",
@@ -119,7 +119,7 @@ class TestStoreFlush:
 
     def test_flush_is_idempotent_and_upserts_annotations(self):
         store = Store(":memory:")
-        tracer = Tracer(store=store, flush_every=1000)
+        tracer = Tracer(SpanTracker(store=store, flush_every=1000))
         record = tracer.record(model="m", prompt="p")
         assert tracer.flush() == 1
         assert tracer.flush() == 0  # nothing dirty
@@ -132,7 +132,7 @@ class TestStoreFlush:
 
     def test_auto_flush_after_flush_every_records(self):
         store = Store(":memory:")
-        tracer = Tracer(store=store, flush_every=4)
+        tracer = Tracer(SpanTracker(store=store, flush_every=4))
         for i in range(4):
             tracer.record(model="m", prompt=f"p{i}")
         assert store.trace_count() == 4
@@ -143,13 +143,13 @@ class TestStoreFlush:
                 self.fail = True
                 self.saved: list = []
 
-            def save_trace_records(self, records, *, origin):
+            def save_spans(self, spans, *, origin):
                 if self.fail:
                     raise RuntimeError("disk full")
-                self.saved.extend(records)
+                self.saved.extend(spans)
 
         store = FailingStore()
-        tracer = Tracer(store=store, flush_every=1)  # type: ignore[arg-type]
+        tracer = Tracer(SpanTracker(store=store, flush_every=1))  # type: ignore[arg-type]
         tracer.record(model="m", prompt="p")  # auto-flush fails silently
         assert store.saved == []
         store.fail = False
@@ -157,17 +157,17 @@ class TestStoreFlush:
         assert len(store.saved) == 1
 
     def test_trace_eviction_keeps_newest_rows(self):
-        store = Store(":memory:", max_trace_records=3)
-        tracer = Tracer(store=store, flush_every=1000)
+        store = Store(":memory:", max_span_records=3)
+        tracer = Tracer(SpanTracker(store=store, flush_every=1000))
         for i in range(5):
             tracer.record(model="m", prompt=f"p{i}")
         tracer.flush()
         loaded = store.trace_records()
         assert [record.prompt for record in loaded] == ["p2", "p3", "p4"]
 
-    def test_store_rejects_nonpositive_trace_cap(self):
+    def test_store_rejects_nonpositive_span_cap(self):
         with pytest.raises(ValueError):
-            Store(":memory:", max_trace_records=0)
+            Store(":memory:", max_span_records=0)
 
 
 class TestSessionIntegration:
