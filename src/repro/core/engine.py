@@ -264,8 +264,8 @@ class DeclarativeEngine:
         return quote
 
     def _dropped_records_note(self) -> str | None:
-        """A warning when the session's span ring has evicted records."""
-        dropped = getattr(getattr(self.session, "spans", None), "dropped", 0)
+        """A warning when the session's span ring has evicted call records."""
+        dropped = getattr(getattr(self.session, "spans", None), "dropped_calls", 0)
         if not dropped:
             return None
         return (

@@ -135,9 +135,11 @@ class SpanTracker:
     sequence, assigned as a span is admitted: a call's ``call_id`` is its
     ``span_id``.
 
-    *on_drop* is called with the eviction count each time the ring evicts
-    (the session wires it to ``repro_trace_records_dropped_total``),
-    outside the lock; its failures are swallowed.
+    *on_drop* is called with the number of ``call`` spans among those a
+    crossing evicted (the session wires it to
+    ``repro_trace_records_dropped_total``), outside the lock; its failures
+    are swallowed.  ``dropped`` counts every evicted span, ``dropped_calls``
+    the call records among them.
 
     Dirty spans are flushed once *flush_every* have accumulated — unless
     the store has a pipeline step open, whose settle writes them with the
@@ -163,6 +165,7 @@ class SpanTracker:
         self._spans: OrderedDict[int, Span] = OrderedDict()
         self._dirty: set[int] = set()
         self._dropped = 0
+        self._dropped_calls = 0
         self._next_id = 1
 
     # -- recording ---------------------------------------------------
@@ -286,7 +289,7 @@ class SpanTracker:
         """Number *spans* and take them into the ring, evicting the oldest."""
 
         ring, dirty = self._spans, self._dirty
-        evicted = 0
+        evicted = calls = 0
         with self._lock:
             span_id = self._next_id
             for sp in spans:
@@ -296,13 +299,16 @@ class SpanTracker:
                 span_id += 1
             self._next_id = span_id
             while len(ring) > self.capacity:
-                dirty.discard(ring.popitem(last=False)[0])
+                old_id, old = ring.popitem(last=False)
+                dirty.discard(old_id)
                 evicted += 1
+                calls += old.kind == "call"
             self._dropped += evicted
+            self._dropped_calls += calls
             pending = len(dirty)
-        if evicted and self.on_drop is not None:
+        if calls and self.on_drop is not None:
             try:
-                self.on_drop(evicted)
+                self.on_drop(calls)
             except Exception:
                 pass
         self._flush_if_due(pending)
@@ -343,6 +349,11 @@ class SpanTracker:
         with self._lock:
             return self._dropped
 
+    @property
+    def dropped_calls(self) -> int:
+        with self._lock:
+            return self._dropped_calls
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
@@ -375,4 +386,4 @@ class SpanTracker:
         with self._lock:
             self._spans.clear()
             self._dirty.clear()
-            self._dropped = 0
+            self._dropped = self._dropped_calls = 0

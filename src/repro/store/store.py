@@ -310,8 +310,9 @@ class Store:
 
         The tracker re-sends spans whose status or attributes changed
         after the first flush (a span closes, a retry annotates its call,
-        an observer error is annotated), so rows are replaced, not
-        duplicated.  Oldest rows beyond ``max_span_records`` are evicted FIFO.
+        an observer error is annotated), so rows are updated in place, not
+        duplicated — a re-sent span keeps its place in the FIFO that evicts
+        the oldest rows beyond ``max_span_records``.
         """
         if not spans:
             return
@@ -332,10 +333,12 @@ class Store:
         ]
         with self.db.atomic():
             self.db.executemany(
-                "INSERT OR REPLACE INTO spans "
+                "INSERT INTO spans "
                 "(row_id, origin, span_id, parent_id, kind, label, "
                 "start_time, end_time, status, attributes) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(row_id) DO UPDATE SET end_time = excluded.end_time, "
+                "status = excluded.status, attributes = excluded.attributes",
                 rows,
             )
             self.db.evict("spans", self.max_span_records)

@@ -1,9 +1,7 @@
 """Trace replay: turn a recorded run into a deterministic LLM fixture.
 
 :func:`replay_trace` builds a :class:`ReplayLLM` from a sequence of
-:class:`~repro.trace.tracer.TraceRecord` objects — or of the spans they are
-views of (a report's ``spans``, ``Store.load_spans()``), of which the
-``call`` ones are read.  The fixture implements
+:class:`~repro.trace.tracer.TraceRecord` objects.  The fixture implements
 the :class:`~repro.llm.base.LLMClient` protocol — ``complete``,
 ``complete_batch``, ``default_model`` — so it drops in anywhere a
 :class:`~repro.llm.simulated.SimulatedLLM` does: hand it to a fresh
@@ -33,7 +31,6 @@ from typing import Iterable, Sequence
 from repro import exceptions
 from repro.exceptions import ContextLengthExceededError, ReproError, TraceError
 from repro.llm.base import BaseClient, LLMResponse
-from repro.obs.spans import Span
 from repro.tokenizer.cost import Usage
 from repro.trace.tracer import TraceRecord
 
@@ -120,20 +117,14 @@ class ReplayLLM(BaseClient):
         )
 
 
-def replay_trace(records: Iterable[TraceRecord | Span]) -> ReplayLLM:
-    """Build a replay fixture from recorded trace records (or ``call`` spans).
+def replay_trace(records: Iterable[TraceRecord]) -> ReplayLLM:
+    """Build a replay fixture from recorded trace records.
 
     Cache-hit records are included: the recorded response text is the same
     whether the recorded call hit the cache or the model, and a replayed
     run with a cold cache needs the answer either way.
     """
-    materialized: list[TraceRecord] = []
-    for record in records:
-        if isinstance(record, Span):
-            if record.kind == "call":
-                materialized.append(TraceRecord.from_span(record))
-        elif record is not None:
-            materialized.append(record)
+    materialized = [record for record in records if record is not None]
     if not materialized:
         raise TraceError("cannot build a replay fixture from an empty trace")
     return ReplayLLM(sorted(materialized, key=lambda record: record.call_id))

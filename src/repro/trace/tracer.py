@@ -199,8 +199,8 @@ class Tracer:
 
     @property
     def dropped(self) -> int:
-        """How many spans the ring has evicted so far."""
-        return self.spans.dropped
+        """How many call records the ring has evicted so far."""
+        return self.spans.dropped_calls
 
     @property
     def on_drop(self) -> Any | None:

@@ -384,10 +384,11 @@ class TestSettle:
             # ... beyond what the row bound already flushed of the long one.
             early = len(SMALL) + MAX_PENDING_ROWS
             assert [row[:2] for row in seen] == [(0, 0), (early, 1)]
-            # The span ring flushes at the same bound, counted over all its
-            # dirty spans (the step's own and its wave's among them): fewer
-            # than that many call records ever wait for a settle.
-            assert seen[0][2] == 0 and total - MAX_PENDING_ROWS < seen[1][2] < total
+            # The span ring flushes at the same bound (soft when a helper thread
+            # joined the step), counted over all its dirty spans: five of them
+            # are structural, not calls — screen's step and wave, which closed
+            # after its settle, and sweep's open wave, step and operator.
+            assert seen[0][2] == 0 and early - 5 <= seen[1][2] < total
             assert (len(other.response_cache()), other.checkpoint_count()) == (total, 2)
             assert other.trace_count() == total
 

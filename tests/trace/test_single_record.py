@@ -28,7 +28,7 @@ from repro.exceptions import UnknownModelError
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import SpanTracker
 from repro.query import Dataset
-from repro.trace import TraceRecord, replay_trace, trace_label
+from repro.trace import Tracer, TraceRecord, replay_trace, trace_label
 from tests.query.support import MODEL, clean_engine, product_corpus
 
 #: sha256 over the sorted records (ids and durations left out) of the two
@@ -80,12 +80,10 @@ class TestEquivalence:
         records = engine.session.tracer.records()
         assert digest(records) == PARENT_ER_DIGEST
 
-        # The spans themselves replay, as the records do.
-        for source in (records, engine.session.spans.spans()):
-            session = PromptSession(replay_trace(source), max_concurrency=width)
-            replayed = run_er(DeclarativeEngine.from_session(session), scheduler)
-            assert replayed.results == original.results
-            assert session.tracker.usage.calls == engine.session.tracker.usage.calls
+        session = PromptSession(replay_trace(records), max_concurrency=width)
+        replayed = run_er(DeclarativeEngine.from_session(session), scheduler)
+        assert replayed.results == original.results
+        assert session.tracker.usage.calls == engine.session.tracker.usage.calls
 
     @pytest.mark.parametrize("width", [1, 8])
     def test_cache_heavy_records_equal_the_parents(self, width):
@@ -186,6 +184,19 @@ class TestOverflow:
         assert [record.call_id for record in session.tracer.records()] == list(range(6, 16))
         assert session.spans.flush() == 10
         assert store.saved == list(range(6, 16))  # the evicted ids left the dirty set
+
+    def test_only_evicted_calls_count_as_dropped_records(self):
+        drops: list[int] = []
+        tracker = SpanTracker(capacity=4, on_drop=drops.append)
+        tracer = Tracer(tracker)
+        with tracker.span("step", "s"), tracker.span("operator", "o"):
+            tracker.record_calls([("m", "ok", {}) for _ in range(4)])  # evicts both structural
+            assert (tracker.dropped, tracker.dropped_calls, tracer.dropped, drops) == (2, 0, 0, [])
+            tracker.record_calls([("m", "ok", {}) for _ in range(3)])
+        assert (tracker.dropped, tracker.dropped_calls, drops) == (5, 3, [3])
+        # What was recorded is what is retained plus what was dropped.
+        assert len(tracer) + tracer.dropped == 7
+        assert tracer.summarize_records()["dropped"] == 3
 
     def test_a_failing_drop_callback_is_swallowed(self):
         def explode(count):

@@ -165,6 +165,23 @@ class TestStoreFlush:
         loaded = store.trace_records()
         assert [record.prompt for record in loaded] == ["p2", "p3", "p4"]
 
+    def test_mixed_kinds_share_the_cap_and_a_reflushed_span_keeps_its_place(self):
+        store = Store(":memory:", max_span_records=6)
+        spans = SpanTracker(store=store, flush_every=1000)
+        tracer = Tracer(spans)
+        with spans.span("step", "s"):
+            with spans.span("operator", "o"):
+                for i in range(3):
+                    tracer.record(model="m", prompt=f"p{i}")
+                spans.flush()  # 5 rows: step, operator (both still open), p0-p2
+            spans.flush()  # the closed operator is updated where it sits
+            for i in range(3, 6):
+                tracer.record(model="m", prompt=f"p{i}")
+        spans.flush()  # 8 spans against a cap of 6: the two oldest rows go
+        assert store.load_spans(kind="step") == store.load_spans(kind="operator") == []
+        assert [record.prompt for record in store.trace_records()] == [f"p{i}" for i in range(6)]
+        assert store.span_count() == store.trace_count() == 6
+
     def test_store_rejects_nonpositive_span_cap(self):
         with pytest.raises(ValueError):
             Store(":memory:", max_span_records=0)
