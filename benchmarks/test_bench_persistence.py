@@ -1,6 +1,8 @@
 """Benchmark — the durable store makes repeat and resumed workloads cheap.
 
-Two production claims of the persistence layer (ISSUE 5), each pinned:
+Two production claims of the persistence layer (ISSUE 5), each pinned by
+exact call counts (timings of the store live in ``benchmarks/perf``'s
+``store_cold`` / ``store_warm`` workloads):
 
 * **Warm-start quote accuracy** — a *fresh process* (new session, new
   engine) that loads the previous run's workload profile quotes the
@@ -26,6 +28,7 @@ from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
 from repro.query import Dataset
 from repro.store import Store
+from tests.doubles import DyingClient
 from tests.query.support import clean_behavior, product_corpus
 
 N_ENTITIES = 12
@@ -66,23 +69,6 @@ def _pipeline() -> PipelineSpec:
     )
 
 
-class _CrashingClient:
-    """Simulates the process dying after ``fail_after`` LLM calls."""
-
-    def __init__(self, inner, fail_after: int) -> None:
-        self._inner = inner
-        self.fail_after = fail_after
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        if self.calls >= self.fail_after:
-            raise RuntimeError("simulated crash")
-        self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-
 def _query(items: list[str]) -> Dataset:
     return (
         Dataset(items, name="persistence-bench")
@@ -91,7 +77,7 @@ def _query(items: list[str]) -> Dataset:
     )
 
 
-def test_warm_start_quote_accuracy_across_processes(benchmark, tmp_path):
+def test_warm_start_quote_accuracy_across_processes(tmp_path):
     items, oracle = product_corpus(n_entities=N_ENTITIES, variants=VARIANTS)
     path = tmp_path / "store.db"
 
@@ -107,17 +93,12 @@ def test_warm_start_quote_accuracy_across_processes(benchmark, tmp_path):
         warm_quote = _query(items).quote(optimized=False, planner=engine.planner())
 
     # Process two: a brand-new session loads the profile from the store.
-    def requote():
-        with Store(path) as store:
-            fresh = PromptSession(
-                SimulatedLLM(oracle, seed=11, behavior=clean_behavior()), store=store
-            )
-            fresh_engine = DeclarativeEngine.from_session(fresh)
-            return fresh_engine.planner(), _query(items).quote(
-                optimized=False, planner=fresh_engine.planner()
-            )
-
-    planner, profile_quote = benchmark.pedantic(requote, rounds=1, iterations=1)
+    with Store(path) as store:
+        fresh = PromptSession(
+            SimulatedLLM(oracle, seed=11, behavior=clean_behavior()), store=store
+        )
+        planner = DeclarativeEngine.from_session(fresh).planner()
+        profile_quote = _query(items).quote(optimized=False, planner=planner)
 
     cold_error = abs(cold_quote.total_calls - actual_calls)
     warm_error = abs(warm_quote.total_calls - actual_calls)
@@ -143,7 +124,7 @@ def test_warm_start_quote_accuracy_across_processes(benchmark, tmp_path):
     assert planner.stats.filter_selectivity("keeps everything") == pytest.approx(1.0)
 
 
-def test_resumed_run_spends_only_the_unfinished_subtree(benchmark, tmp_path):
+def test_resumed_run_spends_only_the_unfinished_subtree(tmp_path):
     # Reference: one uninterrupted run.
     reference_path = tmp_path / "reference.db"
     with Store(reference_path) as store:
@@ -156,18 +137,15 @@ def test_resumed_run_spends_only_the_unfinished_subtree(benchmark, tmp_path):
     crash_path = tmp_path / "crash.db"
     with Store(crash_path) as store:
         crashing = PromptSession(
-            _CrashingClient(_letters_llm(), fail_after=screen_calls), store=store
+            DyingClient(_letters_llm(), fail_after=screen_calls), store=store
         )
         with pytest.raises(RuntimeError, match="simulated crash"):
             DeclarativeEngine.from_session(crashing).run_pipeline(_pipeline())
 
     # Resume in a fresh process against the same store.
-    def resume():
-        with Store(crash_path) as store:
-            session = PromptSession(_letters_llm(), store=store)
-            return DeclarativeEngine.from_session(session).run_pipeline(_pipeline())
-
-    resumed = benchmark.pedantic(resume, rounds=1, iterations=1)
+    with Store(crash_path) as store:
+        session = PromptSession(_letters_llm(), store=store)
+        resumed = DeclarativeEngine.from_session(session).run_pipeline(_pipeline())
 
     # Rerun the whole pipeline once more: everything restores, zero calls.
     with Store(crash_path) as store:

@@ -15,8 +15,9 @@ latency, then
    the wall-clock against the thread-pool path at its default pool size,
 2. re-runs the fan-out under a :class:`~repro.core.ConcurrencyGovernor`
    with an RPM quota, showing dispatch pacing out at the configured rate,
-3. drives a two-branch DAG pipeline through ``scheduler="async"`` and
-   checks it produces the same report as the thread scheduler.
+3. awaits a two-branch DAG pipeline on the asyncio scheduler
+   (``asyncio.run(engine.run_pipeline_async(spec))``) and checks it
+   produces the same report as ``engine.run_pipeline(spec)``.
 """
 
 from __future__ import annotations
@@ -125,10 +126,10 @@ def async_pipeline() -> None:
         )
 
     thread_report = engine().run_pipeline(pipeline)
-    async_report = engine().run_pipeline(pipeline, scheduler="async")
+    async_report = asyncio.run(engine().run_pipeline_async(pipeline))
     assert async_report.results["merge"] == thread_report.results["merge"]
     assert async_report.total_calls == thread_report.total_calls
-    print("\nDAG pipeline, scheduler='async' vs 'threads':")
+    print("\nDAG pipeline, run_pipeline_async vs run_pipeline:")
     print(f"  identical merge order ({len(async_report.results['merge'])} items), "
           f"identical call count ({async_report.total_calls})")
     print(f"  step order: {' -> '.join(async_report.step_order)}")

@@ -5,14 +5,15 @@ Run with:  python examples/budget_workflow.py
 Shows the engine-level plumbing the paper's vision requires: one
 PromptSession (shared cache, tracker, budget) spanning a filtering step, a
 sorting step, and a top-k step, with multi-model quality control on the
-filter.
+filter.  The pipeline is declared once, as a PipelineSpec whose steps name
+what they depend on, and the engine runs it.
 """
 
 from __future__ import annotations
 
-from repro import PromptSession, SimulatedLLM
+from repro import DeclarativeEngine, PromptSession, SimulatedLLM
 from repro.core.budget import Budget
-from repro.core.workflow import Workflow
+from repro.core.spec import PipelineSpec, PipelineStep
 from repro.data import FLAVORS, flavor_oracle
 from repro.operators import FilterOperator, SortOperator, TopKOperator
 
@@ -44,13 +45,21 @@ def main() -> None:
         operator = TopKOperator(session_.client(), CRITERION, model="sim-gpt-3.5-turbo")
         return operator.run(results["sort"], k=3, strategy="hybrid_rating_comparison").top_items
 
-    workflow = (
-        Workflow("chocolate-shortlist")
-        .add_step("filter", filter_step, description="keep chocolate-forward flavors")
-        .add_step("sort", sort_step, description="rank the survivors")
-        .add_step("top", top_step, description="pick the top three")
+    pipeline = PipelineSpec(
+        name="chocolate-shortlist",
+        steps=[
+            PipelineStep(
+                "filter", run=filter_step, description="keep chocolate-forward flavors"
+            ),
+            PipelineStep(
+                "sort", run=sort_step, depends_on=("filter",), description="rank the survivors"
+            ),
+            PipelineStep(
+                "top", run=top_step, depends_on=("sort",), description="pick the top three"
+            ),
+        ],
     )
-    report = workflow.execute(session)
+    report = DeclarativeEngine.from_session(session).run_pipeline(pipeline)
 
     print(f"flavors kept by the filter : {len(report.results['filter'])} of {len(FLAVORS)}")
     print(f"top three flavors          : {report.results['top']}")

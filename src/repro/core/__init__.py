@@ -45,7 +45,7 @@ from repro.core.spec import (
     TaskSpec,
     TopKSpec,
 )
-from repro.core.workflow import Workflow, WorkflowReport, WorkflowStep
+from repro.core.workflow import Workflow, WorkflowReport
 
 # The fluent query frontend compiles onto this package's engine; imported
 # last so repro.query can import the core submodules above.
@@ -97,5 +97,4 @@ __all__ = [
     "transitive_dependencies",
     "Workflow",
     "WorkflowReport",
-    "WorkflowStep",
 ]

@@ -36,9 +36,8 @@ pending steps.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import replace
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core.budget import Budget, BudgetLease
@@ -53,19 +52,14 @@ from repro.core.spec import (
     ImputeSpec,
     JoinSpec,
     PipelineSpec,
+    PipelineStep,
     ResolveSpec,
     SortSpec,
     TaskSpec,
     TopKSpec,
 )
 from repro.core.governor import ConcurrencyGovernor
-from repro.core.workflow import (
-    StepReport,
-    Workflow,
-    WorkflowReport,
-    WorkflowStep,
-    reject_running_loop,
-)
+from repro.core.workflow import StepReport, Workflow, WorkflowReport
 from repro.exceptions import SpecError, StoreError
 from repro.llm.base import Body, Invoke, LLMClient, adrive, drive
 from repro.llm.registry import ModelRegistry
@@ -133,9 +127,7 @@ class DeclarativeEngine:
         (under whatever step span is ambient) carry the same text, so the
         span waterfall and the trace records name the same work identically.
         """
-        tracker = getattr(self.session, "spans", None)
-        span = tracker.span("operator", label) if tracker is not None else nullcontext()
-        with trace_label(operator=label), span:
+        with trace_label(operator=label), self.session.spans.span("operator", label):
             yield
 
     @property
@@ -265,7 +257,7 @@ class DeclarativeEngine:
 
     def _dropped_records_note(self) -> str | None:
         """A warning when the session's span ring has evicted call records."""
-        dropped = getattr(getattr(self.session, "spans", None), "dropped_calls", 0)
+        dropped = self.session.spans.dropped_calls
         if not dropped:
             return None
         return (
@@ -276,21 +268,20 @@ class DeclarativeEngine:
 
     def run_pipeline(
         self,
-        pipeline: PipelineSpec | Workflow,
+        pipeline: PipelineSpec,
         *,
         quote: PipelineQuote | None = None,
         max_concurrency: int | None = None,
         store: "Store | None" = None,
-        scheduler: str = "threads",
         on_step: "Callable[[StepReport], None] | None" = None,
     ) -> WorkflowReport:
-        """Run a declarative pipeline (or a pre-built workflow) as a DAG.
+        """Run a declarative pipeline as a DAG.
 
         Independent steps run concurrently on the session's executor; spec
         steps are executed by this engine under per-step budget leases
         apportioned from whatever remains of the session budget, weighted by
-        the pre-flight quote.  When no ``quote`` is passed and ``pipeline``
-        is a spec, one is computed automatically and attached to the report.
+        the pre-flight quote.  When no ``quote`` is passed one is computed
+        and attached to the report.
 
         With a :class:`~repro.store.Store` (passed here, or already attached
         to the session), execution is **checkpointed**: every completed spec
@@ -303,44 +294,39 @@ class DeclarativeEngine:
         saved back to the store after the run.
 
         Args:
-            pipeline: a :class:`~repro.core.spec.PipelineSpec`, or a
-                :class:`~repro.core.workflow.Workflow` built by hand.
+            pipeline: the :class:`~repro.core.spec.PipelineSpec` to run.
             quote: optional pre-computed quote (avoids re-estimating).
             max_concurrency: scheduler pool size for independent steps;
                 defaults to the session's ``max_concurrency``.
             store: durable store for checkpoints/profile; defaults to the
                 session's own store when it has one.
-            scheduler: ``"threads"`` (default) or ``"async"`` — forwarded to
-                :meth:`~repro.core.workflow.Workflow.execute`.  The async
-                scheduler awaits native-async clients on one event loop and
-                bridges the engine's sync spec steps into worker threads.
             on_step: optional observer called with each step's
                 :class:`~repro.core.workflow.StepReport` as it settles
                 (``restored`` already stamped); the service layer streams
                 these to polling clients.
         """
-        if scheduler == "async":
-            reject_running_loop("DeclarativeEngine.run_pipeline_async")
-        execute = partial(Workflow.execute, scheduler=scheduler)
-        return drive(self._pipeline(pipeline, quote, max_concurrency, store, on_step, execute))
+        return drive(
+            self._pipeline(pipeline, quote, max_concurrency, store, on_step, Workflow.execute)
+        )
 
     async def run_pipeline_async(
         self,
-        pipeline: PipelineSpec | Workflow,
+        pipeline: PipelineSpec,
         *,
         quote: PipelineQuote | None = None,
         max_concurrency: int | None = None,
         store: "Store | None" = None,
         on_step: "Callable[[StepReport], None] | None" = None,
     ) -> WorkflowReport:
-        """Awaitable :meth:`run_pipeline` for callers already inside a loop.
+        """Awaitable :meth:`run_pipeline`, on the asyncio scheduler.
 
-        ``run_pipeline(..., scheduler="async")`` drives its own event loop
-        via ``asyncio.run`` and therefore cannot be called from a running
-        loop (an ASGI request handler, the service's job manager).  This
-        entry point awaits :meth:`Workflow.execute_async` directly instead:
-        same quoting, checkpointing, profile persistence, and report — the
-        only difference is who owns the loop.
+        For callers already inside a loop (an ASGI request handler, the
+        service's job manager); sync code that wants this scheduler writes
+        ``asyncio.run(engine.run_pipeline_async(spec))``.  Same quoting,
+        checkpointing, profile persistence, and report — it awaits
+        :meth:`Workflow.execute_async`, which runs native-async clients on
+        the loop and bridges the engine's sync spec steps into worker
+        threads.
         """
         return await adrive(
             self._pipeline(
@@ -350,7 +336,7 @@ class DeclarativeEngine:
 
     def _pipeline(
         self,
-        pipeline: PipelineSpec | Workflow,
+        pipeline: PipelineSpec,
         quote: PipelineQuote | None,
         max_concurrency: int | None,
         store: "Store | None",
@@ -363,23 +349,17 @@ class DeclarativeEngine:
         :meth:`Workflow.execute` or :meth:`Workflow.execute_async`, handed to
         the driver — then restored flags, observability and the profile.
         """
-        if isinstance(pipeline, Workflow):
-            workflow = pipeline
-        else:
-            workflow = Workflow.from_pipeline(pipeline)
-            if quote is None:
-                quote = self.quote_pipeline(pipeline)
+        workflow = Workflow.from_pipeline(pipeline)
+        if quote is None:
+            quote = self.quote_pipeline(pipeline)
         if store is None:
-            store = getattr(self.session, "store", None)
+            store = self.session.store
         restored: set[str] = set()
-        if store is None:
-            spec_runner: Any = self._run_pipeline_step
-        else:
 
-            def spec_runner(
-                step: WorkflowStep, inputs: Mapping[str, Any], lease: BudgetLease | None
-            ) -> Any:
-                return self._run_checkpointed_step(store, restored, step, inputs, lease)
+        def spec_runner(
+            step: PipelineStep, inputs: Mapping[str, Any], lease: BudgetLease | None
+        ) -> Any:
+            return self._run_step(store, restored, step, inputs, lease)
 
         observer = on_step
         if on_step is not None:
@@ -415,7 +395,7 @@ class DeclarativeEngine:
             raise
         for name in restored:
             report.step_reports[name].restored = True
-        self._absorb_observability(report, workflow.name)
+        self._absorb_observability(report, pipeline.name)
         # Persist the (possibly newly grown) observations so the next
         # session warm-starts its quotes from this run.
         self._save_profile(store)
@@ -431,17 +411,16 @@ class DeclarativeEngine:
         :class:`~repro.core.physical.RuntimeStats` under the pipeline's
         name.  Trace-ring drops surface as an advisory note.
         """
-        tracker = getattr(self.session, "spans", None)
-        if tracker is not None and report.span_id is not None:
-            report.spans = tracker.subtree(report.span_id)
-            path = critical_path(report.spans)
-            if path.seconds > 0:
-                self.stats.record_critical_path(pipeline_name, path.seconds)
-            # Best effort: spans are diagnostics, never a run failure.
-            try:
-                tracker.flush()
-            except Exception:
-                pass
+        tracker = self.session.spans
+        report.spans = tracker.subtree(report.span_id)
+        path = critical_path(report.spans)
+        if path.seconds > 0:
+            self.stats.record_critical_path(pipeline_name, path.seconds)
+        # Best effort: spans are diagnostics, never a run failure.
+        try:
+            tracker.flush()
+        except Exception:
+            pass
         note = self._dropped_records_note()
         if note is not None and note not in report.notes:
             report.notes.append(note)
@@ -457,12 +436,10 @@ class DeclarativeEngine:
         """
         if store is None:
             return
-        store.save_profile(
-            self.session.stats, merge=store is not getattr(self.session, "store", None)
-        )
+        store.save_profile(self.session.stats, merge=store is not self.session.store)
 
     def _materialize_step_task(
-        self, step: WorkflowStep, inputs: Mapping[str, Any]
+        self, step: PipelineStep, inputs: Mapping[str, Any]
     ) -> TaskSpec:
         """The concrete spec a pipeline step will execute (factories applied)."""
         task = step.task
@@ -481,24 +458,15 @@ class DeclarativeEngine:
             raise SpecError(f"pipeline step {step.name!r}: {exc}") from exc
         return task
 
-    def _run_pipeline_step(
+    def _run_step(
         self,
-        step: WorkflowStep,
-        inputs: Mapping[str, Any],
-        lease: BudgetLease | None,
-    ) -> Any:
-        with trace_label(step=step.name):
-            return self.run_spec(self._materialize_step_task(step, inputs), budget=lease)
-
-    def _run_checkpointed_step(
-        self,
-        store: "Store",
+        store: "Store | None",
         restored: set[str],
-        step: WorkflowStep,
+        step: PipelineStep,
         inputs: Mapping[str, Any],
         lease: BudgetLease | None,
     ) -> Any:
-        """Run one spec step through the checkpoint store.
+        """Run one spec step, through the checkpoint store when there is one.
 
         The fingerprint is computed over the *concrete* spec (factories
         already applied), so it content-addresses the step's resolved
@@ -509,38 +477,30 @@ class DeclarativeEngine:
         bypass the store (re-running is always correct).
         """
         with trace_label(step=step.name):
-            return self._checkpointed_step(store, restored, step, inputs, lease)
-
-    def _checkpointed_step(
-        self,
-        store: "Store",
-        restored: set[str],
-        step: WorkflowStep,
-        inputs: Mapping[str, Any],
-        lease: BudgetLease | None,
-    ) -> Any:
-        task = self._materialize_step_task(step, inputs)
-        try:
-            fingerprint = fingerprint_spec(task)
-        except StoreError:
-            return self.run_spec(task, budget=lease)
-        try:
-            cached = store.load_checkpoint(fingerprint)
-        except Exception:
-            # A mangled row or a database error must never sink a resume:
-            # re-running the step is always correct, so a failed load is
-            # just a miss.
-            cached = None
-        if cached is not None:
-            restored.add(step.name)
-            return cached
-        result = None
-        with store.db.step():
+            task = self._materialize_step_task(step, inputs)
+            fingerprint = None
+            if store is not None:
+                with suppress(StoreError):
+                    fingerprint = fingerprint_spec(task)
+            if fingerprint is None:
+                return self.run_spec(task, budget=lease)
             try:
-                result = self.run_spec(task, budget=lease)
-            finally:
-                self._settle_step(store, fingerprint, task, result)
-        return result
+                cached = store.load_checkpoint(fingerprint)
+            except Exception:
+                # A mangled row or a database error must never sink a resume:
+                # re-running the step is always correct, so a failed load is
+                # just a miss.
+                cached = None
+            if cached is not None:
+                restored.add(step.name)
+                return cached
+            result = None
+            with store.db.step():
+                try:
+                    result = self.run_spec(task, budget=lease)
+                finally:
+                    self._settle_step(store, fingerprint, task, result)
+            return result
 
     def _settle_step(
         self, store: "Store", fingerprint: str, task: TaskSpec, result: Any
@@ -556,7 +516,7 @@ class DeclarativeEngine:
         must not fail a step whose (paid-for) LLM work already succeeded.
         """
         db = store.db
-        session_store = getattr(self.session, "store", None)
+        session_store = self.session.store
         with suppress(Exception), db.atomic():
             db.flush()
             # A span ring on another handle would wait on this transaction.

@@ -607,8 +607,12 @@ class CostPlanner:
                 return max(observed, 1e-6)
         return prior
 
-    def quote_pipeline(self, pipeline: PipelineSpec) -> PipelineQuote:
-        """Quote a whole pipeline before running it.
+    def quote_pipeline(
+        self,
+        pipeline: PipelineSpec,
+        estimates: Mapping[str, CostEstimate] | None = None,
+    ) -> PipelineQuote:
+        """Quote a whole pipeline before running it (the one quote assembler).
 
         Every step whose spec is statically known is estimated through
         :meth:`estimate_spec`; the quote's call/token/dollar totals are by
@@ -618,9 +622,13 @@ class CostPlanner:
         quote is the critical path, not the sum.  Pure-python steps and
         spec factories (whose inputs only exist once upstream steps have
         run) are listed in :attr:`PipelineQuote.unquoted` rather than
-        silently priced at zero.
+        silently priced at zero — unless the caller already priced them:
+        ``estimates`` maps such a step's name to an estimate computed over
+        *expected* inputs (the query compiler sizes factory steps from
+        selectivities), which the quote carries as given.
         """
         pipeline.validate()
+        priced = estimates or {}
         steps: dict[str, CostEstimate] = {}
         unquoted: list[str] = []
         dependencies: dict[str, tuple[str, ...]] = {}
@@ -633,6 +641,8 @@ class CostPlanner:
                 hits, probed = steps[step.name].known_cached
                 known_hits += hits
                 known_probed += probed
+            elif step.name in priced:
+                steps[step.name] = priced[step.name]
             else:
                 unquoted.append(step.name)
         notes: list[str] = []

@@ -513,9 +513,9 @@ class BudgetScopedSession(SessionClient):
 
     Everything else — tracker, cache, config, registry — forwards to the
     underlying session.  The pipeline scheduler hands one of these to
-    callable steps when the workflow carries its own ``budget_dollars`` cap,
+    callable steps when the pipeline carries its own ``budget_dollars`` cap,
     so even a raw ``session.complete`` call inside a step counts against the
-    workflow's lease (which forwards every dollar to the session budget).
+    pipeline's lease (which forwards every dollar to the session budget).
     """
 
     def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:

@@ -1,29 +1,23 @@
 """DAG pipeline engine: dependency-scheduled workflows over one session.
 
-A workflow is a set of named steps connected by ``depends_on`` edges.  The
-scheduler topologically sorts the graph into *waves* of mutually independent
-steps, runs each wave through the session's
+A :class:`Workflow` is the scheduler of one
+:class:`~repro.core.spec.PipelineSpec` — the only description of a pipeline:
+named :class:`~repro.core.spec.PipelineStep` objects connected by
+``depends_on`` edges, each a ``run`` callable ``(session, inputs) -> result``
+or a ``task`` (an operator spec, or a factory building one from upstream
+results) that the engine executes
+(:meth:`~repro.core.engine.DeclarativeEngine.run_pipeline`), quoting the
+pipeline a priori and apportioning the budget per step.  The scheduler
+topologically sorts the graph into *waves* of mutually independent steps,
+runs each wave through the session's
 :class:`~repro.core.executor.BatchExecutor` (so independent branches overlap
 in wall-clock time when ``max_concurrency > 1``), and hands every step the
 results of its transitive dependencies.  One
 :class:`~repro.core.session.PromptSession` — one cache, one tracker, one
 budget — spans the whole pipeline.
 
-Steps come in two kinds:
-
-* **Callable steps** (:meth:`Workflow.add_step`) — ``(session, inputs) ->
-  result``, the original API.  Calling ``add_step`` without ``depends_on``
-  chains the step after the previous one, so the legacy linear workflow is
-  just the degenerate chain DAG and keeps its exact semantics.
-* **Spec steps** (:meth:`Workflow.add_task`, or declaratively via a
-  :class:`~repro.core.spec.PipelineSpec`) — an operator spec (``SortSpec``,
-  ``ResolveSpec``, ``ImputeSpec``, ...) or a factory building one from
-  upstream results.  These are executed by the engine
-  (:meth:`~repro.core.engine.DeclarativeEngine.run_pipeline`), which can
-  quote the pipeline a priori and apportion the budget per step.
-
 Budget semantics: before each round the scheduler checks the budget (the
-session budget, or a tighter workflow-level ``budget_dollars`` lease) and
+session budget, or a tighter pipeline-level ``budget_dollars`` lease) and
 splits the remaining dollars over the still-pending spec steps (weighted by
 the pre-flight quote when one is supplied, equally otherwise; run-only
 callable steps never charge the budget and get no share).  Each spec step
@@ -43,17 +37,15 @@ element-wise identical to the linear chain (the equivalence suite in
 
 from __future__ import annotations
 
-import asyncio
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.budget import BudgetLease
 from repro.core.dag import topological_waves, transitive_dependencies
 from repro.core.session import BudgetScopedSession, PromptSession
-from repro.core.spec import PipelineSpec, SpecFactory, TaskSpec
-from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
+from repro.core.spec import PipelineSpec, PipelineStep
+from repro.exceptions import BudgetExceededError, SpecError
 from repro.llm.base import Body, Invoke, adrive, drive
 from repro.operators.base import OperatorResult
 
@@ -62,48 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A spec-step executor: ``(step, inputs, lease) -> result``.  Supplied by
 #: the engine; plain sessions cannot run operator specs themselves.
-SpecRunner = Callable[["WorkflowStep", Mapping[str, Any], BudgetLease | None], Any]
+SpecRunner = Callable[[PipelineStep, Mapping[str, Any], BudgetLease | None], Any]
 
 #: A step-completion observer: called with each step's :class:`StepReport`
 #: the moment the step settles (``completed`` or ``stopped``).  The service
 #: layer streams these to polling clients.
 StepObserver = Callable[["StepReport"], None]
-
-
-def reject_running_loop(awaitable: str) -> None:
-    """Refuse ``scheduler="async"`` from inside an event loop, naming the way out.
-
-    That scheduler drives its own loop with ``asyncio.run``, which cannot
-    nest; checking first (rather than letting ``asyncio.run`` fail) means no
-    coroutine is built only to be dropped un-awaited.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return
-    raise ConfigurationError(
-        'scheduler="async" drives its own event loop and cannot be used from '
-        f"inside a running one; await {awaitable} instead"
-    )
-
-
-@dataclass
-class WorkflowStep:
-    """One step of a workflow.
-
-    Attributes:
-        name: unique step name; dependents read this step's result by name.
-        run: callable ``(session, inputs) -> result`` (callable steps only).
-        task: operator spec or spec factory (spec steps only).
-        depends_on: names of the steps this one consumes.
-        description: human-readable summary, used in reports.
-    """
-
-    name: str
-    run: Callable[[PromptSession, dict[str, Any]], Any] | None = None
-    task: TaskSpec | SpecFactory | None = None
-    depends_on: tuple[str, ...] = ()
-    description: str = ""
 
 
 @dataclass
@@ -125,7 +81,7 @@ class StepReport:
             made no LLM calls for the step (the report's ``total_*`` deltas
             already reflect that).
         span_id: id of the step's span in the session's span tree (None when
-            the step never dispatched or the session keeps no spans); streamed
+            the step never dispatched); streamed
             in SSE step events so clients can join events to spans/traces.
     """
 
@@ -187,7 +143,7 @@ class WorkflowReport:
     stopped_early: bool = False
     stop_reason: str = ""
     quote: "PipelineQuote | None" = None
-    #: Root span id of this run's pipeline span (None when untraced).
+    #: Root span id of this run's pipeline span (None until a run sets it).
     span_id: int | None = None
     #: Operational warnings (trace-ring drops, partial observability) —
     #: advisory, never a failure.
@@ -294,88 +250,22 @@ class WorkflowReport:
 
 
 class Workflow:
-    """A named DAG of steps sharing one session.
+    """The DAG scheduler of one validated :class:`~repro.core.spec.PipelineSpec`.
 
-    ``budget_dollars`` optionally caps this workflow's spend independently of
-    the session's own limit: at execution the cap becomes a
+    The spec's ``budget_dollars`` optionally caps the run's spend
+    independently of the session's own limit: at execution the cap becomes a
     :class:`~repro.core.budget.BudgetLease` over the session budget, so the
     scheduler apportions and stops against whichever is tighter.
     """
 
-    def __init__(self, name: str = "workflow", *, budget_dollars: float | None = None) -> None:
-        self.name = name
-        self.budget_dollars = budget_dollars
-        self._steps: list[WorkflowStep] = []
-
-    # -- construction -----------------------------------------------------------
-
-    def _add(self, step: WorkflowStep) -> "Workflow":
-        if any(existing.name == step.name for existing in self._steps):
-            raise SpecError(f"duplicate workflow step name: {step.name!r}")
-        self._steps.append(step)
-        return self
-
-    def add_step(
-        self,
-        name: str,
-        run: Callable[[PromptSession, dict[str, Any]], Any],
-        *,
-        depends_on: tuple[str, ...] | None = None,
-        description: str = "",
-    ) -> "Workflow":
-        """Add a callable step; returns ``self`` so calls can be chained.
-
-        Without ``depends_on`` the step chains after the previously added
-        step (the legacy linear API); pass an explicit tuple — possibly
-        empty — to place the step anywhere in the DAG.
-        """
-        if depends_on is None:
-            depends_on = (self._steps[-1].name,) if self._steps else ()
-        return self._add(
-            WorkflowStep(
-                name=name, run=run, depends_on=tuple(depends_on), description=description
-            )
-        )
-
-    def add_task(
-        self,
-        name: str,
-        task: TaskSpec | SpecFactory,
-        *,
-        depends_on: tuple[str, ...] = (),
-        description: str = "",
-    ) -> "Workflow":
-        """Add a spec step executed by the engine (see module docstring)."""
-        return self._add(
-            WorkflowStep(
-                name=name, task=task, depends_on=tuple(depends_on), description=description
-            )
-        )
+    def __init__(self, pipeline: PipelineSpec) -> None:
+        pipeline.validate()
+        self.pipeline = pipeline
 
     @classmethod
     def from_pipeline(cls, pipeline: PipelineSpec) -> "Workflow":
-        """Build a scheduled workflow from a declarative pipeline spec."""
-        pipeline.validate()
-        workflow = cls(pipeline.name, budget_dollars=pipeline.budget_dollars)
-        for step in pipeline.steps:
-            workflow._add(
-                WorkflowStep(
-                    name=step.name,
-                    run=step.run,
-                    task=step.task,
-                    depends_on=tuple(step.depends_on),
-                    description=step.description,
-                )
-            )
-        return workflow
-
-    @property
-    def steps(self) -> list[WorkflowStep]:
-        return list(self._steps)
-
-    def waves(self) -> list[list[str]]:
-        """The wave decomposition the scheduler will execute."""
-        return topological_waves({step.name: list(step.depends_on) for step in self._steps})
+        """The scheduler for ``pipeline`` (:class:`SpecError` if it is inconsistent)."""
+        return cls(pipeline)
 
     # -- execution --------------------------------------------------------------
 
@@ -386,10 +276,12 @@ class Workflow:
         max_concurrency: int | None = None,
         spec_runner: SpecRunner | None = None,
         quote: "PipelineQuote | None" = None,
-        scheduler: str = "threads",
         on_step: StepObserver | None = None,
     ) -> WorkflowReport:
-        """Run the DAG against ``session``, wave by wave.
+        """Run the DAG against ``session``, wave by wave, on the calling thread.
+
+        Each wave goes through the session's threaded
+        :class:`~repro.core.executor.BatchExecutor`.
 
         Args:
             session: shared execution context (cache, tracker, budget).
@@ -397,32 +289,13 @@ class Workflow:
                 in flight; defaults to the session's ``max_concurrency``.
             spec_runner: executes spec steps (the engine supplies this —
                 see :meth:`DeclarativeEngine.run_pipeline`); required only
-                when the workflow contains spec steps.
+                when the pipeline contains spec steps.
             quote: optional pre-flight quote whose per-step dollar estimates
                 weight the budget apportionment.
-            scheduler: ``"threads"`` (the default) runs each wave through
-                the session's threaded :class:`~repro.core.executor.
-                BatchExecutor`; ``"async"`` drives its own event loop and
-                runs the waves through the asyncio-native scheduler (see
-                :meth:`execute_async` — call that directly from inside an
-                already-running loop).
             on_step: optional observer called with each step's
                 :class:`StepReport` as the step settles; observer errors are
                 swallowed (an observer must never sink the run).
         """
-        if scheduler == "async":
-            reject_running_loop("Workflow.execute_async")
-            return asyncio.run(
-                self.execute_async(
-                    session,
-                    max_concurrency=max_concurrency,
-                    spec_runner=spec_runner,
-                    quote=quote,
-                    on_step=on_step,
-                )
-            )
-        if scheduler != "threads":
-            raise SpecError(f"unknown scheduler {scheduler!r} (expected 'threads' or 'async')")
         return drive(
             self._schedule(
                 session, session.batch_executor, max_concurrency, spec_runner, quote, on_step
@@ -473,9 +346,9 @@ class Workflow:
         """
         state = self._prepare_execution(session, spec_runner, quote)
         executor = make_executor(max_concurrency=max_concurrency, budget=state.budget)
-        with self._pipeline_span(state) as pipeline_span:
-            if pipeline_span is not None:
-                state.report.span_id = pipeline_span.span_id
+        pipeline, spans = self.pipeline, state.spans
+        with spans.span("pipeline", pipeline.name, steps=len(pipeline.steps)) as pipeline_span:
+            state.report.span_id = pipeline_span.span_id
             round_index = 0
             while state.pending:
                 planned = self._plan_round(state, session, spec_runner, quote)
@@ -486,7 +359,7 @@ class Workflow:
                 # thunks (each pool submission and each asyncio task copies
                 # the current context), so step spans opened inside workers
                 # parent correctly.
-                with self._wave_span(state, round_index, runnable):
+                with spans.span("wave", f"wave {round_index}", steps=list(runnable)):
                     outcomes = yield Invoke(executor.map, thunks)
                 round_index += 1
                 progressed, failure = self._absorb_outcomes(
@@ -504,68 +377,48 @@ class Workflow:
 
     # -- internals ---------------------------------------------------------------
 
-    def _pipeline_span(self, state: "_ExecutionState") -> ContextManager[Any]:
-        """The run's root span, or a null context for a session without spans."""
-        tracker = state.spans
-        if tracker is None:
-            return nullcontext(None)
-        return tracker.span("pipeline", self.name, steps=len(self._steps))
-
-    @staticmethod
-    def _wave_span(
-        state: "_ExecutionState", round_index: int, runnable: list[str]
-    ) -> ContextManager[Any]:
-        tracker = state.spans
-        if tracker is None:
-            return nullcontext(None)
-        return tracker.span("wave", f"wave {round_index}", steps=list(runnable))
-
     def _prepare_execution(
         self,
         session: PromptSession,
         spec_runner: SpecRunner | None,
         quote: "PipelineQuote | None",
     ) -> "_ExecutionState":
-        """Validate the graph and build the run's mutable state."""
-        if not self._steps:
-            raise SpecError(f"workflow {self.name!r} has no steps")
-        dependencies = {step.name: list(step.depends_on) for step in self._steps}
+        """Build the run's mutable state (the graph was validated at construction)."""
+        steps = self.pipeline.steps
+        dependencies = {step.name: list(step.depends_on) for step in steps}
         waves = topological_waves(dependencies)
         closures = transitive_dependencies(dependencies)
-        steps_by_name = {step.name: step for step in self._steps}
         if spec_runner is None:
-            spec_steps = [step.name for step in self._steps if step.task is not None]
+            spec_steps = [step.name for step in steps if step.task is not None]
             if spec_steps:
                 raise SpecError(
-                    f"workflow {self.name!r} contains spec steps {spec_steps} but no spec "
-                    "runner; execute it through DeclarativeEngine.run_pipeline"
+                    f"workflow {self.pipeline.name!r} contains spec steps {spec_steps} but "
+                    "no spec runner; execute it through DeclarativeEngine.run_pipeline"
                 )
 
         report = WorkflowReport(waves=waves, quote=quote)
         report.step_reports = {
             step.name: StepReport(name=step.name, description=step.description)
-            for step in self._steps
+            for step in steps
         }
 
         budget = session.budget
-        if self.budget_dollars is not None:
-            # The workflow's own cap, enforced as a lease over the session
+        if self.pipeline.budget_dollars is not None:
+            # The pipeline's own cap, enforced as a lease over the session
             # budget (binding even when the session budget is unlimited).
-            budget = budget.lease(self.budget_dollars)
+            budget = budget.lease(self.pipeline.budget_dollars)
         return _ExecutionState(
             dependencies=dependencies,
             closures=closures,
-            steps_by_name=steps_by_name,
+            steps_by_name={step.name: step for step in steps},
             report=report,
             budget=budget,
             pending=[name for wave in waves for name in wave],
             # Report this run's usage, not session-lifetime totals.
             usage_before=session.tracker.usage,
             cost_before=session.tracker.cost(),
-            # getattr: any session-like object works; only real sessions
-            # carry the observability surface.
-            spans=getattr(session, "spans", None),
-            instruments=getattr(session, "instruments", None),
+            spans=session.spans,
+            instruments=session.instruments,
         )
 
     def _plan_round(
@@ -686,9 +539,8 @@ class Workflow:
                     # An observer must never sink the run it is watching —
                     # but it must not fail silently either: count it and
                     # pin the error class on the step's span.
-                    if state.instruments is not None:
-                        state.instruments.note_observer_error()
-                    if state.spans is not None and step_report.span_id is not None:
+                    state.instruments.note_observer_error()
+                    if step_report.span_id is not None:
                         state.spans.annotate(
                             step_report.span_id, observer_error=type(exc).__name__
                         )
@@ -696,7 +548,7 @@ class Workflow:
 
     @staticmethod
     def _make_thunk(
-        step: WorkflowStep,
+        step: PipelineStep,
         session: PromptSession,
         inputs: dict[str, Any],
         budget: Any,
@@ -726,7 +578,7 @@ class Workflow:
         else:
             assert step.run is not None
             if budget is not session.budget:
-                # A workflow-level budget_dollars cap: route even a callable
+                # A pipeline-level budget_dollars cap: route even a callable
                 # step's raw session calls through the cap's lease, or they
                 # would silently bypass it.
                 scoped = BudgetScopedSession(session, budget)
@@ -734,16 +586,12 @@ class Workflow:
             else:
                 inner = lambda: step.run(session, inputs)  # noqa: E731
 
-        tracker = state.spans
-        if tracker is None:
-            return inner
-
         # The step span opens in the worker that actually runs the thunk
         # (its ambient parent is the wave span copied at submission), and
         # its id is parked on the state so _absorb_outcomes can stamp it
         # onto the StepReport — the thunk may run on any thread.
         def traced() -> Any:
-            with tracker.span(
+            with state.spans.span(
                 "step", step.name, depends_on=list(step.depends_on)
             ) as span:
                 state.step_spans[step.name] = span.span_id
@@ -754,7 +602,7 @@ class Workflow:
     @staticmethod
     def _apportion(
         pending: list[str],
-        steps_by_name: Mapping[str, WorkflowStep],
+        steps_by_name: Mapping[str, PipelineStep],
         budget: Any,
         quote: "PipelineQuote | None",
     ) -> dict[str, float]:
@@ -804,15 +652,14 @@ class _ExecutionState:
 
     dependencies: dict[str, list[str]]
     closures: Mapping[str, Any]
-    steps_by_name: dict[str, WorkflowStep]
+    steps_by_name: dict[str, PipelineStep]
     report: WorkflowReport
     budget: Any
     pending: list[str]
     usage_before: Any
     cost_before: float
-    #: The session's SpanTracker / SessionInstruments (None for bare
-    #: session-like objects without the observability surface).
-    spans: Any = None
-    instruments: Any = None
+    #: The session's SpanTracker / SessionInstruments.
+    spans: Any
+    instruments: Any
     #: step name -> step span id, filled by the traced thunks as they run.
     step_spans: dict[str, int] = field(default_factory=dict)

@@ -17,10 +17,12 @@
   with the rest of the chain for free.  ``lineage_deps=False`` reproduces
   the naive chain (each step gated on its authored predecessor) — the
   baseline the benchmarks compare against.
-* The compile-time quote prices every step with the
-  :class:`~repro.core.planner.CostPlanner` over *estimated* item lists
-  (filters shrink downstream cardinality by their declared selectivity), so
-  ``.explain()`` can show per-step quotes even for run-time factory steps.
+* The compile-time quote is the planner's own
+  (:meth:`~repro.core.planner.CostPlanner.quote_pipeline` — the one place a
+  quote is assembled): it prices the concrete steps, and the compiler hands
+  it estimates for the run-time factory steps, priced over *estimated* item
+  lists (filters shrink downstream cardinality by their declared
+  selectivity), so ``.explain()`` can show per-step quotes for those too.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class CompiledQuery:
 def compile_plan(
     plan: LogicalPlan,
     *,
-    planner: CostPlanner | None = None,
+    planner: CostPlanner,
     lineage_deps: bool = True,
     budget_dollars: float | None = None,
     store: Any | None = None,
@@ -210,9 +212,10 @@ def compile_plan(
     # -- step emission ----------------------------------------------------------------
 
     pipeline_steps: list[PipelineStep] = []
+    #: Explain metadata; each step's estimate is filled in from the quote below.
     compiled_steps: list[CompiledStep] = []
-    quoted: dict[str, CostEstimate] = {}
-    unquoted: list[str] = []
+    #: Estimates for run-time factory steps, which the planner cannot price.
+    estimates: dict[str, CostEstimate] = {}
 
     for node in nodes:
         if node.op == "source":
@@ -231,7 +234,6 @@ def compile_plan(
                 pipeline_steps,
                 store,
             )
-            estimate = _proxy_estimate(node, planner)
             compiled_steps.append(
                 CompiledStep(
                     name=block_name,
@@ -241,26 +243,25 @@ def compile_plan(
                     description="embedding blocker: candidate pairs, no LLM calls",
                 )
             )
-            unquoted.append(block_name)
             compiled_steps.append(
                 CompiledStep(
                     name=name,
                     op="resolve(proxy)",
                     depends_on=judge_deps,
-                    estimate=estimate,
+                    estimate=None,
                     description="judge blocked candidate pairs, then merge components",
                 )
             )
+            estimate = _proxy_estimate(node, planner)
             if estimate is not None:
-                quoted[name] = estimate
-            else:
-                unquoted.append(name)
+                estimates[name] = estimate
             continue
 
         depends_on = depends_for(node)
         if static:
             # Static feeds are source-only, so the estimate *is* the literal
-            # item list (no stats needed to materialize it).
+            # item list (no stats needed to materialize it), and the planner
+            # prices the concrete spec itself.
             task: TaskSpec | Callable[..., TaskSpec] = build_spec(
                 node, *[list(estimated_items(up)) for up in feeds]
             )
@@ -277,6 +278,9 @@ def compile_plan(
                 )
 
             task = factory
+            estimate = _estimate_step(node, feeds, build_spec, planner)
+            if estimate is not None:
+                estimates[name] = estimate
         description = _describe(node)
         annotation = _stats_annotation(node, planner)
         if annotation:
@@ -286,21 +290,15 @@ def compile_plan(
                 name=name, task=task, depends_on=depends_on, description=description
             )
         )
-
-        estimate = _estimate_step(node, feeds, build_spec, planner)
         compiled_steps.append(
             CompiledStep(
                 name=name,
                 op=node.op,
                 depends_on=depends_on,
-                estimate=estimate,
+                estimate=None,
                 description=description,
             )
         )
-        if estimate is not None:
-            quoted[name] = estimate
-        else:
-            unquoted.append(name)
 
     spec = PipelineSpec(
         name=plan.name,
@@ -308,30 +306,11 @@ def compile_plan(
         budget_dollars=budget_dollars,
         description="compiled from a fluent Dataset query",
     )
-    spec.validate()
-    notes: list[str] = []
-    # Statically-compiled steps have concrete specs, so estimating them
-    # probed their prompts against the durable response cache: a fresh
-    # session quoting a previously-run workload reports the known hits
-    # (priced at zero inside each step's estimate).
-    known_hits = known_probed = 0
-    for step in pipeline_steps:
-        if isinstance(step.task, TaskSpec) and step.name in quoted:
-            hits, probed = quoted[step.name].known_cached
-            known_hits += hits
-            known_probed += probed
-    if known_hits:
-        notes.append(
-            f"persistent cache: {known_hits} of {known_probed} "
-            "statically-known calls already cached (priced at zero)"
-        )
-    discount_note = planner.cache_discount_note() if planner is not None else None
-    if discount_note is not None:
-        notes.append(discount_note)
-    quote_notes = tuple(notes)
-    quote = PipelineQuote(
-        pipeline=plan.name, steps=quoted, unquoted=tuple(unquoted), notes=quote_notes
-    )
+    quote = planner.quote_pipeline(spec, estimates)
+    compiled_steps = [
+        dataclass_replace(step, estimate=quote.steps.get(step.name))
+        for step in compiled_steps
+    ]
     root = plan.root
 
     proxy_nodes = [
@@ -438,11 +417,7 @@ def _emit_proxy_resolve(
         # same workload neither re-embeds nor rebuilds.  Corpus size picks
         # exact vs LSH ("auto"), which is what keeps blocking sub-quadratic
         # once item lists grow past a few thousand.
-        store = (
-            compile_store
-            if compile_store is not None
-            else getattr(session, "store", None)
-        )
+        store = compile_store if compile_store is not None else session.store
         embedder = resolve_embedder(store=store)
         index_name = corpus_index_name(items, embedder, prefix="block")
         reused = False
@@ -469,23 +444,20 @@ def _emit_proxy_resolve(
         candidates_before = int(getattr(index, "candidates_examined", 0))
         result = EmbeddingBlocker(k=k, embedder=embedder, index=index).block(items)
         probed = int(getattr(index, "probes", 0)) - probes_before
-        stats = getattr(session, "stats", None)
-        if stats is not None and probed > 0:
-            stats.record_probe_candidates(
+        if probed > 0:
+            session.stats.record_probe_candidates(
                 candidates=int(getattr(index, "candidates_examined", 0))
                 - candidates_before,
                 probed=probed,
             )
-        tracer = getattr(session, "tracer", None)
-        if tracer is not None:
-            tracer.record(
-                operator=f"index:{getattr(index, 'kind', 'unknown')}",
-                model=str(getattr(embedder, "model", "embedder")),
-                prompt=f"knn_graph(k={k}) over {len(items)} texts [{index_name}]",
-                response_text=f"{result.n_candidates} candidate pairs",
-                cost=0.0,
-                cache_hit=reused,
-            )
+        session.tracer.record(
+            operator=f"index:{getattr(index, 'kind', 'unknown')}",
+            model=str(getattr(embedder, "model", "embedder")),
+            prompt=f"knn_graph(k={k}) over {len(items)} texts [{index_name}]",
+            response_text=f"{result.n_candidates} candidate pairs",
+            cost=0.0,
+            cache_hit=reused,
+        )
         return result
 
     pipeline_steps.append(
@@ -527,27 +499,26 @@ def _estimate_step(
     node: LogicalNode,
     feeds: tuple[LogicalNode, ...],
     build_spec: Callable[..., TaskSpec],
-    planner: CostPlanner | None,
+    planner: CostPlanner,
 ) -> CostEstimate | None:
-    """Quote one step over statically estimated input items.
+    """Quote one factory step over statically estimated input items.
 
     The upstream estimates consult the planner's runtime stats when it has
     them, so a second quote of an executed workload sizes every downstream
     step from observed selectivities instead of priors.
     """
-    if planner is None:
-        return None
-    stats = getattr(planner, "stats", None)
     try:
-        spec = build_spec(node, *[estimated_items(upstream, stats) for upstream in feeds])
+        spec = build_spec(
+            node, *[estimated_items(upstream, planner.stats) for upstream in feeds]
+        )
         return planner.estimate_spec(spec)
     except SpecError:
         return None
 
 
-def _stats_annotation(node: LogicalNode, planner: CostPlanner | None) -> str:
+def _stats_annotation(node: LogicalNode, planner: CostPlanner) -> str:
     """A "prior -> observed" note for ``.explain()`` when stats exist."""
-    stats = getattr(planner, "stats", None)
+    stats = planner.stats
     if stats is None:
         return ""
     parts: list[str] = []
@@ -589,7 +560,7 @@ def _stats_annotation(node: LogicalNode, planner: CostPlanner | None) -> str:
     return "; ".join(parts)
 
 
-def _proxy_estimate(node: LogicalNode, planner: CostPlanner | None) -> CostEstimate | None:
+def _proxy_estimate(node: LogicalNode, planner: CostPlanner) -> CostEstimate | None:
     """Quote a proxy-blocked resolve: pair judgments over the blocked candidates.
 
     The structural prior is the k·n upper bound; once a blocking run has
@@ -598,9 +569,7 @@ def _proxy_estimate(node: LogicalNode, planner: CostPlanner | None) -> CostEstim
     bound — symmetric and overlapping neighbor pairs deduplicate, so the
     real candidate count routinely lands well under k·n.
     """
-    if planner is None:
-        return None
-    items = estimated_items(node.inputs[0], getattr(planner, "stats", None))
+    items = estimated_items(node.inputs[0], planner.stats)
     if len(items) < 2:
         return None
     block_k = int(node.params.get("block_k", 5))

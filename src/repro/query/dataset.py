@@ -509,7 +509,7 @@ class Dataset:
         if store is None:
             store = self._store
         if store is None:
-            store = getattr(engine.session, "store", None)
+            store = engine.session.store
         compiled = self.compile(optimized=optimized, planner=engine.planner(), store=store)
         report = engine.run_pipeline(
             compiled.spec,
@@ -532,8 +532,7 @@ class Dataset:
             # The feedback above landed after run_pipeline's autosave;
             # refresh the stored profile so it carries the full picture.
             store.save_profile(
-                engine.session.stats,
-                merge=store is not getattr(engine.session, "store", None),
+                engine.session.stats, merge=store is not engine.session.store
             )
         return QueryResult(
             items=items,

@@ -112,7 +112,7 @@ class JobManager:
         live = _LiveJob(record=record)
         self._jobs[record.job_id] = live
         self._persist(record)
-        self._note_transition(tenant, "queued")
+        tenant.session.instruments.note_job("queued")
         self._notify(live, {"event": "status", "status": record.status})
         task = asyncio.get_running_loop().create_task(
             self._run(live, tenant, pipeline, quote), name=f"job-{record.job_id}"
@@ -135,8 +135,8 @@ class JobManager:
             async with self._slots:
                 record.status = "running"
                 self._persist(record)
-                self._note_transition(tenant, "running")
-                self._note_active(tenant, +1)
+                tenant.session.instruments.note_job("running")
+                tenant.session.instruments.note_job_started()
                 started = True
                 self._notify(live, {"event": "status", "status": "running"})
                 loop = asyncio.get_running_loop()
@@ -193,26 +193,12 @@ class JobManager:
         self._settle(tenant, record.status, started)
         self._finish(live)
 
-    def _note_transition(self, tenant: "Tenant", status: str) -> None:
-        """Count a lifecycle transition in the tenant's metrics (best effort)."""
-        instruments = getattr(tenant.session, "instruments", None)
-        if instruments is not None:
-            instruments.note_job(status)
-
-    def _note_active(self, tenant: "Tenant", delta: int) -> None:
-        instruments = getattr(tenant.session, "instruments", None)
-        if instruments is None:
-            return
-        if delta > 0:
-            instruments.note_job_started()
-        else:
-            instruments.note_job_finished()
-
-    def _settle(self, tenant: "Tenant", status: str, started: bool) -> None:
+    @staticmethod
+    def _settle(tenant: "Tenant", status: str, started: bool) -> None:
         """Record a job's terminal transition and release the active gauge."""
-        self._note_transition(tenant, status)
+        tenant.session.instruments.note_job(status)
         if started:
-            self._note_active(tenant, -1)
+            tenant.session.instruments.note_job_finished()
 
     def _note_step(self, live: _LiveJob, step: dict[str, Any]) -> None:
         live.record.steps[str(step.get("name"))] = step

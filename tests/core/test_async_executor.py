@@ -11,13 +11,14 @@ Batteries:
   propagation, duplicate-prompt dedup ahead of the cache.
 * **Governor** — the shared admission point bounds async in-flight dispatch
   and is obeyed by the async sequential path.
-* **Scheduler equivalence** — a DAG pipeline run with ``scheduler="async"``
-  produces the same report as the thread scheduler.
+* **Scheduler equivalence** — a DAG pipeline awaited through
+  ``run_pipeline_async`` produces the same report as the thread scheduler.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -70,6 +71,24 @@ class TestAsyncExecutorBasics:
         executor = AsyncBatchExecutor(client, max_concurrency=3)
         asyncio.run(executor.run([f"p{i}" for i in range(24)]))
         assert client.peak_in_flight <= 3
+
+    def test_native_async_fan_out_needs_no_proportional_threads(self):
+        """64 calls in flight are 64 pending awaits on one loop, not 64 threads."""
+
+        class ThreadCensus(AsyncEchoClient):
+            peak_threads = 0
+
+            async def acomplete(self, prompt, **params):
+                self.peak_threads = max(self.peak_threads, threading.active_count())
+                return await super().acomplete(prompt, **params)
+
+        client = ThreadCensus(latency=0.005)
+        baseline = threading.active_count()
+        prompts = [f"p{i}" for i in range(128)]
+        responses = asyncio.run(AsyncBatchExecutor(client, max_concurrency=64).run(prompts))
+        assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
+        assert client.calls == 128 and client.peak_in_flight == 64
+        assert client.peak_threads <= baseline + 4
 
     def test_sync_only_client_is_bridged(self):
         client = EchoClient()
@@ -241,7 +260,7 @@ class TestAsyncGovernor:
 
 
 class TestAsyncSchedulerEquivalence:
-    """scheduler="async" produces the same pipeline report as threads."""
+    """run_pipeline_async produces the same pipeline report as run_pipeline."""
 
     @staticmethod
     def _engine():
@@ -283,7 +302,7 @@ class TestAsyncSchedulerEquivalence:
 
     def test_async_report_matches_thread_report(self):
         thread_report = self._engine().run_pipeline(self._pipeline())
-        async_report = self._engine().run_pipeline(self._pipeline(), scheduler="async")
+        async_report = asyncio.run(self._engine().run_pipeline_async(self._pipeline()))
         assert async_report.results["merge"] == thread_report.results["merge"]
         assert async_report.results["left"].order == thread_report.results["left"].order
         assert async_report.waves == thread_report.waves
@@ -293,21 +312,22 @@ class TestAsyncSchedulerEquivalence:
         assert async_report.total_calls == thread_report.total_calls
         assert async_report.total_cost == pytest.approx(thread_report.total_cost)
 
-    def test_unknown_scheduler_rejected(self):
-        from repro.exceptions import SpecError
-
-        with pytest.raises(SpecError):
-            self._engine().run_pipeline(self._pipeline(), scheduler="fibers")
-
     def test_execute_async_inside_a_running_loop(self):
         from repro.core.session import PromptSession
+        from repro.core.spec import PipelineSpec, PipelineStep
         from repro.core.workflow import Workflow
 
         session = PromptSession(EchoClient(), max_concurrency=4)
-        workflow = Workflow(name="inline")
-        workflow.add_step("one", lambda s, inputs: s.complete("hello").text)
-        workflow.add_step(
-            "two", lambda s, inputs: inputs["one"] + "!", depends_on=("one",)
+        workflow = Workflow.from_pipeline(
+            PipelineSpec(
+                name="inline",
+                steps=[
+                    PipelineStep("one", run=lambda s, inputs: s.complete("hello").text),
+                    PipelineStep(
+                        "two", run=lambda s, inputs: inputs["one"] + "!", depends_on=("one",)
+                    ),
+                ],
+            )
         )
         report = asyncio.run(workflow.execute_async(session))
         assert report.results["two"] == "echo:hello!"
@@ -316,6 +336,6 @@ class TestAsyncSchedulerEquivalence:
 
 class TestDefaultPoolSizeConstant:
     def test_benchmark_reference_is_pinned(self):
-        # The async throughput benchmark compares against a thread pool of
-        # exactly this documented size; a silent change would invalidate it.
+        # benchmarks/perf's threaded workloads hard-code this documented
+        # size; a silent change would make them measure something else.
         assert DEFAULT_POOL_SIZE == 8

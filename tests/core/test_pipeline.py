@@ -43,6 +43,7 @@ from repro.llm.prompts import rating_prompt
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.sort import SortOperator
 from repro.proxies.blocking import EmbeddingBlocker
+from tests.doubles import LatencyClient
 
 MODEL = "sim-gpt-3.5-turbo"
 # Pinned in CI (see .github/workflows/ci.yml) so the equivalence suite runs
@@ -114,6 +115,25 @@ class TestDagLinearEquivalence:
         assert self._step_outputs(dag_report) == self._step_outputs(chain_report)
         assert dag_report.total_calls == chain_report.total_calls
 
+    def test_dag_matches_linear_chain_behind_a_waiting_backend(self):
+        """Calls that wait make the scheduler run a wave's steps on separate
+        threads (at zero latency one thread drains the wave): operators stay
+        sequential, so any difference would be the pipeline scheduling's."""
+
+        def run(pipeline, concurrency):
+            engine = DeclarativeEngine(
+                LatencyClient(SimulatedLLM(flavor_oracle(), seed=21)),
+                default_model=MODEL,
+                max_concurrency=1,
+            )
+            return engine.run_pipeline(pipeline, max_concurrency=concurrency)
+
+        chain_report = run(_chain_pipeline(), 1)
+        dag_report = run(_two_branch_pipeline(), 2)
+        assert self._step_outputs(dag_report) == self._step_outputs(chain_report)
+        assert dag_report.total_calls == chain_report.total_calls == len(LEFT) + len(RIGHT)
+        assert (len(chain_report.waves), len(dag_report.waves)) == (3, 2)
+
     def test_dag_concurrency_levels_agree(self):
         reports = [
             _flavor_engine().run_pipeline(_two_branch_pipeline(), max_concurrency=concurrency)
@@ -124,7 +144,7 @@ class TestDagLinearEquivalence:
         assert all(report.total_calls == reports[0].total_calls for report in reports)
 
     def test_dag_matches_legacy_callable_chain(self):
-        """The old linear add_step API is the degenerate chain of the DAG."""
+        """An explicit chain of callable steps is the degenerate DAG."""
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=21))
 
         def sort_step(items):
@@ -134,15 +154,17 @@ class TestDagLinearEquivalence:
 
             return step
 
-        legacy = (
-            Workflow("legacy")
-            .add_step("left", sort_step(LEFT))
-            .add_step("right", sort_step(RIGHT))
-            .add_step("merge", _merge)
+        chain = PipelineSpec(
+            name="callable-chain",
+            steps=[
+                PipelineStep("left", run=sort_step(LEFT)),
+                PipelineStep("right", run=sort_step(RIGHT), depends_on=("left",)),
+                PipelineStep("merge", run=_merge, depends_on=("right",)),
+            ],
         )
-        legacy_report = legacy.execute(session)
+        chain_report = Workflow.from_pipeline(chain).execute(session)
         dag_report = _flavor_engine().run_pipeline(_two_branch_pipeline(), max_concurrency=4)
-        assert self._step_outputs(dag_report) == self._step_outputs(legacy_report)
+        assert self._step_outputs(dag_report) == self._step_outputs(chain_report)
 
     def test_waves_and_step_order_are_deterministic(self):
         report = _flavor_engine().run_pipeline(_two_branch_pipeline(), max_concurrency=4)
@@ -157,12 +179,16 @@ class TestDagLinearEquivalence:
             seen.update(inputs)
             return "done"
 
-        workflow = (
-            Workflow("diamond")
-            .add_step("a", lambda s, i: 1, depends_on=())
-            .add_step("b", lambda s, i: i["a"] + 1, depends_on=("a",))
-            .add_step("c", lambda s, i: i["a"] + 2, depends_on=("a",))
-            .add_step("tail", tail, depends_on=("b", "c"))
+        workflow = Workflow.from_pipeline(
+            PipelineSpec(
+                name="diamond",
+                steps=[
+                    PipelineStep("a", run=lambda s, i: 1),
+                    PipelineStep("b", run=lambda s, i: i["a"] + 1, depends_on=("a",)),
+                    PipelineStep("c", run=lambda s, i: i["a"] + 2, depends_on=("a",)),
+                    PipelineStep("tail", run=tail, depends_on=("b", "c")),
+                ],
+            )
         )
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=1))
         report = workflow.execute(session, max_concurrency=4)
@@ -182,9 +208,13 @@ class TestPipelineValidation:
             pipeline.validate()
 
     def test_self_cycle_rejected(self):
-        workflow = Workflow().add_step("a", lambda s, i: 1, depends_on=("a",))
+        pipeline = PipelineSpec(
+            steps=[PipelineStep("a", run=lambda s, i: 1, depends_on=("a",))]
+        )
         with pytest.raises(SpecError, match="cycle"):
-            workflow.waves()
+            pipeline.waves()
+        with pytest.raises(SpecError, match="cycle"):
+            Workflow.from_pipeline(pipeline)
 
     def test_unknown_dependency_rejected(self):
         pipeline = PipelineSpec(
@@ -202,9 +232,14 @@ class TestPipelineValidation:
         )
         with pytest.raises(SpecError, match="duplicate"):
             pipeline.validate()
-        workflow = Workflow().add_task("a", SortSpec(items=LEFT, criterion=CHOCOLATEY))
+        mixed = PipelineSpec(
+            steps=[
+                PipelineStep("a", task=SortSpec(items=LEFT, criterion=CHOCOLATEY)),
+                PipelineStep("a", run=lambda s, i: 1),
+            ]
+        )
         with pytest.raises(SpecError, match="duplicate"):
-            workflow.add_step("a", lambda s, i: 1)
+            Workflow.from_pipeline(mixed)
 
     def test_deep_chains_do_not_overflow(self):
         """A thousands-deep chain declared leaf-first must not recurse out."""
@@ -233,9 +268,15 @@ class TestPipelineValidation:
     def test_empty_pipeline_rejected(self):
         with pytest.raises(SpecError, match="no steps"):
             PipelineSpec().validate()
+        with pytest.raises(SpecError, match="no steps"):
+            Workflow.from_pipeline(PipelineSpec())
 
     def test_spec_steps_need_an_engine(self):
-        workflow = Workflow().add_task("sort", SortSpec(items=LEFT, criterion=CHOCOLATEY))
+        workflow = Workflow.from_pipeline(
+            PipelineSpec(
+                steps=[PipelineStep("sort", task=SortSpec(items=LEFT, criterion=CHOCOLATEY))]
+            )
+        )
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=1))
         with pytest.raises(SpecError, match="run_pipeline"):
             workflow.execute(session)
@@ -472,10 +513,16 @@ class TestBudgetApportionment:
                 session_.complete(rating_prompt(flavor, CHOCOLATEY))
             return True
 
-        workflow = Workflow("capped", budget_dollars=1e-6).add_step("chatty", chatty)
+        workflow = Workflow.from_pipeline(
+            PipelineSpec(
+                name="capped",
+                steps=[PipelineStep("chatty", run=chatty)],
+                budget_dollars=1e-6,
+            )
+        )
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=21))
         report = workflow.execute(session)
-        assert session.budget.unlimited  # only the workflow carried a cap
+        assert session.budget.unlimited  # only the pipeline carried a cap
         assert report.stopped_early
         assert report.step_reports["chatty"].status == "stopped"
         # The step was cut off after its first over-cap call, not after all 8.
@@ -495,7 +542,9 @@ class TestBudgetApportionment:
         def boom(session_, inputs):
             raise RuntimeError("step exploded")
 
-        workflow = Workflow("fails").add_step("boom", boom, depends_on=())
+        workflow = Workflow.from_pipeline(
+            PipelineSpec(name="fails", steps=[PipelineStep("boom", run=boom)])
+        )
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=1))
         with pytest.raises(RuntimeError, match="step exploded"):
             workflow.execute(session)

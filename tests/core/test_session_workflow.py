@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import asyncio
-import gc
-import warnings
 
 import pytest
 
 from repro.core.budget import Budget
 from repro.core.session import PromptSession
+from repro.core.spec import PipelineSpec, PipelineStep
 from repro.core.workflow import Workflow
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
-from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
+from repro.exceptions import BudgetExceededError, SpecError
 from repro.llm.prompts import rating_prompt
 from repro.llm.simulated import SimulatedLLM
 
@@ -72,44 +71,58 @@ class TestPromptSession:
         assert session.spent_dollars == spent
 
 
+def _workflow(name: str, *steps: PipelineStep) -> Workflow:
+    return Workflow.from_pipeline(PipelineSpec(name=name, steps=list(steps)))
+
+
 class TestWorkflow:
     def test_steps_run_in_order_and_share_results(self, session):
-        workflow = Workflow("demo")
-        workflow.add_step("first", lambda session_, results: 21)
-        workflow.add_step("second", lambda session_, results: results["first"] * 2)
+        workflow = _workflow(
+            "demo",
+            PipelineStep(name="first", run=lambda session_, results: 21),
+            PipelineStep(
+                name="second",
+                run=lambda session_, results: results["first"] * 2,
+                depends_on=("first",),
+            ),
+        )
         report = workflow.execute(session)
         assert report.step_order == ["first", "second"]
         assert report.results["second"] == 42
 
     def test_llm_usage_is_aggregated(self, session):
-        workflow = Workflow("llm-demo")
-        workflow.add_step(
-            "rate",
-            lambda session_, results: session_.complete(
-                rating_prompt(FLAVORS[0], CHOCOLATEY)
-            ).text,
+        workflow = _workflow(
+            "llm-demo",
+            PipelineStep(
+                name="rate",
+                run=lambda session_, results: session_.complete(
+                    rating_prompt(FLAVORS[0], CHOCOLATEY)
+                ).text,
+            ),
         )
         report = workflow.execute(session)
         assert report.total_prompt_tokens > 0
         assert report.total_cost > 0.0
 
     def test_duplicate_step_names_rejected(self):
-        workflow = Workflow()
-        workflow.add_step("a", lambda session_, results: 1)
+        spec = PipelineSpec(
+            steps=[
+                PipelineStep(name="a", run=lambda session_, results: 1),
+                PipelineStep(name="a", run=lambda session_, results: 2),
+            ]
+        )
         with pytest.raises(SpecError):
-            workflow.add_step("a", lambda session_, results: 2)
-
-    def test_empty_workflow_rejected(self, session):
+            spec.validate()
         with pytest.raises(SpecError):
-            Workflow().execute(session)
+            Workflow.from_pipeline(spec)
 
-    def test_legacy_add_step_builds_a_degenerate_chain(self):
-        workflow = Workflow("chain")
-        workflow.add_step("first", lambda session_, results: 1)
-        workflow.add_step("second", lambda session_, results: 2)
-        workflow.add_step("third", lambda session_, results: 3)
-        assert [step.depends_on for step in workflow.steps] == [(), ("first",), ("second",)]
-        assert workflow.waves() == [["first"], ["second"], ["third"]]
+    def test_empty_workflow_rejected(self):
+        with pytest.raises(SpecError):
+            Workflow.from_pipeline(PipelineSpec())
+
+    def test_execute_async_runs_under_asyncio_run(self, session):
+        workflow = _workflow("only", PipelineStep(name="only", run=lambda s, inputs: 1))
+        assert asyncio.run(workflow.execute_async(session)).results == {"only": 1}
 
     def test_second_workflow_on_same_session_reports_only_its_own_usage(self, session):
         """Regression: totals used to be session-lifetime, double-counting reuse."""
@@ -120,8 +133,12 @@ class TestWorkflow:
 
             return step
 
-        report_one = Workflow("first").add_step("rate", rate(FLAVORS[0])).execute(session)
-        report_two = Workflow("second").add_step("rate", rate(FLAVORS[1])).execute(session)
+        report_one = _workflow(
+            "first", PipelineStep(name="rate", run=rate(FLAVORS[0]))
+        ).execute(session)
+        report_two = _workflow(
+            "second", PipelineStep(name="rate", run=rate(FLAVORS[1]))
+        ).execute(session)
 
         assert report_one.total_prompt_tokens > 0
         assert report_two.total_prompt_tokens > 0
@@ -137,47 +154,3 @@ class TestWorkflow:
         assert report_one.total_cost + report_two.total_cost == pytest.approx(
             session.tracker.cost()
         )
-
-
-class TestAsyncSchedulerInsideARunningLoop:
-    """``scheduler="async"`` owns its loop; inside one it must say so, cleanly.
-
-    Regression: both entry points raised a bare ``RuntimeError`` from
-    ``asyncio.run`` and leaked the never-awaited ``execute_async`` coroutine
-    (a ``RuntimeWarning`` when it was collected).
-    """
-
-    @staticmethod
-    def _inside_a_loop(run, match: str) -> None:
-        async def main() -> None:
-            with pytest.raises(ConfigurationError, match=match):
-                run()
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            asyncio.run(main())
-            gc.collect()  # a leaked coroutine warns when it is collected
-        leaked = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not leaked, leaked
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_workflow_execute_names_execute_async(self, session):
-        workflow = Workflow().add_step("only", lambda s, inputs: 1)
-        self._inside_a_loop(
-            lambda: workflow.execute(session, scheduler="async"), "Workflow.execute_async"
-        )
-        assert session.tracker.calls == 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_engine_run_pipeline_names_run_pipeline_async(self, session):
-        from repro.core.engine import DeclarativeEngine
-
-        engine = DeclarativeEngine.from_session(session)
-        workflow = Workflow().add_step("only", lambda s, inputs: 1)
-        self._inside_a_loop(
-            lambda: engine.run_pipeline(workflow, scheduler="async"), "run_pipeline_async"
-        )
-
-    def test_the_async_scheduler_still_runs_from_sync_code(self, session):
-        workflow = Workflow().add_step("only", lambda s, inputs: 1)
-        assert workflow.execute(session, scheduler="async").results == {"only": 1}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from typing import Any
 
 from repro.core.budget import Budget
@@ -94,6 +95,25 @@ class AsyncEchoClient:
             self.in_flight -= 1
 
 
+class LatencyClient:
+    """Adds a fixed wait to every call of ``inner``, like an API round-trip.
+
+    Longer than the executor's stall threshold, so a fanned-out bag really
+    goes wide; no ``complete_batch``, so every unit task pays its own wait.
+    """
+
+    def __init__(self, inner: Any, latency: float = 0.003) -> None:
+        self._inner = inner
+        self._latency = latency
+        self.default_model = getattr(inner, "default_model", "default")
+
+    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
+        time.sleep(self._latency)
+        return self._inner.complete(
+            prompt, model=model, temperature=temperature, max_tokens=max_tokens
+        )
+
+
 class FlakyClient:
     """Answers ``"garbled ???"`` for its first ``bad_attempts`` calls, then ``"Yes."``."""
 
@@ -111,6 +131,34 @@ class FlakyClient:
             model=model or "stub",
             usage=Usage(prompt_tokens=10, completion_tokens=5, calls=1),
             metadata={"temperature": temperature},
+        )
+
+
+class DyingClient:
+    """Counts backend calls; once ``fail_after`` were made, every call runs ``die``.
+
+    ``die`` defaults to raising a simulated crash; a test that wants the
+    process itself killed, or the call held at a barrier, passes its own.
+    """
+
+    def __init__(self, inner: SimulatedLLM, fail_after: int | None, die=None) -> None:
+        self._inner = inner
+        self.fail_after = fail_after
+        self.die = die or self._crash
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _crash() -> None:
+        raise RuntimeError("simulated crash: process killed")
+
+    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
+        with self._lock:
+            if self.calls == self.fail_after:
+                self.die()
+            self.calls += 1
+        return self._inner.complete(
+            prompt, model=model, temperature=temperature, max_tokens=max_tokens
         )
 
 

@@ -152,9 +152,12 @@ class TestTracedRunPersistence:
     def test_thread_and_async_schedulers_produce_one_tree(self):
         for scheduler in ("threads", "async"):
             engine = _engine()
-            report = engine.run_pipeline(
-                _two_branch_pipeline(), max_concurrency=4, scheduler=scheduler
-            )
+            if scheduler == "async":
+                report = asyncio.run(
+                    engine.run_pipeline_async(_two_branch_pipeline(), max_concurrency=4)
+                )
+            else:
+                report = engine.run_pipeline(_two_branch_pipeline(), max_concurrency=4)
             tracker = engine.session.spans
             roots = [sp for sp in report.spans if sp.parent_id is None]
             assert [sp.span_id for sp in roots] == [report.span_id], scheduler

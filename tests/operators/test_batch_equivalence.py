@@ -25,6 +25,7 @@ from repro.operators.filter import FilterOperator
 from repro.operators.impute import ImputeOperator
 from repro.operators.resolve import ResolveOperator
 from repro.operators.sort import SortOperator
+from tests.doubles import LatencyClient
 
 SIZES = (1, 2, 7, 64)
 CONCURRENCIES = (1, 4)
@@ -102,6 +103,24 @@ class TestSortEquivalence:
         )
         result = _sort_operator(alphabetical_oracle, concurrency).run(words, strategy=strategy)
         _assert_equivalent(reference, result)
+
+    def test_pairwise_behind_a_waiting_backend(self, alphabetical_oracle):
+        """Calls that wait make the fan-out use its helper threads (at zero
+        latency the dispatching thread drains the bag alone): same order,
+        scores, calls and tokens as one call at a time."""
+
+        def run(concurrency: int):
+            operator = SortOperator(
+                LatencyClient(SimulatedLLM(alphabetical_oracle, seed=11)),
+                ALPHABETICAL,
+                model=MODEL,
+                max_concurrency=concurrency,
+            )
+            return operator.run(random_words(12, seed=37), strategy="pairwise")
+
+        sequential, batched = run(1), run(4)
+        assert sequential.usage.calls == 66
+        _assert_equivalent(sequential, batched)
 
     @pytest.mark.parametrize("size", (7, 64))
     @pytest.mark.parametrize("concurrency", CONCURRENCIES)

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.planner import CostPlanner
 from repro.core.session import PromptSession
-from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep
+from repro.core.spec import (
+    CategorizeSpec,
+    FilterSpec,
+    PipelineSpec,
+    PipelineStep,
+    ResolveSpec,
+    SortSpec,
+)
 from repro.data.products import generate_buy_dataset
 from repro.exceptions import SpecError
 from repro.llm.simulated import SimulatedLLM
@@ -228,6 +236,90 @@ class TestCompileValidation:
         assert isinstance(spec, PipelineSpec)
         spec.validate()
         assert [step.name for step in spec.steps][0] == "s1_filter"
+
+
+class TestOneQuoteAssembler:
+    """Query quotes are the planner's: same totals, same edges, one pricing."""
+
+    def test_query_quote_wall_clock_is_the_critical_path(self, products):
+        """Regression: ``compile_plan`` assembled its own quote without the
+        spec's edges, so two independent steps were quoted at the *sum* of
+        their seconds while ``engine.quote_pipeline`` said the maximum."""
+        items, oracle = products
+        engine = clean_engine(oracle)
+        query = (
+            Dataset(items, name="products")
+            .categorize(["early", "late"])
+            .categorize(["late", "early", "neither"])
+        )
+        query.run(engine)  # records the per-call latency quotes are timed from
+        planner = engine.planner()
+        spec = query.to_pipeline(planner=planner)
+        assert [tuple(step.depends_on) for step in spec.steps] == [(), ()]
+        quote = query.quote(planner=planner)
+        seconds = [estimate.seconds for estimate in quote.steps.values()]
+        assert len(seconds) == 2 and all(value is not None for value in seconds)
+        assert quote.total_seconds == engine.quote_pipeline(spec).total_seconds
+        assert quote.total_seconds == max(seconds)
+
+    def test_query_quote_carries_the_specs_edges(self, products):
+        items, oracle = products
+        planner = clean_engine(oracle).planner()
+        compiled = (
+            Dataset(items, name="products")
+            .filter("keeps everything")
+            .categorize(["early", "late"])
+            .top_k("important", k=2)
+            .compile(planner=planner)
+        )
+        assert any(step.depends_on for step in compiled.spec.steps)
+        assert compiled.quote.dependencies == {
+            step.name: tuple(step.depends_on) for step in compiled.spec.steps
+        }
+
+    def test_each_step_is_priced_exactly_once(self, products, monkeypatch):
+        """The counts measured on the two-assembler design: handing the
+        compiler's estimates to the planner must not price anything twice."""
+        priced: list[str] = []
+        estimate_spec = CostPlanner.estimate_spec
+
+        def counting(self, spec):
+            priced.append(type(spec).__name__)
+            return estimate_spec(self, spec)
+
+        monkeypatch.setattr(CostPlanner, "estimate_spec", counting)
+        items, oracle = products
+        engine = clean_engine(oracle)
+        query = (
+            Dataset(items, name="products")
+            .filter("is a short name")
+            .resolve()
+            .top_k("important", k=3, strategy="pairwise_tournament")
+        )
+        quote = query.quote(planner=engine.planner())
+        assert sorted(priced) == ["FilterSpec", "ResolveSpec", "TopKSpec"]
+        assert set(quote.steps) == {"s1_filter", "s2_resolve", "s3_top_k"}
+
+        priced.clear()
+        tasks = [
+            FilterSpec(items=items, predicate="is a short name", strategy="per_item"),
+            SortSpec(items=items, criterion="important", strategy="rating"),
+            ResolveSpec(records=items, strategy="auto"),
+            CategorizeSpec(items=items, categories=("early", "late"), strategy="per_item"),
+        ]
+        many = PipelineSpec(
+            name="many",
+            steps=[
+                PipelineStep(
+                    f"step{index:02d}",
+                    task=tasks[index % 4],
+                    depends_on=(f"step{index - 4:02d}",) if index >= 4 else (),
+                )
+                for index in range(20)
+            ],
+        )
+        assert len(engine.quote_pipeline(many).steps) == 20
+        assert len(priced) == 20
 
 
 class TestTopLevelExports:

@@ -26,6 +26,7 @@ from repro.operators.resolve import PairJudgment, PairJudgmentResult, ResolveRes
 from repro.operators.sort import SortResult
 from repro.store import Store, decode_result, encode_result, fingerprint_spec
 from repro.tokenizer.cost import Usage
+from tests.doubles import DyingClient
 
 MODEL = "sim-gpt-3.5-turbo"
 WORDS = ["apple", "banana", "cherry", "damson", "elder", "fig"]
@@ -64,23 +65,6 @@ def pipeline() -> PipelineSpec:
 def fresh_engine(store: Store | None = None) -> DeclarativeEngine:
     session = PromptSession(corpus_llm(), store=store)
     return DeclarativeEngine(session=session)
-
-
-class FlakyClient:
-    """A client that dies after ``fail_after`` completions (simulated crash)."""
-
-    def __init__(self, inner: SimulatedLLM, fail_after: int) -> None:
-        self._inner = inner
-        self.fail_after = fail_after
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        if self.calls >= self.fail_after:
-            raise RuntimeError("simulated crash: process killed")
-        self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
 
 
 class TestResultCodecs:
@@ -209,7 +193,7 @@ class TestPipelineResume:
 
         path = tmp_path / "store.db"
         with Store(path) as store:
-            flaky = FlakyClient(corpus_llm(), fail_after=filter_calls)
+            flaky = DyingClient(corpus_llm(), fail_after=filter_calls)
             session = PromptSession(flaky, store=store)
             engine = DeclarativeEngine(session=session)
             with pytest.raises(RuntimeError, match="simulated crash"):
@@ -288,7 +272,7 @@ class TestPipelineResume:
         # must warm-start its quotes from them.
         path = tmp_path / "store.db"
         with Store(path) as store:
-            flaky = FlakyClient(corpus_llm(), fail_after=len(WORDS))
+            flaky = DyingClient(corpus_llm(), fail_after=len(WORDS))
             session = PromptSession(flaky, store=store)
             engine = DeclarativeEngine(session=session)
             with pytest.raises(RuntimeError):

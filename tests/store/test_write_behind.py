@@ -37,6 +37,7 @@ from repro.store.db import MAX_PENDING_ROWS
 from repro.store.jobs import JobRecord
 from repro.store.response_cache import encode_response
 from repro.tokenizer.cost import Usage
+from tests.doubles import DyingClient
 
 MODEL = "sim-gpt-3.5-turbo"
 THREADS = int(os.environ.get("REPRO_TEST_THREADS", "8"))
@@ -322,26 +323,6 @@ def kill_pipeline() -> PipelineSpec:
     )
 
 
-class DyingClient:
-    """Counts backend calls; ``die`` runs whenever ``fail_after`` were made."""
-
-    def __init__(self, inner: SimulatedLLM, fail_after: int | None, die) -> None:
-        self._inner = inner
-        self.fail_after = fail_after
-        self.die = die
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            if self.calls == self.fail_after:
-                self.die()
-            self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-
 def run_kill_pipeline(store: Store | None, fail_after: int | None = None, die=None):
     client = DyingClient(kill_llm(), fail_after, die)
     # Two wide, so that a step's calls are unit tasks, each cached as it returns
@@ -350,16 +331,12 @@ def run_kill_pipeline(store: Store | None, fail_after: int | None = None, die=No
     return client, engine.run_pipeline(kill_pipeline())
 
 
-def _crash() -> None:
-    raise RuntimeError("simulated crash")
-
-
 class TestSettle:
     def test_a_step_that_raises_keeps_what_it_paid_for_but_no_checkpoint(self, path):
         paid = len(SMALL) + 25
         with Store(path) as store, Store(path) as other:
             with pytest.raises(RuntimeError):
-                run_kill_pipeline(store, paid, _crash)
+                run_kill_pipeline(store, paid)
             # Visible to another handle while this one is still open.
             assert len(other.response_cache()) == paid
             assert other.trace_count() >= paid
@@ -396,7 +373,13 @@ class TestSettle:
         made = len(SMALL) + len(LARGE) - 10
         child = subprocess.run(
             [sys.executable, __file__, str(path), str(made)],
-            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            # The child imports ``repro`` and, for the double, ``tests``.
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(
+                    [str(Path(repro.__file__).parents[1]), str(Path(__file__).parents[2])]
+                ),
+            },
             timeout=120,
         )
         assert child.returncode == 1

@@ -12,8 +12,9 @@ import random
 import pytest
 
 from repro import DeclarativeEngine, SimulatedLLM, SortSpec
-from repro.core.workflow import Workflow
 from repro.core.session import PromptSession
+from repro.core.spec import PipelineSpec, PipelineStep
+from repro.core.workflow import Workflow
 from repro.data.citations import generate_citation_corpus
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.data.products import generate_restaurant_dataset
@@ -136,10 +137,14 @@ class TestDeclarativeWorkflow:
         def head_step(session_, results):
             return results["sort"][:3]
 
-        workflow = Workflow("sort-then-head")
-        workflow.add_step("sort", sort_step)
-        workflow.add_step("head", head_step)
-        report = workflow.execute(session)
+        pipeline = PipelineSpec(
+            name="sort-then-head",
+            steps=[
+                PipelineStep("sort", run=sort_step),
+                PipelineStep("head", run=head_step, depends_on=("sort",)),
+            ],
+        )
+        report = Workflow.from_pipeline(pipeline).execute(session)
         assert len(report.results["head"]) == 3
         assert report.total_cost > 0.0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import string
 
 import pytest
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 from repro.consistency.ranking_repair import alignment_insert_position, count_inversions
 from repro.consistency.transitivity import MatchGraph
 from repro.core.budget import Budget
+from repro.core.engine import DeclarativeEngine
 from repro.core.executor import BatchRequest
+from repro.core.session import PromptSession
+from repro.core.spec import PipelineSpec, PipelineStep
+from repro.core.workflow import Workflow
 from repro.exceptions import BudgetExceededError
 from repro.llm.base import LLMResponse, sequential_complete_batch
 from repro.llm.cache import CachedClient
@@ -375,3 +380,49 @@ class TestDriverEquivalenceProperties:
                     for skipped, error in stopped
                 )
                 assert not stopped or any(error is BudgetExceededError for _, error in stopped)
+
+
+@st.composite
+def _callable_dags(draw):
+    """A random DAG of callable steps: each depends on a subset of its predecessors."""
+    edges = []
+    for index in range(draw(st.integers(1, 8))):
+        upstream = draw(st.sets(st.integers(0, index - 1))) if index else set()
+        edges.append(tuple(f"s{dep}" for dep in sorted(upstream)))
+
+    def step(index):
+        def run(session, inputs):
+            echoed = session.complete(f"step {index}").text
+            return (echoed, sorted(inputs.items()))
+
+        return run
+
+    return PipelineSpec(
+        name="random-dag",
+        steps=[
+            PipelineStep(f"s{index}", run=step(index), depends_on=depends_on)
+            for index, depends_on in enumerate(edges)
+        ],
+    )
+
+
+class TestPipelineEntryPointProperties:
+    """One description, every way in: the scheduler alone, the engine's sync
+    driver and its awaited form run the same rounds over the same spec."""
+
+    @given(_callable_dags(), st.sampled_from([1, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_entry_points_agree_on_results_order_and_waves(self, spec, concurrency):
+        def session():
+            return PromptSession(EchoClient(), max_concurrency=concurrency)
+
+        def shape(report):
+            return (report.results, report.step_order, report.waves)
+
+        reference = shape(Workflow.from_pipeline(spec).execute(session()))
+        assert reference[2] == spec.waves()
+        assert sorted(reference[1]) == sorted(step.name for step in spec.steps)
+        engine = DeclarativeEngine.from_session(session())
+        assert shape(engine.run_pipeline(spec)) == reference
+        engine = DeclarativeEngine.from_session(session())
+        assert shape(asyncio.run(engine.run_pipeline_async(spec))) == reference

@@ -8,15 +8,11 @@ from repro.core.engine import DeclarativeEngine
 from repro.core.executor import BatchExecutor
 from repro.core.session import PromptSession
 from repro.core.spec import SortSpec
-from repro.exceptions import (
-    ContextLengthExceededError,
-    ResponseParseError,
-    SpecError,
-    TraceError,
-)
+from repro.exceptions import ContextLengthExceededError, SpecError, TraceError
 from repro.query import Dataset
 from repro.trace import ReplayLLM, TraceRecord, replay_trace
-from tests.query.support import MODEL, clean_engine, product_corpus
+from tests.doubles import FlakyClient, yes_no_validator
+from tests.query.support import clean_engine, product_corpus
 
 
 def _replay_engine(records) -> DeclarativeEngine:
@@ -95,42 +91,14 @@ class TestCacheHeavyReplay:
 
 
 class TestRetryReplay:
-    class FlakyClient:
-        """Returns unparseable text for the first ``bad_attempts`` calls."""
-
-        default_model = MODEL
-
-        def __init__(self, bad_attempts: int) -> None:
-            self.bad_attempts = bad_attempts
-            self.calls = 0
-
-        def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-            from repro.llm.base import LLMResponse
-            from repro.tokenizer.cost import Usage
-
-            self.calls += 1
-            text = "garbled ???" if self.calls <= self.bad_attempts else "Yes."
-            return LLMResponse(
-                text=text,
-                model=model or MODEL,
-                usage=Usage(prompt_tokens=10, completion_tokens=5, calls=1),
-                metadata={"temperature": temperature},
-            )
-
-    @staticmethod
-    def _validator(text: str) -> bool:
-        if "yes" not in text.lower() and "no" not in text.lower():
-            raise ResponseParseError("no yes/no answer", text)
-        return True
-
     def _run_with_retries(self, session: PromptSession) -> list[str]:
         executor = BatchExecutor(
-            session.client(), validator=self._validator, max_retries=2
+            session.client(), validator=yes_no_validator, max_retries=2
         )
         return [response.text for response in executor.run(["is it a duplicate?"])]
 
     def test_retry_attempts_are_annotated_on_the_trace(self):
-        session = PromptSession(self.FlakyClient(bad_attempts=1))
+        session = PromptSession(FlakyClient(bad_attempts=1))
         texts = self._run_with_retries(session)
         assert texts == ["Yes."]
         records = session.tracer.records()
@@ -139,7 +107,7 @@ class TestRetryReplay:
         assert [record.parse_ok for record in records] == [False, True]
 
     def test_retry_containing_run_replays_identically(self):
-        session = PromptSession(self.FlakyClient(bad_attempts=1))
+        session = PromptSession(FlakyClient(bad_attempts=1))
         texts = self._run_with_retries(session)
         records = session.tracer.records()
 

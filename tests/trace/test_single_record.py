@@ -11,6 +11,7 @@ call's log line, span, record and metric series join by id.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import logging
@@ -40,7 +41,8 @@ PARENT_CACHE_HEAVY_DIGEST = (
     20,
 )
 
-DRIVERS = {"sync": (1, "threads"), "threads": (8, "threads"), "asyncio": (8, "async")}
+#: driver -> (max_concurrency, run on the asyncio scheduler?)
+DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
 
 
 def digest(records: list[TraceRecord]) -> tuple[str, int]:
@@ -64,24 +66,26 @@ def er_query() -> tuple[Dataset, object]:
     return query, oracle
 
 
-def run_er(engine, scheduler: str):
+def run_er(engine, awaited: bool):
     query, _ = er_query()
     compiled = query.compile(planner=engine.planner())
-    return engine.run_pipeline(compiled.spec, quote=compiled.quote, scheduler=scheduler)
+    if awaited:
+        return asyncio.run(engine.run_pipeline_async(compiled.spec, quote=compiled.quote))
+    return engine.run_pipeline(compiled.spec, quote=compiled.quote)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_er_records_equal_the_parents_and_replay(self, driver):
-        width, scheduler = DRIVERS[driver]
+        width, awaited = DRIVERS[driver]
         _, oracle = er_query()
         engine = clean_engine(oracle, max_concurrency=width)
-        original = run_er(engine, scheduler)
+        original = run_er(engine, awaited)
         records = engine.session.tracer.records()
         assert digest(records) == PARENT_ER_DIGEST
 
         session = PromptSession(replay_trace(records), max_concurrency=width)
-        replayed = run_er(DeclarativeEngine.from_session(session), scheduler)
+        replayed = run_er(DeclarativeEngine.from_session(session), awaited)
         assert replayed.results == original.results
         assert session.tracker.usage.calls == engine.session.tracker.usage.calls
 
