@@ -27,6 +27,11 @@ reports — is written once in :class:`_ExecutorCore`, as sans-IO bodies in the
 sense of :mod:`repro.llm.base`.  The two public classes add only how a body
 is driven (on the calling thread, or awaited) and how several are fanned out.
 
+``run`` is also the scope of a *bag* for the session's bookkeeping: a call is
+charged the moment it settles, but the telemetry it is owed (span, metrics,
+runtime stats) is left with the open :class:`SettleBag` and recorded in runs —
+so a bag settles once, however it is dispatched.
+
 Two reliability hooks ride along:
 
 * *Retry integration* — pass a ``validator`` (plus ``max_retries``) and every
@@ -45,8 +50,9 @@ import contextvars
 import inspect
 import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Iterable, Sequence
+from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 
 from repro.core.budget import Budget, BudgetLease
 from repro.core.governor import ConcurrencyGovernor, estimated_prompt_tokens, is_rate_limit
@@ -54,11 +60,12 @@ from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, drive
 from repro.llm.retry import RetryingClient, RetryStats
 
-#: The documented default in-flight ceiling for I/O-bound sync dispatch — the
-#: reference point the async throughput benchmark compares against.  Fixed so
-#: benchmarks are machine-independent: against a backend that waits, the sync
-#: path pays one blocked OS thread per call in flight, which is exactly the
-#: blowup the asyncio path avoids.
+#: The documented in-flight ceiling for I/O-bound sync dispatch: the width
+#: ``examples/async_pipeline.py`` sets its thread executor against the asyncio
+#: one at, and the width the repo benchmark's ``calls_threads`` /
+#: ``calls_latency`` workloads run at.  Fixed, so those numbers do not depend
+#: on the machine: against a backend that waits, the sync path pays one
+#: blocked OS thread per call in flight, which the asyncio path does not.
 DEFAULT_POOL_SIZE = 8
 
 #: How long a fanned-out bag may start no body before :class:`BatchExecutor`
@@ -128,6 +135,66 @@ class _QueueDepth:
             self._instruments.note_dequeued(self._count)
 
 
+class SettleBag:
+    """The settled calls of one bag whose telemetry record is still owed.
+
+    A session charges every call as it settles and leaves the record it owes
+    here (:meth:`add`); the bag hands the entries on in settle order, in
+    runs: whenever they cover ``bound`` calls, and at :meth:`close`.  Once
+    closed it holds nothing: a context copied inside the scope that settles
+    a call after it has that call recorded at once.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._record: Callable[[list], None] | None = None
+        self._held: list = []
+        self._calls = 0
+        self._open = True
+
+    def add(self, record: Callable[[list], None], entry: Any, calls: int, bound: int) -> None:
+        """Hold ``entry``, which covers ``calls`` calls, for ``record``."""
+        with self._lock:
+            if record != self._record:
+                self._hand_over()
+                self._record = record
+            self._held.append(entry)
+            self._calls += calls
+            if self._calls >= bound or not self._open:
+                self._hand_over()
+
+    def close(self) -> None:
+        with self._lock:
+            self._open = False
+            self._hand_over()
+
+    def _hand_over(self) -> None:
+        # Under the lock, so that two runs cannot overtake each other.
+        if self._held:
+            held, self._held, self._calls = self._held, [], 0
+            self._record(held)
+
+
+#: The bag the running context settles its calls into; ``None`` outside any.
+#: A ``ContextVar``, so it reaches the fanned-out bodies through the context
+#: copies they run under, and nests: an operator's bag inside a ``map`` wave.
+OPEN_BAG: contextvars.ContextVar[SettleBag | None] = contextvars.ContextVar(
+    "repro_open_bag", default=None
+)
+
+
+@contextmanager
+def _settling(bag: SettleBag | None) -> Iterator[None]:
+    """Make ``bag`` the open one; on any exit, hand over what it still holds."""
+    token = OPEN_BAG.set(bag)
+    try:
+        yield
+    finally:
+        OPEN_BAG.reset(token)
+        if bag is not None:
+            bag.close()
+
+
 class _Admitted:
     """Request: make ``call`` while holding one of the governor's admission slots."""
 
@@ -178,6 +245,16 @@ class _RunTask:
 
 class _ExecutorCore:
     """Every decision of batch execution, once; see the module docstring.
+
+    What is per call and what is per bag: the budget pre-check, admission and
+    — in the session — tracking, pricing and charging happen per unit task,
+    before the next one is dispatched.  ``run`` (both dispatch shapes, both
+    drivers) additionally opens one :class:`SettleBag` scope: a session
+    reached through it records the settled calls — spans, ``repro_*``
+    metrics, runtime stats — in runs of the ring's flush bound and, in a
+    ``finally``, at the bag's end, so a failure, a budget stop or Ctrl-C
+    loses no record.  ``map`` opens none: each operator run inside a wave
+    opens its own.  Neither does an executor with a ``validator``.
 
     Args:
         client: the client every unit task is issued through (typically an
@@ -260,7 +337,10 @@ class _ExecutorCore:
         ]
         if not normalized:
             return []
-        with _QueueDepth(self.instruments, len(normalized)):
+        # One bag per run, however it is dispatched — except under a validator,
+        # whose retry wrapper amends each call's span as soon as the call returns.
+        bag = SettleBag() if self.retry_stats is None else None
+        with _QueueDepth(self.instruments, len(normalized)), _settling(bag):
             if self.max_concurrency == 1 or len(normalized) == 1:
                 return (yield from self._run_sequential(normalized))
             return (yield from self._run_concurrent(normalized))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.config import DEFAULT_CONFIG, ReproConfig
 from repro.core.budget import Budget, BudgetLease
-from repro.core.executor import AsyncBatchExecutor, BatchExecutor
+from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.stats import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
@@ -30,7 +30,7 @@ from repro.llm.base import Body, Call, LLMClient, LLMResponse, adrive, drive
 from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
-from repro.obs import MetricsRegistry, SessionInstruments, Span, SpanTracker
+from repro.obs import MetricsRegistry, SessionInstruments, Span, SpanTracker, current_span_id
 from repro.tokenizer.cost import CostModel
 from repro.trace import TraceLabels, Tracer, current_labels
 
@@ -40,6 +40,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: One structured line per call: DEBUG when it settled, WARNING when it raised.
 _LOG = logging.getLogger("repro.calls")
 _LOG.addHandler(logging.NullHandler())  # a library stays off stderr unless asked
+
+#: One dispatch whose calls await their record: the calls as ``(model, status,
+#: fields)``, ``(parent span id, start, end, calls)`` as read when it settled,
+#: the ambient labels, each call's share of the duration, the responses the
+#: spans' ids are owed to (``None``: the dispatch raised), cache hits, dollars.
+_Settled = tuple[
+    list[tuple[str, str, dict]],
+    tuple[int | None, float, float, int],
+    TraceLabels,
+    float,
+    list[LLMResponse] | None,
+    int,
+    float,
+]
 
 
 @dataclass
@@ -293,10 +307,18 @@ class PromptSession:
         target: Budget | BudgetLease,
         start: float,
     ) -> list[LLMResponse]:
-        """The post-call path: track, price and charge each response, then
-        record the batch — spans, metrics, runtime stats — once."""
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        share_ms = elapsed_ms / len(responses) if responses else 0.0
+        """The post-call path, in its two halves.
+
+        *Per call, here and now* — what the dollars contract needs: the usage
+        tracker, the price and ``target.charge`` of every response, in the
+        calling thread before the call returns, so pre-checks, leases and
+        early stops see every cent at once.  *Telemetry* — the ``call`` span,
+        the ``AI_CALL`` line, the metrics, the runtime stats — is one entry
+        per dispatch handed to :meth:`_hand_over`: recorded at once outside
+        an executor's bag, with the rest of its run inside one.
+        """
+        end = time.perf_counter()
+        share_ms = (end - start) * 1000.0 / len(responses) if responses else 0.0
         self.tracker.record_batch(responses)
         labels = current_labels()
         step, operator = labels.step, labels.operator
@@ -343,60 +365,97 @@ class PromptSession:
                     target.charge(cost)
                 except BudgetExceededError as exc:
                     charge_error = charge_error or exc
-        # Recorded whether or not charging breached the budget: the calls
+        # Handed over whether or not charging breached the budget: the calls
         # happened, and are replayable.
-        spans = self._record_calls(calls, share_ms, labels, logging.DEBUG)
-        for response, span in zip(responses, spans):
-            # Retry wrappers annotate attempt index / parse outcome by this id.
-            response.metadata["trace_call_id"] = span.span_id
-        count = len(calls)
-        self.instruments.note_calls(
-            hits=hits, misses=count - hits, cost=spent, duration_ms=share_ms
-        )
-        self.stats.record_cache(hit=True, requests=hits)
-        self.stats.record_cache(hit=False, requests=count - hits)
-        self.instruments.note_budget_spent(self.budget.spent)
+        settled = (current_span_id(self.spans), end - share_ms / 1000.0, end, len(calls))
+        self._hand_over((calls, settled, labels, share_ms, responses, hits, spent))
         if charge_error is not None:
             raise charge_error
         return responses
 
-    # -- tracing ------------------------------------------------------------------
+    # -- recording ----------------------------------------------------------------
 
-    def _record_calls(
-        self,
-        calls: list[tuple[str, str, dict]],
-        duration_ms: float,
-        labels: TraceLabels,
-        level: int,
-    ) -> list[Span]:
-        """The one record of each call of a batch: a ``call`` span holding the
-        trace fields, a ``repro.calls`` log line at ``level`` when anyone
-        listens, and the batch's latency under its operator label."""
-        spans = self.spans.record_calls(calls, duration_seconds=duration_ms / 1000.0)
-        if _LOG.isEnabledFor(level):
-            for span in spans:
-                fields = span.attributes
-                _LOG.log(
-                    level,
-                    "AI_CALL call_id=%d step=%s operator=%s model=%s duration_ms=%.3f "
-                    "cache_hit=%s error=%s",
-                    span.span_id,
-                    labels.step,
-                    labels.operator,
-                    span.label,
-                    duration_ms,
-                    fields["cache_hit"],
-                    fields["error"],
-                    extra={
-                        "tenant": self.instruments.tenant,
-                        "job": labels.job,
-                        "span_id": span.span_id,
-                        "parent_span_id": span.parent_id,
-                    },
-                )
-        if labels.operator:
-            self.stats.record_latencies(labels.operator, duration_ms, len(calls))
-        return spans
+    def _hand_over(self, entry: _Settled) -> None:
+        """Leave a dispatch's calls to be recorded: now, or with their bag's run.
+
+        A run is bounded by the ring's own flush bound, so a bag adds at most
+        one run of unrecorded calls to what a kill can lose of a step.
+        """
+        bag = OPEN_BAG.get()
+        if bag is None:
+            self._record([entry])
+        else:
+            bag.add(self._record, entry, len(entry[0]), self.spans.flush_every)
+
+    def _record(self, run: list[_Settled]) -> None:
+        """The one record of each call of a run, in settle order: a ``call``
+        span holding the trace fields (its id stamped on the response, where
+        retry wrappers look for it), a ``repro.calls`` log line when anyone
+        listens, and — crossing each once per run — the metrics and the
+        runtime stats."""
+        calls: list[tuple[str, str, dict]] = []
+        settled = []
+        owed: list[LLMResponse | None] = []  # whom each span's id is stamped on
+        durations: list[tuple[float, int]] = []
+        latencies: dict[str, list[tuple[float, int]]] = {}
+        hits = ok = 0
+        cost = 0.0
+        for batch, when, labels, duration_ms, responses, batch_hits, batch_cost in run:
+            count = len(batch)
+            calls += batch
+            settled.append(when)
+            if labels.operator:
+                latencies.setdefault(labels.operator, []).append((duration_ms, count))
+            if responses is None:
+                owed += [None] * count
+                self.instruments.note_call_error(batch[0][2]["error"])
+            else:
+                owed += responses
+                durations.append((duration_ms, count))
+                ok += count
+                hits += batch_hits
+                cost += batch_cost
+        spans = self.spans.record_calls(calls, settled=settled)
+        for span, response in zip(spans, owed):
+            if response is not None:
+                response.metadata["trace_call_id"] = span.span_id
+        if ok:
+            self.instruments.note_calls(
+                hits=hits, misses=ok - hits, cost=cost, durations_ms=durations
+            )
+            self.stats.record_cache(hit=True, requests=hits)
+            self.stats.record_cache(hit=False, requests=ok - hits)
+            self.instruments.note_budget_spent(self.budget.spent)
+        for operator, samples in latencies.items():
+            self.stats.record_latencies(operator, samples)
+        if ok < len(spans) or _LOG.isEnabledFor(logging.DEBUG):
+            labelled = [entry[2] for entry in run for _ in entry[0]]
+            for span, labels in zip(spans, labelled):
+                level = logging.DEBUG if span.status == "ok" else logging.WARNING
+                if _LOG.isEnabledFor(level):
+                    self._log(level, span, labels)
+
+    def _log(self, level: int, span: Span, labels: TraceLabels) -> None:
+        """One ``repro.calls`` line for a recorded call."""
+        fields = span.attributes
+        _LOG.log(
+            level,
+            "AI_CALL call_id=%d step=%s operator=%s model=%s duration_ms=%.3f "
+            "cache_hit=%s error=%s",
+            span.span_id,
+            labels.step,
+            labels.operator,
+            span.label,
+            fields["duration_ms"],
+            fields["cache_hit"],
+            fields["error"],
+            extra={
+                "tenant": self.instruments.tenant,
+                "job": labels.job,
+                "span_id": span.span_id,
+                "parent_span_id": span.parent_id,
+            },
+        )
 
     def _trace_failure(
         self,
@@ -406,10 +465,12 @@ class PromptSession:
         start: float,
         error: BaseException,
     ) -> None:
-        """Record a call, started at ``start``, that raised (class from the taxonomy)."""
-        duration_ms = (time.perf_counter() - start) * 1000.0
+        """Hand over the record of a call, started at ``start``, that raised
+        (class from the taxonomy) — through the bag like a success, so the
+        records of a bag stay in settle order."""
+        end = time.perf_counter()
+        duration_ms = (end - start) * 1000.0
         labels = current_labels()
-        name = type(error).__name__
         fields = {
             "step": labels.step,
             "operator": labels.operator,
@@ -417,10 +478,10 @@ class PromptSession:
             "prompt": prompt,
             "duration_ms": duration_ms,
             "cache_hit": False,
-            "error": name,
+            "error": type(error).__name__,
         }
-        self._record_calls([(model, "error", fields)], duration_ms, labels, logging.WARNING)
-        self.instruments.note_call_error(name)
+        settled = (current_span_id(self.spans), start, end, 1)
+        self._hand_over(([(model, "error", fields)], settled, labels, duration_ms, None, 0, 0.0))
 
     def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
         """A client view suitable for handing to operators.

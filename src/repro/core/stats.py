@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.exceptions import ConfigurationError
 
@@ -134,24 +134,26 @@ class RuntimeStats:
 
     def record_latency(self, label: str, duration_ms: float) -> None:
         """Record one call's wall-clock duration under a strategy label."""
-        self.record_latencies(label, duration_ms, 1)
+        self.record_latencies(label, ((duration_ms, 1),))
 
-    def record_latencies(self, label: str, duration_ms: float, count: int) -> None:
-        """Record ``count`` calls of ``duration_ms`` each under a strategy label.
+    def record_latencies(self, label: str, durations_ms: Iterable[tuple[float, int]]) -> None:
+        """Record ``(duration_ms, count)`` pairs under a strategy label:
+        ``count`` calls of ``duration_ms`` each.
 
-        The session feeds this once per settled batch that carries an
-        operator label (every call of a batch is booked at the same share of
-        its duration), so the reservoir blends live-call and cache-hit
-        durations in their observed proportions — which is exactly the
-        per-call latency a quote should extrapolate from.
+        The session feeds this once per recorded run of calls that carry an
+        operator label (every call of a native batch is booked at the same
+        share of its duration), so the reservoir blends live-call and
+        cache-hit durations in their observed proportions — which is exactly
+        the per-call latency a quote should extrapolate from.
         """
-        if duration_ms < 0 or count <= 0:
-            return
+        cap = self.LATENCY_SAMPLE_CAP
         with self._lock:
             samples = self._latency.setdefault(label, [])
-            samples.extend([float(duration_ms)] * min(count, self.LATENCY_SAMPLE_CAP))
-            if len(samples) > self.LATENCY_SAMPLE_CAP:
-                del samples[: len(samples) - self.LATENCY_SAMPLE_CAP]
+            for duration_ms, count in durations_ms:
+                if duration_ms >= 0 and count > 0:
+                    samples.extend([float(duration_ms)] * min(count, cap))
+            if len(samples) > cap:
+                del samples[: len(samples) - cap]
 
     def record_critical_path(self, pipeline: str, seconds: float) -> None:
         """Record one pipeline run's observed critical-path wall-clock.

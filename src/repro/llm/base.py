@@ -415,11 +415,15 @@ class BaseClient:
     Where the executors' per-call path crosses a wrapper once per unit task
     (:class:`~repro.llm.tracker.TrackedClient`,
     :class:`~repro.llm.cache.CachedClient`, the session), that wrapper also
-    writes ``complete`` out by hand over the same helpers: driving a
-    generator costs about a microsecond per layer per call, and on the
-    benchmark's ``calls_threads`` workload those three layers were the
-    difference between 9 % and 19 % below the hand-written twins (numbers
-    in CHANGES.md, PR 13).
+    writes ``complete`` out by hand over the same helpers.  On today's
+    ledger (CHANGES.md, PR 19; sandbox microseconds per call, backend
+    excluded) a unit call through ``BatchExecutor.run`` at width 8 costs
+    about 14: 2.7 as one call of a native batch, + 4.0 for the session's
+    single-call entry, + 5.1 for the executor's ``_unit`` / ``drive`` /
+    ``Call``, + 2.1 for ``_fan_out`` per body.  Driving a generator instead
+    costs about 2 per layer per call (``TrackedClient.complete`` 1.6 written
+    out, 3.6 driven; ``CachedClient.complete`` 0.8 and 2.6), so the three
+    twins are worth about 6 of those 14 — which is why they stay.
     """
 
     def _body(self, call: Call) -> Body:

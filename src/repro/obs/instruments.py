@@ -12,6 +12,8 @@ governor, executors, tracer, workflow scheduler, and job manager.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SessionInstruments"]
@@ -116,16 +118,20 @@ class SessionInstruments:
 
     # -- calls and budget --------------------------------------------
 
-    def note_calls(self, *, hits: int, misses: int, cost: float, duration_ms: float) -> None:
-        """A settled batch: its cache outcomes, summed cost, and the duration
-        every one of its calls is booked at."""
+    def note_calls(
+        self, *, hits: int, misses: int, cost: float, durations_ms: Iterable[tuple[float, int]]
+    ) -> None:
+        """A run of settled calls: its cache outcomes, summed cost, and its
+        durations as ``(milliseconds, calls booked at it)`` pairs."""
         if hits:
             self._calls_hit.inc(hits)
         if misses:
             self._calls_miss.inc(misses)
         if cost > 0:
             self._cost.inc(cost)
-        self._call_seconds.observe_many(max(0.0, duration_ms) / 1000.0, hits + misses)
+        self._call_seconds.observe_many(
+            [(max(0.0, ms) / 1000.0, count) for ms, count in durations_ms]
+        )
 
     def note_call_error(self, error: str) -> None:
         self._call_errors.labels(tenant=self.tenant, error=error).inc()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -119,19 +120,17 @@ class HistogramChild(_Child):
         self._count = 0
 
     def observe(self, value: float) -> None:
-        self.observe_many(value, 1)
+        self.observe_many(((value, 1),))
 
-    def observe_many(self, value: float, count: int) -> None:
-        """*count* observations of the same *value* (a batch's equal shares)."""
+    def observe_many(self, observations: Iterable[tuple[float, int]]) -> None:
+        """``(value, count)`` pairs — *count* observations of *value*, as the
+        calls of one dispatch share its duration — under one crossing."""
+        buckets, counts = self._buckets, self._counts
         with self._lock:
-            self._sum += value * count
-            self._count += count
-            for index, bound in enumerate(self._buckets):
-                if value <= bound:
-                    self._counts[index] += count
-                    break
-            else:
-                self._counts[-1] += count
+            for value, count in observations:
+                self._sum += value * count
+                self._count += count
+                counts[bisect_left(buckets, value)] += count  # the first bound >= value
 
     @property
     def count(self) -> int:

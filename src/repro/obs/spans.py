@@ -26,6 +26,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 from uuid import uuid4
@@ -144,6 +145,9 @@ class SpanTracker:
     Dirty spans are flushed once *flush_every* have accumulated — unless
     the store has a pipeline step open, whose settle writes them with the
     step's other rows (``StoreDB.defers``, up to its own larger bound).
+    *flush_every* is also the longest run of settled calls an executor's bag
+    holds back from the ring (see :meth:`record_calls`), which keeps that
+    bound whole: a run that arrives is at once counted against it.
     """
 
     def __init__(
@@ -238,24 +242,30 @@ class SpanTracker:
         self,
         calls: Iterable[tuple[str, str, dict[str, Any]]],
         *,
-        duration_seconds: float = 0.0,
+        settled: Iterable[tuple[int | None, float, float, int]] | None = None,
     ) -> list[Span]:
-        """Record a settled batch of model calls, one ``call`` span each.
+        """Record a run of settled model calls, one ``call`` span each.
 
         *calls* holds one ``(model, status, attributes)`` per call, in
-        order; the spans get consecutive ids under one crossing of the
-        lock, the ambient span as parent and *duration_seconds* (a call's
-        share of its batch) as backdated duration.  The attribute dicts are
-        kept as given — the caller passes JSON primitives under
-        :class:`~repro.trace.TraceRecord`'s field names.
+        settle order; the spans get consecutive ids under one crossing of
+        the lock.  *settled* says when: one ``(parent_id, start, end,
+        count)`` per dispatch, as read when it settled, for the next
+        *count* calls — a run may be recorded later, and from another
+        thread.  Without it the calls ended just now, under the ambient
+        span.  The attribute dicts are kept as given — the caller passes
+        JSON primitives under :class:`~repro.trace.TraceRecord`'s field
+        names.
         """
 
-        now = perf_counter()
-        start = now - max(0.0, duration_seconds)
-        parent_id = current_span_id(self)
+        if settled is None:
+            calls = list(calls)
+            now = perf_counter()
+            settled = [(current_span_id(self), now, now, len(calls))]
+        remaining = iter(calls)
         spans = [
-            Span(0, parent_id, "call", model, start, now, status, attributes)
-            for model, status, attributes in calls
+            Span(0, parent_id, "call", model, start, end, status, attributes)
+            for parent_id, start, end, count in settled
+            for model, status, attributes in islice(remaining, count)
         ]
         self._admit(spans)
         return spans

@@ -25,9 +25,10 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from time import perf_counter
 from typing import Any, Iterator, Sequence
 
-from repro.obs.spans import Span, SpanTracker
+from repro.obs.spans import Span, SpanTracker, current_span_id
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,11 @@ class Tracer:
         labels = current_labels()
         traced.setdefault("step", labels.step)
         traced.setdefault("operator", labels.operator)
+        end = perf_counter()
+        start = end - max(0.0, traced.get("duration_ms", 0.0)) / 1000.0
         (span,) = self.spans.record_calls(
             [(model, "ok" if traced.get("error") is None else "error", traced)],
-            duration_seconds=traced.get("duration_ms", 0.0) / 1000.0,
+            settled=[(current_span_id(self.spans), start, end, 1)],
         )
         return TraceRecord.from_span(span)
 
