@@ -4,7 +4,10 @@ All metadata lives here (no ``pyproject.toml``) so the package installs in
 environments without the ``wheel`` package (``pip install -e .`` needs it
 for PEP 660 editable builds; ``python setup.py develop`` does not).
 
-The core package is stdlib-only at runtime.  Extras:
+Runtime dependencies: numpy (the index layer's data model, loaded by
+``import repro``) and scipy (``scipy.stats`` gives the ranking metrics their
+Kendall tau-b and Spearman rho; imported by the first such call of a process,
+not by ``import repro``).  Extras:
 
 ``serve``
     uvicorn, for running :func:`repro.service.serve` as a real HTTP
@@ -25,7 +28,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=[],
+    install_requires=["numpy", "scipy"],
     extras_require={
         "serve": ["uvicorn"],
     },

@@ -4,6 +4,10 @@ A batch of interrelated unit tasks must satisfy global constraints: pairwise
 duplicate judgments must respect transitivity, and pairwise comparisons must
 admit a topological order.  LLMs violate these constraints when they make
 random mistakes; patching the batch after the fact recovers accuracy.
+
+The package is plain Python over dicts and sets: the match graph is adjacency
+sets searched breadth-first (``transitivity._Adjacency``), so importing it
+loads no graph library.
 """
 
 from repro.consistency.graph_repair import EvidenceRepairResult, repair_with_evidence

@@ -5,13 +5,63 @@ whenever the two records are connected by a path of "Yes" edges — i.e. it
 takes the transitive closure of the match graph.  :class:`MatchGraph` stores
 the pairwise judgments and exposes exactly that operation, plus the connected
 components used to turn pairwise matches into entity clusters.
+
+The graph is a dict of adjacency sets and a breadth-first search — the three
+graph operations this module needs do not justify importing a graph library
+with every ``import repro``.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-import networkx as nx
+
+class _Adjacency:
+    """An undirected graph as adjacency sets, nodes kept in insertion order."""
+
+    def __init__(self) -> None:
+        self._neighbors: dict[Hashable, set[Hashable]] = {}
+
+    def __contains__(self, node: Hashable) -> bool:
+        return node in self._neighbors
+
+    def __iter__(self):
+        return iter(self._neighbors)
+
+    def add_node(self, node: Hashable) -> None:
+        self._neighbors.setdefault(node, set())
+
+    def add_edge(self, left: Hashable, right: Hashable) -> None:
+        self._neighbors.setdefault(left, set()).add(right)
+        self._neighbors.setdefault(right, set()).add(left)
+
+    def has_edge(self, left: Hashable, right: Hashable) -> bool:
+        return right in self._neighbors.get(left, ())
+
+    def component_of(self, start: Hashable) -> set[Hashable]:
+        """Every node reachable from ``start`` (which must be a node), itself included."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for neighbor in self._neighbors[node]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        reached.append(neighbor)
+            frontier = reached
+        return seen
+
+    def components(self) -> list[set[Hashable]]:
+        """Connected components, ordered by each one's first-inserted node."""
+        seen: set[Hashable] = set()
+        found = []
+        for node in self._neighbors:
+            if node not in seen:
+                component = self.component_of(node)
+                seen |= component
+                found.append(component)
+        return found
 
 
 class MatchGraph:
@@ -23,7 +73,7 @@ class MatchGraph:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._graph = _Adjacency()
         self._non_matches: set[frozenset[Hashable]] = set()
 
     def add_node(self, node: Hashable) -> None:
@@ -44,7 +94,7 @@ class MatchGraph:
 
     @property
     def nodes(self) -> list[Hashable]:
-        return list(self._graph.nodes)
+        return list(self._graph)
 
     def has_match_edge(self, left: Hashable, right: Hashable) -> bool:
         """Whether a direct positive judgment exists between two records."""
@@ -58,18 +108,16 @@ class MatchGraph:
         """Whether a path of positive judgments connects the two records."""
         if left not in self._graph or right not in self._graph:
             return False
-        if left == right:
-            return True
-        return nx.has_path(self._graph, left, right)
+        return right in self._graph.component_of(left)
 
     def components(self) -> list[set[Hashable]]:
         """Connected components of the match graph (the inferred entities)."""
-        return [set(component) for component in nx.connected_components(self._graph)]
+        return self._graph.components()
 
     def transitive_matches(self) -> set[frozenset[Hashable]]:
         """All unordered pairs connected by the transitive closure."""
         closure: set[frozenset[Hashable]] = set()
-        for component in nx.connected_components(self._graph):
+        for component in self._graph.components():
             members = list(component)
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
@@ -88,9 +136,10 @@ class MatchGraph:
 
 def connected_components(edges: Iterable[tuple[Hashable, Hashable]]) -> list[set[Hashable]]:
     """Connected components of an undirected edge list."""
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
-    return [set(component) for component in nx.connected_components(graph)]
+    graph = _Adjacency()
+    for left, right in edges:
+        graph.add_edge(left, right)
+    return graph.components()
 
 
 def transitive_closure_pairs(

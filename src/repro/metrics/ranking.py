@@ -3,13 +3,16 @@
 The paper reports Kendall Tau-b for its sorting case studies (Tables 1 and 2).
 Kendall Tau-b handles ties in either ranking, which matters for the
 rating-based strategy where many items share a 1–7 rating.
+
+Tau-b and Spearman's rho are computed by ``scipy.stats``, which each of the
+three functions that needs it imports when called: it is most of a second and
+about 70 MB of start-up that a process which never scores a ranking — a run of
+operators, the job service — should not pay on ``import repro``.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Sequence
-
-from scipy import stats
 
 from repro.exceptions import DatasetError
 
@@ -37,6 +40,8 @@ def kendall_tau_b(
         raise DatasetError("need at least two shared items to compare rankings")
     predicted_ranks = list(range(len(shared)))
     true_ranks = [true_positions[item] for item in shared]
+    from scipy import stats
+
     statistic = stats.kendalltau(predicted_ranks, true_ranks, variant="b").statistic
     return float(statistic)
 
@@ -58,6 +63,8 @@ def kendall_tau_b_from_scores(
     # Higher score = better rank, so negate to align directions with positions.
     predicted = [-predicted_scores[item] for item in shared]
     truth = [true_positions[item] for item in shared]
+    from scipy import stats
+
     return float(stats.kendalltau(predicted, truth, variant="b").statistic)
 
 
@@ -72,6 +79,8 @@ def spearman_rho(
         raise DatasetError("need at least two shared items to compare rankings")
     predicted_ranks = list(range(len(shared)))
     true_ranks = [true_positions[item] for item in shared]
+    from scipy import stats
+
     return float(stats.spearmanr(predicted_ranks, true_ranks).statistic)
 
 

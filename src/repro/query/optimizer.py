@@ -58,7 +58,8 @@ property of the lowering, not a plan rewrite.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Sequence
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.planner import CostPlanner

@@ -25,6 +25,9 @@ Robustness rules (exercised by ``tests/store/test_db_edge_cases.py``):
   checkpoints, profiles and jobs a tenant paid for survive an upgrade.  A
   version from before those steps is rebuilt from scratch, which is safe
   because everything in the store is derived data that a re-run recreates.
+* **Current file** — a file already stamped with our ``application_id`` and
+  this :data:`SCHEMA_VERSION` is opened without a write: the two connection
+  PRAGMAs, no schema transaction (``tests/store/test_open_current.py``).
 
 All access goes through :meth:`StoreDB.execute` under one re-entrant lock,
 so a single :class:`StoreDB` can be shared by every thread of a concurrent
@@ -229,7 +232,13 @@ class StoreDB:
             for step in range(version, SCHEMA_VERSION):
                 for table in _DROPPED_AFTER.get(step, _TABLES + ("traces",)):
                     conn.execute(f"DROP TABLE IF EXISTS {table}")
-        self._initialize(conn)
+        conn.execute("PRAGMA journal_mode = WAL")
+        conn.execute("PRAGMA synchronous = NORMAL")
+        # A file that is already ours and current is left unwritten: the
+        # schema transaction would queue on the write lock and leave a WAL
+        # frame for close to checkpoint, to change nothing.
+        if application_id != APPLICATION_ID or version != SCHEMA_VERSION:
+            self._initialize(conn)
         return conn
 
     def _move_corrupt_aside(self) -> None:
@@ -267,8 +276,6 @@ class StoreDB:
         return int(row[0]) if row is not None else None
 
     def _initialize(self, conn: sqlite3.Connection) -> None:
-        conn.execute("PRAGMA journal_mode = WAL")
-        conn.execute("PRAGMA synchronous = NORMAL")
         conn.execute("BEGIN IMMEDIATE")
         try:
             # executescript() would implicitly COMMIT the open transaction,
