@@ -469,19 +469,20 @@ class DeclarativeEngine:
         """Run one spec step, through the checkpoint store when there is one.
 
         The fingerprint is computed over the *concrete* spec (factories
-        already applied), so it content-addresses the step's resolved
-        inputs; a hit restores the stored result before any strategy
-        resolution happens — validation-driven ``auto`` steps therefore
-        skip even their labelled-sample candidate runs on resume.  Specs
-        that cannot be fingerprinted or results without a codec simply
-        bypass the store (re-running is always correct).
+        already applied) and the model its calls go out with, so it
+        content-addresses the step's resolved inputs; a hit restores the
+        stored result before any strategy resolution happens —
+        validation-driven ``auto`` steps therefore skip even their
+        labelled-sample candidate runs on resume.  Specs that cannot be
+        fingerprinted or results without a codec simply bypass the store
+        (re-running is always correct).
         """
         with trace_label(step=step.name):
             task = self._materialize_step_task(step, inputs)
             fingerprint = None
             if store is not None:
                 with suppress(StoreError):
-                    fingerprint = fingerprint_spec(task)
+                    fingerprint = fingerprint_spec(task, model=self.physical.planner_model())
             if fingerprint is None:
                 return self.run_spec(task, budget=lease)
             try:

@@ -258,7 +258,7 @@ class _ExecutorCore:
 
     Args:
         client: the client every unit task is issued through (typically an
-            operator's tracked/cached client, or a session client).  Sync-only
+            operator's client, or a session client).  Sync-only
             clients work on the async executor too: dispatch goes through
             :func:`~repro.llm.base.call_acomplete`, which bridges a client
             without ``acomplete`` into a worker thread.

@@ -47,7 +47,6 @@ from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError
 from repro.metrics.classification import f1_score
-from repro.tokenizer.simple import SimpleTokenizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import Budget, BudgetLease
@@ -161,7 +160,6 @@ class PhysicalPlanner:
         self.default_model = default_model
         self.stats = stats if stats is not None else session.stats
         self._planners: dict[tuple[str, bool], CostPlanner] = {}
-        self._tokenizer = SimpleTokenizer()
 
     # -- planner access --------------------------------------------------------------
 
@@ -174,7 +172,7 @@ class PhysicalPlanner:
         name = self.planner_model(model)
         key = (name, with_stats)
         if key not in self._planners:
-            planner = self._planners[key] = CostPlanner(
+            self._planners[key] = CostPlanner(
                 name,
                 registry=self.session.registry,
                 stats=self.stats if with_stats else None,
@@ -184,9 +182,6 @@ class PhysicalPlanner:
                 # ratios and must stay undiscounted.
                 response_cache=self.session.cache if with_stats else None,
             )
-            # One token memo for every planner: the stats-free baseline in
-            # ``record_run`` re-prices texts the quote already counted.
-            planner.tokenizer = self._tokenizer
         return self._planners[key]
 
     def operator_kwargs(self, budget: "Budget | BudgetLease | None" = None) -> dict:

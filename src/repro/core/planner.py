@@ -385,20 +385,6 @@ class CostPlanner:
             strategy="index:build", calls=len(texts), usage=usage, dollars=0.0
         )
 
-    def index_probe(self, queries: Sequence[str]) -> CostEstimate:
-        """Price probing a built index once per query (zero LLM dollars).
-
-        Each probe embeds its query locally and distance-ranks a candidate
-        set (see :meth:`probe_candidate_rate` for the expected candidate
-        count); no tokens are generated, so like :meth:`index_build` the
-        estimate carries embed calls and zero dollars.
-        """
-        tokens = sum(self.tokenizer.count(str(query)) for query in queries)
-        usage = Usage(prompt_tokens=tokens, calls=len(queries))
-        return CostEstimate(
-            strategy="index:probe", calls=len(queries), usage=usage, dollars=0.0
-        )
-
     def probe_candidate_rate(self) -> float:
         """Expected candidates ranked per probe (observed, or the prior)."""
         if self.stats is not None:

@@ -180,7 +180,6 @@ class PromptSession:
         #: The call spans as :class:`~repro.trace.TraceRecord` views.
         self.tracer = Tracer(self.spans)
         self._client: LLMClient = CachedClient(client, self.cache) if use_cache else client
-        self._raw_client = client
 
     def complete(
         self,

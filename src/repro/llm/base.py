@@ -413,17 +413,15 @@ class BaseClient:
     backend.
 
     Where the executors' per-call path crosses a wrapper once per unit task
-    (:class:`~repro.llm.tracker.TrackedClient`,
-    :class:`~repro.llm.cache.CachedClient`, the session), that wrapper also
-    writes ``complete`` out by hand over the same helpers.  On today's
-    ledger (CHANGES.md, PR 19; sandbox microseconds per call, backend
-    excluded) a unit call through ``BatchExecutor.run`` at width 8 costs
-    about 14: 2.7 as one call of a native batch, + 4.0 for the session's
-    single-call entry, + 5.1 for the executor's ``_unit`` / ``drive`` /
-    ``Call``, + 2.1 for ``_fan_out`` per body.  Driving a generator instead
-    costs about 2 per layer per call (``TrackedClient.complete`` 1.6 written
-    out, 3.6 driven; ``CachedClient.complete`` 0.8 and 2.6), so the three
-    twins are worth about 6 of those 14 — which is why they stay.
+    (:class:`~repro.llm.cache.CachedClient`, the session), that wrapper also
+    writes ``complete`` out by hand over the same helpers.  On PR 19's
+    ledger (CHANGES.md; sandbox microseconds per call, backend excluded) a
+    unit call through ``BatchExecutor.run`` at width 8 cost about 14: 2.7 as
+    one call of a native batch, + 4.0 for the session's single-call entry,
+    + 5.1 for the executor's ``_unit`` / ``drive`` / ``Call``, + 2.1 for
+    ``_fan_out`` per body.  Driving a generator instead costs about 2 per
+    layer per call (``CachedClient.complete`` 0.8 written out, 2.6 driven),
+    so the two twins are worth about 4 of those — which is why they stay.
     """
 
     def _body(self, call: Call) -> Body:
@@ -473,13 +471,3 @@ class BaseClient:
         max_tokens: int | None = None,
     ) -> list[LLMResponse]:
         return await adrive(self._body(Call(None, list(prompts), model, temperature, max_tokens)))
-
-
-def messages_to_prompt(messages: list[ChatMessage]) -> str:
-    """Flatten a chat transcript into a single prompt string.
-
-    The simulated models are plain text-completion models; chat-style callers
-    can still use them by flattening the transcript with role prefixes, the
-    same way provider SDKs do internally for non-chat models.
-    """
-    return "\n".join(f"{message.role}: {message.content}" for message in messages)

@@ -115,18 +115,3 @@ class TrackedClient(BaseClient):
         responses = yield call.to(self._client)
         self.tracker.record_batch(responses)
         return responses
-
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
-        response = self._client.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        self.tracker.record(response)
-        return response

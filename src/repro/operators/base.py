@@ -1,8 +1,9 @@
 """Shared plumbing for operators: results, strategy registries, LLM access.
 
-Every operator extends :class:`BaseOperator`, which owns a tracked LLM client
-(so token/cost accounting is automatic), an optional response cache, and a
-registry of named strategies.  Operator results extend
+Every operator extends :class:`BaseOperator`, which owns a usage tracker fed
+by what its dispatches return (so token/cost accounting is automatic), a
+client whose calls cross one response cache, and a registry of named
+strategies.  Operator results extend
 :class:`OperatorResult`, which carries the usage and dollar cost alongside the
 task output so benchmarks can report the cost columns of the paper's tables
 without extra bookkeeping.
@@ -23,10 +24,11 @@ from typing import Any, Callable, Sequence
 from repro.core.budget import Budget, BudgetLease
 from repro.core.executor import BatchExecutor, BatchRequest
 from repro.core.governor import ConcurrencyGovernor
+from repro.core.session import SessionClient
 from repro.exceptions import UnknownStrategyError
 from repro.llm.base import LLMClient, LLMResponse
-from repro.llm.cache import CachedClient, ResponseCache
-from repro.llm.tracker import TrackedClient, UsageTracker
+from repro.llm.cache import CachedClient
+from repro.llm.tracker import UsageTracker
 from repro.tokenizer.cost import CostModel, Usage
 
 
@@ -37,6 +39,13 @@ class StrategyInfo:
     name: str
     description: str
     granularity: str  # "coarse", "fine", "hybrid", or "proxy"
+
+
+def _caches(client: LLMClient) -> bool:
+    """Whether a call through ``client`` already crosses a response cache."""
+    if isinstance(client, SessionClient):
+        client = client.session._client
+    return isinstance(client, CachedClient)
 
 
 @dataclass
@@ -60,7 +69,10 @@ class BaseOperator:
     """Common infrastructure for declarative operators.
 
     Args:
-        client: the underlying LLM client (simulated or otherwise).
+        client: the LLM client unit tasks go out through.  One that caches
+            already (a caching session's client, a ``CachedClient``) is used
+            as it is: an in-run duplicate is a ``cache_hit`` call of the
+            session.  Anything else gets one private cache (``use_cache``).
         model: default model for this operator's unit tasks.
         cost_model: optional price table used to convert usage to dollars.
         use_cache: whether identical temperature-0 prompts are served from a
@@ -96,8 +108,9 @@ class BaseOperator:
     ) -> None:
         self.model = model
         self.tracker = UsageTracker(cost_model=cost_model)
-        inner: LLMClient = CachedClient(client, ResponseCache()) if use_cache else client
-        self._client = TrackedClient(inner, self.tracker)
+        if use_cache and not _caches(client):
+            client = CachedClient(client)
+        self._client = client
         self.max_concurrency = max_concurrency
         self._executor = BatchExecutor(
             self._client, max_concurrency=max_concurrency, budget=budget, governor=governor
@@ -148,7 +161,11 @@ class BaseOperator:
         self, prompt: str, *, model: str | None = None, temperature: float = 0.0
     ) -> LLMResponse:
         """Issue one tracked (and possibly cached) LLM call."""
-        return self._client.complete(prompt, model=model or self.model, temperature=temperature)
+        response = self._client.complete(
+            prompt, model=model or self.model, temperature=temperature
+        )
+        self.tracker.record(response)
+        return response
 
     def _complete_batch(
         self, prompts: Sequence[str], *, model: str | None = None, temperature: float = 0.0
@@ -169,7 +186,9 @@ class BaseOperator:
 
     def _complete_requests(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
         """Issue fully specified unit tasks (per-request models/temperatures)."""
-        return self._executor.run(requests)
+        responses = self._executor.run(requests)
+        self.tracker.record_batch(responses)
+        return responses
 
     def _usage_snapshot(self) -> Usage:
         """Copy of the usage accumulated so far (used to diff per-run usage)."""

@@ -21,6 +21,9 @@ about to execute:
 * Everything else — operator type, items, predicates, criteria, explicit
   strategy and options, accuracy targets, validation samples — is included,
   so changing any semantic knob invalidates the checkpoint.
+* The model the step's calls go out with is no field of the spec (it is the
+  engine's default), so the engine passes it as ``model=``: another model's
+  answers are another step's.
 
 Values that cannot be canonicalised (arbitrary objects in
 ``strategy_options``) raise :class:`FingerprintError`; the engine treats
@@ -40,7 +43,7 @@ from repro.data.record import Dataset, Record
 from repro.exceptions import StoreError
 
 #: Bump to invalidate every existing fingerprint (serialisation change).
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Spec fields that never change the *result* of a step, only its funding.
 _EXCLUDED_FIELDS = frozenset({"budget_dollars"})
@@ -112,11 +115,10 @@ def spec_payload(spec: TaskSpec) -> dict[str, Any]:
     return {"spec": type(spec).__name__, "version": FINGERPRINT_VERSION, "fields": fields}
 
 
-def fingerprint_spec(spec: TaskSpec) -> str:
-    """SHA-256 hex digest identifying a concrete spec's content."""
-    payload = json.dumps(
-        spec_payload(spec), sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+def fingerprint_spec(spec: TaskSpec, *, model: str | None = None) -> str:
+    """SHA-256 hex digest identifying a concrete spec's content, run on ``model``."""
+    keyed = {"model": model, **spec_payload(spec)}
+    payload = json.dumps(keyed, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

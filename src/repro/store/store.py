@@ -300,9 +300,6 @@ class Store:
     def checkpoint_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM checkpoints")[0][0])
 
-    def clear_checkpoints(self) -> None:
-        self.db.execute("DELETE FROM checkpoints")
-
     # -- spans --------------------------------------------------------------------
 
     def save_spans(self, spans: list[Span], *, origin: str) -> None:
@@ -373,9 +370,6 @@ class Store:
 
     def span_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM spans")[0][0])
-
-    def clear_spans(self) -> None:
-        self.db.execute("DELETE FROM spans")
 
     def trace_records(self, *, origin: str | None = None) -> list[TraceRecord]:
         """Stored call records — the ``call`` spans, as their typed views

@@ -30,8 +30,12 @@ _CHUNK_SIZE = 4
 #: and short completions (the texts that do repeat) sit well below it.
 _MEMO_MAX_CHARS = 128
 
-#: Upper bound on memo entries, so distinct short texts cannot grow it forever.
+#: Upper bound on a memo's entries, so distinct short texts cannot grow it forever.
 _MEMO_MAX_ENTRIES = 65536
+
+#: The process's memos, one per ``chunk_size``: a count is a pure function of
+#: the text and the chunk size, so every tokenizer of one size shares one.
+_MEMOS: dict[int, dict[str, int]] = {}
 
 
 @dataclass
@@ -43,7 +47,7 @@ class SimpleTokenizer:
     """
 
     chunk_size: int = _CHUNK_SIZE
-    _cache: dict[str, int] = field(default_factory=dict, repr=False)
+    _cache: dict[str, int] = field(init=False, repr=False, compare=False)
     _findall: Callable[[str], list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -51,6 +55,7 @@ class SimpleTokenizer:
             raise ConfigurationError(
                 f"chunk_size must be a positive integer, got {self.chunk_size!r}"
             )
+        self._cache = _MEMOS.setdefault(self.chunk_size, {})
         self._findall = re.compile(rf"\w{{1,{self.chunk_size:d}}}|[^\w\s]").findall
 
     def tokenize(self, text: str) -> list[str]:

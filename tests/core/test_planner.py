@@ -88,7 +88,11 @@ class TestPhysicalPlannerSharesTokenCounts:
         with_stats = physical.cost_planner(with_stats=True)
         stats_free = physical.cost_planner(with_stats=False)
         assert with_stats is not stats_free
-        assert with_stats.tokenizer is stats_free.tokenizer
+        # Not by holding one instance: the token memo is the process's.
+        text = "salted caramel, as counted by the quote"
+        counted = with_stats.tokenizer.count(text)
+        stats_free.tokenizer._findall = None  # a second scan would raise
+        assert stats_free.tokenizer.count(text) == counted
 
 
 class TestPlannerAgainstMeasuredCost:

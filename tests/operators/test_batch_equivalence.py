@@ -35,7 +35,7 @@ ALPHABETICAL = "alphabetical order"
 
 def _sequential_requests(self, requests):
     """The pre-batching behaviour: one blocking complete() per unit task."""
-    return [
+    responses = [
         self._client.complete(
             request.prompt,
             model=request.model,
@@ -44,6 +44,8 @@ def _sequential_requests(self, requests):
         )
         for request in requests
     ]
+    self.tracker.record_batch(responses)  # what the replaced method owes the tracker
+    return responses
 
 
 @pytest.fixture()

@@ -182,6 +182,34 @@ class TestPipelineResume:
         # Only the changed sort step spent calls (one rating per item).
         assert report.total_calls == len(report.results["filter"].kept)
 
+    def test_a_checkpoint_is_not_restored_for_another_model(self, tmp_path):
+        """The model the step's calls go out with is part of the key: the
+        cheap model's run must not report the expensive model's answers."""
+        words = WORDS + ["grape", "honeydew", "iris", "jujube"]
+        screen = PipelineSpec(
+            name="screen",
+            steps=[
+                PipelineStep(
+                    name="screen",
+                    task=FilterSpec(items=words, predicate=PREDICATE, strategy="per_item"),
+                )
+            ],
+        )
+
+        def run(model: str):
+            with Store(tmp_path / "store.db") as store:
+                session = PromptSession(corpus_llm(), store=store)
+                engine = DeclarativeEngine(session=session, default_model=model)
+                return engine.run_pipeline(screen)
+
+        first = run("sim-gpt-4")
+        assert (first.restored_steps, first.total_calls) == ([], len(words))
+        other = run("sim-small")
+        assert (other.restored_steps, other.total_calls) == ([], len(words))
+        for model in ("sim-gpt-4", "sim-small"):  # each model's own run is still there
+            again = run(model)
+            assert (again.restored_steps, again.total_calls) == (["screen"], 0)
+
     def test_killed_run_resumes_with_identical_results(self, tmp_path):
         """The acceptance criterion: kill after step k, resume for free."""
         reference_store = Store(tmp_path / "reference.db")

@@ -195,6 +195,10 @@ class TestFingerprintStability:
         assert fingerprint_spec(base) != fingerprint_spec(
             SortSpec(items=("a", "b"), criterion="size", strategy="rating")
         )
+        # The model the calls go out with is semantics too.
+        on_small = fingerprint_spec(base, model="sim-small")
+        assert on_small == fingerprint_spec(base, model="sim-small")
+        assert len({fingerprint_spec(base), on_small, fingerprint_spec(base, model="sim-gpt-4")}) == 3
 
     def test_dict_key_order_does_not_matter(self):
         left = FilterSpec(

@@ -331,6 +331,12 @@ def run_kill_pipeline(store: Store | None, fail_after: int | None = None, die=No
     return client, engine.run_pipeline(kill_pipeline())
 
 
+def checkpoint_key(task) -> str:
+    """The key ``run_kill_pipeline``'s engine files a step under: the spec and
+    the session's default model, which its calls go out with."""
+    return fingerprint_spec(task, model=MODEL)
+
+
 class TestSettle:
     def test_a_step_that_raises_keeps_what_it_paid_for_but_no_checkpoint(self, path):
         paid = len(SMALL) + 25
@@ -341,8 +347,8 @@ class TestSettle:
             assert len(other.response_cache()) == paid
             assert other.trace_count() >= paid
             sweep = kill_pipeline().steps[1].task
-            assert other.load_checkpoint(fingerprint_spec(kill_pipeline().steps[0].task))
-            assert other.load_checkpoint(fingerprint_spec(sweep)) is None
+            assert other.load_checkpoint(checkpoint_key(kill_pipeline().steps[0].task))
+            assert other.load_checkpoint(checkpoint_key(sweep)) is None
 
     def test_a_checkpoint_commits_with_the_rows_of_its_calls(self, path):
         with Store(path) as store, Store(path) as other:
@@ -391,8 +397,8 @@ class TestSettle:
             # thread when the process dies); the settled step's are there.
             assert len(SMALL) <= store.trace_count() <= made
             steps = kill_pipeline().steps
-            assert store.load_checkpoint(fingerprint_spec(steps[0].task)) is not None
-            assert store.load_checkpoint(fingerprint_spec(steps[1].task)) is None
+            assert store.load_checkpoint(checkpoint_key(steps[0].task)) is not None
+            assert store.load_checkpoint(checkpoint_key(steps[1].task)) is None
             client, resumed = run_kill_pipeline(store)
             assert resumed.restored_steps == ["screen"]
             # Everything that reached disk is served from it.

@@ -44,6 +44,20 @@ _text = st.text(
 _chunk_size = st.integers(1, 8)
 
 
+@pytest.fixture(autouse=True)
+def empty_token_memo():
+    """The token memo belongs to the process: empty around every test here, so
+    none depends on what ran before it and a poisoned entry never leaves."""
+
+    def clear() -> None:
+        for memo in simple._MEMOS.values():
+            memo.clear()
+
+    clear()
+    yield
+    clear()
+
+
 class TestSimpleTokenizer:
     def test_empty_string_has_zero_tokens(self):
         assert SimpleTokenizer().count("") == 0
@@ -95,7 +109,9 @@ class TestSimpleTokenizer:
         assert all(len(text) > simple._MEMO_MAX_CHARS for text in long_texts)
         for text in long_texts:
             assert tokenizer.count(text) == len(tokenizer.tokenize(text))
+        # In nobody's memo: not this instance's, not the process's.
         assert tokenizer._cache == {}
+        assert not any(simple._MEMOS.values())
 
     def test_short_repeated_texts_hit_the_memo(self):
         tokenizer = SimpleTokenizer()
@@ -104,10 +120,29 @@ class TestSimpleTokenizer:
         assert 85 <= len(listing) <= simple._MEMO_MAX_CHARS
         expected = len(tokenizer.tokenize(listing))
         assert tokenizer.count(listing) == expected
-        assert tokenizer._cache == {listing: expected}
-        # A poisoned entry proves the second count is served from the memo.
-        tokenizer._cache[listing] = -1
-        assert tokenizer.count(listing) == -1
+        assert simple._MEMOS[tokenizer.chunk_size] == {listing: expected}
+        # A poisoned entry proves a *second* tokenizer is served the first
+        # one's count: the memo is the process's, not the instance's.
+        simple._MEMOS[tokenizer.chunk_size][listing] = -1
+        assert SimpleTokenizer().count(listing) == -1
+        assert count_tokens(listing) == -1
+
+    def test_the_entry_bound_holds_across_instances(self, monkeypatch):
+        monkeypatch.setattr(simple, "_MEMO_MAX_ENTRIES", 3)
+        first, second = SimpleTokenizer(), SimpleTokenizer()
+        for index in range(4):
+            first.count(f"left {index}")
+            second.count(f"right {index}")
+        assert sorted(simple._MEMOS[first.chunk_size]) == ["left 0", "left 1", "right 0"]
+        # Past the bound a text is still counted, just not kept.
+        assert second.count("right 3") == 3  # "righ", "t", "3"
+
+    def test_different_chunk_sizes_never_share(self):
+        fine, coarse = SimpleTokenizer(chunk_size=2), SimpleTokenizer(chunk_size=8)
+        assert (fine.count("abcdefgh"), coarse.count("abcdefgh")) == (4, 1)
+        assert (fine.count("abcdefgh"), coarse.count("abcdefgh")) == (4, 1)
+        assert simple._MEMOS[2] == {"abcdefgh": 4} and simple._MEMOS[8] == {"abcdefgh": 1}
+        assert SimpleTokenizer().count("abcdefgh") == 2
 
 
 class TestOneRegexMatchesReference:
