@@ -20,7 +20,7 @@ import random
 import threading
 
 from repro.config import DEFAULT_CHAT_MODEL, DEFAULT_SEED
-from repro.exceptions import ContextLengthExceededError, ResponseParseError
+from repro.exceptions import ConfigurationError, ContextLengthExceededError, ResponseParseError
 from repro.llm.base import BaseClient, LLMResponse
 from repro.llm.behaviors import BEHAVIORS, BehaviorConfig
 from repro.llm.oracle import Oracle
@@ -78,7 +78,14 @@ class SimulatedLLM(BaseClient):
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> LLMResponse:
-        """Run one simulated completion call."""
+        """Run one simulated completion call.
+
+        ``max_tokens=0`` is legal (empty text, ``finish_reason="length"``); a
+        negative one is refused before anything is counted or billed, as a
+        provider answers 400 — it would bill negative completion tokens.
+        """
+        if max_tokens is not None and max_tokens < 0:
+            raise ConfigurationError(f"max_tokens must be non-negative, got {max_tokens!r}")
         model_name = model or self.default_model
         spec = self.registry.get(model_name)
         if spec.kind != "chat":

@@ -11,6 +11,15 @@ scanning left to right, a greedy ``\\w{1,n}`` cuts every maximal word run into
 chunks of at most ``n`` characters, and any other non-space character is its
 own token.  Whitespace never joins or belongs to a token, so counts are
 additive across it: ``count(a + " " + b) == count(a) + count(b)``.
+
+``count`` uses that: a newline is whitespace, so a text's count is the sum of
+its lines' counts — equal, not approximate — and the process memo holds lines
+and short single-line texts, never whole prompts.  A prompt is a template
+applied to an example: every line it shares with a text already counted (the
+instruction lines of every call of a bag after the first) is one dict lookup,
+and only its own lines (``[0] <item>``) are scanned.  A single-line text, a
+process's first prompt of a template and a line over ``_MEMO_MAX_CHARS`` cost
+one scan each, as they always did.
 """
 
 from __future__ import annotations
@@ -24,13 +33,16 @@ from repro.exceptions import ConfigurationError
 #: Maximum number of characters folded into a single token chunk.
 _CHUNK_SIZE = 4
 
-#: Texts longer than this are counted afresh each time instead of memoized:
-#: the memo's keys are the texts themselves, and long texts are whole prompts
-#: that rarely repeat, so keeping them would only pin memory.  Items, labels
-#: and short completions (the texts that do repeat) sit well below it.
-_MEMO_MAX_CHARS = 128
+#: Longest string the memo keeps.  Its keys are the strings themselves: lines
+#: of prompts (instruction lines run to ~140 characters before a criterion or
+#: predicate is interpolated) and single-line texts (items, labels, short
+#: completions).  Anything longer is scanned each time it is met, so the memo
+#: never pins it; worst case the keys hold 256 × 65 536 characters, 16 MB.
+_MEMO_MAX_CHARS = 256
 
-#: Upper bound on a memo's entries, so distinct short texts cannot grow it forever.
+#: Upper bound on a memo's entries.  A full memo is emptied and starts over
+#: (one-off item lines fill it, the templates in use are back after one prompt
+#: each); threads that race past the check can overshoot by one entry apiece.
 _MEMO_MAX_ENTRIES = 65536
 
 #: The process's memos, one per ``chunk_size``: a count is a pure function of
@@ -63,14 +75,23 @@ class SimpleTokenizer:
         return self._findall(text)
 
     def count(self, text: str) -> int:
-        """Return the number of tokens in ``text`` (short texts are memoized)."""
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        n = len(self._findall(text))
-        if len(text) <= _MEMO_MAX_CHARS and len(self._cache) < _MEMO_MAX_ENTRIES:
-            self._cache[text] = n
-        return n
+        """Return the number of tokens in ``text``: the sum of its lines' counts,
+        each line (as a short single-line text) looked up in and kept by the memo."""
+        cache = self._cache
+        total = cache.get(text)
+        if total is not None:
+            return total
+        total = 0
+        for line in text.split("\n"):
+            n = cache.get(line)
+            if n is None:
+                n = len(self._findall(line))
+                if len(line) <= _MEMO_MAX_CHARS:
+                    if len(cache) >= _MEMO_MAX_ENTRIES:
+                        cache.clear()
+                    cache[line] = n
+            total += n
+        return total
 
 
 _DEFAULT_TOKENIZER = SimpleTokenizer()

@@ -11,7 +11,7 @@ from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.core.workflow import Workflow
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
-from repro.exceptions import BudgetExceededError, SpecError
+from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
 from repro.llm.prompts import rating_prompt
 from repro.llm.simulated import SimulatedLLM
 
@@ -69,6 +69,28 @@ class TestPromptSession:
         session.reset_usage()
         assert session.tracker.calls == 0
         assert session.spent_dollars == spent
+
+    @pytest.mark.parametrize("max_tokens", [-3, -1, 0, 1, None])
+    def test_no_call_lowers_spend(self, session, max_tokens):
+        """Regression: ``max_tokens=-3`` billed -3 completion tokens, and the
+        tracker, the budget and ``spent_dollars`` took them as given."""
+        prompts = [rating_prompt(flavor, CHOCOLATEY) for flavor in FLAVORS[:4]]
+        session.complete(prompts[0])
+        spent = session.spent_dollars
+        for issue in (
+            lambda: session.complete(prompts[1], max_tokens=max_tokens),
+            lambda: session.complete_batch(prompts[2:], max_tokens=max_tokens),
+        ):
+            if max_tokens is not None and max_tokens < 0:
+                with pytest.raises(ConfigurationError, match="max_tokens"):
+                    issue()
+                assert session.spent_dollars == spent
+            else:
+                issue()
+                assert session.spent_dollars > spent
+            spent = session.spent_dollars
+        assert session.tracker.usage.completion_tokens >= 0
+        assert session.budget.spent == pytest.approx(session.tracker.cost())
 
 
 def _workflow(name: str, *steps: PipelineStep) -> Workflow:

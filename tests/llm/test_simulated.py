@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
-from repro.exceptions import ContextLengthExceededError, ResponseParseError, UnknownModelError
+from repro.exceptions import (
+    ConfigurationError,
+    ContextLengthExceededError,
+    ResponseParseError,
+    UnknownModelError,
+)
 from repro.llm.prompts import pairwise_comparison_prompt, sort_list_prompt
 from repro.llm.registry import ModelRegistry, ModelSpec, default_registry
 from repro.llm.simulated import SimulatedLLM, _stable_seed
@@ -111,6 +116,21 @@ class TestContextAndTruncation:
         response = flavor_llm.complete(prompt, max_tokens=10)
         assert response.usage.completion_tokens <= 10
         assert response.finish_reason == "length"
+
+    def test_zero_max_tokens_is_an_empty_completion(self, flavor_llm):
+        response = flavor_llm.complete(sort_list_prompt(list(FLAVORS), CHOCOLATEY), max_tokens=0)
+        assert (response.text, response.usage.completion_tokens) == ("", 0)
+        assert response.finish_reason == "length"
+        assert response.usage.prompt_tokens > 0
+
+    @pytest.mark.parametrize("max_tokens", [-1, -3])
+    def test_negative_max_tokens_is_refused_before_any_count(self, flavor_llm, max_tokens):
+        """Regression: it came back as ``Usage(completion_tokens=-3)``."""
+        flavor_llm.tokenizer = None  # reaching a count would raise AttributeError
+        with pytest.raises(ConfigurationError, match="max_tokens"):
+            flavor_llm.complete(sort_list_prompt(list(FLAVORS), CHOCOLATEY), max_tokens=max_tokens)
+        with pytest.raises(ConfigurationError, match="max_tokens"):
+            flavor_llm.complete_batch(["anything"], max_tokens=max_tokens)
 
     def test_default_registry_has_papers_models(self):
         registry = default_registry()

@@ -2,18 +2,37 @@
 
 from __future__ import annotations
 
+import itertools
+import os
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.declarations import DECLARATIONS, declaration_for
+from repro.core.spec import (
+    CategorizeSpec,
+    FilterSpec,
+    ImputeSpec,
+    JoinSpec,
+    ResolveSpec,
+    SortSpec,
+)
 from repro.exceptions import ConfigurationError, UnknownModelError
+from repro.llm import prompts
+from repro.llm.oracle import Oracle
+from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer import simple
 from repro.tokenizer.cost import CostModel, CostSummary, PriceTable, Usage
 from repro.tokenizer.simple import SimpleTokenizer, count_tokens
 
 _PIECE_RE = re.compile(r"\w+|[^\w\s]")
+
+#: Pinned by CI's ``batch-layer`` job so the memo hammer runs the same everywhere.
+THREADS = int(os.environ.get("REPRO_TEST_THREADS", "8"))
 
 
 def reference_tokenize(text: str, chunk_size: int) -> list[str]:
@@ -105,7 +124,7 @@ class TestSimpleTokenizer:
 
     def test_long_texts_are_not_memoized(self):
         tokenizer = SimpleTokenizer()
-        long_texts = [f"prompt {i} " + "word " * 40 for i in range(500)]
+        long_texts = [f"prompt {i} " + "word " * 60 for i in range(500)]
         assert all(len(text) > simple._MEMO_MAX_CHARS for text in long_texts)
         for text in long_texts:
             assert tokenizer.count(text) == len(tokenizer.tokenize(text))
@@ -130,12 +149,20 @@ class TestSimpleTokenizer:
     def test_the_entry_bound_holds_across_instances(self, monkeypatch):
         monkeypatch.setattr(simple, "_MEMO_MAX_ENTRIES", 3)
         first, second = SimpleTokenizer(), SimpleTokenizer()
-        for index in range(4):
-            first.count(f"left {index}")
-            second.count(f"right {index}")
-        assert sorted(simple._MEMOS[first.chunk_size]) == ["left 0", "left 1", "right 0"]
-        # Past the bound a text is still counted, just not kept.
-        assert second.count("right 3") == 3  # "righ", "t", "3"
+        memo = simple._MEMOS[first.chunk_size]
+        texts = [f"{side} {index}" for index in range(4) for side in ("left", "right")]
+        before = []
+        for text, tokenizer in zip(texts, itertools.cycle((first, second))):
+            before.append(tokenizer.count(text))
+            assert len(memo) <= 3
+            # A full memo starts over: a text met after the bound is kept too.
+            assert memo[text] == before[-1]
+        assert before == [2, 3] * 4  # "left", "0" / "righ", "t", "0"
+        # Eight texts through a memo of three: it was emptied on the way, and
+        # what it forgot is counted as it was before.
+        assert sorted(memo) == ["left 3", "right 3"]
+        assert [second.count(text) for text in texts] == before
+        assert len(memo) <= 3
 
     def test_different_chunk_sizes_never_share(self):
         fine, coarse = SimpleTokenizer(chunk_size=2), SimpleTokenizer(chunk_size=8)
@@ -170,6 +197,185 @@ class TestOneRegexMatchesReference:
         tokenizer = SimpleTokenizer(chunk_size=chunk_size)
         truncated = " ".join(tokenizer.tokenize(text)[:keep])
         assert tokenizer.count(truncated) == min(keep, tokenizer.count(text))
+
+
+# Every character ``\\s`` matches besides the newline the rule splits on.
+_SPACES = " \t\r\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u2029"
+_short_line = st.text(alphabet=st.sampled_from("ab_09é\u4e2d,.!-'" + _SPACES), max_size=24)
+_line = st.one_of(
+    _short_line,
+    st.just(""),
+    # The same kind of line, repeated until it is over the memo's cap.
+    _short_line.filter(len).map(lambda piece: piece * (simple._MEMO_MAX_CHARS // len(piece) + 1)),
+)
+
+
+@st.composite
+def _multi_line_text(draw) -> str:
+    lines = draw(st.lists(_line, max_size=12))
+    text = "".join(line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
+    return text if draw(st.booleans()) else text.removesuffix("\n")
+
+
+#: Two short items and one whose ``[n] <item>`` line is over the memo's cap.
+_ITEMS = ["espresso machine", "garden hose", "a " + "very " * 70 + "long listing"]
+_PREDICATES = ["is an appliance", "fits in a car"]
+_CATEGORIES = ["kitchen", "garden"]
+_RECORD = "name: Chez Nous; city: ?"
+
+
+def _small_specs(data) -> list:
+    """One spec per declaration that declares prompts (top_k and cluster declare none)."""
+    return [
+        SortSpec(items=_ITEMS, criterion="size"),
+        ResolveSpec(records=_ITEMS),
+        ResolveSpec(pairs=[(_ITEMS[0], _ITEMS[1]), (_ITEMS[1], _ITEMS[2])]),
+        ImputeSpec(data=data, n_examples=0),
+        FilterSpec(items=_ITEMS, predicates=_PREDICATES),
+        CategorizeSpec(items=_ITEMS, categories=_CATEGORIES),
+        JoinSpec(left=_ITEMS[:2], right=_ITEMS[1:]),
+    ]
+
+
+def _rendered_prompts(data) -> list[str]:
+    """Every prompt function once, and every declared prompt of a small spec."""
+    rendered = [
+        prompts.sort_list_prompt(_ITEMS, "size"),
+        prompts.pairwise_comparison_prompt(_ITEMS[0], _ITEMS[1], "size"),
+        prompts.rating_prompt(_ITEMS[0], "size"),
+        prompts.rating_batch_prompt(_ITEMS, "size"),
+        prompts.duplicate_check_prompt(_ITEMS[0], _ITEMS[2]),
+        prompts.group_records_prompt(_ITEMS),
+        prompts.impute_prompt(_RECORD, "city"),
+        prompts.impute_prompt(_RECORD, "city", examples=[{"input": "name: Al", "output": "Rome"}]),
+        prompts.categorize_prompt(_ITEMS[1], _CATEGORIES),
+        prompts.predicate_check_prompt(_ITEMS[0], _PREDICATES[0]),
+        prompts.estimate_count_prompt(_ITEMS, _PREDICATES[0]),
+        prompts.verify_answer_prompt("Is a hose an appliance?", "No"),
+        prompts.build_structured_prompt("free_form", instructions="Line one.\r\n\nLine three.\n"),
+    ]
+    declared = set()
+    for spec in _small_specs(data):
+        declaration = declaration_for(spec).for_spec(spec)
+        declared.add(type(declaration))
+        for render in declaration.prompts.values():
+            rendered.extend(render(spec))
+    # No declaration's prompts go unrendered (resolve has one per mode).
+    assert declared >= {type(d) for d in DECLARATIONS.values() if d.prompts}
+    return rendered
+
+
+def _oracle(data) -> Oracle:
+    """Ground truth for everything ``_rendered_prompts`` asks about."""
+    oracle = data.oracle()
+    oracle.register_key("size", len)
+    oracle.register_entities({item: item for item in _ITEMS})
+    oracle.register_value(_RECORD, "city", "Paris")
+    oracle.register_categories({item: _CATEGORIES[0] for item in _ITEMS})
+    for predicate in _PREDICATES:
+        oracle.register_predicate(predicate, lambda item: "machine" in item)
+    return oracle
+
+
+class _CountingTokenizer(SimpleTokenizer):
+    """Counts entries into the public ``count`` and characters handed to the regex."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.entered, self.scanned = 0, []
+        findall = self._findall
+        self._findall = lambda text: self.scanned.append(text) or findall(text)
+
+    def count(self, text: str) -> int:
+        self.entered += 1
+        return super().count(text)
+
+
+class TestCountIsTheSumOverLines:
+    @given(text=_multi_line_text(), chunk_size=_chunk_size)
+    @settings(max_examples=300)
+    def test_any_mix_of_lines_counts_as_the_whole_text(self, text, chunk_size):
+        tokenizer = SimpleTokenizer(chunk_size=chunk_size)
+        tokenizer._cache.clear()
+        expected = len(tokenizer.tokenize(text))
+        assert tokenizer.count(text) == expected  # cold
+        assert tokenizer.count(text) == expected  # its lines memoized
+        assert not any("\n" in key or len(key) > simple._MEMO_MAX_CHARS for key in tokenizer._cache)
+
+    def test_every_prompt_the_repo_renders_counts_as_the_whole_text(self, restaurant_data):
+        tokenizer = SimpleTokenizer()
+        llm = SimulatedLLM(_oracle(restaurant_data))
+        rendered = _rendered_prompts(restaurant_data)
+        assert len(rendered) > 30 and all("\n" in prompt for prompt in rendered)
+        for prompt in rendered:
+            expected = len(tokenizer.tokenize(prompt))
+            assert tokenizer.count(prompt) == expected
+            assert llm.complete(prompt).usage.prompt_tokens == expected
+
+    @pytest.mark.parametrize(
+        "render, own_lines",
+        [
+            (lambda i: prompts.predicate_check_prompt(f"listing {i}", "is an appliance"), 1),
+            # Its instruction line (136 characters) is why the cap is sized for lines.
+            (lambda i: prompts.duplicate_check_prompt(f"record {i}", f"entry {i}"), 2),
+        ],
+        ids=["predicate_check", "duplicate_check"],
+    )
+    def test_a_second_prompt_of_a_template_scans_only_its_own_lines(self, render, own_lines):
+        tokenizer, tokenize = _CountingTokenizer(), SimpleTokenizer().tokenize
+        first, second = render(1), render(2)
+        assert tokenizer.count(first) == len(tokenize(first))
+        assert tokenizer.scanned == first.split("\n")
+        tokenizer.scanned.clear()
+        assert tokenizer.count(second) == len(tokenize(second))
+        own = [line for line in second.split("\n") if line not in first.split("\n")]
+        assert tokenizer.scanned == own and len(own) == own_lines
+        # One entry into the public ``count`` per text: the lines are counted
+        # below it, so a wrapper around ``count`` sees the counts asked for.
+        assert tokenizer.entered == 2
+
+    def test_the_memo_holds_lines_not_prompts(self):
+        tokenizer = SimpleTokenizer()
+        for index in range(1000):
+            items = [f"listing {index}-{n}" for n in range(4)] + [f"{index} " + "long " * 60]
+            prompt = prompts.sort_list_prompt(items, "size")
+            assert prompt.count("\n") == 9
+            tokenizer.count(prompt)
+        memo = simple._MEMOS[tokenizer.chunk_size]
+        # Five template lines, four short item lines per prompt; no long line.
+        assert len(memo) == 5 + 4 * 1000 <= simple._MEMO_MAX_ENTRIES
+        assert not any("\n" in key or len(key) > simple._MEMO_MAX_CHARS for key in memo)
+
+    def test_threads_read_the_same_counts_while_the_memo_keeps_clearing(self, monkeypatch):
+        texts = [
+            prompts.predicate_check_prompt(f"listing {index}", "is an appliance")
+            for index in range(200)
+        ]
+        reference = [len(SimpleTokenizer().tokenize(text)) for text in texts]
+        monkeypatch.setattr(simple, "_MEMO_MAX_ENTRIES", 16)
+        results: dict[int, list[int]] = {}
+
+        def work(slot: int) -> None:
+            tokenizer = SimpleTokenizer()
+            for _ in range(5):
+                results[slot] = [tokenizer.count(text) for text in texts]
+                if results[slot] != reference:
+                    return
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[slot] for slot in range(THREADS)] == [reference] * THREADS
+        # Racing threads may each slip one entry past the check, no more.
+        assert len(simple._MEMOS[SimpleTokenizer().chunk_size]) < 16 + THREADS
 
 
 class TestUsage:
