@@ -4,10 +4,11 @@ All metadata lives here (no ``pyproject.toml``) so the package installs in
 environments without the ``wheel`` package (``pip install -e .`` needs it
 for PEP 660 editable builds; ``python setup.py develop`` does not).
 
-Runtime dependencies: numpy (the index layer's data model, loaded by
-``import repro``) and scipy (``scipy.stats`` gives the ranking metrics their
-Kendall tau-b and Spearman rho; imported by the first such call of a process,
-not by ``import repro``).  Extras:
+Runtime dependencies: numpy (the vector layer's data model — embeddings, the
+exact and LSH indexes, Dawid–Skene; imported by the first function of a
+process that computes a vector) and scipy (``scipy.stats`` gives the ranking
+metrics their Kendall tau-b and Spearman rho; imported by the first such call
+of a process).  ``import repro`` loads neither.  Extras:
 
 ``serve``
     uvicorn, for running :func:`repro.service.serve` as a real HTTP

@@ -36,7 +36,7 @@ pending steps.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -396,9 +396,16 @@ class DeclarativeEngine:
         for name in restored:
             report.step_reports[name].restored = True
         self._absorb_observability(report, pipeline.name)
-        # Persist the (possibly newly grown) observations so the next
-        # session warm-starts its quotes from this run.
-        self._save_profile(store)
+        # The span flush and the profile are one transaction when they go
+        # through one handle.
+        shared = store is not None and self._ring_writes_through(store.db)
+        with store.db.atomic() if shared else nullcontext():
+            # Best effort: spans are diagnostics, never a run failure.
+            with suppress(Exception):
+                self.session.spans.flush()
+            # Persist the (possibly newly grown) observations so the next
+            # session warm-starts its quotes from this run.
+            self._save_profile(store)
         return report
 
     def _absorb_observability(self, report: WorkflowReport, pipeline_name: str) -> None:
@@ -411,16 +418,10 @@ class DeclarativeEngine:
         :class:`~repro.core.physical.RuntimeStats` under the pipeline's
         name.  Trace-ring drops surface as an advisory note.
         """
-        tracker = self.session.spans
-        report.spans = tracker.subtree(report.span_id)
+        report.spans = self.session.spans.subtree(report.span_id)
         path = critical_path(report.spans)
         if path.seconds > 0:
             self.stats.record_critical_path(pipeline_name, path.seconds)
-        # Best effort: spans are diagnostics, never a run failure.
-        try:
-            tracker.flush()
-        except Exception:
-            pass
         note = self._dropped_records_note()
         if note is not None and note not in report.notes:
             report.notes.append(note)
@@ -503,6 +504,12 @@ class DeclarativeEngine:
                     self._settle_step(store, fingerprint, task, result)
             return result
 
+    def _ring_writes_through(self, db: Any) -> bool:
+        """Whether the session's span ring flushes through the handle ``db``
+        (a ring on another handle would wait on a transaction held on this one)."""
+        session_store = self.session.store
+        return session_store is not None and session_store.db is db
+
     def _settle_step(
         self, store: "Store", fingerprint: str, task: TaskSpec, result: Any
     ) -> None:
@@ -517,11 +524,9 @@ class DeclarativeEngine:
         must not fail a step whose (paid-for) LLM work already succeeded.
         """
         db = store.db
-        session_store = self.session.store
         with suppress(Exception), db.atomic():
             db.flush()
-            # A span ring on another handle would wait on this transaction.
-            if session_store is not None and session_store.db is db:
+            if self._ring_writes_through(db):
                 self.session.spans.flush()
             if isinstance(result, OperatorResult):
                 with suppress(Exception):  # the rows above commit regardless

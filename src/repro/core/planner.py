@@ -99,6 +99,29 @@ class CostEstimate:
         )
 
 
+def _finish_time(
+    name: str,
+    active: frozenset[str],
+    dependencies: Mapping[str, tuple[str, ...]],
+    timed: Mapping[str, float],
+    finish: dict[str, float],
+) -> float:
+    """Finish time of ``name`` after its slowest upstream chain (memoized in ``finish``)."""
+    if name in finish:
+        return finish[name]
+    if name in active:
+        return 0.0  # cycle guard
+    start = max(
+        (
+            _finish_time(dep, active | {name}, dependencies, timed, finish)
+            for dep in dependencies.get(name, ())
+        ),
+        default=0.0,
+    )
+    finish[name] = start + timed.get(name, 0.0)
+    return finish[name]
+
+
 @dataclass(frozen=True)
 class PipelineQuote:
     """Pre-flight quote for a whole pipeline, reported per step.
@@ -174,22 +197,10 @@ class PipelineQuote:
         forever.
         """
         finish: dict[str, float] = {}
-        names = set(self.steps) | set(self.dependencies)
-
-        def finish_time(name: str, active: frozenset[str]) -> float:
-            if name in finish:
-                return finish[name]
-            if name in active:
-                return 0.0  # cycle guard
-            upstream = self.dependencies.get(name, ())
-            start = max(
-                (finish_time(dep, active | {name}) for dep in upstream),
-                default=0.0,
-            )
-            finish[name] = start + timed.get(name, 0.0)
-            return finish[name]
-
-        return max(finish_time(name, frozenset()) for name in names)
+        return max(
+            _finish_time(name, frozenset(), self.dependencies, timed, finish)
+            for name in set(self.steps) | set(self.dependencies)
+        )
 
     def to_dict(self) -> dict[str, object]:
         """A JSON-shaped view: per-step estimates, notes, and the totals.

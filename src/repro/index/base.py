@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Any, Iterable, Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: A search hit: ``(id, distance)`` with L2 distance, nearest first.
 Neighbor = tuple[int, float]
@@ -64,6 +65,8 @@ class VectorIndex(Protocol):
 
 def encode_matrix(matrix: np.ndarray) -> dict[str, Any]:
     """JSON-safe encoding of a 2-D float array (bit-exact round trip)."""
+    import numpy as np
+
     dense = np.ascontiguousarray(matrix, dtype=np.float64)
     return {
         "shape": list(dense.shape),
@@ -73,6 +76,8 @@ def encode_matrix(matrix: np.ndarray) -> dict[str, Any]:
 
 def decode_matrix(payload: dict[str, Any]) -> np.ndarray:
     """Inverse of :func:`encode_matrix`."""
+    import numpy as np
+
     shape = tuple(int(value) for value in payload["shape"])
     raw = base64.b64decode(payload["data"])
     return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
@@ -96,6 +101,8 @@ def load_payload(payload: bytes) -> dict[str, Any]:
 
 def check_vectors(vectors: np.ndarray, dimensions: int) -> np.ndarray:
     """Validate and normalise the shape of a batch of vectors to add."""
+    import numpy as np
+
     dense = np.asarray(vectors, dtype=np.float64)
     if dense.ndim == 1:
         dense = dense.reshape(1, -1)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.llm.embeddings import HashingEmbedder
     from repro.store.vectors import EmbeddingCache
 
@@ -83,6 +83,8 @@ class CachedEmbedder:
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed ``texts``, computing only the fingerprints the cache lacks."""
+        import numpy as np
+
         if not texts:
             return np.zeros((0, self.embedder.dimensions), dtype=np.float64)
         fingerprints = self._fingerprints(texts)
@@ -122,6 +124,8 @@ class CachedEmbedder:
 
     def nearest_neighbors(self, texts: list[str], k: int) -> dict[int, list[int]]:
         """Exact mutual-kNN over cached embeddings (same math as the embedder)."""
+        import numpy as np
+
         if k < 0:
             raise ConfigurationError("k must be non-negative")
         matrix = self.embed_batch(texts)

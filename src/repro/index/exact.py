@@ -11,9 +11,7 @@ right choice for small corpora where approximation buys nothing.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.exceptions import ConfigurationError
 from repro.index.base import (
@@ -25,6 +23,9 @@ from repro.index.base import (
     load_payload,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
 
 class ExactIndex:
     """Exact (brute-force) nearest-neighbor index over L2 distance."""
@@ -32,6 +33,8 @@ class ExactIndex:
     kind = "exact"
 
     def __init__(self, dimensions: int) -> None:
+        import numpy as np
+
         if dimensions <= 0:
             raise ConfigurationError("dimensions must be positive")
         self.dimensions = dimensions
@@ -55,6 +58,8 @@ class ExactIndex:
 
     def add(self, vectors: np.ndarray, ids: Iterable[int] | None = None) -> list[int]:
         """Index ``vectors``; ids default to consecutive integers."""
+        import numpy as np
+
         dense = check_vectors(vectors, self.dimensions)
         if ids is None:
             start = max(self._ids, default=-1) + 1
@@ -82,6 +87,8 @@ class ExactIndex:
 
     def search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         """The ``k`` nearest indexed vectors to ``query``, nearest first."""
+        import numpy as np
+
         if k <= 0 or not self._ids:
             return []
         dense = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -103,6 +110,8 @@ class ExactIndex:
         expansion, same ``argsort`` tie behaviour), so blocking through the
         index is candidate-for-candidate equal to blocking without one.
         """
+        import numpy as np
+
         if k < 0:
             raise ConfigurationError("k must be non-negative")
         count = len(self._ids)

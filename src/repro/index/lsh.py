@@ -38,9 +38,7 @@ randomness-free).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.exceptions import ConfigurationError
 from repro.index.base import (
@@ -51,6 +49,9 @@ from repro.index.base import (
     encode_matrix,
     load_payload,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Default number of hash tables (recall ~0.99 on near-duplicate corpora).
 DEFAULT_TABLES = 16
@@ -80,6 +81,8 @@ class LSHIndex:
         seed: int = 0,
         probe_floor: int | None = None,
     ) -> None:
+        import numpy as np
+
         if dimensions <= 0:
             raise ConfigurationError("dimensions must be positive")
         if n_tables <= 0:
@@ -130,6 +133,8 @@ class LSHIndex:
         within-bucket ranking is cheap, and numerous enough that a probe
         reads a tiny fraction of the corpus.
         """
+        import numpy as np
+
         if expected_size < 1:
             raise ConfigurationError("expected_size must be positive")
         bits = int(np.ceil(np.log2(max(2, expected_size / _TARGET_BUCKET))))
@@ -152,6 +157,8 @@ class LSHIndex:
 
     def _sign(self, vectors: np.ndarray) -> np.ndarray:
         """Packed signatures of ``vectors`` per table: (tables, len(vectors))."""
+        import numpy as np
+
         # One BLAS call over all tables at once: (tables*bits, dim) @ (dim, n).
         flat = self._planes.reshape(self.n_tables * self.n_bits, self.dimensions)
         projections = (flat @ self._shifted(vectors).T).reshape(
@@ -161,6 +168,8 @@ class LSHIndex:
         return np.einsum("tbn,b->tn", bits.astype(np.int64), self._bit_values)
 
     def add(self, vectors: np.ndarray, ids: Iterable[int] | None = None) -> list[int]:
+        import numpy as np
+
         dense = check_vectors(vectors, self.dimensions)
         if ids is None:
             start = max(self._ids, default=-1) + 1
@@ -196,6 +205,8 @@ class LSHIndex:
 
     def _bucket_maps(self) -> list[dict[int, np.ndarray]]:
         """Per-table signature -> rows maps, grouped in one sort per table."""
+        import numpy as np
+
         if self._buckets is None:
             maps: list[dict[int, np.ndarray]] = []
             for table in range(self.n_tables):
@@ -215,6 +226,8 @@ class LSHIndex:
 
     def _candidate_rows(self, query: np.ndarray, k: int) -> list[int]:
         """Candidate row positions for ``query``, multi-probing up to the floor."""
+        import numpy as np
+
         buckets = self._bucket_maps()
         projections = np.einsum("tbd,d->tb", self._planes, self._shifted(query))
         signatures = ((projections > 0.0).astype(np.int64) * self._bit_values).sum(axis=1)
@@ -239,6 +252,8 @@ class LSHIndex:
 
     def search(self, query: np.ndarray, k: int) -> list[Neighbor]:
         """The ~``k`` nearest indexed vectors (approximate), nearest first."""
+        import numpy as np
+
         if k <= 0 or not self._ids:
             return []
         dense = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -260,6 +275,7 @@ class LSHIndex:
 
     def _rank_buckets(
         self,
+        np,
         matrix: np.ndarray,
         members: np.ndarray,
         limit: int,
@@ -271,7 +287,8 @@ class LSHIndex:
         """Top-``limit`` neighbors within each same-sized bucket, batched.
 
         ``members`` is (buckets, size): every bucket in the batch ranks in
-        one batched matrix product instead of a Python-level loop.
+        one batched matrix product instead of a Python-level loop.  ``np`` is
+        numpy, bound once by :meth:`knn_graph`.
         """
         block = matrix[members]  # (G, s, d)
         norms = squared_norms[members]  # (G, s)
@@ -290,6 +307,7 @@ class LSHIndex:
 
     def _rank_huge_bucket(
         self,
+        np,
         matrix: np.ndarray,
         rows: np.ndarray,
         limit: int,
@@ -322,6 +340,8 @@ class LSHIndex:
         merge across tables with a single lexsort — no per-bucket Python
         loop — so total work scales with Σ bucket², not n².
         """
+        import numpy as np
+
         if k < 0:
             raise ConfigurationError("k must be non-negative")
         count = len(self._ids)
@@ -351,6 +371,7 @@ class LSHIndex:
                 if size > _HUGE_BUCKET:
                     for bucket in group:
                         self._rank_huge_bucket(
+                            np,
                             matrix,
                             order[starts[bucket] : ends[bucket]],
                             limit,
@@ -364,6 +385,7 @@ class LSHIndex:
                     starts[group][:, None] + np.arange(int(size))[None, :]
                 ]
                 self._rank_buckets(
+                    np,
                     matrix,
                     members,
                     limit,

@@ -11,13 +11,15 @@ property the neighbor-augmentation step needs.
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import DEFAULT_EMBEDDING_MODEL
 from repro.exceptions import ConfigurationError
 from repro.tokenizer.cost import Usage
 from repro.tokenizer.simple import SimpleTokenizer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 def _bucket(ngram: str, dimensions: int) -> int:
@@ -78,33 +80,26 @@ class HashingEmbedder:
                 indices.append(bucket)
         return indices
 
-    def _vector_from_indices(self, indices: list[int]) -> np.ndarray:
-        if not indices:
-            return np.zeros(self.dimensions, dtype=np.float64)
-        vector = np.bincount(indices, minlength=self.dimensions).astype(np.float64)
-        norm = np.linalg.norm(vector)
-        if norm > 0:
-            vector /= norm
-        return vector
-
     def embed(self, text: str) -> np.ndarray:
         """Embed a single string into a unit-norm vector."""
-        vector = self._vector_from_indices(self._bucket_indices(text))
-        self.usage.add(Usage(prompt_tokens=self.tokenizer.count(text), calls=1))
-        return vector
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed a batch of strings; rows follow input order.
 
-        One vectorised pass (bucket counts via ``bincount``, one batched
-        usage record) — identical vectors to per-text :meth:`embed`, at a
-        fraction of its per-call overhead.
+        Bucket counts via ``bincount`` and one batched usage record.  numpy
+        is loaded here, by the first text a process embeds.
         """
-        if not texts:
-            return np.zeros((0, self.dimensions), dtype=np.float64)
+        import numpy as np
+
         matrix = np.zeros((len(texts), self.dimensions), dtype=np.float64)
+        if not texts:
+            return matrix
         for row, text in enumerate(texts):
-            matrix[row] = self._vector_from_indices(self._bucket_indices(text))
+            indices = self._bucket_indices(text)
+            if indices:
+                vector = np.bincount(indices, minlength=self.dimensions).astype(np.float64)
+                matrix[row] = vector / np.linalg.norm(vector)
         self.usage.add(
             Usage(
                 prompt_tokens=sum(self.tokenizer.count(text) for text in texts),
@@ -116,6 +111,8 @@ class HashingEmbedder:
     @staticmethod
     def l2_distance(first: np.ndarray, second: np.ndarray) -> float:
         """Euclidean distance between two embedding vectors."""
+        import numpy as np
+
         return float(np.linalg.norm(first - second))
 
     def nearest_neighbors(self, texts: list[str], k: int) -> dict[int, list[int]]:
@@ -124,6 +121,8 @@ class HashingEmbedder:
         Returns a mapping from text index to a list of neighbor indices,
         nearest first, excluding the text itself.
         """
+        import numpy as np
+
         if k < 0:
             raise ConfigurationError("k must be non-negative")
         matrix = self.embed_batch(texts)

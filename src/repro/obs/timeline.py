@@ -36,6 +36,28 @@ def _coerce_spans(source: object) -> list[Span]:
     return [sp for sp in spans if isinstance(sp, Span)]
 
 
+def _finish(
+    name: str,
+    edges: dict[str, tuple[str, ...]],
+    durations: dict[str, float],
+    finish: dict[str, float],
+    via: dict[str, str | None],
+) -> float:
+    """Finish time of ``name`` on its longest upstream chain (memoized in ``finish``)."""
+    if name in finish:
+        return finish[name]
+    finish[name] = 0.0  # cycle guard; well-formed DAGs never hit it
+    best_dep: str | None = None
+    best = 0.0
+    for dep in edges[name]:
+        candidate = _finish(dep, edges, durations, finish, via)
+        if candidate > best:
+            best, best_dep = candidate, dep
+    via[name] = best_dep
+    finish[name] = best + durations[name]
+    return finish[name]
+
+
 def critical_path(source: Iterable[Span] | object) -> CriticalPath:
     """Extract the longest dependency chain of step spans.
 
@@ -63,27 +85,14 @@ def critical_path(source: Iterable[Span] | object) -> CriticalPath:
         for name, sp in steps.items()
     }
 
-    finish: dict[str, float] = {}
-    via: dict[str, str | None] = {}
-
-    def _finish(name: str) -> float:
-        if name in finish:
-            return finish[name]
-        finish[name] = 0.0  # cycle guard; well-formed DAGs never hit it
-        best_dep: str | None = None
-        best = 0.0
-        for dep in edges[name]:
-            candidate = _finish(dep)
-            if candidate > best:
-                best, best_dep = candidate, dep
-        via[name] = best_dep
-        finish[name] = best + durations[name]
-        return finish[name]
-
     if not steps:
         return CriticalPath(steps=(), seconds=0.0, step_seconds={})
 
-    tail = max(steps, key=_finish)
+    finish: dict[str, float] = {}
+    via: dict[str, str | None] = {}
+    for name in steps:
+        _finish(name, edges, durations, finish, via)
+    tail = max(steps, key=finish.__getitem__)
     chain: list[str] = []
     cursor: str | None = tail
     while cursor is not None:

@@ -19,6 +19,7 @@ temperature 0 the concurrent path produces element-wise identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Any, Callable, Sequence
 
 from repro.core.budget import Budget, BudgetLease
@@ -115,7 +116,9 @@ class BaseOperator:
         self._executor = BatchExecutor(
             self._client, max_concurrency=max_concurrency, budget=budget, governor=governor
         )
-        self._strategies: dict[str, Callable[..., Any]] = {}
+        #: name -> (runner, whether it is a method of this operator to bind
+        #: at dispatch).
+        self._strategies: dict[str, tuple[Callable[..., Any], bool]] = {}
         self._strategy_info: dict[str, StrategyInfo] = {}
         self._register_strategies()
 
@@ -132,8 +135,16 @@ class BaseOperator:
         description: str = "",
         granularity: str = "fine",
     ) -> None:
-        """Register a named strategy implemented by ``runner``."""
-        self._strategies[name] = runner
+        """Register a named strategy implemented by ``runner``.
+
+        A bound method of this operator is kept as its function and bound
+        again by :meth:`_strategy`: a table of ``self._run_*`` would make the
+        operator a reference cycle, and everything a run holds through it
+        (session, span ring, responses) memory that only a full collection
+        returns.
+        """
+        own = getattr(runner, "__self__", None) is self
+        self._strategies[name] = (runner.__func__ if own else runner, own)
         self._strategy_info[name] = StrategyInfo(
             name=name, description=description, granularity=granularity
         )
@@ -151,9 +162,10 @@ class BaseOperator:
 
     def _strategy(self, name: str) -> Callable[..., Any]:
         try:
-            return self._strategies[name]
+            runner, own = self._strategies[name]
         except KeyError as exc:
             raise UnknownStrategyError(self.operation, name, self.strategies) from exc
+        return MethodType(runner, self) if own else runner
 
     # -- LLM access --------------------------------------------------------------
 

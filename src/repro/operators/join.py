@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, ResponseParseError
 from repro.llm.embeddings import HashingEmbedder
 from repro.llm.parsing import extract_yes_no
@@ -131,14 +129,14 @@ class JoinOperator(BaseOperator):
                     pairs_via_index.add((left_index, int(right_index)))
             return sorted(pairs_via_index)
         # Squared L2 distances between every left row and every right row.
-        left_norms = np.sum(left_matrix * left_matrix, axis=1)
-        right_norms = np.sum(right_matrix * right_matrix, axis=1)
+        left_norms = (left_matrix * left_matrix).sum(axis=1)
+        right_norms = (right_matrix * right_matrix).sum(axis=1)
         distances = (
             left_norms[:, None] + right_norms[None, :] - 2.0 * (left_matrix @ right_matrix.T)
         )
         pairs: set[tuple[int, int]] = set()
         for left_index in range(len(left)):
-            nearest = np.argsort(distances[left_index])[:k]
+            nearest = distances[left_index].argsort()[:k]
             pairs.update((left_index, int(right_index)) for right_index in nearest)
         return sorted(pairs)
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-import numpy as np
-
 from repro.exceptions import QualityControlError
 
 
@@ -54,6 +52,8 @@ def dawid_skene(
     Returns:
         A :class:`DawidSkeneResult`.
     """
+    import numpy as np
+
     if not answers:
         raise QualityControlError("no answers supplied")
     task_ids = sorted(answers, key=str)

@@ -28,6 +28,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclass_replace
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.consistency.transitivity import MatchGraph
@@ -103,46 +104,10 @@ def compile_plan(
         if node.op == "resolve" and node.params.get("proxy"):
             block_step_of[node] = f"s{index + 1}_block"
 
-    # -- run-time materialization ---------------------------------------------------
-
-    def materialize(node: LogicalNode, results: Mapping[str, Any]) -> list[str]:
-        """Output items of ``node`` given the upstream step results."""
-        if node.op == "source":
-            return list(node.params["items"])
-        parent_items = materialize(node.inputs[0], results)
-        if node.op in ("categorize", "cluster", "impute"):
-            return parent_items
-        result = results[step_of[node]]
-        if node.op == "filter":
-            return list(result.kept)
-        if node.op == "sort":
-            placed = set(result.order)
-            return list(result.order) + [
-                item for item in parent_items if item not in placed
-            ]
-        if node.op == "top_k":
-            return list(result.top_items)
-        if node.op == "join":
-            matched = sorted({left_index for left_index, _ in result.matches})
-            return [parent_items[index] for index in matched]
-        if node.op == "resolve":
-            return _representatives(_unique(parent_items), result)
-        raise SpecError(f"cannot materialize logical operation {node.op!r}")
-
-    # -- dependency inference ---------------------------------------------------------
-
-    def lineage_of(node: LogicalNode) -> tuple[str, ...]:
-        """Steps whose results :func:`materialize` reads for ``node``."""
-        if node.op == "source":
-            return ()
-        upstream = lineage_of(node.inputs[0])
-        if node.op in ("categorize", "cluster", "impute"):
-            return upstream
-        if node.op in ("filter", "top_k"):
-            # kept/top_items are literal strings; the parent chain's results
-            # are not needed once this step has run.
-            return (step_of[node],)
-        return (step_of[node], *upstream)
+    # Recursive, so module-level with ``step_of`` as an argument: a nested
+    # function that calls itself is a cycle that keeps the plan for the collector.
+    materialize = partial(_materialize, step_of)
+    lineage_of = partial(_lineage_of, step_of)
 
     def depends_for(node: LogicalNode) -> tuple[str, ...]:
         if lineage_deps:
@@ -365,6 +330,47 @@ def compile_plan(
 
 
 # -- helpers --------------------------------------------------------------------------
+
+
+def _materialize(
+    step_of: Mapping[LogicalNode, str], node: LogicalNode, results: Mapping[str, Any]
+) -> list[str]:
+    """Output items of ``node`` given the upstream step results."""
+    if node.op == "source":
+        return list(node.params["items"])
+    parent_items = _materialize(step_of, node.inputs[0], results)
+    if node.op in ("categorize", "cluster", "impute"):
+        return parent_items
+    result = results[step_of[node]]
+    if node.op == "filter":
+        return list(result.kept)
+    if node.op == "sort":
+        placed = set(result.order)
+        return list(result.order) + [
+            item for item in parent_items if item not in placed
+        ]
+    if node.op == "top_k":
+        return list(result.top_items)
+    if node.op == "join":
+        matched = sorted({left_index for left_index, _ in result.matches})
+        return [parent_items[index] for index in matched]
+    if node.op == "resolve":
+        return _representatives(_unique(parent_items), result)
+    raise SpecError(f"cannot materialize logical operation {node.op!r}")
+
+
+def _lineage_of(step_of: Mapping[LogicalNode, str], node: LogicalNode) -> tuple[str, ...]:
+    """Steps whose results :func:`_materialize` reads for ``node``."""
+    if node.op == "source":
+        return ()
+    upstream = _lineage_of(step_of, node.inputs[0])
+    if node.op in ("categorize", "cluster", "impute"):
+        return upstream
+    if node.op in ("filter", "top_k"):
+        # kept/top_items are literal strings; the parent chain's results
+        # are not needed once this step has run.
+        return (step_of[node],)
+    return (step_of[node], *upstream)
 
 
 def _unique(items: list[str]) -> list[str]:

@@ -89,17 +89,7 @@ class LogicalPlan:
     def nodes(self) -> list[LogicalNode]:
         """Reachable nodes in deterministic topological order (inputs first)."""
         order: list[LogicalNode] = []
-        seen: set[LogicalNode] = set()
-
-        def visit(node: LogicalNode) -> None:
-            if node in seen:
-                return
-            seen.add(node)
-            for upstream in node.inputs:
-                visit(upstream)
-            order.append(node)
-
-        visit(self.root)
+        _visit(self.root, set(), order)
         return order
 
     def consumers(self) -> dict[LogicalNode, list[LogicalNode]]:
@@ -112,19 +102,7 @@ class LogicalPlan:
 
     def replaced(self, old: LogicalNode, new: LogicalNode) -> "LogicalPlan":
         """A plan with every reference to ``old`` re-wired to ``new``."""
-        rebuilt: dict[LogicalNode, LogicalNode] = {}
-
-        def rebuild(node: LogicalNode) -> LogicalNode:
-            if node is old:
-                return new
-            if node in rebuilt:
-                return rebuilt[node]
-            inputs = tuple(rebuild(upstream) for upstream in node.inputs)
-            result = node if all(a is b for a, b in zip(inputs, node.inputs)) else node.with_inputs(*inputs)
-            rebuilt[node] = result
-            return result
-
-        return replace(self, root=rebuild(self.root))
+        return replace(self, root=_rebuild(self.root, old, new, {}))
 
     def noted(self, note: str) -> "LogicalPlan":
         """A plan with one more optimizer note attached."""
@@ -132,6 +110,33 @@ class LogicalPlan:
 
     def __iter__(self) -> Iterator[LogicalNode]:
         return iter(self.nodes())
+
+
+# Module-level, state as arguments: a nested function that calls itself is a
+# cycle (function -> cell -> function) only the collector frees, plan and all.
+def _visit(node: LogicalNode, seen: set[LogicalNode], order: list[LogicalNode]) -> None:
+    if node in seen:
+        return
+    seen.add(node)
+    for upstream in node.inputs:
+        _visit(upstream, seen, order)
+    order.append(node)
+
+
+def _rebuild(
+    node: LogicalNode,
+    old: LogicalNode,
+    new: LogicalNode,
+    rebuilt: dict[LogicalNode, LogicalNode],
+) -> LogicalNode:
+    if node is old:
+        return new
+    if node in rebuilt:
+        return rebuilt[node]
+    inputs = tuple(_rebuild(upstream, old, new, rebuilt) for upstream in node.inputs)
+    result = node if all(a is b for a, b in zip(inputs, node.inputs)) else node.with_inputs(*inputs)
+    rebuilt[node] = result
+    return result
 
 
 def source(items: Any, name: str = "dataset") -> LogicalNode:

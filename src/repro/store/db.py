@@ -181,6 +181,12 @@ class StoreDB:
         # (data_version, entries, bytes): an upper bound on the cache table,
         # so that a flush scans it only when a cap may have been passed.
         self._cache_totals = (-1, 0, 0)
+        # Checkpoints read since this handle's last write transaction, oldest
+        # first; the next one opens by stamping their recency.
+        self._touched: list[str] = []
+        #: Profile name -> the payload this handle last wrote under it (what
+        #: ``Store.save_profile`` need not write again); a ROLLBACK forgets.
+        self.saved_profiles: dict[str, str] = {}
 
     # -- connection management ---------------------------------------------------
 
@@ -315,17 +321,29 @@ class StoreDB:
         the block itself handles between two scopes rolls nothing back.
         """
         with self._lock:
+            touched = 0
             if self._depth == 0:
                 self._conn.execute("BEGIN IMMEDIATE")
+                touched = len(self._touched)
             self._depth += 1
             try:
+                if touched:
+                    # First, so an eviction in this transaction sees the
+                    # recency each read would have written at once.
+                    first = self._take_seq(touched)
+                    self._conn.executemany(
+                        "UPDATE checkpoints SET access_seq = ? WHERE fingerprint = ?",
+                        list(enumerate(self._touched[:touched], first)),
+                    )
                 yield
                 if self._depth == 1:
                     self._conn.execute("COMMIT")
+                    del self._touched[:touched]
             except BaseException:
                 if self._depth == 1:
                     if self._conn.in_transaction:
                         self._conn.execute("ROLLBACK")
+                    self.saved_profiles.clear()
                     if self._written is not None:
                         for key, row in self.pending.items():
                             self._remember(self._written, key, row)
@@ -351,12 +369,24 @@ class StoreDB:
         it survives reopening and is shared across processes.
         """
         with self.atomic():
-            row = self._conn.execute("SELECT value FROM meta WHERE key = 'seq'").fetchone()
-            value = int(row[0]) + 1 if row is not None else 1
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('seq', ?)", (str(value),)
-            )
-            return value
+            return self._take_seq(1)
+
+    def _take_seq(self, count: int) -> int:
+        """The first of ``count`` consecutive ordinals (inside a transaction)."""
+        row = self._conn.execute("SELECT value FROM meta WHERE key = 'seq'").fetchone()
+        first = int(row[0]) + 1 if row is not None else 1
+        self._conn.execute(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES ('seq', ?)",
+            (str(first + count - 1),),
+        )
+        return first
+
+    def touch_checkpoint(self, fingerprint: str) -> None:
+        """Queue a read checkpoint's recency stamp for this handle's next
+        write transaction (:meth:`atomic`; :meth:`close` writes what is left),
+        so that restoring a step does not cost a transaction of its own."""
+        with self._lock:
+            self._touched.append(fingerprint)
 
     # -- write-behind -------------------------------------------------------------
 
@@ -491,6 +521,9 @@ class StoreDB:
         with self._lock:
             try:
                 self.flush()
+                if self._touched:
+                    with self.atomic():
+                        pass
             finally:
                 self._conn.close()
 

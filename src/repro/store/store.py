@@ -212,12 +212,15 @@ class Store:
             combined.merge_state(stats.export_state())
             stats = combined
         payload = WorkloadProfile.from_stats(stats).to_json()
+        if self.db.saved_profiles.get(name) == payload:
+            return  # this handle's last write under the name, byte for byte
         with self.db.atomic():
             self.db.execute(
                 "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
                 "VALUES (?, ?, ?)",
                 (name, payload, self.db.next_seq()),
             )
+            self.db.saved_profiles[name] = payload
 
     def load_profile(self, *, name: str = "default") -> WorkloadProfile | None:
         """The saved profile, or ``None`` when none exists yet."""
@@ -275,27 +278,29 @@ class Store:
             self.db.evict("checkpoints", self.max_checkpoints, "access_seq")
 
     def load_checkpoint(self, fingerprint: str) -> OperatorResult | None:
-        """The stored result for ``fingerprint``, or ``None`` (a miss)."""
-        with self.db.atomic():
-            rows = self.db.execute(
-                "SELECT payload FROM checkpoints WHERE fingerprint = ?", (fingerprint,)
-            )
-            if not rows:
-                return None
-            result = decode_result(rows[0][0])
-            if result is None:
-                # Unreadable (newer version / unknown type): drop the row so
-                # the slot is reclaimed, and report a miss.
-                self.db.execute(
-                    "DELETE FROM checkpoints WHERE fingerprint = ?", (fingerprint,)
-                )
-                return None
+        """The stored result for ``fingerprint``, or ``None`` (a miss).
+
+        A hit is a read: its LRU stamp rides this handle's next write
+        transaction (:meth:`StoreDB.touch_checkpoint`).
+        """
+        rows = self.db.execute(
+            "SELECT payload FROM checkpoints WHERE fingerprint = ?", (fingerprint,)
+        )
+        if not rows:
+            return None
+        result = decode_result(rows[0][0])
+        if result is None:
+            # Unreadable (newer version / unknown type): drop the row (that
+            # very payload — another handle may have replaced it since) so
+            # the slot is reclaimed, and report a miss.
             self.db.execute(
-                "UPDATE checkpoints SET access_seq = ? WHERE fingerprint = ?",
-                (self.db.next_seq(), fingerprint),
+                "DELETE FROM checkpoints WHERE fingerprint = ? AND payload = ?",
+                (fingerprint, rows[0][0]),
             )
-            result.metadata["checkpoint_hit"] = True
-            return result
+            return None
+        self.db.touch_checkpoint(fingerprint)
+        result.metadata["checkpoint_hit"] = True
+        return result
 
     def checkpoint_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM checkpoints")[0][0])

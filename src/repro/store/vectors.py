@@ -16,29 +16,16 @@ zero embeddings": open a fresh cache view, run again, assert
 
 from __future__ import annotations
 
-import sys
-from typing import Any, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.llm.cache import CacheStats
 from repro.store.db import StoreDB
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
 #: SQLite's default variable limit is 999; batch IN-clauses safely below it.
 _SELECT_BATCH = 500
-
-
-def encode_vector(vector: np.ndarray) -> bytes:
-    """Pack a vector into the stored blob (little-endian float64)."""
-    dense = np.ascontiguousarray(vector, dtype=np.float64).reshape(-1)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-        dense = dense.astype("<f8")
-    return dense.tobytes()
-
-
-def decode_vector(blob: bytes) -> np.ndarray:
-    """Unpack a stored blob back into a float64 vector."""
-    return np.frombuffer(blob, dtype="<f8").astype(np.float64, copy=True)
 
 
 class EmbeddingCache:
@@ -71,6 +58,8 @@ class EmbeddingCache:
         (duplicates in the request count once per occurrence — they would
         each have been an embed call without the cache).
         """
+        import numpy as np
+
         wanted = list(fingerprints)
         if not wanted:
             return {}
@@ -86,7 +75,7 @@ class EmbeddingCache:
                     batch,
                 )
                 for fingerprint, blob in rows:
-                    found[fingerprint] = decode_vector(blob)
+                    found[fingerprint] = np.frombuffer(blob, dtype="<f8").astype(np.float64)
                 if rows:
                     # LRU touch: every hit batch becomes most recently used.
                     hit_keys = [row[0] for row in rows]
@@ -110,6 +99,8 @@ class EmbeddingCache:
         self, vectors: dict[str, np.ndarray], *, model: str, dimensions: int
     ) -> None:
         """Store vectors under their fingerprints, then enforce the LRU cap."""
+        import numpy as np
+
         if not vectors:
             return
         with self._db.atomic():
@@ -118,7 +109,7 @@ class EmbeddingCache:
                 "(fingerprint, model, dimensions, vector, access_seq) "
                 f"VALUES (?, ?, ?, ?, {self._NEXT_SEQ})",
                 [
-                    (fingerprint, model, dimensions, encode_vector(vector))
+                    (fingerprint, model, dimensions, np.asarray(vector, dtype="<f8").tobytes())
                     for fingerprint, vector in vectors.items()
                 ],
             )

@@ -150,6 +150,46 @@ class TestCheckpointStore:
             assert store.load_checkpoint(fingerprints[2]) is not None
 
 
+    def test_a_read_is_stamped_by_the_next_write_before_that_write_evicts(self, tmp_path):
+        """A hit queues its recency stamp; the handle's next write transaction
+        opens with it, so the LRU order is what a write per read would leave."""
+        path = tmp_path / "store.db"
+        result = SortResult(strategy="pairwise", order=["a", "b"])
+        specs = [
+            SortSpec(items=("a", "b"), criterion=f"c{index}", strategy="pairwise")
+            for index in range(3)
+        ]
+        first, second, third = (fingerprint_spec(spec) for spec in specs)
+        with Store(path, max_checkpoints=2) as store:
+            store.save_checkpoint(first, specs[0], result)
+            store.save_checkpoint(second, specs[1], result)
+            statements: list[str] = []
+            store.db._conn.set_trace_callback(statements.append)
+            assert store.load_checkpoint(first) is not None
+            assert [s.split()[0] for s in statements] == ["SELECT"]  # a read, no transaction
+            store.db._conn.set_trace_callback(None)
+            store.save_checkpoint(third, specs[2], result)  # evicts the least recent
+            assert store.load_checkpoint(second) is None
+            assert store.load_checkpoint(first) is not None
+            assert store.load_checkpoint(third) is not None
+
+    def test_close_writes_the_stamps_still_queued(self, tmp_path):
+        path = tmp_path / "store.db"
+        result = SortResult(strategy="pairwise", order=["a", "b"])
+        specs = [
+            SortSpec(items=("a", "b"), criterion=f"c{index}", strategy="pairwise")
+            for index in range(2)
+        ]
+        first, second = (fingerprint_spec(spec) for spec in specs)
+        with Store(path) as store:
+            store.save_checkpoint(first, specs[0], result)
+            store.save_checkpoint(second, specs[1], result)
+            assert store.load_checkpoint(first) is not None
+        with Store(path) as store:
+            recency = dict(store.db.execute("SELECT fingerprint, access_seq FROM checkpoints"))
+        assert recency[first] > recency[second]
+
+
 class TestPipelineResume:
     def test_second_run_restores_every_step_with_zero_calls(self, tmp_path):
         path = tmp_path / "store.db"
@@ -350,3 +390,27 @@ class TestQueryLayerResume:
         assert sorted(warm.report.restored_steps) == sorted(
             name for name in warm.report.step_reports
         )
+
+    def test_a_restored_run_writes_once(self, tmp_path):
+        """Every restored step's recency stamp, the span flush and the profile
+        are one write transaction; the profile is not saved a second time
+        with the same bytes."""
+        from repro.query.dataset import Dataset
+
+        path = tmp_path / "store.db"
+        query = lambda: (  # noqa: E731 - a fresh lazy query per run
+            Dataset(WORDS, name="letters")
+            .filter(PREDICATE, strategy="per_item")
+            .sort("alphabetical order", strategy="pairwise")
+        )
+        with Store(path) as store:
+            query().with_store(store).run(fresh_engine(store))
+        statements: list[str] = []
+        with Store(path) as store:
+            store.db._conn.set_trace_callback(statements.append)
+            warm = query().with_store(store).run(fresh_engine(store))
+            store.db._conn.set_trace_callback(None)
+        assert warm.total_calls == 0 and len(warm.report.restored_steps) == 2
+        assert sum(s.startswith("BEGIN") for s in statements) == 1
+        assert sum("INTO profiles" in s for s in statements) == 1
+        assert sum(s.startswith("UPDATE checkpoints SET access_seq") for s in statements) == 2

@@ -146,6 +146,33 @@ class TestStoreIntegration:
         # And the tiny run's fresh filter evidence is in there too.
         assert loaded.filter_selectivity(PREDICATE) is not None
 
+    def test_the_bytes_this_handle_last_wrote_are_not_written_again(self, tmp_path):
+        def updated_seq(store: Store) -> int:
+            return store.db.execute("SELECT updated_seq FROM profiles WHERE name = 'default'")[0][0]
+
+        with Store(tmp_path / "store.db") as store:
+            stats = observed_stats()
+            store.save_profile(stats)
+            first = updated_seq(store)
+            store.save_profile(stats)
+            assert updated_seq(store) == first  # same payload: no write
+            stats.record_dedup(inputs=10, survivors=9)
+            store.save_profile(stats)
+            assert updated_seq(store) > first  # new evidence: written
+            # A write that was rolled back is not "written": the next save
+            # of the same bytes must reach the file.
+            stats.record_dedup(inputs=10, survivors=8)
+            with pytest.raises(RuntimeError, match="undo"), store.db.atomic():
+                store.save_profile(stats)
+                raise RuntimeError("undo")
+            store.save_profile(stats)
+            survivors = store.load_profile().to_json()
+        with Store(tmp_path / "store.db") as store:
+            assert store.load_profile().to_json() == survivors
+            reloaded = RuntimeStats()
+            store.apply_profile(reloaded, decay=1.0)
+            assert reloaded.dedup_survivor_ratio() == stats.dedup_survivor_ratio()
+
     def test_named_profiles_are_independent(self, tmp_path):
         with Store(tmp_path / "store.db") as store:
             store.save_profile(observed_stats(), name="workload-a")
