@@ -370,8 +370,46 @@ class CostPlanner:
         # uses instead of tokenizing every joined string.
         sides = Counter(map(str, itertools.chain.from_iterable(pairs)))
         tokens = sum(self.tokenizer.count(text) * uses for text, uses in sides.items())
-        average = tokens / len(pairs)
-        calls = len(pairs) * expansion
+        return self._judged_pairs(tokens, len(pairs), expansion)
+
+    def blocked_pairs(self, items: Sequence[str], count: int) -> CostEstimate:
+        """Pair judgments over a blocked candidate set, priced without the pairs.
+
+        The stand-in for ``count`` blocked candidates is the first ``count``
+        pairs ``(items[i], items[i + d])`` in increasing distance ``d`` — the
+        ``d = 1`` band (n − 1 pairs), then ``d = 2`` (n − 2), and so on,
+        capped at all C(n, 2) pairs.  Over ``D`` complete bands position
+        ``i`` is a side ``min(D, i) + min(D, n − 1 − i)`` times, plus once
+        for each end of a partial band's pair it sits on, so the joined-text
+        token total is each item's count times its uses.  Equal to
+        :meth:`pair_judgments` over that explicit pair list, including its
+        ``[(items[0], items[0])]`` stand-in when no pair is asked for.
+        """
+        if not items:
+            raise ConfigurationError("cannot plan over an empty item list")
+        n = len(items)
+        counts = list(map(self.tokenizer.count, map(str, items)))
+        pairs = max(0, min(count, n * (n - 1) // 2))
+        if not pairs:
+            return self._judged_pairs(2 * counts[0], 1, 1)
+        bands, partial = 0, pairs
+        while partial and partial >= n - bands - 1:
+            bands += 1
+            partial -= n - bands
+        # min(D, x) = D − max(0, D − x): every position starts at 2·D uses,
+        # and the D positions nearest each end lose their missing partners.
+        tokens = (
+            2 * bands * sum(counts)
+            - sum((bands - i) * (counts[i] + counts[n - 1 - i]) for i in range(bands))
+            + sum(counts[:partial])
+            + sum(counts[bands + 1 : bands + 1 + partial])
+        )
+        return self._judged_pairs(tokens, pairs, 1)
+
+    def _judged_pairs(self, tokens: int, pairs: int, expansion: int) -> CostEstimate:
+        """The pair-judgment estimate for ``pairs`` pairs of ``tokens`` side tokens."""
+        average = tokens / pairs
+        calls = pairs * expansion
         prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + average)
         completion_tokens = calls * _SHORT_COMPLETION_TOKENS
         return self._estimate("pair_judgments", calls, prompt_tokens, completion_tokens)

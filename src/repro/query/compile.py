@@ -47,7 +47,7 @@ from repro.core.spec import (
     TaskSpec,
     TopKSpec,
 )
-from repro.exceptions import SpecError
+from repro.exceptions import ConfigurationError, SpecError
 from repro.index import build_index, corpus_index_name, resolve_embedder
 from repro.operators.resolve import PairJudgmentResult, ResolveResult
 from repro.proxies.blocking import EmbeddingBlocker
@@ -584,15 +584,10 @@ def _proxy_estimate(node: LogicalNode, planner: CostPlanner) -> CostEstimate | N
     rate = planner.observed_blocked_pair_rate()
     if rate is not None:
         count = min(count, max(1, int(round(upper_bound * rate))))
-    pairs: list[tuple[str, str]] = []
-    for distance in range(1, len(items)):
-        for index in range(len(items) - distance):
-            if len(pairs) >= count:
-                break
-            pairs.append((items[index], items[index + distance]))
-        if len(pairs) >= count:
-            break
-    estimate = planner.pair_judgments(pairs)
+    if count < 1:
+        # block_k <= 0 blocks nothing: no candidate pair to judge.
+        raise ConfigurationError("cannot plan over an empty pair list")
+    estimate = planner.blocked_pairs(items, count)
     return dataclass_replace(estimate, strategy="resolve:proxy_blocked")
 
 

@@ -81,6 +81,8 @@ _PUSH_SAFE_SORT = {"auto", "pairwise", "pairwise_consistent", "rating"}
 _PUSH_SAFE_RESOLVE = {"auto", "pairwise"}
 #: Minimum record count before a blocking proxy is worth considering.
 _PROXY_MIN_ITEMS = 8
+#: The element types of a sequence :func:`_freeze` keys as it stands.
+_ONLY_STR = frozenset({str})
 
 Rule = Callable[[LogicalPlan, CostPlanner], LogicalPlan]
 
@@ -148,9 +150,15 @@ def _structural_key(node: LogicalNode, keys: dict[LogicalNode, Any]) -> Any:
 
 
 def _freeze(value: Any) -> Any:
+    if type(value) is str:
+        return value
     if isinstance(value, Mapping):
         return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
     if isinstance(value, (list, tuple)):
+        # A flat list of strings (a source's items) is its own key: each
+        # string would freeze to itself.
+        if _ONLY_STR.issuperset(map(type, value)):
+            return tuple(value)
         return tuple(_freeze(item) for item in value)
     if isinstance(value, (set, frozenset)):
         return tuple(sorted(map(repr, value)))
@@ -431,9 +439,7 @@ def insert_proxy_prefilters(plan: LogicalPlan, planner: CostPlanner) -> LogicalP
             block_k = int(node.params.get("block_k", 5))
             pairwise_dollars = planner.pairwise(items).dollars
             candidate_count = min(block_k * len(items), len(items) * (len(items) - 1) // 2)
-            blocked_dollars = planner.pair_judgments(
-                _synthetic_pairs(items, candidate_count)
-            ).dollars
+            blocked_dollars = planner.blocked_pairs(items, candidate_count).dollars
             if blocked_dollars >= pairwise_dollars:
                 continue
             plan = plan.replaced(node, node.with_params(proxy=True, block_k=block_k)).noted(
@@ -445,18 +451,6 @@ def insert_proxy_prefilters(plan: LogicalPlan, planner: CostPlanner) -> LogicalP
             changed = True
             break
     return plan
-
-
-def _synthetic_pairs(items: Sequence[str], count: int) -> list[tuple[str, str]]:
-    """Deterministic representative pairs for pricing a blocked judgment set."""
-    pairs: list[tuple[str, str]] = []
-    n = len(items)
-    for distance in range(1, n):
-        for index in range(n - distance):
-            if len(pairs) >= count:
-                return pairs
-            pairs.append((items[index], items[index + distance]))
-    return pairs if pairs else [(items[0], items[0])]
 
 
 def fixpoint(*rules: Rule, max_rounds: int = 8) -> Rule:

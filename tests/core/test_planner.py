@@ -150,6 +150,17 @@ def _concatenated_pair_estimate(
     )
 
 
+def _first_pairs(items: list[str], count: int) -> list[tuple[str, str]]:
+    """The blocked stand-in spelled out: the first ``count`` pairs by distance."""
+    n = len(items)
+    pairs = [
+        (items[index], items[index + distance])
+        for distance in range(1, n)
+        for index in range(n - distance)
+    ][: max(0, count)]
+    return pairs or [(items[0], items[0])]
+
+
 class TestCostPlannerProperties:
     """Property tests: shape monotonicity and pipeline-quote additivity."""
 
@@ -199,6 +210,43 @@ class TestCostPlannerProperties:
             planner.pair_judgments([])
         with pytest.raises(ConfigurationError):
             planner.pair_judgments([("a", "b")], expansion=0)
+
+    @given(
+        items=st.lists(st.one_of(st.sampled_from(["tv", "tv", "a b c"]), _item), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_blocked_pairs_equal_pair_judgments_over_the_enumerated_pairs(self, items, data):
+        """The closed form prices exactly the pairs it stands for, field by field."""
+        n = len(items)
+        count = data.draw(st.integers(0, n * (n - 1) // 2 + 5), label="count")
+        planner = _planner()
+        assert planner.blocked_pairs(items, count) == planner.pair_judgments(
+            _first_pairs(items, count)
+        )
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            (1, 0), (1, 1), (1, 7),  # one item: only the stand-in pair
+            (2, 0), (2, 1), (2, 2), (2, 9),
+            (9, 8), (9, 15), (9, 21),  # ends of the first three bands
+            (9, 9), (9, 16),  # one past a band edge
+            (9, 36), (9, 37), (9, 500),  # all C(9, 2) pairs, and past them
+            (9, -3),  # a negative count asks for nothing
+        ],
+    )
+    def test_blocked_pairs_boundaries(self, n, count):
+        items = [f"item {index} " + "word " * (index % 4) for index in range(n)]
+        items[-1] = items[0]  # a repeated string weighs twice
+        planner = _planner()
+        blocked = planner.blocked_pairs(items, count)
+        assert blocked == planner.pair_judgments(_first_pairs(items, count))
+        assert blocked.calls == max(1, min(count, n * (n - 1) // 2))
+
+    def test_blocked_pairs_reject_empty_items(self):
+        with pytest.raises(ConfigurationError):
+            _planner().blocked_pairs([], 3)
 
     @given(
         branches=st.lists(
