@@ -18,14 +18,22 @@ executors are the single dispatch point those bags go through:
 threads appear when calls wait.  A call answered from memory (a warm cache, a
 replayed trace, the simulator) gains nothing from a second thread but its
 turn on the interpreter lock, so the dispatching thread drains a fanned-out
-bag itself and helpers join once it stalls (see :class:`BatchExecutor`).
+bag itself — in *runs* of the queue, each sent as one native batch, when the
+bag may go out so — and helpers join once it stalls (see
+:class:`BatchExecutor`).
 
-Everything the two executors decide — request normalisation, when a bag may
-go to the client as one native batch, the temperature-0 dedup partition, the
-budget pre-check, governor feedback, which failure surfaces, what ``map``
+Everything the two executors decide — request normalisation, when calls of a
+bag may go to the client as native batches (one rule, ``_native``: for the
+whole bag at width 1, for runs above it), the temperature-0 dedup partition,
+the budget pre-check, governor feedback, which failure surfaces, what ``map``
 reports — is written once in :class:`_ExecutorCore`, as sans-IO bodies in the
 sense of :mod:`repro.llm.base`.  The two public classes add only how a body
 is driven (on the calling thread, or awaited) and how several are fanned out.
+
+A native batch that fails part-way has made the calls before the failing
+one: the session books them like a success (:func:`~repro.llm.base.
+carry_answered`), so a bag that ends early leaves the same books whether it
+went out as one batch, in runs, or call by call.
 
 ``run`` is also the scope of a *bag* for the session's bookkeeping: a call is
 charged the moment it settles, but the telemetry it is owed (span, metrics,
@@ -49,6 +57,7 @@ import asyncio
 import contextvars
 import inspect
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,7 +66,7 @@ from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 from repro.core.budget import Budget, BudgetLease
 from repro.core.governor import ConcurrencyGovernor, estimated_prompt_tokens, is_rate_limit
 from repro.exceptions import BudgetExceededError, ConfigurationError
-from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, drive
+from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
 from repro.llm.retry import RetryingClient, RetryStats
 
 #: The documented in-flight ceiling for I/O-bound sync dispatch: the width
@@ -317,13 +326,17 @@ class _ExecutorCore:
             self.retry_stats = None
         self._client = client
 
-    def _fan_out(self, bodies: list[Body]) -> Any:
+    def _fan_out(
+        self, bodies: list[Body], batchable: list[BatchRequest] | None = None
+    ) -> Any:
         """Drive ``bodies`` concurrently; one :class:`TaskOutcome` each, in order.
 
         The one thing the two executors do differently.  After the first
         failure, bodies that have not started are left ``skipped`` (those in
         flight finish), approximating where a sequential loop would have
-        stopped.
+        stopped.  ``batchable`` holds the bodies' requests when they are unit
+        tasks of a bag that passed :meth:`_native`: :class:`BatchExecutor`
+        may then send runs of them as native batches (:meth:`_batch`).
         """
         raise NotImplementedError
 
@@ -345,21 +358,28 @@ class _ExecutorCore:
                 return (yield from self._run_sequential(normalized))
             return (yield from self._run_concurrent(normalized))
 
+    def _native(self, requests: Sequence[BatchRequest]) -> bool:
+        """Whether calls of this bag may go to the client as native batches.
+
+        The common operator case: shared parameters, no budget limit to
+        check between calls and no governor to admit each dispatch.
+        Otherwise — heterogeneous parameters (e.g. ensemble votes across
+        models), a limit that must be able to stop the bag mid-way, or a
+        governor — every call is its own unit task, charged before the next
+        one goes out.
+        """
+        first = requests[0]
+        params = (first.model, first.temperature, first.max_tokens)
+        return (
+            all((r.model, r.temperature, r.max_tokens) == params for r in requests)
+            and (self.budget is None or self.budget.unlimited)
+            and self.governor is None
+        )
+
     def _run_sequential(self, requests: Sequence[BatchRequest]) -> Body:
-        params = {(request.model, request.temperature, request.max_tokens) for request in requests}
-        budget_enforced = self.budget is not None and not self.budget.unlimited
-        if len(params) == 1 and not budget_enforced and self.governor is None:
-            # The common operator case: one prompt list, shared parameters, no
-            # budget limit to check mid-batch and no governor to admit each
-            # dispatch — hand the whole bag to the client's native batch
-            # entry point in a single call.
-            model, temperature, max_tokens = params.pop()
-            prompts = [request.prompt for request in requests]
-            return (yield Call(self._client, prompts, model, temperature, max_tokens))
-        # Heterogeneous parameters (e.g. ensemble votes across models) or a
-        # budget limit that must be able to stop the batch mid-way: dispatch
-        # one by one, in order, so every call is charged before the next one
-        # goes out.
+        if self._native(requests):
+            # The whole bag in a single call to the client's batch entry point.
+            return (yield self._call([request.prompt for request in requests], requests[0]))
         responses = []
         for request in requests:
             responses.append((yield from self._unit(request)))
@@ -384,7 +404,9 @@ class _ExecutorCore:
                     continue
                 seen.add(key)
             pooled.append(index)
-        outcomes = yield Invoke(self._fan_out, [self._unit(requests[index]) for index in pooled])
+        bodies = [self._unit(requests[index]) for index in pooled]
+        batchable = [requests[index] for index in pooled] if self._native(requests) else None
+        outcomes = yield Invoke(self._fan_out, bodies, batchable)
         for outcome in outcomes:
             if outcome.error is not None:
                 # Deterministic propagation: outcomes are in request order, so
@@ -399,34 +421,43 @@ class _ExecutorCore:
         assert all(response is not None for response in results)
         return results
 
+    def _call(self, prompts: list[str], like: BatchRequest, single: bool = False) -> Call:
+        """The call of ``prompts`` to the client under ``like``'s parameters."""
+        return Call(self._client, prompts, like.model, like.temperature, like.max_tokens, single)
+
     def _unit(self, request: BatchRequest) -> Body:
         """Body of one unit task: pre-check, gauges, admission, the call, feedback."""
         self._check_budget()
         if self.instruments is not None:
             self.instruments.note_task_started()
         try:
-            call = Call(
-                self._client,
-                [request.prompt],
-                request.model,
-                request.temperature,
-                request.max_tokens,
-                single=True,
-            )
-            if self.governor is None:
+            call = self._call([request.prompt], request, single=True)
+            governor = self.governor
+            if governor is None:
                 (response,) = yield call
                 return response
             try:
-                (response,) = yield _Admitted(self.governor, call)
+                (response,) = yield _Admitted(governor, call)
             except BaseException as exc:
                 if is_rate_limit(exc):
-                    self.governor.record_failure(exc)
+                    governor.record_failure(exc)
                 raise
-            self.governor.record_success()
+            governor.record_success()
             return response
         finally:
             if self.instruments is not None:
                 self.instruments.note_task_done()
+
+    def _batch(self, prompts: list[str], like: BatchRequest) -> Body:
+        """Body of a run: unit tasks of a bag that passed :meth:`_native`,
+        sent as one native batch; the gauges count each of its calls."""
+        if self.instruments is not None:
+            self.instruments.note_task_started(len(prompts))
+        try:
+            return (yield self._call(prompts, like))
+        finally:
+            if self.instruments is not None:
+                self.instruments.note_task_done(len(prompts))
 
     def _check_budget(self) -> None:
         budget = self.budget
@@ -488,7 +519,14 @@ class BatchExecutor(_ExecutorCore):
     a ceiling on calls in flight, not a thread count: the dispatching thread
     drains the bag itself, up to ``max_concurrency - 1`` helper threads join
     it within about a millisecond of a call blocking, and all of them have
-    exited when ``run``/``map`` returns.  Arguments: see :class:`_ExecutorCore`.
+    exited when ``run``/``map`` returns.  Until then, when the bag passes
+    :meth:`_native`, the dispatching thread sends *runs* of it as native
+    batches: the first call goes alone and is timed, and each later run is
+    sized from the measured time per call to last about half of
+    ``_STALL_SECONDS``; calls that wait keep the size at one unit task, and
+    the last ``max_concurrency - 1`` requests are never part of a run.
+    Once the bag has stalled every thread takes one unit task per turn.
+    Arguments: see :class:`_ExecutorCore`.
     """
 
     def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
@@ -527,26 +565,79 @@ class BatchExecutor(_ExecutorCore):
         """
         return drive(self._map(tasks))
 
-    def _fan_out(self, bodies: list[Body]) -> list[TaskOutcome]:
+    def _fan_out(
+        self, bodies: list[Body], batchable: list[BatchRequest] | None = None
+    ) -> list[TaskOutcome]:
         outcomes = [TaskOutcome(skipped=True) for _ in bodies]
         queue = deque(enumerate(bodies))
         stop = threading.Event()  # start no further body: a failure, or the bag is drained
+        stalled = False  # set by the scout, before it starts the helpers
         helpers: list[threading.Thread] = []
 
+        def unit(index: int, body: Body) -> None:
+            # A body gets a fresh copy of the dispatching context (or of a
+            # helper's copy of it): trace labels and the open span reach it,
+            # what it sets stays.
+            try:
+                outcomes[index] = TaskOutcome(value=contextvars.copy_context().run(drive, body))
+            except BaseException as exc:  # noqa: BLE001 - reported to the body
+                outcomes[index] = TaskOutcome(error=exc)
+                stop.set()
+
+        def batch(positions: list[int]) -> None:
+            # A run answers its requests in order; one that raised answered
+            # the prefix its error carries, and the error belongs to the
+            # request after it (the first, when the prefix is unknown).
+            prompts = [batchable[index].prompt for index in positions]
+            body = self._batch(prompts, batchable[positions[0]])
+            try:
+                responses = contextvars.copy_context().run(drive, body)
+            except BaseException as exc:  # noqa: BLE001 - reported to the body
+                responses = answered_prefix(exc, prompts) or []
+                outcomes[positions[len(responses)]] = TaskOutcome(error=exc)
+                stop.set()
+            for index, response in zip(positions, responses):
+                outcomes[index] = TaskOutcome(value=response)
+
         def work() -> None:
-            # What the dispatching thread and every helper run.  A body gets a
-            # fresh copy of the dispatching context (or of a helper's copy of
-            # it): trace labels and the open span reach it, what it sets stays.
+            # What every helper runs, and the dispatching thread when it takes
+            # no runs: one unit body per turn.
             while not stop.is_set():
                 try:
                     index, body = queue.popleft()
                 except IndexError:
                     return
-                try:
-                    outcomes[index] = TaskOutcome(value=contextvars.copy_context().run(drive, body))
-                except BaseException as exc:  # noqa: BLE001 - reported to the body
-                    outcomes[index] = TaskOutcome(error=exc)
-                    stop.set()
+                unit(index, body)
+
+        def dispatch() -> None:
+            # The dispatching thread, until the scout sees a stall (see the
+            # class docstring).  A run lasts about half a stall so that the
+            # scout keeps seeing runs start; the last ``max_concurrency - 1``
+            # requests stay out of runs so that a slow remainder still finds a
+            # full width of helpers.
+            size, reserve = 1, self.max_concurrency - 1
+            while not (stalled or stop.is_set()):
+                taken = min(size, len(queue) - reserve)
+                began = time.perf_counter()
+                if taken > 1:
+                    # Helpers may be taking too, if the scout has just fired.
+                    positions = []
+                    for _ in range(taken):
+                        try:
+                            positions.append(queue.popleft()[0])
+                        except IndexError:
+                            break
+                    if positions:
+                        batch(positions)
+                else:
+                    try:
+                        index, body = queue.popleft()
+                    except IndexError:
+                        return
+                    unit(index, body)
+                    taken = 1
+                size = max(1, int(_STALL_SECONDS / 2 * taken / (time.perf_counter() - began)))
+            work()
 
         def start(target: Callable[[], None]) -> None:
             thread = threading.Thread(target=contextvars.copy_context().run, args=(target,))
@@ -558,9 +649,11 @@ class BatchExecutor(_ExecutorCore):
             # starting, threads would only take turns on the interpreter lock;
             # once none has for a while a call is blocked: go to full width
             # now, not after it returns (eight slow calls are one wave).
+            nonlocal stalled
             waiting = len(queue)
             while not stop.wait(_STALL_SECONDS):
                 if len(queue) == waiting:
+                    stalled = True
                     for _ in range(min(self.max_concurrency - 1, waiting) - 1):
                         start(work)
                     return work()
@@ -568,7 +661,10 @@ class BatchExecutor(_ExecutorCore):
 
         start(scout)
         try:
-            work()
+            if batchable is None:
+                work()
+            else:
+                dispatch()
         finally:
             stop.set()
             for thread in helpers:  # complete once the scout, which starts the rest, has exited
@@ -600,7 +696,11 @@ class AsyncBatchExecutor(_ExecutorCore):
         """Awaitable :meth:`BatchExecutor.map`: same outcomes."""
         return await adrive(self._map(tasks))
 
-    async def _fan_out(self, bodies: list[Body]) -> list[TaskOutcome]:
+    async def _fan_out(
+        self, bodies: list[Body], batchable: list[BatchRequest] | None = None
+    ) -> list[TaskOutcome]:
+        # Every body is its own task: a call awaited on the loop gives way to
+        # the others, so there is no dispatching thread to hand runs to.
         outcomes = [TaskOutcome(skipped=True) for _ in bodies]
         semaphore = asyncio.Semaphore(self.max_concurrency)
         stopped = False

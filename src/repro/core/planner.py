@@ -696,24 +696,3 @@ class CostPlanner:
             notes=tuple(notes),
             dependencies=dependencies,
         )
-
-    # -- queries --------------------------------------------------------------------
-
-    def fits_budget(self, estimate: CostEstimate, budget_dollars: float) -> bool:
-        """Whether the estimated cost fits under ``budget_dollars``."""
-        return estimate.dollars <= budget_dollars
-
-    def fits_context(self, items: Sequence[str]) -> bool:
-        """Whether a single prompt holding every item fits the model's context."""
-        estimate = self.single_prompt(items)
-        return estimate.usage.prompt_tokens <= self.spec.context_length
-
-    def affordable_strategies(
-        self, items: Sequence[str], budget_dollars: float
-    ) -> list[CostEstimate]:
-        """Standard strategy estimates that fit the budget, cheapest first."""
-        estimates = [self.single_prompt(items), self.per_item(items), self.pairwise(items)]
-        affordable = [
-            estimate for estimate in estimates if self.fits_budget(estimate, budget_dollars)
-        ]
-        return sorted(affordable, key=lambda estimate: estimate.dollars)

@@ -26,7 +26,16 @@ from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.stats import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
-from repro.llm.base import Body, Call, LLMClient, LLMResponse, adrive, drive
+from repro.llm.base import (
+    Body,
+    Call,
+    LLMClient,
+    LLMResponse,
+    adrive,
+    answered_prefix,
+    drive,
+    prompt_list,
+)
 from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
@@ -209,9 +218,10 @@ class PromptSession:
                 prompt, model=model_name, temperature=temperature, max_tokens=max_tokens
             )
         except Exception as exc:
-            self._trace_failure(prompt, model_name, temperature, start, exc)
+            self._trace_failure(prompt, model_name, temperature, start, time.perf_counter(), exc)
             raise
-        return self._settle([prompt], [response], temperature, target, start)[0]
+        end = time.perf_counter()
+        return self._settle([prompt], [response], temperature, target, start, end)[0]
 
     def complete_batch(
         self,
@@ -229,8 +239,14 @@ class PromptSession:
         to interrupt a batch *between* unit tasks should dispatch through a
         :class:`~repro.core.executor.BatchExecutor` with the session budget
         attached (operators constructed by the engine do exactly that).
+
+        A batch that fails part-way books every call it made: the calls
+        answered before the failure are tracked, charged, cached and recorded
+        like a success, the failure is recorded against the prompt that
+        raised, and the backend's error is raised.
         """
-        return drive(self._issue(list(prompts), model, temperature, max_tokens, budget, False))
+        body = self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
+        return drive(body)
 
     async def acomplete(
         self,
@@ -260,7 +276,7 @@ class PromptSession:
     ) -> list[LLMResponse]:
         """Awaitable :meth:`complete_batch`: the same call path, awaited."""
         return await adrive(
-            self._issue(list(prompts), model, temperature, max_tokens, budget, False)
+            self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
         )
 
     def _issue(
@@ -290,13 +306,43 @@ class PromptSession:
             responses = yield Call(
                 self._client, prompts, model_name, temperature, max_tokens, single
             )
-        except Exception as exc:
-            # A batch is one dispatch unit: which prompt failed (and which
-            # succeeded before it) is not observable here, so the failure is
-            # traced as a single batch-level record with no prompt.
-            self._trace_failure(prompts[0] if single else "", model_name, temperature, start, exc)
+        except BaseException as exc:
+            answered = [] if single else answered_prefix(exc, prompts)
+            self._settle_failure(prompts, answered, model_name, temperature, target, start, exc)
             raise
-        return self._settle(prompts, responses, temperature, target, start)
+        return self._settle(prompts, responses, temperature, target, start, time.perf_counter())
+
+    def _settle_failure(
+        self,
+        prompts: list[str],
+        answered: list[LLMResponse] | None,
+        model: str,
+        temperature: float,
+        target: Budget | BudgetLease,
+        start: float,
+        error: BaseException,
+    ) -> None:
+        """Book a dispatch, started at ``start``, that raised ``error``.
+
+        The calls it answered first (``answered``, a prefix of ``prompts``)
+        settle as a success would; a budget breach while charging them is
+        charged, but the caller sees ``error``.  The failure is recorded
+        against the prompt that raised, each call with an equal share of the
+        duration — unless ``error`` is Ctrl-C, an exit or a cancellation,
+        which the per-call path does not record either.  With ``answered``
+        unknown (``None``) the record names no prompt and takes it all.
+        """
+        end = time.perf_counter()
+        made = len(answered) + 1 if answered else 1
+        failed_at = end - (end - start) / made
+        if answered:
+            try:
+                self._settle(prompts, answered, temperature, target, start, failed_at)
+            except BudgetExceededError:
+                pass
+        if isinstance(error, Exception):
+            prompt = "" if answered is None else prompts[len(answered)]
+            self._trace_failure(prompt, model, temperature, failed_at, end, error)
 
     def _settle(
         self,
@@ -305,6 +351,7 @@ class PromptSession:
         temperature: float,
         target: Budget | BudgetLease,
         start: float,
+        end: float,
     ) -> list[LLMResponse]:
         """The post-call path, in its two halves.
 
@@ -316,7 +363,6 @@ class PromptSession:
         per dispatch handed to :meth:`_hand_over`: recorded at once outside
         an executor's bag, with the rest of its run inside one.
         """
-        end = time.perf_counter()
         share_ms = (end - start) * 1000.0 / len(responses) if responses else 0.0
         self.tracker.record_batch(responses)
         labels = current_labels()
@@ -462,12 +508,12 @@ class PromptSession:
         model: str,
         temperature: float,
         start: float,
+        end: float,
         error: BaseException,
     ) -> None:
-        """Hand over the record of a call, started at ``start``, that raised
-        (class from the taxonomy) — through the bag like a success, so the
-        records of a bag stay in settle order."""
-        end = time.perf_counter()
+        """Hand over the record of a call, made from ``start`` to ``end``, that
+        raised (class from the taxonomy) — through the bag like a success, so
+        the records of a bag stay in settle order."""
         duration_ms = (end - start) * 1000.0
         labels = current_labels()
         fields = {

@@ -155,12 +155,21 @@ def sequential_complete_batch(
 
     At temperature 0 this is observably identical to any correct native batch
     implementation (same responses, same totals), which is what the batch
-    equivalence test suite asserts.
+    equivalence test suite asserts.  A call that raises takes the responses
+    made before it along (:func:`carry_answered`).
     """
-    return [
-        client.complete(prompt, model=model, temperature=temperature, max_tokens=max_tokens)
-        for prompt in prompts
-    ]
+    responses: list[LLMResponse] = []
+    try:
+        for prompt in prompts:
+            responses.append(
+                client.complete(
+                    prompt, model=model, temperature=temperature, max_tokens=max_tokens
+                )
+            )
+    except BaseException as exc:
+        carry_answered(exc, prompts, responses)
+        raise
+    return responses
 
 
 def call_complete_batch(
@@ -198,12 +207,55 @@ async def sequential_acomplete_batch(
     the :class:`~repro.core.executor.AsyncBatchExecutor`'s job, exactly as it
     is :class:`~repro.core.executor.BatchExecutor`'s on the sync path.
     """
-    return [
-        await call_acomplete(
-            client, prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        for prompt in prompts
-    ]
+    responses: list[LLMResponse] = []
+    try:
+        for prompt in prompts:
+            responses.append(
+                await call_acomplete(
+                    client, prompt, model=model, temperature=temperature, max_tokens=max_tokens
+                )
+            )
+    except BaseException as exc:
+        carry_answered(exc, prompts, responses)
+        raise
+    return responses
+
+
+# -- what a batch that raised had made --------------------------------------------------
+
+
+def carry_answered(
+    error: BaseException, prompts: list[str], responses: list[LLMResponse]
+) -> None:
+    """Let ``error`` take along what a batch over ``prompts`` made before it raised.
+
+    ``responses`` answer ``prompts[:len(responses)]`` in order, and the prompt
+    after them is the one that raised: calls that were made, and paid for,
+    and that each layer on the way up settles as it would a success.  The
+    carrier is keyed to the ``prompts`` list itself, so a layer finds it
+    only for the list it sent down (:func:`answered_prefix`): a wrapper that
+    asks its inner client other prompts (a cascade's tiers, an ensemble's
+    members) cannot pass a prefix on for its own, it drops it.
+    """
+    error._repro_answered = (prompts, responses)  # type: ignore[attr-defined]
+
+
+def answered_prefix(error: BaseException, prompts: list[str]) -> list[LLMResponse] | None:
+    """The responses ``error`` carries for the answered prefix of ``prompts``.
+
+    ``None`` when it carries none for that very list: what was answered
+    before the failure is then unknown.
+    """
+    carried = getattr(error, "_repro_answered", None)
+    if carried is not None and carried[0] is prompts:
+        return carried[1]
+    return None
+
+
+def prompt_list(prompts: Sequence[str]) -> list[str]:
+    """``prompts`` as a list: the caller's own when it is one, so that what a
+    failing batch carries (:func:`carry_answered`) is keyed to the caller's list."""
+    return prompts if type(prompts) is list else list(prompts)
 
 
 async def call_acomplete(
@@ -414,14 +466,15 @@ class BaseClient:
 
     Where the executors' per-call path crosses a wrapper once per unit task
     (:class:`~repro.llm.cache.CachedClient`, the session), that wrapper also
-    writes ``complete`` out by hand over the same helpers.  On PR 19's
-    ledger (CHANGES.md; sandbox microseconds per call, backend excluded) a
-    unit call through ``BatchExecutor.run`` at width 8 cost about 14: 2.7 as
-    one call of a native batch, + 4.0 for the session's single-call entry,
-    + 5.1 for the executor's ``_unit`` / ``drive`` / ``Call``, + 2.1 for
-    ``_fan_out`` per body.  Driving a generator instead costs about 2 per
-    layer per call (``CachedClient.complete`` 0.8 written out, 2.6 driven),
-    so the two twins are worth about 4 of those — which is why they stay.
+    writes ``complete`` out by hand over the same helpers.  Microseconds per
+    call behind a backend that answers a constant in 0.9 (one core of an
+    Intel Xeon, Python 3.11; median of 40 bags of 600): a call of a native
+    batch costs 4.6 through the session and 5.8 through ``BatchExecutor.run``
+    at width 1; at width 8 a unit task — the path of a call that waits —
+    costs 16.0, and a call sent in one of the executor's runs of fast calls
+    9.0.  The session's single-call entry alone is 13.1.  Driving a generator
+    costs about 3 per layer per call (``CachedClient.complete`` 2.4 written
+    out, 5.6 driven), which is why the two twins stay for the unit path.
     """
 
     def _body(self, call: Call) -> Body:
@@ -449,7 +502,7 @@ class BaseClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> list[LLMResponse]:
-        return drive(self._body(Call(None, list(prompts), model, temperature, max_tokens)))
+        return drive(self._body(Call(None, prompt_list(prompts), model, temperature, max_tokens)))
 
     async def acomplete(
         self,
@@ -470,4 +523,5 @@ class BaseClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> list[LLMResponse]:
-        return await adrive(self._body(Call(None, list(prompts), model, temperature, max_tokens)))
+        body = self._body(Call(None, prompt_list(prompts), model, temperature, max_tokens))
+        return await adrive(body)

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
-from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse
+from repro.llm.base import (
+    BaseClient,
+    Body,
+    Call,
+    LLMClient,
+    LLMResponse,
+    answered_prefix,
+    carry_answered,
+)
 from repro.tokenizer.cost import Usage
 
 
@@ -149,6 +157,12 @@ class CachedClient(BaseClient):
         path they run on the event loop; only a miss waits on the inner
         client.  Two *concurrent* misses on one prompt may both reach it —
         the executors' dispatch-level dedup is what prevents that upstream.
+
+        When the inner call raises part-way, the misses it answered are
+        cached all the same, and the answered prefix of this call's prompts
+        — hits, answered misses and their in-batch duplicates, up to the
+        first miss left unanswered — goes up with the error
+        (:func:`~repro.llm.base.carry_answered`).
         """
         if call.temperature != 0.0:
             return (yield call.to(self._client))
@@ -157,12 +171,10 @@ class CachedClient(BaseClient):
         pending_indices: list[int] = []
         pending_prompts: list[str] = []
         scheduled: set[str] = set()
-        duplicate_indices: list[int] = []
         for index, prompt in enumerate(prompts):
             if prompt in scheduled:
                 # Duplicate of an in-batch miss: resolved from the cache after
                 # the inner call returns, exactly like the sequential path.
-                duplicate_indices.append(index)
                 continue
             cached = cache.get(key_model, prompt)
             if cached is not None:
@@ -171,16 +183,44 @@ class CachedClient(BaseClient):
                 scheduled.add(prompt)
                 pending_indices.append(index)
                 pending_prompts.append(prompt)
-        if pending_prompts:
+        if not pending_prompts:
+            return results
+        try:
             responses = yield call.to(self._client, pending_prompts)
-            for index, prompt, response in zip(pending_indices, pending_prompts, responses):
-                cache.put(key_model, prompt, response)
-                results[index] = response
-        for index in duplicate_indices:
-            cached = cache.get(key_model, prompts[index])
-            assert cached is not None  # its first occurrence was just put
-            results[index] = _cache_hit_copy(cached)
-        return results
+        except BaseException as exc:
+            answered = answered_prefix(exc, pending_prompts)
+            if answered is not None:
+                self._fill(results, key_model, pending_indices, pending_prompts, answered)
+                end = pending_indices[len(answered)]
+                carry_answered(exc, prompts, self._duplicates(results[:end], key_model, prompts))
+            raise
+        self._fill(results, key_model, pending_indices, pending_prompts, responses)
+        return self._duplicates(results, key_model, prompts)
+
+    def _fill(
+        self,
+        results: list[LLMResponse | None],
+        key_model: str,
+        indices: list[int],
+        prompts: list[str],
+        responses: list[LLMResponse],
+    ) -> None:
+        """Cache the answered misses and put them in their places."""
+        for index, prompt, response in zip(indices, prompts, responses):
+            self.cache.put(key_model, prompt, response)
+            results[index] = response
+
+    def _duplicates(
+        self, results: list[LLMResponse | None], key_model: str, prompts: list[str]
+    ) -> list[LLMResponse]:
+        """``results`` with every in-batch duplicate served as a hit on its
+        first occurrence's response, which is cached by now."""
+        for index, response in enumerate(results):
+            if response is None:
+                cached = self.cache.get(key_model, prompts[index])
+                assert cached is not None  # its first occurrence was just put
+                results[index] = _cache_hit_copy(cached)
+        return results  # type: ignore[return-value]
 
     def complete(
         self,

@@ -80,8 +80,13 @@ class RetryingClient(BaseClient):
         at a time.  Each returned response is the first accepted one (or the
         last attempt if none was accepted), with the usage of *all* its
         attempts accumulated onto it and retry metadata attached.
+
+        The first attempts go down under a copy of the prompt list: answers
+        made before a failure are unvalidated, not this wrapper's, so what
+        the failure carries must not pass for this call's answered prefix
+        (:func:`~repro.llm.base.carry_answered`).
         """
-        first_attempts = yield call.to(self._client)
+        first_attempts = yield call.to(self._client, list(call.prompts))
         retry_temperature = max(call.temperature, self.retry_temperature)
         results: list[LLMResponse] = []
         for prompt, response in zip(call.prompts, first_attempts):

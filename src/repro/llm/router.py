@@ -24,7 +24,6 @@ from repro.llm.base import (
     Gather,
     LLMClient,
     LLMResponse,
-    adrive,
     drive,
 )
 from repro.tokenizer.cost import Usage
@@ -66,7 +65,10 @@ class CascadeRouter(BaseClient):
         escalate to the next tier's call.  Per-prompt results — accumulated
         usage, used-tier metadata, escalation counts — are those of running
         the cascade one prompt at a time.  The call's ``model`` is ignored:
-        the tiers decide which models are asked.
+        the tiers decide which models are asked.  A tier's batch that raises
+        part-way answered a prefix of the tier's prompts, not of this call's:
+        what it carries (:func:`~repro.llm.base.carry_answered`) is keyed to
+        the tier's own list, so it ends here.
         """
         prompts = call.prompts
         results: list[LLMResponse | None] = [None] * len(prompts)
@@ -155,16 +157,6 @@ class EnsembleClient(BaseClient):
         """Ask every member and return all of their responses."""
         return drive(self._ask_all(prompt, temperature, max_tokens))
 
-    async def acomplete_all(
-        self,
-        prompt: str,
-        *,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> EnsembleResponse:
-        """Awaitable :meth:`complete_all`: the members are asked concurrently."""
-        return await adrive(self._ask_all(prompt, temperature, max_tokens))
-
     def _body(self, call: Call) -> Body:
         """LLMClient-compatible calls: the first member's answer, everyone's cost.
 
@@ -172,7 +164,10 @@ class EnsembleClient(BaseClient):
         expected; callers that want every response use :meth:`complete_all`.
         Every member is asked, so — like the cascade with ``cascade_tiers`` —
         the returned response carries the usage of all of them, and trackers
-        and budgets see what the ensemble really spent.
+        and budgets see what the ensemble really spent.  A member that raises
+        carries no answered prefix for this call's prompts
+        (:func:`~repro.llm.base.carry_answered`): the prompts answered before
+        it are lost with the failure, as a cascade's are.
         """
         members = [member.model for member in self.members]
         results: list[LLMResponse] = []

@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse
+from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse, answered_prefix
 from repro.tokenizer.cost import CostModel, CostSummary, Usage
 
 
@@ -111,7 +111,15 @@ class TrackedClient(BaseClient):
         self.tracker = tracker
 
     def _body(self, call: Call) -> Body:
-        """Forward the call to the inner client and record it atomically."""
-        responses = yield call.to(self._client)
+        """Forward the call to the inner client and record it atomically.
+
+        A batch that raises part-way records the answered prefix it carries
+        (:func:`~repro.llm.base.carry_answered`): those calls were made.
+        """
+        try:
+            responses = yield call.to(self._client)
+        except BaseException as exc:
+            self.tracker.record_batch(answered_prefix(exc, call.prompts) or ())
+            raise
         self.tracker.record_batch(responses)
         return responses

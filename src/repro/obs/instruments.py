@@ -171,11 +171,11 @@ class SessionInstruments:
     def note_dequeued(self, count: int) -> None:
         self._exec_queue.dec(count)
 
-    def note_task_started(self) -> None:
-        self._exec_in_flight.inc()
+    def note_task_started(self, count: int = 1) -> None:
+        self._exec_in_flight.inc(count)
 
-    def note_task_done(self) -> None:
-        self._exec_in_flight.dec()
+    def note_task_done(self, count: int = 1) -> None:
+        self._exec_in_flight.dec(count)
 
     # -- jobs --------------------------------------------------------
 

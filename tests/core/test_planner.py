@@ -13,7 +13,6 @@ from repro.core.engine import DeclarativeEngine
 from repro.core.planner import CostEstimate, CostPlanner
 from repro.core.spec import PipelineSpec, PipelineStep, ResolveSpec, SortSpec
 from repro.data.flavors import FLAVORS
-from repro.data.words import random_words
 from repro.exceptions import ConfigurationError
 from repro.llm.registry import default_registry
 from repro.llm.simulated import SimulatedLLM
@@ -57,28 +56,6 @@ class TestCostPlannerShapes:
             < planner.per_item(items).dollars
             < planner.pairwise(items).dollars
         )
-
-    def test_affordable_strategies_filters_and_sorts(self):
-        planner = CostPlanner("sim-gpt-3.5-turbo")
-        items = list(FLAVORS)
-        pairwise_cost = planner.pairwise(items).dollars
-        affordable = planner.affordable_strategies(items, budget_dollars=pairwise_cost / 2)
-        names = [estimate.strategy for estimate in affordable]
-        assert "pairwise" not in names
-        assert names == sorted(
-            names, key=lambda name: [e.strategy for e in affordable].index(name)
-        )
-        dollars = [estimate.dollars for estimate in affordable]
-        assert dollars == sorted(dollars)
-
-    def test_fits_context_detects_oversized_prompts(self):
-        small_context = CostPlanner("sim-small")
-        long_context = CostPlanner("sim-claude-2")
-        # 400 six-word snippets: a few thousand tokens — beyond sim-small's
-        # 2k context but far inside sim-claude-2's 100k window.
-        snippets = [" ".join(random_words(6, seed=index)) for index in range(400)]
-        assert long_context.fits_context(snippets) is True
-        assert small_context.fits_context(snippets) is False
 
 
 class TestPhysicalPlannerSharesTokenCounts:

@@ -264,6 +264,35 @@ class TestABagThatEndsEarly:
         assert client.reached == 9
         assert_books_agree(session, client.reached)
 
+    # The two cases above on ``sync`` at width 1: the bag is one native batch.
+
+    def test_a_failing_call_of_a_native_batch_is_recorded_after_the_calls_before_it(self):
+        def fail():
+            raise ConnectionError("backend down")
+
+        client = Scripted(6, fail)
+        session = PromptSession(client, use_cache=False)
+        with pytest.raises(ConnectionError):
+            run_bag(session, "sync", 1, rating_prompts(20))
+        records = session.tracer.records()
+        assert [record.error for record in records] == [None] * 6 + ["ConnectionError"]
+        assert records[6].prompt == rating_prompts(20)[6]
+        assert_books_agree(session, client.reached, errors=1)
+        assert session.metrics.snapshot()["repro_llm_call_errors_total"] == {
+            '{tenant="",error="ConnectionError"}': 1
+        }
+
+    def test_ctrl_c_inside_a_native_batch(self):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        client = Scripted(9, interrupt)
+        session = PromptSession(client, use_cache=False)
+        with pytest.raises(KeyboardInterrupt):
+            run_bag(session, "sync", 1, rating_prompts(20))
+        assert client.reached == 9
+        assert_books_agree(session, client.reached)
+
 
 class TestTheScope:
     @pytest.mark.parametrize("driver", DRIVERS)

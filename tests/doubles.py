@@ -162,6 +162,25 @@ class DyingClient:
         )
 
 
+class FailingOn:
+    """The simulator, except that ``prompt`` raises a connection error; keeps
+    the prompts it answered."""
+
+    def __init__(self, prompt: str, inner: SimulatedLLM | None = None) -> None:
+        self._inner = inner or simulated_client()
+        self.default_model = self._inner.default_model
+        self.prompt = prompt
+        self.answered: list[str] = []
+
+    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
+        if prompt == self.prompt:
+            raise ConnectionError("backend down")
+        self.answered.append(prompt)
+        return self._inner.complete(
+            prompt, model=model, temperature=temperature, max_tokens=max_tokens
+        )
+
+
 def yes_no_validator(text: str) -> bool:
     """Rejects :class:`FlakyClient`'s garbled answers the way a parser would."""
     if "yes" not in text.lower() and "no" not in text.lower():

@@ -195,14 +195,6 @@ class TestEnsembleClient:
             ]
         )
 
-    def test_complete_all_equivalence(self):
-        sync_ensemble = self._ensemble().complete_all("p")
-        async_ensemble = asyncio.run(self._ensemble().acomplete_all("p"))
-        assert [r.text for r in async_ensemble.responses] == [
-            r.text for r in sync_ensemble.responses
-        ]
-        assert async_ensemble.usage == sync_ensemble.usage
-
     def test_single_returns_first_member(self):
         assert asyncio.run(self._ensemble().acomplete("p")).text == "a:p"
 
