@@ -3,7 +3,7 @@
 Run with:  python examples/traced_pipeline.py
 
 Every LLM call a :class:`~repro.core.session.PromptSession` makes is
-recorded by its tracer: which pipeline step and operator strategy issued
+recorded in its span ring: which pipeline step and operator strategy issued
 it, what it cost, how long it took, whether the session cache answered
 it.  This example runs a small dedup pipeline, then uses the trace three
 ways:
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro import Dataset, DeclarativeEngine, PromptSession, SimulatedLLM, replay_trace
 from repro.llm.oracle import Oracle
-from repro.trace import summarize_records
+from repro.obs import summarize_records
 
 WORDS = ["laptop", "monitor", "keyboard", "mouse", "webcam", "router"]
 
@@ -60,7 +60,7 @@ def main() -> None:
     print("top 3 products:", result.items)
 
     # -- 1. inspect the trace --------------------------------------------------------
-    records = engine.session.tracer.records()
+    records = engine.session.spans.records()
     print(f"\n{len(records)} traced calls; first three:")
     for record in records[:3]:
         print(

@@ -54,8 +54,12 @@ from repro.obs import (
     SessionInstruments,
     Span,
     SpanTracker,
+    TraceRecord,
     critical_path,
     render_timeline,
+    replay_trace,
+    summarize_records,
+    trace_label,
 )
 from repro.query import Dataset, LogicalPlan, QueryResult, compile_plan, optimize
 from repro.service import (
@@ -72,7 +76,6 @@ from repro.store import (
     WorkloadProfile,
     fingerprint_spec,
 )
-from repro.trace import TraceRecord, Tracer, replay_trace, summarize_records, trace_label
 from repro.exceptions import (
     BudgetExceededError,
     ContextLengthExceededError,
@@ -147,7 +150,6 @@ __all__ = [
     "TenantRegistry",
     "TopKSpec",
     "TraceRecord",
-    "Tracer",
     "UnknownStrategyError",
     "Workflow",
     "WorkloadProfile",

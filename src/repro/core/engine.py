@@ -63,10 +63,9 @@ from repro.core.workflow import StepReport, Workflow, WorkflowReport
 from repro.exceptions import SpecError, StoreError
 from repro.llm.base import Body, Invoke, LLMClient, adrive, drive
 from repro.llm.registry import ModelRegistry
+from repro.obs import critical_path, trace_label
 from repro.operators.base import OperatorResult
-from repro.obs import critical_path
 from repro.store.fingerprint import fingerprint_spec
-from repro.trace import trace_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
@@ -123,7 +122,7 @@ class DeclarativeEngine:
     def operator_scope(self, label: str) -> Iterator[None]:
         """Label everything inside as one operator run, ``"<op>:<strategy>"``.
 
-        The tracer's ``operator=`` trace label and the ``operator`` span
+        The ``operator=`` trace label and the ``operator`` span
         (under whatever step span is ambient) carry the same text, so the
         span waterfall and the trace records name the same work identically.
         """

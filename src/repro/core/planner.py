@@ -420,20 +420,6 @@ class CostPlanner:
     #: the LSH probe floor at its default k.
     _DEFAULT_PROBE_CANDIDATES = 16.0
 
-    def index_build(self, texts: Sequence[str]) -> CostEstimate:
-        """Price building a vector index over ``texts``.
-
-        One *local* embedding call per text and zero LLM dollars: the
-        hashing embedder never leaves the process, so an index build spends
-        compute, not budget.  The calls/tokens still appear in the estimate
-        so ``.quote()`` can show the work the build replaces LLM spend with.
-        """
-        tokens = sum(self.tokenizer.count(str(text)) for text in texts)
-        usage = Usage(prompt_tokens=tokens, calls=len(texts))
-        return CostEstimate(
-            strategy="index:build", calls=len(texts), usage=usage, dollars=0.0
-        )
-
     def probe_candidate_rate(self) -> float:
         """Expected candidates ranked per probe (observed, or the prior)."""
         if self.stats is not None:

@@ -40,8 +40,8 @@ from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
 from repro.obs import MetricsRegistry, SessionInstruments, Span, SpanTracker, current_span_id
+from repro.obs.spans import TraceLabels, current_labels
 from repro.tokenizer.cost import CostModel
-from repro.trace import TraceLabels, Tracer, current_labels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
@@ -105,9 +105,9 @@ class SessionClient:
         )
 
     @property
-    def tracer(self) -> Tracer:
-        """The session's call tracer (retry wrappers annotate through this)."""
-        return self.session.tracer
+    def spans(self) -> SpanTracker:
+        """The session's span ring (retry wrappers annotate through this)."""
+        return self.session.spans
 
 
 class PromptSession:
@@ -186,8 +186,6 @@ class PromptSession:
         self.spans = SpanTracker(store=store, on_drop=self.instruments.note_trace_dropped)
         if governor is not None:
             governor.bind_instruments(self.instruments)
-        #: The call spans as :class:`~repro.trace.TraceRecord` views.
-        self.tracer = Tracer(self.spans)
         self._client: LLMClient = CachedClient(client, self.cache) if use_cache else client
 
     def complete(

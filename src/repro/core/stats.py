@@ -58,7 +58,7 @@ class RuntimeStats:
         self._call_counts: dict[str, float] = {}
         self._runs: dict[str, float] = {}
         # Per-operator/strategy call durations (ms), most recent last; fed by
-        # the session's tracer so quotes can carry wall-clock estimates.
+        # the session's call spans so quotes can carry wall-clock estimates.
         self._latency: dict[str, list[float]] = {}
         # Session-global cache hits over requests, also fed per traced call;
         # the planner discounts dollar quotes by the observed hit rate.

@@ -85,10 +85,6 @@ class CitationCorpus:
     entity_of: dict[str, str]
     pairs: list[LabeledPair] = field(default_factory=list)
 
-    def citation_text(self, record: Record) -> str:
-        """Render one record the way it is embedded into prompts."""
-        return render_citation(record)
-
     def texts(self) -> list[str]:
         """Citation texts for every record, in dataset order."""
         return [render_citation(record) for record in self.dataset]

@@ -13,7 +13,7 @@ actually embedded".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
 
@@ -22,18 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.llm.embeddings import HashingEmbedder
     from repro.store.vectors import EmbeddingCache
-
-
-class Embedder(Protocol):
-    """The embedding surface consumers rely on (structural)."""
-
-    dimensions: int
-
-    def embed(self, text: str) -> np.ndarray: ...
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray: ...
-
-    def nearest_neighbors(self, texts: list[str], k: int) -> dict[int, list[int]]: ...
 
 
 class CachedEmbedder:

@@ -271,7 +271,7 @@ async def call_acomplete(
     The default sync-bridge: a client that only implements ``complete`` is
     called in a worker thread (``asyncio.to_thread``), so every existing sync
     client stays drop-in on the async path.  Contextvars — including the trace
-    labels of :mod:`repro.trace` — propagate into the bridge thread.
+    labels of :func:`repro.obs.trace_label` — propagate into the bridge thread.
     """
     acomplete = getattr(client, "acomplete", None)
     if callable(acomplete):

@@ -123,16 +123,16 @@ class RetryingClient(BaseClient):
     ) -> None:
         """Stamp the attempt index and validator outcome onto the call's trace.
 
-        Duck-typed: a session-bound client exposes ``tracer`` and stamps
-        every response with its trace call id; any other wrapped client
-        (a bare simulator, a plain cache) makes this a no-op, so the retry
-        wrapper keeps working outside sessions without importing the trace
-        layer.
+        Duck-typed: a session-bound client exposes its ``spans`` ring and
+        stamps every response with its trace call id; any other wrapped
+        client (a bare simulator, a plain cache) makes this a no-op, so the
+        retry wrapper keeps working outside sessions without importing the
+        observability layer.
         """
-        tracer = getattr(self._client, "tracer", None)
-        if tracer is None:
+        spans = getattr(self._client, "spans", None)
+        if spans is None:
             return
         call_id = response.metadata.get("trace_call_id")
         if call_id is None:
             return
-        tracer.annotate(call_id, attempt=attempt, parse_ok=accepted)
+        spans.annotate(call_id, attempt=attempt, parse_ok=accepted)

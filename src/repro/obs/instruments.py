@@ -7,7 +7,7 @@ session uses the empty-string tenant.
 
 The ``note_*`` methods are the only surface the rest of the codebase
 touches, so the family names and label sets stay consistent across the
-governor, executors, tracer, workflow scheduler, and job manager.
+governor, executors, span ring, workflow scheduler, and job manager.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Trace replay: turn a recorded run into a deterministic LLM fixture.
 
 :func:`replay_trace` builds a :class:`ReplayLLM` from a sequence of
-:class:`~repro.trace.tracer.TraceRecord` objects.  The fixture implements
+:class:`~repro.obs.spans.TraceRecord` objects.  The fixture implements
 the :class:`~repro.llm.base.LLMClient` protocol — ``complete``,
 ``complete_batch``, ``default_model`` — so it drops in anywhere a
 :class:`~repro.llm.simulated.SimulatedLLM` does: hand it to a fresh
@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 from repro import exceptions
 from repro.exceptions import ContextLengthExceededError, ReproError, TraceError
 from repro.llm.base import BaseClient, LLMResponse
+from repro.obs.spans import TraceRecord
 from repro.tokenizer.cost import Usage
-from repro.trace.tracer import TraceRecord
 
 
 def _raise_recorded(record: TraceRecord) -> None:
@@ -71,11 +71,6 @@ class ReplayLLM(BaseClient):
             self._responses.setdefault((record.model, record.prompt), deque()).append(
                 record
             )
-
-    @property
-    def recorded_calls(self) -> int:
-        """How many records the fixture was built from."""
-        return sum(len(queue) for queue in self._responses.values())
 
     # -- LLMClient protocol --------------------------------------------------
 

@@ -1,20 +1,26 @@
-"""Hierarchical span tracing for pipeline runs.
+"""Hierarchical span tracing for pipeline runs, and the per-call audit log.
 
 A :class:`Span` marks one timed region of work — a pipeline run, a
-scheduler wave, a step, an operator strategy, a batch execution, or a
-single model call.  Spans form a tree: each records the ``span_id`` of
-the span that was ambient when it started.  The ambient span travels in
-a :class:`contextvars.ContextVar`, the same mechanism the tracer uses
-for labels, so parentage survives both the batch executor's threads (it
-runs every unit task under ``contextvars.copy_context().run``) and
-asyncio tasks (which copy the context at creation time).
+scheduler wave, a step, an operator strategy, a batch execution, an index
+build, or a single model call.  Spans form a tree: each records the
+``span_id`` of the span that was ambient when it started.  The ambient
+span travels in a :class:`contextvars.ContextVar`, as do the attribution
+labels of :func:`trace_label`, so parentage and labels survive both the
+batch executor's threads (it runs every unit task under
+``contextvars.copy_context().run``) and asyncio tasks (which copy the
+context at creation time).
 
 :class:`SpanTracker` is the per-session collector, and the session's only
-telemetry ring: a model call is a ``call`` span whose attributes are the
-call's audit record (:class:`~repro.trace.TraceRecord` is the typed view
-of one).  It holds a bounded FIFO of spans, counts evictions instead of
-raising, and flushes to the store best-effort — observability must never
-sink the run it is watching.
+telemetry ring.  The paper's declarative-crowdsourcing framing treats each
+LLM call as one crowd worker's answer; the ring is the audit trail of those
+answers.  Every call issued through a
+:class:`~repro.core.session.PromptSession` is recorded once, as a ``call``
+span whose attributes are the call's audit record — whoever triggered it
+and whatever happened to it (cache hit, parse failure, taxonomy
+exception).  :class:`TraceRecord` is the typed view of one, built on read
+(:meth:`SpanTracker.records`).  The ring holds a bounded FIFO of spans,
+counts evictions instead of raising, and flushes to the store best-effort —
+observability must never sink the run it is watching.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -36,7 +42,16 @@ from repro.exceptions import BudgetExceededError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store import Store
 
-__all__ = ["Span", "SpanTracker", "current_span_id"]
+__all__ = [
+    "Span",
+    "SpanTracker",
+    "TraceLabels",
+    "TraceRecord",
+    "current_labels",
+    "current_span_id",
+    "summarize_records",
+    "trace_label",
+]
 
 # The ambient entry is ``(tracker, span_id)`` so that two sessions
 # interleaving on one thread cannot adopt each other's span ids.
@@ -59,6 +74,50 @@ def current_span_id(tracker: object | None = None) -> int | None:
     if tracker is not None and owner is not tracker:
         return None
     return span_id
+
+
+@dataclass(frozen=True)
+class TraceLabels:
+    """The ambient attribution labels a call is recorded under."""
+
+    step: str | None = None
+    operator: str | None = None
+    job: str | None = None
+
+
+_LABELS: contextvars.ContextVar[TraceLabels] = contextvars.ContextVar(
+    "repro_trace_labels", default=TraceLabels()
+)
+
+
+def current_labels() -> TraceLabels:
+    """The labels calls issued from this context are attributed to."""
+    return _LABELS.get()
+
+
+@contextmanager
+def trace_label(
+    *, step: str | None = None, operator: str | None = None, job: str | None = None
+) -> Iterator[TraceLabels]:
+    """Attribute calls made inside the block to ``step``/``operator``/``job``.
+
+    The engine wraps each operator run in ``operator="sort:pairwise"`` and
+    each pipeline step in ``step=<name>``.  Unset fields inherit the
+    enclosing label, so a pipeline step label set by the scheduler survives
+    the engine nesting an operator label inside.  ``job`` (the service's job
+    id) reaches the ``repro.calls`` log lines only.
+    """
+    current = _LABELS.get()
+    merged = TraceLabels(
+        step=step if step is not None else current.step,
+        operator=operator if operator is not None else current.operator,
+        job=job if job is not None else current.job,
+    )
+    token = _LABELS.set(merged)
+    try:
+        yield merged
+    finally:
+        _LABELS.reset(token)
 
 
 @dataclass
@@ -109,6 +168,100 @@ class Span:
             status=str(payload.get("status", "ok")),
             attributes=dict(payload.get("attributes") or {}),
         )
+
+
+@dataclass
+class TraceRecord:
+    """One structured record of one LLM call issued through a session.
+
+    Attributes:
+        call_id: the id of the call's span (one sequence per session,
+            shared with the pipeline / step / operator spans).
+        step: pipeline step name the call served, when known.
+        operator: ``"<operation>:<strategy>"`` label of the operator run the
+            call served, when known (the same label the planner's call
+            ratios and latency percentiles are keyed by).
+        model: model the call was issued against.
+        temperature: sampling temperature of the call.
+        prompt: the full prompt text (what makes traces replayable).
+        response_text: the full response text; ``None`` when the call raised.
+        prompt_tokens / completion_tokens: token counts of the call.
+        cost: dollars charged for the call under the session's cost model.
+        duration_ms: wall-clock duration via ``time.perf_counter`` (batch
+            dispatches record the per-response share of the batch duration).
+        cache_hit: whether the response came from the response cache.
+        attempt: retry attempt index (0 = first try); annotated post-hoc by
+            the retry wrapper.
+        parse_ok: validator/parse outcome when one applied (``None`` = no
+            validator saw the response).
+        error: exception class name (the :class:`~repro.exceptions.ReproError`
+            taxonomy, normally) when the call raised; ``None`` on success.
+        finish_reason / confidence: carried from the response for replay
+            fidelity (confidence drives ensemble voting).
+        span_id: the same id, under the name that links the flat trace log
+            into the pipeline→wave→step hierarchy.
+    """
+
+    call_id: int
+    step: str | None = None
+    operator: str | None = None
+    model: str = ""
+    temperature: float = 0.0
+    prompt: str = ""
+    response_text: str | None = None
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    cost: float = 0.0
+    duration_ms: float = 0.0
+    cache_hit: bool = False
+    attempt: int = 0
+    parse_ok: bool | None = None
+    error: str | None = None
+    finish_reason: str = "stop"
+    confidence: float = 1.0
+    span_id: int | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        """A plain-dict view (JSON-shaped; what the store persists)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_span(cls, span: Span) -> TraceRecord:
+        """The record a ``call`` span holds: id and model from the span
+        itself, everything else from its attributes (defaults where absent)."""
+        attributes = span.attributes
+        return cls(
+            call_id=span.span_id,
+            model=span.label,
+            span_id=span.span_id,
+            **{name: attributes[name] for name in _ATTRIBUTES if name in attributes},
+        )
+
+
+#: The fields a call span carries as attributes, under the same names.
+_ATTRIBUTES = tuple(
+    f.name for f in fields(TraceRecord) if f.name not in ("call_id", "model", "span_id")
+)
+
+
+def summarize_records(records: Iterable[TraceRecord]) -> dict[str, Any]:
+    """Calls, cache hits, errors, dollars and milliseconds over *records*."""
+    total = hits = errors = 0
+    cost = duration_ms = 0.0
+    for record in records:
+        total += 1
+        hits += record.cache_hit
+        errors += record.error is not None
+        cost += record.cost
+        duration_ms += record.duration_ms
+    return {
+        "calls": total,
+        "cache_hits": hits,
+        "cache_hit_rate": hits / total if total else 0.0,
+        "errors": errors,
+        "cost": cost,
+        "duration_ms": duration_ms,
+    }
 
 
 #: Exact types ``json.dumps`` always accepts (NaN and infinities included).
@@ -253,8 +406,7 @@ class SpanTracker:
         *count* calls — a run may be recorded later, and from another
         thread.  Without it the calls ended just now, under the ambient
         span.  The attribute dicts are kept as given — the caller passes
-        JSON primitives under :class:`~repro.trace.TraceRecord`'s field
-        names.
+        JSON primitives under :class:`TraceRecord`'s field names.
         """
 
         if settled is None:
@@ -336,6 +488,11 @@ class SpanTracker:
 
         with self._lock:
             return list(self._spans.values())
+
+    def records(self) -> list[TraceRecord]:
+        """The retained ``call`` spans as :class:`TraceRecord` copies, oldest first."""
+
+        return [TraceRecord.from_span(sp) for sp in self.spans() if sp.kind == "call"]
 
     def get(self, span_id: int) -> Span | None:
         with self._lock:

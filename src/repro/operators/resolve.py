@@ -122,10 +122,6 @@ class ResolveOperator(BaseOperator):
         except ResponseParseError:
             return False
 
-    def _ask_duplicate(self, left: str, right: str) -> bool:
-        response = self._complete(duplicate_check_prompt(left, right))
-        return self._parse_duplicate(response.text)
-
     def _ask_duplicates(self, pairs: Sequence[tuple[str, str]]) -> list[bool]:
         """Batch the independent duplicate checks; one decision per pair, in order."""
         responses = self._complete_batch(

@@ -456,13 +456,15 @@ def _emit_proxy_resolve(
                 - candidates_before,
                 probed=probed,
             )
-        session.tracer.record(
-            operator=f"index:{getattr(index, 'kind', 'unknown')}",
-            model=str(getattr(embedder, "model", "embedder")),
-            prompt=f"knn_graph(k={k}) over {len(items)} texts [{index_name}]",
-            response_text=f"{result.n_candidates} candidate pairs",
-            cost=0.0,
+        # An index build is local work, not an LLM call: a leaf span under
+        # the step, never a ``call`` record.
+        session.spans.record_span(
+            "index",
+            str(getattr(index, "kind", "unknown")),
             cache_hit=reused,
+            texts=len(items),
+            k=k,
+            candidate_pairs=result.n_candidates,
         )
         return result
 

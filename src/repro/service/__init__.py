@@ -11,7 +11,7 @@ The moving parts, bottom-up:
 
 * :class:`TenantConfig` / :class:`TenantRegistry` — one API key, one
   isolated universe: own budget, own governor envelope, own store
-  namespace, own cache/tracer/stats (:mod:`repro.service.tenants`).
+  namespace, own cache/spans/stats (:mod:`repro.service.tenants`).
 * :class:`AdmissionController` — prices submissions with the cost planner
   and rejects over-budget or over-queue work *before any LLM call*
   (:mod:`repro.service.admission`).

@@ -33,8 +33,8 @@ from uuid import uuid4
 from repro.core.planner import PipelineQuote
 from repro.core.spec import PipelineSpec
 from repro.core.spec_codec import pipeline_from_json, pipeline_to_json
+from repro.obs import trace_label
 from repro.store.jobs import JobRecord
-from repro.trace import trace_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workflow import StepReport

@@ -7,7 +7,7 @@ rate envelope.  A :class:`Tenant` therefore owns a full
 :class:`~repro.core.session.PromptSession` — its own
 :class:`~repro.core.budget.Budget`, its own
 :class:`~repro.core.governor.ConcurrencyGovernor`, its own store namespace
-(:class:`~repro.store.StoreNamespace`), its own tracer and runtime stats —
+(:class:`~repro.store.StoreNamespace`), its own span ring and runtime stats —
 and a :class:`~repro.core.engine.DeclarativeEngine` running over it.
 Nothing observable crosses tenants except the shared database file and the
 shared LLM client underneath.
@@ -30,7 +30,7 @@ from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.exceptions import ConfigurationError
 from repro.llm.base import LLMClient
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, summarize_records
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.llm.registry import ModelRegistry
@@ -119,11 +119,14 @@ class Tenant:
         """The tenant's usage view: spend, governor stats, trace summary.
 
         Every component read here is a lock-consistent snapshot
-        (:meth:`ConcurrencyGovernor.stats_snapshot`,
-        :meth:`~repro.trace.Tracer.summarize_records`), so concurrent
-        request handlers can poll usage while the tenant's pipelines run.
+        (:meth:`ConcurrencyGovernor.stats_snapshot`, one copy of the span
+        ring), so concurrent request handlers can poll usage while the
+        tenant's pipelines run.  ``traces.dropped`` counts the call records
+        the ring has evicted, so a summary over an overflowing ring is
+        recognisable as partial.
         """
         budget = self.session.budget
+        spans = self.session.spans
         cache_stats = getattr(self.session.cache, "stats", None)
         return {
             "tenant": self.tenant_id,
@@ -136,7 +139,7 @@ class Tenant:
             "governor": (
                 None if self.governor is None else self.governor.stats_snapshot().to_dict()
             ),
-            "traces": self.session.tracer.summarize_records(),
+            "traces": {**summarize_records(spans.records()), "dropped": spans.dropped_calls},
             "cache": (
                 None
                 if cache_stats is None
@@ -190,9 +193,6 @@ class TenantRegistry:
     @property
     def store(self) -> "Store | None":
         return self._store
-
-    def tenant_ids(self) -> list[str]:
-        return sorted(self._configs)
 
     def authenticate(self, api_key: str | None) -> Tenant | None:
         """The tenant owning ``api_key``, or ``None`` (reject the request)."""

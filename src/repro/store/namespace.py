@@ -7,7 +7,7 @@ cross-tenant information leak, and a checkpoint restore across tenants would
 hand one tenant results priced against another's budget.
 
 :class:`StoreNamespace` is the isolation mechanism: a thin view exposing the
-exact surface sessions, engines, and tracers consume (``response_cache``,
+exact surface sessions, engines, and span rings consume (``response_cache``,
 profile save/apply, checkpoint save/load, span flush, job rows), with the
 namespace prefix mixed into every key before it reaches the shared tables:
 
@@ -37,10 +37,9 @@ from repro.store.response_cache import PersistentResponseCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.physical import RuntimeStats
     from repro.core.spec import TaskSpec
-    from repro.obs.spans import Span
+    from repro.obs.spans import Span, TraceRecord
     from repro.operators.base import OperatorResult
     from repro.store.store import Store
-    from repro.trace import TraceRecord
 
 
 class StoreNamespace:

@@ -28,7 +28,7 @@ import os
 from typing import TYPE_CHECKING, Any
 
 from repro.core.spec import TaskSpec
-from repro.obs.spans import Span
+from repro.obs.spans import Span, TraceRecord
 from repro.operators.base import OperatorResult
 from repro.store.checkpoint import decode_result, encode_result
 from repro.store.db import StoreDB
@@ -42,7 +42,6 @@ from repro.store.jobs import (
 from repro.store.profile import DEFAULT_DECAY, WorkloadProfile
 from repro.store.response_cache import PersistentResponseCache
 from repro.store.vectors import EmbeddingCache
-from repro.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.physical import RuntimeStats

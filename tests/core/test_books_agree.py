@@ -23,7 +23,7 @@ from repro.core.session import PromptSession
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
 from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
-from repro.trace import trace_label
+from repro.obs import trace_label
 from tests.doubles import FailingOn, call, executor_for, rating_prompts, simulated_client
 
 MODEL = "sim-gpt-3.5-turbo"
@@ -78,7 +78,7 @@ class Tripping:
 def assert_the_books_agree(session: PromptSession, client: Tripping, *, errors: int) -> None:
     """Tracker, budget, ring, metrics and stats all tell of the calls that came back."""
     reached = len(client.answered)
-    records = session.tracer.records()
+    records = session.spans.records()
     settled = [record for record in records if record.error is None]
     misses = [record for record in settled if not record.cache_hit]
     series = session.metrics.snapshot()
@@ -164,6 +164,6 @@ class TestAWrapperThatCannotMapThePrefixDropsIt:
                 session.complete_batch(prompts, model=MODEL)
         assert backend.answered == prompts[:3]  # made, but not mappable onto the batch
         assert len(cached.cache) == 0
-        (record,) = session.tracer.records()
+        (record,) = session.spans.records()
         assert (record.prompt, record.error) == ("", "ConnectionError")
         assert session.tracker.usage.calls == 0 and session.budget.spent == 0.0

@@ -21,7 +21,7 @@ from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor
 from repro.exceptions import BudgetExceededError
 from repro.obs.spans import SpanTracker, current_span_id
-from repro.trace.tracer import current_labels, trace_label
+from repro.obs.spans import current_labels, trace_label
 from tests.doubles import DRIVERS, EchoClient, call, executor_for
 
 WIDTH = 8

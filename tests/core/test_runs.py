@@ -72,7 +72,7 @@ def test_a_bag_that_never_waits_goes_out_in_runs_on_the_calling_thread(never_sta
     session = PromptSession(client)
     baseline = threading.active_count()
     responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(prompts(600))
-    assert len(responses) == 600 and len(session.tracer.records()) == 600
+    assert len(responses) == 600 and len(session.spans.records()) == 600
     assert client.threads == {threading.get_ident()}
     assert client.alive == {baseline + 1}  # the scout, which never fired: no helper
     assert threading.active_count() == baseline
@@ -130,7 +130,7 @@ def test_a_scout_that_fires_while_runs_are_taken_loses_no_call(settles):
             session = PromptSession(Occasional())
             asked = prompts(200 + bag)
             responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(asked)
-            records = {record.call_id: record.prompt for record in session.tracer.records()}
+            records = {record.call_id: record.prompt for record in session.spans.records()}
             assert [records[r.metadata["trace_call_id"]] for r in responses] == asked
             assert sum(settles) == len(asked) == len(records)
             settles.clear()

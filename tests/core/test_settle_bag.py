@@ -26,7 +26,7 @@ from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import BudgetExceededError
 from repro.llm.simulated import SimulatedLLM
-from repro.trace import trace_label
+from repro.obs import trace_label
 from tests.doubles import (
     DRIVERS,
     FlakyClient,
@@ -89,7 +89,7 @@ def left_behind(session: PromptSession, step) -> dict:
     calls = [span for span in session.spans.spans() if span.kind == "call"]
     usage = session.tracker.usage
     return {
-        "records": sorted(record_key(record) for record in session.tracer.records()),
+        "records": sorted(record_key(record) for record in session.spans.records()),
         "parents": {span.parent_id == step.span_id for span in calls},
         "labels": {(span.attributes["step"], span.attributes["operator"]) for span in calls},
         "calls_total": series["repro_llm_calls_total"],
@@ -131,7 +131,7 @@ class TestEquivalence:
             step, responses = run_bag(session, driver, width, prompts)
             assert left_behind(session, step) == expected
             # Every response knows its record once ``run`` has returned.
-            records = {record.call_id: record for record in session.tracer.records()}
+            records = {record.call_id: record for record in session.spans.records()}
             ids = [response.metadata["trace_call_id"] for response in responses]
             assert len(set(ids)) == len(prompts)
             for prompt, response, call_id in zip(prompts, responses, ids):
@@ -165,7 +165,7 @@ class TestEquivalence:
             assert len(calls) == len(items)
             assert {span.attributes["step"] for span in calls} == {name}
             assert all(any(item in span.attributes["prompt"] for item in items) for span in calls)
-        assert len(engine.session.tracer.records()) == sum(map(len, halves.values()))
+        assert len(engine.session.spans.records()) == sum(map(len, halves.values()))
 
 
 class Scripted:
@@ -204,7 +204,7 @@ class Scripted:
 
 def assert_books_agree(session: PromptSession, reached: int, *, errors: int = 0) -> None:
     """Ring, metrics, stats and budget all tell of the ``reached`` calls paid for."""
-    records = session.tracer.records()
+    records = session.spans.records()
     settled = [record for record in records if record.error is None]
     series = session.metrics.snapshot()
     assert len(settled) == reached == session.tracker.usage.calls
@@ -232,7 +232,7 @@ class TestABagThatEndsEarly:
         session = PromptSession(client, use_cache=False)
         with pytest.raises(ConnectionError):
             run_bag(session, driver, WIDTH, rating_prompts(20))
-        records = session.tracer.records()
+        records = session.spans.records()
         assert [record.error for record in records[:7]] == [None] * 6 + ["ConnectionError"]
         assert_books_agree(session, client.reached, errors=1)
         assert session.metrics.snapshot()["repro_llm_call_errors_total"] == {
@@ -274,7 +274,7 @@ class TestABagThatEndsEarly:
         session = PromptSession(client, use_cache=False)
         with pytest.raises(ConnectionError):
             run_bag(session, "sync", 1, rating_prompts(20))
-        records = session.tracer.records()
+        records = session.spans.records()
         assert [record.error for record in records] == [None] * 6 + ["ConnectionError"]
         assert records[6].prompt == rating_prompts(20)[6]
         assert_books_agree(session, client.reached, errors=1)
@@ -301,7 +301,7 @@ class TestTheScope:
 
         class Watching(Scripted):
             def complete(inner, prompt, **params):
-                seen.append(len(session.tracer))
+                seen.append(len(session.spans.records()))
                 return super().complete(prompt, **params)
 
         session = PromptSession(Watching(), use_cache=False, budget=Budget(limit=1000.0))
@@ -311,15 +311,15 @@ class TestTheScope:
         assert set(seen) == {0, 8, 16, 24}
         assert all(recorded > made - bound for made, recorded in enumerate(seen))
         # ... and the rest at the bag's end.
-        assert len(session.tracer) == 30
+        assert len(session.spans.records()) == 30
 
     def test_outside_a_bag_a_call_is_recorded_when_it_returns(self):
         session = PromptSession(simulated_client())
         prompts = rating_prompts(5)
         first = session.complete(prompts[0], model=MODEL)
-        assert [r.call_id for r in session.tracer.records()] == [first.metadata["trace_call_id"]]
+        assert [r.call_id for r in session.spans.records()] == [first.metadata["trace_call_id"]]
         batch = session.complete_batch(prompts, model=MODEL)  # its first prompt: a cache hit
-        assert [r.call_id for r in session.tracer.records()][1:] == [
+        assert [r.call_id for r in session.spans.records()][1:] == [
             response.metadata["trace_call_id"] for response in batch
         ]
         series = session.metrics.snapshot()
@@ -343,8 +343,8 @@ class TestTheScope:
         run_bag(session, driver, WIDTH, rating_prompts(3))
         assert kept[-1].get(OPEN_BAG) is not None and OPEN_BAG.get() is None
         late = kept[-1].run(session.complete, "one more?", model=MODEL)
-        assert late.metadata["trace_call_id"] == session.tracer.records()[-1].call_id
-        assert len(session.tracer) == 4
+        assert late.metadata["trace_call_id"] == session.spans.records()[-1].call_id
+        assert len(session.spans.records()) == 4
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_under_a_validator_every_attempt_is_amended_as_it_returns(self, driver):
@@ -361,7 +361,7 @@ class TestTheScope:
         )
         assert bags == [None] * 4  # no bag: the retry wrapper needs each span at once
         attempts: dict[str, list[tuple[int, bool]]] = {}
-        for record in session.tracer.records():
+        for record in session.spans.records():
             attempts.setdefault(record.prompt, []).append((record.attempt, record.parse_ok))
         assert sum(map(len, attempts.values())) == 4
         for stamped in attempts.values():  # attempt 0, 1, ...: rejected until the last

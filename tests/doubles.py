@@ -22,6 +22,7 @@ from repro.llm.base import LLMResponse
 from repro.llm.oracle import Oracle
 from repro.llm.prompts import rating_prompt
 from repro.llm.simulated import SimulatedLLM
+from repro.obs import SpanTracker, TraceRecord
 from repro.tokenizer.cost import Usage
 
 CRITERION = "alphabetical order"
@@ -186,6 +187,13 @@ def yes_no_validator(text: str) -> bool:
     if "yes" not in text.lower() and "no" not in text.lower():
         raise ResponseParseError("no yes/no answer", text)
     return True
+
+
+def record_call(spans: SpanTracker, *, model: str = "m", **fields: Any) -> TraceRecord:
+    """Record one settled call straight into ``spans``, as a session's settle does."""
+    status = "ok" if fields.get("error") is None else "error"
+    (span,) = spans.record_calls([(model, status, fields)])
+    return TraceRecord.from_span(span)
 
 
 class ConfidenceClient:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.session import PromptSession
 from repro.exceptions import SpecError
 from repro.llm.simulated import SimulatedLLM
+from repro.obs import replay_trace
 from repro.query import Dataset
 from repro.store import Store
 from tests.query.support import MODEL, clean_behavior, clean_engine, product_corpus
@@ -66,27 +67,17 @@ class TestResolveThroughPersistedIndex:
             names = [entry["name"] for entry in store.list_vector_indexes()]
             assert any(name.startswith("block:") for name in names)
             assert store.embedding_count() == len(items)
-            index_rows = [
-                record
-                for record in engine.session.tracer.records()
-                if record.operator.startswith("index:")
-            ]
-            assert len(index_rows) == 1
-            assert index_rows[0].cache_hit is False
-            assert index_rows[0].cost == 0.0
+            (built,) = [span for span in engine.session.spans.spans() if span.kind == "index"]
+            assert built.attributes["cache_hit"] is False
+            assert built.attributes["texts"] == len(items)
             # The planner learned an observed candidates-per-probe rate.
             assert engine.session.stats.probe_candidate_rate() is not None
 
             # A fresh engine over the same store reuses the stored index.
             second = clean_engine(oracle)
             Dataset(items, name="p").with_store(store).resolve().run(second)
-            reused_rows = [
-                record
-                for record in second.session.tracer.records()
-                if record.operator.startswith("index:")
-            ]
-            assert len(reused_rows) == 1
-            assert reused_rows[0].cache_hit is True
+            (reused,) = [span for span in second.session.spans.spans() if span.kind == "index"]
+            assert reused.attributes["cache_hit"] is True
             # Nothing was re-embedded for the unchanged corpus.
             assert store.embedding_count() == len(items)
 
@@ -98,6 +89,21 @@ class TestResolveThroughPersistedIndex:
             )
         plain = Dataset(items, name="p").resolve().run(clean_engine(oracle))
         assert stored.items == plain.items
+
+
+class TestIndexBuildIsNotACall:
+    def test_a_blocked_resolve_records_only_its_llm_calls(self):
+        items, oracle = product_corpus(6, 2)
+        engine = clean_engine(oracle)
+        Dataset(items, name="p").resolve().run(engine)
+        session = engine.session
+        records = session.spans.records()
+        calls = session.metrics.snapshot()["repro_llm_calls_total"]
+        assert len(records) == session.tracker.usage.calls == sum(calls.values())
+        assert replay_trace(records).default_model == MODEL
+        # The build is a leaf span under the blocking step.
+        (built,) = [span for span in session.spans.spans() if span.kind == "index"]
+        assert session.spans.get(built.parent_id).kind == "step"
 
 
 class TestCacheAwareQuotes:

@@ -25,7 +25,7 @@ from repro.llm.retry import RetryingClient
 from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
-from repro.trace.replay import ReplayLLM
+from repro.obs.replay import ReplayLLM
 from tests.doubles import ENTRY_POINTS, SHAPES, ask, rating_prompts, shaped, simulated_client
 
 #: Six distinct prompts, three of them repeated: exercises in-batch dedup.
@@ -75,7 +75,7 @@ def _session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
     session = PromptSession(leaf)
 
     def observe() -> Observed:
-        records = session.tracer.records()
+        records = session.spans.records()
         return {
             "calls": session.tracker.calls,
             "usage": session.tracker.usage,
@@ -162,7 +162,7 @@ def test_replayed_calls_stay_on_the_event_loop():
             threads.add(threading.get_ident())
             return super().complete(prompt, **params)
 
-    replay = SpyingReplay(session.tracer.records())
+    replay = SpyingReplay(session.spans.records())
 
     async def replayed() -> tuple[int, list]:
         return threading.get_ident(), await call_acomplete_batch(replay, PROMPTS[:6])

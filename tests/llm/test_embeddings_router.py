@@ -159,6 +159,6 @@ class TestEnsembleClient:
         member_dollars = sum(tracker.cost() for tracker in trackers)
         assert session.tracker.cost() == pytest.approx(member_dollars)
         assert session.budget.spent == pytest.approx(member_dollars)
-        assert sum(record.cost for record in session.tracer.records()) == pytest.approx(
+        assert sum(record.cost for record in session.spans.records()) == pytest.approx(
             member_dollars
         )

@@ -13,8 +13,10 @@ from __future__ import annotations
 import threading
 
 from repro.core.governor import ConcurrencyGovernor, GovernorStats
-from repro.obs import SpanTracker
-from repro.trace.tracer import Tracer
+from repro.llm import Oracle, SimulatedLLM
+from repro.obs import summarize_records
+from repro.service.tenants import Tenant, TenantConfig
+from tests.doubles import record_call
 
 
 class TestGovernorSnapshot:
@@ -77,50 +79,58 @@ class TestGovernorSnapshot:
         assert not errors
 
 
+def _tenant(capacity: int | None = None) -> Tenant:
+    """A tenant whose usage view summarises the ring a test records into."""
+    tenant = Tenant(TenantConfig("acme", "key"), client=SimulatedLLM(Oracle()), store=None)
+    if capacity is not None:
+        tenant.session.spans.capacity = capacity
+    return tenant
+
+
 class TestTracerSummary:
     def test_summary_matches_module_level_aggregation(self):
-        from repro.trace.tracer import summarize_records
-
-        tracer = Tracer()
+        tenant = _tenant()
+        spans = tenant.session.spans
         for index in range(10):
-            tracer.record(
-                model="m",
+            record_call(
+                spans,
                 cost=0.1,
                 duration_ms=2.0,
                 cache_hit=index % 2 == 0,
                 error="Boom" if index == 3 else None,
             )
-        summary = tracer.summarize_records()
-        expected = summarize_records(tracer.records())
+        summary = tenant.usage_snapshot()["traces"]
+        expected = summarize_records(spans.records())
         for key, value in expected.items():
             assert summary[key] == value
         assert summary["dropped"] == 0
 
     def test_summary_counts_ring_drops(self):
-        tracer = Tracer(SpanTracker(capacity=4))
+        tenant = _tenant(capacity=4)
         for _ in range(10):
-            tracer.record(model="m", cost=0.0)
-        summary = tracer.summarize_records()
+            record_call(tenant.session.spans, cost=0.0)
+        summary = tenant.usage_snapshot()["traces"]
         assert summary["calls"] == 4
         assert summary["dropped"] == 6
 
     def test_summary_under_reader_writer_hammer(self):
-        tracer = Tracer(SpanTracker(capacity=256))
+        tenant = _tenant(capacity=256)
+        spans = tenant.session.spans
         stop = threading.Event()
         errors: list[BaseException] = []
 
         def writer():
             try:
                 while not stop.is_set():
-                    record = tracer.record(model="m", cost=0.5, cache_hit=True)
-                    tracer.annotate(record.call_id, attempt=1)
+                    record = record_call(spans, cost=0.5, cache_hit=True)
+                    spans.annotate(record.call_id, attempt=1)
             except BaseException as exc:  # pragma: no cover - the assertion
                 errors.append(exc)
 
         def reader():
             try:
                 while not stop.is_set():
-                    summary = tracer.summarize_records()
+                    summary = tenant.usage_snapshot()["traces"]
                     # Internal consistency: every recorded call here is a
                     # cache hit costing exactly $0.5, so any torn aggregate
                     # breaks these identities.

@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import StoreError
+from repro.obs import SpanTracker
 from repro.store import JobRecord, Store, StoreNamespace, fingerprint_spec
 from repro.store.jobs import validate_status
-from repro.trace.tracer import Tracer
 
 from _service_helpers import CRITERION, WORDS, demo_pipeline
 
@@ -142,9 +142,9 @@ class TestStoreNamespace:
         assert store.load_checkpoint(fingerprint) is None
 
     def test_traces_are_scoped(self, store):
-        tracer = Tracer()
-        tracer.record(model="m", cost=0.25)
-        store.namespace("acme").save_spans(tracer.spans.spans(), origin="run-1")
+        spans = SpanTracker()
+        spans.record_calls([("m", "ok", {"cost": 0.25})])
+        store.namespace("acme").save_spans(spans.spans(), origin="run-1")
         assert len(store.namespace("acme").trace_records(origin="run-1")) == 1
         assert store.namespace("beta").trace_records(origin="run-1") == []
         assert store.trace_records(origin="run-1") == []

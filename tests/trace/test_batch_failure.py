@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.core.session import PromptSession
-from repro.trace import trace_label
+from repro.obs import trace_label
 from tests.doubles import FailingOn, rating_prompts
 
 MODEL = "sim-gpt-3.5-turbo"
@@ -48,8 +48,8 @@ def without_id_and_duration(line: str) -> str:
 def test_a_batch_failure_is_recorded_as_the_per_call_path_records_it(path, caplog):
     reference, reference_lines = failed("per call", caplog)
     session, lines = failed(path, caplog)
-    (expected,) = reference.tracer.records()
-    *answered, failure = session.tracer.records()
+    (expected,) = reference.spans.records()
+    *answered, failure = session.spans.records()
     assert [record.prompt for record in answered] == PROMPTS[:5]
     assert all(record.error is None for record in answered)
     # Field by field the per-call record, bar its id and its duration ...

@@ -72,7 +72,7 @@ class TestUnderASession:
         with caplog.at_level(logging.DEBUG, logger="repro.calls"):
             step = screen(session, awaited)
 
-        records = session.tracer.records()
+        records = session.spans.records()
         assert len(records) == len(ITEMS)
         assert sum(record.cache_hit for record in records) == 3
         lines = [entry.getMessage() for entry in caplog.records if entry.name == "repro.calls"]
@@ -97,7 +97,7 @@ class TestUnderASession:
         # The repeats are answered in front of the session, as before: it
         # sees, records and charges the eight calls that were made.
         assert client.calls == step.usage.calls == len(DISTINCT)
-        assert len(session.tracer.records()) == len(DISTINCT)
+        assert len(session.spans.records()) == len(DISTINCT)
         assert step.cost == session.budget.spent == PARENT_COST
         assert step.kept == KEPT
 

@@ -9,8 +9,9 @@ from repro.core.executor import BatchExecutor
 from repro.core.session import PromptSession
 from repro.core.spec import SortSpec
 from repro.exceptions import ContextLengthExceededError, SpecError, TraceError
+from repro.obs import TraceRecord, replay_trace
+from repro.obs.replay import ReplayLLM
 from repro.query import Dataset
-from repro.trace import ReplayLLM, TraceRecord, replay_trace
 from tests.doubles import FlakyClient, yes_no_validator
 from tests.query.support import clean_engine, product_corpus
 
@@ -32,7 +33,7 @@ class TestEntityResolutionReplay:
         )
         engine = clean_engine(oracle)
         original = query.run(engine)
-        records = engine.session.tracer.records()
+        records = engine.session.spans.records()
         assert records  # the run was traced
 
         replay_eng = _replay_engine(records)
@@ -51,7 +52,7 @@ class TestEntityResolutionReplay:
         items, oracle = product_corpus(n_entities=4, variants=1)
         engine = clean_engine(oracle)
         engine.sort(SortSpec(items=items, criterion="important", strategy="pairwise"))
-        records = engine.session.tracer.records()
+        records = engine.session.spans.records()
         replay_eng = _replay_engine(records)
         different = SortSpec(
             items=[f"{item} UNSEEN" for item in items],
@@ -69,7 +70,7 @@ class TestCacheHeavyReplay:
         engine = clean_engine(oracle)
         first = engine.sort(spec)
         second = engine.sort(spec)  # every call hits the session cache
-        records = engine.session.tracer.records()
+        records = engine.session.spans.records()
         assert any(record.cache_hit for record in records)
         assert second.order == first.order
 
@@ -101,7 +102,7 @@ class TestRetryReplay:
         session = PromptSession(FlakyClient(bad_attempts=1))
         texts = self._run_with_retries(session)
         assert texts == ["Yes."]
-        records = session.tracer.records()
+        records = session.spans.records()
         assert len(records) == 2
         assert [record.attempt for record in records] == [0, 1]
         assert [record.parse_ok for record in records] == [False, True]
@@ -109,12 +110,12 @@ class TestRetryReplay:
     def test_retry_containing_run_replays_identically(self):
         session = PromptSession(FlakyClient(bad_attempts=1))
         texts = self._run_with_retries(session)
-        records = session.tracer.records()
+        records = session.spans.records()
 
         replay_session = PromptSession(replay_trace(records))
         replayed = self._run_with_retries(replay_session)
         assert replayed == texts
-        replayed_records = replay_session.tracer.records()
+        replayed_records = replay_session.spans.records()
         assert [record.attempt for record in replayed_records] == [0, 1]
         assert [record.parse_ok for record in replayed_records] == [False, True]
         # Both attempts were answered from the trace.

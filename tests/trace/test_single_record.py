@@ -27,9 +27,8 @@ from repro.core.spec import SortSpec
 from repro.data.flavors import flavor_oracle
 from repro.exceptions import UnknownModelError
 from repro.llm.simulated import SimulatedLLM
-from repro.obs import SpanTracker
+from repro.obs import SpanTracker, TraceRecord, replay_trace, trace_label
 from repro.query import Dataset
-from repro.trace import Tracer, TraceRecord, replay_trace, trace_label
 from tests.query.support import MODEL, clean_engine, product_corpus
 
 #: sha256 over the sorted records (ids and durations left out) of the two
@@ -81,7 +80,7 @@ class TestEquivalence:
         _, oracle = er_query()
         engine = clean_engine(oracle, max_concurrency=width)
         original = run_er(engine, awaited)
-        records = engine.session.tracer.records()
+        records = engine.session.spans.records()
         assert digest(records) == PARENT_ER_DIGEST
 
         session = PromptSession(replay_trace(records), max_concurrency=width)
@@ -95,7 +94,7 @@ class TestEquivalence:
         spec = SortSpec(items=items, criterion="important", strategy="pairwise")
         engine = clean_engine(oracle, max_concurrency=width)
         first, second = engine.sort(spec), engine.sort(spec)
-        records = engine.session.tracer.records()
+        records = engine.session.spans.records()
         assert digest(records) == PARENT_CACHE_HEAVY_DIGEST
         replay = DeclarativeEngine.from_session(PromptSession(replay_trace(records)))
         assert (replay.sort(spec).order, replay.sort(spec).order) == (first.order, second.order)
@@ -144,7 +143,7 @@ class TestHammer:
         for batch in batches:  # contiguous within a batch, in prompt order
             assert batch == list(range(batch[0], batch[0] + len(batch)))
 
-        records = session.tracer.records()
+        records = session.spans.records()
         assert len(records) == total
         assert sum(record.cost for record in records) == pytest.approx(session.budget.spent)
         hits = sum(record.cache_hit for record in records)
@@ -182,25 +181,23 @@ class TestOverflow:
         session.complete_batch([f"p{i}?" for i in range(8)], model=MODEL)
         assert session.spans.dropped == 0
         session.complete_batch([f"q{i}?" for i in range(7)], model=MODEL)
-        assert session.spans.dropped == session.tracer.dropped == 5
+        assert session.spans.dropped == session.spans.dropped_calls == 5
         dropped = session.metrics.snapshot()["repro_trace_records_dropped_total"]
         assert dropped == {'{tenant=""}': 5}
-        assert [record.call_id for record in session.tracer.records()] == list(range(6, 16))
+        assert [record.call_id for record in session.spans.records()] == list(range(6, 16))
         assert session.spans.flush() == 10
         assert store.saved == list(range(6, 16))  # the evicted ids left the dirty set
 
     def test_only_evicted_calls_count_as_dropped_records(self):
         drops: list[int] = []
         tracker = SpanTracker(capacity=4, on_drop=drops.append)
-        tracer = Tracer(tracker)
         with tracker.span("step", "s"), tracker.span("operator", "o"):
             tracker.record_calls([("m", "ok", {}) for _ in range(4)])  # evicts both structural
-            assert (tracker.dropped, tracker.dropped_calls, tracer.dropped, drops) == (2, 0, 0, [])
+            assert (tracker.dropped, tracker.dropped_calls, drops) == (2, 0, [])
             tracker.record_calls([("m", "ok", {}) for _ in range(3)])
         assert (tracker.dropped, tracker.dropped_calls, drops) == (5, 3, [3])
         # What was recorded is what is retained plus what was dropped.
-        assert len(tracer) + tracer.dropped == 7
-        assert tracer.summarize_records()["dropped"] == 3
+        assert len(tracker.records()) + tracker.dropped_calls == 7
 
     def test_a_failing_drop_callback_is_swallowed(self):
         def explode(count):
@@ -219,7 +216,7 @@ class TestFailingFlush:
         session.spans.store, session.spans.flush_every = store, 1
         response = session.complete("rate this", model=MODEL)  # auto-flush raises inside
         assert response.text
-        assert [record.prompt for record in session.tracer.records()] == ["rate this"]
+        assert [record.prompt for record in session.spans.records()] == ["rate this"]
         assert store.saved == []
         store.fail = False
         assert session.spans.flush() == 1
@@ -251,7 +248,7 @@ class TestJoinById:
 
         span = session.spans.get(call_id)
         assert (span.kind, span.label, span.parent_id) == ("call", MODEL, step.span_id)
-        (record,) = session.tracer.records()
+        (record,) = session.spans.records()
         assert record == TraceRecord.from_span(span)
         assert (record.call_id, record.span_id, record.step) == (call_id, call_id, "screen")
         assert record.prompt == "rate this" and record.response_text == response.text
@@ -276,7 +273,7 @@ class TestJoinById:
             with pytest.raises(UnknownModelError):
                 session.complete("boom", model=MODEL)
         (line,) = caplog.records
-        (record,) = session.tracer.records()
+        (record,) = session.spans.records()
         assert line.levelno == logging.WARNING
         assert f"call_id={record.call_id} " in line.getMessage()
         assert line.getMessage().endswith("error=UnknownModelError")

@@ -10,16 +10,16 @@ from repro.core.session import PromptSession
 from repro.data.flavors import FLAVORS, flavor_oracle
 from repro.exceptions import UnknownModelError
 from repro.llm.simulated import SimulatedLLM
-from repro.obs import SpanTracker
-from repro.store import Store
-from repro.trace import (
+from repro.obs.spans import (
+    SpanTracker,
     TraceLabels,
     TraceRecord,
-    Tracer,
     current_labels,
     summarize_records,
     trace_label,
 )
+from repro.store import Store
+from tests.doubles import record_call
 
 
 class TestTraceLabels:
@@ -39,54 +39,47 @@ class TestTraceLabels:
                 assert labels.operator == "filter:per_item"
             assert current_labels().operator is None
 
-    def test_labels_default_onto_records(self):
-        tracer = Tracer()
-        with trace_label(step="s1", operator="sort:rating"):
-            record = tracer.record(model="m", prompt="p")
-        assert record.step == "s1"
-        assert record.operator == "sort:rating"
-
 
 class TestTracerRing:
     def test_call_ids_come_from_the_span_sequence(self):
-        tracer = Tracer()
-        with tracer.spans.span("step", "s") as step:
-            ids = [tracer.record(model="m", prompt=f"p{i}").call_id for i in range(5)]
+        spans = SpanTracker()
+        with spans.span("step", "s") as step:
+            ids = [record_call(spans, prompt=f"p{i}").call_id for i in range(5)]
         assert ids == [step.span_id + 1 + i for i in range(5)]
-        records = tracer.records()  # the step span is not a call record
+        records = spans.records()  # the step span is not a call record
         assert [record.call_id for record in records] == ids
         assert all(record.span_id == record.call_id for record in records)
-        assert all(tracer.spans.get(i).parent_id == step.span_id for i in ids)
+        assert all(spans.get(i).parent_id == step.span_id for i in ids)
 
     def test_ring_evicts_oldest_and_counts_drops(self):
-        tracer = Tracer(SpanTracker(capacity=3))
+        spans = SpanTracker(capacity=3)
         for i in range(5):
-            tracer.record(model="m", prompt=f"p{i}")
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [record.prompt for record in tracer.records()] == ["p2", "p3", "p4"]
+            record_call(spans, prompt=f"p{i}")
+        assert len(spans.records()) == 3
+        assert spans.dropped_calls == 2
+        assert [record.prompt for record in spans.records()] == ["p2", "p3", "p4"]
 
     def test_records_returns_copies(self):
-        tracer = Tracer()
-        tracer.record(model="m", prompt="p")
-        snapshot = tracer.records()[0]
+        spans = SpanTracker()
+        record_call(spans, prompt="p")
+        snapshot = spans.records()[0]
         snapshot.model = "tampered"
-        assert tracer.records()[0].model == "m"
+        assert spans.records()[0].model == "m"
 
     def test_annotate_amends_and_reports_eviction(self):
-        tracer = Tracer(SpanTracker(capacity=2))
-        first = tracer.record(model="m", prompt="p0")
-        tracer.record(model="m", prompt="p1")
-        assert tracer.annotate(first.call_id, attempt=2, parse_ok=False)
-        assert tracer.records()[0].attempt == 2
-        tracer.record(model="m", prompt="p2")  # evicts call 0
-        assert not tracer.annotate(first.call_id, attempt=3)
+        spans = SpanTracker(capacity=2)
+        first = record_call(spans, prompt="p0")
+        record_call(spans, prompt="p1")
+        assert spans.annotate(first.call_id, attempt=2, parse_ok=False)
+        assert spans.records()[0].attempt == 2
+        record_call(spans, prompt="p2")  # evicts call 0
+        assert not spans.annotate(first.call_id, attempt=3)
 
     def test_concurrent_records_get_unique_ids(self):
-        tracer = Tracer()
+        spans = SpanTracker()
         with ThreadPoolExecutor(max_workers=8) as pool:
             records = list(
-                pool.map(lambda i: tracer.record(model="m", prompt=f"p{i}"), range(200))
+                pool.map(lambda i: record_call(spans, prompt=f"p{i}"), range(200))
             )
         ids = [record.call_id for record in records]
         assert sorted(ids) == list(range(1, 201))
@@ -95,46 +88,47 @@ class TestTracerRing:
 class TestStoreFlush:
     def test_flush_round_trips_through_the_store(self):
         store = Store(":memory:")
-        tracer = Tracer(SpanTracker(store=store, flush_every=1000))
-        with trace_label(step="s1", operator="sort:pairwise"):
-            tracer.record(
-                model="m",
-                temperature=0.0,
-                prompt="compare a and b",
-                response_text="A",
-                prompt_tokens=12,
-                completion_tokens=3,
-                cost=0.001,
-                duration_ms=4.5,
-                cache_hit=True,
-                parse_ok=True,
-            )
-        tracer.record(model="m", prompt="boom", error="UnknownModelError")
-        assert tracer.flush() == 2
-        loaded = store.trace_records(origin=tracer.origin)
+        spans = SpanTracker(store=store, flush_every=1000)
+        record_call(
+            spans,
+            step="s1",
+            operator="sort:pairwise",
+            temperature=0.0,
+            prompt="compare a and b",
+            response_text="A",
+            prompt_tokens=12,
+            completion_tokens=3,
+            cost=0.001,
+            duration_ms=4.5,
+            cache_hit=True,
+            parse_ok=True,
+        )
+        record_call(spans, prompt="boom", error="UnknownModelError")
+        assert spans.flush() == 2
+        loaded = store.trace_records(origin=spans.origin)
         assert [record.to_dict() for record in loaded] == [
-            record.to_dict() for record in tracer.records()
+            record.to_dict() for record in spans.records()
         ]
         assert store.trace_count() == 2
 
     def test_flush_is_idempotent_and_upserts_annotations(self):
         store = Store(":memory:")
-        tracer = Tracer(SpanTracker(store=store, flush_every=1000))
-        record = tracer.record(model="m", prompt="p")
-        assert tracer.flush() == 1
-        assert tracer.flush() == 0  # nothing dirty
-        tracer.annotate(record.call_id, attempt=1, parse_ok=False)
-        assert tracer.flush() == 1  # re-flushed, not duplicated
-        loaded = store.trace_records(origin=tracer.origin)
+        spans = SpanTracker(store=store, flush_every=1000)
+        record = record_call(spans, prompt="p")
+        assert spans.flush() == 1
+        assert spans.flush() == 0  # nothing dirty
+        spans.annotate(record.call_id, attempt=1, parse_ok=False)
+        assert spans.flush() == 1  # re-flushed, not duplicated
+        loaded = store.trace_records(origin=spans.origin)
         assert len(loaded) == 1
         assert loaded[0].attempt == 1
         assert loaded[0].parse_ok is False
 
     def test_auto_flush_after_flush_every_records(self):
         store = Store(":memory:")
-        tracer = Tracer(SpanTracker(store=store, flush_every=4))
+        spans = SpanTracker(store=store, flush_every=4)
         for i in range(4):
-            tracer.record(model="m", prompt=f"p{i}")
+            record_call(spans, prompt=f"p{i}")
         assert store.trace_count() == 4
 
     def test_store_failure_is_swallowed_and_retried(self):
@@ -149,34 +143,33 @@ class TestStoreFlush:
                 self.saved.extend(spans)
 
         store = FailingStore()
-        tracer = Tracer(SpanTracker(store=store, flush_every=1))  # type: ignore[arg-type]
-        tracer.record(model="m", prompt="p")  # auto-flush fails silently
+        spans = SpanTracker(store=store, flush_every=1)  # type: ignore[arg-type]
+        record_call(spans, prompt="p")  # auto-flush fails silently
         assert store.saved == []
         store.fail = False
-        assert tracer.flush() == 1  # the record stayed dirty
+        assert spans.flush() == 1  # the record stayed dirty
         assert len(store.saved) == 1
 
     def test_trace_eviction_keeps_newest_rows(self):
         store = Store(":memory:", max_span_records=3)
-        tracer = Tracer(SpanTracker(store=store, flush_every=1000))
+        spans = SpanTracker(store=store, flush_every=1000)
         for i in range(5):
-            tracer.record(model="m", prompt=f"p{i}")
-        tracer.flush()
+            record_call(spans, prompt=f"p{i}")
+        spans.flush()
         loaded = store.trace_records()
         assert [record.prompt for record in loaded] == ["p2", "p3", "p4"]
 
     def test_mixed_kinds_share_the_cap_and_a_reflushed_span_keeps_its_place(self):
         store = Store(":memory:", max_span_records=6)
         spans = SpanTracker(store=store, flush_every=1000)
-        tracer = Tracer(spans)
         with spans.span("step", "s"):
             with spans.span("operator", "o"):
                 for i in range(3):
-                    tracer.record(model="m", prompt=f"p{i}")
+                    record_call(spans, prompt=f"p{i}")
                 spans.flush()  # 5 rows: step, operator (both still open), p0-p2
             spans.flush()  # the closed operator is updated where it sits
             for i in range(3, 6):
-                tracer.record(model="m", prompt=f"p{i}")
+                record_call(spans, prompt=f"p{i}")
         spans.flush()  # 8 spans against a cap of 6: the two oldest rows go
         assert store.load_spans(kind="step") == store.load_spans(kind="operator") == []
         assert [record.prompt for record in store.trace_records()] == [f"p{i}" for i in range(6)]
@@ -192,7 +185,7 @@ class TestSessionIntegration:
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=7))
         session.complete("rate this", model="sim-gpt-3.5-turbo")
         session.complete_batch(["a?", "b?"], model="sim-gpt-3.5-turbo")
-        records = session.tracer.records()
+        records = session.spans.records()
         assert len(records) == 3
         assert all(record.model == "sim-gpt-3.5-turbo" for record in records)
         assert all(record.duration_ms >= 0.0 for record in records)
@@ -202,7 +195,7 @@ class TestSessionIntegration:
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=7))
         session.complete("same prompt", model="sim-gpt-3.5-turbo")
         session.complete("same prompt", model="sim-gpt-3.5-turbo")
-        records = session.tracer.records()
+        records = session.spans.records()
         assert [record.cache_hit for record in records] == [False, True]
         assert session.stats.cache_hit_rate() == 0.5
 
@@ -225,7 +218,7 @@ class TestSessionIntegration:
         session = PromptSession(ExplodingClient(), use_cache=False)
         with pytest.raises(UnknownModelError):
             session.complete("boom", model="sim-gpt-3.5-turbo")
-        records = session.tracer.records()
+        records = session.spans.records()
         assert len(records) == 1
         assert records[0].error == "UnknownModelError"
         assert records[0].response_text is None
@@ -235,7 +228,7 @@ class TestSessionIntegration:
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=7), store=store)
         session.complete("persist me", model="sim-gpt-3.5-turbo")
         session.save_profile()
-        loaded = store.trace_records(origin=session.tracer.origin)
+        loaded = store.trace_records(origin=session.spans.origin)
         assert [record.prompt for record in loaded] == ["persist me"]
 
 
