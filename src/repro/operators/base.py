@@ -8,12 +8,16 @@ strategies.  Operator results extend
 task output so benchmarks can report the cost columns of the paper's tables
 without extra bookkeeping.
 
-Independent unit-task loops go through :meth:`BaseOperator._complete_batch`
-(or :meth:`BaseOperator._complete_requests` for heterogeneous per-call
-models), which dispatches via a :class:`~repro.core.executor.BatchExecutor`.
-The operator-level ``max_concurrency`` argument sizes that executor's thread
-pool; at the default of 1 execution is sequential and deterministic, and at
-temperature 0 the concurrent path produces element-wise identical results.
+Every operator call goes through the operator's
+:class:`~repro.core.executor.BatchExecutor`: a bag of independent unit tasks
+through :meth:`BaseOperator._complete_batch` (or
+:meth:`BaseOperator._complete_requests` for heterogeneous per-call models),
+and a call whose prompt depends on an earlier answer through
+:meth:`BaseOperator._complete`, a bag of one.  So ``max_concurrency``,
+governor admission and the budget pre-check before each dispatch hold for
+every strategy.  At the default ``max_concurrency`` of 1 execution is
+sequential and deterministic, and at temperature 0 the concurrent path
+produces element-wise identical results.
 """
 
 from __future__ import annotations
@@ -80,12 +84,12 @@ class BaseOperator:
             response cache (recommended; several strategies re-ask pairs).
         max_concurrency: how many of the operator's independent unit tasks may
             be in flight at once; 1 (the default) runs them sequentially.
-        budget: optional budget the operator's batches check before each
-            dispatch, so a limit stops a large batch mid-way instead of after
-            the fact.  The engine threads its session budget through here; a
-            pipeline step instead passes its per-step
-            :class:`~repro.core.budget.BudgetLease`, capping the operator at
-            the step's apportioned share of the remaining dollars.
+        budget: optional budget the operator's executor checks before each
+            dispatch, so a limit stops a large batch mid-way, and a spent one
+            the next call, instead of after the fact.  The engine threads its
+            session budget through here; a pipeline step instead passes its
+            per-step :class:`~repro.core.budget.BudgetLease`, capping the
+            operator at the step's apportioned share of the remaining dollars.
         governor: optional shared admission point
             (:class:`~repro.core.governor.ConcurrencyGovernor`) the
             operator's executor routes every dispatch through; the engine
@@ -172,11 +176,13 @@ class BaseOperator:
     def _complete(
         self, prompt: str, *, model: str | None = None, temperature: float = 0.0
     ) -> LLMResponse:
-        """Issue one tracked (and possibly cached) LLM call."""
-        response = self._client.complete(
-            prompt, model=model or self.model, temperature=temperature
+        """Issue one unit task whose prompt depends on an earlier answer.
+
+        A bag of one: it is admitted, pre-checked and tracked like any other.
+        """
+        (response,) = self._complete_requests(
+            [BatchRequest(prompt=prompt, model=model or self.model, temperature=temperature)]
         )
-        self.tracker.record(response)
         return response
 
     def _complete_batch(

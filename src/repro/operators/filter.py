@@ -12,9 +12,10 @@ ensemble strategies in addition to the plain per-item one.
   early for items with clear agreement.
 
 ``per_item`` and ``ensemble_vote`` dispatch their independent checks through
-the operator's batch executor (see :mod:`repro.core.executor`), so they honour
-``max_concurrency``; ``adaptive`` is inherently sequential per item — each
-extra vote depends on the tally so far — and keeps the per-call path.
+the operator's batch executor (see :mod:`repro.core.executor`) as one bag, so
+they honour ``max_concurrency``; ``adaptive`` is inherently sequential per
+item — each extra vote depends on the tally so far — and sends its votes
+through the same executor one at a time, admitted and budget-checked alike.
 """
 
 from __future__ import annotations

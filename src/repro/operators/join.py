@@ -11,6 +11,11 @@ left collection to records of a right collection:
 * ``proxy_blocked`` — as ``blocked``, but a two-threshold similarity proxy
   answers the obvious matches/non-matches and only the confusing candidates
   reach the LLM (the CrowdER-style hybrid of Section 3.4).
+
+Every strategy sends the duplicate checks it needs as one bag through the
+operator's executor (see :mod:`repro.core.executor`), in candidate order, so
+``max_concurrency``, governor admission and the budget pre-check before each
+dispatch hold for joins as for every other operator.
 """
 
 from __future__ import annotations
@@ -91,12 +96,25 @@ class JoinOperator(BaseOperator):
 
     # -- helpers --------------------------------------------------------------------
 
-    def _ask(self, left: str, right: str) -> bool:
-        response = self._complete(duplicate_check_prompt(left, right))
+    @staticmethod
+    def _parse_duplicate(text: str) -> bool:
         try:
-            return extract_yes_no(response.text)
+            return extract_yes_no(text)
         except ResponseParseError:
             return False
+
+    def _matching(
+        self, left: list[str], right: list[str], pairs: list[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """The pairs judged to co-refer: one duplicate check each, sent as one bag."""
+        responses = self._complete_batch(
+            [duplicate_check_prompt(left[i], right[j]) for i, j in pairs]
+        )
+        return [
+            pair
+            for pair, response in zip(pairs, responses)
+            if self._parse_duplicate(response.text)
+        ]
 
     def _candidate_pairs(
         self,
@@ -143,14 +161,12 @@ class JoinOperator(BaseOperator):
     # -- strategies ------------------------------------------------------------------
 
     def _run_all_pairs(self, left: list[str], right: list[str]) -> JoinResult:
-        matches = []
-        for left_index, left_record in enumerate(left):
-            for right_index, right_record in enumerate(right):
-                if self._ask(left_record, right_record):
-                    matches.append((left_index, right_index))
-        total = len(left) * len(right)
+        pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
         return JoinResult(
-            strategy="all_pairs", matches=matches, candidate_pairs=total, llm_pairs=total
+            strategy="all_pairs",
+            matches=self._matching(left, right, pairs),
+            candidate_pairs=len(pairs),
+            llm_pairs=len(pairs),
         )
 
     def _run_blocked(
@@ -164,14 +180,9 @@ class JoinOperator(BaseOperator):
         if block_k < 1:
             raise ConfigurationError("block_k must be at least 1")
         candidates = self._candidate_pairs(left, right, block_k, index_kind)
-        matches = [
-            (left_index, right_index)
-            for left_index, right_index in candidates
-            if self._ask(left[left_index], right[right_index])
-        ]
         return JoinResult(
             strategy="blocked",
-            matches=matches,
+            matches=self._matching(left, right, candidates),
             candidate_pairs=len(candidates),
             llm_pairs=len(candidates),
         )
@@ -189,19 +200,19 @@ class JoinOperator(BaseOperator):
             raise ConfigurationError("block_k must be at least 1")
         proxy = proxy or SimilarityMatchProxy()
         candidates = self._candidate_pairs(left, right, block_k, index_kind)
-        matches = []
-        llm_pairs = 0
-        for left_index, right_index in candidates:
-            decision = proxy.decide(left[left_index], right[right_index])
-            if decision.abstained:
-                llm_pairs += 1
-                if self._ask(left[left_index], right[right_index]):
-                    matches.append((left_index, right_index))
-            elif decision.label:
-                matches.append((left_index, right_index))
+        # The proxy decides every candidate first (no LLM cost); only the
+        # pairs it abstains on go out, as one bag.
+        decisions = [proxy.decide(left[i], right[j]) for i, j in candidates]
+        abstained = [pair for pair, decision in zip(candidates, decisions) if decision.abstained]
+        llm_matches = set(self._matching(left, right, abstained))
+        matches = [
+            pair
+            for pair, decision in zip(candidates, decisions)
+            if (pair in llm_matches if decision.abstained else decision.label)
+        ]
         return JoinResult(
             strategy="proxy_blocked",
             matches=matches,
             candidate_pairs=len(candidates),
-            llm_pairs=llm_pairs,
+            llm_pairs=len(abstained),
         )

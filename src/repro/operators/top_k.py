@@ -11,6 +11,11 @@ comparisons decide among the finalists.
   keep the highest-rated bucket, then run pairwise comparisons only among
   those finalists.  Higher accuracy than ratings alone, far cheaper than a
   full tournament.
+
+The ratings and the comparisons of a tournament are independent unit tasks:
+each set goes out as one bag through the operator's executor (see
+:mod:`repro.core.executor`), so ``max_concurrency``, governor admission and
+the budget pre-check before each dispatch hold for every strategy.
 """
 
 from __future__ import annotations
@@ -78,21 +83,24 @@ class TopKOperator(BaseOperator):
     # -- helpers --------------------------------------------------------------------
 
     def _rate_all(self, items: list[str]) -> dict[str, int]:
-        ratings = {}
-        for item in items:
-            response = self._complete(rating_prompt(item, self.criterion))
-            ratings[item] = extract_integer(response.text, minimum=1, maximum=7)
-        return ratings
+        """One rating task per item, sent as one bag."""
+        responses = self._complete_batch([rating_prompt(item, self.criterion) for item in items])
+        return {
+            item: extract_integer(response.text, minimum=1, maximum=7)
+            for item, response in zip(items, responses)
+        }
 
     def _tournament(self, items: list[str]) -> dict[str, int]:
+        """One comparison task per pair ``i < j``, sent as one bag; wins per item."""
+        pairs = [
+            (items[i], items[j]) for i in range(len(items)) for j in range(i + 1, len(items))
+        ]
+        responses = self._complete_batch(
+            [pairwise_comparison_prompt(first, second, self.criterion) for first, second in pairs]
+        )
         wins = {item: 0 for item in items}
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                response = self._complete(
-                    pairwise_comparison_prompt(items[i], items[j], self.criterion)
-                )
-                choice = extract_choice(response.text, ["A", "B"])
-                wins[items[i] if choice == "A" else items[j]] += 1
+        for (first, second), response in zip(pairs, responses):
+            wins[first if extract_choice(response.text, ["A", "B"]) == "A" else second] += 1
         return wins
 
     # -- strategies -------------------------------------------------------------------

@@ -101,15 +101,26 @@ class LatencyClient:
 
     Longer than the executor's stall threshold, so a fanned-out bag really
     goes wide; no ``complete_batch``, so every unit task pays its own wait.
+    Records the peak number of calls waiting at once.
     """
 
     def __init__(self, inner: Any, latency: float = 0.003) -> None:
         self._inner = inner
         self._latency = latency
         self.default_model = getattr(inner, "default_model", "default")
+        self.in_flight = 0
+        self.peak_in_flight = 0
+        self._lock = threading.Lock()
 
     def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        time.sleep(self._latency)
+        with self._lock:
+            self.in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        try:
+            time.sleep(self._latency)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
         return self._inner.complete(
             prompt, model=model, temperature=temperature, max_tokens=max_tokens
         )

@@ -23,8 +23,10 @@ from repro.operators.base import BaseOperator
 from repro.operators.categorize import CategorizeOperator
 from repro.operators.filter import FilterOperator
 from repro.operators.impute import ImputeOperator
+from repro.operators.join import JoinOperator
 from repro.operators.resolve import ResolveOperator
 from repro.operators.sort import SortOperator
+from repro.operators.top_k import TopKOperator
 from tests.doubles import LatencyClient
 
 SIZES = (1, 2, 7, 64)
@@ -273,6 +275,61 @@ class TestFilterEquivalence:
         )
         result = build(concurrency).run(items, strategy="ensemble_vote", models=models)
         _assert_equivalent(reference, result)
+
+
+# -- top_k ------------------------------------------------------------------------
+
+
+def _top_k(client, concurrency: int, size: int, strategy: str):
+    operator = TopKOperator(client, ALPHABETICAL, model=MODEL, max_concurrency=concurrency)
+    return operator.run(random_words(size, seed=47), k=min(2, size), strategy=strategy)
+
+
+class TestTopKEquivalence:
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("concurrency", CONCURRENCIES)
+    @pytest.mark.parametrize(
+        "strategy", ["rating_only", "pairwise_tournament", "hybrid_rating_comparison"]
+    )
+    def test_top_k(self, alphabetical_oracle, sequential_reference, size, concurrency, strategy):
+        def run(conc):
+            return _top_k(SimulatedLLM(alphabetical_oracle, seed=83), conc, size, strategy)
+
+        reference = sequential_reference(lambda: run(1))
+        _assert_equivalent(reference, run(concurrency))
+
+    def test_tournament_behind_a_waiting_backend(self, alphabetical_oracle):
+        """A tournament is one bag: behind a backend that waits, its
+        comparisons overlap at width 4 and still tally as one at a time."""
+        one, four = (LatencyClient(SimulatedLLM(alphabetical_oracle, seed=83)) for _ in range(2))
+        sequential = _top_k(one, 1, 8, "pairwise_tournament")
+        batched = _top_k(four, 4, 8, "pairwise_tournament")
+        assert sequential.usage.calls == 28
+        assert (one.peak_in_flight, four.peak_in_flight > 1) == (1, True)
+        _assert_equivalent(sequential, batched)
+
+
+# -- join -------------------------------------------------------------------------
+
+
+class TestJoinEquivalence:
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("concurrency", CONCURRENCIES)
+    @pytest.mark.parametrize("strategy", ["all_pairs", "blocked", "proxy_blocked"])
+    def test_join(self, citation_corpus, sequential_reference, size, concurrency, strategy):
+        # ``size`` left records against the (up to) eight that follow them.
+        texts = citation_corpus.texts()
+        left, right = texts[:size], texts[size:][:8]
+        oracle = citation_corpus.oracle()
+
+        def run(conc):
+            operator = JoinOperator(
+                SimulatedLLM(oracle, seed=89), model=MODEL, max_concurrency=conc
+            )
+            return operator.run(left, right, strategy=strategy)
+
+        reference = sequential_reference(lambda: run(1))
+        _assert_equivalent(reference, run(concurrency))
 
 
 # -- categorize -------------------------------------------------------------------

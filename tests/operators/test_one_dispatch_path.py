@@ -1,0 +1,199 @@
+"""Every operator call goes through the operator's executor.
+
+A bag of independent unit tasks and a single call whose prompt depends on an
+earlier answer leave an operator the same way, so the controls the executor
+applies per dispatch hold for every operator and strategy the engine can run:
+
+* a session's :class:`~repro.core.governor.ConcurrencyGovernor` admits every
+  call that reaches the backend, and
+* a spent budget or lease stops the first call before it is made, with
+  :class:`~repro.exceptions.BudgetExceededError`.
+
+The cases cover every strategy :data:`~repro.core.declarations.DECLARATIONS`
+accepts (a resolve spec in both of its modes), plus the undeclared count
+operator.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Any, Callable, NamedTuple
+
+import pytest
+
+from repro.core.budget import Budget, BudgetLease
+from repro.core.declarations import DECLARATIONS, declaration_for
+from repro.core.engine import DeclarativeEngine
+from repro.core.governor import ConcurrencyGovernor
+from repro.core.spec import (
+    CategorizeSpec,
+    ClusterSpec,
+    FilterSpec,
+    ImputeSpec,
+    JoinSpec,
+    ResolveSpec,
+    SortSpec,
+    TaskSpec,
+    TopKSpec,
+)
+from repro.data.products import generate_restaurant_dataset
+from repro.exceptions import BudgetExceededError
+from repro.llm.oracle import Oracle
+from repro.llm.simulated import SimulatedLLM
+from repro.operators import CountOperator
+
+MODEL = "sim-gpt-3.5-turbo"
+VOTERS = {"models": [MODEL, "sim-claude"]}
+RECORDS = [
+    f"{brand} kettle, {litres} l"
+    for brand in ("Acme", "ACME", "Bolt", "Cog")
+    for litres in range(1, 5)
+]
+NOT_COG = "is not a Cog product"
+CAPACITY = "capacity"
+BRANDS = ["acme", "bolt", "cog"]
+RESTAURANTS = generate_restaurant_dataset(12, seed=3)
+PAIRS = [(RECORDS[i], RECORDS[i + 4]) for i in range(4)] + [(RECORDS[8], RECORDS[12])]
+
+
+def _oracle() -> Oracle:
+    oracle = RESTAURANTS.oracle()
+    oracle.register_predicate(NOT_COG, lambda text: not text.startswith("Cog"))
+    oracle.register_entities({text: text.lower() for text in RECORDS})
+    oracle.register_key(CAPACITY, lambda text: int(text.split(", ")[1].split()[0]), reverse=True)
+    oracle.register_categories({text: text.split()[0].lower() for text in RECORDS})
+    return oracle
+
+
+class CountingClient:
+    """The simulator, counting the calls that reach it."""
+
+    def __init__(self) -> None:
+        self._inner = SimulatedLLM(_oracle(), seed=0)
+        self.default_model = self._inner.default_model
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
+        with self._lock:
+            self.calls += 1
+        return self._inner.complete(
+            prompt, model=model, temperature=temperature, max_tokens=max_tokens
+        )
+
+
+class Case(NamedTuple):
+    label: str
+    #: ``run(engine, budget)``: one operator run through the engine's session.
+    run: Callable[[DeclarativeEngine, Budget | BudgetLease | None], Any]
+
+
+def _spec_case(spec: TaskSpec) -> Case:
+    mode = "-pairs" if isinstance(spec, ResolveSpec) and spec.pairs else ""
+    label = f"{declaration_for(spec).operation}{mode}:{spec.strategy}"
+    return Case(label, lambda engine, budget: engine.run_spec(spec, budget=budget))
+
+
+def _count_case(strategy: str, **options: Any) -> Case:
+    def run(engine: DeclarativeEngine, budget: Budget | BudgetLease | None) -> Any:
+        operator = CountOperator(
+            engine.session.client(budget), NOT_COG, **engine.physical.operator_kwargs(budget)
+        )
+        return operator.run(RECORDS, strategy=strategy, **options)
+
+    return Case(f"count:{strategy}", run)
+
+
+def _specs(build: Callable[..., TaskSpec], strategies: str, **fields: Any) -> list[TaskSpec]:
+    return [build(strategy=strategy, **fields) for strategy in strategies.split()]
+
+
+SPECS: list[TaskSpec] = [
+    *_specs(
+        SortSpec,
+        "single_prompt rating pairwise pairwise_consistent hybrid_sort_insert",
+        items=RECORDS[:6],
+        criterion=CAPACITY,
+    ),
+    *_specs(ResolveSpec, "single_prompt pairwise blocked_pairwise", records=RECORDS[:8]),
+    *_specs(ResolveSpec, "pairwise transitive proxy_hybrid", records=RECORDS, pairs=PAIRS),
+    *_specs(ImputeSpec, "knn llm_only hybrid retrieval", data=RESTAURANTS),
+    *_specs(FilterSpec, "per_item", items=RECORDS, predicate=NOT_COG),
+    *_specs(
+        FilterSpec, "ensemble_vote adaptive", items=RECORDS, predicate=NOT_COG, strategy_options=VOTERS
+    ),
+    *_specs(CategorizeSpec, "per_item", items=RECORDS[:6], categories=BRANDS),
+    *_specs(
+        CategorizeSpec,
+        "self_consistency",
+        items=RECORDS[:6],
+        categories=BRANDS,
+        strategy_options={"n_samples": 2},
+    ),
+    *_specs(
+        CategorizeSpec, "ensemble_vote", items=RECORDS[:6], categories=BRANDS, strategy_options=VOTERS
+    ),
+    *_specs(
+        TopKSpec,
+        "rating_only pairwise_tournament hybrid_rating_comparison",
+        items=RECORDS[:8],
+        criterion=CAPACITY,
+        k=2,
+    ),
+    *_specs(JoinSpec, "all_pairs blocked proxy_blocked", left=RECORDS[:4], right=RECORDS[4:8]),
+    *_specs(ClusterSpec, "single_prompt", items=RECORDS[:8]),
+    # A seed of three leaves five items for the greedy assignment loop.
+    *_specs(ClusterSpec, "two_phase", items=RECORDS[:8], strategy_options={"seed_size": 3}),
+]
+
+CASES: list[Case] = [
+    *map(_spec_case, SPECS),
+    _count_case("estimate", chunk_size=5),
+    _count_case("per_item"),
+]
+
+#: Strategies that never ask the LLM.
+LLM_FREE = {"impute:knn"}
+
+PAID = [case for case in CASES if case.label not in LLM_FREE]
+
+
+def _ids(cases: list[Case]) -> list[str]:
+    return [case.label for case in cases]
+
+
+def test_the_cases_cover_every_declared_strategy():
+    declarations = {*DECLARATIONS.values(), declaration_for(ResolveSpec(pairs=PAIRS))}
+    declared = {(id(d), strategy) for d in declarations for strategy in d.shapes}
+    assert {(id(declaration_for(spec)), spec.strategy) for spec in SPECS} == declared
+    assert len(set(_ids(CASES))) == len(CASES)
+
+
+@pytest.mark.parametrize("concurrency", (1, 4))
+@pytest.mark.parametrize("case", CASES, ids=_ids(CASES))
+def test_the_governor_admits_every_backend_call(case: Case, concurrency: int):
+    backend = CountingClient()
+    governor = ConcurrencyGovernor()
+    engine = DeclarativeEngine(
+        backend, governor=governor, max_concurrency=concurrency, default_model=MODEL
+    )
+    result = case.run(engine, None)
+    assert (backend.calls == 0) == (case.label in LLM_FREE)
+    assert governor.stats.admitted == backend.calls == result.usage.calls
+
+
+@pytest.mark.parametrize("spent", ("budget", "lease"))
+@pytest.mark.parametrize("case", PAID, ids=_ids(PAID))
+def test_a_spent_budget_buys_no_call(case: Case, spent: str):
+    backend = CountingClient()
+    if spent == "budget":
+        engine = DeclarativeEngine(
+            backend, budget=Budget(limit=0.05, spent=0.05), default_model=MODEL
+        )
+        budget = None
+    else:
+        engine = DeclarativeEngine(backend, default_model=MODEL)
+        budget = engine.session.budget.lease(0.0)
+    with pytest.raises(BudgetExceededError):
+        case.run(engine, budget)
+    assert backend.calls == 0
