@@ -101,6 +101,39 @@ def corpus_index_name(texts: list[str], embedder, *, prefix: str = "corpus") -> 
     return f"{prefix}:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
+def load_or_build_index(
+    texts: list[str],
+    *,
+    embedder: "HashingEmbedder | CachedEmbedder | None" = None,
+    kind: str = "auto",
+    store: "Store | None" = None,
+    name: str | None = None,
+    seed: int = 0,
+) -> tuple[VectorIndex, bool]:
+    """``(index, reused)``: the index stored under ``name``, or a new one.
+
+    The one place a stored index is loaded.  It is reused only when it
+    matches the corpus (same size and dimensionality); otherwise ``texts``
+    are embedded — through the store's durable embedding cache when there is
+    a store — and indexed under ids ``0..len(texts)-1``.  A new index is not
+    saved here: :func:`build_index` saves it, and the blocker saves it
+    together with the k-NN graph it computes from it.
+    """
+    resolved = resolve_embedder(embedder, store=store)
+    if store is not None and name is not None:
+        stored = store.load_vector_index(name)
+        if (
+            stored is not None
+            and len(stored) == len(texts)
+            and stored.dimensions == resolved.dimensions
+        ):
+            return stored, True
+    index = create_index(kind, resolved.dimensions, expected_size=len(texts), seed=seed)
+    if texts:
+        index.add(resolved.embed_batch(list(texts)))
+    return index, False
+
+
 def build_index(
     texts: list[str],
     *,
@@ -115,22 +148,13 @@ def build_index(
     With a ``store``, embeddings go through the durable embedding cache
     (unchanged texts are never re-embedded) and, when ``name`` is given, a
     stored index under that name is loaded instead of rebuilt — and the
-    built index is saved back under it otherwise.  The loaded index must
-    match the corpus (same size and dimensionality) or it is rebuilt.
+    built index is saved back under it otherwise (see
+    :func:`load_or_build_index`).
     """
-    resolved = resolve_embedder(embedder, store=store)
-    if store is not None and name is not None:
-        stored = store.load_vector_index(name)
-        if (
-            stored is not None
-            and len(stored) == len(texts)
-            and stored.dimensions == resolved.dimensions
-        ):
-            return stored
-    index = create_index(kind, resolved.dimensions, expected_size=len(texts), seed=seed)
-    if texts:
-        index.add(resolved.embed_batch(list(texts)))
-    if store is not None and name is not None:
+    index, reused = load_or_build_index(
+        texts, embedder=embedder, kind=kind, store=store, name=name, seed=seed
+    )
+    if not reused and store is not None and name is not None:
         store.save_vector_index(name, index)
     return index
 
@@ -147,5 +171,6 @@ __all__ = [
     "corpus_index_name",
     "create_index",
     "index_from_payload",
+    "load_or_build_index",
     "resolve_embedder",
 ]

@@ -40,6 +40,16 @@ class BlockingResult:
     def n_candidates(self) -> int:
         return len(self.candidate_pairs)
 
+    @classmethod
+    def from_neighbors(cls, neighbors: dict[int, list[int]]) -> "BlockingResult":
+        """Candidate pairs (i < j) whose members are near neighbours of one another."""
+        pairs = {
+            (min(own, other), max(own, other))
+            for own, row in neighbors.items()
+            for other in row
+        }
+        return cls(candidate_pairs=sorted(pairs), neighbors=neighbors)
+
 
 class EmbeddingBlocker:
     """Nearest-neighbor blocker over text embeddings.
@@ -76,11 +86,7 @@ class EmbeddingBlocker:
             neighbors = self.embedder.nearest_neighbors(texts, self.k)
         else:
             neighbors = self._index_neighbors(texts, self.k)
-        pairs: set[tuple[int, int]] = set()
-        for index, neighbor_list in neighbors.items():
-            for neighbor in neighbor_list:
-                pairs.add((min(index, neighbor), max(index, neighbor)))
-        return BlockingResult(candidate_pairs=sorted(pairs), neighbors=neighbors)
+        return BlockingResult.from_neighbors(neighbors)
 
     def _index_neighbors(self, texts: list[str], k: int) -> dict[int, list[int]]:
         """Per-text neighbors from the index (building it when empty)."""

@@ -59,8 +59,10 @@ APPLICATION_ID = 0x5250_5253  # spells "RPRS"
 
 #: Bump whenever the table layout changes, with a :data:`_DROPPED_AFTER`
 #: entry for the version left behind.  Newer stores are refused.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
+# An index row's ``graphs`` precede its ``payload``, so that reading them
+# stops short of the payload's overflow pages.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -128,6 +130,7 @@ CREATE TABLE IF NOT EXISTS vector_indexes (
     kind TEXT NOT NULL,
     dimensions INTEGER NOT NULL,
     size INTEGER NOT NULL,
+    graphs TEXT NOT NULL DEFAULT '{}',
     payload BLOB NOT NULL,
     updated_seq INTEGER NOT NULL
 );
@@ -153,9 +156,11 @@ _TABLES = (
 
 #: Tables a version-``v`` file loses on its way to ``v + 1``; the schema
 #: script recreates the ones still in use.  6 made a call one ``call`` span
-#: (no ``traces`` table; older call spans lack the record's fields).  A
-#: version without an entry predates these steps and loses every table.
-_DROPPED_AFTER: dict[int, tuple[str, ...]] = {5: ("traces", "spans")}
+#: (no ``traces`` table; older call spans lack the record's fields); 7 put
+#: the k-NN graphs on the index row (an index is rebuilt from the kept
+#: embedding vectors).  A version without an entry predates these steps and
+#: loses every table.
+_DROPPED_AFTER: dict[int, tuple[str, ...]] = {5: ("traces", "spans"), 6: ("vector_indexes",)}
 
 
 class StoreDB:

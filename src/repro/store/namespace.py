@@ -14,7 +14,8 @@ namespace prefix mixed into every key before it reaches the shared tables:
 * cache keys — the prefix is hashed into the SHA-256 key digest
   (:func:`repro.store.response_cache._key`), so entries are unreachable
   from any other namespace by construction;
-* profile names and checkpoint fingerprints — prefixed with ``<ns>::``
+* profile names, checkpoint fingerprints and vector-index names (and with
+  them the k-NN graphs stored on an index row) — prefixed with ``<ns>::``
   (raw fingerprints are bare hex, so a prefixed key can never collide with
   an unprefixed one);
 * span origins — prefixed the same way, so a tenant's usage summary can
@@ -118,14 +119,14 @@ class StoreNamespace:
         """
         return self.store.embedding_cache()
 
-    def save_vector_index(self, name: str, index) -> None:
-        self.store.save_vector_index(self._scoped(name), index)
+    def save_vector_index(self, name: str, index, graphs=None) -> None:
+        self.store.save_vector_index(self._scoped(name), index, graphs)
 
     def load_vector_index(self, name: str):
         return self.store.load_vector_index(self._scoped(name))
 
-    def delete_vector_index(self, name: str) -> None:
-        self.store.delete_vector_index(self._scoped(name))
+    def load_knn_graphs(self, name: str):
+        return self.store.load_knn_graphs(self._scoped(name))
 
     def trace_records(self, *, origin: str | None = None) -> "list[TraceRecord]":
         return self.store.trace_records(

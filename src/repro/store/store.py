@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.spec import TaskSpec
 from repro.obs.spans import Span, TraceRecord
@@ -132,15 +132,38 @@ class Store:
 
     # -- vector indexes -----------------------------------------------------------
 
-    def save_vector_index(self, name: str, index: "VectorIndex") -> None:
-        """Persist a built index under ``name`` (replacing any previous one)."""
+    def save_vector_index(
+        self,
+        name: str,
+        index: "VectorIndex",
+        graphs: Mapping[int, list[list[int]]] | None = None,
+    ) -> None:
+        """Persist a built index under ``name``, replacing any previous one
+        together with the graphs stored on it.
+
+        ``graphs`` maps ``k`` to the k-NN graph computed from this index (the
+        neighbour ids of ids ``0..n-1``, in order).  They ride the index row,
+        so they live and die with it: :meth:`load_knn_graphs` reads them
+        without deserialising the index.
+        """
         payload = index.to_payload()
+        encoded = json.dumps(
+            {str(k): graph for k, graph in (graphs or {}).items()}, separators=(",", ":")
+        )
         with self.db.atomic():
             self.db.execute(
                 "INSERT OR REPLACE INTO vector_indexes "
-                "(name, kind, dimensions, size, payload, updated_seq) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (name, index.kind, index.dimensions, len(index), payload, self.db.next_seq()),
+                "(name, kind, dimensions, size, payload, updated_seq, graphs) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (
+                    name,
+                    index.kind,
+                    index.dimensions,
+                    len(index),
+                    payload,
+                    self.db.next_seq(),
+                    encoded,
+                ),
             )
 
     def load_vector_index(self, name: str) -> "VectorIndex | None":
@@ -162,8 +185,21 @@ class Store:
         except Exception:
             return None
 
-    def delete_vector_index(self, name: str) -> None:
-        self.db.execute("DELETE FROM vector_indexes WHERE name = ?", (name,))
+    def load_knn_graphs(self, name: str) -> tuple[str, dict[int, list[list[int]]]] | None:
+        """``(kind, graphs)`` of the index stored under ``name``, or ``None``
+        when there is none.
+
+        ``graphs`` maps ``k`` to the k-NN graphs saved with the index; one
+        that is unreadable or does not fit the index is left out, so it is a
+        miss the caller recomputes, like a failed checkpoint load.
+        """
+        rows = self.db.execute(
+            "SELECT kind, size, graphs FROM vector_indexes WHERE name = ?", (name,)
+        )
+        if not rows:
+            return None
+        kind, size, encoded = rows[0]
+        return kind, _decode_graphs(encoded, int(size))
 
     def list_vector_indexes(self) -> list[dict[str, Any]]:
         """Stored index summaries (name, kind, dimensions, size)."""
@@ -480,3 +516,28 @@ class Store:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _decode_graphs(encoded: str, size: int) -> dict[int, list[list[int]]]:
+    """The well-formed graphs of an index row holding ``size`` ids: per ``k``,
+    one neighbour list per id, each naming other ids of the index."""
+    try:
+        stored = json.loads(encoded)
+    except ValueError:
+        return {}
+    graphs: dict[int, list[list[int]]] = {}
+    for key, graph in stored.items() if isinstance(stored, dict) else ():
+        if (
+            key.isdecimal()
+            and isinstance(graph, list)
+            and len(graph) == size
+            and all(
+                isinstance(row, list)
+                and all(
+                    type(other) is int and 0 <= other < size and other != own for other in row
+                )
+                for own, row in enumerate(graph)
+            )
+        ):
+            graphs[int(key)] = graph
+    return graphs

@@ -1,10 +1,13 @@
 """Upgrading a store file keeps what tenants paid for.
 
 A schema bump used to answer any older file by dropping every table —
-response cache, checkpoints, profile and job table included.  Version 6
-(a call is a ``call`` span; no ``traces`` table) drops only the two tables
-whose layout it changed.  The version-5 file below is built from the schema
-string the commit before this one shipped, filled with what that code wrote.
+response cache, checkpoints, profile and job table included.  Each step now
+drops only the tables whose layout it changed: version 6 (a call is a
+``call`` span; no ``traces`` table) drops ``traces`` and ``spans``, version 7
+(the k-NN graphs ride the index row) drops ``vector_indexes``, whose indexes
+the next blocked run rebuilds from the kept embedding vectors.  The old files
+below are built from the schema strings those versions shipped, filled with
+what that code wrote.
 """
 
 from __future__ import annotations
@@ -16,14 +19,16 @@ import pytest
 from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
 from repro.exceptions import StoreError
+from repro.index import CachedEmbedder, build_index
+from repro.llm.embeddings import HashingEmbedder
 from repro.llm.simulated import SimulatedLLM
 from repro.query import Dataset
 from repro.store import APPLICATION_ID, SCHEMA_VERSION, Store
 from repro.store.jobs import JobRecord
 from tests.query.support import MODEL, clean_behavior, product_corpus
 
-#: ``repro.store.db._SCHEMA`` at schema version 5, verbatim.
-V5_SCHEMA = """
+#: ``repro.store.db._SCHEMA`` at schema version 6, verbatim.
+V6_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -51,29 +56,6 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     cost REAL NOT NULL,
     access_seq INTEGER NOT NULL
 );
-CREATE TABLE IF NOT EXISTS traces (
-    trace_id TEXT PRIMARY KEY,
-    origin TEXT NOT NULL,
-    call_id INTEGER NOT NULL,
-    step TEXT,
-    operator TEXT,
-    model TEXT NOT NULL,
-    temperature REAL NOT NULL,
-    prompt TEXT NOT NULL,
-    response TEXT,
-    prompt_tokens INTEGER NOT NULL,
-    completion_tokens INTEGER NOT NULL,
-    cost REAL NOT NULL,
-    duration_ms REAL NOT NULL,
-    cache_hit INTEGER NOT NULL,
-    attempt INTEGER NOT NULL,
-    parse_ok INTEGER,
-    error TEXT,
-    finish_reason TEXT,
-    confidence REAL,
-    span_id INTEGER
-);
-CREATE INDEX IF NOT EXISTS traces_origin ON traces (origin, call_id);
 CREATE TABLE IF NOT EXISTS spans (
     row_id TEXT PRIMARY KEY,
     origin TEXT NOT NULL,
@@ -118,12 +100,48 @@ CREATE TABLE IF NOT EXISTS vector_indexes (
 );
 """
 
-#: Tables whose layout version 6 left alone.
-KEPT = ("cache", "profiles", "checkpoints", "jobs", "embeddings", "vector_indexes")
+#: Version 5 had every version-6 table plus this one, verbatim.
+V5_SCHEMA = V6_SCHEMA + """
+CREATE TABLE IF NOT EXISTS traces (
+    trace_id TEXT PRIMARY KEY,
+    origin TEXT NOT NULL,
+    call_id INTEGER NOT NULL,
+    step TEXT,
+    operator TEXT,
+    model TEXT NOT NULL,
+    temperature REAL NOT NULL,
+    prompt TEXT NOT NULL,
+    response TEXT,
+    prompt_tokens INTEGER NOT NULL,
+    completion_tokens INTEGER NOT NULL,
+    cost REAL NOT NULL,
+    duration_ms REAL NOT NULL,
+    cache_hit INTEGER NOT NULL,
+    attempt INTEGER NOT NULL,
+    parse_ok INTEGER,
+    error TEXT,
+    finish_reason TEXT,
+    confidence REAL,
+    span_id INTEGER
+);
+CREATE INDEX IF NOT EXISTS traces_origin ON traces (origin, call_id);
+"""
+
+#: Tables every step since version 5 left alone.
+KEPT = ("cache", "profiles", "checkpoints", "jobs", "embeddings")
+
+#: The product query's corpus: small enough that its resolve is not blocked.
+CORPUS = {"n_entities": 6, "variants": 2}
+
+#: A saved index, which an upgrade to version 7 drops.
+INDEX = "corpus:products"
+
+#: The ``vector_indexes`` columns versions 5 and 6 had.
+OLD_INDEX_COLUMNS = "name, kind, dimensions, size, payload, updated_seq"
 
 
 def product_query() -> tuple[Dataset, object]:
-    items, oracle = product_corpus(n_entities=6, variants=2)
+    items, oracle = product_corpus(**CORPUS)
     query = (
         Dataset(items, name="products")
         .filter("is a short name")
@@ -142,30 +160,36 @@ def run_product_query(store: Store):
     return query.run(engine, store=store), session
 
 
-def write_v5_file(path, source) -> None:
-    """A version-5 store at ``path`` holding the rows of ``source`` (a closed
-    current store) in the tables the two versions share, plus one trace row
-    and one call span as version 5 laid them out."""
+def write_old_file(path, source, version: int) -> None:
+    """A version-``version`` (5 or 6) store at ``path`` holding the rows of
+    ``source`` (a closed current store) laid out as that version did.  A
+    version-5 file also gets one trace row and one call span as version 5
+    wrote them."""
     conn = sqlite3.connect(path, isolation_level=None)
-    for statement in V5_SCHEMA.split(";"):
+    for statement in {5: V5_SCHEMA, 6: V6_SCHEMA}[version].split(";"):
         if statement.strip():
             conn.execute(statement)
     conn.execute(f"PRAGMA application_id = {APPLICATION_ID}")
     conn.execute("ATTACH DATABASE ? AS source", (str(source),))
-    for table in KEPT:
+    for table in KEPT + (("spans",) if version == 6 else ()):
         conn.execute(f"INSERT INTO main.{table} SELECT * FROM source.{table}")
+    conn.execute(
+        f"INSERT INTO main.vector_indexes ({OLD_INDEX_COLUMNS}) "
+        f"SELECT {OLD_INDEX_COLUMNS} FROM source.vector_indexes"
+    )
     conn.execute("INSERT INTO main.meta SELECT * FROM source.meta WHERE key = 'seq'")
-    conn.execute("INSERT INTO meta (key, value) VALUES ('schema_version', '5')")
-    conn.execute(
-        "INSERT INTO traces (trace_id, origin, call_id, model, temperature, prompt, "
-        "prompt_tokens, completion_tokens, cost, duration_ms, cache_hit, attempt) "
-        "VALUES ('o:0', 'o', 0, 'm', 0.0, 'p', 1, 1, 0.0, 1.0, 0, 0)"
-    )
-    conn.execute(
-        "INSERT INTO spans (row_id, origin, span_id, kind, label, start_time, status, "
-        "attributes) VALUES ('o:1', 'o', 1, 'call', 'm', 0.0, 'ok', "
-        "'{\"cache_hit\": false, \"call_id\": 0, \"cost\": 0.0}')"
-    )
+    conn.execute("INSERT INTO meta (key, value) VALUES ('schema_version', ?)", (str(version),))
+    if version == 5:
+        conn.execute(
+            "INSERT INTO traces (trace_id, origin, call_id, model, temperature, prompt, "
+            "prompt_tokens, completion_tokens, cost, duration_ms, cache_hit, attempt) "
+            "VALUES ('o:0', 'o', 0, 'm', 0.0, 'p', 1, 1, 0.0, 1.0, 0, 0)"
+        )
+        conn.execute(
+            "INSERT INTO spans (row_id, origin, span_id, kind, label, start_time, status, "
+            "attributes) VALUES ('o:1', 'o', 1, 'call', 'm', 0.0, 'ok', "
+            "'{\"cache_hit\": false, \"call_id\": 0, \"cost\": 0.0}')"
+        )
     conn.execute("DETACH DATABASE source")
     conn.close()
 
@@ -179,28 +203,57 @@ def table_names(path) -> set[str]:
         conn.close()
 
 
-def test_v5_file_keeps_cache_checkpoints_and_jobs_and_restores_for_free(tmp_path):
+def column_names(path, table: str) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        return {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+    finally:
+        conn.close()
+
+
+def count_rows(store: Store, tables) -> dict[str, int]:
+    return {
+        table: store.db.execute(f"SELECT COUNT(*) FROM {table}")[0][0] for table in tables
+    }
+
+
+def count_rows_at(path, tables) -> dict[str, int]:
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            table: conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] for table in tables
+        }
+    finally:
+        conn.close()
+
+
+def upgrade(tmp_path, version: int):
+    """A cold run's store, plus one saved index, written back as a
+    version-``version`` file: its path, the cold result and the row counts
+    of the tables the upgrade keeps."""
     current, old = tmp_path / "current.db", tmp_path / "old.db"
     with Store(current) as store:
         cold, cold_session = run_product_query(store)
         store.save_job(JobRecord(job_id="j1", tenant="acme", status="succeeded"))
-        kept = {
-            table: store.db.execute(f"SELECT COUNT(*) FROM {table}")[0][0] for table in KEPT
-        }
+        build_index(product_corpus(**CORPUS)[0], store=store, name=INDEX)
+        kept = count_rows(store, KEPT + (("spans",) if version == 6 else ()))
     assert cold_session.tracker.usage.calls > 0
-    assert all(kept[table] > 0 for table in ("cache", "profiles", "checkpoints", "jobs"))
-    write_v5_file(old, current)
-    assert "traces" in table_names(old)
+    assert all(kept[table] > 0 for table in kept)
+    write_old_file(old, current, version)
+    assert count_rows_at(old, ("vector_indexes",)) == {"vector_indexes": 1}
+    return old, cold, kept
 
-    with Store(old) as store:
-        assert "traces" not in table_names(old)
+
+def assert_upgraded_and_restores_for_free(path, cold, kept) -> None:
+    with Store(path) as store:
         version = store.db.execute("SELECT value FROM meta WHERE key = 'schema_version'")
-        assert int(version[0][0]) == SCHEMA_VERSION == 6
-        for table, rows in kept.items():
-            assert store.db.execute(f"SELECT COUNT(*) FROM {table}")[0][0] == rows, table
-        # The old call span lacked the record's fields: rebuilt empty.
-        assert store.span_count() == store.trace_count() == 0
+        assert int(version[0][0]) == SCHEMA_VERSION == 7
+        assert count_rows(store, kept) == kept
         assert store.load_job("j1").status == "succeeded"
+        # A dropped table comes back empty: old call spans lacked the
+        # record's fields, and an old index row has no graphs.
+        dropped = {"spans", "vector_indexes"} - set(kept)
+        assert count_rows(store, dropped) == dict.fromkeys(dropped, 0)
 
         warm, warm_session = run_product_query(store)
         assert warm_session.tracker.usage.calls == 0
@@ -208,12 +261,36 @@ def test_v5_file_keeps_cache_checkpoints_and_jobs_and_restores_for_free(tmp_path
         assert sorted(warm.report.restored_steps) == sorted(cold.report.results)
         assert warm.items == cold.items
 
+        # The index is rebuilt from the kept vectors: nothing is re-embedded.
+        cache = store.embedding_cache()
+        items = product_corpus(**CORPUS)[0]
+        embedder = CachedEmbedder(HashingEmbedder(), cache)
+        build_index(items, embedder=embedder, store=store, name=INDEX)
+        assert (cache.stats.hits, cache.stats.misses) == (len(items), 0)
+        assert store.vector_index_count() == 1
 
-def test_a_version_7_file_is_still_refused(tmp_path):
+
+def test_v5_file_keeps_cache_checkpoints_and_jobs_and_restores_for_free(tmp_path):
+    path, cold, kept = upgrade(tmp_path, 5)
+    assert "traces" in table_names(path)
+    assert_upgraded_and_restores_for_free(path, cold, kept)
+    assert "traces" not in table_names(path)
+
+
+def test_v6_file_keeps_cache_checkpoints_profiles_jobs_and_spans(tmp_path):
+    path, cold, kept = upgrade(tmp_path, 6)
+    assert "graphs" not in column_names(path, "vector_indexes")
+    assert_upgraded_and_restores_for_free(path, cold, kept)
+    assert "graphs" in column_names(path, "vector_indexes")
+
+
+def test_a_newer_file_is_still_refused(tmp_path):
     path = tmp_path / "store.db"
     Store(path).close()
     conn = sqlite3.connect(path)
-    conn.execute("UPDATE meta SET value = '7' WHERE key = 'schema_version'")
+    conn.execute(
+        "UPDATE meta SET value = ? WHERE key = 'schema_version'", (str(SCHEMA_VERSION + 1),)
+    )
     conn.commit()
     conn.close()
     with pytest.raises(StoreError, match="newer"):
