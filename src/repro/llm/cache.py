@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from repro.exceptions import ConfigurationError
 from repro.llm.base import (
@@ -48,7 +48,13 @@ class ResponseCacheLike(Protocol):
 
     def get(self, model: str, prompt: str) -> LLMResponse | None: ...  # pragma: no cover
 
-    def put(self, model: str, prompt: str, response: LLMResponse) -> None: ...  # pragma: no cover
+    def get_many(
+        self, model: str, prompts: list[str], keys: dict[str, Any] | None = None
+    ) -> list[LLMResponse | None]: ...  # pragma: no cover
+
+    def put(
+        self, model: str, prompt: str, response: LLMResponse, key: Any = None
+    ) -> None: ...  # pragma: no cover
 
     def __len__(self) -> int: ...  # pragma: no cover
 
@@ -87,17 +93,37 @@ class ResponseCache:
         self._lock = threading.RLock()
 
     def get(self, model: str, prompt: str) -> LLMResponse | None:
-        key = (model, prompt)
-        with self._lock:
-            response = self._entries.get(key)
-            if response is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return response
+        return self.get_many(model, [prompt])[0]
 
-    def put(self, model: str, prompt: str, response: LLMResponse) -> None:
+    def get_many(
+        self, model: str, prompts: list[str], keys: dict[str, Any] | None = None
+    ) -> list[LLMResponse | None]:
+        """What consecutive :meth:`get` calls would return for ``prompts``,
+        except that a prompt which already missed in this call is not asked
+        again: its later occurrences are ``None`` and count nothing (the
+        caller serves them once the first is answered).
+
+        A key here is the ``(model, prompt)`` pair, so ``keys`` — the
+        persistent cache's memo of hashed keys — is left as it is.
+        """
+        results: list[LLMResponse | None] = [None] * len(prompts)
+        missed: set[str] = set()
+        entries, stats = self._entries, self.stats
+        with self._lock:
+            for index, prompt in enumerate(prompts):
+                key = (model, prompt)
+                response = entries.get(key)
+                if response is not None:
+                    entries.move_to_end(key)
+                    stats.hits += 1
+                    results[index] = response
+                elif prompt not in missed:
+                    missed.add(prompt)
+                    stats.misses += 1
+        return results
+
+    def put(self, model: str, prompt: str, response: LLMResponse, key: Any = None) -> None:
+        """Store ``response``; ``key`` is ignored (the pair is the key)."""
         key = (model, prompt)
         with self._lock:
             self._entries[key] = response
@@ -153,7 +179,9 @@ class CachedClient(BaseClient):
         inner call), and duplicate occurrences within the batch become hits
         served from the just-filled cache — so per-prompt hit/miss accounting
         matches the sequential path exactly while novel prompts cost one
-        inner call each.  ``get``/``put`` take microseconds, so on the async
+        inner call each.  The batch is looked up with one ``get_many``, which
+        hashes each distinct prompt's key once and hands the misses' keys on
+        to their ``put``.  Lookups take microseconds, so on the async
         path they run on the event loop; only a miss waits on the inner
         client.  Two *concurrent* misses on one prompt may both reach it —
         the executors' dispatch-level dedup is what prevents that upstream.
@@ -167,22 +195,20 @@ class CachedClient(BaseClient):
         if call.temperature != 0.0:
             return (yield call.to(self._client))
         cache, key_model, prompts = self.cache, self._cache_key_model(call.model), call.prompts
-        results: list[LLMResponse | None] = [None] * len(prompts)
+        keys: dict[str, Any] = {}  # prompt -> cache key, hashed once per call
+        results = cache.get_many(key_model, prompts, keys)
         pending_indices: list[int] = []
         pending_prompts: list[str] = []
         scheduled: set[str] = set()
-        for index, prompt in enumerate(prompts):
-            if prompt in scheduled:
-                # Duplicate of an in-batch miss: resolved from the cache after
-                # the inner call returns, exactly like the sequential path.
-                continue
-            cached = cache.get(key_model, prompt)
+        for index, cached in enumerate(results):
             if cached is not None:
                 results[index] = _cache_hit_copy(cached)
-            else:
-                scheduled.add(prompt)
+            elif prompts[index] not in scheduled:
+                # A later occurrence is a duplicate of this miss: resolved from
+                # the cache after the inner call returns, like the sequential path.
+                scheduled.add(prompts[index])
                 pending_indices.append(index)
-                pending_prompts.append(prompt)
+                pending_prompts.append(prompts[index])
         if not pending_prompts:
             return results
         try:
@@ -190,34 +216,42 @@ class CachedClient(BaseClient):
         except BaseException as exc:
             answered = answered_prefix(exc, pending_prompts)
             if answered is not None:
-                self._fill(results, key_model, pending_indices, pending_prompts, answered)
+                self._fill(results, key_model, keys, pending_indices, pending_prompts, answered)
                 end = pending_indices[len(answered)]
-                carry_answered(exc, prompts, self._duplicates(results[:end], key_model, prompts))
+                carry_answered(
+                    exc, prompts, self._duplicates(results[:end], key_model, keys, prompts)
+                )
             raise
-        self._fill(results, key_model, pending_indices, pending_prompts, responses)
-        return self._duplicates(results, key_model, prompts)
+        self._fill(results, key_model, keys, pending_indices, pending_prompts, responses)
+        return self._duplicates(results, key_model, keys, prompts)
 
     def _fill(
         self,
         results: list[LLMResponse | None],
         key_model: str,
+        keys: dict[str, Any],
         indices: list[int],
         prompts: list[str],
         responses: list[LLMResponse],
     ) -> None:
         """Cache the answered misses and put them in their places."""
         for index, prompt, response in zip(indices, prompts, responses):
-            self.cache.put(key_model, prompt, response)
+            self.cache.put(key_model, prompt, response, keys.get(prompt))
             results[index] = response
 
     def _duplicates(
-        self, results: list[LLMResponse | None], key_model: str, prompts: list[str]
+        self,
+        results: list[LLMResponse | None],
+        key_model: str,
+        keys: dict[str, Any],
+        prompts: list[str],
     ) -> list[LLMResponse]:
         """``results`` with every in-batch duplicate served as a hit on its
         first occurrence's response, which is cached by now."""
-        for index, response in enumerate(results):
-            if response is None:
-                cached = self.cache.get(key_model, prompts[index])
+        missing = [index for index, response in enumerate(results) if response is None]
+        if missing:
+            served = self.cache.get_many(key_model, [prompts[index] for index in missing], keys)
+            for index, cached in zip(missing, served):
                 assert cached is not None  # its first occurrence was just put
                 results[index] = _cache_hit_copy(cached)
         return results  # type: ignore[return-value]
@@ -233,12 +267,13 @@ class CachedClient(BaseClient):
         """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
         if temperature == 0.0:
             key_model = self._cache_key_model(model)
-            cached = self.cache.get(key_model, prompt)
+            keys: dict[str, Any] = {}
+            cached = self.cache.get_many(key_model, [prompt], keys)[0]
             if cached is not None:
                 return _cache_hit_copy(cached)
         response = self._client.complete(
             prompt, model=model, temperature=temperature, max_tokens=max_tokens
         )
         if temperature == 0.0:
-            self.cache.put(key_model, prompt, response)
+            self.cache.put(key_model, prompt, response, keys.get(prompt))
         return response

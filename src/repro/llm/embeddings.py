@@ -22,6 +22,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
 
+#: Upper bound on a memo's entries; a full memo is emptied and starts over.
+_BUCKET_MEMO_MAX_ENTRIES = 1_000_000
+
+#: The process's n-gram -> bucket memos, one per ``dimensions``: a bucket is
+#: a pure function of the n-gram and the dimensionality, so every embedder of
+#: one size shares one.  Corpora repeat n-grams heavily, and an md5 per
+#: occurrence is the embedding hot path's dominant cost; with the memo,
+#: embedding scales with the *distinct* n-grams a process has met.
+_BUCKET_MEMOS: dict[int, dict[str, int]] = {}
+
+
 def _bucket(ngram: str, dimensions: int) -> int:
     """Stable bucket index of an n-gram (independent of PYTHONHASHSEED)."""
     digest = hashlib.md5(ngram.encode("utf-8")).digest()
@@ -52,20 +63,14 @@ class HashingEmbedder:
         self.model = model
         self.tokenizer = SimpleTokenizer()
         self.usage = Usage()
-        # Corpora repeat n-grams heavily, and an md5 per occurrence is the
-        # embedding hot path's dominant cost; memoising n-gram -> bucket
-        # makes batch embedding scale with *distinct* n-grams.  Bounded so a
-        # pathological corpus cannot grow it without limit.
-        self._bucket_cache: dict[str, int] = {}
-
-    _BUCKET_CACHE_CAP = 1_000_000
+        self._bucket_cache = _BUCKET_MEMOS.setdefault(dimensions, {})
 
     def _bucket_indices(self, text: str) -> list[int]:
         """Bucket index of every n-gram occurrence in ``text``."""
         normalised = " ".join(text.lower().split())
         padded = f" {normalised} "
         cache = self._bucket_cache
-        if len(cache) > self._BUCKET_CACHE_CAP:
+        if len(cache) > _BUCKET_MEMO_MAX_ENTRIES:
             cache.clear()
         indices: list[int] = []
         for size in self.ngram_sizes:

@@ -31,6 +31,9 @@ from repro.tokenizer.cost import Usage
 #: Result payload version; bump on layout changes (old rows are re-run).
 CHECKPOINT_VERSION = 1
 
+#: The payload's one encoder (``json.dumps`` builds one per call).
+_PAYLOAD = json.JSONEncoder(sort_keys=True, default=str)
+
 
 def _encode_usage(usage: Usage) -> dict[str, int]:
     return {
@@ -66,10 +69,8 @@ def encode_result(result: OperatorResult) -> str:
         fields[result_field.name] = value
     fields["usage"] = _encode_usage(result.usage)
     try:
-        payload = json.dumps(
-            {"type": type_name, "version": CHECKPOINT_VERSION, "fields": fields},
-            sort_keys=True,
-            default=str,
+        payload = _PAYLOAD.encode(
+            {"type": type_name, "version": CHECKPOINT_VERSION, "fields": fields}
         )
     except (TypeError, ValueError) as exc:
         raise StoreError(f"result of type {type_name} is not serialisable: {exc}") from exc

@@ -183,9 +183,9 @@ class StoreDB:
         self._pending_since = 0.0
         # Rows the open transaction wrote; a ROLLBACK puts them back.
         self._written: OrderedDict[str, tuple | None] | None = None
-        # (data_version, entries, bytes): an upper bound on the cache table,
-        # so that a flush scans it only when a cap may have been passed.
-        self._cache_totals = (-1, 0, 0)
+        # Capped table -> (data_version, entries, bytes): an upper bound on
+        # the table, so that a write counts it only when a cap may be passed.
+        self._totals: dict[str, tuple[int, int, int]] = {}
         # Checkpoints read since this handle's last write transaction, oldest
         # first; the next one opens by stamping their recency.
         self._touched: list[str] = []
@@ -349,6 +349,7 @@ class StoreDB:
                     if self._conn.in_transaction:
                         self._conn.execute("ROLLBACK")
                     self.saved_profiles.clear()
+                    self._totals.clear()  # they counted rows the rollback took back
                     if self._written is not None:
                         for key, row in self.pending.items():
                             self._remember(self._written, key, row)
@@ -472,50 +473,57 @@ class StoreDB:
                         "access_seq) VALUES (?, ?, ?, ?, ?, ?)",
                         puts,
                     )
-                    self._evict_cache(len(puts), sum(put[4] for put in puts), *caps)
+                    size = sum(put[4] for put in puts)
+                    self.evict("cache", caps[0], "access_seq", len(puts), size, caps[1])
 
-    def _evict_cache(
-        self, entries: int, size: int, max_entries: int, max_bytes: int | None
+    def evict(
+        self,
+        table: str,
+        cap: int,
+        oldest: str,
+        written: int,
+        size: int | None = None,
+        max_bytes: int | None = None,
     ) -> None:
-        """Delete least-recently-used cache rows until both caps hold, after
-        ``entries`` rows of ``size`` bytes were written."""
-        conn = self._conn
-        # Another connection's commits move data_version: our totals are stale.
-        version = conn.execute("PRAGMA data_version").fetchone()[0]
-        if version == self._cache_totals[0]:
-            entries, size = self._cache_totals[1] + entries, self._cache_totals[2] + size
-            if entries <= max_entries and (max_bytes is None or size <= max_bytes):
-                self._cache_totals = (version, entries, size)
-                return
-        # Exact totals: the running ones count a replaced row twice.
-        entries, size = conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM cache"
-        ).fetchone()
-        victims: list[tuple[str]] = []
-        lru = conn.execute("SELECT key, size FROM cache ORDER BY access_seq ASC")
-        for key, row_size in lru:
-            # At least one entry is always kept — a single oversized response
-            # must not leave the cache permanently empty and thrashing.
-            if entries <= max_entries and (
-                max_bytes is None or size <= max_bytes or entries <= 1
-            ):
-                break
-            victims.append((key,))
-            entries -= 1
-            size -= row_size
-        lru.close()
-        conn.executemany("DELETE FROM cache WHERE key = ?", victims)
-        self._cache_totals = (version, entries, size)
+        """Delete the oldest rows of ``table`` (lowest ``oldest`` first) until
+        at most ``cap`` remain, after this handle wrote ``written`` rows into
+        it.  A table with a ``size`` column (the cache) passes the ``size``
+        written, and ``max_bytes`` caps its sum too.
 
-    def evict(self, table: str, cap: int, oldest: str = "rowid") -> None:
-        """Delete the rows of ``table`` beyond ``cap``, lowest ``oldest`` first."""
-        over = self.execute(f"SELECT COUNT(*) FROM {table}")[0][0] - cap
-        if over > 0:
-            self.execute(
-                f"DELETE FROM {table} WHERE rowid IN "
-                f"(SELECT rowid FROM {table} ORDER BY {oldest} ASC LIMIT ?)",
-                (over,),
-            )
+        The table is counted only when its running total may have passed a
+        cap.  The total is an upper bound (a replaced row counts twice), kept
+        per table and trusted while ``PRAGMA data_version`` says no other
+        connection has committed since.
+        """
+        sizes = "0" if size is None else "size"
+        with self._lock:
+            conn = self._conn
+            version = conn.execute("PRAGMA data_version").fetchone()[0]
+            known = self._totals.get(table)
+            if known is not None and known[0] == version:
+                entries, total = known[1] + written, known[2] + (size or 0)
+                if entries <= cap and (max_bytes is None or total <= max_bytes):
+                    self._totals[table] = (version, entries, total)
+                    return
+            entries, total = conn.execute(
+                f"SELECT COUNT(*), COALESCE(SUM({sizes}), 0) FROM {table}"
+            ).fetchone()
+            if entries > cap or (max_bytes is not None and total > max_bytes):
+                victims: list[tuple[int]] = []
+                rows = conn.execute(f"SELECT rowid, {sizes} FROM {table} ORDER BY {oldest} ASC")
+                for rowid, row_size in rows:
+                    # At least one row is always kept — a single oversized
+                    # response must not leave the cache empty and thrashing.
+                    if entries <= cap and (
+                        max_bytes is None or total <= max_bytes or entries <= 1
+                    ):
+                        break
+                    victims.append((rowid,))
+                    entries -= 1
+                    total -= row_size
+                rows.close()
+                conn.executemany(f"DELETE FROM {table} WHERE rowid = ?", victims)
+            self._totals[table] = (version, entries, total)
 
     @property
     def lock(self) -> threading.RLock:

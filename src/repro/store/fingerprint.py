@@ -48,6 +48,10 @@ FINGERPRINT_VERSION = 2
 #: Spec fields that never change the *result* of a step, only its funding.
 _EXCLUDED_FIELDS = frozenset({"budget_dollars"})
 
+#: Canonical JSON's one encoder (``json.dumps`` builds one per call): sorted
+#: keys, no spaces, ASCII only.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class FingerprintError(StoreError):
     """A spec contains a value with no canonical serialisation."""
@@ -98,7 +102,7 @@ def canonical(value: Any) -> Any:
 
 def json_key(value: Any) -> str:
     """A total order over canonical values (sorting mixed-type collections)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def spec_payload(spec: TaskSpec) -> dict[str, Any]:
@@ -118,7 +122,7 @@ def spec_payload(spec: TaskSpec) -> dict[str, Any]:
 def fingerprint_spec(spec: TaskSpec, *, model: str | None = None) -> str:
     """SHA-256 hex digest identifying a concrete spec's content, run on ``model``."""
     keyed = {"model": model, **spec_payload(spec)}
-    payload = json.dumps(keyed, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    payload = _CANONICAL.encode(keyed)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -132,16 +136,13 @@ def fingerprint_embedding(
     change the model, the dimensionality, or the n-gram mix and every
     fingerprint changes with it.
     """
-    payload = json.dumps(
+    payload = _CANONICAL.encode(
         {
             "embedding": FINGERPRINT_VERSION,
             "text": text,
             "model": model,
             "dimensions": dimensions,
             "ngram_sizes": list(ngram_sizes),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
+        }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -34,6 +34,9 @@ JOB_STATUSES = ("queued", "running", "succeeded", "failed", "stopped")
 #: States with nothing left to run.
 TERMINAL_STATUSES = ("succeeded", "failed")
 
+#: The quote and report columns' one encoder (``json.dumps`` builds one per call).
+_PAYLOAD = json.JSONEncoder(sort_keys=True)
+
 
 @dataclass
 class JobRecord:
@@ -116,11 +119,11 @@ def job_from_row(row: tuple) -> JobRecord:
 
 def job_report_payload(job: JobRecord) -> str:
     """The ``report`` column's JSON: final report plus streamed steps."""
-    return json.dumps({"report": job.report, "steps": job.steps}, sort_keys=True)
+    return _PAYLOAD.encode({"report": job.report, "steps": job.steps})
 
 
 def job_quote_payload(job: JobRecord) -> str | None:
-    return None if job.quote is None else json.dumps(job.quote, sort_keys=True)
+    return None if job.quote is None else _PAYLOAD.encode(job.quote)
 
 
 def validate_status(status: str) -> str:

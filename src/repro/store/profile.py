@@ -37,6 +37,9 @@ PROFILE_VERSION = 1
 #: run of comparable size.
 DEFAULT_DECAY = 0.5
 
+#: The payload's one encoder (``json.dumps`` builds one per call).
+_PAYLOAD = json.JSONEncoder(sort_keys=True)
+
 
 @dataclass
 class WorkloadProfile:
@@ -57,9 +60,7 @@ class WorkloadProfile:
         stats.merge_state(self.state, weight=decay)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"version": self.version, "state": self.state}, sort_keys=True
-        )
+        return _PAYLOAD.encode({"version": self.version, "state": self.state})
 
     @classmethod
     def from_json(cls, payload: str) -> "WorkloadProfile":

@@ -35,9 +35,9 @@ from repro.store.db import StoreDB
 from repro.tokenizer.cost import Usage
 
 
-#: Keys per ``IN`` query of :meth:`PersistentResponseCache.contains_many`:
-#: under SQLite's historical limit of 999 bound parameters per statement.
-_PROBE_CHUNK = 500
+#: The payload format's one encoder (``json.dumps`` builds one per call):
+#: non-JSON metadata values degrade to strings, not errors.
+_PAYLOAD = json.JSONEncoder(sort_keys=True, default=str)
 
 
 def _key(model: str, prompt: str, namespace: str = "") -> str:
@@ -55,7 +55,7 @@ def _key(model: str, prompt: str, namespace: str = "") -> str:
 
 def encode_response(response: LLMResponse) -> str:
     """Serialise a response to the JSON payload stored on disk."""
-    return json.dumps(
+    return _PAYLOAD.encode(
         {
             "text": response.text,
             "model": response.model,
@@ -67,9 +67,20 @@ def encode_response(response: LLMResponse) -> str:
                 "completion_tokens": response.usage.completion_tokens,
                 "calls": response.usage.calls,
             },
-        },
-        sort_keys=True,
-        default=str,  # non-JSON metadata values degrade to strings, not errors
+        }
+    )
+
+
+def _stored(db: StoreDB, keys: list[str], columns: str) -> list[tuple]:
+    """``columns`` of the stored rows among ``keys``, in one statement.
+
+    Keys are hex digests, so joining them is a JSON array as it stands.
+    """
+    if len(keys) == 1:
+        return db.execute(f"SELECT {columns} FROM cache WHERE key = ?", keys)
+    return db.execute(
+        f"SELECT {columns} FROM cache WHERE key IN (SELECT value FROM json_each(?))",
+        ('["' + '","'.join(keys) + '"]',),
     )
 
 
@@ -124,22 +135,53 @@ class PersistentResponseCache:
         self.stats = CacheStats()
 
     def get(self, model: str, prompt: str) -> LLMResponse | None:
-        key = _key(model, prompt, self.namespace)
+        return self.get_many(model, [prompt])[0]
+
+    def get_many(
+        self, model: str, prompts: list[str], keys: dict[str, str] | None = None
+    ) -> list[LLMResponse | None]:
+        """What consecutive :meth:`get` calls would return for ``prompts``.
+
+        The handle's overlay of unwritten rows is read first; the keys it
+        does not hold are looked up in one statement.  Hits are counted and
+        touched (made most recently used) once per occurrence, in order.  A
+        prompt which already missed in this call is not asked again: its
+        later occurrences are ``None`` and count nothing (the caller serves
+        them once the first is answered).  ``keys`` (prompt -> key, for
+        ``model``) supplies known keys and receives those hashed here, so a
+        miss's :meth:`put` does not hash it again.
+        """
+        if keys is None:
+            keys = {}
+        namespace = self.namespace
+        for prompt in prompts:
+            if prompt not in keys:
+                keys[prompt] = _key(model, prompt, namespace)
+        payloads: list[str | None] = [None] * len(prompts)
         db = self._db
         with db.lock:
-            row = db.pending.get(key)
-            if row is not None:
-                payload = row[2]
-            else:
-                rows = db.execute("SELECT payload FROM cache WHERE key = ?", (key,))
-                if not rows:
+            found: dict[str, str] = {}
+            absent: list[str] = []
+            for key in dict.fromkeys(keys[prompt] for prompt in prompts):
+                row = db.pending.get(key)
+                if row is not None:
+                    found[key] = row[2]
+                else:
+                    absent.append(key)
+            if absent:
+                found.update(_stored(db, absent, "key, payload"))
+            missed: set[str] = set()
+            for index, prompt in enumerate(prompts):
+                key = keys[prompt]
+                payload = found.get(key)
+                if payload is not None:
+                    db.buffer(key)  # LRU touch: a hit becomes the most recently used entry
+                    self.stats.hits += 1
+                    payloads[index] = payload
+                elif key not in missed:
+                    missed.add(key)
                     self.stats.misses += 1
-                    return None
-                payload = rows[0][0]
-            # LRU touch: a hit becomes the most recently used entry.
-            db.buffer(key)
-            self.stats.hits += 1
-        return decode_response(payload)
+        return [None if payload is None else decode_response(payload) for payload in payloads]
 
     def contains(self, model: str, prompt: str) -> bool:
         """Whether a response is stored, without counting or touching it.
@@ -150,36 +192,36 @@ class PersistentResponseCache:
         """
         key = _key(model, prompt, self.namespace)
         with self._db.lock:
-            return self._db.pending.get(key) is not None or bool(
-                self._db.execute("SELECT 1 FROM cache WHERE key = ?", (key,))
-            )
+            return self._db.pending.get(key) is not None or bool(_stored(self._db, [key], "key"))
 
     def contains_many(self, model: str, prompts: Sequence[str]) -> int:
         """How many of ``prompts`` are stored: :meth:`contains` summed, in bulk.
 
         A prompt listed twice counts twice.  Unwritten rows of the handle's
-        overlay count; the rest is one ``IN`` query per :data:`_PROBE_CHUNK`
-        distinct keys rather than one ``SELECT`` per prompt.  Like
-        :meth:`contains` it counts no hit or miss and touches no entry's
+        overlay count; the rest is one statement, as in :meth:`get_many`.
+        Like :meth:`contains` it counts no hit or miss and touches no entry's
         recency.
         """
-        uses = Counter(_key(model, prompt, self.namespace) for prompt in prompts)
+        uses = {
+            _key(model, prompt, self.namespace): count for prompt, count in Counter(prompts).items()
+        }
         with self._db.lock:
             pending = self._db.pending
-            keys = [key for key in uses if pending.get(key) is None]
-            found = sum(uses.values()) - sum(uses[key] for key in keys)
-            for start in range(0, len(keys), _PROBE_CHUNK):
-                chunk = keys[start : start + _PROBE_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                rows = self._db.execute(f"SELECT key FROM cache WHERE key IN ({marks})", chunk)
-                found += sum(uses[key] for (key,) in rows)
+            absent = [key for key in uses if pending.get(key) is None]
+            found = sum(uses.values()) - sum(uses[key] for key in absent)
+            if absent:
+                found += sum(uses[key] for (key,) in _stored(self._db, absent, "key"))
         return found
 
-    def put(self, model: str, prompt: str, response: LLMResponse) -> None:
+    def put(
+        self, model: str, prompt: str, response: LLMResponse, key: str | None = None
+    ) -> None:
+        """Store ``response``; ``key`` is the prompt's key when :meth:`get_many`
+        already hashed it."""
         payload = encode_response(response)
         size = len(payload.encode("utf-8")) + len(prompt.encode("utf-8", "surrogatepass"))
         self._db.buffer(
-            _key(model, prompt, self.namespace),
+            _key(model, prompt, self.namespace) if key is None else key,
             (model, prompt, payload, size, self.max_entries, self.max_bytes),
         )
 

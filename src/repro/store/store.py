@@ -48,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.base import VectorIndex
     from repro.store.namespace import StoreNamespace
 
+#: One encoder per JSON format a row stores (``json.dumps`` builds one per
+#: call): span attributes, and an index row's k-NN graphs.
+_ATTRIBUTES = json.JSONEncoder(sort_keys=True)
+_GRAPHS = json.JSONEncoder(separators=(",", ":"))
+
 
 class Store:
     """A durable store shared by sessions, engines, and queries.
@@ -147,9 +152,7 @@ class Store:
         without deserialising the index.
         """
         payload = index.to_payload()
-        encoded = json.dumps(
-            {str(k): graph for k, graph in (graphs or {}).items()}, separators=(",", ":")
-        )
+        encoded = _GRAPHS.encode({str(k): graph for k, graph in (graphs or {}).items()})
         with self.db.atomic():
             self.db.execute(
                 "INSERT OR REPLACE INTO vector_indexes "
@@ -310,7 +313,7 @@ class Store:
                     self.db.next_seq(),
                 ),
             )
-            self.db.evict("checkpoints", self.max_checkpoints, "access_seq")
+            self.db.evict("checkpoints", self.max_checkpoints, "access_seq", 1)
 
     def load_checkpoint(self, fingerprint: str) -> OperatorResult | None:
         """The stored result for ``fingerprint``, or ``None`` (a miss).
@@ -364,7 +367,7 @@ class Store:
                 span.start,
                 span.end,
                 span.status,
-                json.dumps(span.attributes, sort_keys=True),
+                _ATTRIBUTES.encode(span.attributes),
             )
             for span in spans
         ]
@@ -378,7 +381,7 @@ class Store:
                 "status = excluded.status, attributes = excluded.attributes",
                 rows,
             )
-            self.db.evict("spans", self.max_span_records)
+            self.db.evict("spans", self.max_span_records, "rowid", len(rows))
 
     def load_spans(self, *, origin: str | None = None, kind: str | None = None) -> list[Span]:
         """Stored spans (optionally one tracker's, of one kind), in creation order."""

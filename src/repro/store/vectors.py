@@ -113,7 +113,7 @@ class EmbeddingCache:
                     for fingerprint, vector in vectors.items()
                 ],
             )
-            self._db.evict("embeddings", self.max_entries, "access_seq")
+            self._db.evict("embeddings", self.max_entries, "access_seq", len(vectors))
 
     def __len__(self) -> int:
         return int(self._db.execute("SELECT COUNT(*) FROM embeddings")[0][0])

@@ -21,6 +21,8 @@ from repro.llm.base import LLMResponse
 from repro.store import SCHEMA_VERSION, Store, StoreDB, fingerprint_spec
 from repro.store.db import APPLICATION_ID
 from repro.core.spec import FilterSpec, SortSpec
+from repro.obs.spans import Span
+from repro.operators.sort import SortResult
 from repro.tokenizer.cost import Usage
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -230,3 +232,62 @@ class TestStoreDBLifecycle:
         with StoreDB(path) as db:
             third = db.next_seq()
         assert first < second < third
+
+
+class TestEvictionBookkeeping:
+    """A capped table is counted only once its running total may pass its cap."""
+
+    SPEC = SortSpec(items=("a", "b"), criterion="size", strategy="pairwise")
+
+    def result(self) -> SortResult:
+        return SortResult(strategy="pairwise", order=["a", "b"])
+
+    def test_a_store_below_its_caps_counts_no_table_across_many_settles(self, tmp_path):
+        import numpy as np
+
+        with Store(tmp_path / "store.db") as store:
+            statements: list[str] = []
+            store.db._conn.set_trace_callback(statements.append)
+            cache, embeddings = store.response_cache(), store.embedding_cache()
+            counts = []
+            for step in range(25):
+                with store.db.step():
+                    cache.put("m", f"p{step}", LLMResponse(text="x", model="m"))
+                    store.save_spans(
+                        [Span(step, None, "step", f"s{step}", 0.0, 1.0, "ok", {})], origin="o"
+                    )
+                    store.save_checkpoint(f"f{step}", self.SPEC, self.result())
+                    embeddings.put_many({f"e{step}": np.ones(2)}, model="m", dimensions=2)
+                counts.append(sum("COUNT(*)" in sql for sql in statements))
+                del statements[:]
+            # Each table is counted once, by its first write; never again below its cap.
+            assert counts == [4] + [0] * 24
+
+    def test_another_handles_commits_are_counted_before_the_cap_is_trusted(self, tmp_path):
+        path = tmp_path / "store.db"
+        with Store(path, max_checkpoints=3) as ours, Store(path) as theirs:
+            ours.save_checkpoint("a", self.SPEC, self.result())
+            theirs.save_checkpoint("b", self.SPEC, self.result())
+            theirs.save_checkpoint("c", self.SPEC, self.result())
+            ours.save_checkpoint("d", self.SPEC, self.result())  # our total says 2; 4 are stored
+            assert ours.checkpoint_count() == 3
+            assert ours.load_checkpoint("a") is None
+            assert ours.load_checkpoint("d") is not None
+
+    def test_a_rolled_back_eviction_is_recounted(self, tmp_path):
+        import numpy as np
+
+        from repro.store.vectors import EmbeddingCache
+
+        def put(cache: EmbeddingCache, *names: str) -> None:
+            cache.put_many({name: np.ones(2) for name in names}, model="m", dimensions=2)
+
+        with Store(tmp_path / "store.db") as store:
+            roomy, tight = EmbeddingCache(store.db, max_entries=5), EmbeddingCache(store.db, max_entries=2)
+            put(roomy, "a", "b", "c", "d")
+            with pytest.raises(RuntimeError):
+                with store.db.atomic():
+                    put(tight, "e")  # evicts down to 2 rows, then rolls back to 4
+                    raise RuntimeError("abandon the step")
+            put(roomy, "f", "g")
+            assert store.embedding_count() == 5

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
+import datetime
+import hashlib
+import json
+from collections import Counter
+from contextlib import contextmanager
+
 import pytest
 
+from repro.core.session import PromptSession
+from repro.core.spec import SortSpec
+from repro.core.stats import RuntimeStats
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CachedClient, ResponseCacheLike
-from repro.store import PersistentResponseCache, Store
+from repro.obs.spans import Span
+from repro.operators.sort import SortResult
+from repro.store import PersistentResponseCache, Store, encode_result, fingerprint_spec
+from repro.store.checkpoint import CHECKPOINT_VERSION
+from repro.store.fingerprint import spec_payload
+from repro.store.jobs import JobRecord
+from repro.store.profile import PROFILE_VERSION
 from repro.tokenizer.cost import Usage
 
 
@@ -35,6 +51,21 @@ class CountingClient:
             model=model or self.default_model,
             usage=Usage(prompt_tokens=len(prompt.split()), completion_tokens=2, calls=1),
         )
+
+
+@contextmanager
+def counted_statements(store):
+    """The SQL text of every statement run through ``store.db.execute``."""
+    statements: list[str] = []
+    execute = store.db.execute
+    store.db.execute = lambda sql, parameters=(): (
+        statements.append(sql),
+        execute(sql, parameters),
+    )[1]
+    try:
+        yield statements
+    finally:
+        del store.db.execute
 
 
 @pytest.fixture()
@@ -100,23 +131,15 @@ class TestProbing:
         assert cache.contains_many("m", []) == 0
         assert cache.contains_many("m", ["absent"] * 3) == 0
 
-    def test_one_query_per_chunk_of_distinct_keys(self, store):
+    def test_one_query_for_any_number_of_distinct_keys(self, store):
         cache = store.response_cache()
         cache.put("m", "p0", response("x"))
-        statements = []
-        execute = store.db.execute
-        store.db.execute = lambda sql, parameters=(): (
-            statements.append(sql),
-            execute(sql, parameters),
-        )[1]
-        try:
+        with counted_statements(store) as statements:
             assert cache.contains_many("m", [f"p{index % 90}" for index in range(180)]) == 2
             assert len(statements) == 1
             del statements[:]
             assert cache.contains_many("m", [f"p{index}" for index in range(1001)]) == 1
-            assert len(statements) == 3
-        finally:
-            del store.db.execute
+            assert len(statements) == 1
 
     def test_probing_counts_nothing_and_touches_no_recency(self, tmp_path):
         with Store(tmp_path / "store.db", max_cache_entries=2) as store:
@@ -226,3 +249,138 @@ class TestEviction:
             PersistentResponseCache(store.db, max_entries=0)
         with pytest.raises(ValueError):
             PersistentResponseCache(store.db, max_bytes=0)
+
+
+class TestOneLookupPerBatch:
+    """A batch is looked up in one statement and each prompt hashed once."""
+
+    def test_a_native_batch_of_distinct_prompts_is_one_cache_select(self, store):
+        session = PromptSession(CountingClient(), store=store)
+        prompts = [f"distinct prompt {index}" for index in range(12)]
+        for expected_hits in (0, len(prompts)):  # cold, then every prompt stored
+            with counted_statements(store) as statements:
+                session.complete_batch(prompts)
+            selects = [sql for sql in statements if sql.startswith("SELECT") and "cache" in sql]
+            assert len(selects) == 1, statements
+            assert session.cache.stats.hits == expected_hits
+
+    def test_the_overlay_is_read_first(self, store):
+        cache = store.response_cache()
+        with store.db.step():
+            cache.put("m", "buffered", response("b"))
+            with counted_statements(store) as statements:
+                found = cache.get_many("m", ["buffered", "buffered"])
+            assert [hit.text for hit in found] == ["b", "b"]
+            assert statements == []
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+
+    def test_each_distinct_prompt_is_keyed_once(self, store, monkeypatch):
+        from repro.store import response_cache
+
+        keyed: Counter = Counter()
+        key = response_cache._key
+
+        def counted_key(model, prompt, namespace=""):
+            keyed[prompt] += 1
+            return key(model, prompt, namespace)
+
+        monkeypatch.setattr(response_cache, "_key", counted_key)
+        inner = CountingClient()
+        client = CachedClient(inner, store.response_cache())
+        prompts = ["a", "b", "a", "c", "b", "a"]
+        client.complete_batch(prompts)  # three misses, three in-batch duplicates
+        assert inner.calls == 3
+        assert keyed == Counter({"a": 1, "b": 1, "c": 1})
+        keyed.clear()
+        client.complete("d")  # the unit path: a miss, then its put
+        assert keyed == Counter({"d": 1})
+
+
+class TestStoredBytes:
+    """Every JSON row the store writes is what ``json.dumps`` writes."""
+
+    ODD = {
+        "routing": "direct",
+        "when": datetime.date(2024, 1, 2),  # not JSON: stored as its str()
+        "pair": (1, 2),
+        "naïve": {"b": 1.5, "a": None, "c": float("inf")},
+    }
+
+    def test_cache_payload_including_metadata_that_is_not_json(self, store):
+        original = response("forty-two")
+        original.metadata = dict(self.ODD)
+        store.response_cache().put("m", "p", original)
+        (payload,) = store.db.execute("SELECT payload FROM cache")[0]
+        assert payload == json.dumps(
+            {
+                "text": original.text,
+                "model": original.model,
+                "finish_reason": original.finish_reason,
+                "confidence": original.confidence,
+                "metadata": original.metadata,
+                "usage": {"prompt_tokens": 10, "completion_tokens": 4, "calls": 1},
+            },
+            sort_keys=True,
+            default=str,
+        )
+
+    def test_span_attributes(self, store):
+        attributes = {"z": [1, 2.5, "é"], "a": {"nested": True}, "cost": 0.1}
+        store.save_spans([Span(1, None, "call", "x", 0.0, 1.0, "ok", attributes)], origin="o")
+        (stored,) = store.db.execute("SELECT attributes FROM spans")[0]
+        assert stored == json.dumps(attributes, sort_keys=True)
+
+    def test_job_quote_and_report(self, store):
+        job = JobRecord(
+            job_id="j",
+            tenant="t",
+            quote={"total": 0.5, "steps": {"b": 1, "a": 2}},
+            report={"ok": True, "names": ["ü"]},
+            steps={"s": {"calls": 3}},
+        )
+        store.save_job(job)
+        quote, report = store.db.execute("SELECT quote, report FROM jobs")[0]
+        assert quote == json.dumps(job.quote, sort_keys=True)
+        assert report == json.dumps({"report": job.report, "steps": job.steps}, sort_keys=True)
+
+    def test_profile(self, store):
+        stats = RuntimeStats()
+        stats.record_filter("is red", evaluated=5, kept=2)
+        stats.record_latency("filter", 1.5)
+        store.save_profile(stats)
+        (payload,) = store.db.execute("SELECT payload FROM profiles")[0]
+        assert payload == json.dumps(
+            {"version": PROFILE_VERSION, "state": stats.export_state()}, sort_keys=True
+        )
+
+    def test_checkpoint_payload(self):
+        result = SortResult(strategy="pairwise", order=["b", "a"], scores={"b": 2.0, "a": 1.0})
+        result.usage = Usage(prompt_tokens=5, completion_tokens=1, calls=2)
+        result.metadata = dict(self.ODD)
+        fields = {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+        fields["usage"] = {"prompt_tokens": 5, "completion_tokens": 1, "calls": 2}
+        assert encode_result(result) == json.dumps(
+            {"type": "SortResult", "version": CHECKPOINT_VERSION, "fields": fields},
+            sort_keys=True,
+            default=str,
+        )
+
+    def test_index_graphs(self, store):
+        from repro.index import ExactIndex
+
+        import numpy as np
+
+        index = ExactIndex(2)
+        index.add(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        graphs = {2: [[2, 1], [2, 0], [1, 0]], 1: [[2], [2], [1]]}
+        store.save_vector_index("i", index, graphs)
+        (stored,) = store.db.execute("SELECT graphs FROM vector_indexes")[0]
+        assert stored == json.dumps(
+            {str(k): graph for k, graph in graphs.items()}, separators=(",", ":")
+        )
+
+    def test_fingerprints(self):
+        spec = SortSpec(items=("b", "ä"), criterion="size", strategy="pairwise")
+        keyed = {"model": "m", **spec_payload(spec)}
+        canonical = json.dumps(keyed, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        assert fingerprint_spec(spec, model="m") == hashlib.sha256(canonical.encode()).hexdigest()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import string
 
 import pytest
@@ -18,14 +19,15 @@ from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.core.workflow import Workflow
 from repro.exceptions import BudgetExceededError
-from repro.llm.base import LLMResponse, sequential_complete_batch
-from repro.llm.cache import CachedClient
+from repro.llm.base import LLMResponse, answered_prefix, sequential_complete_batch
+from repro.llm.cache import CachedClient, ResponseCache, _cache_hit_copy
 from repro.llm.prompts import build_structured_prompt, parse_structured_prompt
 from repro.metrics.classification import BinaryConfusion, confusion_from_pairs
 from repro.metrics.ranking import kendall_tau_b, ranking_alignment
 from repro.proxies.similarity import jaccard_similarity, levenshtein_distance
 from repro.quality.validation import wilson_interval
 from repro.quality.voting import majority_vote
+from repro.store import Store
 from repro.tokenizer.cost import PriceTable, Usage
 from repro.tokenizer.simple import SimpleTokenizer
 from tests.doubles import EchoClient, call, executor_for
@@ -262,6 +264,104 @@ class _ExplodingEchoClient(EchoClient):
         if prompt == "boom":
             raise ValueError("boom")
         return super().complete(prompt, **params)
+
+
+class _RecordingEchoClient(_ExplodingEchoClient):
+    """An exploding echo client that records every prompt it is asked."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked: list[str] = []
+
+    def complete(self, prompt, **params):
+        self.asked.append(prompt)
+        return super().complete(prompt, **params)
+
+
+def _per_prompt_batch(cache, inner, model, prompts):
+    """A cached batch as the per-prompt path serves it: one ``get`` per prompt
+    (a duplicate of an in-batch miss waits), one inner batch for the misses,
+    their ``put``s, then one ``get`` per duplicate.  Returns the responses (on
+    a failure, the answered prefix) and whether the inner batch raised."""
+    results = [None] * len(prompts)
+    pending_indices, pending_prompts = [], []
+    for index, prompt in enumerate(prompts):
+        if prompt in pending_prompts:
+            continue
+        cached = cache.get(model, prompt)
+        if cached is not None:
+            results[index] = _cache_hit_copy(cached)
+        else:
+            pending_indices.append(index)
+            pending_prompts.append(prompt)
+    failed = False
+    try:
+        answered = sequential_complete_batch(inner, pending_prompts)
+        end = len(prompts)
+    except ValueError as exc:
+        answered, failed = answered_prefix(exc, pending_prompts), True
+        end = pending_indices[len(answered)]
+    for index, prompt, response in zip(pending_indices, pending_prompts, answered):
+        cache.put(model, prompt, response)
+        results[index] = response
+    for index in range(end):
+        if results[index] is None:
+            results[index] = _cache_hit_copy(cache.get(model, prompts[index]))
+    return results[:end], failed
+
+
+def _cache_state(cache, store):
+    """What a later call could observe: entries in recency order."""
+    if store is None:
+        return list(cache._entries.items())
+    return (
+        store.db.execute(
+            "SELECT key, model, prompt, payload, size, access_seq FROM cache ORDER BY access_seq"
+        ),
+        list(store.db.pending.items()),
+    )
+
+
+class TestCachedBatchOverEitherCache:
+    """``CachedClient``'s one-statement batch equals the per-prompt path over
+    the in-memory and the persistent cache, on disk or in a step's overlay:
+    responses, hits and misses, inner calls, recency, in-batch duplicates and
+    the answered prefix of a batch that fails."""
+
+    @given(
+        st.sampled_from(["memory", "store", "store in a step"]),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "boom"]), min_size=1, max_size=10),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_the_per_prompt_path(self, kind, prompts, warm):
+        outcomes = []
+        for serve in ("batch", "per prompt"):
+            with contextlib.ExitStack() as stack:
+                store = None if kind == "memory" else stack.enter_context(Store(":memory:"))
+                cache = ResponseCache() if store is None else store.response_cache()
+                if kind == "store in a step":
+                    stack.enter_context(store.db.step())
+                for prompt in warm:
+                    cache.put("echo", prompt, LLMResponse(text=f"warm:{prompt}", model="echo"))
+                inner = _RecordingEchoClient()
+                if serve == "batch":
+                    try:
+                        got, failed = CachedClient(inner, cache).complete_batch(prompts), False
+                    except ValueError as exc:
+                        got, failed = answered_prefix(exc, prompts), True
+                else:
+                    got, failed = _per_prompt_batch(cache, inner, "echo", prompts)
+                outcomes.append(
+                    (
+                        failed,
+                        [(r.text, r.usage, r.metadata) for r in got],
+                        inner.asked,
+                        (cache.stats.hits, cache.stats.misses),
+                        _cache_state(cache, store),
+                    )
+                )
+        assert outcomes[0] == outcomes[1]
 
 
 #: (driver, concurrency): the sequential forms must agree exactly; the
