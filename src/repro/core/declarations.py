@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 from repro.core.optimizer import StrategyCandidate
@@ -54,8 +53,17 @@ from repro.core.spec import (
 )
 from repro.data.products import ImputationDataset
 from repro.data.record import Dataset, Record
-from repro.exceptions import SpecError, UnknownStrategyError
+from repro.exceptions import ConfigurationError, SpecError, UnknownStrategyError
 from repro.llm.prompts import (
+    CATEGORIZE,
+    DUPLICATE_CHECK,
+    GROUP_RECORDS,
+    IMPUTE,
+    PAIRWISE_COMPARISON,
+    PREDICATE_CHECK,
+    RATING,
+    RATING_BATCH,
+    SORT_LIST,
     categorize_prompt,
     duplicate_check_prompt,
     impute_prompt,
@@ -186,7 +194,7 @@ class OperatorDeclaration:
         """The structural estimate, labelled ``"<operation>:<strategy>"``."""
         priced = self.priced_strategy(spec)
         label = priced if self.auto_labelled_as_default else spec.strategy
-        return replace(self.shapes[priced](planner, spec), strategy=f"{self.operation}:{label}")
+        return self.shapes[priced](planner, spec).labelled(f"{self.operation}:{label}")
 
     def call_ratio_applies(self, planner: "CostPlanner", spec: Any) -> bool:
         """Whether the observed actual/estimated call ratio corrects the estimate."""
@@ -246,21 +254,34 @@ def _ensemble_candidates(planner: "PhysicalPlanner", spec: Any, *names: str) -> 
 def _sort_insert(planner: "CostPlanner", spec: SortSpec) -> "CostEstimate":
     # One whole-list prompt, then a binary-search insertion (about log2(n)
     # comparisons) for each item the first pass dropped; we conservatively
-    # price every item's insertion.
+    # price every item's insertion.  The whole-list prompt refuses an empty
+    # list before log2 sees it.
     items = list(spec.items)
-    inserts = planner.pairwise_against(items, max(1, math.ceil(math.log2(len(items)))))
-    return _combined(planner, planner.single_prompt(items), inserts)
+    whole = planner.single_prompt(items, SORT_LIST, spec.criterion)
+    per_item = max(1, math.ceil(math.log2(len(items))))
+    inserts = planner.pairwise_against(items, items, per_item, PAIRWISE_COMPARISON, spec.criterion)
+    return _combined(planner, whole, inserts)
+
+
+def _sort_rating(planner: "CostPlanner", spec: SortSpec) -> "CostEstimate":
+    batch_size = int(spec.strategy_options.get("batch_size", 1))
+    template = RATING if batch_size == 1 else RATING_BATCH
+    return planner.per_item(list(spec.items), template, spec.criterion, batch_size=batch_size)
 
 
 class _Sort(OperatorDeclaration):
     spec_type, operator, results = SortSpec, SortOperator, (SortResult,)
     shapes = {
-        "pairwise": lambda planner, spec: planner.pairwise(list(spec.items)),
-        "pairwise_consistent": lambda planner, spec: planner.pairwise(list(spec.items)),
-        "rating": lambda planner, spec: planner.per_item(
-            list(spec.items), batch_size=int(spec.strategy_options.get("batch_size", 1))
+        "pairwise": lambda planner, spec: planner.pairwise(
+            list(spec.items), PAIRWISE_COMPARISON, spec.criterion
         ),
-        "single_prompt": lambda planner, spec: planner.single_prompt(list(spec.items)),
+        "pairwise_consistent": lambda planner, spec: planner.pairwise(
+            list(spec.items), PAIRWISE_COMPARISON, spec.criterion
+        ),
+        "rating": _sort_rating,
+        "single_prompt": lambda planner, spec: planner.single_prompt(
+            list(spec.items), SORT_LIST, spec.criterion
+        ),
         "hybrid_sort_insert": _sort_insert,
     }
     auto = ("pairwise", "rating", "single_prompt")
@@ -304,7 +325,8 @@ class _Sort(OperatorDeclaration):
 
 def _blocked_pairwise(planner: "CostPlanner", spec: ResolveSpec) -> "CostEstimate":
     block_k = int(spec.strategy_options.get("block_k", 5))
-    estimate = planner.pairwise_against(list(spec.records), block_k)
+    records = list(spec.records)
+    estimate = planner.pairwise_against(records, records, block_k, DUPLICATE_CHECK)
     # The k·n pair count is an upper bound: the mutual-neighbor blocker
     # deduplicates symmetric and overlapping neighbor pairs, and the
     # observed candidate fraction says by how much.  Price from the
@@ -332,9 +354,11 @@ class _ResolveRecords(OperatorDeclaration):
     spec_type, operator = ResolveSpec, ResolveOperator
     results = (ResolveResult, PairJudgmentResult)
     shapes = {
-        "pairwise": lambda planner, spec: planner.pairwise(list(spec.records)),
+        "pairwise": lambda planner, spec: planner.pairwise(list(spec.records), DUPLICATE_CHECK),
         "blocked_pairwise": _blocked_pairwise,
-        "single_prompt": lambda planner, spec: planner.single_prompt(list(spec.records)),
+        "single_prompt": lambda planner, spec: planner.single_prompt(
+            list(spec.records), GROUP_RECORDS
+        ),
     }
     auto = ("pairwise", "blocked_pairwise", "single_prompt")
     # The two modes' defaults must never share a call-ratio key — their cost
@@ -408,10 +432,14 @@ class _ResolvePairs(_ResolveRecords):
         "transitive": lambda planner, spec: planner.pair_judgments(
             # The k-NN-augmented strategy compares every pair among the two
             # anchors and their k neighbors.
-            list(spec.pairs), expansion=math.comb(2 * spec.neighbors_k + 2, 2)
+            list(spec.pairs),
+            DUPLICATE_CHECK,
+            expansion=math.comb(2 * spec.neighbors_k + 2, 2),
         ),
-        "pairwise": lambda planner, spec: planner.pair_judgments(list(spec.pairs)),
-        "proxy_hybrid": lambda planner, spec: planner.pair_judgments(list(spec.pairs)),
+        "pairwise": lambda planner, spec: planner.pair_judgments(list(spec.pairs), DUPLICATE_CHECK),
+        "proxy_hybrid": lambda planner, spec: planner.pair_judgments(
+            list(spec.pairs), DUPLICATE_CHECK
+        ),
     }
     auto = ("transitive", "pairwise")
     prompts = {
@@ -478,7 +506,8 @@ _RETRIEVAL_EVIDENCE_NEIGHBORS = 3
 
 
 def _impute_queries(planner: "CostPlanner", spec: ImputeSpec) -> "CostEstimate":
-    return planner.per_item([spec.data.serialized_query(record) for record in spec.data.queries])
+    queries = [spec.data.serialized_query(record) for record in spec.data.queries]
+    return planner.per_item(queries, IMPUTE, spec.data.target_attribute)
 
 
 def _impute_retrieval(planner: "CostPlanner", spec: ImputeSpec) -> "CostEstimate":
@@ -613,7 +642,7 @@ def _filter_passes(planner: "CostPlanner", spec: FilterSpec, votes: int) -> "Cos
     prompt_tokens = completion_tokens = 0.0
     survivors = list(spec.items)
     for index, predicate in enumerate(spec.all_predicates):
-        one_pass = planner.per_item(survivors)
+        one_pass = planner.per_item(survivors, PREDICATE_CHECK, predicate)
         calls += one_pass.calls * votes
         prompt_tokens += one_pass.usage.prompt_tokens * votes
         completion_tokens += one_pass.usage.completion_tokens * votes
@@ -762,13 +791,15 @@ class _Filter(OperatorDeclaration):
 
 
 def _categorize_votes(planner: "CostPlanner", spec: CategorizeSpec, votes: int) -> "CostEstimate":
-    # Every call carries the category menu in the prompt.
-    menu_tokens = sum(planner.tokenizer.count(str(label)) for label in spec.categories)
-    base = planner.per_item(list(spec.items))
+    # The category menu is a fixed field: every call's scaffold carries it.
+    categories = tuple(map(str, spec.categories))
+    if not categories:
+        raise ConfigurationError("cannot plan a categorize spec without categories")
+    base = planner.per_item(list(spec.items), CATEGORIZE, categories)
     return planner._estimate(
         "categorize",
         calls=base.calls * votes,
-        prompt_tokens=(base.usage.prompt_tokens + len(spec.items) * menu_tokens) * votes,
+        prompt_tokens=base.usage.prompt_tokens * votes,
         completion_tokens=base.usage.completion_tokens * votes,
     )
 
@@ -827,18 +858,23 @@ def _rate_then_compare(planner: "CostPlanner", spec: TopKSpec) -> "CostEstimate"
     items = list(spec.items)
     factor = int(spec.strategy_options.get("shortlist_factor", 3))
     shortlist = items[: min(len(items), max(spec.k, spec.k * factor))]
-    ratings = planner.per_item(items)
+    ratings = planner.per_item(items, RATING, spec.criterion)
     if len(shortlist) < 2:
         return ratings
-    return _combined(planner, ratings, planner.pairwise(shortlist))
+    tournament = planner.pairwise(shortlist, PAIRWISE_COMPARISON, spec.criterion)
+    return _combined(planner, ratings, tournament)
 
 
 class _TopK(OperatorDeclaration):
     spec_type, operator, results = TopKSpec, TopKOperator, (TopKResult,)
     shapes = {
         "hybrid_rating_comparison": _rate_then_compare,
-        "rating_only": lambda planner, spec: planner.per_item(list(spec.items)),
-        "pairwise_tournament": lambda planner, spec: planner.pairwise(list(spec.items)),
+        "rating_only": lambda planner, spec: planner.per_item(
+            list(spec.items), RATING, spec.criterion
+        ),
+        "pairwise_tournament": lambda planner, spec: planner.pairwise(
+            list(spec.items), PAIRWISE_COMPARISON, spec.criterion
+        ),
     }
     auto = ("hybrid_rating_comparison", "rating_only")
 
@@ -852,12 +888,17 @@ class _TopK(OperatorDeclaration):
 # -- join ------------------------------------------------------------------------------
 
 
+def _join_pairs(planner: "CostPlanner", spec: JoinSpec, per_left: int) -> "CostEstimate":
+    """``per_left`` duplicate checks of each left record against the right side."""
+    return planner.pairwise_against(list(spec.left), list(spec.right), per_left, DUPLICATE_CHECK)
+
+
 def _join_blocked(planner: "CostPlanner", spec: JoinSpec) -> "CostEstimate":
     # About ``block_k`` candidates per left record; proxy_blocked answers
     # part of those for free, so pricing it like blocked is a conservative
     # upper bound.
     block_k = int(spec.strategy_options.get("block_k", 3))
-    return planner.pairwise_against(list(spec.left), min(block_k, len(spec.right)))
+    return _join_pairs(planner, spec, min(block_k, len(spec.right)))
 
 
 class _Join(OperatorDeclaration):
@@ -865,9 +906,7 @@ class _Join(OperatorDeclaration):
     shapes = {
         "blocked": _join_blocked,
         "proxy_blocked": _join_blocked,
-        "all_pairs": lambda planner, spec: planner.pairwise_against(
-            list(spec.left), len(spec.right)
-        ),
+        "all_pairs": lambda planner, spec: _join_pairs(planner, spec, len(spec.right)),
     }
     auto = ("blocked",)
     prompts = {
@@ -895,10 +934,14 @@ def _two_phase(planner: "CostPlanner", spec: ClusterSpec) -> "CostEstimate":
     # count is unknown a priori; half the seed is the heuristic.
     items = list(spec.items)
     seed_size = min(int(spec.strategy_options.get("seed_size", 12)), len(items))
-    seed_prompt = planner.single_prompt(items[:seed_size])
+    seed = items[:seed_size]
+    seed_prompt = planner.single_prompt(seed, GROUP_RECORDS)
     if not items[seed_size:]:
         return seed_prompt
-    assignments = planner.pairwise_against(items[seed_size:], max(1, seed_size // 2))
+    # The representatives are seed items.
+    assignments = planner.pairwise_against(
+        items[seed_size:], seed, max(1, seed_size // 2), DUPLICATE_CHECK
+    )
     return _combined(planner, seed_prompt, assignments)
 
 
@@ -906,7 +949,9 @@ class _Cluster(OperatorDeclaration):
     spec_type, operator, results = ClusterSpec, ClusterOperator, (ClusterResult,)
     shapes = {
         "two_phase": _two_phase,
-        "single_prompt": lambda planner, spec: planner.single_prompt(list(spec.items)),
+        "single_prompt": lambda planner, spec: planner.single_prompt(
+            list(spec.items), GROUP_RECORDS
+        ),
     }
     auto = ("two_phase", "single_prompt")
     result_fields = {"clusters": _CLUSTERS}

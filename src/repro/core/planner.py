@@ -2,11 +2,11 @@
 
 The strategy optimizer (:mod:`repro.core.optimizer`) *measures* cost on a
 validation sample; the planner here *predicts* cost before anything runs, from
-the number of data items, the average item length, and each strategy's call
-structure (one prompt, O(n) unit tasks, O(n²) pairs, ...).  The engine uses
-these estimates to discard strategies that obviously cannot fit a budget
-without spending a single token on them, and reports them to users as a
-pre-flight quote.
+the prompts each strategy sends: its declared template's scaffold, the
+items' own token counts, and the call structure (one prompt, O(n) unit
+tasks, O(n²) pairs, ...).  The engine uses these estimates to discard
+strategies that obviously cannot fit a budget without spending a single
+token on them, and reports them to users as a pre-flight quote.
 
 Beyond single strategies, :meth:`CostPlanner.estimate_spec` maps a
 declarative task spec to the cost shape its strategy will execute, and
@@ -20,6 +20,7 @@ apportions the remaining budget across pending steps.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -28,15 +29,17 @@ from repro.core.declarations import declaration_for, default_strategy
 from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError
+from repro.llm.prompts import TaskTemplate
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.tokenizer.cost import Usage
 from repro.tokenizer.simple import SimpleTokenizer
 
-#: Rough token overhead of the structured prompt scaffolding per call
-#: (task header, instructions, numbering).
-_PROMPT_OVERHEAD_TOKENS = 60
-#: Expected completion length of a short unit-task answer.
-_SHORT_COMPLETION_TOKENS = 15
+#: The process's scaffold memo: ``(template, fixed fields, items per prompt)``
+#: -> ``(scaffold tokens, answer tokens)``.  Rendering and counting a scaffold
+#: costs microseconds, so each is rendered once per process, never per
+#: estimate; a full memo is emptied and starts over, like the tokenizer's.
+_SCAFFOLDS: dict[tuple[TaskTemplate, tuple, int], tuple[int, int]] = {}
+_SCAFFOLD_MAX_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,13 @@ class CostEstimate:
     dollars: float
     seconds: float | None = None
     known_cached: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+
+    def labelled(self, strategy: str) -> "CostEstimate":
+        """This estimate under another strategy label (``replace`` without
+        its per-field walk: every spec estimate is relabelled once)."""
+        return CostEstimate(
+            strategy, self.calls, self.usage, self.dollars, self.seconds, self.known_cached
+        )
 
     def to_dict(self) -> dict[str, object]:
         """A JSON-shaped view (what the service layer returns in quotes)."""
@@ -290,10 +300,31 @@ class CostPlanner:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _average_item_tokens(self, items: Sequence[str]) -> float:
+    def _item_tokens(self, items: Sequence[object]) -> int:
+        """The items' token counts summed, in one pass over the tokenizer memo."""
         if not items:
             raise ConfigurationError("cannot plan over an empty item list")
-        return sum(map(self.tokenizer.count, map(str, items))) / len(items)
+        return sum(self.tokenizer.counts(items))
+
+    def _scaffold(self, template: TaskTemplate, fields: tuple, size: int) -> tuple[int, int]:
+        """``(scaffold, answer)`` tokens of one prompt carrying ``size`` items.
+
+        The scaffold is the template rendered over empty item texts; a
+        prompt's count is exactly that plus its items' counts.  The answer
+        is the template's declared reply, the cold completion prior.
+        """
+        key = (template, fields, size)
+        known = _SCAFFOLDS.get(key)
+        if known is None:
+            count = self.tokenizer.count
+            known = (
+                count(template.render([""] * size, fields)),
+                count(template.answer.format(*fields)),
+            )
+            if len(_SCAFFOLDS) >= _SCAFFOLD_MAX_ENTRIES:
+                _SCAFFOLDS.clear()
+            _SCAFFOLDS[key] = known
+        return known
 
     def _estimate(self, strategy: str, calls: int, prompt_tokens: float, completion_tokens: float) -> CostEstimate:
         usage = Usage(
@@ -309,47 +340,81 @@ class CostPlanner:
         )
 
     # -- strategy shapes --------------------------------------------------------------
+    #
+    # Each shape prices the prompts ``template`` renders under the fixed
+    # ``fields``: calls x scaffold, plus every item's count times its uses.
 
-    def single_prompt(self, items: Sequence[str]) -> CostEstimate:
+    def single_prompt(
+        self, items: Sequence[str], template: TaskTemplate, *fields: object
+    ) -> CostEstimate:
         """One prompt containing every item; the answer echoes the whole list."""
-        item_tokens = self._average_item_tokens(items) * len(items)
-        return self._estimate(
-            "single_prompt",
-            calls=1,
-            prompt_tokens=item_tokens + _PROMPT_OVERHEAD_TOKENS,
-            completion_tokens=item_tokens,
-        )
+        item_tokens = self._item_tokens(items)
+        scaffold, _ = self._scaffold(template, fields, len(items))
+        return self._estimate("single_prompt", 1, scaffold + item_tokens, item_tokens)
 
-    def per_item(self, items: Sequence[str], *, batch_size: int = 1) -> CostEstimate:
-        """One unit task per item (optionally batched), short answers."""
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
-        average = self._average_item_tokens(items)
-        calls = -(-len(items) // batch_size)  # ceiling division
-        prompt_tokens = calls * _PROMPT_OVERHEAD_TOKENS + len(items) * average
-        completion_tokens = len(items) * _SHORT_COMPLETION_TOKENS
-        return self._estimate("per_item", calls, prompt_tokens, completion_tokens)
+    def per_item(
+        self,
+        items: Sequence[str],
+        template: TaskTemplate,
+        *fields: object,
+        batch_size: int = 1,
+    ) -> CostEstimate:
+        """One unit task per item, or per ``batch_size`` items of a list template."""
+        if batch_size < 1 or (template.arity and batch_size != 1):
+            raise ConfigurationError(
+                "batch_size must be at least 1, and 1 for a one-item template"
+            )
+        item_tokens = self._item_tokens(items)
+        full, rest = divmod(len(items), batch_size)
+        scaffold, answer = self._scaffold(template, fields, template.arity or batch_size)
+        prompt_tokens = full * scaffold + item_tokens
+        if rest:
+            prompt_tokens += self._scaffold(template, fields, rest)[0]
+        # A list template answers one line per item, a unit task once per call.
+        return self._estimate("per_item", full + bool(rest), prompt_tokens, len(items) * answer)
 
-    def pairwise(self, items: Sequence[str]) -> CostEstimate:
+    def pairwise(
+        self, items: Sequence[str], template: TaskTemplate, *fields: object
+    ) -> CostEstimate:
         """One comparison task per unordered pair of items."""
-        average = self._average_item_tokens(items)
-        calls = len(items) * (len(items) - 1) // 2
-        prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + 2 * average)
-        completion_tokens = calls * _SHORT_COMPLETION_TOKENS
-        return self._estimate("pairwise", calls, prompt_tokens, completion_tokens)
+        item_tokens = self._item_tokens(items)
+        n = len(items)
+        calls = n * (n - 1) // 2
+        scaffold, answer = self._scaffold(template, fields, 2)
+        # Every item is a side of n − 1 pairs.
+        prompt_tokens = calls * scaffold + (n - 1) * item_tokens
+        return self._estimate("pairwise", calls, prompt_tokens, calls * answer)
 
-    def pairwise_against(self, items: Sequence[str], reference_count: int) -> CostEstimate:
-        """One comparison of each item against ``reference_count`` fixed references."""
-        if reference_count < 0:
-            raise ConfigurationError("reference_count must be non-negative")
-        average = self._average_item_tokens(items)
-        calls = len(items) * reference_count
-        prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + 2 * average)
-        completion_tokens = calls * _SHORT_COMPLETION_TOKENS
-        return self._estimate("pairwise_against", calls, prompt_tokens, completion_tokens)
+    def pairwise_against(
+        self,
+        items: Sequence[str],
+        references: Sequence[str],
+        per_item: int,
+        template: TaskTemplate,
+        *fields: object,
+    ) -> CostEstimate:
+        """``per_item`` comparisons of each item against one of ``references``.
+
+        Each item is a side ``per_item`` times; the reference sides are
+        priced at the references' mean count, which is exact when every item
+        meets every reference (``per_item == len(references)``).
+        """
+        if per_item < 0:
+            raise ConfigurationError("per_item must be non-negative")
+        item_tokens = self._item_tokens(items)
+        calls = len(items) * per_item
+        scaffold, answer = self._scaffold(template, fields, 2)
+        prompt_tokens = calls * scaffold + per_item * item_tokens
+        if calls and references:
+            prompt_tokens += calls * sum(self.tokenizer.counts(references)) / len(references)
+        return self._estimate("pairwise_against", calls, prompt_tokens, calls * answer)
 
     def pair_judgments(
-        self, pairs: Sequence[tuple[str, str]], *, expansion: int = 1
+        self,
+        pairs: Sequence[tuple[str, str]],
+        template: TaskTemplate,
+        *fields: object,
+        expansion: int = 1,
     ) -> CostEstimate:
         """One duplicate-check task per queried pair.
 
@@ -363,16 +428,15 @@ class CostPlanner:
             raise ConfigurationError("expansion must be at least 1")
         if not pairs:
             raise ConfigurationError("cannot plan over an empty pair list")
-        # A pair is priced as the prompt text "<left> <right>".  Whitespace
-        # never joins tokens, so that text's count is exactly the sum of its
-        # two sides' counts; pairs drawn from one item list repeat their
-        # sides, so each distinct side is counted once and weighted by its
-        # uses instead of tokenizing every joined string.
+        # Pairs drawn from one item list repeat their sides, so each distinct
+        # side is counted once and weighted by its uses.
         sides = Counter(map(str, itertools.chain.from_iterable(pairs)))
-        tokens = sum(self.tokenizer.count(text) * uses for text, uses in sides.items())
-        return self._judged_pairs(tokens, len(pairs), expansion)
+        tokens = sum(map(operator.mul, self.tokenizer.counts(sides), sides.values()))
+        return self._judged_pairs(tokens, len(pairs), expansion, template, fields)
 
-    def blocked_pairs(self, items: Sequence[str], count: int) -> CostEstimate:
+    def blocked_pairs(
+        self, items: Sequence[str], count: int, template: TaskTemplate, *fields: object
+    ) -> CostEstimate:
         """Pair judgments over a blocked candidate set, priced without the pairs.
 
         The stand-in for ``count`` blocked candidates is the first ``count``
@@ -380,18 +444,18 @@ class CostPlanner:
         ``d = 1`` band (n − 1 pairs), then ``d = 2`` (n − 2), and so on,
         capped at all C(n, 2) pairs.  Over ``D`` complete bands position
         ``i`` is a side ``min(D, i) + min(D, n − 1 − i)`` times, plus once
-        for each end of a partial band's pair it sits on, so the joined-text
-        token total is each item's count times its uses.  Equal to
+        for each end of a partial band's pair it sits on, so the side token
+        total is each item's count times its uses.  Equal to
         :meth:`pair_judgments` over that explicit pair list, including its
         ``[(items[0], items[0])]`` stand-in when no pair is asked for.
         """
         if not items:
             raise ConfigurationError("cannot plan over an empty item list")
         n = len(items)
-        counts = list(map(self.tokenizer.count, map(str, items)))
+        counts = self.tokenizer.counts(items)
         pairs = max(0, min(count, n * (n - 1) // 2))
         if not pairs:
-            return self._judged_pairs(2 * counts[0], 1, 1)
+            return self._judged_pairs(2 * counts[0], 1, 1, template, fields)
         bands, partial = 0, pairs
         while partial and partial >= n - bands - 1:
             bands += 1
@@ -404,15 +468,16 @@ class CostPlanner:
             + sum(counts[:partial])
             + sum(counts[bands + 1 : bands + 1 + partial])
         )
-        return self._judged_pairs(tokens, pairs, 1)
+        return self._judged_pairs(tokens, pairs, 1, template, fields)
 
-    def _judged_pairs(self, tokens: int, pairs: int, expansion: int) -> CostEstimate:
+    def _judged_pairs(
+        self, tokens: int, pairs: int, expansion: int, template: TaskTemplate, fields: tuple
+    ) -> CostEstimate:
         """The pair-judgment estimate for ``pairs`` pairs of ``tokens`` side tokens."""
-        average = tokens / pairs
+        scaffold, answer = self._scaffold(template, fields, 2)
         calls = pairs * expansion
-        prompt_tokens = calls * (_PROMPT_OVERHEAD_TOKENS + average)
-        completion_tokens = calls * _SHORT_COMPLETION_TOKENS
-        return self._estimate("pair_judgments", calls, prompt_tokens, completion_tokens)
+        prompt_tokens = calls * (scaffold + tokens / pairs)
+        return self._estimate("pair_judgments", calls, prompt_tokens, calls * answer)
 
     # -- vector-index shapes ----------------------------------------------------------
 
@@ -445,13 +510,17 @@ class CostPlanner:
         structural estimate is corrected by the observed actual/estimated
         call ratio recorded for the same strategy label — unless the
         declaration says the error is already priced another way (filters:
-        observed predicate selectivities).
+        observed predicate selectivities) — and its completions are priced
+        at the label's observed completion length.
         """
         declaration = declaration_for(spec)
         estimate = declaration.estimate(self, spec)
-        if declaration.call_ratio_applies(self, spec):
-            estimate = self._apply_call_ratio(estimate)
-        estimate = self._apply_latency(estimate)
+        if self.stats is not None:
+            label = self._stats_label(estimate.strategy)
+            if declaration.call_ratio_applies(self, spec):
+                estimate = self._apply_call_ratio(estimate, label)
+            estimate = self._apply_completions(estimate, label)
+            estimate = self._apply_latency(estimate, label)
         # Exact knowledge beats extrapolation: when the spec's prompts are
         # statically known and some are already in the durable cache, price
         # those at zero and skip the observed-hit-rate discount for this
@@ -471,18 +540,16 @@ class CostPlanner:
     #: workload-specific flukes rather than transferable corrections.
     _CALL_RATIO_BAND = (0.05, 20.0)
 
-    def _apply_call_ratio(self, estimate: CostEstimate) -> CostEstimate:
+    def _apply_call_ratio(self, estimate: CostEstimate, label: str) -> CostEstimate:
         """Scale a structural estimate by the observed call ratio, if any.
 
-        The ratio is looked up under :meth:`_stats_label`, clamped to a
-        sane band, and a non-empty structural estimate never drops below
-        one call: ratios were measured on whatever workload the session
-        happened to run, and an estimate rounded to zero would starve the
-        step of its quote-weighted budget share entirely.
+        The ratio is looked up under ``label`` (see :meth:`_stats_label`),
+        clamped to a sane band, and a non-empty structural estimate never
+        drops below one call: ratios were measured on whatever workload the
+        session happened to run, and an estimate rounded to zero would
+        starve the step of its quote-weighted budget share entirely.
         """
-        if self.stats is None:
-            return estimate
-        ratio = self.stats.call_ratio(self._stats_label(estimate.strategy))
+        ratio = self.stats.call_ratio(label)
         if ratio is None or ratio <= 0 or abs(ratio - 1.0) < 1e-9:
             return estimate
         low, high = self._CALL_RATIO_BAND
@@ -496,6 +563,22 @@ class CostPlanner:
         )
         return adjusted
 
+    def _apply_completions(self, estimate: CostEstimate, label: str) -> CostEstimate:
+        """Price completions at the observed tokens per live call, if any.
+
+        The declared answers are the cold prior; once a strategy label has
+        run, what its calls actually returned replaces them.
+        """
+        per_call = self.stats.completion_tokens_per_call(label)
+        if per_call is None:
+            return estimate
+        return self._estimate(
+            estimate.strategy,
+            estimate.calls,
+            estimate.usage.prompt_tokens,
+            estimate.calls * per_call,
+        )
+
     def _stats_label(self, estimate_strategy: str) -> str:
         """The stats key an estimate's strategy label resolves to.
 
@@ -508,7 +591,7 @@ class CostPlanner:
             return f"{operation}:{default_strategy(operation) or strategy}"
         return estimate_strategy
 
-    def _apply_latency(self, estimate: CostEstimate) -> CostEstimate:
+    def _apply_latency(self, estimate: CostEstimate, label: str) -> CostEstimate:
         """Attach a wall-clock prediction from the observed median latency.
 
         Sequential extrapolation (calls × per-call p50): the planner cannot
@@ -517,9 +600,7 @@ class CostPlanner:
         The reservoir blends cache-hit and live durations in observed
         proportions, so a warm workload predicts its own (faster) reality.
         """
-        if self.stats is None:
-            return estimate
-        p50 = self.stats.latency_p50(self._stats_label(estimate.strategy))
+        p50 = self.stats.latency_p50(label)
         if p50 is None:
             return estimate
         return replace(estimate, seconds=estimate.calls * p50 / 1000.0)

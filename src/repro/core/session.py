@@ -53,7 +53,8 @@ _LOG.addHandler(logging.NullHandler())  # a library stays off stderr unless aske
 #: One dispatch whose calls await their record: the calls as ``(model, status,
 #: fields)``, ``(parent span id, start, end, calls)`` as read when it settled,
 #: the ambient labels, each call's share of the duration, the responses the
-#: spans' ids are owed to (``None``: the dispatch raised), cache hits, dollars.
+#: spans' ids are owed to (``None``: the dispatch raised), cache hits, dollars,
+#: completion tokens.
 _Settled = tuple[
     list[tuple[str, str, dict]],
     tuple[int | None, float, float, int],
@@ -62,6 +63,7 @@ _Settled = tuple[
     list[LLMResponse] | None,
     int,
     float,
+    int,
 ]
 
 
@@ -367,7 +369,7 @@ class PromptSession:
         step, operator = labels.step, labels.operator
         has_model, price = self.cost_model.has_model, self.cost_model.cost
         calls: list[tuple[str, str, dict]] = []
-        hits = 0
+        hits = completion = 0
         spent = 0.0
         # Charge every response before surfacing a limit breach: the calls
         # were all made (and tracked), so stopping at the first raise would
@@ -380,6 +382,7 @@ class PromptSession:
             cache_hit = bool(response.metadata.get("cache_hit"))
             hits += cache_hit
             spent += cost
+            completion += usage.completion_tokens
             calls.append(
                 (
                     model,
@@ -411,7 +414,7 @@ class PromptSession:
         # Handed over whether or not charging breached the budget: the calls
         # happened, and are replayable.
         settled = (current_span_id(self.spans), end - share_ms / 1000.0, end, len(calls))
-        self._hand_over((calls, settled, labels, share_ms, responses, hits, spent))
+        self._hand_over((calls, settled, labels, share_ms, responses, hits, spent, completion))
         if charge_error is not None:
             raise charge_error
         return responses
@@ -441,9 +444,11 @@ class PromptSession:
         owed: list[LLMResponse | None] = []  # whom each span's id is stamped on
         durations: list[tuple[float, int]] = []
         latencies: dict[str, list[tuple[float, int]]] = {}
+        # operator -> [completion tokens, live calls]: a cache hit bills none.
+        completions: dict[str, list[int]] = {}
         hits = ok = 0
         cost = 0.0
-        for batch, when, labels, duration_ms, responses, batch_hits, batch_cost in run:
+        for batch, when, labels, duration_ms, responses, batch_hits, batch_cost, tokens in run:
             count = len(batch)
             calls += batch
             settled.append(when)
@@ -458,6 +463,10 @@ class PromptSession:
                 ok += count
                 hits += batch_hits
                 cost += batch_cost
+                if labels.operator and count > batch_hits:
+                    tally = completions.setdefault(labels.operator, [0, 0])
+                    tally[0] += tokens
+                    tally[1] += count - batch_hits
         spans = self.spans.record_calls(calls, settled=settled)
         for span, response in zip(spans, owed):
             if response is not None:
@@ -471,6 +480,8 @@ class PromptSession:
             self.instruments.note_budget_spent(self.budget.spent)
         for operator, samples in latencies.items():
             self.stats.record_latencies(operator, samples)
+        for operator, (tokens, live) in completions.items():
+            self.stats.record_completions(operator, tokens=tokens, calls=live)
         if ok < len(spans) or _LOG.isEnabledFor(logging.DEBUG):
             labelled = [entry[2] for entry in run for _ in entry[0]]
             for span, labels in zip(spans, labelled):
@@ -524,7 +535,7 @@ class PromptSession:
             "error": type(error).__name__,
         }
         settled = (current_span_id(self.spans), start, end, 1)
-        self._hand_over(([(model, "error", fields)], settled, labels, duration_ms, None, 0, 0.0))
+        self._hand_over(([(model, "error", fields)], settled, labels, duration_ms, None, 0, 0.0, 0))
 
     def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
         """A client view suitable for handing to operators.

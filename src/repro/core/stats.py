@@ -3,8 +3,8 @@
 :class:`RuntimeStats` is a thread-safe store of what actually happened:
 per-predicate filter selectivities, dedup survivor ratios and pair match
 rates, join match selectivities, per-strategy call counts (estimated vs.
-actual), per-label call latencies, the session cache hit-rate and
-per-pipeline critical paths.  The engine records into it after every
+actual), per-label call latencies and completion lengths, the session cache
+hit-rate and per-pipeline critical paths.  The engine records into it after every
 operator run; the :class:`~repro.core.planner.CostPlanner` and the query
 optimizer consult it on subsequent quotes so the second quote of a workload
 is priced from observations rather than from static priors.
@@ -60,6 +60,9 @@ class RuntimeStats:
         # Per-operator/strategy call durations (ms), most recent last; fed by
         # the session's call spans so quotes can carry wall-clock estimates.
         self._latency: dict[str, list[float]] = {}
+        # Per-operator/strategy completion tokens over live calls (a cache
+        # hit bills none), fed per recorded run; prices quoted completions.
+        self._completions: dict[str, _Ratio] = {}
         # Session-global cache hits over requests, also fed per traced call;
         # the planner discounts dollar quotes by the observed hit rate.
         self._cache = _Ratio()
@@ -154,6 +157,16 @@ class RuntimeStats:
                     samples.extend([float(duration_ms)] * min(count, cap))
             if len(samples) > cap:
                 del samples[: len(samples) - cap]
+
+    def record_completions(self, label: str, *, tokens: int, calls: int) -> None:
+        """Record ``calls`` live calls under a strategy label that returned
+        ``tokens`` completion tokens between them."""
+        if calls <= 0:
+            return
+        with self._lock:
+            ratio = self._completions.setdefault(label, _Ratio())
+            ratio.numerator += tokens
+            ratio.denominator += calls
 
     def record_critical_path(self, pipeline: str, seconds: float) -> None:
         """Record one pipeline run's observed critical-path wall-clock.
@@ -260,6 +273,12 @@ class RuntimeStats:
         with self._lock:
             return sorted(label for label, samples in self._latency.items() if samples)
 
+    def completion_tokens_per_call(self, label: str) -> float | None:
+        """Observed mean completion tokens of a live call under a strategy label."""
+        with self._lock:
+            ratio = self._completions.get(label)
+            return ratio.value if ratio is not None else None
+
     def cache_hit_rate(self) -> float | None:
         """Observed cache-hit fraction of session traffic, or ``None``."""
         with self._lock:
@@ -280,6 +299,7 @@ class RuntimeStats:
                 or self._calls
                 or self._call_counts
                 or self._latency
+                or self._completions
                 or self._dedup.denominator
                 or self._pair_match.denominator
                 or self._join.denominator
@@ -313,6 +333,9 @@ class RuntimeStats:
                 "latency_samples": {
                     label: len(samples) for label, samples in self._latency.items()
                 },
+                "completion_tokens_per_call": {
+                    label: ratio.value for label, ratio in self._completions.items()
+                },
             }
 
     # -- durable state (workload profiles) ---------------------------------------
@@ -345,6 +368,7 @@ class RuntimeStats:
                     pipeline: pair(r) for pipeline, r in self._critical_path.items()
                 },
                 "latency": {label: list(samples) for label, samples in self._latency.items()},
+                "completions": {label: pair(r) for label, r in self._completions.items()},
             }
 
     def merge_state(self, state: Mapping[str, Any], *, weight: float = 1.0) -> None:
@@ -383,6 +407,8 @@ class RuntimeStats:
             add(self._cache, state.get("cache", (0, 0)))
             for pipeline, pair in dict(state.get("critical_path", {})).items():
                 add(self._critical_path.setdefault(pipeline, _Ratio()), pair)
+            for label, pair in dict(state.get("completions", {})).items():
+                add(self._completions.setdefault(label, _Ratio()), pair)
             # Latency samples have no numerator/denominator to scale, so
             # decay keeps a weight-sized share of the *most recent* saved
             # samples — history fades by shrinking its sample mass, and the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import ResponseParseError
 
@@ -305,3 +305,54 @@ def verify_answer_prompt(question: str, proposed_answer: str) -> str:
             "Start your response with Yes or No."
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# The templates operators send, as the cost planner prices them
+# ---------------------------------------------------------------------------
+
+
+class TaskTemplate(NamedTuple):
+    """One of the task prompts above, declared as data the cost planner counts.
+
+    Every item sits on a ``[i] <text>`` line of its own, and the tokenizer
+    never joins tokens across whitespace, so a prompt's count is its
+    *scaffold* — the template rendered over empty item texts — plus its
+    items' own counts, exactly.
+
+    Attributes:
+        build: the prompt function; its leading arguments are the item texts,
+            the rest are the fixed fields (criterion, predicate, ...).
+        arity: item texts per prompt, each its own argument; 0 when the
+            prompt takes one list of them.
+        answer: a typical reply of the shape the instructions ask for — to
+            one call, or to one item of a list prompt — formatted with the
+            fixed fields.  Its count prices completions before any call of
+            the strategy has been observed.
+    """
+
+    build: Callable[..., str]
+    arity: int
+    answer: str = ""
+
+    def render(self, items: Sequence[str], fields: tuple = ()) -> str:
+        """The prompt ``build`` makes of ``items`` under the fixed ``fields``."""
+        if self.arity:
+            return self.build(*items, *fields)
+        return self.build(list(items), *fields)
+
+
+SORT_LIST = TaskTemplate(sort_list_prompt, 0)
+PAIRWISE_COMPARISON = TaskTemplate(
+    pairwise_comparison_prompt, 2, "A. The first item is labeled A and the second is labeled B."
+)
+RATING = TaskTemplate(rating_prompt, 1, "4")
+RATING_BATCH = TaskTemplate(rating_batch_prompt, 0, "1. 4")
+DUPLICATE_CHECK = TaskTemplate(
+    duplicate_check_prompt, 2, "No, these two citations appear to be different works."
+)
+GROUP_RECORDS = TaskTemplate(group_records_prompt, 0)
+IMPUTE = TaskTemplate(impute_prompt, 1, "unknown")
+#: Answered with one of its categories (the fixed field).
+CATEGORIZE = TaskTemplate(categorize_prompt, 1, "{0[0]}")
+PREDICATE_CHECK = TaskTemplate(predicate_check_prompt, 1, "Yes.")

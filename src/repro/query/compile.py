@@ -49,6 +49,7 @@ from repro.core.spec import (
 )
 from repro.exceptions import ConfigurationError, SpecError
 from repro.index import corpus_index_name, load_or_build_index, resolve_embedder
+from repro.llm.prompts import DUPLICATE_CHECK
 from repro.operators.resolve import PairJudgmentResult, ResolveResult
 from repro.proxies.blocking import BlockingResult, EmbeddingBlocker
 from repro.query.plan import LogicalNode, LogicalPlan, estimated_items, validate_plan
@@ -591,8 +592,8 @@ def _proxy_estimate(node: LogicalNode, planner: CostPlanner) -> CostEstimate | N
     if count < 1:
         # block_k <= 0 blocks nothing: no candidate pair to judge.
         raise ConfigurationError("cannot plan over an empty pair list")
-    estimate = planner.blocked_pairs(items, count)
-    return dataclass_replace(estimate, strategy="resolve:proxy_blocked")
+    estimate = planner.blocked_pairs(items, count, DUPLICATE_CHECK)
+    return estimate.labelled("resolve:proxy_blocked")
 
 
 def _describe(node: LogicalNode) -> str:

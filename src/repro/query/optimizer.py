@@ -65,6 +65,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.core.planner import CostPlanner
 from repro.core.spec import FilterSpec, JoinSpec
 from repro.exceptions import ConfigurationError, SpecError
+from repro.llm.prompts import DUPLICATE_CHECK
 from repro.query.plan import (
     ANNOTATORS,
     LogicalNode,
@@ -437,9 +438,9 @@ def insert_proxy_prefilters(plan: LogicalPlan, planner: CostPlanner) -> LogicalP
             if len(items) < _PROXY_MIN_ITEMS:
                 continue
             block_k = int(node.params.get("block_k", 5))
-            pairwise_dollars = planner.pairwise(items).dollars
+            pairwise_dollars = planner.pairwise(items, DUPLICATE_CHECK).dollars
             candidate_count = min(block_k * len(items), len(items) * (len(items) - 1) // 2)
-            blocked_dollars = planner.blocked_pairs(items, candidate_count).dollars
+            blocked_dollars = planner.blocked_pairs(items, candidate_count, DUPLICATE_CHECK).dollars
             if blocked_dollars >= pairwise_dollars:
                 continue
             plan = plan.replaced(node, node.with_params(proxy=True, block_k=block_k)).noted(

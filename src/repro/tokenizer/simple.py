@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.exceptions import ConfigurationError
 
@@ -92,6 +92,25 @@ class SimpleTokenizer:
                     cache[line] = n
             total += n
         return total
+
+    def counts(self, texts: Iterable[object]) -> list[int]:
+        """``[count(str(text)) for text in texts]``, in one pass over the memo.
+
+        The texts are mapped over the memo in C; only those it does not hold
+        (a text never met, a multi-line or over-long one, a value that is not
+        a ``str``) go through :meth:`count`.  Counts already read stay valid
+        if a fallback empties a full memo part-way.
+        """
+        if not isinstance(texts, list):
+            texts = list(texts)
+        try:
+            found = list(map(self._cache.get, texts))
+        except TypeError:  # an unhashable value: every text takes the fallback
+            found = [None] * len(texts)
+        if None in found:
+            count = self.count
+            found = [count(str(text)) if n is None else n for text, n in zip(texts, found)]
+        return found  # type: ignore[return-value]
 
 
 _DEFAULT_TOKENIZER = SimpleTokenizer()

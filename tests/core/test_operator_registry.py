@@ -41,7 +41,7 @@ from repro.data.products import ImputationDataset
 from repro.data.record import Dataset, Record
 from repro.exceptions import SpecError, UnknownStrategyError
 from repro.llm.oracle import Oracle
-from repro.llm.prompts import predicate_check_prompt
+from repro.llm.prompts import PREDICATE_CHECK, predicate_check_prompt
 from repro.llm.simulated import SimulatedLLM
 from repro.operators import (
     CategorizeResult,
@@ -353,7 +353,11 @@ class TallyOperator(BaseOperator):
 
 class TallyDeclaration(OperatorDeclaration):
     spec_type, operator, results = TallySpec, TallyOperator, (TallyResult,)
-    shapes = {"per_item": lambda planner, spec: planner.per_item(list(spec.items))}
+    shapes = {
+        "per_item": lambda planner, spec: planner.per_item(
+            list(spec.items), PREDICATE_CHECK, spec.predicate
+        )
+    }
     auto = ("per_item",)
 
     def build(self, spec, client, **kwargs):

@@ -38,6 +38,7 @@ from repro.core.spec import (
 )
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.data.products import generate_restaurant_dataset
+from repro.llm.prompts import GROUP_RECORDS, PAIRWISE_COMPARISON, RATING
 from repro.llm.simulated import SimulatedLLM
 from repro.query.plan import LogicalNode, estimated_items, source
 from tests.query.support import MODEL, clean_engine, product_corpus
@@ -147,8 +148,8 @@ class TestCostBasedBudgetFallback:
         engine = _flavor_engine()
         items = list(FLAVORS[:8])
         planner = engine.planner()
-        rating_dollars = planner.per_item(items).dollars
-        pairwise_dollars = planner.pairwise(items).dollars
+        rating_dollars = planner.per_item(items, RATING, CHOCOLATEY).dollars
+        pairwise_dollars = planner.pairwise(items, PAIRWISE_COMPARISON, CHOCOLATEY).dollars
         assert rating_dollars < pairwise_dollars
         spec = SortSpec(
             items=items, criterion=CHOCOLATEY, budget_dollars=rating_dollars * 1.05
@@ -162,7 +163,7 @@ class TestCostBasedBudgetFallback:
     def test_cluster_downgrades_to_single_prompt(self):
         engine = _flavor_engine()
         items = [f"item number {index}" for index in range(30)]
-        single_dollars = engine.planner().single_prompt(items).dollars
+        single_dollars = engine.planner().single_prompt(items, GROUP_RECORDS).dollars
         resolved = engine.physical.resolve(
             ClusterSpec(items=items, budget_dollars=single_dollars * 1.05)
         )
@@ -191,7 +192,7 @@ class TestCostBasedBudgetFallback:
     def test_session_budget_remaining_binds_auto_selection(self):
         items = list(FLAVORS[:8])
         planner = CostPlanner(MODEL_NAME)
-        rating_dollars = planner.per_item(items).dollars
+        rating_dollars = planner.per_item(items, RATING, CHOCOLATEY).dollars
         engine = _flavor_engine(budget=Budget(limit=rating_dollars * 1.05))
         resolved = engine.physical.resolve(
             SortSpec(items=items, criterion=CHOCOLATEY),
@@ -302,7 +303,7 @@ class TestEngineFeedsStats:
         that executed; a later quote of the default strategy is untouched."""
         items, oracle = product_corpus(n_entities=6, variants=2)
         engine = clean_engine(oracle)
-        single_dollars = engine.planner().single_prompt(items).dollars
+        single_dollars = engine.planner().single_prompt(items, GROUP_RECORDS).dollars
         spec = ResolveSpec(records=items, budget_dollars=single_dollars * 1.05)
         result = engine.resolve(spec)
         assert result.strategy == "single_prompt"  # the downgrade happened

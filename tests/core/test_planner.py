@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import planner as planner_module
 from repro.core.engine import DeclarativeEngine
 from repro.core.planner import CostEstimate, CostPlanner
 from repro.core.spec import PipelineSpec, PipelineStep, ResolveSpec, SortSpec
 from repro.data.flavors import FLAVORS
 from repro.exceptions import ConfigurationError
+from repro.llm.prompts import (
+    DUPLICATE_CHECK,
+    PAIRWISE_COMPARISON,
+    RATING,
+    RATING_BATCH,
+    SORT_LIST,
+    duplicate_check_prompt,
+)
 from repro.llm.registry import default_registry
 from repro.llm.simulated import SimulatedLLM
 from repro.data.flavors import CHOCOLATEY, flavor_oracle
@@ -24,37 +31,42 @@ class TestCostPlannerShapes:
     def test_empty_items_rejected(self):
         planner = CostPlanner("sim-gpt-3.5-turbo")
         with pytest.raises(ConfigurationError):
-            planner.single_prompt([])
+            planner.single_prompt([], SORT_LIST, CHOCOLATEY)
 
     def test_pairwise_calls_are_quadratic(self):
         planner = CostPlanner("sim-gpt-3.5-turbo")
         items = list(FLAVORS)
-        assert planner.pairwise(items).calls == len(items) * (len(items) - 1) // 2
-        assert planner.per_item(items).calls == len(items)
-        assert planner.single_prompt(items).calls == 1
+        assert planner.pairwise(items, PAIRWISE_COMPARISON, CHOCOLATEY).calls == (
+            len(items) * (len(items) - 1) // 2
+        )
+        assert planner.per_item(items, RATING, CHOCOLATEY).calls == len(items)
+        assert planner.single_prompt(items, SORT_LIST, CHOCOLATEY).calls == 1
 
     def test_batching_reduces_calls_and_prompt_tokens(self):
         planner = CostPlanner("sim-gpt-3.5-turbo")
         items = list(FLAVORS)
-        unbatched = planner.per_item(items, batch_size=1)
-        batched = planner.per_item(items, batch_size=5)
+        unbatched = planner.per_item(items, RATING, CHOCOLATEY, batch_size=1)
+        batched = planner.per_item(items, RATING_BATCH, CHOCOLATEY, batch_size=5)
         assert batched.calls < unbatched.calls
         assert batched.usage.prompt_tokens < unbatched.usage.prompt_tokens
 
     def test_invalid_parameters(self):
         planner = CostPlanner("sim-gpt-3.5-turbo")
+        items = list(FLAVORS)
         with pytest.raises(ConfigurationError):
-            planner.per_item(list(FLAVORS), batch_size=0)
+            planner.per_item(items, RATING_BATCH, CHOCOLATEY, batch_size=0)
         with pytest.raises(ConfigurationError):
-            planner.pairwise_against(list(FLAVORS), -1)
+            planner.per_item(items, RATING, CHOCOLATEY, batch_size=5)  # one item a prompt
+        with pytest.raises(ConfigurationError):
+            planner.pairwise_against(items, items, -1, PAIRWISE_COMPARISON, CHOCOLATEY)
 
     def test_cost_ordering_matches_strategy_granularity(self):
         planner = CostPlanner("sim-gpt-3.5-turbo")
         items = list(FLAVORS)
         assert (
-            planner.single_prompt(items).dollars
-            < planner.per_item(items).dollars
-            < planner.pairwise(items).dollars
+            planner.single_prompt(items, SORT_LIST, CHOCOLATEY).dollars
+            < planner.per_item(items, RATING, CHOCOLATEY).dollars
+            < planner.pairwise(items, PAIRWISE_COMPARISON, CHOCOLATEY).dollars
         )
 
 
@@ -74,10 +86,10 @@ class TestPhysicalPlannerSharesTokenCounts:
 
 class TestPlannerAgainstMeasuredCost:
     def test_estimates_are_within_a_factor_of_actual_usage(self):
-        """The planner's predictions should land in the right ballpark.
+        """The planner's predictions land on the measured prompt tokens.
 
-        It only has to be good enough to discard unaffordable strategies, so a
-        factor-of-three agreement with the measured token counts is plenty.
+        Prompt tokens are counted from the declared template, so they are
+        exact; completions come from the declared answer, within a factor.
         """
         planner = CostPlanner("sim-gpt-3.5-turbo", registry=default_registry())
         items = list(FLAVORS)
@@ -85,9 +97,10 @@ class TestPlannerAgainstMeasuredCost:
             SimulatedLLM(flavor_oracle(), seed=7), CHOCOLATEY, model="sim-gpt-3.5-turbo"
         )
         measured = operator.run(items, strategy="pairwise")
-        predicted = planner.pairwise(items)
+        predicted = planner.pairwise(items, PAIRWISE_COMPARISON, CHOCOLATEY)
         assert predicted.calls == measured.usage.calls
-        ratio = predicted.usage.prompt_tokens / measured.usage.prompt_tokens
+        assert predicted.usage.prompt_tokens == measured.usage.prompt_tokens
+        ratio = predicted.usage.completion_tokens / measured.usage.completion_tokens
         assert 1 / 3 <= ratio <= 3
 
 
@@ -115,15 +128,17 @@ _pairs = st.lists(st.tuples(_side, _side), min_size=1, max_size=20)
 def _concatenated_pair_estimate(
     planner: CostPlanner, pairs: list[tuple[object, object]], expansion: int
 ) -> CostEstimate:
-    """``pair_judgments`` as first written: tokenize each joined pair string."""
+    """``pair_judgments`` as first written: tokenize each joined pair string,
+    on top of the duplicate-check prompt rendered over two empty sides."""
     texts = [f"{left} {right}" for left, right in pairs]
     average = sum(planner.tokenizer.count(text) for text in texts) / len(texts)
     calls = len(pairs) * expansion
+    scaffold = planner.tokenizer.count(duplicate_check_prompt("", ""))
     return planner._estimate(
         "pair_judgments",
         calls,
-        calls * (planner_module._PROMPT_OVERHEAD_TOKENS + average),
-        calls * planner_module._SHORT_COMPLETION_TOKENS,
+        calls * (scaffold + average),
+        calls * planner.tokenizer.count(DUPLICATE_CHECK.answer),
     )
 
 
@@ -148,11 +163,11 @@ class TestCostPlannerProperties:
         planner = _planner()
         grown = items + extra
         shapes = [
-            lambda xs: planner.single_prompt(xs),
-            lambda xs: planner.per_item(xs),
-            lambda xs: planner.per_item(xs, batch_size=5),
-            lambda xs: planner.pairwise(xs),
-            lambda xs: planner.pairwise_against(xs, 3),
+            lambda xs: planner.single_prompt(xs, SORT_LIST, "weight"),
+            lambda xs: planner.per_item(xs, RATING, "weight"),
+            lambda xs: planner.per_item(xs, RATING_BATCH, "weight", batch_size=5),
+            lambda xs: planner.pairwise(xs, PAIRWISE_COMPARISON, "weight"),
+            lambda xs: planner.pairwise_against(xs, xs, 3, PAIRWISE_COMPARISON, "weight"),
         ]
         for shape in shapes:
             small, large = shape(items), shape(grown)
@@ -166,8 +181,8 @@ class TestCostPlannerProperties:
         planner = _planner()
         pairs = [(item, item[::-1]) for item in items]
         grown = pairs + [(item, item + "x") for item in extra]
-        small = planner.pair_judgments(pairs)
-        large = planner.pair_judgments(grown)
+        small = planner.pair_judgments(pairs, DUPLICATE_CHECK)
+        large = planner.pair_judgments(grown, DUPLICATE_CHECK)
         assert small.calls <= large.calls
         assert small.dollars <= large.dollars + 1e-12
 
@@ -178,15 +193,15 @@ class TestCostPlannerProperties:
     ):
         """Pricing sides additively is exact: calls, usage and dollars."""
         pairs = pairs * repeats  # repeated sides exercise the weighting
-        estimate = _planner().pair_judgments(pairs, expansion=expansion)
+        estimate = _planner().pair_judgments(pairs, DUPLICATE_CHECK, expansion=expansion)
         assert estimate == _concatenated_pair_estimate(_planner(), pairs, expansion)
 
     def test_pair_judgments_reject_empty_pairs_and_bad_expansion(self):
         planner = _planner()
         with pytest.raises(ConfigurationError):
-            planner.pair_judgments([])
+            planner.pair_judgments([], DUPLICATE_CHECK)
         with pytest.raises(ConfigurationError):
-            planner.pair_judgments([("a", "b")], expansion=0)
+            planner.pair_judgments([("a", "b")], DUPLICATE_CHECK, expansion=0)
 
     @given(
         items=st.lists(st.one_of(st.sampled_from(["tv", "tv", "a b c"]), _item), min_size=1, max_size=40),
@@ -198,8 +213,8 @@ class TestCostPlannerProperties:
         n = len(items)
         count = data.draw(st.integers(0, n * (n - 1) // 2 + 5), label="count")
         planner = _planner()
-        assert planner.blocked_pairs(items, count) == planner.pair_judgments(
-            _first_pairs(items, count)
+        assert planner.blocked_pairs(items, count, DUPLICATE_CHECK) == planner.pair_judgments(
+            _first_pairs(items, count), DUPLICATE_CHECK
         )
 
     @pytest.mark.parametrize(
@@ -217,13 +232,13 @@ class TestCostPlannerProperties:
         items = [f"item {index} " + "word " * (index % 4) for index in range(n)]
         items[-1] = items[0]  # a repeated string weighs twice
         planner = _planner()
-        blocked = planner.blocked_pairs(items, count)
-        assert blocked == planner.pair_judgments(_first_pairs(items, count))
+        blocked = planner.blocked_pairs(items, count, DUPLICATE_CHECK)
+        assert blocked == planner.pair_judgments(_first_pairs(items, count), DUPLICATE_CHECK)
         assert blocked.calls == max(1, min(count, n * (n - 1) // 2))
 
     def test_blocked_pairs_reject_empty_items(self):
         with pytest.raises(ConfigurationError):
-            _planner().blocked_pairs([], 3)
+            _planner().blocked_pairs([], 3, DUPLICATE_CHECK)
 
     @given(
         branches=st.lists(

@@ -16,26 +16,26 @@ from tests.query.support import MODEL, clean_engine, product_corpus
 
 OPTIMIZED_GOLDEN = """\
 Query plan: products (optimized)
-  s1_filter      16 calls  $0.002076  <- -
+  s1_filter      16 calls  $0.001780  <- -
               filter: is a short name
-  s2_resolve     28 calls  $0.003906  <- s1_filter
+  s2_resolve     28 calls  $0.004326  <- s1_filter
               resolve duplicates to one representative per entity
-  s3_top_k       28 calls  $0.003906  <- s2_resolve, s1_filter
+  s3_top_k       28 calls  $0.004760  <- s2_resolve, s1_filter
               top 3 by 'important'
-Estimated total: 72 calls, $0.009888
+Estimated total: 72 calls, $0.010866
 Budget cap: $0.050000
 Optimizer notes:
   - pushed filter 'is a short name' ahead of resolve"""
 
 NAIVE_GOLDEN = """\
 Query plan: products (naive)
-  s1_resolve    120 calls  $0.016740  <- -
+  s1_resolve    120 calls  $0.018540  <- -
               resolve duplicates to one representative per entity
-  s2_filter      16 calls  $0.002076  <- s1_resolve
+  s2_filter      16 calls  $0.001780  <- s1_resolve
               filter: is a short name
-  s3_top_k       28 calls  $0.003906  <- s2_filter
+  s3_top_k       28 calls  $0.004760  <- s2_filter
               top 3 by 'important'
-Estimated total: 164 calls, $0.022722
+Estimated total: 164 calls, $0.025080
 Budget cap: $0.050000"""
 
 
@@ -61,30 +61,30 @@ def test_naive_explain_matches_golden():
 def test_quote_totals_match_the_rendered_totals():
     quote = _query().quote(planner=CostPlanner(MODEL))
     assert quote.total_calls == 72
-    assert f"${quote.total_dollars:.6f}" == "$0.009888"
+    assert f"${quote.total_dollars:.6f}" == "$0.010866"
 
 
 # -- ISSUE 4: shared-prefix and observed-stats annotations -----------------------------
 
 SHARED_PREFIX_GOLDEN = """\
 Query plan: products (optimized)
-  s1_filter      6 calls  $0.000756  <- -
+  s1_filter      6 calls  $0.000645  <- -
              filter: is a short name
-  s2_join        9 calls  $0.001188  <- s1_filter
+  s2_join        9 calls  $0.001323  <- s1_filter
              semi-join against a second dataset
-Estimated total: 15 calls, $0.001944
+Estimated total: 15 calls, $0.001968
 Optimizer notes:
   - shared common filter subplan across branches (compiled once, dependents fan out)"""
 
 ADAPTIVE_GOLDEN = """\
 Query plan: products (optimized)
-  s1_filter      16 calls  $0.002076  ~0.0s  <- -
+  s1_filter      16 calls  $0.001780  ~0.0s  <- -
               filter: is a short name [selectivity prior 0.50 -> observed 0.50]
-  s2_resolve     28 calls  $0.003906  ~0.0s  <- s1_filter
+  s2_resolve     28 calls  $0.004302  ~0.0s  <- s1_filter
               resolve duplicates to one representative per entity [dedup survivors observed 0.50; call ratio observed 1.00]
-  s3_top_k        6 calls  $0.000837  ~0.0s  <- s2_resolve, s1_filter
+  s3_top_k        6 calls  $0.001020  ~0.0s  <- s2_resolve, s1_filter
               top 3 by 'important' [call ratio observed 1.00]
-Estimated total: 50 calls, $0.006819, ~0.0s
+Estimated total: 50 calls, $0.007102, ~0.0s
 Budget cap: $0.050000
 Optimizer notes:
   - pushed filter 'is a short name' ahead of resolve"""

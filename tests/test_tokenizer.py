@@ -378,6 +378,64 @@ class TestCountIsTheSumOverLines:
         assert len(simple._MEMOS[SimpleTokenizer().chunk_size]) < 16 + THREADS
 
 
+class _Label(str):
+    """A ``str`` subclass item: counted as its text."""
+
+
+_countable = st.one_of(
+    _multi_line_text(),
+    _line,
+    st.builds(_Label, _short_line),
+    st.integers(-10**9, 10**9),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+
+
+class TestCountsIsCountOverEachText:
+    @given(
+        texts=st.lists(_countable, max_size=20),
+        warm=st.lists(st.booleans(), max_size=20),
+        chunk_size=_chunk_size,
+    )
+    @settings(max_examples=300)
+    def test_counts_equal_count_over_each_text(self, texts, warm, chunk_size):
+        tokenizer = SimpleTokenizer(chunk_size=chunk_size)
+        tokenizer._cache.clear()
+        for text, seen in zip(texts, warm):  # some texts met before, some not
+            if seen:
+                tokenizer.count(str(text))
+        expected = [len(tokenizer.tokenize(str(text))) for text in texts]
+        assert tokenizer.counts(texts) == expected
+        assert tokenizer.counts(iter(texts)) == expected  # any iterable, memoized now
+        assert [tokenizer.count(str(text)) for text in texts] == expected
+
+    def test_a_memo_emptied_mid_call_keeps_the_counts(self, monkeypatch):
+        monkeypatch.setattr(simple, "_MEMO_MAX_ENTRIES", 3)
+        tokenizer = SimpleTokenizer()
+        memo = simple._MEMOS[tokenizer.chunk_size]
+        seen = ["left one", "right two"]
+        for text in seen:
+            tokenizer.count(text)
+        fresh = [f"new item number {index}" for index in range(5)]
+        texts = [seen[0], *fresh, seen[1], seen[0]]
+        expected = [len(tokenizer.tokenize(text)) for text in texts]
+        assert tokenizer.counts(texts) == expected
+        # The fallbacks filled the memo past its bound and emptied it on the way.
+        assert seen[0] not in memo and len(memo) <= 3
+
+    def test_one_pass_over_known_texts_enters_count_for_none(self):
+        tokenizer = _CountingTokenizer()
+        texts = ["espresso machine", "garden hose"]
+        first = tokenizer.counts(texts)
+        assert tokenizer.entered == 2
+        assert tokenizer.counts(texts) == first == [4, 3]
+        assert tokenizer.entered == 2  # all memoized: the pass never called count
+        # A value that is not a ``str`` is counted as its text, through count.
+        assert tokenizer.counts([42, ["a", "b"]]) == [1, 9]
+        assert tokenizer.entered == 4
+
+
 class TestUsage:
     def test_defaults_are_zero(self):
         usage = Usage()
