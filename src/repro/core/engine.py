@@ -246,9 +246,15 @@ class DeclarativeEngine:
         A quote priced from observed statistics is only as good as the
         observations that reached the store, so a session whose trace ring
         dropped records before flushing carries a warning note on every
-        subsequent quote.
+        subsequent quote.  With a store on the session, a static step whose
+        checkpoint it holds is priced at zero: the run will restore it.
         """
-        quote = self.planner().quote_pipeline(pipeline)
+        return self._quote(pipeline, self.session.store)
+
+    def _quote(self, pipeline: PipelineSpec, store: "Store | None") -> PipelineQuote:
+        """:meth:`quote_pipeline` against the run's ``store``: a step it will
+        restore is priced at zero, and each static step's key rides the quote."""
+        quote = self.planner().quote_pipeline(pipeline, store=store)
         note = self._dropped_records_note()
         if note is not None:
             quote = replace(quote, notes=quote.notes + (note,))
@@ -349,16 +355,16 @@ class DeclarativeEngine:
         the driver — then restored flags, observability and the profile.
         """
         workflow = Workflow.from_pipeline(pipeline)
-        if quote is None:
-            quote = self.quote_pipeline(pipeline)
         if store is None:
             store = self.session.store
+        if quote is None:
+            quote = self._quote(pipeline, store)
         restored: set[str] = set()
 
         def spec_runner(
             step: PipelineStep, inputs: Mapping[str, Any], lease: BudgetLease | None
         ) -> Any:
-            return self._run_step(store, restored, step, inputs, lease)
+            return self._run_step(store, quote, restored, step, inputs, lease)
 
         observer = on_step
         if on_step is not None:
@@ -461,6 +467,7 @@ class DeclarativeEngine:
     def _run_step(
         self,
         store: "Store | None",
+        quote: PipelineQuote,
         restored: set[str],
         step: PipelineStep,
         inputs: Mapping[str, Any],
@@ -473,16 +480,23 @@ class DeclarativeEngine:
         content-addresses the step's resolved inputs; a hit restores the
         stored result before any strategy resolution happens —
         validation-driven ``auto`` steps therefore skip even their
-        labelled-sample candidate runs on resume.  Specs that cannot be
-        fingerprinted or results without a codec simply bypass the store
-        (re-running is always correct).
+        labelled-sample candidate runs on resume.  A static step takes the
+        key the run's quote computed for it (:meth:`PipelineQuote.key_for`);
+        only a factory-built spec is fingerprinted here.
+        Specs that cannot be fingerprinted or results without a codec simply
+        bypass the store (re-running is always correct).
         """
         with trace_label(step=step.name):
             task = self._materialize_step_task(step, inputs)
             fingerprint = None
             if store is not None:
-                with suppress(StoreError):
-                    fingerprint = fingerprint_spec(task, model=self.physical.planner_model())
+                model = self.physical.planner_model()
+                key = quote.key_for(step.name, task, model)
+                if key is not None:
+                    fingerprint = key.fingerprint
+                else:
+                    with suppress(StoreError):
+                        fingerprint = fingerprint_spec(task, model=model)
             if fingerprint is None:
                 return self.run_spec(task, budget=lease)
             try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sqlite3
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -28,9 +29,10 @@ from typing import Mapping, Sequence
 from repro.core.declarations import declaration_for, default_strategy
 from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
-from repro.exceptions import ConfigurationError, SpecError
+from repro.exceptions import ConfigurationError, SpecError, StoreError
 from repro.llm.prompts import TaskTemplate
 from repro.llm.registry import ModelRegistry, default_registry
+from repro.store.fingerprint import fingerprint_spec
 from repro.tokenizer.cost import Usage
 from repro.tokenizer.simple import SimpleTokenizer
 
@@ -133,6 +135,25 @@ def _finish_time(
 
 
 @dataclass(frozen=True)
+class StepKey:
+    """A static step's checkpoint key, as a quote against a store computed it.
+
+    Attributes:
+        task: the spec the key was computed over.
+        model: the model it was keyed to.
+        fingerprint: ``fingerprint_spec(task, model=model)``, or ``None``
+            when the spec cannot be fingerprinted.
+        restored: the strategy of the checkpoint the store held under it at
+            quote time, or ``None`` when it held none.
+    """
+
+    task: TaskSpec
+    model: str
+    fingerprint: str | None
+    restored: str | None = None
+
+
+@dataclass(frozen=True)
 class PipelineQuote:
     """Pre-flight quote for a whole pipeline, reported per step.
 
@@ -153,6 +174,24 @@ class PipelineQuote:
     #: When present, :attr:`total_seconds` is the critical path over this
     #: DAG rather than the sum — independent branches overlap in time.
     dependencies: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    #: Static step name → its checkpoint key, when the quote was told the
+    #: run's store.  Runtime-only (no wire form): the run reuses a key for
+    #: the very spec object and model it was computed over, so each static
+    #: step is fingerprinted once per run.
+    keys: Mapping[str, StepKey] = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def restored_steps(self) -> tuple[str, ...]:
+        """Static steps priced as restored from the store's checkpoints."""
+        return tuple(name for name, key in self.keys.items() if key.restored is not None)
+
+    def key_for(self, name: str, task: TaskSpec, model: str) -> StepKey | None:
+        """The key this quote computed for step ``name``, if it was computed
+        over ``task`` itself for ``model``."""
+        key = self.keys.get(name)
+        if key is None or key.task is not task or key.model != model:
+            return None
+        return key
 
     @property
     def total_calls(self) -> int:
@@ -713,6 +752,8 @@ class CostPlanner:
         self,
         pipeline: PipelineSpec,
         estimates: Mapping[str, CostEstimate] | None = None,
+        *,
+        store: object | None = None,
     ) -> PipelineQuote:
         """Quote a whole pipeline before running it (the one quote assembler).
 
@@ -728,17 +769,34 @@ class CostPlanner:
         ``estimates`` maps such a step's name to an estimate computed over
         *expected* inputs (the query compiler sizes factory steps from
         selectivities), which the quote carries as given.
+
+        With the run's ``store`` (a :class:`~repro.store.Store` or a
+        namespace of one), every static step is fingerprinted as the run
+        will key its checkpoint, one statement finds the checkpoints the
+        store holds, and each step it will restore is priced at zero calls
+        and dollars under the checkpoint's strategy, without estimating or
+        probing its prompts.  The keys ride the quote into the run.
         """
         pipeline.validate()
         priced = estimates or {}
+        keys = self._checkpoint_keys(pipeline, store) if store is not None else {}
         steps: dict[str, CostEstimate] = {}
         unquoted: list[str] = []
         dependencies: dict[str, tuple[str, ...]] = {}
         known_hits = 0
         known_probed = 0
+        restored = 0
         for step in pipeline.steps:
             dependencies[step.name] = tuple(step.depends_on)
             if isinstance(step.task, TaskSpec):
+                key = keys.get(step.name)
+                if key is not None and key.restored is not None:
+                    operation = declaration_for(step.task).operation
+                    steps[step.name] = CostEstimate(
+                        f"{operation}:{key.restored}", 0, Usage(), 0.0, 0.0
+                    )
+                    restored += 1
+                    continue
                 steps[step.name] = self.estimate_spec(step.task)
                 hits, probed = steps[step.name].known_cached
                 known_hits += hits
@@ -748,6 +806,11 @@ class CostPlanner:
             else:
                 unquoted.append(step.name)
         notes: list[str] = []
+        if restored:
+            notes.append(
+                f"{restored} of {len(keys)} static steps restored from checkpoints, "
+                "priced at zero"
+            )
         if known_hits:
             notes.append(
                 f"persistent cache: {known_hits} of {known_probed} statically-known "
@@ -762,4 +825,32 @@ class CostPlanner:
             unquoted=tuple(unquoted),
             notes=tuple(notes),
             dependencies=dependencies,
+            keys=keys,
         )
+
+    def _checkpoint_keys(self, pipeline: PipelineSpec, store: object) -> dict[str, StepKey]:
+        """Each static step's checkpoint key, marked when ``store`` holds it.
+
+        The key is the run's own (``fingerprint_spec`` on this planner's
+        model); the lookup is one statement.  A store that fails to answer
+        marks nothing: the run's own load decides.
+        """
+        model = self.spec.name
+        fingerprints: dict[str, tuple[TaskSpec, str | None]] = {}
+        for step in pipeline.steps:
+            if isinstance(step.task, TaskSpec):
+                try:
+                    fingerprint = fingerprint_spec(step.task, model=model)
+                except StoreError:
+                    fingerprint = None
+                fingerprints[step.name] = (step.task, fingerprint)
+        try:
+            held = store.checkpoint_strategies(  # type: ignore[attr-defined]
+                [fingerprint for _, fingerprint in fingerprints.values() if fingerprint]
+            )
+        except (sqlite3.Error, StoreError):
+            held = {}
+        return {
+            name: StepKey(task, model, fingerprint, held.get(fingerprint))
+            for name, (task, fingerprint) in fingerprints.items()
+        }

@@ -23,6 +23,8 @@
   it estimates for the run-time factory steps, priced over *estimated* item
   lists (filters shrink downstream cardinality by their declared
   selectivity), so ``.explain()`` can show per-step quotes for those too.
+  With a store, a static step the store will restore from its checkpoint
+  is quoted at zero and marked ``(restored)``.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def compile_plan(
         budget_dollars=budget_dollars,
         description="compiled from a fluent Dataset query",
     )
-    quote = planner.quote_pipeline(spec, estimates)
+    quote = planner.quote_pipeline(spec, estimates, store=store)
     compiled_steps = [
         dataclass_replace(step, estimate=quote.steps.get(step.name))
         for step in compiled_steps

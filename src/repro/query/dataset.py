@@ -575,6 +575,7 @@ def render_explain(compiled: CompiledQuery, *, optimized: bool = True) -> str:
     mode = "optimized" if optimized else "naive"
     lines = [f"Query plan: {compiled.plan.name} ({mode})"]
     name_width = max((len(step.name) for step in compiled.steps), default=4)
+    restored = compiled.quote.restored_steps
     for step in compiled.steps:
         depends = ", ".join(step.depends_on) if step.depends_on else "-"
         if step.estimate is None:
@@ -583,6 +584,8 @@ def render_explain(compiled: CompiledQuery, *, optimized: bool = True) -> str:
             cost = f"{step.estimate.calls:>5} calls  ${step.estimate.dollars:.6f}"
             if step.estimate.seconds is not None:
                 cost += f"  ~{step.estimate.seconds:.1f}s"
+            if step.name in restored:
+                cost += "  (restored)"
         lines.append(f"  {step.name:<{name_width}}  {cost}  <- {depends}")
         lines.append(f"  {'':<{name_width}}  {step.description}")
     quote = compiled.quote

@@ -108,6 +108,11 @@ class StoreNamespace:
     def load_checkpoint(self, fingerprint: str) -> "OperatorResult | None":
         return self.store.load_checkpoint(self._scoped(fingerprint))
 
+    def checkpoint_strategies(self, fingerprints: list[str]) -> dict[str, str]:
+        cut = len(self._scoped(""))
+        held = self.store.checkpoint_strategies([self._scoped(f) for f in fingerprints])
+        return {fingerprint[cut:]: strategy for fingerprint, strategy in held.items()}
+
     def embedding_cache(self):
         """The shared embedding cache — deliberately *not* namespaced.
 

@@ -340,6 +340,19 @@ class Store:
         result.metadata["checkpoint_hit"] = True
         return result
 
+    def checkpoint_strategies(self, fingerprints: list[str]) -> dict[str, str]:
+        """Fingerprint → executed strategy of the stored checkpoints among
+        ``fingerprints``, in one ``SELECT`` (a quote's view of what a run
+        will restore; it decodes no payload and stamps no recency)."""
+        if not fingerprints:
+            return {}
+        marks = ",".join("?" * len(fingerprints))
+        rows = self.db.execute(
+            f"SELECT fingerprint, strategy FROM checkpoints WHERE fingerprint IN ({marks})",
+            fingerprints,
+        )
+        return dict(rows)
+
     def checkpoint_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM checkpoints")[0][0])
 

@@ -118,10 +118,33 @@ class TestCacheAwareQuotes:
             query.run(session)
 
             # A brand-new process (fresh planner, fresh session) re-quotes:
-            # every statically-known prompt is already in the durable cache.
+            # the run checkpointed the filter, so the store will restore it.
             quote = query.with_store(store).quote()
             assert quote.total_dollars == 0.0
-            assert any("persistent cache" in note for note in quote.notes)
+            assert quote.notes == (
+                "1 of 1 static steps restored from checkpoints, priced at zero",
+            )
+
+    def test_fresh_session_quotes_cached_prompts_at_zero(self, tmp_path):
+        """Prompts paid outside a pipeline (no checkpoint) are probed and free."""
+        from repro.llm.prompts import predicate_check_prompt
+
+        items, oracle = product_corpus(4, 1)
+        query = Dataset(items, name="p").filter("keeps everything")
+        with Store(tmp_path / "store.db") as store:
+            client = SimulatedLLM(oracle, seed=11, behavior=clean_behavior())
+            session = PromptSession(client, store=store)
+            session.complete_batch(
+                [predicate_check_prompt(item, "keeps everything") for item in items]
+            )
+            assert store.checkpoint_count() == 0
+
+            quote = query.with_store(store).quote()
+            assert quote.total_dollars == 0.0
+            assert quote.notes == (
+                f"persistent cache: {len(items)} of {len(items)} statically-known "
+                "calls already cached (priced at zero)",
+            )
 
     def test_quote_without_history_is_not_discounted(self, tmp_path):
         items, _ = product_corpus(4, 1)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
+from repro.core.spec import PipelineSpec, PipelineStep, SortSpec, TopKSpec
 from repro.exceptions import ConfigurationError
 from repro.service import AdmissionController, TenantConfig, TenantRegistry
+from repro.store import Store
 
 from _service_helpers import CRITERION, MODEL, WORDS, demo_pipeline, make_client
 
@@ -102,6 +103,48 @@ class TestAdmission:
         )
         assert decision.admitted
         assert returned is quote
+
+
+    def test_a_resubmitted_pipeline_is_admitted_for_what_its_checkpoints_hold(
+        self, tmp_path
+    ):
+        """A finished tournament is restored, not re-bought: its quote is $0.
+
+        A ``pairwise_tournament`` step declares no static prompts, so no
+        cache probe can discount it; only its checkpoint can.
+        """
+        pipeline = PipelineSpec(
+            name="tournament",
+            steps=[
+                PipelineStep(
+                    name="top",
+                    task=TopKSpec(
+                        items=WORDS, criterion=CRITERION, k=2, strategy="pairwise_tournament"
+                    ),
+                )
+            ],
+        )
+        client = make_client()
+        config = TenantConfig(
+            tenant_id="acme", api_key="key-acme", default_model=MODEL, budget_dollars=1.0
+        )
+        with Store(tmp_path / "store.db") as store:
+            tenant = TenantRegistry(client, [config], store=store).get("acme")
+            price = tenant.engine.planner().quote_pipeline(pipeline).total_dollars
+            assert price > 0
+            tenant.engine.run_pipeline(pipeline)
+            paid = client.calls
+            assert paid > 0
+            budget = tenant.session.budget
+            budget.charge(budget.remaining - price / 2)
+            assert budget.remaining < price
+
+            decision, quote = AdmissionController().review(tenant, pipeline, active_jobs=0)
+            assert decision.status_code == 202 and decision.admitted
+            assert (quote.total_calls, quote.total_dollars) == (0, 0.0)
+            report = tenant.engine.run_pipeline(pipeline, quote=quote)
+        assert report.restored_steps == ["top"]
+        assert client.calls == paid
 
 
 class TestTenantConfigValidation:
