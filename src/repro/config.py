@@ -32,7 +32,7 @@ class ReproConfig:
         temperature: Sampling temperature; the paper sets 0 for all case studies.
         chat_model: Default chat model for unit tasks.
         long_context_model: Default model for long single-prompt tasks.
-        cheap_model: Default low-cost model used by cascades.
+        cheap_model: Default low-cost model.
         embedding_model: Default embedding model for blocking / k-NN neighbors.
         max_retries: How often a failed/ill-formed response is retried.
         extras: Free-form per-experiment overrides.

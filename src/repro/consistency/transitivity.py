@@ -13,7 +13,7 @@ with every ``import repro``.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 
 class _Adjacency:
@@ -69,7 +69,8 @@ class MatchGraph:
 
     Nodes are record identifiers (any hashable); an edge means some task
     judged the two records duplicates.  Non-match judgments are tracked
-    separately so that evidence-based repair can reason about both kinds.
+    separately so that :meth:`conflicts` can name the ones the closure
+    contradicts.
     """
 
     def __init__(self) -> None:
@@ -132,21 +133,3 @@ class MatchGraph:
         """
         closure = self.transitive_matches()
         return [pair for pair in self._non_matches if pair in closure]
-
-
-def connected_components(edges: Iterable[tuple[Hashable, Hashable]]) -> list[set[Hashable]]:
-    """Connected components of an undirected edge list."""
-    graph = _Adjacency()
-    for left, right in edges:
-        graph.add_edge(left, right)
-    return graph.components()
-
-
-def transitive_closure_pairs(
-    edges: Iterable[tuple[Hashable, Hashable]]
-) -> set[frozenset[Hashable]]:
-    """All unordered pairs connected by paths through ``edges``."""
-    graph = MatchGraph()
-    for left, right in edges:
-        graph.add_match(left, right)
-    return graph.transitive_matches()

@@ -4,15 +4,14 @@ The paper's case studies call commercial LLM APIs (gpt-3.5-turbo, Claude,
 Claude 2, text-embedding-ada-002).  This package provides a drop-in simulated
 substrate with the same surface: a text-in / text-out client with per-token
 pricing, context-length limits, temperature, a model registry, a response
-cache, a usage tracker, a cheap-to-expensive cascade router, and a
-deterministic embedding model.  The simulator reproduces the *error structure*
-the paper documents (comparison mistakes, drops/hallucinations on long
-prompts, low-recall duplicate judgments, formatting variants in imputed
-values), which is what all of the paper's techniques operate on.
+cache, a usage tracker, a retrying wrapper, and a deterministic embedding
+model.  The simulator reproduces the *error structure* the paper documents
+(comparison mistakes, drops/hallucinations on long prompts, low-recall
+duplicate judgments, formatting variants in imputed values), which is what
+all of the paper's techniques operate on.
 """
 
 from repro.llm.base import (
-    ChatMessage,
     LLMClient,
     LLMResponse,
     call_acomplete,
@@ -27,16 +26,12 @@ from repro.llm.embeddings import HashingEmbedder
 from repro.llm.oracle import Oracle
 from repro.llm.registry import ModelRegistry, ModelSpec, default_registry
 from repro.llm.retry import RetryingClient
-from repro.llm.router import CascadeRouter, EnsembleClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import UsageTracker
 
 __all__ = [
     "BehaviorConfig",
     "CachedClient",
-    "CascadeRouter",
-    "ChatMessage",
-    "EnsembleClient",
     "HashingEmbedder",
     "LLMClient",
     "LLMResponse",

@@ -1,8 +1,8 @@
 """Client protocol, response types, and the one execution core behind them.
 
 Every LLM-facing component in the library talks to the :class:`LLMClient`
-protocol rather than a concrete class, so the simulated client, the caching
-wrapper, the cascade router and the ensemble client are all interchangeable.
+protocol rather than a concrete class, so the simulated client and the
+caching, tracking and retrying wrappers are all interchangeable.
 
 The protocol has four entry points (``complete``, ``complete_batch`` and
 their awaitable forms) but every decision behind them is written once:
@@ -18,10 +18,10 @@ their awaitable forms) but every decision behind them is written once:
   (driven by :func:`adrive`, which awaits it).
 
 A generator rather than a never-suspending coroutine: what a body asks for
-is a plain object (:class:`Call`, :class:`Gather`, :class:`Invoke`) that a
-test can inspect and either driver can perform, failures of an inner call
-arrive in the body through ``throw`` like any exception, bodies compose with
-``yield from``, and nothing has to pretend to be awaitable on the sync path.
+is a plain object (:class:`Call`, :class:`Invoke`) that a test can inspect
+and either driver can perform, failures of an inner call arrive in the body
+through ``throw`` like any exception, bodies compose with ``yield from``, and
+nothing has to pretend to be awaitable on the sync path.
 """
 
 from __future__ import annotations
@@ -30,24 +30,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Protocol, Sequence, runtime_checkable
 
-from repro.exceptions import SpecError
 from repro.tokenizer.cost import Usage
-
-
-@dataclass(frozen=True)
-class ChatMessage:
-    """A single chat message (role + content).
-
-    The simulator only inspects the concatenated content, but keeping the chat
-    structure makes the client surface match real chat-completion APIs.
-    """
-
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
-        if self.role not in {"system", "user", "assistant"}:
-            raise SpecError(f"unsupported chat role: {self.role!r}")
 
 
 @dataclass
@@ -234,8 +217,8 @@ def carry_answered(
     and that each layer on the way up settles as it would a success.  The
     carrier is keyed to the ``prompts`` list itself, so a layer finds it
     only for the list it sent down (:func:`answered_prefix`): a wrapper that
-    asks its inner client other prompts (a cascade's tiers, an ensemble's
-    members) cannot pass a prefix on for its own, it drops it.
+    asks its inner client other prompts (a cache its misses) carries a prefix
+    of its own list again, or the answered calls are lost.
     """
     error._repro_answered = (prompts, responses)  # type: ignore[attr-defined]
 
@@ -368,24 +351,6 @@ class Call:
         if self.single:
             return [await call_acomplete(self.client, self.prompts[0], **self.params)]
         return await call_acomplete_batch(self.client, self.prompts, **self.params)
-
-
-class Gather:
-    """Independent requests: made in order by :func:`drive`, concurrently by :func:`adrive`.
-
-    The result is the list of their results, in request order either way.
-    """
-
-    __slots__ = ("requests",)
-
-    def __init__(self, requests: Sequence[Any]) -> None:
-        self.requests = requests
-
-    def run(self) -> list[Any]:
-        return [request.run() for request in self.requests]
-
-    async def arun(self) -> list[Any]:
-        return list(await asyncio.gather(*(request.arun() for request in self.requests)))
 
 
 class Invoke:

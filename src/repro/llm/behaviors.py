@@ -81,9 +81,6 @@ class BehaviorConfig:
     # Categorization into a fixed label set.
     categorize_error: float = 0.10
 
-    # Verification (quality control follow-up question).
-    verification_agreement: float = 0.85
-
 
 def quality_multiplier(quality: float) -> float:
     """How much a model's quality tier scales its error rates.
@@ -474,26 +471,6 @@ def estimate_count(
     return f"Approximately {estimate} of the items satisfy the condition.", 0.6
 
 
-def verify_answer(
-    task: StructuredPrompt,
-    oracle: Oracle,
-    rng: random.Random,
-    quality: float,
-    config: BehaviorConfig,
-) -> tuple[str, float]:
-    """Verification follow-up: agree with the proposed answer most of the time.
-
-    The simulator has no grounding for arbitrary verification questions, so it
-    models a verifier that independently agrees with a fixed probability —
-    enough to exercise the quality-control plumbing without pretending to add
-    information it does not have.
-    """
-    multiplier = quality_multiplier(quality)
-    p_agree = max(0.5, min(0.99, config.verification_agreement / multiplier))
-    agrees = _decide(rng, p_agree)
-    return ("Yes, the proposed answer looks correct." if agrees else "No, it looks wrong."), p_agree
-
-
 #: Dispatch table from task kind to behaviour function.
 BEHAVIORS = {
     "pairwise_comparison": pairwise_comparison,
@@ -505,5 +482,4 @@ BEHAVIORS = {
     "predicate_check": predicate_check,
     "estimate_count": estimate_count,
     "categorize": categorize,
-    "verify_answer": verify_answer,
 }

@@ -12,48 +12,10 @@ two never drift apart.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import ResponseParseError
-
-
-class PromptTemplate:
-    """A named prompt template with ``{placeholder}`` substitution.
-
-    Few-shot examples can be attached; they are rendered above the task body
-    in the conventional ``Input:`` / ``Output:`` layout used by the paper's
-    imputation case study.
-    """
-
-    def __init__(self, template: str, *, name: str = "template") -> None:
-        self.name = name
-        self.template = template
-        self._fields = {
-            field_name
-            for _, field_name, _, _ in string.Formatter().parse(template)
-            if field_name
-        }
-
-    @property
-    def fields(self) -> set[str]:
-        """Placeholder names that must be supplied to :meth:`render`."""
-        return set(self._fields)
-
-    def render(self, *, examples: Iterable[Mapping[str, str]] | None = None, **values: str) -> str:
-        """Render the template with ``values`` and optional few-shot examples."""
-        missing = self._fields - set(values)
-        if missing:
-            raise KeyError(f"missing template fields: {sorted(missing)}")
-        body = self.template.format(**values)
-        if not examples:
-            return body
-        example_lines = []
-        for example in examples:
-            example_lines.append(f"Input: {example['input']}")
-            example_lines.append(f"Output: {example['output']}")
-        return "Here are some examples:\n" + "\n".join(example_lines) + "\n\n" + body
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +252,6 @@ def estimate_count_prompt(items: Iterable[str], predicate: str) -> str:
         instructions=(
             f"Estimate how many of the items above satisfy the condition '{predicate}'. "
             "Answer with a single integer."
-        ),
-    )
-
-
-def verify_answer_prompt(question: str, proposed_answer: str) -> str:
-    """Follow-up verification task (Section 3.5 quality control)."""
-    return build_structured_prompt(
-        "verify_answer",
-        fields={"question": question},
-        items=[proposed_answer],
-        instructions=(
-            "Is the proposed answer above correct for the question? "
-            "Start your response with Yes or No."
         ),
     )
 

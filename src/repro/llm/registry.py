@@ -3,8 +3,9 @@
 The registry plays the role of the provider catalogue: operators ask it which
 models exist, what their context windows are, and what they cost.  The default
 registry contains simulated analogues of the models used in the paper plus a
-cheap small model and an expensive high-quality model so that the cascade
-router (Section 3.4 / FrugalGPT-style) has a meaningful cost spread to exploit.
+cheap small model and an expensive high-quality model so that the planner's
+cost comparisons (an ensemble's cheapest voters, for one) have a meaningful
+cost spread to exploit.
 """
 
 from __future__ import annotations

@@ -1,31 +1,20 @@
 """Quality control for LLM answers (paper Section 3.5).
 
 Techniques drawn from the crowdsourcing literature for estimating and
-improving the accuracy of noisy oracles: validation-set accuracy estimation,
-expectation-maximization across multiple LLMs (Dawid–Skene), majority voting
-and self-consistency sampling, answer verification follow-ups, and confidence
-calibration.
+improving the accuracy of noisy oracles: validation-set accuracy estimation
+and majority / weighted voting.  The declared forms — the filter and
+categorize ``ensemble_vote`` strategies and categorize's ``self_consistency``
+— vote through :mod:`repro.quality.voting`.
 """
 
-from repro.quality.calibration import CalibrationReport, calibration_report, expected_calibration_error
-from repro.quality.dawid_skene import DawidSkeneResult, dawid_skene
 from repro.quality.validation import AccuracyEstimate, estimate_accuracy, wilson_interval
-from repro.quality.verification import VerificationResult, verify_response
-from repro.quality.voting import VoteResult, majority_vote, self_consistency_vote, weighted_vote
+from repro.quality.voting import VoteResult, majority_vote, weighted_vote
 
 __all__ = [
     "AccuracyEstimate",
-    "CalibrationReport",
-    "DawidSkeneResult",
-    "VerificationResult",
     "VoteResult",
-    "calibration_report",
-    "dawid_skene",
     "estimate_accuracy",
-    "expected_calibration_error",
     "majority_vote",
-    "self_consistency_vote",
-    "verify_response",
     "weighted_vote",
     "wilson_interval",
 ]

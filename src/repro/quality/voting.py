@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from repro.exceptions import QualityControlError
-from repro.llm.base import LLMClient
 
 
 @dataclass
@@ -61,33 +60,3 @@ def weighted_vote(votes: Mapping[Hashable, Hashable], weights: Mapping[Hashable,
     total = sum(mass.values())
     winner = max(mass, key=mass.get)
     return VoteResult(winner=winner, support=mass[winner] / total if total else 0.0, counts=mass)
-
-
-def self_consistency_vote(
-    client: LLMClient,
-    prompt: str,
-    *,
-    extract: Callable[[str], Hashable],
-    n_samples: int = 5,
-    model: str | None = None,
-    temperature: float = 0.7,
-) -> VoteResult:
-    """Sample the same prompt several times and majority-vote the answers.
-
-    This is the self-consistency technique the paper cites for reasoning
-    tasks: multiple reasoning paths are drawn at non-zero temperature and the
-    final answer is the mode.  Samples whose answer cannot be extracted are
-    skipped; if none can be extracted a ``QualityControlError`` is raised.
-    """
-    if n_samples < 1:
-        raise QualityControlError("need at least one sample")
-    answers = []
-    for _ in range(n_samples):
-        response = client.complete(prompt, model=model, temperature=temperature)
-        try:
-            answers.append(extract(response.text))
-        except Exception:  # noqa: BLE001 - any extraction failure just skips the sample
-            continue
-    if not answers:
-        raise QualityControlError("no sample produced an extractable answer")
-    return majority_vote(answers)

@@ -360,12 +360,6 @@ class StoreDB:
                 if self._depth == 0:
                     self._written = None
 
-    def transaction(self, statements: Iterable[tuple[str, Iterable[Any]]]) -> None:
-        """Run several statements atomically (one immediate transaction)."""
-        with self.atomic():
-            for sql, parameters in statements:
-                self._conn.execute(sql, tuple(parameters))
-
     def next_seq(self) -> int:
         """A monotonically increasing ordinal (LRU ordering without clocks).
 

@@ -1,17 +1,14 @@
-"""Tests for transitivity, graph repair, and ranking repair."""
+"""Tests for transitivity and ranking repair."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.consistency.graph_repair import repair_with_evidence
 from repro.consistency.ranking_repair import (
     alignment_insert_position,
     best_consistent_order,
     count_inversions,
     minimum_feedback_edges,
 )
-from repro.consistency.transitivity import MatchGraph, connected_components, transitive_closure_pairs
+from repro.consistency.transitivity import MatchGraph
 
 
 class TestMatchGraph:
@@ -62,57 +59,22 @@ class TestMatchGraph:
         assert len(closure) == 6  # C(4, 2)
 
 
-class TestModuleHelpers:
+class TestFromAnEdgeList:
+    @staticmethod
+    def graph(edges) -> MatchGraph:
+        graph = MatchGraph()
+        for left, right in edges:
+            graph.add_match(left, right)
+        return graph
+
     def test_connected_components(self):
-        components = connected_components([("a", "b"), ("c", "d"), ("b", "e")])
+        components = self.graph([("a", "b"), ("c", "d"), ("b", "e")]).components()
         assert {"a", "b", "e"} in components
         assert {"c", "d"} in components
 
     def test_transitive_closure_pairs(self):
-        closure = transitive_closure_pairs([("a", "b"), ("b", "c")])
+        closure = self.graph([("a", "b"), ("b", "c")]).transitive_matches()
         assert frozenset(("a", "c")) in closure
-
-
-class TestEvidenceRepair:
-    def _graph(self) -> MatchGraph:
-        graph = MatchGraph()
-        graph.add_match("a", "b")
-        graph.add_match("b", "c")
-        graph.add_non_match("a", "c")  # contradicted by transitivity
-        graph.add_non_match("a", "d")  # genuinely different
-        graph.add_node("d")
-        return graph
-
-    def test_no_edges_flipped_to_match(self):
-        result = repair_with_evidence(self._graph())
-        assert frozenset(("a", "c")) in result.flipped_to_match
-        assert frozenset(("a", "c")) in result.matches
-        assert frozenset(("a", "d")) not in result.matches
-
-    def test_yes_flip_disabled_by_default(self):
-        graph = MatchGraph()
-        graph.add_match("a", "b")
-        graph.add_non_match("a", "b")
-        result = repair_with_evidence(graph)
-        assert frozenset(("a", "b")) in result.matches
-        assert not result.flipped_to_non_match
-
-    def test_yes_flip_demotes_unsupported_edges(self):
-        graph = MatchGraph()
-        graph.add_match("a", "b")
-        graph.add_non_match("a", "b")  # conflicting evidence, no common neighbors
-        result = repair_with_evidence(graph, flip_yes=True)
-        assert frozenset(("a", "b")) not in result.matches
-        assert frozenset(("a", "b")) in result.flipped_to_non_match
-
-    def test_supported_yes_edge_survives_yes_flip(self):
-        graph = MatchGraph()
-        graph.add_match("a", "b")
-        graph.add_match("a", "c")
-        graph.add_match("b", "c")
-        graph.add_non_match("a", "b")
-        result = repair_with_evidence(graph, flip_yes=True, flip_yes_threshold=1)
-        assert frozenset(("a", "b")) in result.matches
 
 
 class TestAlignmentInsertion:

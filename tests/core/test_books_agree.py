@@ -22,7 +22,6 @@ from repro.core import executor as executor_module
 from repro.core.session import PromptSession
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
-from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
 from repro.obs import trace_label
 from tests.doubles import FailingOn, call, executor_for, rating_prompts, simulated_client
 
@@ -143,11 +142,9 @@ class TestAWrapperThatCannotMapThePrefixDropsIt:
     @pytest.mark.parametrize(
         "wrap",
         [
-            lambda inner: CascadeRouter([CascadeTier(MODEL, inner)]),
-            lambda inner: EnsembleClient([CascadeTier(MODEL, inner)]),
             lambda inner: RetryingClient(inner, validator=lambda text: True),
         ],
-        ids=["cascade", "ensemble", "retry"],
+        ids=["retry"],
     )
     @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
     def test_a_cache_above_it_caches_nothing_and_the_session_settles_nothing(

@@ -207,24 +207,6 @@ def record_call(spans: SpanTracker, *, model: str = "m", **fields: Any) -> Trace
     return TraceRecord.from_span(span)
 
 
-class ConfidenceClient:
-    """Returns a fixed confidence so cascade escalation is deterministic."""
-
-    def __init__(self, name: str, confidence: float) -> None:
-        self.name = name
-        self.confidence = confidence
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        self.calls += 1
-        return LLMResponse(
-            text=f"{self.name}:{prompt}",
-            model=model or self.name,
-            usage=Usage(1, 1, 1),
-            confidence=self.confidence,
-        )
-
-
 # -- inner-client shapes ----------------------------------------------------------
 
 #: What a third-party client may implement of the protocol.

@@ -1,12 +1,12 @@
 """Async-vs-sync equivalence for every client wrapper (`repro.llm.*`).
 
 Each wrapper in the stack — :class:`SimulatedLLM`, :class:`CachedClient`,
-:class:`TrackedClient`, :class:`RetryingClient`, :class:`CascadeRouter`,
-:class:`EnsembleClient` — gained native ``acomplete`` / ``acomplete_batch``
-methods.  At temperature 0 those must be element-wise identical to the sync
-path (text, usage, metadata, and side effects such as cache stats and
-tracker totals), for single calls and batches alike; sync-only clients keep
-working through the :func:`~repro.llm.base.call_acomplete` bridge.
+:class:`TrackedClient`, :class:`RetryingClient` — gained native ``acomplete``
+/ ``acomplete_batch`` methods.  At temperature 0 those must be element-wise
+identical to the sync path (text, usage, metadata, and side effects such as
+cache stats and tracker totals), for single calls and batches alike; sync-only
+clients keep working through the :func:`~repro.llm.base.call_acomplete`
+bridge.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from repro.llm.base import (
 )
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
-from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
 from repro.llm.tracker import TrackedClient, UsageTracker
-from tests.doubles import ConfidenceClient, EchoClient, FlakyClient, yes_no_validator
+from tests.doubles import EchoClient, FlakyClient, yes_no_validator
 from tests.doubles import rating_prompts as _prompts
 from tests.doubles import simulated_client as _simulated_client
 
@@ -146,64 +145,6 @@ class TestRetryingClient:
         assert response.text == "garbled ???"
         assert response.metadata["attempts"] == 3
         assert client.stats.failures == 1
-
-
-def _cascade(low_confidence: float) -> CascadeRouter:
-    return CascadeRouter(
-        [
-            CascadeTier("cheap", ConfidenceClient("cheap", low_confidence)),
-            CascadeTier("expensive", ConfidenceClient("expensive", 0.99)),
-        ],
-        confidence_threshold=0.8,
-    )
-
-
-class TestCascadeRouter:
-    @pytest.mark.parametrize("low_confidence", (0.3, 0.95))
-    def test_single_equivalence(self, low_confidence):
-        sync_response = _cascade(low_confidence).complete("p")
-        async_response = asyncio.run(_cascade(low_confidence).acomplete("p"))
-        assert async_response.text == sync_response.text
-        assert async_response.usage == sync_response.usage
-        assert async_response.metadata.get("cascade_tiers") == sync_response.metadata.get(
-            "cascade_tiers"
-        )
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_batch_equivalence_with_escalation(self, size):
-        prompts = [f"p{i}" for i in range(size)]
-        sync_router = _cascade(0.3)
-        async_router = _cascade(0.3)
-        sync_responses = sync_router.complete_batch(prompts)
-        async_responses = asyncio.run(async_router.acomplete_batch(prompts))
-        _assert_equivalent(async_responses, sync_responses)
-        assert async_router.escalations == sync_router.escalations
-
-    def test_escalation_accumulates_usage(self):
-        response = asyncio.run(_cascade(0.3).acomplete("p"))
-        assert response.text == "expensive:p"
-        assert response.usage.calls == 2  # cheap attempt + escalation
-
-
-class TestEnsembleClient:
-    def _ensemble(self) -> EnsembleClient:
-        return EnsembleClient(
-            [
-                CascadeTier("a", ConfidenceClient("a", 0.9)),
-                CascadeTier("b", ConfidenceClient("b", 0.9)),
-                CascadeTier("c", ConfidenceClient("c", 0.9)),
-            ]
-        )
-
-    def test_single_returns_first_member(self):
-        assert asyncio.run(self._ensemble().acomplete("p")).text == "a:p"
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_batch_equivalence(self, size):
-        prompts = [f"p{i}" for i in range(size)]
-        sync_responses = self._ensemble().complete_batch(prompts)
-        async_responses = asyncio.run(self._ensemble().acomplete_batch(prompts))
-        _assert_equivalent(async_responses, sync_responses)
 
 
 class TestSyncBridge:

@@ -2,7 +2,7 @@
 
 Every wrapper derives its four entry points from one body, so at
 temperature 0 a bag of prompts must come back with the same texts, usage,
-metadata and side effects (cache, tracker, retry and escalation counters)
+metadata and side effects (cache, tracker and retry counters)
 through ``complete`` in a loop, ``complete_batch``, ``acomplete`` in a loop
 and ``acomplete_batch`` — over an inner client implementing the full
 protocol, only ``complete``, or ``complete`` + ``acomplete``.  The first of
@@ -22,7 +22,6 @@ from repro.core.session import PromptSession
 from repro.llm.base import call_acomplete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
-from repro.llm.router import CascadeRouter, CascadeTier, EnsembleClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
 from repro.obs.replay import ReplayLLM
@@ -57,20 +56,6 @@ def _retrying(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
     return client, lambda: vars(client.stats).copy()
 
 
-def _cascade(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
-    router = CascadeRouter(
-        [CascadeTier("sim-small", leaf), CascadeTier("sim-gpt-3.5-turbo", leaf)],
-        confidence_threshold=0.8,
-    )
-    return router, lambda: {"escalations": router.escalations}
-
-
-def _ensemble(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
-    models = ("sim-gpt-3.5-turbo", "sim-claude", "sim-small")
-    members = [CascadeTier(model, leaf) for model in models]
-    return EnsembleClient(members), dict
-
-
 def _session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
     session = PromptSession(leaf)
 
@@ -92,8 +77,6 @@ WRAPPERS = {
     "cached": _cached,
     "tracked": _tracked,
     "retrying": _retrying,
-    "cascade": _cascade,
-    "ensemble": _ensemble,
     "session": _session,
 }
 

@@ -1,4 +1,4 @@
-"""Tests for prompt templates and the structured prompt round-trip."""
+"""Tests for the canonical prompts and the structured prompt round-trip."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import ResponseParseError
 from repro.llm.prompts import (
-    PromptTemplate,
     build_structured_prompt,
     duplicate_check_prompt,
     estimate_count_prompt,
@@ -18,29 +17,7 @@ from repro.llm.prompts import (
     rating_batch_prompt,
     rating_prompt,
     sort_list_prompt,
-    verify_answer_prompt,
 )
-
-
-class TestPromptTemplate:
-    def test_render_substitutes_fields(self):
-        template = PromptTemplate("Sort by {criterion}: {items}")
-        assert template.fields == {"criterion", "items"}
-        rendered = template.render(criterion="size", items="a, b")
-        assert "Sort by size" in rendered
-
-    def test_missing_field_raises(self):
-        template = PromptTemplate("Value: {value}")
-        with pytest.raises(KeyError):
-            template.render()
-
-    def test_examples_are_prepended(self):
-        template = PromptTemplate("Task: {task}")
-        rendered = template.render(
-            task="impute", examples=[{"input": "a", "output": "b"}]
-        )
-        assert rendered.index("Input: a") < rendered.index("Task: impute")
-        assert "Output: b" in rendered
 
 
 class TestStructuredPromptRoundTrip:
@@ -92,7 +69,6 @@ class TestCanonicalPrompts:
             (impute_prompt, ("name is X", "city"), "impute"),
             (predicate_check_prompt, ("item", "is positive"), "predicate_check"),
             (estimate_count_prompt, (["a", "b"], "is positive"), "estimate_count"),
-            (verify_answer_prompt, ("what is 2+2", "4"), "verify_answer"),
         ],
     )
     def test_builders_produce_parsable_prompts(self, builder, args, expected_task):

@@ -1,4 +1,4 @@
-"""Tests for quality control: validation, Dawid-Skene, voting, verification, calibration."""
+"""Tests for quality control: validation and voting."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ from repro.exceptions import QualityControlError
 from repro.llm.parsing import extract_choice
 from repro.llm.prompts import pairwise_comparison_prompt
 from repro.llm.simulated import SimulatedLLM
-from repro.quality.calibration import calibration_report, expected_calibration_error, rescale_confidence
-from repro.quality.dawid_skene import dawid_skene
 from repro.quality.validation import estimate_accuracy, wilson_interval
-from repro.quality.verification import verify_response
-from repro.quality.voting import majority_vote, self_consistency_vote, weighted_vote
+from repro.quality.voting import majority_vote, weighted_vote
 
 
 class TestWilsonInterval:
@@ -74,33 +71,6 @@ class TestEstimateAccuracy:
         assert estimate.lower <= estimate.accuracy <= estimate.upper
 
 
-class TestDawidSkene:
-    def test_recovers_truth_with_one_bad_worker(self):
-        # Three workers: two reliable, one adversarial, over 12 binary tasks.
-        truth = {f"t{i}": (i % 2 == 0) for i in range(12)}
-        answers = {
-            task: {
-                "good1": label,
-                "good2": label if task != "t3" else not label,
-                "bad": not label,
-            }
-            for task, label in truth.items()
-        }
-        result = dawid_skene(answers)
-        assert all(result.predictions[task] == truth[task] for task in truth)
-        assert result.worker_accuracy["good1"] > result.worker_accuracy["bad"]
-
-    def test_posteriors_sum_to_one(self):
-        answers = {"t1": {"w1": "a", "w2": "b"}, "t2": {"w1": "a", "w2": "a"}}
-        result = dawid_skene(answers)
-        for posterior in result.label_posteriors.values():
-            assert sum(posterior.values()) == pytest.approx(1.0)
-
-    def test_empty_answers_raise(self):
-        with pytest.raises(QualityControlError):
-            dawid_skene({})
-
-
 class TestVoting:
     def test_majority_vote(self):
         result = majority_vote(["yes", "yes", "no"])
@@ -118,64 +88,3 @@ class TestVoting:
         votes = {"weak1": "no", "weak2": "no", "strong": "yes"}
         weights = {"weak1": 0.3, "weak2": 0.3, "strong": 0.9}
         assert weighted_vote(votes, weights).winner == "yes"
-
-    def test_self_consistency_vote(self):
-        llm = SimulatedLLM(flavor_oracle(), seed=9)
-        prompt = pairwise_comparison_prompt(FLAVORS[0], FLAVORS[-1], CHOCOLATEY)
-        result = self_consistency_vote(
-            llm,
-            prompt,
-            extract=lambda text: extract_choice(text, ["A", "B"]),
-            n_samples=5,
-        )
-        assert result.winner == "A"
-        assert result.support >= 0.6
-
-    def test_self_consistency_requires_samples(self):
-        llm = SimulatedLLM(flavor_oracle(), seed=9)
-        with pytest.raises(QualityControlError):
-            self_consistency_vote(llm, "prompt", extract=lambda text: text, n_samples=0)
-
-
-class TestVerification:
-    def test_verification_returns_bounded_confidence(self):
-        llm = SimulatedLLM(flavor_oracle(), seed=4)
-        result = verify_response(
-            llm,
-            question="Which flavor is more chocolatey?",
-            answer="triple chocolate fudge brownie",
-            answer_confidence=0.9,
-        )
-        assert isinstance(result.verified, bool)
-        assert 0.0 <= result.combined_confidence <= 1.0
-
-
-class TestCalibration:
-    def test_well_calibrated_scores_have_low_ece(self):
-        confidences = [0.9] * 9 + [0.1]
-        correct = [True] * 9 + [False]
-        assert expected_calibration_error(confidences, correct) < 0.15
-
-    def test_overconfident_scores_have_high_ece(self):
-        confidences = [0.95] * 10
-        correct = [True] * 5 + [False] * 5
-        assert expected_calibration_error(confidences, correct) > 0.3
-
-    def test_report_bins_cover_samples(self):
-        report = calibration_report([0.2, 0.4, 0.6, 0.8], [False, False, True, True], n_bins=4)
-        assert report.sample_size == 4
-        assert sum(bin_.count for bin_ in report.bins) == 4
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(QualityControlError):
-            calibration_report([0.5], [True, False])
-
-    def test_empty_raises(self):
-        with pytest.raises(QualityControlError):
-            calibration_report([], [])
-
-    def test_rescale_confidence(self):
-        assert rescale_confidence(0.9, scale=0.5) == pytest.approx(0.7)
-        assert rescale_confidence(0.5, scale=2.0) == 0.5
-        with pytest.raises(QualityControlError):
-            rescale_confidence(0.5, scale=0.0)

@@ -251,7 +251,6 @@ def _rendered_prompts(data) -> list[str]:
         prompts.categorize_prompt(_ITEMS[1], _CATEGORIES),
         prompts.predicate_check_prompt(_ITEMS[0], _PREDICATES[0]),
         prompts.estimate_count_prompt(_ITEMS, _PREDICATES[0]),
-        prompts.verify_answer_prompt("Is a hose an appliance?", "No"),
         prompts.build_structured_prompt("free_form", instructions="Line one.\r\n\nLine three.\n"),
     ]
     declared = set()

@@ -21,7 +21,7 @@ from repro.core.session import PromptSession
 from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep
 from repro.llm.cache import CachedClient
 from repro.llm.oracle import Oracle
-from repro.llm.router import CascadeRouter, CascadeTier
+from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.filter import FilterOperator
 from tests.doubles import DyingClient
@@ -115,8 +115,8 @@ class TestWithoutASession:
 
     def test_so_does_a_wrapper_that_does_not_cache(self):
         client = backend()
-        cascade = CascadeRouter([CascadeTier(MODEL, client)], confidence_threshold=0.0)
-        result = self.run(cascade)
+        retrying = RetryingClient(client, validator=lambda text: True)
+        result = self.run(retrying)
         assert client.calls == result.usage.calls == len(DISTINCT)
         assert result.kept == KEPT
 
