@@ -26,7 +26,7 @@ Two details matter for real text embeddings:
 * **Batched bucket ranking.**  :meth:`knn_graph` (what blocking uses)
   groups each table's buckets by size and ranks all same-sized buckets in
   one batched matrix product — no per-bucket Python loop — then merges
-  per-row results across tables with a single ``lexsort``.  Work scales
+  each row's picks across tables in one row-wise sort.  Work scales
   with Σ bucket², a small multiple of n for balanced buckets, which is
   where the >100x win over the O(n²) scan at 50k records comes from.
 
@@ -65,6 +65,13 @@ _TARGET_BUCKET = 32
 #: Buckets larger than this rank their rows in chunks (bounds the size of
 #: any one distance block to roughly _HUGE_BUCKET² floats).
 _HUGE_BUCKET = 2048
+
+#: Most multiply-adds one bucket product may take.  Products up to this
+#: size run on the calling thread in OpenBLAS; a bigger one wakes its
+#: thread pool, which costs more than the product and stalls badly when
+#: the cores are busy, so bigger buckets multiply in row chunks (unless a
+#: single row is already over it).
+_SMALL_PRODUCT = 1 << 18
 
 
 class LSHIndex:
@@ -273,72 +280,86 @@ class LSHIndex:
         order = np.lexsort((row_ids, distances))[: min(k, len(rows))]
         return [(int(row_ids[int(i)]), float(distances[int(i)])) for i in order]
 
-    def _rank_buckets(
+    def _rank_table(
         self,
         np,
         matrix: np.ndarray,
-        members: np.ndarray,
-        limit: int,
         squared_norms: np.ndarray,
-        query_parts: list[np.ndarray],
-        candidate_parts: list[np.ndarray],
-        distance_parts: list[np.ndarray],
-    ) -> None:
-        """Top-``limit`` neighbors within each same-sized bucket, batched.
+        table: int,
+        k: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's top-``k`` neighbors within its bucket of ``table``.
 
-        ``members`` is (buckets, size): every bucket in the batch ranks in
-        one batched matrix product instead of a Python-level loop.  ``np`` is
-        numpy, bound once by :meth:`knn_graph`.
+        Rows are regrouped bucket by bucket in order of bucket size, so each
+        run of same-sized buckets is one contiguous (buckets, size) block
+        that ranks in one batched matrix product — no per-bucket Python
+        loop.  Returns the regrouped rows and, per regrouped position, its
+        picks (positions in those rows; -1 where a bucket has fewer than
+        ``k`` others) and their squared distances.  ``np`` is numpy, bound
+        once by :meth:`knn_graph`.
         """
-        block = matrix[members]  # (G, s, d)
-        norms = squared_norms[members]  # (G, s)
-        grams = block @ block.transpose(0, 2, 1)
-        distances = norms[:, :, None] + norms[:, None, :] - 2.0 * grams
-        size = members.shape[1]
-        diagonal = np.arange(size)
-        distances[:, diagonal, diagonal] = np.inf
-        top = np.argpartition(distances, limit - 1, axis=2)[:, :, :limit]
-        group_index = np.arange(members.shape[0])[:, None, None]
-        query_parts.append(
-            np.broadcast_to(members[:, :, None], top.shape).ravel()
-        )
-        candidate_parts.append(members[group_index, top].ravel())
-        distance_parts.append(np.take_along_axis(distances, top, axis=2).ravel())
-
-    def _rank_huge_bucket(
-        self,
-        np,
-        matrix: np.ndarray,
-        rows: np.ndarray,
-        limit: int,
-        squared_norms: np.ndarray,
-        query_parts: list[np.ndarray],
-        candidate_parts: list[np.ndarray],
-        distance_parts: list[np.ndarray],
-    ) -> None:
-        """Chunked ranking for one oversized bucket (bounds peak memory)."""
-        block = matrix[rows]
-        norms = squared_norms[rows]
-        size = len(rows)
-        for start in range(0, size, _HUGE_BUCKET):
-            chunk = slice(start, min(start + _HUGE_BUCKET, size))
-            distances = (
-                norms[chunk, None] + norms[None, :] - 2.0 * (block[chunk] @ block.T)
-            )
-            span = np.arange(chunk.start, chunk.stop)
-            distances[span - chunk.start, span] = np.inf
-            top = np.argpartition(distances, limit - 1, axis=1)[:, :limit]
-            query_parts.append(np.repeat(rows[chunk], limit))
-            candidate_parts.append(rows[top].ravel())
-            distance_parts.append(np.take_along_axis(distances, top, axis=1).ravel())
+        signatures = self._signatures[table]
+        order = np.argsort(signatures, kind="stable")
+        ordered = signatures[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        sizes = np.diff(np.r_[starts, len(order)])
+        by_size = np.argsort(sizes, kind="stable")
+        lengths = sizes[by_size]
+        offsets = np.repeat(starts[by_size] - (np.cumsum(lengths) - lengths), lengths)
+        rows = order[offsets + np.arange(len(order))]
+        picks = np.full((len(rows), k), -1, dtype=np.int64)
+        gaps = np.full((len(rows), k), np.inf, dtype=np.float32)
+        low = 0
+        runs = np.unique(lengths, return_counts=True)
+        for size, buckets in zip(runs[0].tolist(), runs[1].tolist()):
+            high = low + size * buckets
+            limit = min(k, size - 1)
+            if size > _HUGE_BUCKET:
+                # Oversized buckets rank in chunks of rows, which bounds any
+                # one distance block to roughly _HUGE_BUCKET² floats.
+                for first in range(low, high, size):
+                    block = matrix[rows[first : first + size]]
+                    norms = squared_norms[rows[first : first + size]]
+                    for start in range(0, size, _HUGE_BUCKET):
+                        chunk = slice(start, min(start + _HUGE_BUCKET, size))
+                        grams = block[chunk] @ block.T
+                        distances = norms[chunk, None] + norms[None, :] - 2.0 * grams
+                        span = np.arange(chunk.start, chunk.stop)
+                        distances[span - chunk.start, span] = np.inf
+                        top = np.argpartition(distances, limit - 1, axis=1)[:, :limit]
+                        at = slice(first + chunk.start, first + chunk.stop)
+                        picks[at, :limit] = first + top
+                        gaps[at, :limit] = np.take_along_axis(distances, top, axis=1)
+            elif size > 1:
+                members = rows[low:high]
+                block = matrix[members].reshape(buckets, size, -1)
+                norms = squared_norms[members].reshape(buckets, size)
+                step = _SMALL_PRODUCT // (size * matrix.shape[1]) or size
+                grams = np.concatenate(
+                    [
+                        block[:, start : start + step] @ block.transpose(0, 2, 1)
+                        for start in range(0, size, step)
+                    ],
+                    axis=1,
+                )
+                distances = norms[:, :, None] + norms[:, None, :] - 2.0 * grams
+                diagonal = np.arange(size)
+                distances[:, diagonal, diagonal] = np.inf
+                top = np.argpartition(distances, limit - 1, axis=2)[:, :, :limit]
+                bases = np.arange(low, high, size)[:, None, None]
+                picks[low:high, :limit] = (bases + top).reshape(-1, limit)
+                gaps[low:high, :limit] = (
+                    np.take_along_axis(distances, top, axis=2).reshape(-1, limit)
+                )
+            low = high
+        return rows, picks, gaps
 
     def knn_graph(self, k: int) -> dict[int, list[int]]:
         """Approximate per-id kNN among the indexed vectors (self excluded).
 
-        Bucket-batched: each table's buckets are grouped by size, every
-        same-sized group ranks in one batched matrix product, and rows
-        merge across tables with a single lexsort — no per-bucket Python
-        loop — so total work scales with Σ bucket², not n².
+        Each table ranks every bucket batched by size (:meth:`_rank_table`)
+        and a row's picks from all tables merge in one row-wise sort, so
+        total work scales with Σ bucket², not n².
         """
         import numpy as np
 
@@ -353,91 +374,41 @@ class LSHIndex:
         # traffic roughly halves the ranking wall-clock at 50k records.
         matrix = self._vectors.astype(np.float32)
         squared_norms = np.einsum("ij,ij->i", matrix, matrix)
-        query_parts: list[np.ndarray] = []
-        candidate_parts: list[np.ndarray] = []
-        distance_parts: list[np.ndarray] = []
+        # Table t fills columns [t*k, t*k + k) of each row (-1: no pick).
+        candidates = np.full((count, self.n_tables * k), -1, dtype=np.int64)
+        distances = np.full((count, self.n_tables * k), np.inf, dtype=np.float32)
         for table in range(self.n_tables):
-            signatures = self._signatures[table]
-            order = np.argsort(signatures, kind="stable")
-            ordered = signatures[order]
-            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-            ends = np.r_[starts[1:], len(ordered)]
-            sizes = ends - starts
-            for size in np.unique(sizes):
-                if size < 2:
-                    continue
-                limit = min(k, int(size) - 1)
-                group = np.flatnonzero(sizes == size)
-                if size > _HUGE_BUCKET:
-                    for bucket in group:
-                        self._rank_huge_bucket(
-                            np,
-                            matrix,
-                            order[starts[bucket] : ends[bucket]],
-                            limit,
-                            squared_norms,
-                            query_parts,
-                            candidate_parts,
-                            distance_parts,
-                        )
-                    continue
-                members = order[
-                    starts[group][:, None] + np.arange(int(size))[None, :]
-                ]
-                self._rank_buckets(
-                    np,
-                    matrix,
-                    members,
-                    limit,
-                    squared_norms,
-                    query_parts,
-                    candidate_parts,
-                    distance_parts,
-                )
-        neighbors: dict[int, list[int]] = {row_id: [] for row_id in self._ids}
-        if not query_parts:
-            return neighbors
-        queries = np.concatenate(query_parts)
-        candidates = np.concatenate(candidate_parts)
-        distances = np.concatenate(distance_parts)
-        # Dedup (query, candidate) pairs on an integer composite key *before*
-        # the distance sort: a pair found by several tables has the same
-        # distance everywhere, and integer unique is much cheaper than
-        # dragging the duplicates through a float lexsort.
-        composite = queries.astype(np.int64) * count + candidates
-        unique_pairs, first = np.unique(composite, return_index=True)
-        queries = unique_pairs // count
-        candidates = unique_pairs % count
-        distances = distances[first]
-        self.candidates_examined += len(queries)
-        # Sort by (query, distance) on one packed integer key — the raw bits
-        # of a non-negative float32 order like the float — which sorts
-        # several times faster than a float lexsort.  Pairs leave ``unique``
-        # candidate-ascending, so the stable sort breaks distance ties on
-        # candidate id and the result is deterministic across table orders.
-        distance_bits = (
-            np.maximum(distances, 0.0).astype(np.float32).view(np.uint32)
+            rows, picks, gaps = self._rank_table(np, matrix, squared_norms, table, k)
+            columns = slice(table * k, table * k + k)
+            candidates[rows, columns] = np.where(picks >= 0, rows[picks], -1)
+            distances[rows, columns] = gaps
+        # Drop repeats: a pair several tables found keeps the first table's
+        # distance — the stable sort on candidate puts a repeat right after
+        # that first pick.
+        order = np.argsort(candidates, axis=1, kind="stable")
+        candidates = np.take_along_axis(candidates, order, axis=1)
+        distances = np.take_along_axis(distances, order, axis=1)
+        kept = candidates >= 0
+        kept[:, 1:] &= candidates[:, 1:] != candidates[:, :-1]
+        self.candidates_examined += int(kept.sum())
+        # Rank each row on the raw bits of the non-negative float32 distance,
+        # which order like the float; dropped slots sort last.  The stable
+        # sort breaks distance ties on candidate id, so the result is
+        # deterministic across table orders.
+        key = np.where(
+            kept, np.maximum(distances, 0.0).view(np.uint32), np.iinfo(np.uint32).max
         )
-        key = (queries.astype(np.uint64) << np.uint64(32)) | distance_bits.astype(np.uint64)
-        order = np.argsort(key, kind="stable")
-        queries = queries[order]
-        candidates = candidates[order]
-        # Rank within each query run; keep the first k.
-        starts = np.flatnonzero(np.r_[True, queries[1:] != queries[:-1]])
-        ranks = np.arange(len(queries)) - np.repeat(starts, np.diff(np.r_[starts, len(queries)]))
-        selected = ranks < k
-        queries = queries[selected]
-        candidates = candidates[selected]
-        ids_array = np.asarray(self._ids)
-        run_starts = np.flatnonzero(np.r_[True, queries[1:] != queries[:-1]])
+        order = np.argsort(key, axis=1, kind="stable")[:, :k]
+        candidates = np.take_along_axis(candidates, order, axis=1)
+        kept = np.take_along_axis(kept, order, axis=1)
         # One bulk tolist + list slicing: much cheaper than materialising a
-        # small ndarray per query.
-        flat = ids_array[candidates].tolist()
-        bounds = np.r_[run_starts, len(queries)].tolist()
-        run_queries = ids_array[queries[run_starts]].tolist()
-        for position, query_id in enumerate(run_queries):
-            neighbors[query_id] = flat[bounds[position] : bounds[position + 1]]
-        return neighbors
+        # small ndarray per row.
+        flat = np.asarray(self._ids)[candidates[kept]].tolist()
+        bounds = np.r_[0, np.cumsum(kept.sum(axis=1))].tolist()
+        return {
+            row_id: flat[bounds[row] : bounds[row + 1]]
+            for row, row_id in enumerate(self._ids)
+        }
 
     # -- persistence --------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.consistency.ranking_repair import (
     alignment_insert_position,
     best_consistent_order,
@@ -75,6 +77,32 @@ class TestFromAnEdgeList:
     def test_transitive_closure_pairs(self):
         closure = self.graph([("a", "b"), ("b", "c")]).transitive_matches()
         assert frozenset(("a", "c")) in closure
+
+    @pytest.mark.parametrize(
+        ("edges", "entities"),
+        [
+            ([], []),
+            ([("a", "b")], [{"a", "b"}]),
+            ([("a", "b"), ("b", "c"), ("c", "d")], [{"a", "b", "c", "d"}]),
+            ([("hub", leaf) for leaf in "wxyz"], [{"hub", "w", "x", "y", "z"}]),
+            ([("a", "b"), ("b", "c"), ("c", "a")], [{"a", "b", "c"}]),
+            ([("a", "b"), ("c", "d"), ("e", "f")], [{"a", "b"}, {"c", "d"}, {"e", "f"}]),
+            ([("a", "a")], [{"a"}]),
+            ([(1, 2), (3, 4), (2, 3), (5, 6)], [{1, 2, 3, 4}, {5, 6}]),
+        ],
+        ids=["empty", "pair", "chain", "star", "cycle", "disjoint", "self-loop", "bridged"],
+    )
+    def test_entities_and_their_closure(self, edges, entities):
+        graph = self.graph(edges)
+        found = graph.components()
+        assert sorted(map(sorted, found)) == sorted(map(sorted, entities))
+        assert graph.transitive_matches() == {
+            frozenset((left, right))
+            for entity in entities
+            for left in entity
+            for right in entity
+            if left != right
+        }
 
 
 class TestAlignmentInsertion:

@@ -168,6 +168,36 @@ class TestLSHConfiguration:
             index.knn_graph(-1)
 
 
+class TestKnnGraphIsTheNearestBucketMates:
+    """A row's graph neighbors are its k nearest among every bucket it shares.
+
+    Each table ranks within buckets and the tables' picks merge per row, so
+    the whole must equal a brute-force top-k over the union of a row's
+    bucket-mates — whether its buckets rank batched, in row chunks (more
+    than 32 members at 256 dims) or as one oversized bucket.
+    """
+
+    @pytest.mark.parametrize(
+        ("rows", "dims", "n_tables", "n_bits", "k"),
+        [(600, 16, 4, 4, 3), (400, 256, 3, 2, 4), (4500, 8, 2, 1, 2)],
+        ids=["small-buckets", "chunked-buckets", "oversized-bucket"],
+    )
+    def test_against_brute_force(self, rows, dims, n_tables, n_bits, k):
+        rng = np.random.default_rng(rows)
+        vectors = rng.standard_normal((rows, dims))
+        ids = [7 * row + 3 for row in range(rows)]
+        index = LSHIndex(dims, n_tables=n_tables, n_bits=n_bits, seed=1)
+        index.add(vectors, ids=ids)
+        signatures = index._signatures
+        expected = {}
+        for row in range(rows):
+            mates = np.flatnonzero((signatures == signatures[:, [row]]).any(axis=0))
+            mates = mates[mates != row]
+            distances = np.linalg.norm(vectors[mates] - vectors[row], axis=1)
+            expected[ids[row]] = [ids[mate] for mate in mates[np.argsort(distances)][:k]]
+        assert index.knn_graph(k) == expected
+
+
 class TestLSHCounters:
     def test_search_counts_examined_candidates(self):
         rng = np.random.default_rng(9)

@@ -5,7 +5,8 @@ temperature 0 a bag of prompts must come back with the same texts, usage,
 metadata and side effects (cache, tracker and retry counters)
 through ``complete`` in a loop, ``complete_batch``, ``acomplete`` in a loop
 and ``acomplete_batch`` — over an inner client implementing the full
-protocol, only ``complete``, or ``complete`` + ``acomplete``.  The first of
+protocol, only ``complete``, or ``complete`` + ``acomplete``, and for each
+wrapper alone as for two stacked on one another.  The first of
 the four is the reference; it is the hand-written fast path where a wrapper
 has one, which is what holds those to the body.
 """
@@ -73,11 +74,26 @@ def _session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
     return session.client(), observe
 
 
+def _stacked(outer: Callable, inner: Callable) -> Callable:
+    """``outer`` wrapped round ``inner`` round the leaf; both sides observed."""
+
+    def build(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
+        middle, observe_inner = inner(leaf)
+        client, observe_outer = outer(middle)
+        return client, lambda: {"outer": observe_outer(), "inner": observe_inner()}
+
+    return build
+
+
 WRAPPERS = {
     "cached": _cached,
     "tracked": _tracked,
     "retrying": _retrying,
     "session": _session,
+    "cached-retrying": _stacked(_cached, _retrying),
+    "retrying-cached": _stacked(_retrying, _cached),
+    "tracked-cached": _stacked(_tracked, _cached),
+    "session-retrying": _stacked(_session, _retrying),
 }
 
 

@@ -59,3 +59,35 @@ class TestHashingEmbedder:
         assert embedder.usage.calls == 1
         assert embedder.usage.prompt_tokens > 0
 
+    @pytest.mark.parametrize("dimensions", [8, 64, 256, 1000])
+    def test_batch_rows_are_the_single_embeddings_in_input_order(self, dimensions):
+        texts = ["sort these words", "by how chocolatey", "they are", "sort these words"]
+        embedder = HashingEmbedder(dimensions=dimensions)
+        matrix = embedder.embed_batch(texts)
+        assert matrix.shape == (len(texts), dimensions)
+        for row, text in enumerate(texts):
+            assert np.array_equal(matrix[row], embedder.embed(text))
+        assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0)
+
+    def test_text_without_an_ngram_embeds_to_zero(self):
+        vector = HashingEmbedder().embed("")
+        assert not np.isnan(vector).any()
+        assert not vector.any()
+
+    def test_case_and_whitespace_are_normalised(self):
+        embedder = HashingEmbedder()
+        assert np.array_equal(
+            embedder.embed("Declarative   Crowdsourcing"), embedder.embed("declarative crowdsourcing")
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_nearest_neighbors_are_nearest_first_and_capped(self, k):
+        texts = ["alpha beta", "alpha beta gamma", "alpha beta gamma delta", "zeta omega"]
+        embedder = HashingEmbedder()
+        matrix = embedder.embed_batch(texts)
+        neighbors = embedder.nearest_neighbors(texts, k=k)
+        for index, others in neighbors.items():
+            assert len(others) == min(k, len(texts) - 1)
+            assert index not in others
+            distances = [HashingEmbedder.l2_distance(matrix[index], matrix[j]) for j in others]
+            assert distances == sorted(distances)

@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import ResponseParseError
 from repro.llm.prompts import (
     build_structured_prompt,
+    categorize_prompt,
     duplicate_check_prompt,
     estimate_count_prompt,
     group_records_prompt,
@@ -69,6 +70,7 @@ class TestCanonicalPrompts:
             (impute_prompt, ("name is X", "city"), "impute"),
             (predicate_check_prompt, ("item", "is positive"), "predicate_check"),
             (estimate_count_prompt, (["a", "b"], "is positive"), "estimate_count"),
+            (categorize_prompt, ("item", ["fruit", "dairy"]), "categorize"),
         ],
     )
     def test_builders_produce_parsable_prompts(self, builder, args, expected_task):
