@@ -5,8 +5,9 @@ The paper's promise is that a user declares *what* (sort, resolve, impute,
 operator-specific — the engine's run path, the cost planner's estimates and
 statically-known prompts, the physical planner's candidates and validation
 runs, the wire codec and the checkpoint codec — looks it up here, by
-``type(spec)``, in :data:`DECLARATIONS`.  Changing an operator means editing
-its declaration; adding one means adding an entry.
+``type(spec)``, in :data:`DECLARATIONS`; the fluent query layer looks it up
+by operation name (:func:`operation_declaration`).  Changing an operator
+means editing its declaration; adding one means adding an entry.
 
 A declaration states, for one spec class:
 
@@ -23,7 +24,10 @@ A declaration states, for one spec class:
 * the labelled validation sample, its candidates and its scorer;
 * what a finished run teaches the session's :class:`~repro.core.stats.
   RuntimeStats`, and which items a whole-list prompt must fit in context;
-* the spec and result fields that are not JSON-shaped as they stand.
+* the spec and result fields that are not JSON-shaped as they stand;
+* for a query node's ``params``: the spec it lowers to, where its output
+  items come from and how many to expect, whether a filter commutes past
+  it, and its ``.explain()`` line.
 
 :mod:`repro.core.spec` stays free of operator imports (the fingerprint and
 the wire form depend on it alone); this module sits on top of both.  It is
@@ -37,9 +41,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.core.optimizer import StrategyCandidate
+from repro.consistency.transitivity import MatchGraph
+from repro.core.optimizer import ResolvedStrategy, StrategyCandidate
 from repro.core.spec import (
     CategorizeSpec,
     ClusterSpec,
@@ -219,6 +224,76 @@ class OperatorDeclaration:
     def observe(self, stats: "RuntimeStats", spec: Any, result: Any) -> None:
         """Record what a finished run says about the workload."""
 
+    # The fluent query layer (``repro.query``) reads the hooks below with a
+    # logical node's ``params``; the defaults describe an annotating operator.
+
+    #: Where a node's output items come from: ``"parent"`` (its input items
+    #: pass through unchanged), ``"result"`` (its own step's result alone) or
+    #: ``"result+parent"`` (its result applied to its parent's items).
+    output_from = "parent"
+    #: Whether the spec reads the chain's items (impute reads its own dataset).
+    reads_items = True
+
+    def lower(self, params: Mapping[str, Any], *inputs: list[str]) -> TaskSpec:
+        """The spec a node runs over its input item lists (a join has two)."""
+        raise SpecError(f"cannot build a spec for logical operation {self.operation!r}")
+
+    def output_items(
+        self, params: Mapping[str, Any], parent_items: list[str], result: Any
+    ) -> list[str]:
+        """A node's output items, given its step's result (see ``output_from``)."""
+        return parent_items
+
+    def estimate_output(
+        self, params: Mapping[str, Any], items: list[str], stats: "RuntimeStats | None"
+    ) -> list[str]:
+        """A node's output items estimated before the run, from estimated input ``items``.
+
+        Reducers keep the head of ``items``, so token-length averages stay
+        representative; observed statistics override the declared priors.
+        """
+        return items
+
+    def commutes_with_filter(self, params: Mapping[str, Any]) -> bool:
+        """Whether a per-item filter above the node may move below it, results unchanged."""
+        return self.output_from == "parent"
+
+    def describe(self, params: Mapping[str, Any]) -> str:
+        """The node's line in ``.explain()``."""
+        return self.operation
+
+    def explain_notes(self, params: Mapping[str, Any], stats: "RuntimeStats") -> list[str]:
+        """What the statistics observed, as ``.explain()`` notes on the node's line.
+
+        Call ratios are keyed by the strategy that executed, so an ``"auto"``
+        node's lives under its default, as the planner looks it up.
+        """
+        strategy = params.get("strategy", "auto")
+        if strategy == "auto":
+            strategy = self.auto[0]
+        ratio = stats.call_ratio(f"{self.operation}:{strategy}")
+        return [] if ratio is None else [f"call ratio observed {ratio:.2f}"]
+
+
+def _query_fields(params: Mapping[str, Any]) -> dict[str, Any]:
+    """The spec fields every query node carries in its ``params``."""
+    return {
+        "strategy": params.get("strategy", "auto"),
+        "strategy_options": dict(params.get("options", {})),
+        "budget_dollars": params.get("budget_dollars"),
+        "accuracy_target": params.get("accuracy_target"),
+    }
+
+
+def _kept(count: int, fraction: float) -> int:
+    """How many of ``count`` items survive a step that keeps ``fraction`` (at least one)."""
+    return min(count, max(1, math.ceil(count * fraction)))
+
+
+def unique_items(items: Iterable[str]) -> list[str]:
+    """Items with exact-duplicate strings removed, first occurrence kept."""
+    return list(dict.fromkeys(items))
+
 
 def _combined(planner: "CostPlanner", first: "CostEstimate", second: "CostEstimate") -> "CostEstimate":
     """The estimate of running ``first`` and then ``second``."""
@@ -293,9 +368,34 @@ class _Sort(OperatorDeclaration):
     }
     auto_keeps_options = False
     min_validation = 3
+    output_from = "result+parent"
 
     def build(self, spec: SortSpec, client: Any, **kwargs: Any) -> SortOperator:
         return SortOperator(client, spec.criterion, **kwargs)
+
+    def lower(self, params, *inputs: list[str]) -> SortSpec:
+        return SortSpec(
+            items=list(inputs[0]),
+            criterion=params["criterion"],
+            validation_order=tuple(params.get("validation_order", ())),
+            **_query_fields(params),
+        )
+
+    def output_items(self, params, parent_items: list[str], result: SortResult) -> list[str]:
+        placed = set(result.order)
+        return list(result.order) + [item for item in parent_items if item not in placed]
+
+    def commutes_with_filter(self, params) -> bool:
+        # Per-pair and per-item prompts: sorting a subset issues a subset of
+        # the same prompts, so the survivors keep their relative order at
+        # temperature 0.  A validation_order pins labelled items a pushed
+        # filter could remove (and lets "auto" pick a whole-list strategy).
+        strategy = params.get("strategy", "auto")
+        safe = strategy in ("auto", "pairwise", "pairwise_consistent", "rating")
+        return safe and not params.get("validation_order")
+
+    def describe(self, params) -> str:
+        return f"sort by {params['criterion']!r}"
 
     def validation_size(self, spec: SortSpec) -> int:
         return len(spec.validation_order)
@@ -423,6 +523,56 @@ class _ResolveRecords(OperatorDeclaration):
 
     def observe(self, stats, spec: ResolveSpec, result: ResolveResult) -> None:
         stats.record_dedup(inputs=len(spec.records), survivors=len(result.clusters))
+
+    # A query resolve is a dedup: one representative per duplicate cluster.
+    output_from = "result+parent"
+
+    def lower(self, params, *inputs: list[str]) -> ResolveSpec:
+        # Exact-duplicate strings are duplicates by definition; merge them
+        # for free instead of spending pair judgments on them.
+        return ResolveSpec(records=unique_items(inputs[0]), **_query_fields(params))
+
+    def output_items(self, params, parent_items: list[str], result: Any) -> list[str]:
+        return _representatives(unique_items(parent_items), result)
+
+    def estimate_output(self, params, items: list[str], stats) -> list[str]:
+        # Priced conservatively at the input cardinality until a dedup is observed.
+        ratio = stats.dedup_survivor_ratio() if stats is not None else None
+        return items if ratio is None else items[: _kept(len(items), ratio)]
+
+    def commutes_with_filter(self, params) -> bool:
+        # Per-pair judgments only; a proxy-blocked resolve picks its pairs
+        # from the whole input.
+        return params.get("strategy", "auto") in ("auto", "pairwise") and not params.get("proxy")
+
+    def describe(self, params) -> str:
+        return "resolve duplicates to one representative per entity"
+
+    def explain_notes(self, params, stats) -> list[str]:
+        ratio = stats.dedup_survivor_ratio()
+        notes = [] if ratio is None else [f"dedup survivors observed {ratio:.2f}"]
+        return notes + super().explain_notes(params, stats)
+
+
+def _representatives(parent_items: list[str], result: Any) -> list[str]:
+    """Dedup semantics: the first member of each duplicate cluster, in order."""
+    if isinstance(result, ResolveResult):
+        clusters = sorted(result.clusters, key=min)
+        return [parent_items[min(cluster)] for cluster in clusters]
+    if isinstance(result, PairJudgmentResult):
+        graph = MatchGraph()
+        for item in parent_items:
+            graph.add_node(item)
+        for judgment in result.judgments:
+            if judgment.is_duplicate:
+                graph.add_match(judgment.left, judgment.right)
+        index_of = {item: index for index, item in enumerate(parent_items)}
+        clusters = sorted(
+            (sorted(index_of[item] for item in component) for component in graph.components()),
+            key=min,
+        )
+        return [parent_items[cluster[0]] for cluster in clusters]
+    raise SpecError(f"unexpected resolve step result {type(result).__name__}")
 
 
 class _ResolvePairs(_ResolveRecords):
@@ -602,6 +752,17 @@ class _Impute(OperatorDeclaration):
     def invoke(self, operator: ImputeOperator, spec: ImputeSpec, strategy, options):
         return operator.run(spec.data, strategy=strategy, n_examples=spec.n_examples)
 
+    reads_items = False  # a query impute annotates its own dataset
+
+    def lower(self, params, *inputs: list[str]) -> ImputeSpec:
+        fields = _query_fields(params)
+        del fields["strategy_options"]
+        n_examples = int(params.get("n_examples", 0))
+        return ImputeSpec(data=params["data"], n_examples=n_examples, **fields)
+
+    def describe(self, params) -> str:
+        return f"impute {params['data'].target_attribute!r}"
+
     def validation_size(self, spec: ImputeSpec) -> int:
         return 0 if spec.data is None else min(spec.validation_size, len(spec.data.queries))
 
@@ -633,28 +794,50 @@ class _Impute(OperatorDeclaration):
 # -- filter ----------------------------------------------------------------------------
 
 
+def _survivor_counts(
+    count: int, predicates: Sequence[str], priors: Sequence[float], stats: "RuntimeStats | None"
+) -> list[int]:
+    """The items each conjunctive predicate checks, then the expected survivors.
+
+    Each predicate only re-checks the expected survivors of the ones before
+    it (the run applies them over a shrinking set), at its observed
+    selectivity when ``stats`` has one and its prior (0.5 when undeclared)
+    otherwise.  Quotes and query-size estimates both count this way, so a
+    fused multi-predicate spec quotes exactly like sequential filter steps.
+    """
+    counts = [count]
+    for index, predicate in enumerate(predicates):
+        observed = stats.filter_selectivity(predicate) if stats is not None else None
+        if observed is None:
+            selectivity = float(priors[index]) if index < len(priors) else 0.5
+        else:
+            # An observed 0 would collapse every downstream estimate to nothing.
+            selectivity = max(observed, 1e-6)
+        counts.append(_kept(counts[-1], selectivity))
+    return counts
+
+
 def _filter_passes(planner: "CostPlanner", spec: FilterSpec, votes: int) -> "CostEstimate":
-    # Each predicate only re-checks the expected survivors of the ones
-    # before it (the run applies them over a shrinking set), so a fused
-    # multi-predicate spec quotes exactly like sequential filter steps.
-    selectivities = list(spec.expected_selectivities)
+    items = list(spec.items)
+    predicates = spec.all_predicates
+    counts = _survivor_counts(len(items), predicates, spec.expected_selectivities, planner.stats)
     calls = 0
     prompt_tokens = completion_tokens = 0.0
-    survivors = list(spec.items)
-    for index, predicate in enumerate(spec.all_predicates):
-        one_pass = planner.per_item(survivors, PREDICATE_CHECK, predicate)
+    for predicate, count in zip(predicates, counts):
+        one_pass = planner.per_item(items[:count], PREDICATE_CHECK, predicate)
         calls += one_pass.calls * votes
         prompt_tokens += one_pass.usage.prompt_tokens * votes
         completion_tokens += one_pass.usage.completion_tokens * votes
-        prior = selectivities[index] if index < len(selectivities) else 0.5
-        selectivity = planner.observed_selectivity(predicate, prior)
-        kept = min(len(survivors), max(1, math.ceil(len(survivors) * selectivity)))
-        survivors = survivors[:kept]
     return planner._estimate("filter", calls, prompt_tokens, completion_tokens)
 
 
 def _bool_labels(labels: Any) -> dict[str, bool]:
     return {str(item): bool(label) for item, label in dict(labels).items()}
+
+
+#: The per-predicate strategy search enumerates candidate^predicate combos;
+#: beyond this many predicates it falls back to one conjunction-level choice.
+_MAX_PER_PREDICATE_SEARCH = 4
 
 
 class _Filter(OperatorDeclaration):
@@ -680,10 +863,41 @@ class _Filter(OperatorDeclaration):
         "decisions": FieldCodec(decode=lambda data: {k: bool(v) for k, v in data.items()})
     }
 
+    output_from = "result"
+
     def call_ratio_applies(self, planner, spec: FilterSpec) -> bool:
         # A filter's error is explained by predicate selectivity, which is
         # observed and priced per predicate; applying both would double-correct.
         return False
+
+    def lower(self, params, *inputs: list[str]) -> FilterSpec:
+        return FilterSpec(
+            items=list(inputs[0]),
+            predicates=tuple(params["predicates"]),
+            expected_selectivities=tuple(params.get("selectivities", ())),
+            **_query_fields(params),
+        )
+
+    def output_items(self, params, parent_items: list[str], result: FilterResult) -> list[str]:
+        return list(result.kept)
+
+    def estimate_output(self, params, items: list[str], stats) -> list[str]:
+        predicates, priors = params.get("predicates", ()), params.get("selectivities", ())
+        return items[: _survivor_counts(len(items), predicates, priors, stats)[-1]]
+
+    def describe(self, params) -> str:
+        return "filter: " + " AND ".join(params["predicates"])
+
+    def explain_notes(self, params, stats) -> list[str]:
+        # Selectivities only: a filter's call ratio is never applied.
+        priors = list(params.get("selectivities", ()))
+        notes = []
+        for index, predicate in enumerate(params.get("predicates", ())):
+            observed = stats.filter_selectivity(predicate)
+            if observed is not None:
+                prior = float(priors[index]) if index < len(priors) else 0.5
+                notes.append(f"selectivity prior {prior:.2f} -> observed {observed:.2f}")
+        return notes
 
     def predicate_operator(self, planner, predicate: str, budget) -> FilterOperator:
         """The operator checking one of a spec's conjunctive predicates."""
@@ -724,15 +938,14 @@ class _Filter(OperatorDeclaration):
     def run(self, engine: "DeclarativeEngine", spec: FilterSpec, budget) -> FilterResult:
         """Apply the conjunctive predicates in order, one operator run each.
 
-        Strategies resolve *per predicate* (see
-        :meth:`PhysicalPlanner.resolve_filter`): with validation labels, a
-        cheap ``per_item`` pass on an easy predicate can precede an ensemble
-        vote on the hard one.  Each predicate's observed selectivity is
-        recorded into the session's runtime stats.
+        Strategies resolve *per predicate* (see :meth:`resolve_predicates`):
+        with validation labels, a cheap ``per_item`` pass on an easy predicate
+        can precede an ensemble vote on the hard one.  Each predicate's
+        observed selectivity is recorded into the session's runtime stats.
         """
         planner = engine.physical
-        plans = planner.resolve_filter(
-            spec, budget=budget if budget is not None else engine.session.budget
+        plans = self.resolve_predicates(
+            planner, spec, budget=budget if budget is not None else engine.session.budget
         )
 
         def check(predicate, strategy, options, survivors) -> FilterResult:
@@ -786,6 +999,87 @@ class _Filter(OperatorDeclaration):
         ]
         return Validation(candidates, run, score, len(spec.items))
 
+    def resolve_predicates(
+        self, planner: "PhysicalPlanner", spec: FilterSpec, *, budget=None
+    ) -> list[tuple[str, ResolvedStrategy]]:
+        """Resolve a filter spec to one strategy *per predicate*, in order.
+
+        A fixed strategy, a single-predicate spec, or an ``auto`` spec with
+        no usable validation sample resolves exactly like
+        :meth:`PhysicalPlanner.resolve` and applies that one choice to every
+        predicate.  A multi-predicate ``auto`` spec *with* validation labels
+        searches per-predicate strategy combinations instead: the labels
+        score the conjunction, so a cheap ``per_item`` pass on an easy
+        predicate can precede an ensemble vote on the hard one without
+        giving up conjunction-level accuracy.
+        """
+        predicates = list(spec.all_predicates)
+        if (
+            spec.strategy == "auto"
+            and 1 < len(predicates) <= _MAX_PER_PREDICATE_SEARCH
+            and planner.would_validate(spec)
+        ):
+            return self._validate_per_predicate(planner, spec, budget)
+        shared = planner.resolve(spec, budget=budget)
+        return [(predicate, shared) for predicate in predicates]
+
+    def _validate_per_predicate(
+        self, planner: "PhysicalPlanner", spec: FilterSpec, budget
+    ) -> list[tuple[str, ResolvedStrategy]]:
+        """Search per-predicate strategy combinations on the labelled sample.
+
+        Each candidate strategy judges each predicate over the *full*
+        sample (not a shrinking survivor set — the search needs every
+        predicate's decision on every item to score arbitrary
+        combinations), then every candidate^predicate combination is
+        scored by the F1 of its AND-ed decisions against the conjunction
+        labels.  With an ``accuracy_target`` the cheapest combination
+        meeting it wins; otherwise the best-scoring one, with measured
+        sample cost as the tie-break so a cheap ``per_item`` pass beats
+        an equally-accurate ensemble.
+        """
+        labels = _bool_labels(spec.validation_labels)
+        sample = list(labels)
+        truth = [labels[item] for item in sample]
+        candidates = self.validation(planner, spec, budget).candidates
+        predicates = list(spec.all_predicates)
+        considered = tuple(candidate.name for candidate in candidates)
+
+        # decisions/cost of candidate ``c`` judging predicate ``p`` alone.
+        measured: dict[tuple[int, int], tuple[dict[str, bool], float]] = {}
+        for p, predicate in enumerate(predicates):
+            for c, candidate in enumerate(candidates):
+                operator = self.predicate_operator(planner, predicate, budget)
+                result = operator.run(sample, strategy=candidate.name, **candidate.options)
+                measured[(p, c)] = (dict(result.decisions), result.cost)
+
+        scored: list[tuple[float, float, tuple[int, ...]]] = []  # (F1, cost, combo)
+        for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):
+            predictions = [
+                all(measured[(p, c)][0].get(item, False) for p, c in enumerate(combo))
+                for item in sample
+            ]
+            cost = sum(measured[(p, c)][1] for p, c in enumerate(combo))
+            scored.append((f1_score(predictions, truth), cost, combo))
+        target = spec.accuracy_target
+        meeting = [entry for entry in scored if target is not None and entry[0] >= target]
+        if meeting:
+            chosen = min(meeting, key=lambda entry: entry[1])[2]
+        else:
+            chosen = max(scored, key=lambda entry: (entry[0], -entry[1]))[2]
+        return [
+            (
+                predicates[p],
+                ResolvedStrategy(
+                    strategy=candidates[c].name,
+                    options=dict(candidates[c].options),
+                    decided_by="validation",
+                    considered=considered,
+                ),
+            )
+            for p, c in enumerate(chosen)
+        ]
+
 
 # -- categorize ------------------------------------------------------------------------
 
@@ -827,6 +1121,14 @@ class _Categorize(OperatorDeclaration):
 
     def build(self, spec: CategorizeSpec, client: Any, **kwargs: Any) -> CategorizeOperator:
         return CategorizeOperator(client, list(spec.categories), **kwargs)
+
+    def lower(self, params, *inputs: list[str]) -> CategorizeSpec:
+        return CategorizeSpec(
+            items=list(inputs[0]), categories=tuple(params["categories"]), **_query_fields(params)
+        )
+
+    def describe(self, params) -> str:
+        return "categorize into " + ", ".join(params["categories"])
 
     def validation_size(self, spec: CategorizeSpec) -> int:
         return len(spec.validation_labels)
@@ -877,12 +1179,28 @@ class _TopK(OperatorDeclaration):
         ),
     }
     auto = ("hybrid_rating_comparison", "rating_only")
+    output_from = "result"
 
     def build(self, spec: TopKSpec, client: Any, **kwargs: Any) -> TopKOperator:
         return TopKOperator(client, spec.criterion, **kwargs)
 
     def invoke(self, operator: TopKOperator, spec: TopKSpec, strategy, options):
         return operator.run(list(spec.items), k=spec.k, strategy=strategy, **options)
+
+    def lower(self, params, *inputs: list[str]) -> TopKSpec:
+        items = list(inputs[0])
+        # Declarative top-k of a shrunken set: clamp rather than fail.
+        k = max(1, min(int(params["k"]), len(items))) if items else int(params["k"])
+        return TopKSpec(items=items, criterion=params["criterion"], k=k, **_query_fields(params))
+
+    def output_items(self, params, parent_items: list[str], result: TopKResult) -> list[str]:
+        return list(result.top_items)
+
+    def estimate_output(self, params, items: list[str], stats) -> list[str]:
+        return items[: max(1, min(len(items), int(params.get("k", 1))))]
+
+    def describe(self, params) -> str:
+        return f"top {params['k']} by {params['criterion']!r}"
 
 
 # -- join ------------------------------------------------------------------------------
@@ -917,12 +1235,46 @@ class _Join(OperatorDeclaration):
         )
     }
     result_fields = {"matches": FieldCodec(decode=lambda data: [tuple(pair) for pair in data])}
+    # A query join is a semi-join: the left items with at least one match.
+    output_from = "result+parent"
 
     def invoke(self, operator: JoinOperator, spec: JoinSpec, strategy, options):
         return operator.run(list(spec.left), list(spec.right), strategy=strategy, **options)
 
     def observe(self, stats, spec: JoinSpec, result: JoinResult) -> None:
         stats.record_join(left=len(spec.left), matched=len({left for left, _ in result.matches}))
+
+    def lower(self, params, *inputs: list[str]) -> JoinSpec:
+        left, right = inputs
+        return JoinSpec(left=list(left), right=list(right), **_query_fields(params))
+
+    def output_items(self, params, parent_items: list[str], result: JoinResult) -> list[str]:
+        matched = sorted({left_index for left_index, _ in result.matches})
+        return [parent_items[index] for index in matched]
+
+    def estimate_output(self, params, items: list[str], stats) -> list[str]:
+        # A declared per-join prior wins (the author knows this join); the
+        # session's observed match rate is global, so it only fills the gap;
+        # otherwise a conservative 1.0.
+        selectivity = params.get("selectivity")
+        if selectivity is None and stats is not None:
+            selectivity = stats.join_selectivity()
+        return items[: _kept(len(items), 1.0 if selectivity is None else float(selectivity))]
+
+    def describe(self, params) -> str:
+        return "semi-join against a second dataset"
+
+    def explain_notes(self, params, stats) -> list[str]:
+        observed = stats.join_selectivity()
+        declared = params.get("selectivity")
+        if observed is None:
+            notes = []
+        elif declared is None:
+            notes = [f"join selectivity observed {observed:.2f}"]
+        else:
+            # Surface both, so the declared prior outranking the observation is visible.
+            notes = [f"join selectivity declared {float(declared):.2f} (observed {observed:.2f})"]
+        return notes + super().explain_notes(params, stats)
 
 
 # -- cluster ---------------------------------------------------------------------------
@@ -955,6 +1307,12 @@ class _Cluster(OperatorDeclaration):
     }
     auto = ("two_phase", "single_prompt")
     result_fields = {"clusters": _CLUSTERS}
+
+    def lower(self, params, *inputs: list[str]) -> ClusterSpec:
+        return ClusterSpec(items=unique_items(inputs[0]), **_query_fields(params))
+
+    def describe(self, params) -> str:
+        return "cluster items into groups"
 
 
 # -- the table -------------------------------------------------------------------------
@@ -998,16 +1356,17 @@ def check_strategy(spec: TaskSpec) -> None:
         declaration.for_spec(spec).priced_strategy(spec)
 
 
-def default_strategy(operation: str) -> str | None:
-    """The strategy an unconstrained ``"auto"`` runs for ``operation``.
+def operation_declaration(operation: str) -> OperatorDeclaration | None:
+    """The declaration of the operator called ``operation``, or ``None``.
 
-    Observations are recorded under the strategy that *executed* (never
-    ``"auto"``), so auto-labelled quotes look their statistics up here.  A
-    pairs-mode resolve is labelled ``"transitive"`` where the mode is known.
+    The one lookup by name: the query layer reads a logical node's
+    declaration here, and an auto-labelled quote its default strategy
+    (``auto[0]``; a pairs-mode resolve is labelled ``"transitive"`` where the
+    mode is known).  It scans the live table, so an entry a test adds counts.
     """
     for declaration in DECLARATIONS.values():
-        if declaration.operation == operation:
-            return declaration.auto[0]
+        if declaration.operator.operation == operation:
+            return declaration
     return None
 
 

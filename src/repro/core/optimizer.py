@@ -21,10 +21,13 @@ Selection rule:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import SpecError
 from repro.operators.base import OperatorResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.planner import CostEstimate
 
 
 @dataclass
@@ -139,3 +142,25 @@ class StrategySelector:
             if meeting:
                 return min(meeting, key=lambda evaluation: evaluation.estimated_full_cost)
         return max(pool, key=lambda evaluation: (evaluation.accuracy, -evaluation.estimated_full_cost))
+
+
+@dataclass(frozen=True)
+class ResolvedStrategy:
+    """The physical planner's decision for one spec.
+
+    Attributes:
+        strategy: the strategy the engine will execute.
+        options: keyword arguments for the strategy.
+        decided_by: ``"fixed"`` (explicit in the spec), ``"validation"``
+            (measured on a labelled sample), or ``"cost"`` (picked from the
+            planner's estimates under the remaining budget).
+        estimate: the planner's cost estimate for the chosen strategy, when
+            one could be computed.
+        considered: the candidate strategy names that were in the running.
+    """
+
+    strategy: str
+    options: dict[str, Any] = field(default_factory=dict)
+    decided_by: str = "fixed"
+    estimate: CostEstimate | None = None
+    considered: tuple[str, ...] = ()

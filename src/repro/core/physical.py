@@ -36,17 +36,16 @@ operator construction all come from the spec's
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.declarations import OperatorDeclaration, declaration_for
-from repro.core.optimizer import StrategySelector
+from repro.core.optimizer import ResolvedStrategy, StrategySelector
 from repro.core.planner import CostEstimate, CostPlanner
 from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError
-from repro.metrics.classification import f1_score
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.budget import Budget, BudgetLease
@@ -55,28 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 # -- resolved strategies ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResolvedStrategy:
-    """The physical planner's decision for one spec.
-
-    Attributes:
-        strategy: the strategy the engine will execute.
-        options: keyword arguments for the strategy.
-        decided_by: ``"fixed"`` (explicit in the spec), ``"validation"``
-            (measured on a labelled sample), or ``"cost"`` (picked from the
-            planner's estimates under the remaining budget).
-        estimate: the planner's cost estimate for the chosen strategy, when
-            one could be computed.
-        considered: the candidate strategy names that were in the running.
-    """
-
-    strategy: str
-    options: dict[str, Any] = field(default_factory=dict)
-    decided_by: str = "fixed"
-    estimate: CostEstimate | None = None
-    considered: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -133,10 +110,6 @@ class PhysicalPlan:
 #: naming voter models itself.
 _DEFAULT_ENSEMBLE_SIZE = 3
 
-#: Per-predicate strategy search enumerates candidate^predicate combos;
-#: beyond this many predicates it falls back to one conjunction-level choice.
-_MAX_PER_PREDICATE_SEARCH = 4
-
 
 class PhysicalPlanner:
     """Resolve declarative specs to concrete strategies (see module docstring).
@@ -165,7 +138,7 @@ class PhysicalPlanner:
 
     def planner_model(self, model: str | None = None) -> str:
         """The model estimates are priced on."""
-        return model or self.default_model or self.session.config.chat_model
+        return model or self.default_model or DEFAULT_CHAT_MODEL
 
     def cost_planner(self, model: str | None = None, *, with_stats: bool = True) -> CostPlanner:
         """A (cached) cost planner, optionally fed by the observed stats."""
@@ -416,104 +389,6 @@ class PhysicalPlanner:
             return [str(model) for model in explicit]
         by_cost = self.session.registry.chat_models_by_cost()
         return [model.name for model in by_cost[:_DEFAULT_ENSEMBLE_SIZE]]
-
-    def resolve_filter(
-        self,
-        spec: TaskSpec,
-        *,
-        budget: "Budget | BudgetLease | None" = None,
-    ) -> list[tuple[str, ResolvedStrategy]]:
-        """Resolve a filter spec to one strategy *per predicate*, in order.
-
-        A fixed strategy, a single-predicate spec, or an ``auto`` spec with
-        no usable validation sample resolves exactly like :meth:`resolve`
-        and applies that one choice to every predicate — unchanged
-        behaviour.  A multi-predicate ``auto`` spec *with* validation
-        labels searches per-predicate strategy combinations instead: the
-        labels score the conjunction, so a cheap ``per_item`` pass on an
-        easy predicate can precede an ensemble vote on the hard one
-        without giving up conjunction-level accuracy.
-        """
-        predicates = list(spec.all_predicates)
-        if spec.strategy != "auto":
-            fixed = ResolvedStrategy(
-                strategy=spec.strategy,
-                options=dict(spec.strategy_options),
-                decided_by="fixed",
-                considered=(spec.strategy,),
-            )
-            return [(predicate, fixed) for predicate in predicates]
-        if (
-            len(predicates) > 1
-            and len(predicates) <= _MAX_PER_PREDICATE_SEARCH
-            and self.would_validate(spec)
-        ):
-            return self._validate_filter_per_predicate(spec, budget)
-        shared = self.resolve(spec, budget=budget)
-        return [(predicate, shared) for predicate in predicates]
-
-    def _validate_filter_per_predicate(
-        self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
-    ) -> list[tuple[str, ResolvedStrategy]]:
-        """Search per-predicate strategy combinations on the labelled sample.
-
-        Each candidate strategy judges each predicate over the *full*
-        sample (not a shrinking survivor set — the search needs every
-        predicate's decision on every item to score arbitrary
-        combinations), then every candidate^predicate combination is
-        scored by the F1 of its AND-ed decisions against the conjunction
-        labels.  With an ``accuracy_target`` the cheapest combination
-        meeting it wins; otherwise the best-scoring one, with measured
-        sample cost as the tie-break so a cheap ``per_item`` pass beats
-        an equally-accurate ensemble.
-        """
-        labels = {str(item): bool(keep) for item, keep in spec.validation_labels.items()}
-        sample = list(labels)
-        truth = [labels[item] for item in sample]
-        declaration = declaration_for(spec)
-        candidates = declaration.validation(self, spec, budget).candidates
-        predicates = list(spec.all_predicates)
-        considered = tuple(candidate.name for candidate in candidates)
-
-        # decisions/cost of candidate ``c`` judging predicate ``p`` alone.
-        measured: dict[tuple[int, int], tuple[dict[str, bool], float]] = {}
-        for p, predicate in enumerate(predicates):
-            for c, candidate in enumerate(candidates):
-                operator = declaration.predicate_operator(self, predicate, budget)
-                result = operator.run(sample, strategy=candidate.name, **candidate.options)
-                measured[(p, c)] = (dict(result.decisions), result.cost)
-
-        best_combo: tuple[int, ...] | None = None
-        best_key: tuple[float, float] | None = None
-        target_combo: tuple[int, ...] | None = None
-        target_cost: float | None = None
-        for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):
-            predictions = [
-                all(measured[(p, c)][0].get(item, False) for p, c in enumerate(combo))
-                for item in sample
-            ]
-            score = f1_score(predictions, truth)
-            cost = sum(measured[(p, c)][1] for p, c in enumerate(combo))
-            key = (score, -cost)
-            if best_key is None or key > best_key:
-                best_key, best_combo = key, combo
-            if spec.accuracy_target is not None and score >= spec.accuracy_target:
-                if target_cost is None or cost < target_cost:
-                    target_cost, target_combo = cost, combo
-        chosen = target_combo if target_combo is not None else best_combo
-        assert chosen is not None  # the product is non-empty
-        return [
-            (
-                predicates[p],
-                ResolvedStrategy(
-                    strategy=candidates[c].name,
-                    options=dict(candidates[c].options),
-                    decided_by="validation",
-                    considered=considered,
-                ),
-            )
-            for p, c in enumerate(chosen)
-        ]
 
     # -- feedback --------------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from repro.core.declarations import declaration_for, default_strategy
+from repro.core.declarations import declaration_for, operation_declaration
 from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError, StoreError
@@ -626,9 +626,8 @@ class CostPlanner:
         the default strategy it was priced at.
         """
         operation, _, strategy = estimate_strategy.partition(":")
-        if strategy == "auto":
-            return f"{operation}:{default_strategy(operation) or strategy}"
-        return estimate_strategy
+        declaration = operation_declaration(operation) if strategy == "auto" else None
+        return estimate_strategy if declaration is None else f"{operation}:{declaration.auto[0]}"
 
     def _apply_latency(self, estimate: CostEstimate, label: str) -> CostEstimate:
         """Attach a wall-clock prediction from the observed median latency.
@@ -737,16 +736,6 @@ class CostPlanner:
             f"cache hit-rate prior 0.00 -> observed {min(rate, 0.99):.2f} "
             "(dollar estimates discounted)"
         )
-
-    def observed_selectivity(self, predicate: str, prior: float) -> float:
-        """A predicate's observed surviving fraction, or its static prior."""
-        if self.stats is not None:
-            observed = self.stats.filter_selectivity(predicate)
-            if observed is not None:
-                # An observed 0 would collapse every downstream estimate to
-                # nothing; clamp to one surviving item's worth.
-                return max(observed, 1e-6)
-        return prior
 
     def quote_pipeline(
         self,

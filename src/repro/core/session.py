@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import DEFAULT_CONFIG, ReproConfig
+from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.budget import Budget, BudgetLease
 from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import ConcurrencyGovernor
@@ -119,7 +119,6 @@ class PromptSession:
         client: the underlying LLM client (typically a :class:`SimulatedLLM`).
         registry: the model catalogue; defaults to the standard registry.
         budget: the monetary budget; defaults to unlimited.
-        config: library configuration defaults.
         use_cache: whether identical temperature-0 prompts are deduplicated.
         max_concurrency: how many independent unit tasks operators keep in
             flight; 1 (the default) keeps everything sequential.
@@ -149,7 +148,6 @@ class PromptSession:
         *,
         registry: ModelRegistry | None = None,
         budget: Budget | None = None,
-        config: ReproConfig = DEFAULT_CONFIG,
         use_cache: bool = True,
         max_concurrency: int = 1,
         governor: ConcurrencyGovernor | None = None,
@@ -160,7 +158,6 @@ class PromptSession:
     ) -> None:
         self.registry = registry or default_registry()
         self.budget = budget or Budget()
-        self.config = config
         self.max_concurrency = max_concurrency
         self.governor = governor
         self.cost_model: CostModel = self.registry.cost_model()
@@ -211,7 +208,7 @@ class PromptSession:
         :class:`~repro.llm.base.BaseClient`).
         """
         target = budget if budget is not None else self.budget
-        model_name = model or self.config.chat_model
+        model_name = model or DEFAULT_CHAT_MODEL
         start = time.perf_counter()
         try:
             response = self._client.complete(
@@ -300,7 +297,7 @@ class PromptSession:
         # and *then* reported as the breach.
         if not single and not target.unlimited and target.remaining <= 0.0:
             raise BudgetExceededError(target.spent, target.limit or 0.0)
-        model_name = model or self.config.chat_model
+        model_name = model or DEFAULT_CHAT_MODEL
         start = time.perf_counter()
         try:
             responses = yield Call(
@@ -626,7 +623,7 @@ class PromptSession:
 class BudgetScopedSession(SessionClient):
     """A session view whose LLM calls are charged to a specific budget.
 
-    Everything else — tracker, cache, config, registry — forwards to the
+    Everything else — tracker, cache, registry — forwards to the
     underlying session.  The pipeline scheduler hands one of these to
     callable steps when the pipeline carries its own ``budget_dollars`` cap,
     so even a raw ``session.complete`` call inside a step counts against the

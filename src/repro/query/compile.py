@@ -5,18 +5,19 @@
 
 * Every logical node becomes one named pipeline step (a proxy-blocked
   resolve becomes two: an LLM-free blocking step plus a pair-judgment
-  step).  Steps whose input items are statically known compile to concrete
-  operator specs — validated, and priced by the planner, before anything
-  runs.  Steps downstream of a reducing op compile to
-  :data:`~repro.core.spec.SpecFactory` closures that *materialize* their
+  step), lowered by its operator's declaration (``lower``; the explain
+  line is its ``describe``).  Steps whose input items are statically known
+  compile to concrete operator specs — validated, and priced by the
+  planner, before anything runs.  Steps downstream of a reducing op compile
+  to :data:`~repro.core.spec.SpecFactory` closures that *materialize* their
   input items from upstream step results at run time.
 * ``depends_on`` edges are inferred from **data lineage**: a step depends
   only on the steps whose results its input items are materialized from.
-  Annotating ops (categorize/cluster/impute) pass items through, so
-  downstream steps skip them and the scheduler runs annotators concurrently
-  with the rest of the chain for free.  ``lineage_deps=False`` reproduces
-  the naive chain (each step gated on its authored predecessor) — the
-  baseline the benchmarks compare against.
+  Annotating ops (categorize/cluster/impute, ``output_from = "parent"``)
+  pass items through, so downstream steps skip them and the scheduler runs
+  annotators concurrently with the rest of the chain for free.
+  ``lineage_deps=False`` reproduces the naive chain (each step gated on its
+  authored predecessor) — the baseline the benchmarks compare against.
 * The compile-time quote is the planner's own
   (:meth:`~repro.core.planner.CostPlanner.quote_pipeline` — the one place a
   quote is assembled): it prices the concrete steps, and the compiler hands
@@ -33,28 +34,20 @@ from dataclasses import dataclass, replace as dataclass_replace
 from functools import partial
 from typing import Any, Callable, Mapping
 
-from repro.consistency.transitivity import MatchGraph
-from repro.core.declarations import default_strategy
+from repro.core.declarations import OperatorDeclaration, unique_items
 from repro.core.planner import CostEstimate, CostPlanner, PipelineQuote
-from repro.core.spec import (
-    CategorizeSpec,
-    ClusterSpec,
-    FilterSpec,
-    ImputeSpec,
-    JoinSpec,
-    PipelineSpec,
-    PipelineStep,
-    ResolveSpec,
-    SortSpec,
-    TaskSpec,
-    TopKSpec,
-)
+from repro.core.spec import PipelineSpec, PipelineStep, ResolveSpec, TaskSpec
 from repro.exceptions import ConfigurationError, SpecError
 from repro.index import corpus_index_name, load_or_build_index, resolve_embedder
 from repro.llm.prompts import DUPLICATE_CHECK
-from repro.operators.resolve import PairJudgmentResult, ResolveResult
 from repro.proxies.blocking import BlockingResult, EmbeddingBlocker
-from repro.query.plan import LogicalNode, LogicalPlan, estimated_items, validate_plan
+from repro.query.plan import (
+    LogicalNode,
+    LogicalPlan,
+    estimated_items,
+    estimated_spec,
+    validate_plan,
+)
 
 
 @dataclass(frozen=True)
@@ -99,18 +92,17 @@ def compile_plan(
 ) -> CompiledQuery:
     """Lower ``plan`` to a :class:`PipelineSpec` (see module docstring)."""
     validate_plan(plan)
-    nodes = plan.nodes()
     step_of: dict[LogicalNode, str] = {}
     block_step_of: dict[LogicalNode, str] = {}
-    for index, node in enumerate(node for node in nodes if node.op != "source"):
+    for index, node in enumerate(node for node in plan.nodes() if node.op != "source"):
         step_of[node] = f"s{index + 1}_{node.op}"
-        if node.op == "resolve" and node.params.get("proxy"):
+        if node.params.get("proxy"):  # only the optimizer sets it, on resolves
             block_step_of[node] = f"s{index + 1}_block"
 
     # Recursive, so module-level with ``step_of`` as an argument: a nested
     # function that calls itself is a cycle that keeps the plan for the collector.
     materialize = partial(_materialize, step_of)
-    lineage_of = partial(_lineage_of, step_of)
+    lineage_of = partial(_read_steps, step_of)
 
     def depends_for(node: LogicalNode) -> tuple[str, ...]:
         if lineage_deps:
@@ -121,62 +113,6 @@ def compile_plan(
             deps = [step_of[upstream] for upstream in node.inputs if upstream.op != "source"]
         return tuple(dict.fromkeys(deps))
 
-    # -- spec construction ------------------------------------------------------------
-
-    def build_spec(node: LogicalNode, *input_items: list[str]) -> TaskSpec:
-        params = node.params
-        common = {
-            "strategy": params.get("strategy", "auto"),
-            "strategy_options": dict(params.get("options", {})),
-            "budget_dollars": params.get("budget_dollars"),
-            "accuracy_target": params.get("accuracy_target"),
-        }
-        items = list(input_items[0]) if input_items else []
-        if node.op == "filter":
-            return FilterSpec(
-                items=items,
-                predicates=tuple(params["predicates"]),
-                expected_selectivities=tuple(params.get("selectivities", ())),
-                **common,
-            )
-        if node.op == "sort":
-            return SortSpec(
-                items=items,
-                criterion=params["criterion"],
-                validation_order=tuple(params.get("validation_order", ())),
-                **common,
-            )
-        if node.op == "resolve":
-            # Exact-duplicate strings are duplicates by definition; merge
-            # them for free instead of spending pair judgments on them.
-            return ResolveSpec(records=_unique(items), **common)
-        if node.op == "categorize":
-            return CategorizeSpec(items=items, categories=tuple(params["categories"]), **common)
-        if node.op == "top_k":
-            # Declarative top-k of a shrunken set: clamp rather than fail.
-            k = max(1, min(int(params["k"]), len(items))) if items else int(params["k"])
-            return TopKSpec(items=items, criterion=params["criterion"], k=k, **common)
-        if node.op == "cluster":
-            return ClusterSpec(items=_unique(items), **common)
-        if node.op == "impute":
-            common.pop("strategy_options")
-            return ImputeSpec(
-                data=params["data"],
-                n_examples=int(params.get("n_examples", 0)),
-                strategy=params.get("strategy", "auto"),
-                budget_dollars=params.get("budget_dollars"),
-                accuracy_target=params.get("accuracy_target"),
-            )
-        if node.op == "join":
-            return JoinSpec(left=items, right=list(input_items[1]), **common)
-        raise SpecError(f"cannot build a spec for logical operation {node.op!r}")
-
-    def item_inputs(node: LogicalNode) -> tuple[LogicalNode, ...]:
-        """The upstream nodes whose output items feed this node's spec."""
-        if node.op == "impute":
-            return ()  # reads its ImputationDataset, not the chain items
-        return node.inputs
-
     # -- step emission ----------------------------------------------------------------
 
     pipeline_steps: list[PipelineStep] = []
@@ -185,20 +121,14 @@ def compile_plan(
     #: Estimates for run-time factory steps, which the planner cannot price.
     estimates: dict[str, CostEstimate] = {}
 
-    for node in nodes:
-        if node.op == "source":
-            continue
-        name = step_of[node]
-        feeds = item_inputs(node)
-        static = all(lineage_of(upstream) == () for upstream in feeds)
-        if node.op == "resolve" and node.params.get("proxy"):
+    for node, name in step_of.items():
+        if node in block_step_of:
             block_name, judge_deps = _emit_proxy_resolve(
                 node,
                 name,
                 block_step_of[node],
                 depends_for(node),
                 materialize,
-                build_spec,
                 pipeline_steps,
                 store,
             )
@@ -225,34 +155,36 @@ def compile_plan(
                 estimates[name] = estimate
             continue
 
+        declaration = node.declaration
+        feeds = node.feeds
         depends_on = depends_for(node)
-        if static:
+        if all(lineage_of(upstream) == () for upstream in feeds):
             # Static feeds are source-only, so the estimate *is* the literal
             # item list (no stats needed to materialize it), and the planner
             # prices the concrete spec itself.
-            task: TaskSpec | Callable[..., TaskSpec] = build_spec(
-                node, *[list(estimated_items(up)) for up in feeds]
-            )
+            task: TaskSpec | Callable[..., TaskSpec] = estimated_spec(node)
         else:
 
             def factory(
                 inputs: Mapping[str, Any],
                 *,
-                _node: LogicalNode = node,
+                _declaration: OperatorDeclaration = declaration,
+                _params: Mapping[str, Any] = node.params,
                 _feeds: tuple[LogicalNode, ...] = feeds,
             ) -> TaskSpec:
-                return build_spec(
-                    _node, *[materialize(upstream, inputs) for upstream in _feeds]
+                return _declaration.lower(
+                    _params, *[materialize(upstream, inputs) for upstream in _feeds]
                 )
 
             task = factory
-            estimate = _estimate_step(node, feeds, build_spec, planner)
+            estimate = _estimate_step(node, planner)
             if estimate is not None:
                 estimates[name] = estimate
-        description = _describe(node)
-        annotation = _stats_annotation(node, planner)
-        if annotation:
-            description = f"{description} [{annotation}]"
+        description = declaration.describe(node.params)
+        if planner.stats is not None:
+            notes = declaration.explain_notes(node.params, planner.stats)
+            if notes:
+                description = f"{description} [{'; '.join(notes)}]"
         pipeline_steps.append(
             PipelineStep(
                 name=name, task=task, depends_on=depends_on, description=description
@@ -281,10 +213,6 @@ def compile_plan(
     ]
     root = plan.root
 
-    proxy_nodes = [
-        node for node in nodes if node.op == "resolve" and node.params.get("proxy")
-    ]
-
     def record_feedback(
         results: Mapping[str, Any], stats: Any, restored: frozenset = frozenset()
     ) -> None:
@@ -300,20 +228,21 @@ def compile_plan(
         run that produced the checkpoint, and re-adding it on every free
         replay would let one workload's observations grow without bound.
         """
-        for node in proxy_nodes:
+        for node, block_name in block_step_of.items():
             judge_name = step_of[node]
             if judge_name not in results:
                 continue  # step stopped/skipped: nothing observed
             if judge_name in restored:
                 continue  # replayed from a checkpoint: already recorded
-            blocking = results.get(block_step_of[node])
+            blocking = results.get(block_name)
             if blocking is None:
                 # Degenerate (<2 survivors) path: the judge ran a records
                 # resolve through the engine, which already recorded it.
                 continue
-            parent_items = _unique(materialize(node.inputs[0], results))
-            representatives = _representatives(parent_items, results[judge_name])
-            stats.record_dedup(inputs=len(parent_items), survivors=len(representatives))
+            parent_items = unique_items(materialize(node.inputs[0], results))
+            # The node's output items: one representative per duplicate cluster.
+            survivors = materialize(node, results)
+            stats.record_dedup(inputs=len(parent_items), survivors=len(survivors))
             block_k = int(node.params.get("block_k", 5))
             effective_k = min(block_k, max(1, len(parent_items) - 1))
             stats.record_blocked_pairs(
@@ -342,64 +271,25 @@ def _materialize(
     if node.op == "source":
         return list(node.params["items"])
     parent_items = _materialize(step_of, node.inputs[0], results)
-    if node.op in ("categorize", "cluster", "impute"):
+    declaration = node.declaration
+    if declaration.output_from == "parent":
         return parent_items
-    result = results[step_of[node]]
-    if node.op == "filter":
-        return list(result.kept)
-    if node.op == "sort":
-        placed = set(result.order)
-        return list(result.order) + [
-            item for item in parent_items if item not in placed
-        ]
-    if node.op == "top_k":
-        return list(result.top_items)
-    if node.op == "join":
-        matched = sorted({left_index for left_index, _ in result.matches})
-        return [parent_items[index] for index in matched]
-    if node.op == "resolve":
-        return _representatives(_unique(parent_items), result)
-    raise SpecError(f"cannot materialize logical operation {node.op!r}")
+    return declaration.output_items(node.params, parent_items, results[step_of[node]])
 
 
-def _lineage_of(step_of: Mapping[LogicalNode, str], node: LogicalNode) -> tuple[str, ...]:
+def _read_steps(step_of: Mapping[LogicalNode, str], node: LogicalNode) -> tuple[str, ...]:
     """Steps whose results :func:`_materialize` reads for ``node``."""
     if node.op == "source":
         return ()
-    upstream = _lineage_of(step_of, node.inputs[0])
-    if node.op in ("categorize", "cluster", "impute"):
+    upstream = _read_steps(step_of, node.inputs[0])
+    output_from = node.declaration.output_from
+    if output_from == "parent":
         return upstream
-    if node.op in ("filter", "top_k"):
-        # kept/top_items are literal strings; the parent chain's results
-        # are not needed once this step has run.
+    if output_from == "result":
+        # Its result holds the literal items (a filter's kept, a top-k's top
+        # items); the parent chain's results are not needed once it has run.
         return (step_of[node],)
     return (step_of[node], *upstream)
-
-
-def _unique(items: list[str]) -> list[str]:
-    """Items with exact-duplicate strings removed, first occurrence kept."""
-    return list(dict.fromkeys(items))
-
-
-def _representatives(parent_items: list[str], result: Any) -> list[str]:
-    """Dedup semantics: the first member of each duplicate cluster, in order."""
-    if isinstance(result, ResolveResult):
-        clusters = sorted(result.clusters, key=min)
-        return [parent_items[min(cluster)] for cluster in clusters]
-    if isinstance(result, PairJudgmentResult):
-        graph = MatchGraph()
-        for item in parent_items:
-            graph.add_node(item)
-        for judgment in result.judgments:
-            if judgment.is_duplicate:
-                graph.add_match(judgment.left, judgment.right)
-        index_of = {item: index for index, item in enumerate(parent_items)}
-        clusters = sorted(
-            (sorted(index_of[item] for item in component) for component in graph.components()),
-            key=min,
-        )
-        return [parent_items[cluster[0]] for cluster in clusters]
-    raise SpecError(f"unexpected resolve step result {type(result).__name__}")
 
 
 def _emit_proxy_resolve(
@@ -408,7 +298,6 @@ def _emit_proxy_resolve(
     block_name: str,
     parent_deps: tuple[str, ...],
     materialize: Callable[[LogicalNode, Mapping[str, Any]], list[str]],
-    build_spec: Callable[..., TaskSpec],
     pipeline_steps: list[PipelineStep],
     compile_store: Any | None = None,
 ) -> tuple[str, tuple[str, ...]]:
@@ -417,7 +306,7 @@ def _emit_proxy_resolve(
     block_k = int(node.params.get("block_k", 5))
 
     def run_blocker(session: Any, inputs: Mapping[str, Any]) -> Any:
-        items = _unique(materialize(parent, inputs))
+        items = unique_items(materialize(parent, inputs))
         if len(items) < 2:
             return None
         # Route neighbor-finding through the vector-index layer: embeddings
@@ -483,11 +372,11 @@ def _emit_proxy_resolve(
     )
 
     def judge_factory(inputs: Mapping[str, Any]) -> TaskSpec:
-        items = _unique(materialize(parent, inputs))
+        items = unique_items(materialize(parent, inputs))
         blocking = inputs[block_name]
         if blocking is None:
             # Degenerate input (a single survivor): one grouping prompt.
-            return build_spec(node.with_params(proxy=False, strategy="single_prompt"), items)
+            return node.declaration.lower({**node.params, "strategy": "single_prompt"}, items)
         pairs = [(items[i], items[j]) for i, j in blocking.candidate_pairs]
         return ResolveSpec(
             pairs=pairs,
@@ -508,12 +397,7 @@ def _emit_proxy_resolve(
     return block_name, judge_deps
 
 
-def _estimate_step(
-    node: LogicalNode,
-    feeds: tuple[LogicalNode, ...],
-    build_spec: Callable[..., TaskSpec],
-    planner: CostPlanner,
-) -> CostEstimate | None:
+def _estimate_step(node: LogicalNode, planner: CostPlanner) -> CostEstimate | None:
     """Quote one factory step over statically estimated input items.
 
     The upstream estimates consult the planner's runtime stats when it has
@@ -521,56 +405,9 @@ def _estimate_step(
     step from observed selectivities instead of priors.
     """
     try:
-        spec = build_spec(
-            node, *[estimated_items(upstream, planner.stats) for upstream in feeds]
-        )
-        return planner.estimate_spec(spec)
+        return planner.estimate_spec(estimated_spec(node, planner.stats))
     except SpecError:
         return None
-
-
-def _stats_annotation(node: LogicalNode, planner: CostPlanner) -> str:
-    """A "prior -> observed" note for ``.explain()`` when stats exist."""
-    stats = planner.stats
-    if stats is None:
-        return ""
-    parts: list[str] = []
-    if node.op == "filter":
-        priors = list(node.params.get("selectivities", ()))
-        for index, predicate in enumerate(node.params.get("predicates", ())):
-            observed = stats.filter_selectivity(predicate)
-            if observed is None:
-                continue
-            prior = float(priors[index]) if index < len(priors) else 0.5
-            parts.append(f"selectivity prior {prior:.2f} -> observed {observed:.2f}")
-    elif node.op == "resolve":
-        ratio = stats.dedup_survivor_ratio()
-        if ratio is not None:
-            parts.append(f"dedup survivors observed {ratio:.2f}")
-    elif node.op == "join":
-        observed = stats.join_selectivity()
-        if observed is not None:
-            declared = node.params.get("selectivity")
-            if declared is not None:
-                # An authored per-join prior outranks the session-global
-                # observed match rate; surface both so the choice is visible.
-                parts.append(
-                    f"join selectivity declared {float(declared):.2f} "
-                    f"(observed {observed:.2f})"
-                )
-            else:
-                parts.append(f"join selectivity observed {observed:.2f}")
-    strategy = node.params.get("strategy", "auto")
-    if strategy == "auto":
-        # Ratios are keyed by the strategy that executed; an auto node's
-        # ratio lives under its default — the same mapping the planner
-        # applies when it scales the quote, so every scaled step is
-        # annotated.  (Query resolve nodes are records-mode: "pairwise".)
-        strategy = default_strategy(node.op) or strategy
-    call_ratio = stats.call_ratio(f"{node.op}:{strategy}")
-    if call_ratio is not None and node.op != "filter":
-        parts.append(f"call ratio observed {call_ratio:.2f}")
-    return "; ".join(parts)
 
 
 def _proxy_estimate(node: LogicalNode, planner: CostPlanner) -> CostEstimate | None:
@@ -596,24 +433,3 @@ def _proxy_estimate(node: LogicalNode, planner: CostPlanner) -> CostEstimate | N
         raise ConfigurationError("cannot plan over an empty pair list")
     estimate = planner.blocked_pairs(items, count, DUPLICATE_CHECK)
     return estimate.labelled("resolve:proxy_blocked")
-
-
-def _describe(node: LogicalNode) -> str:
-    params = node.params
-    if node.op == "filter":
-        return "filter: " + " AND ".join(params["predicates"])
-    if node.op == "sort":
-        return f"sort by {params['criterion']!r}"
-    if node.op == "resolve":
-        return "resolve duplicates to one representative per entity"
-    if node.op == "categorize":
-        return "categorize into " + ", ".join(params["categories"])
-    if node.op == "top_k":
-        return f"top {params['k']} by {params['criterion']!r}"
-    if node.op == "cluster":
-        return "cluster items into groups"
-    if node.op == "impute":
-        return f"impute {params['data'].target_attribute!r}"
-    if node.op == "join":
-        return "semi-join against a second dataset"
-    return node.op

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.engine import DeclarativeEngine
 from repro.core.planner import CostPlanner, PipelineQuote
 from repro.core.session import PromptSession
@@ -42,7 +42,7 @@ from repro.exceptions import SpecError
 from repro.index import build_index, corpus_index_name, resolve_embedder
 from repro.query.compile import CompiledQuery, compile_plan
 from repro.query.optimizer import optimize
-from repro.query.plan import ANNOTATORS, LogicalNode, LogicalPlan, source
+from repro.query.plan import LogicalNode, LogicalPlan, source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
@@ -378,7 +378,7 @@ class Dataset:
         run — searching a guess would be wrong, so that is an error.
         """
         node = self._node
-        while node.op in ANNOTATORS:
+        while node.op != "source" and node.declaration.output_from == "parent":
             node = node.inputs[0]
         if node.op != "source":
             raise SpecError(
@@ -555,7 +555,7 @@ class Dataset:
         # statically-known prompts a previous session already paid for are
         # priced at zero even before any engine/session exists.
         cache = self._store.response_cache() if self._store is not None else None
-        return CostPlanner(DEFAULT_CONFIG.chat_model, response_cache=cache)
+        return CostPlanner(DEFAULT_CHAT_MODEL, response_cache=cache)
 
     def __repr__(self) -> str:
         ops = " -> ".join(node.op for node in self.logical_plan().nodes())

@@ -57,29 +57,15 @@ property of the lowering, not a plan rewrite.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from typing import Any, Callable, Sequence
 
-from repro.config import DEFAULT_CONFIG
+from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.planner import CostPlanner
-from repro.core.spec import FilterSpec, JoinSpec
 from repro.exceptions import ConfigurationError, SpecError
 from repro.llm.prompts import DUPLICATE_CHECK
-from repro.query.plan import (
-    ANNOTATORS,
-    LogicalNode,
-    LogicalPlan,
-    estimated_items,
-    join_selectivity,
-)
+from repro.query.plan import LogicalNode, LogicalPlan, estimated_items, estimated_spec
 
-#: Sort strategies whose unit prompts are per-pair or per-item, so sorting a
-#: subset issues a subset of the same prompts (commuting a filter past them
-#: cannot change the survivors' relative order at temperature 0).
-_PUSH_SAFE_SORT = {"auto", "pairwise", "pairwise_consistent", "rating"}
-#: Resolve strategies safe to commute a filter past (per-pair judgments).
-_PUSH_SAFE_RESOLVE = {"auto", "pairwise"}
 #: Minimum record count before a blocking proxy is worth considering.
 _PROXY_MIN_ITEMS = 8
 #: The element types of a sequence :func:`_freeze` keys as it stands.
@@ -91,9 +77,9 @@ Rule = Callable[[LogicalPlan, CostPlanner], LogicalPlan]
 def _single_consumer_parent(
     plan: LogicalPlan, node: LogicalNode
 ) -> LogicalNode | None:
-    """``node``'s item parent, if this node is its only consumer."""
+    """``node``'s item parent, if it is not a source and this node is its only consumer."""
     parent = node.item_parent
-    if parent is None:
+    if parent is None or parent.op == "source":
         return None
     consumers = plan.consumers()
     return parent if consumers.get(parent, []) == [node] else None
@@ -213,26 +199,6 @@ def share_common_subplans(plan: LogicalPlan, planner: CostPlanner) -> LogicalPla
     return plan
 
 
-def _pushable_past(node: LogicalNode) -> bool:
-    """Whether a per-item filter commutes past ``node`` without changing results."""
-    if node.op in ANNOTATORS:
-        return True
-    if node.op == "sort":
-        # A validation_order pins labelled items that a pushed filter could
-        # remove (and lets the auto-strategy selector pick whole-list
-        # strategies), so those sorts stay where the author put them.
-        return (
-            node.params.get("strategy", "auto") in _PUSH_SAFE_SORT
-            and not node.params.get("validation_order")
-        )
-    if node.op == "resolve":
-        return (
-            node.params.get("strategy", "auto") in _PUSH_SAFE_RESOLVE
-            and not node.params.get("proxy")
-        )
-    return False
-
-
 def push_filters_early(plan: LogicalPlan, planner: CostPlanner) -> LogicalPlan:
     """Commute filters ahead of expensive upstream ops where safe.
 
@@ -249,7 +215,7 @@ def push_filters_early(plan: LogicalPlan, planner: CostPlanner) -> LogicalPlan:
             if node.op != "filter" or not node.params.get("pushdown", True):
                 continue
             parent = _single_consumer_parent(plan, node)
-            if parent is None or not _pushable_past(parent):
+            if parent is None or not parent.declaration.commutes_with_filter(parent.params):
                 continue
             pushed_filter = node.with_inputs(parent.inputs[0], *node.inputs[1:])
             lifted_parent = parent.with_inputs(pushed_filter, *parent.inputs[1:])
@@ -315,28 +281,11 @@ def _filter_join_order_dollars(
     """Quoted dollars of filter-after-join vs. filter-inside-left-input."""
     stats = getattr(planner, "stats", None)
 
-    def spec_for(node: LogicalNode) -> Any:
-        items = estimated_items(node.inputs[0], stats)
-        if node.op == "filter":
-            return FilterSpec(
-                items=items,
-                predicates=tuple(node.params["predicates"]),
-                expected_selectivities=tuple(node.params.get("selectivities", ())),
-                strategy=node.params.get("strategy", "auto"),
-                strategy_options=dict(node.params.get("options", {})),
-            )
-        return JoinSpec(
-            left=items,
-            right=estimated_items(node.inputs[1], stats),
-            strategy=node.params.get("strategy", "auto"),
-            strategy_options=dict(node.params.get("options", {})),
-        )
-
     def dollars(*nodes: LogicalNode) -> float:
         total = 0.0
         for node in nodes:
             try:
-                total += planner.estimate_spec(spec_for(node)).dollars
+                total += planner.estimate_spec(estimated_spec(node, stats)).dollars
             except (SpecError, ConfigurationError):
                 return float("inf")
         return total
@@ -364,19 +313,12 @@ def _join_chain_dollars(
         right = estimated_items(join.inputs[1], stats)
         if not survivors or not right:
             break
-        spec = JoinSpec(
-            left=survivors,
-            right=right,
-            strategy=join.params.get("strategy", "auto"),
-            strategy_options=dict(join.params.get("options", {})),
-        )
+        declaration = join.declaration
         try:
-            total += planner.estimate_spec(spec).dollars
+            total += planner.estimate_spec(declaration.lower(join.params, survivors, right)).dollars
         except (SpecError, ConfigurationError):
             return float("inf")
-        selectivity = join_selectivity(join, stats)
-        kept = min(len(survivors), max(1, math.ceil(len(survivors) * selectivity)))
-        survivors = survivors[:kept]
+        survivors = declaration.estimate_output(join.params, survivors, stats)
     return total
 
 
@@ -428,9 +370,9 @@ def insert_proxy_prefilters(plan: LogicalPlan, planner: CostPlanner) -> LogicalP
         # Rescan after every rewrite: replaced() rebuilds downstream node
         # identities, so references from a pre-rewrite snapshot go stale.
         for node in plan.nodes():
-            if node.op != "resolve" or node.params.get("proxy"):
-                continue
-            if node.params.get("strategy", "auto") not in _PUSH_SAFE_RESOLVE:
+            # Only per-pair judgments, which a filter also commutes past, can
+            # be answered over blocked candidate pairs instead.
+            if node.op != "resolve" or not node.declaration.commutes_with_filter(node.params):
                 continue
             parent = node.item_parent
             assert parent is not None
@@ -503,7 +445,7 @@ def optimize(
             planner over the library's default chat model.
         rules: rules to apply, in order (defaults to :data:`DEFAULT_RULES`).
     """
-    planner = planner or CostPlanner(DEFAULT_CONFIG.chat_model)
+    planner = planner or CostPlanner(DEFAULT_CHAT_MODEL)
     for rule in rules:
         plan = rule(plan, planner)
     return plan

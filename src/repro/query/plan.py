@@ -10,13 +10,16 @@ until :meth:`Dataset.run`.  The plan is the unit the rule-based optimizer
 Node vocabulary:
 
 * ``source`` — a literal item list (a query's leaf; joins have two).
-* Reducing / reordering ops — ``filter``, ``sort``, ``resolve`` (dedup to
+* every other node names an operator by its ``operation`` and reads what it
+  needs from that operator's :mod:`declaration <repro.core.declarations>`:
+  how to lower it to a spec, where its output items come from, how many to
+  expect, whether a filter commutes past it and how ``.explain()`` shows it.
+  Reducing / reordering ops — ``filter``, ``sort``, ``resolve`` (dedup to
   one representative per duplicate cluster), ``top_k``, ``join`` (semi-join:
-  keep left items with at least one match).
-* Annotating ops — ``categorize``, ``cluster``, ``impute``: they compute a
-  side result (labels, groups, imputed values) but pass their input items
-  through unchanged, which is what lets the optimizer schedule them off the
-  critical item path.
+  keep left items with at least one match) — read their step's result;
+  annotating ops (``categorize``, ``cluster``, ``impute``) compute a
+  side result but pass their input items through unchanged, which is what
+  lets the optimizer schedule them off the critical item path.
 
 Nodes are immutable; optimizer rewrites build new nodes and re-wire
 consumers, so plans can be compared before/after optimization.
@@ -24,21 +27,15 @@ consumers, so plans can be compared before/after optimization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
+from repro.core.declarations import OperatorDeclaration, operation_declaration
 from repro.exceptions import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.physical import RuntimeStats
-
-#: Ops whose output items are exactly their input items.
-ANNOTATORS = frozenset({"categorize", "cluster", "impute"})
-#: Ops that may change the item set or its order.
-REDUCERS = frozenset({"filter", "sort", "resolve", "top_k", "join"})
-#: Everything the planner knows how to lower.
-KNOWN_OPS = frozenset({"source"}) | ANNOTATORS | REDUCERS
+    from repro.core.spec import TaskSpec
+    from repro.core.stats import RuntimeStats
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,19 @@ class LogicalNode:
     def item_parent(self) -> "LogicalNode | None":
         """The node this one's input items flow from (``None`` for sources)."""
         return self.inputs[0] if self.inputs else None
+
+    @property
+    def declaration(self) -> OperatorDeclaration:
+        """The declaration of this node's operator (:class:`SpecError` when none)."""
+        declaration = operation_declaration(self.op)
+        if declaration is None:
+            raise SpecError(f"unknown logical operation {self.op!r}")
+        return declaration
+
+    @property
+    def feeds(self) -> tuple["LogicalNode", ...]:
+        """The upstream nodes whose output items the node's spec is lowered over."""
+        return self.inputs if self.declaration.reads_items else ()
 
     def __hash__(self) -> int:  # params is a dict; identity is the right key
         return id(self)
@@ -152,14 +162,13 @@ def estimated_items(
 ) -> list[str]:
     """Statically estimated output items of ``node`` (for quotes/explain).
 
-    Cardinality-reducing ops shrink the estimate (filters by their declared
+    Each operator's declaration estimates its own output from its input's
+    estimate (``estimate_output``): filters shrink by their declared
     ``expected_selectivity``, top-k to ``k``, joins by their declared
-    ``selectivity`` prior — conservatively 1.0 when unset); dedup is priced
-    conservatively at its input cardinality.  The surviving items are taken
-    from the head of the input estimate so token-length averages stay
-    representative.
+    ``selectivity`` prior — conservatively 1.0 when unset; dedup is priced
+    conservatively at its input cardinality, and the rest keep it.
 
-    With a :class:`~repro.core.physical.RuntimeStats` store, *observed*
+    With a :class:`~repro.core.stats.RuntimeStats` store, *observed*
     statistics override the priors: a predicate's measured surviving
     fraction, the measured dedup survivor ratio, and the measured join
     selectivity — so the second quote of a workload sizes every downstream
@@ -167,58 +176,26 @@ def estimated_items(
     """
     if node.op == "source":
         return list(node.params["items"])
-    parent = node.item_parent
-    assert parent is not None  # every non-source node has an item parent
-    upstream = estimated_items(parent, stats)
-    count = len(upstream)
-    if node.op == "filter":
-        # Apply the per-predicate selectivities the same way the planner
-        # does, so plan-level and spec-level estimates agree.
-        predicates = list(node.params.get("predicates", ()))
-        priors = list(node.params.get("selectivities", (0.5,)))
-        for index in range(max(len(predicates), len(priors))):
-            prior = float(priors[index]) if index < len(priors) else 0.5
-            observed = (
-                stats.filter_selectivity(predicates[index])
-                if stats is not None and index < len(predicates)
-                else None
-            )
-            selectivity = observed if observed is not None else prior
-            count = min(count, max(1, math.ceil(count * selectivity)))
-        return upstream[:count]
-    if node.op == "top_k":
-        return upstream[: max(1, min(count, int(node.params.get("k", 1))))]
-    if node.op == "resolve" and stats is not None:
-        ratio = stats.dedup_survivor_ratio()
-        if ratio is not None:
-            return upstream[: min(count, max(1, math.ceil(count * ratio)))]
-        return upstream
-    if node.op == "join":
-        selectivity = join_selectivity(node, stats)
-        return upstream[: min(count, max(1, math.ceil(count * selectivity)))]
-    # sort reorders, annotators pass through; estimated at input cardinality.
-    return upstream
+    upstream = estimated_items(node.inputs[0], stats)
+    return node.declaration.estimate_output(node.params, upstream, stats)
 
 
-def join_selectivity(node: LogicalNode, stats: "RuntimeStats | None" = None) -> float:
-    """The match-fraction estimate for a join node.
+def estimated_spec(node: LogicalNode, stats: "RuntimeStats | None" = None) -> "TaskSpec":
+    """``node`` lowered over the estimated items of its feeds.
 
-    Precedence: an explicitly declared per-join prior wins (the author
-    knows this join); otherwise the session's observed match rate — a
-    global, per-join-unkeyed statistic, so it only fills the gap where
-    nothing was declared; otherwise a conservative 1.0.
+    Over source-only feeds with no ``stats`` this is the exact spec the
+    compiled step runs; a cost-gated optimizer rule prices the same hook.
     """
-    declared = node.params.get("selectivity")
-    if declared is not None:
-        return float(declared)
-    observed = stats.join_selectivity() if stats is not None else None
-    return observed if observed is not None else 1.0
+    inputs = [estimated_items(upstream, stats) for upstream in node.feeds]
+    return node.declaration.lower(node.params, *inputs)
 
 
 def validate_plan(plan: LogicalPlan) -> None:
     """Raise :class:`SpecError` for plans built from unknown operations."""
     for node in plan.nodes():
-        if node.op not in KNOWN_OPS:
+        if node.op == "source":
+            continue
+        if operation_declaration(node.op) is None:
             raise SpecError(f"unknown logical operation {node.op!r}")
-        if node.op != "source" and not node.inputs:
+        if not node.inputs:
             raise SpecError(f"logical {node.op} node has no input")

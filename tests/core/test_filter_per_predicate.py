@@ -73,6 +73,10 @@ def _planner() -> PhysicalPlanner:
     return PhysicalPlanner(PromptSession(SimulatedLLM(flavor_oracle(), seed=7)))
 
 
+def _resolve_predicates(spec: FilterSpec):
+    return DECLARATIONS[FilterSpec].resolve_predicates(_planner(), spec)
+
+
 def _spec(**overrides) -> FilterSpec:
     base = dict(
         items=ITEMS,
@@ -86,7 +90,7 @@ def _spec(**overrides) -> FilterSpec:
 
 class TestPerPredicateResolution:
     def test_mixed_combo_pairs_cheap_and_accurate_strategies(self, stubbed):
-        plans = _planner().resolve_filter(_spec())
+        plans = _resolve_predicates(_spec())
         by_predicate = {predicate: resolved for predicate, resolved in plans}
         assert by_predicate["is easy"].strategy == "per_item"
         assert by_predicate["is hard"].strategy == "ensemble_vote"
@@ -95,17 +99,17 @@ class TestPerPredicateResolution:
         assert "ensemble_vote" in by_predicate["is easy"].considered
 
     def test_predicate_order_is_preserved(self, stubbed):
-        plans = _planner().resolve_filter(_spec())
+        plans = _resolve_predicates(_spec())
         assert [predicate for predicate, _ in plans] == ["is easy", "is hard"]
 
     def test_accuracy_target_picks_the_cheapest_sufficient_combo(self, stubbed):
         # All-per_item misclassifies two items on the hard predicate but
         # still clears a loose target, and it is the cheapest combination.
-        plans = _planner().resolve_filter(_spec(accuracy_target=0.5))
+        plans = _resolve_predicates(_spec(accuracy_target=0.5))
         assert [resolved.strategy for _, resolved in plans] == ["per_item", "per_item"]
 
     def test_fixed_strategy_applies_uniformly(self, stubbed):
-        plans = _planner().resolve_filter(_spec(strategy="ensemble_vote"))
+        plans = _resolve_predicates(_spec(strategy="ensemble_vote"))
         assert [resolved.strategy for _, resolved in plans] == [
             "ensemble_vote",
             "ensemble_vote",
@@ -113,14 +117,14 @@ class TestPerPredicateResolution:
         assert all(resolved.decided_by == "fixed" for _, resolved in plans)
 
     def test_unlabelled_spec_shares_one_cost_based_resolution(self, stubbed):
-        plans = _planner().resolve_filter(_spec(validation_labels={}))
+        plans = _resolve_predicates(_spec(validation_labels={}))
         strategies = {resolved.strategy for _, resolved in plans}
         assert len(strategies) == 1  # no labels -> no per-predicate search
         assert all(resolved.decided_by != "validation" for _, resolved in plans)
 
     def test_too_many_predicates_fall_back_to_shared_validation(self, stubbed):
         predicates = ["is easy"] * 4 + ["is hard"]
-        plans = _planner().resolve_filter(_spec(predicates=predicates))
+        plans = _resolve_predicates(_spec(predicates=predicates))
         assert len(plans) == 5
         assert len({resolved.strategy for _, resolved in plans}) == 1
 

@@ -56,6 +56,7 @@ from repro.operators import (
 )
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.operators.resolve import PairJudgment, PairJudgmentResult
+from repro.query import LogicalNode, LogicalPlan, compile_plan, optimize, render_explain, source
 from repro.store import Store
 from repro.store.checkpoint import decode_result, encode_result
 from repro.tokenizer.cost import Usage
@@ -359,9 +360,18 @@ class TallyDeclaration(OperatorDeclaration):
         )
     }
     auto = ("per_item",)
+    # The query layer's hooks; its items pass through (the default ``output_from``).
 
     def build(self, spec, client, **kwargs):
         return TallyOperator(client, spec.predicate, **kwargs)
+
+    def lower(self, params, *inputs):
+        return TallySpec(
+            items=list(inputs[0]), predicate=params["predicate"], strategy=params["strategy"]
+        )
+
+    def describe(self, params):
+        return f"tally the items that {params['predicate']}"
 
 
 class TestAToyNinthOperator:
@@ -408,6 +418,20 @@ class TestAToyNinthOperator:
         assert pipeline_to_json(restored) == payload
         with pytest.raises(UnknownStrategyError, match="'tally'"):
             TallySpec(items=ITEMS, predicate=PREDICATE, strategy="per_itme").validate()
+
+    def test_it_compiles_quotes_and_runs_through_the_query_layer(self):
+        node = LogicalNode("tally", {"predicate": PREDICATE, "strategy": "auto"}, (source(ITEMS),))
+        engine = _engine()
+        plan = optimize(LogicalPlan(node, name="toy"), planner=engine.planner())
+        compiled = compile_plan(plan, planner=engine.planner())
+        assert compiled.quote.total_calls == len(ITEMS)
+        assert "s1_tally" in render_explain(compiled)
+        assert "tally the items that is a fruit" in render_explain(compiled)
+
+        report = engine.run_pipeline(compiled.spec, quote=compiled.quote)
+        assert report.results["s1_tally"].tally == 2
+        assert engine.session.tracker.calls == len(ITEMS)
+        assert compiled.extract_output(report.results) == ITEMS
 
     def test_undeclared_it_is_refused_by_type(self, monkeypatch):
         monkeypatch.delitem(DECLARATIONS, TallySpec)

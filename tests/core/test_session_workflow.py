@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.budget import Budget
 from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
@@ -61,7 +62,7 @@ class TestPromptSession:
 
     def test_default_model_from_config(self, session):
         response = session.complete(rating_prompt(FLAVORS[3], CHOCOLATEY))
-        assert response.model == session.config.chat_model
+        assert response.model == DEFAULT_CHAT_MODEL
 
     def test_reset_usage_keeps_budget(self, session):
         session.complete(rating_prompt(FLAVORS[4], CHOCOLATEY))
