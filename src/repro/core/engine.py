@@ -65,7 +65,7 @@ from repro.llm.base import Body, Invoke, LLMClient, adrive, drive
 from repro.llm.registry import ModelRegistry
 from repro.obs import critical_path, trace_label
 from repro.operators.base import OperatorResult
-from repro.store.fingerprint import fingerprint_spec
+from repro.store.fingerprint import step_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
@@ -350,31 +350,23 @@ class DeclarativeEngine:
     ) -> Body:
         """One pipeline run (a body, see :mod:`repro.llm.base`).
 
-        Quote, checkpoint wiring, the run itself — ``execute`` is
-        :meth:`Workflow.execute` or :meth:`Workflow.execute_async`, handed to
-        the driver — then restored flags, observability and the profile.
+        Quote, the restore of what the quote found, the run itself —
+        ``execute`` is :meth:`Workflow.execute` or :meth:`Workflow.execute_async`,
+        handed to the driver — then observability and the profile.
         """
         workflow = Workflow.from_pipeline(pipeline)
         if store is None:
             store = self.session.store
         if quote is None:
             quote = self._quote(pipeline, store)
-        restored: set[str] = set()
+        restoring = quote if store is None else self._restore(store, quote, pipeline)
+        # Step -> its result's digest, what its children's keys read.
+        digests = {n: k.digest for n, k in restoring.keys.items() if k.result is not None}
 
         def spec_runner(
             step: PipelineStep, inputs: Mapping[str, Any], lease: BudgetLease | None
         ) -> Any:
-            return self._run_step(store, quote, restored, step, inputs, lease)
-
-        observer = on_step
-        if on_step is not None:
-
-            def observer(step_report: "StepReport") -> None:
-                # The engine stamps ``restored`` on the final report only
-                # after the run; events should already carry it.
-                if step_report.name in restored:
-                    step_report.restored = True
-                on_step(step_report)
+            return self._run_step(store, restoring, digests, step, inputs, lease)
 
         try:
             report = yield Invoke(
@@ -383,8 +375,8 @@ class DeclarativeEngine:
                 self.session,
                 max_concurrency=max_concurrency,
                 spec_runner=spec_runner,
-                quote=quote,
-                on_step=observer,
+                quote=restoring,
+                on_step=on_step,
             )
         except BaseException:
             # A crashed run's completed steps already checkpointed
@@ -398,8 +390,7 @@ class DeclarativeEngine:
             except Exception:
                 pass
             raise
-        for name in restored:
-            report.step_reports[name].restored = True
+        report.quote = quote  # as given: no restored results ride a report
         self._absorb_observability(report, pipeline.name)
         # The span flush and the profile are one transaction when they go
         # through one handle.
@@ -464,57 +455,80 @@ class DeclarativeEngine:
             raise SpecError(f"pipeline step {step.name!r}: {exc}") from exc
         return task
 
+    def _restore(
+        self, store: "Store", quote: PipelineQuote, pipeline: PipelineSpec
+    ) -> PipelineQuote:
+        """``quote`` with the result of each step it priced as restored, loaded
+        in one statement, where this run's model and tasks give the same key."""
+        model = self.physical.planner_model()
+        tasks = {step.name: step.task for step in pipeline.steps}
+        held = [key.fingerprint for key in quote.keys.values() if key.restored is not None]
+        try:
+            rows = store.load_checkpoints(held)
+        except Exception:
+            return quote
+        keys = dict(quote.keys)
+        digests: dict[str, str] = {}
+        for name, key in quote.keys.items():  # keyed by depth: parents first
+            row, task = rows.get(key.fingerprint), key.task
+            # A factory's key holds only over the parent digests restored here.
+            if row is not None and key.model == model and task is tasks.get(name) and (
+                isinstance(task, TaskSpec) or step_key(task, model, digests) == key.fingerprint
+            ):
+                keys[name] = replace(key, result=row[0], digest=row[1])
+                digests[name] = row[1]
+        return replace(quote, keys=keys) if digests else quote
+
     def _run_step(
         self,
         store: "Store | None",
         quote: PipelineQuote,
-        restored: set[str],
+        digests: dict[str, str],
         step: PipelineStep,
         inputs: Mapping[str, Any],
         lease: BudgetLease | None,
     ) -> Any:
         """Run one spec step, through the checkpoint store when there is one.
 
-        The fingerprint is computed over the *concrete* spec (factories
-        already applied) and the model its calls go out with, so it
-        content-addresses the step's resolved inputs; a hit restores the
+        The key is ``step_key`` on the model its calls go out with (a static
+        step's as the run's quote computed it, a declared factory's over the
+        digests its parents restored or saved this run).  A hit restores the
         stored result before any strategy resolution happens —
         validation-driven ``auto`` steps therefore skip even their
-        labelled-sample candidate runs on resume.  A static step takes the
-        key the run's quote computed for it (:meth:`PipelineQuote.key_for`);
-        only a factory-built spec is fingerprinted here.
-        Specs that cannot be fingerprinted or results without a codec simply
-        bypass the store (re-running is always correct).
+        labelled-sample candidate runs on resume.  Specs that cannot be
+        fingerprinted or results without a codec simply bypass the store
+        (re-running is always correct).
         """
         with trace_label(step=step.name):
             task = self._materialize_step_task(step, inputs)
             fingerprint = None
             if store is not None:
                 model = self.physical.planner_model()
-                key = quote.key_for(step.name, task, model)
-                if key is not None:
-                    fingerprint = key.fingerprint
-                else:
-                    with suppress(StoreError):
-                        fingerprint = fingerprint_spec(task, model=model)
+                key = quote.keys.get(step.name)
+                if key is not None and key.task is task and key.model == model:
+                    fingerprint = key.fingerprint  # a static step's, keyed by the quote
+                else:  # a parent may have re-run since the quote: this run's digests
+                    with suppress(StoreError):  # an opaque factory is keyed by its spec
+                        fingerprint = step_key(step.task, model, digests)
+                        fingerprint = fingerprint or step_key(task, model, digests)
             if fingerprint is None:
                 return self.run_spec(task, budget=lease)
             try:
-                cached = store.load_checkpoint(fingerprint)
+                cached = store.load_checkpoints([fingerprint]).get(fingerprint)
             except Exception:
                 # A mangled row or a database error must never sink a resume:
                 # re-running the step is always correct, so a failed load is
                 # just a miss.
                 cached = None
             if cached is not None:
-                restored.add(step.name)
-                return cached
+                result, digests[step.name] = cached
+                return result
             result = None
             with store.db.step():
                 try:
                     result = self.run_spec(task, budget=lease)
                 finally:
-                    self._settle_step(store, fingerprint, task, result)
+                    self._settle_step(store, fingerprint, task, result, digests, step.name)
             return result
 
     def _ring_writes_through(self, db: Any) -> bool:
@@ -524,9 +538,11 @@ class DeclarativeEngine:
         return session_store is not None and session_store.db is db
 
     def _settle_step(
-        self, store: "Store", fingerprint: str, task: TaskSpec, result: Any
+        self, store: "Store", fingerprint: str, task: TaskSpec, result: Any,
+        digests: dict[str, str], name: str,
     ) -> None:
-        """Write what a step produced as one transaction, however it ended.
+        """Write what a step produced as one transaction, however it ended
+        (a saved result's digest goes into ``digests`` under ``name``).
 
         The response-cache rows buffered while the step ran (see
         :meth:`~repro.store.db.StoreDB.step`), the spans of its calls
@@ -543,4 +559,4 @@ class DeclarativeEngine:
                 self.session.spans.flush()
             if isinstance(result, OperatorResult):
                 with suppress(Exception):  # the rows above commit regardless
-                    store.save_checkpoint(fingerprint, task, result)
+                    digests[name] = store.save_checkpoint(fingerprint, task, result)

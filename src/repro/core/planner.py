@@ -23,6 +23,7 @@ import itertools
 import operator
 import sqlite3
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -32,7 +33,7 @@ from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError, StoreError
 from repro.llm.prompts import TaskTemplate
 from repro.llm.registry import ModelRegistry, default_registry
-from repro.store.fingerprint import fingerprint_spec
+from repro.store.fingerprint import DeclaredFactory, step_key
 from repro.tokenizer.cost import Usage
 from repro.tokenizer.simple import SimpleTokenizer
 
@@ -136,21 +137,24 @@ def _finish_time(
 
 @dataclass(frozen=True)
 class StepKey:
-    """A static step's checkpoint key, as a quote against a store computed it.
+    """A step's checkpoint key, as a quote against a store computed it.
 
     Attributes:
-        task: the spec the key was computed over.
+        task: the step's task (spec or factory) the key was computed for.
         model: the model it was keyed to.
-        fingerprint: ``fingerprint_spec(task, model=model)``, or ``None``
-            when the spec cannot be fingerprinted.
+        fingerprint: the step's key (:func:`~repro.store.fingerprint.step_key`).
         restored: the strategy of the checkpoint the store held under it at
             quote time, or ``None`` when it held none.
+        digest: that checkpoint's result digest (its children's keys read it).
+        result: what a run loaded under it, for its scheduler to settle.
     """
 
-    task: TaskSpec
+    task: object
     model: str
-    fingerprint: str | None
+    fingerprint: str
     restored: str | None = None
+    digest: str | None = None
+    result: object | None = None
 
 
 @dataclass(frozen=True)
@@ -174,24 +178,16 @@ class PipelineQuote:
     #: When present, :attr:`total_seconds` is the critical path over this
     #: DAG rather than the sum — independent branches overlap in time.
     dependencies: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Static step name → its checkpoint key, when the quote was told the
-    #: run's store.  Runtime-only (no wire form): the run reuses a key for
-    #: the very spec object and model it was computed over, so each static
-    #: step is fingerprinted once per run.
+    #: Step name → its checkpoint key, when the quote was told the run's
+    #: store: every static step, and each declared factory whose parents it
+    #: holds.  Runtime-only (no wire form): a run on the same model and task
+    #: objects restores the held ones up front and reuses static steps' keys.
     keys: Mapping[str, StepKey] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def restored_steps(self) -> tuple[str, ...]:
-        """Static steps priced as restored from the store's checkpoints."""
+        """Steps priced as restored from the store's checkpoints."""
         return tuple(name for name, key in self.keys.items() if key.restored is not None)
-
-    def key_for(self, name: str, task: TaskSpec, model: str) -> StepKey | None:
-        """The key this quote computed for step ``name``, if it was computed
-        over ``task`` itself for ``model``."""
-        key = self.keys.get(name)
-        if key is None or key.task is not task or key.model != model:
-            return None
-        return key
 
     @property
     def total_calls(self) -> int:
@@ -760,11 +756,11 @@ class CostPlanner:
         selectivities), which the quote carries as given.
 
         With the run's ``store`` (a :class:`~repro.store.Store` or a
-        namespace of one), every static step is fingerprinted as the run
-        will key its checkpoint, one statement finds the checkpoints the
-        store holds, and each step it will restore is priced at zero calls
-        and dollars under the checkpoint's strategy, without estimating or
-        probing its prompts.  The keys ride the quote into the run.
+        namespace of one), each step is keyed as the run will key its
+        checkpoint (:meth:`_checkpoint_keys`), and each step the store will
+        restore — static or factory — is priced at zero calls and dollars
+        under the checkpoint's strategy, without estimating or probing its
+        prompts.  The keys ride the quote into the run.
         """
         pipeline.validate()
         priced = estimates or {}
@@ -777,15 +773,17 @@ class CostPlanner:
         restored = 0
         for step in pipeline.steps:
             dependencies[step.name] = tuple(step.depends_on)
-            if isinstance(step.task, TaskSpec):
-                key = keys.get(step.name)
-                if key is not None and key.restored is not None:
+            key = keys.get(step.name)
+            if key is not None and key.restored is not None:
+                if isinstance(step.task, DeclaredFactory):
+                    operation = step.task.identity["factory"]
+                else:
                     operation = declaration_for(step.task).operation
-                    steps[step.name] = CostEstimate(
-                        f"{operation}:{key.restored}", 0, Usage(), 0.0, 0.0
-                    )
-                    restored += 1
-                    continue
+                steps[step.name] = CostEstimate(
+                    f"{operation}:{key.restored}", 0, Usage(), 0.0, 0.0
+                )
+                restored += 1
+            elif isinstance(step.task, TaskSpec):
                 steps[step.name] = self.estimate_spec(step.task)
                 hits, probed = steps[step.name].known_cached
                 known_hits += hits
@@ -796,9 +794,9 @@ class CostPlanner:
                 unquoted.append(step.name)
         notes: list[str] = []
         if restored:
+            spec_steps = sum(step.task is not None for step in pipeline.steps)
             notes.append(
-                f"{restored} of {len(keys)} static steps restored from checkpoints, "
-                "priced at zero"
+                f"{restored} of {spec_steps} steps restored from checkpoints, priced at zero"
             )
         if known_hits:
             notes.append(
@@ -818,28 +816,32 @@ class CostPlanner:
         )
 
     def _checkpoint_keys(self, pipeline: PipelineSpec, store: object) -> dict[str, StepKey]:
-        """Each static step's checkpoint key, marked when ``store`` holds it.
+        """Each keyable step's checkpoint key, marked when ``store`` holds it.
 
-        The key is the run's own (``fingerprint_spec`` on this planner's
-        model); the lookup is one statement.  A store that fails to answer
-        marks nothing: the run's own load decides.
+        The keys are the run's own (``step_key`` on this planner's model): a
+        declared factory's is known once the store holds every parent it
+        reads, so the walk takes one statement per dependency depth.  A store
+        that fails to answer marks nothing more: the run's own loads decide.
         """
         model = self.spec.name
-        fingerprints: dict[str, tuple[TaskSpec, str | None]] = {}
-        for step in pipeline.steps:
-            if isinstance(step.task, TaskSpec):
-                try:
-                    fingerprint = fingerprint_spec(step.task, model=model)
-                except StoreError:
-                    fingerprint = None
-                fingerprints[step.name] = (step.task, fingerprint)
-        try:
-            held = store.checkpoint_strategies(  # type: ignore[attr-defined]
-                [fingerprint for _, fingerprint in fingerprints.values() if fingerprint]
-            )
-        except (sqlite3.Error, StoreError):
-            held = {}
-        return {
-            name: StepKey(task, model, fingerprint, held.get(fingerprint))
-            for name, (task, fingerprint) in fingerprints.items()
-        }
+        waiting = {step.name: step.task for step in pipeline.steps if step.task is not None}
+        keys: dict[str, StepKey] = {}
+        digests: dict[str, str] = {}
+        while waiting:
+            level: dict[str, str] = {}
+            for name, task in waiting.items():
+                with suppress(StoreError):  # a spec with no canonical form stays unkeyed
+                    if (fingerprint := step_key(task, model, digests)) is not None:
+                        level[name] = fingerprint
+            if not level:
+                break
+            try:
+                held = store.checkpoint_digests(list(level.values()))  # type: ignore
+            except (sqlite3.Error, StoreError):
+                held = {}
+            for name, fingerprint in level.items():
+                strategy, digest = held.get(fingerprint, (None, None))
+                keys[name] = StepKey(waiting.pop(name), model, fingerprint, strategy, digest)
+                if digest is not None:
+                    digests[name] = digest
+        return keys

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.budget import BudgetLease
 from repro.core.dag import topological_waves, transitive_dependencies
+from repro.core.executor import TaskOutcome
 from repro.core.session import BudgetScopedSession, PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError, SpecError
@@ -349,6 +350,8 @@ class Workflow:
         pipeline, spans = self.pipeline, state.spans
         with spans.span("pipeline", pipeline.name, steps=len(pipeline.steps)) as pipeline_span:
             state.report.span_id = pipeline_span.span_id
+            if quote is not None:
+                self._settle_restored(state, quote, on_step)
             round_index = 0
             while state.pending:
                 planned = self._plan_round(state, session, spec_runner, quote)
@@ -444,15 +447,15 @@ class Workflow:
                     f"spent ${budget.spent:.6f} of ${budget.limit:.6f}"
                 )
             return None
-        # The next round: every pending step whose dependencies all
-        # completed.  With no failures this dispatches exactly the
-        # topological waves; after a lease stop, unaffected independent
-        # branches keep running while the stopped step's dependents stay
-        # blocked (and are reported as skipped below).
+        # The next round: every pending step whose upstream all completed.
+        # With no failures this dispatches exactly the topological waves;
+        # after a lease stop, unaffected independent branches keep running
+        # while the stopped step's dependents stay blocked (skipped below).
         runnable = [
             name
             for name in pending
             if all(dep in report.results for dep in state.dependencies[name])
+            and not any(dep in pending for dep in state.closures[name])
         ]
         if not runnable:
             return None  # the rest are downstream of a stopped step
@@ -504,6 +507,8 @@ class Workflow:
                 if isinstance(outcome.value, OperatorResult):
                     step_report.cost = outcome.value.cost
                     step_report.calls = outcome.value.usage.calls
+                    hit = bool(outcome.value.metadata.get("checkpoint_hit"))
+                    step_report.restored = hit and state.steps_by_name[name].task is not None
                 pending.remove(name)
                 progressed = True
                 settled.append(step_report)
@@ -545,6 +550,27 @@ class Workflow:
                             step_report.span_id, observer_error=type(exc).__name__
                         )
         return progressed, failure
+
+    @staticmethod
+    def _settle_restored(
+        state: "_ExecutionState", quote: "PipelineQuote", on_step: StepObserver | None
+    ) -> None:
+        """Settle the results the run restored into its quote's keys, with step
+        spans and events; a ``run=`` step only they read stays ``"skipped"``."""
+        restored = {name: key.result for name, key in quote.keys.items() if key.result is not None}
+        names = [name for name in state.pending if name in restored]
+        for name in names:
+            with state.spans.span("step", name, depends_on=list(state.dependencies[name])) as span:
+                state.step_spans[name] = span.span_id
+        outcomes = [TaskOutcome(value=restored[name]) for name in names]
+        Workflow._absorb_outcomes(state, names, outcomes, {}, on_step)
+        for name in reversed(list(state.pending)):  # dependents first
+            if (
+                state.steps_by_name[name].run is not None
+                and any(name in deps for deps in state.dependencies.values())
+                and not any(name in state.closures[other] for other in state.pending)
+            ):
+                state.pending.remove(name)
 
     @staticmethod
     def _make_thunk(

@@ -24,8 +24,8 @@
   it estimates for the run-time factory steps, priced over *estimated* item
   lists (filters shrink downstream cardinality by their declared
   selectivity), so ``.explain()`` can show per-step quotes for those too.
-  With a store, a static step the store will restore from its checkpoint
-  is quoted at zero and marked ``(restored)``.
+  With a store, a step the store will restore — a factory's too, keyed by
+  its lineage (:func:`_declared`) — is quoted at zero and marked ``(restored)``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from typing import Any, Callable, Mapping
 
 from repro.core.declarations import OperatorDeclaration, unique_items
 from repro.core.planner import CostEstimate, CostPlanner, PipelineQuote
-from repro.core.spec import PipelineSpec, PipelineStep, ResolveSpec, TaskSpec
+from repro.core.spec import PipelineSpec, PipelineStep, ResolveSpec, SpecFactory, TaskSpec
 from repro.exceptions import ConfigurationError, SpecError
-from repro.index import corpus_index_name, load_or_build_index, resolve_embedder
+from repro.index import AUTO_LSH_THRESHOLD, corpus_index_name, load_or_build_index, resolve_embedder
 from repro.llm.prompts import DUPLICATE_CHECK
 from repro.proxies.blocking import BlockingResult, EmbeddingBlocker
 from repro.query.plan import (
@@ -48,6 +48,7 @@ from repro.query.plan import (
     estimated_spec,
     validate_plan,
 )
+from repro.store.fingerprint import DeclaredFactory, FingerprintError, factory_identity, keyed_params
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def compile_plan(
                 name,
                 block_step_of[node],
                 depends_for(node),
-                materialize,
+                step_of,
                 pipeline_steps,
                 store,
             )
@@ -176,7 +177,7 @@ def compile_plan(
                     _params, *[materialize(upstream, inputs) for upstream in _feeds]
                 )
 
-            task = factory
+            task = factory if store is None else _declared(step_of, node, factory)
             estimate = _estimate_step(node, planner)
             if estimate is not None:
                 estimates[name] = estimate
@@ -270,8 +271,10 @@ def _materialize(
     """Output items of ``node`` given the upstream step results."""
     if node.op == "source":
         return list(node.params["items"])
-    parent_items = _materialize(step_of, node.inputs[0], results)
     declaration = node.declaration
+    if declaration.output_from == "result":  # see _read_steps
+        return declaration.output_items(node.params, [], results[step_of[node]])
+    parent_items = _materialize(step_of, node.inputs[0], results)
     if declaration.output_from == "parent":
         return parent_items
     return declaration.output_items(node.params, parent_items, results[step_of[node]])
@@ -292,16 +295,42 @@ def _read_steps(step_of: Mapping[LogicalNode, str], node: LogicalNode) -> tuple[
     return (step_of[node], *upstream)
 
 
+def _reads(node: LogicalNode) -> Any:
+    """What :func:`_materialize` reads for ``node`` other than step results."""
+    if node.op == "source":
+        return node.params["items"]
+    output_from = node.declaration.output_from
+    if output_from == "parent":
+        return _reads(node.inputs[0])
+    own = (node.op, keyed_params(node.params))
+    return own if output_from == "result" else (own, _reads(node.inputs[0]))
+
+
+def _declared(
+    step_of: Mapping[LogicalNode, str], node: LogicalNode, factory: SpecFactory, *extra: Any
+) -> SpecFactory:
+    """``factory`` keyed by its node's lineage (a :class:`DeclaredFactory`), or
+    as it is (keyed by its spec) when that identity has no canonical form."""
+    reads = [_reads(feed) for feed in node.feeds]
+    try:
+        identity = factory_identity(node.op, keyed_params(node.params), *extra, reads)
+    except FingerprintError:
+        return factory
+    parents = (step for feed in node.feeds for step in _read_steps(step_of, feed))
+    return DeclaredFactory(factory, identity, tuple(dict.fromkeys(parents)))
+
+
 def _emit_proxy_resolve(
     node: LogicalNode,
     judge_name: str,
     block_name: str,
     parent_deps: tuple[str, ...],
-    materialize: Callable[[LogicalNode, Mapping[str, Any]], list[str]],
+    step_of: Mapping[LogicalNode, str],
     pipeline_steps: list[PipelineStep],
     compile_store: Any | None = None,
 ) -> tuple[str, tuple[str, ...]]:
     """Emit the blocking + pair-judgment step pair for a proxy resolve."""
+    materialize = partial(_materialize, step_of)
     parent = node.inputs[0]
     block_k = int(node.params.get("block_k", 5))
 
@@ -385,11 +414,17 @@ def _emit_proxy_resolve(
             accuracy_target=node.params.get("accuracy_target"),
         )
 
+    judge_task: SpecFactory = judge_factory
+    if compile_store is not None:
+        # The blocker's pairs follow from these and the items: a restored judge needs none.
+        embedder = resolve_embedder()
+        blocking = (block_k, embedder.model, embedder.dimensions, embedder.ngram_sizes)
+        judge_task = _declared(step_of, node, judge_factory, blocking, AUTO_LSH_THRESHOLD)
     judge_deps = tuple(dict.fromkeys((block_name, *parent_deps)))
     pipeline_steps.append(
         PipelineStep(
             name=judge_name,
-            task=judge_factory,
+            task=judge_task,
             depends_on=judge_deps,
             description="pairwise judgments over blocked candidates",
         )

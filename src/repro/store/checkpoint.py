@@ -14,12 +14,15 @@ checkpointed) rather than pickling arbitrary objects into the store.
 JSON is the wire format: human-inspectable with the ``sqlite3`` CLI, no
 arbitrary-code-execution surface on load (a store file may be shared), and
 every result field in the library is JSON-shaped already apart from tuples
-(restored from lists) and :class:`~repro.tokenizer.cost.Usage`.
+(restored from lists) and :class:`~repro.tokenizer.cost.Usage`.  A row's
+*result digest*, which its children's keys read, hashes the type and answer
+fields: not ``usage``, ``cost``, ``metadata`` or ``strategy``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from typing import Any
 
@@ -33,6 +36,9 @@ CHECKPOINT_VERSION = 1
 
 #: The payload's one encoder (``json.dumps`` builds one per call).
 _PAYLOAD = json.JSONEncoder(sort_keys=True, default=str)
+
+#: Result fields a digest leaves out: what a step cost and how it ran, not its answers.
+_NOT_CONTENT = ("cost", "metadata", "strategy", "usage")
 
 
 def _encode_usage(usage: Usage) -> dict[str, int]:
@@ -57,6 +63,12 @@ def encode_result(result: OperatorResult) -> str:
     Raises :class:`StoreError` for result types without a codec — callers
     treat that as "do not checkpoint this step".
     """
+    return encode_checkpoint(result)[0]
+
+
+def encode_checkpoint(result: OperatorResult) -> tuple[str, str]:
+    """``(payload, digest)``: the payload, spliced from one encoding of each
+    field, and its result digest, over the type and content fields."""
     type_name = type(result).__name__
     codec = result_codec(type_name)
     if codec is None or codec[0] is not type(result):
@@ -69,12 +81,14 @@ def encode_result(result: OperatorResult) -> str:
         fields[result_field.name] = value
     fields["usage"] = _encode_usage(result.usage)
     try:
-        payload = _PAYLOAD.encode(
-            {"type": type_name, "version": CHECKPOINT_VERSION, "fields": fields}
-        )
+        encoded = {name: f'"{name}": {_PAYLOAD.encode(fields[name])}' for name in sorted(fields)}
     except (TypeError, ValueError) as exc:
         raise StoreError(f"result of type {type_name} is not serialisable: {exc}") from exc
-    return payload
+    content = ", ".join(value for name, value in encoded.items() if name not in _NOT_CONTENT)
+    type_json = _PAYLOAD.encode(type_name)
+    body = ", ".join(encoded.values())
+    payload = f'{{"fields": {{{body}}}, "type": {type_json}, "version": {CHECKPOINT_VERSION}}}'
+    return payload, hashlib.sha256(f"{type_json}{{{content}}}".encode("utf-8")).hexdigest()
 
 
 def decode_result(payload: str) -> OperatorResult | None:

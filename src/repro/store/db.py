@@ -22,7 +22,7 @@ Robustness rules (exercised by ``tests/store/test_db_edge_cases.py``):
   :class:`StoreError` (we cannot know how to read it); an *older* one is
   taken forward version by version, each step dropping only the tables
   whose layout it changed (:data:`_DROPPED_AFTER`) — the response cache,
-  checkpoints, profiles and jobs a tenant paid for survive an upgrade.  A
+  profiles and jobs a tenant paid for survive an upgrade.  A
   version from before those steps is rebuilt from scratch, which is safe
   because everything in the store is derived data that a re-run recreates.
 * **Current file** — a file already stamped with our ``application_id`` and
@@ -59,7 +59,7 @@ APPLICATION_ID = 0x5250_5253  # spells "RPRS"
 
 #: Bump whenever the table layout changes, with a :data:`_DROPPED_AFTER`
 #: entry for the version left behind.  Newer stores are refused.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # An index row's ``graphs`` precede its ``payload``, so that reading them
 # stops short of the payload's overflow pages.
@@ -89,7 +89,8 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     strategy TEXT NOT NULL,
     calls INTEGER NOT NULL,
     cost REAL NOT NULL,
-    access_seq INTEGER NOT NULL
+    access_seq INTEGER NOT NULL,
+    digest TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS spans (
     row_id TEXT PRIMARY KEY,
@@ -158,9 +159,11 @@ _TABLES = (
 #: script recreates the ones still in use.  6 made a call one ``call`` span
 #: (no ``traces`` table; older call spans lack the record's fields); 7 put
 #: the k-NN graphs on the index row (an index is rebuilt from the kept
-#: embedding vectors).  A version without an entry predates these steps and
-#: loses every table.
-_DROPPED_AFTER: dict[int, tuple[str, ...]] = {5: ("traces", "spans"), 6: ("vector_indexes",)}
+#: embedding vectors); 8 put a result digest on each checkpoint row (each
+#: step re-runs once, from the kept cache).  Versions before 5 lose every table.
+_DROPPED_AFTER: dict[int, tuple[str, ...]] = {
+    5: ("traces", "spans"), 6: ("vector_indexes",), 7: ("checkpoints",)
+}
 
 
 class StoreDB:

@@ -1,18 +1,18 @@
-"""Deterministic content fingerprints for declarative task specs.
+"""Deterministic content fingerprints: checkpoint keys by lineage.
 
 A pipeline checkpoint is only reusable if "the same step" can be recognised
-across processes, machines, and library restarts, so the fingerprint is a
-SHA-256 over a *canonical JSON* rendering of the concrete spec the step is
-about to execute:
+across processes, machines, and library restarts, so its key
+(:func:`lineage_key`) is a SHA-256 over a *canonical JSON* rendering of the
+step's identity, the model, and the result digests of the steps it reads:
 
-* By the time a step is fingerprinted, any spec factory has already been
-  applied, so the spec's item lists **are** the step's resolved inputs —
-  content-addressing the concrete spec addresses the step's full input
-  lineage without chaining upstream hashes.  Two steps (or two runs) whose
-  concrete specs are byte-identical are interchangeable by construction,
-  which is exactly what makes incremental re-execution work: change one
-  branch of a query and only the steps whose resolved inputs changed get
-  new fingerprints.
+* A static step is keyed by its concrete spec (:func:`fingerprint_spec`).
+* A :class:`DeclaredFactory` (the query compiler's, for a store) is keyed
+  by its identity (:func:`factory_identity`) and the result digests of the
+  steps it reads, before its spec exists: a child still hits after a parent
+  re-ran with the same answers, and misses after other ones.  Any other
+  factory is keyed over the spec it builds.  :func:`step_key` is that rule.
+  An identity does not cover the code that lowers it (a declaration's
+  ``lower``): changing that must bump :data:`FINGERPRINT_VERSION`.
 * ``budget_dollars`` is excluded: a budget shapes *whether and how cheaply*
   a step runs, never what the correct answer is, and a resumed run under a
   different remaining budget should reuse paid-for work rather than
@@ -35,15 +35,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.spec import TaskSpec
 from repro.data.products import ImputationDataset
 from repro.data.record import Dataset, Record
 from repro.exceptions import StoreError
 
-#: Bump to invalidate every existing fingerprint (serialisation change).
-FINGERPRINT_VERSION = 2
+#: Bump to invalidate every checkpoint key (a serialisation or ``lower`` change).
+FINGERPRINT_VERSION = 3
 
 #: Spec fields that never change the *result* of a step, only its funding.
 _EXCLUDED_FIELDS = frozenset({"budget_dollars"})
@@ -119,11 +119,53 @@ def spec_payload(spec: TaskSpec) -> dict[str, Any]:
     return {"spec": type(spec).__name__, "version": FINGERPRINT_VERSION, "fields": fields}
 
 
+def keyed_params(params: Mapping[str, Any]) -> dict[str, Any]:
+    """Operation params as a key reads them: without what only funds a step."""
+    return {name: value for name, value in params.items() if name not in _EXCLUDED_FIELDS}
+
+
+def factory_identity(operation: str, *declared: Any) -> dict[str, Any]:
+    """A spec factory's identity: its operation and what else decides its spec."""
+    hashed = hashlib.sha256(_CANONICAL.encode(canonical(declared)).encode("utf-8")).hexdigest()
+    return {"factory": operation, "declared": hashed, "version": FINGERPRINT_VERSION}
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class DeclaredFactory:
+    """A spec factory keyed before its spec exists: by ``identity`` over the
+    result digests of ``parents``, the steps whose results it reads."""
+
+    build: Callable[[Mapping[str, Any]], TaskSpec]
+    identity: dict[str, Any]
+    parents: tuple[str, ...]
+
+    def __call__(self, inputs: Mapping[str, Any]) -> TaskSpec:
+        return self.build(inputs)
+
+
+def lineage_key(model: str | None, identity: dict[str, Any], parents: Sequence[str] = ()) -> str:
+    """SHA-256 hex digest of ``identity`` run on ``model`` over its parents'
+    result digests; with no parents, a static spec's key is its content hash."""
+    keyed = {"model": model, **identity}
+    if parents:
+        keyed["parents"] = list(parents)
+    return hashlib.sha256(_CANONICAL.encode(keyed).encode("utf-8")).hexdigest()
+
+
 def fingerprint_spec(spec: TaskSpec, *, model: str | None = None) -> str:
     """SHA-256 hex digest identifying a concrete spec's content, run on ``model``."""
-    keyed = {"model": model, **spec_payload(spec)}
-    payload = _CANONICAL.encode(keyed)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return lineage_key(model, spec_payload(spec))
+
+
+def step_key(task: Any, model: str | None, digests: Mapping[str, str]) -> str | None:
+    """The key of a step running ``task`` on ``model``, given the result digests
+    of the steps keyed so far: a spec's :func:`fingerprint_spec`, a declared
+    factory's lineage key (``None`` while a parent's is missing), else ``None``."""
+    if isinstance(task, TaskSpec):
+        return fingerprint_spec(task, model=model)
+    if not isinstance(task, DeclaredFactory) or not digests.keys() >= set(task.parents):
+        return None
+    return lineage_key(model, task.identity, [digests[parent] for parent in task.parents])
 
 
 def fingerprint_embedding(
@@ -138,7 +180,7 @@ def fingerprint_embedding(
     """
     payload = _CANONICAL.encode(
         {
-            "embedding": FINGERPRINT_VERSION,
+            "embedding": 2,  # the layout's own version, apart from checkpoint keys
             "text": text,
             "model": model,
             "dimensions": dimensions,

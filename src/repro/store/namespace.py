@@ -102,16 +102,17 @@ class StoreNamespace:
 
     def save_checkpoint(
         self, fingerprint: str, spec: "TaskSpec", result: "OperatorResult"
-    ) -> None:
-        self.store.save_checkpoint(self._scoped(fingerprint), spec, result)
+    ) -> str:
+        return self.store.save_checkpoint(self._scoped(fingerprint), spec, result)
 
-    def load_checkpoint(self, fingerprint: str) -> "OperatorResult | None":
-        return self.store.load_checkpoint(self._scoped(fingerprint))
+    def load_checkpoints(self, keys: list[str]) -> dict[str, Any]:
+        return self._unscoped(self.store.load_checkpoints([self._scoped(key) for key in keys]))
 
-    def checkpoint_strategies(self, fingerprints: list[str]) -> dict[str, str]:
-        cut = len(self._scoped(""))
-        held = self.store.checkpoint_strategies([self._scoped(f) for f in fingerprints])
-        return {fingerprint[cut:]: strategy for fingerprint, strategy in held.items()}
+    def checkpoint_digests(self, keys: list[str]) -> dict[str, Any]:
+        return self._unscoped(self.store.checkpoint_digests([self._scoped(key) for key in keys]))
+
+    def _unscoped(self, held: dict[str, Any]) -> dict[str, Any]:
+        return {fingerprint[len(self.prefix) + 2 :]: value for fingerprint, value in held.items()}
 
     def embedding_cache(self):
         """The shared embedding cache — deliberately *not* namespaced.

@@ -12,9 +12,9 @@ A store bundles the three persistence concerns behind one handle:
   :class:`~repro.core.physical.RuntimeStats` and merge them (decay-weighted)
   into the next session's fresh stats.
 * **Pipeline checkpoints** — :meth:`Store.save_checkpoint` /
-  :meth:`Store.load_checkpoint` keyed by the content fingerprints of
+  :meth:`Store.load_checkpoints` keyed by the lineage keys of
   :mod:`repro.store.fingerprint`; ``engine.run_pipeline(..., store=...)``
-  uses them to skip any step whose concrete spec already ran.
+  uses them to skip any step already run over the same parent results.
 
 Everything shares one SQLite file (see :mod:`repro.store.db` for the
 corruption/versioning rules), so "make this deployment durable" is a single
@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.spec import TaskSpec
 from repro.obs.spans import Span, TraceRecord
 from repro.operators.base import OperatorResult
-from repro.store.checkpoint import decode_result, encode_result
+from repro.store.checkpoint import decode_result, encode_checkpoint
 from repro.store.db import StoreDB
 from repro.store.jobs import (
     JobRecord,
@@ -290,19 +291,20 @@ class Store:
 
     def save_checkpoint(
         self, fingerprint: str, spec: TaskSpec, result: OperatorResult
-    ) -> None:
-        """Persist one completed step's result under its content fingerprint.
+    ) -> str:
+        """Persist one completed step's result under its key; returns the
+        result's digest, which the row also stores.
 
         The strategy that actually executed is recorded for observability
-        (it is deliberately *not* part of the fingerprint — see
+        (it is deliberately *not* part of the key — see
         :mod:`repro.store.fingerprint`).
         """
-        payload = encode_result(result)
+        payload, digest = encode_checkpoint(result)
         with self.db.atomic():
             self.db.execute(
                 "INSERT OR REPLACE INTO checkpoints "
-                "(fingerprint, payload, spec_type, strategy, calls, cost, access_seq) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                "(fingerprint, payload, spec_type, strategy, calls, cost, access_seq, digest) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     fingerprint,
                     payload,
@@ -311,47 +313,56 @@ class Store:
                     result.usage.calls,
                     result.cost,
                     self.db.next_seq(),
+                    digest,
                 ),
             )
             self.db.evict("checkpoints", self.max_checkpoints, "access_seq", 1)
+        return digest
 
     def load_checkpoint(self, fingerprint: str) -> OperatorResult | None:
-        """The stored result for ``fingerprint``, or ``None`` (a miss).
+        """The stored result for ``fingerprint``, or ``None`` (a miss)."""
+        return self.load_checkpoints([fingerprint]).get(fingerprint, (None,))[0]
 
-        A hit is a read: its LRU stamp rides this handle's next write
-        transaction (:meth:`StoreDB.touch_checkpoint`).
-        """
-        rows = self.db.execute(
-            "SELECT payload FROM checkpoints WHERE fingerprint = ?", (fingerprint,)
-        )
-        if not rows:
-            return None
-        result = decode_result(rows[0][0])
-        if result is None:
-            # Unreadable (newer version / unknown type): drop the row (that
-            # very payload — another handle may have replaced it since) so
-            # the slot is reclaimed, and report a miss.
-            self.db.execute(
-                "DELETE FROM checkpoints WHERE fingerprint = ? AND payload = ?",
-                (fingerprint, rows[0][0]),
-            )
-            return None
-        self.db.touch_checkpoint(fingerprint)
-        result.metadata["checkpoint_hit"] = True
-        return result
-
-    def checkpoint_strategies(self, fingerprints: list[str]) -> dict[str, str]:
-        """Fingerprint → executed strategy of the stored checkpoints among
-        ``fingerprints``, in one ``SELECT`` (a quote's view of what a run
-        will restore; it decodes no payload and stamps no recency)."""
+    def load_checkpoints(self, fingerprints: list[str]) -> dict[str, tuple[OperatorResult, str]]:
+        """Fingerprint → ``(result, digest)`` of the stored checkpoints among
+        ``fingerprints``, in one ``SELECT``.  A hit's LRU stamp rides this
+        handle's next write (:meth:`StoreDB.touch_checkpoint`); an unreadable
+        row is a miss, and is dropped (that very payload: another handle may
+        have replaced it since)."""
         if not fingerprints:
             return {}
         marks = ",".join("?" * len(fingerprints))
         rows = self.db.execute(
-            f"SELECT fingerprint, strategy FROM checkpoints WHERE fingerprint IN ({marks})",
+            f"SELECT fingerprint, payload, digest FROM checkpoints WHERE fingerprint IN ({marks})",
             fingerprints,
         )
-        return dict(rows)
+        loaded: dict[str, tuple[OperatorResult, str]] = {}
+        for fingerprint, payload, digest in rows:
+            result = None
+            with suppress(Exception):
+                result = decode_result(payload)
+            if result is None:
+                self.db.execute(
+                    "DELETE FROM checkpoints WHERE fingerprint = ? AND payload = ?",
+                    (fingerprint, payload),
+                )
+                continue
+            self.db.touch_checkpoint(fingerprint)
+            result.metadata["checkpoint_hit"] = True
+            loaded[fingerprint] = (result, digest)
+        return loaded
+
+    def checkpoint_digests(self, fingerprints: list[str]) -> dict[str, tuple[str, str]]:
+        """Fingerprint → ``(executed strategy, result digest)`` of the stored
+        checkpoints among ``fingerprints``: a quote's one ``SELECT``, no decode."""
+        if not fingerprints:
+            return {}
+        marks = ",".join("?" * len(fingerprints))
+        rows = self.db.execute(
+            f"SELECT fingerprint, strategy, digest FROM checkpoints WHERE fingerprint IN ({marks})",
+            fingerprints,
+        )
+        return {fingerprint: (strategy, digest) for fingerprint, strategy, digest in rows}
 
     def checkpoint_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM checkpoints")[0][0])

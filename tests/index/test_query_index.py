@@ -73,7 +73,9 @@ class TestResolveThroughPersistedIndex:
             # The planner learned an observed candidates-per-probe rate.
             assert engine.session.stats.probe_candidate_rate() is not None
 
-            # A fresh engine over the same store reuses the stored index.
+            # A fresh engine over the same store reuses the stored index
+            # (the resolve's checkpoint is evicted, so its blocker runs).
+            store.db.execute("DELETE FROM checkpoints")
             second = clean_engine(oracle)
             Dataset(items, name="p").with_store(store).resolve().run(second)
             (reused,) = [span for span in second.session.spans.spans() if span.kind == "index"]
@@ -122,7 +124,7 @@ class TestCacheAwareQuotes:
             quote = query.with_store(store).quote()
             assert quote.total_dollars == 0.0
             assert quote.notes == (
-                "1 of 1 static steps restored from checkpoints, priced at zero",
+                "1 of 1 steps restored from checkpoints, priced at zero",
             )
 
     def test_fresh_session_quotes_cached_prompts_at_zero(self, tmp_path):

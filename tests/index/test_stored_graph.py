@@ -11,6 +11,7 @@ through the index's prefixed name.
 from __future__ import annotations
 
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 
@@ -59,10 +60,16 @@ def block_name(store) -> str:
 
 def run(store, counts: Counter):
     """One blocked resolve over ``store``: its result, blocking result,
-    ``index`` span and the counts it added."""
+    ``index`` span and the counts it added.
+
+    The run's quote is blind to the stored checkpoints, so the judge is not
+    restored before scheduling: the blocker this file is about is
+    dispatched, and the judge is looked up after it, by its lineage key.
+    """
     counts.clear()
     engine = clean_engine(ORACLE)
-    result = Dataset(ITEMS, name="p").with_store(store).resolve().run(engine)
+    with patch.object(store, "checkpoint_digests", return_value={}):
+        result = Dataset(ITEMS, name="p").with_store(store).resolve().run(engine)
     (blocking,) = [
         value for value in result.report.results.values() if isinstance(value, BlockingResult)
     ]

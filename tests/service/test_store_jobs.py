@@ -137,8 +137,8 @@ class TestStoreNamespace:
         fingerprint = fingerprint_spec(spec)
         result = SortResult(strategy="pairwise", order=sorted(WORDS))
         store.namespace("acme").save_checkpoint(fingerprint, spec, result)
-        assert store.namespace("acme").load_checkpoint(fingerprint) is not None
-        assert store.namespace("beta").load_checkpoint(fingerprint) is None
+        assert fingerprint in store.namespace("acme").load_checkpoints([fingerprint])
+        assert store.namespace("beta").load_checkpoints([fingerprint]) == {}
         assert store.load_checkpoint(fingerprint) is None
 
     def test_traces_are_scoped(self, store):

@@ -5,9 +5,11 @@ response cache, checkpoints, profile and job table included.  Each step now
 drops only the tables whose layout it changed: version 6 (a call is a
 ``call`` span; no ``traces`` table) drops ``traces`` and ``spans``, version 7
 (the k-NN graphs ride the index row) drops ``vector_indexes``, whose indexes
-the next blocked run rebuilds from the kept embedding vectors.  The old files
-below are built from the schema strings those versions shipped, filled with
-what that code wrote.
+the next blocked run rebuilds from the kept embedding vectors, and version 8
+(checkpoints keyed by lineage, with result digests) drops ``checkpoints``:
+each step re-runs once, every call answered by the kept response cache.
+The old files below are built from the schema strings those versions
+shipped, filled with what that code wrote.
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ CREATE INDEX IF NOT EXISTS traces_origin ON traces (origin, call_id);
 """
 
 #: Tables every step since version 5 left alone.
-KEPT = ("cache", "profiles", "checkpoints", "jobs", "embeddings")
+KEPT = ("cache", "profiles", "jobs", "embeddings")
+
+#: The ``checkpoints`` columns versions 5 to 7 had.
+OLD_CHECKPOINT_COLUMNS = "fingerprint, payload, spec_type, strategy, calls, cost, access_seq"
 
 #: The product query's corpus: small enough that its resolve is not blocked.
 CORPUS = {"n_entities": 6, "variants": 2}
@@ -173,6 +178,10 @@ def write_old_file(path, source, version: int) -> None:
     conn.execute("ATTACH DATABASE ? AS source", (str(source),))
     for table in KEPT + (("spans",) if version == 6 else ()):
         conn.execute(f"INSERT INTO main.{table} SELECT * FROM source.{table}")
+    conn.execute(
+        f"INSERT INTO main.checkpoints ({OLD_CHECKPOINT_COLUMNS}) "
+        f"SELECT {OLD_CHECKPOINT_COLUMNS} FROM source.checkpoints"
+    )
     conn.execute(
         f"INSERT INTO main.vector_indexes ({OLD_INDEX_COLUMNS}) "
         f"SELECT {OLD_INDEX_COLUMNS} FROM source.vector_indexes"
@@ -241,25 +250,33 @@ def upgrade(tmp_path, version: int):
     assert all(kept[table] > 0 for table in kept)
     write_old_file(old, current, version)
     assert count_rows_at(old, ("vector_indexes",)) == {"vector_indexes": 1}
+    assert count_rows_at(old, ("checkpoints",))["checkpoints"] > 0
     return old, cold, kept
 
 
 def assert_upgraded_and_restores_for_free(path, cold, kept) -> None:
     with Store(path) as store:
         version = store.db.execute("SELECT value FROM meta WHERE key = 'schema_version'")
-        assert int(version[0][0]) == SCHEMA_VERSION == 7
+        assert int(version[0][0]) == SCHEMA_VERSION == 8
         assert count_rows(store, kept) == kept
         assert store.load_job("j1").status == "succeeded"
         # A dropped table comes back empty: old call spans lacked the
-        # record's fields, and an old index row has no graphs.
-        dropped = {"spans", "vector_indexes"} - set(kept)
+        # record's fields, an old index row has no graphs, and an old
+        # checkpoint has no result digest.
+        dropped = {"spans", "vector_indexes", "checkpoints"} - set(kept)
         assert count_rows(store, dropped) == dict.fromkeys(dropped, 0)
 
+        # The old checkpoints miss once; the kept cache answers every call.
         warm, warm_session = run_product_query(store)
-        assert warm_session.tracker.usage.calls == 0
-        assert warm.report.total_calls == 0
-        assert sorted(warm.report.restored_steps) == sorted(cold.report.results)
+        assert (warm_session.cache.stats.hits > 0, warm_session.cache.stats.misses) == (True, 0)
+        assert warm.report.restored_steps == []
         assert warm.items == cold.items
+
+        again, again_session = run_product_query(store)
+        assert again_session.tracker.usage.calls == 0
+        assert again.report.total_calls == 0
+        assert sorted(again.report.restored_steps) == sorted(cold.report.results)
+        assert again.items == cold.items
 
         # The index is rebuilt from the kept vectors: nothing is re-embedded.
         cache = store.embedding_cache()

@@ -1,20 +1,22 @@
 """A quote against a store prices what the run will restore, and the run
-looks each static step up by the key the quote computed.
+restores what the quote found.
 
-After one run, a re-quote prices the static steps the next run restores at
-zero calls and dollars (without probing their prompts), ``.explain()`` marks
-them, and every spec step of a run is fingerprinted exactly once: a static
-step by the quote, a factory-built one by the engine.
+After one run, a re-quote prices every step the next run restores at zero
+calls and dollars (without probing their prompts) — factory steps too, keyed
+by their declaration and their parents' result digests — and ``.explain()``
+marks them.  The run loads them all in one statement before scheduling.
+Each static step is fingerprinted exactly once per run, by the quote; a
+declared factory is never fingerprinted over its spec.
 """
 
 from __future__ import annotations
 
+import re
 import sqlite3
 
 import pytest
 
-import repro.core.engine
-import repro.core.planner
+import repro.store.fingerprint
 from benchmarks.perf import corpus
 from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
@@ -31,7 +33,9 @@ from repro.store import PersistentResponseCache, Store
 from repro.store.fingerprint import FingerprintError, fingerprint_spec
 
 FEED = corpus.product_feed(1, 8)
-RESTORED_NOTE = "{} of {} static steps restored from checkpoints, priced at zero"
+#: A checkpoint key as the SQL trace shows it bound into a statement.
+KEY = re.compile(r"'[0-9a-f]{64}'")
+RESTORED_NOTE = "{} of {} steps restored from checkpoints, priced at zero"
 
 
 def product_query() -> Dataset:
@@ -78,9 +82,9 @@ def engine_on(store: Store) -> tuple[DeclarativeEngine, corpus.CountingLLM]:
 
 
 def patch_fingerprint(monkeypatch, function) -> None:
-    """Replace ``fingerprint_spec`` where the planner and the engine call it."""
-    monkeypatch.setattr(repro.core.planner, "fingerprint_spec", function)
-    monkeypatch.setattr(repro.core.engine, "fingerprint_spec", function)
+    """Replace ``fingerprint_spec`` where the planner's and the engine's
+    ``step_key`` calls it."""
+    monkeypatch.setattr(repro.store.fingerprint, "fingerprint_spec", function)
 
 
 @pytest.fixture()
@@ -101,7 +105,7 @@ def assert_zero(estimate) -> None:
 
 
 class TestQuoteAgreesWithRestore:
-    def test_product_query_requote_prices_the_restored_static_step(self, tmp_path):
+    def test_product_query_requote_prices_every_restored_step(self, tmp_path):
         path = tmp_path / "store.db"
         with Store(path) as store:
             engine, _ = engine_on(store)
@@ -115,26 +119,28 @@ class TestQuoteAgreesWithRestore:
         assert llm.reached == 0 and warm.total_calls == 0
         static = {step.name for step in warm.spec.steps if isinstance(step.task, TaskSpec)}
         assert static == {"s1_filter"}
-        assert set(quote.restored_steps) == static & set(warm.report.restored_steps)
-        assert quote.restored_steps == warm.quote.restored_steps
-        assert_zero(quote.steps["s1_filter"])
+        restored = ("s1_filter", "s2_resolve", "s3_top_k")
+        assert quote.restored_steps == warm.quote.restored_steps == restored
+        assert sorted(warm.report.restored_steps) == list(restored)
+        for name in restored:
+            assert_zero(quote.steps[name])
         assert quote.steps["s1_filter"].strategy == "filter:per_item"
-        # The factory steps are priced from priors, as before.
-        assert quote.total_calls == sum(
-            quote.steps[name].calls for name in ("s2_resolve", "s3_top_k")
-        ) > 0
-        assert RESTORED_NOTE.format(1, 1) in quote.notes
+        assert quote.steps["s2_resolve"].strategy == "resolve:pairwise"
+        assert quote.steps["s3_top_k"].strategy == "top_k:pairwise_tournament"
+        assert (quote.total_calls, quote.total_dollars) == (0, 0.0)
+        assert warm.report.step_reports["s2_block"].status == "skipped"
+        assert RESTORED_NOTE.format(3, 3) in quote.notes
         assert not any("persistent cache" in note for note in quote.notes)
 
-    def test_the_explain_marks_the_restored_step(self, tmp_path):
+    def test_the_explain_marks_the_restored_steps(self, tmp_path):
         with Store(tmp_path / "store.db") as store:
             engine, _ = engine_on(store)
             cold = product_query().with_store(store).run(engine)
             warm = product_query().with_store(store).run(engine)
         assert "(restored)" not in cold.explain
         marked = [line for line in warm.explain.splitlines() if "(restored)" in line]
-        assert len(marked) == 1 and marked[0].lstrip().startswith("s1_filter")
-        assert RESTORED_NOTE.format(1, 1) in warm.explain
+        assert [line.split()[0] for line in marked] == ["s1_filter", "s2_resolve", "s3_top_k"]
+        assert RESTORED_NOTE.format(3, 3) in warm.explain
 
     def test_static_pipeline_requote_is_free_and_matches_the_restore(self, tmp_path):
         path = tmp_path / "store.db"
@@ -193,9 +199,13 @@ class TestQuoteAgreesWithRestore:
             store.db._conn.set_trace_callback(None)
         assert len(warm.report.restored_steps) == 3
         assert probes == []
-        assert sum("FROM checkpoints WHERE fingerprint IN" in s for s in statements) == 1
-        assert sum(s.startswith("SELECT payload FROM checkpoints") for s in statements) == 3
+        # One lookup per dependency depth, then one load of all three rows.
+        lookups = [s for s in statements if s.startswith("SELECT fingerprint, strategy")]
+        loads = [s for s in statements if s.startswith("SELECT fingerprint, payload")]
+        assert [len(KEY.findall(s)) for s in lookups] == [1, 1, 1]
+        assert [len(KEY.findall(s)) for s in loads] == [3]
         assert not any("FROM cache" in s for s in statements)
+        assert not any("FROM vector_indexes" in s for s in statements)
         assert sum(s.startswith("BEGIN") for s in statements) == 1
 
 
@@ -233,7 +243,7 @@ class TestQuotedAsBefore:
             def locked(fingerprints):
                 raise sqlite3.OperationalError("database is locked")
 
-            monkeypatch.setattr(store, "checkpoint_strategies", locked)
+            monkeypatch.setattr(store, "checkpoint_digests", locked)
             quote = engine.quote_pipeline(static_pipeline())
             assert quote.restored_steps == () and quote.total_calls > 0
             paid = llm.reached
@@ -256,7 +266,8 @@ class TestQuotedAsBefore:
             assert report.step_reports["filter"].status == "completed"
             # Answered from the durable cache, and checkpointed again.
             assert llm.reached == paid
-            assert store.checkpoint_strategies([gone]) == {gone: "per_item"}
+            digest = quote.keys["filter"].digest
+            assert store.checkpoint_digests([gone]) == {gone: ("per_item", digest)}
 
     def test_a_quote_from_another_model_is_not_trusted_for_keys(self, tmp_path):
         with Store(tmp_path / "store.db") as store:
@@ -272,7 +283,7 @@ class TestQuotedAsBefore:
 
 
 class TestFingerprintedOncePerRun:
-    def test_each_spec_step_of_the_product_query_once(self, tmp_path, fingerprints):
+    def test_only_the_static_step_of_the_product_query_once(self, tmp_path, fingerprints):
         path = tmp_path / "store.db"
         for expected_restores in (0, 3):
             with Store(path) as store:
@@ -280,9 +291,8 @@ class TestFingerprintedOncePerRun:
                 del fingerprints[:]
                 result = product_query().with_store(store).run(engine)
             assert len(result.report.restored_steps) == expected_restores
-            spec_steps = [r for r in result.report.step_reports if r != "s2_block"]
-            assert len(fingerprints) == len(spec_steps) == 3
-            assert len({id(spec) for spec in fingerprints}) == 3
+            # The factory steps declare their lineage: keyed without a spec.
+            assert fingerprints == [result.spec.steps[0].task]
 
     def test_each_static_step_once_with_or_without_a_quote(self, tmp_path, fingerprints):
         with Store(tmp_path / "store.db") as store:
