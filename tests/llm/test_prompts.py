@@ -6,18 +6,19 @@ import pytest
 
 from repro.exceptions import ResponseParseError
 from repro.llm.prompts import (
+    CATEGORIZE,
+    DUPLICATE_CHECK,
+    GROUP_RECORDS,
+    IMPUTE,
+    PAIRWISE_COMPARISON,
+    PREDICATE_CHECK,
+    RATING,
+    RATING_BATCH,
+    SORT_LIST,
     build_structured_prompt,
-    categorize_prompt,
-    duplicate_check_prompt,
-    estimate_count_prompt,
-    group_records_prompt,
     impute_prompt,
-    pairwise_comparison_prompt,
     parse_structured_prompt,
-    predicate_check_prompt,
-    rating_batch_prompt,
     rating_prompt,
-    sort_list_prompt,
 )
 
 
@@ -57,25 +58,192 @@ class TestStructuredPromptRoundTrip:
         assert parsed.items == items
 
 
+#: In-context examples for the impute-with-examples case.
+EXAMPLES = (
+    {"input": "name: Cafe Rio; phone: 512-555-0101", "output": "Austin"},
+    {"input": "name: Blue Door; phone: 206-555-0199", "output": "Seattle"},
+)
+
+#: Every template rendered over fixed inputs, and the exact prompt text.  The
+#: simulator seeds each reply on the prompt and the response cache keys on
+#: it, so any byte that moves here changes every recorded result.
+GOLDEN = [
+    pytest.param(
+        SORT_LIST,
+        ['dark chocolate', 'lemon sorbet', 'milk chocolate'],
+        ('chocolatey',),
+        None,
+        '### TASK: sort_list\n'
+        '### CRITERION: chocolatey\n'
+        '### DATA:\n'
+        '[0] dark chocolate\n'
+        '[1] lemon sorbet\n'
+        '[2] milk chocolate\n'
+        '### INSTRUCTIONS:\n'
+        "Sort ALL of the items above by 'chocolatey', from most to least. Return the full sorted list, one item per line, numbered.",
+        id='sort_list',
+    ),
+    pytest.param(
+        PAIRWISE_COMPARISON,
+        ['dark chocolate', 'lemon sorbet'],
+        ('chocolatey',),
+        None,
+        '### TASK: pairwise_comparison\n'
+        '### CRITERION: chocolatey\n'
+        '### DATA:\n'
+        '[0] dark chocolate\n'
+        '[1] lemon sorbet\n'
+        '### INSTRUCTIONS:\n'
+        "Which item ranks higher on 'chocolatey'? Answer with exactly 'A' for the first item or 'B' for the second item.",
+        id='pairwise',
+    ),
+    pytest.param(
+        RATING,
+        ['dark chocolate'],
+        ('chocolatey',),
+        None,
+        '### TASK: rating\n'
+        '### CRITERION: chocolatey\n'
+        '### SCALE: 1-7\n'
+        '### DATA:\n'
+        '[0] dark chocolate\n'
+        '### INSTRUCTIONS:\n'
+        "Rate the item above on 'chocolatey' from 1 (least) to 7 (most). Answer with a single integer.",
+        id='rating',
+    ),
+    pytest.param(
+        RATING_BATCH,
+        ['dark chocolate', 'lemon sorbet', 'milk chocolate'],
+        ('chocolatey',),
+        None,
+        '### TASK: rating\n'
+        '### CRITERION: chocolatey\n'
+        '### SCALE: 1-7\n'
+        '### DATA:\n'
+        '[0] dark chocolate\n'
+        '[1] lemon sorbet\n'
+        '[2] milk chocolate\n'
+        '### INSTRUCTIONS:\n'
+        "Rate EACH item above on 'chocolatey' from 1 (least) to 7 (most). Answer with one line per item in the form '<item number>. <rating>'.",
+        id='rating_batch',
+    ),
+    pytest.param(
+        DUPLICATE_CHECK,
+        ['J. Gray. Transactions. VLDB 1981.', "Gray J, Transaction concept, VLDB '81"],
+        (),
+        None,
+        '### TASK: duplicate_check\n'
+        '### DATA:\n'
+        '[0] J. Gray. Transactions. VLDB 1981.\n'
+        "[1] Gray J, Transaction concept, VLDB '81\n"
+        '### INSTRUCTIONS:\n'
+        'Are Citation A and Citation B the same? Citation A is the first item, Citation B is the second item. Start your response with Yes or No.',
+        id='duplicate_check',
+    ),
+    pytest.param(
+        GROUP_RECORDS,
+        ['J. Gray. Transactions.', 'Gray J, Transactions', 'E. Codd. Relations.'],
+        (),
+        None,
+        '### TASK: group_records\n'
+        '### DATA:\n'
+        '[0] J. Gray. Transactions.\n'
+        '[1] Gray J, Transactions\n'
+        '[2] E. Codd. Relations.\n'
+        '### INSTRUCTIONS:\n'
+        "Group the records above into sets of duplicates. Return one group per line as comma-separated item indices, e.g. '0, 3' for a group of two.",
+        id='group_records',
+    ),
+    pytest.param(
+        IMPUTE,
+        ['name: Cafe Ole; phone: 512-555-0142'],
+        ('city',),
+        None,
+        '### TASK: impute\n'
+        '### ATTRIBUTE: city\n'
+        '### DATA:\n'
+        '[0] name: Cafe Ole; phone: 512-555-0142\n'
+        '### INSTRUCTIONS:\n'
+        "Predict the value of the missing attribute 'city' for the record above. Answer with just the value.",
+        id='impute',
+    ),
+    pytest.param(
+        IMPUTE,
+        ['name: Cafe Ole; phone: 512-555-0142'],
+        ('city',),
+        EXAMPLES,
+        '### TASK: impute\n'
+        '### ATTRIBUTE: city\n'
+        '### EXAMPLES:\n'
+        'Input: name: Cafe Rio; phone: 512-555-0101\n'
+        'Output: Austin\n'
+        'Input: name: Blue Door; phone: 206-555-0199\n'
+        'Output: Seattle\n'
+        '### DATA:\n'
+        '[0] name: Cafe Ole; phone: 512-555-0142\n'
+        '### INSTRUCTIONS:\n'
+        "Predict the value of the missing attribute 'city' for the record above. Answer with just the value.",
+        id='impute_examples',
+    ),
+    pytest.param(
+        CATEGORIZE,
+        ['cheddar'],
+        (('fruit', 'dairy', 'C++'),),
+        None,
+        '### TASK: categorize\n'
+        '### CATEGORIES: fruit; dairy; C++\n'
+        '### DATA:\n'
+        '[0] cheddar\n'
+        '### INSTRUCTIONS:\n'
+        'Assign the item above to exactly one of these categories: fruit, dairy, C++. Answer with the category name only.',
+        id='categorize',
+    ),
+    pytest.param(
+        PREDICATE_CHECK,
+        ['a bright {sunny} flat'],
+        ("is a 'quiet' {studio}",),
+        None,
+        '### TASK: predicate_check\n'
+        "### PREDICATE: is a 'quiet' {studio}\n"
+        '### DATA:\n'
+        '[0] a bright {sunny} flat\n'
+        '### INSTRUCTIONS:\n'
+        "Does the item above satisfy the condition 'is a 'quiet' {studio}'? Start your response with Yes or No.",
+        id='predicate_check',
+    ),
+    pytest.param(
+        PREDICATE_CHECK,
+        [''],
+        ('is positive',),
+        None,
+        '### TASK: predicate_check\n'
+        '### PREDICATE: is positive\n'
+        '### DATA:\n'
+        '[0] \n'
+        '### INSTRUCTIONS:\n'
+        "Does the item above satisfy the condition 'is positive'? Start your response with Yes or No.",
+        id='predicate_check_scaffold',
+    ),
+]
+
+
+def _render(template, items, fields, examples):
+    """The prompt ``template`` renders; impute's examples ride as a last field."""
+    return template.render(items, fields if examples is None else (*fields, examples))
+
+
 class TestCanonicalPrompts:
-    @pytest.mark.parametrize(
-        ("builder", "args", "expected_task"),
-        [
-            (sort_list_prompt, (["a", "b"], "size"), "sort_list"),
-            (pairwise_comparison_prompt, ("a", "b", "size"), "pairwise_comparison"),
-            (rating_prompt, ("a", "size"), "rating"),
-            (rating_batch_prompt, (["a", "b"], "size"), "rating"),
-            (duplicate_check_prompt, ("cite a", "cite b"), "duplicate_check"),
-            (group_records_prompt, (["r1", "r2"],), "group_records"),
-            (impute_prompt, ("name is X", "city"), "impute"),
-            (predicate_check_prompt, ("item", "is positive"), "predicate_check"),
-            (estimate_count_prompt, (["a", "b"], "is positive"), "estimate_count"),
-            (categorize_prompt, ("item", ["fruit", "dairy"]), "categorize"),
-        ],
-    )
-    def test_builders_produce_parsable_prompts(self, builder, args, expected_task):
-        parsed = parse_structured_prompt(builder(*args))
-        assert parsed.task == expected_task
+    @pytest.mark.parametrize(("template", "items", "fields", "examples", "expected"), GOLDEN)
+    def test_every_template_renders_its_recorded_text(
+        self, template, items, fields, examples, expected
+    ):
+        assert _render(template, items, fields, examples) == expected
+
+    @pytest.mark.parametrize(("template", "items", "fields", "examples", "expected"), GOLDEN)
+    def test_every_rendered_prompt_parses_back(self, template, items, fields, examples, expected):
+        parsed = parse_structured_prompt(_render(template, items, fields, examples))
+        assert parsed.items == list(items)
+        assert parsed.has_examples is (examples is not None)
 
     def test_rating_prompt_carries_scale(self):
         parsed = parse_structured_prompt(rating_prompt("item", "size", 1, 5))
