@@ -2,7 +2,7 @@
 
 A reproduction of "Revisiting Prompt Engineering via Declarative
 Crowdsourcing" (CIDR 2024).  The package treats LLMs as noisy oracles and
-provides declarative data-processing operators (sort, resolve, impute, count,
+provides declarative data-processing operators (sort, resolve, impute,
 filter, top-k, cluster) with multiple prompting strategies per operator, a
 budget-aware execution engine, quality control drawn from the crowdsourcing
 literature, and a simulated LLM substrate so everything runs offline.
@@ -89,7 +89,6 @@ from repro.exceptions import (
 from repro.llm import HashingEmbedder, Oracle, SimulatedLLM
 from repro.operators import (
     ClusterOperator,
-    CountOperator,
     FilterOperator,
     ImputeOperator,
     ResolveOperator,
@@ -110,7 +109,6 @@ __all__ = [
     "ClusterOperator",
     "ClusterSpec",
     "ContextLengthExceededError",
-    "CountOperator",
     "Dataset",
     "DeclarativeEngine",
     "FilterOperator",

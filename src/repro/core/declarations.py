@@ -69,11 +69,6 @@ from repro.llm.prompts import (
     RATING,
     RATING_BATCH,
     SORT_LIST,
-    categorize_prompt,
-    duplicate_check_prompt,
-    impute_prompt,
-    pairwise_comparison_prompt,
-    predicate_check_prompt,
 )
 from repro.metrics.classification import accuracy as exact_match_accuracy
 from repro.metrics.classification import f1_score
@@ -81,7 +76,6 @@ from repro.metrics.ranking import kendall_tau_b
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.operators.categorize import CategorizeOperator, CategorizeResult
 from repro.operators.cluster import ClusterOperator, ClusterResult
-from repro.operators.count import CountResult
 from repro.operators.filter import FilterOperator, FilterResult
 from repro.operators.impute import ImputeOperator, ImputeResult
 from repro.operators.join import JoinOperator, JoinResult
@@ -362,8 +356,8 @@ class _Sort(OperatorDeclaration):
     auto = ("pairwise", "rating", "single_prompt")
     prompts = {
         "pairwise": lambda spec: (
-            pairwise_comparison_prompt(first, second, spec.criterion)
-            for first, second in itertools.combinations(map(str, spec.items), 2)
+            PAIRWISE_COMPARISON.render(pair, (spec.criterion,))
+            for pair in itertools.combinations(map(str, spec.items), 2)
         )
     }
     auto_keeps_options = False
@@ -466,8 +460,8 @@ class _ResolveRecords(OperatorDeclaration):
     auto_labelled_as_default = True
     prompts = {
         "pairwise": lambda spec: (
-            duplicate_check_prompt(left, right)
-            for left, right in itertools.combinations(map(str, spec.records), 2)
+            DUPLICATE_CHECK.render(pair)
+            for pair in itertools.combinations(map(str, spec.records), 2)
         )
     }
     spec_fields = {
@@ -594,7 +588,7 @@ class _ResolvePairs(_ResolveRecords):
     auto = ("transitive", "pairwise")
     prompts = {
         "pairwise": lambda spec: (
-            duplicate_check_prompt(str(left), str(right)) for left, right in spec.pairs
+            DUPLICATE_CHECK.render([str(left), str(right)]) for left, right in spec.pairs
         )
     }
 
@@ -683,7 +677,7 @@ def _impute_prompts(spec: ImputeSpec) -> Iterable[str]:
     if spec.n_examples != 0 or spec.data is None:
         return ()
     return (
-        impute_prompt(spec.data.serialized_query(record), spec.data.target_attribute)
+        IMPUTE.render([spec.data.serialized_query(record)], (spec.data.target_attribute,))
         for record in spec.data.queries
     )
 
@@ -853,7 +847,7 @@ class _Filter(OperatorDeclaration):
     auto = ("per_item",)
     prompts = {
         "per_item": lambda spec: (
-            predicate_check_prompt(str(item), predicate)
+            PREDICATE_CHECK.render([str(item)], (predicate,))
             for predicate in spec.all_predicates
             for item in spec.items
         )
@@ -1114,7 +1108,7 @@ class _Categorize(OperatorDeclaration):
     auto = ("per_item",)
     prompts = {
         "per_item": lambda spec: (
-            categorize_prompt(str(item), list(spec.categories)) for item in spec.items
+            CATEGORIZE.render([str(item)], (tuple(spec.categories),)) for item in spec.items
         )
     }
     spec_fields = {"validation_labels": FieldCodec(_str_labels, _str_labels)}
@@ -1229,7 +1223,7 @@ class _Join(OperatorDeclaration):
     auto = ("blocked",)
     prompts = {
         "all_pairs": lambda spec: (
-            duplicate_check_prompt(str(left), str(right))
+            DUPLICATE_CHECK.render([str(left), str(right)])
             for left in spec.left
             for right in spec.right
         )
@@ -1332,11 +1326,6 @@ DECLARATIONS: dict[type, OperatorDeclaration] = {
     )
 }
 
-#: Results the count operator produces outside the engine; a checkpoint may
-#: still hold one, so the checkpoint codec knows the type.
-_UNDECLARED_RESULTS = (CountResult,)
-
-
 def declaration_for(spec: Any) -> OperatorDeclaration:
     """The declaration governing ``spec``, or :class:`SpecError` when there is none."""
     declaration = DECLARATIONS.get(type(spec))
@@ -1384,7 +1373,4 @@ def result_codec(type_name: Any) -> tuple[type[OperatorResult], Mapping[str, Fie
         for result_type in declaration.results:
             if result_type.__name__ == type_name:
                 return result_type, declaration.result_fields
-    for result_type in _UNDECLARED_RESULTS:
-        if result_type.__name__ == type_name:
-            return result_type, {}
     return None

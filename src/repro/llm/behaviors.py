@@ -74,9 +74,8 @@ class BehaviorConfig:
     # suppresses the formatting-variant failure mode.
     impute_format_variant_rate_with_examples: float = 0.05
 
-    # Predicate checks and counting.
+    # Predicate checks.
     predicate_error: float = 0.08
-    count_relative_noise: float = 0.15
 
     # Categorization into a fixed label set.
     categorize_error: float = 0.10
@@ -455,22 +454,6 @@ def categorize(
     return answer or "unknown", confidence
 
 
-def estimate_count(
-    task: StructuredPrompt,
-    oracle: Oracle,
-    rng: random.Random,
-    quality: float,
-    config: BehaviorConfig,
-) -> tuple[str, float]:
-    """Coarse 'eyeballing' estimate of how many items satisfy a predicate."""
-    predicate = task.fields.get("predicate", "")
-    true_count = sum(1 for item in task.items if oracle.satisfies(item, predicate))
-    multiplier = quality_multiplier(quality)
-    noise_sd = max(0.5, config.count_relative_noise * multiplier * max(1, len(task.items)) * 0.5)
-    estimate = int(round(max(0, min(len(task.items), true_count + rng.gauss(0.0, noise_sd)))))
-    return f"Approximately {estimate} of the items satisfy the condition.", 0.6
-
-
 #: Dispatch table from task kind to behaviour function.
 BEHAVIORS = {
     "pairwise_comparison": pairwise_comparison,
@@ -480,6 +463,5 @@ BEHAVIORS = {
     "group_records": group_records,
     "impute": impute,
     "predicate_check": predicate_check,
-    "estimate_count": estimate_count,
     "categorize": categorize,
 }

@@ -11,7 +11,6 @@ recovered.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Sequence
 
@@ -21,6 +20,7 @@ _YES_RE = re.compile(r"\byes\b", re.IGNORECASE)
 _NO_RE = re.compile(r"\bno\b", re.IGNORECASE)
 _INT_RE = re.compile(r"-?\d+")
 _NUMBERED_ITEM_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s*)(?P<text>.+?)\s*$")
+_NUMBERED_RATING_RE = re.compile(r"^\s*\d+[.)]\s*(-?\d+)", re.MULTILINE)
 
 
 def extract_yes_no(text: str) -> bool:
@@ -42,11 +42,17 @@ def extract_yes_no(text: str) -> bool:
 
 
 def extract_choice(text: str, options: Sequence[str]) -> str:
-    """Extract the first matching option label (e.g. ``"A"`` / ``"B"``)."""
+    """Extract the first matching option label (e.g. ``"A"`` / ``"B"``).
+
+    An option matches where no word character touches either end, so one
+    with a punctuated edge (``"C++"``, ``"(none)"``) matches too; at one
+    position the longest option wins, so ``"C"`` never wins inside ``"C++"``.
+    """
     if not options:
         raise SpecError("options must not be empty")
+    longest_first = sorted(options, key=len, reverse=True)
     pattern = re.compile(
-        r"\b(" + "|".join(re.escape(option) for option in options) + r")\b"
+        r"(?<!\w)(" + "|".join(re.escape(option) for option in longest_first) + r")(?!\w)"
     )
     match = pattern.search(text)
     if match is None:
@@ -73,14 +79,18 @@ def extract_ratings(text: str, expected: int) -> list[int]:
     """Extract ``expected`` integer ratings from a (possibly multi-line) response.
 
     Used by the batched rating strategy where several items are rated in one
-    prompt; the response carries one rating per line.  Raises when fewer than
-    ``expected`` integers can be found.
+    prompt; the response carries one ``<n>. <rating>`` line per item, and
+    when it has such lines only they are read, so a number in a preamble
+    ("Ratings for the 3 items:") is not taken for a rating.  Otherwise every
+    integer counts, read as alternating index/rating pairs when there are
+    exactly twice ``expected`` of them.  Raises when fewer than ``expected``
+    ratings can be found.
     """
-    values = [int(match) for match in _INT_RE.findall(text)]
-    # Multi-line responses often number their lines ("1. 5"); when exactly twice
-    # the expected count is found, assume alternating index/rating pairs.
-    if len(values) == expected * 2:
-        values = values[1::2]
+    values = [int(match) for match in _NUMBERED_RATING_RE.findall(text)]
+    if not values:
+        values = [int(match) for match in _INT_RE.findall(text)]
+        if len(values) == expected * 2:
+            values = values[1::2]
     if len(values) < expected:
         raise ResponseParseError(
             f"expected {expected} ratings but found {len(values)}", text
@@ -131,16 +141,3 @@ def extract_value(text: str) -> str:
         if value.lower().startswith(prefix):
             value = value[len(prefix) :].strip()
     return value.strip().strip('"').strip("'")
-
-
-def extract_json(text: str) -> dict | list:
-    """Extract the first JSON object or array embedded in the response."""
-    decoder = json.JSONDecoder()
-    for start, char in enumerate(text):
-        if char in "{[":
-            try:
-                value, _ = decoder.raw_decode(text[start:])
-            except json.JSONDecodeError:
-                continue
-            return value
-    raise ResponseParseError("no JSON value found in response", text)

@@ -1,30 +1,28 @@
-"""Prompt templates and the structured task format.
+"""The structured task format, and the task templates declared in it.
 
-Operators assemble prompts from templates here so that every unit-task prompt
-carries a machine-parsable header (task kind, criterion, options) followed by
-the data items.  The same module defines :func:`parse_structured_prompt`, used
-by the simulated LLM to recover the task from the prompt text — exactly the
-way a real LLM recovers the task from natural-language instructions, but
-deterministic.  Keeping the builder and the parser side by side guarantees the
-two never drift apart.
+Every unit-task prompt carries a machine-parsable header (task kind,
+criterion, options), the data items, then natural-language instructions.
+:func:`parse_structured_prompt` reads back what :func:`build_structured_prompt`
+writes, the way the simulated LLM recovers the task — deterministically.
+Each task an operator sends is a :class:`TaskTemplate`: data declaring the
+prompt over the task's fixed fields, the reply it asks for and the
+:mod:`repro.llm.parsing` extractor that reads that reply.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.exceptions import ResponseParseError
+from repro.llm import parsing
 
 
 # ---------------------------------------------------------------------------
 # Structured task prompts
 # ---------------------------------------------------------------------------
-
-_TASK_HEADER = "### TASK: {task}"
-_FIELD_LINE = "### {key}: {value}"
-_ITEM_LINE = "[{index}] {text}"
 
 _TASK_RE = re.compile(r"^### TASK: (?P<task>[\w-]+)\s*$", re.MULTILINE)
 _FIELD_RE = re.compile(r"^### (?P<key>[A-Z_]+): (?P<value>.*)$", re.MULTILINE)
@@ -64,24 +62,28 @@ def build_structured_prompt(
     items as a numbered list, then natural-language instructions — so that it
     would also be a sensible prompt for a real LLM.
     """
-    lines = [_TASK_HEADER.format(task=task)]
-    for key, value in (fields or {}).items():
-        lines.append(_FIELD_LINE.format(key=key.upper(), value=value))
+    head, tail = _frame(task, fields, instructions, examples)
+    return head + _data(list(items)) + tail
+
+
+def _frame(task: str, fields, instructions: str, examples) -> tuple[str, str]:
+    """A prompt's text before and after its ``### DATA:`` block."""
+    lines = [f"### TASK: {task}"]
+    lines += [f"### {key.upper()}: {value}" for key, value in (fields or {}).items()]
     if examples:
         lines.append("### EXAMPLES:")
         for example in examples:
             lines.append(f"Input: {example['input']}")
             lines.append(f"Output: {example['output']}")
-    item_list = list(items)
-    if item_list:
-        lines.append("### DATA:")
-        lines.extend(
-            _ITEM_LINE.format(index=index, text=text) for index, text in enumerate(item_list)
-        )
-    if instructions:
-        lines.append("### INSTRUCTIONS:")
-        lines.append(instructions)
-    return "\n".join(lines)
+    tail = f"\n### INSTRUCTIONS:\n{instructions}" if instructions else ""
+    return "\n".join(lines), tail
+
+
+def _data(items: Sequence[str]) -> str:
+    """The ``### DATA:`` block, one ``[i] <text>`` line per item; none for no items."""
+    if not items:
+        return ""
+    return "\n### DATA:\n" + "\n".join([f"[{index}] {text}" for index, text in enumerate(items)])
 
 
 def parse_structured_prompt(prompt: str) -> StructuredPrompt:
@@ -114,194 +116,137 @@ def parse_structured_prompt(prompt: str) -> StructuredPrompt:
 
 
 # ---------------------------------------------------------------------------
-# Canonical task prompts used by the operators
+# The task templates operators send
 # ---------------------------------------------------------------------------
 
 
-def sort_list_prompt(items: Iterable[str], criterion: str) -> str:
-    """Single prompt asking the model to sort every item at once (Section 3.1)."""
-    return build_structured_prompt(
-        "sort_list",
-        fields={"criterion": criterion},
-        items=items,
-        instructions=(
-            f"Sort ALL of the items above by '{criterion}', from most to least. "
-            "Return the full sorted list, one item per line, numbered."
-        ),
-    )
+class _Joined(tuple):
+    """A list-valued fixed field; its format spec is the separator (``{0:, }``)."""
 
-
-def pairwise_comparison_prompt(item_a: str, item_b: str, criterion: str) -> str:
-    """Unit task comparing two items on a criterion (Section 3.1)."""
-    return build_structured_prompt(
-        "pairwise_comparison",
-        fields={"criterion": criterion},
-        items=[item_a, item_b],
-        instructions=(
-            f"Which item ranks higher on '{criterion}'? "
-            "Answer with exactly 'A' for the first item or 'B' for the second item."
-        ),
-    )
-
-
-def rating_prompt(item: str, criterion: str, scale_min: int = 1, scale_max: int = 7) -> str:
-    """Unit task rating one item on an integer scale (Section 3.1)."""
-    return build_structured_prompt(
-        "rating",
-        fields={"criterion": criterion, "scale": f"{scale_min}-{scale_max}"},
-        items=[item],
-        instructions=(
-            f"Rate the item above on '{criterion}' from {scale_min} (least) to "
-            f"{scale_max} (most). Answer with a single integer."
-        ),
-    )
-
-
-def rating_batch_prompt(
-    items: Iterable[str], criterion: str, scale_min: int = 1, scale_max: int = 7
-) -> str:
-    """Unit task rating several items in one prompt (batching ablation)."""
-    return build_structured_prompt(
-        "rating",
-        fields={"criterion": criterion, "scale": f"{scale_min}-{scale_max}"},
-        items=items,
-        instructions=(
-            f"Rate EACH item above on '{criterion}' from {scale_min} (least) to "
-            f"{scale_max} (most). Answer with one line per item in the form "
-            "'<item number>. <rating>'."
-        ),
-    )
-
-
-def duplicate_check_prompt(record_a: str, record_b: str) -> str:
-    """Unit task asking whether two records refer to the same entity (Section 3.3)."""
-    return build_structured_prompt(
-        "duplicate_check",
-        items=[record_a, record_b],
-        instructions=(
-            "Are Citation A and Citation B the same? Citation A is the first item, "
-            "Citation B is the second item. Start your response with Yes or No."
-        ),
-    )
-
-
-def group_records_prompt(records: Iterable[str]) -> str:
-    """Single prompt asking the model to group duplicate records (Section 1)."""
-    return build_structured_prompt(
-        "group_records",
-        items=records,
-        instructions=(
-            "Group the records above into sets of duplicates. Return one group per "
-            "line as comma-separated item indices, e.g. '0, 3' for a group of two."
-        ),
-    )
-
-
-def impute_prompt(
-    serialized_record: str,
-    attribute: str,
-    examples: Iterable[Mapping[str, str]] | None = None,
-) -> str:
-    """Unit task asking the model to fill in one missing attribute (Section 3.4)."""
-    return build_structured_prompt(
-        "impute",
-        fields={"attribute": attribute},
-        items=[serialized_record],
-        instructions=(
-            f"Predict the value of the missing attribute '{attribute}' for the record "
-            "above. Answer with just the value."
-        ),
-        examples=examples,
-    )
-
-
-def categorize_prompt(item: str, categories: Iterable[str]) -> str:
-    """Unit task assigning one item to one of a fixed set of categories."""
-    category_list = list(categories)
-    return build_structured_prompt(
-        "categorize",
-        fields={"categories": "; ".join(category_list)},
-        items=[item],
-        instructions=(
-            "Assign the item above to exactly one of these categories: "
-            + ", ".join(category_list)
-            + ". Answer with the category name only."
-        ),
-    )
-
-
-def predicate_check_prompt(item: str, predicate: str) -> str:
-    """Unit task asking whether one item satisfies a predicate (filtering)."""
-    return build_structured_prompt(
-        "predicate_check",
-        fields={"predicate": predicate},
-        items=[item],
-        instructions=(
-            f"Does the item above satisfy the condition '{predicate}'? "
-            "Start your response with Yes or No."
-        ),
-    )
-
-
-def estimate_count_prompt(items: Iterable[str], predicate: str) -> str:
-    """Coarse 'eyeballing' task estimating how many items satisfy a predicate."""
-    return build_structured_prompt(
-        "estimate_count",
-        fields={"predicate": predicate},
-        items=items,
-        instructions=(
-            f"Estimate how many of the items above satisfy the condition '{predicate}'. "
-            "Answer with a single integer."
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The templates operators send, as the cost planner prices them
-# ---------------------------------------------------------------------------
+    def __format__(self, separator: str) -> str:
+        return separator.join(self)
 
 
 class TaskTemplate(NamedTuple):
-    """One of the task prompts above, declared as data the cost planner counts.
+    """A unit task declared as data: its prompt, its reply and how to read it.
 
-    Every item sits on a ``[i] <text>`` line of its own, and the tokenizer
-    never joins tokens across whitespace, so a prompt's count is its
-    *scaffold* — the template rendered over empty item texts — plus its
-    items' own counts, exactly.
+    ``header`` and ``instructions`` are formats over the fixed fields, a
+    tuple (criterion, predicate, categories, ...).  Each item sits on a
+    ``[i] <text>`` line of its own and the tokenizer never joins tokens
+    across whitespace, so a prompt's count is its *scaffold* — the template
+    rendered over empty item texts — plus its items' own counts, exactly.
 
     Attributes:
-        build: the prompt function; its leading arguments are the item texts,
-            the rest are the fixed fields (criterion, predicate, ...).
-        arity: item texts per prompt, each its own argument; 0 when the
-            prompt takes one list of them.
-        answer: a typical reply of the shape the instructions ask for — to
-            one call, or to one item of a list prompt — formatted with the
-            fixed fields.  Its count prices completions before any call of
-            the strategy has been observed.
+        task: the ``### TASK:`` kind.
+        arity: items per prompt; 0 when one prompt takes a list of them.
+        header: ``(key, format)`` header lines.
+        instructions: the instructions' format.
+        answer: a typical reply to one call, or to one item of a list
+            prompt, formatted with the fixed fields — the completion prior
+            before any call of the strategy has been observed.
+        reader: ``reader(text, items, fields)``, the :mod:`repro.llm.parsing`
+            extractor with the arguments the instructions fix.
     """
 
-    build: Callable[..., str]
+    task: str
     arity: int
-    answer: str = ""
+    header: tuple[tuple[str, str], ...]
+    instructions: str
+    answer: str
+    reader: Callable[[str, Sequence[str], tuple], Any]
 
-    def render(self, items: Sequence[str], fields: tuple = ()) -> str:
-        """The prompt ``build`` makes of ``items`` under the fixed ``fields``."""
-        if self.arity:
-            return self.build(*items, *fields)
-        return self.build(list(items), *fields)
+    def render(self, items: Sequence[str], fields: tuple = (), examples=None) -> str:
+        """The prompt over ``items`` under the (hashable) fixed ``fields``.
+
+        ``examples`` — in-context ``{"input", "output"}`` pairs — are the one
+        part of a prompt that is neither an item nor a fixed field.
+        """
+        head, tail = self._frame(fields, examples) if examples else _framed(self, fields)
+        return head + _data(items) + tail
+
+    def read(self, text: str, items: Sequence[str] = (), fields: tuple = ()) -> Any:
+        """The answer a reply to :meth:`render` gives; raises ``ResponseParseError``."""
+        return self.reader(text, items, fields)
+
+    def _frame(self, fields: tuple, examples) -> tuple[str, str]:
+        values = [_Joined(value) if isinstance(value, (list, tuple)) else value for value in fields]
+        header = {key: value.format(*values) for key, value in self.header}
+        return _frame(self.task, header, self.instructions.format(*values), examples)
 
 
-SORT_LIST = TaskTemplate(sort_list_prompt, 0)
+@functools.lru_cache(maxsize=4096)
+def _framed(template: TaskTemplate, fields: tuple) -> tuple[str, str]:
+    """The frame once per process: formatting it costs more than the rest of a render."""
+    return template._frame(fields, None)
+
+
+def _text(extract: Callable[[str], Any]) -> Callable[[str, Sequence[str], tuple], Any]:
+    """A reader that needs nothing but the reply text."""
+    return lambda text, items, fields: extract(text)
+
+
+_CRITERION = (("criterion", "{0}"),)
+_SCALED = (("criterion", "{0}"), ("scale", "1-7"))
+
+SORT_LIST = TaskTemplate(
+    "sort_list", 0, _CRITERION,
+    "Sort ALL of the items above by '{0}', from most to least. "
+    "Return the full sorted list, one item per line, numbered.",
+    "", _text(parsing.extract_list),
+)
 PAIRWISE_COMPARISON = TaskTemplate(
-    pairwise_comparison_prompt, 2, "A. The first item is labeled A and the second is labeled B."
+    "pairwise_comparison", 2, _CRITERION,
+    "Which item ranks higher on '{0}'? "
+    "Answer with exactly 'A' for the first item or 'B' for the second item.",
+    "A. The first item is labeled A and the second is labeled B.",
+    lambda text, items, fields: parsing.extract_choice(text, ("A", "B")),
 )
-RATING = TaskTemplate(rating_prompt, 1, "4")
-RATING_BATCH = TaskTemplate(rating_batch_prompt, 0, "1. 4")
+RATING = TaskTemplate(
+    "rating", 1, _SCALED,
+    "Rate the item above on '{0}' from 1 (least) to 7 (most). Answer with a single integer.",
+    "4", lambda text, items, fields: parsing.extract_integer(text, minimum=1, maximum=7),
+)
+RATING_BATCH = TaskTemplate(
+    "rating", 0, _SCALED,
+    "Rate EACH item above on '{0}' from 1 (least) to 7 (most). "
+    "Answer with one line per item in the form '<item number>. <rating>'.",
+    "1. 4",
+    lambda text, items, fields: [
+        min(7, max(1, n)) for n in parsing.extract_ratings(text, len(items))
+    ],
+)
 DUPLICATE_CHECK = TaskTemplate(
-    duplicate_check_prompt, 2, "No, these two citations appear to be different works."
+    "duplicate_check", 2, (),
+    "Are Citation A and Citation B the same? Citation A is the first item, "
+    "Citation B is the second item. Start your response with Yes or No.",
+    "No, these two citations appear to be different works.", _text(parsing.extract_yes_no),
 )
-GROUP_RECORDS = TaskTemplate(group_records_prompt, 0)
-IMPUTE = TaskTemplate(impute_prompt, 1, "unknown")
-#: Answered with one of its categories (the fixed field).
-CATEGORIZE = TaskTemplate(categorize_prompt, 1, "{0[0]}")
-PREDICATE_CHECK = TaskTemplate(predicate_check_prompt, 1, "Yes.")
+GROUP_RECORDS = TaskTemplate(
+    "group_records", 0, (),
+    "Group the records above into sets of duplicates. Return one group per "
+    "line as comma-separated item indices, e.g. '0, 3' for a group of two.",
+    "", _text(parsing.extract_groups),
+)
+IMPUTE = TaskTemplate(
+    "impute", 1, (("attribute", "{0}"),),
+    "Predict the value of the missing attribute '{0}' for the record above. "
+    "Answer with just the value.",
+    "unknown", _text(parsing.extract_value),
+)
+#: Answered with one of its categories, the one fixed field.
+CATEGORIZE = TaskTemplate(
+    "categorize", 1, (("categories", "{0:; }"),),
+    "Assign the item above to exactly one of these categories: {0:, }. "
+    "Answer with the category name only.",
+    "{0[0]}", lambda text, items, fields: parsing.extract_choice(text, fields[0]),
+)
+PREDICATE_CHECK = TaskTemplate(
+    "predicate_check", 1, (("predicate", "{0}"),),
+    "Does the item above satisfy the condition '{0}'? Start your response with Yes or No.",
+    "Yes.", _text(parsing.extract_yes_no),
+)
+
+
+def predicate_check_prompt(item: str, predicate: str) -> str:
+    """:data:`PREDICATE_CHECK` over one item (the perf harness sends these)."""
+    return PREDICATE_CHECK.render([item], (predicate,))

@@ -1,7 +1,7 @@
 """Declarative data-processing operators.
 
 Each operator implements one primitive from the paper's vision (sort, resolve,
-impute, count, filter, top-k, cluster) and exposes several *strategies* for it
+impute, filter, top-k, cluster) and exposes several *strategies* for it
 — the coarse single-prompt approach, fine-grained unit tasks, hybrid
 coarse-to-fine schemes, and LLM/non-LLM hybrids — behind one declarative call.
 The strategy name is the only thing a caller changes to move along the
@@ -11,7 +11,6 @@ cost–accuracy tradeoff curve.
 from repro.operators.base import OperatorResult, StrategyInfo
 from repro.operators.categorize import CategorizeOperator, CategorizeResult
 from repro.operators.cluster import ClusterOperator, ClusterResult
-from repro.operators.count import CountOperator, CountResult
 from repro.operators.filter import FilterOperator, FilterResult
 from repro.operators.impute import ImputeOperator, ImputeResult
 from repro.operators.join import JoinOperator, JoinResult
@@ -24,8 +23,6 @@ __all__ = [
     "CategorizeResult",
     "ClusterOperator",
     "ClusterResult",
-    "CountOperator",
-    "CountResult",
     "FilterOperator",
     "FilterResult",
     "ImputeOperator",

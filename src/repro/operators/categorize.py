@@ -14,8 +14,7 @@ from typing import Sequence
 
 from repro.core.executor import BatchRequest
 from repro.exceptions import ConfigurationError, ResponseParseError
-from repro.llm.parsing import extract_choice
-from repro.llm.prompts import categorize_prompt
+from repro.llm.prompts import CATEGORIZE
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.quality.voting import majority_vote
 
@@ -43,7 +42,7 @@ class CategorizeOperator(BaseOperator):
             raise ConfigurationError("need at least two categories")
         if len(set(labels)) != len(labels):
             raise ConfigurationError("categories must be distinct")
-        self.categories = labels
+        self.categories = tuple(labels)
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
@@ -79,13 +78,13 @@ class CategorizeOperator(BaseOperator):
 
     def _ask(self, item: str, model: str | None = None, temperature: float = 0.0) -> str:
         response = self._complete(
-            categorize_prompt(item, self.categories), model=model, temperature=temperature
+            CATEGORIZE.render([item], (self.categories,)), model=model, temperature=temperature
         )
         return self._parse_choice(response.text)
 
     def _parse_choice(self, text: str) -> str:
         try:
-            return extract_choice(text, self.categories)
+            return CATEGORIZE.read(text, fields=(self.categories,))
         except ResponseParseError:
             return self.categories[0]
 
@@ -94,7 +93,7 @@ class CategorizeOperator(BaseOperator):
     def _run_per_item(self, items: list[str]) -> CategorizeResult:
         # Independent multiple-choice tasks: dispatch the lot as one batch.
         responses = self._complete_batch(
-            [categorize_prompt(item, self.categories) for item in items], model=self.model
+            [CATEGORIZE.render([item], (self.categories,)) for item in items], model=self.model
         )
         assignments = {
             item: self._parse_choice(response.text) for item, response in zip(items, responses)
@@ -130,7 +129,7 @@ class CategorizeOperator(BaseOperator):
             raise ConfigurationError("ensemble_vote needs at least two models")
         # Every (item, model) ballot is independent: one item-major batch.
         requests = [
-            BatchRequest(prompt=categorize_prompt(item, self.categories), model=model)
+            BatchRequest(prompt=CATEGORIZE.render([item], (self.categories,)), model=model)
             for item in items
             for model in voter_models
         ]

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.exceptions import DatasetError, ResponseParseError
-from repro.llm.parsing import extract_groups, extract_yes_no
-from repro.llm.prompts import duplicate_check_prompt, group_records_prompt
+from repro.llm.prompts import DUPLICATE_CHECK, GROUP_RECORDS
 from repro.operators.base import BaseOperator, OperatorResult
 
 
@@ -68,9 +67,9 @@ class ClusterOperator(BaseOperator):
         return result
 
     def _group_prompt(self, items: list[str]) -> list[list[int]]:
-        response = self._complete(group_records_prompt(items))
+        response = self._complete(GROUP_RECORDS.render(items))
         try:
-            raw_groups = extract_groups(response.text)
+            raw_groups = GROUP_RECORDS.read(response.text)
         except ResponseParseError:
             return [[index] for index in range(len(items))]
         covered: set[int] = set()
@@ -104,9 +103,9 @@ class ClusterOperator(BaseOperator):
             item_index = items.index(item)
             assigned = False
             for cluster_index, representative in enumerate(representatives):
-                response = self._complete(duplicate_check_prompt(item, representative))
+                response = self._complete(DUPLICATE_CHECK.render([item, representative]))
                 try:
-                    same = extract_yes_no(response.text)
+                    same = DUPLICATE_CHECK.read(response.text)
                 except ResponseParseError:
                     same = False
                 if same:

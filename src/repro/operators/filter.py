@@ -25,8 +25,7 @@ from typing import Mapping, Sequence
 
 from repro.core.executor import BatchRequest
 from repro.exceptions import ConfigurationError, ResponseParseError
-from repro.llm.parsing import extract_yes_no
-from repro.llm.prompts import predicate_check_prompt
+from repro.llm.prompts import PREDICATE_CHECK
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.quality.voting import majority_vote, weighted_vote
 
@@ -81,21 +80,21 @@ class FilterOperator(BaseOperator):
 
     def _check(self, item: str, model: str | None, temperature: float = 0.0) -> bool:
         response = self._complete(
-            predicate_check_prompt(item, self.predicate), model=model, temperature=temperature
+            PREDICATE_CHECK.render([item], (self.predicate,)), model=model, temperature=temperature
         )
         return self._parse_check(response.text)
 
     @staticmethod
     def _parse_check(text: str) -> bool:
         try:
-            return extract_yes_no(text)
+            return PREDICATE_CHECK.read(text)
         except ResponseParseError:
             return False
 
     def _check_batch(self, items: Sequence[str], model: str | None) -> list[bool]:
         """Batch the independent predicate checks; one decision per item."""
         responses = self._complete_batch(
-            [predicate_check_prompt(item, self.predicate) for item in items], model=model
+            [PREDICATE_CHECK.render([item], (self.predicate,)) for item in items], model=model
         )
         return [self._parse_check(response.text) for response in responses]
 
@@ -119,7 +118,7 @@ class FilterOperator(BaseOperator):
         if len(voter_models) < 2:
             raise ConfigurationError("ensemble_vote needs at least two models")
         requests = [
-            BatchRequest(prompt=predicate_check_prompt(item, self.predicate), model=model)
+            BatchRequest(prompt=PREDICATE_CHECK.render([item], (self.predicate,)), model=model)
             for item in items
             for model in voter_models
         ]

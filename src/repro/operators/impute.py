@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from repro.data.products import ImputationDataset
 from repro.data.record import Record
 from repro.exceptions import ResponseParseError
-from repro.llm.parsing import extract_value
-from repro.llm.prompts import impute_prompt
+from repro.llm.prompts import IMPUTE
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.proxies.knn import KNNImputer
 
@@ -133,7 +132,7 @@ class ImputeOperator(BaseOperator):
         n_examples: int,
     ) -> str:
         examples = imputer.examples_for(record, n_examples) if n_examples > 0 else None
-        return impute_prompt(data.serialized_query(record), data.target_attribute, examples)
+        return IMPUTE.render([data.serialized_query(record)], (data.target_attribute,), examples)
 
     def _ask_llm_batch(
         self,
@@ -149,7 +148,7 @@ class ImputeOperator(BaseOperator):
         predictions: dict[str, str] = {}
         for record, response in zip(records, responses):
             try:
-                predictions[record.record_id] = extract_value(response.text)
+                predictions[record.record_id] = IMPUTE.read(response.text)
             except ResponseParseError:
                 predictions[record.record_id] = ""
         return predictions
@@ -227,15 +226,13 @@ class ImputeOperator(BaseOperator):
                 for neighbor in vote.neighbors
             ]
             prompts.append(
-                impute_prompt(
-                    data.serialized_query(record), data.target_attribute, evidence
-                )
+                IMPUTE.render([data.serialized_query(record)], (data.target_attribute,), evidence)
             )
         responses = self._complete_batch(prompts)
         llm_predictions: dict[str, str] = {}
         for (record, _), response in zip(escalated, responses):
             try:
-                llm_predictions[record.record_id] = extract_value(response.text)
+                llm_predictions[record.record_id] = IMPUTE.read(response.text)
             except ResponseParseError:
                 llm_predictions[record.record_id] = ""
         predictions: dict[str, str] = {}

@@ -25,8 +25,7 @@ from typing import Sequence
 
 from repro.exceptions import ConfigurationError, ResponseParseError
 from repro.llm.embeddings import HashingEmbedder
-from repro.llm.parsing import extract_yes_no
-from repro.llm.prompts import duplicate_check_prompt
+from repro.llm.prompts import DUPLICATE_CHECK
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.proxies.classifier import SimilarityMatchProxy
 
@@ -99,7 +98,7 @@ class JoinOperator(BaseOperator):
     @staticmethod
     def _parse_duplicate(text: str) -> bool:
         try:
-            return extract_yes_no(text)
+            return DUPLICATE_CHECK.read(text)
         except ResponseParseError:
             return False
 
@@ -108,7 +107,7 @@ class JoinOperator(BaseOperator):
     ) -> list[tuple[int, int]]:
         """The pairs judged to co-refer: one duplicate check each, sent as one bag."""
         responses = self._complete_batch(
-            [duplicate_check_prompt(left[i], right[j]) for i, j in pairs]
+            [DUPLICATE_CHECK.render([left[i], right[j]]) for i, j in pairs]
         )
         return [
             pair

@@ -22,8 +22,7 @@ from typing import Sequence
 from repro.consistency.transitivity import MatchGraph
 from repro.exceptions import DatasetError, ResponseParseError, UnknownStrategyError
 from repro.llm.embeddings import HashingEmbedder
-from repro.llm.parsing import extract_groups, extract_yes_no
-from repro.llm.prompts import duplicate_check_prompt, group_records_prompt
+from repro.llm.prompts import DUPLICATE_CHECK, GROUP_RECORDS
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.proxies.blocking import EmbeddingBlocker
 from repro.proxies.classifier import SimilarityMatchProxy
@@ -100,9 +99,9 @@ class ResolveOperator(BaseOperator):
         return result
 
     def _resolve_single_prompt(self, records: list[str]) -> ResolveResult:
-        response = self._complete(group_records_prompt(records))
+        response = self._complete(GROUP_RECORDS.render(records))
         try:
-            groups = extract_groups(response.text)
+            groups = GROUP_RECORDS.read(response.text)
         except ResponseParseError:
             groups = [[index] for index in range(len(records))]
         covered: set[int] = set()
@@ -118,15 +117,13 @@ class ResolveOperator(BaseOperator):
     @staticmethod
     def _parse_duplicate(text: str) -> bool:
         try:
-            return extract_yes_no(text)
+            return DUPLICATE_CHECK.read(text)
         except ResponseParseError:
             return False
 
     def _ask_duplicates(self, pairs: Sequence[tuple[str, str]]) -> list[bool]:
         """Batch the independent duplicate checks; one decision per pair, in order."""
-        responses = self._complete_batch(
-            [duplicate_check_prompt(left, right) for left, right in pairs]
-        )
+        responses = self._complete_batch([DUPLICATE_CHECK.render(pair) for pair in pairs])
         return [self._parse_duplicate(response.text) for response in responses]
 
     def _clusters_from_graph(self, records: list[str], graph: MatchGraph) -> list[list[int]]:

@@ -25,13 +25,7 @@ from typing import Sequence
 
 from repro.consistency.ranking_repair import alignment_insert_position, best_consistent_order
 from repro.exceptions import DatasetError, ResponseParseError
-from repro.llm.parsing import extract_choice, extract_integer, extract_list, extract_ratings
-from repro.llm.prompts import (
-    pairwise_comparison_prompt,
-    rating_batch_prompt,
-    rating_prompt,
-    sort_list_prompt,
-)
+from repro.llm.prompts import PAIRWISE_COMPARISON, RATING, RATING_BATCH, SORT_LIST
 from repro.operators.base import BaseOperator, OperatorResult
 
 
@@ -116,9 +110,9 @@ class SortOperator(BaseOperator):
 
     def _run_single_prompt(self, items: list[str]) -> SortResult:
         """Baseline: the entire list in one prompt."""
-        response = self._complete(sort_list_prompt(items, self.criterion))
+        response = self._complete(SORT_LIST.render(items, (self.criterion,)))
         try:
-            raw_order = extract_list(response.text)
+            raw_order = SORT_LIST.read(response.text)
         except ResponseParseError:
             raw_order = []
         known = set(items)
@@ -140,21 +134,19 @@ class SortOperator(BaseOperator):
         """
         if batch_size < 1:
             raise DatasetError("batch_size must be at least 1")
+        fields = (self.criterion,)
         ratings: dict[str, float] = {}
         if batch_size == 1:
-            responses = self._complete_batch(
-                [rating_prompt(item, self.criterion) for item in items]
-            )
+            responses = self._complete_batch([RATING.render([item], fields) for item in items])
             for item, response in zip(items, responses):
-                ratings[item] = float(extract_integer(response.text, minimum=1, maximum=7))
+                ratings[item] = float(RATING.read(response.text))
         else:
             chunks = [items[start : start + batch_size] for start in range(0, len(items), batch_size)]
-            responses = self._complete_batch(
-                [rating_batch_prompt(chunk, self.criterion) for chunk in chunks]
-            )
+            prompts = [RATING_BATCH.render(chunk, fields) for chunk in chunks]
+            responses = self._complete_batch(prompts)
             for chunk, response in zip(chunks, responses):
-                for item, value in zip(chunk, extract_ratings(response.text, len(chunk))):
-                    ratings[item] = float(min(7, max(1, value)))
+                for item, value in zip(chunk, RATING_BATCH.read(response.text, chunk)):
+                    ratings[item] = float(value)
         order = sorted(items, key=lambda item: -ratings[item])
         return SortResult(strategy="rating", order=order, scores=dict(ratings))
 
@@ -170,12 +162,11 @@ class SortOperator(BaseOperator):
             for j in range(i + 1, len(items))
         ]
         responses = self._complete_batch(
-            [pairwise_comparison_prompt(first, second, self.criterion) for first, second in pairs]
+            [PAIRWISE_COMPARISON.render(pair, (self.criterion,)) for pair in pairs]
         )
         comparisons: dict[tuple[str, str], bool] = {}
-        for (first, second), response in zip(pairs, responses):
-            choice = extract_choice(response.text, ["A", "B"])
-            comparisons[(first, second)] = choice == "A"
+        for pair, response in zip(pairs, responses):
+            comparisons[pair] = PAIRWISE_COMPARISON.read(response.text) == "A"
         return comparisons
 
     def _run_pairwise(self, items: list[str]) -> SortResult:
@@ -206,6 +197,7 @@ class SortOperator(BaseOperator):
         """Table 2's coarse-to-fine scheme: whole-list sort, then re-insert misses."""
         coarse = self._run_single_prompt(items)
         order = list(coarse.order)
+        fields = (self.criterion,)
         for missing_item in coarse.missing:
             # Each insertion depends on the order produced by the previous one,
             # so insertions stay sequential — but within one insertion the
@@ -213,15 +205,15 @@ class SortOperator(BaseOperator):
             # cancel position bias) are independent and run as one batch.
             prompts: list[str] = []
             for other in order:
-                prompts.append(pairwise_comparison_prompt(missing_item, other, self.criterion))
-                prompts.append(pairwise_comparison_prompt(other, missing_item, self.criterion))
+                prompts.append(PAIRWISE_COMPARISON.render([missing_item, other], fields))
+                prompts.append(PAIRWISE_COMPARISON.render([other, missing_item], fields))
             responses = self._complete_batch(prompts)
             judged_before: dict[str, bool] = {}
             for position_index, other in enumerate(order):
                 first_response = responses[2 * position_index]
                 second_response = responses[2 * position_index + 1]
-                first_says_before = extract_choice(first_response.text, ["A", "B"]) == "A"
-                second_says_before = extract_choice(second_response.text, ["A", "B"]) == "B"
+                first_says_before = PAIRWISE_COMPARISON.read(first_response.text) == "A"
+                second_says_before = PAIRWISE_COMPARISON.read(second_response.text) == "B"
                 if first_says_before == second_says_before:
                     judged_before[other] = first_says_before
                 else:

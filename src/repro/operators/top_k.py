@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.exceptions import DatasetError
-from repro.llm.parsing import extract_choice, extract_integer
-from repro.llm.prompts import pairwise_comparison_prompt, rating_prompt
+from repro.llm.prompts import PAIRWISE_COMPARISON, RATING
 from repro.operators.base import BaseOperator, OperatorResult
 
 
@@ -84,11 +83,9 @@ class TopKOperator(BaseOperator):
 
     def _rate_all(self, items: list[str]) -> dict[str, int]:
         """One rating task per item, sent as one bag."""
-        responses = self._complete_batch([rating_prompt(item, self.criterion) for item in items])
-        return {
-            item: extract_integer(response.text, minimum=1, maximum=7)
-            for item, response in zip(items, responses)
-        }
+        fields = (self.criterion,)
+        responses = self._complete_batch([RATING.render([item], fields) for item in items])
+        return {item: RATING.read(response.text) for item, response in zip(items, responses)}
 
     def _tournament(self, items: list[str]) -> dict[str, int]:
         """One comparison task per pair ``i < j``, sent as one bag; wins per item."""
@@ -96,11 +93,11 @@ class TopKOperator(BaseOperator):
             (items[i], items[j]) for i in range(len(items)) for j in range(i + 1, len(items))
         ]
         responses = self._complete_batch(
-            [pairwise_comparison_prompt(first, second, self.criterion) for first, second in pairs]
+            [PAIRWISE_COMPARISON.render(pair, (self.criterion,)) for pair in pairs]
         )
         wins = {item: 0 for item in items}
         for (first, second), response in zip(pairs, responses):
-            wins[first if extract_choice(response.text, ["A", "B"]) == "A" else second] += 1
+            wins[first if PAIRWISE_COMPARISON.read(response.text) == "A" else second] += 1
         return wins
 
     # -- strategies -------------------------------------------------------------------

@@ -7,9 +7,9 @@ identically whether the result was computed this run or restored from disk.
 The codec walks a result's dataclass fields; the few that are not
 JSON-shaped as they stand (pair judgments, match tuples) go through the
 field codecs of the operator's :mod:`declaration <repro.core.declarations>`.
-Only result types a declaration names (plus ``CountResult``) encode or
-decode — an unknown result type refuses to encode (the step simply is not
-checkpointed) rather than pickling arbitrary objects into the store.
+Only result types a declaration names encode or decode — an unknown
+result type refuses to encode (the step simply is not checkpointed) rather
+than pickling arbitrary objects into the store.
 
 JSON is the wire format: human-inspectable with the ``sqlite3`` CLI, no
 arbitrary-code-execution surface on load (a store file may be shared), and

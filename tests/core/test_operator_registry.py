@@ -46,7 +46,6 @@ from repro.llm.simulated import SimulatedLLM
 from repro.operators import (
     CategorizeResult,
     ClusterResult,
-    CountResult,
     FilterResult,
     ImputeResult,
     JoinResult,
@@ -108,7 +107,7 @@ def _specs() -> list[TaskSpec]:
 
 
 def _results() -> list[OperatorResult]:
-    """One result per checkpointable type (``CountResult`` with and without ``per_item``)."""
+    """One result per checkpointable type."""
     base = dict(
         usage=Usage(prompt_tokens=120, completion_tokens=30, calls=4),
         cost=0.0125,
@@ -144,8 +143,6 @@ def _results() -> list[OperatorResult]:
             strategy="hybrid_rating_comparison", top_items=["fig", "pear"],
             ratings={"fig": 7, "pear": 5, "apple": 2}, finalists=["fig", "pear", "apple"], **base,
         ),
-        CountResult(strategy="per_item", count=2, per_item={"pear": True, "fig": False}, **base),
-        CountResult(strategy="estimate", count=7, **base),
     ]
 
 
@@ -175,8 +172,6 @@ PINNED_RESULTS = [
     '{"fields": {"cost": 0.0125, "llm_queries": 1, "metadata": {"cache_hits": 1, "note": "pinned"}, "predictions": {"q1": "Oslo"}, "proxy_queries": 0, "strategy": "hybrid", "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "ImputeResult", "version": 1}',
     '{"fields": {"candidate_pairs": 4, "cost": 0.0125, "llm_pairs": 3, "matches": [[0, 1], [1, 0]], "metadata": {"cache_hits": 1, "note": "pinned"}, "strategy": "blocked", "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "JoinResult", "version": 1}',
     '{"fields": {"cost": 0.0125, "finalists": ["fig", "pear", "apple"], "metadata": {"cache_hits": 1, "note": "pinned"}, "ratings": {"apple": 2, "fig": 7, "pear": 5}, "strategy": "hybrid_rating_comparison", "top_items": ["fig", "pear"], "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "TopKResult", "version": 1}',
-    '{"fields": {"cost": 0.0125, "count": 2, "metadata": {"cache_hits": 1, "note": "pinned"}, "per_item": {"fig": false, "pear": true}, "strategy": "per_item", "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "CountResult", "version": 1}',
-    '{"fields": {"cost": 0.0125, "count": 7, "metadata": {"cache_hits": 1, "note": "pinned"}, "per_item": null, "strategy": "estimate", "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "CountResult", "version": 1}',
 ]
 # fmt: on
 
@@ -269,6 +264,15 @@ class TestPinnedCodecs:
         restored = decode_result(pinned)
         assert restored == result
         assert encode_result(restored) == pinned
+
+    def test_a_stored_count_result_decodes_as_a_miss(self):
+        # The count operator is gone; a row it left in a store re-runs its step.
+        stored = (
+            '{"fields": {"cost": 0.0125, "count": 7, "metadata": {}, "per_item": null, '
+            '"strategy": "estimate", "usage": {"calls": 4, "completion_tokens": 30, '
+            '"prompt_tokens": 120}}, "type": "CountResult", "version": 1}'
+        )
+        assert decode_result(stored) is None
 
 
 class TestUnknownStrategies:

@@ -39,7 +39,7 @@ from repro.core.spec import ResolveSpec, SortSpec
 from repro.data.citations import generate_citation_corpus
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import SpecError
-from repro.llm.prompts import rating_prompt
+from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.sort import SortOperator
 from repro.proxies.blocking import EmbeddingBlocker
@@ -510,7 +510,7 @@ class TestBudgetApportionment:
 
         def chatty(session_, inputs):
             for flavor in LEFT:
-                session_.complete(rating_prompt(flavor, CHOCOLATEY))
+                session_.complete(RATING.render([flavor], (CHOCOLATEY,)))
             return True
 
         workflow = Workflow.from_pipeline(

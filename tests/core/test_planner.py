@@ -19,7 +19,6 @@ from repro.llm.prompts import (
     RATING,
     RATING_BATCH,
     SORT_LIST,
-    duplicate_check_prompt,
 )
 from repro.llm.registry import default_registry
 from repro.llm.simulated import SimulatedLLM
@@ -133,7 +132,7 @@ def _concatenated_pair_estimate(
     texts = [f"{left} {right}" for left, right in pairs]
     average = sum(planner.tokenizer.count(text) for text in texts) / len(texts)
     calls = len(pairs) * expansion
-    scaffold = planner.tokenizer.count(duplicate_check_prompt("", ""))
+    scaffold = planner.tokenizer.count(DUPLICATE_CHECK.render(["", ""]))
     return planner._estimate(
         "pair_judgments",
         calls,

@@ -117,7 +117,7 @@ def _unit_prompts(render, items) -> list[str]:
 
 def _pair_prompts(items, criterion: str) -> list[str]:
     return [
-        prompts.pairwise_comparison_prompt(first, second, criterion)
+        prompts.PAIRWISE_COMPARISON.render([first, second], (criterion,))
         for first, second in itertools.combinations(map(str, items), 2)
     ]
 
@@ -128,10 +128,10 @@ def _undeclared_cases(items, fields):
     criterion, predicate, _ = fields
     texts = list(map(str, items))
     chunks = [texts[start : start + 3] for start in range(0, len(texts), 3)]
-    rating = _unit_prompts(lambda item: prompts.rating_prompt(item, criterion), texts)
+    rating = _unit_prompts(lambda item: prompts.RATING.render([item], (criterion,)), texts)
     checks = _unit_prompts(lambda item: prompts.predicate_check_prompt(item, predicate), texts)
-    categories = [criterion, predicate + "!"]
-    labels = _unit_prompts(lambda item: prompts.categorize_prompt(item, categories), texts)
+    categories = (criterion, predicate + "!")
+    labels = _unit_prompts(lambda item: prompts.CATEGORIZE.render([item], (categories,)), texts)
     return [
         (SortSpec(items=items, criterion=criterion, strategy="rating"), rating),
         (
@@ -141,11 +141,11 @@ def _undeclared_cases(items, fields):
                 strategy="rating",
                 strategy_options={"batch_size": 3},
             ),
-            [prompts.rating_batch_prompt(chunk, criterion) for chunk in chunks],
+            [prompts.RATING_BATCH.render(chunk, (criterion,)) for chunk in chunks],
         ),
         (
             SortSpec(items=items, criterion=criterion, strategy="single_prompt"),
-            [prompts.sort_list_prompt(texts, criterion)],
+            [prompts.SORT_LIST.render(texts, (criterion,))],
         ),
         (
             SortSpec(items=items, criterion=criterion, strategy="pairwise_consistent"),
@@ -153,14 +153,14 @@ def _undeclared_cases(items, fields):
         ),
         (
             ResolveSpec(records=items, strategy="single_prompt"),
-            [prompts.group_records_prompt(texts)],
+            [prompts.GROUP_RECORDS.render(texts)],
         ),
         (TopKSpec(items=items, criterion=criterion, k=1, strategy="rating_only"), rating),
         (
             TopKSpec(items=items, criterion=criterion, k=1, strategy="pairwise_tournament"),
             _pair_prompts(items, criterion),
         ),
-        (ClusterSpec(items=texts, strategy="single_prompt"), [prompts.group_records_prompt(texts)]),
+        (ClusterSpec(items=texts, strategy="single_prompt"), [prompts.GROUP_RECORDS.render(texts)]),
         (
             FilterSpec(
                 items=items,
@@ -222,7 +222,7 @@ class TestQuotedPromptTokensAreExact:
             for distance in range(1, n)
             for index in range(n - distance)
         ][:count] or [(texts[0], texts[0])]
-        sent = [prompts.duplicate_check_prompt(left, right) for left, right in stand_in]
+        sent = [prompts.DUPLICATE_CHECK.render([left, right]) for left, right in stand_in]
         quoted = _planner().blocked_pairs(items, count, prompts.DUPLICATE_CHECK)
         assert quoted.usage.prompt_tokens == _billed(sent)
 
@@ -260,7 +260,7 @@ class TestAJoinPricesBothSides:
         # Each of the 16 calls carries one right record: 249 more tokens apiece.
         gap = quotes["long"].usage.prompt_tokens - quotes["short"].usage.prompt_tokens
         assert gap == 16 * 249
-        sent = [prompts.duplicate_check_prompt(l, r) for l in left for r in long]
+        sent = [prompts.DUPLICATE_CHECK.render([l, r]) for l in left for r in long]
         assert quotes["long"].usage.prompt_tokens == _billed(sent)
         blocked = {
             name: planner.estimate_spec(JoinSpec(left=left, right=right, strategy="blocked"))

@@ -13,7 +13,7 @@ from repro.core.spec import PipelineSpec, PipelineStep
 from repro.core.workflow import Workflow
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
-from repro.llm.prompts import rating_prompt
+from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
 
 
@@ -24,12 +24,12 @@ def session() -> PromptSession:
 
 class TestPromptSession:
     def test_calls_are_tracked_and_charged(self, session):
-        session.complete(rating_prompt(FLAVORS[0], CHOCOLATEY))
+        session.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
         assert session.tracker.calls == 1
         assert session.spent_dollars > 0.0
 
     def test_cache_deduplicates_identical_calls(self, session):
-        prompt = rating_prompt(FLAVORS[1], CHOCOLATEY)
+        prompt = RATING.render([FLAVORS[1]], (CHOCOLATEY,))
         session.complete(prompt)
         before = session.tracker.usage.total_tokens
         session.complete(prompt)
@@ -42,14 +42,14 @@ class TestPromptSession:
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=82), budget=budget)
         with pytest.raises(BudgetExceededError):
             for flavor in FLAVORS:
-                session.complete(rating_prompt(flavor, CHOCOLATEY))
+                session.complete(RATING.render([flavor], (CHOCOLATEY,)))
 
     def test_batch_charges_every_response_before_raising(self):
         """Regression: a limit breach mid-batch used to stop the charging
         loop, leaving the budget understating what was actually spent."""
         budget = Budget(limit=5e-5)
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=82), budget=budget)
-        prompts = [rating_prompt(flavor, CHOCOLATEY) for flavor in FLAVORS]
+        prompts = [RATING.render([flavor], (CHOCOLATEY,)) for flavor in FLAVORS]
         with pytest.raises(BudgetExceededError):
             session.complete_batch(prompts)
         # Every tracked dollar reached the budget, overshoot included.
@@ -57,15 +57,15 @@ class TestPromptSession:
 
     def test_client_view_routes_through_session(self, session):
         client = session.client()
-        client.complete(rating_prompt(FLAVORS[2], CHOCOLATEY))
+        client.complete(RATING.render([FLAVORS[2]], (CHOCOLATEY,)))
         assert session.tracker.calls == 1
 
     def test_default_model_from_config(self, session):
-        response = session.complete(rating_prompt(FLAVORS[3], CHOCOLATEY))
+        response = session.complete(RATING.render([FLAVORS[3]], (CHOCOLATEY,)))
         assert response.model == DEFAULT_CHAT_MODEL
 
     def test_reset_usage_keeps_budget(self, session):
-        session.complete(rating_prompt(FLAVORS[4], CHOCOLATEY))
+        session.complete(RATING.render([FLAVORS[4]], (CHOCOLATEY,)))
         spent = session.spent_dollars
         session.reset_usage()
         assert session.tracker.calls == 0
@@ -75,7 +75,7 @@ class TestPromptSession:
     def test_no_call_lowers_spend(self, session, max_tokens):
         """Regression: ``max_tokens=-3`` billed -3 completion tokens, and the
         tracker, the budget and ``spent_dollars`` took them as given."""
-        prompts = [rating_prompt(flavor, CHOCOLATEY) for flavor in FLAVORS[:4]]
+        prompts = [RATING.render([flavor], (CHOCOLATEY,)) for flavor in FLAVORS[:4]]
         session.complete(prompts[0])
         spent = session.spent_dollars
         for issue in (
@@ -119,7 +119,7 @@ class TestWorkflow:
             PipelineStep(
                 name="rate",
                 run=lambda session_, results: session_.complete(
-                    rating_prompt(FLAVORS[0], CHOCOLATEY)
+                    RATING.render([FLAVORS[0]], (CHOCOLATEY,))
                 ).text,
             ),
         )
@@ -152,7 +152,7 @@ class TestWorkflow:
 
         def rate(flavor):
             def step(session_, results):
-                return session_.complete(rating_prompt(flavor, CHOCOLATEY)).text
+                return session_.complete(RATING.render([flavor], (CHOCOLATEY,))).text
 
             return step
 

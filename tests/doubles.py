@@ -20,7 +20,7 @@ from repro.data.words import random_words
 from repro.exceptions import ResponseParseError
 from repro.llm.base import LLMResponse
 from repro.llm.oracle import Oracle
-from repro.llm.prompts import rating_prompt
+from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import SpanTracker, TraceRecord
 from repro.tokenizer.cost import Usage
@@ -41,7 +41,7 @@ def simulated_client(seed: int = 3) -> SimulatedLLM:
 
 
 def rating_prompts(count: int) -> list[str]:
-    return [rating_prompt(word, CRITERION) for word in random_words(count, seed=5)]
+    return [RATING.render([word], (CRITERION,)) for word in random_words(count, seed=5)]
 
 
 class EchoClient:

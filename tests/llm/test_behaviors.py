@@ -24,14 +24,13 @@ from repro.llm.parsing import (
     extract_yes_no,
 )
 from repro.llm.prompts import (
-    duplicate_check_prompt,
-    estimate_count_prompt,
-    group_records_prompt,
-    impute_prompt,
-    pairwise_comparison_prompt,
+    DUPLICATE_CHECK,
+    GROUP_RECORDS,
+    IMPUTE,
+    PAIRWISE_COMPARISON,
+    RATING,
+    SORT_LIST,
     predicate_check_prompt,
-    rating_prompt,
-    sort_list_prompt,
 )
 from repro.llm.simulated import SimulatedLLM
 
@@ -57,7 +56,7 @@ class TestPairwiseComparisonBehavior:
         correct = 0
         for seed in range(40):
             llm = SimulatedLLM(flavor_oracle(), seed=seed)
-            response = llm.complete(pairwise_comparison_prompt(top, bottom, CHOCOLATEY))
+            response = llm.complete(PAIRWISE_COMPARISON.render([top, bottom], (CHOCOLATEY,)))
             if extract_choice(response.text, ["A", "B"]) == "A":
                 correct += 1
         assert correct >= 36  # easy pair: error rate well under 10%
@@ -67,8 +66,10 @@ class TestPairwiseComparisonBehavior:
         extreme_errors = 0
         for seed in range(60):
             llm = SimulatedLLM(flavor_oracle(), seed=seed)
-            hard = llm.complete(pairwise_comparison_prompt(FLAVORS[8], FLAVORS[9], CHOCOLATEY))
-            easy = llm.complete(pairwise_comparison_prompt(FLAVORS[0], FLAVORS[19], CHOCOLATEY))
+            hard = llm.complete(PAIRWISE_COMPARISON.render([FLAVORS[8], FLAVORS[9]], (CHOCOLATEY,)))
+            easy = llm.complete(
+                PAIRWISE_COMPARISON.render([FLAVORS[0], FLAVORS[19]], (CHOCOLATEY,))
+            )
             if extract_choice(hard.text, ["A", "B"]) != "A":
                 adjacent_errors += 1
             if extract_choice(easy.text, ["A", "B"]) != "A":
@@ -76,7 +77,7 @@ class TestPairwiseComparisonBehavior:
         assert adjacent_errors > extreme_errors
 
     def test_deterministic_at_temperature_zero(self, flavor_llm):
-        prompt = pairwise_comparison_prompt(FLAVORS[3], FLAVORS[4], CHOCOLATEY)
+        prompt = PAIRWISE_COMPARISON.render([FLAVORS[3], FLAVORS[4]], (CHOCOLATEY,))
         first = flavor_llm.complete(prompt)
         second = flavor_llm.complete(prompt)
         assert first.text == second.text
@@ -85,7 +86,7 @@ class TestPairwiseComparisonBehavior:
 class TestRatingBehavior:
     def test_rating_within_scale(self, flavor_llm):
         for flavor in FLAVORS[:5]:
-            response = flavor_llm.complete(rating_prompt(flavor, CHOCOLATEY))
+            response = flavor_llm.complete(RATING.render([flavor], (CHOCOLATEY,)))
             assert 1 <= extract_integer(response.text) <= 7
 
     def test_top_items_rate_higher_on_average(self):
@@ -94,24 +95,24 @@ class TestRatingBehavior:
         for seed in range(25):
             llm = SimulatedLLM(flavor_oracle(), seed=seed)
             top_total += extract_integer(
-                llm.complete(rating_prompt(FLAVORS[0], CHOCOLATEY)).text
+                llm.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,))).text
             )
             bottom_total += extract_integer(
-                llm.complete(rating_prompt(FLAVORS[-1], CHOCOLATEY)).text
+                llm.complete(RATING.render([FLAVORS[-1]], (CHOCOLATEY,))).text
             )
         assert top_total > bottom_total + 25  # at least one point apart on average
 
 
 class TestSortListBehavior:
     def test_short_subjective_list_keeps_all_items(self, flavor_llm):
-        response = flavor_llm.complete(sort_list_prompt(list(FLAVORS), CHOCOLATEY))
+        response = flavor_llm.complete(SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,)))
         items = extract_list(response.text)
         assert set(items) == set(FLAVORS)
 
     def test_long_list_drops_some_items(self, alphabetical_llm):
         words = random_words(100, seed=3)
         response = alphabetical_llm.complete(
-            sort_list_prompt(words, "alphabetical order"), model="sim-claude-2"
+            SORT_LIST.render(words, ("alphabetical order",)), model="sim-claude-2"
         )
         returned = extract_list(response.text)
         missing = set(words) - set(returned)
@@ -120,7 +121,7 @@ class TestSortListBehavior:
     def test_objective_ordering_is_nearly_correct(self, alphabetical_llm):
         words = random_words(60, seed=5)
         response = alphabetical_llm.complete(
-            sort_list_prompt(words, "alphabetical order"), model="sim-claude-2"
+            SORT_LIST.render(words, ("alphabetical order",)), model="sim-claude-2"
         )
         returned = [word for word in extract_list(response.text) if word in set(words)]
         truth = sorted(words, key=str.lower)
@@ -141,7 +142,7 @@ class TestDuplicateCheckBehavior:
         false_positives = 0
         negatives = [pair for pair in citation_corpus.pairs if not pair.is_duplicate]
         for pair in negatives:
-            response = llm.complete(duplicate_check_prompt(pair.left_text, pair.right_text))
+            response = llm.complete(DUPLICATE_CHECK.render([pair.left_text, pair.right_text]))
             if extract_yes_no(response.text):
                 false_positives += 1
         assert false_positives <= max(1, len(negatives) // 10)
@@ -151,7 +152,7 @@ class TestDuplicateCheckBehavior:
         hits = 0
         positives = [pair for pair in citation_corpus.pairs if pair.is_duplicate]
         for pair in positives:
-            response = llm.complete(duplicate_check_prompt(pair.left_text, pair.right_text))
+            response = llm.complete(DUPLICATE_CHECK.render([pair.left_text, pair.right_text]))
             if extract_yes_no(response.text):
                 hits += 1
         recall = hits / len(positives)
@@ -170,7 +171,7 @@ class TestImputeBehavior:
                     if n_examples
                     else None
                 )
-                response = llm.complete(impute_prompt(serialized, "city", examples))
+                response = llm.complete(IMPUTE.render([serialized], ("city",), examples))
                 if (
                     extract_value(response.text).lower()
                     == restaurant_data.ground_truth[record.record_id].lower()
@@ -198,20 +199,12 @@ class TestPredicateAndCountBehaviors:
                 correct += 1
         assert correct / len(items) > 0.8
 
-    def test_estimate_count_in_plausible_range(self):
-        oracle = self._oracle()
-        items = ["short", "tiny", "enormousanimal", "gigantenormous", "big", "sizeable"]
-        llm = SimulatedLLM(oracle, seed=4)
-        response = llm.complete(estimate_count_prompt(items, "is long"))
-        estimate = extract_integer(response.text, minimum=0, maximum=len(items))
-        assert 0 <= estimate <= len(items)
-
 
 class TestGroupRecordsBehavior:
     def test_groups_cover_valid_indices(self, citation_corpus):
         llm = SimulatedLLM(citation_corpus.oracle(), seed=5)
         texts = citation_corpus.texts()[:15]
-        response = llm.complete(group_records_prompt(texts))
+        response = llm.complete(GROUP_RECORDS.render(texts))
         from repro.llm.parsing import extract_groups
 
         groups = extract_groups(response.text)

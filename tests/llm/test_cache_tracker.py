@@ -15,7 +15,7 @@ import pytest
 from repro.data.flavors import CHOCOLATEY, FLAVORS
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CachedClient, ResponseCache
-from repro.llm.prompts import pairwise_comparison_prompt, rating_prompt
+from repro.llm.prompts import PAIRWISE_COMPARISON, RATING
 from repro.llm.registry import default_registry
 from repro.llm.tracker import TrackedClient, UsageTracker
 from repro.tokenizer.cost import Usage
@@ -59,7 +59,7 @@ class TestResponseCache:
 class TestCachedClient:
     def test_repeated_prompt_served_from_cache(self, flavor_llm):
         client = CachedClient(flavor_llm)
-        prompt = pairwise_comparison_prompt(FLAVORS[0], FLAVORS[1], CHOCOLATEY)
+        prompt = PAIRWISE_COMPARISON.render([FLAVORS[0], FLAVORS[1]], (CHOCOLATEY,))
         first = client.complete(prompt)
         second = client.complete(prompt)
         assert second.metadata.get("cache_hit") is True
@@ -68,7 +68,7 @@ class TestCachedClient:
 
     def test_nonzero_temperature_bypasses_cache(self, flavor_llm):
         client = CachedClient(flavor_llm)
-        prompt = rating_prompt(FLAVORS[0], CHOCOLATEY)
+        prompt = RATING.render([FLAVORS[0]], (CHOCOLATEY,))
         client.complete(prompt, temperature=0.7)
         second = client.complete(prompt, temperature=0.7)
         assert "cache_hit" not in second.metadata
@@ -78,8 +78,8 @@ class TestUsageTracker:
     def test_record_accumulates_per_model(self, flavor_llm):
         tracker = UsageTracker(cost_model=default_registry().cost_model())
         client = TrackedClient(flavor_llm, tracker)
-        client.complete(rating_prompt(FLAVORS[0], CHOCOLATEY))
-        client.complete(rating_prompt(FLAVORS[1], CHOCOLATEY), model="sim-claude")
+        client.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
+        client.complete(RATING.render([FLAVORS[1]], (CHOCOLATEY,)), model="sim-claude")
         assert tracker.calls == 2
         assert tracker.prompt_tokens > 0
         summary = tracker.summary()
@@ -89,7 +89,7 @@ class TestUsageTracker:
 
     def test_cost_zero_without_cost_model(self, flavor_llm):
         tracker = UsageTracker()
-        TrackedClient(flavor_llm, tracker).complete(rating_prompt(FLAVORS[0], CHOCOLATEY))
+        TrackedClient(flavor_llm, tracker).complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
         assert tracker.cost() == 0.0
 
     def test_record_usage_directly(self):
@@ -99,7 +99,7 @@ class TestUsageTracker:
 
     def test_reset(self, flavor_llm):
         tracker = UsageTracker()
-        TrackedClient(flavor_llm, tracker).complete(rating_prompt(FLAVORS[0], CHOCOLATEY))
+        TrackedClient(flavor_llm, tracker).complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
         tracker.reset()
         assert tracker.calls == 0
 

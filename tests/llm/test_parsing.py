@@ -9,7 +9,6 @@ from repro.llm.parsing import (
     extract_choice,
     extract_groups,
     extract_integer,
-    extract_json,
     extract_list,
     extract_ratings,
     extract_value,
@@ -57,6 +56,24 @@ class TestExtractChoice:
         with pytest.raises(SpecError):
             extract_choice("anything", [])
 
+    @pytest.mark.parametrize(
+        ("text", "options", "expected"),
+        [
+            ("C++", ["C++", "Java"], "C++"),
+            ("I would file it under C#.", ["C#", "Java"], "C#"),
+            ("Category: (none)", ["tools", "(none)"], "(none)"),
+            # At one position the longer option wins, whatever the order.
+            ("C++ is the answer", ["C", "C++"], "C++"),
+            ("C, not Java", ["C++", "C"], "C"),
+        ],
+    )
+    def test_options_with_a_punctuated_edge_match(self, text, options, expected):
+        assert extract_choice(text, options) == expected
+
+    def test_a_word_option_still_needs_its_own_word(self):
+        ledger = ["office", "studio", "travel"]
+        assert extract_choice("a studious office worker", ledger) == "office"
+
 
 class TestExtractInteger:
     def test_simple_integer(self):
@@ -80,6 +97,13 @@ class TestExtractRatings:
 
     def test_bare_ratings(self):
         assert extract_ratings("4 6", expected=2) == [4, 6]
+
+    def test_a_preamble_number_is_not_a_rating(self):
+        text = "Ratings for the 3 items:\n1. 5\n2. 4\n3. 6"
+        assert extract_ratings(text, expected=3) == [5, 4, 6]
+
+    def test_unnumbered_index_rating_pairs_still_read(self):
+        assert extract_ratings("1 5 2 4", expected=2) == [5, 4]
 
     def test_too_few_ratings_raises(self):
         with pytest.raises(ResponseParseError):
@@ -128,15 +152,3 @@ class TestExtractValue:
     def test_empty_raises(self):
         with pytest.raises(ResponseParseError):
             extract_value("   \n  ")
-
-
-class TestExtractJson:
-    def test_object_extraction(self):
-        assert extract_json('Here you go: {"a": 1, "b": [2, 3]}') == {"a": 1, "b": [2, 3]}
-
-    def test_array_extraction(self):
-        assert extract_json("result [1, 2, 3] done") == [1, 2, 3]
-
-    def test_invalid_json_raises(self):
-        with pytest.raises(ResponseParseError):
-            extract_json("{not valid json")

@@ -16,9 +16,7 @@ from repro.llm.prompts import (
     RATING_BATCH,
     SORT_LIST,
     build_structured_prompt,
-    impute_prompt,
     parse_structured_prompt,
-    rating_prompt,
 )
 
 
@@ -228,8 +226,8 @@ GOLDEN = [
 
 
 def _render(template, items, fields, examples):
-    """The prompt ``template`` renders; impute's examples ride as a last field."""
-    return template.render(items, fields if examples is None else (*fields, examples))
+    """The prompt ``template`` renders, with impute's in-context examples."""
+    return template.render(items, fields, examples)
 
 
 class TestCanonicalPrompts:
@@ -246,11 +244,43 @@ class TestCanonicalPrompts:
         assert parsed.has_examples is (examples is not None)
 
     def test_rating_prompt_carries_scale(self):
-        parsed = parse_structured_prompt(rating_prompt("item", "size", 1, 5))
-        assert parsed.fields["scale"] == "1-5"
+        parsed = parse_structured_prompt(RATING.render(["item"], ("size",)))
+        assert parsed.fields["scale"] == "1-7"
 
     def test_impute_prompt_with_examples(self):
-        prompt = impute_prompt("name is X", "city", [{"input": "name is Y", "output": "Austin"}])
+        examples = [{"input": "name is Y", "output": "Austin"}]
+        prompt = IMPUTE.render(["name is X"], ("city",), examples)
         parsed = parse_structured_prompt(prompt)
         assert parsed.has_examples is True
         assert parsed.fields["attribute"] == "city"
+
+
+class TestTemplateReaders:
+    """Each template reads the reply its instructions ask for."""
+
+    @pytest.mark.parametrize(
+        ("template", "reply", "items", "fields", "answer"),
+        [
+            (SORT_LIST, "Sure:\n1. b\n2. a", ["a", "b"], ("size",), ["b", "a"]),
+            (PAIRWISE_COMPARISON, "B. The second item.", ["a", "b"], ("size",), "B"),
+            (RATING, "9", ["a"], ("size",), 7),
+            (RATING, "0", ["a"], ("size",), 1),
+            (RATING_BATCH, "1. 9\n2. 3\n3. 0", ["a", "b", "c"], ("size",), [7, 3, 1]),
+            (DUPLICATE_CHECK, "No, they differ.", ["a", "b"], (), False),
+            (GROUP_RECORDS, "0, 2\n1", ["a", "b", "c"], (), [[0, 2], [1]]),
+            (IMPUTE, 'Answer: "Austin"', ["name is X"], ("city",), "Austin"),
+            (CATEGORIZE, "It is C++.", ["x"], (("C", "C++"),), "C++"),
+            (PREDICATE_CHECK, "Yes, it does.", ["x"], ("is big",), True),
+        ],
+    )
+    def test_read(self, template, reply, items, fields, answer):
+        assert template.read(reply, items, fields) == answer
+
+    def test_an_unreadable_reply_raises(self):
+        with pytest.raises(ResponseParseError):
+            PAIRWISE_COMPARISON.read("neither", ["a", "b"], ("size",))
+
+    def test_a_render_never_reuses_the_frame_of_other_fields(self):
+        first = PREDICATE_CHECK.render(["x"], ("is big",))
+        assert PREDICATE_CHECK.render(["x"], ("is big",)) == first
+        assert PREDICATE_CHECK.render(["x"], ("is small",)) != first

@@ -11,7 +11,7 @@ from repro.exceptions import (
     ResponseParseError,
     UnknownModelError,
 )
-from repro.llm.prompts import pairwise_comparison_prompt, sort_list_prompt
+from repro.llm.prompts import PAIRWISE_COMPARISON, SORT_LIST
 from repro.llm.registry import ModelRegistry, ModelSpec, default_registry
 from repro.llm.simulated import SimulatedLLM, _stable_seed
 from repro.tokenizer.cost import PriceTable
@@ -27,7 +27,7 @@ class TestStableSeed:
 
 class TestCompleteBasics:
     def test_usage_reflects_prompt_and_completion(self, flavor_llm):
-        prompt = pairwise_comparison_prompt(FLAVORS[0], FLAVORS[1], CHOCOLATEY)
+        prompt = PAIRWISE_COMPARISON.render([FLAVORS[0], FLAVORS[1]], (CHOCOLATEY,))
         response = flavor_llm.complete(prompt)
         assert response.usage.prompt_tokens > 0
         assert response.usage.completion_tokens > 0
@@ -44,7 +44,7 @@ class TestCompleteBasics:
 
     def test_confidence_within_unit_interval(self, flavor_llm):
         response = flavor_llm.complete(
-            pairwise_comparison_prompt(FLAVORS[0], FLAVORS[-1], CHOCOLATEY)
+            PAIRWISE_COMPARISON.render([FLAVORS[0], FLAVORS[-1]], (CHOCOLATEY,))
         )
         assert 0.0 <= response.confidence <= 1.0
 
@@ -60,17 +60,17 @@ class TestCompleteBasics:
 
 class TestDeterminismAndTemperature:
     def test_temperature_zero_is_deterministic(self, flavor_llm):
-        prompt = pairwise_comparison_prompt(FLAVORS[5], FLAVORS[6], CHOCOLATEY)
+        prompt = PAIRWISE_COMPARISON.render([FLAVORS[5], FLAVORS[6]], (CHOCOLATEY,))
         assert flavor_llm.complete(prompt).text == flavor_llm.complete(prompt).text
 
     def test_same_seed_same_behaviour_across_clients(self):
-        prompt = pairwise_comparison_prompt(FLAVORS[5], FLAVORS[6], CHOCOLATEY)
+        prompt = PAIRWISE_COMPARISON.render([FLAVORS[5], FLAVORS[6]], (CHOCOLATEY,))
         first = SimulatedLLM(flavor_oracle(), seed=99).complete(prompt)
         second = SimulatedLLM(flavor_oracle(), seed=99).complete(prompt)
         assert first.text == second.text
 
     def test_different_seeds_can_differ(self):
-        prompt = sort_list_prompt(list(FLAVORS), CHOCOLATEY)
+        prompt = SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,))
         texts = {
             SimulatedLLM(flavor_oracle(), seed=seed).complete(prompt).text for seed in range(5)
         }
@@ -78,13 +78,13 @@ class TestDeterminismAndTemperature:
 
     def test_nonzero_temperature_varies_across_calls(self):
         llm = SimulatedLLM(flavor_oracle(), seed=1)
-        prompt = sort_list_prompt(list(FLAVORS), CHOCOLATEY)
+        prompt = SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,))
         texts = {llm.complete(prompt, temperature=0.8).text for _ in range(5)}
         assert len(texts) > 1
 
     def test_reset_restores_sampling_sequence(self):
         llm = SimulatedLLM(flavor_oracle(), seed=1)
-        prompt = sort_list_prompt(list(FLAVORS), CHOCOLATEY)
+        prompt = SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,))
         first_run = [llm.complete(prompt, temperature=0.8).text for _ in range(3)]
         llm.reset()
         second_run = [llm.complete(prompt, temperature=0.8).text for _ in range(3)]
@@ -106,19 +106,19 @@ class TestContextAndTruncation:
 
     def test_prompt_exceeding_context_raises(self):
         llm = SimulatedLLM(flavor_oracle(), registry=self._tiny_registry(), default_model="tiny")
-        long_prompt = sort_list_prompt(list(FLAVORS), CHOCOLATEY)
+        long_prompt = SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,))
         with pytest.raises(ContextLengthExceededError) as excinfo:
             llm.complete(long_prompt)
         assert excinfo.value.context_length == 60
 
     def test_max_tokens_truncates_completion(self, flavor_llm):
-        prompt = sort_list_prompt(list(FLAVORS), CHOCOLATEY)
+        prompt = SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,))
         response = flavor_llm.complete(prompt, max_tokens=10)
         assert response.usage.completion_tokens <= 10
         assert response.finish_reason == "length"
 
     def test_zero_max_tokens_is_an_empty_completion(self, flavor_llm):
-        response = flavor_llm.complete(sort_list_prompt(list(FLAVORS), CHOCOLATEY), max_tokens=0)
+        response = flavor_llm.complete(SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,)), max_tokens=0)
         assert (response.text, response.usage.completion_tokens) == ("", 0)
         assert response.finish_reason == "length"
         assert response.usage.prompt_tokens > 0
@@ -127,8 +127,9 @@ class TestContextAndTruncation:
     def test_negative_max_tokens_is_refused_before_any_count(self, flavor_llm, max_tokens):
         """Regression: it came back as ``Usage(completion_tokens=-3)``."""
         flavor_llm.tokenizer = None  # reaching a count would raise AttributeError
+        prompt = SORT_LIST.render(list(FLAVORS), (CHOCOLATEY,))
         with pytest.raises(ConfigurationError, match="max_tokens"):
-            flavor_llm.complete(sort_list_prompt(list(FLAVORS), CHOCOLATEY), max_tokens=max_tokens)
+            flavor_llm.complete(prompt, max_tokens=max_tokens)
         with pytest.raises(ConfigurationError, match="max_tokens"):
             flavor_llm.complete_batch(["anything"], max_tokens=max_tokens)
 

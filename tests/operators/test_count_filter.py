@@ -1,4 +1,4 @@
-"""Tests for the count and filter operators."""
+"""Tests for the filter operator."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
-from repro.operators.count import CountOperator
 from repro.operators.filter import FilterOperator
 
 PREDICATE = "mentions an animal"
@@ -37,27 +36,6 @@ def animal_oracle() -> Oracle:
 @pytest.fixture()
 def predicate_llm() -> SimulatedLLM:
     return SimulatedLLM(animal_oracle(), seed=61)
-
-
-class TestCountOperator:
-    def test_per_item_count_close_to_truth(self, predicate_llm):
-        operator = CountOperator(predicate_llm, PREDICATE, model="sim-gpt-3.5-turbo")
-        result = operator.run(ANIMAL_ITEMS, strategy="per_item")
-        assert abs(result.count - 5) <= 2
-        assert result.usage.calls == len(ANIMAL_ITEMS)
-        assert result.per_item is not None
-
-    def test_estimate_uses_fewer_calls(self, predicate_llm):
-        operator = CountOperator(predicate_llm, PREDICATE, model="sim-gpt-3.5-turbo")
-        per_item = operator.run(ANIMAL_ITEMS, strategy="per_item")
-        estimate = operator.run(ANIMAL_ITEMS, strategy="estimate", chunk_size=5)
-        assert estimate.usage.calls < per_item.usage.calls
-        assert 0 <= estimate.count <= len(ANIMAL_ITEMS)
-
-    def test_invalid_chunk_size(self, predicate_llm):
-        operator = CountOperator(predicate_llm, PREDICATE)
-        with pytest.raises(DatasetError):
-            operator.run(ANIMAL_ITEMS, strategy="estimate", chunk_size=0)
 
 
 class TestFilterOperator:

@@ -10,8 +10,7 @@ applies per dispatch hold for every operator and strategy the engine can run:
   :class:`~repro.exceptions.BudgetExceededError`.
 
 The cases cover every strategy :data:`~repro.core.declarations.DECLARATIONS`
-accepts (a resolve spec in both of its modes), plus the undeclared count
-operator.
+accepts (a resolve spec in both of its modes).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.data.products import generate_restaurant_dataset
 from repro.exceptions import BudgetExceededError
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
-from repro.operators import CountOperator
 
 MODEL = "sim-gpt-3.5-turbo"
 VOTERS = {"models": [MODEL, "sim-claude"]}
@@ -94,16 +92,6 @@ def _spec_case(spec: TaskSpec) -> Case:
     return Case(label, lambda engine, budget: engine.run_spec(spec, budget=budget))
 
 
-def _count_case(strategy: str, **options: Any) -> Case:
-    def run(engine: DeclarativeEngine, budget: Budget | BudgetLease | None) -> Any:
-        operator = CountOperator(
-            engine.session.client(budget), NOT_COG, **engine.physical.operator_kwargs(budget)
-        )
-        return operator.run(RECORDS, strategy=strategy, **options)
-
-    return Case(f"count:{strategy}", run)
-
-
 def _specs(build: Callable[..., TaskSpec], strategies: str, **fields: Any) -> list[TaskSpec]:
     return [build(strategy=strategy, **fields) for strategy in strategies.split()]
 
@@ -146,11 +134,7 @@ SPECS: list[TaskSpec] = [
     *_specs(ClusterSpec, "two_phase", items=RECORDS[:8], strategy_options={"seed_size": 3}),
 ]
 
-CASES: list[Case] = [
-    *map(_spec_case, SPECS),
-    _count_case("estimate", chunk_size=5),
-    _count_case("per_item"),
-]
+CASES: list[Case] = list(map(_spec_case, SPECS))
 
 #: Strategies that never ask the LLM.
 LLM_FREE = {"impute:knn"}

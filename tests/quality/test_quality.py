@@ -7,7 +7,7 @@ import pytest
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import QualityControlError
 from repro.llm.parsing import extract_choice
-from repro.llm.prompts import pairwise_comparison_prompt
+from repro.llm.prompts import PAIRWISE_COMPARISON
 from repro.llm.simulated import SimulatedLLM
 from repro.quality.validation import estimate_accuracy, wilson_interval
 from repro.quality.voting import majority_vote, weighted_vote
@@ -62,7 +62,7 @@ class TestEstimateAccuracy:
         estimate = estimate_accuracy(
             pairs,
             answer=lambda pair: extract_choice(
-                llm.complete(pairwise_comparison_prompt(pair[0], pair[1], CHOCOLATEY)).text,
+                llm.complete(PAIRWISE_COMPARISON.render([pair[0], pair[1]], (CHOCOLATEY,))).text,
                 ["A", "B"],
             ),
             ground_truth=lambda pair: "A",

@@ -44,7 +44,6 @@ def clean_behavior() -> BehaviorConfig:
         impute_format_variant_rate=0.0,
         impute_format_variant_rate_with_examples=0.0,
         predicate_error=0.0,
-        count_relative_noise=0.0,
         categorize_error=0.0,
     )
 

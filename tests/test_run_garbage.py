@@ -35,7 +35,6 @@ from repro.exceptions import UnknownStrategyError
 from repro.operators import (
     CategorizeOperator,
     ClusterOperator,
-    CountOperator,
     FilterOperator,
     ImputeOperator,
     JoinOperator,
@@ -168,7 +167,6 @@ OPERATOR_RUNS: dict[type, Callable[[SimulatedLLM], object]] = {
     TopKOperator: lambda c: TopKOperator(c, CAPACITY, model=MODEL).run(RECORDS[:8], k=2),
     JoinOperator: lambda c: JoinOperator(c, model=MODEL).run(RECORDS[:8], RECORDS[8:16], strategy="blocked"),
     ClusterOperator: lambda c: ClusterOperator(c, model=MODEL).run(RECORDS[:8]),
-    CountOperator: lambda c: CountOperator(c, NOT_COG, model=MODEL).run(RECORDS),
 }
 
 

@@ -238,19 +238,18 @@ def _small_specs(data) -> list:
 
 
 def _rendered_prompts(data) -> list[str]:
-    """Every prompt function once, and every declared prompt of a small spec."""
+    """Every template once, and every declared prompt of a small spec."""
     rendered = [
-        prompts.sort_list_prompt(_ITEMS, "size"),
-        prompts.pairwise_comparison_prompt(_ITEMS[0], _ITEMS[1], "size"),
-        prompts.rating_prompt(_ITEMS[0], "size"),
-        prompts.rating_batch_prompt(_ITEMS, "size"),
-        prompts.duplicate_check_prompt(_ITEMS[0], _ITEMS[2]),
-        prompts.group_records_prompt(_ITEMS),
-        prompts.impute_prompt(_RECORD, "city"),
-        prompts.impute_prompt(_RECORD, "city", examples=[{"input": "name: Al", "output": "Rome"}]),
-        prompts.categorize_prompt(_ITEMS[1], _CATEGORIES),
+        prompts.SORT_LIST.render(_ITEMS, ("size",)),
+        prompts.PAIRWISE_COMPARISON.render([_ITEMS[0], _ITEMS[1]], ("size",)),
+        prompts.RATING.render([_ITEMS[0]], ("size",)),
+        prompts.RATING_BATCH.render(_ITEMS, ("size",)),
+        prompts.DUPLICATE_CHECK.render([_ITEMS[0], _ITEMS[2]]),
+        prompts.GROUP_RECORDS.render(_ITEMS),
+        prompts.IMPUTE.render([_RECORD], ("city",)),
+        prompts.IMPUTE.render([_RECORD], ("city",), [{"input": "name: Al", "output": "Rome"}]),
+        prompts.CATEGORIZE.render([_ITEMS[1]], (tuple(_CATEGORIES),)),
         prompts.predicate_check_prompt(_ITEMS[0], _PREDICATES[0]),
-        prompts.estimate_count_prompt(_ITEMS, _PREDICATES[0]),
         prompts.build_structured_prompt("free_form", instructions="Line one.\r\n\nLine three.\n"),
     ]
     declared = set()
@@ -316,7 +315,7 @@ class TestCountIsTheSumOverLines:
         [
             (lambda i: prompts.predicate_check_prompt(f"listing {i}", "is an appliance"), 1),
             # Its instruction line (136 characters) is why the cap is sized for lines.
-            (lambda i: prompts.duplicate_check_prompt(f"record {i}", f"entry {i}"), 2),
+            (lambda i: prompts.DUPLICATE_CHECK.render([f"record {i}", f"entry {i}"]), 2),
         ],
         ids=["predicate_check", "duplicate_check"],
     )
@@ -337,7 +336,7 @@ class TestCountIsTheSumOverLines:
         tokenizer = SimpleTokenizer()
         for index in range(1000):
             items = [f"listing {index}-{n}" for n in range(4)] + [f"{index} " + "long " * 60]
-            prompt = prompts.sort_list_prompt(items, "size")
+            prompt = prompts.SORT_LIST.render(items, ("size",))
             assert prompt.count("\n") == 9
             tokenizer.count(prompt)
         memo = simple._MEMOS[tokenizer.chunk_size]
