@@ -1326,6 +1326,7 @@ DECLARATIONS: dict[type, OperatorDeclaration] = {
     )
 }
 
+
 def declaration_for(spec: Any) -> OperatorDeclaration:
     """The declaration governing ``spec``, or :class:`SpecError` when there is none."""
     declaration = DECLARATIONS.get(type(spec))

@@ -182,7 +182,7 @@ class TestImputeBehavior:
         assert run(3) >= run(0)
 
 
-class TestPredicateAndCountBehaviors:
+class TestPredicateBehavior:
     def _oracle(self):
         oracle = Oracle()
         oracle.register_predicate("is long", lambda item: len(item) > 6)
