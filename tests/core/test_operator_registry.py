@@ -57,7 +57,7 @@ from repro.operators.base import BaseOperator, OperatorResult
 from repro.operators.resolve import PairJudgment, PairJudgmentResult
 from repro.query import LogicalNode, LogicalPlan, compile_plan, optimize, render_explain, source
 from repro.store import Store
-from repro.store.checkpoint import decode_result, encode_result
+from repro.store.checkpoint import decode_result, encode_checkpoint, encode_result
 from repro.tokenizer.cost import Usage
 
 ITEMS = ["pear", "apple", "fig"]
@@ -173,6 +173,20 @@ PINNED_RESULTS = [
     '{"fields": {"candidate_pairs": 4, "cost": 0.0125, "llm_pairs": 3, "matches": [[0, 1], [1, 0]], "metadata": {"cache_hits": 1, "note": "pinned"}, "strategy": "blocked", "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "JoinResult", "version": 1}',
     '{"fields": {"cost": 0.0125, "finalists": ["fig", "pear", "apple"], "metadata": {"cache_hits": 1, "note": "pinned"}, "ratings": {"apple": 2, "fig": 7, "pear": 5}, "strategy": "hybrid_rating_comparison", "top_items": ["fig", "pear"], "usage": {"calls": 4, "completion_tokens": 30, "prompt_tokens": 120}}, "type": "TopKResult", "version": 1}',
 ]
+
+#: The result digest of each :data:`PINNED_RESULTS` row: every child's
+#: checkpoint key reads its parents' digests, so a moved byte re-keys a lineage.
+PINNED_DIGESTS = [
+    "a6f7349db50f12c9fdacd16288d81519eb0095beae2e5a555fe790cace862f33",
+    "7eed3eb1614f470d88351da58f27d31e7c11f0f1fd9bab1e481b8e0299610d4f",
+    "25b5a12ea7241069446520cc5aaef2723b923ca8d4a6915a03371b10c78cfb2d",
+    "cbd0e830570573895a88496b869d78729d708933bf88e1bc82cc3c249d063f51",
+    "d48022e06ab40d971b81f07648f20910f602a1e58ac602a378640879e47e7087",
+    "fdded935f050c803edfbfbadc2f26ac7ffc0a6b599778f2668ab0fc00c71f334",
+    "ef97a70774c5a63295731fdd9311189f013e15855d9bf185456534a6a9f5bbd0",
+    "8a570d6a55c287bf1d850f58ba508b7e7257b9601ed59ffa2e608301caef80e8",
+    "49637b4e0f8ba7acb8cf4698f7a5d3300293bfb9fd75799f6eeb3ddc18441433",
+]
 # fmt: on
 
 #: What ``planner.AUTO_DEFAULT_STRATEGY`` said before it was derived, plus
@@ -264,6 +278,15 @@ class TestPinnedCodecs:
         restored = decode_result(pinned)
         assert restored == result
         assert encode_result(restored) == pinned
+
+    @pytest.mark.parametrize(
+        "result, pinned, digest",
+        zip(_results(), PINNED_RESULTS, PINNED_DIGESTS),
+        ids=lambda value: type(value).__name__,
+    )
+    def test_checkpoint_digest_is_pinned(self, result, pinned, digest):
+        assert encode_checkpoint(result) == (pinned, digest)
+        assert encode_checkpoint(decode_result(pinned))[1] == digest
 
     def test_a_stored_count_result_decodes_as_a_miss(self):
         # The count operator is gone; a row it left in a store re-runs its step.
