@@ -24,7 +24,8 @@ A declaration states, for one spec class:
 * the labelled validation sample, its candidates and its scorer;
 * what a finished run teaches the session's :class:`~repro.core.stats.
   RuntimeStats`, and which items a whole-list prompt must fit in context;
-* the spec and result fields that are not JSON-shaped as they stand;
+* the spec fields that are not JSON-shaped as they stand (the wire codec,
+  :mod:`repro.wire`, walks the rest, and every result, by type hints);
 * for a query node's ``params``: the spec it lowers to, where its output
   items come from and how many to expect, whether a filter commutes past
   it, and its ``.explain()`` line.
@@ -80,13 +81,13 @@ from repro.operators.filter import FilterOperator, FilterResult
 from repro.operators.impute import ImputeOperator, ImputeResult
 from repro.operators.join import JoinOperator, JoinResult
 from repro.operators.resolve import (
-    PairJudgment,
     PairJudgmentResult,
     ResolveOperator,
     ResolveResult,
 )
 from repro.operators.sort import SortOperator, SortResult
 from repro.operators.top_k import TopKOperator, TopKResult
+from repro.wire import FieldCodec, from_wire, to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (these modules import this one)
     from repro.core.budget import Budget, BudgetLease
@@ -109,17 +110,6 @@ def json_safe(value: Any, *, context: str) -> Any:
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{context} is not JSON-serialisable: {exc}") from exc
     return value
-
-
-def _same(value: Any) -> Any:
-    return value
-
-
-class FieldCodec(NamedTuple):
-    """How one spec or result field crosses JSON when it is not JSON-shaped."""
-
-    encode: Callable[[Any], Any] = _same
-    decode: Callable[[Any], Any] = _same
 
 
 class Validation(NamedTuple):
@@ -158,8 +148,8 @@ class OperatorDeclaration:
     prompts: Mapping[str, Callable[[Any], Iterable[str]]] = {}
     #: Labelled-sample size below which validation-driven selection is skipped.
     min_validation = 5
+    #: Codecs of the spec fields whose type hints do not say how they cross JSON.
     spec_fields: Mapping[str, FieldCodec] = {}
-    result_fields: Mapping[str, FieldCodec] = {}
     #: ``run(engine, spec, budget)`` replacing the engine's whole run path.
     run: Callable[..., OperatorResult] | None = None
 
@@ -299,11 +289,6 @@ def _combined(planner: "CostPlanner", first: "CostEstimate", second: "CostEstima
     )
 
 
-#: Cluster lists come back from JSON as lists already; a shared store file is
-#: outside input, so the shape is still enforced.
-_CLUSTERS = FieldCodec(decode=lambda data: [list(cluster) for cluster in data])
-
-
 def _voters(spec: Any) -> int:
     """Votes an ensemble strategy casts per item (at least two voter models)."""
     return max(2, len(spec.strategy_options.get("models", ())))
@@ -437,11 +422,6 @@ def _blocked_pairwise(planner: "CostPlanner", spec: ResolveSpec) -> "CostEstimat
     return estimate
 
 
-def _decode_pair(pair: Any) -> tuple[str, str]:
-    left, right = pair
-    return (str(left), str(right))
-
-
 class _ResolveRecords(OperatorDeclaration):
     """Whole-corpus clustering: a resolve spec without ``pairs``."""
 
@@ -463,39 +443,6 @@ class _ResolveRecords(OperatorDeclaration):
             DUPLICATE_CHECK.render(pair)
             for pair in itertools.combinations(map(str, spec.records), 2)
         )
-    }
-    spec_fields = {
-        "pairs": FieldCodec(
-            lambda pairs: [[str(left), str(right)] for left, right in pairs],
-            lambda data: [_decode_pair(pair) for pair in data],
-        ),
-        "validation_labels": FieldCodec(
-            lambda labels: [[[left, right], bool(label)] for (left, right), label in labels.items()],
-            lambda data: {_decode_pair(pair): bool(label) for pair, label in data},
-        ),
-    }
-    result_fields = {
-        "clusters": _CLUSTERS,
-        "judgments": FieldCodec(
-            lambda judgments: [
-                {
-                    "left": judgment.left,
-                    "right": judgment.right,
-                    "is_duplicate": judgment.is_duplicate,
-                    "source": judgment.source,
-                }
-                for judgment in judgments
-            ],
-            lambda data: [
-                PairJudgment(
-                    left=judgment["left"],
-                    right=judgment["right"],
-                    is_duplicate=bool(judgment["is_duplicate"]),
-                    source=judgment.get("source", "llm"),
-                )
-                for judgment in data
-            ],
-        ),
     }
 
     def for_spec(self, spec: ResolveSpec) -> OperatorDeclaration:
@@ -683,48 +630,28 @@ def _impute_prompts(spec: ImputeSpec) -> Iterable[str]:
 
 
 def _encode_dataset(dataset: Dataset) -> dict[str, Any]:
-    return {
-        "name": dataset.name,
-        "records": [
-            {
-                "record_id": record.record_id,
-                "attributes": json_safe(
-                    dict(record.attributes), context=f"record {record.record_id!r} attributes"
-                ),
-            }
-            for record in dataset.records
-        ],
-    }
+    records = [to_wire(record) for record in dataset.records]
+    return {"name": dataset.name, "records": json_safe(records, context=f"{dataset.name} records")}
 
 
 def _decode_dataset(data: Mapping[str, Any]) -> Dataset:
-    return Dataset(
-        (
-            Record(record_id=str(record["record_id"]), attributes=dict(record.get("attributes", {})))
-            for record in data.get("records", ())
-        ),
-        name=str(data.get("name", "dataset")),
-    )
+    records = (from_wire(Record, record) for record in data.get("records", ()))
+    return Dataset(records, name=data.get("name", "dataset"))
 
 
-def _encode_imputation(data: ImputationDataset) -> dict[str, Any]:
-    return {
-        "name": data.name,
-        "target_attribute": data.target_attribute,
+#: An imputation dataset crosses as its fields, with its two :class:`Dataset`
+#: (not a dataclass) as name and records.
+_IMPUTATION = FieldCodec(
+    lambda data: {
+        **to_wire(data),
         "queries": _encode_dataset(data.queries),
         "reference": _encode_dataset(data.reference),
-        "ground_truth": dict(data.ground_truth),
-    }
-
-
-def _decode_imputation(data: Mapping[str, Any]) -> ImputationDataset:
-    return ImputationDataset(
-        name=str(data.get("name", "imputation")),
-        target_attribute=str(data["target_attribute"]),
-        queries=_decode_dataset(data.get("queries", {})),
-        reference=_decode_dataset(data.get("reference", {})),
-        ground_truth={str(k): str(v) for k, v in dict(data.get("ground_truth", {})).items()},
-    )
+    },
+    lambda data: from_wire(
+        ImputationDataset,
+        {**data, **{key: _decode_dataset(data.get(key, {})) for key in ("queries", "reference")}},
+    ),
+)
 
 
 class _Impute(OperatorDeclaration):
@@ -741,7 +668,7 @@ class _Impute(OperatorDeclaration):
     auto = ("hybrid", "retrieval", "llm_only", "knn")
     prompts = {"llm_only": _impute_prompts}
     auto_keeps_options = False  # ``n_examples`` travels on the spec
-    spec_fields = {"data": FieldCodec(_encode_imputation, _decode_imputation)}
+    spec_fields = {"data": _IMPUTATION}
 
     def invoke(self, operator: ImputeOperator, spec: ImputeSpec, strategy, options):
         return operator.run(spec.data, strategy=strategy, n_examples=spec.n_examples)
@@ -851,10 +778,6 @@ class _Filter(OperatorDeclaration):
             for predicate in spec.all_predicates
             for item in spec.items
         )
-    }
-    spec_fields = {"validation_labels": FieldCodec(_bool_labels, _bool_labels)}
-    result_fields = {
-        "decisions": FieldCodec(decode=lambda data: {k: bool(v) for k, v in data.items()})
     }
 
     output_from = "result"
@@ -1111,7 +1034,6 @@ class _Categorize(OperatorDeclaration):
             CATEGORIZE.render([str(item)], (tuple(spec.categories),)) for item in spec.items
         )
     }
-    spec_fields = {"validation_labels": FieldCodec(_str_labels, _str_labels)}
 
     def build(self, spec: CategorizeSpec, client: Any, **kwargs: Any) -> CategorizeOperator:
         return CategorizeOperator(client, list(spec.categories), **kwargs)
@@ -1228,7 +1150,6 @@ class _Join(OperatorDeclaration):
             for right in spec.right
         )
     }
-    result_fields = {"matches": FieldCodec(decode=lambda data: [tuple(pair) for pair in data])}
     # A query join is a semi-join: the left items with at least one match.
     output_from = "result+parent"
 
@@ -1300,7 +1221,6 @@ class _Cluster(OperatorDeclaration):
         ),
     }
     auto = ("two_phase", "single_prompt")
-    result_fields = {"clusters": _CLUSTERS}
 
     def lower(self, params, *inputs: list[str]) -> ClusterSpec:
         return ClusterSpec(items=unique_items(inputs[0]), **_query_fields(params))
@@ -1368,10 +1288,10 @@ def spec_declaration(type_name: Any) -> OperatorDeclaration | None:
     return None
 
 
-def result_codec(type_name: Any) -> tuple[type[OperatorResult], Mapping[str, FieldCodec]] | None:
-    """``(result class, its field codecs)`` for a result class name (checkpoint form)."""
+def result_type(type_name: Any) -> type[OperatorResult] | None:
+    """The declared result class called ``type_name`` (checkpoint form)."""
     for declaration in DECLARATIONS.values():
-        for result_type in declaration.results:
-            if result_type.__name__ == type_name:
-                return result_type, declaration.result_fields
+        for result in declaration.results:
+            if result.__name__ == type_name:
+                return result
     return None

@@ -127,16 +127,6 @@ class GovernorStats:
     rate_limit_events: int = 0
     max_in_flight: int = 0
 
-    def to_dict(self) -> dict[str, float | int]:
-        """A JSON-shaped view (what the service's usage endpoint returns)."""
-        return {
-            "admitted": self.admitted,
-            "throttled": self.throttled,
-            "wait_seconds": self.wait_seconds,
-            "rate_limit_events": self.rate_limit_events,
-            "max_in_flight": self.max_in_flight,
-        }
-
 
 class ConcurrencyGovernor:
     """Admission point shared by the sync and async execution paths.

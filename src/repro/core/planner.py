@@ -30,12 +30,13 @@ from typing import Mapping, Sequence
 from repro.core.declarations import declaration_for, operation_declaration
 from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
-from repro.exceptions import ConfigurationError, SpecError, StoreError
+from repro.exceptions import ConfigurationError, StoreError
 from repro.llm.prompts import TaskTemplate
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.store.fingerprint import DeclaredFactory, step_key
 from repro.tokenizer.cost import Usage
 from repro.tokenizer.simple import SimpleTokenizer
+from repro.wire import to_wire
 
 #: The process's scaffold memo: ``(template, fixed fields, items per prompt)``
 #: -> ``(scaffold tokens, answer tokens)``.  Rendering and counting a scaffold
@@ -77,38 +78,6 @@ class CostEstimate:
         its per-field walk: every spec estimate is relabelled once)."""
         return CostEstimate(
             strategy, self.calls, self.usage, self.dollars, self.seconds, self.known_cached
-        )
-
-    def to_dict(self) -> dict[str, object]:
-        """A JSON-shaped view (what the service layer returns in quotes)."""
-        return {
-            "strategy": self.strategy,
-            "calls": self.calls,
-            "usage": {
-                "prompt_tokens": self.usage.prompt_tokens,
-                "completion_tokens": self.usage.completion_tokens,
-                "calls": self.usage.calls,
-            },
-            "dollars": self.dollars,
-            "seconds": self.seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CostEstimate":
-        usage = data.get("usage") or {}
-        if not isinstance(usage, Mapping):
-            raise SpecError("cost estimate usage must be an object")
-        seconds = data.get("seconds")
-        return cls(
-            strategy=str(data.get("strategy", "")),
-            calls=int(data.get("calls", 0)),  # type: ignore[arg-type]
-            usage=Usage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-                calls=int(usage.get("calls", 0)),
-            ),
-            dollars=float(data.get("dollars", 0.0)),  # type: ignore[arg-type]
-            seconds=None if seconds is None else float(seconds),  # type: ignore[arg-type]
         )
 
 
@@ -248,52 +217,17 @@ class PipelineQuote:
         )
 
     def to_dict(self) -> dict[str, object]:
-        """A JSON-shaped view: per-step estimates, notes, and the totals.
-
-        The ``total_*`` entries are derived from the steps and included for
-        the convenience of HTTP clients; :meth:`from_dict` recomputes them
-        from the steps rather than trusting the payload.
-        """
+        """The wire form plus the totals: per-step estimates, notes, and the
+        ``total_*`` entries, derived from the steps for the convenience of
+        HTTP clients (decoding recomputes them rather than trusting them)."""
         total_usage = self.total_usage
         return {
-            "pipeline": self.pipeline,
-            "steps": {name: estimate.to_dict() for name, estimate in self.steps.items()},
-            "unquoted": list(self.unquoted),
-            "notes": list(self.notes),
-            "dependencies": {
-                name: list(upstream) for name, upstream in self.dependencies.items()
-            },
+            **to_wire(self),
             "total_calls": self.total_calls,
             "total_dollars": self.total_dollars,
             "total_seconds": self.total_seconds,
-            "total_usage": {
-                "prompt_tokens": total_usage.prompt_tokens,
-                "completion_tokens": total_usage.completion_tokens,
-                "calls": total_usage.calls,
-            },
+            "total_usage": to_wire(total_usage),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "PipelineQuote":
-        steps = data.get("steps") or {}
-        if not isinstance(steps, Mapping):
-            raise SpecError("pipeline quote steps must be an object")
-        dependencies = data.get("dependencies") or {}
-        if not isinstance(dependencies, Mapping):
-            raise SpecError("pipeline quote dependencies must be an object")
-        return cls(
-            pipeline=str(data.get("pipeline", "pipeline")),
-            steps={
-                str(name): CostEstimate.from_dict(estimate)
-                for name, estimate in steps.items()
-            },
-            unquoted=tuple(str(name) for name in data.get("unquoted", ())),  # type: ignore[union-attr]
-            notes=tuple(str(note) for note in data.get("notes", ())),  # type: ignore[union-attr]
-            dependencies={
-                str(name): tuple(str(dep) for dep in upstream)
-                for name, upstream in dependencies.items()
-            },
-        )
 
 
 class CostPlanner:

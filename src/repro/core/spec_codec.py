@@ -3,13 +3,14 @@
 The HTTP service layer (:mod:`repro.service`) accepts whole pipelines as
 JSON bodies and persists submitted specs in the store's job table, so every
 spec the engine can execute needs a faithful wire form.  The codec walks a
-spec's dataclass fields: sequences cross as lists, mappings as objects,
-scalars as they are, and the few fields that are not JSON-shaped (pair
-tuples, tuple-keyed labels, an imputation dataset) through the field codecs
-the spec's :mod:`declaration <repro.core.declarations>` names.  Only
-declared spec types encode or decode — nothing is pickled or reflected over
-— so a JSON payload received over the network can never smuggle a callable
-or an unserialisable value into the engine.
+spec's dataclass fields with the library's one wire codec
+(:mod:`repro.wire`): sequences cross as lists, mappings as objects (a
+tuple-keyed one as ``[key, value]`` pairs), scalars as they are, and an
+imputation dataset, whose records are not a dataclass, through the field
+codec the spec's :mod:`declaration <repro.core.declarations>` names.  Only
+declared spec types encode or decode — nothing is pickled — so a JSON
+payload received over the network can never smuggle a callable or an
+unserialisable value into the engine.
 
 Two spec features therefore do **not** round-trip, by design:
 
@@ -33,35 +34,33 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import MISSING
-from dataclasses import fields as dataclass_fields
+from functools import cache
 from typing import Any, Mapping
 
-from repro.core.declarations import DECLARATIONS, json_safe, spec_declaration
+from repro.core.declarations import (
+    DECLARATIONS,
+    OperatorDeclaration,
+    json_safe,
+    spec_declaration,
+)
 from repro.core.spec import PipelineSpec, PipelineStep, TaskSpec
 from repro.exceptions import SpecError
+from repro.wire import Convert, wire_fields
 
 #: Bump when the wire layout changes; newer payloads are refused on decode.
 SPEC_CODEC_VERSION = 1
 
-#: The JSON shape a field must arrive in, by the type of its dataclass
-#: default (fields with a declared codec are checked by their decoder).
-_JSON_SHAPES: dict[type, Any] = {
-    tuple: list,
-    dict: Mapping,
-    str: str,
-    int: int,
-    type(None): numbers.Real,
-}
-
-
-def _field_defaults(cls: type) -> dict[str, Any]:
-    defaults: dict[str, Any] = {}
-    for spec_field in dataclass_fields(cls):
-        if spec_field.default is not MISSING:
-            defaults[spec_field.name] = spec_field.default
-        elif spec_field.default_factory is not MISSING:
-            defaults[spec_field.name] = spec_field.default_factory()
-    return defaults
+@cache
+def _spec_fields(declaration: OperatorDeclaration) -> dict[str, tuple[Any, Convert, Convert]]:
+    """Field name -> ``(default, encode, decode)`` of the declared spec."""
+    return {
+        field.name: (
+            field.default if field.default_factory is MISSING else field.default_factory(),
+            encode,
+            decode,
+        )
+        for field, encode, decode in wire_fields(declaration.spec_type, declaration.spec_fields)
+    }
 
 
 def _payload_version(data: Mapping[str, Any], what: str) -> None:
@@ -86,26 +85,18 @@ def spec_to_dict(spec: TaskSpec) -> dict[str, Any]:
     declaration = DECLARATIONS.get(type(spec))
     if declaration is None:
         raise SpecError(f"no JSON codec for spec type {type_name}")
-    defaults = _field_defaults(type(spec))
     spec_fields: dict[str, Any] = {}
-    for spec_field in dataclass_fields(spec):
-        name = spec_field.name
+    for name, (default, encode, _) in _spec_fields(declaration).items():
         value = getattr(spec, name)
         # Omit fields still at their dataclass default: the wire form stays
         # compact, and — decisively — decoding restores the *default object*
         # (e.g. the empty tuple) rather than a listified copy of it, so a
         # round-tripped spec compares equal to the original.
-        if name in defaults and value == defaults[name]:
+        if value == default:
             continue
-        if name in declaration.spec_fields:
-            value = declaration.spec_fields[name].encode(value)
-        elif name == "strategy_options":
-            value = json_safe(dict(value), context=f"{type_name}.strategy_options")
-        elif isinstance(defaults.get(name), tuple):  # a sequence field
-            value = list(value)
-        elif isinstance(defaults.get(name), dict):  # a mapping field
-            value = dict(value)
-        spec_fields[name] = value
+        spec_fields[name] = value if encode is None else encode(value)
+    if "strategy_options" in spec_fields:
+        json_safe(spec_fields["strategy_options"], context=f"{type_name}.strategy_options")
     return {"type": type_name, "version": SPEC_CODEC_VERSION, "fields": spec_fields}
 
 
@@ -128,30 +119,20 @@ def spec_from_dict(data: Mapping[str, Any]) -> TaskSpec:
     spec_fields = data.get("fields", {})
     if not isinstance(spec_fields, Mapping):
         raise SpecError(f"{type_name} fields must be an object")
-    defaults = _field_defaults(cls)
-    unknown = set(spec_fields) - {f.name for f in dataclass_fields(cls)}
+    known = _spec_fields(declaration)
+    unknown = set(spec_fields) - set(known)
     if unknown:
         raise SpecError(
             f"{type_name} payload carries unknown fields: {sorted(unknown)}"
         )
     decoded: dict[str, Any] = {}
     for name, value in spec_fields.items():
-        default = defaults.get(name)
-        if value is None and default is None:
-            pass  # an optional field left unset
-        elif name in declaration.spec_fields:
+        default, _, decode = known[name]
+        if (value is not None or default is not None) and decode is not None:
             try:
-                value = declaration.spec_fields[name].decode(value)
+                value = decode(value)
             except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
                 raise SpecError(f"malformed {type_name}.{name}: {exc!r}") from exc
-        else:
-            shape = _JSON_SHAPES.get(type(default))
-            if shape is not None and (
-                not isinstance(value, shape) or isinstance(value, bool)
-            ):
-                raise SpecError(
-                    f"{type_name}.{name} has the wrong JSON type: {value!r:.80}"
-                )
         decoded[name] = value
     if "strategy_options" in decoded:
         decoded["strategy_options"] = json_safe(

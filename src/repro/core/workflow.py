@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.budget import BudgetLease
 from repro.core.dag import topological_waves, transitive_dependencies
@@ -48,10 +48,9 @@ from repro.core.session import BudgetScopedSession, PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError, SpecError
 from repro.llm.base import Body, Invoke, adrive, drive
+from repro.core.planner import PipelineQuote
 from repro.operators.base import OperatorResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.planner import PipelineQuote
+from repro.wire import CODEC, FieldCodec, from_wire, to_wire
 
 #: A spec-step executor: ``(step, inputs, lease) -> result``.  Supplied by
 #: the engine; plain sessions cannot run operator specs themselves.
@@ -61,6 +60,12 @@ SpecRunner = Callable[[PipelineStep, Mapping[str, Any], BudgetLease | None], Any
 #: the moment the step settles (``completed`` or ``stopped``).  The service
 #: layer streams these to polling clients.
 StepObserver = Callable[["StepReport"], None]
+
+#: A report's quote crosses the wire with its totals (:meth:`PipelineQuote.to_dict`).
+_QUOTE = FieldCodec(
+    lambda quote: None if quote is None else quote.to_dict(),
+    lambda data: None if data is None else from_wire(PipelineQuote, data),
+)
 
 
 @dataclass
@@ -95,34 +100,6 @@ class StepReport:
     restored: bool = False
     span_id: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-shaped view (what the service's job endpoints return)."""
-        return {
-            "name": self.name,
-            "status": self.status,
-            "cost": self.cost,
-            "calls": self.calls,
-            "allocation": self.allocation,
-            "description": self.description,
-            "restored": self.restored,
-            "span_id": self.span_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StepReport":
-        allocation = data.get("allocation")
-        span_id = data.get("span_id")
-        return cls(
-            name=str(data.get("name", "")),
-            status=str(data.get("status", "skipped")),
-            cost=float(data.get("cost", 0.0)),
-            calls=int(data.get("calls", 0)),
-            allocation=None if allocation is None else float(allocation),
-            description=str(data.get("description", "")),
-            restored=bool(data.get("restored", False)),
-            span_id=None if span_id is None else int(span_id),
-        )
-
 
 @dataclass
 class WorkflowReport:
@@ -143,7 +120,7 @@ class WorkflowReport:
     total_calls: int = 0
     stopped_early: bool = False
     stop_reason: str = ""
-    quote: "PipelineQuote | None" = None
+    quote: PipelineQuote | None = field(default=None, metadata={CODEC: _QUOTE})
     #: Root span id of this run's pipeline span (None until a run sets it).
     span_id: int | None = None
     #: Operational warnings (trace-ring drops, partial observability) —
@@ -174,8 +151,8 @@ class WorkflowReport:
         """Steps whose results came from a checkpoint store (zero new calls)."""
         return [name for name, step in self.step_reports.items() if step.restored]
 
-    def to_dict(self, *, include_results: bool = True) -> dict[str, Any]:
-        """A JSON-shaped view of the whole run.
+    def to_dict(self) -> dict[str, Any]:
+        """The run's wire form.
 
         Step results are encoded through the checkpoint codecs of
         :mod:`repro.store.checkpoint` — the same wire form resumable
@@ -188,66 +165,25 @@ class WorkflowReport:
 
         encoded: dict[str, Any] = {}
         unserialized: list[str] = []
-        if include_results:
-            for name, value in self.results.items():
-                if isinstance(value, OperatorResult):
-                    try:
-                        encoded[name] = json.loads(encode_result(value))
-                        continue
-                    except Exception:
-                        pass
-                unserialized.append(name)
-        return {
-            "results": encoded,
-            "unserialized_results": unserialized,
-            "step_order": list(self.step_order),
-            "waves": [list(wave) for wave in self.waves],
-            "step_reports": {
-                name: report.to_dict() for name, report in self.step_reports.items()
-            },
-            "total_cost": self.total_cost,
-            "total_prompt_tokens": self.total_prompt_tokens,
-            "total_completion_tokens": self.total_completion_tokens,
-            "total_calls": self.total_calls,
-            "stopped_early": self.stopped_early,
-            "stop_reason": self.stop_reason,
-            "quote": None if self.quote is None else self.quote.to_dict(),
-            "span_id": self.span_id,
-            "notes": list(self.notes),
-        }
+        for name, value in self.results.items():
+            if isinstance(value, OperatorResult):
+                try:
+                    encoded[name] = json.loads(encode_result(value))
+                    continue
+                except Exception:
+                    pass
+            unserialized.append(name)
+        return {**to_wire(self), "results": encoded, "unserialized_results": unserialized}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkflowReport":
         """Rebuild a report (results decoded through the checkpoint codecs)."""
-        from repro.core.planner import PipelineQuote
         from repro.store.checkpoint import decode_result  # breaks import cycle
 
-        results: dict[str, Any] = {}
-        for name, payload in dict(data.get("results", {})).items():
-            decoded = decode_result(json.dumps(payload))
-            if decoded is not None:
-                results[name] = decoded
-        quote_data = data.get("quote")
-        return cls(
-            results=results,
-            step_order=[str(name) for name in data.get("step_order", ())],
-            waves=[[str(name) for name in wave] for wave in data.get("waves", ())],
-            step_reports={
-                str(name): StepReport.from_dict(report)
-                for name, report in dict(data.get("step_reports", {})).items()
-            },
-            total_cost=float(data.get("total_cost", 0.0)),
-            total_prompt_tokens=int(data.get("total_prompt_tokens", 0)),
-            total_completion_tokens=int(data.get("total_completion_tokens", 0)),
-            total_calls=int(data.get("total_calls", 0)),
-            stopped_early=bool(data.get("stopped_early", False)),
-            stop_reason=str(data.get("stop_reason", "")),
-            quote=None if quote_data is None else PipelineQuote.from_dict(quote_data),
-            span_id=(
-                None if data.get("span_id") is None else int(data["span_id"])
-            ),
-            notes=[str(note) for note in data.get("notes", ())],
-        )
+        report = from_wire(cls, data)
+        decoded = {name: decode_result(json.dumps(value)) for name, value in report.results.items()}
+        report.results = {name: result for name, result in decoded.items() if result is not None}
+        return report
 
 
 class Workflow:

@@ -10,10 +10,9 @@ rationale) alongside the two lists that can be reproduced exactly.
 """
 
 from repro.data.citations import CitationCorpus, LabeledPair, generate_citation_corpus
-from repro.data.flavors import FLAVORS, chocolateyness_scores, flavor_oracle
+from repro.data.flavors import FLAVORS, flavor_oracle
 from repro.data.products import ImputationDataset, generate_buy_dataset, generate_restaurant_dataset
 from repro.data.record import Dataset, Record
-from repro.data.splits import train_validation_test_split
 from repro.data.words import WORDS, random_words
 
 __all__ = [
@@ -24,11 +23,9 @@ __all__ = [
     "LabeledPair",
     "Record",
     "WORDS",
-    "chocolateyness_scores",
     "flavor_oracle",
     "generate_buy_dataset",
     "generate_citation_corpus",
     "generate_restaurant_dataset",
     "random_words",
-    "train_validation_test_split",
 ]

@@ -45,11 +45,6 @@ FLAVORS: tuple[str, ...] = tuple(
 )
 
 
-def chocolateyness_scores() -> dict[str, float]:
-    """Return a copy of the flavor → latent chocolateyness score mapping."""
-    return dict(_CHOCOLATEYNESS)
-
-
 def flavor_oracle() -> Oracle:
     """Oracle that knows the chocolateyness ground truth."""
     oracle = Oracle()

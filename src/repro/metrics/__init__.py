@@ -1,9 +1,9 @@
 """Evaluation metrics used by the case studies and benchmarks.
 
-``kendall_tau_b``, ``kendall_tau_b_from_scores`` and ``spearman_rho`` are
-scipy's (the paper's reference numbers for Tables 1–2), and the first call to
-any of them in a process imports ``scipy.stats`` — about 0.8 s and 70 MB,
-once.  Everything else here, and ``import repro`` itself, loads without scipy.
+``kendall_tau_b`` is scipy's (the paper's reference numbers for Tables 1–2),
+and its first call in a process imports ``scipy.stats`` — about 0.8 s and
+70 MB, once.  Everything else here, and ``import repro`` itself, loads
+without scipy.
 """
 
 from repro.metrics.classification import (
@@ -14,19 +14,16 @@ from repro.metrics.classification import (
     precision,
     recall,
 )
-from repro.metrics.clustering import adjusted_rand_index, pairwise_cluster_f1
-from repro.metrics.ranking import kendall_tau_b, ranking_alignment, spearman_rho
+from repro.metrics.clustering import pairwise_cluster_f1
+from repro.metrics.ranking import kendall_tau_b
 
 __all__ = [
     "BinaryConfusion",
     "accuracy",
-    "adjusted_rand_index",
     "confusion_from_pairs",
     "f1_score",
     "kendall_tau_b",
     "pairwise_cluster_f1",
     "precision",
-    "ranking_alignment",
     "recall",
-    "spearman_rho",
 ]

@@ -1,13 +1,12 @@
 """Clustering / grouping metrics for whole-list entity resolution.
 
 When entity resolution is run as a single grouping task (Example 1.1 of the
-paper), the output is a partition of the records; pairwise F1 and the adjusted
-Rand index compare that partition against the ground-truth entity assignment.
+paper), the output is a partition of the records; pairwise F1 compares that
+partition against the ground-truth entity assignment.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -44,38 +43,3 @@ def pairwise_cluster_f1(
         )
         confusion.add(predicted, actual)
     return confusion
-
-
-def adjusted_rand_index(
-    predicted_labels: Mapping[Hashable, Hashable],
-    true_labels: Mapping[Hashable, Hashable],
-) -> float:
-    """Adjusted Rand index between two labelings of the same items.
-
-    Items present in only one labeling are ignored.  Returns 1.0 for identical
-    partitions and approximately 0.0 for random ones.
-    """
-    items = sorted(set(predicted_labels) & set(true_labels))
-    if not items:
-        return 0.0
-    n = len(items)
-    contingency: Counter[tuple[Hashable, Hashable]] = Counter(
-        (predicted_labels[item], true_labels[item]) for item in items
-    )
-    predicted_sizes: Counter[Hashable] = Counter(predicted_labels[item] for item in items)
-    true_sizes: Counter[Hashable] = Counter(true_labels[item] for item in items)
-
-    def choose2(value: int) -> float:
-        return value * (value - 1) / 2.0
-
-    sum_cells = sum(choose2(count) for count in contingency.values())
-    sum_predicted = sum(choose2(count) for count in predicted_sizes.values())
-    sum_true = sum(choose2(count) for count in true_sizes.values())
-    total_pairs = choose2(n)
-    if total_pairs == 0:
-        return 1.0
-    expected = sum_predicted * sum_true / total_pairs
-    maximum = (sum_predicted + sum_true) / 2.0
-    if maximum == expected:
-        return 1.0
-    return (sum_cells - expected) / (maximum - expected)

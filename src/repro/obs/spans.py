@@ -29,7 +29,7 @@ import contextvars
 import json
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -144,31 +144,6 @@ class Span:
             return None
         return max(0.0, self.end - self.start)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "kind": self.kind,
-            "label": self.label,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attributes": dict(self.attributes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> Span:
-        return cls(
-            span_id=int(payload["span_id"]),
-            parent_id=payload.get("parent_id"),
-            kind=str(payload.get("kind", "")),
-            label=str(payload.get("label", "")),
-            start=float(payload.get("start", 0.0)),
-            end=payload.get("end"),
-            status=str(payload.get("status", "ok")),
-            attributes=dict(payload.get("attributes") or {}),
-        )
-
 
 @dataclass
 class TraceRecord:
@@ -220,10 +195,6 @@ class TraceRecord:
     finish_reason: str = "stop"
     confidence: float = 1.0
     span_id: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        """A plain-dict view (JSON-shaped; what the store persists)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_span(cls, span: Span) -> TraceRecord:

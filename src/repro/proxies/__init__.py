@@ -9,7 +9,7 @@ similarity classifier that routes only uncertain pairs to the LLM.
 from repro.proxies.blocking import EmbeddingBlocker
 from repro.proxies.classifier import SimilarityMatchProxy
 from repro.proxies.knn import KNNImputer, NeighborVote
-from repro.proxies.similarity import jaccard_similarity, levenshtein_distance, token_cosine
+from repro.proxies.similarity import jaccard_similarity, token_cosine
 
 __all__ = [
     "EmbeddingBlocker",
@@ -17,6 +17,5 @@ __all__ = [
     "NeighborVote",
     "SimilarityMatchProxy",
     "jaccard_similarity",
-    "levenshtein_distance",
     "token_cosine",
 ]

@@ -34,41 +34,3 @@ def token_cosine(first: str, second: str) -> float:
     norm_first = math.sqrt(sum(value * value for value in counts_first.values()))
     norm_second = math.sqrt(sum(value * value for value in counts_second.values()))
     return dot / (norm_first * norm_second)
-
-
-def levenshtein_distance(first: str, second: str, *, max_distance: int | None = None) -> int:
-    """Edit distance between two strings.
-
-    Args:
-        first: first string.
-        second: second string.
-        max_distance: optional early-exit bound; when the true distance exceeds
-            it, any value greater than ``max_distance`` may be returned.
-    """
-    if first == second:
-        return 0
-    if not first:
-        return len(second)
-    if not second:
-        return len(first)
-    previous = list(range(len(second) + 1))
-    for row, char_first in enumerate(first, start=1):
-        current = [row]
-        best_in_row = row
-        for column, char_second in enumerate(second, start=1):
-            cost = 0 if char_first == char_second else 1
-            value = min(previous[column] + 1, current[column - 1] + 1, previous[column - 1] + cost)
-            current.append(value)
-            best_in_row = min(best_in_row, value)
-        if max_distance is not None and best_in_row > max_distance:
-            return best_in_row
-        previous = current
-    return previous[-1]
-
-
-def normalized_levenshtein(first: str, second: str) -> float:
-    """Levenshtein similarity normalised to [0, 1] (1 means identical)."""
-    if not first and not second:
-        return 1.0
-    distance = levenshtein_distance(first, second)
-    return 1.0 - distance / max(len(first), len(second))

@@ -49,6 +49,7 @@ from repro.exceptions import ReproError, SpecError
 from repro.service.admission import AdmissionController
 from repro.service.jobs import JobManager
 from repro.service.tenants import Tenant, TenantRegistry
+from repro.wire import to_wire
 
 Scope = dict[str, Any]
 Receive = Callable[[], Awaitable[dict[str, Any]]]
@@ -224,7 +225,7 @@ class ServiceApp:
             # must not be probeable across tenants.
             await _respond(send, 404, _error("not_found", f"no job {job_id!r}"))
             return
-        await _respond(send, 200, record.to_dict())
+        await _respond(send, 200, to_wire(record))
 
     async def _events(self, tenant: Tenant, job_id: str, send: Send) -> None:
         record = self.jobs.get(job_id)

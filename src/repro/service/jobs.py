@@ -35,6 +35,7 @@ from repro.core.spec import PipelineSpec
 from repro.core.spec_codec import pipeline_from_json, pipeline_to_json
 from repro.obs import trace_label
 from repro.store.jobs import JobRecord
+from repro.wire import to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workflow import StepReport
@@ -146,7 +147,7 @@ class JobManager:
                     # step synchronously — a deferred call_soon would let the
                     # final wave's step events land *after* the "done" event.
                     # From a worker thread, cross over threadsafely.
-                    payload = step_report.to_dict()
+                    payload = to_wire(step_report)
                     try:
                         running = asyncio.get_running_loop()
                     except RuntimeError:

@@ -31,6 +31,7 @@ from repro.core.session import PromptSession
 from repro.exceptions import ConfigurationError
 from repro.llm.base import LLMClient
 from repro.obs import MetricsRegistry, summarize_records
+from repro.wire import to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.llm.registry import ModelRegistry
@@ -137,7 +138,7 @@ class Tenant:
                 "unlimited": budget.unlimited,
             },
             "governor": (
-                None if self.governor is None else self.governor.stats_snapshot().to_dict()
+                None if self.governor is None else to_wire(self.governor.stats_snapshot())
             ),
             "traces": {**summarize_records(spans.records()), "dropped": spans.dropped_calls},
             "cache": (

@@ -48,7 +48,7 @@ class JobRecord:
         status: one of :data:`JOB_STATUSES`.
         pipeline_json: the submitted pipeline's JSON wire form (see
             :func:`~repro.core.spec_codec.pipeline_to_json`) — what a
-            resume re-parses and re-runs.
+            resume re-parses and re-runs.  Runtime-only: not in the job view.
         quote: the admission-time quote dict, when one was computed.
         report: the finished run's report dict
             (:meth:`~repro.core.workflow.WorkflowReport.to_dict`).
@@ -61,7 +61,7 @@ class JobRecord:
     job_id: str
     tenant: str
     status: str = "queued"
-    pipeline_json: str = ""
+    pipeline_json: str = field(default="", compare=False)
     quote: dict[str, Any] | None = None
     report: dict[str, Any] | None = None
     error: str | None = None
@@ -75,21 +75,6 @@ class JobRecord:
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATUSES
-
-    def to_dict(self) -> dict[str, Any]:
-        """The JSON-shaped view the service's job endpoints return."""
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "status": self.status,
-            "quote": self.quote,
-            "report": self.report,
-            "error": self.error,
-            "resumable": self.resumable,
-            "steps": dict(self.steps),
-            "submitted_seq": self.submitted_seq,
-            "updated_seq": self.updated_seq,
-        }
 
 
 def _loads(payload: Any) -> dict[str, Any] | None:

@@ -32,7 +32,7 @@ from typing import Any, Sequence
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CacheStats
 from repro.store.db import StoreDB
-from repro.tokenizer.cost import Usage
+from repro.wire import from_wire, to_wire
 
 
 #: The payload format's one encoder (``json.dumps`` builds one per call):
@@ -55,20 +55,7 @@ def _key(model: str, prompt: str, namespace: str = "") -> str:
 
 def encode_response(response: LLMResponse) -> str:
     """Serialise a response to the JSON payload stored on disk."""
-    return _PAYLOAD.encode(
-        {
-            "text": response.text,
-            "model": response.model,
-            "finish_reason": response.finish_reason,
-            "confidence": response.confidence,
-            "metadata": response.metadata,
-            "usage": {
-                "prompt_tokens": response.usage.prompt_tokens,
-                "completion_tokens": response.usage.completion_tokens,
-                "calls": response.usage.calls,
-            },
-        }
-    )
+    return _PAYLOAD.encode(to_wire(response))
 
 
 def _stored(db: StoreDB, keys: list[str], columns: str) -> list[tuple]:
@@ -85,21 +72,9 @@ def _stored(db: StoreDB, keys: list[str], columns: str) -> list[tuple]:
 
 
 def decode_response(payload: str) -> LLMResponse:
-    """Rebuild a response from its stored JSON payload."""
-    data = json.loads(payload)
-    usage = data.get("usage", {})
-    return LLMResponse(
-        text=data["text"],
-        model=data["model"],
-        usage=Usage(
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-            calls=int(usage.get("calls", 0)),
-        ),
-        finish_reason=data.get("finish_reason", "stop"),
-        confidence=float(data.get("confidence", 1.0)),
-        metadata=dict(data.get("metadata", {})),
-    )
+    """Rebuild a response from its stored JSON payload (``ValueError`` or
+    ``TypeError`` when the payload holds none)."""
+    return from_wire(LLMResponse, json.loads(payload))
 
 
 class PersistentResponseCache:
@@ -147,9 +122,11 @@ class PersistentResponseCache:
         touched (made most recently used) once per occurrence, in order.  A
         prompt which already missed in this call is not asked again: its
         later occurrences are ``None`` and count nothing (the caller serves
-        them once the first is answered).  ``keys`` (prompt -> key, for
-        ``model``) supplies known keys and receives those hashed here, so a
-        miss's :meth:`put` does not hash it again.
+        them once the first is answered).  A stored payload that holds no
+        readable response counts as a miss, and the miss's :meth:`put`
+        overwrites it.  ``keys`` (prompt -> key, for ``model``) supplies
+        known keys and receives those hashed here, so a miss's :meth:`put`
+        does not hash it again.
         """
         if keys is None:
             keys = {}
@@ -157,7 +134,7 @@ class PersistentResponseCache:
         for prompt in prompts:
             if prompt not in keys:
                 keys[prompt] = _key(model, prompt, namespace)
-        payloads: list[str | None] = [None] * len(prompts)
+        responses: list[LLMResponse | None] = [None] * len(prompts)
         db = self._db
         with db.lock:
             found: dict[str, str] = {}
@@ -174,14 +151,18 @@ class PersistentResponseCache:
             for index, prompt in enumerate(prompts):
                 key = keys[prompt]
                 payload = found.get(key)
-                if payload is not None:
+                try:
+                    response = None if payload is None else decode_response(payload)
+                except (ValueError, TypeError):  # unreadable: a miss, which its put overwrites
+                    response = None
+                if response is not None:
                     db.buffer(key)  # LRU touch: a hit becomes the most recently used entry
                     self.stats.hits += 1
-                    payloads[index] = payload
+                    responses[index] = response
                 elif key not in missed:
                     missed.add(key)
                     self.stats.misses += 1
-        return [None if payload is None else decode_response(payload) for payload in payloads]
+        return responses
 
     def contains(self, model: str, prompt: str) -> bool:
         """Whether a response is stored, without counting or touching it.

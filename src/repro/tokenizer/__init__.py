@@ -8,12 +8,11 @@ text length, and cheap.
 """
 
 from repro.tokenizer.cost import CostModel, PriceTable, Usage
-from repro.tokenizer.simple import SimpleTokenizer, count_tokens
+from repro.tokenizer.simple import SimpleTokenizer
 
 __all__ = [
     "CostModel",
     "PriceTable",
     "SimpleTokenizer",
     "Usage",
-    "count_tokens",
 ]

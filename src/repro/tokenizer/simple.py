@@ -111,11 +111,3 @@ class SimpleTokenizer:
             count = self.count
             found = [count(str(text)) if n is None else n for text, n in zip(texts, found)]
         return found  # type: ignore[return-value]
-
-
-_DEFAULT_TOKENIZER = SimpleTokenizer()
-
-
-def count_tokens(text: str) -> int:
-    """Count tokens in ``text`` using the module-level default tokenizer."""
-    return _DEFAULT_TOKENIZER.count(text)

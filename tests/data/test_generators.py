@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.data.citations import generate_citation_corpus, render_citation
-from repro.data.flavors import CHOCOLATEY, FLAVORS, chocolateyness_scores, flavor_oracle
+from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.data.products import generate_buy_dataset, generate_restaurant_dataset
-from repro.data.splits import train_validation_test_split
 from repro.data.words import WORDS, random_words
 from repro.exceptions import DatasetError
 
@@ -37,10 +36,6 @@ class TestFlavors:
     def test_twenty_flavors(self):
         assert len(FLAVORS) == 20
         assert len(set(FLAVORS)) == 20
-
-    def test_ground_truth_order_matches_scores(self):
-        scores = chocolateyness_scores()
-        assert list(FLAVORS) == sorted(FLAVORS, key=lambda flavor: -scores[flavor])
 
     def test_chocolate_flavors_at_top_fruit_at_bottom(self):
         assert "chocolate" in FLAVORS[0]
@@ -143,27 +138,3 @@ class TestImputationDatasets:
         first = generate_buy_dataset(60, seed=10)
         second = generate_buy_dataset(60, seed=10)
         assert first.ground_truth == second.ground_truth
-
-
-class TestSplits:
-    def test_three_way_split_sizes(self):
-        data = generate_restaurant_dataset(100, seed=11)
-        split = train_validation_test_split(
-            data.reference, validation_fraction=0.1, test_fraction=0.2, seed=1
-        )
-        total = len(split.train) + len(split.validation) + len(split.test)
-        assert total == len(data.reference)
-        assert len(split.validation) == pytest.approx(len(data.reference) * 0.1, abs=1)
-
-    def test_split_is_reproducible(self):
-        data = generate_restaurant_dataset(100, seed=11)
-        first = train_validation_test_split(data.reference, seed=2)
-        second = train_validation_test_split(data.reference, seed=2)
-        assert [r.record_id for r in first.test] == [r.record_id for r in second.test]
-
-    def test_invalid_fractions(self):
-        data = generate_restaurant_dataset(50, seed=12)
-        with pytest.raises(DatasetError):
-            train_validation_test_split(data.reference, validation_fraction=0.6, test_fraction=0.5)
-        with pytest.raises(DatasetError):
-            train_validation_test_split(data.reference, validation_fraction=-0.1)

@@ -14,6 +14,7 @@ from repro.exceptions import BudgetExceededError
 from repro.obs import Span, SpanTracker
 from repro.obs.spans import current_span_id
 from repro.store import Store
+from repro.wire import from_wire, to_wire
 
 
 class TestSpanTree:
@@ -313,4 +314,4 @@ class TestPersistence:
             status="ok",
             attributes={"tokens": 7},
         )
-        assert Span.from_dict(sp.to_dict()) == sp
+        assert from_wire(Span, to_wire(sp)) == sp

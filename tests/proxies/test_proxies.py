@@ -10,12 +10,7 @@ from repro.exceptions import ConfigurationError, DatasetError
 from repro.proxies.blocking import EmbeddingBlocker
 from repro.proxies.classifier import SimilarityMatchProxy
 from repro.proxies.knn import KNNImputer
-from repro.proxies.similarity import (
-    jaccard_similarity,
-    levenshtein_distance,
-    normalized_levenshtein,
-    token_cosine,
-)
+from repro.proxies.similarity import jaccard_similarity, token_cosine
 
 
 class TestSimilarity:
@@ -32,16 +27,6 @@ class TestSimilarity:
     def test_token_cosine_bounds(self):
         assert token_cosine("a b c", "a b c") == pytest.approx(1.0)
         assert token_cosine("a b", "x y") == 0.0
-
-    def test_levenshtein_basic(self):
-        assert levenshtein_distance("kitten", "sitting") == 3
-        assert levenshtein_distance("abc", "abc") == 0
-        assert levenshtein_distance("", "abc") == 3
-
-    def test_normalized_levenshtein(self):
-        assert normalized_levenshtein("abc", "abc") == 1.0
-        assert normalized_levenshtein("abc", "xyz") == 0.0
-
 
 class TestKNNImputer:
     def _reference(self) -> Dataset:

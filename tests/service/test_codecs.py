@@ -41,6 +41,7 @@ from repro.core.workflow import StepReport, WorkflowReport
 from repro.data.products import generate_restaurant_dataset
 from repro.exceptions import SpecError
 from repro.service import ServiceApp, ServiceClient, TenantConfig, TenantRegistry
+from repro.wire import from_wire, to_wire
 
 from _service_helpers import CRITERION, MODEL, PREDICATE, WORDS, demo_pipeline, make_client
 
@@ -240,7 +241,7 @@ class TestQuoteAndReportCodecs:
         data = json.loads(json.dumps(quote.to_dict()))
         assert data["total_calls"] == quote.total_calls
         assert data["total_dollars"] == pytest.approx(quote.total_dollars)
-        restored = type(quote).from_dict(data)
+        restored = from_wire(type(quote), data)
         assert restored.total_calls == quote.total_calls
         assert restored.total_dollars == pytest.approx(quote.total_dollars)
         assert set(restored.steps) == set(quote.steps)
@@ -250,7 +251,7 @@ class TestQuoteAndReportCodecs:
             name="sort", status="completed", cost=0.25, calls=7, allocation=1.0,
             description="sorts", restored=True,
         )
-        assert StepReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+        assert from_wire(StepReport, json.loads(json.dumps(to_wire(report)))) == report
 
     def test_workflow_report_roundtrips_results(self):
         engine = self._engine()

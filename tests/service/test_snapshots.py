@@ -16,6 +16,7 @@ from repro.core.governor import ConcurrencyGovernor, GovernorStats
 from repro.llm import Oracle, SimulatedLLM
 from repro.obs import summarize_records
 from repro.service.tenants import Tenant, TenantConfig
+from repro.wire import to_wire
 from tests.doubles import record_call
 
 
@@ -34,11 +35,11 @@ class TestGovernorSnapshot:
         assert snap.admitted == admitted
         assert governor.stats_snapshot().admitted == admitted + 1
 
-    def test_to_dict_is_json_shaped(self):
+    def test_wire_form_is_json_shaped(self):
         governor = ConcurrencyGovernor(rpm=600)
         with governor.admit(model="m", estimated_tokens=5):
             pass
-        data = governor.stats_snapshot().to_dict()
+        data = to_wire(governor.stats_snapshot())
         assert data["admitted"] == 1
         assert set(data) >= {"admitted", "throttled", "wait_seconds", "rate_limit_events"}
 
@@ -63,7 +64,7 @@ class TestGovernorSnapshot:
                     # admitted is monotone; a torn read could go backwards.
                     assert snap.admitted >= last
                     last = snap.admitted
-                    snap.to_dict()
+                    to_wire(snap)
             except BaseException as exc:  # pragma: no cover - the assertion
                 errors.append(exc)
 

@@ -115,6 +115,19 @@ class TestRoundTrip:
     def test_satisfies_cache_protocol(self, store):
         assert isinstance(store.response_cache(), ResponseCacheLike)
 
+    @pytest.mark.parametrize("payload", ["not json", '{"model": "m"}', '{"text": 7, "model": "m"}'])
+    def test_an_unreadable_row_is_a_miss_and_its_put_overwrites_it(self, store, payload):
+        cache = store.response_cache()
+        cache.put("m", "p", response("stale"))
+        store.db.flush()
+        store.db.execute("UPDATE cache SET payload = ?", (payload,))
+        client = CountingClient()
+        cached = CachedClient(client, cache=cache)
+        assert cached.complete("p", model="m").text == "echo:p"
+        assert (client.calls, cache.stats.hits, cache.stats.misses) == (1, 0, 1)
+        assert cache.get("m", "p").text == "echo:p"
+        assert cache.stats.hits == 1
+
 
 class TestProbing:
     """``contains`` / ``contains_many``: what the quote path asks, without serving."""

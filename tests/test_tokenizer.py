@@ -27,7 +27,7 @@ from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer import simple
 from repro.tokenizer.cost import CostModel, CostSummary, PriceTable, Usage
-from repro.tokenizer.simple import SimpleTokenizer, count_tokens
+from repro.tokenizer.simple import SimpleTokenizer
 
 _PIECE_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -110,10 +110,6 @@ class TestSimpleTokenizer:
         second = tokenizer.count("memoized text")
         assert first == second
 
-    def test_module_level_count_tokens(self):
-        # Three words of at most four characters each -> exactly three tokens.
-        assert count_tokens("one two six") == 3
-
     def test_unicode_text_tokenizes(self):
         assert SimpleTokenizer().count("café résumé") >= 2
 
@@ -144,7 +140,6 @@ class TestSimpleTokenizer:
         # one's count: the memo is the process's, not the instance's.
         simple._MEMOS[tokenizer.chunk_size][listing] = -1
         assert SimpleTokenizer().count(listing) == -1
-        assert count_tokens(listing) == -1
 
     def test_the_entry_bound_holds_across_instances(self, monkeypatch):
         monkeypatch.setattr(simple, "_MEMO_MAX_ENTRIES", 3)

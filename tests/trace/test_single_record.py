@@ -29,6 +29,7 @@ from repro.exceptions import UnknownModelError
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import SpanTracker, TraceRecord, replay_trace, trace_label
 from repro.query import Dataset
+from repro.wire import to_wire
 from tests.query.support import MODEL, clean_engine, product_corpus
 
 #: sha256 over the sorted records (ids and durations left out) of the two
@@ -47,7 +48,7 @@ DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
 def digest(records: list[TraceRecord]) -> tuple[str, int]:
     rows = []
     for record in records:
-        fields = record.to_dict()
+        fields = to_wire(record)
         for name in ("call_id", "span_id", "duration_ms"):
             del fields[name]
         rows.append(json.dumps(fields, sort_keys=True))

@@ -19,6 +19,7 @@ from repro.obs.spans import (
     trace_label,
 )
 from repro.store import Store
+from repro.wire import to_wire
 from tests.doubles import record_call
 
 
@@ -106,8 +107,8 @@ class TestStoreFlush:
         record_call(spans, prompt="boom", error="UnknownModelError")
         assert spans.flush() == 2
         loaded = store.trace_records(origin=spans.origin)
-        assert [record.to_dict() for record in loaded] == [
-            record.to_dict() for record in spans.records()
+        assert [to_wire(record) for record in loaded] == [
+            to_wire(record) for record in spans.records()
         ]
         assert store.trace_count() == 2
 
