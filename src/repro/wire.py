@@ -69,7 +69,7 @@ def wire_fields(
 @cache
 def _plan(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], Any]]:
     """``(encode, decode)`` of ``cls``, written out once the way :mod:`dataclasses`
-    writes an ``__init__``: no per-field dispatch, as fast as a hand-written dict."""
+    writes an ``__init__``, so a record crosses with no per-field dispatch."""
     namespace: dict[str, Any] = {"cls": cls, "_typed": _typed}
     encoded, decoded = [], ["def decode(data):", "    _typed(data, dict)", "    values = {}"]
     for index, (field, encode, decode) in enumerate(wire_fields(cls)):
