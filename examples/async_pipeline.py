@@ -13,8 +13,10 @@ latency, then
 
 1. saturates it through the async executor at concurrency 64 and compares
    the wall-clock against the thread-pool path at its default pool size,
-2. re-runs the fan-out under a :class:`~repro.core.ConcurrencyGovernor`
-   with an RPM quota, showing dispatch pacing out at the configured rate,
+2. re-runs the fan-out with the backend behind a
+   :class:`~repro.core.BackendGate` whose
+   :class:`~repro.core.ConcurrencyGovernor` has an RPM quota, showing
+   dispatch pacing out at the configured rate,
 3. awaits a two-branch DAG pipeline on the asyncio scheduler
    (``asyncio.run(engine.run_pipeline_async(spec))``) and checks it
    produces the same report as ``engine.run_pipeline(spec)``.
@@ -27,7 +29,7 @@ import threading
 import time
 
 from repro import DeclarativeEngine, SimulatedLLM
-from repro.core import ConcurrencyGovernor
+from repro.core import BackendGate, ConcurrencyGovernor
 from repro.core.executor import DEFAULT_POOL_SIZE, AsyncBatchExecutor, BatchExecutor
 from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
@@ -88,11 +90,10 @@ def governed_fanout() -> None:
     # An RPM quota paces dispatch no matter how wide the fan-out is.  1200
     # requests/minute = 20/s with burst 1, so 48 calls take ~2.4s of pacing
     # even though the latency alone would finish in well under a second at
-    # concurrency 64.
+    # concurrency 64.  The gate admits every call that reaches the backend;
+    # a session puts one below its response cache.
     governor = ConcurrencyGovernor(rpm=1200, burst=1, max_in_flight=32)
-    executor = AsyncBatchExecutor(
-        AsyncLatencyClient(), max_concurrency=64, governor=governor
-    )
+    executor = AsyncBatchExecutor(BackendGate(AsyncLatencyClient(), governor), max_concurrency=64)
     prompts = [f"governed task {i}" for i in range(48)]
     started = time.perf_counter()
     asyncio.run(executor.run(prompts))

@@ -16,6 +16,7 @@ from repro.core.executor import (
     TaskOutcome,
 )
 from repro.core.governor import (
+    BackendGate,
     ConcurrencyGovernor,
     GovernorStats,
     ModelRate,
@@ -56,6 +57,7 @@ __all__ = [
     "BatchExecutor",
     "BatchRequest",
     "Budget",
+    "BackendGate",
     "ConcurrencyGovernor",
     "GovernorStats",
     "ModelRate",

@@ -84,9 +84,12 @@ class Budget:
         Raises:
             BudgetExceededError: if the charge would exceed the limit.  The
                 charge is still recorded so callers can report the overshoot.
+                A zero charge (a cache hit) records nothing and never raises.
         """
         if amount < 0:
             raise ConfigurationError("cannot charge a negative amount")
+        if amount == 0.0:
+            return
         with self._lock:
             self.spent += amount
             spent = self.spent
@@ -211,10 +214,13 @@ class BudgetLease:
         Raises:
             BudgetExceededError: if the charge pushes past the allocation
                 (or the parent's limit).  Like :meth:`Budget.charge`, the
-                charge is still recorded so callers can report overshoot.
+                charge is still recorded so callers can report overshoot,
+                and a zero charge records nothing.
         """
         if amount < 0:
             raise ConfigurationError("cannot charge a negative amount")
+        if amount == 0.0:
+            return
         with self._lock:
             self._own_spent += amount
             own = self._own_spent

@@ -25,10 +25,13 @@ bag may go out so — and helpers join once it stalls (see
 Everything the two executors decide — request normalisation, when calls of a
 bag may go to the client as native batches (one rule, ``_native``: for the
 whole bag at width 1, for runs above it), the temperature-0 dedup partition,
-the budget pre-check, governor feedback, which failure surfaces, what ``map``
-reports — is written once in :class:`_ExecutorCore`, as sans-IO bodies in the
-sense of :mod:`repro.llm.base`.  The two public classes add only how a body
-is driven (on the calling thread, or awaited) and how several are fanned out.
+which failure surfaces, what ``map`` reports — is written once in
+:class:`_ExecutorCore`, as sans-IO bodies in the sense of
+:mod:`repro.llm.base`.  The two public classes add only how a body is driven
+(on the calling thread, or awaited) and how several are fanned out.
+
+Admission, pacing and the budget pre-check happen below the cache, in a
+session's :class:`~repro.core.BackendGate`.
 
 A native batch that fails part-way has made the calls before the failing
 one: the session books them like a success (:func:`~repro.llm.base.
@@ -45,10 +48,10 @@ Two reliability hooks ride along:
 * *Retry integration* — pass a ``validator`` (plus ``max_retries``) and every
   unit task is wrapped in the :class:`~repro.llm.retry.RetryingClient`
   semantics, with aggregate stats exposed as :attr:`BatchExecutor.retry_stats`.
-* *Budget-aware early stopping* — pass a :class:`~repro.core.budget.Budget`
-  and the executor checks remaining funds before dispatching each unit task,
-  raising :class:`~repro.exceptions.BudgetExceededError` without issuing the
-  rest of the batch once the budget is exhausted.
+* *Budget-aware early stopping* — pass the limited budget (or lease) a
+  session client charges and the bag goes out one unit task at a time, each
+  charged before the next reaches the gate, which raises
+  :class:`~repro.exceptions.BudgetExceededError` once it is exhausted.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 
 from repro.core.budget import Budget, BudgetLease
-from repro.core.governor import ConcurrencyGovernor, estimated_prompt_tokens, is_rate_limit
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
 from repro.llm.retry import RetryingClient, RetryStats
@@ -115,12 +117,8 @@ class TaskOutcome:
 
 
 class _BudgetPreCheckStop(Exception):
-    """Internal: a map() task failed the pre-dispatch budget check.
-
-    Distinguishes "the budget died before this task started" from "this task
-    ran and raised", so the outcome can be reported as skipped rather than
-    as a mid-task failure.
-    """
+    """Internal: a ``map`` task the budget turned away before it started,
+    reported as skipped rather than as a failure of the task."""
 
     def __init__(self, error: BudgetExceededError) -> None:
         super().__init__(str(error))
@@ -204,29 +202,6 @@ def _settling(bag: SettleBag | None) -> Iterator[None]:
             bag.close()
 
 
-class _Admitted:
-    """Request: make ``call`` while holding one of the governor's admission slots."""
-
-    __slots__ = ("governor", "call")
-
-    def __init__(self, governor: ConcurrencyGovernor, call: Call) -> None:
-        self.governor = governor
-        self.call = call
-
-    def _estimate(self) -> int:
-        return estimated_prompt_tokens(self.call.prompts[0])
-
-    def run(self) -> list[LLMResponse]:
-        with self.governor.admit(self.call.model, estimated_tokens=self._estimate()):
-            return self.call.run()
-
-    async def arun(self) -> list[LLMResponse]:
-        async with self.governor.admit_async(
-            self.call.model, estimated_tokens=self._estimate()
-        ):
-            return await self.call.arun()
-
-
 class _RunTask:
     """Request: run one ``map`` task.
 
@@ -255,9 +230,10 @@ class _RunTask:
 class _ExecutorCore:
     """Every decision of batch execution, once; see the module docstring.
 
-    What is per call and what is per bag: the budget pre-check, admission and
-    — in the session — tracking, pricing and charging happen per unit task,
-    before the next one is dispatched.  ``run`` (both dispatch shapes, both
+    What is per call and what is per bag: the session tracks, prices and
+    charges each call as it settles, so under a limited budget — where every
+    call is its own unit task — the gate sees each charge before the next
+    call reaches it.  ``run`` (both dispatch shapes, both
     drivers) additionally opens one :class:`SettleBag` scope: a session
     reached through it records the settled calls — spans, ``repro_*``
     metrics, runtime stats — in runs of the ring's flush bound and, in a
@@ -277,12 +253,9 @@ class _ExecutorCore:
             one only while calls wait; for :class:`AsyncBatchExecutor`
             (default 16) it is the number of simultaneously pending awaits.
         budget: optional budget (or per-step :class:`~repro.core.budget.
-            BudgetLease`) checked before each dispatch for early stopping.
-        governor: optional :class:`~repro.core.governor.ConcurrencyGovernor`
-            every unit-task dispatch is admitted through (RPM/TPM quotas,
-            in-flight cap, adaptive backoff).  Sharing one governor between a
-            :class:`BatchExecutor` and an :class:`AsyncBatchExecutor` gives
-            sync and async traffic a single admission point.
+            BudgetLease`) the client's calls are charged to.  A limited one
+            sends the bag one unit task at a time, so it can stop the bag
+            between calls, and ``map`` checks it before each task.
         validator: optional response-text validator enabling per-call retries
             (see :class:`~repro.llm.retry.RetryingClient`).
         max_retries: additional attempts per unit task when a validator is set.
@@ -300,7 +273,6 @@ class _ExecutorCore:
         *,
         max_concurrency: int | None = None,
         budget: Budget | BudgetLease | None = None,
-        governor: ConcurrencyGovernor | None = None,
         validator: Callable[[str], Any] | None = None,
         max_retries: int = 2,
         retry_temperature: float = 0.7,
@@ -312,7 +284,6 @@ class _ExecutorCore:
             raise ConfigurationError("max_concurrency must be at least 1")
         self.max_concurrency = max_concurrency
         self.budget = budget
-        self.governor = governor
         self.instruments = instruments
         if validator is not None:
             client = RetryingClient(
@@ -361,19 +332,16 @@ class _ExecutorCore:
     def _native(self, requests: Sequence[BatchRequest]) -> bool:
         """Whether calls of this bag may go to the client as native batches.
 
-        The common operator case: shared parameters, no budget limit to
-        check between calls and no governor to admit each dispatch.
-        Otherwise — heterogeneous parameters (e.g. ensemble votes across
-        models), a limit that must be able to stop the bag mid-way, or a
-        governor — every call is its own unit task, charged before the next
-        one goes out.
+        The common operator case: shared parameters and no budget limit to
+        check between calls.  Otherwise — heterogeneous parameters (e.g.
+        ensemble votes across models), or a limit that must be able to stop
+        the bag mid-way — every call is its own unit task, charged before
+        the next one goes out.
         """
         first = requests[0]
         params = (first.model, first.temperature, first.max_tokens)
-        return (
-            all((r.model, r.temperature, r.max_tokens) == params for r in requests)
-            and (self.budget is None or self.budget.unlimited)
-            and self.governor is None
+        return all((r.model, r.temperature, r.max_tokens) == params for r in requests) and (
+            self.budget is None or self.budget.unlimited
         )
 
     def _run_sequential(self, requests: Sequence[BatchRequest]) -> Body:
@@ -426,23 +394,11 @@ class _ExecutorCore:
         return Call(self._client, prompts, like.model, like.temperature, like.max_tokens, single)
 
     def _unit(self, request: BatchRequest) -> Body:
-        """Body of one unit task: pre-check, gauges, admission, the call, feedback."""
-        self._check_budget()
+        """Body of one unit task: the call, counted by the gauges."""
         if self.instruments is not None:
             self.instruments.note_task_started()
         try:
-            call = self._call([request.prompt], request, single=True)
-            governor = self.governor
-            if governor is None:
-                (response,) = yield call
-                return response
-            try:
-                (response,) = yield _Admitted(governor, call)
-            except BaseException as exc:
-                if is_rate_limit(exc):
-                    governor.record_failure(exc)
-                raise
-            governor.record_success()
+            (response,) = yield self._call([request.prompt], request, single=True)
             return response
         finally:
             if self.instruments is not None:
@@ -458,11 +414,6 @@ class _ExecutorCore:
         finally:
             if self.instruments is not None:
                 self.instruments.note_task_done(len(prompts))
-
-    def _check_budget(self) -> None:
-        budget = self.budget
-        if budget is not None and not budget.unlimited and budget.remaining <= 0.0:
-            raise BudgetExceededError(budget.spent, budget.limit)
 
     def _map(self, tasks: Sequence[Callable[[], Any]]) -> Body:
         """Body of ``map``: one :class:`TaskOutcome` per task, in input order."""
@@ -505,10 +456,9 @@ class _ExecutorCore:
 
     def _guarded(self, task: Callable[[], Any]) -> Body:
         """Body of one ``map`` task: the budget pre-check, then the task."""
-        try:
-            self._check_budget()
-        except BudgetExceededError as exc:
-            raise _BudgetPreCheckStop(exc) from exc
+        budget = self.budget
+        if budget is not None and not budget.unlimited and budget.remaining <= 0.0:
+            raise _BudgetPreCheckStop(BudgetExceededError(budget.spent, budget.limit))
         return (yield _RunTask(task))
 
 
@@ -534,7 +484,7 @@ class BatchExecutor(_ExecutorCore):
 
         Plain strings are promoted to default-parameter :class:`BatchRequest`
         objects.  Raises :class:`~repro.exceptions.BudgetExceededError` before
-        dispatching further unit tasks once an attached budget is exhausted.
+        a further unit task reaches the backend once the budget is exhausted.
         The first failure cancels queued (not in-flight) unit tasks and is
         re-raised deterministically (the earliest request among those that
         ran), and temperature-0 duplicates of one (model, prompt) wait for

@@ -1,15 +1,16 @@
-"""Rate-limited admission control for LLM dispatch.
+"""Admission control and the budget pre-check, at the one place calls reach the backend.
 
 Serving heavy multi-user traffic means the runtime — not each caller — has to
 respect the backend's operating envelope: requests-per-minute and
 tokens-per-minute quotas, a cap on simultaneous in-flight calls, and backing
 off when the backend starts returning 429-style
 :class:`~repro.exceptions.RateLimitError` signals.  The
-:class:`ConcurrencyGovernor` is the single admission point for all of that:
-both the threaded :class:`~repro.core.executor.BatchExecutor` and the
-asyncio-native :class:`~repro.core.executor.AsyncBatchExecutor` route every
-unit-task dispatch through one governor instance, so sync and async traffic
-share the same token buckets, the same in-flight slots, and the same adaptive
+:class:`ConcurrencyGovernor` holds all of that, and :class:`BackendGate` is
+where calls meet it: a client wrapper directly around the backend, below a
+session's response cache, so it sees exactly the calls that reach the
+backend — however they reach the session, from the sync or the async
+executor, a native batch or a unit task — and no cache hit.  Sync and async
+traffic share one governor's token buckets, in-flight slots and adaptive
 backoff state.
 
 Design notes:
@@ -23,30 +24,35 @@ Design notes:
   :class:`~repro.exceptions.RateLimitError` carrying ``retry_after`` imposes
   at least that cooldown; without a hint the governor backs off
   exponentially, and any successful dispatch resets the failure streak.
-* **Slots** bound simultaneous in-flight calls with a semaphore shared by
-  both execution paths (the async side acquires it without ever blocking the
-  event loop).
+* **Slots** bound simultaneous in-flight dispatches with a semaphore shared
+  by both execution paths (the async side acquires it without ever blocking
+  the event loop).  A batch of calls holds one slot.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
 import time
 from contextlib import asynccontextmanager, contextmanager
 from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Callable, Iterator
 
-from repro.exceptions import ConfigurationError, RateLimitError
+from repro.core.budget import Budget, BudgetLease
+from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
+from repro.llm.base import BaseClient, Body, Call, LLMResponse, answered_prefix
+
+#: The budget (or lease) the running context's calls are charged to, named by
+#: the session around each dispatch for :class:`BackendGate`; ``None`` outside.
+CHARGE_TARGET: contextvars.ContextVar[Budget | BudgetLease | None] = contextvars.ContextVar(
+    "repro_charge_target", default=None
+)
 
 
 def estimated_prompt_tokens(prompt: str) -> int:
-    """Cheap pre-dispatch token estimate for TPM accounting (chars / 4).
-
-    The governor needs an estimate *before* the call goes out (the true count
-    is only known afterwards), and the standard chars/4 heuristic is accurate
-    enough for pacing purposes.
-    """
+    """Cheap pre-dispatch token estimate for TPM pacing (chars / 4): the true
+    count is only known after the call."""
     return max(1, len(prompt) // 4)
 
 
@@ -112,14 +118,9 @@ class ModelRate:
 
 @dataclass
 class GovernorStats:
-    """Counters describing one governor's admission history.
-
-    The live instance on a governor is mutated under the governor's lock;
-    concurrent readers (the service's usage endpoint, monitoring threads)
-    should take :meth:`ConcurrencyGovernor.stats_snapshot` instead of
-    reading the live fields, so every field of what they see comes from one
-    consistent instant.
-    """
+    """One governor's admission history (concurrent readers take
+    :meth:`ConcurrencyGovernor.stats_snapshot`).  ``admitted`` counts backend
+    calls: a batch that raised part-way keeps only the calls it made."""
 
     admitted: int = 0
     throttled: int = 0
@@ -189,14 +190,17 @@ class ConcurrencyGovernor:
     # -- admission ----------------------------------------------------------------
 
     @contextmanager
-    def admit(self, model: str | None = None, *, estimated_tokens: float = 0.0) -> Iterator[None]:
-        """Admit one sync dispatch: wait out quotas/backoff, hold a slot."""
-        wait = self._admission_wait(model, estimated_tokens)
+    def admit(
+        self, model: str | None = None, *, estimated_tokens: float = 0.0, calls: int = 1
+    ) -> Iterator[None]:
+        """Admit one sync dispatch of ``calls`` calls: wait out quotas/backoff,
+        hold one slot.  The calls are debited from the RPM bucket together."""
+        wait = self._admission_wait(model, estimated_tokens, calls)
         if wait > 0:
             self._sleep(wait)
         if self._slots is not None:
             self._slots.acquire()
-        self._note_dispatch(wait)
+        self._note_dispatch(wait, calls)
         try:
             yield
         finally:
@@ -204,7 +208,7 @@ class ConcurrencyGovernor:
 
     @asynccontextmanager
     async def admit_async(
-        self, model: str | None = None, *, estimated_tokens: float = 0.0
+        self, model: str | None = None, *, estimated_tokens: float = 0.0, calls: int = 1
     ) -> AsyncIterator[None]:
         """Admit one async dispatch without ever blocking the event loop.
 
@@ -213,13 +217,13 @@ class ConcurrencyGovernor:
         and an async task contend for the same slots fairly enough for
         admission purposes while the loop stays responsive.
         """
-        wait = self._admission_wait(model, estimated_tokens)
+        wait = self._admission_wait(model, estimated_tokens, calls)
         if wait > 0:
             await asyncio.sleep(wait)
         if self._slots is not None:
             while not self._slots.acquire(blocking=False):
                 await asyncio.sleep(0.001)
-        self._note_dispatch(wait)
+        self._note_dispatch(wait, calls)
         try:
             yield
         finally:
@@ -228,14 +232,9 @@ class ConcurrencyGovernor:
     # -- feedback -----------------------------------------------------------------
 
     def bind_instruments(self, instruments) -> None:
-        """Mirror admission counters into a metrics registry.
-
-        Sessions call this with their :class:`~repro.obs.SessionInstruments`
-        so the governor's admissions/waits/rate-limit events show up in
-        ``GET /metrics`` under that session's tenant label.  Only one
-        binding is kept (latest wins) — a governor is owned by one tenant
-        in the service topology.
-        """
+        """Mirror admission counters into a session's
+        :class:`~repro.obs.SessionInstruments` (``GET /metrics``, under its
+        tenant label); the latest binding wins."""
         self._instruments = instruments
 
     def record_success(self) -> None:
@@ -266,15 +265,9 @@ class ConcurrencyGovernor:
         return delay
 
     def stats_snapshot(self) -> GovernorStats:
-        """A lock-consistent copy of the admission counters.
-
-        Taken under the same lock every mutation holds, so the returned
-        instance is internally consistent (``throttled`` never exceeds
-        ``admitted``, ``wait_seconds`` matches the throttles it counts) and
-        safe to read field-by-field from a concurrent request handler while
-        dispatches keep flowing.  The copy is detached: later admissions do
-        not mutate it.
-        """
+        """A detached copy of the admission counters, taken under the lock
+        every mutation holds, so its fields come from one instant
+        (``throttled`` never exceeds ``admitted``)."""
         with self._lock:
             return replace(self.stats)
 
@@ -314,12 +307,12 @@ class ConcurrencyGovernor:
         tpm = override.tpm if override is not None and override.tpm is not None else self.default_tpm
         return rpm, tpm
 
-    def _admission_wait(self, model: str | None, estimated_tokens: float) -> float:
+    def _admission_wait(self, model: str | None, estimated_tokens: float, calls: int) -> float:
         rpm, tpm = self._rates_for(model)
         wait = 0.0
         rpm_bucket = self._bucket(self._rpm_buckets, model, rpm)
         if rpm_bucket is not None:
-            wait = max(wait, rpm_bucket.reserve(1.0))
+            wait = max(wait, rpm_bucket.reserve(calls))
         tpm_bucket = self._bucket(self._tpm_buckets, model, tpm)
         if tpm_bucket is not None and estimated_tokens > 0:
             wait = max(wait, tpm_bucket.reserve(estimated_tokens))
@@ -327,9 +320,9 @@ class ConcurrencyGovernor:
             wait = max(wait, self._cooldown_until - self._clock())
         return max(0.0, wait)
 
-    def _note_dispatch(self, wait: float) -> None:
+    def _note_dispatch(self, wait: float, calls: int) -> None:
         with self._lock:
-            self.stats.admitted += 1
+            self.stats.admitted += calls
             if wait > 0:
                 self.stats.throttled += 1
                 self.stats.wait_seconds += wait
@@ -337,7 +330,12 @@ class ConcurrencyGovernor:
             self.stats.max_in_flight = max(self.stats.max_in_flight, self._in_flight)
             in_flight = self._in_flight
         if self._instruments is not None:
-            self._instruments.note_admission(wait, in_flight)
+            self._instruments.note_admission(wait, in_flight, calls)
+
+    def _take_back(self, calls: int) -> None:
+        """Admitted calls that were never made leave :attr:`stats`."""
+        with self._lock:
+            self.stats.admitted -= calls
 
     def _release_slot(self) -> None:
         with self._lock:
@@ -350,9 +348,79 @@ class ConcurrencyGovernor:
 
 
 def is_rate_limit(error: BaseException) -> bool:
-    """Whether an exception is the taxonomy's rate-limit signal.
-
-    The executors use this to decide which failures feed the governor's
-    adaptive backoff (parse failures and budget breaches must not).
-    """
+    """Whether an exception is the taxonomy's rate-limit signal: the one
+    failure that feeds the governor's backoff (a parse failure must not)."""
     return isinstance(error, RateLimitError)
+
+
+class _Admission:
+    """Request: make ``call`` under one admission of all of its calls."""
+
+    __slots__ = ("governor", "call", "admission")
+
+    def __init__(self, governor: ConcurrencyGovernor, call: Call) -> None:
+        self.governor, self.call = governor, call
+        tokens = sum(estimated_prompt_tokens(prompt) for prompt in call.prompts)
+        self.admission = {"estimated_tokens": tokens, "calls": len(call.prompts)}
+
+    def run(self) -> list[LLMResponse]:
+        with self.governor.admit(self.call.model, **self.admission):
+            return self.call.run()
+
+    async def arun(self) -> list[LLMResponse]:
+        async with self.governor.admit_async(self.call.model, **self.admission):
+            return await self.call.arun()
+
+
+class BackendGate(BaseClient):
+    """A client wrapper directly around the backend, below a session's cache.
+
+    It refuses the calls it forwards with :class:`~repro.exceptions.
+    BudgetExceededError` once the budget they are charged to
+    (:data:`CHARGE_TARGET`) is spent, admits them through ``governor`` (a
+    batch of n as one admission of n) and reports to its backoff.
+    """
+
+    def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
+        self._client = client
+        self.governor = governor
+
+    @staticmethod
+    def _check_budget() -> None:
+        target = CHARGE_TARGET.get()
+        if target is not None and not target.unlimited and target.remaining <= 0.0:
+            raise BudgetExceededError(target.spent, target.limit)
+
+    def _body(self, call: Call) -> Body:
+        self._check_budget()
+        inner = call.to(self._client)
+        governor = self.governor
+        if governor is None:
+            return (yield inner)
+        try:
+            responses = yield _Admission(governor, inner)
+        except BaseException as exc:
+            if is_rate_limit(exc):
+                governor.record_failure(exc)
+            # The calls after the one that raised were admitted but never made.
+            answered = answered_prefix(exc, inner.prompts)
+            if answered is not None:
+                governor._take_back(len(inner.prompts) - len(answered) - 1)
+            raise
+        governor.record_success()
+        return responses
+
+    def complete(self, prompt: str, *, model: str | None = None, **params) -> LLMResponse:
+        """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
+        self._check_budget()
+        governor = self.governor
+        if governor is None:
+            return self._client.complete(prompt, model=model, **params)
+        try:
+            with governor.admit(model, estimated_tokens=estimated_prompt_tokens(prompt)):
+                response = self._client.complete(prompt, model=model, **params)
+        except RateLimitError as exc:
+            governor.record_failure(exc)
+            raise
+        governor.record_success()
+        return response

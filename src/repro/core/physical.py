@@ -169,11 +169,6 @@ class PhysicalPlanner:
             "cost_model": self.session.cost_model,
             "max_concurrency": self.session.max_concurrency,
             "budget": budget if budget is not None else self.session.budget,
-            # One admission point for the whole pipeline: every operator the
-            # engine builds shares the session's governor (rate limits and
-            # in-flight slots are global properties of the backend, not of
-            # any single operator).
-            "governor": self.session.governor,
         }
 
     def build_operator(

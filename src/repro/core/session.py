@@ -11,6 +11,9 @@ engine thread their independent unit tasks through a
 controls the parallelism of every LLM-bound loop in the workflow.  The
 session's cache, tracker, and budget are all thread-safe, so the concurrent
 path never loses accounting updates.
+
+The client stack is ``CachedClient`` over the backend's
+:class:`~repro.core.governor.BackendGate`: a cache hit crosses no control.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.budget import Budget, BudgetLease
 from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
-from repro.core.governor import ConcurrencyGovernor
+from repro.core.governor import CHARGE_TARGET, BackendGate, ConcurrencyGovernor
 from repro.core.stats import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
 from repro.llm.base import (
@@ -123,9 +126,8 @@ class PromptSession:
         max_concurrency: how many independent unit tasks operators keep in
             flight; 1 (the default) keeps everything sequential.
         governor: optional :class:`~repro.core.governor.ConcurrencyGovernor`
-            every executor built from this session routes its dispatches
-            through — one admission point (RPM/TPM quotas, in-flight cap,
-            adaptive backoff) shared by the sync and async execution paths.
+            that admits every call reaching the backend (RPM/TPM quotas,
+            in-flight cap, adaptive backoff), sync or async, and no cache hit.
         store: optional durable :class:`~repro.store.Store`.  When given,
             the response cache lives in the store (temperature-0 calls are
             free across process lifetimes) and the saved workload profile —
@@ -185,7 +187,8 @@ class PromptSession:
         self.spans = SpanTracker(store=store, on_drop=self.instruments.note_trace_dropped)
         if governor is not None:
             governor.bind_instruments(self.instruments)
-        self._client: LLMClient = CachedClient(client, self.cache) if use_cache else client
+        gate = BackendGate(client, governor)
+        self._client: LLMClient = CachedClient(gate, self.cache) if use_cache else gate
 
     def complete(
         self,
@@ -209,6 +212,7 @@ class PromptSession:
         """
         target = budget if budget is not None else self.budget
         model_name = model or DEFAULT_CHAT_MODEL
+        token = CHARGE_TARGET.set(target)
         start = time.perf_counter()
         try:
             response = self._client.complete(
@@ -217,6 +221,8 @@ class PromptSession:
         except Exception as exc:
             self._trace_failure(prompt, model_name, temperature, start, time.perf_counter(), exc)
             raise
+        finally:
+            CHARGE_TARGET.reset(token)
         end = time.perf_counter()
         return self._settle([prompt], [response], temperature, target, start, end)[0]
 
@@ -231,9 +237,10 @@ class PromptSession:
     ) -> list[LLMResponse]:
         """Issue a whole batch through the session: cache, track, and charge it.
 
-        The batch is dispatched as one unit, so the budget is checked up front
-        and charged per response afterwards; callers that need a spend limit
-        to interrupt a batch *between* unit tasks should dispatch through a
+        The batch is dispatched as one unit: the gate refuses its calls that
+        would reach the backend once the budget is spent, and each response
+        is charged afterwards.  Callers that need a spend limit to interrupt
+        a batch *between* unit tasks should dispatch through a
         :class:`~repro.core.executor.BatchExecutor` with the session budget
         attached (operators constructed by the engine do exactly that).
 
@@ -285,19 +292,15 @@ class PromptSession:
         budget: Budget | BudgetLease | None,
         single: bool,
     ) -> Body:
-        """The session's one call path: pre-check, dispatch, settle.
+        """The session's one call path: dispatch, settle.
 
         A body in the sense of :mod:`repro.llm.base`: the four public entry
         points hand it to the sync or the async driver, so tracking, pricing,
         tracing and charging are the same code whichever way a call arrives.
         """
         target = budget if budget is not None else self.budget
-        # Only a batch is refused up front: a single call is the unit the
-        # executors pre-check themselves, and on its own it is made, charged
-        # and *then* reported as the breach.
-        if not single and not target.unlimited and target.remaining <= 0.0:
-            raise BudgetExceededError(target.spent, target.limit or 0.0)
         model_name = model or DEFAULT_CHAT_MODEL
+        token = CHARGE_TARGET.set(target)
         start = time.perf_counter()
         try:
             responses = yield Call(
@@ -307,6 +310,8 @@ class PromptSession:
             answered = [] if single else answered_prefix(exc, prompts)
             self._settle_failure(prompts, answered, model_name, temperature, target, start, exc)
             raise
+        finally:
+            CHARGE_TARGET.reset(token)
         return self._settle(prompts, responses, temperature, target, start, time.perf_counter())
 
     def _settle_failure(
@@ -519,7 +524,10 @@ class PromptSession:
     ) -> None:
         """Hand over the record of a call, made from ``start`` to ``end``, that
         raised (class from the taxonomy) — through the bag like a success, so
-        the records of a bag stay in settle order."""
+        the records of a bag stay in settle order.  A call the gate refused
+        was never made: it has no record."""
+        if isinstance(error, BudgetExceededError):
+            return
         duration_ms = (end - start) * 1000.0
         labels = current_labels()
         fields = {
@@ -554,8 +562,8 @@ class PromptSession:
         The DAG pipeline scheduler (:class:`~repro.core.workflow.Workflow`)
         runs each wave of independent steps through one of these; any caller
         fanning independent unit tasks through the session can do the same.
-        ``max_concurrency`` defaults to the session's setting; the session's
-        governor (when set) admits every dispatch.
+        ``max_concurrency`` defaults to the session's setting.  Calls are
+        charged to ``budget`` when one is given, else to the session budget.
         """
         return self._executor(BatchExecutor, max_concurrency, budget)
 
@@ -565,29 +573,19 @@ class PromptSession:
         max_concurrency: int | None = None,
         budget: Budget | BudgetLease | None = None,
     ) -> AsyncBatchExecutor:
-        """The asyncio-native executor, bound to this session's client.
-
-        Shares the session's governor with every sync executor the session
-        builds, so both paths go through one admission point.
-        ``max_concurrency`` defaults to the session's setting.
-        """
+        """:meth:`batch_executor`'s asyncio-native twin."""
         return self._executor(AsyncBatchExecutor, max_concurrency, budget)
 
-    def _executor(
-        self,
-        kind: type,
-        max_concurrency: int | None,
-        budget: Budget | BudgetLease | None,
-    ):
+    def _executor(self, kind: type, max_concurrency: int | None, budget: Budget | BudgetLease | None):
+        client = self.client(budget)
         return kind(
-            self.client(),
+            client,
             # "is not None" rather than "or": an explicit invalid 0 must
             # reach the executor's validation, not be silently replaced.
             max_concurrency=(
                 max_concurrency if max_concurrency is not None else self.max_concurrency
             ),
-            budget=budget,
-            governor=self.governor,
+            budget=client.budget,
             instruments=self.instruments,
         )
 
@@ -633,25 +631,11 @@ class BudgetScopedSession(SessionClient):
     def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
         return self.session.client(self._bound(budget))
 
-    def batch_executor(
-        self,
-        *,
-        max_concurrency: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> BatchExecutor:
-        return self.session.batch_executor(
-            max_concurrency=max_concurrency, budget=self._bound(budget)
-        )
-
-    def async_batch_executor(
-        self,
-        *,
-        max_concurrency: int | None = None,
-        budget: Budget | BudgetLease | None = None,
-    ) -> AsyncBatchExecutor:
-        return self.session.async_batch_executor(
-            max_concurrency=max_concurrency, budget=self._bound(budget)
-        )
+    # The session's executor factories, run on this view: their client and
+    # budget come from :meth:`client`, so they are bound to this budget.
+    batch_executor = PromptSession.batch_executor
+    async_batch_executor = PromptSession.async_batch_executor
+    _executor = PromptSession._executor
 
     def __getattr__(self, name: str):
         return getattr(self.session, name)

@@ -430,8 +430,8 @@ class BaseClient:
     backend.
 
     Where the executors' per-call path crosses a wrapper once per unit task
-    (:class:`~repro.llm.cache.CachedClient`, the session), that wrapper also
-    writes ``complete`` out by hand over the same helpers.  Microseconds per
+    (:class:`~repro.llm.cache.CachedClient`, the session, its backend gate),
+    that wrapper also writes ``complete`` out by hand.  Microseconds per
     call behind a backend that answers a constant in 0.9 (one core of an
     Intel Xeon, Python 3.11; median of 40 bags of 600): a call of a native
     batch costs 4.6 through the session and 5.8 through ``BatchExecutor.run``

@@ -70,7 +70,7 @@ class SessionInstruments:
 
         self._gov_admitted = registry.counter(
             "repro_governor_admitted_total",
-            "Dispatches admitted by the concurrency governor.",
+            "Backend calls admitted by the concurrency governor.",
             ("tenant",),
         ).labels(tenant=tenant)
         self._gov_throttled = registry.counter(
@@ -150,8 +150,8 @@ class SessionInstruments:
 
     # -- governor ----------------------------------------------------
 
-    def note_admission(self, wait: float, in_flight: int) -> None:
-        self._gov_admitted.inc()
+    def note_admission(self, wait: float, in_flight: int, calls: int) -> None:
+        self._gov_admitted.inc(calls)
         if wait > 0:
             self._gov_throttled.inc()
             self._gov_wait.inc(wait)

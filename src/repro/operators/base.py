@@ -13,11 +13,12 @@ Every operator call goes through the operator's
 through :meth:`BaseOperator._complete_batch` (or
 :meth:`BaseOperator._complete_requests` for heterogeneous per-call models),
 and a call whose prompt depends on an earlier answer through
-:meth:`BaseOperator._complete`, a bag of one.  So ``max_concurrency``,
-governor admission and the budget pre-check before each dispatch hold for
-every strategy.  At the default ``max_concurrency`` of 1 execution is
-sequential and deterministic, and at temperature 0 the concurrent path
-produces element-wise identical results.
+:meth:`BaseOperator._complete`, a bag of one.  So ``max_concurrency`` and a
+budget's early stop hold for every strategy, and over a session client each
+call reaching the backend crosses its :class:`~repro.core.governor.BackendGate`.
+At the default ``max_concurrency`` of 1 execution is sequential and
+deterministic, and at temperature 0 the concurrent path produces
+element-wise identical results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Any, Callable, Sequence
 
 from repro.core.budget import Budget, BudgetLease
 from repro.core.executor import BatchExecutor, BatchRequest
-from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import SessionClient
 from repro.exceptions import UnknownStrategyError
 from repro.llm.base import LLMClient, LLMResponse
@@ -84,17 +84,13 @@ class BaseOperator:
             response cache (recommended; several strategies re-ask pairs).
         max_concurrency: how many of the operator's independent unit tasks may
             be in flight at once; 1 (the default) runs them sequentially.
-        budget: optional budget the operator's executor checks before each
-            dispatch, so a limit stops a large batch mid-way, and a spent one
-            the next call, instead of after the fact.  The engine threads its
-            session budget through here; a pipeline step instead passes its
-            per-step :class:`~repro.core.budget.BudgetLease`, capping the
-            operator at the step's apportioned share of the remaining dollars.
-        governor: optional shared admission point
-            (:class:`~repro.core.governor.ConcurrencyGovernor`) the
-            operator's executor routes every dispatch through; the engine
-            threads its session's governor here so all operators in a
-            pipeline respect one set of rate limits.
+        budget: optional budget the operator's client charges.  A limited
+            one sends each bag one unit task at a time, so the session's gate
+            stops a large batch mid-way, and a spent one the next call,
+            instead of after the fact.  The engine threads its session budget
+            through here; a pipeline step instead passes its per-step
+            :class:`~repro.core.budget.BudgetLease`, capping the operator at
+            the step's apportioned share of the remaining dollars.
     """
 
     #: Operator name used in error messages; subclasses override.
@@ -109,7 +105,6 @@ class BaseOperator:
         use_cache: bool = True,
         max_concurrency: int = 1,
         budget: Budget | BudgetLease | None = None,
-        governor: ConcurrencyGovernor | None = None,
     ) -> None:
         self.model = model
         self.tracker = UsageTracker(cost_model=cost_model)
@@ -117,9 +112,7 @@ class BaseOperator:
             client = CachedClient(client)
         self._client = client
         self.max_concurrency = max_concurrency
-        self._executor = BatchExecutor(
-            self._client, max_concurrency=max_concurrency, budget=budget, governor=governor
-        )
+        self._executor = BatchExecutor(self._client, max_concurrency=max_concurrency, budget=budget)
         #: name -> (runner, whether it is a method of this operator to bind
         #: at dispatch).
         self._strategies: dict[str, tuple[Callable[..., Any], bool]] = {}

@@ -14,8 +14,9 @@ left collection to records of a right collection:
 
 Every strategy sends the duplicate checks it needs as one bag through the
 operator's executor (see :mod:`repro.core.executor`), in candidate order, so
-``max_concurrency``, governor admission and the budget pre-check before each
-dispatch hold for joins as for every other operator.
+``max_concurrency`` and a budget's early stop hold for joins as for every
+other operator, and every call that reaches the backend crosses the session's
+gate (see :mod:`repro.core.governor`).
 """
 
 from __future__ import annotations

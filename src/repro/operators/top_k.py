@@ -14,8 +14,9 @@ comparisons decide among the finalists.
 
 The ratings and the comparisons of a tournament are independent unit tasks:
 each set goes out as one bag through the operator's executor (see
-:mod:`repro.core.executor`), so ``max_concurrency``, governor admission and
-the budget pre-check before each dispatch hold for every strategy.
+:mod:`repro.core.executor`), so ``max_concurrency`` and a budget's early stop
+hold for every strategy, and every call that reaches the backend crosses the
+session's gate (see :mod:`repro.core.governor`).
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ from repro.core.executor import (
     BatchExecutor,
     BatchRequest,
 )
-from repro.core.governor import ConcurrencyGovernor
+from repro.core.governor import BackendGate, ConcurrencyGovernor
+from repro.core.session import PromptSession
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.cache import CachedClient
 from repro.llm.simulated import SimulatedLLM
@@ -133,7 +134,8 @@ class TestAsyncBudget:
         budget = Budget(limit=1.0)
         budget.charge(1.0)
         client = AsyncEchoClient()
-        executor = AsyncBatchExecutor(client, max_concurrency=4, budget=budget)
+        session = PromptSession(client, budget=budget)
+        executor = AsyncBatchExecutor(session.client(), max_concurrency=4, budget=budget)
         with pytest.raises(BudgetExceededError):
             asyncio.run(executor.run([f"p{i}" for i in range(10)]))
         assert client.calls == 0
@@ -244,7 +246,7 @@ class TestAsyncGovernor:
     def test_governor_slots_bound_async_in_flight(self):
         governor = ConcurrencyGovernor(max_in_flight=2)
         client = AsyncEchoClient(latency=0.002)
-        executor = AsyncBatchExecutor(client, max_concurrency=16, governor=governor)
+        executor = AsyncBatchExecutor(BackendGate(client, governor), max_concurrency=16)
         asyncio.run(executor.run([f"p{i}" for i in range(12)]))
         assert client.peak_in_flight <= 2
         assert governor.stats.admitted == 12
@@ -252,8 +254,8 @@ class TestAsyncGovernor:
 
     def test_shared_governor_counts_both_paths(self):
         governor = ConcurrencyGovernor()
-        sync_executor = BatchExecutor(EchoClient(), governor=governor)
-        async_executor = AsyncBatchExecutor(AsyncEchoClient(), governor=governor)
+        sync_executor = BatchExecutor(BackendGate(EchoClient(), governor))
+        async_executor = AsyncBatchExecutor(BackendGate(AsyncEchoClient(), governor))
         sync_executor.run(["a", "b"])
         asyncio.run(async_executor.run(["c", "d"]))
         assert governor.stats.admitted == 4

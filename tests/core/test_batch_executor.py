@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor, BatchRequest
-from repro.core.governor import ConcurrencyGovernor
+from repro.core.governor import BackendGate, ConcurrencyGovernor
+from repro.core.session import PromptSession
 from repro.data.words import random_words
 from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
 from repro.llm.base import sequential_complete_batch
@@ -140,7 +141,8 @@ class TestBudgetEarlyStopping:
         budget = Budget(limit=1.0)
         budget.charge(1.0)
         client = EchoClient()
-        executor = BatchExecutor(client, max_concurrency=1, budget=budget)
+        session = PromptSession(client, budget=budget)
+        executor = BatchExecutor(session.client(), max_concurrency=1, budget=budget)
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(10)])
         assert client.calls == 0
@@ -159,7 +161,8 @@ class TestBudgetEarlyStopping:
         budget = Budget(limit=0.5)
         budget.charge(0.5)
         client = EchoClient()
-        executor = BatchExecutor(client, max_concurrency=4, budget=budget)
+        session = PromptSession(client, budget=budget)
+        executor = BatchExecutor(session.client(), max_concurrency=4, budget=budget)
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(16)])
         assert client.calls == 0
@@ -415,7 +418,7 @@ class TestEveryDriver:
                 return super().complete(prompt, **params)
 
         governor = ConcurrencyGovernor(sleep=lambda seconds: None)
-        executor = executor_for(driver, Limited(), governor=governor)
+        executor = executor_for(driver, BackendGate(Limited(), governor))
         assert len(call(executor, "run", ["a", "b", "c"])) == 3
         assert governor.stats.admitted == 3 and governor.stats.rate_limit_events == 0
         with pytest.raises(RateLimitError):

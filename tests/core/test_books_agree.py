@@ -4,7 +4,8 @@ A bag that ends early — a call that raises, Ctrl-C — has still made the
 calls that reached the backend before it.  Whichever way the bag was
 dispatched (one native batch at width 1, runs or unit tasks on threads,
 asyncio tasks), with or without the response cache, those calls are
-tracked, charged, cached and recorded exactly once, and nothing else is.
+tracked, charged, cached, recorded and admitted by the session's governor
+exactly once, and nothing else is.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import executor as executor_module
+from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
@@ -116,7 +118,8 @@ def test_a_bag_books_the_calls_that_reached_the_backend(
     trip = data.draw(st.integers(0, len(prompts)), label="trip")
     kind, width, stalling = DRIVERS[driver]
     client = Tripping(trip, error, latency=0.002 if stalling else 0.0)
-    session = PromptSession(client, use_cache=use_cache)
+    governor = ConcurrencyGovernor()
+    session = PromptSession(client, use_cache=use_cache, governor=governor)
     stall_seconds = executor_module._STALL_SECONDS if stalling else 60.0
     with mock.patch.object(executor_module, "_STALL_SECONDS", stall_seconds):
         with trace_label(step=STEP, operator=OPERATOR):
@@ -127,6 +130,7 @@ def test_a_bag_books_the_calls_that_reached_the_backend(
             except error:
                 tripped = True
     assert tripped == (client.started > trip)
+    assert governor.stats.admitted == client.started and governor.in_flight == 0
     assert_the_books_agree(
         session, client, errors=int(tripped and issubclass(error, Exception))
     )

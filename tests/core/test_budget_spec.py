@@ -31,6 +31,12 @@ class TestBudget:
         assert excinfo.value.spent == pytest.approx(0.7)
         assert budget.spent == pytest.approx(0.7)
 
+    def test_a_zero_charge_past_the_limit_records_and_raises_nothing(self):
+        # The state a budget stop leaves: the breaching charge is recorded.
+        budget = Budget(limit=1.0, spent=1.2)
+        budget.charge(0.0)
+        assert budget.spent == 1.2
+
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
             Budget(limit=-1.0)
@@ -131,6 +137,14 @@ class TestBudgetLease:
         # The overshooting charge is still recorded, like Budget.charge.
         assert lease.spent == pytest.approx(0.02)
         assert parent.spent == pytest.approx(0.02)
+
+    def test_a_zero_charge_past_the_allocation_records_and_raises_nothing(self):
+        parent = Budget()
+        lease = parent.lease(0.5)
+        with pytest.raises(BudgetExceededError):
+            lease.charge(0.6)
+        lease.charge(0.0)
+        assert (lease.spent, parent.spent) == (0.6, 0.6)
 
     def test_lease_respects_the_parent_limit(self):
         parent = Budget(limit=0.05)

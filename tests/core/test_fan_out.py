@@ -19,6 +19,7 @@ import pytest
 from repro.core import executor as executor_module
 from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor
+from repro.core.session import PromptSession
 from repro.exceptions import BudgetExceededError
 from repro.obs.spans import SpanTracker, current_span_id
 from repro.obs.spans import current_labels, trace_label
@@ -265,8 +266,11 @@ class TestOutcomesDoNotDependOnTheRegime:
         budget = Budget(limit=1.0)
         budget.charge(1.0)
         client = BarrierClient(WIDTH)
+        session = PromptSession(client, budget=budget)
         with pytest.raises(BudgetExceededError):
-            BatchExecutor(client, max_concurrency=WIDTH, budget=budget).run(["a", "b", "c"])
+            BatchExecutor(session.client(), max_concurrency=WIDTH, budget=budget).run(
+                ["a", "b", "c"]
+            )
         assert client.calls == 0
 
 

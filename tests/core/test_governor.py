@@ -4,7 +4,8 @@ Covers the token bucket's virtual-scheduling pacing, the governor's RPM/TPM
 caps (demonstrated wall-clock-free with an injected clock and sleep), the
 in-flight slot semaphore shared by sync and async dispatch, the adaptive
 backoff driven by :class:`~repro.exceptions.RateLimitError` (including
-``retry_after`` hints), and the executor integration that feeds it.
+``retry_after`` hints), and the :class:`~repro.core.governor.BackendGate`
+that feeds it the calls reaching the backend — and only those.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ import pytest
 
 from repro.core.executor import BatchExecutor
 from repro.core.governor import (
+    BackendGate,
     ConcurrencyGovernor,
     ModelRate,
     TokenBucket,
     estimated_prompt_tokens,
     is_rate_limit,
 )
+from repro.core.session import BudgetScopedSession, PromptSession
+from repro.core.spec import PipelineSpec, PipelineStep
+from repro.core.workflow import Workflow
 from repro.exceptions import ConfigurationError, RateLimitError, ResponseParseError
-from repro.llm.base import LLMResponse
-from repro.tokenizer.cost import Usage
+from tests.doubles import CountingClient
 
 
 class FakeClock:
@@ -221,31 +225,14 @@ class TestInFlightSlots:
             ConcurrencyGovernor(max_in_flight=0)
 
 
-class RateLimitedClient:
-    """Fails with RateLimitError for the first ``failures`` calls."""
-
-    def __init__(self, failures: int) -> None:
-        self.failures = failures
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            self.calls += 1
-            calls = self.calls
-        if calls <= self.failures:
-            raise RateLimitError(retry_after=0.0)
-        return LLMResponse(text=f"ok:{prompt}", model=model or "m", usage=Usage(1, 1, 1))
-
-
 class TestExecutorIntegration:
     def test_rate_limit_failures_feed_the_backoff(self):
         clock = FakeClock()
         governor = ConcurrencyGovernor(
             backoff_initial=1.0, clock=clock, sleep=clock.sleep
         )
-        client = RateLimitedClient(failures=2)
-        executor = BatchExecutor(client, governor=governor)
+        client = CountingClient(rate_limited=2)
+        executor = BatchExecutor(BackendGate(client, governor))
         with pytest.raises(RateLimitError):
             executor.run(["a"])
         with pytest.raises(RateLimitError):
@@ -265,23 +252,78 @@ class TestExecutorIntegration:
             def complete(self, prompt, **kwargs):
                 raise ResponseParseError("malformed")
 
-        executor = BatchExecutor(ParseFailClient(), governor=governor)
+        executor = BatchExecutor(BackendGate(ParseFailClient(), governor))
         with pytest.raises(ResponseParseError):
             executor.run(["a"])
         assert governor.stats.rate_limit_events == 0
         assert governor.cooldown_remaining == 0.0
 
     def test_sequential_batch_respects_the_governor(self):
-        # A homogeneous batch normally takes the native complete_batch fast
-        # path; with a governor attached it must fall back to per-call
-        # admission so the quota actually binds.
+        # A homogeneous batch takes the native complete_batch path; the gate
+        # admits its three calls as one admission of three, so the quota
+        # still binds.
         clock = FakeClock()
         governor = ConcurrencyGovernor(rpm=60, burst=1, clock=clock, sleep=clock.sleep)
-        client = RateLimitedClient(failures=0)
-        executor = BatchExecutor(client, governor=governor)
+        client = CountingClient()
+        executor = BatchExecutor(BackendGate(client, governor))
         executor.run(["a", "b", "c"])
         assert client.calls == 3
         assert clock.now == pytest.approx(2.0)  # 3 calls at 1/s, first free
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_only_calls_that_reach_the_backend_are_admitted_and_paced(self, concurrency):
+        clock = FakeClock()
+        governor = ConcurrencyGovernor(rpm=120, burst=1, clock=clock, sleep=clock.sleep)
+        client = CountingClient()
+        session = PromptSession(client, governor=governor)
+        prompts = [f"Does item {index} pass the filter?" for index in range(12)]
+        executor = session.batch_executor(max_concurrency=concurrency)
+        cold = executor.run(prompts)
+        # 12 calls at 2/s with a burst of 1: eleven half-second waits.
+        assert (client.calls, governor.stats.admitted) == (12, 12)
+        assert sum(clock.sleeps) == pytest.approx(5.5)
+        clock.sleeps.clear()
+        warm = executor.run(prompts)
+        assert [r.text for r in warm] == [r.text for r in cold]
+        assert (client.calls, governor.stats.admitted, sum(clock.sleeps)) == (12, 12, 0.0)
+
+
+class TestTheGateSeesEveryBackendCall:
+    """However a call reaches the session, the governor admits it if it reaches the backend."""
+
+    def test_direct_session_calls_are_admitted(self):
+        governor = ConcurrencyGovernor()
+        client = CountingClient()
+        session = PromptSession(client, governor=governor)
+        session.complete("a")
+        session.complete_batch(["b", "c", "d"])
+        assert client.calls == governor.stats.admitted == 4
+        session.complete_batch(["a", "b"])  # cache hits: nothing to admit
+        assert client.calls == governor.stats.admitted == 4
+        assert governor.in_flight == 0
+
+    def test_a_single_call_feeds_the_backoff(self):
+        governor = ConcurrencyGovernor(sleep=lambda seconds: None)
+        gate = BackendGate(CountingClient(rate_limited=1), governor)
+        with pytest.raises(RateLimitError):
+            gate.complete("a")
+        assert gate.complete("a").text == "echo:a"
+        stats = governor.stats
+        assert (stats.admitted, stats.rate_limit_events, governor.in_flight) == (2, 1, 0)
+
+    def test_a_raw_call_inside_a_callable_step_is_admitted(self):
+        def chatty(session, inputs):
+            assert isinstance(session, BudgetScopedSession)
+            return session.complete("Is this call admitted?").text
+
+        pipeline = PipelineSpec(
+            name="capped", steps=[PipelineStep("chatty", run=chatty)], budget_dollars=1.0
+        )
+        governor = ConcurrencyGovernor()
+        client = CountingClient()
+        report = Workflow.from_pipeline(pipeline).execute(PromptSession(client, governor=governor))
+        assert report.step_reports["chatty"].status == "completed"
+        assert client.calls == governor.stats.admitted == 1
 
 
 class TestIsRateLimit:

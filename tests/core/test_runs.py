@@ -4,8 +4,9 @@ Until its scout sees a stall, :class:`~repro.core.executor.BatchExecutor`'s
 dispatching thread takes runs of a fanned-out bag and sends each as one
 native batch — one session settle, one cache pass, one bag hand-over per
 run.  Only a bag that passes the native-batch rule (shared parameters, no
-enforced budget or lease, no governor) is sent so, only on the thread
-executor, and only before the scout has fired.
+enforced budget or lease) is sent so, only on the thread executor, and only
+before the scout has fired.  A governor does not stop it: the session's gate
+admits the misses of each run.
 """
 
 from __future__ import annotations
@@ -82,9 +83,17 @@ def test_a_bag_that_never_waits_goes_out_in_runs_on_the_calling_thread(never_sta
     assert settles[0] == 1 and settles[-(WIDTH - 1):] == [1] * (WIDTH - 1)
 
 
-@pytest.mark.parametrize(
-    "case", ["budget", "lease", "governor", "mixed parameters", "asyncio"]
-)
+def test_a_governed_bag_goes_out_in_runs_and_each_backend_call_is_admitted(
+    never_stalls, settles
+):
+    governor = ConcurrencyGovernor()
+    session = PromptSession(simulated_client(), governor=governor)
+    assert len(BatchExecutor(session.client(), max_concurrency=WIDTH).run(prompts(60))) == 60
+    assert settles != [1] * 60 and sum(settles) == 60
+    assert governor.stats.admitted == 60 and governor.in_flight == 0
+
+
+@pytest.mark.parametrize("case", ["budget", "lease", "mixed parameters", "asyncio"])
 def test_no_run_is_taken_where_it_is_not_safe(case, never_stalls, settles):
     session = PromptSession(simulated_client())
     requests: list = prompts(60)
@@ -93,8 +102,6 @@ def test_no_run_is_taken_where_it_is_not_safe(case, never_stalls, settles):
         options["budget"] = Budget(limit=1000.0)
     elif case == "lease":
         options["budget"] = Budget(limit=1000.0).lease(100.0)
-    elif case == "governor":
-        options["governor"] = ConcurrencyGovernor()
     elif case == "mixed parameters":
         requests = [
             BatchRequest(prompt, max_tokens=None if index % 2 else 50)

@@ -17,7 +17,7 @@ from typing import Any
 from repro.core.budget import Budget
 from repro.core.executor import AsyncBatchExecutor, BatchExecutor
 from repro.data.words import random_words
-from repro.exceptions import ResponseParseError
+from repro.exceptions import RateLimitError, ResponseParseError
 from repro.llm.base import LLMResponse
 from repro.llm.oracle import Oracle
 from repro.llm.prompts import RATING
@@ -70,6 +70,40 @@ class EchoClient:
             model=model or self.default_model,
             usage=Usage(1, 1, 1),
             metadata={"temperature": temperature},
+        )
+
+
+class CountingClient:
+    """Counts the calls that reach it (thread-safe); answers from ``inner``,
+    or with an echo when there is none.
+
+    The first ``rate_limited`` calls raise :class:`RateLimitError` instead,
+    and ``temperatures`` collects the temperatures asked for.
+    """
+
+    def __init__(self, inner: Any = None, *, rate_limited: int = 0) -> None:
+        self._inner = inner
+        self.default_model = getattr(inner, "default_model", "sim-gpt-3.5-turbo")
+        self.rate_limited = rate_limited
+        self.calls = 0
+        self.temperatures: set[float] = set()
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
+        with self._lock:
+            self.calls += 1
+            calls = self.calls
+            self.temperatures.add(temperature)
+        if calls <= self.rate_limited:
+            raise RateLimitError(retry_after=0.0)
+        if self._inner is not None:
+            return self._inner.complete(
+                prompt, model=model, temperature=temperature, max_tokens=max_tokens
+            )
+        return LLMResponse(
+            text=f"echo:{prompt}",
+            model=model or self.default_model,
+            usage=Usage(prompt_tokens=len(prompt.split()), completion_tokens=2, calls=1),
         )
 
 

@@ -1,13 +1,15 @@
 """Every operator call goes through the operator's executor.
 
 A bag of independent unit tasks and a single call whose prompt depends on an
-earlier answer leave an operator the same way, so the controls the executor
-applies per dispatch hold for every operator and strategy the engine can run:
+earlier answer leave an operator the same way, through the session and its
+:class:`~repro.core.governor.BackendGate`, so for every operator and strategy
+the engine can run:
 
 * a session's :class:`~repro.core.governor.ConcurrencyGovernor` admits every
-  call that reaches the backend, and
-* a spent budget or lease stops the first call before it is made, with
-  :class:`~repro.exceptions.BudgetExceededError`.
+  call that reaches the backend, and no cache hit;
+* a spent budget or lease stops the first call that would reach the backend
+  before it is made, with :class:`~repro.exceptions.BudgetExceededError`,
+  and answers a fully cached re-run as before.
 
 The cases cover every strategy :data:`~repro.core.declarations.DECLARATIONS`
 accepts (a resolve spec in both of its modes).
@@ -15,7 +17,6 @@ accepts (a resolve spec in both of its modes).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, NamedTuple
 
 import pytest
@@ -39,6 +40,7 @@ from repro.data.products import generate_restaurant_dataset
 from repro.exceptions import BudgetExceededError
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
+from tests.doubles import CountingClient
 
 MODEL = "sim-gpt-3.5-turbo"
 VOTERS = {"models": [MODEL, "sim-claude"]}
@@ -63,21 +65,9 @@ def _oracle() -> Oracle:
     return oracle
 
 
-class CountingClient:
+def counting_client() -> CountingClient:
     """The simulator, counting the calls that reach it."""
-
-    def __init__(self) -> None:
-        self._inner = SimulatedLLM(_oracle(), seed=0)
-        self.default_model = self._inner.default_model
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
+    return CountingClient(SimulatedLLM(_oracle(), seed=0))
 
 
 class Case(NamedTuple):
@@ -156,7 +146,7 @@ def test_the_cases_cover_every_declared_strategy():
 @pytest.mark.parametrize("concurrency", (1, 4))
 @pytest.mark.parametrize("case", CASES, ids=_ids(CASES))
 def test_the_governor_admits_every_backend_call(case: Case, concurrency: int):
-    backend = CountingClient()
+    backend = counting_client()
     governor = ConcurrencyGovernor()
     engine = DeclarativeEngine(
         backend, governor=governor, max_concurrency=concurrency, default_model=MODEL
@@ -164,12 +154,18 @@ def test_the_governor_admits_every_backend_call(case: Case, concurrency: int):
     result = case.run(engine, None)
     assert (backend.calls == 0) == (case.label in LLM_FREE)
     assert governor.stats.admitted == backend.calls == result.usage.calls
+    cold = backend.calls
+    case.run(engine, None)
+    assert governor.stats.admitted == backend.calls
+    if backend.temperatures <= {0.0}:
+        assert backend.calls == cold
+    assert governor.in_flight == 0
 
 
 @pytest.mark.parametrize("spent", ("budget", "lease"))
 @pytest.mark.parametrize("case", PAID, ids=_ids(PAID))
 def test_a_spent_budget_buys_no_call(case: Case, spent: str):
-    backend = CountingClient()
+    backend = counting_client()
     if spent == "budget":
         engine = DeclarativeEngine(
             backend, budget=Budget(limit=0.05, spent=0.05), default_model=MODEL
@@ -181,3 +177,32 @@ def test_a_spent_budget_buys_no_call(case: Case, spent: str):
     with pytest.raises(BudgetExceededError):
         case.run(engine, budget)
     assert backend.calls == 0
+
+
+@pytest.mark.parametrize("state", ("spent", "overspent"))
+@pytest.mark.parametrize("spent", ("budget", "lease"))
+@pytest.mark.parametrize("case", PAID, ids=_ids(PAID))
+def test_a_spent_budget_answers_a_cached_rerun(case: Case, spent: str, state: str):
+    backend = counting_client()
+    engine = DeclarativeEngine(backend, budget=Budget(limit=1.0), default_model=MODEL)
+    first = case.run(engine, None)
+    if backend.temperatures != {0.0}:
+        pytest.skip("a call above temperature 0 is never cached")
+    made = backend.calls
+    # ``overspent`` is the state a budget stop leaves: the breaching charge is recorded.
+    over = 0.01 if state == "overspent" else 0.0
+    if spent == "budget":
+        engine.session.budget.spent = 1.0 + over
+        budget = None
+    else:
+        budget = engine.session.budget.lease(0.0)
+        if over:
+            with pytest.raises(BudgetExceededError):
+                budget.charge(over)
+    assert _output(case.run(engine, budget)) == _output(first)
+    assert backend.calls == made
+
+
+def _output(result: Any) -> dict:
+    """What a result says about the data: all but what its calls cost."""
+    return {k: v for k, v in vars(result).items() if k not in ("usage", "cost", "metadata")}

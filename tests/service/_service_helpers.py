@@ -8,43 +8,15 @@ plain ``asyncio.run`` (no pytest-asyncio dependency).
 
 from __future__ import annotations
 
-import threading
-
 from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep, SortSpec
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
+from tests.doubles import CountingClient
 
 MODEL = "sim-gpt-3.5-turbo"
 WORDS = ["apple", "banana", "cherry", "damson", "elder", "fig"]
 PREDICATE = "starts early in the alphabet"
 CRITERION = "alphabetical order"
-
-
-class CountingClient:
-    """Counts every completion issued to the wrapped client (thread-safe).
-
-    The admission tests' core claim — "a rejected submission costs zero LLM
-    calls" — is asserted against this counter, *below* every cache.
-    """
-
-    def __init__(self, inner: SimulatedLLM) -> None:
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-    def complete_batch(self, prompts, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            self.calls += len(prompts)
-        return self._inner.complete_batch(
-            prompts, model=model, temperature=temperature, max_tokens=max_tokens
-        )
 
 
 def corpus_oracle() -> Oracle:

@@ -24,6 +24,7 @@ from repro.store.fingerprint import spec_payload
 from repro.store.jobs import JobRecord
 from repro.store.profile import PROFILE_VERSION
 from repro.tokenizer.cost import Usage
+from tests.doubles import CountingClient
 
 
 def response(text: str, *, prompt_tokens: int = 10) -> LLMResponse:
@@ -34,23 +35,6 @@ def response(text: str, *, prompt_tokens: int = 10) -> LLMResponse:
         confidence=0.75,
         metadata={"routing": "direct"},
     )
-
-
-class CountingClient:
-    """Minimal client counting its completions (the cache's inner client)."""
-
-    default_model = "sim-gpt-3.5-turbo"
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        self.calls += 1
-        return LLMResponse(
-            text=f"echo:{prompt}",
-            model=model or self.default_model,
-            usage=Usage(prompt_tokens=len(prompt.split()), completion_tokens=2, calls=1),
-        )
 
 
 @contextmanager
