@@ -9,6 +9,7 @@ how the engine splits one overall budget across the steps of a workflow.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass, field
 
@@ -231,3 +232,9 @@ class BudgetLease:
     def lease(self, allocation: float) -> "BudgetLease":
         """A sub-lease (pipeline cap → per-step share nests this way)."""
         return BudgetLease(self, allocation)
+
+
+#: What the calls being made are charged to (for the gate): set per bag and per call.
+CHARGE_TARGET: contextvars.ContextVar[Budget | BudgetLease | None] = contextvars.ContextVar(
+    "repro_charge_target", default=None
+)

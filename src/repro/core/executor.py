@@ -29,9 +29,8 @@ which failure surfaces, what ``map`` reports — is written once in
 :class:`_ExecutorCore`, as sans-IO bodies in the sense of
 :mod:`repro.llm.base`.  The two public classes add only how a body is driven
 (on the calling thread, or awaited) and how several are fanned out.
-
-Admission, pacing and the budget pre-check happen below the cache, in a
-session's :class:`~repro.core.BackendGate`.
+Admission, pacing and the budget pre-check live below the cache, in the
+:class:`~repro.core.BackendGate` around the backend.
 
 A native batch that fails part-way has made the calls before the failing
 one: the session books them like a success (:func:`~repro.llm.base.
@@ -48,10 +47,9 @@ Two reliability hooks ride along:
 * *Retry integration* — pass a ``validator`` (plus ``max_retries``) and every
   unit task is wrapped in the :class:`~repro.llm.retry.RetryingClient`
   semantics, with aggregate stats exposed as :attr:`BatchExecutor.retry_stats`.
-* *Budget-aware early stopping* — pass the limited budget (or lease) a
-  session client charges and the bag goes out one unit task at a time, each
-  charged before the next reaches the gate, which raises
-  :class:`~repro.exceptions.BudgetExceededError` once it is exhausted.
+* *Budget-aware early stopping* — pass the limited budget (or lease) the
+  client charges and the bag goes out one unit task at a time, each charged
+  before the next reaches the gate, which refuses it once the budget is spent.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import CHARGE_TARGET, Budget, BudgetLease
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
 from repro.llm.retry import RetryingClient, RetryStats
@@ -191,12 +189,13 @@ OPEN_BAG: contextvars.ContextVar[SettleBag | None] = contextvars.ContextVar(
 
 
 @contextmanager
-def _settling(bag: SettleBag | None) -> Iterator[None]:
-    """Make ``bag`` the open one; on any exit, hand over what it still holds."""
-    token = OPEN_BAG.set(bag)
+def _settling(bag: SettleBag | None, budget: Budget | BudgetLease | None) -> Iterator[None]:
+    """Open ``bag``, name ``budget`` the charge target; on exit, hand the bag over."""
+    token, charging = OPEN_BAG.set(bag), CHARGE_TARGET.set(budget)
     try:
         yield
     finally:
+        CHARGE_TARGET.reset(charging)
         OPEN_BAG.reset(token)
         if bag is not None:
             bag.close()
@@ -233,13 +232,13 @@ class _ExecutorCore:
     What is per call and what is per bag: the session tracks, prices and
     charges each call as it settles, so under a limited budget — where every
     call is its own unit task — the gate sees each charge before the next
-    call reaches it.  ``run`` (both dispatch shapes, both
-    drivers) additionally opens one :class:`SettleBag` scope: a session
-    reached through it records the settled calls — spans, ``repro_*``
-    metrics, runtime stats — in runs of the ring's flush bound and, in a
-    ``finally``, at the bag's end, so a failure, a budget stop or Ctrl-C
-    loses no record.  ``map`` opens none: each operator run inside a wave
-    opens its own.  Neither does an executor with a ``validator``.
+    call reaches it.  ``run`` (both dispatch shapes, both drivers) also opens
+    one :class:`SettleBag` scope: a session reached through it records the
+    settled calls — spans, ``repro_*`` metrics, runtime stats — in runs of
+    the ring's flush bound and, in a ``finally``, at the bag's end, so a
+    failure, a budget stop or Ctrl-C loses no record.  ``map`` opens none:
+    each operator run inside a wave opens its own.  Neither does an executor
+    with a ``validator``.
 
     Args:
         client: the client every unit task is issued through (typically an
@@ -253,9 +252,9 @@ class _ExecutorCore:
             one only while calls wait; for :class:`AsyncBatchExecutor`
             (default 16) it is the number of simultaneously pending awaits.
         budget: optional budget (or per-step :class:`~repro.core.budget.
-            BudgetLease`) the client's calls are charged to.  A limited one
-            sends the bag one unit task at a time, so it can stop the bag
-            between calls, and ``map`` checks it before each task.
+            BudgetLease`) the client's calls are charged to (a session client's
+            own).  ``run`` makes it the gate's ``CHARGE_TARGET``, and a limited
+            one sends the bag one unit task at a time; ``map`` checks it too.
         validator: optional response-text validator enabling per-call retries
             (see :class:`~repro.llm.retry.RetryingClient`).
         max_retries: additional attempts per unit task when a validator is set.
@@ -282,6 +281,8 @@ class _ExecutorCore:
             max_concurrency = self._default_concurrency
         if max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be at least 1")
+        if budget is not None and getattr(client, "charged", budget) is not budget:
+            raise ConfigurationError("budget= must be the budget the session client charges")
         self.max_concurrency = max_concurrency
         self.budget = budget
         self.instruments = instruments
@@ -324,7 +325,7 @@ class _ExecutorCore:
         # One bag per run, however it is dispatched — except under a validator,
         # whose retry wrapper amends each call's span as soon as the call returns.
         bag = SettleBag() if self.retry_stats is None else None
-        with _QueueDepth(self.instruments, len(normalized)), _settling(bag):
+        with _QueueDepth(self.instruments, len(normalized)), _settling(bag, self.budget):
             if self.max_concurrency == 1 or len(normalized) == 1:
                 return (yield from self._run_sequential(normalized))
             return (yield from self._run_concurrent(normalized))

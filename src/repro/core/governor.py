@@ -26,28 +26,21 @@ Design notes:
   exponentially, and any successful dispatch resets the failure streak.
 * **Slots** bound simultaneous in-flight dispatches with a semaphore shared
   by both execution paths (the async side acquires it without ever blocking
-  the event loop).  A batch of calls holds one slot.
+  the event loop).  Each backend call is admitted on its own: one slot each.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import threading
 import time
 from contextlib import asynccontextmanager, contextmanager
 from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Callable, Iterator
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import CHARGE_TARGET
 from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
-from repro.llm.base import BaseClient, Body, Call, LLMResponse, answered_prefix
-
-#: The budget (or lease) the running context's calls are charged to, named by
-#: the session around each dispatch for :class:`BackendGate`; ``None`` outside.
-CHARGE_TARGET: contextvars.ContextVar[Budget | BudgetLease | None] = contextvars.ContextVar(
-    "repro_charge_target", default=None
-)
+from repro.llm.base import BaseClient, Body, Call, LLMResponse, carry_answered
 
 
 def estimated_prompt_tokens(prompt: str) -> int:
@@ -119,8 +112,7 @@ class ModelRate:
 @dataclass
 class GovernorStats:
     """One governor's admission history (concurrent readers take
-    :meth:`ConcurrencyGovernor.stats_snapshot`).  ``admitted`` counts backend
-    calls: a batch that raised part-way keeps only the calls it made."""
+    :meth:`ConcurrencyGovernor.stats_snapshot`); ``admitted`` counts backend calls."""
 
     admitted: int = 0
     throttled: int = 0
@@ -190,17 +182,14 @@ class ConcurrencyGovernor:
     # -- admission ----------------------------------------------------------------
 
     @contextmanager
-    def admit(
-        self, model: str | None = None, *, estimated_tokens: float = 0.0, calls: int = 1
-    ) -> Iterator[None]:
-        """Admit one sync dispatch of ``calls`` calls: wait out quotas/backoff,
-        hold one slot.  The calls are debited from the RPM bucket together."""
-        wait = self._admission_wait(model, estimated_tokens, calls)
+    def admit(self, model: str | None = None, *, estimated_tokens: float = 0.0) -> Iterator[None]:
+        """Admit one sync dispatch: wait out quotas/backoff, hold one slot."""
+        wait = self._admission_wait(model, estimated_tokens)
         if wait > 0:
             self._sleep(wait)
         if self._slots is not None:
             self._slots.acquire()
-        self._note_dispatch(wait, calls)
+        self._note_dispatch(wait)
         try:
             yield
         finally:
@@ -208,7 +197,7 @@ class ConcurrencyGovernor:
 
     @asynccontextmanager
     async def admit_async(
-        self, model: str | None = None, *, estimated_tokens: float = 0.0, calls: int = 1
+        self, model: str | None = None, *, estimated_tokens: float = 0.0
     ) -> AsyncIterator[None]:
         """Admit one async dispatch without ever blocking the event loop.
 
@@ -217,13 +206,13 @@ class ConcurrencyGovernor:
         and an async task contend for the same slots fairly enough for
         admission purposes while the loop stays responsive.
         """
-        wait = self._admission_wait(model, estimated_tokens, calls)
+        wait = self._admission_wait(model, estimated_tokens)
         if wait > 0:
             await asyncio.sleep(wait)
         if self._slots is not None:
             while not self._slots.acquire(blocking=False):
                 await asyncio.sleep(0.001)
-        self._note_dispatch(wait, calls)
+        self._note_dispatch(wait)
         try:
             yield
         finally:
@@ -307,12 +296,12 @@ class ConcurrencyGovernor:
         tpm = override.tpm if override is not None and override.tpm is not None else self.default_tpm
         return rpm, tpm
 
-    def _admission_wait(self, model: str | None, estimated_tokens: float, calls: int) -> float:
+    def _admission_wait(self, model: str | None, estimated_tokens: float) -> float:
         rpm, tpm = self._rates_for(model)
         wait = 0.0
         rpm_bucket = self._bucket(self._rpm_buckets, model, rpm)
         if rpm_bucket is not None:
-            wait = max(wait, rpm_bucket.reserve(calls))
+            wait = max(wait, rpm_bucket.reserve())
         tpm_bucket = self._bucket(self._tpm_buckets, model, tpm)
         if tpm_bucket is not None and estimated_tokens > 0:
             wait = max(wait, tpm_bucket.reserve(estimated_tokens))
@@ -320,9 +309,9 @@ class ConcurrencyGovernor:
             wait = max(wait, self._cooldown_until - self._clock())
         return max(0.0, wait)
 
-    def _note_dispatch(self, wait: float, calls: int) -> None:
+    def _note_dispatch(self, wait: float) -> None:
         with self._lock:
-            self.stats.admitted += calls
+            self.stats.admitted += 1
             if wait > 0:
                 self.stats.throttled += 1
                 self.stats.wait_seconds += wait
@@ -330,12 +319,7 @@ class ConcurrencyGovernor:
             self.stats.max_in_flight = max(self.stats.max_in_flight, self._in_flight)
             in_flight = self._in_flight
         if self._instruments is not None:
-            self._instruments.note_admission(wait, in_flight, calls)
-
-    def _take_back(self, calls: int) -> None:
-        """Admitted calls that were never made leave :attr:`stats`."""
-        with self._lock:
-            self.stats.admitted -= calls
+            self._instruments.note_admission(wait, in_flight)
 
     def _release_slot(self) -> None:
         with self._lock:
@@ -354,21 +338,21 @@ def is_rate_limit(error: BaseException) -> bool:
 
 
 class _Admission:
-    """Request: make ``call`` under one admission of all of its calls."""
+    """Request: make the one backend call ``call`` under its own admission."""
 
-    __slots__ = ("governor", "call", "admission")
+    __slots__ = ("governor", "call")
 
     def __init__(self, governor: ConcurrencyGovernor, call: Call) -> None:
         self.governor, self.call = governor, call
-        tokens = sum(estimated_prompt_tokens(prompt) for prompt in call.prompts)
-        self.admission = {"estimated_tokens": tokens, "calls": len(call.prompts)}
 
     def run(self) -> list[LLMResponse]:
-        with self.governor.admit(self.call.model, **self.admission):
+        tokens = estimated_prompt_tokens(self.call.prompts[0])
+        with self.governor.admit(self.call.model, estimated_tokens=tokens):
             return self.call.run()
 
     async def arun(self) -> list[LLMResponse]:
-        async with self.governor.admit_async(self.call.model, **self.admission):
+        tokens = estimated_prompt_tokens(self.call.prompts[0])
+        async with self.governor.admit_async(self.call.model, estimated_tokens=tokens):
             return await self.call.arun()
 
 
@@ -377,8 +361,9 @@ class BackendGate(BaseClient):
 
     It refuses the calls it forwards with :class:`~repro.exceptions.
     BudgetExceededError` once the budget they are charged to
-    (:data:`CHARGE_TARGET`) is spent, admits them through ``governor`` (a
-    batch of n as one admission of n) and reports to its backoff.
+    (:data:`~repro.core.budget.CHARGE_TARGET`) is spent.  With a
+    ``governor`` it sends a batch one call at a time, each under its own
+    admission and slot, and reports to the backoff.
     """
 
     def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
@@ -393,21 +378,20 @@ class BackendGate(BaseClient):
 
     def _body(self, call: Call) -> Body:
         self._check_budget()
-        inner = call.to(self._client)
         governor = self.governor
         if governor is None:
-            return (yield inner)
+            return (yield call.to(self._client))
+        responses: list[LLMResponse] = []
         try:
-            responses = yield _Admission(governor, inner)
+            for prompt in call.prompts:
+                one = call.to(self._client, [prompt], single=True)
+                responses += yield _Admission(governor, one)
+                governor.record_success()
         except BaseException as exc:
             if is_rate_limit(exc):
                 governor.record_failure(exc)
-            # The calls after the one that raised were admitted but never made.
-            answered = answered_prefix(exc, inner.prompts)
-            if answered is not None:
-                governor._take_back(len(inner.prompts) - len(answered) - 1)
+            carry_answered(exc, call.prompts, responses)
             raise
-        governor.record_success()
         return responses
 
     def complete(self, prompt: str, *, model: str | None = None, **params) -> LLMResponse:

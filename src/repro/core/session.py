@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.config import DEFAULT_CHAT_MODEL
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import CHARGE_TARGET, Budget, BudgetLease
 from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
-from repro.core.governor import CHARGE_TARGET, BackendGate, ConcurrencyGovernor
+from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.stats import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
 from repro.llm.base import (
@@ -86,6 +86,11 @@ class SessionClient:
 
     def _bound(self, budget: Budget | BudgetLease | None) -> Budget | BudgetLease | None:
         return budget if budget is not None else self.budget
+
+    @property
+    def charged(self) -> Budget | BudgetLease:
+        """What this client's calls are charged to (an executor's ``budget``)."""
+        return self.budget if self.budget is not None else self.session.budget
 
     def complete(
         self, prompt: str, *, budget: Budget | BudgetLease | None = None, **params
@@ -237,12 +242,10 @@ class PromptSession:
     ) -> list[LLMResponse]:
         """Issue a whole batch through the session: cache, track, and charge it.
 
-        The batch is dispatched as one unit: the gate refuses its calls that
-        would reach the backend once the budget is spent, and each response
-        is charged afterwards.  Callers that need a spend limit to interrupt
-        a batch *between* unit tasks should dispatch through a
-        :class:`~repro.core.executor.BatchExecutor` with the session budget
-        attached (operators constructed by the engine do exactly that).
+        The gate refuses its backend calls once the budget is spent, and each
+        response is charged afterwards; to stop *between* calls, dispatch
+        through a :class:`~repro.core.executor.BatchExecutor` with the budget
+        attached (as operators the engine builds do).
 
         A batch that fails part-way books every call it made: the calls
         answered before the failure are tracked, charged, cached and recorded

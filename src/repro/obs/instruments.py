@@ -150,8 +150,8 @@ class SessionInstruments:
 
     # -- governor ----------------------------------------------------
 
-    def note_admission(self, wait: float, in_flight: int, calls: int) -> None:
-        self._gov_admitted.inc(calls)
+    def note_admission(self, wait: float, in_flight: int) -> None:
+        self._gov_admitted.inc()
         if wait > 0:
             self._gov_throttled.inc()
             self._gov_wait.inc(wait)

@@ -14,8 +14,8 @@ through :meth:`BaseOperator._complete_batch` (or
 :meth:`BaseOperator._complete_requests` for heterogeneous per-call models),
 and a call whose prompt depends on an earlier answer through
 :meth:`BaseOperator._complete`, a bag of one.  So ``max_concurrency`` and a
-budget's early stop hold for every strategy, and over a session client each
-call reaching the backend crosses its :class:`~repro.core.governor.BackendGate`.
+budget's early stop hold for every strategy: a call reaching the backend
+crosses the session's, or under a budget the operator's, ``BackendGate``.
 At the default ``max_concurrency`` of 1 execution is sequential and
 deterministic, and at temperature 0 the concurrent path produces
 element-wise identical results.
@@ -29,6 +29,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.budget import Budget, BudgetLease
 from repro.core.executor import BatchExecutor, BatchRequest
+from repro.core.governor import BackendGate
 from repro.core.session import SessionClient
 from repro.exceptions import UnknownStrategyError
 from repro.llm.base import LLMClient, LLMResponse
@@ -77,7 +78,8 @@ class BaseOperator:
         client: the LLM client unit tasks go out through.  One that caches
             already (a caching session's client, a ``CachedClient``) is used
             as it is: an in-run duplicate is a ``cache_hit`` call of the
-            session.  Anything else gets one private cache (``use_cache``).
+            session.  Anything else gets one private cache (``use_cache``);
+            under a ``budget``, any but a session's gets a ``BackendGate``.
         model: default model for this operator's unit tasks.
         cost_model: optional price table used to convert usage to dollars.
         use_cache: whether identical temperature-0 prompts are served from a
@@ -85,9 +87,9 @@ class BaseOperator:
         max_concurrency: how many of the operator's independent unit tasks may
             be in flight at once; 1 (the default) runs them sequentially.
         budget: optional budget the operator's client charges.  A limited
-            one sends each bag one unit task at a time, so the session's gate
-            stops a large batch mid-way, and a spent one the next call,
-            instead of after the fact.  The engine threads its session budget
+            one sends each bag one unit task at a time, so the gate stops a
+            large batch mid-way, and a spent one the next call, instead of
+            after the fact.  The engine threads its session budget
             through here; a pipeline step instead passes its per-step
             :class:`~repro.core.budget.BudgetLease`, capping the operator at
             the step's apportioned share of the remaining dollars.
@@ -108,7 +110,10 @@ class BaseOperator:
     ) -> None:
         self.model = model
         self.tracker = UsageTracker(cost_model=cost_model)
-        if use_cache and not _caches(client):
+        cached = _caches(client)
+        if budget is not None and not isinstance(client, SessionClient):
+            client = BackendGate(client)
+        if use_cache and not cached:
             client = CachedClient(client)
         self._client = client
         self.max_concurrency = max_concurrency
@@ -171,7 +176,7 @@ class BaseOperator:
     ) -> LLMResponse:
         """Issue one unit task whose prompt depends on an earlier answer.
 
-        A bag of one: it is admitted, pre-checked and tracked like any other.
+        A bag of one: dispatched, gated and tracked like any other.
         """
         (response,) = self._complete_requests(
             [BatchRequest(prompt=prompt, model=model or self.model, temperature=temperature)]

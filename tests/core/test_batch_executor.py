@@ -167,6 +167,27 @@ class TestBudgetEarlyStopping:
             executor.run([f"p{i}" for i in range(16)])
         assert client.calls == 0
 
+    @pytest.mark.parametrize("concurrency", CONCURRENCIES)
+    def test_a_gate_around_a_raw_client_refuses_a_spent_budget(self, concurrency):
+        # No session charges this budget; the executor names it as the
+        # charge target, and the gate refuses to spend past it.
+        budget = Budget(limit=1.0, spent=1.0)
+        client = EchoClient()
+        executor = BatchExecutor(BackendGate(client), max_concurrency=concurrency, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            executor.run([f"p{i}" for i in range(8)])
+        assert client.calls == 0
+
+    def test_a_budget_the_session_client_does_not_charge_is_refused(self):
+        session = PromptSession(EchoClient(), budget=Budget(limit=1.0))
+        lease = session.budget.lease(0.5)
+        with pytest.raises(ConfigurationError):
+            BatchExecutor(session.client(), budget=lease)
+        with pytest.raises(ConfigurationError):
+            BatchExecutor(session.client(lease), budget=session.budget)
+        assert BatchExecutor(session.client(lease), budget=lease).budget is lease
+        assert BatchExecutor(session.client(), budget=session.budget).budget is session.budget
+
     def test_unlimited_budget_never_stops(self):
         client = EchoClient()
         executor = BatchExecutor(client, budget=Budget())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -44,6 +45,40 @@ class FakeClock:
     def sleep(self, seconds: float) -> None:
         self.sleeps.append(seconds)
         self.now += seconds
+
+
+class StampedClient(CountingClient):
+    """Records the virtual time of every call that reaches it."""
+
+    def __init__(self, clock: FakeClock) -> None:
+        super().__init__()
+        self.clock = clock
+        self.stamps: list[float] = []
+
+    def complete(self, prompt, **params):
+        self.stamps.append(self.clock.now)
+        return super().complete(prompt, **params)
+
+
+class ParallelBatchClient(CountingClient):
+    """Its native batch makes every call at once; records the peak in flight."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.in_flight = self.peak = 0
+
+    def complete(self, prompt, **params):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.005)
+        with self._lock:
+            self.in_flight -= 1
+        return super().complete(prompt, **params)
+
+    def complete_batch(self, prompts, **params):
+        with ThreadPoolExecutor(len(prompts)) as pool:
+            return list(pool.map(lambda prompt: self.complete(prompt, **params), prompts))
 
 
 class TestTokenBucket:
@@ -260,8 +295,7 @@ class TestExecutorIntegration:
 
     def test_sequential_batch_respects_the_governor(self):
         # A homogeneous batch takes the native complete_batch path; the gate
-        # admits its three calls as one admission of three, so the quota
-        # still binds.
+        # admits each of its three calls on its own, so the quota still binds.
         clock = FakeClock()
         governor = ConcurrencyGovernor(rpm=60, burst=1, clock=clock, sleep=clock.sleep)
         client = CountingClient()
@@ -269,6 +303,32 @@ class TestExecutorIntegration:
         executor.run(["a", "b", "c"])
         assert client.calls == 3
         assert clock.now == pytest.approx(2.0)  # 3 calls at 1/s, first free
+
+    @pytest.mark.parametrize("route", ["executor", "session"])
+    def test_each_call_of_a_batch_is_admitted_and_paced_on_its_own(self, route):
+        # rpm=60 with a burst of 1 is one call a second, however the calls
+        # were batched above the gate.
+        clock = FakeClock()
+        governor = ConcurrencyGovernor(rpm=60, burst=1, clock=clock, sleep=clock.sleep)
+        client = StampedClient(clock)
+        prompts = ["a", "b", "c", "d"]
+        if route == "executor":
+            BatchExecutor(BackendGate(client, governor)).run(prompts)
+        else:
+            PromptSession(client, governor=governor).complete_batch(prompts)
+        assert client.stamps == [0.0, 1.0, 2.0, 3.0]
+        assert clock.sleeps == [1.0, 1.0, 1.0]
+        assert (governor.stats.admitted, governor.stats.throttled) == (4, 3)
+
+    def test_each_call_of_a_batch_holds_its_own_slot(self):
+        # The backend's native batch would make all six calls at once; the
+        # gate sends them one by one, each inside its own slot.
+        governor = ConcurrencyGovernor(max_in_flight=2)
+        client = ParallelBatchClient()
+        session = PromptSession(client, governor=governor)
+        assert len(session.complete_batch([f"p{index}" for index in range(6)])) == 6
+        assert client.calls == governor.stats.admitted == 6
+        assert client.peak <= 2 and governor.in_flight == 0
 
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_only_calls_that_reach_the_backend_are_admitted_and_paced(self, concurrency):

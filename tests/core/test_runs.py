@@ -109,7 +109,8 @@ def test_no_run_is_taken_where_it_is_not_safe(case, never_stalls, settles):
         ]
     else:
         kind = AsyncBatchExecutor
-    executor = kind(session.client(), max_concurrency=WIDTH, **options)
+    client = session.client(options.get("budget"))
+    executor = kind(client, max_concurrency=WIDTH, **options)
     assert len(call(executor, "run", requests)) == 60
     assert settles == [1] * 60
 

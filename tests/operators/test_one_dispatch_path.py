@@ -40,6 +40,7 @@ from repro.data.products import generate_restaurant_dataset
 from repro.exceptions import BudgetExceededError
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
+from repro.operators import FilterOperator
 from tests.doubles import CountingClient
 
 MODEL = "sim-gpt-3.5-turbo"
@@ -201,6 +202,23 @@ def test_a_spent_budget_answers_a_cached_rerun(case: Case, spent: str, state: st
                 budget.charge(over)
     assert _output(case.run(engine, budget)) == _output(first)
     assert backend.calls == made
+
+
+@pytest.mark.parametrize("use_cache", (True, False))
+def test_a_spent_budget_stops_an_operator_over_a_raw_client(use_cache: bool):
+    # No session below: the operator's own gate refuses a call once the
+    # budget is spent, by whoever spent it; a cached answer stays free.
+    backend = counting_client()
+    budget = Budget(limit=1.0)
+    operator = FilterOperator(backend, NOT_COG, model=MODEL, budget=budget, use_cache=use_cache)
+    first = operator.run(RECORDS[:4])
+    assert backend.calls == 4
+    budget.spent = 1.0
+    if use_cache:
+        assert _output(operator.run(RECORDS[:4])) == _output(first)
+    with pytest.raises(BudgetExceededError):
+        operator.run(RECORDS[4:8])
+    assert backend.calls == 4
 
 
 def _output(result: Any) -> dict:
