@@ -19,7 +19,7 @@ threads appear when calls wait.  A call answered from memory (a warm cache, a
 replayed trace, the simulator) gains nothing from a second thread but its
 turn on the interpreter lock, so the dispatching thread drains a fanned-out
 bag itself — in *runs* of the queue, each sent as one native batch, when the
-bag may go out so — and helpers join once it stalls (see
+bag may go out so — and helpers join once it stalls without computing (see
 :class:`BatchExecutor`).
 
 Everything the two executors decide — request normalisation, when calls of a
@@ -77,10 +77,20 @@ from repro.llm.retry import RetryingClient, RetryStats
 #: blocked OS thread per call in flight, which the asyncio path does not.
 DEFAULT_POOL_SIZE = 8
 
-#: How long a fanned-out bag may start no body before :class:`BatchExecutor`
-#: takes the running calls to be waiting and brings in its helper threads:
-#: long against a call that computes, short against one that waits.
+#: How long a fanned-out bag may start no body, its dispatching thread computing
+#: for less than half of it, before :class:`BatchExecutor` brings in its helpers.
 _STALL_SECONDS = 0.001
+#: The most calls one run takes: a run reaches the store when it returns, so a
+#: hard kill loses at most this many answered calls past the store's row bound.
+_MAX_RUN = 32
+
+
+def _cpu_clock() -> Callable[[], float]:
+    """The calling thread's CPU clock, for other threads (0.0 where ``time`` has none)."""
+    if not hasattr(time, "pthread_getcpuclockid"):
+        return lambda: 0.0
+    clock = time.pthread_getcpuclockid(threading.get_ident())
+    return lambda: time.clock_gettime(clock)
 
 
 @dataclass(frozen=True)
@@ -298,17 +308,14 @@ class _ExecutorCore:
             self.retry_stats = None
         self._client = client
 
-    def _fan_out(
-        self, bodies: list[Body], batchable: list[BatchRequest] | None = None
-    ) -> Any:
-        """Drive ``bodies`` concurrently; one :class:`TaskOutcome` each, in order.
+    def _fan_out(self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False) -> Any:
+        """Drive ``body_of(item)`` per item concurrently; one :class:`TaskOutcome` each, in order.
 
-        The one thing the two executors do differently.  After the first
-        failure, bodies that have not started are left ``skipped`` (those in
-        flight finish), approximating where a sequential loop would have
-        stopped.  ``batchable`` holds the bodies' requests when they are unit
-        tasks of a bag that passed :meth:`_native`: :class:`BatchExecutor`
-        may then send runs of them as native batches (:meth:`_batch`).
+        The one thing the two executors do differently.  A body is built when a
+        task takes its item; after the first failure, items not taken stay
+        ``skipped`` (those in flight finish), where a sequential loop would have
+        stopped.  With ``runs`` (the requests of a bag that passed :meth:`_native`)
+        :class:`BatchExecutor` may send runs of them as native batches.
         """
         raise NotImplementedError
 
@@ -362,20 +369,14 @@ class _ExecutorCore:
         # duplicates are resolved afterwards through the ordinary per-call
         # path, where they hit the now-warm cache (or, without a cache, pay
         # their own call — exactly like the sequential loop).
-        seen: set[tuple[str | None, str]] = set()
-        pooled: list[int] = []
-        deferred: list[int] = []
+        firsts: dict[Any, int] = {}
         for index, request in enumerate(requests):
-            if request.temperature == 0.0:
-                key = (request.model, request.prompt)
-                if key in seen:
-                    deferred.append(index)
-                    continue
-                seen.add(key)
-            pooled.append(index)
-        bodies = [self._unit(requests[index]) for index in pooled]
-        batchable = [requests[index] for index in pooled] if self._native(requests) else None
-        outcomes = yield Invoke(self._fan_out, bodies, batchable)
+            key = (request.model, request.prompt) if request.temperature == 0.0 else index
+            firsts.setdefault(key, index)
+        pooled = list(firsts.values())
+        deferred = sorted(set(range(len(requests))).difference(pooled))
+        pooled_requests = [requests[index] for index in pooled]
+        outcomes = yield Invoke(self._fan_out, self._unit, pooled_requests, self._native(requests))
         for outcome in outcomes:
             if outcome.error is not None:
                 # Deterministic propagation: outcomes are in request order, so
@@ -418,22 +419,21 @@ class _ExecutorCore:
 
     def _map(self, tasks: Sequence[Callable[[], Any]]) -> Body:
         """Body of ``map``: one :class:`TaskOutcome` per task, in input order."""
-        bodies = [self._guarded(task) for task in tasks]
-        outcomes = [TaskOutcome(skipped=True) for _ in bodies]
-        if not bodies:
+        outcomes = [TaskOutcome(skipped=True) for _ in tasks]
+        if not tasks:
             return outcomes
-        with _QueueDepth(self.instruments, len(bodies)):
-            if self.max_concurrency == 1 or len(bodies) == 1:
-                for index, body in enumerate(bodies):
+        with _QueueDepth(self.instruments, len(tasks)):
+            if self.max_concurrency == 1 or len(tasks) == 1:
+                for index, task in enumerate(tasks):
                     try:
-                        outcomes[index] = TaskOutcome(value=(yield from body))
+                        outcomes[index] = TaskOutcome(value=(yield from self._guarded(task)))
                     except (asyncio.CancelledError, GeneratorExit):
                         raise
                     except BaseException as exc:  # noqa: BLE001 - reported, not raised
                         outcomes[index] = TaskOutcome(error=exc)
                         break
             else:
-                outcomes = yield Invoke(self._fan_out, bodies)
+                outcomes = yield Invoke(self._fan_out, self._guarded, tasks)
         # A task the budget pre-check turned away never ran: it is reported
         # as skipped with the budget error attached.  Ctrl-C is no failed task
         # to report and carry on from: it surfaces, now that the bag settled.
@@ -469,13 +469,13 @@ class BatchExecutor(_ExecutorCore):
     Sequential at ``max_concurrency == 1`` (the default).  Above that it is
     a ceiling on calls in flight, not a thread count: the dispatching thread
     drains the bag itself, up to ``max_concurrency - 1`` helper threads join
-    it within about a millisecond of a call blocking, and all of them have
+    it within about a millisecond of a call blocking (no body starts, and
+    the dispatching thread computes for less than half of it), and all have
     exited when ``run``/``map`` returns.  Until then, when the bag passes
     :meth:`_native`, the dispatching thread sends *runs* of it as native
-    batches: the first call goes alone and is timed, and each later run is
-    sized from the measured time per call to last about half of
-    ``_STALL_SECONDS``; calls that wait keep the size at one unit task, and
-    the last ``max_concurrency - 1`` requests are never part of a run.
+    batches: the first call goes alone, a run that computed doubles the
+    next up to ``_MAX_RUN`` calls, one that waited sends the next alone,
+    and the last ``max_concurrency - 1`` requests are never part of a run.
     Once the bag has stalled every thread takes one unit task per turn.
     Arguments: see :class:`_ExecutorCore`.
     """
@@ -517,13 +517,14 @@ class BatchExecutor(_ExecutorCore):
         return drive(self._map(tasks))
 
     def _fan_out(
-        self, bodies: list[Body], batchable: list[BatchRequest] | None = None
+        self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False
     ) -> list[TaskOutcome]:
-        outcomes = [TaskOutcome(skipped=True) for _ in bodies]
-        queue = deque(enumerate(bodies))
+        outcomes = [TaskOutcome(skipped=True) for _ in items]
+        queue = deque(range(len(items)))
         stop = threading.Event()  # start no further body: a failure, or the bag is drained
         stalled = False  # set by the scout, before it starts the helpers
         helpers: list[threading.Thread] = []
+        computing = _cpu_clock()  # the dispatching thread's, read by the scout
 
         def unit(index: int, body: Body) -> None:
             # A body gets a fresh copy of the dispatching context (or of a
@@ -539,8 +540,8 @@ class BatchExecutor(_ExecutorCore):
             # A run answers its requests in order; one that raised answered
             # the prefix its error carries, and the error belongs to the
             # request after it (the first, when the prefix is unknown).
-            prompts = [batchable[index].prompt for index in positions]
-            body = self._batch(prompts, batchable[positions[0]])
+            prompts = [items[index].prompt for index in positions]
+            body = self._batch(prompts, items[positions[0]])
             try:
                 responses = contextvars.copy_context().run(drive, body)
             except BaseException as exc:  # noqa: BLE001 - reported to the body
@@ -555,39 +556,34 @@ class BatchExecutor(_ExecutorCore):
             # no runs: one unit body per turn.
             while not stop.is_set():
                 try:
-                    index, body = queue.popleft()
+                    index = queue.popleft()
                 except IndexError:
                     return
-                unit(index, body)
+                unit(index, body_of(items[index]))
 
         def dispatch() -> None:
             # The dispatching thread, until the scout sees a stall (see the
-            # class docstring).  A run lasts about half a stall so that the
-            # scout keeps seeing runs start; the last ``max_concurrency - 1``
-            # requests stay out of runs so that a slow remainder still finds a
-            # full width of helpers.
+            # class docstring).  A run that computed doubles the next, up to
+            # ``_MAX_RUN``; one that waited sends the next call alone.  The
+            # last ``max_concurrency - 1`` requests stay out of runs so that a
+            # slow remainder still finds a full width of helpers.
             size, reserve = 1, self.max_concurrency - 1
             while not (stalled or stop.is_set()):
-                taken = min(size, len(queue) - reserve)
-                began = time.perf_counter()
-                if taken > 1:
-                    # Helpers may be taking too, if the scout has just fired.
-                    positions = []
-                    for _ in range(taken):
-                        try:
-                            positions.append(queue.popleft()[0])
-                        except IndexError:
-                            break
-                    if positions:
-                        batch(positions)
-                else:
+                began, cpu = time.perf_counter(), time.thread_time()
+                positions = []  # helpers may be taking too, if the scout has just fired
+                for _ in range(max(1, min(size, len(queue) - reserve))):
                     try:
-                        index, body = queue.popleft()
+                        positions.append(queue.popleft())
                     except IndexError:
-                        return
-                    unit(index, body)
-                    taken = 1
-                size = max(1, int(_STALL_SECONDS / 2 * taken / (time.perf_counter() - began)))
+                        break
+                if len(positions) > 1:
+                    batch(positions)
+                elif positions:
+                    unit(positions[0], body_of(items[positions[0]]))
+                else:
+                    return
+                waited = time.perf_counter() - began > 2 * (time.thread_time() - cpu)
+                size = 1 if waited else min(2 * size, _MAX_RUN)
             work()
 
         def start(target: Callable[[], None]) -> None:
@@ -597,25 +593,27 @@ class BatchExecutor(_ExecutorCore):
 
         def scout() -> None:
             # The first helper watches before it works: while bodies keep
-            # starting, threads would only take turns on the interpreter lock;
-            # once none has for a while a call is blocked: go to full width
-            # now, not after it returns (eight slow calls are one wave).
+            # starting, or the dispatching thread computes (a long run, a task
+            # that computes), threads would only take turns on the interpreter
+            # lock; once neither has for a while a call is blocked: go to full
+            # width now, not after it returns (eight slow calls are one wave).
             nonlocal stalled
-            waiting = len(queue)
+            waiting, began, cpu = len(queue), time.perf_counter(), computing()
             while not stop.wait(_STALL_SECONDS):
-                if len(queue) == waiting:
+                now, spent = time.perf_counter(), computing()
+                if len(queue) == waiting and 2 * (spent - cpu) < now - began:
                     stalled = True
                     for _ in range(min(self.max_concurrency - 1, waiting) - 1):
                         start(work)
                     return work()
-                waiting = len(queue)
+                waiting, began, cpu = len(queue), now, spent
 
         start(scout)
         try:
-            if batchable is None:
-                work()
-            else:
+            if runs:
                 dispatch()
+            else:
+                work()
         finally:
             stop.set()
             for thread in helpers:  # complete once the scout, which starts the rest, has exited
@@ -648,21 +646,21 @@ class AsyncBatchExecutor(_ExecutorCore):
         return await adrive(self._map(tasks))
 
     async def _fan_out(
-        self, bodies: list[Body], batchable: list[BatchRequest] | None = None
+        self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False
     ) -> list[TaskOutcome]:
-        # Every body is its own task: a call awaited on the loop gives way to
+        # Every item is its own task: a call awaited on the loop gives way to
         # the others, so there is no dispatching thread to hand runs to.
-        outcomes = [TaskOutcome(skipped=True) for _ in bodies]
+        outcomes = [TaskOutcome(skipped=True) for _ in items]
         semaphore = asyncio.Semaphore(self.max_concurrency)
         stopped = False
 
-        async def worker(index: int, body: Body) -> None:
+        async def worker(index: int) -> None:
             nonlocal stopped
             async with semaphore:
                 if stopped:
                     return  # stays skipped: queued behind the failure
                 try:
-                    outcomes[index] = TaskOutcome(value=await adrive(body))
+                    outcomes[index] = TaskOutcome(value=await adrive(body_of(items[index])))
                 except asyncio.CancelledError:
                     raise
                 except BaseException as exc:  # noqa: BLE001 - reported to the body
@@ -672,7 +670,5 @@ class AsyncBatchExecutor(_ExecutorCore):
         # Each asyncio task copies the dispatching context at creation, so
         # trace labels and the ambient span reach the bodies as they do
         # on the sync executor's threads.
-        await asyncio.gather(
-            *(asyncio.create_task(worker(index, body)) for index, body in enumerate(bodies))
-        )
+        await asyncio.gather(*(asyncio.create_task(worker(index)) for index in range(len(items))))
         return outcomes

@@ -26,6 +26,7 @@ callback crosses from worker threads onto the loop via
 from __future__ import annotations
 
 import asyncio
+import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, AsyncIterator
 from uuid import uuid4
@@ -40,6 +41,8 @@ from repro.wire import to_wire
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.workflow import StepReport
     from repro.service.tenants import Tenant, TenantRegistry
+
+_LOG = logging.getLogger("repro.service")
 
 
 @dataclass
@@ -221,10 +224,11 @@ class JobManager:
             return
         try:
             self.store.save_job(record)
-        except Exception:
+        except Exception as exc:
             # Persistence is the crash story, not the request path; a
             # locked database must not fail the job that is running fine.
-            pass
+            _LOG.warning("job %s: its %s row was not written (%s)", record.job_id,
+                         record.status, type(exc).__name__, exc_info=True)
 
     # -- observation --------------------------------------------------------------
 

@@ -11,6 +11,7 @@ can only get past it if the bag really went wide.
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 import time
 
@@ -34,6 +35,17 @@ PATIENCE = 5.0
 def never_stalls(monkeypatch):
     """The regime where calls do not wait: no pause counts as a stall."""
     monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Hand the interpreter lock over promptly, so the scout wakes on time."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def wait_for_helpers_to_exit(baseline: int) -> None:
@@ -153,6 +165,34 @@ class TestCallsThatWait:
         baseline = threading.active_count()
         BatchExecutor(EchoClient(), max_concurrency=WIDTH).map([task] * 3)
         assert max(peak) <= baseline + 2
+
+
+class TestCallsThatCompute:
+    def test_tasks_that_compute_start_no_helper(self, short_switch_interval):
+        # Each task starts no body for three stall windows, but the dispatching
+        # thread computes all along: a second thread would only take turns on
+        # the interpreter lock.  A host that deschedules the dispatching thread
+        # rightly looks stalled to the scout, so one of up to 40 bags must run
+        # alone; every bag must run each task once.
+        spin = 3 * executor_module._STALL_SECONDS
+        baseline = threading.active_count()
+
+        def task():
+            began = time.thread_time()
+            while time.thread_time() - began < spin:
+                pass
+            return threading.get_ident(), threading.active_count()
+
+        runners = []
+        for _ in range(40):
+            outcomes = BatchExecutor(EchoClient(), max_concurrency=WIDTH).map([task] * 3)
+            assert all(outcome.ok for outcome in outcomes)
+            assert threading.active_count() == baseline
+            runners.append({outcome.value for outcome in outcomes})
+            # The scout, which never fired, is the one thread besides the caller.
+            if runners[-1] == {(threading.get_ident(), baseline + 1)}:
+                break
+        assert runners[-1] == {(threading.get_ident(), baseline + 1)}, runners
 
 
 class TestAmbientContext:

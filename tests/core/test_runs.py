@@ -189,3 +189,62 @@ def test_no_run_is_taken_once_the_scout_has_fired(settles, monkeypatch):
         if seen_firing == 3:
             break
     assert seen_firing == 3, "the scout never fired during a 3 ms wait"
+
+
+def record_key(record) -> tuple:
+    """A call record without what dispatch may change: its id and its timing."""
+    return (record.prompt, record.response_text, record.prompt_tokens,
+            record.completion_tokens, round(record.cost, 12), record.cache_hit, record.error)
+
+
+def test_runs_double_from_one_call_up_to_32_at_the_real_stall_threshold(settles):
+    """The shipped ``_STALL_SECONDS``: while the dispatching thread computes,
+    runs go 1, 2, 4, ... and never take more than 32 calls, so a 600-call bag
+    settles in 30 runs (the last ``WIDTH - 1`` calls alone).  A host that
+    deschedules the dispatching thread rightly looks stalled to the scout, so
+    the count and the doubling are asked of the best of ten bags; what every
+    bag answers and records is asked of each."""
+    asked = prompts(600)
+    reference = PromptSession(simulated_client())
+    expected = [response.text for response in BatchExecutor(reference.client()).run(asked)]
+    expected_records = sorted(map(record_key, reference.spans.records()))
+    shapes: list[list[int]] = []
+    for _ in range(10):
+        settles.clear()
+        session = PromptSession(simulated_client())
+        responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(asked)
+        assert [response.text for response in responses] == expected
+        assert sorted(map(record_key, session.spans.records())) == expected_records
+        assert sum(settles) == 600 and max(settles) <= 32
+        assert settles[-(WIDTH - 1):] == [1] * (WIDTH - 1)
+        shapes.append(list(settles))
+        if len(settles) <= 30:
+            break
+    best = min(shapes, key=len)
+    assert len(best) <= 30, [len(shape) for shape in shapes]
+    assert best[:6] == [1, 2, 4, 8, 16, 32]
+
+
+def test_a_run_that_waited_sends_the_next_call_alone(never_stalls, settles):
+    """Call 10 waits, inside the fourth run (calls 7 to 14): the next run is
+    one call, and doubling starts over.  A descheduled host can make a run
+    look like it waited too, so the shape is asked of one of ten bags."""
+    inner = simulated_client()
+
+    class WaitsOnce:
+        default_model = inner.default_model
+
+        def complete(self, prompt, **params):
+            if prompt == "Is 10 a prime number?":
+                time.sleep(0.002)
+            return inner.complete(prompt, **params)
+
+    shapes: list[list[int]] = []
+    for _ in range(10):
+        settles.clear()
+        session = PromptSession(WaitsOnce())
+        assert len(BatchExecutor(session.client(), max_concurrency=WIDTH).run(prompts(100))) == 100
+        shapes.append(settles[:8])
+        if shapes[-1] == [1, 2, 4, 8, 1, 2, 4, 8]:
+            break
+    assert shapes[-1] == [1, 2, 4, 8, 1, 2, 4, 8], shapes

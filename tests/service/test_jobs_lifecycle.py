@@ -264,3 +264,36 @@ class TestKillAndResume:
             resumed, record = asyncio.run(scenario())
             assert resumed == ["hardkill"]
             assert record["status"] == "succeeded"
+
+
+class TestAJobRowThatCannotBeWritten:
+    def test_is_logged_and_the_job_runs_on(self, tmp_path, caplog, monkeypatch):
+        import sqlite3
+
+        def locked(record):
+            raise sqlite3.OperationalError("database is locked")
+
+        with Store(tmp_path / "svc.db") as store:
+            monkeypatch.setattr(store, "save_job", locked)
+            app = ServiceApp(TenantRegistry(make_client(), tenant_configs(), store=store))
+            client = ServiceClient(app, api_key=ACME_KEY)
+
+            async def scenario():
+                submitted = await client.post("/v1/pipelines", json_body=pipeline_wire())
+                record = await poll_to_terminal(client, submitted.json()["job_id"])
+                await app.shutdown()
+                return record
+
+            with caplog.at_level("WARNING", logger="repro.service"):
+                record = asyncio.run(scenario())
+        assert record["status"] == "succeeded"
+        warnings = [r for r in caplog.records if r.name == "repro.service"]
+        assert {r.levelname for r in warnings} == {"WARNING"}
+        # One line per lost write: accepted, started, each step, the outcome.
+        assert len(warnings) >= 3
+        for status in ("queued", "running", "succeeded"):
+            assert any(
+                record["job_id"] in r.getMessage() and f" {status} " in r.getMessage()
+                and "OperationalError" in r.getMessage()
+                for r in warnings
+            ), status

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Lines of ``src/**/*.py``.
 SRC_LINES = 22_047
 #: Lines of ``docs/api.md``.
-API_DOC_LINES = 1_106
+API_DOC_LINES = 1_105
 
 
 def _lines(paths) -> int:
