@@ -18,43 +18,49 @@ from typing import Mapping, Sequence
 from repro.exceptions import SpecError
 
 
-def validate_dependencies(dependencies: Mapping[str, Sequence[str]]) -> None:
-    """Check that every dependency names a known step.
-
-    Raises:
-        SpecError: if a step depends on a name not present in the mapping.
-    """
-    names = set(dependencies)
-    for name, deps in dependencies.items():
-        unknown = sorted(set(deps) - names)
-        if unknown:
-            raise SpecError(
-                f"step {name!r} depends on unknown step(s): {', '.join(repr(d) for d in unknown)}"
-            )
-
-
 def topological_waves(dependencies: Mapping[str, Sequence[str]]) -> list[list[str]]:
     """Decompose a dependency graph into executable waves.
 
     Wave ``k`` contains every step whose dependencies all completed in waves
     ``< k``; steps within one wave are mutually independent and may run
     concurrently.  Within a wave, steps keep the mapping's insertion order.
+    Each edge is followed once.
 
     Raises:
         SpecError: on unknown dependencies or dependency cycles.
     """
-    validate_dependencies(dependencies)
-    done: set[str] = set()
-    remaining = list(dependencies)
+    pending: dict[str, int] = {}  # step -> its dependencies not yet in a wave
+    dependents: dict[str, list[str]] = {name: [] for name in dependencies}
+    for name, deps in dependencies.items():
+        distinct = set(deps)
+        unknown = sorted(distinct.difference(dependents))
+        if unknown:
+            raise SpecError(
+                f"step {name!r} depends on unknown step(s): {', '.join(repr(d) for d in unknown)}"
+            )
+        pending[name] = len(distinct)
+        for dep in distinct:
+            dependents[dep].append(name)
+    # Kahn's algorithm by levels: a step joins the wave after the one that
+    # places its last dependency, then the waves are filled in insertion order.
     waves: list[list[str]] = []
-    while remaining:
-        ready = [name for name in remaining if all(dep in done for dep in dependencies[name])]
-        if not ready:
-            cycle = ", ".join(repr(name) for name in remaining)
-            raise SpecError(f"dependency cycle among steps: {cycle}")
-        waves.append(ready)
-        done.update(ready)
-        remaining = [name for name in remaining if name not in done]
+    level: dict[str, int] = {}
+    frontier = [name for name, count in pending.items() if not count]
+    while frontier:
+        released = []
+        for name in frontier:
+            level[name] = len(waves)
+            for child in dependents[name]:
+                pending[child] -= 1
+                if not pending[child]:
+                    released.append(child)
+        waves.append([])
+        frontier = released
+    if len(level) < len(pending):
+        cycle = ", ".join(repr(name) for name in pending if name not in level)
+        raise SpecError(f"dependency cycle among steps: {cycle}")
+    for name in pending:
+        waves[level[name]].append(name)
     return waves
 
 
@@ -65,35 +71,14 @@ def transitive_dependencies(
 
     The closure of a step is every step reachable by following ``depends_on``
     edges; it is the set of upstream results the step may read.  Each closure
-    is returned in the mapping's insertion order.  Assumes the graph already
-    passed :func:`topological_waves` (no cycles, no unknown names).
+    is returned in the mapping's insertion order.
+
+    Raises:
+        SpecError: on unknown dependencies or dependency cycles.
     """
-    closures: dict[str, set[str]] = {}
-
-    def closure(start: str) -> set[str]:
-        # Iterative post-order DFS: a dependency chain can be thousands of
-        # steps deep, which must not hit the interpreter recursion limit.
-        stack = [start]
-        while stack:
-            node = stack[-1]
-            if node in closures:
-                stack.pop()
-                continue
-            missing = [dep for dep in dependencies[node] if dep not in closures]
-            if missing:
-                stack.extend(missing)
-                continue
-            reached: set[str] = set()
-            for dep in dependencies[node]:
-                reached.add(dep)
-                reached.update(closures[dep])
-            closures[node] = reached
-            stack.pop()
-        return closures[start]
-
-    order = list(dependencies)
-    result: dict[str, list[str]] = {}
-    for name in order:
-        reached = closure(name)
-        result[name] = [dep for dep in order if dep in reached]
-    return result
+    reached: dict[str, set[str]] = {}
+    for wave in topological_waves(dependencies):  # every dependency's closure comes first
+        for name in wave:
+            deps = dependencies[name]
+            reached[name] = set(deps).union(*(reached[dep] for dep in deps))
+    return {name: [dep for dep in dependencies if dep in reached[name]] for name in dependencies}

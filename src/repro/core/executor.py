@@ -57,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import inspect
+import sys
 import threading
 import time
 from collections import deque
@@ -78,7 +79,8 @@ from repro.llm.retry import RetryingClient, RetryStats
 DEFAULT_POOL_SIZE = 8
 
 #: How long a fanned-out bag may start no body, its dispatching thread computing
-#: for less than half of it, before :class:`BatchExecutor` brings in its helpers.
+#: for less than half of it, before :class:`BatchExecutor` brings in its helpers
+#: (when the whole process computed as little; else one switch interval more).
 _STALL_SECONDS = 0.001
 #: The most calls one run takes: a run reaches the store when it returns, so a
 #: hard kill loses at most this many answered calls past the store's row bound.
@@ -469,9 +471,11 @@ class BatchExecutor(_ExecutorCore):
     Sequential at ``max_concurrency == 1`` (the default).  Above that it is
     a ceiling on calls in flight, not a thread count: the dispatching thread
     drains the bag itself, up to ``max_concurrency - 1`` helper threads join
-    it within about a millisecond of a call blocking (no body starts, and
-    the dispatching thread computes for less than half of it), and all have
-    exited when ``run``/``map`` returns.  Until then, when the bag passes
+    it once a call blocks (after its first body no body starts, and the
+    dispatching thread computes for less than half the time: for about a
+    millisecond when the whole process is as idle, else for one
+    ``sys.getswitchinterval()`` more), and all have exited when
+    ``run``/``map`` returns.  Until then, when the bag passes
     :meth:`_native`, the dispatching thread sends *runs* of it as native
     batches: the first call goes alone, a run that computed doubles the
     next up to ``_MAX_RUN`` calls, one that waited sends the next alone,
@@ -597,16 +601,22 @@ class BatchExecutor(_ExecutorCore):
             # that computes), threads would only take turns on the interpreter
             # lock; once neither has for a while a call is blocked: go to full
             # width now, not after it returns (eight slow calls are one wave).
+            # Nothing counts before the dispatching thread has a body, and while
+            # the process computes a stall must outlast one lock switch interval.
             nonlocal stalled
             waiting, began, cpu = len(queue), time.perf_counter(), computing()
+            busy, since = time.process_time(), None  # since: a stall's first busy tick
             while not stop.wait(_STALL_SECONDS):
-                now, spent = time.perf_counter(), computing()
-                if len(queue) == waiting and 2 * (spent - cpu) < now - began:
+                now, spent, used = time.perf_counter(), computing(), time.process_time()
+                stuck = len(queue) == waiting < len(items) and 2 * (spent - cpu) < now - began
+                since = (since or now) if stuck else None
+                idle = 2 * (used - busy) < now - began
+                if stuck and (idle or now - since >= sys.getswitchinterval()):
                     stalled = True
                     for _ in range(min(self.max_concurrency - 1, waiting) - 1):
                         start(work)
                     return work()
-                waiting, began, cpu = len(queue), now, spent
+                waiting, began, cpu, busy = len(queue), now, spent, used
 
         start(scout)
         try:

@@ -86,7 +86,7 @@ class SortSpec(TaskSpec):
             # One item is a valid degenerate sort (the operator returns it
             # without any LLM calls); an empty list is a mis-wired spec.
             raise SpecError("a sort spec needs at least one item")
-        unknown = set(self.validation_order) - set(self.items)
+        unknown = self.validation_order and set(self.validation_order).difference(self.items)
         if unknown:
             raise SpecError(f"validation items not present in the input: {sorted(unknown)}")
 
@@ -133,6 +133,13 @@ class ImputeSpec(TaskSpec):
             raise SpecError("validation_size must be non-negative")
 
 
+def _check_labelled(labels: Mapping[str, Any], items: Sequence[str]) -> None:
+    """Raise when a labelled item is not among ``items`` (no work without labels)."""
+    unknown = labels and set(labels).difference(str(item) for item in items)
+    if unknown:
+        raise SpecError(f"validation-labelled items not present in the input: {sorted(unknown)}")
+
+
 @dataclass
 class FilterSpec(TaskSpec):
     """Keep the ``items`` satisfying a natural-language ``predicate``.
@@ -177,11 +184,7 @@ class FilterSpec(TaskSpec):
             raise SpecError("a filter spec needs at least one item")
         if any(not 0.0 < value <= 1.0 for value in self.expected_selectivities):
             raise SpecError("expected_selectivities must be in (0, 1]")
-        unknown = set(self.validation_labels) - {str(item) for item in self.items}
-        if unknown:
-            raise SpecError(
-                f"validation-labelled items not present in the input: {sorted(unknown)}"
-            )
+        _check_labelled(self.validation_labels, self.items)
 
 
 @dataclass
@@ -207,11 +210,7 @@ class CategorizeSpec(TaskSpec):
             raise SpecError("a categorize spec needs at least two categories")
         if len(set(labels)) != len(labels):
             raise SpecError("categories must be distinct")
-        unknown = set(self.validation_labels) - {str(item) for item in self.items}
-        if unknown:
-            raise SpecError(
-                f"validation-labelled items not present in the input: {sorted(unknown)}"
-            )
+        _check_labelled(self.validation_labels, self.items)
         bad_labels = {str(v) for v in self.validation_labels.values()} - set(labels)
         if bad_labels:
             raise SpecError(

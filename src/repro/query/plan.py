@@ -28,6 +28,7 @@ consumers, so plans can be compared before/after optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.core.declarations import OperatorDeclaration, operation_declaration
@@ -96,16 +97,21 @@ class LogicalPlan:
     name: str = "query"
     notes: tuple[str, ...] = ()
 
-    def nodes(self) -> list[LogicalNode]:
-        """Reachable nodes in deterministic topological order (inputs first)."""
+    @cached_property
+    def _order(self) -> tuple[LogicalNode, ...]:
+        # Walked once per plan: a plan never changes, a rewrite is a new plan.
         order: list[LogicalNode] = []
         _visit(self.root, set(), order)
-        return order
+        return tuple(order)
+
+    def nodes(self) -> list[LogicalNode]:
+        """Reachable nodes in deterministic topological order (inputs first)."""
+        return list(self._order)
 
     def consumers(self) -> dict[LogicalNode, list[LogicalNode]]:
         """Node → reachable nodes that read it (empty list for the root)."""
-        table: dict[LogicalNode, list[LogicalNode]] = {node: [] for node in self.nodes()}
-        for node in self.nodes():
+        table: dict[LogicalNode, list[LogicalNode]] = {node: [] for node in self._order}
+        for node in self._order:
             for upstream in node.inputs:
                 table[upstream].append(node)
         return table
@@ -119,7 +125,7 @@ class LogicalPlan:
         return replace(self, notes=(*self.notes, note))
 
     def __iter__(self) -> Iterator[LogicalNode]:
-        return iter(self.nodes())
+        return iter(self._order)
 
 
 # Module-level, state as arguments: a nested function that calls itself is a

@@ -5,7 +5,9 @@ join it only once a running call has stopped the bag's progress.  None of
 these tests reads a clock: the regime where calls never wait is pinned by
 raising the stall threshold out of reach, the regime where they do by tasks
 that meet at a :class:`threading.Barrier` (or wait on a helper's exit) and
-can only get past it if the bag really went wide.
+can only get past it if the bag really went wide.  Beside a thread spinning
+in Python, bags that never wait must still run alone and ones that do must
+still go wide.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import contextvars
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -193,6 +196,94 @@ class TestCallsThatCompute:
             if runners[-1] == {(threading.get_ident(), baseline + 1)}:
                 break
         assert runners[-1] == {(threading.get_ident(), baseline + 1)}, runners
+
+
+@pytest.fixture
+def spinner():
+    """A second thread that computes in Python for as long as the test runs."""
+    done = threading.Event()
+
+    def spin():
+        while not done.is_set():
+            pass
+
+    thread = threading.Thread(target=spin)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(PATIENCE)
+        assert not thread.is_alive()
+
+
+class TestOtherThreadsCompute:
+    """A dispatching thread that waits for the interpreter lock is not a blocked call."""
+
+    def test_zero_latency_bags_start_no_helper(self, spinner):
+        # Each bag computes for several switch intervals, so the spinner takes
+        # the interpreter lock from the dispatching thread again and again
+        # (a scout that read the dispatching thread's clock alone started
+        # helpers for one bag in three to six).  A host that deschedules the
+        # dispatching thread rightly looks stalled (with both CPUs of a
+        # two-CPU host busy, one bag in 40 here), so one of up to five rounds
+        # must run alone.
+        prompts = [f"p{index}" for index in range(4000)]
+
+        def round_of_bags() -> set[int]:
+            threads = set()
+
+            class Census(EchoClient):
+                def complete(self, prompt, **params):
+                    threads.add(threading.get_ident())
+                    return super().complete(prompt, **params)
+
+            for _ in range(20):
+                responses = BatchExecutor(Census(), max_concurrency=WIDTH).run(prompts)
+                assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
+            return threads
+
+        rounds = []
+        while len(rounds) < 5 and rounds[-1:] != [{threading.get_ident()}]:
+            rounds.append(round_of_bags())
+        assert rounds[-1] == {threading.get_ident()}, rounds
+
+    def test_a_backend_that_waits_still_goes_wide(self, spinner):
+        client = BarrierClient(WIDTH)
+        responses = BatchExecutor(client, max_concurrency=WIDTH).run(
+            [f"p{index}" for index in range(2 * WIDTH)]
+        )
+        assert [r.text for r in responses] == [f"echo:p{index}" for index in range(2 * WIDTH)]
+        assert client.peak == WIDTH
+
+
+class TestTheScoutWaitsForTheFirstBody:
+    def test_no_helper_takes_a_body_while_the_dispatching_thread_is_held(self, monkeypatch):
+        # The dispatching thread sleeps inside its first ``popleft``, fifty
+        # stall windows with the whole process idle: the scout must not take
+        # that body (or any other) before the dispatching thread has one.
+        dispatcher = threading.get_ident()
+        taken_by_others: list[int] = []
+        during_hold: list[int] = []
+        held: list[bool] = []
+
+        class HeldQueue(deque):
+            def popleft(self):
+                if threading.get_ident() != dispatcher:
+                    taken_by_others.append(threading.get_ident())
+                elif not held:
+                    held.append(True)
+                    time.sleep(50 * executor_module._STALL_SECONDS)
+                    during_hold.extend(taken_by_others)
+                return super().popleft()
+
+        monkeypatch.setattr(executor_module, "deque", HeldQueue)
+        baseline = threading.active_count()
+        prompts = [f"p{index}" for index in range(20)]
+        responses = BatchExecutor(EchoClient(), max_concurrency=WIDTH).run(prompts)
+        assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
+        assert held and during_hold == []
+        assert threading.active_count() == baseline
 
 
 class TestAmbientContext:

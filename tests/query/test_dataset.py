@@ -48,6 +48,18 @@ class TestLaziness:
         # Both branches share the same source node object.
         assert filtered.logical_plan().root.inputs[0] is sorted_.logical_plan().root.inputs[0]
 
+    def test_a_plan_s_node_list_is_the_caller_s_to_change(self, products):
+        items, _ = products
+        plan = Dataset(items, name="products").filter("keeps everything").resolve().logical_plan()
+        walked = plan.nodes()
+        expected = list(walked)
+        walked.reverse()
+        walked.append(plan.root)
+        del walked[0]
+        assert plan.nodes() == expected
+        assert list(plan) == expected
+        assert list(plan.consumers()) == expected
+
     def test_empty_source_rejected(self):
         with pytest.raises(SpecError, match="at least one item"):
             Dataset([])

@@ -94,6 +94,12 @@ class TestStructuredPromptProperties:
 
 
 class TestRankingMetricProperties:
+    @pytest.fixture(autouse=True, scope="class")
+    def scipy_stats_imported(self):
+        # The first ``kendall_tau_b`` of a process imports ``scipy.stats``
+        # (over a second): take it here, so a deadline times the property.
+        kendall_tau_b(["a", "b"], ["a", "b"])
+
     @given(_words)
     @settings(max_examples=60)
     def test_identity_permutation_scores_one(self, items):
