@@ -6,7 +6,7 @@ validation sample; the engine decides *how* — which prompting strategy, which
 model, how many unit tasks — and runs it while enforcing the budget.
 """
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import Budget
 from repro.core.dag import topological_waves, transitive_dependencies
 from repro.core.engine import DeclarativeEngine
 from repro.core.executor import (
@@ -63,7 +63,6 @@ __all__ = [
     "ModelRate",
     "TokenBucket",
     "estimated_prompt_tokens",
-    "BudgetLease",
     "BudgetScopedSession",
     "CategorizeSpec",
     "ClusterSpec",

@@ -87,10 +87,11 @@ from repro.operators.resolve import (
 )
 from repro.operators.sort import SortOperator, SortResult
 from repro.operators.top_k import TopKOperator, TopKResult
+from repro.tokenizer.cost import to_dollars, to_nanos
 from repro.wire import FieldCodec, from_wire, to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (these modules import this one)
-    from repro.core.budget import Budget, BudgetLease
+    from repro.core.budget import Budget
     from repro.core.engine import DeclarativeEngine
     from repro.core.physical import PhysicalPlanner
     from repro.core.planner import CostEstimate, CostPlanner
@@ -200,7 +201,7 @@ class OperatorDeclaration:
         return 0
 
     def validation(
-        self, planner: "PhysicalPlanner", spec: Any, budget: "Budget | BudgetLease | None"
+        self, planner: "PhysicalPlanner", spec: Any, budget: "Budget | None"
     ) -> Validation:
         """Candidates, runner and scorer for the labelled sample (when it has one)."""
         raise NotImplementedError
@@ -846,7 +847,7 @@ class _Filter(OperatorDeclaration):
                 merged.decisions[item] = result.decisions.get(item, False)
             survivors = list(result.kept)
             merged.usage.add(result.usage)
-            merged.cost += result.cost
+            merged.cost = to_dollars(to_nanos(merged.cost) + to_nanos(result.cost))
             merged.votes_used += result.votes_used
             merged.metadata = dict(result.metadata)
         merged.kept = survivors

@@ -40,7 +40,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import Budget
 from repro.core.declarations import declaration_for
 from repro.core.physical import PhysicalPlan, PhysicalPlanner
 from repro.core.planner import CostPlanner, PipelineQuote
@@ -141,9 +141,7 @@ class DeclarativeEngine:
 
     # -- running specs ------------------------------------------------------------
 
-    def run_spec(
-        self, spec: TaskSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> Any:
+    def run_spec(self, spec: TaskSpec, *, budget: Budget | None = None) -> Any:
         """Execute any declared task spec (the one run path of the engine).
 
         The spec's :mod:`declaration <repro.core.declarations>` says how:
@@ -167,15 +165,11 @@ class DeclarativeEngine:
         declaration.observe(self.stats, spec, result)
         return result
 
-    def sort(
-        self, spec: SortSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def sort(self, spec: SortSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a sort spec; returns a ``SortResult``."""
         return self.run_spec(spec, budget=budget)
 
-    def resolve(
-        self, spec: ResolveSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def resolve(self, spec: ResolveSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a resolve spec.
 
         With ``pairs`` the spec is a pair-judgment task (the Table 3
@@ -185,15 +179,11 @@ class DeclarativeEngine:
         """
         return self.run_spec(spec, budget=budget)
 
-    def impute(
-        self, spec: ImputeSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def impute(self, spec: ImputeSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute an impute spec; returns an ``ImputeResult``."""
         return self.run_spec(spec, budget=budget)
 
-    def filter(
-        self, spec: FilterSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def filter(self, spec: FilterSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a filter spec, applying conjunctive predicates in order.
 
         Returns one merged ``FilterResult`` (see the filter declaration's
@@ -201,27 +191,19 @@ class DeclarativeEngine:
         """
         return self.run_spec(spec, budget=budget)
 
-    def categorize(
-        self, spec: CategorizeSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def categorize(self, spec: CategorizeSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a categorize spec; returns a ``CategorizeResult``."""
         return self.run_spec(spec, budget=budget)
 
-    def top_k(
-        self, spec: TopKSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def top_k(self, spec: TopKSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a top-k spec; returns a ``TopKResult``."""
         return self.run_spec(spec, budget=budget)
 
-    def join(
-        self, spec: JoinSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def join(self, spec: JoinSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a join spec; returns a ``JoinResult``."""
         return self.run_spec(spec, budget=budget)
 
-    def cluster(
-        self, spec: ClusterSpec, *, budget: Budget | BudgetLease | None = None
-    ) -> OperatorResult:
+    def cluster(self, spec: ClusterSpec, *, budget: Budget | None = None) -> OperatorResult:
         """Execute a cluster spec; returns a ``ClusterResult``."""
         return self.run_spec(spec, budget=budget)
 
@@ -364,7 +346,7 @@ class DeclarativeEngine:
         digests = {n: k.digest for n, k in restoring.keys.items() if k.result is not None}
 
         def spec_runner(
-            step: PipelineStep, inputs: Mapping[str, Any], lease: BudgetLease | None
+            step: PipelineStep, inputs: Mapping[str, Any], lease: Budget | None
         ) -> Any:
             return self._run_step(store, restoring, digests, step, inputs, lease)
 
@@ -486,7 +468,7 @@ class DeclarativeEngine:
         digests: dict[str, str],
         step: PipelineStep,
         inputs: Mapping[str, Any],
-        lease: BudgetLease | None,
+        lease: Budget | None,
     ) -> Any:
         """Run one spec step, through the checkpoint store when there is one.
 

@@ -50,6 +50,8 @@ Two reliability hooks ride along:
 * *Budget-aware early stopping* — pass the limited budget (or lease) the
   client charges and the bag goes out one unit task at a time, each charged
   before the next reaches the gate, which refuses it once the budget is spent.
+  Over a raw client, with no gate below, ``run`` refuses a spent budget
+  before its first call.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 
-from repro.core.budget import CHARGE_TARGET, Budget, BudgetLease
+from repro.core.budget import CHARGE_TARGET, Budget
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
 from repro.llm.retry import RetryingClient, RetryStats
@@ -201,7 +203,7 @@ OPEN_BAG: contextvars.ContextVar[SettleBag | None] = contextvars.ContextVar(
 
 
 @contextmanager
-def _settling(bag: SettleBag | None, budget: Budget | BudgetLease | None) -> Iterator[None]:
+def _settling(bag: SettleBag | None, budget: Budget | None) -> Iterator[None]:
     """Open ``bag``, name ``budget`` the charge target; on exit, hand the bag over."""
     token, charging = OPEN_BAG.set(bag), CHARGE_TARGET.set(budget)
     try:
@@ -211,6 +213,16 @@ def _settling(bag: SettleBag | None, budget: Budget | BudgetLease | None) -> Ite
         OPEN_BAG.reset(token)
         if bag is not None:
             bag.close()
+
+
+def _gated(client: Any) -> bool:
+    """Whether a gate refuses ``client``'s calls once their budget is spent: a
+    session client's, or a ``BackendGate`` its wrappers (``_client``) lead to."""
+    while client is not None:
+        if getattr(client, "refuses_spent_budget", False):
+            return True
+        client = getattr(client, "_client", None)
+    return False
 
 
 class _RunTask:
@@ -263,10 +275,10 @@ class _ExecutorCore:
             sequential native batching) uses threads beyond the dispatching
             one only while calls wait; for :class:`AsyncBatchExecutor`
             (default 16) it is the number of simultaneously pending awaits.
-        budget: optional budget (or per-step :class:`~repro.core.budget.
-            BudgetLease`) the client's calls are charged to (a session client's
-            own).  ``run`` makes it the gate's ``CHARGE_TARGET``, and a limited
-            one sends the bag one unit task at a time; ``map`` checks it too.
+        budget: optional budget (or per-step lease) the client's calls are
+            charged to (a session client's own).  ``run`` makes it the gate's
+            ``CHARGE_TARGET``, and a limited one sends the bag one unit task
+            at a time; ``map`` checks it too.
         validator: optional response-text validator enabling per-call retries
             (see :class:`~repro.llm.retry.RetryingClient`).
         max_retries: additional attempts per unit task when a validator is set.
@@ -283,7 +295,7 @@ class _ExecutorCore:
         client: Any,
         *,
         max_concurrency: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
         validator: Callable[[str], Any] | None = None,
         max_retries: int = 2,
         retry_temperature: float = 0.7,
@@ -297,6 +309,8 @@ class _ExecutorCore:
             raise ConfigurationError("budget= must be the budget the session client charges")
         self.max_concurrency = max_concurrency
         self.budget = budget
+        # With no gate below to refuse a spent budget (a raw client), ``run`` does.
+        self._ungated = budget is not None and not _gated(client)
         self.instruments = instruments
         if validator is not None:
             client = RetryingClient(
@@ -331,6 +345,8 @@ class _ExecutorCore:
         ]
         if not normalized:
             return []
+        if self._ungated:
+            self.budget.check()
         # One bag per run, however it is dispatched — except under a validator,
         # whose retry wrapper amends each call's span as soon as the call returns.
         bag = SettleBag() if self.retry_stats is None else None
@@ -459,9 +475,11 @@ class _ExecutorCore:
 
     def _guarded(self, task: Callable[[], Any]) -> Body:
         """Body of one ``map`` task: the budget pre-check, then the task."""
-        budget = self.budget
-        if budget is not None and not budget.unlimited and budget.remaining <= 0.0:
-            raise _BudgetPreCheckStop(BudgetExceededError(budget.spent, budget.limit))
+        if self.budget is not None:
+            try:
+                self.budget.check()
+            except BudgetExceededError as exc:
+                raise _BudgetPreCheckStop(exc) from None
         return (yield _RunTask(task))
 
 

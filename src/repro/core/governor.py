@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Callable, Iterator
 
 from repro.core.budget import CHARGE_TARGET
-from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
+from repro.exceptions import ConfigurationError, RateLimitError
 from repro.llm.base import BaseClient, Body, Call, LLMResponse, carry_answered
 
 
@@ -366,6 +366,9 @@ class BackendGate(BaseClient):
     admission and slot, and reports to the backoff.
     """
 
+    #: What an executor over this client looks for (it need not refuse itself).
+    refuses_spent_budget = True
+
     def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
         self._client = client
         self.governor = governor
@@ -373,8 +376,8 @@ class BackendGate(BaseClient):
     @staticmethod
     def _check_budget() -> None:
         target = CHARGE_TARGET.get()
-        if target is not None and not target.unlimited and target.remaining <= 0.0:
-            raise BudgetExceededError(target.spent, target.limit)
+        if target is not None:
+            target.check()
 
     def _body(self, call: Call) -> Body:
         self._check_budget()

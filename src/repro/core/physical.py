@@ -48,7 +48,7 @@ from repro.core.stats import RuntimeStats
 from repro.exceptions import ConfigurationError, SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.budget import Budget, BudgetLease
+    from repro.core.budget import Budget
     from repro.core.session import PromptSession
     from repro.operators.base import BaseOperator
 
@@ -157,12 +157,12 @@ class PhysicalPlanner:
             )
         return self._planners[key]
 
-    def operator_kwargs(self, budget: "Budget | BudgetLease | None" = None) -> dict:
+    def operator_kwargs(self, budget: "Budget | None" = None) -> dict:
         """Keyword arguments the engine passes to every operator it builds.
 
-        A pipeline step passes its per-step :class:`~repro.core.budget.
-        BudgetLease` so a spend limit stops a large batch between unit
-        tasks; otherwise the session budget is charged.
+        A pipeline step passes its per-step lease so a spend limit stops a
+        large batch between unit tasks; otherwise the session budget is
+        charged.
         """
         return {
             "model": self.default_model,
@@ -171,9 +171,7 @@ class PhysicalPlanner:
             "budget": budget if budget is not None else self.session.budget,
         }
 
-    def build_operator(
-        self, spec: TaskSpec, budget: "Budget | BudgetLease | None" = None
-    ) -> "BaseOperator":
+    def build_operator(self, spec: TaskSpec, budget: "Budget | None" = None) -> "BaseOperator":
         """The spec's operator over the session client, charged to ``budget``."""
         return declaration_for(spec).build(
             spec, self.session.client(budget), **self.operator_kwargs(budget)
@@ -185,7 +183,7 @@ class PhysicalPlanner:
         self,
         spec: TaskSpec,
         *,
-        budget: "Budget | BudgetLease | None" = None,
+        budget: "Budget | None" = None,
         estimate_fixed: bool = False,
     ) -> ResolvedStrategy:
         """Resolve the strategy one spec will execute (see module docstring).
@@ -249,7 +247,7 @@ class PhysicalPlanner:
     def _resolve_by_cost(
         self,
         spec: TaskSpec,
-        budget: "Budget | BudgetLease | None",
+        budget: "Budget | None",
         *,
         want_estimate: bool = False,
     ) -> ResolvedStrategy:
@@ -299,9 +297,7 @@ class PhysicalPlanner:
         )
         return ResolvedStrategy(name, options, "cost", estimate, considered)
 
-    def _remaining_dollars(
-        self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
-    ) -> float | None:
+    def _remaining_dollars(self, spec: TaskSpec, budget: "Budget | None") -> float | None:
         """The tightest dollar cap this spec must fit under, or ``None``."""
         caps: list[float] = []
         if spec.budget_dollars is not None:
@@ -345,7 +341,7 @@ class PhysicalPlanner:
     # -- validation-driven selection --------------------------------------------------
 
     def _resolve_by_validation(
-        self, spec: TaskSpec, budget: "Budget | BudgetLease | None"
+        self, spec: TaskSpec, budget: "Budget | None"
     ) -> ResolvedStrategy | None:
         """Measure candidates on the spec's labelled sample, when it has one."""
         if not self.would_validate(spec):

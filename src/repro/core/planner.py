@@ -34,7 +34,7 @@ from repro.exceptions import ConfigurationError, StoreError
 from repro.llm.prompts import TaskTemplate
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.store.fingerprint import DeclaredFactory, step_key
-from repro.tokenizer.cost import Usage
+from repro.tokenizer.cost import Usage, to_dollars
 from repro.tokenizer.simple import SimpleTokenizer
 from repro.wire import to_wire
 
@@ -305,7 +305,7 @@ class CostPlanner:
             strategy=strategy,
             calls=calls,
             usage=usage,
-            dollars=self.spec.prices.cost(usage),
+            dollars=to_dollars(self.spec.prices.cost(usage)),
         )
 
     # -- strategy shapes --------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.config import DEFAULT_CHAT_MODEL
-from repro.core.budget import CHARGE_TARGET, Budget, BudgetLease
+from repro.core.budget import CHARGE_TARGET, Budget
 from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.stats import RuntimeStats
@@ -44,7 +44,7 @@ from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
 from repro.obs import MetricsRegistry, SessionInstruments, Span, SpanTracker, current_span_id
 from repro.obs.spans import TraceLabels, current_labels
-from repro.tokenizer.cost import CostModel
+from repro.tokenizer.cost import CostModel, to_dollars
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
@@ -56,7 +56,7 @@ _LOG.addHandler(logging.NullHandler())  # a library stays off stderr unless aske
 #: One dispatch whose calls await their record: the calls as ``(model, status,
 #: fields)``, ``(parent span id, start, end, calls)`` as read when it settled,
 #: the ambient labels, each call's share of the duration, the responses the
-#: spans' ids are owed to (``None``: the dispatch raised), cache hits, dollars,
+#: spans' ids are owed to (``None``: the dispatch raised), cache hits, n$,
 #: completion tokens.
 _Settled = tuple[
     list[tuple[str, str, dict]],
@@ -65,7 +65,7 @@ _Settled = tuple[
     float,
     list[LLMResponse] | None,
     int,
-    float,
+    int,
     int,
 ]
 
@@ -75,40 +75,40 @@ class SessionClient:
     """LLM client view bound to a session: cached, tracked, budget-enforced.
 
     ``budget`` optionally redirects where calls are *charged*: a pipeline
-    step's client charges its per-step :class:`BudgetLease` (which forwards
-    every dollar to the session budget), so the lease measures exactly the
-    step's own spending even while sibling steps run concurrently.  An
+    step's client charges its per-step lease (which forwards every dollar to
+    the session budget), so the lease measures exactly the step's own
+    spending even while sibling steps run concurrently.  An
     explicit ``budget=`` on a call still wins over the bound one.
     """
 
     session: "PromptSession"
-    budget: Budget | BudgetLease | None = None
+    budget: Budget | None = None
+    #: The session's gate refuses a call once ``charged`` is spent.
+    refuses_spent_budget = True
 
-    def _bound(self, budget: Budget | BudgetLease | None) -> Budget | BudgetLease | None:
+    def _bound(self, budget: Budget | None) -> Budget | None:
         return budget if budget is not None else self.budget
 
     @property
-    def charged(self) -> Budget | BudgetLease:
+    def charged(self) -> Budget:
         """What this client's calls are charged to (an executor's ``budget``)."""
         return self.budget if self.budget is not None else self.session.budget
 
-    def complete(
-        self, prompt: str, *, budget: Budget | BudgetLease | None = None, **params
-    ) -> LLMResponse:
+    def complete(self, prompt: str, *, budget: Budget | None = None, **params) -> LLMResponse:
         return self.session.complete(prompt, budget=self._bound(budget), **params)
 
     def complete_batch(
-        self, prompts: list[str], *, budget: Budget | BudgetLease | None = None, **params
+        self, prompts: list[str], *, budget: Budget | None = None, **params
     ) -> list[LLMResponse]:
         return self.session.complete_batch(prompts, budget=self._bound(budget), **params)
 
     async def acomplete(
-        self, prompt: str, *, budget: Budget | BudgetLease | None = None, **params
+        self, prompt: str, *, budget: Budget | None = None, **params
     ) -> LLMResponse:
         return await self.session.acomplete(prompt, budget=self._bound(budget), **params)
 
     async def acomplete_batch(
-        self, prompts: list[str], *, budget: Budget | BudgetLease | None = None, **params
+        self, prompts: list[str], *, budget: Budget | None = None, **params
     ) -> list[LLMResponse]:
         return await self.session.acomplete_batch(
             prompts, budget=self._bound(budget), **params
@@ -202,11 +202,11 @@ class PromptSession:
         model: str | None = None,
         temperature: float = 0.0,
         max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> LLMResponse:
         """Issue one call through the session: cache, track, and charge it.
 
-        ``budget`` redirects the charge (a :class:`BudgetLease` forwards
+        ``budget`` redirects the charge (a lease forwards
         every dollar to the session budget, so nothing is lost); by default
         the session's own budget is charged.
 
@@ -238,7 +238,7 @@ class PromptSession:
         model: str | None = None,
         temperature: float = 0.0,
         max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> list[LLMResponse]:
         """Issue a whole batch through the session: cache, track, and charge it.
 
@@ -262,7 +262,7 @@ class PromptSession:
         model: str | None = None,
         temperature: float = 0.0,
         max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> LLMResponse:
         """Awaitable :meth:`complete`: the same call path, the client stack awaited.
 
@@ -279,7 +279,7 @@ class PromptSession:
         model: str | None = None,
         temperature: float = 0.0,
         max_tokens: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> list[LLMResponse]:
         """Awaitable :meth:`complete_batch`: the same call path, awaited."""
         return await adrive(
@@ -292,7 +292,7 @@ class PromptSession:
         model: str | None,
         temperature: float,
         max_tokens: int | None,
-        budget: Budget | BudgetLease | None,
+        budget: Budget | None,
         single: bool,
     ) -> Body:
         """The session's one call path: dispatch, settle.
@@ -323,7 +323,7 @@ class PromptSession:
         answered: list[LLMResponse] | None,
         model: str,
         temperature: float,
-        target: Budget | BudgetLease,
+        target: Budget,
         start: float,
         error: BaseException,
     ) -> None:
@@ -354,14 +354,14 @@ class PromptSession:
         prompts: list[str],
         responses: list[LLMResponse],
         temperature: float,
-        target: Budget | BudgetLease,
+        target: Budget,
         start: float,
         end: float,
     ) -> list[LLMResponse]:
         """The post-call path, in its two halves.
 
         *Per call, here and now* — what the dollars contract needs: the usage
-        tracker, the price and ``target.charge`` of every response, in the
+        tracker, the price and ``target.charge_nanos`` of every response, in the
         calling thread before the call returns, so pre-checks, leases and
         early stops see every cent at once.  *Telemetry* — the ``call`` span,
         the ``AI_CALL`` line, the metrics, the runtime stats — is one entry
@@ -374,8 +374,7 @@ class PromptSession:
         step, operator = labels.step, labels.operator
         has_model, price = self.cost_model.has_model, self.cost_model.cost
         calls: list[tuple[str, str, dict]] = []
-        hits = completion = 0
-        spent = 0.0
+        hits = completion = spent = 0
         # Charge every response before surfacing a limit breach: the calls
         # were all made (and tracked), so stopping at the first raise would
         # leave the budget understating real spend.
@@ -383,7 +382,7 @@ class PromptSession:
         for prompt, response in zip(prompts, responses):
             model, usage = response.model, response.usage
             priced = has_model(model)
-            cost = price(model, usage) if priced else 0.0
+            cost = price(model, usage) if priced else 0
             cache_hit = bool(response.metadata.get("cache_hit"))
             hits += cache_hit
             spent += cost
@@ -400,7 +399,7 @@ class PromptSession:
                         "response_text": response.text,
                         "prompt_tokens": usage.prompt_tokens,
                         "completion_tokens": usage.completion_tokens,
-                        "cost": cost,
+                        "cost": to_dollars(cost),
                         "duration_ms": share_ms,
                         "cache_hit": cache_hit,
                         "attempt": 0,
@@ -413,7 +412,7 @@ class PromptSession:
             )
             if priced:
                 try:
-                    target.charge(cost)
+                    target.charge_nanos(cost)
                 except BudgetExceededError as exc:
                     charge_error = charge_error or exc
         # Handed over whether or not charging breached the budget: the calls
@@ -451,8 +450,7 @@ class PromptSession:
         latencies: dict[str, list[tuple[float, int]]] = {}
         # operator -> [completion tokens, live calls]: a cache hit bills none.
         completions: dict[str, list[int]] = {}
-        hits = ok = 0
-        cost = 0.0
+        hits = ok = cost = 0
         for batch, when, labels, duration_ms, responses, batch_hits, batch_cost, tokens in run:
             count = len(batch)
             calls += batch
@@ -543,12 +541,12 @@ class PromptSession:
             "error": type(error).__name__,
         }
         settled = (current_span_id(self.spans), start, end, 1)
-        self._hand_over(([(model, "error", fields)], settled, labels, duration_ms, None, 0, 0.0, 0))
+        self._hand_over(([(model, "error", fields)], settled, labels, duration_ms, None, 0, 0, 0))
 
-    def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
+    def client(self, budget: Budget | None = None) -> SessionClient:
         """A client view suitable for handing to operators.
 
-        Pass a :class:`BudgetLease` to charge that lease instead of the
+        Pass a lease to charge that lease instead of the
         session budget directly (pipeline steps do this so each lease
         measures only its own step's spending).
         """
@@ -558,7 +556,7 @@ class PromptSession:
         self,
         *,
         max_concurrency: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> BatchExecutor:
         """An executor bound to this session's client.
 
@@ -574,12 +572,12 @@ class PromptSession:
         self,
         *,
         max_concurrency: int | None = None,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> AsyncBatchExecutor:
         """:meth:`batch_executor`'s asyncio-native twin."""
         return self._executor(AsyncBatchExecutor, max_concurrency, budget)
 
-    def _executor(self, kind: type, max_concurrency: int | None, budget: Budget | BudgetLease | None):
+    def _executor(self, kind: type, max_concurrency: int | None, budget: Budget | None):
         client = self.client(budget)
         return kind(
             client,
@@ -631,7 +629,7 @@ class BudgetScopedSession(SessionClient):
     pipeline's lease (which forwards every dollar to the session budget).
     """
 
-    def client(self, budget: Budget | BudgetLease | None = None) -> SessionClient:
+    def client(self, budget: Budget | None = None) -> SessionClient:
         return self.session.client(self._bound(budget))
 
     # The session's executor factories, run on this view: their client and

@@ -21,10 +21,10 @@ session budget, or a tighter pipeline-level ``budget_dollars`` lease) and
 splits the remaining dollars over the still-pending spec steps (weighted by
 the pre-flight quote when one is supplied, equally otherwise; run-only
 callable steps never charge the budget and get no share).  Each spec step
-runs under a :class:`~repro.core.budget.BudgetLease` capped at its share, so
-one runaway step cannot starve its siblings: a step that exhausts its lease
-is recorded as ``"stopped"`` and only its dependents are blocked, while
-independent branches keep running on their own allocations.  Once the shared
+runs under a lease (:meth:`~repro.core.budget.Budget.lease`) capped at its
+share, so one runaway step cannot starve its siblings: a step that exhausts
+its lease is recorded as ``"stopped"`` and only its dependents are blocked,
+while independent branches keep running on their own allocations.  Once the shared
 budget itself is gone the pipeline *stops cleanly*: completed results are
 kept, never-dispatched steps are reported as skipped, and the report (not an
 exception) says why.
@@ -41,7 +41,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.core.budget import BudgetLease
+from repro.core.budget import Budget
 from repro.core.dag import topological_waves, transitive_dependencies
 from repro.core.executor import TaskOutcome
 from repro.core.session import BudgetScopedSession, PromptSession
@@ -50,11 +50,12 @@ from repro.exceptions import BudgetExceededError, SpecError
 from repro.llm.base import Body, Invoke, adrive, drive
 from repro.core.planner import PipelineQuote
 from repro.operators.base import OperatorResult
+from repro.tokenizer.cost import to_dollars, to_nanos
 from repro.wire import CODEC, FieldCodec, from_wire, to_wire
 
 #: A spec-step executor: ``(step, inputs, lease) -> result``.  Supplied by
 #: the engine; plain sessions cannot run operator specs themselves.
-SpecRunner = Callable[[PipelineStep, Mapping[str, Any], BudgetLease | None], Any]
+SpecRunner = Callable[[PipelineStep, Mapping[str, Any], Budget | None], Any]
 
 #: A step-completion observer: called with each step's :class:`StepReport`
 #: the moment the step settles (``completed`` or ``stopped``).  The service
@@ -191,8 +192,8 @@ class Workflow:
 
     The spec's ``budget_dollars`` optionally caps the run's spend
     independently of the session's own limit: at execution the cap becomes a
-    :class:`~repro.core.budget.BudgetLease` over the session budget, so the
-    scheduler apportions and stops against whichever is tighter.
+    lease over the session budget (:meth:`~repro.core.budget.Budget.lease`),
+    so the scheduler apportions and stops against whichever is tighter.
     """
 
     def __init__(self, pipeline: PipelineSpec) -> None:
@@ -366,7 +367,7 @@ class Workflow:
         session: PromptSession,
         spec_runner: SpecRunner | None,
         quote: "PipelineQuote | None",
-    ) -> tuple[list[str], list[Callable[[], Any]], dict[str, BudgetLease]] | None:
+    ) -> tuple[list[str], list[Callable[[], Any]], dict[str, Budget]] | None:
         """Pick this round's runnable steps and build their thunks.
 
         Returns ``None`` when the run is over: the shared budget is gone
@@ -374,7 +375,7 @@ class Workflow:
         stopped step.
         """
         report, budget, pending = state.report, state.budget, state.pending
-        if not budget.unlimited and budget.remaining <= 0.0:
+        if budget.exhausted:
             report.stopped_early = True
             if not report.stop_reason:
                 report.stop_reason = (
@@ -406,7 +407,7 @@ class Workflow:
         ]
         allocations = self._apportion(reachable, state.steps_by_name, budget, quote)
         thunks: list[Callable[[], Any]] = []
-        leases: dict[str, BudgetLease] = {}
+        leases: dict[str, Budget] = {}
         for name in runnable:
             step = state.steps_by_name[name]
             inputs = {dep: report.results[dep] for dep in state.closures[name]}
@@ -424,7 +425,7 @@ class Workflow:
         state: "_ExecutionState",
         runnable: list[str],
         outcomes: list[Any],
-        leases: dict[str, BudgetLease],
+        leases: dict[str, Budget],
         on_step: StepObserver | None = None,
     ) -> tuple[bool, BaseException | None]:
         """Fold one round's outcomes into the report; (progressed, failure)."""
@@ -516,7 +517,7 @@ class Workflow:
         budget: Any,
         allocation: float | None,
         spec_runner: SpecRunner | None,
-        leases: dict[str, BudgetLease],
+        leases: dict[str, Budget],
         state: "_ExecutionState",
     ) -> Callable[[], Any]:
         inner: Callable[[], Any]
@@ -592,15 +593,17 @@ class Workflow:
         if total <= 0.0:
             weights = {name: 1.0 for name in spenders}
             total = float(len(spenders))
-        remaining = budget.remaining
-        return {name: remaining * weight / total for name, weight in weights.items()}
+        # Each share is rounded down to a whole n$, so the shares never
+        # add up to more than is left.
+        left = to_nanos(budget.remaining)
+        return {name: to_dollars(int(left * weight / total)) for name, weight in weights.items()}
 
     @staticmethod
     def _finalize(
-        report: WorkflowReport, session: PromptSession, usage_before: Any, cost_before: float
+        report: WorkflowReport, session: PromptSession, usage_before: Any, cost_before: int
     ) -> None:
         usage_after = session.tracker.usage
-        report.total_cost = session.tracker.cost() - cost_before
+        report.total_cost = to_dollars(session.tracker.cost() - cost_before)
         report.total_prompt_tokens = usage_after.prompt_tokens - usage_before.prompt_tokens
         report.total_completion_tokens = (
             usage_after.completion_tokens - usage_before.completion_tokens
@@ -619,7 +622,8 @@ class _ExecutionState:
     budget: Any
     pending: list[str]
     usage_before: Any
-    cost_before: float
+    #: The session tracker's cost in n$ when the run started.
+    cost_before: int
     #: The session's SpanTracker / SessionInstruments.
     spans: Any
     instruments: Any

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.exceptions import DatasetError
 
@@ -139,33 +139,3 @@ class Dataset:
         records = list(self._records)
         rng.shuffle(records)
         return Dataset(records, name=f"{self.name}-shuffled")
-
-    def map_records(
-        self, transform: Callable[[Record], Record], *, name: str | None = None
-    ) -> "Dataset":
-        """Return a new dataset with ``transform`` applied to every record."""
-        return Dataset(
-            (transform(record) for record in self._records), name=name or self.name
-        )
-
-    def to_rows(self) -> list[dict[str, Any]]:
-        """Return the dataset as a list of plain dictionaries (id included)."""
-        return [
-            {"record_id": record.record_id, **record.attributes} for record in self._records
-        ]
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Mapping[str, Any]],
-        *,
-        name: str = "dataset",
-        id_attribute: str = "record_id",
-    ) -> "Dataset":
-        """Build a dataset from dictionaries, using ``id_attribute`` as the id."""
-        records = []
-        for index, row in enumerate(rows):
-            row = dict(row)
-            record_id = str(row.pop(id_attribute, index))
-            records.append(Record(record_id=record_id, attributes=row))
-        return cls(records, name=name)

@@ -1,4 +1,4 @@
-"""Usage tracking: token counts, dollar cost, and per-model breakdowns.
+"""Usage tracking: token counts and their cost.
 
 Every operator threads its LLM calls through a :class:`UsageTracker`, which is
 what lets the declarative engine enforce budgets (Section 3) and lets the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse, answered_prefix
-from repro.tokenizer.cost import CostModel, CostSummary, Usage
+from repro.tokenizer.cost import CostModel, Usage
 
 
 @dataclass
@@ -27,7 +27,7 @@ class UsageTracker:
     """Accumulates usage and cost across many LLM calls.
 
     Attributes:
-        cost_model: prices used to convert token usage to dollars; optional —
+        cost_model: prices used to convert token usage to money; optional —
             without it the tracker still counts tokens and calls.
     """
 
@@ -73,29 +73,16 @@ class UsageTracker:
     def calls(self) -> int:
         return self.usage.calls
 
-    def cost(self) -> float:
-        """Total dollar cost; zero when no cost model is attached."""
+    def cost(self) -> int:
+        """Total cost in whole n$; zero when no cost model is attached."""
         if self.cost_model is None:
-            return 0.0
+            return 0
         with self._lock:
             return sum(
                 self.cost_model.cost(model, usage)
                 for model, usage in self._by_model.items()
                 if self.cost_model.has_model(model)
             )
-
-    def summary(self) -> CostSummary:
-        """Per-model usage and dollar breakdown."""
-        with self._lock:
-            by_model = {model: usage.copy() for model, usage in self._by_model.items()}
-        dollars = {}
-        if self.cost_model is not None:
-            dollars = {
-                model: self.cost_model.cost(model, usage)
-                for model, usage in by_model.items()
-                if self.cost_model.has_model(model)
-            }
-        return CostSummary(by_model=by_model, dollars_by_model=dollars)
 
     def reset(self) -> None:
         """Forget all recorded usage."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.tokenizer.cost import NANOS_PER_DOLLAR
 
 __all__ = ["SessionInstruments"]
 
@@ -44,6 +45,7 @@ class SessionInstruments:
             "repro_llm_cost_dollars_total",
             "Accumulated model spend in dollars.",
             ("tenant",),
+            per_unit=NANOS_PER_DOLLAR,
         ).labels(tenant=tenant)
         self._budget_spent = registry.gauge(
             "repro_budget_spent_dollars",
@@ -119,10 +121,10 @@ class SessionInstruments:
     # -- calls and budget --------------------------------------------
 
     def note_calls(
-        self, *, hits: int, misses: int, cost: float, durations_ms: Iterable[tuple[float, int]]
+        self, *, hits: int, misses: int, cost: int, durations_ms: Iterable[tuple[float, int]]
     ) -> None:
-        """A run of settled calls: its cache outcomes, summed cost, and its
-        durations as ``(milliseconds, calls booked at it)`` pairs."""
+        """A run of settled calls: its cache outcomes, summed cost in n$, and
+        its durations as ``(milliseconds, calls booked at it)`` pairs."""
         if hits:
             self._calls_hit.inc(hits)
         if misses:

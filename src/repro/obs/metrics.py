@@ -74,7 +74,7 @@ class _Child:
 class CounterChild(_Child):
     def __init__(self, lock: threading.Lock) -> None:
         super().__init__(lock)
-        self._value = 0.0
+        self._value = 0  # int increments keep it an exact int
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -188,15 +188,33 @@ class _Family:
 
 
 class Counter(_Family):
+    """Counts in whole sub-units when ``per_unit`` > 1 (int increments of
+    n$, say), exposed divided into units (dollars)."""
+
     kind = "counter"
     child_class = CounterChild
+
+    def __init__(
+        self,
+        name: str,
+        help_text: str,
+        labelnames: tuple[str, ...],
+        lock: threading.Lock,
+        per_unit: int = 1,
+    ) -> None:
+        super().__init__(name, help_text, labelnames, lock)
+        self.per_unit = per_unit
 
     def inc(self, amount: float = 1.0) -> None:
         self._default().inc(amount)  # type: ignore[attr-defined]
 
     def samples(self) -> list[tuple[str, str, float]]:
         return [
-            ("", _format_labels(self.labelnames, key), child._value)  # type: ignore[attr-defined]
+            (
+                "",
+                _format_labels(self.labelnames, key),
+                child._value / self.per_unit,  # type: ignore[attr-defined]
+            )
             for key, child in sorted(self._children.items())
         ]
 
@@ -296,9 +314,9 @@ class MetricsRegistry:
             return family
 
     def counter(
-        self, name: str, help_text: str = "", labelnames: Iterable[str] = ()
+        self, name: str, help_text: str = "", labelnames: Iterable[str] = (), *, per_unit: int = 1
     ) -> Counter:
-        family = self._register(Counter, name, help_text, labelnames)
+        family = self._register(Counter, name, help_text, labelnames, per_unit=per_unit)
         assert isinstance(family, Counter)
         return family
 

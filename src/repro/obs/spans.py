@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any
 from uuid import uuid4
 
 from repro.exceptions import BudgetExceededError
+from repro.tokenizer.cost import to_dollars, to_nanos
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store import Store
@@ -217,20 +218,20 @@ _ATTRIBUTES = tuple(
 
 def summarize_records(records: Iterable[TraceRecord]) -> dict[str, Any]:
     """Calls, cache hits, errors, dollars and milliseconds over *records*."""
-    total = hits = errors = 0
-    cost = duration_ms = 0.0
+    total = hits = errors = nanos = 0
+    duration_ms = 0.0
     for record in records:
         total += 1
         hits += record.cache_hit
         errors += record.error is not None
-        cost += record.cost
+        nanos += to_nanos(record.cost)
         duration_ms += record.duration_ms
     return {
         "calls": total,
         "cache_hits": hits,
         "cache_hit_rate": hits / total if total else 0.0,
         "errors": errors,
-        "cost": cost,
+        "cost": to_dollars(nanos),
         "duration_ms": duration_ms,
     }
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from types import MethodType
 from typing import Any, Callable, Sequence
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor, BatchRequest
 from repro.core.governor import BackendGate
 from repro.core.session import SessionClient
@@ -35,7 +35,7 @@ from repro.exceptions import UnknownStrategyError
 from repro.llm.base import LLMClient, LLMResponse
 from repro.llm.cache import CachedClient
 from repro.llm.tracker import UsageTracker
-from repro.tokenizer.cost import CostModel, Usage
+from repro.tokenizer.cost import CostModel, Usage, to_dollars
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class BaseOperator:
             large batch mid-way, and a spent one the next call, instead of
             after the fact.  The engine threads its session budget
             through here; a pipeline step instead passes its per-step
-            :class:`~repro.core.budget.BudgetLease`, capping the operator at
-            the step's apportioned share of the remaining dollars.
+            lease (:meth:`~repro.core.budget.Budget.lease`), capping the
+            operator at the step's apportioned share of the remaining dollars.
     """
 
     #: Operator name used in error messages; subclasses override.
@@ -106,7 +106,7 @@ class BaseOperator:
         cost_model: CostModel | None = None,
         use_cache: bool = True,
         max_concurrency: int = 1,
-        budget: Budget | BudgetLease | None = None,
+        budget: Budget | None = None,
     ) -> None:
         self.model = model
         self.tracker = UsageTracker(cost_model=cost_model)
@@ -220,4 +220,4 @@ class BaseOperator:
             calls=total.calls - usage_before.calls,
         )
         if self.tracker.cost_model is not None:
-            result.cost = self.tracker.cost() - getattr(self, "_cost_snapshot", 0.0)
+            result.cost = to_dollars(self.tracker.cost() - getattr(self, "_cost_snapshot", 0))

@@ -65,10 +65,3 @@ class SimilarityMatchProxy:
         if score <= self.reject_threshold:
             return ProxyDecision(label=False, score=score)
         return ProxyDecision(label=None, score=score)
-
-    def abstention_rate(self, pairs: list[tuple[str, str]]) -> float:
-        """Fraction of pairs the proxy would forward to the LLM."""
-        if not pairs:
-            return 0.0
-        abstained = sum(1 for left, right in pairs if self.decide(left, right).abstained)
-        return abstained / len(pairs)

@@ -3,7 +3,12 @@
 The paper reports cost in raw prompt/completion token counts (Tables 1 and 4);
 dollar cost is a linear function of those counts with per-model rates.  This
 module provides both: a :class:`Usage` record that accumulates token counts,
-and a :class:`CostModel` that converts usage to dollars given a price table.
+and a :class:`CostModel` that converts usage to money given a price table.
+
+Money is counted in whole nano-dollars (n$, 1e-9 $), so every sum is exact:
+prices are whole n$ per token (1 $/M is 1 000 n$ a token), and a cost is an
+``int``.  :func:`to_nanos` and :func:`to_dollars` are the only conversions;
+public dollar values are floats read from the integer at the edge.
 """
 
 from __future__ import annotations
@@ -11,6 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError, UnknownModelError
+
+#: Nano-dollars to the dollar.
+NANOS_PER_DOLLAR = 1_000_000_000
+
+
+def to_nanos(dollars: float) -> int:
+    """The whole n$ nearest to ``dollars``."""
+    return round(dollars * NANOS_PER_DOLLAR)
+
+
+def to_dollars(nanos: int) -> float:
+    """``nanos`` n$ as float dollars (the nearest float to the exact decimal)."""
+    return nanos / NANOS_PER_DOLLAR
 
 
 @dataclass
@@ -50,6 +68,17 @@ class Usage:
         return Usage(self.prompt_tokens, self.completion_tokens, self.calls)
 
 
+def _nanos_per_token(per_million: float) -> int:
+    """Whole n$ a token at ``per_million`` $/M (1 $/M is 1 000 n$ a token)."""
+    if per_million < 0:
+        raise ConfigurationError("prices must be non-negative")
+    nanos = round(per_million * 1000)
+    # Exact: both sides are the nearest float to one decimal, or it is finer.
+    if nanos / 1000 != per_million:
+        raise ConfigurationError(f"price {per_million} $/M is finer than 0.001 $/M, 1 n$ a token")
+    return nanos
+
+
 @dataclass(frozen=True)
 class PriceTable:
     """Per-million-token prices for a single model.
@@ -57,25 +86,31 @@ class PriceTable:
     Attributes:
         prompt_price_per_million: dollars per 1M prompt tokens.
         completion_price_per_million: dollars per 1M completion tokens.
+        prompt_nanos / completion_nanos: the same prices in whole n$ per
+            token; a price finer than 0.001 $/M is a ``ConfigurationError``.
     """
 
     prompt_price_per_million: float
     completion_price_per_million: float
+    prompt_nanos: int = field(init=False, repr=False)
+    completion_nanos: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.prompt_price_per_million < 0 or self.completion_price_per_million < 0:
-            raise ConfigurationError("prices must be non-negative")
+        object.__setattr__(self, "prompt_nanos", _nanos_per_token(self.prompt_price_per_million))
+        object.__setattr__(
+            self, "completion_nanos", _nanos_per_token(self.completion_price_per_million)
+        )
 
-    def cost(self, usage: Usage) -> float:
-        """Dollar cost of ``usage`` under this price table."""
+    def cost(self, usage: Usage) -> int:
+        """Whole n$ ``usage`` costs under this price table."""
         return (
-            usage.prompt_tokens * self.prompt_price_per_million
-            + usage.completion_tokens * self.completion_price_per_million
-        ) / 1_000_000.0
+            usage.prompt_tokens * self.prompt_nanos
+            + usage.completion_tokens * self.completion_nanos
+        )
 
 
 class CostModel:
-    """Maps (model name, usage) pairs to dollar cost.
+    """Maps (model name, usage) pairs to cost in n$.
 
     The model registry populates a :class:`CostModel` with one
     :class:`PriceTable` per model; the usage tracker then asks it to price
@@ -100,29 +135,10 @@ class CostModel:
         except KeyError as exc:
             raise UnknownModelError(f"no price table registered for model {model!r}") from exc
 
-    def cost(self, model: str, usage: Usage) -> float:
-        """Dollar cost of ``usage`` when run against ``model``."""
+    def cost(self, model: str, usage: Usage) -> int:
+        """Whole n$ ``usage`` costs when run against ``model``."""
         return self.price_table(model).cost(usage)
 
     def models(self) -> list[str]:
         """Return the registered model names, sorted."""
         return sorted(self._prices)
-
-
-@dataclass
-class CostSummary:
-    """Aggregated usage and cost broken down by model."""
-
-    by_model: dict[str, Usage] = field(default_factory=dict)
-    dollars_by_model: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_usage(self) -> Usage:
-        total = Usage()
-        for usage in self.by_model.values():
-            total.add(usage)
-        return total
-
-    @property
-    def total_dollars(self) -> float:
-        return sum(self.dollars_by_model.values())

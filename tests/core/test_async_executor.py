@@ -153,7 +153,7 @@ class TestAsyncBudget:
     @pytest.mark.parametrize("concurrency", CONCURRENCIES)
     def test_map_budget_skips_carry_the_error(self, concurrency):
         budget = Budget(limit=1.0)
-        budget.spent = 1.0
+        budget.charge(1.0)
         executor = AsyncBatchExecutor(
             AsyncEchoClient(), max_concurrency=concurrency, budget=budget
         )

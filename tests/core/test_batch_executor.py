@@ -20,7 +20,7 @@ from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitE
 from repro.llm.base import sequential_complete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.tracker import TrackedClient, UsageTracker
-from tests.doubles import CRITERION, DRIVERS, EchoClient, call, executor_for
+from tests.doubles import CRITERION, DRIVERS, CountingClient, EchoClient, call, executor_for
 from tests.doubles import rating_prompts as _rating_prompts
 from tests.doubles import simulated_client as _simulated_client
 
@@ -171,11 +171,23 @@ class TestBudgetEarlyStopping:
     def test_a_gate_around_a_raw_client_refuses_a_spent_budget(self, concurrency):
         # No session charges this budget; the executor names it as the
         # charge target, and the gate refuses to spend past it.
-        budget = Budget(limit=1.0, spent=1.0)
+        budget = Budget(limit=1.0)
+        budget.charge(1.0)
         client = EchoClient()
         executor = BatchExecutor(BackendGate(client), max_concurrency=concurrency, budget=budget)
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(8)])
+        assert client.calls == 0
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_a_bare_executor_over_a_raw_client_refuses_a_spent_budget(self, driver):
+        # No gate below: the executor itself refuses before the first call.
+        budget = Budget(limit=1.0)
+        budget.charge(1.0)
+        client = CountingClient()
+        executor = executor_for(driver, client, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            call(executor, "run", ["p0", "p1", "p2"])
         assert client.calls == 0
 
     def test_a_budget_the_session_client_does_not_charge_is_refused(self):
@@ -315,7 +327,7 @@ class TestBatchExecutorMap:
     @pytest.mark.parametrize("concurrency", CONCURRENCIES)
     def test_exhausted_budget_stops_dispatch(self, concurrency):
         budget = Budget(limit=1.0)
-        budget.spent = 1.0
+        budget.charge(1.0)
         executor = BatchExecutor(EchoClient(), max_concurrency=concurrency, budget=budget)
         outcomes = executor.map([lambda: 1, lambda: 2])
         # The tasks never ran: skipped, with the budget error attached to the
@@ -334,7 +346,7 @@ class TestBatchExecutorMap:
         # executed the batch.
         def shapes(concurrency: int) -> list[tuple[bool, bool, str | None]]:
             budget = Budget(limit=1.0)
-            budget.spent = 1.0
+            budget.charge(1.0)
             executor = BatchExecutor(
                 EchoClient(), max_concurrency=concurrency, budget=budget
             )
@@ -457,6 +469,6 @@ class TestEveryDriver:
         assert isinstance(outcomes[1].error, ValueError) and not outcomes[1].skipped
         assert outcomes[2].skipped and outcomes[2].error is None
         spent = Budget(limit=1.0)
-        spent.spent = 1.0
+        spent.charge(1.0)
         outcomes = call(executor_for(driver, EchoClient(), budget=spent), "map", [lambda: 1] * 4)
         assert all(o.skipped and isinstance(o.error, BudgetExceededError) for o in outcomes)

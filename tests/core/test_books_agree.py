@@ -5,7 +5,9 @@ calls that reached the backend before it.  Whichever way the bag was
 dispatched (one native batch at width 1, runs or unit tasks on threads,
 asyncio tasks), with or without the response cache, those calls are
 tracked, charged, cached, recorded and admitted by the session's governor
-exactly once, and nothing else is.
+exactly once, and nothing else is.  Money is counted in whole n$, so every
+book's dollars are equal to the bit, and so is a bag's spend on every driver
+and width, in any order of its requests.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core.session import PromptSession
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
 from repro.obs import trace_label
+from repro.tokenizer.cost import to_dollars, to_nanos
 from tests.doubles import FailingOn, call, executor_for, rating_prompts, simulated_client
 
 MODEL = "sim-gpt-3.5-turbo"
@@ -86,13 +89,13 @@ def assert_the_books_agree(session: PromptSession, client: Tripping, *, errors: 
     assert len(misses) == reached == session.tracker.usage.calls
     assert sorted(record.prompt for record in misses) == sorted(client.answered)
     assert len(records) == len(settled) + errors
-    assert sum(record.cost for record in settled) == pytest.approx(session.budget.spent)
+    spent = session.budget.spent
+    assert to_dollars(session.tracker.cost()) == spent
+    assert to_dollars(sum(to_nanos(record.cost) for record in settled)) == spent
     assert sum(series["repro_llm_calls_total"].values()) == len(settled)
     assert series["repro_call_duration_seconds"]['_count{tenant=""}'] == len(settled)
-    assert series["repro_llm_cost_dollars_total"]['{tenant=""}'] == pytest.approx(
-        session.budget.spent
-    )
-    assert series["repro_budget_spent_dollars"]['{tenant=""}'] == session.budget.spent
+    assert series["repro_llm_cost_dollars_total"]['{tenant=""}'] == spent
+    assert series["repro_budget_spent_dollars"]['{tenant=""}'] == spent
     assert sum(series.get("repro_llm_call_errors_total", {}).values()) == errors
     samples = {OPERATOR: len(records)} if records else {}
     assert session.stats.snapshot()["latency_samples"] == samples
@@ -138,6 +141,23 @@ def test_a_bag_books_the_calls_that_reached_the_backend(
         # The response cache holds exactly the prompts the backend answered.
         assert len(session.cache) == len(set(client.answered))
         assert all(session.cache.get(MODEL, prompt) for prompt in client.answered)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=40),
+    data=st.data(),
+    use_cache=st.booleans(),
+)
+def test_a_bags_spend_is_bit_equal_on_every_driver_width_and_order(picks, data, use_cache):
+    prompts = [POOL[pick] for pick in picks]
+    spends = set()
+    for kind, width in (("sync", 1), ("threads", 8), ("async", 1), ("async", 8)):
+        order = data.draw(st.permutations(prompts), label=f"{kind}@{width}")
+        session = PromptSession(simulated_client(), use_cache=use_cache)
+        call(executor_for(kind, session.client(), concurrency=width), "run", order)
+        spends.add(session.spent_dollars)
+    assert len(spends) == 1
 
 
 class TestAWrapperThatCannotMapThePrefixDropsIt:

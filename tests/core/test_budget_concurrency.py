@@ -1,107 +1,25 @@
-"""Budget accounting under reservations and concurrent charging.
+"""Budget accounting under nested leases and concurrent charging.
 
-Pins the :meth:`Budget.reserve` over-commit fix — reservations are *holds*
-that leave ``remaining``/``can_afford`` immediately, sibling reservations
-carve successively smaller pools, re-reserving a name releases the old hold,
-and :meth:`Budget.absorb` exchanges the hold for the child's actual spend —
-plus a multi-threaded hammer over sibling :class:`BudgetLease` objects
-sharing one parent: the parent's total equals the sum of the lease spends
-exactly, and each breaching lease raises exactly once.
+A multi-threaded hammer over sibling leases sharing one parent (the parent's
+total equals the sum of the lease spends exactly, and each breaching lease
+raises exactly once), and a Hypothesis state machine over one budget tree:
+it leases at random, charges from threads, and checks after every step that
+each budget's spend is its own charges plus its children's, to the n$, that
+a budget no charge raised through is within its limit, and that ``remaining``
+is the smallest remainder on its path to the root.
 """
 
 from __future__ import annotations
 
 import threading
 
-import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import Budget
 from repro.exceptions import BudgetExceededError
-
-
-class TestReservationHolds:
-    def test_reservation_leaves_remaining_immediately(self):
-        budget = Budget(limit=100.0)
-        budget.reserve("a", 0.5)
-        assert budget.reserved == pytest.approx(50.0)
-        assert budget.remaining == pytest.approx(50.0)
-
-    def test_sibling_reservations_cannot_jointly_overcommit(self):
-        budget = Budget(limit=100.0)
-        first = budget.reserve("a", 0.5)
-        second = budget.reserve("b", 0.5)
-        # The second half-fraction is carved from the *remaining* 50, not the
-        # original 100 — the old behaviour handed out 50 + 50 against a
-        # 100-dollar limit and then forgot both holds.
-        assert first.limit == pytest.approx(50.0)
-        assert second.limit == pytest.approx(25.0)
-        assert budget.remaining == pytest.approx(25.0)
-        assert first.limit + second.limit + budget.remaining <= 100.0 + 1e-9
-
-    def test_can_afford_counts_reservations(self):
-        budget = Budget(limit=100.0)
-        budget.reserve("a", 0.8)
-        assert not budget.can_afford(30.0)
-        assert budget.can_afford(20.0)
-
-    def test_reserving_the_whole_budget_leaves_nothing(self):
-        budget = Budget(limit=10.0)
-        child = budget.reserve("all", 1.0)
-        assert child.limit == pytest.approx(10.0)
-        assert budget.remaining == 0.0
-        assert not budget.can_afford(0.01)
-
-    def test_re_reservation_releases_the_old_hold(self):
-        budget = Budget(limit=100.0)
-        budget.reserve("a", 0.5)
-        replacement = budget.reserve("a", 0.5)
-        # The superseded hold is released before the replacement is sized, so
-        # re-reserving the same name does not leak 50 held dollars forever.
-        assert replacement.limit == pytest.approx(50.0)
-        assert budget.reserved == pytest.approx(50.0)
-        assert budget.remaining == pytest.approx(50.0)
-
-    def test_absorb_exchanges_hold_for_actual_spend(self):
-        budget = Budget(limit=100.0)
-        child = budget.reserve("a", 0.5)
-        child.charge(10.0)
-        budget.absorb(child)
-        assert budget.spent == pytest.approx(10.0)
-        assert budget.reserved == 0.0
-        # The unspent 40 of the reservation returned to the pool.
-        assert budget.remaining == pytest.approx(90.0)
-
-    def test_absorb_unreserved_child_just_charges(self):
-        budget = Budget(limit=100.0)
-        stray = Budget(limit=5.0)
-        stray.charge(5.0)
-        budget.absorb(stray)
-        assert budget.spent == pytest.approx(5.0)
-        assert budget.reserved == 0.0
-
-    def test_release_returns_held_amount_and_is_idempotent(self):
-        budget = Budget(limit=100.0)
-        budget.reserve("a", 0.25)
-        assert budget.release("a") == pytest.approx(25.0)
-        assert budget.release("a") == 0.0
-        assert budget.remaining == pytest.approx(100.0)
-
-    def test_unlimited_parent_reservations_stay_unlimited(self):
-        budget = Budget()
-        child = budget.reserve("a", 0.5)
-        assert child.unlimited
-        assert budget.remaining == float("inf")
-
-    def test_absorb_into_a_different_parent_keeps_original_hold(self):
-        origin = Budget(limit=100.0)
-        other = Budget(limit=100.0)
-        child = origin.reserve("a", 0.5)
-        child.charge(10.0)
-        other.absorb(child)
-        # ``other`` never held the reservation, so it only gets the charge;
-        # the hold stays with ``origin`` until released there.
-        assert other.spent == pytest.approx(10.0)
-        assert origin.reserved == pytest.approx(50.0)
+from repro.tokenizer.cost import to_dollars
 
 
 class TestLeaseHammer:
@@ -117,7 +35,7 @@ class TestLeaseHammer:
         breaches = [0] * self.LEASES
         barrier = threading.Barrier(self.LEASES)
 
-        def hammer(index: int, lease: BudgetLease) -> None:
+        def hammer(index: int, lease: Budget) -> None:
             barrier.wait()
             # Charge until the lease stops us, exactly like an executor's
             # unit-task loop; the first breach ends the loop.
@@ -140,10 +58,10 @@ class TestLeaseHammer:
         # Every breaching lease raised exactly once, every charge that the
         # leases recorded reached the parent, and nothing was double-counted.
         assert breaches == [1] * self.LEASES
-        assert parent.spent == pytest.approx(sum(lease.spent for lease in leases))
+        assert parent.spent == 1.76  # 16 leases of 0.11, to the n$
         for lease in leases:
             # 10 in-allocation charges plus the one recorded breaching charge.
-            assert lease.spent == pytest.approx(self.ALLOCATION + self.CHARGE)
+            assert lease.spent == 0.11
 
     def test_concurrent_charges_on_one_budget_never_lose_updates(self):
         budget = Budget(limit=10_000.0)
@@ -161,28 +79,101 @@ class TestLeaseHammer:
             worker.start()
         for worker in workers:
             worker.join()
-        assert budget.spent == pytest.approx(threads * per_thread * 0.001)
+        assert budget.spent == 4.0
 
-    def test_concurrent_reservations_respect_the_limit(self):
-        budget = Budget(limit=100.0)
-        children: list[Budget] = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(8)
 
-        def reserve(index: int) -> None:
-            barrier.wait()
-            child = budget.reserve(f"r{index}", 0.5)
-            with lock:
-                children.append(child)
+NANOS = st.integers(min_value=0, max_value=5_000)
 
-        workers = [threading.Thread(target=reserve, args=(index,)) for index in range(8)]
+
+class BudgetTree(RuleBasedStateMachine):
+    """One root budget, leases nested under any budget, charges from threads."""
+
+    budgets = Bundle("budgets")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nodes: list[Budget] = []
+        self.limits: dict[int, int | None] = {}  # id -> own limit in n$
+        self.own: dict[int, int] = {}  # id -> n$ charged to it directly
+        self.children: dict[int, list[Budget]] = {}
+        self.raised: set[int] = set()  # ids a charge raised through
+
+    def _add(self, budget: Budget, limit: int | None) -> Budget:
+        self.nodes.append(budget)
+        self.limits[id(budget)] = limit
+        self.own[id(budget)] = 0
+        self.children[id(budget)] = []
+        return budget
+
+    @initialize(target=budgets, limit=st.none() | NANOS)
+    def root(self, limit: int | None) -> Budget:
+        return self._add(Budget(None if limit is None else to_dollars(limit)), limit)
+
+    @rule(target=budgets, parent=budgets, allocation=NANOS)
+    def lease(self, parent: Budget, allocation: int) -> Budget:
+        child = self._add(parent.lease(to_dollars(allocation)), allocation)
+        self.children[id(parent)].append(child)
+        return child
+
+    @rule(
+        budget=budgets,
+        charges=st.lists(st.integers(min_value=0, max_value=800), min_size=1, max_size=12),
+        threads=st.integers(min_value=1, max_value=4),
+    )
+    def charge(self, budget: Budget, charges: list[int], threads: int) -> None:
+        raised: list[int] = []
+
+        def work(part: list[int]) -> None:
+            for nanos in part:
+                try:
+                    budget.charge_nanos(nanos)
+                except BudgetExceededError:
+                    raised.append(nanos)
+
+        workers = [
+            threading.Thread(target=work, args=(charges[start::threads],))
+            for start in range(threads)
+        ]
         for worker in workers:
             worker.start()
         for worker in workers:
             worker.join()
-        total_granted = sum(child.limit for child in children)
-        # However the races interleave, the holds never promise more than
-        # the limit, and the parent's view stays consistent.
-        assert total_granted <= 100.0 + 1e-9
-        assert budget.reserved == pytest.approx(total_granted)
-        assert budget.remaining == pytest.approx(100.0 - total_granted)
+        self.own[id(budget)] += sum(charges)
+        if raised:
+            node: Budget | None = budget
+            while node is not None:
+                self.raised.add(id(node))
+                node = node.parent
+
+    def _total(self, budget: Budget) -> int:
+        return self.own[id(budget)] + sum(map(self._total, self.children[id(budget)]))
+
+    def _left(self, budget: Budget) -> int | None:
+        limit = self.limits[id(budget)]
+        left = None if limit is None else max(0, limit - self._total(budget))
+        above = None if budget.parent is None else self._left(budget.parent)
+        return above if left is None else left if above is None else min(left, above)
+
+    @invariant()
+    def spend_is_own_charges_plus_childrens(self) -> None:
+        for budget in self.nodes:
+            assert budget.spent == to_dollars(self._total(budget))
+
+    @invariant()
+    def within_the_limit_unless_a_charge_raised(self) -> None:
+        for budget in self.nodes:
+            limit = self.limits[id(budget)]
+            if limit is not None and id(budget) not in self.raised:
+                assert self._total(budget) <= limit
+
+    @invariant()
+    def remaining_is_the_tightest_on_the_path(self) -> None:
+        for budget in self.nodes:
+            left = self._left(budget)
+            assert budget.remaining == (float("inf") if left is None else to_dollars(left))
+            assert budget.exhausted == (left == 0)
+            assert budget.unlimited == (left is None)
+
+
+BudgetTree.TestCase.settings = settings(max_examples=60, stateful_step_count=20, deadline=None)
+TestBudgetTree = BudgetTree.TestCase

@@ -20,44 +20,46 @@ class TestBudget:
     def test_charge_and_remaining(self):
         budget = Budget(limit=1.0)
         budget.charge(0.4)
-        assert budget.remaining == pytest.approx(0.6)
-        assert budget.can_afford(0.6)
-        assert not budget.can_afford(0.61)
+        assert budget.remaining == 0.6
+        assert not budget.exhausted
+        budget.charge(0.6)
+        assert budget.remaining == 0.0 and budget.exhausted
+
+    def test_sums_are_exact_decimals(self):
+        # 0.1 + 0.2 is 0.30000000000000004 in floats; in n$ it is 0.3.
+        budget = Budget(limit=0.3)
+        budget.charge(0.1)
+        budget.charge(0.2)
+        assert (budget.spent, budget.remaining, budget.exhausted) == (0.3, 0.0, True)
 
     def test_exceeding_raises_and_records(self):
         budget = Budget(limit=0.5)
         with pytest.raises(BudgetExceededError) as excinfo:
             budget.charge(0.7)
-        assert excinfo.value.spent == pytest.approx(0.7)
-        assert budget.spent == pytest.approx(0.7)
+        assert excinfo.value.spent == 0.7
+        assert budget.spent == 0.7
 
     def test_a_zero_charge_past_the_limit_records_and_raises_nothing(self):
         # The state a budget stop leaves: the breaching charge is recorded.
-        budget = Budget(limit=1.0, spent=1.2)
+        budget = Budget(limit=1.0)
+        with pytest.raises(BudgetExceededError):
+            budget.charge(1.2)
         budget.charge(0.0)
         assert budget.spent == 1.2
+
+    def test_check_raises_only_once_nothing_is_left(self):
+        budget = Budget(limit=0.5)
+        budget.check()
+        budget.charge(0.5)
+        with pytest.raises(BudgetExceededError):
+            budget.check()
+        Budget().check()  # an unlimited budget is never spent
 
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
             Budget(limit=-1.0)
         with pytest.raises(ConfigurationError):
             Budget(limit=1.0).charge(-0.1)
-
-    def test_reserve_and_absorb(self):
-        budget = Budget(limit=2.0)
-        child = budget.reserve("step-1", 0.5)
-        assert child.limit == pytest.approx(1.0)
-        child.charge(0.8)
-        budget.absorb(child)
-        assert budget.spent == pytest.approx(0.8)
-
-    def test_reserve_from_unlimited_budget(self):
-        child = Budget().reserve("step", 0.5)
-        assert child.unlimited
-
-    def test_invalid_reservation_fraction(self):
-        with pytest.raises(ConfigurationError):
-            Budget(limit=1.0).reserve("step", 0.0)
 
 
 class TestSortSpec:
@@ -114,29 +116,29 @@ class TestImputeSpec:
             ImputeSpec(data=data, n_examples=-1).validate()
 
 
-class TestBudgetLease:
+class TestLease:
     def test_lease_measures_only_its_own_charges(self):
         parent = Budget(limit=1.0)
         left = parent.lease(0.4)
         right = parent.lease(0.4)
         left.charge(0.3)
         # Sibling leases are independent: right has spent nothing.
-        assert left.spent == pytest.approx(0.3)
+        assert left.spent == 0.3
         assert right.spent == 0.0
-        assert right.remaining == pytest.approx(0.4)
+        assert right.remaining == 0.4
         # Every dollar still reached the shared parent.
-        assert parent.spent == pytest.approx(0.3)
+        assert parent.spent == 0.3
 
     def test_lease_caps_even_an_unlimited_parent(self):
         parent = Budget()
         lease = parent.lease(0.01)
         assert not lease.unlimited
-        assert lease.remaining == pytest.approx(0.01)
+        assert lease.remaining == 0.01
         with pytest.raises(BudgetExceededError):
             lease.charge(0.02)
-        # The overshooting charge is still recorded, like Budget.charge.
-        assert lease.spent == pytest.approx(0.02)
-        assert parent.spent == pytest.approx(0.02)
+        # The overshooting charge is still recorded, on the parent too.
+        assert lease.spent == 0.02
+        assert parent.spent == 0.02
 
     def test_a_zero_charge_past_the_allocation_records_and_raises_nothing(self):
         parent = Budget()
@@ -150,17 +152,16 @@ class TestBudgetLease:
         parent = Budget(limit=0.05)
         parent.charge(0.04)
         lease = parent.lease(0.5)
-        assert lease.remaining == pytest.approx(0.01)
-        assert not lease.can_afford(0.02)
+        assert lease.remaining == 0.01
+        parent.charge(0.01)
+        assert lease.exhausted and lease.spent == 0.0
 
     def test_nested_leases_forward_to_the_root(self):
         root = Budget(limit=1.0)
         cap = root.lease(0.5)
         step = cap.lease(0.2)
         step.charge(0.1)
-        assert step.spent == pytest.approx(0.1)
-        assert cap.spent == pytest.approx(0.1)
-        assert root.spent == pytest.approx(0.1)
+        assert step.spent == cap.spent == root.spent == 0.1
 
     def test_negative_allocation_rejected(self):
         with pytest.raises(ConfigurationError):

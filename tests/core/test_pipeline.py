@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consistency.transitivity import MatchGraph
 from repro.core import (
@@ -43,6 +46,7 @@ from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.sort import SortOperator
 from repro.proxies.blocking import EmbeddingBlocker
+from repro.tokenizer.cost import to_dollars, to_nanos
 from tests.doubles import LatencyClient
 
 MODEL = "sim-gpt-3.5-turbo"
@@ -311,6 +315,23 @@ class TestBudgetApportionment:
         assert dear > cheap
         assert cheap + dear == pytest.approx(1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=st.integers(0, 10**10),
+        weights=st.lists(st.floats(0.001, 1000.0), min_size=1, max_size=8),
+    )
+    def test_shares_are_whole_nano_dollars_that_never_exceed_the_remainder(self, left, weights):
+        names = [f"s{index}" for index in range(len(weights))]
+        steps = {name: SimpleNamespace(task=object()) for name in names}
+        quote = SimpleNamespace(
+            steps={name: SimpleNamespace(dollars=w) for name, w in zip(names, weights)}
+        )
+        shares = Workflow._apportion(names, steps, Budget(to_dollars(left)), quote)
+        nanos = [to_nanos(share) for share in shares.values()]
+        assert all(to_dollars(n) == share for n, share in zip(nanos, shares.values()))
+        # Rounded down: together no more than is left, each at most 1 n$ short.
+        assert left - len(nanos) <= sum(nanos) <= left
+
     def test_unlimited_budget_skips_apportionment(self):
         report = _flavor_engine().run_pipeline(_two_branch_pipeline())
         assert all(step.allocation is None for step in report.step_reports.values())
@@ -530,7 +551,7 @@ class TestBudgetApportionment:
 
     def test_exhausted_budget_stops_before_the_first_wave(self):
         budget = Budget(limit=0.001)
-        budget.spent = 0.001
+        budget.charge(0.001)
         engine = _flavor_engine(budget=budget)
         report = engine.run_pipeline(_two_branch_pipeline())
         assert report.stopped_early

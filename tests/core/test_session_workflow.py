@@ -15,6 +15,7 @@ from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
 from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
+from repro.tokenizer.cost import to_dollars, to_nanos
 
 
 @pytest.fixture()
@@ -53,7 +54,7 @@ class TestPromptSession:
         with pytest.raises(BudgetExceededError):
             session.complete_batch(prompts)
         # Every tracked dollar reached the budget, overshoot included.
-        assert budget.spent == pytest.approx(session.tracker.cost())
+        assert budget.spent == to_dollars(session.tracker.cost())
 
     def test_client_view_routes_through_session(self, session):
         client = session.client()
@@ -91,7 +92,7 @@ class TestPromptSession:
                 assert session.spent_dollars > spent
             spent = session.spent_dollars
         assert session.tracker.usage.completion_tokens >= 0
-        assert session.budget.spent == pytest.approx(session.tracker.cost())
+        assert session.budget.spent == to_dollars(session.tracker.cost())
 
 
 def _workflow(name: str, *steps: PipelineStep) -> Workflow:
@@ -174,6 +175,6 @@ class TestWorkflow:
             == lifetime.prompt_tokens
         )
         assert report_one.total_calls + report_two.total_calls == lifetime.calls
-        assert report_one.total_cost + report_two.total_cost == pytest.approx(
+        assert to_nanos(report_one.total_cost) + to_nanos(report_two.total_cost) == (
             session.tracker.cost()
         )

@@ -92,16 +92,3 @@ class TestDataset:
         dataset = make_dataset()
         shuffled = dataset.shuffled(seed=3)
         assert {record.record_id for record in shuffled} == {"r1", "r2", "r3"}
-
-    def test_map_records(self):
-        dataset = make_dataset()
-        upper = dataset.map_records(
-            lambda record: record.with_value("name", str(record["name"]).upper())
-        )
-        assert upper[0]["name"] == "GARDEN TABLE"
-
-    def test_rows_round_trip(self):
-        dataset = make_dataset()
-        rebuilt = Dataset.from_rows(dataset.to_rows(), name="rebuilt")
-        assert len(rebuilt) == 3
-        assert rebuilt.get("r1")["city"] == "Austin"

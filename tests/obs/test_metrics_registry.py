@@ -151,6 +151,15 @@ class TestConcurrency:
 
 
 class TestExposition:
+    def test_a_counter_in_sub_units_renders_the_exact_decimal(self):
+        # 0.1 + 0.2 summed as floats is 0.30000000000000004; in whole n$ it is 0.3.
+        registry = MetricsRegistry()
+        cost = registry.counter("repro_cost_dollars_total", per_unit=1_000_000_000)
+        cost.inc(100_000_000)
+        cost.inc(200_000_000)
+        assert registry.render().endswith("repro_cost_dollars_total 0.3\n")
+        assert registry.snapshot()["repro_cost_dollars_total"][""] == 0.3
+
     def test_golden_render(self):
         """Pinned Prometheus text exposition 0.0.4 output, byte for byte."""
         registry = MetricsRegistry()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BudgetExceededError
-from repro.obs import Span, SpanTracker
+from repro.obs import Span, SpanTracker, TraceRecord, summarize_records
 from repro.obs.spans import current_span_id
 from repro.store import Store
 from repro.wire import from_wire, to_wire
@@ -165,6 +165,10 @@ class TestRecordSpan:
         assert leaf.attributes["np_int"] == repr(np.int64(3))
         assert leaf.attributes["holds_opaque"] == "[<opaque>]"
         json.dumps(leaf.attributes)
+
+    def test_summarized_cost_is_the_exact_sum(self):
+        records = [TraceRecord(call_id=index, cost=cost) for index, cost in enumerate((0.1, 0.2))]
+        assert summarize_records(records)["cost"] == 0.3  # not 0.30000000000000004
 
     def test_annotate_merges_and_ignores_unknown_ids(self):
         tracker = SpanTracker()

@@ -17,11 +17,12 @@ accepts (a resolve spec in both of its modes).
 
 from __future__ import annotations
 
+import contextlib
 from typing import Any, Callable, NamedTuple
 
 import pytest
 
-from repro.core.budget import Budget, BudgetLease
+from repro.core.budget import Budget
 from repro.core.declarations import DECLARATIONS, declaration_for
 from repro.core.engine import DeclarativeEngine
 from repro.core.governor import ConcurrencyGovernor
@@ -74,7 +75,7 @@ def counting_client() -> CountingClient:
 class Case(NamedTuple):
     label: str
     #: ``run(engine, budget)``: one operator run through the engine's session.
-    run: Callable[[DeclarativeEngine, Budget | BudgetLease | None], Any]
+    run: Callable[[DeclarativeEngine, Budget | None], Any]
 
 
 def _spec_case(spec: TaskSpec) -> Case:
@@ -168,9 +169,8 @@ def test_the_governor_admits_every_backend_call(case: Case, concurrency: int):
 def test_a_spent_budget_buys_no_call(case: Case, spent: str):
     backend = counting_client()
     if spent == "budget":
-        engine = DeclarativeEngine(
-            backend, budget=Budget(limit=0.05, spent=0.05), default_model=MODEL
-        )
+        engine = DeclarativeEngine(backend, budget=Budget(limit=0.05), default_model=MODEL)
+        engine.session.budget.charge(0.05)
         budget = None
     else:
         engine = DeclarativeEngine(backend, default_model=MODEL)
@@ -193,7 +193,8 @@ def test_a_spent_budget_answers_a_cached_rerun(case: Case, spent: str, state: st
     # ``overspent`` is the state a budget stop leaves: the breaching charge is recorded.
     over = 0.01 if state == "overspent" else 0.0
     if spent == "budget":
-        engine.session.budget.spent = 1.0 + over
+        with contextlib.suppress(BudgetExceededError):  # raised when overspent
+            engine.session.budget.charge(1.0 + over - engine.session.budget.spent)
         budget = None
     else:
         budget = engine.session.budget.lease(0.0)
@@ -213,7 +214,7 @@ def test_a_spent_budget_stops_an_operator_over_a_raw_client(use_cache: bool):
     operator = FilterOperator(backend, NOT_COG, model=MODEL, budget=budget, use_cache=use_cache)
     first = operator.run(RECORDS[:4])
     assert backend.calls == 4
-    budget.spent = 1.0
+    budget.charge(1.0 - budget.spent)
     if use_cache:
         assert _output(operator.run(RECORDS[:4])) == _output(first)
     with pytest.raises(BudgetExceededError):

@@ -107,10 +107,3 @@ class TestSimilarityMatchProxy:
     def test_invalid_thresholds(self):
         with pytest.raises(ConfigurationError):
             SimilarityMatchProxy(accept_threshold=0.2, reject_threshold=0.8)
-
-    def test_abstention_rate(self):
-        proxy = SimilarityMatchProxy(accept_threshold=0.9, reject_threshold=0.1)
-        pairs = [("a b c", "a b c"), ("a b c", "x y z"), ("a b c d", "a b x y")]
-        rate = proxy.abstention_rate(pairs)
-        assert 0.0 <= rate <= 1.0
-        assert proxy.abstention_rate([]) == 0.0

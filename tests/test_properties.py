@@ -28,7 +28,7 @@ from repro.proxies.similarity import jaccard_similarity
 from repro.quality.validation import wilson_interval
 from repro.quality.voting import majority_vote
 from repro.store import Store
-from repro.tokenizer.cost import PriceTable, Usage
+from repro.tokenizer.cost import PriceTable, Usage, to_dollars, to_nanos
 from repro.tokenizer.simple import SimpleTokenizer
 from tests.doubles import EchoClient, call, executor_for
 
@@ -57,15 +57,16 @@ class TestUsageAndPricingProperties:
     @given(
         st.integers(0, 10**6),
         st.integers(0, 10**6),
-        st.floats(0, 100, allow_nan=False),
-        st.floats(0, 100, allow_nan=False),
+        # Prices are whole n$ per token: 0.001 $/M steps up to 100 $/M.
+        st.integers(0, 100_000).map(lambda nanos: nanos / 1000),
+        st.integers(0, 100_000).map(lambda nanos: nanos / 1000),
     )
     @settings(max_examples=60)
     def test_cost_non_negative_and_monotone(self, prompt, completion, p_price, c_price):
         table = PriceTable(p_price, c_price)
         usage = Usage(prompt, completion, 1)
         bigger = Usage(prompt + 10, completion + 10, 1)
-        assert table.cost(usage) >= 0.0
+        assert table.cost(usage) >= 0
         assert table.cost(bigger) >= table.cost(usage)
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)), max_size=20))
@@ -196,7 +197,8 @@ class TestVotingAndBudgetProperties:
         budget = Budget(limit=None)
         for charge in charges:
             budget.charge(charge)
-        assert budget.spent == sum(charges) or abs(budget.spent - sum(charges)) < 1e-9
+        # Each charge is counted as its nearest whole n$, and their sum is exact.
+        assert budget.spent == to_dollars(sum(map(to_nanos, charges)))
 
 
 class _CountingEchoClient:

@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Lines of ``src/**/*.py``.
-SRC_LINES = 22_047
+SRC_LINES = 21_923
 #: Lines of ``docs/api.md``.
-API_DOC_LINES = 1_105
+API_DOC_LINES = 1_117
 
 
 def _lines(paths) -> int:

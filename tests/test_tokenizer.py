@@ -26,7 +26,7 @@ from repro.llm import prompts
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer import simple
-from repro.tokenizer.cost import CostModel, CostSummary, PriceTable, Usage
+from repro.tokenizer.cost import CostModel, PriceTable, Usage, to_dollars, to_nanos
 from repro.tokenizer.simple import SimpleTokenizer
 
 _PIECE_RE = re.compile(r"\w+|[^\w\s]")
@@ -462,13 +462,30 @@ class TestUsage:
 class TestPriceTable:
     def test_cost_is_linear_in_tokens(self):
         table = PriceTable(prompt_price_per_million=1.0, completion_price_per_million=2.0)
-        assert table.cost(Usage(1_000_000, 0, 1)) == pytest.approx(1.0)
-        assert table.cost(Usage(0, 1_000_000, 1)) == pytest.approx(2.0)
-        assert table.cost(Usage(500_000, 500_000, 1)) == pytest.approx(1.5)
+        assert table.cost(Usage(1_000_000, 0, 1)) == to_nanos(1.0)
+        assert table.cost(Usage(0, 1_000_000, 1)) == to_nanos(2.0)
+        assert table.cost(Usage(500_000, 500_000, 1)) == to_nanos(1.5)
+
+    def test_prices_are_whole_nano_dollars_per_token(self):
+        table = PriceTable(0.15, 0.001)
+        assert (table.prompt_nanos, table.completion_nanos) == (150, 1)
+        # 7 tokens at 0.2 $/M: 7 * 0.2 / 1e6 is 1.4000000000000001e-06 in floats.
+        assert to_dollars(PriceTable(0.2, 0).cost(Usage(7, 0, 1))) == 1.4e-06
 
     def test_negative_prices_rejected(self):
         with pytest.raises(ConfigurationError):
             PriceTable(-1.0, 0.0)
+
+    def test_a_price_finer_than_one_nano_dollar_a_token_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            PriceTable(0.0005, 0.0)
+
+
+class TestMoneyConversions:
+    def test_round_trip_is_exact(self):
+        for nanos in (0, 1, 70_776_000, 56_199_000, 123_456_789_012):
+            assert to_nanos(to_dollars(nanos)) == nanos
+        assert to_dollars(70_776_000) == 0.070776
 
 
 class TestCostModel:
@@ -476,7 +493,7 @@ class TestCostModel:
         model = CostModel()
         model.register("m", PriceTable(2.0, 4.0))
         assert model.has_model("m")
-        assert model.cost("m", Usage(1_000_000, 1_000_000, 2)) == pytest.approx(6.0)
+        assert model.cost("m", Usage(1_000_000, 1_000_000, 2)) == to_nanos(6.0)
 
     def test_unknown_model_raises(self):
         with pytest.raises(UnknownModelError):
@@ -485,14 +502,3 @@ class TestCostModel:
     def test_models_sorted(self):
         model = CostModel({"b": PriceTable(1, 1), "a": PriceTable(1, 1)})
         assert model.models() == ["a", "b"]
-
-
-class TestCostSummary:
-    def test_totals_aggregate_models(self):
-        summary = CostSummary(
-            by_model={"a": Usage(10, 5, 1), "b": Usage(20, 10, 2)},
-            dollars_by_model={"a": 0.5, "b": 1.5},
-        )
-        assert summary.total_usage.prompt_tokens == 30
-        assert summary.total_usage.calls == 3
-        assert summary.total_dollars == pytest.approx(2.0)
