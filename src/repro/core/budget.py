@@ -79,7 +79,10 @@ class Budget:
     def check(self) -> None:
         """Raise :class:`~repro.exceptions.BudgetExceededError` if :attr:`exhausted`."""
         if self.exhausted:
-            raise BudgetExceededError(self.spent, self.limit)
+            node = self
+            while node._limit is None:  # no limit of its own: report the one that binds
+                node = node.parent
+            raise BudgetExceededError(node.spent, node.limit)
 
     def charge(self, amount: float) -> None:
         """Record a spend of ``amount`` dollars (see :meth:`charge_nanos`)."""

@@ -55,6 +55,30 @@ class TestBudget:
             budget.check()
         Budget().check()  # an unlimited budget is never spent
 
+    def test_limit_reads_back_as_float_dollars(self):
+        assert Budget(limit=0.3).limit == 0.3
+        assert type(Budget(limit=2).limit) is float
+        assert Budget().limit is None
+        # A limit under half a n$ rounds to zero: nothing may be spent.
+        assert Budget(limit=4e-10).exhausted
+
+    def test_the_error_reports_the_exact_overshoot(self):
+        budget = Budget(limit=0.25)
+        budget.charge(0.1)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            budget.charge(0.2)
+        # 0.1 + 0.2 in floats would report 0.30000000000000004.
+        assert (excinfo.value.spent, excinfo.value.limit) == (0.3, 0.25)
+
+    def test_charges_count_whole_nano_dollars(self):
+        budget = Budget(limit=1e-8)
+        for _ in range(3):
+            budget.charge_nanos(1)
+        budget.charge(4e-10)  # under half a n$: records nothing
+        assert budget.spent == 3e-9 and budget.remaining == 7e-9
+        with pytest.raises(ConfigurationError):
+            budget.charge_nanos(-1)
+
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
             Budget(limit=-1.0)
@@ -166,3 +190,32 @@ class TestLease:
     def test_negative_allocation_rejected(self):
         with pytest.raises(ConfigurationError):
             Budget().lease(-0.1)
+
+    def test_sibling_leases_cannot_jointly_overcommit_the_parent(self):
+        parent = Budget(limit=0.5)
+        left, right = parent.lease(0.4), parent.lease(0.4)
+        left.charge(0.3)
+        # Each lease has room, but the parent does not: its limit raises.
+        with pytest.raises(BudgetExceededError) as excinfo:
+            right.charge(0.3)
+        assert (excinfo.value.spent, excinfo.value.limit) == (0.6, 0.5)
+        assert (left.spent, right.spent, parent.spent) == (0.3, 0.3, 0.6)
+        assert left.exhausted and left.remaining == 0.0
+
+    def test_an_exhausted_parent_stops_an_unspent_lease(self):
+        parent = Budget(limit=1.0)
+        lease = parent.lease(0.5)
+        parent.charge(1.0)
+        assert lease.spent == 0.0 and lease.exhausted
+        with pytest.raises(BudgetExceededError):
+            lease.check()
+
+    def test_a_child_without_its_own_limit_reports_the_parents(self):
+        parent = Budget(limit=1.0)
+        child = Budget(parent=parent)
+        assert not child.unlimited and child.remaining == 1.0
+        child.charge(0.25)
+        parent.charge(0.75)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            child.check()
+        assert (excinfo.value.spent, excinfo.value.limit) == (1.0, 1.0)

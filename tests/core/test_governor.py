@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.budget import CHARGE_TARGET, Budget
 from repro.core.executor import BatchExecutor
 from repro.core.governor import (
     BackendGate,
@@ -28,7 +29,12 @@ from repro.core.governor import (
 from repro.core.session import BudgetScopedSession, PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.core.workflow import Workflow
-from repro.exceptions import ConfigurationError, RateLimitError, ResponseParseError
+from repro.exceptions import (
+    BudgetExceededError,
+    ConfigurationError,
+    RateLimitError,
+    ResponseParseError,
+)
 from tests.doubles import CountingClient
 
 
@@ -384,6 +390,25 @@ class TestTheGateSeesEveryBackendCall:
         report = Workflow.from_pipeline(pipeline).execute(PromptSession(client, governor=governor))
         assert report.step_reports["chatty"].status == "completed"
         assert client.calls == governor.stats.admitted == 1
+
+
+class TestTheGateRefusesASpentChargeTarget:
+    def test_a_call_under_a_spent_lease_never_reaches_the_backend(self):
+        client = CountingClient()
+        gate = BackendGate(client)
+        parent = Budget(limit=1.0)
+        lease = parent.lease(0.5)
+        charging = CHARGE_TARGET.set(lease)
+        try:
+            gate.complete("p0")
+            parent.charge(1.0)  # the lease is unspent; its parent is not
+            with pytest.raises(BudgetExceededError):
+                gate.complete("p1")
+        finally:
+            CHARGE_TARGET.reset(charging)
+        assert client.calls == 1
+        gate.complete("p2")  # with no charge target the gate does not refuse
+        assert client.calls == 2
 
 
 class TestIsRateLimit:

@@ -18,7 +18,7 @@ from repro.llm.cache import CachedClient, ResponseCache
 from repro.llm.prompts import PAIRWISE_COMPARISON, RATING
 from repro.llm.registry import default_registry
 from repro.llm.tracker import TrackedClient, UsageTracker
-from repro.tokenizer.cost import Usage
+from repro.tokenizer.cost import CostModel, PriceTable, Usage
 from repro.exceptions import ConfigurationError
 
 
@@ -94,6 +94,15 @@ class TestUsageTracker:
         tracker = UsageTracker()
         TrackedClient(flavor_llm, tracker).complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
         assert tracker.cost() == 0
+
+    def test_cost_sums_whole_nano_dollars_over_priced_models(self):
+        tracker = UsageTracker(cost_model=CostModel({"a": PriceTable(0.1, 0.2)}))
+        tracker.record_usage("a", Usage(3, 2, 1))
+        tracker.record_usage("a", Usage(7, 0, 1))
+        tracker.record_usage("unpriced", Usage(1_000, 1_000, 1))
+        # (3 + 7) * 100 + 2 * 200 n$; a model without prices adds nothing.
+        assert tracker.cost() == 1_400
+        assert tracker.calls == 3
 
     def test_record_usage_directly(self):
         tracker = UsageTracker()
