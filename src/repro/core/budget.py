@@ -29,7 +29,9 @@ class Budget:
     counter is updated under its own lock, so no charge is lost.
 
     Args:
-        limit: the maximum spend in dollars; ``None`` means unlimited.
+        limit: the maximum spend in dollars; ``None`` means unlimited.  A
+            negative one, or one with no whole n$ count (see
+            :func:`~repro.tokenizer.cost.to_nanos`), is a ``ConfigurationError``.
         parent: the budget every charge is forwarded to, if any.
     """
 
@@ -76,16 +78,27 @@ class Budget:
                 left = above
         return left
 
+    def can_afford(self, amount: float) -> bool:
+        """Whether ``amount`` dollars fit in what is left here and on every parent."""
+        left = self._left()
+        return left is None or to_nanos(amount) <= left
+
     def check(self) -> None:
         """Raise :class:`~repro.exceptions.BudgetExceededError` if :attr:`exhausted`."""
         if self.exhausted:
             node = self
-            while node._limit is None:  # no limit of its own: report the one that binds
+            # Report the limit that binds: the nearest budget that is spent.
+            while node._limit is None or node._spent < node._limit:
                 node = node.parent
             raise BudgetExceededError(node.spent, node.limit)
 
     def charge(self, amount: float) -> None:
-        """Record a spend of ``amount`` dollars (see :meth:`charge_nanos`)."""
+        """Record a spend of ``amount`` dollars, rounded to the nearest n$.
+
+        A convenience for callers that count in dollars; the runtime charges
+        whole n$ through :meth:`charge_nanos`, so a charge under half a n$
+        records nothing here.
+        """
         self.charge_nanos(to_nanos(amount))
 
     def charge_nanos(self, nanos: int) -> None:

@@ -366,9 +366,6 @@ class BackendGate(BaseClient):
     admission and slot, and reports to the backoff.
     """
 
-    #: What an executor over this client looks for (it need not refuse itself).
-    refuses_spent_budget = True
-
     def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
         self._client = client
         self.governor = governor

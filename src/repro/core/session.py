@@ -83,9 +83,6 @@ class SessionClient:
 
     session: "PromptSession"
     budget: Budget | None = None
-    #: The session's gate refuses a call once ``charged`` is spent.
-    refuses_spent_budget = True
-
     def _bound(self, budget: Budget | None) -> Budget | None:
         return budget if budget is not None else self.budget
 

@@ -20,7 +20,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.dag import topological_waves
 from repro.data.products import ImputationDataset
-from repro.exceptions import SpecError
+from repro.exceptions import ConfigurationError, SpecError
+from repro.tokenizer.cost import to_nanos
 
 #: A step's spec may be built at run time from upstream results: the factory
 #: receives ``{dependency name: result}`` and returns the concrete spec.
@@ -53,8 +54,7 @@ class TaskSpec:
         misspelt name is refused here, at submit time, rather than after
         upstream steps have spent their calls.
         """
-        if self.budget_dollars is not None and self.budget_dollars < 0:
-            raise SpecError("budget_dollars must be non-negative")
+        _check_budget(self.budget_dollars)
         if self.accuracy_target is not None and not 0.0 <= self.accuracy_target <= 1.0:
             raise SpecError("accuracy_target must be within [0, 1]")
         if self.strategy != "auto":
@@ -131,6 +131,18 @@ class ImputeSpec(TaskSpec):
             raise SpecError("n_examples must be non-negative")
         if self.validation_size < 0:
             raise SpecError("validation_size must be non-negative")
+
+
+def _check_budget(dollars: float | None) -> None:
+    """Raise unless ``dollars`` is ``None`` or a budget countable in whole n$."""
+    if dollars is None:
+        return
+    if dollars < 0:
+        raise SpecError("budget_dollars must be non-negative")
+    try:
+        to_nanos(dollars)
+    except ConfigurationError as exc:  # not finite, or too large
+        raise SpecError(f"budget_dollars: {exc}") from None
 
 
 def _check_labelled(labels: Mapping[str, Any], items: Sequence[str]) -> None:
@@ -340,8 +352,7 @@ class PipelineSpec:
         """Raise :class:`SpecError` if the pipeline is inconsistent."""
         if not self.steps:
             raise SpecError(f"pipeline {self.name!r} has no steps")
-        if self.budget_dollars is not None and self.budget_dollars < 0:
-            raise SpecError("budget_dollars must be non-negative")
+        _check_budget(self.budget_dollars)
         seen: set[str] = set()
         for step in self.steps:
             step.validate()

@@ -1,4 +1,4 @@
-"""Usage tracking: token counts and their cost.
+"""Usage tracking: token counts, their cost, and per-model breakdowns.
 
 Every operator threads its LLM calls through a :class:`UsageTracker`, which is
 what lets the declarative engine enforce budgets (Section 3) and lets the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse, answered_prefix
-from repro.tokenizer.cost import CostModel, Usage
+from repro.tokenizer.cost import CostModel, CostSummary, Usage, to_dollars
 
 
 @dataclass
@@ -83,6 +83,19 @@ class UsageTracker:
                 for model, usage in self._by_model.items()
                 if self.cost_model.has_model(model)
             )
+
+    def summary(self) -> CostSummary:
+        """Per-model usage and dollar breakdown."""
+        with self._lock:
+            by_model = {model: usage.copy() for model, usage in self._by_model.items()}
+        dollars = {}
+        if self.cost_model is not None:
+            dollars = {
+                model: to_dollars(self.cost_model.cost(model, usage))
+                for model, usage in by_model.items()
+                if self.cost_model.has_model(model)
+            }
+        return CostSummary(by_model=by_model, dollars_by_model=dollars)
 
     def reset(self) -> None:
         """Forget all recorded usage."""

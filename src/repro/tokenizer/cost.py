@@ -13,6 +13,7 @@ public dollar values are floats read from the integer at the edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError, UnknownModelError
@@ -22,8 +23,12 @@ NANOS_PER_DOLLAR = 1_000_000_000
 
 
 def to_nanos(dollars: float) -> int:
-    """The whole n$ nearest to ``dollars``."""
-    return round(dollars * NANOS_PER_DOLLAR)
+    """The whole n$ nearest to ``dollars``; a ``ConfigurationError`` when there
+    is none (not finite, or over about 1.8e299 dollars)."""
+    nanos = dollars * NANOS_PER_DOLLAR
+    if not math.isfinite(nanos):
+        raise ConfigurationError(f"{dollars!r} dollars cannot be counted in whole n$")
+    return round(nanos)
 
 
 def to_dollars(nanos: int) -> float:
@@ -142,3 +147,23 @@ class CostModel:
     def models(self) -> list[str]:
         """Return the registered model names, sorted."""
         return sorted(self._prices)
+
+
+@dataclass
+class CostSummary:
+    """Aggregated usage and dollar cost broken down by model."""
+
+    by_model: dict[str, Usage] = field(default_factory=dict)
+    dollars_by_model: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def total_usage(self) -> Usage:
+        total = Usage()
+        for usage in self.by_model.values():
+            total.add(usage)
+        return total
+
+    @property
+    def total_dollars(self) -> float:
+        """The sum of the per-model dollars, added in whole n$."""
+        return to_dollars(sum(to_nanos(dollars) for dollars in self.dollars_by_model.values()))

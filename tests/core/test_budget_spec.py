@@ -21,6 +21,8 @@ class TestBudget:
         budget = Budget(limit=1.0)
         budget.charge(0.4)
         assert budget.remaining == 0.6
+        assert budget.can_afford(0.6)
+        assert not budget.can_afford(0.61)
         assert not budget.exhausted
         budget.charge(0.6)
         assert budget.remaining == 0.0 and budget.exhausted
@@ -82,6 +84,12 @@ class TestBudget:
     def test_negative_values_rejected(self):
         with pytest.raises(ConfigurationError):
             Budget(limit=-1.0)
+        # Nor a limit with no whole n$ count: not finite, or past ~1.8e299.
+        for limit in (float("inf"), float("nan"), 1e300):
+            with pytest.raises(ConfigurationError):
+                Budget(limit=limit)
+            with pytest.raises(ConfigurationError):
+                Budget().lease(limit)
         with pytest.raises(ConfigurationError):
             Budget(limit=1.0).charge(-0.1)
 
@@ -108,6 +116,9 @@ class TestSortSpec:
     def test_invalid_budget_and_accuracy(self):
         with pytest.raises(SpecError):
             SortSpec(items=["a", "b"], criterion="size", budget_dollars=-1).validate()
+        for dollars in (float("inf"), float("nan"), 1e300):
+            with pytest.raises(SpecError):
+                SortSpec(items=["a", "b"], criterion="size", budget_dollars=dollars).validate()
         with pytest.raises(SpecError):
             SortSpec(items=["a", "b"], criterion="size", accuracy_target=1.5).validate()
 
@@ -177,6 +188,7 @@ class TestLease:
         parent.charge(0.04)
         lease = parent.lease(0.5)
         assert lease.remaining == 0.01
+        assert lease.can_afford(0.01) and not lease.can_afford(0.02)
         parent.charge(0.01)
         assert lease.exhausted and lease.spent == 0.0
 
@@ -219,3 +231,16 @@ class TestLease:
         with pytest.raises(BudgetExceededError) as excinfo:
             child.check()
         assert (excinfo.value.spent, excinfo.value.limit) == (1.0, 1.0)
+
+    def test_a_lease_under_a_spent_parent_reports_the_parents_limit(self):
+        root = Budget(limit=1.0)
+        cap = Budget(parent=root)  # no limit of its own
+        step = root.lease(0.5)
+        under_cap = cap.lease(0.5)
+        step.charge(0.1)
+        root.charge(0.9)
+        # Neither lease is spent; the root's limit is the one that binds.
+        for lease in (step, under_cap):
+            with pytest.raises(BudgetExceededError) as excinfo:
+                lease.check()
+            assert (excinfo.value.spent, excinfo.value.limit) == (1.0, 1.0)

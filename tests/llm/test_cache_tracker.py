@@ -18,7 +18,7 @@ from repro.llm.cache import CachedClient, ResponseCache
 from repro.llm.prompts import PAIRWISE_COMPARISON, RATING
 from repro.llm.registry import default_registry
 from repro.llm.tracker import TrackedClient, UsageTracker
-from repro.tokenizer.cost import CostModel, PriceTable, Usage
+from repro.tokenizer.cost import CostModel, PriceTable, Usage, to_dollars
 from repro.exceptions import ConfigurationError
 
 
@@ -89,6 +89,9 @@ class TestUsageTracker:
             prices.cost(first.model, first.usage) + prices.cost(second.model, second.usage)
         )
         assert tracker.cost() > 0
+        summary = tracker.summary()
+        assert set(summary.by_model) == {"sim-gpt-3.5-turbo", "sim-claude"}
+        assert summary.total_dollars == to_dollars(tracker.cost())
 
     def test_cost_zero_without_cost_model(self, flavor_llm):
         tracker = UsageTracker()
@@ -182,6 +185,8 @@ class TestUsageTrackerThreadSafety:
         assert tracker.calls == total_calls
         assert tracker.prompt_tokens == 3 * total_calls
         assert tracker.completion_tokens == 2 * total_calls
+        by_model = tracker.summary().by_model
+        assert sum(usage.calls for usage in by_model.values()) == total_calls
 
     def test_no_lost_batch_updates(self):
         tracker = UsageTracker()

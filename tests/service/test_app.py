@@ -305,6 +305,25 @@ class TestBadRequests:
         assert response.json()["error"]["code"] == code
         assert counting.calls == 0
 
+    @pytest.mark.parametrize("dollars", [1e300, float("inf"), float("nan")])
+    def test_a_budget_without_a_whole_nano_dollar_count_is_400(self, tmp_path, dollars):
+        # The body parser accepts 1e+300, Infinity and NaN; the spec refuses them.
+        app, counting, store = build_app(tmp_path)
+        client = ServiceClient(app, api_key=ACME_KEY)
+        payload = pipeline_wire()
+        payload["budget_dollars"] = dollars
+
+        async def scenario():
+            response = await client.post("/v1/pipelines", json_body=payload)
+            await app.shutdown()
+            return response
+
+        response = asyncio.run(scenario())
+        store.close()
+        assert response.status == 400
+        assert response.json()["error"]["code"] == "invalid_pipeline"
+        assert counting.calls == 0
+
     def test_malformed_json_is_400(self, tmp_path):
         app, _, store = build_app(tmp_path)
         client = ServiceClient(app, api_key=ACME_KEY)

@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Lines of ``src/**/*.py``.
-SRC_LINES = 21_926
+SRC_LINES = 21_983
 #: Lines of ``docs/api.md``.
-API_DOC_LINES = 1_117
+API_DOC_LINES = 1_123
 
 
 def _lines(paths) -> int:

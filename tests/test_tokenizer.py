@@ -26,7 +26,7 @@ from repro.llm import prompts
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer import simple
-from repro.tokenizer.cost import CostModel, PriceTable, Usage, to_dollars, to_nanos
+from repro.tokenizer.cost import CostModel, CostSummary, PriceTable, Usage, to_dollars, to_nanos
 from repro.tokenizer.simple import SimpleTokenizer
 
 _PIECE_RE = re.compile(r"\w+|[^\w\s]")
@@ -487,6 +487,12 @@ class TestMoneyConversions:
             assert to_nanos(to_dollars(nanos)) == nanos
         assert to_dollars(70_776_000) == 0.070776
 
+    def test_an_amount_without_a_whole_nano_dollar_count_is_rejected(self):
+        for dollars in (float("inf"), float("-inf"), float("nan"), 1e300):
+            with pytest.raises(ConfigurationError):
+                to_nanos(dollars)
+        assert to_nanos(1e299) == round(1e299 * 1e9)
+
 
 class TestCostModel:
     def test_register_and_cost(self):
@@ -502,3 +508,19 @@ class TestCostModel:
     def test_models_sorted(self):
         model = CostModel({"b": PriceTable(1, 1), "a": PriceTable(1, 1)})
         assert model.models() == ["a", "b"]
+
+
+class TestCostSummary:
+    def test_totals_aggregate_models(self):
+        summary = CostSummary(
+            by_model={"a": Usage(10, 5, 1), "b": Usage(20, 10, 2)},
+            dollars_by_model={"a": 0.5, "b": 1.5},
+        )
+        assert summary.total_usage.prompt_tokens == 30
+        assert summary.total_usage.calls == 3
+        assert summary.total_dollars == 2.0
+
+    def test_total_dollars_is_added_in_whole_nano_dollars(self):
+        # 0.1 + 0.2 is 0.30000000000000004 in floats.
+        summary = CostSummary(dollars_by_model={"a": 0.1, "b": 0.2})
+        assert summary.total_dollars == 0.3
