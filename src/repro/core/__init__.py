@@ -23,7 +23,6 @@ from repro.core.governor import (
     TokenBucket,
     estimated_prompt_tokens,
 )
-from repro.core.optimizer import StrategyCandidate, StrategyEvaluation, StrategySelector
 from repro.core.physical import (
     PhysicalPlan,
     PhysicalPlanner,
@@ -86,9 +85,6 @@ __all__ = [
     "ResolvedStrategy",
     "RuntimeStats",
     "SortSpec",
-    "StrategyCandidate",
-    "StrategyEvaluation",
-    "StrategySelector",
     "TaskOutcome",
     "TaskSpec",
     "TopKSpec",

@@ -21,7 +21,9 @@ A declaration states, for one spec class:
 * how to build and invoke the operator, and optionally a whole ``run``
   function (filter applies its predicates in a loop of its own);
 * the prompts a strategy sends when they are a pure function of the spec;
-* the labelled validation sample, its candidates and its scorer;
+* for a spec with a labelled sample: the sample and its truth, the
+  candidates measured on it, the :mod:`repro.metrics` function scoring them
+  and how to run one (:mod:`repro.core.optimizer` does the rest);
 * what a finished run teaches the session's :class:`~repro.core.stats.
   RuntimeStats`, and which items a whole-list prompt must fit in context;
 * the spec fields that are not JSON-shaped as they stand (the wire codec,
@@ -42,10 +44,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.consistency.transitivity import MatchGraph
-from repro.core.optimizer import ResolvedStrategy, StrategyCandidate
+from repro.core.optimizer import Measured, ResolvedStrategy, choose
 from repro.core.spec import (
     CategorizeSpec,
     ClusterSpec,
@@ -71,9 +74,7 @@ from repro.llm.prompts import (
     RATING_BATCH,
     SORT_LIST,
 )
-from repro.metrics.classification import accuracy as exact_match_accuracy
-from repro.metrics.classification import f1_score
-from repro.metrics.ranking import kendall_tau_b
+from repro.metrics import accuracy, f1_score, order_agreement
 from repro.operators.base import BaseOperator, OperatorResult
 from repro.operators.categorize import CategorizeOperator, CategorizeResult
 from repro.operators.cluster import ClusterOperator, ClusterResult
@@ -113,16 +114,6 @@ def json_safe(value: Any, *, context: str) -> Any:
     return value
 
 
-class Validation(NamedTuple):
-    """How to measure candidate strategies on a spec's labelled sample."""
-
-    candidates: list[StrategyCandidate]
-    run: Callable[[StrategyCandidate], OperatorResult]
-    score: Callable[[Any], float]
-    #: Size of the full input the sample's cost is extrapolated to.
-    full_size: int
-
-
 class OperatorDeclaration:
     """What the engine, planners and codecs know about one operator.
 
@@ -149,6 +140,12 @@ class OperatorDeclaration:
     prompts: Mapping[str, Callable[[Any], Iterable[str]]] = {}
     #: Labelled-sample size below which validation-driven selection is skipped.
     min_validation = 5
+    #: The :mod:`repro.metrics` function scoring a labelled run:
+    #: ``metric(predicted(result, sample), truth)``, higher is better.
+    metric: Callable[[Any, Any], float]
+    #: How a sample run's cost grows to the full input, per strategy
+    #: (``"constant"``, ``"quadratic"``; ``"linear"`` when unnamed).
+    cost_scaling: Mapping[str, str] = {}
     #: Codecs of the spec fields whose type hints do not say how they cross JSON.
     spec_fields: Mapping[str, FieldCodec] = {}
     #: ``run(engine, spec, budget)`` replacing the engine's whole run path.
@@ -200,10 +197,31 @@ class OperatorDeclaration:
         """How many labelled examples ``spec`` carries."""
         return 0
 
-    def validation(
-        self, planner: "PhysicalPlanner", spec: Any, budget: "Budget | None"
-    ) -> Validation:
-        """Candidates, runner and scorer for the labelled sample (when it has one)."""
+    def full_size(self, spec: Any) -> int:
+        """How many items the full run covers, to scale a sample's cost to."""
+        return len(spec.items)
+
+    def labelled(self, spec: Any) -> tuple[Any, Any]:
+        """``spec`` narrowed to its labelled items, and their truth."""
+        raise NotImplementedError
+
+    def measured(self, planner: "PhysicalPlanner", spec: Any) -> list[tuple[str, dict]]:
+        """The ``(strategy, options)`` candidates measured on the sample, in tie-break order."""
+        raise NotImplementedError
+
+    def measure(
+        self,
+        planner: "PhysicalPlanner",
+        sample: Any,
+        strategy: str,
+        options: Mapping[str, Any],
+        budget: "Budget | None",
+    ) -> Any:
+        """Run one candidate over the labelled ``sample`` spec."""
+        return self.invoke(planner.build_operator(sample, budget), sample, strategy, options)
+
+    def predicted(self, result: Any, sample: Any) -> Any:
+        """A sample run's answers, shaped as :attr:`metric` reads them."""
         raise NotImplementedError
 
     def observe(self, stats: "RuntimeStats", spec: Any, result: Any) -> None:
@@ -295,12 +313,14 @@ def _voters(spec: Any) -> int:
     return max(2, len(spec.strategy_options.get("models", ())))
 
 
-def _ensemble_candidates(planner: "PhysicalPlanner", spec: Any, *names: str) -> list[StrategyCandidate]:
+def _ensemble_candidates(
+    planner: "PhysicalPlanner", spec: Any, *names: str
+) -> list[tuple[str, dict]]:
     """One candidate per ensemble strategy, when the session has two voters."""
     models = planner._ensemble_models(spec)
     if len(models) < 2:
         return []
-    return [StrategyCandidate(name=name, options={"models": models}) for name in names]
+    return [(name, {"models": models}) for name in names]
 
 
 # -- sort ------------------------------------------------------------------------------
@@ -377,27 +397,21 @@ class _Sort(OperatorDeclaration):
     def describe(self, params) -> str:
         return f"sort by {params['criterion']!r}"
 
+    metric = staticmethod(order_agreement)
+    cost_scaling = {"single_prompt": "constant", "pairwise": "quadratic"}
+
     def validation_size(self, spec: SortSpec) -> int:
         return len(spec.validation_order)
 
-    def validation(self, planner, spec: SortSpec, budget) -> Validation:
+    def labelled(self, spec: SortSpec) -> tuple[SortSpec, list[str]]:
         sample = list(spec.validation_order)
+        return replace(spec, items=sample), sample
 
-        def run(candidate: StrategyCandidate) -> SortResult:
-            operator = planner.build_operator(spec, budget)
-            return operator.run(sample, strategy=candidate.name, **candidate.options)
+    def measured(self, planner, spec: SortSpec) -> list[tuple[str, dict]]:
+        return [("single_prompt", {}), ("rating", {}), ("pairwise", {})]
 
-        def score(result: SortResult) -> float:
-            placed = set(result.order)
-            order = list(result.order) + [item for item in sample if item not in placed]
-            return (kendall_tau_b(order, sample) + 1.0) / 2.0
-
-        candidates = [
-            StrategyCandidate(name="single_prompt", cost_scaling="constant"),
-            StrategyCandidate(name="rating", cost_scaling="linear"),
-            StrategyCandidate(name="pairwise", cost_scaling="quadratic"),
-        ]
-        return Validation(candidates, run, score, len(spec.items))
+    def predicted(self, result: SortResult, sample: SortSpec) -> list[str]:
+        return self.output_items({}, list(sample.items), result)
 
 
 # -- resolve ---------------------------------------------------------------------------
@@ -553,30 +567,24 @@ class _ResolvePairs(_ResolveRecords):
             **options,
         )
 
+    metric = staticmethod(f1_score)
+
     def validation_size(self, spec: ResolveSpec) -> int:
         return len(spec.validation_labels)
 
-    def validation(self, planner, spec: ResolveSpec, budget) -> Validation:
+    def full_size(self, spec: ResolveSpec) -> int:
+        return len(spec.pairs)
+
+    def labelled(self, spec: ResolveSpec) -> tuple[ResolveSpec, list[bool]]:
         labels = dict(spec.validation_labels)
-        sample = list(labels)
+        return replace(spec, pairs=list(labels)), list(labels.values())
 
-        def run(candidate: StrategyCandidate) -> PairJudgmentResult:
-            return planner.build_operator(spec, budget).judge_pairs(
-                sample,
-                strategy=candidate.name,
-                corpus=list(spec.records) or None,
-                **candidate.options,
-            )
+    def measured(self, planner, spec: ResolveSpec) -> list[tuple[str, dict]]:
+        transitive = ("transitive", {"neighbors_k": spec.neighbors_k})
+        return [("pairwise", {}), transitive, ("proxy_hybrid", {})]
 
-        def score(result: PairJudgmentResult) -> float:
-            return f1_score(result.decisions, [labels[pair] for pair in sample])
-
-        candidates = [
-            StrategyCandidate(name="pairwise"),
-            StrategyCandidate(name="transitive", options={"neighbors_k": spec.neighbors_k}),
-            StrategyCandidate(name="proxy_hybrid"),
-        ]
-        return Validation(candidates, run, score, len(spec.pairs))
+    def predicted(self, result: PairJudgmentResult, sample: ResolveSpec) -> list[bool]:
+        return result.decisions
 
     def observe(self, stats, spec: ResolveSpec, result: PairJudgmentResult) -> None:
         stats.record_pair_match(judged=len(result.judgments), duplicates=sum(result.decisions))
@@ -685,10 +693,15 @@ class _Impute(OperatorDeclaration):
     def describe(self, params) -> str:
         return f"impute {params['data'].target_attribute!r}"
 
+    metric = staticmethod(accuracy)
+
     def validation_size(self, spec: ImputeSpec) -> int:
         return 0 if spec.data is None else min(spec.validation_size, len(spec.data.queries))
 
-    def validation(self, planner, spec: ImputeSpec, budget) -> Validation:
+    def full_size(self, spec: ImputeSpec) -> int:
+        return len(spec.data.queries)
+
+    def labelled(self, spec: ImputeSpec) -> tuple[ImputeSpec, dict[str, Any]]:
         data = spec.data
         records = data.queries.records[: self.validation_size(spec)]
         sample = ImputationDataset(
@@ -698,19 +711,13 @@ class _Impute(OperatorDeclaration):
             reference=data.reference,
             ground_truth={r.record_id: data.ground_truth[r.record_id] for r in records},
         )
+        return replace(spec, data=sample), sample.ground_truth
 
-        def run(candidate: StrategyCandidate) -> ImputeResult:
-            return planner.build_operator(spec, budget).run(
-                sample, strategy=candidate.name, n_examples=spec.n_examples
-            )
+    def measured(self, planner, spec: ImputeSpec) -> list[tuple[str, dict]]:
+        return [(name, {}) for name in ("knn", "hybrid", "retrieval", "llm_only")]
 
-        def score(result: ImputeResult) -> float:
-            return exact_match_accuracy(result.predictions, sample.ground_truth)
-
-        candidates = [
-            StrategyCandidate(name=name) for name in ("knn", "hybrid", "retrieval", "llm_only")
-        ]
-        return Validation(candidates, run, score, len(data.queries))
+    def predicted(self, result: ImputeResult, sample: ImputeSpec) -> dict[str, Any]:
+        return result.predictions
 
 
 # -- filter ----------------------------------------------------------------------------
@@ -886,36 +893,32 @@ class _Filter(OperatorDeclaration):
         }
         return merged
 
+    metric = staticmethod(f1_score)
+
     def validation_size(self, spec: FilterSpec) -> int:
         return len(spec.validation_labels)
 
-    def validation(self, planner, spec: FilterSpec, budget) -> Validation:
-        """Score candidates by the F1 of their final keep/drop decisions.
-
-        Labels are for the *conjunction* of the spec's predicates, so each
-        candidate runs the predicates sequentially over a shrinking survivor
-        set — exactly how :meth:`run` executes the full spec.
-        """
+    def labelled(self, spec: FilterSpec) -> tuple[FilterSpec, list[bool]]:
+        # The labels are for the conjunction of the spec's predicates.
         labels = _bool_labels(spec.validation_labels)
-        sample = list(labels)
+        return replace(spec, items=list(labels)), list(labels.values())
+
+    def measured(self, planner, spec: FilterSpec) -> list[tuple[str, dict]]:
+        ensembles = _ensemble_candidates(planner, spec, "ensemble_vote", "adaptive")
+        return [("per_item", {}), *ensembles]
+
+    def measure(self, planner, sample: FilterSpec, strategy, options, budget) -> FilterResult:
+        """Run the predicates over a shrinking survivor set, as :meth:`run` runs the spec."""
 
         def check(predicate, strategy, options, survivors) -> FilterResult:
             operator = self.predicate_operator(planner, predicate, budget)
             return operator.run(survivors, strategy=strategy, **options)
 
-        def run(candidate: StrategyCandidate) -> FilterResult:
-            passes = [(p, candidate.name, candidate.options) for p in spec.all_predicates]
-            return self._conjunction(sample, passes, check)[0]
+        passes = [(predicate, strategy, options) for predicate in sample.all_predicates]
+        return self._conjunction(list(sample.items), passes, check)[0]
 
-        def score(result: FilterResult) -> float:
-            predictions = [result.decisions.get(item, False) for item in sample]
-            return f1_score(predictions, [labels[item] for item in sample])
-
-        candidates = [
-            StrategyCandidate(name="per_item"),
-            *_ensemble_candidates(planner, spec, "ensemble_vote", "adaptive"),
-        ]
-        return Validation(candidates, run, score, len(spec.items))
+    def predicted(self, result: FilterResult, sample: FilterSpec) -> list[bool]:
+        return [result.decisions.get(item, False) for item in sample.items]
 
     def resolve_predicates(
         self, planner: "PhysicalPlanner", spec: FilterSpec, *, budget=None
@@ -926,76 +929,49 @@ class _Filter(OperatorDeclaration):
         no usable validation sample resolves exactly like
         :meth:`PhysicalPlanner.resolve` and applies that one choice to every
         predicate.  A multi-predicate ``auto`` spec *with* validation labels
-        searches per-predicate strategy combinations instead: the labels
-        score the conjunction, so a cheap ``per_item`` pass on an easy
+        searches per-predicate strategy combinations instead: each candidate
+        judges each predicate alone over the whole sample, and
+        :func:`~repro.core.optimizer.choose` picks among the combinations,
+        each scored by the F1 of its AND-ed decisions against the
+        conjunction labels.  So a cheap ``per_item`` pass on an easy
         predicate can precede an ensemble vote on the hard one without
         giving up conjunction-level accuracy.
         """
         predicates = list(spec.all_predicates)
-        if (
+        if not (
             spec.strategy == "auto"
             and 1 < len(predicates) <= _MAX_PER_PREDICATE_SEARCH
             and planner.would_validate(spec)
         ):
-            return self._validate_per_predicate(planner, spec, budget)
-        shared = planner.resolve(spec, budget=budget)
-        return [(predicate, shared) for predicate in predicates]
-
-    def _validate_per_predicate(
-        self, planner: "PhysicalPlanner", spec: FilterSpec, budget
-    ) -> list[tuple[str, ResolvedStrategy]]:
-        """Search per-predicate strategy combinations on the labelled sample.
-
-        Each candidate strategy judges each predicate over the *full*
-        sample (not a shrinking survivor set — the search needs every
-        predicate's decision on every item to score arbitrary
-        combinations), then every candidate^predicate combination is
-        scored by the F1 of its AND-ed decisions against the conjunction
-        labels.  With an ``accuracy_target`` the cheapest combination
-        meeting it wins; otherwise the best-scoring one, with measured
-        sample cost as the tie-break so a cheap ``per_item`` pass beats
-        an equally-accurate ensemble.
-        """
-        labels = _bool_labels(spec.validation_labels)
-        sample = list(labels)
-        truth = [labels[item] for item in sample]
-        candidates = self.validation(planner, spec, budget).candidates
-        predicates = list(spec.all_predicates)
-        considered = tuple(candidate.name for candidate in candidates)
-
-        # decisions/cost of candidate ``c`` judging predicate ``p`` alone.
-        measured: dict[tuple[int, int], tuple[dict[str, bool], float]] = {}
-        for p, predicate in enumerate(predicates):
-            for c, candidate in enumerate(candidates):
-                operator = self.predicate_operator(planner, predicate, budget)
-                result = operator.run(sample, strategy=candidate.name, **candidate.options)
-                measured[(p, c)] = (dict(result.decisions), result.cost)
-
-        scored: list[tuple[float, float, tuple[int, ...]]] = []  # (F1, cost, combo)
-        for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):
-            predictions = [
-                all(measured[(p, c)][0].get(item, False) for p, c in enumerate(combo))
-                for item in sample
+            shared = planner.resolve(spec, budget=budget)
+            return [(predicate, shared) for predicate in predicates]
+        sample, truth = self.labelled(spec)
+        candidates = self.measured(planner, spec)
+        judged = [
+            [
+                self.predicate_operator(planner, predicate, budget).run(
+                    list(sample.items), strategy=name, **options
+                )
+                for name, options in candidates
             ]
-            cost = sum(measured[(p, c)][1] for p, c in enumerate(combo))
-            scored.append((f1_score(predictions, truth), cost, combo))
-        target = spec.accuracy_target
-        meeting = [entry for entry in scored if target is not None and entry[0] >= target]
-        if meeting:
-            chosen = min(meeting, key=lambda entry: entry[1])[2]
-        else:
-            chosen = max(scored, key=lambda entry: (entry[0], -entry[1]))[2]
+            for predicate in predicates
+        ]
+        combinations = []
+        for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):
+            passes = [judged[p][c] for p, c in enumerate(combo)]
+            predictions = [
+                all(result.decisions.get(item, False) for result in passes)
+                for item in sample.items
+            ]
+            cost = sum(result.cost for result in passes)
+            combinations.append(Measured(combo, self.metric(predictions, truth), cost))
+        chosen = choose(combinations, remaining=None, accuracy_target=spec.accuracy_target)
+        considered = tuple(name for name, _ in candidates)
         return [
-            (
-                predicates[p],
-                ResolvedStrategy(
-                    strategy=candidates[c].name,
-                    options=dict(candidates[c].options),
-                    decided_by="validation",
-                    considered=considered,
-                ),
+            (predicate, ResolvedStrategy(name, dict(options), "validation", None, considered))
+            for predicate, (name, options) in zip(
+                predicates, (candidates[c] for c in chosen.key)
             )
-            for p, c in enumerate(chosen)
         ]
 
 
@@ -1047,26 +1023,21 @@ class _Categorize(OperatorDeclaration):
     def describe(self, params) -> str:
         return "categorize into " + ", ".join(params["categories"])
 
+    metric = staticmethod(accuracy)
+
     def validation_size(self, spec: CategorizeSpec) -> int:
         return len(spec.validation_labels)
 
-    def validation(self, planner, spec: CategorizeSpec, budget) -> Validation:
+    def labelled(self, spec: CategorizeSpec) -> tuple[CategorizeSpec, dict[str, str]]:
         labels = _str_labels(spec.validation_labels)
-        sample = list(labels)
+        return replace(spec, items=list(labels)), labels
 
-        def run(candidate: StrategyCandidate) -> CategorizeResult:
-            operator = planner.build_operator(spec, budget)
-            return operator.run(sample, strategy=candidate.name, **candidate.options)
+    def measured(self, planner, spec: CategorizeSpec) -> list[tuple[str, dict]]:
+        ensembles = _ensemble_candidates(planner, spec, "ensemble_vote")
+        return [("per_item", {}), ("self_consistency", {"n_samples": 3}), *ensembles]
 
-        def score(result: CategorizeResult) -> float:
-            return exact_match_accuracy(result.assignments, labels)
-
-        candidates = [
-            StrategyCandidate(name="per_item"),
-            StrategyCandidate(name="self_consistency", options={"n_samples": 3}),
-            *_ensemble_candidates(planner, spec, "ensemble_vote"),
-        ]
-        return Validation(candidates, run, score, len(spec.items))
+    def predicted(self, result: CategorizeResult, sample: CategorizeSpec) -> dict[str, str]:
+        return result.assignments
 
 
 # -- top-k -----------------------------------------------------------------------------

@@ -1,147 +1,37 @@
-"""Automatic strategy selection (paper Section 4).
+"""Automatic strategy selection on a labelled sample (paper Section 4).
 
 "Similar to AutoML, a declarative prompt engineering toolkit can shoulder the
 burden of evaluating all strategies and recommend a strategy to apply to the
-entire dataset, given a user-defined budget."  The :class:`StrategySelector`
-does exactly that: it runs every candidate strategy on a small labelled
-validation sample, measures accuracy and cost, extrapolates the cost to the
-full dataset size, and picks the best strategy under the constraints.  It is
-invoked by the :class:`~repro.core.physical.PhysicalPlanner` whenever an
-``"auto"`` spec carries a labelled sample; specs without one are resolved
-from :class:`~repro.core.planner.CostPlanner` estimates instead.
+entire dataset, given a user-defined budget."  Each operator declaration
+(:mod:`repro.core.declarations`) states what that takes, as data: its
+labelled sample (the spec narrowed to the labelled items, plus their truth),
+the :mod:`repro.metrics` function that scores a run against that truth, and
+its candidates as ``(strategy, options)``.  :func:`select_on_sample` runs
+every candidate over the sample through the declaration, scores it, prices
+it, and hands the lot to :func:`choose`, the one selection rule:
 
-Selection rule:
-
-1. discard candidates whose extrapolated full-run cost exceeds the budget;
+1. discard candidates whose price exceeds the budget;
 2. among the survivors, if an accuracy target is given, pick the *cheapest*
    candidate that meets it; otherwise (or if none meets it) pick the most
-   accurate one, breaking ties by cost.
+   accurate one, breaking ties by price.
+
+The :class:`~repro.core.physical.PhysicalPlanner` calls it whenever an
+``"auto"`` spec carries a labelled sample; a multi-predicate filter scores
+its per-predicate combinations and calls :func:`choose` itself.  Specs
+without a sample are resolved from :class:`~repro.core.planner.CostPlanner`
+estimates instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
-
-from repro.exceptions import SpecError
-from repro.operators.base import OperatorResult
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.budget import Budget
+    from repro.core.declarations import OperatorDeclaration
+    from repro.core.physical import PhysicalPlanner
     from repro.core.planner import CostEstimate
-
-
-@dataclass
-class StrategyCandidate:
-    """One candidate strategy the selector may evaluate.
-
-    Attributes:
-        name: strategy name passed to the operator.
-        options: strategy-specific keyword arguments.
-        cost_scaling: how the cost grows with the number of data items:
-            ``"linear"`` (O(n) unit tasks), ``"quadratic"`` (O(n²) pairs), or
-            ``"constant"`` (a single prompt).  Used to extrapolate the
-            validation-sample cost to the full dataset.
-    """
-
-    name: str
-    options: dict[str, Any] = field(default_factory=dict)
-    cost_scaling: str = "linear"
-
-    def extrapolate_cost(self, validation_cost: float, validation_size: int, full_size: int) -> float:
-        """Estimate the full-run cost from the validation-run cost."""
-        if validation_size <= 0:
-            return validation_cost
-        ratio = full_size / validation_size
-        if self.cost_scaling == "constant":
-            return validation_cost
-        if self.cost_scaling == "quadratic":
-            return validation_cost * ratio * ratio
-        return validation_cost * ratio
-
-
-@dataclass
-class StrategyEvaluation:
-    """Measured performance of one candidate on the validation sample."""
-
-    candidate: StrategyCandidate
-    accuracy: float
-    validation_cost: float
-    estimated_full_cost: float
-    result: OperatorResult | None = None
-
-    @property
-    def name(self) -> str:
-        return self.candidate.name
-
-
-class StrategySelector:
-    """Evaluate candidate strategies on a validation sample and pick one.
-
-    Args:
-        run_candidate: callable that executes one candidate on the validation
-            sample and returns an :class:`OperatorResult` (or subclass).
-        score: callable mapping that result to an accuracy in [0, 1].
-        validation_size: number of items in the validation sample.
-        full_size: number of items in the full dataset.
-    """
-
-    def __init__(
-        self,
-        *,
-        run_candidate: Callable[[StrategyCandidate], OperatorResult],
-        score: Callable[[OperatorResult], float],
-        validation_size: int,
-        full_size: int,
-    ) -> None:
-        if validation_size <= 0 or full_size <= 0:
-            raise SpecError("validation_size and full_size must be positive")
-        self._run_candidate = run_candidate
-        self._score = score
-        self.validation_size = validation_size
-        self.full_size = full_size
-
-    def evaluate(self, candidates: list[StrategyCandidate]) -> list[StrategyEvaluation]:
-        """Run every candidate on the validation sample and measure it."""
-        if not candidates:
-            raise SpecError("no candidate strategies supplied")
-        evaluations = []
-        for candidate in candidates:
-            result = self._run_candidate(candidate)
-            accuracy = self._score(result)
-            validation_cost = result.cost
-            evaluations.append(
-                StrategyEvaluation(
-                    candidate=candidate,
-                    accuracy=accuracy,
-                    validation_cost=validation_cost,
-                    estimated_full_cost=candidate.extrapolate_cost(
-                        validation_cost, self.validation_size, self.full_size
-                    ),
-                    result=result,
-                )
-            )
-        return evaluations
-
-    def select(
-        self,
-        candidates: list[StrategyCandidate],
-        *,
-        budget_dollars: float | None = None,
-        accuracy_target: float | None = None,
-    ) -> StrategyEvaluation:
-        """Evaluate the candidates and pick the best one under the constraints."""
-        evaluations = self.evaluate(candidates)
-        affordable = [
-            evaluation
-            for evaluation in evaluations
-            if budget_dollars is None or evaluation.estimated_full_cost <= budget_dollars
-        ]
-        pool = affordable or evaluations
-        if accuracy_target is not None:
-            meeting = [evaluation for evaluation in pool if evaluation.accuracy >= accuracy_target]
-            if meeting:
-                return min(meeting, key=lambda evaluation: evaluation.estimated_full_cost)
-        return max(pool, key=lambda evaluation: (evaluation.accuracy, -evaluation.estimated_full_cost))
 
 
 @dataclass(frozen=True)
@@ -164,3 +54,59 @@ class ResolvedStrategy:
     decided_by: str = "fixed"
     estimate: CostEstimate | None = None
     considered: tuple[str, ...] = ()
+
+
+class Measured(NamedTuple):
+    """One candidate as the rule sees it: what it scored and what it costs."""
+
+    #: What the caller picks among (a candidate's index, a filter's combination).
+    key: Any
+    accuracy: float
+    dollars: float
+
+
+def choose(
+    measured: Sequence[Measured], *, remaining: float | None, accuracy_target: float | None
+) -> Measured:
+    """The selection rule (see the module docstring); ties go to the earlier entry."""
+    affordable = [entry for entry in measured if remaining is None or entry.dollars <= remaining]
+    pool = affordable or list(measured)
+    if accuracy_target is not None:
+        meeting = [entry for entry in pool if entry.accuracy >= accuracy_target]
+        if meeting:
+            return min(meeting, key=lambda entry: entry.dollars)
+    return max(pool, key=lambda entry: (entry.accuracy, -entry.dollars))
+
+
+def _extrapolate(cost: float, scaling: str, ratio: float) -> float:
+    """The sample's measured cost scaled to the full input."""
+    if scaling == "constant":
+        return cost
+    if scaling == "quadratic":
+        return cost * ratio * ratio
+    return cost * ratio
+
+
+def select_on_sample(
+    planner: "PhysicalPlanner",
+    declaration: "OperatorDeclaration",
+    spec: Any,
+    budget: "Budget | None",
+) -> ResolvedStrategy:
+    """Measure the declaration's candidates on ``spec``'s labelled sample and pick one."""
+    sample, truth = declaration.labelled(spec)
+    candidates = declaration.measured(planner, spec)
+    ratio = declaration.full_size(spec) / declaration.validation_size(spec)
+    measured = []
+    for index, (name, options) in enumerate(candidates):
+        result = declaration.measure(planner, sample, name, options, budget)
+        accuracy = declaration.metric(declaration.predicted(result, sample), truth)
+        dollars = _extrapolate(result.cost, declaration.cost_scaling.get(name, "linear"), ratio)
+        measured.append(Measured(index, accuracy, dollars))
+    chosen = choose(
+        measured, remaining=spec.budget_dollars, accuracy_target=spec.accuracy_target
+    )
+    name, options = candidates[chosen.key]
+    return ResolvedStrategy(
+        name, dict(options), "validation", planner._try_estimate(spec, name, options)
+    )

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.declarations import OperatorDeclaration, declaration_for
-from repro.core.optimizer import ResolvedStrategy, StrategySelector
+from repro.core.optimizer import ResolvedStrategy, select_on_sample
 from repro.core.planner import CostEstimate, CostPlanner
 from repro.core.spec import PipelineSpec, TaskSpec
 from repro.core.stats import RuntimeStats
@@ -346,25 +346,7 @@ class PhysicalPlanner:
         """Measure candidates on the spec's labelled sample, when it has one."""
         if not self.would_validate(spec):
             return None
-        declaration = declaration_for(spec)
-        validation = declaration.validation(self, spec, budget)
-        selector = StrategySelector(
-            run_candidate=validation.run,
-            score=validation.score,
-            validation_size=declaration.validation_size(spec),
-            full_size=validation.full_size,
-        )
-        chosen = selector.select(
-            validation.candidates,
-            budget_dollars=spec.budget_dollars,
-            accuracy_target=spec.accuracy_target,
-        ).candidate
-        return ResolvedStrategy(
-            strategy=chosen.name,
-            options=dict(chosen.options),
-            decided_by="validation",
-            estimate=self._try_estimate(spec, chosen.name, chosen.options),
-        )
+        return select_on_sample(self, declaration_for(spec), spec, budget)
 
     def _ensemble_models(self, spec: TaskSpec) -> list[str]:
         """Voter models for filter/categorize ensemble candidates.

@@ -15,7 +15,7 @@ from repro.metrics.classification import (
     recall,
 )
 from repro.metrics.clustering import pairwise_cluster_f1
-from repro.metrics.ranking import kendall_tau_b
+from repro.metrics.ranking import kendall_tau_b, order_agreement
 
 __all__ = [
     "BinaryConfusion",
@@ -23,6 +23,7 @@ __all__ = [
     "confusion_from_pairs",
     "f1_score",
     "kendall_tau_b",
+    "order_agreement",
     "pairwise_cluster_f1",
     "precision",
     "recall",

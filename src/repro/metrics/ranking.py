@@ -44,3 +44,8 @@ def kendall_tau_b(
 
     statistic = stats.kendalltau(predicted_ranks, true_ranks, variant="b").statistic
     return float(statistic)
+
+
+def order_agreement(predicted_order: Sequence[Hashable], true_order: Sequence[Hashable]) -> float:
+    """Kendall Tau-b rescaled to [0, 1], so a ranking scores beside accuracy and F1."""
+    return (kendall_tau_b(predicted_order, true_order) + 1.0) / 2.0

@@ -249,8 +249,8 @@ class TestTheTable:
         assert candidates and set(candidates) <= set(declaration.shapes)
         assert candidates == list(declaration.auto)
         if declaration.validation_size(spec):
-            validation = declaration.validation(_engine().physical, spec, None)
-            assert {c.name for c in validation.candidates} <= set(declaration.shapes)
+            measured = declaration.measured(_engine().physical, spec)
+            assert {name for name, _ in measured} <= set(declaration.shapes)
 
     def test_first_auto_candidate_is_the_default_the_planner_used_to_hardcode(self):
         for spec_type, default in PARENT_AUTO_DEFAULTS.items():

@@ -6,92 +6,42 @@ import pytest
 
 from repro.core.budget import Budget
 from repro.core.engine import DeclarativeEngine
-from repro.core.optimizer import StrategyCandidate, StrategySelector
+from repro.core.optimizer import Measured, _extrapolate, choose
 from repro.core.spec import ImputeSpec, ResolveSpec, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.data.products import generate_restaurant_dataset
-from repro.exceptions import SpecError
 from repro.llm.simulated import SimulatedLLM
 from repro.metrics.ranking import kendall_tau_b
-from repro.operators.base import OperatorResult
-from repro.tokenizer.cost import Usage
 
 
-def _result(cost: float) -> OperatorResult:
-    return OperatorResult(strategy="stub", usage=Usage(100, 10, 1), cost=cost)
-
-
-class TestStrategyCandidate:
+class TestExtrapolation:
     def test_linear_extrapolation(self):
-        candidate = StrategyCandidate(name="rating", cost_scaling="linear")
-        assert candidate.extrapolate_cost(1.0, validation_size=10, full_size=100) == pytest.approx(10.0)
+        assert _extrapolate(1.0, "linear", 10.0) == pytest.approx(10.0)
 
     def test_quadratic_extrapolation(self):
-        candidate = StrategyCandidate(name="pairwise", cost_scaling="quadratic")
-        assert candidate.extrapolate_cost(1.0, 10, 100) == pytest.approx(100.0)
+        assert _extrapolate(1.0, "quadratic", 10.0) == pytest.approx(100.0)
 
     def test_constant_extrapolation(self):
-        candidate = StrategyCandidate(name="single", cost_scaling="constant")
-        assert candidate.extrapolate_cost(1.0, 10, 100) == pytest.approx(1.0)
+        assert _extrapolate(1.0, "constant", 10.0) == pytest.approx(1.0)
 
 
-class TestStrategySelector:
-    def _selector(self, accuracies: dict[str, float], costs: dict[str, float]) -> StrategySelector:
-        return StrategySelector(
-            run_candidate=lambda candidate: _result(costs[candidate.name]),
-            score=lambda result: accuracies[result.strategy] if result.strategy != "stub" else 0.0,
-            validation_size=10,
-            full_size=10,
-        )
+def _measured(accuracies: dict[str, float], costs: dict[str, float]) -> list[Measured]:
+    return [Measured(name, accuracies[name], costs[name]) for name in accuracies]
 
+
+class TestChoose:
     def test_picks_most_accurate_within_budget(self):
-        accuracies = {"cheap": 0.6, "expensive": 0.9}
-        costs = {"cheap": 0.1, "expensive": 10.0}
-        selector = StrategySelector(
-            run_candidate=lambda candidate: OperatorResult(
-                strategy=candidate.name, cost=costs[candidate.name]
-            ),
-            score=lambda result: accuracies[result.strategy],
-            validation_size=10,
-            full_size=10,
-        )
-        candidates = [StrategyCandidate("cheap"), StrategyCandidate("expensive")]
-        assert selector.select(candidates, budget_dollars=1.0).name == "cheap"
-        assert selector.select(candidates, budget_dollars=100.0).name == "expensive"
+        measured = _measured({"cheap": 0.6, "expensive": 0.9}, {"cheap": 0.1, "expensive": 10.0})
+        assert choose(measured, remaining=1.0, accuracy_target=None).key == "cheap"
+        assert choose(measured, remaining=100.0, accuracy_target=None).key == "expensive"
 
     def test_accuracy_target_prefers_cheapest_sufficient(self):
-        accuracies = {"cheap": 0.85, "expensive": 0.95}
-        costs = {"cheap": 0.1, "expensive": 10.0}
-        selector = StrategySelector(
-            run_candidate=lambda candidate: OperatorResult(
-                strategy=candidate.name, cost=costs[candidate.name]
-            ),
-            score=lambda result: accuracies[result.strategy],
-            validation_size=5,
-            full_size=5,
-        )
-        candidates = [StrategyCandidate("cheap"), StrategyCandidate("expensive")]
-        chosen = selector.select(candidates, accuracy_target=0.8)
-        assert chosen.name == "cheap"
+        measured = _measured({"cheap": 0.85, "expensive": 0.95}, {"cheap": 0.1, "expensive": 10.0})
+        assert choose(measured, remaining=None, accuracy_target=0.8).key == "cheap"
 
-    def test_no_candidates_raises(self):
-        selector = StrategySelector(
-            run_candidate=lambda candidate: OperatorResult(strategy=candidate.name),
-            score=lambda result: 1.0,
-            validation_size=1,
-            full_size=1,
-        )
-        with pytest.raises(SpecError):
-            selector.select([])
-
-    def test_invalid_sizes(self):
-        with pytest.raises(SpecError):
-            StrategySelector(
-                run_candidate=lambda candidate: OperatorResult(strategy=candidate.name),
-                score=lambda result: 1.0,
-                validation_size=0,
-                full_size=1,
-            )
+    def test_ties_in_accuracy_go_to_the_cheaper(self):
+        measured = _measured({"dear": 0.9, "cheap": 0.9}, {"dear": 2.0, "cheap": 1.0})
+        assert choose(measured, remaining=None, accuracy_target=None).key == "cheap"
 
 
 class TestDeclarativeEngine:
