@@ -48,7 +48,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.consistency.transitivity import MatchGraph
-from repro.core.optimizer import Measured, ResolvedStrategy, choose
+from repro.core.optimizer import Measured, ResolvedStrategy, choose, dollars
 from repro.core.spec import (
     CategorizeSpec,
     ClusterSpec,
@@ -143,9 +143,6 @@ class OperatorDeclaration:
     #: The :mod:`repro.metrics` function scoring a labelled run:
     #: ``metric(predicted(result, sample), truth)``, higher is better.
     metric: Callable[[Any, Any], float]
-    #: How a sample run's cost grows to the full input, per strategy
-    #: (``"constant"``, ``"quadratic"``; ``"linear"`` when unnamed).
-    cost_scaling: Mapping[str, str] = {}
     #: Codecs of the spec fields whose type hints do not say how they cross JSON.
     spec_fields: Mapping[str, FieldCodec] = {}
     #: ``run(engine, spec, budget)`` replacing the engine's whole run path.
@@ -196,10 +193,6 @@ class OperatorDeclaration:
     def validation_size(self, spec: Any) -> int:
         """How many labelled examples ``spec`` carries."""
         return 0
-
-    def full_size(self, spec: Any) -> int:
-        """How many items the full run covers, to scale a sample's cost to."""
-        return len(spec.items)
 
     def labelled(self, spec: Any) -> tuple[Any, Any]:
         """``spec`` narrowed to its labelled items, and their truth."""
@@ -398,7 +391,6 @@ class _Sort(OperatorDeclaration):
         return f"sort by {params['criterion']!r}"
 
     metric = staticmethod(order_agreement)
-    cost_scaling = {"single_prompt": "constant", "pairwise": "quadratic"}
 
     def validation_size(self, spec: SortSpec) -> int:
         return len(spec.validation_order)
@@ -572,9 +564,6 @@ class _ResolvePairs(_ResolveRecords):
     def validation_size(self, spec: ResolveSpec) -> int:
         return len(spec.validation_labels)
 
-    def full_size(self, spec: ResolveSpec) -> int:
-        return len(spec.pairs)
-
     def labelled(self, spec: ResolveSpec) -> tuple[ResolveSpec, list[bool]]:
         labels = dict(spec.validation_labels)
         return replace(spec, pairs=list(labels)), list(labels.values())
@@ -697,9 +686,6 @@ class _Impute(OperatorDeclaration):
 
     def validation_size(self, spec: ImputeSpec) -> int:
         return 0 if spec.data is None else min(spec.validation_size, len(spec.data.queries))
-
-    def full_size(self, spec: ImputeSpec) -> int:
-        return len(spec.data.queries)
 
     def labelled(self, spec: ImputeSpec) -> tuple[ImputeSpec, dict[str, Any]]:
         data = spec.data
@@ -956,6 +942,24 @@ class _Filter(OperatorDeclaration):
             ]
             for predicate in predicates
         ]
+        # A pass's price is the planner's estimate of that one predicate over
+        # the items it will check (the survivors the spec's selectivities
+        # leave it), the term ``_filter_passes`` sums for the whole spec.
+        items = list(spec.items)
+        counts = _survivor_counts(
+            len(items), predicates, spec.expected_selectivities, planner.stats
+        )
+        priced = [
+            [
+                planner._try_estimate(
+                    replace(spec, items=items[:count], predicate=predicate, predicates=()),
+                    name,
+                    options,
+                )
+                for name, options in candidates
+            ]
+            for predicate, count in zip(predicates, counts)
+        ]
         combinations = []
         for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):
             passes = [judged[p][c] for p, c in enumerate(combo)]
@@ -963,16 +967,20 @@ class _Filter(OperatorDeclaration):
                 all(result.decisions.get(item, False) for result in passes)
                 for item in sample.items
             ]
-            cost = sum(result.cost for result in passes)
-            combinations.append(Measured(combo, self.metric(predictions, truth), cost))
-        chosen = choose(combinations, remaining=None, accuracy_target=spec.accuracy_target)
+            price = sum(dollars(priced[p][c]) for p, c in enumerate(combo))
+            combinations.append(Measured(combo, self.metric(predictions, truth), price))
+        chosen = choose(
+            combinations,
+            remaining=planner._remaining_dollars(spec, budget),
+            accuracy_target=spec.accuracy_target,
+        ).key
         considered = tuple(name for name, _ in candidates)
-        return [
-            (predicate, ResolvedStrategy(name, dict(options), "validation", None, considered))
-            for predicate, (name, options) in zip(
-                predicates, (candidates[c] for c in chosen.key)
-            )
-        ]
+        plans = []
+        for p, (predicate, c) in enumerate(zip(predicates, chosen)):
+            name, options = candidates[c]
+            resolved = ResolvedStrategy(name, dict(options), "validation", priced[p][c], considered)
+            plans.append((predicate, resolved))
+        return plans
 
 
 # -- categorize ------------------------------------------------------------------------

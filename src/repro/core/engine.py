@@ -17,8 +17,8 @@ Strategy selection is not the engine's job any more: every spec —
 whatever its operator — is resolved by the
 :class:`~repro.core.physical.PhysicalPlanner` before execution.  Explicit
 strategies pass through untouched; ``"auto"`` specs with a labelled
-validation sample go through the :class:`~repro.core.optimizer.
-StrategySelector` (the AutoML-style loop the paper sketches in Section 4);
+validation sample go through :func:`~repro.core.optimizer.
+select_on_sample` (the AutoML-style loop the paper sketches in Section 4);
 everything else is picked by estimated cost under the remaining budget.
 After each run the engine feeds what actually happened (observed filter
 selectivities, dedup rates, call counts) back into the session's

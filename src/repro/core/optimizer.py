@@ -7,13 +7,23 @@ entire dataset, given a user-defined budget."  Each operator declaration
 labelled sample (the spec narrowed to the labelled items, plus their truth),
 the :mod:`repro.metrics` function that scores a run against that truth, and
 its candidates as ``(strategy, options)``.  :func:`select_on_sample` runs
-every candidate over the sample through the declaration, scores it, prices
-it, and hands the lot to :func:`choose`, the one selection rule:
+every candidate over the sample through the declaration and scores it.  The
+price of a candidate is the :class:`~repro.core.planner.CostPlanner`'s
+estimate of the *full* spec at that strategy, the quote the cost path and
+``.explain()`` show, taken once the sample has run (so it prices with what
+the sample observed); the sample's own spend is no guide, since a cached
+sample costs nothing.  :func:`choose` is the one selection rule:
 
-1. discard candidates whose price exceeds the budget;
-2. among the survivors, if an accuracy target is given, pick the *cheapest*
+1. keep the candidates whose price fits the remaining budget (the spec's
+   ``budget_dollars`` and the session's or step's budget, whichever is
+   tighter, read after the sample has spent); when none fits, the cheapest
+   wins, as on the cost path;
+2. among those, if an accuracy target is given, pick the *cheapest*
    candidate that meets it; otherwise (or if none meets it) pick the most
    accurate one, breaking ties by price.
+
+A ``single_prompt`` candidate whose one prompt does not fit the model's
+context is neither measured nor chosen (``PhysicalPlanner._fits_context``).
 
 The :class:`~repro.core.physical.PhysicalPlanner` calls it whenever an
 ``"auto"`` spec carries a labelled sample; a multi-predicate filter scores
@@ -24,6 +34,7 @@ estimates instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
@@ -68,23 +79,23 @@ class Measured(NamedTuple):
 def choose(
     measured: Sequence[Measured], *, remaining: float | None, accuracy_target: float | None
 ) -> Measured:
-    """The selection rule (see the module docstring); ties go to the earlier entry."""
+    """The selection rule (see the module docstring).
+
+    Equal prices go to the more accurate entry, and full ties to the earlier.
+    """
     affordable = [entry for entry in measured if remaining is None or entry.dollars <= remaining]
-    pool = affordable or list(measured)
+    if not affordable:
+        return min(measured, key=lambda entry: (entry.dollars, -entry.accuracy))
     if accuracy_target is not None:
-        meeting = [entry for entry in pool if entry.accuracy >= accuracy_target]
+        meeting = [entry for entry in affordable if entry.accuracy >= accuracy_target]
         if meeting:
-            return min(meeting, key=lambda entry: entry.dollars)
-    return max(pool, key=lambda entry: (entry.accuracy, -entry.dollars))
+            return min(meeting, key=lambda entry: (entry.dollars, -entry.accuracy))
+    return max(affordable, key=lambda entry: (entry.accuracy, -entry.dollars))
 
 
-def _extrapolate(cost: float, scaling: str, ratio: float) -> float:
-    """The sample's measured cost scaled to the full input."""
-    if scaling == "constant":
-        return cost
-    if scaling == "quadratic":
-        return cost * ratio * ratio
-    return cost * ratio
+def dollars(estimate: "CostEstimate | None") -> float:
+    """A candidate's price; one the planner cannot price fits no budget."""
+    return math.inf if estimate is None else estimate.dollars
 
 
 def select_on_sample(
@@ -95,18 +106,24 @@ def select_on_sample(
 ) -> ResolvedStrategy:
     """Measure the declaration's candidates on ``spec``'s labelled sample and pick one."""
     sample, truth = declaration.labelled(spec)
-    candidates = declaration.measured(planner, spec)
-    ratio = declaration.full_size(spec) / declaration.validation_size(spec)
-    measured = []
-    for index, (name, options) in enumerate(candidates):
+    considered = declaration.measured(planner, spec)
+    candidates = [
+        (name, options)
+        for name, options in considered
+        if planner._fits_context(declaration, spec, name)
+    ]
+    scores = []
+    for name, options in candidates:
         result = declaration.measure(planner, sample, name, options, budget)
-        accuracy = declaration.metric(declaration.predicted(result, sample), truth)
-        dollars = _extrapolate(result.cost, declaration.cost_scaling.get(name, "linear"), ratio)
-        measured.append(Measured(index, accuracy, dollars))
-    chosen = choose(
-        measured, remaining=spec.budget_dollars, accuracy_target=spec.accuracy_target
-    )
-    name, options = candidates[chosen.key]
-    return ResolvedStrategy(
-        name, dict(options), "validation", planner._try_estimate(spec, name, options)
-    )
+        scores.append(declaration.metric(declaration.predicted(result, sample), truth))
+    # Priced only now that the sample has run and spent (see the module docstring).
+    estimates = [planner._try_estimate(spec, name, options) for name, options in candidates]
+    measured = [
+        Measured(index, score, dollars(estimate))
+        for index, (score, estimate) in enumerate(zip(scores, estimates))
+    ]
+    remaining = planner._remaining_dollars(spec, budget)
+    chosen = choose(measured, remaining=remaining, accuracy_target=spec.accuracy_target).key
+    name, options = candidates[chosen]
+    names = tuple(name for name, _ in considered)
+    return ResolvedStrategy(name, dict(options), "validation", estimates[chosen], names)

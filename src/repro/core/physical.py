@@ -10,10 +10,13 @@ an explicit layer with two halves:
   candidate strategies, then resolves one:
 
   1. an explicit ``spec.strategy`` passes through untouched (``"fixed"``);
-  2. with a labelled validation sample (sort ``validation_order``, resolve
-     ``validation_labels``, impute ground truth) the
-     :class:`~repro.core.optimizer.StrategySelector` measures every
-     candidate on the sample and extrapolates (``"validation"``);
+  2. with a labelled validation sample (sort ``validation_order``, resolve,
+     filter and categorize ``validation_labels``, impute ground truth)
+     :func:`~repro.core.optimizer.select_on_sample` measures every
+     candidate's accuracy on the sample and prices it with the
+     :class:`~repro.core.planner.CostPlanner`'s estimate of the full spec,
+     under the same remaining budget and context gate as step 3
+     (``"validation"``);
   3. otherwise candidates are priced by the :class:`~repro.core.planner.
      CostPlanner` and the planner picks the *most preferred candidate whose
      estimated cost fits the remaining budget*, falling back to the
@@ -202,9 +205,8 @@ class PhysicalPlanner:
                 estimate=self._try_estimate(spec) if estimate_fixed else None,
                 considered=(spec.strategy,),
             )
-        validated = self._resolve_by_validation(spec, budget)
-        if validated is not None:
-            return validated
+        if self.would_validate(spec):
+            return select_on_sample(self, declaration_for(spec), spec, budget)
         return self._resolve_by_cost(spec, budget, want_estimate=estimate_fixed)
 
     def plan_pipeline(self, pipeline: PipelineSpec) -> PhysicalPlan:
@@ -337,16 +339,6 @@ class PhysicalPlanner:
         except ConfigurationError:  # nothing to pack into the prompt
             return True
         return prompt.usage.prompt_tokens <= planner.spec.context_length
-
-    # -- validation-driven selection --------------------------------------------------
-
-    def _resolve_by_validation(
-        self, spec: TaskSpec, budget: "Budget | None"
-    ) -> ResolvedStrategy | None:
-        """Measure candidates on the spec's labelled sample, when it has one."""
-        if not self.would_validate(spec):
-            return None
-        return select_on_sample(self, declaration_for(spec), spec, budget)
 
     def _ensemble_models(self, spec: TaskSpec) -> list[str]:
         """Voter models for filter/categorize ensemble candidates.

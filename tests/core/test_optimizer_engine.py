@@ -6,23 +6,12 @@ import pytest
 
 from repro.core.budget import Budget
 from repro.core.engine import DeclarativeEngine
-from repro.core.optimizer import Measured, _extrapolate, choose
+from repro.core.optimizer import Measured, choose
 from repro.core.spec import ImputeSpec, ResolveSpec, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.data.products import generate_restaurant_dataset
 from repro.llm.simulated import SimulatedLLM
 from repro.metrics.ranking import kendall_tau_b
-
-
-class TestExtrapolation:
-    def test_linear_extrapolation(self):
-        assert _extrapolate(1.0, "linear", 10.0) == pytest.approx(10.0)
-
-    def test_quadratic_extrapolation(self):
-        assert _extrapolate(1.0, "quadratic", 10.0) == pytest.approx(100.0)
-
-    def test_constant_extrapolation(self):
-        assert _extrapolate(1.0, "constant", 10.0) == pytest.approx(1.0)
 
 
 def _measured(accuracies: dict[str, float], costs: dict[str, float]) -> list[Measured]:
@@ -38,6 +27,10 @@ class TestChoose:
     def test_accuracy_target_prefers_cheapest_sufficient(self):
         measured = _measured({"cheap": 0.85, "expensive": 0.95}, {"cheap": 0.1, "expensive": 10.0})
         assert choose(measured, remaining=None, accuracy_target=0.8).key == "cheap"
+
+    def test_nothing_affordable_falls_back_to_the_cheapest(self):
+        measured = _measured({"dear": 0.9, "cheap": 0.6}, {"dear": 2.0, "cheap": 1.0})
+        assert choose(measured, remaining=0.5, accuracy_target=None).key == "cheap"
 
     def test_ties_in_accuracy_go_to_the_cheaper(self):
         measured = _measured({"dear": 0.9, "cheap": 0.9}, {"dear": 2.0, "cheap": 1.0})
