@@ -44,7 +44,6 @@ NOISY = BehaviorConfig(predicate_error=0.25, categorize_error=0.3)
 #: The registry's three cheapest chat models, the default ensemble panel.
 PANEL = ["sim-small", "sim-gpt-3.5-turbo", "sim-claude"]
 ENSEMBLE = {"models": PANEL}
-FILTERS = ("per_item", "ensemble_vote", "adaptive")
 
 _ANIMALS = ("cat", "dog", "horse", "goat", "owl", "fox")
 _SUBJECTS = (
@@ -115,8 +114,8 @@ CASES = {
     "sort": (_sort, 0.001, 0.02, 0.85),
     "resolve": (_resolve, 0.005, 0.03, 0.6),
     "impute": (_impute, 0.005, 0.008, 0.85),
-    "filter": (lambda: _filter(ANIMAL), 0.005, 0.018, 0.75),
-    "filter2": (lambda: _filter(ANIMAL, NIGHT), 0.006, 0.032, 0.6),
+    "filter": (lambda: _filter(ANIMAL), 0.003, 0.015, 0.75),
+    "filter2": (lambda: _filter(ANIMAL, NIGHT), 0.003, 0.026, 0.6),
     "categorize": (_categorize, 0.005, 0.022, 0.8),
 }
 CONDITIONS = ("none", "spec_cap", "session_budget", "target")
@@ -134,6 +133,13 @@ CANDIDATES: dict[str, list[tuple[str, dict]]] = {
     ],
 }
 CANDIDATES["filter2"] = CANDIDATES["filter"]
+#: Each case's candidate names, as a decision's ``considered`` lists them.
+SORTS, RESOLVES, IMPUTES, FILTERS, CATEGORIZES = (
+    tuple(name for name, _ in CANDIDATES[case])
+    for case in ("sort", "resolve", "impute", "filter", "categorize")
+)
+_NAMED = {"ENSEMBLE": ENSEMBLE, "SORTS": SORTS, "RESOLVES": RESOLVES, "IMPUTES": IMPUTES}
+_NAMED.update(FILTERS=FILTERS, CATEGORIZES=CATEGORIZES)
 
 
 def _engine(oracle: Oracle, budget: Budget | None = None) -> DeclarativeEngine:
@@ -227,42 +233,42 @@ def measured_accuracies(case: str) -> dict[str, float]:
 
 
 SELECTIONS: dict[tuple[str, str], list[tuple[str, dict, str, tuple[str, ...]]]] = {
-    ("sort", "none"): [("pairwise", {}, "validation", ())],
-    ("sort", "spec_cap"): [("single_prompt", {}, "validation", ())],
-    ("sort", "session_budget"): [("pairwise", {}, "validation", ())],
-    ("sort", "target"): [("rating", {}, "validation", ())],
-    ("resolve", "none"): [("proxy_hybrid", {}, "validation", ())],
-    ("resolve", "spec_cap"): [("proxy_hybrid", {}, "validation", ())],
-    ("resolve", "session_budget"): [("proxy_hybrid", {}, "validation", ())],
-    ("resolve", "target"): [("proxy_hybrid", {}, "validation", ())],
-    ("impute", "none"): [("retrieval", {}, "validation", ())],
-    ("impute", "spec_cap"): [("knn", {}, "validation", ())],
-    ("impute", "session_budget"): [("retrieval", {}, "validation", ())],
-    ("impute", "target"): [("knn", {}, "validation", ())],
-    ("filter", "none"): [("adaptive", ENSEMBLE, "validation", ())],
-    ("filter", "spec_cap"): [("adaptive", ENSEMBLE, "validation", ())],
-    ("filter", "session_budget"): [("adaptive", ENSEMBLE, "validation", ())],
-    ("filter", "target"): [("adaptive", ENSEMBLE, "validation", ())],
+    ("sort", "none"): [("pairwise", {}, "validation", SORTS)],
+    ("sort", "spec_cap"): [("single_prompt", {}, "validation", SORTS)],
+    ("sort", "session_budget"): [("rating", {}, "validation", SORTS)],
+    ("sort", "target"): [("rating", {}, "validation", SORTS)],
+    ("resolve", "none"): [("proxy_hybrid", {}, "validation", RESOLVES)],
+    ("resolve", "spec_cap"): [("proxy_hybrid", {}, "validation", RESOLVES)],
+    ("resolve", "session_budget"): [("proxy_hybrid", {}, "validation", RESOLVES)],
+    ("resolve", "target"): [("proxy_hybrid", {}, "validation", RESOLVES)],
+    ("impute", "none"): [("retrieval", {}, "validation", IMPUTES)],
+    ("impute", "spec_cap"): [("knn", {}, "validation", IMPUTES)],
+    ("impute", "session_budget"): [("knn", {}, "validation", IMPUTES)],
+    ("impute", "target"): [("knn", {}, "validation", IMPUTES)],
+    ("filter", "none"): [("ensemble_vote", ENSEMBLE, "validation", FILTERS)],
+    ("filter", "spec_cap"): [("per_item", {}, "validation", FILTERS)],
+    ("filter", "session_budget"): [("per_item", {}, "validation", FILTERS)],
+    ("filter", "target"): [("ensemble_vote", ENSEMBLE, "validation", FILTERS)],
     ("filter2", "none"): [
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
+        ("ensemble_vote", ENSEMBLE, "validation", FILTERS),
     ],
     ("filter2", "spec_cap"): [
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
     ],
     ("filter2", "session_budget"): [
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
     ],
     ("filter2", "target"): [
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
-        ("adaptive", ENSEMBLE, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
+        ("per_item", {}, "validation", FILTERS),
     ],
-    ("categorize", "none"): [("self_consistency", {"n_samples": 3}, "validation", ())],
-    ("categorize", "spec_cap"): [("per_item", {}, "validation", ())],
-    ("categorize", "session_budget"): [("self_consistency", {"n_samples": 3}, "validation", ())],
-    ("categorize", "target"): [("self_consistency", {"n_samples": 3}, "validation", ())],
+    ("categorize", "none"): [("self_consistency", {"n_samples": 3}, "validation", CATEGORIZES)],
+    ("categorize", "spec_cap"): [("per_item", {}, "validation", CATEGORIZES)],
+    ("categorize", "session_budget"): [("per_item", {}, "validation", CATEGORIZES)],
+    ("categorize", "target"): [("self_consistency", {"n_samples": 3}, "validation", CATEGORIZES)],
 }
 
 ACCURACIES: dict[str, dict[str, float]] = {
@@ -313,7 +319,8 @@ def _table() -> str:
     lines = ["SELECTIONS = {"]
     for key in itertools.product(CASES, CONDITIONS):
         rows = [repr(row) for row in selection(*key)]
-        rows = [row.replace(repr(ENSEMBLE), "ENSEMBLE").replace(repr(FILTERS), "FILTERS") for row in rows]
+        for constant, value in _NAMED.items():
+            rows = [row.replace(repr(value), constant) for row in rows]
         lines += _entry(key, rows, "[]")
     lines += ["}", "ACCURACIES = {"]
     for case in CASES:
