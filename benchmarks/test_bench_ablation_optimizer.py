@@ -1,7 +1,8 @@
 """Ablation C — validation-sample strategy selection under a budget (Section 4).
 
 The engine labels a small validation sample, measures every candidate sorting
-strategy on it, extrapolates cost to the full dataset, and picks a strategy.
+strategy's accuracy on it, prices each at the planner's quote for the full
+dataset, and picks a strategy.
 The ablation checks that the recommendation moves from cheap strategies to the
 expensive pairwise strategy as the budget loosens, and that the auto-selected
 strategy's accuracy tracks the best affordable candidate.
