@@ -103,13 +103,13 @@ def compile_plan(
     # Recursive, so module-level with ``step_of`` as an argument: a nested
     # function that calls itself is a cycle that keeps the plan for the collector.
     materialize = partial(_materialize, step_of)
-    lineage_of = partial(_read_steps, step_of)
+    lineage_of = partial(_lineage, step_of)
 
     def depends_for(node: LogicalNode) -> tuple[str, ...]:
         if lineage_deps:
             deps: list[str] = []
             for upstream in node.inputs:
-                deps.extend(lineage_of(upstream))
+                deps.extend(lineage_of(upstream)[0])
         else:
             deps = [step_of[upstream] for upstream in node.inputs if upstream.op != "source"]
         return tuple(dict.fromkeys(deps))
@@ -159,7 +159,7 @@ def compile_plan(
         declaration = node.declaration
         feeds = node.feeds
         depends_on = depends_for(node)
-        if all(lineage_of(upstream) == () for upstream in feeds):
+        if all(lineage_of(upstream)[0] == () for upstream in feeds):
             # Static feeds are source-only, so the estimate *is* the literal
             # item list (no stats needed to materialize it), and the planner
             # prices the concrete spec itself.
@@ -272,7 +272,7 @@ def _materialize(
     if node.op == "source":
         return list(node.params["items"])
     declaration = node.declaration
-    if declaration.output_from == "result":  # see _read_steps
+    if declaration.output_from == "result":  # see _lineage
         return declaration.output_items(node.params, [], results[step_of[node]])
     parent_items = _materialize(step_of, node.inputs[0], results)
     if declaration.output_from == "parent":
@@ -280,30 +280,23 @@ def _materialize(
     return declaration.output_items(node.params, parent_items, results[step_of[node]])
 
 
-def _read_steps(step_of: Mapping[LogicalNode, str], node: LogicalNode) -> tuple[str, ...]:
-    """Steps whose results :func:`_materialize` reads for ``node``."""
+def _lineage(
+    step_of: Mapping[LogicalNode, str], node: LogicalNode
+) -> tuple[tuple[str, ...], Any]:
+    """What :func:`_materialize` reads for ``node``: the steps whose results it
+    reads, and the rest (source items, each reading node's operation and params)."""
     if node.op == "source":
-        return ()
-    upstream = _read_steps(step_of, node.inputs[0])
+        return (), node.params["items"]
+    steps, reads = _lineage(step_of, node.inputs[0])
     output_from = node.declaration.output_from
     if output_from == "parent":
-        return upstream
+        return steps, reads
+    own = (node.op, keyed_params(node.params))
     if output_from == "result":
         # Its result holds the literal items (a filter's kept, a top-k's top
         # items); the parent chain's results are not needed once it has run.
-        return (step_of[node],)
-    return (step_of[node], *upstream)
-
-
-def _reads(node: LogicalNode) -> Any:
-    """What :func:`_materialize` reads for ``node`` other than step results."""
-    if node.op == "source":
-        return node.params["items"]
-    output_from = node.declaration.output_from
-    if output_from == "parent":
-        return _reads(node.inputs[0])
-    own = (node.op, keyed_params(node.params))
-    return own if output_from == "result" else (own, _reads(node.inputs[0]))
+        return (step_of[node],), own
+    return (step_of[node], *steps), (own, reads)
 
 
 def _declared(
@@ -311,12 +304,13 @@ def _declared(
 ) -> SpecFactory:
     """``factory`` keyed by its node's lineage (a :class:`DeclaredFactory`), or
     as it is (keyed by its spec) when that identity has no canonical form."""
-    reads = [_reads(feed) for feed in node.feeds]
+    lineages = [_lineage(step_of, feed) for feed in node.feeds]
+    reads = [feed_reads for _, feed_reads in lineages]
     try:
         identity = factory_identity(node.op, keyed_params(node.params), *extra, reads)
     except FingerprintError:
         return factory
-    parents = (step for feed in node.feeds for step in _read_steps(step_of, feed))
+    parents = (step for steps, _ in lineages for step in steps)
     return DeclaredFactory(factory, identity, tuple(dict.fromkeys(parents)))
 
 
