@@ -84,51 +84,55 @@ class ModelRegistry:
         return CostModel({name: spec.prices for name, spec in self._specs.items()})
 
 
+#: Simulated analogues of the paper's models, built once: specs and their
+#: price tables are frozen, so every default registry shares them.
+_DEFAULT_SPECS = (
+    ModelSpec(
+        name="sim-gpt-3.5-turbo",
+        context_length=4_096,
+        prices=PriceTable(1.5, 2.0),
+        quality=0.80,
+    ),
+    ModelSpec(
+        name="sim-gpt-4",
+        context_length=8_192,
+        prices=PriceTable(30.0, 60.0),
+        quality=0.95,
+    ),
+    ModelSpec(
+        name="sim-claude",
+        context_length=9_000,
+        prices=PriceTable(11.0, 32.0),
+        quality=0.82,
+    ),
+    ModelSpec(
+        name="sim-claude-2",
+        context_length=100_000,
+        prices=PriceTable(11.0, 32.0),
+        quality=0.85,
+    ),
+    ModelSpec(
+        name="sim-small",
+        context_length=2_048,
+        prices=PriceTable(0.2, 0.4),
+        quality=0.55,
+    ),
+    ModelSpec(
+        name="sim-embedding-ada-002",
+        context_length=8_191,
+        prices=PriceTable(0.1, 0.0),
+        quality=0.7,
+        kind="embedding",
+    ),
+)
+
+
 def default_registry() -> ModelRegistry:
-    """Registry with simulated analogues of the paper's models.
+    """A fresh registry with simulated analogues of the paper's models.
 
     Prices follow the mid-2023 public price lists for the corresponding real
     models (per million tokens), which is what the paper's token counts were
-    priced against; exact values only matter relative to one another.
+    priced against; exact values only matter relative to one another.  The
+    registry is the caller's to extend; the specs in it are shared.
     """
-    return ModelRegistry(
-        [
-            ModelSpec(
-                name="sim-gpt-3.5-turbo",
-                context_length=4_096,
-                prices=PriceTable(1.5, 2.0),
-                quality=0.80,
-            ),
-            ModelSpec(
-                name="sim-gpt-4",
-                context_length=8_192,
-                prices=PriceTable(30.0, 60.0),
-                quality=0.95,
-            ),
-            ModelSpec(
-                name="sim-claude",
-                context_length=9_000,
-                prices=PriceTable(11.0, 32.0),
-                quality=0.82,
-            ),
-            ModelSpec(
-                name="sim-claude-2",
-                context_length=100_000,
-                prices=PriceTable(11.0, 32.0),
-                quality=0.85,
-            ),
-            ModelSpec(
-                name="sim-small",
-                context_length=2_048,
-                prices=PriceTable(0.2, 0.4),
-                quality=0.55,
-            ),
-            ModelSpec(
-                name="sim-embedding-ada-002",
-                context_length=8_191,
-                prices=PriceTable(0.1, 0.0),
-                quality=0.7,
-                kind="embedding",
-            ),
-        ]
-    )
+    return ModelRegistry(list(_DEFAULT_SPECS))

@@ -57,3 +57,15 @@ class TestModelRegistry:
 
     def test_default_registry_claude2_has_long_context(self):
         assert default_registry().get("sim-claude-2").context_length >= 100_000
+
+    def test_default_registries_share_their_specs(self):
+        first, second = default_registry(), default_registry()
+        assert first.get("sim-gpt-4") is second.get("sim-gpt-4")
+        assert first.get("sim-small").prices is second.get("sim-small").prices
+
+    def test_a_default_registry_is_the_callers_to_extend(self):
+        first, second = default_registry(), default_registry()
+        first.register(ModelSpec(name="mine", context_length=100, prices=PriceTable(1, 2)))
+        assert "mine" in first
+        assert "mine" not in second
+        assert "mine" not in default_registry()
