@@ -202,14 +202,7 @@ class OperatorDeclaration:
         """The ``(strategy, options)`` candidates measured on the sample, in tie-break order."""
         raise NotImplementedError
 
-    def measure(
-        self,
-        planner: "PhysicalPlanner",
-        sample: Any,
-        strategy: str,
-        options: Mapping[str, Any],
-        budget: "Budget | None",
-    ) -> Any:
+    def measure(self, planner: "PhysicalPlanner", sample: Any, strategy: str, options, budget):
         """Run one candidate over the labelled ``sample`` spec."""
         return self.invoke(planner.build_operator(sample, budget), sample, strategy, options)
 
@@ -746,10 +739,6 @@ def _filter_passes(planner: "CostPlanner", spec: FilterSpec, votes: int) -> "Cos
     return planner._estimate("filter", calls, prompt_tokens, completion_tokens)
 
 
-def _bool_labels(labels: Any) -> dict[str, bool]:
-    return {str(item): bool(label) for item, label in dict(labels).items()}
-
-
 #: The per-predicate strategy search enumerates candidate^predicate combos;
 #: beyond this many predicates it falls back to one conjunction-level choice.
 _MAX_PER_PREDICATE_SEARCH = 4
@@ -886,7 +875,7 @@ class _Filter(OperatorDeclaration):
 
     def labelled(self, spec: FilterSpec) -> tuple[FilterSpec, list[bool]]:
         # The labels are for the conjunction of the spec's predicates.
-        labels = _bool_labels(spec.validation_labels)
+        labels = {str(item): bool(label) for item, label in dict(spec.validation_labels).items()}
         return replace(spec, items=list(labels)), list(labels.values())
 
     def measured(self, planner, spec: FilterSpec) -> list[tuple[str, dict]]:
@@ -915,13 +904,11 @@ class _Filter(OperatorDeclaration):
         no usable validation sample resolves exactly like
         :meth:`PhysicalPlanner.resolve` and applies that one choice to every
         predicate.  A multi-predicate ``auto`` spec *with* validation labels
-        searches per-predicate strategy combinations instead: each candidate
-        judges each predicate alone over the whole sample, and
-        :func:`~repro.core.optimizer.choose` picks among the combinations,
-        each scored by the F1 of its AND-ed decisions against the
-        conjunction labels.  So a cheap ``per_item`` pass on an easy
-        predicate can precede an ensemble vote on the hard one without
-        giving up conjunction-level accuracy.
+        searches per-predicate combinations instead, so a cheap ``per_item``
+        pass on an easy predicate can precede an ensemble vote on the hard
+        one: each is scored by the F1 of its AND-ed decisions against the
+        conjunction labels, priced as the sum of its passes' quotes, and
+        :func:`~repro.core.optimizer.choose` picks one.
         """
         predicates = list(spec.all_predicates)
         if not (
@@ -933,54 +920,47 @@ class _Filter(OperatorDeclaration):
             return [(predicate, shared) for predicate in predicates]
         sample, truth = self.labelled(spec)
         candidates = self.measured(planner, spec)
+        # Each candidate judges each predicate alone over the whole sample: a
+        # combination needs every predicate's decision on every item.
         judged = [
             [
-                self.predicate_operator(planner, predicate, budget).run(
-                    list(sample.items), strategy=name, **options
-                )
-                for name, options in candidates
+                self.measure(planner, _alone(sample, predicate), *candidate, budget).decisions
+                for candidate in candidates
             ]
             for predicate in predicates
         ]
-        # A pass's price is the planner's estimate of that one predicate over
-        # the items it will check (the survivors the spec's selectivities
-        # leave it), the term ``_filter_passes`` sums for the whole spec.
-        items = list(spec.items)
-        counts = _survivor_counts(
-            len(items), predicates, spec.expected_selectivities, planner.stats
-        )
+        # A pass is priced at the planner's quote of its predicate over the
+        # items it will check (the survivors the selectivities leave it): the
+        # terms ``_filter_passes`` sums for the whole spec.
+        items, priors = list(spec.items), spec.expected_selectivities
+        counts = _survivor_counts(len(items), predicates, priors, planner.stats)
         priced = [
             [
-                planner._try_estimate(
-                    replace(spec, items=items[:count], predicate=predicate, predicates=()),
-                    name,
-                    options,
-                )
-                for name, options in candidates
+                planner._try_estimate(_alone(spec, predicate, items=items[:count]), *candidate)
+                for candidate in candidates
             ]
             for predicate, count in zip(predicates, counts)
         ]
         combinations = []
         for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):
-            passes = [judged[p][c] for p, c in enumerate(combo)]
-            predictions = [
-                all(result.decisions.get(item, False) for result in passes)
-                for item in sample.items
-            ]
-            price = sum(dollars(priced[p][c]) for p, c in enumerate(combo))
+            picks = list(enumerate(combo))
+            predictions = [all(judged[p][c][item] for p, c in picks) for item in sample.items]
+            price = sum(dollars(priced[p][c]) for p, c in picks)
             combinations.append(Measured(combo, self.metric(predictions, truth), price))
-        chosen = choose(
-            combinations,
-            remaining=planner._remaining_dollars(spec, budget),
-            accuracy_target=spec.accuracy_target,
-        ).key
+        remaining = planner._remaining_dollars(spec, budget)
+        chosen = choose(combinations, remaining=remaining, accuracy_target=spec.accuracy_target)
         considered = tuple(name for name, _ in candidates)
         plans = []
-        for p, (predicate, c) in enumerate(zip(predicates, chosen)):
-            name, options = candidates[c]
-            resolved = ResolvedStrategy(name, dict(options), "validation", priced[p][c], considered)
+        for p, (predicate, c) in enumerate(zip(predicates, chosen.key)):
+            (name, options), estimate = candidates[c], priced[p][c]
+            resolved = ResolvedStrategy(name, dict(options), "validation", estimate, considered)
             plans.append((predicate, resolved))
         return plans
+
+
+def _alone(spec: FilterSpec, predicate: str, **fields: Any) -> FilterSpec:
+    """``spec`` checking ``predicate`` alone."""
+    return replace(spec, predicate=predicate, predicates=(), **fields)
 
 
 # -- categorize ------------------------------------------------------------------------
@@ -998,10 +978,6 @@ def _categorize_votes(planner: "CostPlanner", spec: CategorizeSpec, votes: int) 
         prompt_tokens=base.usage.prompt_tokens * votes,
         completion_tokens=base.usage.completion_tokens * votes,
     )
-
-
-def _str_labels(labels: Any) -> dict[str, str]:
-    return {str(item): str(label) for item, label in dict(labels).items()}
 
 
 class _Categorize(OperatorDeclaration):
@@ -1037,7 +1013,7 @@ class _Categorize(OperatorDeclaration):
         return len(spec.validation_labels)
 
     def labelled(self, spec: CategorizeSpec) -> tuple[CategorizeSpec, dict[str, str]]:
-        labels = _str_labels(spec.validation_labels)
+        labels = {str(item): str(label) for item, label in dict(spec.validation_labels).items()}
         return replace(spec, items=list(labels)), labels
 
     def measured(self, planner, spec: CategorizeSpec) -> list[tuple[str, dict]]:

@@ -3,33 +3,24 @@
 "Similar to AutoML, a declarative prompt engineering toolkit can shoulder the
 burden of evaluating all strategies and recommend a strategy to apply to the
 entire dataset, given a user-defined budget."  Each operator declaration
-(:mod:`repro.core.declarations`) states what that takes, as data: its
-labelled sample (the spec narrowed to the labelled items, plus their truth),
-the :mod:`repro.metrics` function that scores a run against that truth, and
-its candidates as ``(strategy, options)``.  :func:`select_on_sample` runs
-every candidate over the sample through the declaration and scores it.  The
-price of a candidate is the :class:`~repro.core.planner.CostPlanner`'s
-estimate of the *full* spec at that strategy, the quote the cost path and
-``.explain()`` show, taken once the sample has run (so it prices with what
-the sample observed); the sample's own spend is no guide, since a cached
-sample costs nothing.  :func:`choose` is the one selection rule:
+(:mod:`repro.core.declarations`) states what that takes as data: its labelled
+sample (the spec narrowed to the labelled items, plus their truth), the
+:mod:`repro.metrics` function scoring a run against the truth, and its
+candidates as ``(strategy, options)``.  :func:`select_on_sample` measures each
+candidate's accuracy on the sample and prices it at the
+:class:`~repro.core.planner.CostPlanner`'s quote of the *full* spec, taken
+after the sample has run (a cached sample costs nothing, so its own spend is
+no price).  A ``single_prompt`` candidate whose one prompt does not fit the
+model's context is neither measured nor chosen.  :func:`choose` is the rule:
 
-1. keep the candidates whose price fits the remaining budget (the spec's
-   ``budget_dollars`` and the session's or step's budget, whichever is
-   tighter, read after the sample has spent); when none fits, the cheapest
-   wins, as on the cost path;
-2. among those, if an accuracy target is given, pick the *cheapest*
-   candidate that meets it; otherwise (or if none meets it) pick the most
-   accurate one, breaking ties by price.
+1. keep the candidates that fit the remaining budget (the spec's
+   ``budget_dollars`` or the session's or step's budget left after the
+   sample, whichever is tighter); when none fits, the cheapest wins;
+2. with an accuracy target, pick the *cheapest* candidate meeting it;
+   otherwise (or if none does) the most accurate, breaking ties by price.
 
-A ``single_prompt`` candidate whose one prompt does not fit the model's
-context is neither measured nor chosen (``PhysicalPlanner._fits_context``).
-
-The :class:`~repro.core.physical.PhysicalPlanner` calls it whenever an
-``"auto"`` spec carries a labelled sample; a multi-predicate filter scores
-its per-predicate combinations and calls :func:`choose` itself.  Specs
-without a sample are resolved from :class:`~repro.core.planner.CostPlanner`
-estimates instead.
+A multi-predicate filter scores and prices its per-predicate combinations
+and calls :func:`choose` itself.
 """
 
 from __future__ import annotations
