@@ -83,7 +83,7 @@ DEFAULT_POOL_SIZE = 8
 
 #: How long a fanned-out bag may start no body, its dispatching thread computing
 #: for less than half of it, before :class:`BatchExecutor` brings in its helpers
-#: (when the whole process computed as little; else two switch intervals more).
+#: (when the whole process computed as little; else one switch interval more).
 _STALL_SECONDS = 0.001
 #: The most calls one run takes: a run reaches the store when it returns, so a
 #: hard kill loses at most this many answered calls past the store's row bound.
@@ -96,21 +96,6 @@ def _cpu_clock() -> Callable[[], float]:
         return lambda: 0.0
     clock = time.pthread_getcpuclockid(threading.get_ident())
     return lambda: time.clock_gettime(clock)
-
-
-def _run_state() -> Callable[[], bool]:
-    """Whether the calling thread is in Linux's state ``R`` — computing or waiting
-    for a CPU, not blocked in a call or on the interpreter lock — for other threads."""
-    path = f"/proc/self/task/{threading.get_native_id()}/stat"
-
-    def runnable() -> bool:
-        try:
-            with open(path, "rb") as stat:
-                return stat.read().rpartition(b")")[2].split()[0] == b"R"
-        except (OSError, IndexError):
-            return False
-
-    return runnable
 
 
 @dataclass(frozen=True)
@@ -506,9 +491,9 @@ class BatchExecutor(_ExecutorCore):
     a ceiling on calls in flight, not a thread count: the dispatching thread
     drains the bag itself, up to ``max_concurrency - 1`` helper threads join
     it once a call blocks (after its first body no body starts, and the
-    dispatching thread, not runnable, computes for less than half the time:
-    for about a millisecond when the whole process is as idle, else for a
-    tick of two ``sys.getswitchinterval()`` more), and all have exited when
+    dispatching thread computes for less than half the time: for about a
+    millisecond when the whole process is as idle, else for one
+    ``sys.getswitchinterval()`` more), and all have exited when
     ``run``/``map`` returns.  Until then, when the bag passes
     :meth:`_native`, the dispatching thread sends *runs* of it as native
     batches: the first call goes alone, a run that computed doubles the
@@ -562,7 +547,7 @@ class BatchExecutor(_ExecutorCore):
         stop = threading.Event()  # start no further body: a failure, or the bag is drained
         stalled = False  # set by the scout, before it starts the helpers
         helpers: list[threading.Thread] = []
-        computing, runnable = _cpu_clock(), _run_state()  # the dispatching thread's, for the scout
+        computing = _cpu_clock()  # the dispatching thread's, read by the scout
 
         def unit(index: int, body: Body) -> None:
             # A body gets a fresh copy of the dispatching context (or of a
@@ -635,25 +620,21 @@ class BatchExecutor(_ExecutorCore):
             # that computes), threads would only take turns on the interpreter
             # lock; once neither has for a while a call is blocked: go to full
             # width now, not after it returns (eight slow calls are one wave).
-            # Nothing counts before the dispatching thread has a body, nor while
-            # the OS holds it runnable.  While the process computes it may wait
-            # for the lock (which the scout's ticks can keep taking): the scout
-            # sits two switch intervals out, in which it must compute < a tick.
+            # Nothing counts before the dispatching thread has a body, and while
+            # the process computes a stall must outlast one lock switch interval.
             nonlocal stalled
             waiting, began, cpu = len(queue), time.perf_counter(), computing()
-            busy, aside = time.process_time(), False  # aside: the scout sat this window out
-            quiet = max(_STALL_SECONDS, 2 * sys.getswitchinterval())
-            while not stop.wait(quiet if aside else _STALL_SECONDS):
+            busy, since = time.process_time(), None  # since: a stall's first busy tick
+            while not stop.wait(_STALL_SECONDS):
                 now, spent, used = time.perf_counter(), computing(), time.process_time()
-                bound = _STALL_SECONDS if aside else (now - began) / 2
-                stuck = len(queue) == waiting < len(items) and spent - cpu < bound
+                stuck = len(queue) == waiting < len(items) and 2 * (spent - cpu) < now - began
+                since = (since or now) if stuck else None
                 idle = 2 * (used - busy) < now - began
-                if stuck and (idle or aside) and not runnable():
+                if stuck and (idle or now - since >= sys.getswitchinterval()):
                     stalled = True
                     for _ in range(min(self.max_concurrency - 1, waiting) - 1):
                         start(work)
                     return work()
-                aside = stuck and not (idle or aside)
                 waiting, began, cpu, busy = len(queue), now, spent, used
 
         start(scout)

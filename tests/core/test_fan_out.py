@@ -13,7 +13,6 @@ still go wide.
 from __future__ import annotations
 
 import contextvars
-import os
 import sys
 import threading
 import time
@@ -285,58 +284,6 @@ class TestTheScoutWaitsForTheFirstBody:
         assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
         assert held and during_hold == []
         assert threading.active_count() == baseline
-
-
-class TestARunnableThreadIsNotBlocked:
-    """A dispatching thread the OS holds runnable waits for a CPU, not for a call."""
-
-    def test_the_probe_tells_a_sleeping_thread_from_a_running_one(self):
-        probes: list = []
-        ready, done = threading.Event(), threading.Event()
-
-        def sleeper():
-            probes.append(executor_module._run_state())
-            ready.set()
-            done.wait(PATIENCE)
-
-        thread = threading.Thread(target=sleeper)
-        thread.start()
-        try:
-            assert ready.wait(PATIENCE)
-            deadline = time.monotonic() + PATIENCE
-            while probes[0]():  # runnable until it reaches ``done.wait``
-                assert time.monotonic() < deadline, "a sleeping thread reads runnable"
-                time.sleep(0.001)
-        finally:
-            done.set()
-            thread.join(PATIENCE)
-        # Where the OS tells no thread state, no thread reads runnable.
-        own = executor_module._run_state()
-        assert own() == os.path.exists(f"/proc/self/task/{threading.get_native_id()}/stat")
-
-    def test_no_helper_starts_while_the_dispatching_thread_reads_runnable(self, monkeypatch):
-        # The probe answers "runnable" twenty times: calls that wait for each
-        # other still go wide, once it has answered otherwise.
-        answers: list[bool] = []
-        probe_of = executor_module._run_state
-
-        def held_runnable():
-            probe = probe_of()
-
-            def runnable():
-                answers.append(len(answers) < 20 or probe())
-                return answers[-1]
-
-            return runnable
-
-        monkeypatch.setattr(executor_module, "_run_state", held_runnable)
-        client = BarrierClient(WIDTH)
-        responses = BatchExecutor(client, max_concurrency=WIDTH).run(
-            [f"p{index}" for index in range(WIDTH)]
-        )
-        assert [r.text for r in responses] == [f"echo:p{index}" for index in range(WIDTH)]
-        assert client.peak == WIDTH
-        assert answers[:20] == [True] * 20 and answers[-1] is False
 
 
 class TestAmbientContext:
