@@ -929,17 +929,15 @@ class _Filter(OperatorDeclaration):
             ]
             for predicate in predicates
         ]
-        # A pass is priced at the planner's quote of its predicate over the
-        # items it will check (the survivors the selectivities leave it): the
-        # terms ``_filter_passes`` sums for the whole spec.
+        # A pass is priced at the planner's undiscounted quote (as in
+        # ``select_on_sample``) of its predicate over the items it will check (the
+        # survivors the selectivities leave it): the terms ``_filter_passes`` sums.
         items, priors = list(spec.items), spec.expected_selectivities
         counts = _survivor_counts(len(items), predicates, priors, planner.stats)
+        passes = [_alone(spec, p, items=items[:n]) for p, n in zip(predicates, counts)]
         priced = [
-            [
-                planner._try_estimate(_alone(spec, predicate, items=items[:count]), *candidate)
-                for candidate in candidates
-            ]
-            for predicate, count in zip(predicates, counts)
+            [planner._try_estimate(alone, *c, observed_hits=False) for c in candidates]
+            for alone in passes
         ]
         combinations = []
         for combo in itertools.product(range(len(candidates)), repeat=len(predicates)):

@@ -8,10 +8,11 @@ sample (the spec narrowed to the labelled items, plus their truth), the
 :mod:`repro.metrics` function scoring a run against the truth, and its
 candidates as ``(strategy, options)``.  :func:`select_on_sample` measures each
 candidate's accuracy on the sample and prices it at the
-:class:`~repro.core.planner.CostPlanner`'s quote of the *full* spec, taken
-after the sample has run (a cached sample costs nothing, so its own spend is
-no price).  A ``single_prompt`` candidate whose one prompt does not fit the
-model's context is neither measured nor chosen.  :func:`choose` is the rule:
+:class:`~repro.core.planner.CostPlanner`'s quote of the *full* spec, with no
+discount for the cache hit rate the sample itself feeds (a cached sample costs
+nothing, so its own spend is no price).  A ``single_prompt`` candidate whose
+one prompt does not fit the model's context is neither measured nor chosen.
+:func:`choose` is the rule:
 
 1. keep the candidates that fit the remaining budget (the spec's
    ``budget_dollars`` or the session's or step's budget left after the
@@ -107,8 +108,8 @@ def select_on_sample(
     for name, options in candidates:
         result = declaration.measure(planner, sample, name, options, budget)
         scores.append(declaration.metric(declaration.predicted(result, sample), truth))
-    # Priced only now that the sample has run and spent (see the module docstring).
-    estimates = [planner._try_estimate(spec, name, options) for name, options in candidates]
+    # Undiscounted by the hit rate the sample just fed (see the module docstring).
+    estimates = [planner._try_estimate(spec, *c, observed_hits=False) for c in candidates]
     measured = [
         Measured(index, score, dollars(estimate))
         for index, (score, estimate) in enumerate(zip(scores, estimates))

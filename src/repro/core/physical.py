@@ -313,6 +313,8 @@ class PhysicalPlanner:
         spec: TaskSpec,
         strategy: str | None = None,
         options: Mapping[str, Any] | None = None,
+        *,
+        observed_hits: bool = True,
     ) -> CostEstimate | None:
         """Estimate a spec at a candidate strategy; ``None`` when unpriceable."""
         try:
@@ -323,7 +325,7 @@ class PhysicalPlanner:
                     strategy=strategy,
                     strategy_options={**spec.strategy_options, **(options or {})},
                 )
-            return self.cost_planner().estimate_spec(candidate)
+            return self.cost_planner().estimate_spec(candidate, observed_hits=observed_hits)
         except (SpecError, ConfigurationError):
             return None
 

@@ -464,7 +464,7 @@ class CostPlanner:
 
     # -- declarative specs ------------------------------------------------------------
 
-    def estimate_spec(self, spec: TaskSpec) -> CostEstimate:
+    def estimate_spec(self, spec: TaskSpec, *, observed_hits: bool = True) -> CostEstimate:
         """Pre-flight estimate for one declarative task spec.
 
         The spec's :mod:`declaration <repro.core.declarations>` maps its
@@ -481,6 +481,9 @@ class CostPlanner:
         declaration says the error is already priced another way (filters:
         observed predicate selectivities) — and its completions are priced
         at the label's observed completion length.
+
+        ``observed_hits=False`` skips the observed-hit-rate discount (exactly known
+        hits still price at zero), for candidates whose own sample fed that rate.
         """
         declaration = declaration_for(spec)
         estimate = declaration.estimate(self, spec)
@@ -495,7 +498,7 @@ class CostPlanner:
         # those at zero and skip the observed-hit-rate discount for this
         # spec (the rate would re-count the same hits).
         estimate, known = self._apply_known_hits(spec, estimate)
-        if known:
+        if known or not observed_hits:
             return estimate
         return self._apply_cache_discount(estimate)
 
