@@ -180,10 +180,9 @@ class PromptSession:
         if store is not None:
             store.apply_profile(self.stats, decay=profile_decay)
         # Operational observability: one metric registry (possibly shared
-        # across tenants), its per-tenant bound instruments, and the span
-        # tree every pipeline/step/call of this session hangs off — one
-        # ``call`` span per call issued through the session, flushed
-        # best-effort into the store's spans table when one exists.
+        # across tenants), this tenant's instruments (declared, bound on first
+        # note), and the span tree every pipeline/step/call hangs off — one
+        # ``call`` span per call, flushed best-effort into the store.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.instruments = SessionInstruments(self.metrics, tenant=tenant_label)
         self.spans = SpanTracker(store=store, on_drop=self.instruments.note_trace_dropped)

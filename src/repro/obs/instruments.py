@@ -1,9 +1,12 @@
-"""Pre-bound operational instruments for one session/tenant.
+"""Operational instruments for one session/tenant.
 
-Every metric family the engine emits is declared here, once, with a
-``tenant`` label so a shared :class:`MetricsRegistry` (as used by the
-multi-tenant service) keeps tenants' series apart.  A standalone
-session uses the empty-string tenant.
+Every metric family the engine emits is declared here, once, as data
+(:data:`FAMILIES`), with a ``tenant`` label so a shared
+:class:`MetricsRegistry` (as used by the multi-tenant service) keeps
+tenants' series apart.  A standalone session uses the empty-string tenant.
+A session declares its tenant against the table and binds each child on its
+first ``note_*``; the registry builds what is still unbound before a read,
+so a session that only quotes builds no metric object.
 
 The ``note_*`` methods are the only surface the rest of the codebase
 touches, so the family names and label sets stay consistent across the
@@ -12,14 +15,76 @@ governor, executors, span ring, workflow scheduler, and job manager.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from typing import Any, NamedTuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.tokenizer.cost import NANOS_PER_DOLLAR
 
 __all__ = ["SessionInstruments"]
 
 _LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0)
+
+
+class _Family(NamedTuple):
+    name: str
+    kind: type
+    help_text: str
+    labelnames: tuple[str, ...]
+    #: :class:`SessionInstruments` attribute -> label values after ``tenant`` of
+    #: its pre-bound child (rendered at zero before a note), or ``None``: the family.
+    attrs: Mapping[str, tuple[str, ...] | None]
+    options: Mapping[str, Any] = {}
+
+    @property
+    def prebound(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(values for values in self.attrs.values() if values is not None)
+
+
+def _tenant(attr: str, name: str, kind: type, help_text: str, **options: Any) -> _Family:
+    """A family labelled by tenant alone, its one child pre-bound."""
+    return _Family(name, kind, help_text, ("tenant",), {attr: ()}, options)
+
+
+#: The standard families, in registration order.
+FAMILIES = (
+    _Family("repro_llm_calls_total", Counter,
+            "Model calls settled through a session, by response-cache outcome.",
+            ("tenant", "cache"), {"_calls_hit": ("hit",), "_calls_miss": ("miss",)}),
+    _Family("repro_llm_call_errors_total", Counter, "Model calls that raised, by exception class.",
+            ("tenant", "error"), {"_call_errors": None}),
+    _tenant("_cost", "repro_llm_cost_dollars_total", Counter,
+            "Accumulated model spend in dollars.", per_unit=NANOS_PER_DOLLAR),
+    _tenant("_budget_spent", "repro_budget_spent_dollars", Gauge,
+            "Current budget spend in dollars."),
+    _tenant("_call_seconds", "repro_call_duration_seconds", Histogram,
+            "Wall-clock duration of settled model calls.", buckets=_LATENCY_BUCKETS),
+    _tenant("_trace_dropped", "repro_trace_records_dropped_total", Counter,
+            "Trace records evicted from the ring buffer before flushing."),
+    _tenant("_observer_errors", "repro_step_observer_errors_total", Counter,
+            "Exceptions raised by on_step observers and absorbed by the scheduler."),
+    _tenant("_gov_admitted", "repro_governor_admitted_total", Counter,
+            "Backend calls admitted by the concurrency governor."),
+    _tenant("_gov_throttled", "repro_governor_throttled_total", Counter,
+            "Dispatches the governor made wait for a slot or pacing."),
+    _tenant("_gov_wait", "repro_governor_wait_seconds_total", Counter,
+            "Total seconds dispatches spent waiting on the governor."),
+    _tenant("_gov_rate_limited", "repro_governor_rate_limit_events_total", Counter,
+            "Rate-limit failures reported to the governor."),
+    _tenant("_gov_in_flight", "repro_governor_in_flight", Gauge,
+            "Calls currently holding a governor slot."),
+    _tenant("_exec_in_flight", "repro_executor_tasks_in_flight", Gauge,
+            "Batch-executor tasks currently executing."),
+    _tenant("_exec_queue", "repro_executor_queue_depth", Gauge,
+            "Batch-executor tasks submitted but not yet finished."),
+    _Family("repro_jobs_total", Counter, "Job lifecycle transitions, by resulting status.",
+            ("tenant", "status"), {"_jobs": None}),
+    _tenant("_jobs_active", "repro_jobs_active", Gauge, "Jobs currently running."),
+)
+
+_BINDINGS = {  # attribute -> (family name, label values after ``tenant``, or ``None``)
+    attr: (family.name, values) for family in FAMILIES for attr, values in family.attrs.items()
+}
 
 
 class SessionInstruments:
@@ -28,95 +93,16 @@ class SessionInstruments:
     def __init__(self, registry: MetricsRegistry, *, tenant: str = "") -> None:
         self.registry = registry
         self.tenant = tenant
+        registry._declare(FAMILIES, (tenant,))
 
-        calls = registry.counter(
-            "repro_llm_calls_total",
-            "Model calls settled through a session, by response-cache outcome.",
-            ("tenant", "cache"),
-        )
-        self._calls_hit = calls.labels(tenant=tenant, cache="hit")
-        self._calls_miss = calls.labels(tenant=tenant, cache="miss")
-        self._call_errors = registry.counter(
-            "repro_llm_call_errors_total",
-            "Model calls that raised, by exception class.",
-            ("tenant", "error"),
-        )
-        self._cost = registry.counter(
-            "repro_llm_cost_dollars_total",
-            "Accumulated model spend in dollars.",
-            ("tenant",),
-            per_unit=NANOS_PER_DOLLAR,
-        ).labels(tenant=tenant)
-        self._budget_spent = registry.gauge(
-            "repro_budget_spent_dollars",
-            "Current budget spend in dollars.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._call_seconds = registry.histogram(
-            "repro_call_duration_seconds",
-            "Wall-clock duration of settled model calls.",
-            ("tenant",),
-            buckets=_LATENCY_BUCKETS,
-        ).labels(tenant=tenant)
-
-        self._trace_dropped = registry.counter(
-            "repro_trace_records_dropped_total",
-            "Trace records evicted from the ring buffer before flushing.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._observer_errors = registry.counter(
-            "repro_step_observer_errors_total",
-            "Exceptions raised by on_step observers and absorbed by the scheduler.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-
-        self._gov_admitted = registry.counter(
-            "repro_governor_admitted_total",
-            "Backend calls admitted by the concurrency governor.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._gov_throttled = registry.counter(
-            "repro_governor_throttled_total",
-            "Dispatches the governor made wait for a slot or pacing.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._gov_wait = registry.counter(
-            "repro_governor_wait_seconds_total",
-            "Total seconds dispatches spent waiting on the governor.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._gov_rate_limited = registry.counter(
-            "repro_governor_rate_limit_events_total",
-            "Rate-limit failures reported to the governor.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._gov_in_flight = registry.gauge(
-            "repro_governor_in_flight",
-            "Calls currently holding a governor slot.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-
-        self._exec_in_flight = registry.gauge(
-            "repro_executor_tasks_in_flight",
-            "Batch-executor tasks currently executing.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-        self._exec_queue = registry.gauge(
-            "repro_executor_queue_depth",
-            "Batch-executor tasks submitted but not yet finished.",
-            ("tenant",),
-        ).labels(tenant=tenant)
-
-        self._jobs = registry.counter(
-            "repro_jobs_total",
-            "Job lifecycle transitions, by resulting status.",
-            ("tenant", "status"),
-        )
-        self._jobs_active = registry.gauge(
-            "repro_jobs_active",
-            "Jobs currently running.",
-            ("tenant",),
-        ).labels(tenant=tenant)
+    def __getattr__(self, attr: str) -> Any:
+        """Bind a child (or family) of :data:`FAMILIES` on its first use."""
+        if attr not in _BINDINGS:
+            raise AttributeError(attr)
+        name, values = _BINDINGS[attr]
+        bound = self.registry._bind(name, None if values is None else (self.tenant, *values))
+        self.__dict__[attr] = bound
+        return bound
 
     # -- calls and budget --------------------------------------------
 

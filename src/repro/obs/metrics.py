@@ -10,6 +10,9 @@ a histogram whose ``_sum`` and ``_count`` disagree.
 ``render`` emits Prometheus text exposition format 0.0.4 with
 deterministic ordering (families by name, samples by label values) so
 the output can be pinned by a golden test.
+
+A table of families declared ahead of use (``_declare``) is built on first
+use or read, and reads as if it had been built at the declaration.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import re
 import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -146,6 +150,7 @@ class HistogramChild(_Child):
 class _Family:
     kind = "untyped"
     child_class: type[_Child] = _Child
+    per_unit = 1
 
     def __init__(
         self,
@@ -153,12 +158,14 @@ class _Family:
         help_text: str,
         labelnames: tuple[str, ...],
         lock: threading.Lock,
+        **options: Any,
     ) -> None:
         self.name = name
         self.help_text = help_text
         self.labelnames = labelnames
         self._lock = lock
         self._children: dict[tuple[str, ...], _Child] = {}
+        vars(self).update(options)  # the kind's own: ``per_unit``, ``buckets``
 
     def labels(self, **labels: str) -> _Child:
         if set(labels) != set(self.labelnames):
@@ -167,11 +174,14 @@ class _Family:
             )
         key = tuple(str(labels[name]) for name in self.labelnames)
         with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._make_child()
-                self._children[key] = child
-            return child
+            return self._child(key)
+
+    def _child(self, key: tuple[str, ...]) -> _Child:
+        """Get or create the child at ``key``; caller holds the lock."""
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = self._make_child()
+        return child
 
     def _make_child(self) -> _Child:
         return self.child_class(self._lock)
@@ -183,8 +193,10 @@ class _Family:
 
     def samples(self) -> list[tuple[str, str, float]]:
         """(suffix, label-block, value) triples; caller holds the lock."""
-
-        raise NotImplementedError
+        return [  # a counter's or a gauge's: its value in units
+            ("", _format_labels(self.labelnames, key), child._value / self.per_unit)
+            for key, child in sorted(self._children.items())
+        ]
 
 
 class Counter(_Family):
@@ -194,29 +206,8 @@ class Counter(_Family):
     kind = "counter"
     child_class = CounterChild
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: tuple[str, ...],
-        lock: threading.Lock,
-        per_unit: int = 1,
-    ) -> None:
-        super().__init__(name, help_text, labelnames, lock)
-        self.per_unit = per_unit
-
     def inc(self, amount: float = 1.0) -> None:
         self._default().inc(amount)  # type: ignore[attr-defined]
-
-    def samples(self) -> list[tuple[str, str, float]]:
-        return [
-            (
-                "",
-                _format_labels(self.labelnames, key),
-                child._value / self.per_unit,  # type: ignore[attr-defined]
-            )
-            for key, child in sorted(self._children.items())
-        ]
 
 
 class Gauge(_Family):
@@ -232,26 +223,10 @@ class Gauge(_Family):
     def dec(self, amount: float = 1.0) -> None:
         self._default().dec(amount)  # type: ignore[attr-defined]
 
-    def samples(self) -> list[tuple[str, str, float]]:
-        return [
-            ("", _format_labels(self.labelnames, key), child._value)  # type: ignore[attr-defined]
-            for key, child in sorted(self._children.items())
-        ]
-
 
 class Histogram(_Family):
     kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: tuple[str, ...],
-        lock: threading.Lock,
-        buckets: tuple[float, ...],
-    ) -> None:
-        super().__init__(name, help_text, labelnames, lock)
-        self.buckets = buckets
+    buckets: tuple[float, ...]
 
     def observe(self, value: float) -> None:
         self._default().observe(value)  # type: ignore[attr-defined]
@@ -285,6 +260,56 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
+        # Declared (``_declare``): tables whose families may be unregistered,
+        # (table, leading label values) whose pre-bound children may be unbound.
+        self._unbuilt: list[Sequence[Any]] = []
+        self._unbound: list[tuple[Sequence[Any], tuple[str, ...]]] = []
+
+    def _declare(self, table: Sequence[Any], leading: tuple[str, ...]) -> None:
+        """Declare ``table``'s families, built on first use or read (rows: ``name``, ``kind``,
+        ``help_text``, ``labelnames``, ``options``, ``prebound`` values after ``leading``).
+        A registry already holding families builds them now, raising ``ValueError`` on a clash."""
+        with self._lock:
+            if self._families:
+                self._build(table)
+            elif table not in self._unbuilt:
+                self._unbuilt.append(table)
+            if (table, leading) not in self._unbound:
+                self._unbound.append((table, leading))
+
+    def _build(self, table: Sequence[Any]) -> None:
+        """Register ``table``'s unregistered families, checking the rest; lock held."""
+        for row in table:
+            family = self._families.get(row.name)
+            if family is None:
+                self._families[row.name] = row.kind(
+                    row.name, row.help_text, row.labelnames, self._lock, **row.options
+                )
+            elif type(family) is not row.kind or family.labelnames != row.labelnames:
+                raise ValueError(
+                    f"metric {row.name!r} already registered with a different kind or label set"
+                )
+            elif getattr(family, "buckets", None) != row.options.get("buckets"):
+                raise ValueError(f"metric {row.name!r} already registered with different buckets")
+
+    def _materialise(self, children: bool) -> None:
+        """Build what is declared and unbuilt, pre-bound children with ``children``; lock held."""
+        for table in self._unbuilt:
+            self._build(table)
+        self._unbuilt.clear()
+        if children:
+            for table, leading in self._unbound:
+                for row in table:
+                    for values in row.prebound:
+                        self._families[row.name]._child(leading + values)
+            self._unbound.clear()
+
+    def _bind(self, name: str, key: tuple[str, ...] | None) -> Any:
+        """The declared family ``name``, or its child at ``key``, built if need be."""
+        with self._lock:
+            self._materialise(children=False)
+            family = self._families[name]
+            return family if key is None else family._child(key)
 
     def _register(
         self,
@@ -301,6 +326,7 @@ class MetricsRegistry:
             if not _LABEL_RE.match(label) or label.startswith("__"):
                 raise ValueError(f"invalid label name: {label!r}")
         with self._lock:
+            self._materialise(children=False)
             existing = self._families.get(name)
             if existing is not None:
                 if type(existing) is not factory or existing.labelnames != names:
@@ -351,6 +377,7 @@ class MetricsRegistry:
 
         lines: list[str] = []
         with self._lock:
+            self._materialise(children=True)
             for name in sorted(self._families):
                 family = self._families[name]
                 if family.help_text:
@@ -365,6 +392,7 @@ class MetricsRegistry:
 
         out: dict[str, dict[str, float]] = {}
         with self._lock:
+            self._materialise(children=True)
             for name, family in self._families.items():
                 out[name] = {
                     f"{suffix}{labels}": value
