@@ -68,7 +68,6 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
 
 from repro.core.budget import CHARGE_TARGET, Budget
-from repro.core.governor import BackendGate
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
 from repro.llm.retry import RetryingClient, RetryStats
@@ -218,9 +217,9 @@ def _settling(bag: SettleBag | None, budget: Budget | None) -> Iterator[None]:
 
 def _gated(client: Any) -> bool:
     """Whether a gate refuses ``client``'s calls once their budget is spent: a
-    session client's, or a ``BackendGate`` its wrappers (``_client``) lead to."""
+    session client's, or a ``refuses_spent_budget`` gate its wrappers lead to."""
     while client is not None:
-        if hasattr(client, "charged") or isinstance(client, BackendGate):
+        if hasattr(client, "charged") or getattr(client, "refuses_spent_budget", False):
             return True
         client = getattr(client, "_client", None)
     return False

@@ -366,6 +366,8 @@ class BackendGate(BaseClient):
     admission and slot, and reports to the backoff.
     """
 
+    refuses_spent_budget = True  # what the executor reads, duck-typed
+
     def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
         self._client = client
         self.governor = governor

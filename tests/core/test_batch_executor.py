@@ -179,6 +179,15 @@ class TestBudgetEarlyStopping:
             executor.run([f"p{i}" for i in range(8)])
         assert client.calls == 0
 
+    def test_the_executor_leaves_the_refusal_to_a_gate_it_reaches(self):
+        # The gate says so through an attribute (the executor names no gate
+        # class), read down the wrapper chain like a session client's.
+        budget = Budget(limit=1.0)
+        assert BackendGate.refuses_spent_budget
+        assert not BatchExecutor(BackendGate(EchoClient()), budget=budget)._ungated
+        assert not BatchExecutor(CachedClient(BackendGate(EchoClient())), budget=budget)._ungated
+        assert BatchExecutor(EchoClient(), budget=budget)._ungated
+
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_a_bare_executor_over_a_raw_client_refuses_a_spent_budget(self, driver):
         # No gate below: the executor itself refuses before the first call.
