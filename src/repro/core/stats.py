@@ -12,12 +12,17 @@ is priced from observations rather than from static priors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.exceptions import ConfigurationError
+
+#: Revision stamps, unique in the process: equal stamps are one stats
+#: object in one state (``Store.save_profile`` skips re-encoding on it).
+_REVISIONS = itertools.count()
 
 
 @dataclass
@@ -48,6 +53,7 @@ class RuntimeStats:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self.revision = next(_REVISIONS)  # restamped by every recorder
         self._filter: dict[str, _Ratio] = {}
         self._dedup = _Ratio()
         self._pair_match = _Ratio()
@@ -72,62 +78,54 @@ class RuntimeStats:
 
     # -- recorders -------------------------------------------------------------------
 
+    def _add(self, ratio: _Ratio | tuple[dict[str, _Ratio], str], numerator, denominator) -> None:
+        """Add to ``ratio`` (or ``table[key]``, made on first use), stamping a revision."""
+        with self._lock:
+            self.revision = next(_REVISIONS)
+            if isinstance(ratio, tuple):
+                table, key = ratio
+                ratio = table.setdefault(key, _Ratio())
+            ratio.numerator += numerator
+            ratio.denominator += denominator
+
     def record_filter(self, predicate: str, *, evaluated: int, kept: int) -> None:
         """Record one predicate pass: ``kept`` of ``evaluated`` items survived."""
-        if evaluated <= 0:
-            return
-        with self._lock:
-            ratio = self._filter.setdefault(predicate, _Ratio())
-            ratio.numerator += kept
-            ratio.denominator += evaluated
+        if evaluated > 0:
+            self._add((self._filter, predicate), kept, evaluated)
 
     def record_dedup(self, *, inputs: int, survivors: int) -> None:
         """Record a whole-corpus dedup: ``survivors`` clusters from ``inputs`` records."""
-        if inputs <= 0:
-            return
-        with self._lock:
-            self._dedup.numerator += survivors
-            self._dedup.denominator += inputs
+        if inputs > 0:
+            self._add(self._dedup, survivors, inputs)
 
     def record_pair_match(self, *, judged: int, duplicates: int) -> None:
         """Record a pair-judgment run: ``duplicates`` of ``judged`` pairs matched."""
-        if judged <= 0:
-            return
-        with self._lock:
-            self._pair_match.numerator += duplicates
-            self._pair_match.denominator += judged
+        if judged > 0:
+            self._add(self._pair_match, duplicates, judged)
 
     def record_join(self, *, left: int, matched: int) -> None:
         """Record a semi-join: ``matched`` of ``left`` records found a partner."""
-        if left <= 0:
-            return
-        with self._lock:
-            self._join.numerator += matched
-            self._join.denominator += left
+        if left > 0:
+            self._add(self._join, matched, left)
 
     def record_blocked_pairs(self, *, candidates: int, upper_bound: int) -> None:
         """Record a blocking run: the mutual-neighbor blocker emitted
         ``candidates`` pairs where the k·n bound allowed ``upper_bound``."""
-        if upper_bound <= 0:
-            return
-        with self._lock:
-            self._blocked_pairs.numerator += candidates
-            self._blocked_pairs.denominator += upper_bound
+        if upper_bound > 0:
+            self._add(self._blocked_pairs, candidates, upper_bound)
 
     def record_probe_candidates(self, *, candidates: int, probed: int) -> None:
         """Record vector-index probes: ``candidates`` rows were distance-ranked
         across ``probed`` probes.  The rate is a mean candidate count per
         probe (it can exceed 1), which is what prices an LSH probe against
         the exact index's full-corpus rank."""
-        if probed <= 0:
-            return
-        with self._lock:
-            self._probe_candidates.numerator += candidates
-            self._probe_candidates.denominator += probed
+        if probed > 0:
+            self._add(self._probe_candidates, candidates, probed)
 
     def record_calls(self, label: str, *, estimated: int, actual: int) -> None:
         """Record a strategy run: the planner quoted ``estimated`` calls, it took ``actual``."""
         with self._lock:
+            self.revision = next(_REVISIONS)
             self._call_counts[label] = self._call_counts.get(label, 0.0) + actual
             self._runs[label] = self._runs.get(label, 0.0) + 1
             if estimated > 0:
@@ -151,6 +149,7 @@ class RuntimeStats:
         """
         cap = self.LATENCY_SAMPLE_CAP
         with self._lock:
+            self.revision = next(_REVISIONS)
             samples = self._latency.setdefault(label, [])
             for duration_ms, count in durations_ms:
                 if duration_ms >= 0 and count > 0:
@@ -161,12 +160,8 @@ class RuntimeStats:
     def record_completions(self, label: str, *, tokens: int, calls: int) -> None:
         """Record ``calls`` live calls under a strategy label that returned
         ``tokens`` completion tokens between them."""
-        if calls <= 0:
-            return
-        with self._lock:
-            ratio = self._completions.setdefault(label, _Ratio())
-            ratio.numerator += tokens
-            ratio.denominator += calls
+        if calls > 0:
+            self._add((self._completions, label), tokens, calls)
 
     def record_critical_path(self, pipeline: str, seconds: float) -> None:
         """Record one pipeline run's observed critical-path wall-clock.
@@ -176,20 +171,13 @@ class RuntimeStats:
         wall-clock a concurrency-aware quote should predict — independent
         branches overlap, so the sum of step durations overstates reality.
         """
-        if seconds < 0:
-            return
-        with self._lock:
-            ratio = self._critical_path.setdefault(pipeline, _Ratio())
-            ratio.numerator += seconds
-            ratio.denominator += 1
+        if seconds >= 0:
+            self._add((self._critical_path, pipeline), seconds, 1)
 
     def record_cache(self, *, hit: bool, requests: int = 1) -> None:
         """Record cacheable session traffic: ``requests`` calls, hit or missed."""
-        if requests <= 0:
-            return
-        with self._lock:
-            self._cache.numerator += requests if hit else 0
-            self._cache.denominator += requests
+        if requests > 0:
+            self._add(self._cache, requests if hit else 0, requests)
 
     # -- observations ----------------------------------------------------------------
 
@@ -294,19 +282,12 @@ class RuntimeStats:
     def empty(self) -> bool:
         """Whether nothing has been recorded yet."""
         with self._lock:
+            scalars = (self._dedup, self._pair_match, self._join, self._blocked_pairs)
+            scalars += (self._probe_candidates, self._cache)
             return not (
-                self._filter
-                or self._calls
-                or self._call_counts
-                or self._latency
-                or self._completions
-                or self._dedup.denominator
-                or self._pair_match.denominator
-                or self._join.denominator
-                or self._blocked_pairs.denominator
-                or self._probe_candidates.denominator
-                or self._cache.denominator
-                or self._critical_path
+                self._filter or self._calls or self._call_counts or self._latency
+                or self._completions or self._critical_path
+                or any(ratio.denominator for ratio in scalars)
             )
 
     def snapshot(self) -> dict[str, Any]:
@@ -389,6 +370,7 @@ class RuntimeStats:
             ratio.denominator += float(denominator) * weight
 
         with self._lock:
+            self.revision = next(_REVISIONS)
             for predicate, pair in dict(state.get("filter", {})).items():
                 add(self._filter.setdefault(predicate, _Ratio()), pair)
             add(self._dedup, state.get("dedup", (0, 0)))

@@ -192,9 +192,10 @@ class StoreDB:
         # Checkpoints read since this handle's last write transaction, oldest
         # first; the next one opens by stamping their recency.
         self._touched: list[str] = []
-        #: Profile name -> the payload this handle last wrote under it (what
-        #: ``Store.save_profile`` need not write again); a ROLLBACK forgets.
-        self.saved_profiles: dict[str, str] = {}
+        #: Profile name -> (payload, ``RuntimeStats.revision``) this handle last
+        #: wrote under it (what ``Store.save_profile`` need not write, nor for
+        #: an unchanged revision encode, again); a ROLLBACK forgets.
+        self.saved_profiles: dict[str, tuple[str, int | None]] = {}
 
     # -- connection management ---------------------------------------------------
 

@@ -243,6 +243,10 @@ class Store:
         a seeded session would have carried it, instead of being silently
         overwritten by one run's observations.
         """
+        revision = None if merge else stats.revision  # read before the export
+        saved = self.db.saved_profiles.get(name, (None, None))
+        if revision is not None and saved[1] == revision:
+            return  # the stats this handle last wrote, unchanged since
         if merge:
             from repro.core.physical import RuntimeStats
 
@@ -251,15 +255,14 @@ class Store:
             combined.merge_state(stats.export_state())
             stats = combined
         payload = WorkloadProfile.from_stats(stats).to_json()
-        if self.db.saved_profiles.get(name) == payload:
-            return  # this handle's last write under the name, byte for byte
-        with self.db.atomic():
-            self.db.execute(
-                "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
-                "VALUES (?, ?, ?)",
-                (name, payload, self.db.next_seq()),
-            )
-            self.db.saved_profiles[name] = payload
+        if saved[0] != payload:  # else this handle's last write, byte for byte
+            with self.db.atomic():
+                self.db.execute(
+                    "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
+                    "VALUES (?, ?, ?)",
+                    (name, payload, self.db.next_seq()),
+                )
+        self.db.saved_profiles[name] = (payload, revision)
 
     def load_profile(self, *, name: str = "default") -> WorkloadProfile | None:
         """The saved profile, or ``None`` when none exists yet."""

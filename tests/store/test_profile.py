@@ -50,6 +50,19 @@ def observed_stats() -> RuntimeStats:
     return stats
 
 
+def _count_encodes(monkeypatch) -> list[str]:
+    """Every profile payload encoded from here on, in order."""
+    encoded: list[str] = []
+    encode = WorkloadProfile.to_json
+
+    def counted(profile: WorkloadProfile) -> str:
+        encoded.append(encode(profile))
+        return encoded[-1]
+
+    monkeypatch.setattr(WorkloadProfile, "to_json", counted)
+    return encoded
+
+
 class TestStateRoundTrip:
     def test_ratios_survive_export_and_merge(self):
         stats = observed_stats()
@@ -173,6 +186,30 @@ class TestStoreIntegration:
             store.apply_profile(reloaded, decay=1.0)
             assert reloaded.dedup_survivor_ratio() == stats.dedup_survivor_ratio()
 
+    def test_stats_unchanged_since_this_handle_saved_them_are_not_encoded(
+        self, tmp_path, monkeypatch
+    ):
+        encoded = _count_encodes(monkeypatch)
+        with Store(tmp_path / "store.db") as store:
+            stats = observed_stats()
+            store.save_profile(stats)
+            store.save_profile(stats)
+            assert len(encoded) == 1
+            # A merge reads the stored history, which may have moved: it encodes.
+            store.save_profile(stats, merge=True)
+            assert len(encoded) == 2
+            store.save_profile(stats)
+            assert len(encoded) == 3
+            stats.merge_state({"dedup": (1, 2)})
+            store.save_profile(stats)
+            assert len(encoded) == 4
+            # Another stats object in the same state is encoded (and, its
+            # bytes being the last written, not written).
+            twin = RuntimeStats()
+            twin.merge_state(stats.export_state())
+            store.save_profile(twin)
+            assert len(encoded) == 5
+
     def test_named_profiles_are_independent(self, tmp_path):
         with Store(tmp_path / "store.db") as store:
             store.save_profile(observed_stats(), name="workload-a")
@@ -259,3 +296,45 @@ class TestWarmStartParity:
         with_stats_chain = CostPlanner(MODEL, stats=loaded).estimate_spec(chain)
         without_chain = CostPlanner(MODEL).estimate_spec(chain)
         assert with_stats_chain.calls < without_chain.calls
+
+
+class TestDatasetRunSavesTheProfile:
+    """``Dataset.run`` saves after the engine's autosave, for its feedback."""
+
+    @staticmethod
+    def _run(store: Store, items, oracle):
+        from repro.query import Dataset
+        from tests.query.support import MODEL as QUERY_MODEL, clean_behavior
+
+        llm = SimulatedLLM(oracle, seed=11, behavior=clean_behavior())
+        session = PromptSession(llm, store=store)
+        engine = DeclarativeEngine.from_session(session, default_model=QUERY_MODEL)
+        result = Dataset(list(items), name="feedback").resolve().with_store(store).run(engine)
+        return session, result
+
+    def test_feedback_after_the_autosave_is_written(self, tmp_path, monkeypatch):
+        from tests.query.support import product_corpus
+
+        items, oracle = product_corpus(n_entities=12, variants=3)
+        encoded = _count_encodes(monkeypatch)
+        with Store(tmp_path / "store.db") as store:
+            session, result = self._run(store, items, oracle)
+            assert any("block" in name for name in result.report.step_reports)
+            # The proxy dedup's survivor ratio lands after the autosave.
+            assert len(encoded) == 2 and encoded[0] != encoded[1]
+            assert store.load_profile().state["dedup"] == session.stats.export_state()["dedup"]
+            assert session.stats.dedup_survivor_ratio() is not None
+
+    def test_a_restored_run_encodes_the_profile_once(self, tmp_path, monkeypatch):
+        from tests.query.support import product_corpus
+
+        items, oracle = product_corpus(n_entities=12, variants=3)
+        with Store(tmp_path / "store.db") as store:
+            self._run(store, items, oracle)
+            encoded = _count_encodes(monkeypatch)
+            session, result = self._run(store, items, oracle)
+            assert result.report.restored_steps
+            # The autosave's encoding; the save after the feedback (which a
+            # restored step does not give) finds the stats unchanged.
+            assert len(encoded) == 1
+            assert store.load_profile().state == session.stats.export_state()
