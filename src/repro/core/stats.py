@@ -282,12 +282,12 @@ class RuntimeStats:
     def empty(self) -> bool:
         """Whether nothing has been recorded yet."""
         with self._lock:
-            scalars = (self._dedup, self._pair_match, self._join, self._blocked_pairs)
-            scalars += (self._probe_candidates, self._cache)
+            ratios = (self._dedup, self._pair_match, self._join, self._blocked_pairs,
+                      self._probe_candidates, self._cache)
             return not (
                 self._filter or self._calls or self._call_counts or self._latency
                 or self._completions or self._critical_path
-                or any(ratio.denominator for ratio in scalars)
+                or any(ratio.denominator for ratio in ratios)
             )
 
     def snapshot(self) -> dict[str, Any]:

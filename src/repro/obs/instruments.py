@@ -82,9 +82,8 @@ FAMILIES = (
     _tenant("_jobs_active", "repro_jobs_active", Gauge, "Jobs currently running."),
 )
 
-_BINDINGS = {  # attribute -> (family name, label values after ``tenant``, or ``None``)
-    attr: (family.name, values) for family in FAMILIES for attr, values in family.attrs.items()
-}
+#: Attribute -> (family name, label values after ``tenant``, or ``None``).
+_BINDINGS = {attr: (f.name, values) for f in FAMILIES for attr, values in f.attrs.items()}
 
 
 class SessionInstruments:
@@ -94,14 +93,14 @@ class SessionInstruments:
         self.registry = registry
         self.tenant = tenant
         registry._declare(FAMILIES, (tenant,))
+        for attr in _BINDINGS:  # bound by its first note, a plain attribute from then on
+            setattr(self, attr, None)
 
-    def __getattr__(self, attr: str) -> Any:
-        """Bind a child (or family) of :data:`FAMILIES` on its first use."""
-        if attr not in _BINDINGS:
-            raise AttributeError(attr)
+    def _bind(self, attr: str) -> Any:
+        """The child (or family) ``attr`` holds, bound now: on its first note."""
         name, values = _BINDINGS[attr]
         bound = self.registry._bind(name, None if values is None else (self.tenant, *values))
-        self.__dict__[attr] = bound
+        setattr(self, attr, bound)
         return bound
 
     # -- calls and budget --------------------------------------------
@@ -112,66 +111,67 @@ class SessionInstruments:
         """A run of settled calls: its cache outcomes, summed cost in n$, and
         its durations as ``(milliseconds, calls booked at it)`` pairs."""
         if hits:
-            self._calls_hit.inc(hits)
+            (self._calls_hit or self._bind("_calls_hit")).inc(hits)
         if misses:
-            self._calls_miss.inc(misses)
+            (self._calls_miss or self._bind("_calls_miss")).inc(misses)
         if cost > 0:
-            self._cost.inc(cost)
-        self._call_seconds.observe_many(
+            (self._cost or self._bind("_cost")).inc(cost)
+        (self._call_seconds or self._bind("_call_seconds")).observe_many(
             [(max(0.0, ms) / 1000.0, count) for ms, count in durations_ms]
         )
 
     def note_call_error(self, error: str) -> None:
-        self._call_errors.labels(tenant=self.tenant, error=error).inc()
+        family = self._call_errors or self._bind("_call_errors")
+        family.labels(tenant=self.tenant, error=error).inc()
 
     def note_budget_spent(self, spent: float) -> None:
-        self._budget_spent.set(spent)
+        (self._budget_spent or self._bind("_budget_spent")).set(spent)
 
     # -- tracing and scheduling --------------------------------------
 
     def note_trace_dropped(self, count: int = 1) -> None:
         if count > 0:
-            self._trace_dropped.inc(count)
+            (self._trace_dropped or self._bind("_trace_dropped")).inc(count)
 
     def note_observer_error(self) -> None:
-        self._observer_errors.inc()
+        (self._observer_errors or self._bind("_observer_errors")).inc()
 
     # -- governor ----------------------------------------------------
 
     def note_admission(self, wait: float, in_flight: int) -> None:
-        self._gov_admitted.inc()
+        (self._gov_admitted or self._bind("_gov_admitted")).inc()
         if wait > 0:
-            self._gov_throttled.inc()
-            self._gov_wait.inc(wait)
-        self._gov_in_flight.set(in_flight)
+            (self._gov_throttled or self._bind("_gov_throttled")).inc()
+            (self._gov_wait or self._bind("_gov_wait")).inc(wait)
+        (self._gov_in_flight or self._bind("_gov_in_flight")).set(in_flight)
 
     def note_release(self, in_flight: int) -> None:
-        self._gov_in_flight.set(in_flight)
+        (self._gov_in_flight or self._bind("_gov_in_flight")).set(in_flight)
 
     def note_rate_limit(self) -> None:
-        self._gov_rate_limited.inc()
+        (self._gov_rate_limited or self._bind("_gov_rate_limited")).inc()
 
     # -- executors ---------------------------------------------------
 
     def note_enqueued(self, count: int) -> None:
-        self._exec_queue.inc(count)
+        (self._exec_queue or self._bind("_exec_queue")).inc(count)
 
     def note_dequeued(self, count: int) -> None:
-        self._exec_queue.dec(count)
+        (self._exec_queue or self._bind("_exec_queue")).dec(count)
 
     def note_task_started(self, count: int = 1) -> None:
-        self._exec_in_flight.inc(count)
+        (self._exec_in_flight or self._bind("_exec_in_flight")).inc(count)
 
     def note_task_done(self, count: int = 1) -> None:
-        self._exec_in_flight.dec(count)
+        (self._exec_in_flight or self._bind("_exec_in_flight")).dec(count)
 
     # -- jobs --------------------------------------------------------
 
     def note_job(self, status: str) -> None:
-        self._jobs.labels(tenant=self.tenant, status=status).inc()
+        (self._jobs or self._bind("_jobs")).labels(tenant=self.tenant, status=status).inc()
 
     def note_job_started(self) -> None:
-        self._jobs_active.inc()
+        (self._jobs_active or self._bind("_jobs_active")).inc()
 
     def note_job_finished(self) -> None:
-        self._jobs_active.dec()
+        (self._jobs_active or self._bind("_jobs_active")).dec()

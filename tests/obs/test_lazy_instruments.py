@@ -8,6 +8,7 @@ holds a standard name with another shape still refuses the session at once.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -89,10 +90,16 @@ class TestConcurrentFirstNotes:
                 instruments.note_task_started()
 
         workers = [threading.Thread(target=note) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the first notes as finely as possible
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
 
         total = threads * rounds
         snapshot = session.metrics.snapshot()
@@ -131,6 +138,9 @@ class TestConflictsRaiseAtConstruction:
         first = _session(metrics=registry, tenant_label="acme")
         second = _session(metrics=registry, tenant_label="acme")
         first.instruments.note_budget_spent(1.5)
+        assert second.instruments._budget_spent is None  # unbound until it notes
+        second.instruments.note_budget_spent(2.5)
         assert second.instruments._budget_spent is first.instruments._budget_spent
+        assert registry.snapshot()["repro_budget_spent_dollars"] == {'{tenant="acme"}': 2.5}
         registry.render()
         assert _built(registry)[1] == sum(len(family.prebound) for family in FAMILIES)
