@@ -36,6 +36,7 @@ pending steps.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
@@ -61,7 +62,7 @@ from repro.core.spec import (
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.workflow import StepReport, Workflow, WorkflowReport
 from repro.exceptions import SpecError, StoreError
-from repro.llm.base import Body, Invoke, LLMClient, adrive, drive
+from repro.llm.base import LLMClient
 from repro.llm.registry import ModelRegistry
 from repro.obs import critical_path, trace_label
 from repro.operators.base import OperatorResult
@@ -261,6 +262,7 @@ class DeclarativeEngine:
         max_concurrency: int | None = None,
         store: "Store | None" = None,
         on_step: "Callable[[StepReport], None] | None" = None,
+        stop: "threading.Event | None" = None,
     ) -> WorkflowReport:
         """Run a declarative pipeline as a DAG.
 
@@ -291,50 +293,9 @@ class DeclarativeEngine:
                 :class:`~repro.core.workflow.StepReport` as it settles
                 (``restored`` already stamped); the service layer streams
                 these to polling clients.
-        """
-        return drive(
-            self._pipeline(pipeline, quote, max_concurrency, store, on_step, Workflow.execute)
-        )
-
-    async def run_pipeline_async(
-        self,
-        pipeline: PipelineSpec,
-        *,
-        quote: PipelineQuote | None = None,
-        max_concurrency: int | None = None,
-        store: "Store | None" = None,
-        on_step: "Callable[[StepReport], None] | None" = None,
-    ) -> WorkflowReport:
-        """Awaitable :meth:`run_pipeline`, on the asyncio scheduler.
-
-        For callers already inside a loop (an ASGI request handler, the
-        service's job manager); sync code that wants this scheduler writes
-        ``asyncio.run(engine.run_pipeline_async(spec))``.  Same quoting,
-        checkpointing, profile persistence, and report — it awaits
-        :meth:`Workflow.execute_async`, which runs native-async clients on
-        the loop and bridges the engine's sync spec steps into worker
-        threads.
-        """
-        return await adrive(
-            self._pipeline(
-                pipeline, quote, max_concurrency, store, on_step, Workflow.execute_async
-            )
-        )
-
-    def _pipeline(
-        self,
-        pipeline: PipelineSpec,
-        quote: PipelineQuote | None,
-        max_concurrency: int | None,
-        store: "Store | None",
-        on_step: "Callable[[StepReport], None] | None",
-        execute: Callable[..., Any],
-    ) -> Body:
-        """One pipeline run (a body, see :mod:`repro.llm.base`).
-
-        Quote, the restore of what the quote found, the run itself —
-        ``execute`` is :meth:`Workflow.execute` or :meth:`Workflow.execute_async`,
-        handed to the driver — then observability and the profile.
+            stop: optional event; once it is set the run starts no further
+                wave (see :meth:`Workflow.execute`).  The service sets it
+                when it abandons a job's run.
         """
         workflow = Workflow.from_pipeline(pipeline)
         if store is None:
@@ -351,14 +312,13 @@ class DeclarativeEngine:
             return self._run_step(store, restoring, digests, step, inputs, lease)
 
         try:
-            report = yield Invoke(
-                execute,
-                workflow,
+            report = workflow.execute(
                 self.session,
                 max_concurrency=max_concurrency,
                 spec_runner=spec_runner,
                 quote=restoring,
                 on_step=on_step,
+                stop=stop,
             )
         except BaseException:
             # A crashed run's completed steps already checkpointed

@@ -22,13 +22,14 @@ bag itself — in *runs* of the queue, each sent as one native batch, when the
 bag may go out so — and helpers join once it stalls without computing (see
 :class:`BatchExecutor`).
 
-Everything the two executors decide — request normalisation, when calls of a
-bag may go to the client as native batches (one rule, ``_native``: for the
-whole bag at width 1, for runs above it), the temperature-0 dedup partition,
-which failure surfaces, what ``map`` reports — is written once in
-:class:`_ExecutorCore`, as sans-IO bodies in the sense of
-:mod:`repro.llm.base`.  The two public classes add only how a body is driven
-(on the calling thread, or awaited) and how several are fanned out.
+Everything the two executors decide for ``run`` — request normalisation, when
+calls of a bag may go to the client as native batches (one rule, ``_native``:
+for the whole bag at width 1, for runs above it), the temperature-0 dedup
+partition, which failure surfaces — is written once in :class:`_ExecutorCore`,
+as sans-IO bodies in the sense of :mod:`repro.llm.base`.  The two public
+classes add only how a body is driven (on the calling thread, or awaited) and
+how several are fanned out.  ``map``, which runs a pipeline's waves, is
+:class:`BatchExecutor`'s alone.
 Admission, pacing and the budget pre-check live below the cache, in the
 :class:`~repro.core.BackendGate` around the backend.
 
@@ -58,26 +59,23 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import inspect
 import sys
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.budget import CHARGE_TARGET, Budget
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
 from repro.llm.retry import RetryingClient, RetryStats
 
-#: The documented in-flight ceiling for I/O-bound sync dispatch: the width
-#: ``examples/async_pipeline.py`` sets its thread executor against the asyncio
-#: one at, and the width the repo benchmark's ``calls_threads`` /
-#: ``calls_latency`` workloads run at.  Fixed, so those numbers do not depend
-#: on the machine: against a backend that waits, the sync path pays one
-#: blocked OS thread per call in flight, which the asyncio path does not.
+#: The documented in-flight ceiling for I/O-bound sync dispatch: the width the
+#: repo benchmark's ``calls_threads`` / ``calls_latency`` workloads run at.
+#: Fixed, so those numbers do not depend on the machine: against a backend
+#: that waits, the sync path pays one blocked OS thread per call in flight.
 DEFAULT_POOL_SIZE = 8
 
 #: How long a fanned-out bag may start no body, its dispatching thread computing
@@ -223,31 +221,6 @@ def _gated(client: Any) -> bool:
             return True
         client = getattr(client, "_client", None)
     return False
-
-
-class _RunTask:
-    """Request: run one ``map`` task.
-
-    On the event loop a coroutine function is awaited natively, a sync
-    callable hops to a worker thread (so blocking work still overlaps), and a
-    sync callable returning an awaitable gets that awaited too.
-    """
-
-    __slots__ = ("task",)
-
-    def __init__(self, task: Callable[[], Any]) -> None:
-        self.task = task
-
-    def run(self) -> Any:
-        return self.task()
-
-    async def arun(self) -> Any:
-        if inspect.iscoroutinefunction(self.task):
-            return await self.task()
-        value = await asyncio.to_thread(self.task)
-        if inspect.isawaitable(value):
-            return await value
-        return value
 
 
 class _ExecutorCore:
@@ -435,54 +408,6 @@ class _ExecutorCore:
             if self.instruments is not None:
                 self.instruments.note_task_done(len(prompts))
 
-    def _map(self, tasks: Sequence[Callable[[], Any]]) -> Body:
-        """Body of ``map``: one :class:`TaskOutcome` per task, in input order."""
-        outcomes = [TaskOutcome(skipped=True) for _ in tasks]
-        if not tasks:
-            return outcomes
-        with _QueueDepth(self.instruments, len(tasks)):
-            if self.max_concurrency == 1 or len(tasks) == 1:
-                for index, task in enumerate(tasks):
-                    try:
-                        outcomes[index] = TaskOutcome(value=(yield from self._guarded(task)))
-                    except (asyncio.CancelledError, GeneratorExit):
-                        raise
-                    except BaseException as exc:  # noqa: BLE001 - reported, not raised
-                        outcomes[index] = TaskOutcome(error=exc)
-                        break
-            else:
-                outcomes = yield Invoke(self._fan_out, self._guarded, tasks)
-        # A task the budget pre-check turned away never ran: it is reported
-        # as skipped with the budget error attached.  Ctrl-C is no failed task
-        # to report and carry on from: it surfaces, now that the bag settled.
-        budget_stop: BudgetExceededError | None = None
-        for index, outcome in enumerate(outcomes):
-            if isinstance(outcome.error, (KeyboardInterrupt, SystemExit)):
-                raise outcome.error
-            if isinstance(outcome.error, _BudgetPreCheckStop):
-                outcomes[index] = TaskOutcome(error=outcome.error.error, skipped=True)
-                budget_stop = budget_stop or outcome.error.error
-        if budget_stop is not None:
-            # Once the budget died, *all* tasks it kept from running share
-            # that cause — including ones whose own pre-check never ran
-            # because they were still queued (fanned out) or later in the
-            # loop (sequential).  Tasks skipped for other reasons already
-            # carry their own error and are left alone.
-            for index, outcome in enumerate(outcomes):
-                if outcome.skipped and outcome.error is None:
-                    outcomes[index] = TaskOutcome(error=budget_stop, skipped=True)
-        return outcomes
-
-    def _guarded(self, task: Callable[[], Any]) -> Body:
-        """Body of one ``map`` task: the budget pre-check, then the task."""
-        if self.budget is not None:
-            try:
-                self.budget.check()
-            except BudgetExceededError as exc:
-                raise _BudgetPreCheckStop(exc) from None
-        return (yield _RunTask(task))
-
-
 class BatchExecutor(_ExecutorCore):
     """Dispatch a list of independent unit tasks against one LLM client.
 
@@ -536,7 +461,50 @@ class BatchExecutor(_ExecutorCore):
         and ``SystemExit`` are not outcomes: one raised inside a task is
         re-raised once the tasks in flight finish, so Ctrl-C stops a pipeline.
         """
-        return drive(self._map(tasks))
+        outcomes = [TaskOutcome(skipped=True) for _ in tasks]
+        if not tasks:
+            return outcomes
+        with _QueueDepth(self.instruments, len(tasks)):
+            if self.max_concurrency == 1 or len(tasks) == 1:
+                for index, task in enumerate(tasks):
+                    try:
+                        outcomes[index] = TaskOutcome(value=drive(self._guarded(task)))
+                    except asyncio.CancelledError:
+                        raise
+                    except BaseException as exc:  # noqa: BLE001 - reported, not raised
+                        outcomes[index] = TaskOutcome(error=exc)
+                        break
+            else:
+                outcomes = self._fan_out(self._guarded, tasks)
+        # A task the budget pre-check turned away never ran: it is reported
+        # as skipped with the budget error attached.  Ctrl-C is no failed task
+        # to report and carry on from: it surfaces, now that the bag settled.
+        budget_stop: BudgetExceededError | None = None
+        for index, outcome in enumerate(outcomes):
+            if isinstance(outcome.error, (KeyboardInterrupt, SystemExit)):
+                raise outcome.error
+            if isinstance(outcome.error, _BudgetPreCheckStop):
+                outcomes[index] = TaskOutcome(error=outcome.error.error, skipped=True)
+                budget_stop = budget_stop or outcome.error.error
+        if budget_stop is not None:
+            # Once the budget died, *all* tasks it kept from running share
+            # that cause — including ones whose own pre-check never ran
+            # because they were still queued (fanned out) or later in the
+            # loop (sequential).  Tasks skipped for other reasons already
+            # carry their own error and are left alone.
+            for index, outcome in enumerate(outcomes):
+                if outcome.skipped and outcome.error is None:
+                    outcomes[index] = TaskOutcome(error=budget_stop, skipped=True)
+        return outcomes
+
+    def _guarded(self, task: Callable[[], Any]) -> Body:
+        """Body of one ``map`` task: the budget pre-check, then the task."""
+        if self.budget is not None:
+            try:
+                self.budget.check()
+            except BudgetExceededError as exc:
+                raise _BudgetPreCheckStop(exc) from None
+        return (yield Invoke(task))
 
     def _fan_out(
         self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False
@@ -650,15 +618,13 @@ class BatchExecutor(_ExecutorCore):
 
 
 class AsyncBatchExecutor(_ExecutorCore):
-    """The same executor for callers on an event loop: ``run``/``map`` are awaited.
+    """The same ``run`` for callers on an event loop, awaited.
 
     Unit tasks are asyncio tasks bounded by a semaphore instead of threads
-    in a pool.  For I/O-bound provider calls that is the difference between
-    paying one OS thread per concurrent call and paying none: concurrency 64
-    costs 64 pending awaits, not 64 threads.  ``map`` tasks may be coroutine
-    functions — awaited natively on the loop — or plain sync callables, which
-    are bridged into worker threads so a wave of blocking operator runs still
-    overlaps.  Arguments: see :class:`_ExecutorCore`.
+    in a pool: concurrency 64 costs 64 pending awaits, not 64 threads.  It
+    has no ``map``: a pipeline runs on :class:`BatchExecutor`'s threads,
+    which keep up at equal width (``examples/async_pipeline.py`` compares
+    the two at 64).  Arguments: see :class:`_ExecutorCore`.
     """
 
     _default_concurrency = 16
@@ -666,12 +632,6 @@ class AsyncBatchExecutor(_ExecutorCore):
     async def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
         """Awaitable :meth:`BatchExecutor.run`: same results, same failures."""
         return await adrive(self._run(requests))
-
-    async def map(
-        self, tasks: Sequence[Callable[[], Any] | Callable[[], Awaitable[Any]]]
-    ) -> list[TaskOutcome]:
-        """Awaitable :meth:`BatchExecutor.map`: same outcomes."""
-        return await adrive(self._map(tasks))
 
     async def _fan_out(
         self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False

@@ -15,6 +15,7 @@ concurrently under one shared budget.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -330,6 +331,9 @@ class PipelineStep:
             )
         if self.run is not None and not callable(self.run):
             raise SpecError(f"pipeline step {self.name!r} run= must be callable")
+        if self.run is not None and inspect.iscoroutinefunction(self.run):
+            # A step runs on a thread; its coroutine would be the result, never awaited.
+            raise SpecError(f"pipeline step {self.name!r} run= must not be a coroutine function")
 
 
 @dataclass

@@ -38,6 +38,7 @@ element-wise identical to the linear chain (the equivalence suite in
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -47,7 +48,6 @@ from repro.core.executor import TaskOutcome
 from repro.core.session import BudgetScopedSession, PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError, SpecError
-from repro.llm.base import Body, Invoke, adrive, drive
 from repro.core.planner import PipelineQuote
 from repro.operators.base import OperatorResult
 from repro.tokenizer.cost import to_dollars, to_nanos
@@ -215,6 +215,7 @@ class Workflow:
         spec_runner: SpecRunner | None = None,
         quote: "PipelineQuote | None" = None,
         on_step: StepObserver | None = None,
+        stop: "threading.Event | None" = None,
     ) -> WorkflowReport:
         """Run the DAG against ``session``, wave by wave, on the calling thread.
 
@@ -233,57 +234,12 @@ class Workflow:
             on_step: optional observer called with each step's
                 :class:`StepReport` as the step settles; observer errors are
                 swallowed (an observer must never sink the run).
-        """
-        return drive(
-            self._schedule(
-                session, session.batch_executor, max_concurrency, spec_runner, quote, on_step
-            )
-        )
-
-    async def execute_async(
-        self,
-        session: PromptSession,
-        *,
-        max_concurrency: int | None = None,
-        spec_runner: SpecRunner | None = None,
-        quote: "PipelineQuote | None" = None,
-        on_step: StepObserver | None = None,
-    ) -> WorkflowReport:
-        """The asyncio-native scheduler: the same rounds, awaited.
-
-        Each round of runnable steps goes through the session's
-        :class:`~repro.core.executor.AsyncBatchExecutor`: steps whose
-        ``run`` is a coroutine function are awaited natively on the loop
-        (zero extra threads), while sync steps — including all engine-run
-        spec steps — are bridged into worker threads so a wave of blocking
-        operator runs still overlaps.  Everything else is :meth:`execute`'s
-        own code, so at temperature 0 the two schedulers produce
-        element-wise identical reports.
-        """
-        return await adrive(
-            self._schedule(
-                session, session.async_batch_executor, max_concurrency, spec_runner, quote, on_step
-            )
-        )
-
-    def _schedule(
-        self,
-        session: PromptSession,
-        make_executor: Callable[..., Any],
-        max_concurrency: int | None,
-        spec_runner: SpecRunner | None,
-        quote: "PipelineQuote | None",
-        on_step: StepObserver | None,
-    ) -> Body:
-        """The round loop both schedulers run (a body, see :mod:`repro.llm.base`).
-
-        ``make_executor`` is the session's thread or asyncio executor
-        factory; the only step that differs between the schedulers is
-        running a wave's thunks through that executor's ``map``, which is
-        handed to the driver.
+            stop: optional event checked before each wave, next to the
+                budget: once it is set the run starts no further wave, and
+                the report says it stopped early.
         """
         state = self._prepare_execution(session, spec_runner, quote)
-        executor = make_executor(max_concurrency=max_concurrency, budget=state.budget)
+        executor = session.batch_executor(max_concurrency=max_concurrency, budget=state.budget)
         pipeline, spans = self.pipeline, state.spans
         with spans.span("pipeline", pipeline.name, steps=len(pipeline.steps)) as pipeline_span:
             state.report.span_id = pipeline_span.span_id
@@ -291,16 +247,15 @@ class Workflow:
                 self._settle_restored(state, quote, on_step)
             round_index = 0
             while state.pending:
-                planned = self._plan_round(state, session, spec_runner, quote)
+                planned = self._plan_round(state, session, spec_runner, quote, stop)
                 if planned is None:
                     break
                 runnable, thunks, leases = planned
                 # The wave span is ambient while the executor dispatches the
-                # thunks (each pool submission and each asyncio task copies
-                # the current context), so step spans opened inside workers
-                # parent correctly.
+                # thunks (each pool submission copies the current context),
+                # so step spans opened inside workers parent correctly.
                 with spans.span("wave", f"wave {round_index}", steps=list(runnable)):
-                    outcomes = yield Invoke(executor.map, thunks)
+                    outcomes = executor.map(thunks)
                 round_index += 1
                 progressed, failure = self._absorb_outcomes(
                     state, runnable, outcomes, leases, on_step
@@ -367,14 +322,21 @@ class Workflow:
         session: PromptSession,
         spec_runner: SpecRunner | None,
         quote: "PipelineQuote | None",
+        stop: "threading.Event | None",
     ) -> tuple[list[str], list[Callable[[], Any]], dict[str, Budget]] | None:
         """Pick this round's runnable steps and build their thunks.
 
-        Returns ``None`` when the run is over: the shared budget is gone
-        (recorded on the report) or everything left is downstream of a
-        stopped step.
+        Returns ``None`` when the run is over: ``stop`` is set or the shared
+        budget is gone (either recorded on the report), or everything left
+        is downstream of a stopped step.
         """
         report, budget, pending = state.report, state.budget, state.pending
+        if stop is not None and stop.is_set():
+            report.stopped_early = True
+            report.stop_reason = report.stop_reason or (
+                f"run stopped before step(s) {', '.join(repr(n) for n in pending)}"
+            )
+            return None
         if budget.exhausted:
             report.stopped_early = True
             if not report.stop_reason:
@@ -613,7 +575,7 @@ class Workflow:
 
 @dataclass
 class _ExecutionState:
-    """Mutable per-run state of :meth:`Workflow._schedule` and its helpers."""
+    """Mutable per-run state of :meth:`Workflow.execute` and its helpers."""
 
     dependencies: dict[str, list[str]]
     closures: Mapping[str, Any]

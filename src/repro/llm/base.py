@@ -356,9 +356,9 @@ class Call:
 class Invoke:
     """A request to call ``fn(*args, **kwargs)``; :func:`adrive` awaits what it returns.
 
-    For bodies above the client stack, whose step is "run this wave on the
-    executor" or "execute this workflow": the caller binds the sync or the
-    awaitable callable, the body stays the same.
+    For executor bodies whose step is "fan these bodies out": each executor
+    binds its own sync or awaitable ``_fan_out``, the body stays the same.
+    A ``map`` task is one too, run on the thread that drives the wave.
     """
 
     __slots__ = ("fn", "args", "kwargs")

@@ -15,7 +15,7 @@ The moving parts, bottom-up:
 * :class:`AdmissionController` — prices submissions with the cost planner
   and rejects over-budget or over-queue work *before any LLM call*
   (:mod:`repro.service.admission`).
-* :class:`JobManager` — runs accepted pipelines on the asyncio scheduler,
+* :class:`JobManager` — runs each accepted pipeline on a worker thread,
   persists every lifecycle transition to the store's job table, streams
   step events, drains gracefully, and resumes interrupted jobs from
   checkpoints at startup (:mod:`repro.service.jobs`).

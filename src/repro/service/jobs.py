@@ -1,15 +1,16 @@
 """The job manager: accepted pipelines as durable, observable jobs.
 
-Submission returns immediately with a job id; execution happens on the
-asyncio scheduler (:meth:`~repro.core.engine.DeclarativeEngine.
-run_pipeline_async`), bounded by a service-wide slot semaphore so a burst of
-submissions queues instead of oversubscribing the process.  Every lifecycle
-transition — accepted, started, each settled step, the outcome — is
+Submission returns immediately with a job id; each job is one
+:meth:`~repro.core.engine.DeclarativeEngine.run_pipeline` call on a worker
+thread (``asyncio.to_thread``), bounded by a service-wide slot semaphore so a
+burst of submissions queues instead of oversubscribing the process.  Every
+lifecycle transition — accepted, started, each settled step, the outcome — is
 persisted to the store's ``jobs`` table *as it happens*, which is what makes
 the service crash-honest:
 
 * a killed process leaves its in-flight jobs marked ``stopped`` +
-  ``resumable`` (the cancellation handler persists before the loop dies),
+  ``resumable`` (the cancellation handler persists before the loop dies,
+  and sets the run's ``stop`` event so its thread starts no further wave),
   or at worst ``running`` — never silently lost;
 * :meth:`JobManager.recover` (called at startup) re-enqueues every
   non-terminal job from the table, and the engine's content-addressed
@@ -19,14 +20,16 @@ the service crash-honest:
 Step events reach pollers through a per-job event list plus an
 ``asyncio.Event`` pulse (replaced on every notify), so any number of
 streaming readers can wait without polling loops; the engine's ``on_step``
-callback crosses from worker threads onto the loop via
-``call_soon_threadsafe``.
+callback crosses from the run's thread onto the loop via
+``call_soon_threadsafe``, which queues it ahead of the run's result, so every
+step event precedes ``done``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, AsyncIterator
 from uuid import uuid4
@@ -135,6 +138,7 @@ class JobManager:
     ) -> None:
         record = live.record
         started = False
+        stop = threading.Event()
         try:
             async with self._slots:
                 record.status = "running"
@@ -146,27 +150,19 @@ class JobManager:
                 loop = asyncio.get_running_loop()
 
                 def on_step(step_report: "StepReport") -> None:
-                    # Fired from the scheduler.  On the loop thread, note the
-                    # step synchronously — a deferred call_soon would let the
-                    # final wave's step events land *after* the "done" event.
-                    # From a worker thread, cross over threadsafely.
-                    payload = to_wire(step_report)
-                    try:
-                        running = asyncio.get_running_loop()
-                    except RuntimeError:
-                        running = None
-                    if running is loop:
-                        self._note_step(live, payload)
-                    else:
-                        loop.call_soon_threadsafe(self._note_step, live, payload)
+                    # Fired on the run's thread.
+                    loop.call_soon_threadsafe(self._note_step, live, to_wire(step_report))
 
-                # The job id rides the trace labels into every call's log line.
+                # The job id rides the trace labels into every call's log
+                # line: to_thread copies the context into the run's thread.
                 with trace_label(job=record.job_id):
-                    report = await tenant.engine.run_pipeline_async(
+                    report = await asyncio.to_thread(
+                        tenant.engine.run_pipeline,
                         pipeline,
                         quote=quote,
                         max_concurrency=tenant.config.max_concurrency,
                         on_step=on_step,
+                        stop=stop,
                     )
                 record.report = report.to_dict()
                 for name, step in record.report["step_reports"].items():
@@ -181,8 +177,11 @@ class JobManager:
                 else:
                     record.status = "succeeded"
         except asyncio.CancelledError:
-            # Shutdown (or a dying event loop) cancelled us mid-run.  Every
-            # completed step is already checkpointed; say so durably.
+            # Shutdown (or a dying event loop) cancelled us mid-run.  The
+            # run's thread cannot be cancelled: it finishes the wave in
+            # flight and starts no other.  Every completed step is already
+            # checkpointed; say so durably.
+            stop.set()
             record.status = "stopped"
             record.resumable = True
             record.error = "service stopped mid-run; checkpoints preserved"
@@ -205,6 +204,8 @@ class JobManager:
             tenant.session.instruments.note_job_finished()
 
     def _note_step(self, live: _LiveJob, step: dict[str, Any]) -> None:
+        if live.done:
+            return  # a wave that outlived its job's fast shutdown: the row is final
         live.record.steps[str(step.get("name"))] = step
         self._persist(live.record)
         self._notify(live, {"event": "step", "step": step})

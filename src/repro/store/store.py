@@ -243,26 +243,30 @@ class Store:
         a seeded session would have carried it, instead of being silently
         overwritten by one run's observations.
         """
-        revision = None if merge else stats.revision  # read before the export
-        saved = self.db.saved_profiles.get(name, (None, None))
-        if revision is not None and saved[1] == revision:
-            return  # the stats this handle last wrote, unchanged since
-        if merge:
-            from repro.core.physical import RuntimeStats
+        # Under the handle's lock from the revision read to the write: two
+        # runs of one session saving from two threads must not write an
+        # older export over a newer one.
+        with self.db.lock:
+            revision = None if merge else stats.revision  # read before the export
+            saved = self.db.saved_profiles.get(name, (None, None))
+            if revision is not None and saved[1] == revision:
+                return  # the stats this handle last wrote, unchanged since
+            if merge:
+                from repro.core.physical import RuntimeStats
 
-            combined = RuntimeStats()
-            self.apply_profile(combined, name=name, decay=decay)
-            combined.merge_state(stats.export_state())
-            stats = combined
-        payload = WorkloadProfile.from_stats(stats).to_json()
-        if saved[0] != payload:  # else this handle's last write, byte for byte
-            with self.db.atomic():
-                self.db.execute(
-                    "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
-                    "VALUES (?, ?, ?)",
-                    (name, payload, self.db.next_seq()),
-                )
-        self.db.saved_profiles[name] = (payload, revision)
+                combined = RuntimeStats()
+                self.apply_profile(combined, name=name, decay=decay)
+                combined.merge_state(stats.export_state())
+                stats = combined
+            payload = WorkloadProfile.from_stats(stats).to_json()
+            if saved[0] != payload:  # else this handle's last write, byte for byte
+                with self.db.atomic():
+                    self.db.execute(
+                        "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
+                        "VALUES (?, ?, ?)",
+                        (name, payload, self.db.next_seq()),
+                    )
+            self.db.saved_profiles[name] = (payload, revision)
 
     def load_profile(self, *, name: str = "default") -> WorkloadProfile | None:
         """The saved profile, or ``None`` when none exists yet."""

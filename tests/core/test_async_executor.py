@@ -6,13 +6,11 @@ Batteries:
   :class:`BatchExecutor.run` at temperature 0, for native-async and
   sync-only (thread-bridged) clients alike, across batch sizes and
   concurrencies.
-* **Semantics** — ordered results, budget pre-checks and the skip-with-error
-  contract of ``map``, first-failure cancellation with deterministic
-  propagation, duplicate-prompt dedup ahead of the cache.
+* **Semantics** — ordered results, budget pre-checks, first-failure
+  cancellation with deterministic propagation, duplicate-prompt dedup ahead
+  of the cache.
 * **Governor** — the shared admission point bounds async in-flight dispatch
   and is obeyed by the async sequential path.
-* **Scheduler equivalence** — a DAG pipeline awaited through
-  ``run_pipeline_async`` produces the same report as the thread scheduler.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.llm.cache import CachedClient
-from repro.llm.simulated import SimulatedLLM
 from tests.doubles import AsyncEchoClient, EchoClient
 from tests.doubles import rating_prompts as _rating_prompts
 from tests.doubles import simulated_client as _simulated_client
@@ -150,53 +147,6 @@ class TestAsyncBudget:
         # exactly like the sync sequential path.
         assert client.calls == 3
 
-    @pytest.mark.parametrize("concurrency", CONCURRENCIES)
-    def test_map_budget_skips_carry_the_error(self, concurrency):
-        budget = Budget(limit=1.0)
-        budget.charge(1.0)
-        executor = AsyncBatchExecutor(
-            AsyncEchoClient(), max_concurrency=concurrency, budget=budget
-        )
-        outcomes = asyncio.run(executor.map([lambda: 1, lambda: 2, lambda: 3]))
-        assert all(outcome.skipped for outcome in outcomes)
-        assert all(isinstance(outcome.error, BudgetExceededError) for outcome in outcomes)
-
-
-class TestAsyncMap:
-    @pytest.mark.parametrize("concurrency", CONCURRENCIES)
-    def test_values_in_input_order(self, concurrency):
-        executor = AsyncBatchExecutor(AsyncEchoClient(), max_concurrency=concurrency)
-        outcomes = asyncio.run(
-            executor.map([(lambda index=index: index * 2) for index in range(17)])
-        )
-        assert all(outcome.ok for outcome in outcomes)
-        assert [o.value for o in outcomes] == [index * 2 for index in range(17)]
-
-    def test_coroutine_tasks_run_natively(self):
-        async def double(value: int) -> int:
-            await asyncio.sleep(0)
-            return value * 2
-
-        executor = AsyncBatchExecutor(AsyncEchoClient(), max_concurrency=4)
-        outcomes = asyncio.run(
-            executor.map([(lambda v=v: double(v)) for v in range(5)])
-        )
-        assert [o.value for o in outcomes] == [0, 2, 4, 6, 8]
-
-    def test_failure_is_reported_not_raised(self):
-        def boom():
-            raise ValueError("boom")
-
-        executor = AsyncBatchExecutor(AsyncEchoClient(), max_concurrency=1)
-        outcomes = asyncio.run(executor.map([lambda: 1, boom, lambda: 3]))
-        assert outcomes[0].ok and outcomes[0].value == 1
-        assert isinstance(outcomes[1].error, ValueError)
-        assert outcomes[2].skipped
-
-    def test_empty(self):
-        executor = AsyncBatchExecutor(AsyncEchoClient())
-        assert asyncio.run(executor.map([])) == []
-
 
 class TestAsyncFirstFailure:
     def test_deterministic_propagation_of_earliest_error(self):
@@ -259,81 +209,6 @@ class TestAsyncGovernor:
         sync_executor.run(["a", "b"])
         asyncio.run(async_executor.run(["c", "d"]))
         assert governor.stats.admitted == 4
-
-
-class TestAsyncSchedulerEquivalence:
-    """run_pipeline_async produces the same pipeline report as run_pipeline."""
-
-    @staticmethod
-    def _engine():
-        from repro.core.engine import DeclarativeEngine
-        from repro.data.flavors import flavor_oracle
-
-        return DeclarativeEngine(
-            SimulatedLLM(flavor_oracle(), seed=21),
-            default_model="sim-gpt-3.5-turbo",
-            max_concurrency=4,
-        )
-
-    @staticmethod
-    def _pipeline():
-        from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
-        from repro.data.flavors import CHOCOLATEY, FLAVORS
-
-        def merge(session, inputs):
-            return list(inputs["left"].order) + list(inputs["right"].order)
-
-        return PipelineSpec(
-            name="two-branch",
-            steps=[
-                PipelineStep(
-                    "left",
-                    task=SortSpec(
-                        items=list(FLAVORS[:8]), criterion=CHOCOLATEY, strategy="rating"
-                    ),
-                ),
-                PipelineStep(
-                    "right",
-                    task=SortSpec(
-                        items=list(FLAVORS[8:16]), criterion=CHOCOLATEY, strategy="rating"
-                    ),
-                ),
-                PipelineStep("merge", run=merge, depends_on=("left", "right")),
-            ],
-        )
-
-    def test_async_report_matches_thread_report(self):
-        thread_report = self._engine().run_pipeline(self._pipeline())
-        async_report = asyncio.run(self._engine().run_pipeline_async(self._pipeline()))
-        assert async_report.results["merge"] == thread_report.results["merge"]
-        assert async_report.results["left"].order == thread_report.results["left"].order
-        assert async_report.waves == thread_report.waves
-        assert {
-            name: report.status for name, report in async_report.step_reports.items()
-        } == {name: report.status for name, report in thread_report.step_reports.items()}
-        assert async_report.total_calls == thread_report.total_calls
-        assert async_report.total_cost == pytest.approx(thread_report.total_cost)
-
-    def test_execute_async_inside_a_running_loop(self):
-        from repro.core.session import PromptSession
-        from repro.core.spec import PipelineSpec, PipelineStep
-        from repro.core.workflow import Workflow
-
-        session = PromptSession(EchoClient(), max_concurrency=4)
-        workflow = Workflow.from_pipeline(
-            PipelineSpec(
-                name="inline",
-                steps=[
-                    PipelineStep("one", run=lambda s, inputs: s.complete("hello").text),
-                    PipelineStep(
-                        "two", run=lambda s, inputs: inputs["one"] + "!", depends_on=("one",)
-                    ),
-                ],
-            )
-        )
-        report = asyncio.run(workflow.execute_async(session))
-        assert report.results["two"] == "echo:hello!"
-        assert report.step_order == ["one", "two"]
 
 
 class TestDefaultPoolSizeConstant:

@@ -20,7 +20,15 @@ from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitE
 from repro.llm.base import sequential_complete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.tracker import TrackedClient, UsageTracker
-from tests.doubles import CRITERION, DRIVERS, CountingClient, EchoClient, call, executor_for
+from tests.doubles import (
+    CRITERION,
+    DRIVERS,
+    MAP_DRIVERS,
+    CountingClient,
+    EchoClient,
+    call,
+    executor_for,
+)
 from tests.doubles import rating_prompts as _rating_prompts
 from tests.doubles import simulated_client as _simulated_client
 
@@ -407,6 +415,21 @@ class TestBatchExecutorMap:
                     for outcome in outcomes[2:]
                 )
 
+    @pytest.mark.parametrize("driver", MAP_DRIVERS)
+    def test_map_reports_the_first_failure_and_budget_skips(self, driver):
+        def boom():
+            raise ValueError("boom")
+
+        executor = executor_for(driver, EchoClient(), concurrency=1)
+        outcomes = executor.map([lambda: 1, boom, lambda: 3])
+        assert (outcomes[0].ok, outcomes[0].value) == (True, 1)
+        assert isinstance(outcomes[1].error, ValueError) and not outcomes[1].skipped
+        assert outcomes[2].skipped and outcomes[2].error is None
+        spent = Budget(limit=1.0)
+        spent.charge(1.0)
+        outcomes = executor_for(driver, EchoClient(), budget=spent).map([lambda: 1] * 4)
+        assert all(o.skipped and isinstance(o.error, BudgetExceededError) for o in outcomes)
+
 
 @pytest.mark.parametrize("driver", DRIVERS)
 class TestEveryDriver:
@@ -467,17 +490,3 @@ class TestEveryDriver:
             call(executor, "run", ["limited"])
         assert governor.stats.rate_limit_events == 1
         assert governor.in_flight == 0
-
-    def test_map_reports_the_first_failure_and_budget_skips(self, driver):
-        def boom():
-            raise ValueError("boom")
-
-        executor = executor_for(driver, EchoClient(), concurrency=1)
-        outcomes = call(executor, "map", [lambda: 1, boom, lambda: 3])
-        assert (outcomes[0].ok, outcomes[0].value) == (True, 1)
-        assert isinstance(outcomes[1].error, ValueError) and not outcomes[1].skipped
-        assert outcomes[2].skipped and outcomes[2].error is None
-        spent = Budget(limit=1.0)
-        spent.charge(1.0)
-        outcomes = call(executor_for(driver, EchoClient(), budget=spent), "map", [lambda: 1] * 4)
-        assert all(o.skipped and isinstance(o.error, BudgetExceededError) for o in outcomes)

@@ -27,7 +27,7 @@ from repro.core.session import PromptSession
 from repro.exceptions import BudgetExceededError
 from repro.obs.spans import SpanTracker, current_span_id
 from repro.obs.spans import current_labels, trace_label
-from tests.doubles import DRIVERS, EchoClient, call, executor_for
+from tests.doubles import DRIVERS, MAP_DRIVERS, EchoClient, call, executor_for
 
 WIDTH = 8
 #: Upper bound on any wait in this file; reaching it fails the test.
@@ -409,7 +409,7 @@ class TestOutcomesDoNotDependOnTheRegime:
 class TestInterruptsAreNotOutcomes:
     """Ctrl-C inside a task ends the batch; it is not a failed step to carry on from."""
 
-    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("driver", MAP_DRIVERS)
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_map_re_raises(self, driver, concurrency, interrupt):
         ran = []
@@ -419,7 +419,7 @@ class TestInterruptsAreNotOutcomes:
 
         executor = executor_for(driver, EchoClient(), concurrency=concurrency)
         with pytest.raises(interrupt):
-            call(executor, "map", [boom, lambda: ran.append("after")])
+            executor.map([boom, lambda: ran.append("after")])
         if concurrency == 1:
             assert ran == []
 

@@ -261,6 +261,25 @@ class TestPipelineValidation:
         with pytest.raises(SpecError, match="must be callable"):
             PipelineStep("bad", run="not-callable").validate()
 
+    def test_coroutine_run_steps_are_rejected_before_any_call(self):
+        """A step runs on a thread, which would store its coroutine unawaited."""
+
+        async def step(session, inputs):
+            return session.complete("never sent").text
+
+        with pytest.raises(SpecError, match="coroutine function"):
+            PipelineStep("async", run=step).validate()
+        engine = _flavor_engine()
+        pipeline = PipelineSpec(
+            steps=[
+                PipelineStep("first", run=lambda session, inputs: 1),
+                PipelineStep("async", run=step, depends_on=("first",)),
+            ]
+        )
+        with pytest.raises(SpecError, match="'async' run= must not be a coroutine"):
+            engine.run_pipeline(pipeline)
+        assert engine.session.tracker.usage.calls == 0
+
     def test_step_needs_exactly_one_of_task_and_run(self):
         with pytest.raises(SpecError, match="exactly one"):
             PipelineStep("a").validate()

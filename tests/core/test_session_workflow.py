@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.config import DEFAULT_CHAT_MODEL
@@ -143,10 +141,6 @@ class TestWorkflow:
     def test_empty_workflow_rejected(self):
         with pytest.raises(SpecError):
             Workflow.from_pipeline(PipelineSpec())
-
-    def test_execute_async_runs_under_asyncio_run(self, session):
-        workflow = _workflow("only", PipelineStep(name="only", run=lambda s, inputs: 1))
-        assert asyncio.run(workflow.execute_async(session)).results == {"only": 1}
 
     def test_second_workflow_on_same_session_reports_only_its_own_usage(self, session):
         """Regression: totals used to be session-lifetime, double-counting reuse."""

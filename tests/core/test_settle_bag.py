@@ -10,7 +10,6 @@ with the calls that reached the backend.
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
 import sys
 import threading
@@ -138,8 +137,7 @@ class TestEquivalence:
                 assert records[call_id].prompt == prompt
                 assert records[call_id].response_text == response.text
 
-    @pytest.mark.parametrize("asynchronous", [False, True])
-    def test_operators_of_one_wave_record_under_their_own_step(self, asynchronous):
+    def test_operators_of_one_wave_record_under_their_own_step(self):
         engine = DeclarativeEngine(
             SimulatedLLM(flavor_oracle(), seed=21), default_model=MODEL, max_concurrency=4
         )
@@ -153,10 +151,7 @@ class TestEquivalence:
                 for name, items in halves.items()
             ],
         )
-        if asynchronous:
-            report = asyncio.run(engine.run_pipeline_async(spec))
-        else:
-            report = engine.run_pipeline(spec)
+        report = engine.run_pipeline(spec)
         steps = {span.label: span for span in report.spans if span.kind == "step"}
         assert set(steps) == set(halves)
         for name, items in halves.items():

@@ -29,6 +29,8 @@ CRITERION = "alphabetical order"
 
 #: How a test drives the code under test; see :func:`complete_all` / :func:`executor_for`.
 DRIVERS = ("sync", "threads", "async")
+#: The drivers of an executor's ``map``, which only :class:`BatchExecutor` has.
+MAP_DRIVERS = ("sync", "threads")
 
 #: Worker count of the concurrent drivers.
 FAN_OUT = 4
@@ -301,6 +303,6 @@ def executor_for(driver: str, client: Any, *, concurrency: int | None = None, **
 
 
 def call(executor: Any, method: str, argument: Any) -> Any:
-    """``executor.run(...)`` / ``executor.map(...)``, awaited when it is async."""
+    """``executor.run(...)``, awaited when it is async (or ``executor.map(...)``)."""
     result = getattr(executor, method)(argument)
     return asyncio.run(result) if asyncio.iscoroutine(result) else result

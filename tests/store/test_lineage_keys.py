@@ -10,7 +10,6 @@ had, its children still hit; with other answers, they miss.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 
@@ -221,8 +220,7 @@ class TestRestoredBeforeScheduling:
         assert warm.restored_steps == ["b", "c"] and warm.step_order == ["b", "a", "c"]
         assert warm.results["c"].kept == cold.results["c"].kept
 
-    @pytest.mark.parametrize("driver", ["sync", "asyncio"])
-    def test_the_warm_product_query_is_free_and_never_blocks(self, tmp_path, driver):
+    def test_the_warm_product_query_is_free_and_never_blocks(self, tmp_path):
         with Store(tmp_path / "store.db") as store:
             engine, _ = engine_on(store)
             cold = product_query().with_store(store).run(engine)
@@ -233,12 +231,7 @@ class TestRestoredBeforeScheduling:
             def on_step(step_report) -> None:
                 events.append((step_report.name, step_report.restored))
 
-            if driver == "sync":
-                report = engine.run_pipeline(compiled.spec, quote=compiled.quote, on_step=on_step)
-            else:
-                report = asyncio.run(
-                    engine.run_pipeline_async(compiled.spec, quote=compiled.quote, on_step=on_step)
-                )
+            report = engine.run_pipeline(compiled.spec, quote=compiled.quote, on_step=on_step)
         quote = compiled.quote
         assert report.quote is quote  # the restored results rode a copy of it
         assert (quote.total_calls, quote.total_dollars, quote.unquoted) == (0, 0.0, ("s2_block",))

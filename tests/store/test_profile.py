@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.engine import DeclarativeEngine
@@ -209,6 +211,39 @@ class TestStoreIntegration:
             twin.merge_state(stats.export_state())
             store.save_profile(twin)
             assert len(encoded) == 5
+
+    def test_two_threads_saving_interleaved_revisions_leave_the_newest(
+        self, tmp_path, monkeypatch
+    ):
+        # The first save exports the old state, then is held before its write
+        # while the stats move on and a second thread saves them.  Under the
+        # handle's lock the second save waits and writes last; without it,
+        # the held old export would land over the new one.
+        exported, release = threading.Event(), threading.Event()
+        from_stats = WorkloadProfile.from_stats
+
+        def held_once(stats):
+            profile = from_stats(stats)
+            if not exported.is_set():
+                exported.set()
+                assert release.wait(timeout=10)
+            return profile
+
+        monkeypatch.setattr(WorkloadProfile, "from_stats", staticmethod(held_once))
+        with Store(tmp_path / "store.db") as store:
+            stats = observed_stats()
+            older = threading.Thread(target=store.save_profile, args=(stats,))
+            older.start()
+            assert exported.wait(timeout=10)
+            stats.record_dedup(inputs=10, survivors=1)
+            newer = threading.Thread(target=store.save_profile, args=(stats,))
+            newer.start()
+            newer.join(timeout=0.2)  # finished by now only if nothing holds it back
+            release.set()
+            older.join(timeout=10)
+            newer.join(timeout=10)
+            assert not (older.is_alive() or newer.is_alive())
+            assert store.load_profile().to_json() == WorkloadProfile.from_stats(stats).to_json()
 
     def test_named_profiles_are_independent(self, tmp_path):
         with Store(tmp_path / "store.db") as store:

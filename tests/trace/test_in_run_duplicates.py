@@ -11,7 +11,6 @@ whose client does not cache still dedupes, through one private cache.
 
 from __future__ import annotations
 
-import asyncio
 import logging
 
 import pytest
@@ -36,8 +35,8 @@ ITEMS = DISTINCT + ["apple", "cherry", "fig"]  # 11 words, 3 of them repeats
 PARENT_COST = 0.0009065
 KEPT = ["apple", "banana", "cherry", "fig", "apple", "cherry", "fig"]
 
-#: driver -> (max_concurrency, run on the asyncio scheduler?)
-DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
+#: driver -> max_concurrency
+DRIVERS = {"sync": 1, "threads": 8}
 
 
 def backend() -> DyingClient:
@@ -47,7 +46,7 @@ def backend() -> DyingClient:
     return DyingClient(SimulatedLLM(oracle, seed=11), fail_after=None)
 
 
-def screen(session: PromptSession, awaited: bool = False):
+def screen(session: PromptSession):
     spec = PipelineSpec(
         name="duplicates",
         steps=[
@@ -58,19 +57,17 @@ def screen(session: PromptSession, awaited: bool = False):
         ],
     )
     engine = DeclarativeEngine(session=session)
-    if awaited:
-        return asyncio.run(engine.run_pipeline_async(spec)).results["screen"]
     return engine.run_pipeline(spec).results["screen"]
 
 
 class TestUnderASession:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_a_repeat_is_a_cache_hit_call_of_the_session(self, driver, caplog):
-        width, awaited = DRIVERS[driver]
+        width = DRIVERS[driver]
         client = backend()
         session = PromptSession(client, max_concurrency=width)
         with caplog.at_level(logging.DEBUG, logger="repro.calls"):
-            step = screen(session, awaited)
+            step = screen(session)
 
         records = session.spans.records()
         assert len(records) == len(ITEMS)

@@ -11,7 +11,6 @@ call's log line, span, record and metric series join by id.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import logging
@@ -34,15 +33,15 @@ from tests.query.support import MODEL, clean_engine, product_corpus
 
 #: sha256 over the sorted records (ids and durations left out) of the two
 #: replay fixtures, as ``Tracer.records()`` returned them one commit earlier
-#: — the same under the sync, 8-thread and asyncio drivers.
+#: — the same under the sync and 8-thread drivers.
 PARENT_ER_DIGEST = ("a90c4923139bd3772ae9af8bd66138ee0e7861dd4d127193598095d84ecae6cc", 46)
 PARENT_CACHE_HEAVY_DIGEST = (
     "a03d1c617d6b2c96af05a54a701918491808ec1df3f14b987e9d5444e64de43a",
     20,
 )
 
-#: driver -> (max_concurrency, run on the asyncio scheduler?)
-DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
+#: driver -> max_concurrency
+DRIVERS = {"sync": 1, "threads": 8}
 
 
 def digest(records: list[TraceRecord]) -> tuple[str, int]:
@@ -66,26 +65,24 @@ def er_query() -> tuple[Dataset, object]:
     return query, oracle
 
 
-def run_er(engine, awaited: bool):
+def run_er(engine):
     query, _ = er_query()
     compiled = query.compile(planner=engine.planner())
-    if awaited:
-        return asyncio.run(engine.run_pipeline_async(compiled.spec, quote=compiled.quote))
     return engine.run_pipeline(compiled.spec, quote=compiled.quote)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_er_records_equal_the_parents_and_replay(self, driver):
-        width, awaited = DRIVERS[driver]
+        width = DRIVERS[driver]
         _, oracle = er_query()
         engine = clean_engine(oracle, max_concurrency=width)
-        original = run_er(engine, awaited)
+        original = run_er(engine)
         records = engine.session.spans.records()
         assert digest(records) == PARENT_ER_DIGEST
 
         session = PromptSession(replay_trace(records), max_concurrency=width)
-        replayed = run_er(DeclarativeEngine.from_session(session), awaited)
+        replayed = run_er(DeclarativeEngine.from_session(session))
         assert replayed.results == original.results
         assert session.tracker.usage.calls == engine.session.tracker.usage.calls
 
