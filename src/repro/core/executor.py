@@ -80,7 +80,7 @@ DEFAULT_POOL_SIZE = 8
 
 #: How long a fanned-out bag may start no body, its dispatching thread computing
 #: for less than half of it, before :class:`BatchExecutor` brings in its helpers
-#: (when the whole process computed as little; else one switch interval more).
+#: (when the whole process computed as little; else two switch intervals more).
 _STALL_SECONDS = 0.001
 #: The most calls one run takes: a run reaches the store when it returns, so a
 #: hard kill loses at most this many answered calls past the store's row bound.
@@ -587,8 +587,8 @@ class BatchExecutor(_ExecutorCore):
             # that computes), threads would only take turns on the interpreter
             # lock; once neither has for a while a call is blocked: go to full
             # width now, not after it returns (eight slow calls are one wave).
-            # Nothing counts before the dispatching thread has a body, and while
-            # the process computes a stall must outlast one lock switch interval.
+            # Nothing counts before the dispatching thread has a body; while the process
+            # computes, a stall must outlast two switch intervals (a lost hand-over each).
             nonlocal stalled
             waiting, began, cpu = len(queue), time.perf_counter(), computing()
             busy, since = time.process_time(), None  # since: a stall's first busy tick
@@ -597,7 +597,7 @@ class BatchExecutor(_ExecutorCore):
                 stuck = len(queue) == waiting < len(items) and 2 * (spent - cpu) < now - began
                 since = (since or now) if stuck else None
                 idle = 2 * (used - busy) < now - began
-                if stuck and (idle or now - since >= sys.getswitchinterval()):
+                if stuck and (idle or now - since >= 2 * sys.getswitchinterval()):
                     stalled = True
                     for _ in range(min(self.max_concurrency - 1, waiting) - 1):
                         start(work)

@@ -23,11 +23,13 @@ import pytest
 from repro.core import executor as executor_module
 from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor
+from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
+from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError
 from repro.obs.spans import SpanTracker, current_span_id
 from repro.obs.spans import current_labels, trace_label
-from tests.doubles import DRIVERS, MAP_DRIVERS, EchoClient, call, executor_for
+from tests.doubles import DRIVERS, MAP_DRIVERS, EchoClient, call, executor_for, hop
 
 WIDTH = 8
 #: Upper bound on any wait in this file; reaching it fails the test.
@@ -431,6 +433,25 @@ class TestInterruptsAreNotOutcomes:
 
         with pytest.raises(interrupt):
             call(executor_for(driver, Interrupted()), "run", ["a", "b", "c"])
+
+    @pytest.mark.parametrize("driver", ["sync", "asyncio"])
+    def test_a_pipeline_step_re_raises(self, driver, interrupt):
+        # An interrupt is not a failed step the scheduler reports: it leaves
+        # ``run_pipeline``, and from an event loop, ``asyncio.run`` too.
+        def boom(session, inputs):
+            raise interrupt()
+
+        engine = DeclarativeEngine(session=PromptSession(EchoClient(), max_concurrency=WIDTH))
+        spec = PipelineSpec(
+            name="interrupted",
+            steps=[
+                PipelineStep("boom", run=boom),
+                PipelineStep("after", run=lambda session, inputs: 1, depends_on=("boom",)),
+            ],
+        )
+        with pytest.raises(interrupt):
+            hop(engine.run_pipeline, spec) if driver == "asyncio" else engine.run_pipeline(spec)
+        assert engine.session.tracker.calls == 0
 
     def test_one_raised_on_a_helper_surfaces_after_in_flight_tasks_finish(self, interrupt):
         finished = []

@@ -18,7 +18,9 @@ counts, and cost against the seeded simulator.
 
 from __future__ import annotations
 
+import asyncio
 import os
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -47,7 +49,7 @@ from repro.llm.simulated import SimulatedLLM
 from repro.operators.sort import SortOperator
 from repro.proxies.blocking import EmbeddingBlocker
 from repro.tokenizer.cost import to_dollars, to_nanos
-from tests.doubles import LatencyClient
+from tests.doubles import EchoClient, LatencyClient, hop
 
 MODEL = "sim-gpt-3.5-turbo"
 # Pinned in CI (see .github/workflows/ci.yml) so the equivalence suite runs
@@ -680,3 +682,101 @@ class TestGoldenEntityResolutionPipeline:
         assert report.results["repair"]["clusters"] == self.EXPECTED_CLUSTERS
         assert report.results["repair"]["flipped"] == self.EXPECTED_FLIPPED
         assert report.step_order == ["block", "resolve", "repair"]
+
+
+def _inline_chain() -> PipelineSpec:
+    """``one`` -> ``two``: one echo call, then a step that reads it."""
+    return PipelineSpec(
+        name="inline",
+        steps=[
+            PipelineStep("one", run=lambda s, inputs: s.complete("hello").text),
+            PipelineStep("two", run=lambda s, inputs: inputs["one"] + "!", depends_on=("one",)),
+        ],
+    )
+
+
+class TestFromAnEventLoop:
+    """A pipeline run from inside ``asyncio.run`` is one hop to a worker thread."""
+
+    def test_a_hopped_run_reports_what_a_direct_run_does(self):
+        direct = _flavor_engine(max_concurrency=4).run_pipeline(_two_branch_pipeline())
+        hopped = hop(_flavor_engine(max_concurrency=4).run_pipeline, _two_branch_pipeline())
+        assert hopped.results["merge"] == direct.results["merge"]
+        assert hopped.results["left"].order == direct.results["left"].order
+        assert hopped.waves == direct.waves
+        assert {name: step.status for name, step in hopped.step_reports.items()} == {
+            name: step.status for name, step in direct.step_reports.items()
+        }
+        assert hopped.total_calls == direct.total_calls
+        assert hopped.total_cost == pytest.approx(direct.total_cost)
+
+    def test_a_workflow_executes_from_inside_a_running_loop(self):
+        session = PromptSession(EchoClient(), max_concurrency=4)
+        report = hop(Workflow.from_pipeline(_inline_chain()).execute, session)
+        assert report.results["two"] == "echo:hello!"
+        assert report.step_order == ["one", "two"]
+
+    def test_on_step_runs_on_the_run_thread_not_the_loops(self):
+        # Why the service crosses back with ``call_soon_threadsafe``: the
+        # observer is called on the thread the run hopped to.
+        seen: list[tuple[str, int]] = []
+
+        async def job() -> int:
+            await asyncio.to_thread(
+                _flavor_engine().run_pipeline,
+                _inline_chain(),
+                on_step=lambda step: seen.append((step.name, threading.get_ident())),
+            )
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(job())
+        assert [name for name, _ in seen] == ["one", "two"]
+        assert loop_thread not in {ident for _, ident in seen}
+
+
+class TestStopEvent:
+    """``stop`` is checked before each wave: once set, no further wave starts."""
+
+    def test_a_set_event_starts_no_step(self):
+        stop = threading.Event()
+        stop.set()
+        engine = _flavor_engine()
+        report = engine.run_pipeline(_two_branch_pipeline(), stop=stop)
+        assert report.stopped_early
+        assert report.stop_reason == "run stopped before step(s) 'left', 'right', 'merge'"
+        assert report.completed_steps == [] and report.results == {}
+        assert report.total_calls == 0 and engine.session.tracker.calls == 0
+
+    def test_a_stop_after_the_first_wave_keeps_its_results(self):
+        stop = threading.Event()
+        report = _flavor_engine().run_pipeline(
+            _two_branch_pipeline(), on_step=lambda step: stop.set(), stop=stop
+        )
+        assert report.stopped_early
+        assert report.stop_reason == "run stopped before step(s) 'merge'"
+        assert sorted(report.completed_steps) == ["left", "right"]
+        assert "merge" not in report.results
+
+    def test_the_wave_in_flight_is_not_cut_short(self):
+        # Both branches are one wave: the first to settle sets the event,
+        # and its sibling, already dispatched, still completes.
+        stop = threading.Event()
+        settled: list[str] = []
+
+        def on_step(step) -> None:
+            settled.append(step.name)
+            stop.set()
+
+        report = _flavor_engine(max_concurrency=4).run_pipeline(
+            _two_branch_pipeline(), on_step=on_step, stop=stop
+        )
+        assert sorted(settled) == ["left", "right"]
+        assert report.step_reports["left"].status == "completed"
+        assert report.step_reports["right"].status == "completed"
+
+    def test_an_event_never_set_changes_nothing(self):
+        plain = _flavor_engine().run_pipeline(_two_branch_pipeline())
+        watched = _flavor_engine().run_pipeline(_two_branch_pipeline(), stop=threading.Event())
+        assert not watched.stopped_early and watched.stop_reason == ""
+        assert watched.results["merge"] == plain.results["merge"]
+        assert watched.total_calls == plain.total_calls

@@ -14,6 +14,7 @@ from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
 from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer.cost import to_dollars, to_nanos
+from tests.doubles import hop
 
 
 @pytest.fixture()
@@ -137,6 +138,10 @@ class TestWorkflow:
             spec.validate()
         with pytest.raises(SpecError):
             Workflow.from_pipeline(spec)
+
+    def test_execute_runs_under_asyncio_run_through_one_thread_hop(self, session):
+        workflow = _workflow("only", PipelineStep(name="only", run=lambda s, inputs: 1))
+        assert hop(workflow.execute, session).results == {"only": 1}
 
     def test_empty_workflow_rejected(self):
         with pytest.raises(SpecError):

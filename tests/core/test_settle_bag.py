@@ -32,6 +32,7 @@ from tests.doubles import (
     LatencyClient,
     call,
     executor_for,
+    hop,
     rating_prompts,
     simulated_client,
     yes_no_validator,
@@ -137,7 +138,8 @@ class TestEquivalence:
                 assert records[call_id].prompt == prompt
                 assert records[call_id].response_text == response.text
 
-    def test_operators_of_one_wave_record_under_their_own_step(self):
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    def test_operators_of_one_wave_record_under_their_own_step(self, asynchronous):
         engine = DeclarativeEngine(
             SimulatedLLM(flavor_oracle(), seed=21), default_model=MODEL, max_concurrency=4
         )
@@ -151,7 +153,7 @@ class TestEquivalence:
                 for name, items in halves.items()
             ],
         )
-        report = engine.run_pipeline(spec)
+        report = hop(engine.run_pipeline, spec) if asynchronous else engine.run_pipeline(spec)
         steps = {span.label: span for span in report.spans if span.kind == "step"}
         assert set(steps) == set(halves)
         for name, items in halves.items():

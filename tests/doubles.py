@@ -306,3 +306,16 @@ def call(executor: Any, method: str, argument: Any) -> Any:
     """``executor.run(...)``, awaited when it is async (or ``executor.map(...)``)."""
     result = getattr(executor, method)(argument)
     return asyncio.run(result) if asyncio.iscoroutine(result) else result
+
+
+def hop(fn: Any, *args: Any, **kwargs: Any) -> Any:
+    """``fn(*args, **kwargs)`` run as a service job runs its pipeline.
+
+    From inside ``asyncio.run``, through one ``asyncio.to_thread`` hop, which
+    copies the loop's context (trace labels, the open span) to the worker.
+    """
+
+    async def hopped() -> Any:
+        return await asyncio.to_thread(fn, *args, **kwargs)
+
+    return asyncio.run(hopped())

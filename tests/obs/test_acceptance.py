@@ -16,6 +16,7 @@ Three claims are pinned here:
 from __future__ import annotations
 
 import asyncio
+import logging
 import re
 
 import pytest
@@ -25,8 +26,9 @@ from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.llm.simulated import SimulatedLLM
-from repro.obs import critical_path, render_timeline
+from repro.obs import critical_path, render_timeline, trace_label
 from repro.store import Store
+from tests.doubles import hop
 
 MODEL = "sim-gpt-3.5-turbo"
 
@@ -158,6 +160,21 @@ class TestTracedRunPersistence:
         for sp in report.spans:
             if sp.parent_id is not None:
                 assert tracker.get(sp.parent_id) is not None
+
+    def test_a_run_from_an_event_loop_is_one_tree_under_the_loops_labels(self, caplog):
+        engine = _engine()
+        with caplog.at_level(logging.DEBUG, logger="repro.calls"), trace_label(job="j1"):
+            report = hop(engine.run_pipeline, _two_branch_pipeline(), max_concurrency=4)
+        tracker = engine.session.spans
+        roots = [sp for sp in report.spans if sp.parent_id is None]
+        assert [sp.span_id for sp in roots] == [report.span_id]
+        for sp in report.spans:
+            if sp.parent_id is not None:
+                assert tracker.get(sp.parent_id) is not None
+        # The hop copies the loop's context: its job label reaches every call.
+        lines = [entry for entry in caplog.records if entry.name == "repro.calls"]
+        assert len(lines) == sum(sp.kind == "call" for sp in report.spans) > 0
+        assert {line.job for line in lines} == {"j1"}
 
 
 _SAMPLE_RE = re.compile(

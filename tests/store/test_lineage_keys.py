@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.query import Dataset
 from repro.store import Store, encode_result
 from repro.store.checkpoint import CHECKPOINT_VERSION, encode_checkpoint
 from repro.tokenizer.cost import Usage
+from tests.doubles import hop
 from tests.query.support import MODEL, clean_behavior, product_corpus
 
 RESTORED = ["s1_filter", "s2_resolve", "s3_top_k"]
@@ -220,7 +222,8 @@ class TestRestoredBeforeScheduling:
         assert warm.restored_steps == ["b", "c"] and warm.step_order == ["b", "a", "c"]
         assert warm.results["c"].kept == cold.results["c"].kept
 
-    def test_the_warm_product_query_is_free_and_never_blocks(self, tmp_path):
+    @pytest.mark.parametrize("driver", ["sync", "asyncio"])
+    def test_the_warm_product_query_is_free_and_never_blocks(self, tmp_path, driver):
         with Store(tmp_path / "store.db") as store:
             engine, _ = engine_on(store)
             cold = product_query().with_store(store).run(engine)
@@ -231,7 +234,8 @@ class TestRestoredBeforeScheduling:
             def on_step(step_report) -> None:
                 events.append((step_report.name, step_report.restored))
 
-            report = engine.run_pipeline(compiled.spec, quote=compiled.quote, on_step=on_step)
+            run = engine.run_pipeline if driver == "sync" else partial(hop, engine.run_pipeline)
+            report = run(compiled.spec, quote=compiled.quote, on_step=on_step)
         quote = compiled.quote
         assert report.quote is quote  # the restored results rode a copy of it
         assert (quote.total_calls, quote.total_dollars, quote.unquoted) == (0, 0.0, ("s2_block",))

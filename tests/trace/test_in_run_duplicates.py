@@ -23,7 +23,7 @@ from repro.llm.oracle import Oracle
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.filter import FilterOperator
-from tests.doubles import DyingClient
+from tests.doubles import DyingClient, hop
 
 MODEL = "sim-gpt-3.5-turbo"
 PREDICATE = "starts early in the alphabet"
@@ -35,8 +35,8 @@ ITEMS = DISTINCT + ["apple", "cherry", "fig"]  # 11 words, 3 of them repeats
 PARENT_COST = 0.0009065
 KEPT = ["apple", "banana", "cherry", "fig", "apple", "cherry", "fig"]
 
-#: driver -> max_concurrency
-DRIVERS = {"sync": 1, "threads": 8}
+#: driver -> (max_concurrency, run from an event loop through one thread hop?)
+DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
 
 
 def backend() -> DyingClient:
@@ -46,7 +46,7 @@ def backend() -> DyingClient:
     return DyingClient(SimulatedLLM(oracle, seed=11), fail_after=None)
 
 
-def screen(session: PromptSession):
+def screen(session: PromptSession, hopped: bool = False):
     spec = PipelineSpec(
         name="duplicates",
         steps=[
@@ -57,17 +57,18 @@ def screen(session: PromptSession):
         ],
     )
     engine = DeclarativeEngine(session=session)
-    return engine.run_pipeline(spec).results["screen"]
+    report = hop(engine.run_pipeline, spec) if hopped else engine.run_pipeline(spec)
+    return report.results["screen"]
 
 
 class TestUnderASession:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_a_repeat_is_a_cache_hit_call_of_the_session(self, driver, caplog):
-        width = DRIVERS[driver]
+        width, hopped = DRIVERS[driver]
         client = backend()
         session = PromptSession(client, max_concurrency=width)
         with caplog.at_level(logging.DEBUG, logger="repro.calls"):
-            step = screen(session)
+            step = screen(session, hopped)
 
         records = session.spans.records()
         assert len(records) == len(ITEMS)

@@ -16,6 +16,7 @@ import json
 import logging
 import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -29,19 +30,20 @@ from repro.llm.simulated import SimulatedLLM
 from repro.obs import SpanTracker, TraceRecord, replay_trace, trace_label
 from repro.query import Dataset
 from repro.wire import to_wire
+from tests.doubles import hop
 from tests.query.support import MODEL, clean_engine, product_corpus
 
 #: sha256 over the sorted records (ids and durations left out) of the two
 #: replay fixtures, as ``Tracer.records()`` returned them one commit earlier
-#: — the same under the sync and 8-thread drivers.
+#: — the same under the sync and 8-thread drivers, and from an event loop.
 PARENT_ER_DIGEST = ("a90c4923139bd3772ae9af8bd66138ee0e7861dd4d127193598095d84ecae6cc", 46)
 PARENT_CACHE_HEAVY_DIGEST = (
     "a03d1c617d6b2c96af05a54a701918491808ec1df3f14b987e9d5444e64de43a",
     20,
 )
 
-#: driver -> max_concurrency
-DRIVERS = {"sync": 1, "threads": 8}
+#: driver -> (max_concurrency, run from an event loop through one thread hop?)
+DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
 
 
 def digest(records: list[TraceRecord]) -> tuple[str, int]:
@@ -65,24 +67,25 @@ def er_query() -> tuple[Dataset, object]:
     return query, oracle
 
 
-def run_er(engine):
+def run_er(engine, hopped: bool):
     query, _ = er_query()
     compiled = query.compile(planner=engine.planner())
-    return engine.run_pipeline(compiled.spec, quote=compiled.quote)
+    run = partial(hop, engine.run_pipeline) if hopped else engine.run_pipeline
+    return run(compiled.spec, quote=compiled.quote)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_er_records_equal_the_parents_and_replay(self, driver):
-        width = DRIVERS[driver]
+        width, hopped = DRIVERS[driver]
         _, oracle = er_query()
         engine = clean_engine(oracle, max_concurrency=width)
-        original = run_er(engine)
+        original = run_er(engine, hopped)
         records = engine.session.spans.records()
         assert digest(records) == PARENT_ER_DIGEST
 
         session = PromptSession(replay_trace(records), max_concurrency=width)
-        replayed = run_er(DeclarativeEngine.from_session(session))
+        replayed = run_er(DeclarativeEngine.from_session(session), hopped)
         assert replayed.results == original.results
         assert session.tracker.usage.calls == engine.session.tracker.usage.calls
 
