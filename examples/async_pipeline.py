@@ -1,31 +1,31 @@
-"""Case study: asyncio-native execution with a rate-limited governor.
+"""Case study: awaiting a bag from an event loop, and a rate-limited governor.
 
 Run with:  python examples/async_pipeline.py
 
-Against a real API every unit task is a network round-trip.  A thread pool
-overlaps round-trips by paying one blocked OS thread per in-flight call; the
-:class:`~repro.core.executor.AsyncBatchExecutor` awaits the same calls on a
-single event loop instead: concurrency 64 costs 64 pending awaits, not 64
-threads.
+Against a real API every unit task is a network round-trip.  The
+:class:`~repro.core.executor.BatchExecutor` overlaps round-trips on threads
+(one blocked OS thread per call in flight); a caller on an event loop awaits
+:class:`~repro.core.executor.AsyncBatchExecutor`'s ``run``, which is the same
+bag sent to a worker thread in one ``asyncio.to_thread`` hop, so the loop
+keeps serving its other tasks meanwhile.
 
-This example builds a simulated backend whose ``acomplete`` awaits a 20 ms
-latency, then
+This example builds a simulated backend whose ``complete`` waits 20 ms, then
 
-1. saturates it through the thread executor and the async executor at the
-   same width (64) and compares the wall-clock: at equal width they finish
-   together, so the choice is about threads held, not speed,
-2. re-runs the fan-out with the backend behind a
+1. saturates it through ``BatchExecutor.run`` and through ``await
+   AsyncBatchExecutor.run`` inside ``asyncio.run`` at the same width (64):
+   the responses are equal, they finish together, and a ticker task on the
+   loop kept running while the bag was away,
+2. re-runs the awaited fan-out with the backend behind a
    :class:`~repro.core.BackendGate` whose
    :class:`~repro.core.ConcurrencyGovernor` has an RPM quota, showing
    dispatch pacing out at the configured rate.
 
-Pipelines run on the thread executor only: ``engine.run_pipeline(spec)``.
+Pipelines run on the thread executor: ``engine.run_pipeline(spec)``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 
 from repro import SimulatedLLM
@@ -38,12 +38,11 @@ CALLS = 192
 WIDTH = 64
 
 
-class AsyncLatencyClient:
-    """Simulated backend with a native async path.
+class LatencyClient:
+    """Simulated backend that blocks its calling thread for the round-trip.
 
-    The sync path blocks a worker thread per call; the async path awaits the
-    same latency on the event loop.  Both answer through the same seeded
-    simulator, so results are identical either way.
+    Every answer comes from the same seeded simulator, so results are
+    identical whichever executor sends the call.
     """
 
     def __init__(self) -> None:
@@ -56,32 +55,43 @@ class AsyncLatencyClient:
             prompt, model=model, temperature=temperature, max_tokens=max_tokens
         )
 
-    async def acomplete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        await asyncio.sleep(LATENCY_SECONDS)
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
+
+async def awaited_with_a_ticker(prompts: list[str]) -> tuple[list, int]:
+    """The bag awaited through the hop, and how often a loop task ran meanwhile."""
+    ticks = 0
+    done = asyncio.Event()
+
+    async def ticker() -> None:
+        nonlocal ticks
+        while not done.is_set():
+            ticks += 1
+            await asyncio.sleep(0.005)
+
+    ticking = asyncio.create_task(ticker())
+    responses = await AsyncBatchExecutor(LatencyClient(), max_concurrency=WIDTH).run(prompts)
+    done.set()
+    await ticking
+    return responses, ticks
 
 
 def saturate() -> None:
     prompts = [f"Rate how chocolatey '{flavor}' is (task {i})." for i, flavor in
                enumerate(FLAVORS * (CALLS // len(FLAVORS)))]
 
-    thread_executor = BatchExecutor(AsyncLatencyClient(), max_concurrency=WIDTH)
     started = time.perf_counter()
-    thread_responses = thread_executor.run(prompts)
+    thread_responses = BatchExecutor(LatencyClient(), max_concurrency=WIDTH).run(prompts)
     thread_elapsed = time.perf_counter() - started
 
-    async_executor = AsyncBatchExecutor(AsyncLatencyClient(), max_concurrency=WIDTH)
     started = time.perf_counter()
-    async_responses = asyncio.run(async_executor.run(prompts))
+    async_responses, ticks = asyncio.run(awaited_with_a_ticker(prompts))
     async_elapsed = time.perf_counter() - started
 
     assert [r.text for r in async_responses] == [r.text for r in thread_responses]
+    assert ticks > 1, "the event loop was blocked while the bag ran"
     print(f"{CALLS} unit tasks, {LATENCY_SECONDS * 1000:.0f} ms latency each, {WIDTH} in flight")
-    print(f"  thread executor: {thread_elapsed:6.2f}s")
-    print(f"  async executor:  {async_elapsed:6.2f}s "
-          f"({threading.active_count()} thread(s) alive after it)")
+    print(f"  BatchExecutor.run:             {thread_elapsed:6.2f}s")
+    print(f"  await AsyncBatchExecutor.run:  {async_elapsed:6.2f}s "
+          f"(a loop task ticked {ticks} times meanwhile)")
 
 
 def governed_fanout() -> None:
@@ -91,7 +101,7 @@ def governed_fanout() -> None:
     # concurrency 64.  The gate admits every call that reaches the backend;
     # a session puts one below its response cache.
     governor = ConcurrencyGovernor(rpm=1200, burst=1, max_in_flight=32)
-    executor = AsyncBatchExecutor(BackendGate(AsyncLatencyClient(), governor), max_concurrency=WIDTH)
+    executor = AsyncBatchExecutor(BackendGate(LatencyClient(), governor), max_concurrency=WIDTH)
     prompts = [f"governed task {i}" for i in range(48)]
     started = time.perf_counter()
     asyncio.run(executor.run(prompts))

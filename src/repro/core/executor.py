@@ -8,28 +8,22 @@ executors are the single dispatch point those bags go through:
   batch entry point — sequential, deterministic, and able to exploit
   batch-level optimisations such as the response cache's within-batch dedup.
 * ``max_concurrency > 1`` fans the unit tasks out, at most that many in
-  flight — :class:`AsyncBatchExecutor` as asyncio tasks behind a semaphore,
-  :class:`BatchExecutor` on threads.  Results always come back in input
-  order, and at temperature 0 they are element-wise identical to the
-  sequential path (the equivalence test suite in ``tests/`` asserts this for
-  every converted operator).
+  flight.  Results always come back in input order, and at temperature 0
+  they are element-wise identical to the sequential path (the equivalence
+  test suite in ``tests/`` asserts this for every converted operator).
 
 ``max_concurrency`` is a ceiling on calls in flight, not a thread count:
 threads appear when calls wait.  A call answered from memory (a warm cache, a
 replayed trace, the simulator) gains nothing from a second thread but its
 turn on the interpreter lock, so the dispatching thread drains a fanned-out
 bag itself — in *runs* of the queue, each sent as one native batch, when the
-bag may go out so — and helpers join once it stalls without computing (see
-:class:`BatchExecutor`).
+bag may go out so (one rule, :meth:`BatchExecutor._native`: for the whole bag
+at width 1, for runs above it) — and helpers join once it stalls without
+computing (see :class:`BatchExecutor`).
 
-Everything the two executors decide for ``run`` — request normalisation, when
-calls of a bag may go to the client as native batches (one rule, ``_native``:
-for the whole bag at width 1, for runs above it), the temperature-0 dedup
-partition, which failure surfaces — is written once in :class:`_ExecutorCore`,
-as sans-IO bodies in the sense of :mod:`repro.llm.base`.  The two public
-classes add only how a body is driven (on the calling thread, or awaited) and
-how several are fanned out.  ``map``, which runs a pipeline's waves, is
-:class:`BatchExecutor`'s alone.
+:class:`BatchExecutor` is the one driver; :class:`AsyncBatchExecutor` is its
+``run`` for callers on an event loop, one ``asyncio.to_thread`` hop per bag.
+``map``, which runs a pipeline's waves, is :class:`BatchExecutor`'s alone.
 Admission, pacing and the budget pre-check live below the cache, in the
 :class:`~repro.core.BackendGate` around the backend.
 
@@ -69,7 +63,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.budget import CHARGE_TARGET, Budget
 from repro.exceptions import BudgetExceededError, ConfigurationError
-from repro.llm.base import Body, Call, Invoke, LLMResponse, adrive, answered_prefix, drive
+from repro.llm.base import Call, LLMResponse, answered_prefix
 from repro.llm.retry import RetryingClient, RetryStats
 
 #: The documented in-flight ceiling for I/O-bound sync dispatch: the width the
@@ -78,7 +72,7 @@ from repro.llm.retry import RetryingClient, RetryStats
 #: that waits, the sync path pays one blocked OS thread per call in flight.
 DEFAULT_POOL_SIZE = 8
 
-#: How long a fanned-out bag may start no body, its dispatching thread computing
+#: How long a fanned-out bag may start no task, its dispatching thread computing
 #: for less than half of it, before :class:`BatchExecutor` brings in its helpers
 #: (when the whole process computed as little; else two switch intervals more).
 _STALL_SECONDS = 0.001
@@ -223,14 +217,28 @@ def _gated(client: Any) -> bool:
     return False
 
 
-class _ExecutorCore:
-    """Every decision of batch execution, once; see the module docstring.
+class BatchExecutor:
+    """Dispatch a list of independent unit tasks against one LLM client.
+
+    Sequential at ``max_concurrency == 1`` (the default).  Above that it is
+    a ceiling on calls in flight, not a thread count: the dispatching thread
+    drains the bag itself, up to ``max_concurrency - 1`` helper threads join
+    it once a call blocks (after its first unit task no task starts, and the
+    dispatching thread computes for less than half the time: for about a
+    millisecond when the whole process is as idle, else for one
+    ``sys.getswitchinterval()`` more), and all have exited when
+    ``run``/``map`` returns.  Until then, when the bag passes
+    :meth:`_native`, the dispatching thread sends *runs* of it as native
+    batches: the first call goes alone, a run that computed doubles the
+    next up to ``_MAX_RUN`` calls, one that waited sends the next alone,
+    and the last ``max_concurrency - 1`` requests are never part of a run.
+    Once the bag has stalled every thread takes one unit task per turn.
 
     What is per call and what is per bag: the session tracks, prices and
     charges each call as it settles, so under a limited budget — where every
     call is its own unit task — the gate sees each charge before the next
-    call reaches it.  ``run`` (both dispatch shapes, both drivers) also opens
-    one :class:`SettleBag` scope: a session reached through it records the
+    call reaches it.  ``run`` (both dispatch shapes) also opens one
+    :class:`SettleBag` scope: a session reached through it records the
     settled calls — spans, ``repro_*`` metrics, runtime stats — in runs of
     the ring's flush bound and, in a ``finally``, at the bag's end, so a
     failure, a budget stop or Ctrl-C loses no record.  ``map`` opens none:
@@ -239,15 +247,10 @@ class _ExecutorCore:
 
     Args:
         client: the client every unit task is issued through (typically an
-            operator's client, or a session client).  Sync-only
-            clients work on the async executor too: dispatch goes through
-            :func:`~repro.llm.base.call_acomplete`, which bridges a client
-            without ``acomplete`` into a worker thread.
+            operator's client, or a session client).
         max_concurrency: how many unit tasks may be in flight at once — a
-            ceiling, not a thread count: :class:`BatchExecutor` (default 1:
-            sequential native batching) uses threads beyond the dispatching
-            one only while calls wait; for :class:`AsyncBatchExecutor`
-            (default 16) it is the number of simultaneously pending awaits.
+            ceiling, not a thread count: threads beyond the dispatching one
+            are used only while calls wait.
         budget: optional budget (or per-step lease) the client's calls are
             charged to (a session client's own).  ``run`` makes it the gate's
             ``CHARGE_TARGET``, and a limited one sends the bag one unit task
@@ -261,21 +264,17 @@ class _ExecutorCore:
             current (sessions pass their own automatically).
     """
 
-    _default_concurrency = 1
-
     def __init__(
         self,
         client: Any,
         *,
-        max_concurrency: int | None = None,
+        max_concurrency: int = 1,
         budget: Budget | None = None,
         validator: Callable[[str], Any] | None = None,
         max_retries: int = 2,
         retry_temperature: float = 0.7,
         instruments: Any | None = None,
     ) -> None:
-        if max_concurrency is None:
-            max_concurrency = self._default_concurrency
         if max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be at least 1")
         if budget is not None and getattr(client, "charged", budget) is not budget:
@@ -297,21 +296,17 @@ class _ExecutorCore:
             self.retry_stats = None
         self._client = client
 
-    def _fan_out(self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False) -> Any:
-        """Drive ``body_of(item)`` per item concurrently; one :class:`TaskOutcome` each, in order.
+    def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
+        """Execute every request and return the responses in input order.
 
-        The one thing the two executors do differently.  A body is built when a
-        task takes its item; after the first failure, items not taken stay
-        ``skipped`` (those in flight finish), where a sequential loop would have
-        stopped.  With ``runs`` (the requests of a bag that passed :meth:`_native`)
-        :class:`BatchExecutor` may send runs of them as native batches.
+        Plain strings are promoted to default-parameter :class:`BatchRequest`
+        objects.  Raises :class:`~repro.exceptions.BudgetExceededError` before
+        a further unit task reaches the backend once the budget is exhausted.
+        The first failure cancels queued (not in-flight) unit tasks and is
+        re-raised deterministically (the earliest request among those that
+        ran), and temperature-0 duplicates of one (model, prompt) wait for
+        the first occurrence instead of racing it past the cache.
         """
-        raise NotImplementedError
-
-    # -- bodies -------------------------------------------------------------------
-
-    def _run(self, requests: Iterable[BatchRequest | str]) -> Body:
-        """Body of ``run``: every request's response, in input order."""
         normalized = [
             request if isinstance(request, BatchRequest) else BatchRequest(prompt=request)
             for request in requests
@@ -325,8 +320,8 @@ class _ExecutorCore:
         bag = SettleBag() if self.retry_stats is None else None
         with _QueueDepth(self.instruments, len(normalized)), _settling(bag, self.budget):
             if self.max_concurrency == 1 or len(normalized) == 1:
-                return (yield from self._run_sequential(normalized))
-            return (yield from self._run_concurrent(normalized))
+                return self._run_sequential(normalized)
+            return self._run_concurrent(normalized)
 
     def _native(self, requests: Sequence[BatchRequest]) -> bool:
         """Whether calls of this bag may go to the client as native batches.
@@ -343,16 +338,13 @@ class _ExecutorCore:
             self.budget is None or self.budget.unlimited
         )
 
-    def _run_sequential(self, requests: Sequence[BatchRequest]) -> Body:
+    def _run_sequential(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
         if self._native(requests):
             # The whole bag in a single call to the client's batch entry point.
-            return (yield self._call([request.prompt for request in requests], requests[0]))
-        responses = []
-        for request in requests:
-            responses.append((yield from self._unit(request)))
-        return responses
+            return self._call([request.prompt for request in requests], requests[0]).run()
+        return [self._unit(request) for request in requests]
 
-    def _run_concurrent(self, requests: Sequence[BatchRequest]) -> Body:
+    def _run_concurrent(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
         # Duplicate temperature-0 requests must not race each other past a
         # downstream cache's check-then-act: only the first occurrence per
         # (model, prompt) — the response cache's key, so requests differing
@@ -367,7 +359,7 @@ class _ExecutorCore:
         pooled = list(firsts.values())
         deferred = sorted(set(range(len(requests))).difference(pooled))
         pooled_requests = [requests[index] for index in pooled]
-        outcomes = yield Invoke(self._fan_out, self._unit, pooled_requests, self._native(requests))
+        outcomes = self._fan_out(self._unit, pooled_requests, self._native(requests))
         for outcome in outcomes:
             if outcome.error is not None:
                 # Deterministic propagation: outcomes are in request order, so
@@ -378,7 +370,7 @@ class _ExecutorCore:
         for index, outcome in zip(pooled, outcomes):
             results[index] = outcome.value
         for index in deferred:
-            results[index] = yield from self._unit(requests[index])
+            results[index] = self._unit(requests[index])
         assert all(response is not None for response in results)
         return results
 
@@ -386,59 +378,26 @@ class _ExecutorCore:
         """The call of ``prompts`` to the client under ``like``'s parameters."""
         return Call(self._client, prompts, like.model, like.temperature, like.max_tokens, single)
 
-    def _unit(self, request: BatchRequest) -> Body:
-        """Body of one unit task: the call, counted by the gauges."""
+    def _unit(self, request: BatchRequest) -> LLMResponse:
+        """One unit task: the call, counted by the gauges."""
         if self.instruments is not None:
             self.instruments.note_task_started()
         try:
-            (response,) = yield self._call([request.prompt], request, single=True)
-            return response
+            return self._call([request.prompt], request, single=True).run()[0]
         finally:
             if self.instruments is not None:
                 self.instruments.note_task_done()
 
-    def _batch(self, prompts: list[str], like: BatchRequest) -> Body:
-        """Body of a run: unit tasks of a bag that passed :meth:`_native`,
-        sent as one native batch; the gauges count each of its calls."""
+    def _batch(self, prompts: list[str], like: BatchRequest) -> list[LLMResponse]:
+        """A run: unit tasks of a bag that passed :meth:`_native`, sent as one
+        native batch; the gauges count each of its calls."""
         if self.instruments is not None:
             self.instruments.note_task_started(len(prompts))
         try:
-            return (yield self._call(prompts, like))
+            return self._call(prompts, like).run()
         finally:
             if self.instruments is not None:
                 self.instruments.note_task_done(len(prompts))
-
-class BatchExecutor(_ExecutorCore):
-    """Dispatch a list of independent unit tasks against one LLM client.
-
-    Sequential at ``max_concurrency == 1`` (the default).  Above that it is
-    a ceiling on calls in flight, not a thread count: the dispatching thread
-    drains the bag itself, up to ``max_concurrency - 1`` helper threads join
-    it once a call blocks (after its first body no body starts, and the
-    dispatching thread computes for less than half the time: for about a
-    millisecond when the whole process is as idle, else for one
-    ``sys.getswitchinterval()`` more), and all have exited when
-    ``run``/``map`` returns.  Until then, when the bag passes
-    :meth:`_native`, the dispatching thread sends *runs* of it as native
-    batches: the first call goes alone, a run that computed doubles the
-    next up to ``_MAX_RUN`` calls, one that waited sends the next alone,
-    and the last ``max_concurrency - 1`` requests are never part of a run.
-    Once the bag has stalled every thread takes one unit task per turn.
-    Arguments: see :class:`_ExecutorCore`.
-    """
-
-    def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
-        """Execute every request and return the responses in input order.
-
-        Plain strings are promoted to default-parameter :class:`BatchRequest`
-        objects.  Raises :class:`~repro.exceptions.BudgetExceededError` before
-        a further unit task reaches the backend once the budget is exhausted.
-        The first failure cancels queued (not in-flight) unit tasks and is
-        re-raised deterministically (the earliest request among those that
-        ran), and temperature-0 duplicates of one (model, prompt) wait for
-        the first occurrence instead of racing it past the cache.
-        """
-        return drive(self._run(requests))
 
     def map(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskOutcome]:
         """Run independent no-argument callables; outcomes in input order.
@@ -468,9 +427,7 @@ class BatchExecutor(_ExecutorCore):
             if self.max_concurrency == 1 or len(tasks) == 1:
                 for index, task in enumerate(tasks):
                     try:
-                        outcomes[index] = TaskOutcome(value=drive(self._guarded(task)))
-                    except asyncio.CancelledError:
-                        raise
+                        outcomes[index] = TaskOutcome(value=self._guarded(task))
                     except BaseException as exc:  # noqa: BLE001 - reported, not raised
                         outcomes[index] = TaskOutcome(error=exc)
                         break
@@ -497,32 +454,40 @@ class BatchExecutor(_ExecutorCore):
                     outcomes[index] = TaskOutcome(error=budget_stop, skipped=True)
         return outcomes
 
-    def _guarded(self, task: Callable[[], Any]) -> Body:
-        """Body of one ``map`` task: the budget pre-check, then the task."""
+    def _guarded(self, task: Callable[[], Any]) -> Any:
+        """One ``map`` task: the budget pre-check, then the task."""
         if self.budget is not None:
             try:
                 self.budget.check()
             except BudgetExceededError as exc:
                 raise _BudgetPreCheckStop(exc) from None
-        return (yield Invoke(task))
+        return task()
 
     def _fan_out(
-        self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False
+        self, task_of: Callable[[Any], Any], items: Sequence, runs: bool = False
     ) -> list[TaskOutcome]:
+        """Run ``task_of(item)`` per item concurrently; one :class:`TaskOutcome` each, in order.
+
+        After the first failure, items not taken stay ``skipped`` (those in
+        flight finish), where a sequential loop would have stopped.  With
+        ``runs`` (the requests of a bag that passed :meth:`_native`) the
+        dispatching thread may send runs of them as native batches.
+        """
         outcomes = [TaskOutcome(skipped=True) for _ in items]
         queue = deque(range(len(items)))
-        stop = threading.Event()  # start no further body: a failure, or the bag is drained
+        stop = threading.Event()  # start no further task: a failure, or the bag is drained
         stalled = False  # set by the scout, before it starts the helpers
         helpers: list[threading.Thread] = []
         computing = _cpu_clock()  # the dispatching thread's, read by the scout
 
-        def unit(index: int, body: Body) -> None:
-            # A body gets a fresh copy of the dispatching context (or of a
+        def unit(index: int) -> None:
+            # A task runs in a fresh copy of the dispatching context (or of a
             # helper's copy of it): trace labels and the open span reach it,
             # what it sets stays.
             try:
-                outcomes[index] = TaskOutcome(value=contextvars.copy_context().run(drive, body))
-            except BaseException as exc:  # noqa: BLE001 - reported to the body
+                value = contextvars.copy_context().run(task_of, items[index])
+                outcomes[index] = TaskOutcome(value=value)
+            except BaseException as exc:  # noqa: BLE001 - reported to the caller
                 outcomes[index] = TaskOutcome(error=exc)
                 stop.set()
 
@@ -531,10 +496,11 @@ class BatchExecutor(_ExecutorCore):
             # the prefix its error carries, and the error belongs to the
             # request after it (the first, when the prefix is unknown).
             prompts = [items[index].prompt for index in positions]
-            body = self._batch(prompts, items[positions[0]])
             try:
-                responses = contextvars.copy_context().run(drive, body)
-            except BaseException as exc:  # noqa: BLE001 - reported to the body
+                responses = contextvars.copy_context().run(
+                    self._batch, prompts, items[positions[0]]
+                )
+            except BaseException as exc:  # noqa: BLE001 - reported to the caller
                 responses = answered_prefix(exc, prompts) or []
                 outcomes[positions[len(responses)]] = TaskOutcome(error=exc)
                 stop.set()
@@ -543,13 +509,13 @@ class BatchExecutor(_ExecutorCore):
 
         def work() -> None:
             # What every helper runs, and the dispatching thread when it takes
-            # no runs: one unit body per turn.
+            # no runs: one unit task per turn.
             while not stop.is_set():
                 try:
                     index = queue.popleft()
                 except IndexError:
                     return
-                unit(index, body_of(items[index]))
+                unit(index)
 
         def dispatch() -> None:
             # The dispatching thread, until the scout sees a stall (see the
@@ -569,7 +535,7 @@ class BatchExecutor(_ExecutorCore):
                 if len(positions) > 1:
                     batch(positions)
                 elif positions:
-                    unit(positions[0], body_of(items[positions[0]]))
+                    unit(positions[0])
                 else:
                     return
                 waited = time.perf_counter() - began > 2 * (time.thread_time() - cpu)
@@ -582,12 +548,12 @@ class BatchExecutor(_ExecutorCore):
             helpers.append(thread)
 
         def scout() -> None:
-            # The first helper watches before it works: while bodies keep
+            # The first helper watches before it works: while tasks keep
             # starting, or the dispatching thread computes (a long run, a task
             # that computes), threads would only take turns on the interpreter
             # lock; once neither has for a while a call is blocked: go to full
             # width now, not after it returns (eight slow calls are one wave).
-            # Nothing counts before the dispatching thread has a body; while the process
+            # Nothing counts before the dispatching thread has a task; while the process
             # computes, a stall must outlast two switch intervals (a lost hand-over each).
             nonlocal stalled
             waiting, began, cpu = len(queue), time.perf_counter(), computing()
@@ -617,46 +583,26 @@ class BatchExecutor(_ExecutorCore):
         return outcomes
 
 
-class AsyncBatchExecutor(_ExecutorCore):
-    """The same ``run`` for callers on an event loop, awaited.
+class AsyncBatchExecutor:
+    """:meth:`BatchExecutor.run` for callers on an event loop: one thread hop.
 
-    Unit tasks are asyncio tasks bounded by a semaphore instead of threads
-    in a pool: concurrency 64 costs 64 pending awaits, not 64 threads.  It
-    has no ``map``: a pipeline runs on :class:`BatchExecutor`'s threads,
-    which keep up at equal width (``examples/async_pipeline.py`` compares
-    the two at 64).  Arguments: see :class:`_ExecutorCore`.
+    ``run`` sends the whole bag to a worker thread with ``asyncio.to_thread``
+    and awaits it there, on a :class:`BatchExecutor` built from the same
+    arguments (default width 16), so the loop keeps running while the bag
+    does.  The hop copies the caller's context: trace labels and the open
+    span reach every call as on the calling thread.  It has no ``map``: a
+    pipeline runs on :class:`BatchExecutor`'s threads.
+
+    Cancelling the awaited ``run`` does not cancel the calls in flight: the
+    bag finishes on its thread and its calls are booked, as with any
+    ``asyncio.to_thread`` call.
     """
 
-    _default_concurrency = 16
+    def __init__(self, client: Any, *, max_concurrency: int = 16, **options: Any) -> None:
+        self._executor = BatchExecutor(client, max_concurrency=max_concurrency, **options)
+        self.max_concurrency = max_concurrency
+        self.retry_stats = self._executor.retry_stats
 
     async def run(self, requests: Iterable[BatchRequest | str]) -> list[LLMResponse]:
-        """Awaitable :meth:`BatchExecutor.run`: same results, same failures."""
-        return await adrive(self._run(requests))
-
-    async def _fan_out(
-        self, body_of: Callable[[Any], Body], items: Sequence, runs: bool = False
-    ) -> list[TaskOutcome]:
-        # Every item is its own task: a call awaited on the loop gives way to
-        # the others, so there is no dispatching thread to hand runs to.
-        outcomes = [TaskOutcome(skipped=True) for _ in items]
-        semaphore = asyncio.Semaphore(self.max_concurrency)
-        stopped = False
-
-        async def worker(index: int) -> None:
-            nonlocal stopped
-            async with semaphore:
-                if stopped:
-                    return  # stays skipped: queued behind the failure
-                try:
-                    outcomes[index] = TaskOutcome(value=await adrive(body_of(items[index])))
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - reported to the body
-                    outcomes[index] = TaskOutcome(error=exc)
-                    stopped = True
-
-        # Each asyncio task copies the dispatching context at creation, so
-        # trace labels and the ambient span reach the bodies as they do
-        # on the sync executor's threads.
-        await asyncio.gather(*(asyncio.create_task(worker(index)) for index in range(len(items))))
-        return outcomes
+        """Awaitable :meth:`BatchExecutor.run`: the same bag, on a worker thread."""
+        return await asyncio.to_thread(self._executor.run, requests)

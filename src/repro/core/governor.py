@@ -8,10 +8,10 @@ off when the backend starts returning 429-style
 :class:`ConcurrencyGovernor` holds all of that, and :class:`BackendGate` is
 where calls meet it: a client wrapper directly around the backend, below a
 session's response cache, so it sees exactly the calls that reach the
-backend — however they reach the session, from the sync or the async
-executor, a native batch or a unit task — and no cache hit.  Sync and async
-traffic share one governor's token buckets, in-flight slots and adaptive
-backoff state.
+backend — however they reach the session, from an executor or a direct
+call, a native batch or a unit task — and no cache hit.  Sessions that share
+one governor share its token buckets, in-flight slots and adaptive backoff
+state.
 
 Design notes:
 
@@ -24,19 +24,18 @@ Design notes:
   :class:`~repro.exceptions.RateLimitError` carrying ``retry_after`` imposes
   at least that cooldown; without a hint the governor backs off
   exponentially, and any successful dispatch resets the failure streak.
-* **Slots** bound simultaneous in-flight dispatches with a semaphore shared
-  by both execution paths (the async side acquires it without ever blocking
-  the event loop).  Each backend call is admitted on its own: one slot each.
+* **Slots** bound simultaneous in-flight dispatches with a semaphore.  Each
+  backend call is admitted on its own, on the thread that makes it: one slot
+  each.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
-from contextlib import asynccontextmanager, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import AsyncIterator, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.core.budget import CHARGE_TARGET
 from repro.exceptions import ConfigurationError, RateLimitError
@@ -122,7 +121,7 @@ class GovernorStats:
 
 
 class ConcurrencyGovernor:
-    """Admission point shared by the sync and async execution paths.
+    """Admission point for every call a gate sends to the backend.
 
     Args:
         max_in_flight: cap on simultaneous in-flight dispatches (None: no cap).
@@ -135,8 +134,7 @@ class ConcurrencyGovernor:
         backoff_multiplier: growth factor for consecutive failures.
         backoff_max: ceiling on any single backoff delay.
         clock: monotonic time source (injectable for tests).
-        sleep: sync wait primitive (injectable for tests); the async path
-            always uses ``asyncio.sleep``.
+        sleep: wait primitive (injectable for tests).
     """
 
     def __init__(
@@ -183,35 +181,12 @@ class ConcurrencyGovernor:
 
     @contextmanager
     def admit(self, model: str | None = None, *, estimated_tokens: float = 0.0) -> Iterator[None]:
-        """Admit one sync dispatch: wait out quotas/backoff, hold one slot."""
+        """Admit one dispatch: wait out quotas/backoff, hold one slot."""
         wait = self._admission_wait(model, estimated_tokens)
         if wait > 0:
             self._sleep(wait)
         if self._slots is not None:
             self._slots.acquire()
-        self._note_dispatch(wait)
-        try:
-            yield
-        finally:
-            self._release_slot()
-
-    @asynccontextmanager
-    async def admit_async(
-        self, model: str | None = None, *, estimated_tokens: float = 0.0
-    ) -> AsyncIterator[None]:
-        """Admit one async dispatch without ever blocking the event loop.
-
-        Quota waits become ``asyncio.sleep``; the shared in-flight semaphore
-        is acquired non-blockingly with a short poll, so a sync worker thread
-        and an async task contend for the same slots fairly enough for
-        admission purposes while the loop stays responsive.
-        """
-        wait = self._admission_wait(model, estimated_tokens)
-        if wait > 0:
-            await asyncio.sleep(wait)
-        if self._slots is not None:
-            while not self._slots.acquire(blocking=False):
-                await asyncio.sleep(0.001)
         self._note_dispatch(wait)
         try:
             yield
@@ -337,25 +312,6 @@ def is_rate_limit(error: BaseException) -> bool:
     return isinstance(error, RateLimitError)
 
 
-class _Admission:
-    """Request: make the one backend call ``call`` under its own admission."""
-
-    __slots__ = ("governor", "call")
-
-    def __init__(self, governor: ConcurrencyGovernor, call: Call) -> None:
-        self.governor, self.call = governor, call
-
-    def run(self) -> list[LLMResponse]:
-        tokens = estimated_prompt_tokens(self.call.prompts[0])
-        with self.governor.admit(self.call.model, estimated_tokens=tokens):
-            return self.call.run()
-
-    async def arun(self) -> list[LLMResponse]:
-        tokens = estimated_prompt_tokens(self.call.prompts[0])
-        async with self.governor.admit_async(self.call.model, estimated_tokens=tokens):
-            return await self.call.arun()
-
-
 class BackendGate(BaseClient):
     """A client wrapper directly around the backend, below a session's cache.
 
@@ -386,8 +342,9 @@ class BackendGate(BaseClient):
         responses: list[LLMResponse] = []
         try:
             for prompt in call.prompts:
-                one = call.to(self._client, [prompt], single=True)
-                responses += yield _Admission(governor, one)
+                tokens = estimated_prompt_tokens(prompt)
+                with governor.admit(call.model, estimated_tokens=tokens):
+                    responses += yield call.to(self._client, [prompt], single=True)
                 governor.record_success()
         except BaseException as exc:
             if is_rate_limit(exc):

@@ -34,7 +34,6 @@ from repro.llm.base import (
     Call,
     LLMClient,
     LLMResponse,
-    adrive,
     answered_prefix,
     drive,
     prompt_list,
@@ -99,18 +98,6 @@ class SessionClient:
     ) -> list[LLMResponse]:
         return self.session.complete_batch(prompts, budget=self._bound(budget), **params)
 
-    async def acomplete(
-        self, prompt: str, *, budget: Budget | None = None, **params
-    ) -> LLMResponse:
-        return await self.session.acomplete(prompt, budget=self._bound(budget), **params)
-
-    async def acomplete_batch(
-        self, prompts: list[str], *, budget: Budget | None = None, **params
-    ) -> list[LLMResponse]:
-        return await self.session.acomplete_batch(
-            prompts, budget=self._bound(budget), **params
-        )
-
     @property
     def spans(self) -> SpanTracker:
         """The session's span ring (retry wrappers annotate through this)."""
@@ -129,7 +116,7 @@ class PromptSession:
             flight; 1 (the default) keeps everything sequential.
         governor: optional :class:`~repro.core.governor.ConcurrencyGovernor`
             that admits every call reaching the backend (RPM/TPM quotas,
-            in-flight cap, adaptive backoff), sync or async, and no cache hit.
+            in-flight cap, adaptive backoff), and no cache hit.
         store: optional durable :class:`~repro.store.Store`.  When given,
             the response cache lives in the store (temperature-0 calls are
             free across process lifetimes) and the saved workload profile —
@@ -248,39 +235,7 @@ class PromptSession:
         like a success, the failure is recorded against the prompt that
         raised, and the backend's error is raised.
         """
-        body = self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
-        return drive(body)
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | None = None,
-    ) -> LLMResponse:
-        """Awaitable :meth:`complete`: the same call path, the client stack awaited.
-
-        Sync-only clients are bridged into a worker thread (see
-        :func:`~repro.llm.base.call_acomplete`).
-        """
-        body = self._issue([prompt], model, temperature, max_tokens, budget, True)
-        return (await adrive(body))[0]
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-        budget: Budget | None = None,
-    ) -> list[LLMResponse]:
-        """Awaitable :meth:`complete_batch`: the same call path, awaited."""
-        return await adrive(
-            self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
-        )
+        return drive(self._issue(prompt_list(prompts), model, temperature, max_tokens, budget))
 
     def _issue(
         self,
@@ -289,24 +244,21 @@ class PromptSession:
         temperature: float,
         max_tokens: int | None,
         budget: Budget | None,
-        single: bool,
     ) -> Body:
-        """The session's one call path: dispatch, settle.
+        """The session's batch call path: dispatch, settle.
 
-        A body in the sense of :mod:`repro.llm.base`: the four public entry
-        points hand it to the sync or the async driver, so tracking, pricing,
-        tracing and charging are the same code whichever way a call arrives.
+        A body in the sense of :mod:`repro.llm.base`, driven by
+        :meth:`complete_batch`; :meth:`complete` is the same path for one
+        call, written out over the same helpers.
         """
         target = budget if budget is not None else self.budget
         model_name = model or DEFAULT_CHAT_MODEL
         token = CHARGE_TARGET.set(target)
         start = time.perf_counter()
         try:
-            responses = yield Call(
-                self._client, prompts, model_name, temperature, max_tokens, single
-            )
+            responses = yield Call(self._client, prompts, model_name, temperature, max_tokens)
         except BaseException as exc:
-            answered = [] if single else answered_prefix(exc, prompts)
+            answered = answered_prefix(exc, prompts)
             self._settle_failure(prompts, answered, model_name, temperature, target, start, exc)
             raise
         finally:
@@ -570,7 +522,8 @@ class PromptSession:
         max_concurrency: int | None = None,
         budget: Budget | None = None,
     ) -> AsyncBatchExecutor:
-        """:meth:`batch_executor`'s asyncio-native twin."""
+        """:meth:`batch_executor` for callers on an event loop: its ``run`` is
+        awaited, one thread hop into :meth:`BatchExecutor.run`."""
         return self._executor(AsyncBatchExecutor, max_concurrency, budget)
 
     def _executor(self, kind: type, max_concurrency: int | None, budget: Budget | None):

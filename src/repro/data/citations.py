@@ -97,12 +97,6 @@ class CitationCorpus:
         )
         return oracle
 
-    def duplicate_rate(self) -> float:
-        """Fraction of labelled pairs that are true duplicates."""
-        if not self.pairs:
-            return 0.0
-        return sum(pair.is_duplicate for pair in self.pairs) / len(self.pairs)
-
 
 def render_citation(record: Record) -> str:
     """Serialize a citation record into a single citation string."""

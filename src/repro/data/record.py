@@ -39,12 +39,6 @@ class Record:
     def __contains__(self, attribute: str) -> bool:
         return attribute in self.attributes
 
-    def with_value(self, attribute: str, value: Any) -> "Record":
-        """Return a copy of this record with one attribute set."""
-        updated = dict(self.attributes)
-        updated[attribute] = value
-        return Record(record_id=self.record_id, attributes=updated)
-
     def without(self, attribute: str) -> "Record":
         """Return a copy of this record with one attribute removed."""
         updated = {key: value for key, value in self.attributes.items() if key != attribute}

@@ -14,10 +14,7 @@ all of the paper's techniques operate on.
 from repro.llm.base import (
     LLMClient,
     LLMResponse,
-    call_acomplete,
-    call_acomplete_batch,
     call_complete_batch,
-    sequential_acomplete_batch,
     sequential_complete_batch,
 )
 from repro.llm.behaviors import BehaviorConfig
@@ -42,10 +39,7 @@ __all__ = [
     "RetryingClient",
     "SimulatedLLM",
     "UsageTracker",
-    "call_acomplete",
-    "call_acomplete_batch",
     "call_complete_batch",
     "default_registry",
-    "sequential_acomplete_batch",
     "sequential_complete_batch",
 ]

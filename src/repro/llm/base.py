@@ -4,31 +4,28 @@ Every LLM-facing component in the library talks to the :class:`LLMClient`
 protocol rather than a concrete class, so the simulated client and the
 caching, tracking and retrying wrappers are all interchangeable.
 
-The protocol has four entry points (``complete``, ``complete_batch`` and
-their awaitable forms) but every decision behind them is written once:
+The protocol has two entry points (``complete`` and ``complete_batch``), and
+every decision behind them is written once:
 
 * A **backend** subclasses :class:`BaseClient` and implements ``complete``;
-  the other three entry points call it.
+  ``complete_batch`` calls it.
 * A **wrapper** subclasses :class:`BaseClient` and implements one *body*
   instead: a generator that is given the :class:`Call` the wrapper was asked
   to make, yields each inner call it wants made, is sent the responses, and
-  returns its own.  The body never performs I/O itself,
-  so the same body serves the sync entry points (driven by :func:`drive`,
-  which makes each inner call on the calling thread) and the async ones
-  (driven by :func:`adrive`, which awaits it).
+  returns its own.  The body never performs I/O itself: :func:`drive` makes
+  each inner call on the calling thread.
 
-A generator rather than a never-suspending coroutine: what a body asks for
-is a plain object (:class:`Call`, :class:`Invoke`) that a test can inspect
-and either driver can perform, failures of an inner call arrive in the body
-through ``throw`` like any exception, bodies compose with ``yield from``, and
-nothing has to pretend to be awaitable on the sync path.
+A generator: what a body asks for is a plain :class:`Call` that a test can
+inspect, failures of an inner call arrive in the body through ``throw`` like
+any exception, and bodies compose with ``yield from``.  A caller on an event
+loop hops to a thread once per bag
+(:class:`~repro.core.executor.AsyncBatchExecutor`), not once per call.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Protocol, Sequence, runtime_checkable
+from typing import Any, Generator, Protocol, Sequence, runtime_checkable
 
 from repro.tokenizer.cost import Usage
 
@@ -65,20 +62,12 @@ class LLMClient(Protocol):
     it returns N responses in input order.  Clients without a native batch
     implementation can delegate to :func:`sequential_complete_batch`.
 
-    ``acomplete``/``acomplete_batch`` are the asyncio-native counterparts used
-    by the :class:`~repro.core.executor.AsyncBatchExecutor`.  At temperature 0
-    they must be observably identical to the sync methods; for the clients in
-    this package they are by construction, because all four entry points are
-    derived from one implementation (:class:`BaseClient`).
-
     Compatibility: minimal clients that only implement ``complete`` are still
     accepted by every consumer in this package — all internal batch dispatch
     goes through :func:`call_complete_batch`, which falls back to the
-    sequential loop when ``complete_batch`` is absent, and all internal async
-    dispatch goes through :func:`call_acomplete`/:func:`call_acomplete_batch`,
-    which bridge a sync-only client into a worker thread.  Such clients are
-    not full ``LLMClient`` implementations (``isinstance`` and static checks
-    will say so), but they run fine everywhere a client is consumed.
+    sequential loop when ``complete_batch`` is absent.  Such clients are not
+    full ``LLMClient`` implementations (``isinstance`` and static checks will
+    say so), but they run fine everywhere a client is consumed.
     """
 
     def complete(
@@ -101,28 +90,6 @@ class LLMClient(Protocol):
         max_tokens: int | None = None,
     ) -> list[LLMResponse]:
         """Run one completion call per prompt and return responses in order."""
-        ...  # pragma: no cover - protocol definition
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """Asyncio-native ``complete``: identical semantics, awaitable."""
-        ...  # pragma: no cover - protocol definition
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        """Asyncio-native ``complete_batch``: identical semantics, awaitable."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -176,34 +143,6 @@ def call_complete_batch(
     )
 
 
-async def sequential_acomplete_batch(
-    client: Any,
-    prompts: list[str],
-    *,
-    model: str | None = None,
-    temperature: float = 0.0,
-    max_tokens: int | None = None,
-) -> list[LLMResponse]:
-    """The sequential default for ``acomplete_batch``: one awaited call per prompt.
-
-    Mirrors :func:`sequential_complete_batch`; concurrency across the batch is
-    the :class:`~repro.core.executor.AsyncBatchExecutor`'s job, exactly as it
-    is :class:`~repro.core.executor.BatchExecutor`'s on the sync path.
-    """
-    responses: list[LLMResponse] = []
-    try:
-        for prompt in prompts:
-            responses.append(
-                await call_acomplete(
-                    client, prompt, model=model, temperature=temperature, max_tokens=max_tokens
-                )
-            )
-    except BaseException as exc:
-        carry_answered(exc, prompts, responses)
-        raise
-    return responses
-
-
 # -- what a batch that raised had made --------------------------------------------------
 
 
@@ -241,60 +180,7 @@ def prompt_list(prompts: Sequence[str]) -> list[str]:
     return prompts if type(prompts) is list else list(prompts)
 
 
-async def call_acomplete(
-    client: Any,
-    prompt: str,
-    *,
-    model: str | None = None,
-    temperature: float = 0.0,
-    max_tokens: int | None = None,
-) -> LLMResponse:
-    """Await ``client``'s completion, preferring its native ``acomplete``.
-
-    The default sync-bridge: a client that only implements ``complete`` is
-    called in a worker thread (``asyncio.to_thread``), so every existing sync
-    client stays drop-in on the async path.  Contextvars — including the trace
-    labels of :func:`repro.obs.trace_label` — propagate into the bridge thread.
-    """
-    acomplete = getattr(client, "acomplete", None)
-    if callable(acomplete):
-        return await acomplete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-    return await asyncio.to_thread(
-        client.complete, prompt, model=model, temperature=temperature, max_tokens=max_tokens
-    )
-
-
-async def call_acomplete_batch(
-    client: Any,
-    prompts: list[str],
-    *,
-    model: str | None = None,
-    temperature: float = 0.0,
-    max_tokens: int | None = None,
-) -> list[LLMResponse]:
-    """Await a batch, preferring native ``acomplete_batch``, bridging otherwise.
-
-    Fallback order mirrors the sync dispatcher: a native async batch first, a
-    sync ``complete_batch`` bridged through a worker thread second (it may
-    carry batch-level optimisations such as cache dedup), the sequential
-    awaited loop last.
-    """
-    abatch = getattr(client, "acomplete_batch", None)
-    if callable(abatch):
-        return await abatch(prompts, model=model, temperature=temperature, max_tokens=max_tokens)
-    batch = getattr(client, "complete_batch", None)
-    if callable(batch):
-        return await asyncio.to_thread(
-            lambda: batch(prompts, model=model, temperature=temperature, max_tokens=max_tokens)
-        )
-    return await sequential_acomplete_batch(
-        client, prompts, model=model, temperature=temperature, max_tokens=max_tokens
-    )
-
-
-# -- the execution core: requests, two drivers, one base -----------------------------
+# -- the execution core: a request, its driver, one base --------------------------------
 
 
 @dataclass(slots=True)
@@ -302,9 +188,9 @@ class Call:
     """A request for completions: ``prompts`` to ``client`` under shared parameters.
 
     ``single`` marks a unit-task call: it reaches ``client`` through
-    ``complete``/``acomplete`` (one prompt) rather than the batch entry
-    points, so a single call stays a single call at every layer.  Either way
-    the result is a list of responses in prompt order.
+    ``complete`` (one prompt) rather than the batch entry point, so a single
+    call stays a single call at every layer.  Either way the result is a
+    list of responses in prompt order.
     """
 
     client: Any
@@ -347,36 +233,9 @@ class Call:
             return [self.client.complete(self.prompts[0], **self.params)]
         return call_complete_batch(self.client, self.prompts, **self.params)
 
-    async def arun(self) -> list[LLMResponse]:
-        if self.single:
-            return [await call_acomplete(self.client, self.prompts[0], **self.params)]
-        return await call_acomplete_batch(self.client, self.prompts, **self.params)
 
-
-class Invoke:
-    """A request to call ``fn(*args, **kwargs)``; :func:`adrive` awaits what it returns.
-
-    For executor bodies whose step is "fan these bodies out": each executor
-    binds its own sync or awaitable ``_fan_out``, the body stays the same.
-    A ``map`` task is one too, run on the thread that drives the wave.
-    """
-
-    __slots__ = ("fn", "args", "kwargs")
-
-    def __init__(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs
-
-    def run(self) -> Any:
-        return self.fn(*self.args, **self.kwargs)
-
-    async def arun(self) -> Any:
-        return await self.fn(*self.args, **self.kwargs)
-
-
-#: A sans-IO body: yields requests (anything with ``run``/``arun``), is sent
-#: each one's result — or has its exception thrown in — and returns a value.
+#: A sans-IO body: yields :class:`Call` requests, is sent each one's result —
+#: or has its exception thrown in — and returns a value.
 Body = Generator[Any, Any, Any]
 
 
@@ -395,30 +254,12 @@ def drive(body: Body) -> Any:
         return done.value
 
 
-async def adrive(body: Body) -> Any:
-    """Run ``body`` to completion, awaiting each request on the event loop."""
-    try:
-        request = next(body)
-        while True:
-            try:
-                result = await request.arun()
-            except BaseException as exc:
-                request = body.throw(exc)
-            else:
-                request = body.send(result)
-    except StopIteration as done:
-        return done.value
-
-
 class BaseClient:
-    """Derives the four entry points of :class:`LLMClient` from one implementation.
+    """Derives both entry points of :class:`LLMClient` from one implementation.
 
-    A **backend** overrides ``complete``.  The other three entry points then
-    call it, so a subclass that overrides ``complete`` alone (to count, delay
-    or fake calls) sees every call whichever way it arrives.  The awaitable
-    forms run ``complete`` inline on the event loop, which is right for a
-    backend that answers from memory (the simulator, a replay fixture); one
-    that waits on a network implements ``acomplete`` itself.
+    A **backend** overrides ``complete``.  ``complete_batch`` then calls it,
+    so a subclass that overrides ``complete`` alone (to count, delay or fake
+    calls) sees every call whichever way it arrives.
 
     A **wrapper** overrides :meth:`_body` instead.  ``_body(call)`` receives
     the :class:`Call` the wrapper was asked to make (``call.client`` is
@@ -468,25 +309,3 @@ class BaseClient:
         max_tokens: int | None = None,
     ) -> list[LLMResponse]:
         return drive(self._body(Call(None, prompt_list(prompts), model, temperature, max_tokens)))
-
-    async def acomplete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        body = self._body(Call(None, [prompt], model, temperature, max_tokens, True))
-        return (await adrive(body))[0]
-
-    async def acomplete_batch(
-        self,
-        prompts: list[str],
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> list[LLMResponse]:
-        body = self._body(Call(None, prompt_list(prompts), model, temperature, max_tokens))
-        return await adrive(body)

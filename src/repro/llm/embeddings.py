@@ -113,13 +113,6 @@ class HashingEmbedder:
         )
         return matrix
 
-    @staticmethod
-    def l2_distance(first: np.ndarray, second: np.ndarray) -> float:
-        """Euclidean distance between two embedding vectors."""
-        import numpy as np
-
-        return float(np.linalg.norm(first - second))
-
     def nearest_neighbors(self, texts: list[str], k: int) -> dict[int, list[int]]:
         """Indices of the ``k`` nearest neighbors (by L2) of every text.
 

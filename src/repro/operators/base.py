@@ -156,12 +156,6 @@ class BaseOperator:
         """Names of the registered strategies."""
         return sorted(self._strategies)
 
-    def strategy_info(self, name: str) -> StrategyInfo:
-        """Metadata for one strategy."""
-        if name not in self._strategy_info:
-            raise UnknownStrategyError(self.operation, name, self.strategies)
-        return self._strategy_info[name]
-
     def _strategy(self, name: str) -> Callable[..., Any]:
         try:
             runner, own = self._strategies[name]

@@ -205,20 +205,6 @@ class Store:
         kind, size, encoded = rows[0]
         return kind, _decode_graphs(encoded, int(size))
 
-    def list_vector_indexes(self) -> list[dict[str, Any]]:
-        """Stored index summaries (name, kind, dimensions, size)."""
-        return [
-            {
-                "name": row[0],
-                "kind": row[1],
-                "dimensions": int(row[2]),
-                "size": int(row[3]),
-            }
-            for row in self.db.execute(
-                "SELECT name, kind, dimensions, size FROM vector_indexes ORDER BY name"
-            )
-        ]
-
     def vector_index_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM vector_indexes")[0][0])
 

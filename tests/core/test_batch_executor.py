@@ -3,16 +3,19 @@
 Covers ordered result return, the client-level ``complete_batch`` equivalence
 with the sequential ``complete`` loop across batch sizes {1, 2, 7, 64} and
 ``max_concurrency`` {1, 4}, per-call retry integration, and budget-aware early
-stopping.  :class:`TestEveryDriver` runs the decisions the executors share
-through all three ways of driving them — sequential, thread pool, asyncio.
+stopping.  :class:`TestEveryDriver` runs what the executor decides through
+all three ways of driving it — sequential, fanned out, awaited through one
+thread hop.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core.budget import Budget
-from repro.core.executor import BatchExecutor, BatchRequest
+from repro.core.executor import DEFAULT_POOL_SIZE, BatchExecutor, BatchRequest
 from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.data.words import random_words
@@ -430,6 +433,18 @@ class TestBatchExecutorMap:
         outcomes = executor_for(driver, EchoClient(), budget=spent).map([lambda: 1] * 4)
         assert all(o.skipped and isinstance(o.error, BudgetExceededError) for o in outcomes)
 
+    @pytest.mark.parametrize("driver", MAP_DRIVERS)
+    def test_a_task_that_raises_cancelled_error_is_a_failed_outcome_at_every_width(
+        self, driver
+    ):
+        def cancelled():
+            raise asyncio.CancelledError
+
+        outcomes = executor_for(driver, EchoClient()).map([lambda: 1, cancelled])
+        assert (outcomes[0].ok, outcomes[0].value) == (True, 1)
+        assert isinstance(outcomes[1].error, asyncio.CancelledError)
+        assert not outcomes[1].skipped
+
 
 @pytest.mark.parametrize("driver", DRIVERS)
 class TestEveryDriver:
@@ -490,3 +505,9 @@ class TestEveryDriver:
             call(executor, "run", ["limited"])
         assert governor.stats.rate_limit_events == 1
         assert governor.in_flight == 0
+
+
+def test_the_benchmark_pool_size_is_pinned():
+    # benchmarks/perf's threaded workloads hard-code this documented
+    # size; a silent change would make them measure something else.
+    assert DEFAULT_POOL_SIZE == 8

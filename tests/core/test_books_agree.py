@@ -3,7 +3,7 @@
 A bag that ends early — a call that raises, Ctrl-C — has still made the
 calls that reached the backend before it.  Whichever way the bag was
 dispatched (one native batch at width 1, runs or unit tasks on threads,
-asyncio tasks), with or without the response cache, those calls are
+awaited through one thread hop), with or without the response cache, those calls are
 tracked, charged, cached, recorded and admitted by the session's governor
 exactly once, and nothing else is.  Money is counted in whole n$, so every
 book's dollars are equal to the bit, and so is a bag's spend on every driver
@@ -12,7 +12,6 @@ and width, in any order of its requests.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from unittest import mock
@@ -74,9 +73,6 @@ class Tripping:
         with self._lock:
             self.answered.append(prompt)
         return response
-
-    async def acomplete(self, prompt, **params):
-        return self.complete(prompt, **params)
 
 
 def assert_the_books_agree(session: PromptSession, client: Tripping, *, errors: int) -> None:
@@ -170,19 +166,13 @@ class TestAWrapperThatCannotMapThePrefixDropsIt:
         ],
         ids=["retry"],
     )
-    @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "async"])
-    def test_a_cache_above_it_caches_nothing_and_the_session_settles_nothing(
-        self, wrap, asynchronous
-    ):
+    def test_a_cache_above_it_caches_nothing_and_the_session_settles_nothing(self, wrap):
         prompts = rating_prompts(6)
         backend = FailingOn(prompts[3])
         cached = CachedClient(wrap(backend))
         session = PromptSession(cached, use_cache=False)
         with pytest.raises(ConnectionError):
-            if asynchronous:
-                asyncio.run(session.acomplete_batch(prompts, model=MODEL))
-            else:
-                session.complete_batch(prompts, model=MODEL)
+            session.complete_batch(prompts, model=MODEL)
         assert backend.answered == prompts[:3]  # made, but not mappable onto the batch
         assert len(cached.cache) == 0
         (record,) = session.spans.records()

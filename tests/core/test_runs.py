@@ -4,9 +4,9 @@ Until its scout sees a stall, :class:`~repro.core.executor.BatchExecutor`'s
 dispatching thread takes runs of a fanned-out bag and sends each as one
 native batch — one session settle, one cache pass, one bag hand-over per
 run.  Only a bag that passes the native-batch rule (shared parameters, no
-enforced budget or lease) is sent so, only on the thread executor, and only
-before the scout has fired.  A governor does not stop it: the session's gate
-admits the misses of each run.
+enforced budget or lease) is sent so, and only before the scout has fired;
+an awaited bag is the same bag, one thread hop away.  A governor does not
+stop it: the session's gate admits the misses of each run.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import pytest
 
 from repro.core import executor as executor_module
 from repro.core.budget import Budget
-from repro.core.executor import AsyncBatchExecutor, BatchExecutor, BatchRequest
+from repro.core.executor import BatchExecutor, BatchRequest
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
-from tests.doubles import EchoClient, call, simulated_client
+from tests.doubles import EchoClient, simulated_client
 
 WIDTH = 8
 #: Upper bound on any wait in this file; reaching it fails the test.
@@ -93,25 +93,23 @@ def test_a_governed_bag_goes_out_in_runs_and_each_backend_call_is_admitted(
     assert governor.stats.admitted == 60 and governor.in_flight == 0
 
 
-@pytest.mark.parametrize("case", ["budget", "lease", "mixed parameters", "asyncio"])
+@pytest.mark.parametrize("case", ["budget", "lease", "mixed parameters"])
 def test_no_run_is_taken_where_it_is_not_safe(case, never_stalls, settles):
     session = PromptSession(simulated_client())
     requests: list = prompts(60)
-    kind, options = BatchExecutor, {}
+    options = {}
     if case == "budget":
         options["budget"] = Budget(limit=1000.0)
     elif case == "lease":
         options["budget"] = Budget(limit=1000.0).lease(100.0)
-    elif case == "mixed parameters":
+    else:
         requests = [
             BatchRequest(prompt, max_tokens=None if index % 2 else 50)
             for index, prompt in enumerate(requests)
         ]
-    else:
-        kind = AsyncBatchExecutor
     client = session.client(options.get("budget"))
-    executor = kind(client, max_concurrency=WIDTH, **options)
-    assert len(call(executor, "run", requests)) == 60
+    executor = BatchExecutor(client, max_concurrency=WIDTH, **options)
+    assert len(executor.run(requests)) == 60
     assert settles == [1] * 60
 
 
@@ -153,14 +151,14 @@ def test_no_run_is_taken_once_the_scout_has_fired(settles, monkeypatch):
     baseline = threading.active_count()
     fired = threading.Event()
     taken_after_the_stall: list[int] = []
-    batch = executor_module._ExecutorCore._batch
+    batch = BatchExecutor._batch
 
     def spy(self, prompts, like):
         if fired.is_set():
             taken_after_the_stall.append(len(prompts))
         return batch(self, prompts, like)
 
-    monkeypatch.setattr(executor_module._ExecutorCore, "_batch", spy)
+    monkeypatch.setattr(BatchExecutor, "_batch", spy)
     callers: set[int] = set()
 
     class Stalling(EchoClient):

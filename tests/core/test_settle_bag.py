@@ -166,11 +166,7 @@ class TestEquivalence:
 
 
 class Scripted:
-    """Answers instantly; the ``trip``-th call to start (0-based) runs ``action`` first.
-
-    ``acomplete`` answers inline, so the asyncio executor too makes the calls
-    of a bag one after the other, in order.
-    """
+    """Answers instantly; the ``trip``-th call to start (0-based) runs ``action`` first."""
 
     default_model = MODEL
 
@@ -194,9 +190,6 @@ class Scripted:
         with self._lock:
             self.reached += 1
         return response
-
-    async def acomplete(self, prompt, **params):
-        return self.complete(prompt, **params)
 
 
 def assert_books_agree(session: PromptSession, reached: int, *, errors: int = 0) -> None:

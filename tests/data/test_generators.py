@@ -66,7 +66,8 @@ class TestCitationCorpus:
         corpus = generate_citation_corpus(
             n_entities=30, n_pairs=100, positive_fraction=0.3, seed=2
         )
-        assert corpus.duplicate_rate() == pytest.approx(0.3, abs=0.05)
+        duplicates = sum(pair.is_duplicate for pair in corpus.pairs)
+        assert duplicates / len(corpus.pairs) == pytest.approx(0.3, abs=0.05)
 
     def test_pair_labels_consistent_with_entities(self):
         corpus = generate_citation_corpus(n_entities=15, n_pairs=40, seed=3)

@@ -27,13 +27,6 @@ class TestRecord:
         assert "name" in record
         assert record["name"] == "X"
 
-    def test_with_value_returns_copy(self):
-        record = Record("r1", {"a": 1})
-        updated = record.with_value("b", 2)
-        assert "b" not in record
-        assert updated["b"] == 2
-        assert updated.record_id == "r1"
-
     def test_without_removes_attribute(self):
         record = Record("r1", {"a": 1, "b": 2})
         assert "a" not in record.without("a")

@@ -1,10 +1,10 @@
 """Test doubles and driver helpers shared by the client / executor suites.
 
 One copy of each fake client (the suites used to carry their own), plus the
-three ways a piece of work can be *driven* — the sync entry points on the
-calling thread, the sync entry points from a thread pool, the awaitable
-entry points on an event loop — so a behaviour is asserted once and run
-through all of them with ``@pytest.mark.parametrize("driver", DRIVERS)``.
+three ways a bag can be *driven* — sequentially on the calling thread, fanned
+out from it, and awaited from an event loop (one thread hop into the fanned-out
+executor) — so a behaviour is asserted once and run through all of them with
+``@pytest.mark.parametrize("driver", DRIVERS)``.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ def rating_prompts(count: int) -> list[str]:
 
 
 class EchoClient:
-    """Sync-only deterministic client: counts calls, optionally charges a budget.
+    """Deterministic client: counts calls, optionally charges a budget.
 
-    Having no ``acomplete`` it also exercises the ``to_thread`` bridge of the
-    async paths.  The response carries the call's model and temperature, so
-    requests that differ only in those can be told apart.
+    The response carries the call's model and temperature, so requests that
+    differ only in those can be told apart.
     """
 
     default_model = "echo"
@@ -107,29 +106,6 @@ class CountingClient:
             model=model or self.default_model,
             usage=Usage(prompt_tokens=len(prompt.split()), completion_tokens=2, calls=1),
         )
-
-
-class AsyncEchoClient:
-    """Native-async client that records its peak concurrent in-flight count."""
-
-    def __init__(self, latency: float = 0.0) -> None:
-        self.latency = latency
-        self.calls = 0
-        self.in_flight = 0
-        self.peak_in_flight = 0
-
-    async def acomplete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        self.calls += 1
-        self.in_flight += 1
-        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        try:
-            if self.latency:
-                await asyncio.sleep(self.latency)
-            return LLMResponse(
-                text=f"echo:{prompt}", model=model or "async-echo", usage=Usage(1, 1, 1)
-            )
-        finally:
-            self.in_flight -= 1
 
 
 class LatencyClient:
@@ -246,7 +222,7 @@ def record_call(spans: SpanTracker, *, model: str = "m", **fields: Any) -> Trace
 # -- inner-client shapes ----------------------------------------------------------
 
 #: What a third-party client may implement of the protocol.
-SHAPES = ("full", "complete_only", "complete_acomplete")
+SHAPES = ("full", "complete_only")
 
 
 class _CompleteOnly:
@@ -258,43 +234,26 @@ class _CompleteOnly:
         return self._inner.complete(prompt, **params)
 
 
-class _CompleteAndAcomplete(_CompleteOnly):
-    async def acomplete(self, prompt, **params):
-        return self._inner.complete(prompt, **params)
-
-
 def shaped(client: Any, shape: str) -> Any:
     """``client`` exposing only the entry points a ``shape`` client implements."""
-    if shape == "full":
-        return client
-    return {"complete_only": _CompleteOnly, "complete_acomplete": _CompleteAndAcomplete}[shape](
-        client
-    )
+    return client if shape == "full" else _CompleteOnly(client)
 
 
 # -- drivers ----------------------------------------------------------------------
 
-#: The four entry points of the client protocol.
-ENTRY_POINTS = ("complete", "complete_batch", "acomplete", "acomplete_batch")
+#: The two entry points of the client protocol.
+ENTRY_POINTS = ("complete", "complete_batch")
 
 
 def ask(client: Any, entry_point: str, prompts: list[str], **params) -> list[LLMResponse]:
     """One response per prompt, obtained through one named entry point."""
     if entry_point == "complete":
         return [client.complete(prompt, **params) for prompt in prompts]
-    if entry_point == "complete_batch":
-        return client.complete_batch(prompts, **params)
-
-    async def awaited() -> list[LLMResponse]:
-        if entry_point == "acomplete":
-            return [await client.acomplete(prompt, **params) for prompt in prompts]
-        return await client.acomplete_batch(prompts, **params)
-
-    return asyncio.run(awaited())
+    return client.complete_batch(prompts, **params)
 
 
 def executor_for(driver: str, client: Any, *, concurrency: int | None = None, **kwargs) -> Any:
-    """An executor of the driver's kind: sequential, thread pool, or asyncio."""
+    """An executor of the driver's kind: sequential, fanned out, or awaited."""
     if driver == "sync":
         return BatchExecutor(client, max_concurrency=concurrency or 1, **kwargs)
     if driver == "threads":

@@ -96,14 +96,9 @@ class TestBuildIndex:
     def test_persists_and_reloads_by_name(self, tmp_path):
         with Store(tmp_path / "store.db") as store:
             built = build_index(TEXTS, store=store, name="corpus:demo")
-            assert store.list_vector_indexes() == [
-                {
-                    "name": "corpus:demo",
-                    "kind": "exact",
-                    "dimensions": built.dimensions,
-                    "size": len(TEXTS),
-                }
-            ]
+            assert store.db.execute(
+                "SELECT name, kind, dimensions, size FROM vector_indexes"
+            ) == [("corpus:demo", "exact", built.dimensions, len(TEXTS))]
             reloaded = build_index(TEXTS, store=store, name="corpus:demo")
             assert reloaded.ids == built.ids
             assert reloaded.knn_graph(2) == built.knn_graph(2)
@@ -115,7 +110,7 @@ class TestBuildIndex:
             store.save_vector_index("corpus:demo", small)
             rebuilt = build_index(TEXTS, store=store, name="corpus:demo")
             assert len(rebuilt) == len(TEXTS)
-            assert store.list_vector_indexes()[0]["size"] == len(TEXTS)
+            assert store.db.execute("SELECT size FROM vector_indexes") == [(len(TEXTS),)]
 
     def test_second_build_recomputes_zero_embeddings(self, tmp_path):
         """The pinned acceptance property: re-runs never re-embed."""

@@ -49,7 +49,7 @@ class TestDatasetSearch:
         with Store(tmp_path / "store.db") as store:
             dataset = Dataset(items, name="p").with_store(store)
             first = dataset.search("laptop device", k=3)
-            names = [entry["name"] for entry in store.list_vector_indexes()]
+            names = [row[0] for row in store.db.execute("SELECT name FROM vector_indexes")]
             assert len(names) == 1 and names[0].startswith("search:")
             assert store.embedding_count() >= len(items)
             # Second search loads the stored index and embeds only the query.
@@ -64,7 +64,7 @@ class TestResolveThroughPersistedIndex:
             engine = clean_engine(oracle)
             result = Dataset(items, name="p").with_store(store).resolve().run(engine)
             assert result.items  # deduped survivors
-            names = [entry["name"] for entry in store.list_vector_indexes()]
+            names = [row[0] for row in store.db.execute("SELECT name FROM vector_indexes")]
             assert any(name.startswith("block:") for name in names)
             assert store.embedding_count() == len(items)
             (built,) = [span for span in engine.session.spans.spans() if span.kind == "index"]

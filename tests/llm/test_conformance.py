@@ -1,31 +1,25 @@
 """Conformance of the client stack: one behaviour, whichever way a call arrives.
 
-Every wrapper derives its four entry points from one body, so at
-temperature 0 a bag of prompts must come back with the same texts, usage,
-metadata and side effects (cache, tracker and retry counters)
-through ``complete`` in a loop, ``complete_batch``, ``acomplete`` in a loop
-and ``acomplete_batch`` — over an inner client implementing the full
-protocol, only ``complete``, or ``complete`` + ``acomplete``, and for each
-wrapper alone as for two stacked on one another.  The first of
-the four is the reference; it is the hand-written fast path where a wrapper
-has one, which is what holds those to the body.
+Every wrapper derives both entry points from one body, so at temperature 0
+a bag of prompts must come back with the same texts, usage, metadata and side
+effects (cache, tracker and retry counters) through ``complete`` in a loop
+and through ``complete_batch`` — over an inner client implementing the full
+protocol or only ``complete``, and for each wrapper alone as for two stacked
+on one another.  The loop is the reference; it is the hand-written fast path
+where a wrapper has one, which is what holds those to the body.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from typing import Any, Callable
 
 import pytest
 
 from repro.core.session import PromptSession
-from repro.llm.base import call_acomplete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
-from repro.obs.replay import ReplayLLM
 from tests.doubles import ENTRY_POINTS, SHAPES, ask, rating_prompts, shaped, simulated_client
 
 #: Six distinct prompts, three of them repeated: exercises in-batch dedup.
@@ -105,15 +99,14 @@ def _visible(responses: list) -> list[tuple]:
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("wrapper", WRAPPERS)
-def test_four_entry_points_agree(wrapper, shape):
+def test_both_entry_points_agree(wrapper, shape):
     def run(entry_point: str) -> tuple[list[tuple], Observed]:
         client, observe = WRAPPERS[wrapper](shaped(simulated_client(), shape))
         return _visible(ask(client, entry_point, PROMPTS)), observe()
 
     reference = run("complete")
     assert len(reference[0]) == len(PROMPTS)
-    for entry_point in ENTRY_POINTS[1:]:
-        assert run(entry_point) == reference, entry_point
+    assert run("complete_batch") == reference
 
 
 class CountingLLM(SimulatedLLM):
@@ -149,25 +142,3 @@ def test_a_counting_leaf_counts_the_same_through_every_entry_point(wrapper):
     assert len(set(counts.values())) == 1, counts
     assert counts["complete"] >= 6  # six distinct prompts at the least
 
-
-def test_replayed_calls_stay_on_the_event_loop():
-    """A replay fixture answers from memory: no worker-thread hop per async call."""
-    session = PromptSession(simulated_client())
-    session.complete_batch(PROMPTS)
-    threads: set[int] = set()
-
-    class SpyingReplay(ReplayLLM):
-        def complete(self, prompt, **params):
-            threads.add(threading.get_ident())
-            return super().complete(prompt, **params)
-
-    replay = SpyingReplay(session.spans.records())
-
-    async def replayed() -> tuple[int, list]:
-        return threading.get_ident(), await call_acomplete_batch(replay, PROMPTS[:6])
-
-    loop_thread, responses = asyncio.run(replayed())
-    assert threads == {loop_thread}
-    assert [response.text for response in responses] == [
-        response.text for response in simulated_client().complete_batch(PROMPTS[:6])
-    ]

@@ -37,14 +37,10 @@ class TestSortOperatorBasics:
             "hybrid_sort_insert",
             "pairwise_consistent",
         }
-        info = flavor_sorter.strategy_info("hybrid_sort_insert")
-        assert info.granularity == "hybrid"
 
     def test_unknown_strategy_raises(self, flavor_sorter, flavors):
         with pytest.raises(UnknownStrategyError):
             flavor_sorter.run(flavors, strategy="mystery")
-        with pytest.raises(UnknownStrategyError):
-            flavor_sorter.strategy_info("mystery")
 
     def test_duplicate_items_rejected(self, flavor_sorter):
         with pytest.raises(DatasetError):

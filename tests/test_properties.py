@@ -388,7 +388,7 @@ def _outcome_shape(outcome):
 
 
 class TestDriverEquivalenceProperties:
-    """One bag, every driver: sequential, thread pool and asyncio agree
+    """One bag, every driver: sequential, fanned out and awaited agree
     (``map``, which only :class:`BatchExecutor` has, on the first two).
 
     The bag has duplicate prompts and mixed models and temperatures;

@@ -42,7 +42,7 @@ from repro.operators import (
     SortOperator,
     TopKOperator,
 )
-from repro.operators.base import BaseOperator, StrategyInfo
+from repro.operators.base import BaseOperator
 from repro.service import ServiceApp, ServiceClient, TenantConfig, TenantRegistry
 from repro.store import Store
 
@@ -267,15 +267,11 @@ class _Helper:
 def test_a_registered_bound_method_still_dispatches_and_the_table_reads_as_before():
     operator = _Echo(SimulatedLLM(Oracle(), seed=0))
     assert operator.strategies == ["foreign", "function", "own"]
-    assert operator.strategy_info("own") == StrategyInfo("own", "a method of this operator", "coarse")
-    assert operator.strategy_info("function") == StrategyInfo("function", "", "fine")
     assert operator._strategy("own")(["x"]) == (operator, ["x"])
     assert operator._strategy("function")(["x"]) == ("function", ["x"])
     assert operator._strategy("foreign")(["x"]) == (operator.helper, ["x"])
     with pytest.raises(UnknownStrategyError, match="'echo'"):
         operator._strategy("missing")
-    with pytest.raises(UnknownStrategyError, match="'echo'"):
-        operator.strategy_info("missing")
 
     with collector_off():
         gone = weakref.ref(_Echo(SimulatedLLM(Oracle(), seed=0)))

@@ -9,7 +9,6 @@ series the per-call path writes for the same failing call.
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import re
 
@@ -31,10 +30,8 @@ def failed(path: str, caplog) -> tuple[PromptSession, list[str]]:
         with trace_label(step="screen", operator="sort:rating"), pytest.raises(ConnectionError):
             if path == "per call":
                 session.complete(FAILING, model=MODEL)
-            elif path == "batch":
-                session.complete_batch(PROMPTS, model=MODEL)
             else:
-                asyncio.run(session.acomplete_batch(PROMPTS, model=MODEL))
+                session.complete_batch(PROMPTS, model=MODEL)
     lines = [entry.getMessage() for entry in caplog.records if entry.name == "repro.calls"]
     caplog.clear()
     return session, lines
@@ -44,10 +41,9 @@ def without_id_and_duration(line: str) -> str:
     return re.sub(r"call_id=\d+ |duration_ms=[\d.]+ ", "", line)
 
 
-@pytest.mark.parametrize("path", ["batch", "async batch"])
-def test_a_batch_failure_is_recorded_as_the_per_call_path_records_it(path, caplog):
+def test_a_batch_failure_is_recorded_as_the_per_call_path_records_it(caplog):
     reference, reference_lines = failed("per call", caplog)
-    session, lines = failed(path, caplog)
+    session, lines = failed("batch", caplog)
     (expected,) = reference.spans.records()
     *answered, failure = session.spans.records()
     assert [record.prompt for record in answered] == PROMPTS[:5]
