@@ -21,7 +21,13 @@ from repro.core.executor import AsyncBatchExecutor, BatchExecutor, BatchRequest
 from repro.core.session import PromptSession
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.obs import trace_label
-from tests.doubles import CountingClient, LatencyClient, rating_prompts, simulated_client
+from tests.doubles import (
+    CountingClient,
+    EchoClient,
+    LatencyClient,
+    rating_prompts,
+    simulated_client,
+)
 
 MODEL = "sim-gpt-3.5-turbo"
 PATIENCE = 5.0
@@ -89,6 +95,14 @@ def test_responses_equal_batch_executor_runs(width):
     assert shown(asyncio.run(hopped)) == shown(expected)
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+def test_every_bag_size_comes_back_as_batch_executor_returns_it(size):
+    prompts = rating_prompts(size)
+    expected = BatchExecutor(simulated_client(), max_concurrency=4).run(prompts)
+    hopped = asyncio.run(AsyncBatchExecutor(simulated_client(), max_concurrency=4).run(prompts))
+    assert [(r.text, r.usage) for r in hopped] == [(r.text, r.usage) for r in expected]
+
+
 def test_a_trace_label_set_around_the_await_reaches_the_call_spans():
     session = PromptSession(simulated_client())
     prompts = rating_prompts(12)
@@ -133,6 +147,30 @@ def test_the_earliest_failed_request_is_the_one_raised():
     executor = AsyncBatchExecutor(Failing(), max_concurrency=4)
     with pytest.raises(ValueError, match="boom-1"):
         asyncio.run(executor.run(["ok-0", "boom-1", "boom-2", "ok-3"]))
+
+
+def test_a_budget_stops_a_sequential_bag_midway():
+    budget = Budget(limit=1.0)
+    client = EchoClient(budget=budget, charge=0.4)
+    executor = AsyncBatchExecutor(client, max_concurrency=1, budget=budget)
+    with pytest.raises(BudgetExceededError):
+        asyncio.run(executor.run([f"p{i}" for i in range(10)]))
+    # 0.4 + 0.4 fit, the third charge exceeds, the rest never go out.
+    assert client.calls == 3
+
+
+def test_a_failure_stops_the_queued_requests_going_out():
+    class Failing(EchoClient):
+        def complete(self, prompt, **params):
+            if prompt == "boom":
+                raise ValueError("boom")
+            return super().complete(prompt, **params)
+
+    client = Failing()
+    executor = AsyncBatchExecutor(client, max_concurrency=2)
+    with pytest.raises(ValueError):
+        asyncio.run(executor.run(["boom"] + [f"queued-{i}" for i in range(40)]))
+    assert client.calls < 10
 
 
 def test_a_cancelled_await_leaves_the_bag_to_finish_and_be_booked():

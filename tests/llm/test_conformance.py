@@ -6,7 +6,9 @@ effects (cache, tracker and retry counters) through ``complete`` in a loop
 and through ``complete_batch`` — over an inner client implementing the full
 protocol or only ``complete``, and for each wrapper alone as for two stacked
 on one another.  The loop is the reference; it is the hand-written fast path
-where a wrapper has one, which is what holds those to the body.
+where a wrapper has one, which is what holds those to the body.  The same
+holds for a bag run by an executor, whichever driver runs it: sequentially,
+fanned out, or awaited through the thread hop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,17 @@ from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
-from tests.doubles import ENTRY_POINTS, SHAPES, ask, rating_prompts, shaped, simulated_client
+from tests.doubles import (
+    DRIVERS,
+    ENTRY_POINTS,
+    SHAPES,
+    ask,
+    call,
+    executor_for,
+    rating_prompts,
+    shaped,
+    simulated_client,
+)
 
 #: Six distinct prompts, three of them repeated: exercises in-batch dedup.
 PROMPTS = rating_prompts(6) + rating_prompts(3)
@@ -107,6 +119,33 @@ def test_both_entry_points_agree(wrapper, shape):
     reference = run("complete")
     assert len(reference[0]) == len(PROMPTS)
     assert run("complete_batch") == reference
+
+
+def _in_any_order(observed: Observed) -> Observed:
+    """``observed`` with the trace sorted: a fanned-out bag settles in any order."""
+    return {
+        key: sorted(value)
+        if key == "trace"
+        else _in_any_order(value)
+        if isinstance(value, dict)
+        else value
+        for key, value in observed.items()
+    }
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_every_executor_driver_agrees_with_the_loop(driver, wrapper, shape):
+    def run(driven: bool) -> tuple[list[tuple], Observed]:
+        client, observe = WRAPPERS[wrapper](shaped(simulated_client(), shape))
+        if driven:
+            responses = call(executor_for(driver, client), "run", PROMPTS)
+        else:
+            responses = ask(client, "complete", PROMPTS)
+        return _visible(responses), _in_any_order(observe())
+
+    assert run(driven=True) == run(driven=False)
 
 
 class CountingLLM(SimulatedLLM):
