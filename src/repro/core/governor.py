@@ -34,12 +34,12 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from repro.core.budget import CHARGE_TARGET
 from repro.exceptions import ConfigurationError, RateLimitError
-from repro.llm.base import BaseClient, Body, Call, LLMResponse, carry_answered
+from repro.llm.base import BaseClient, Call, LLMResponse, carry_answered
 
 
 def estimated_prompt_tokens(prompt: str) -> int:
@@ -241,12 +241,6 @@ class ConcurrencyGovernor:
         with self._lock:
             return self._in_flight
 
-    @property
-    def cooldown_remaining(self) -> float:
-        """Seconds of backoff cooldown still in force (0 when clear)."""
-        with self._lock:
-            return max(0.0, self._cooldown_until - self._clock())
-
     # -- internals ----------------------------------------------------------------
 
     def _bucket(
@@ -328,23 +322,19 @@ class BackendGate(BaseClient):
         self._client = client
         self.governor = governor
 
-    @staticmethod
-    def _check_budget() -> None:
+    def _call(self, call: Call) -> list[LLMResponse]:
         target = CHARGE_TARGET.get()
         if target is not None:
             target.check()
-
-    def _body(self, call: Call) -> Body:
-        self._check_budget()
         governor = self.governor
         if governor is None:
-            return (yield call.to(self._client))
+            return call.to(self._client).run()
         responses: list[LLMResponse] = []
         try:
             for prompt in call.prompts:
                 tokens = estimated_prompt_tokens(prompt)
                 with governor.admit(call.model, estimated_tokens=tokens):
-                    responses += yield call.to(self._client, [prompt], single=True)
+                    responses += call.to(self._client, [prompt], single=True).run()
                 governor.record_success()
         except BaseException as exc:
             if is_rate_limit(exc):
@@ -352,18 +342,3 @@ class BackendGate(BaseClient):
             carry_answered(exc, call.prompts, responses)
             raise
         return responses
-
-    def complete(self, prompt: str, *, model: str | None = None, **params) -> LLMResponse:
-        """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
-        self._check_budget()
-        governor = self.governor
-        if governor is None:
-            return self._client.complete(prompt, model=model, **params)
-        try:
-            with governor.admit(model, estimated_tokens=estimated_prompt_tokens(prompt)):
-                response = self._client.complete(prompt, model=model, **params)
-        except RateLimitError as exc:
-            governor.record_failure(exc)
-            raise
-        governor.record_success()
-        return response

@@ -29,15 +29,7 @@ from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.stats import RuntimeStats
 from repro.exceptions import BudgetExceededError, StoreError
-from repro.llm.base import (
-    Body,
-    Call,
-    LLMClient,
-    LLMResponse,
-    answered_prefix,
-    drive,
-    prompt_list,
-)
+from repro.llm.base import Call, LLMClient, LLMResponse, answered_prefix, prompt_list
 from repro.llm.cache import CachedClient, ResponseCache, ResponseCacheLike
 from repro.llm.registry import ModelRegistry, default_registry
 from repro.llm.tracker import UsageTracker
@@ -192,27 +184,8 @@ class PromptSession:
         ``budget`` redirects the charge (a lease forwards
         every dollar to the session budget, so nothing is lost); by default
         the session's own budget is charged.
-
-        This is :meth:`_issue` for one sync call, written out by hand over
-        the same helpers: the executors cross the session once per unit
-        task, where driving a generator is measurable (see
-        :class:`~repro.llm.base.BaseClient`).
         """
-        target = budget if budget is not None else self.budget
-        model_name = model or DEFAULT_CHAT_MODEL
-        token = CHARGE_TARGET.set(target)
-        start = time.perf_counter()
-        try:
-            response = self._client.complete(
-                prompt, model=model_name, temperature=temperature, max_tokens=max_tokens
-            )
-        except Exception as exc:
-            self._trace_failure(prompt, model_name, temperature, start, time.perf_counter(), exc)
-            raise
-        finally:
-            CHARGE_TARGET.reset(token)
-        end = time.perf_counter()
-        return self._settle([prompt], [response], temperature, target, start, end)[0]
+        return self._issue([prompt], model, temperature, max_tokens, budget, True)[0]
 
     def complete_batch(
         self,
@@ -235,7 +208,7 @@ class PromptSession:
         like a success, the failure is recorded against the prompt that
         raised, and the backend's error is raised.
         """
-        return drive(self._issue(prompt_list(prompts), model, temperature, max_tokens, budget))
+        return self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
 
     def _issue(
         self,
@@ -244,21 +217,20 @@ class PromptSession:
         temperature: float,
         max_tokens: int | None,
         budget: Budget | None,
-    ) -> Body:
-        """The session's batch call path: dispatch, settle.
-
-        A body in the sense of :mod:`repro.llm.base`, driven by
-        :meth:`complete_batch`; :meth:`complete` is the same path for one
-        call, written out over the same helpers.
-        """
+        single: bool,
+    ) -> list[LLMResponse]:
+        """The session's one call path: dispatch, settle.  A ``single`` call
+        that raised answered nothing, so its failure names its prompt."""
         target = budget if budget is not None else self.budget
         model_name = model or DEFAULT_CHAT_MODEL
         token = CHARGE_TARGET.set(target)
         start = time.perf_counter()
         try:
-            responses = yield Call(self._client, prompts, model_name, temperature, max_tokens)
+            responses = Call(
+                self._client, prompts, model_name, temperature, max_tokens, single
+            ).run()
         except BaseException as exc:
-            answered = answered_prefix(exc, prompts)
+            answered = [] if single else answered_prefix(exc, prompts)
             self._settle_failure(prompts, answered, model_name, temperature, target, start, exc)
             raise
         finally:

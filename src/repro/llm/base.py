@@ -9,23 +9,20 @@ every decision behind them is written once:
 
 * A **backend** subclasses :class:`BaseClient` and implements ``complete``;
   ``complete_batch`` calls it.
-* A **wrapper** subclasses :class:`BaseClient` and implements one *body*
-  instead: a generator that is given the :class:`Call` the wrapper was asked
-  to make, yields each inner call it wants made, is sent the responses, and
-  returns its own.  The body never performs I/O itself: :func:`drive` makes
-  each inner call on the calling thread.
+* A **wrapper** subclasses :class:`BaseClient` and implements one plain
+  method instead, ``_call``: it is given the :class:`Call` the wrapper was
+  asked to make, runs each inner call it wants made (``call.to(inner).run()``)
+  and returns its own responses.  A failure of an inner call arrives as an
+  ordinary exception.
 
-A generator: what a body asks for is a plain :class:`Call` that a test can
-inspect, failures of an inner call arrive in the body through ``throw`` like
-any exception, and bodies compose with ``yield from``.  A caller on an event
-loop hops to a thread once per bag
+A caller on an event loop hops to a thread once per bag
 (:class:`~repro.core.executor.AsyncBatchExecutor`), not once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Protocol, Sequence, runtime_checkable
+from typing import Any, Protocol, Sequence, runtime_checkable
 
 from repro.tokenizer.cost import Usage
 
@@ -180,7 +177,7 @@ def prompt_list(prompts: Sequence[str]) -> list[str]:
     return prompts if type(prompts) is list else list(prompts)
 
 
-# -- the execution core: a request, its driver, one base --------------------------------
+# -- the execution core: a request and one base -----------------------------------------
 
 
 @dataclass(slots=True)
@@ -229,29 +226,25 @@ class Call:
         }
 
     def run(self) -> list[LLMResponse]:
+        """Make the call.  A :class:`BaseClient` whose entry point is the
+        inherited one is handed the call itself (its ``_call``); any other
+        client is called through ``complete`` or its batch entry point."""
+        client = self.client
+        kind = type(client)
         if self.single:
-            return [self.client.complete(self.prompts[0], **self.params)]
-        return call_complete_batch(self.client, self.prompts, **self.params)
-
-
-#: A sans-IO body: yields :class:`Call` requests, is sent each one's result —
-#: or has its exception thrown in — and returns a value.
-Body = Generator[Any, Any, Any]
-
-
-def drive(body: Body) -> Any:
-    """Run ``body`` to completion, performing each request on this thread."""
-    try:
-        request = next(body)
-        while True:
-            try:
-                result = request.run()
-            except BaseException as exc:
-                request = body.throw(exc)
-            else:
-                request = body.send(result)
-    except StopIteration as done:
-        return done.value
+            if kind.complete is BaseClient.complete:
+                return client._call(self)
+            return [
+                client.complete(
+                    self.prompts[0],
+                    model=self.model,
+                    temperature=self.temperature,
+                    max_tokens=self.max_tokens,
+                )
+            ]
+        if getattr(kind, "complete_batch", None) is BaseClient.complete_batch:
+            return client._call(self)
+        return call_complete_batch(client, self.prompts, **self.params)
 
 
 class BaseClient:
@@ -261,34 +254,26 @@ class BaseClient:
     so a subclass that overrides ``complete`` alone (to count, delay or fake
     calls) sees every call whichever way it arrives.
 
-    A **wrapper** overrides :meth:`_body` instead.  ``_body(call)`` receives
-    the :class:`Call` the wrapper was asked to make (``call.client`` is
-    unset) and is a generator: it yields the inner calls it wants made —
-    ``call.to(inner)`` forwards the request unchanged, ``call.to(inner,
-    prompts, model=...)`` narrows it — receives each one's responses, and
-    returns one response per prompt of ``call``.  A single call and a batch
-    run the same body; ``call.single`` carries the difference down to the
-    backend.
+    A **wrapper** overrides :meth:`_call` instead.  ``_call(call)`` receives
+    the :class:`Call` the wrapper was asked to make and runs the inner calls
+    it wants made — ``call.to(inner).run()`` forwards the request unchanged,
+    ``call.to(inner, prompts, model=...).run()`` narrows it — and returns one
+    response per prompt of ``call``.  A single call and a batch run the same
+    method; ``call.single`` carries the difference down to the backend.
 
-    Where the executors' per-call path crosses a wrapper once per unit task
-    (:class:`~repro.llm.cache.CachedClient`, the session, its backend gate),
-    that wrapper also writes ``complete`` out by hand.  Microseconds per
-    call behind a backend that answers a constant in 0.9 (one core of an
-    Intel Xeon, Python 3.11; median of 40 bags of 600): a call of a native
-    batch costs 4.6 through the session and 5.8 through ``BatchExecutor.run``
-    at width 1; at width 8 a unit task — the path of a call that waits —
-    costs 16.0, and a call sent in one of the executor's runs of fast calls
-    9.0.  The session's single-call entry alone is 13.1.  Driving a generator
-    costs about 3 per layer per call (``CachedClient.complete`` 2.4 written
-    out, 5.6 driven), which is why the two twins stay for the unit path.
+    Microseconds per call behind a backend that answers a constant in 0.8
+    (one core of an Intel Xeon, Python 3.11; minimum over six processes):
+    a unit call costs 1.2 in the backend gate, 3.9 more in the cache above
+    it, and 27.1 in all through ``PromptSession.client()``, whose settling
+    (tracker, charge, span, metrics) is most of that; a call of a 600-prompt
+    ``complete_batch`` through the session costs 5.1.
     """
 
-    def _body(self, call: Call) -> Body:
-        """The backend's body: one ``complete`` per prompt, nothing asked of a driver."""
+    def _call(self, call: Call) -> list[LLMResponse]:
+        """The backend's calls: one ``complete`` per prompt."""
         if type(self).complete is BaseClient.complete:
-            raise NotImplementedError("override complete (a backend) or _body (a wrapper)")
+            raise NotImplementedError("override complete (a backend) or _call (a wrapper)")
         return sequential_complete_batch(self, call.prompts, **call.params)
-        yield  # never reached: makes this a generator, as every body is
 
     def complete(
         self,
@@ -298,7 +283,7 @@ class BaseClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> LLMResponse:
-        return drive(self._body(Call(None, [prompt], model, temperature, max_tokens, True)))[0]
+        return self._call(Call(self, [prompt], model, temperature, max_tokens, True))[0]
 
     def complete_batch(
         self,
@@ -308,4 +293,4 @@ class BaseClient:
         temperature: float = 0.0,
         max_tokens: int | None = None,
     ) -> list[LLMResponse]:
-        return drive(self._body(Call(None, prompt_list(prompts), model, temperature, max_tokens)))
+        return self._call(Call(self, prompt_list(prompts), model, temperature, max_tokens))

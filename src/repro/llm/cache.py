@@ -25,7 +25,6 @@ from typing import Any, Protocol, runtime_checkable
 from repro.exceptions import ConfigurationError
 from repro.llm.base import (
     BaseClient,
-    Body,
     Call,
     LLMClient,
     LLMResponse,
@@ -167,10 +166,7 @@ class CachedClient(BaseClient):
         # falsy because it defines __len__), so test for None explicitly.
         self.cache: ResponseCacheLike = cache if cache is not None else ResponseCache()
 
-    def _cache_key_model(self, model: str | None) -> str:
-        return model or getattr(self._client, "default_model", "default")
-
-    def _body(self, call: Call) -> Body:
+    def _call(self, call: Call) -> list[LLMResponse]:
         """Serve the call through the cache, with within-batch dedup.
 
         Element-wise equivalent to one call per prompt in order:
@@ -181,10 +177,9 @@ class CachedClient(BaseClient):
         matches the sequential path exactly while novel prompts cost one
         inner call each.  The batch is looked up with one ``get_many``, which
         hashes each distinct prompt's key once and hands the misses' keys on
-        to their ``put``.  Lookups take microseconds, so on the async
-        path they run on the event loop; only a miss waits on the inner
-        client.  Two *concurrent* misses on one prompt may both reach it —
-        the executors' dispatch-level dedup is what prevents that upstream.
+        to their ``put``.  Two *concurrent* misses on one prompt may both
+        reach it — the executors' dispatch-level dedup is what prevents that
+        upstream.
 
         When the inner call raises part-way, the misses it answered are
         cached all the same, and the answered prefix of this call's prompts
@@ -193,87 +188,56 @@ class CachedClient(BaseClient):
         (:func:`~repro.llm.base.carry_answered`).
         """
         if call.temperature != 0.0:
-            return (yield call.to(self._client))
-        cache, key_model, prompts = self.cache, self._cache_key_model(call.model), call.prompts
+            return call.to(self._client).run()
+        prompts = call.prompts
+        key_model = call.model or getattr(self._client, "default_model", "default")
         keys: dict[str, Any] = {}  # prompt -> cache key, hashed once per call
-        results = cache.get_many(key_model, prompts, keys)
-        pending_indices: list[int] = []
-        pending_prompts: list[str] = []
-        scheduled: set[str] = set()
+        results = self.cache.get_many(key_model, prompts, keys)
+        misses: dict[str, int] = {}  # each missed prompt -> its first index, in order
+        repeats: list[int] = []  # later occurrences of a miss
         for index, cached in enumerate(results):
             if cached is not None:
                 results[index] = _cache_hit_copy(cached)
-            elif prompts[index] not in scheduled:
-                # A later occurrence is a duplicate of this miss: resolved from
-                # the cache after the inner call returns, like the sequential path.
-                scheduled.add(prompts[index])
-                pending_indices.append(index)
-                pending_prompts.append(prompts[index])
-        if not pending_prompts:
+            elif prompts[index] in misses:
+                # Served from the cache once the inner call has answered the
+                # first occurrence, like the sequential path.
+                repeats.append(index)
+            else:
+                misses[prompts[index]] = index
+        if not misses:
             return results
+        sent = list(misses)
         try:
-            responses = yield call.to(self._client, pending_prompts)
+            responses = call.to(self._client, sent).run()
         except BaseException as exc:
-            answered = answered_prefix(exc, pending_prompts)
+            answered = answered_prefix(exc, sent)
             if answered is not None:
-                self._fill(results, key_model, keys, pending_indices, pending_prompts, answered)
-                end = pending_indices[len(answered)]
-                carry_answered(
-                    exc, prompts, self._duplicates(results[:end], key_model, keys, prompts)
-                )
+                end = misses[sent[len(answered)]]
+                before = [index for index in repeats if index < end]
+                self._fill(results, prompts, key_model, keys, misses, answered, before)
+                carry_answered(exc, prompts, results[:end])
             raise
-        self._fill(results, key_model, keys, pending_indices, pending_prompts, responses)
-        return self._duplicates(results, key_model, keys, prompts)
+        return self._fill(results, prompts, key_model, keys, misses, responses, repeats)
 
     def _fill(
         self,
         results: list[LLMResponse | None],
+        prompts: list[str],
         key_model: str,
         keys: dict[str, Any],
-        indices: list[int],
-        prompts: list[str],
+        misses: dict[str, int],
         responses: list[LLMResponse],
-    ) -> None:
-        """Cache the answered misses and put them in their places."""
-        for index, prompt, response in zip(indices, prompts, responses):
-            self.cache.put(key_model, prompt, response, keys.get(prompt))
-            results[index] = response
-
-    def _duplicates(
-        self,
-        results: list[LLMResponse | None],
-        key_model: str,
-        keys: dict[str, Any],
-        prompts: list[str],
+        repeats: list[int],
     ) -> list[LLMResponse]:
-        """``results`` with every in-batch duplicate served as a hit on its
-        first occurrence's response, which is cached by now."""
-        missing = [index for index, response in enumerate(results) if response is None]
-        if missing:
-            served = self.cache.get_many(key_model, [prompts[index] for index in missing], keys)
-            for index, cached in zip(missing, served):
+        """Cache the answered misses and put them in their places, then serve
+        each repeat of one as a hit on its first occurrence's response."""
+        cache = self.cache
+        for (prompt, index), response in zip(misses.items(), responses):
+            cache.put(key_model, prompt, response, keys.get(prompt))
+            results[index] = response
+        if repeats:
+            served = cache.get_many(key_model, [prompts[index] for index in repeats], keys)
+            for index, cached in zip(repeats, served):
                 assert cached is not None  # its first occurrence was just put
                 results[index] = _cache_hit_copy(cached)
         return results  # type: ignore[return-value]
-
-    def complete(
-        self,
-        prompt: str,
-        *,
-        model: str | None = None,
-        temperature: float = 0.0,
-        max_tokens: int | None = None,
-    ) -> LLMResponse:
-        """:meth:`_body` for one sync call, written out (see ``BaseClient``)."""
-        if temperature == 0.0:
-            key_model = self._cache_key_model(model)
-            keys: dict[str, Any] = {}
-            cached = self.cache.get_many(key_model, [prompt], keys)[0]
-            if cached is not None:
-                return _cache_hit_copy(cached)
-        response = self._client.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-        if temperature == 0.0:
-            self.cache.put(key_model, prompt, response, keys.get(prompt))
-        return response

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, ResponseParseError
-from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse
+from repro.llm.base import BaseClient, Call, LLMClient, LLMResponse
 from repro.tokenizer.cost import Usage
 
 
@@ -71,7 +71,7 @@ class RetryingClient(BaseClient):
         except ResponseParseError:
             return False
 
-    def _body(self, call: Call) -> Body:
+    def _call(self, call: Call) -> list[LLMResponse]:
         """Make the first attempts as one inner call, then retry each rejection.
 
         The first attempt for every prompt goes to the inner client together
@@ -86,7 +86,7 @@ class RetryingClient(BaseClient):
         the failure carries must not pass for this call's answered prefix
         (:func:`~repro.llm.base.carry_answered`).
         """
-        first_attempts = yield call.to(self._client, list(call.prompts))
+        first_attempts = call.to(self._client, list(call.prompts)).run()
         retry_temperature = max(call.temperature, self.retry_temperature)
         results: list[LLMResponse] = []
         for prompt, response in zip(call.prompts, first_attempts):
@@ -95,9 +95,9 @@ class RetryingClient(BaseClient):
                 with self._stats_lock:
                     self.stats.attempts += 1
                 if attempt > 0:
-                    (response,) = yield call.to(
+                    (response,) = call.to(
                         self._client, [prompt], temperature=retry_temperature, single=True
-                    )
+                    ).run()
                 if self._settle_attempt(response, accumulated, attempt):
                     break
             response.usage = accumulated

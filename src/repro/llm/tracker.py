@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.llm.base import BaseClient, Body, Call, LLMClient, LLMResponse, answered_prefix
+from repro.llm.base import BaseClient, Call, LLMClient, LLMResponse, answered_prefix
 from repro.tokenizer.cost import CostModel, CostSummary, Usage, to_dollars
 
 
@@ -46,11 +46,6 @@ class UsageTracker:
         with self._lock:
             for response in responses:
                 self._by_model.setdefault(response.model, Usage()).add(response.usage)
-
-    def record_usage(self, model: str, usage: Usage) -> None:
-        """Record usage directly (e.g. for embedding calls)."""
-        with self._lock:
-            self._by_model.setdefault(model, Usage()).add(usage)
 
     @property
     def usage(self) -> Usage:
@@ -110,14 +105,14 @@ class TrackedClient(BaseClient):
         self._client = client
         self.tracker = tracker
 
-    def _body(self, call: Call) -> Body:
+    def _call(self, call: Call) -> list[LLMResponse]:
         """Forward the call to the inner client and record it atomically.
 
         A batch that raises part-way records the answered prefix it carries
         (:func:`~repro.llm.base.carry_answered`): those calls were made.
         """
         try:
-            responses = yield call.to(self._client)
+            responses = call.to(self._client).run()
         except BaseException as exc:
             self.tracker.record_batch(answered_prefix(exc, call.prompts) or ())
             raise

@@ -8,7 +8,7 @@ The strategy name is the only thing a caller changes to move along the
 cost–accuracy tradeoff curve.
 """
 
-from repro.operators.base import OperatorResult, StrategyInfo
+from repro.operators.base import OperatorResult
 from repro.operators.categorize import CategorizeOperator, CategorizeResult
 from repro.operators.cluster import ClusterOperator, ClusterResult
 from repro.operators.filter import FilterOperator, FilterResult
@@ -35,7 +35,6 @@ __all__ = [
     "ResolveResult",
     "SortOperator",
     "SortResult",
-    "StrategyInfo",
     "TopKOperator",
     "TopKResult",
 ]

@@ -38,15 +38,6 @@ from repro.llm.tracker import UsageTracker
 from repro.tokenizer.cost import CostModel, Usage, to_dollars
 
 
-@dataclass(frozen=True)
-class StrategyInfo:
-    """Metadata about one registered strategy."""
-
-    name: str
-    description: str
-    granularity: str  # "coarse", "fine", "hybrid", or "proxy"
-
-
 def _caches(client: LLMClient) -> bool:
     """Whether a call through ``client`` already crosses a response cache."""
     if isinstance(client, SessionClient):
@@ -121,7 +112,6 @@ class BaseOperator:
         #: name -> (runner, whether it is a method of this operator to bind
         #: at dispatch).
         self._strategies: dict[str, tuple[Callable[..., Any], bool]] = {}
-        self._strategy_info: dict[str, StrategyInfo] = {}
         self._register_strategies()
 
     # -- strategy registry -----------------------------------------------------
@@ -129,14 +119,7 @@ class BaseOperator:
     def _register_strategies(self) -> None:
         """Subclasses register their strategies here."""
 
-    def register_strategy(
-        self,
-        name: str,
-        runner: Callable[..., Any],
-        *,
-        description: str = "",
-        granularity: str = "fine",
-    ) -> None:
+    def register_strategy(self, name: str, runner: Callable[..., Any]) -> None:
         """Register a named strategy implemented by ``runner``.
 
         A bound method of this operator is kept as its function and bound
@@ -147,9 +130,6 @@ class BaseOperator:
         """
         own = getattr(runner, "__self__", None) is self
         self._strategies[name] = (runner.__func__ if own else runner, own)
-        self._strategy_info[name] = StrategyInfo(
-            name=name, description=description, granularity=granularity
-        )
 
     @property
     def strategies(self) -> list[str]:

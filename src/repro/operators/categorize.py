@@ -46,24 +46,9 @@ class CategorizeOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "per_item",
-            self._run_per_item,
-            description="one multiple-choice task per item",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "self_consistency",
-            self._run_self_consistency,
-            description="sample each item several times and majority-vote",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "ensemble_vote",
-            self._run_ensemble_vote,
-            description="ask several models per item and majority-vote",
-            granularity="fine",
-        )
+        self.register_strategy("per_item", self._run_per_item)
+        self.register_strategy("self_consistency", self._run_self_consistency)
+        self.register_strategy("ensemble_vote", self._run_ensemble_vote)
 
     def run(self, items: Sequence[str], *, strategy: str = "per_item", **kwargs) -> CategorizeResult:
         """Categorize ``items`` with the named strategy."""

@@ -42,18 +42,8 @@ class ClusterOperator(BaseOperator):
     operation = "cluster"
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "single_prompt",
-            self._run_single_prompt,
-            description="group every item in one prompt",
-            granularity="coarse",
-        )
-        self.register_strategy(
-            "two_phase",
-            self._run_two_phase,
-            description="derive groups from a seed sample, then assign the rest",
-            granularity="hybrid",
-        )
+        self.register_strategy("single_prompt", self._run_single_prompt)
+        self.register_strategy("two_phase", self._run_two_phase)
 
     def run(self, items: Sequence[str], *, strategy: str = "two_phase", **kwargs) -> ClusterResult:
         """Cluster ``items`` with the named strategy."""

@@ -49,24 +49,9 @@ class FilterOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "per_item",
-            self._run_per_item,
-            description="a single predicate check per item",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "ensemble_vote",
-            self._run_ensemble_vote,
-            description="majority vote across several models per item",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "adaptive",
-            self._run_adaptive,
-            description="ask more models only while they disagree",
-            granularity="hybrid",
-        )
+        self.register_strategy("per_item", self._run_per_item)
+        self.register_strategy("ensemble_vote", self._run_ensemble_vote)
+        self.register_strategy("adaptive", self._run_adaptive)
 
     def run(self, items: Sequence[str], *, strategy: str = "per_item", **kwargs) -> FilterResult:
         """Filter ``items`` with the named strategy."""

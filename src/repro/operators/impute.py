@@ -53,30 +53,10 @@ class ImputeOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "knn",
-            self._run_knn,
-            description="mode of the k nearest neighbors (no LLM)",
-            granularity="proxy",
-        )
-        self.register_strategy(
-            "llm_only",
-            self._run_llm_only,
-            description="one imputation prompt per query record",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "hybrid",
-            self._run_hybrid,
-            description="k-NN when neighbors agree, LLM otherwise",
-            granularity="hybrid",
-        )
-        self.register_strategy(
-            "retrieval",
-            self._run_retrieval,
-            description="index-retrieved neighbors; escalations carry them as evidence",
-            granularity="hybrid",
-        )
+        self.register_strategy("knn", self._run_knn)
+        self.register_strategy("llm_only", self._run_llm_only)
+        self.register_strategy("hybrid", self._run_hybrid)
+        self.register_strategy("retrieval", self._run_retrieval)
 
     # -- public API -----------------------------------------------------------------
 

@@ -56,24 +56,9 @@ class JoinOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "all_pairs",
-            self._run_all_pairs,
-            description="one duplicate check per (left, right) pair",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "blocked",
-            self._run_blocked,
-            description="duplicate checks only for embedding-near pairs",
-            granularity="hybrid",
-        )
-        self.register_strategy(
-            "proxy_blocked",
-            self._run_proxy_blocked,
-            description="similarity proxy first, LLM only for the confusing band",
-            granularity="proxy",
-        )
+        self.register_strategy("all_pairs", self._run_all_pairs)
+        self.register_strategy("blocked", self._run_blocked)
+        self.register_strategy("proxy_blocked", self._run_proxy_blocked)
 
     def run(
         self,

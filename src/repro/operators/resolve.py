@@ -66,24 +66,9 @@ class ResolveOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "single_prompt",
-            self._resolve_single_prompt,
-            description="group every record in one prompt",
-            granularity="coarse",
-        )
-        self.register_strategy(
-            "pairwise",
-            self._resolve_pairwise,
-            description="one duplicate-check task per record pair",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "blocked_pairwise",
-            self._resolve_blocked_pairwise,
-            description="duplicate checks only for embedding-blocked candidate pairs",
-            granularity="hybrid",
-        )
+        self.register_strategy("single_prompt", self._resolve_single_prompt)
+        self.register_strategy("pairwise", self._resolve_pairwise)
+        self.register_strategy("blocked_pairwise", self._resolve_blocked_pairwise)
 
     # -- full clustering -----------------------------------------------------------
 

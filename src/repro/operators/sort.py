@@ -59,36 +59,11 @@ class SortOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "single_prompt",
-            self._run_single_prompt,
-            description="one prompt containing every item",
-            granularity="coarse",
-        )
-        self.register_strategy(
-            "rating",
-            self._run_rating,
-            description="one 1-7 rating task per item (optionally batched)",
-            granularity="coarse",
-        )
-        self.register_strategy(
-            "pairwise",
-            self._run_pairwise,
-            description="one comparison task per item pair",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "hybrid_sort_insert",
-            self._run_hybrid_sort_insert,
-            description="whole-list sort, then pairwise re-insertion of missing items",
-            granularity="hybrid",
-        )
-        self.register_strategy(
-            "pairwise_consistent",
-            self._run_pairwise_consistent,
-            description="pairwise comparisons followed by consistency repair",
-            granularity="hybrid",
-        )
+        self.register_strategy("single_prompt", self._run_single_prompt)
+        self.register_strategy("rating", self._run_rating)
+        self.register_strategy("pairwise", self._run_pairwise)
+        self.register_strategy("hybrid_sort_insert", self._run_hybrid_sort_insert)
+        self.register_strategy("pairwise_consistent", self._run_pairwise_consistent)
 
     # -- public API ---------------------------------------------------------------
 

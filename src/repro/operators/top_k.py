@@ -48,24 +48,9 @@ class TopKOperator(BaseOperator):
         super().__init__(client, **kwargs)
 
     def _register_strategies(self) -> None:
-        self.register_strategy(
-            "rating_only",
-            self._run_rating_only,
-            description="rate every item, take the top ratings",
-            granularity="coarse",
-        )
-        self.register_strategy(
-            "pairwise_tournament",
-            self._run_pairwise_tournament,
-            description="compare all pairs, take the items with most wins",
-            granularity="fine",
-        )
-        self.register_strategy(
-            "hybrid_rating_comparison",
-            self._run_hybrid,
-            description="rate to shortlist, then compare the finalists",
-            granularity="hybrid",
-        )
+        self.register_strategy("rating_only", self._run_rating_only)
+        self.register_strategy("pairwise_tournament", self._run_pairwise_tournament)
+        self.register_strategy("hybrid_rating_comparison", self._run_hybrid)
 
     def run(self, items: Sequence[str], *, k: int = 1, strategy: str = "hybrid_rating_comparison", **kwargs) -> TopKResult:
         """Return the top ``k`` items of ``items`` under the operator's criterion."""

@@ -206,10 +206,13 @@ class TestBackoff:
 
     def test_retry_after_hint_dominates_when_larger(self):
         clock = FakeClock()
-        governor = ConcurrencyGovernor(backoff_initial=0.5, clock=clock)
+        governor = ConcurrencyGovernor(backoff_initial=0.5, clock=clock, sleep=clock.sleep)
         delay = governor.record_failure(RateLimitError(retry_after=7.5))
         assert delay == 7.5
-        assert governor.cooldown_remaining == pytest.approx(7.5)
+        # The next admission waits out the whole hinted cooldown.
+        with governor.admit("m"):
+            pass
+        assert clock.sleeps == [pytest.approx(7.5)]
 
     def test_success_resets_the_streak(self):
         clock = FakeClock()
@@ -279,11 +282,12 @@ class TestExecutorIntegration:
         with pytest.raises(RateLimitError):
             executor.run(["a"])
         assert governor.stats.rate_limit_events == 2
-        # The accumulated cooldown is what the third dispatch waits out.
-        before = clock.now
+        # Each dispatch after a failure waits out its cooldown (1 s, then
+        # 2 s), and one after a success waits nothing.
         executor.run(["a"])
-        assert clock.now > before
-        assert governor.cooldown_remaining == 0.0 or governor.stats.admitted == 3
+        executor.run(["b"])
+        assert clock.sleeps == [1.0, 2.0]
+        assert governor.stats.admitted == 4
 
     def test_non_rate_limit_failures_do_not_back_off(self):
         clock = FakeClock()
@@ -297,7 +301,9 @@ class TestExecutorIntegration:
         with pytest.raises(ResponseParseError):
             executor.run(["a"])
         assert governor.stats.rate_limit_events == 0
-        assert governor.cooldown_remaining == 0.0
+        with governor.admit("m"):
+            pass
+        assert clock.sleeps == []  # no cooldown to wait out
 
     def test_sequential_batch_respects_the_governor(self):
         # A homogeneous batch takes the native complete_batch path; the gate

@@ -100,17 +100,23 @@ class TestUsageTracker:
 
     def test_cost_sums_whole_nano_dollars_over_priced_models(self):
         tracker = UsageTracker(cost_model=CostModel({"a": PriceTable(0.1, 0.2)}))
-        tracker.record_usage("a", Usage(3, 2, 1))
-        tracker.record_usage("a", Usage(7, 0, 1))
-        tracker.record_usage("unpriced", Usage(1_000, 1_000, 1))
+        tracker.record_batch(
+            [
+                LLMResponse("", "a", Usage(3, 2, 1)),
+                LLMResponse("", "a", Usage(7, 0, 1)),
+                LLMResponse("", "unpriced", Usage(1_000, 1_000, 1)),
+            ]
+        )
         # (3 + 7) * 100 + 2 * 200 n$; a model without prices adds nothing.
         assert tracker.cost() == 1_400
         assert tracker.calls == 3
 
-    def test_record_usage_directly(self):
+    def test_record_batch_accumulates_per_model(self):
         tracker = UsageTracker()
-        tracker.record_usage("embeddings", Usage(100, 0, 1))
-        assert tracker.usage.prompt_tokens == 100
+        tracker.record_batch([LLMResponse("", "embeddings", Usage(100, 0, 1))])
+        tracker.record_batch([LLMResponse("", "embeddings", Usage(20, 0, 1))])
+        assert tracker.usage.prompt_tokens == 120
+        assert tracker.summary().by_model["embeddings"] == Usage(120, 0, 2)
 
     def test_reset(self, flavor_llm):
         tracker = UsageTracker()

@@ -1,14 +1,17 @@
 """Conformance of the client stack: one behaviour, whichever way a call arrives.
 
-Every wrapper derives both entry points from one body, so at temperature 0
+Every wrapper derives both entry points from one ``_call``, so at temperature 0
 a bag of prompts must come back with the same texts, usage, metadata and side
 effects (cache, tracker and retry counters) through ``complete`` in a loop
 and through ``complete_batch`` — over an inner client implementing the full
 protocol or only ``complete``, and for each wrapper alone as for two stacked
-on one another.  The loop is the reference; it is the hand-written fast path
-where a wrapper has one, which is what holds those to the body.  The same
-holds for a bag run by an executor, whichever driver runs it: sequentially,
-fanned out, or awaited through the thread hop.
+on one another.  The loop is the reference: a unit call is a ``Call`` of one
+prompt handed straight to each wrapper's ``_call``, which is what holds the
+unit path to the batch path.  The same holds for a bag run by an executor,
+whichever driver runs it: sequentially, fanned out, or awaited through the
+thread hop.  Whichever route a call takes, it reaches the leaf through the
+entry point its shape asks for: a unit call through ``complete``, a batch
+through a native ``complete_batch`` unless a governor admits it call by call.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from typing import Any, Callable
 
 import pytest
 
+from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.session import PromptSession
+from repro.llm.base import BaseClient, LLMResponse
 from repro.llm.cache import CachedClient
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
+from repro.tokenizer.cost import Usage
 from tests.doubles import (
     DRIVERS,
     ENTRY_POINTS,
@@ -181,3 +187,72 @@ def test_a_counting_leaf_counts_the_same_through_every_entry_point(wrapper):
     assert len(set(counts.values())) == 1, counts
     assert counts["complete"] >= 6  # six distinct prompts at the least
 
+
+class EntryPointLeaf:
+    """A full-protocol leaf logging the entry point of each call, with its
+    prompt count; every answer passes the retrying wrapper's validator."""
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[str, int]] = []
+
+    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
+        self.entries.append(("complete", 1))
+        return self._answer(prompt, model)
+
+    def complete_batch(self, prompts, *, model=None, temperature=0.0, max_tokens=None):
+        self.entries.append(("complete_batch", len(prompts)))
+        return [self._answer(prompt, model) for prompt in prompts]
+
+    @staticmethod
+    def _answer(prompt: str, model: str | None) -> LLMResponse:
+        usage = Usage(prompt_tokens=len(prompt.split()), completion_tokens=1, calls=1)
+        return LLMResponse(text="4", model=model or "sim-gpt-3.5-turbo", usage=usage)
+
+
+class BaseClientLeaf(EntryPointLeaf, BaseClient):
+    """The same leaf on the library's base: both entry points overridden."""
+
+
+LEAVES = {"duck-typed": EntryPointLeaf, "base-client": BaseClientLeaf}
+
+#: Routes that send a batch down whole: each wrapper alone, stacked, under
+#: the session, and the governor-less backend gate.
+UNGOVERNED: dict[str, Callable[[Any], Any]] = {
+    **{name: lambda leaf, build=build: build(leaf)[0] for name, build in WRAPPERS.items()},
+    "gate": BackendGate,
+}
+#: Routes through a governed gate, which admits a batch call by call.
+GOVERNED: dict[str, Callable[[Any], Any]] = {
+    "gate-governed": lambda leaf: BackendGate(leaf, ConcurrencyGovernor()),
+    "session-governed": lambda leaf: PromptSession(leaf, governor=ConcurrencyGovernor()).client(),
+    "tracked-session-governed": lambda leaf: TrackedClient(
+        PromptSession(leaf, governor=ConcurrencyGovernor()).client(), UsageTracker()
+    ),
+}
+ROUTES = {**UNGOVERNED, **GOVERNED}
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_unit_call_reaches_the_leaf_complete_once(route, leaf):
+    reached = LEAVES[leaf]()
+    ROUTES[route](reached).complete(rating_prompts(1)[0])
+    assert reached.entries == [("complete", 1)]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+@pytest.mark.parametrize("route", UNGOVERNED)
+def test_a_batch_reaches_a_native_complete_batch_once(route, leaf):
+    prompts = rating_prompts(6)
+    assert len(set(prompts)) == 6
+    reached = LEAVES[leaf]()
+    UNGOVERNED[route](reached).complete_batch(prompts)
+    assert reached.entries == [("complete_batch", 6)]
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+@pytest.mark.parametrize("route", GOVERNED)
+def test_a_governed_batch_reaches_the_leaf_as_one_complete_per_prompt(route, leaf):
+    reached = LEAVES[leaf]()
+    GOVERNED[route](reached).complete_batch(rating_prompts(6))
+    assert reached.entries == [("complete", 1)] * 6

@@ -249,9 +249,7 @@ class _Echo(BaseOperator):
 
     def _register_strategies(self) -> None:
         self.helper = _Helper()
-        self.register_strategy(
-            "own", self._own, description="a method of this operator", granularity="coarse"
-        )
+        self.register_strategy("own", self._own)
         self.register_strategy("function", lambda items: ("function", items))
         self.register_strategy("foreign", self.helper.run)
 
