@@ -72,7 +72,6 @@ from repro.store import (
     JobRecord,
     PersistentResponseCache,
     Store,
-    StoreNamespace,
     WorkloadProfile,
     fingerprint_spec,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "SpecError",
     "Store",
     "StoreError",
-    "StoreNamespace",
     "TenantConfig",
     "TenantRegistry",
     "TopKSpec",

@@ -97,14 +97,6 @@ class MatchGraph:
     def nodes(self) -> list[Hashable]:
         return list(self._graph)
 
-    def has_match_edge(self, left: Hashable, right: Hashable) -> bool:
-        """Whether a direct positive judgment exists between two records."""
-        return self._graph.has_edge(left, right)
-
-    def has_non_match(self, left: Hashable, right: Hashable) -> bool:
-        """Whether a direct negative judgment exists between two records."""
-        return frozenset((left, right)) in self._non_matches
-
     def connected(self, left: Hashable, right: Hashable) -> bool:
         """Whether a path of positive judgments connects the two records."""
         if left not in self._graph or right not in self._graph:

@@ -516,10 +516,6 @@ class PromptSession:
         """Dollars spent through this session so far."""
         return self.budget.spent
 
-    def reset_usage(self) -> None:
-        """Clear the tracker (the budget's spend is intentionally kept)."""
-        self.tracker.reset()
-
     def save_profile(self, store: "Store | None" = None, *, name: str = "default") -> None:
         """Persist this session's observed statistics as a workload profile.
 

@@ -227,11 +227,6 @@ class RuntimeStats:
         with self._lock:
             return int(round(self._call_counts.get(label, 0.0)))
 
-    def run_count(self, label: str) -> int:
-        """How many operator runs were recorded under a strategy label."""
-        with self._lock:
-            return int(round(self._runs.get(label, 0.0)))
-
     def latency_percentile(self, label: str, quantile: float) -> float | None:
         """The ``quantile`` (in [0, 1]) of observed call durations, in ms.
 
@@ -251,15 +246,6 @@ class RuntimeStats:
     def latency_p50(self, label: str) -> float | None:
         """Median observed call duration (ms) under a strategy label."""
         return self.latency_percentile(label, 0.5)
-
-    def latency_p95(self, label: str) -> float | None:
-        """95th-percentile observed call duration (ms) under a strategy label."""
-        return self.latency_percentile(label, 0.95)
-
-    def latency_labels(self) -> list[str]:
-        """Strategy labels with at least one recorded duration."""
-        with self._lock:
-            return sorted(label for label, samples in self._latency.items() if samples)
 
     def completion_tokens_per_call(self, label: str) -> float | None:
         """Observed mean completion tokens of a live call under a strategy label."""

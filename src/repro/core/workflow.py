@@ -134,20 +134,6 @@ class WorkflowReport:
     spans: list = field(default_factory=list, compare=False, repr=False)
 
     @property
-    def completed_steps(self) -> list[str]:
-        return [name for name, step in self.step_reports.items() if step.status == "completed"]
-
-    @property
-    def stopped_steps(self) -> list[str]:
-        """Steps that ran and spent money until the budget cut them off."""
-        return [name for name, step in self.step_reports.items() if step.status == "stopped"]
-
-    @property
-    def skipped_steps(self) -> list[str]:
-        """Steps that were never dispatched (safe to re-run from scratch)."""
-        return [name for name, step in self.step_reports.items() if step.status == "skipped"]
-
-    @property
     def restored_steps(self) -> list[str]:
         """Steps whose results came from a checkpoint store (zero new calls)."""
         return [name for name, step in self.step_reports.items() if step.restored]

@@ -103,10 +103,6 @@ class Oracle:
 
     # -- sorting / rating ----------------------------------------------------
 
-    def knows_criterion(self, criterion: str) -> bool:
-        """Whether the oracle can order items under ``criterion``."""
-        return criterion in self._scores or criterion in self._keys
-
     def score(self, item: str, criterion: str) -> float:
         """Latent score of ``item`` under ``criterion`` (higher = ranks first)."""
         if criterion in self._scores:
@@ -181,10 +177,6 @@ class Oracle:
 
     # -- entity resolution ---------------------------------------------------
 
-    def knows_entity(self, item: str) -> bool:
-        """Whether the oracle knows the entity id of ``item``."""
-        return item in self._entities
-
     def entity_id(self, item: str) -> str:
         """Ground-truth entity id of ``item``."""
         return self._entities[item]
@@ -198,10 +190,6 @@ class Oracle:
     def true_value(self, record_text: str, attribute: str) -> str:
         """Ground-truth value of ``attribute`` for the serialized record."""
         return self._values[(record_text, attribute)]
-
-    def knows_value(self, record_text: str, attribute: str) -> bool:
-        """Whether a true value is registered for this record/attribute pair."""
-        return (record_text, attribute) in self._values
 
     # -- categorization ------------------------------------------------------
 
@@ -218,7 +206,3 @@ class Oracle:
     def satisfies(self, item: str, predicate: str) -> bool:
         """Whether ``item`` satisfies the named predicate."""
         return bool(self._predicates[predicate](item))
-
-    def knows_predicate(self, predicate: str) -> bool:
-        """Whether the named predicate is registered."""
-        return predicate in self._predicates

@@ -26,10 +26,6 @@ class CategorizeResult(OperatorResult):
     assignments: dict[str, str] = field(default_factory=dict)
     votes_used: int = 0
 
-    def items_in(self, category: str) -> list[str]:
-        """Items assigned to ``category``, in input order."""
-        return [item for item, label in self.assignments.items() if label == category]
-
 
 class CategorizeOperator(BaseOperator):
     """Assign each item to one of a fixed set of category labels."""

@@ -7,7 +7,8 @@ rate envelope.  A :class:`Tenant` therefore owns a full
 :class:`~repro.core.session.PromptSession` — its own
 :class:`~repro.core.budget.Budget`, its own
 :class:`~repro.core.governor.ConcurrencyGovernor`, its own store namespace
-(:class:`~repro.store.StoreNamespace`), its own span ring and runtime stats —
+(``store.namespace(tenant_id)``, a :class:`~repro.store.Store` whose keys
+carry the tenant id), its own span ring and runtime stats —
 and a :class:`~repro.core.engine.DeclarativeEngine` running over it.
 Nothing observable crosses tenants except the shared database file and the
 shared LLM client underneath.

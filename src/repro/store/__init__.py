@@ -14,6 +14,9 @@ repeated and resumed workloads get cheaper over time.  One SQLite-backed
   (:func:`fingerprint_spec` + the engine's ``run_pipeline(store=...)``)
   giving crash-resume and incremental re-execution.
 
+``store.namespace(prefix)`` is the same :class:`Store` over the same file
+with every key scoped by ``prefix``: the service gives each tenant one.
+
 See ``docs/api.md`` ("The store subsystem") for the user-facing tour and
 ``examples/resumable_pipeline.py`` for a runnable walkthrough.
 """
@@ -26,7 +29,6 @@ from repro.store.fingerprint import (
     fingerprint_spec,
 )
 from repro.store.jobs import JOB_STATUSES, TERMINAL_STATUSES, JobRecord
-from repro.store.namespace import StoreNamespace
 from repro.store.profile import DEFAULT_DECAY, PROFILE_VERSION, WorkloadProfile
 from repro.store.response_cache import PersistentResponseCache
 from repro.store.store import Store
@@ -45,7 +47,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Store",
     "StoreDB",
-    "StoreNamespace",
     "TERMINAL_STATUSES",
     "WorkloadProfile",
     "decode_result",

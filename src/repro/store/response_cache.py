@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CacheStats
@@ -220,12 +220,3 @@ class PersistentResponseCache:
             self._db.pending.clear()
             self._db.execute("DELETE FROM cache")
         self.stats = CacheStats()
-
-    def snapshot(self) -> dict[str, Any]:
-        """Debug view: entry count, byte total, and this instance's hit rate."""
-        return {
-            "entries": len(self),
-            "bytes": self.total_bytes(),
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-        }

@@ -18,17 +18,21 @@ A store bundles the three persistence concerns behind one handle:
 
 Everything shares one SQLite file (see :mod:`repro.store.db` for the
 corruption/versioning rules), so "make this deployment durable" is a single
-``Store("repro-store.db")`` handed to the session or the engine.
+``Store("repro-store.db")`` handed to the session or the engine.  The
+multi-tenant service keeps every tenant in that one file, each behind its own
+:meth:`Store.namespace` view.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from contextlib import suppress
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.spec import TaskSpec
+from repro.exceptions import StoreError
 from repro.obs.spans import Span, TraceRecord
 from repro.operators.base import OperatorResult
 from repro.store.checkpoint import decode_result, encode_checkpoint
@@ -47,7 +51,6 @@ from repro.store.vectors import EmbeddingCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.physical import RuntimeStats
     from repro.index.base import VectorIndex
-    from repro.store.namespace import StoreNamespace
 
 #: One encoder per JSON format a row stores (``json.dumps`` builds one per
 #: call): span attributes, and an index row's k-NN graphs.
@@ -65,6 +68,10 @@ class Store:
         max_checkpoints: LRU cap on retained step checkpoints.
         max_span_records: FIFO cap on retained span rows (call records
             included: a call is a ``call`` span).
+
+    ``prefix`` is ``""`` for a store opened on a file, and the namespace id
+    for a view made by :meth:`namespace`.  Each keyed method scopes its key
+    once, where the key meets SQL (:meth:`_scoped`).
     """
 
     def __init__(
@@ -89,37 +96,66 @@ class Store:
         self.max_cache_entries = max_cache_entries
         self.max_cache_bytes = max_cache_bytes
         self.max_embedding_entries = max_embedding_entries
-        self._cache = self.response_cache()
+        self.prefix = ""
 
     @property
     def path(self) -> str:
         return self.db.path
 
+    def namespace(self, prefix: str) -> "Store":
+        """A tenant-isolated view of this store: a ``Store`` with ``prefix``.
+
+        Tenants share one file — one WAL, one LRU budget, one operational
+        artifact — but must never observe each other's state: a cache hit on
+        another tenant's paid-for response leaks it, and a checkpoint
+        restored across tenants hands one tenant results priced against
+        another's budget.  The view shares this store's :class:`StoreDB`
+        (``view.db is store.db``: one lock, one write-behind overlay, one
+        profile memo) and mixes ``prefix`` into every key before it reaches
+        the shared tables: the response cache hashes it into each key digest
+        (:func:`repro.store.response_cache._key`); profile names, checkpoint
+        fingerprints, vector-index names (and with them the k-NN graphs on an
+        index row) and span origins are stored as ``<prefix>::<key>``.  Raw
+        fingerprints are bare hex, so a prefixed key never collides with an
+        unprefixed one.  Job rows and embedding vectors are not scoped (see
+        :meth:`save_job` and :meth:`embedding_cache`).
+
+        Counts (``span_count``, ``checkpoint_count``, ...) and the LRU / FIFO
+        caps stay file-wide, and closing a view closes the shared handle.
+        The prefix replaces a view's own: ``view.namespace(p)`` is
+        ``store.namespace(p)``.  :class:`~repro.service.tenants.TenantRegistry`
+        hands each tenant's session ``store.namespace(tenant_id)``.
+        """
+        if not prefix:
+            raise StoreError("a store namespace needs a non-empty prefix")
+        if "::" in prefix:
+            raise StoreError("a store namespace prefix must not contain '::'")
+        view = copy.copy(self)
+        view.prefix = prefix
+        return view
+
+    def _scoped(self, key: str) -> str:
+        return f"{self.prefix}::{key}" if self.prefix else key
+
     # -- response cache -----------------------------------------------------------
 
-    def response_cache(self, *, namespace: str = "") -> PersistentResponseCache:
+    def response_cache(self) -> PersistentResponseCache:
         """A durable response cache view (drop-in for ``ResponseCache``).
 
         Every call returns a *new* instance: the entries are shared (they
         live in the database), but hit/miss counters are per instance, so
         each :class:`~repro.core.session.PromptSession` built on this store
         reports its own hit rate — matching the semantics of handing every
-        session a fresh in-memory cache.  A non-empty ``namespace`` is mixed
-        into every key digest, so the view shares the file but can never
-        read or collide with another namespace's entries (tenant isolation).
+        session a fresh in-memory cache.  A namespace view's ``prefix`` is
+        mixed into every key digest, so its cache shares the file but can
+        never read or collide with another namespace's entries.
         """
         return PersistentResponseCache(
             self.db,
             max_entries=self.max_cache_entries,
             max_bytes=self.max_cache_bytes,
-            namespace=namespace,
+            namespace=self.prefix,
         )
-
-    def namespace(self, prefix: str) -> "StoreNamespace":
-        """A tenant-isolated view of this store (see :class:`StoreNamespace`)."""
-        from repro.store.namespace import StoreNamespace  # breaks import cycle
-
-        return StoreNamespace(self, prefix)
 
     # -- embedding vectors --------------------------------------------------------
 
@@ -129,7 +165,12 @@ class Store:
         Like :meth:`response_cache`, every call returns a new instance over
         the shared rows, so each consumer (a
         :class:`~repro.index.CachedEmbedder`, a test pinning zero
-        recomputation) reads its own hit rate.
+        recomputation) reads its own hit rate.  It is shared by every
+        namespace: a stored vector is a pure function of ``(text, embedder
+        config)`` computed locally at zero dollars, so a cross-tenant hit
+        reuses arithmetic, not another tenant's paid-for content, and the
+        cache offers no way to enumerate entries.  The whole deployment
+        embeds each distinct text once.
         """
         return EmbeddingCache(self.db, max_entries=self.max_embedding_entries)
 
@@ -160,7 +201,7 @@ class Store:
                 "(name, kind, dimensions, size, payload, updated_seq, graphs) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?)",
                 (
-                    name,
+                    self._scoped(name),
                     index.kind,
                     index.dimensions,
                     len(index),
@@ -178,7 +219,8 @@ class Store:
         correct, exactly like a failed checkpoint load.
         """
         rows = self.db.execute(
-            "SELECT kind, payload FROM vector_indexes WHERE name = ?", (name,)
+            "SELECT kind, payload FROM vector_indexes WHERE name = ?",
+            (self._scoped(name),),
         )
         if not rows:
             return None
@@ -198,7 +240,8 @@ class Store:
         miss the caller recomputes, like a failed checkpoint load.
         """
         rows = self.db.execute(
-            "SELECT kind, size, graphs FROM vector_indexes WHERE name = ?", (name,)
+            "SELECT kind, size, graphs FROM vector_indexes WHERE name = ?",
+            (self._scoped(name),),
         )
         if not rows:
             return None
@@ -232,9 +275,10 @@ class Store:
         # Under the handle's lock from the revision read to the write: two
         # runs of one session saving from two threads must not write an
         # older export over a newer one.
+        key = self._scoped(name)  # the memo is keyed like the row: per namespace
         with self.db.lock:
             revision = None if merge else stats.revision  # read before the export
-            saved = self.db.saved_profiles.get(name, (None, None))
+            saved = self.db.saved_profiles.get(key, (None, None))
             if revision is not None and saved[1] == revision:
                 return  # the stats this handle last wrote, unchanged since
             if merge:
@@ -250,13 +294,15 @@ class Store:
                     self.db.execute(
                         "INSERT OR REPLACE INTO profiles (name, payload, updated_seq) "
                         "VALUES (?, ?, ?)",
-                        (name, payload, self.db.next_seq()),
+                        (key, payload, self.db.next_seq()),
                     )
-            self.db.saved_profiles[name] = (payload, revision)
+            self.db.saved_profiles[key] = (payload, revision)
 
     def load_profile(self, *, name: str = "default") -> WorkloadProfile | None:
         """The saved profile, or ``None`` when none exists yet."""
-        rows = self.db.execute("SELECT payload FROM profiles WHERE name = ?", (name,))
+        rows = self.db.execute(
+            "SELECT payload FROM profiles WHERE name = ?", (self._scoped(name),)
+        )
         if not rows:
             return None
         return WorkloadProfile.from_json(rows[0][0])
@@ -299,7 +345,7 @@ class Store:
                 "(fingerprint, payload, spec_type, strategy, calls, cost, access_seq, digest) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    fingerprint,
+                    self._scoped(fingerprint),
                     payload,
                     type(spec).__name__,
                     result.strategy,
@@ -324,10 +370,11 @@ class Store:
         have replaced it since)."""
         if not fingerprints:
             return {}
-        marks = ",".join("?" * len(fingerprints))
+        keys = {self._scoped(fingerprint): fingerprint for fingerprint in fingerprints}
+        marks = ",".join("?" * len(keys))
         rows = self.db.execute(
             f"SELECT fingerprint, payload, digest FROM checkpoints WHERE fingerprint IN ({marks})",
-            fingerprints,
+            keys,
         )
         loaded: dict[str, tuple[OperatorResult, str]] = {}
         for fingerprint, payload, digest in rows:
@@ -342,7 +389,7 @@ class Store:
                 continue
             self.db.touch_checkpoint(fingerprint)
             result.metadata["checkpoint_hit"] = True
-            loaded[fingerprint] = (result, digest)
+            loaded[keys[fingerprint]] = (result, digest)
         return loaded
 
     def checkpoint_digests(self, fingerprints: list[str]) -> dict[str, tuple[str, str]]:
@@ -350,12 +397,13 @@ class Store:
         checkpoints among ``fingerprints``: a quote's one ``SELECT``, no decode."""
         if not fingerprints:
             return {}
-        marks = ",".join("?" * len(fingerprints))
+        keys = {self._scoped(fingerprint): fingerprint for fingerprint in fingerprints}
+        marks = ",".join("?" * len(keys))
         rows = self.db.execute(
             f"SELECT fingerprint, strategy, digest FROM checkpoints WHERE fingerprint IN ({marks})",
-            fingerprints,
+            keys,
         )
-        return {fingerprint: (strategy, digest) for fingerprint, strategy, digest in rows}
+        return {keys[fingerprint]: (strategy, digest) for fingerprint, strategy, digest in rows}
 
     def checkpoint_count(self) -> int:
         return int(self.db.execute("SELECT COUNT(*) FROM checkpoints")[0][0])
@@ -373,6 +421,7 @@ class Store:
         """
         if not spans:
             return
+        origin = self._scoped(origin)
         rows = [
             (
                 f"{origin}:{span.span_id}",
@@ -401,18 +450,25 @@ class Store:
             self.db.evict("spans", self.max_span_records, "rowid", len(rows))
 
     def load_spans(self, *, origin: str | None = None, kind: str | None = None) -> list[Span]:
-        """Stored spans (optionally one tracker's, of one kind), in creation order."""
+        """Stored spans (optionally one tracker's, of one kind), in creation
+        order; a namespace view reads only its own origins."""
         sql = (
             "SELECT span_id, parent_id, kind, label, start_time, end_time, "
             "status, attributes FROM spans"
         )
-        filters = {
-            column: value
-            for column, value in (("origin", origin), ("kind", kind))
-            if value is not None
-        }
-        if filters:
-            sql += " WHERE " + " AND ".join(f"{column} = ?" for column in filters)
+        clauses: list[str] = []
+        parameters: list[Any] = []
+        if origin is not None:
+            clauses.append("origin = ?")
+            parameters.append(self._scoped(origin))
+        elif self.prefix:
+            clauses.append("substr(origin, 1, ?) = ?")
+            parameters += [len(self.prefix) + 2, f"{self.prefix}::"]
+        if kind is not None:
+            clauses.append("kind = ?")
+            parameters.append(kind)
+        if clauses:
+            sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY origin, span_id"
         return [
             Span(
@@ -425,7 +481,7 @@ class Store:
                 status=row[6],
                 attributes=json.loads(row[7]),
             )
-            for row in self.db.execute(sql, filters.values())
+            for row in self.db.execute(sql, parameters)
         ]
 
     def span_count(self) -> int:
@@ -451,6 +507,9 @@ class Store:
     def save_job(self, job: JobRecord) -> None:
         """Upsert one job row atomically (the service persists every
         transition: accepted, started, each streamed step, and the outcome).
+
+        Job rows are not scoped by a namespace view's prefix: each row names
+        its ``tenant`` in a column, which the service filters by.
 
         ``submitted_seq`` is assigned on first save and preserved on
         updates; ``updated_seq`` advances every save, so "most recently
@@ -512,21 +571,6 @@ class Store:
         return int(self.db.execute("SELECT COUNT(*) FROM jobs")[0][0])
 
     # -- lifecycle ----------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Debug view of the store's contents."""
-        profiles = [row[0] for row in self.db.execute("SELECT name FROM profiles")]
-        return {
-            "path": self.path,
-            "cache": self._cache.snapshot(),
-            "profiles": sorted(profiles),
-            "checkpoints": self.checkpoint_count(),
-            "traces": self.trace_count(),
-            "spans": self.span_count(),
-            "jobs": self.job_count(),
-            "embeddings": self.embedding_count(),
-            "vector_indexes": self.vector_index_count(),
-        }
 
     def close(self) -> None:
         self.db.close()

@@ -16,7 +16,7 @@ zero embeddings": open a fresh cache view, run again, assert
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.llm.cache import CacheStats
 from repro.store.db import StoreDB
@@ -121,11 +121,3 @@ class EmbeddingCache:
     def clear(self) -> None:
         self._db.execute("DELETE FROM embeddings")
         self.stats = CacheStats()
-
-    def snapshot(self) -> dict[str, Any]:
-        """Debug view: entry count plus this instance's hit/miss counters."""
-        return {
-            "entries": len(self),
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-        }

@@ -20,8 +20,8 @@ class TestMatchGraph:
         graph.add_match("b", "c")
         graph.add_non_match("a", "c")
         assert graph.connected("a", "c") is True
-        assert graph.has_match_edge("a", "c") is False
-        assert graph.has_non_match("a", "c") is True
+        assert graph._graph.has_edge("a", "c") is False
+        assert frozenset(("a", "c")) in graph._non_matches
 
     def test_conflicts_are_the_flippable_pairs(self):
         graph = MatchGraph()

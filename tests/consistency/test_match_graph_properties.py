@@ -73,8 +73,9 @@ def test_match_graph_equals_the_brute_force_closure(operations):
     for left in range(8):  # absent records included
         for right in range(8):
             assert graph.connected(left, right) is ((left, right) in reach)
-            assert graph.has_match_edge(left, right) is (frozenset((left, right)) in matches)
-            assert graph.has_non_match(left, right) is (frozenset((left, right)) in non_matches)
+            pair = frozenset((left, right))
+            assert graph._graph.has_edge(left, right) is (pair in matches)
+            assert (pair in graph._non_matches) is (pair in non_matches)
 
 
 @pytest.fixture(scope="module")
@@ -96,4 +97,4 @@ def test_match_graph_equals_networkx(nx, operations):
     for left in reference.nodes:
         for right in reference.nodes:
             assert graph.connected(left, right) is nx.has_path(reference, left, right)
-            assert graph.has_match_edge(left, right) is reference.has_edge(left, right)
+            assert graph._graph.has_edge(left, right) is reference.has_edge(left, right)

@@ -250,7 +250,7 @@ class TestRuntimeStats:
         stats.record_calls("resolve:auto", estimated=100, actual=35)
         assert stats.call_ratio("resolve:auto") == pytest.approx(0.30)
         assert stats.call_count("resolve:auto") == 60
-        assert stats.run_count("resolve:auto") == 2
+        assert stats.export_state()["runs"]["resolve:auto"] == 2
 
     def test_zero_denominators_are_ignored(self):
         stats = RuntimeStats()
@@ -307,8 +307,9 @@ class TestEngineFeedsStats:
         spec = ResolveSpec(records=items, budget_dollars=single_dollars * 1.05)
         result = engine.resolve(spec)
         assert result.strategy == "single_prompt"  # the downgrade happened
-        assert engine.stats.run_count("resolve:single_prompt") == 1
-        assert engine.stats.run_count("resolve:pairwise") == 0
+        runs = engine.stats.export_state()["runs"]
+        assert runs.get("resolve:single_prompt") == 1
+        assert runs.get("resolve:pairwise", 0) == 0
         explicit = ResolveSpec(records=items, strategy="pairwise")
         structural = CostPlanner(MODEL_NAME).estimate_spec(explicit)
         assert engine.planner().estimate_spec(explicit).calls == structural.calls
@@ -323,9 +324,10 @@ class TestEngineFeedsStats:
         engine.resolve(
             ResolveSpec(pairs=[(items[0], items[1])], records=items, neighbors_k=1)
         )
-        assert engine.stats.run_count("resolve:pairwise") == 1
-        assert engine.stats.run_count("resolve:transitive") == 1
-        assert engine.stats.run_count("resolve:auto") == 0
+        runs = engine.stats.export_state()["runs"]
+        assert runs.get("resolve:pairwise") == 1
+        assert runs.get("resolve:transitive") == 1
+        assert runs.get("resolve:auto", 0) == 0
 
     def test_transitive_resolve_ratio_corrects_the_upper_bound(self):
         items, oracle = product_corpus(n_entities=6, variants=2)

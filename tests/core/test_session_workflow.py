@@ -64,10 +64,10 @@ class TestPromptSession:
         response = session.complete(RATING.render([FLAVORS[3]], (CHOCOLATEY,)))
         assert response.model == DEFAULT_CHAT_MODEL
 
-    def test_reset_usage_keeps_budget(self, session):
+    def test_tracker_reset_keeps_budget(self, session):
         session.complete(RATING.render([FLAVORS[4]], (CHOCOLATEY,)))
         spent = session.spent_dollars
-        session.reset_usage()
+        session.tracker.reset()
         assert session.tracker.calls == 0
         assert session.spent_dollars == spent
 

@@ -41,9 +41,8 @@ class TestFlavors:
         assert "chocolate" in FLAVORS[0]
         assert FLAVORS[-1] == "lemon sorbet"
 
-    def test_oracle_knows_criterion(self):
+    def test_oracle_orders_by_the_criterion(self):
         oracle = flavor_oracle()
-        assert oracle.knows_criterion(CHOCOLATEY)
         assert oracle.compare(FLAVORS[0], FLAVORS[-1], CHOCOLATEY) == 1
 
 
@@ -79,7 +78,7 @@ class TestCitationCorpus:
         corpus = generate_citation_corpus(n_entities=10, n_pairs=20, seed=5)
         oracle = corpus.oracle()
         record = corpus.dataset[0]
-        assert oracle.knows_entity(render_citation(record))
+        assert oracle.entity_id(render_citation(record))
 
     def test_duplicates_are_textually_varied(self):
         corpus = generate_citation_corpus(n_entities=10, n_pairs=20, seed=6)

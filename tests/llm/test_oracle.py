@@ -31,7 +31,7 @@ class TestScoreCriteria:
         oracle.register_scores("size", {"ant": 1.0, "elephant": 10.0})
         assert oracle.score("elephant", "size") == 10.0
         assert oracle.has_scores("size")
-        assert oracle.knows_criterion("size")
+        assert oracle.true_order(["elephant", "ant"], "size") == ["elephant", "ant"]
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -107,20 +107,21 @@ class TestEntitiesValuesPredicates:
         oracle.register_entities({"rec a": "e1", "rec b": "e1", "rec c": "e2"})
         assert oracle.same_entity("rec a", "rec b") is True
         assert oracle.same_entity("rec a", "rec c") is False
-        assert oracle.knows_entity("rec a")
-        assert not oracle.knows_entity("rec z")
+        assert oracle.entity_id("rec a") == "e1"
+        with pytest.raises(KeyError):
+            oracle.entity_id("rec z")
 
     def test_values(self):
         oracle = Oracle()
         oracle.register_value("name is X", "city", "Austin")
         assert oracle.true_value("name is X", "city") == "Austin"
-        assert oracle.knows_value("name is X", "city")
-        assert not oracle.knows_value("name is X", "state")
+        with pytest.raises(KeyError):
+            oracle.true_value("name is X", "state")
 
     def test_predicates(self):
         oracle = Oracle()
         oracle.register_predicate("is long", lambda item: len(item) > 5)
         assert oracle.satisfies("elephant", "is long") is True
         assert oracle.satisfies("ant", "is long") is False
-        assert oracle.knows_predicate("is long")
-        assert not oracle.knows_predicate("other")
+        with pytest.raises(KeyError):
+            oracle.satisfies("elephant", "other")

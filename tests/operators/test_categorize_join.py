@@ -61,11 +61,6 @@ class TestCategorizeOperator:
         )
         assert correct >= len(items) - 2
 
-    def test_items_in_helper(self, categorizer):
-        result = categorizer.run(list(ITEM_CATEGORIES), strategy="per_item")
-        grouped = {category: result.items_in(category) for category in CATEGORIES}
-        assert sum(len(group) for group in grouped.values()) == len(ITEM_CATEGORIES)
-
     def test_self_consistency_uses_n_samples_votes(self, categorizer):
         items = list(ITEM_CATEGORIES)[:4]
         result = categorizer.run(items, strategy="self_consistency", n_samples=3)

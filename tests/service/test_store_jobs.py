@@ -13,7 +13,7 @@ import pytest
 
 from repro.exceptions import StoreError
 from repro.obs import SpanTracker
-from repro.store import JobRecord, Store, StoreNamespace, fingerprint_spec
+from repro.store import JobRecord, Store, fingerprint_spec
 from repro.store.jobs import validate_status
 
 from _service_helpers import CRITERION, WORDS, demo_pipeline
@@ -98,7 +98,7 @@ class TestStoreNamespace:
             store.namespace("")
         with pytest.raises(StoreError):
             store.namespace("a::b")
-        assert isinstance(store.namespace("acme"), StoreNamespace)
+        assert isinstance(store.namespace("acme"), Store)
 
     def test_response_caches_do_not_share_entries(self, store):
         from repro.llm.base import LLMResponse
@@ -156,3 +156,68 @@ class TestStoreNamespace:
         ns.save_job(JobRecord(job_id="j1", tenant="acme"))
         assert store.load_job("j1") is not None
         assert [j.job_id for j in ns.list_jobs(tenant="acme")] == ["j1"]
+
+    def test_unfiltered_span_reads_see_only_their_own_origins(self, store):
+        spans = SpanTracker()
+        spans.record_calls([("m", "ok", {"cost": 0.25})])
+        store.namespace("acme").save_spans(spans.spans(), origin="run-1")
+        assert store.namespace("beta").trace_records() == []
+        assert store.namespace("beta").load_spans() == []
+        (call,) = store.namespace("acme").load_spans(origin="run-1", kind="call")
+        assert call.kind == "call"
+        assert len(store.trace_records()) == 1
+
+
+class TestNamespaceKeysOnDisk:
+    """The raw keys a namespace view writes.  Store files written before the
+    view became a prefixed ``Store`` must restore through it, so these are
+    pinned row by row, not through the view's own reads."""
+
+    def test_each_artifact_is_stored_under_its_prefixed_key(self, store):
+        import numpy as np
+
+        from repro.core.physical import RuntimeStats
+        from repro.core.spec import SortSpec
+        from repro.index import ExactIndex
+        from repro.operators.sort import SortResult
+
+        acme = store.namespace("acme")
+        assert acme.db is store.db
+        for view in (acme, store.namespace("beta")):  # byte-identical profiles
+            stats = RuntimeStats()
+            stats.record_filter("p", evaluated=10, kept=4)
+            view.save_profile(stats)
+        spec = SortSpec(items=WORDS, criterion=CRITERION, strategy="pairwise")
+        fingerprint = fingerprint_spec(spec)
+        acme.save_checkpoint(fingerprint, spec, SortResult(strategy="pairwise", order=sorted(WORDS)))
+        spans = SpanTracker()
+        spans.record_calls([("m", "ok", {"cost": 0.25})])
+        acme.save_spans(spans.spans(), origin="run-1")
+        index = ExactIndex(2)
+        index.add(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        acme.save_vector_index("idx", index)
+        assert store.db.execute("SELECT name FROM profiles ORDER BY name") == [
+            ("acme::default",),
+            ("beta::default",),
+        ]
+        assert store.db.execute("SELECT fingerprint FROM checkpoints") == [
+            (f"acme::{fingerprint}",)
+        ]
+        assert store.db.execute("SELECT DISTINCT origin FROM spans") == [("acme::run-1",)]
+        assert store.db.execute("SELECT name FROM vector_indexes") == [("acme::idx",)]
+
+    def test_a_cache_row_keyed_by_the_namespaced_digest_is_a_hit(self, store):
+        import hashlib
+
+        from repro.llm.base import LLMResponse
+        from repro.store.response_cache import encode_response
+
+        key = hashlib.sha256(b"ns:4:acme\x00m\x00prompt").hexdigest()
+        payload = encode_response(LLMResponse(text="stored before", model="m"))
+        store.db.execute(
+            "INSERT INTO cache (key, model, prompt, payload, size, access_seq) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            (key, "m", "prompt", payload, len(payload), 1),
+        )
+        assert store.namespace("acme").response_cache().get("m", "prompt").text == "stored before"
+        assert store.namespace("beta").response_cache().get("m", "prompt") is None

@@ -324,8 +324,8 @@ class TestPipelineResume:
             engine = DeclarativeEngine(session=session)
             stopped = engine.run_pipeline(stop_pipeline(), store=store)
         assert stopped.stopped_early
-        assert "filter" in stopped.completed_steps
-        assert "sort" not in stopped.completed_steps
+        assert stopped.step_reports["filter"].status == "completed"
+        assert stopped.step_reports["sort"].status != "completed"
         with Store(path) as store:
             session = PromptSession(SimulatedLLM(oracle, seed=11), store=store)
             resumed = DeclarativeEngine(session=session).run_pipeline(

@@ -77,7 +77,7 @@ class TestStateRoundTrip:
         assert fresh.blocked_pair_rate() == pytest.approx(0.66)
         assert fresh.call_ratio("sort:pairwise") == pytest.approx(1.5)
         assert fresh.call_count("sort:pairwise") == 15
-        assert fresh.run_count("sort:pairwise") == 1
+        assert fresh.export_state()["runs"]["sort:pairwise"] == 1
 
     def test_decay_scales_evidence_not_ratios(self):
         stats = observed_stats()

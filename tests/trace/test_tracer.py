@@ -203,10 +203,11 @@ class TestSessionIntegration:
     def test_latency_feeds_stats_only_under_an_operator_label(self):
         session = PromptSession(SimulatedLLM(flavor_oracle(), seed=7))
         session.complete("unlabelled", model="sim-gpt-3.5-turbo")
-        assert session.stats.latency_labels() == []
+        assert not any(session.stats.export_state()["latency"].values())
         with trace_label(operator="sort:pairwise"):
             session.complete("labelled", model="sim-gpt-3.5-turbo")
-        assert session.stats.latency_labels() == ["sort:pairwise"]
+        latency = session.stats.export_state()["latency"]
+        assert [label for label, samples in latency.items() if samples] == ["sort:pairwise"]
         assert session.stats.latency_p50("sort:pairwise") is not None
 
     def test_failed_calls_record_the_taxonomy_error(self):
