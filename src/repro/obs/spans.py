@@ -206,12 +206,13 @@ class TraceRecord:
             call_id=span.span_id,
             model=span.label,
             span_id=span.span_id,
-            **{name: attributes[name] for name in _ATTRIBUTES if name in attributes},
+            **{name: attributes[name] for name in CALL_ATTRIBUTES if name in attributes},
         )
 
 
-#: The fields a call span carries as attributes, under the same names.
-_ATTRIBUTES = tuple(
+#: The fields a call span carries as attributes, under the same names and in
+#: this order (a store's ``calls`` row holds their values in it).
+CALL_ATTRIBUTES = tuple(
     f.name for f in fields(TraceRecord) if f.name not in ("call_id", "model", "span_id")
 )
 
@@ -257,9 +258,11 @@ class SpanTracker:
 
     Spans are kept in insertion order, evicted FIFO past *capacity*
     (counting drops rather than failing), and persisted to the store's
-    ``spans`` table under a per-tracker ``origin``.  Ids come from one
-    sequence, assigned as a span is admitted: a call's ``call_id`` is its
-    ``span_id``.
+    ``spans`` table under a per-tracker ``origin``: a flush hands its dirty
+    spans to ``Store.save_spans``, which writes the new ``call`` spans as one
+    row and rewrites a call amended after its flush where it is stored.  Ids
+    come from one sequence, assigned as a span is admitted: a call's
+    ``call_id`` is its ``span_id``.
 
     *on_drop* is called with the number of ``call`` spans among those a
     crossing evicted (the session wires it to

@@ -59,10 +59,13 @@ APPLICATION_ID = 0x5250_5253  # spells "RPRS"
 
 #: Bump whenever the table layout changes, with a :data:`_DROPPED_AFTER`
 #: entry for the version left behind.  Newer stores are refused.
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 # An index row's ``graphs`` precede its ``payload``, so that reading them
-# stops short of the payload's overflow pages.
+# stops short of the payload's overflow pages.  A ``spans`` row of kind
+# ``calls`` holds the call spans of one flush (``repro.store.store``):
+# ``attributes`` is their list rows, ``span_id`` their highest id and
+# ``parent_id`` how many they are.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -160,9 +163,11 @@ _TABLES = (
 #: (no ``traces`` table; older call spans lack the record's fields); 7 put
 #: the k-NN graphs on the index row (an index is rebuilt from the kept
 #: embedding vectors); 8 put a result digest on each checkpoint row (each
-#: step re-runs once, from the kept cache).  Versions before 5 lose every table.
+#: step re-runs once, from the kept cache); 9 writes a flush's call spans as
+#: one ``calls`` row and keeps every table (the per-span rows read as before).
+#: Versions before 5 lose every table.
 _DROPPED_AFTER: dict[int, tuple[str, ...]] = {
-    5: ("traces", "spans"), 6: ("vector_indexes",), 7: ("checkpoints",)
+    5: ("traces", "spans"), 6: ("vector_indexes",), 7: ("checkpoints",), 8: ()
 }
 
 
@@ -196,6 +201,10 @@ class StoreDB:
         #: wrote under it (what ``Store.save_profile`` need not write, nor for
         #: an unchanged revision encode, again); a ROLLBACK forgets.
         self.saved_profiles: dict[str, tuple[str, int | None]] = {}
+        #: Span origin -> the highest call-span id this handle put in a
+        #: ``calls`` row under it (a rollback leaves it high): a call above it
+        #: is not stored yet.
+        self.stored_calls: dict[str, int] = {}
 
     # -- connection management ---------------------------------------------------
 
@@ -482,11 +491,15 @@ class StoreDB:
         written: int,
         size: int | None = None,
         max_bytes: int | None = None,
-    ) -> None:
+        extra: str = "0",
+    ) -> tuple[int, int] | None:
         """Delete the oldest rows of ``table`` (lowest ``oldest`` first) until
-        at most ``cap`` remain, after this handle wrote ``written`` rows into
-        it.  A table with a ``size`` column (the cache) passes the ``size``
-        written, and ``max_bytes`` caps its sum too.
+        at most ``cap`` entries remain, after this handle wrote ``written``
+        entries into it.  A table with a ``size`` column (the cache) passes
+        the ``size`` written, and ``max_bytes`` caps its sum too.  A row holds
+        one entry plus ``extra`` (SQL; a ``calls`` row of spans holds many):
+        a row that holds the cap's edge is kept and returned as ``(rowid,
+        entries to trim from its oldest end)``, for the caller to trim.
 
         The table is counted only when its running total may have passed a
         cap.  The total is an upper bound (a replaced row counts twice), kept
@@ -494,6 +507,7 @@ class StoreDB:
         connection has committed since.
         """
         sizes = "0" if size is None else "size"
+        trim = None
         with self._lock:
             conn = self._conn
             version = conn.execute("PRAGMA data_version").fetchone()[0]
@@ -502,26 +516,33 @@ class StoreDB:
                 entries, total = known[1] + written, known[2] + (size or 0)
                 if entries <= cap and (max_bytes is None or total <= max_bytes):
                     self._totals[table] = (version, entries, total)
-                    return
+                    return None
             entries, total = conn.execute(
-                f"SELECT COUNT(*), COALESCE(SUM({sizes}), 0) FROM {table}"
+                f"SELECT COUNT(*) + COALESCE(SUM({extra}), 0), COALESCE(SUM({sizes}), 0) "
+                f"FROM {table}"
             ).fetchone()
             if entries > cap or (max_bytes is not None and total > max_bytes):
                 victims: list[tuple[int]] = []
-                rows = conn.execute(f"SELECT rowid, {sizes} FROM {table} ORDER BY {oldest} ASC")
-                for rowid, row_size in rows:
+                rows = conn.execute(
+                    f"SELECT rowid, 1 + {extra}, {sizes} FROM {table} ORDER BY {oldest} ASC"
+                )
+                for rowid, weight, row_size in rows:
                     # At least one row is always kept — a single oversized
                     # response must not leave the cache empty and thrashing.
                     if entries <= cap and (
                         max_bytes is None or total <= max_bytes or entries <= 1
                     ):
                         break
+                    if cap < entries < cap + weight:
+                        trim, entries = (rowid, entries - cap), cap
+                        break
                     victims.append((rowid,))
-                    entries -= 1
+                    entries -= weight
                     total -= row_size
                 rows.close()
                 conn.executemany(f"DELETE FROM {table} WHERE rowid = ?", victims)
             self._totals[table] = (version, entries, total)
+        return trim
 
     @property
     def lock(self) -> threading.RLock:

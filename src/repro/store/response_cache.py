@@ -29,6 +29,7 @@ import json
 from collections import Counter
 from typing import Sequence
 
+from repro.exceptions import StoreError
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CacheStats
 from repro.store.db import StoreDB
@@ -207,15 +208,25 @@ class PersistentResponseCache:
         )
 
     def __len__(self) -> int:
+        """Entries in the whole file, every namespace's included (a key
+        digest does not say whose it is)."""
         self._db.flush()
         return int(self._db.execute("SELECT COUNT(*) FROM cache")[0][0])
 
     def total_bytes(self) -> int:
-        """Total stored payload bytes (what ``max_bytes`` is enforced over)."""
+        """Total stored payload bytes of the whole file, every namespace's
+        included (what ``max_bytes`` is enforced over)."""
         self._db.flush()
         return int(self._db.execute("SELECT COALESCE(SUM(size), 0) FROM cache")[0][0])
 
     def clear(self) -> None:
+        """Empty the cache of the whole file; refused on a namespace's view,
+        whose clear would wipe every other namespace's entries too."""
+        if self.namespace:
+            raise StoreError(
+                f"clearing the response cache is file-wide; clear the unscoped store, "
+                f"not namespace {self.namespace!r}"
+            )
         with self._db.lock:
             self._db.pending.clear()
             self._db.execute("DELETE FROM cache")

@@ -29,11 +29,12 @@ import copy
 import json
 import os
 from contextlib import suppress
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.spec import TaskSpec
 from repro.exceptions import StoreError
-from repro.obs.spans import Span, TraceRecord
+from repro.obs.spans import CALL_ATTRIBUTES, Span, TraceRecord
 from repro.operators.base import OperatorResult
 from repro.store.checkpoint import decode_result, encode_checkpoint
 from repro.store.db import StoreDB
@@ -53,9 +54,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.base import VectorIndex
 
 #: One encoder per JSON format a row stores (``json.dumps`` builds one per
-#: call): span attributes, and an index row's k-NN graphs.
+#: call): span attributes, a ``calls`` row's list rows, and an index row's
+#: k-NN graphs.
 _ATTRIBUTES = json.JSONEncoder(sort_keys=True)
-_GRAPHS = json.JSONEncoder(separators=(",", ":"))
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+#: The spans a ``spans`` row holds beyond one (a ``calls`` row holds
+#: ``parent_id``: see :meth:`Store.save_spans`), and the spans of the rows.
+_MORE_SPANS = "CASE kind WHEN 'calls' THEN parent_id - 1 ELSE 0 END"
+_SPANS = f"COUNT(*) + COALESCE(SUM({_MORE_SPANS}), 0)"
 
 
 class Store:
@@ -66,7 +73,7 @@ class Store:
         max_cache_entries: LRU entry cap of the response cache.
         max_cache_bytes: optional LRU byte cap of the response cache.
         max_checkpoints: LRU cap on retained step checkpoints.
-        max_span_records: FIFO cap on retained span rows (call records
+        max_span_records: FIFO cap on retained spans (call records
             included: a call is a ``call`` span).
 
     ``prefix`` is ``""`` for a store opened on a file, and the namespace id
@@ -194,7 +201,7 @@ class Store:
         without deserialising the index.
         """
         payload = index.to_payload()
-        encoded = _GRAPHS.encode({str(k): graph for k, graph in (graphs or {}).items()})
+        encoded = _COMPACT.encode({str(k): graph for k, graph in (graphs or {}).items()})
         with self.db.atomic():
             self.db.execute(
                 "INSERT OR REPLACE INTO vector_indexes "
@@ -411,17 +418,25 @@ class Store:
     # -- spans --------------------------------------------------------------------
 
     def save_spans(self, spans: list[Span], *, origin: str) -> None:
-        """Upsert a tracker's spans atomically, keyed by ``origin:span_id``.
+        """Persist one flush of a tracker's spans atomically, under ``origin``.
 
-        The tracker re-sends spans whose status or attributes changed
-        after the first flush (a span closes, a retry annotates its call,
-        an observer error is annotated), so rows are updated in place, not
-        duplicated — a re-sent span keeps its place in the FIFO that evicts
-        the oldest rows beyond ``max_span_records``.
+        A span of any kind but ``call`` is one row, keyed by
+        ``origin:span_id`` and upserted: the tracker re-sends a span whose
+        status or attributes changed after its first flush (a span closes),
+        and its row is updated where it sits.  The flush's new ``call`` spans
+        are one ``calls`` row: ``attributes`` holds one list row each
+        (:func:`_call_row`, oldest first), ``span_id`` the highest of their
+        ids and ``parent_id`` how many they are.  A call re-sent after its
+        flush (a retry's ``annotate``, an observer error) rewrites its own
+        list row where a ``calls`` row holds it, so every call has one stored
+        version.  Beyond ``max_span_records`` spans the oldest rows go first,
+        a ``calls`` row weighing its calls; the row at the cap's edge loses
+        its oldest calls.
         """
         if not spans:
             return
         origin = self._scoped(origin)
+        calls = sorted((span for span in spans if span.kind == "call"), key=attrgetter("span_id"))
         rows = [
             (
                 f"{origin}:{span.span_id}",
@@ -436,9 +451,31 @@ class Store:
                 _ATTRIBUTES.encode(span.attributes),
             )
             for span in spans
+            if span.kind != "call"
         ]
-        with self.db.atomic():
-            self.db.executemany(
+        db = self.db
+        with db.atomic():
+            stored = db.stored_calls.get(origin, 0)
+            if calls and calls[0].span_id <= stored:
+                calls = self._rewrite_calls(calls, origin)
+            if calls:
+                first, last = calls[0], calls[-1]
+                rows.append(
+                    (
+                        f"{origin}:{first.span_id}..{last.span_id}",
+                        origin,
+                        last.span_id,
+                        len(calls),
+                        "calls",
+                        "",
+                        first.start,
+                        last.end,
+                        "ok",
+                        _COMPACT.encode([_call_row(span) for span in calls]),
+                    )
+                )
+                db.stored_calls[origin] = max(stored, last.span_id)
+            db.executemany(
                 "INSERT INTO spans "
                 "(row_id, origin, span_id, parent_id, kind, label, "
                 "start_time, end_time, status, attributes) "
@@ -447,13 +484,44 @@ class Store:
                 "status = excluded.status, attributes = excluded.attributes",
                 rows,
             )
-            self.db.evict("spans", self.max_span_records, "rowid", len(rows))
+            trim = db.evict("spans", self.max_span_records, "rowid", len(spans), extra=_MORE_SPANS)
+            if trim is not None:
+                rowid, count = trim
+                (encoded,) = db.execute("SELECT attributes FROM spans WHERE rowid = ?", (rowid,))[0]
+                self._put_calls(rowid, json.loads(encoded)[count:])
+
+    def _rewrite_calls(self, calls: list[Span], origin: str) -> list[Span]:
+        """Rewrite each of ``calls`` where a ``calls`` row of ``origin`` holds
+        it; returns the others (never stored, or evicted since)."""
+        waiting = {span.span_id: span for span in calls}
+        rows = self.db.execute(
+            "SELECT rowid, attributes FROM spans "
+            "WHERE origin = ? AND span_id >= ? AND kind = 'calls' ORDER BY span_id",
+            (origin, calls[0].span_id),
+        )
+        for rowid, encoded in rows:
+            elements = json.loads(encoded)
+            held = [index for index, element in enumerate(elements) if element[0] in waiting]
+            for index in held:
+                elements[index] = _call_row(waiting.pop(elements[index][0]))
+            if held:
+                self._put_calls(rowid, elements)
+            if not waiting:
+                break
+        return [span for span in calls if span.span_id in waiting]
+
+    def _put_calls(self, rowid: int, elements: list[list[Any]]) -> None:
+        self.db.execute(
+            "UPDATE spans SET parent_id = ?, attributes = ? WHERE rowid = ?",
+            (len(elements), _COMPACT.encode(elements), rowid),
+        )
 
     def load_spans(self, *, origin: str | None = None, kind: str | None = None) -> list[Span]:
         """Stored spans (optionally one tracker's, of one kind), in creation
-        order; a namespace view reads only its own origins."""
+        order per origin; a namespace view reads only its own origins.  A
+        ``calls`` row reads back as the ``call`` spans it holds."""
         sql = (
-            "SELECT span_id, parent_id, kind, label, start_time, end_time, "
+            "SELECT origin, span_id, parent_id, kind, label, start_time, end_time, "
             "status, attributes FROM spans"
         )
         clauses: list[str] = []
@@ -464,28 +532,34 @@ class Store:
         elif self.prefix:
             clauses.append("substr(origin, 1, ?) = ?")
             parameters += [len(self.prefix) + 2, f"{self.prefix}::"]
-        if kind is not None:
+        if kind == "call":
+            clauses.append("kind IN ('call', 'calls')")
+        elif kind is not None:
             clauses.append("kind = ?")
             parameters.append(kind)
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY origin, span_id"
-        return [
-            Span(
-                span_id=int(row[0]),
-                parent_id=None if row[1] is None else int(row[1]),
-                kind=row[2],
-                label=row[3],
-                start=float(row[4]),
-                end=None if row[5] is None else float(row[5]),
-                status=row[6],
-                attributes=json.loads(row[7]),
+        loaded: list[tuple[str, Span]] = []
+        for row in self.db.execute(sql, parameters):
+            if row[3] == "calls":
+                loaded += [(row[0], _call_span(element)) for element in json.loads(row[8])]
+                continue
+            span = Span(
+                span_id=int(row[1]),
+                parent_id=None if row[2] is None else int(row[2]),
+                kind=row[3],
+                label=row[4],
+                start=float(row[5]),
+                end=None if row[6] is None else float(row[6]),
+                status=row[7],
+                attributes=json.loads(row[8]),
             )
-            for row in self.db.execute(sql, parameters)
-        ]
+            loaded.append((row[0], span))
+        loaded.sort(key=lambda pair: (pair[0], pair[1].span_id))
+        return [span for _, span in loaded]
 
     def span_count(self) -> int:
-        return int(self.db.execute("SELECT COUNT(*) FROM spans")[0][0])
+        return int(self.db.execute(f"SELECT {_SPANS} FROM spans")[0][0])
 
     def trace_records(self, *, origin: str | None = None) -> list[TraceRecord]:
         """Stored call records — the ``call`` spans, as their typed views
@@ -495,7 +569,8 @@ class Store:
         ]
 
     def trace_count(self) -> int:
-        return int(self.db.execute("SELECT COUNT(*) FROM spans WHERE kind = 'call'")[0][0])
+        sql = f"SELECT {_SPANS} FROM spans WHERE kind IN ('call', 'calls')"
+        return int(self.db.execute(sql)[0][0])
 
     # -- jobs ---------------------------------------------------------------------
 
@@ -605,3 +680,23 @@ def _decode_graphs(encoded: str, size: int) -> dict[int, list[list[int]]]:
         ):
             graphs[int(key)] = graph
     return graphs
+
+
+def _call_row(span: Span) -> list[Any]:
+    """A call span as a list row: id, parent id, model, start, end, status,
+    then the values of :data:`~repro.obs.spans.CALL_ATTRIBUTES` — or, when its
+    attributes are not exactly those in that order, the attributes dict."""
+    row = [span.span_id, span.parent_id, span.label, span.start, span.end, span.status]
+    attributes = span.attributes
+    if tuple(attributes) == CALL_ATTRIBUTES:
+        row += attributes.values()
+    else:
+        row.append(attributes)
+    return row
+
+
+def _call_span(row: list[Any]) -> Span:
+    """The call span :func:`_call_row` wrote as ``row``."""
+    span_id, parent_id, label, start, end, status, *values = row
+    attributes = values[0] if len(values) == 1 else dict(zip(CALL_ATTRIBUTES, values))
+    return Span(span_id, parent_id, "call", label, start, end, status, attributes)

@@ -117,6 +117,18 @@ class TestStoreNamespace:
         assert acme.get("m", "prompt").text == "acme-answer"
         assert beta.get("m", "prompt").text == "beta-answer"
 
+    def test_a_tenant_cannot_clear_the_shared_cache(self, store):
+        from repro.llm.base import LLMResponse
+
+        beta = store.namespace("beta").response_cache()
+        beta.put("m", "prompt", LLMResponse(text="beta-answer", model="m"))
+        with pytest.raises(StoreError, match="file-wide; clear the unscoped store"):
+            store.namespace("acme").response_cache().clear()
+        assert beta.get("m", "prompt").text == "beta-answer"
+        store.response_cache().clear()
+        assert beta.get("m", "prompt") is None
+        assert len(store.response_cache()) == 0
+
     def test_profiles_are_scoped(self, store):
         from repro.core.physical import RuntimeStats
 

@@ -16,7 +16,7 @@ from repro.core.spec import SortSpec
 from repro.core.stats import RuntimeStats
 from repro.llm.base import LLMResponse
 from repro.llm.cache import CachedClient, ResponseCacheLike
-from repro.obs.spans import Span
+from repro.obs.spans import CALL_ATTRIBUTES, Span
 from repro.operators.sort import SortResult
 from repro.store import PersistentResponseCache, Store, encode_result, fingerprint_spec
 from repro.store.checkpoint import CHECKPOINT_VERSION
@@ -323,9 +323,28 @@ class TestStoredBytes:
 
     def test_span_attributes(self, store):
         attributes = {"z": [1, 2.5, "é"], "a": {"nested": True}, "cost": 0.1}
-        store.save_spans([Span(1, None, "call", "x", 0.0, 1.0, "ok", attributes)], origin="o")
+        store.save_spans([Span(1, None, "step", "x", 0.0, 1.0, "ok", attributes)], origin="o")
         (stored,) = store.db.execute("SELECT attributes FROM spans")[0]
         assert stored == json.dumps(attributes, sort_keys=True)
+
+    def test_a_calls_row(self, store):
+        """A flush's call spans are one row of list rows; a call whose
+        attributes are not the record's fields keeps them as a dict."""
+        odd = {"z": [1, 2.5, "é"], "a": {"nested": True}, "cost": 0.1}
+        record = {name: None for name in CALL_ATTRIBUTES}
+        store.save_spans(
+            [
+                Span(1, None, "call", "x", 0.0, 1.0, "ok", odd),
+                Span(2, 1, "call", "y", 1.5, None, "error", record),
+            ],
+            origin="o",
+        )
+        (stored,) = store.db.execute("SELECT attributes FROM spans")[0]
+        assert stored == json.dumps(
+            [[1, None, "x", 0.0, 1.0, "ok", odd], [2, 1, "y", 1.5, None, "error"]
+             + [None] * len(CALL_ATTRIBUTES)],
+            separators=(",", ":"),
+        )
 
     def test_job_quote_and_report(self, store):
         job = JobRecord(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +13,7 @@ from repro.data.flavors import FLAVORS, flavor_oracle
 from repro.exceptions import UnknownModelError
 from repro.llm.simulated import SimulatedLLM
 from repro.obs.spans import (
+    CALL_ATTRIBUTES,
     SpanTracker,
     TraceLabels,
     TraceRecord,
@@ -179,6 +182,127 @@ class TestStoreFlush:
     def test_store_rejects_nonpositive_span_cap(self):
         with pytest.raises(ValueError):
             Store(":memory:", max_span_records=0)
+
+
+def full_call(spans: SpanTracker, prompt: str) -> TraceRecord:
+    """Record one call carrying every record field, as a session's settle does."""
+    record = TraceRecord(call_id=0, prompt=prompt, response_text="yes", cost=0.5)
+    (span,) = spans.record_calls(
+        [("m", "ok", {name: getattr(record, name) for name in CALL_ATTRIBUTES})]
+    )
+    return TraceRecord.from_span(span)
+
+
+def stored_rows(store: Store) -> list[tuple[str, int | None]]:
+    """``(kind, parent_id)`` of each stored row, oldest first: a ``calls``
+    row's ``parent_id`` is how many calls it holds."""
+    return store.db.execute("SELECT kind, parent_id FROM spans ORDER BY rowid")
+
+
+class TestCallsRows:
+    """A flush writes its call spans as one ``calls`` row."""
+
+    def test_a_call_amended_after_its_flush_reads_back_amended_and_counts_once(self):
+        store = Store(":memory:")
+        spans = SpanTracker(store=store, flush_every=1000)
+        first = full_call(spans, "p0")
+        full_call(spans, "p1")
+        assert spans.flush() == 2
+        full_call(spans, "p2")
+        assert spans.flush() == 1
+        assert stored_rows(store) == [("calls", 2), ("calls", 1)]
+        spans.annotate(first.call_id, attempt=1, parse_ok=False)
+        assert spans.flush() == 1
+        # Rewritten in the row that holds it: no third row.
+        assert stored_rows(store) == [("calls", 2), ("calls", 1)]
+        loaded = store.trace_records(origin=spans.origin)
+        assert [record.prompt for record in loaded] == ["p0", "p1", "p2"]
+        assert (loaded[0].attempt, loaded[0].parse_ok) == (1, False)
+        assert [to_wire(record) for record in loaded] == [
+            to_wire(record) for record in spans.records()
+        ]
+        assert store.trace_count() == store.span_count() == 3
+
+    def test_a_call_resent_after_a_rollback_is_stored_once(self):
+        store = Store(":memory:")
+        spans = SpanTracker()
+        full_call(spans, "p0")
+        with pytest.raises(RuntimeError), store.db.atomic():
+            store.save_spans(spans.spans(), origin="o")
+            raise RuntimeError("the settle failed")
+        store.save_spans(spans.spans(), origin="o")
+        assert [record.prompt for record in store.trace_records()] == ["p0"]
+        assert store.trace_count() == 1
+
+    def test_the_cap_across_two_calls_rows_trims_the_older_row_oldest_calls_first(self):
+        store = Store(":memory:", max_span_records=5)
+        spans = SpanTracker(store=store, flush_every=1000)
+        for index in range(4):
+            full_call(spans, f"p{index}")
+        spans.flush()
+        for index in range(4, 7):
+            full_call(spans, f"p{index}")
+        spans.flush()  # 7 calls in two rows against a cap of 5
+        assert stored_rows(store) == [("calls", 2), ("calls", 3)]
+        assert [record.prompt for record in store.trace_records()] == [
+            f"p{index}" for index in range(2, 7)
+        ]
+        for index in range(7, 10):
+            full_call(spans, f"p{index}")
+        spans.flush()  # the older row goes whole, the next loses its oldest call
+        assert stored_rows(store) == [("calls", 2), ("calls", 3)]
+        assert [record.prompt for record in store.trace_records()] == [
+            f"p{index}" for index in range(5, 10)
+        ]
+        assert store.span_count() == store.trace_count() == 5
+
+    def test_concurrent_flushes_and_amendments_store_each_call_once(self):
+        store = Store(":memory:")
+        spans = SpanTracker(store=store, flush_every=8)
+        workers, per_worker = 6, 40
+
+        def work(worker: int) -> None:
+            for index in range(per_worker):
+                record = full_call(spans, f"w{worker}-p{index}")
+                if index % 3 == 0:
+                    spans.annotate(record.call_id, attempt=1)
+                if index % 5 == 0:
+                    spans.flush()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        spans.flush()
+        stored = store.trace_records()
+        assert sorted(record.call_id for record in stored) == sorted(
+            record.call_id for record in spans.records()
+        )
+        assert store.trace_count() == store.span_count() == workers * per_worker
+
+    def test_a_namespace_view_reads_only_its_own_origins(self):
+        store = Store(":memory:")
+        for tenant in ("acme", "beta"):
+            spans = SpanTracker(store=store.namespace(tenant))
+            with spans.span("step", tenant):
+                full_call(spans, f"{tenant}-p0")
+                full_call(spans, f"{tenant}-p1")
+            spans.flush()
+        acme = store.namespace("acme")
+        assert [record.prompt for record in acme.trace_records()] == ["acme-p0", "acme-p1"]
+        assert [(span.kind, span.label) for span in acme.load_spans()] == [
+            ("step", "acme"), ("call", "m"), ("call", "m")
+        ]
+        assert [span.label for span in acme.load_spans(kind="step")] == ["acme"]
+        assert store.namespace("gamma").load_spans() == []
+        assert len(store.trace_records()) == store.trace_count() == 4
 
 
 class TestSessionIntegration:
