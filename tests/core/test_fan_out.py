@@ -16,7 +16,6 @@ import contextvars
 import sys
 import threading
 import time
-from collections import deque
 
 import pytest
 
@@ -24,6 +23,7 @@ from repro.core import executor as executor_module
 from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor
 from repro.core.engine import DeclarativeEngine
+from repro.core.governor import BackendGate
 from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError
@@ -64,6 +64,8 @@ def wait_for_helpers_to_exit(baseline: int) -> None:
 class BarrierClient(EchoClient):
     """Every call waits for ``parties`` calls to be in flight at once."""
 
+    waits = True
+
     def __init__(self, parties: int) -> None:
         super().__init__()
         self.barrier = threading.Barrier(parties, timeout=PATIENCE)
@@ -83,6 +85,20 @@ class BarrierClient(EchoClient):
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+class HeldClient(EchoClient):
+    """A backend that waits: each call returns once ``hold()`` has returned."""
+
+    waits = True
+
+    def __init__(self, hold) -> None:
+        super().__init__()
+        self.hold = hold
+
+    def complete(self, prompt, **params):
+        self.hold()
+        return super().complete(prompt, **params)
 
 
 class TestCallsThatNeverWait:
@@ -147,9 +163,13 @@ class TestCallsThatWait:
         assert client.peak == WIDTH
 
     def test_map_tasks_overlap_too(self):
-        barrier = threading.Barrier(WIDTH, timeout=PATIENCE)
-        outcomes = BatchExecutor(EchoClient(), max_concurrency=WIDTH).map([barrier.wait] * WIDTH)
-        assert sorted(outcome.value for outcome in outcomes) == list(range(WIDTH))
+        # Each task's call crosses the session's gate to a backend that waits.
+        client = BarrierClient(WIDTH)
+        session = PromptSession(client)
+        tasks = [lambda index=index: session.complete(f"p{index}").text for index in range(WIDTH)]
+        outcomes = session.batch_executor(max_concurrency=WIDTH).map(tasks)
+        assert [outcome.value for outcome in outcomes] == [f"echo:p{i}" for i in range(WIDTH)]
+        assert client.peak == WIDTH
 
     def test_the_remainder_after_a_fast_prefix_overlaps(self):
         # (c) Helpers are not a decision taken once at the start of a bag.
@@ -160,16 +180,17 @@ class TestCallsThatWait:
         assert client.peak == WIDTH
 
     def test_a_narrow_bag_starts_no_more_helpers_than_it_has_bodies(self):
-        barrier = threading.Barrier(3, timeout=PATIENCE)
+        client = BarrierClient(3)
+        session = PromptSession(client)
         peak = []
 
-        def task():
-            barrier.wait()
+        def task(index):
+            session.complete(f"p{index}")
             peak.append(threading.active_count())
 
         baseline = threading.active_count()
-        BatchExecutor(EchoClient(), max_concurrency=WIDTH).map([task] * 3)
-        assert max(peak) <= baseline + 2
+        session.batch_executor(max_concurrency=WIDTH).map([lambda i=i: task(i) for i in range(3)])
+        assert len(client.threads) == 3 and max(peak) <= baseline + 2
 
 
 class TestCallsThatCompute:
@@ -259,35 +280,6 @@ class TestOtherThreadsCompute:
         assert client.peak == WIDTH
 
 
-class TestTheScoutWaitsForTheFirstBody:
-    def test_no_helper_takes_a_body_while_the_dispatching_thread_is_held(self, monkeypatch):
-        # The dispatching thread sleeps inside its first ``popleft``, fifty
-        # stall windows with the whole process idle: the scout must not take
-        # that body (or any other) before the dispatching thread has one.
-        dispatcher = threading.get_ident()
-        taken_by_others: list[int] = []
-        during_hold: list[int] = []
-        held: list[bool] = []
-
-        class HeldQueue(deque):
-            def popleft(self):
-                if threading.get_ident() != dispatcher:
-                    taken_by_others.append(threading.get_ident())
-                elif not held:
-                    held.append(True)
-                    time.sleep(50 * executor_module._STALL_SECONDS)
-                    during_hold.extend(taken_by_others)
-                return super().popleft()
-
-        monkeypatch.setattr(executor_module, "deque", HeldQueue)
-        baseline = threading.active_count()
-        prompts = [f"p{index}" for index in range(20)]
-        responses = BatchExecutor(EchoClient(), max_concurrency=WIDTH).run(prompts)
-        assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
-        assert held and during_hold == []
-        assert threading.active_count() == baseline
-
-
 class TestAmbientContext:
     """(d) whichever thread runs a body, it sees the dispatching context and keeps its writes."""
 
@@ -339,28 +331,28 @@ class TestOutcomesDoNotDependOnTheRegime:
             raise ValueError("boom")
 
         baseline = threading.active_count()
+        # Blocking: the dispatching thread's first task calls a backend that
+        # waits, until the one helper has run ``boom``, recorded it and left.
+        held = HeldClient(lambda: wait_for_helpers_to_exit(baseline))
+        gate = BackendGate(held if blocking else EchoClient())
 
         def first():
-            # Blocking: the dispatching thread is held in its first task
-            # until the one helper has run ``boom``, recorded it and left.
-            if blocking:
-                wait_for_helpers_to_exit(baseline)
+            gate.complete("first")
             return "first"
 
-        executor = BatchExecutor(EchoClient(), max_concurrency=2)
+        executor = BatchExecutor(gate, max_concurrency=2)
         return self.shape(executor.map([first, boom, lambda: "third", lambda: "fourth"]))
 
     def budget_outcomes(self, blocking: bool):
         budget = Budget(limit=1.0)
-        barrier = threading.Barrier(2, timeout=PATIENCE)
+        gate = BackendGate(BarrierClient(2) if blocking else EchoClient())
 
         def spend():
             budget.charge(0.5)
-            if blocking:
-                barrier.wait()
+            gate.complete("spend")
             return "ran"
 
-        executor = BatchExecutor(EchoClient(), max_concurrency=2, budget=budget)
+        executor = BatchExecutor(gate, max_concurrency=2, budget=budget)
         return self.shape(executor.map([spend] * 6))
 
     def test_failure_and_skipped(self, monkeypatch):
@@ -456,15 +448,17 @@ class TestInterruptsAreNotOutcomes:
     def test_one_raised_on_a_helper_surfaces_after_in_flight_tasks_finish(self, interrupt):
         finished = []
         baseline = threading.active_count()
+        # A backend that waits, until the helper that ran ``boom`` has left.
+        gate = BackendGate(HeldClient(lambda: wait_for_helpers_to_exit(baseline)))
 
         def held():
-            wait_for_helpers_to_exit(baseline)  # the helper that ran ``boom``
+            gate.complete("held")
             finished.append("held")
 
         def boom():
             raise interrupt()
 
-        executor = BatchExecutor(EchoClient(), max_concurrency=2)
+        executor = BatchExecutor(gate, max_concurrency=2)
         with pytest.raises(interrupt):
             executor.map([held, boom, lambda: finished.append("never started")])
         assert finished == ["held"]

@@ -11,9 +11,7 @@ stop it: the session's gate admits the misses of each run.
 
 from __future__ import annotations
 
-import sys
 import threading
-import time
 
 import pytest
 
@@ -113,82 +111,6 @@ def test_no_run_is_taken_where_it_is_not_safe(case, never_stalls, settles):
     assert settles == [1] * 60
 
 
-def test_a_scout_that_fires_while_runs_are_taken_loses_no_call(settles):
-    """A call that waits inside a run brings the helpers in while the run is
-    in flight: every request is still answered once, in its place, and
-    settled once."""
-    inner = simulated_client()
-
-    class Occasional:
-        default_model = inner.default_model
-
-        def complete(self, prompt, **params):
-            if prompt.endswith("7 a prime number?"):
-                time.sleep(0.002)
-            return inner.complete(prompt, **params)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        deadline = time.monotonic() + PATIENCE
-        for bag in range(20):
-            assert time.monotonic() < deadline
-            session = PromptSession(Occasional())
-            asked = prompts(200 + bag)
-            responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(asked)
-            records = {record.call_id: record.prompt for record in session.spans.records()}
-            assert [records[r.metadata["trace_call_id"]] for r in responses] == asked
-            assert sum(settles) == len(asked) == len(records)
-            settles.clear()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_no_run_is_taken_once_the_scout_has_fired(settles, monkeypatch):
-    """A call inside a run of fast calls waits long enough for the scout to
-    fire; from then on no thread takes a run, even though the run it was in
-    still measures fast on average."""
-    baseline = threading.active_count()
-    fired = threading.Event()
-    taken_after_the_stall: list[int] = []
-    batch = BatchExecutor._batch
-
-    def spy(self, prompts, like):
-        if fired.is_set():
-            taken_after_the_stall.append(len(prompts))
-        return batch(self, prompts, like)
-
-    monkeypatch.setattr(BatchExecutor, "_batch", spy)
-    callers: set[int] = set()
-
-    class Stalling(EchoClient):
-        def complete(self, prompt, **params):
-            callers.add(threading.get_ident())
-            if prompt == "stall":
-                time.sleep(0.003)
-                # A helper is running, or has run a call: the scout has fired.
-                if threading.active_count() >= baseline + 2 or len(callers) > 1:
-                    fired.set()
-            return super().complete(prompt, **params)
-
-    seen_firing = 0
-    for _ in range(20):
-        fired.clear()
-        callers.clear()
-        bag = prompts(100) + ["stall"] + prompts(2000)[100:]
-        session = PromptSession(Stalling())
-        responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(bag)
-        assert [response.text for response in responses] == [f"echo:{p}" for p in bag]
-        assert sum(settles) == len(bag)
-        assert taken_after_the_stall == []
-        assert threading.active_count() == baseline
-        settles.clear()
-        seen_firing += fired.is_set()
-        if seen_firing == 3:
-            break
-    assert seen_firing == 3, "the scout never fired during a 3 ms wait"
-
-
 def record_key(record) -> tuple:
     """A call record without what dispatch may change: its id and its timing."""
     return (record.prompt, record.response_text, record.prompt_tokens,
@@ -221,28 +143,3 @@ def test_runs_double_from_one_call_up_to_32_at_the_real_stall_threshold(settles)
     best = min(shapes, key=len)
     assert len(best) <= 30, [len(shape) for shape in shapes]
     assert best[:6] == [1, 2, 4, 8, 16, 32]
-
-
-def test_a_run_that_waited_sends_the_next_call_alone(never_stalls, settles):
-    """Call 10 waits, inside the fourth run (calls 7 to 14): the next run is
-    one call, and doubling starts over.  A descheduled host can make a run
-    look like it waited too, so the shape is asked of one of ten bags."""
-    inner = simulated_client()
-
-    class WaitsOnce:
-        default_model = inner.default_model
-
-        def complete(self, prompt, **params):
-            if prompt == "Is 10 a prime number?":
-                time.sleep(0.002)
-            return inner.complete(prompt, **params)
-
-    shapes: list[list[int]] = []
-    for _ in range(10):
-        settles.clear()
-        session = PromptSession(WaitsOnce())
-        assert len(BatchExecutor(session.client(), max_concurrency=WIDTH).run(prompts(100))) == 100
-        shapes.append(settles[:8])
-        if shapes[-1] == [1, 2, 4, 8, 1, 2, 4, 8]:
-            break
-    assert shapes[-1] == [1, 2, 4, 8, 1, 2, 4, 8], shapes
