@@ -13,13 +13,14 @@ executors are the single dispatch point those bags go through:
   test suite in ``tests/`` asserts this for every converted operator).
 
 ``max_concurrency`` is a ceiling on calls in flight, not a thread count:
-threads appear when calls wait.  A call answered from memory (a warm cache, a
-replayed trace, the simulator) gains nothing from a second thread but its
-turn on the interpreter lock, so the dispatching thread drains a fanned-out
-bag itself — in *runs* of the queue, each sent as one native batch, when the
-bag may go out so (one rule, :meth:`BatchExecutor._native`: for the whole bag
-at width 1, for runs above it) — and helpers join once it stalls without
-computing (see :class:`BatchExecutor`).
+threads appear when calls wait, and a backend's class says whether they do
+(``waits``).  A call answered from memory (a warm cache, a replayed trace, the
+simulator) gains nothing from a second thread but its turn on the interpreter
+lock, so the dispatching thread drains a fanned-out bag itself — in *runs* of
+the queue, each sent as one native batch, when the bag may go out so (one
+rule, :meth:`BatchExecutor._native`: for the whole bag at width 1, for runs
+above it) — and helpers join when one of its calls reaches a backend that
+waits (:func:`call_waits`).
 
 :class:`BatchExecutor` is the one driver; :class:`AsyncBatchExecutor` is its
 ``run`` for callers on an event loop, one ``asyncio.to_thread`` hop per bag.
@@ -53,9 +54,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import sys
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -72,21 +71,9 @@ from repro.llm.retry import RetryingClient, RetryStats
 #: that waits, the sync path pays one blocked OS thread per call in flight.
 DEFAULT_POOL_SIZE = 8
 
-#: How long a fanned-out bag may start no task, its dispatching thread computing
-#: for less than half of it, before :class:`BatchExecutor` brings in its helpers
-#: (when the whole process computed as little; else two switch intervals more).
-_STALL_SECONDS = 0.001
 #: The most calls one run takes: a run reaches the store when it returns, so a
 #: hard kill loses at most this many answered calls past the store's row bound.
 _MAX_RUN = 32
-
-
-def _cpu_clock() -> Callable[[], float]:
-    """The calling thread's CPU clock, for other threads (0.0 where ``time`` has none)."""
-    if not hasattr(time, "pthread_getcpuclockid"):
-        return lambda: 0.0
-    clock = time.pthread_getcpuclockid(threading.get_ident())
-    return lambda: time.clock_gettime(clock)
 
 
 @dataclass(frozen=True)
@@ -207,14 +194,38 @@ def _settling(bag: SettleBag | None, budget: Budget | None) -> Iterator[None]:
             bag.close()
 
 
-def _gated(client: Any) -> bool:
-    """Whether a gate refuses ``client``'s calls once their budget is spent: a
-    session client's, or a ``refuses_spent_budget`` gate its wrappers lead to."""
-    while client is not None:
-        if hasattr(client, "charged") or getattr(client, "refuses_spent_budget", False):
-            return True
-        client = getattr(client, "_client", None)
-    return False
+#: The innermost open fan-out of the running context, as ``(its dispatching
+#: thread's ident, its hook, the fan-out it opened in)``; ``None`` outside any.
+#: Like :data:`OPEN_BAG`, it reaches every task through its context copy and
+#: nests: an operator's fan-out inside a ``map`` wave's.
+OPEN_FAN_OUT: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
+    "repro_open_fan_out", default=None
+)
+
+
+def call_waits() -> None:
+    """Say that the calling thread is about to wait on a backend: each open
+    fan-out it dispatches, from the innermost outward, ends its runs and
+    brings in its helpers (once), so a wave's steps overlap too when their
+    operators' calls wait.  The gate calls it before each call that waits."""
+    fan_out, thread = OPEN_FAN_OUT.get(), threading.get_ident()
+    while fan_out is not None:
+        dispatcher, widen, fan_out = fan_out
+        if dispatcher == thread:
+            widen()
+
+
+def backend_waits(client: Any) -> bool | None:
+    """Whether the backend ``client``'s wrappers lead to waits, as its class
+    declares ``waits`` (one without the attribute is taken to wait); ``None``
+    when they meet a gate first (a session client's, or a
+    ``refuses_spent_budget`` one), which refuses a spent budget and says when
+    a call waits."""
+    while not (hasattr(client, "charged") or getattr(client, "refuses_spent_budget", False)):
+        if getattr(client, "_client", None) is None:
+            return getattr(client, "waits", True)
+        client = client._client
+    return None
 
 
 class BatchExecutor:
@@ -222,17 +233,17 @@ class BatchExecutor:
 
     Sequential at ``max_concurrency == 1`` (the default).  Above that it is
     a ceiling on calls in flight, not a thread count: the dispatching thread
-    drains the bag itself, up to ``max_concurrency - 1`` helper threads join
-    it once a call blocks (after its first unit task no task starts, and the
-    dispatching thread computes for less than half the time: for about a
-    millisecond when the whole process is as idle, else for one
-    ``sys.getswitchinterval()`` more), and all have exited when
-    ``run``/``map`` returns.  Until then, when the bag passes
-    :meth:`_native`, the dispatching thread sends *runs* of it as native
-    batches: the first call goes alone, a run that computed doubles the
-    next up to ``_MAX_RUN`` calls, one that waited sends the next alone,
-    and the last ``max_concurrency - 1`` requests are never part of a run.
-    Once the bag has stalled every thread takes one unit task per turn.
+    drains the bag itself, and up to ``max_concurrency - 1`` helper threads
+    join it, one per queued task, when one of its calls is about to wait:
+    the backend gate says so (:func:`call_waits`), or, over a client chain
+    with no gate, the innermost client's ``waits`` does from the first task.
+    All have exited when ``run``/``map`` returns.  Until then, when the bag
+    passes :meth:`_native`, the dispatching thread sends *runs* of it as
+    native batches: the first call goes alone, each run doubles the next up
+    to ``_MAX_RUN`` calls, and the last ``max_concurrency - 1`` requests are
+    never part of a run.  Then every thread takes one unit task per turn.
+    A ``map`` task that reaches no backend that waits runs in turn on the
+    dispatching thread.
 
     What is per call and what is per bag: the session tracks, prices and
     charges each call as it settles, so under a limited budget — where every
@@ -281,8 +292,11 @@ class BatchExecutor:
             raise ConfigurationError("budget= must be the budget the session client charges")
         self.max_concurrency = max_concurrency
         self.budget = budget
-        # With no gate below to refuse a spent budget (a raw client), ``run`` does.
-        self._ungated = budget is not None and not _gated(client)
+        # With no gate below (a raw client), ``run`` refuses a spent budget,
+        # and the client's class says whether its calls wait.
+        waits = backend_waits(client)
+        self._ungated = budget is not None and waits is not None
+        self._waits = bool(waits)
         self.instruments = instruments
         if validator is not None:
             client = RetryingClient(
@@ -476,14 +490,15 @@ class BatchExecutor:
         outcomes = [TaskOutcome(skipped=True) for _ in items]
         queue = deque(range(len(items)))
         stop = threading.Event()  # start no further task: a failure, or the bag is drained
-        stalled = False  # set by the scout, before it starts the helpers
+        wide = False  # set by the hook, once: the runs end and the helpers join
         helpers: list[threading.Thread] = []
-        computing = _cpu_clock()  # the dispatching thread's, read by the scout
 
         def unit(index: int) -> None:
             # A task runs in a fresh copy of the dispatching context (or of a
             # helper's copy of it): trace labels and the open span reach it,
             # what it sets stays.
+            if self._waits:
+                call_waits()  # no gate below says so: every task of this bag waits
             try:
                 value = contextvars.copy_context().run(task_of, items[index])
                 outcomes[index] = TaskOutcome(value=value)
@@ -518,68 +533,42 @@ class BatchExecutor:
                 unit(index)
 
         def dispatch() -> None:
-            # The dispatching thread, until the scout sees a stall (see the
-            # class docstring).  A run that computed doubles the next, up to
-            # ``_MAX_RUN``; one that waited sends the next call alone.  The
-            # last ``max_concurrency - 1`` requests stay out of runs so that a
-            # slow remainder still finds a full width of helpers.
+            # The dispatching thread, until the hook fires (no helper takes
+            # before): each run doubles the next, up to ``_MAX_RUN``.  The last
+            # ``max_concurrency - 1`` requests stay out of runs, so that a slow
+            # remainder still finds a full width of helpers.
             size, reserve = 1, self.max_concurrency - 1
-            while not (stalled or stop.is_set()):
-                began, cpu = time.perf_counter(), time.thread_time()
-                positions = []  # helpers may be taking too, if the scout has just fired
-                for _ in range(max(1, min(size, len(queue) - reserve))):
-                    try:
-                        positions.append(queue.popleft())
-                    except IndexError:
-                        break
-                if len(positions) > 1:
-                    batch(positions)
-                elif positions:
-                    unit(positions[0])
+            while queue and not (wide or stop.is_set()):
+                taken = [queue.popleft() for _ in range(max(1, min(size, len(queue) - reserve)))]
+                if len(taken) > 1:
+                    batch(taken)
                 else:
-                    return
-                waited = time.perf_counter() - began > 2 * (time.thread_time() - cpu)
-                size = 1 if waited else min(2 * size, _MAX_RUN)
+                    unit(taken[0])
+                size = min(2 * size, _MAX_RUN)
             work()
 
-        def start(target: Callable[[], None]) -> None:
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(target,))
-            thread.start()
-            helpers.append(thread)
+        def widen() -> None:
+            # The hook, called on the dispatching thread before one of its
+            # calls waits: a helper joins for each queued task, up to the width.
+            nonlocal wide
+            if not (wide or stop.is_set()):
+                wide = True
+                for _ in range(min(self.max_concurrency - 1, len(queue))):
+                    helper = threading.Thread(target=dispatching.copy().run, args=(work,))
+                    helper.start()
+                    helpers.append(helper)
 
-        def scout() -> None:
-            # The first helper watches before it works: while tasks keep
-            # starting, or the dispatching thread computes (a long run, a task
-            # that computes), threads would only take turns on the interpreter
-            # lock; once neither has for a while a call is blocked: go to full
-            # width now, not after it returns (eight slow calls are one wave).
-            # Nothing counts before the dispatching thread has a task; while the process
-            # computes, a stall must outlast two switch intervals (a lost hand-over each).
-            nonlocal stalled
-            waiting, began, cpu = len(queue), time.perf_counter(), computing()
-            busy, since = time.process_time(), None  # since: a stall's first busy tick
-            while not stop.wait(_STALL_SECONDS):
-                now, spent, used = time.perf_counter(), computing(), time.process_time()
-                stuck = len(queue) == waiting < len(items) and 2 * (spent - cpu) < now - began
-                since = (since or now) if stuck else None
-                idle = 2 * (used - busy) < now - began
-                if stuck and (idle or now - since >= 2 * sys.getswitchinterval()):
-                    stalled = True
-                    for _ in range(min(self.max_concurrency - 1, waiting) - 1):
-                        start(work)
-                    return work()
-                waiting, began, cpu, busy = len(queue), now, spent, used
-
-        start(scout)
+        # What each helper runs under, a copy each; taken before the hook is
+        # published, so that no context holds the hook that holds it.
+        dispatching = contextvars.copy_context()
+        token = OPEN_FAN_OUT.set((threading.get_ident(), widen, OPEN_FAN_OUT.get()))
         try:
-            if runs:
-                dispatch()
-            else:
-                work()
+            (dispatch if runs else work)()
         finally:
+            OPEN_FAN_OUT.reset(token)
             stop.set()
-            for thread in helpers:  # complete once the scout, which starts the rest, has exited
-                thread.join()
+            for helper in helpers:
+                helper.join()
         return outcomes
 
 

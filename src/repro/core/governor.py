@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from repro.core.budget import CHARGE_TARGET
+from repro.core.executor import backend_waits, call_waits
 from repro.exceptions import ConfigurationError, RateLimitError
 from repro.llm.base import BaseClient, Call, LLMResponse, carry_answered
 
@@ -311,9 +312,11 @@ class BackendGate(BaseClient):
 
     It refuses the calls it forwards with :class:`~repro.exceptions.
     BudgetExceededError` once the budget they are charged to
-    (:data:`~repro.core.budget.CHARGE_TARGET`) is spent.  With a
-    ``governor`` it sends a batch one call at a time, each under its own
-    admission and slot, and reports to the backoff.
+    (:data:`~repro.core.budget.CHARGE_TARGET`) is spent.  Before each call
+    to a backend that waits it calls :func:`~repro.core.executor.call_waits`,
+    so the open fan-outs bring their helpers in.  With a ``governor`` it
+    sends a batch one call at a time, each under its own admission and
+    slot, and reports to the backoff.
     """
 
     refuses_spent_budget = True  # what the executor reads, duck-typed
@@ -321,11 +324,14 @@ class BackendGate(BaseClient):
     def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
         self._client = client
         self.governor = governor
+        self._waits = bool(backend_waits(client))
 
     def _call(self, call: Call) -> list[LLMResponse]:
         target = CHARGE_TARGET.get()
         if target is not None:
             target.check()
+        if self._waits:
+            call_waits()
         governor = self.governor
         if governor is None:
             return call.to(self._client).run()

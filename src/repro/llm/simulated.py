@@ -48,6 +48,8 @@ class SimulatedLLM(BaseClient):
         seed: global seed folded into every per-call seed.
     """
 
+    waits = False  # computes its answers: no call waits (see BackendGate)
+
     def __init__(
         self,
         oracle: Oracle,

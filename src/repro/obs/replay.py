@@ -62,6 +62,8 @@ class ReplayLLM(BaseClient):
         served: how many calls have been answered from the trace so far.
     """
 
+    waits = False  # answers from the recorded trace: no call waits
+
     def __init__(self, records: Sequence[TraceRecord]) -> None:
         self._responses: dict[tuple[str, str], deque[TraceRecord]] = {}
         self._lock = threading.Lock()

@@ -41,6 +41,7 @@ class Held:
     """
 
     default_model = MODEL
+    waits = True
 
     def __init__(self) -> None:
         self._inner = simulated_client()

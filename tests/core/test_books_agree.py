@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import threading
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import executor as executor_module
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.llm.cache import CachedClient
@@ -31,7 +29,7 @@ from tests.doubles import FailingOn, call, executor_for, rating_prompts, simulat
 
 MODEL = "sim-gpt-3.5-turbo"
 STEP, OPERATOR = "screen", "sort:rating"
-#: (driver, width, whether calls wait long enough for the scout to fire).
+#: (driver, width, whether the backend declares that its calls wait).
 DRIVERS = {
     "sync@1": ("sync", 1, False),
     "threads@8": ("threads", 8, False),
@@ -44,8 +42,9 @@ POOL = rating_prompts(60)
 class Tripping:
     """Answers from the simulator; the ``trip``-th call to start raises ``error``.
 
-    ``latency`` makes every call wait (the thread executor's scout then
-    brings in its helpers); ``answered`` holds the prompts that came back.
+    ``latency`` makes every call wait, and the double says so (``waits``:
+    the gate then brings in the thread executor's helpers); ``answered``
+    holds the prompts that came back.
     """
 
     default_model = MODEL
@@ -55,6 +54,7 @@ class Tripping:
         self.trip = trip
         self.error = error
         self.latency = latency
+        self.waits = latency > 0
         self.started = 0
         self.answered: list[str] = []
         self._lock = threading.Lock()
@@ -119,15 +119,13 @@ def test_a_bag_books_the_calls_that_reached_the_backend(
     client = Tripping(trip, error, latency=0.002 if stalling else 0.0)
     governor = ConcurrencyGovernor()
     session = PromptSession(client, use_cache=use_cache, governor=governor)
-    stall_seconds = executor_module._STALL_SECONDS if stalling else 60.0
-    with mock.patch.object(executor_module, "_STALL_SECONDS", stall_seconds):
-        with trace_label(step=STEP, operator=OPERATOR):
-            executor = executor_for(kind, session.client(), concurrency=width)
-            try:
-                call(executor, "run", prompts)
-                tripped = False
-            except error:
-                tripped = True
+    with trace_label(step=STEP, operator=OPERATOR):
+        executor = executor_for(kind, session.client(), concurrency=width)
+        try:
+            call(executor, "run", prompts)
+            tripped = False
+        except error:
+            tripped = True
     assert tripped == (client.started > trip)
     assert governor.stats.admitted == client.started and governor.in_flight == 0
     assert_the_books_agree(

@@ -1,56 +1,42 @@
 """The caller-runs fan-out of :class:`~repro.core.executor.BatchExecutor`.
 
-The dispatching thread drains a fanned-out bag itself and helper threads
-join it only once a running call has stopped the bag's progress.  None of
-these tests reads a clock: the regime where calls never wait is pinned by
-raising the stall threshold out of reach, the regime where they do by tasks
-that meet at a :class:`threading.Barrier` (or wait on a helper's exit) and
-can only get past it if the bag really went wide.  Beside a thread spinning
-in Python, bags that never wait must still run alone and ones that do must
-still go wide.
+The dispatching thread drains a fanned-out bag itself, and helper threads
+join it only when one of its calls reaches a backend that waits: the backend
+gate says so before the call goes out, and an executor over a raw client
+with no gate reads the client's ``waits`` when it starts.  None of these
+tests reads a clock.  The regime where calls never wait is a double that
+declares ``waits = False``; the regime where they do is a double that
+declares ``waits = True`` and whose calls meet at a :class:`threading.Barrier`
+(or wait on a helper's exit), so they can only get past it if the bag really
+went wide.  Beside a thread spinning in Python, bags that never wait still
+run alone and ones that do still go wide.
 """
 
 from __future__ import annotations
 
 import contextvars
-import sys
 import threading
 import time
 
 import pytest
 
-from repro.core import executor as executor_module
 from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor
 from repro.core.engine import DeclarativeEngine
-from repro.core.governor import BackendGate
+from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.session import PromptSession
-from repro.core.spec import PipelineSpec, PipelineStep
+from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
+from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import BudgetExceededError
+from repro.llm.simulated import SimulatedLLM
 from repro.obs.spans import SpanTracker, current_span_id
 from repro.obs.spans import current_labels, trace_label
 from tests.doubles import DRIVERS, MAP_DRIVERS, EchoClient, call, executor_for, hop
 
 WIDTH = 8
+MODEL = "sim-gpt-3.5-turbo"
 #: Upper bound on any wait in this file; reaching it fails the test.
 PATIENCE = 5.0
-
-
-@pytest.fixture
-def never_stalls(monkeypatch):
-    """The regime where calls do not wait: no pause counts as a stall."""
-    monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
-
-
-@pytest.fixture
-def short_switch_interval():
-    """Hand the interpreter lock over promptly, so the scout wakes on time."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def wait_for_helpers_to_exit(baseline: int) -> None:
@@ -59,6 +45,20 @@ def wait_for_helpers_to_exit(baseline: int) -> None:
     while threading.active_count() > baseline:
         assert time.monotonic() < deadline, "helper threads never exited"
         time.sleep(0.001)
+
+
+@pytest.fixture
+def started(monkeypatch) -> list[threading.Thread]:
+    """Every thread started while the test runs."""
+    threads: list[threading.Thread] = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        threads.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return threads
 
 
 class BarrierClient(EchoClient):
@@ -101,10 +101,38 @@ class HeldClient(EchoClient):
         return super().complete(prompt, **params)
 
 
+class MeetingLLM(SimulatedLLM):
+    """The simulator, except that it waits: each call waits for ``parties``
+    calls to be in flight at once."""
+
+    waits = True
+
+    def __init__(self, parties: int) -> None:
+        super().__init__(flavor_oracle(), seed=21)
+        self.barrier = threading.Barrier(parties, timeout=PATIENCE)
+
+    def complete(self, prompt, **params):
+        self.barrier.wait()
+        return super().complete(prompt, **params)
+
+
+def sort_wave(*halves: list[str]) -> PipelineSpec:
+    """One wave: an independent rating sort per half, one call per item."""
+    return PipelineSpec(
+        name="wave",
+        steps=[
+            PipelineStep(
+                f"half{index}", task=SortSpec(items=items, criterion=CHOCOLATEY, strategy="rating")
+            )
+            for index, items in enumerate(halves)
+        ],
+    )
+
+
 class TestCallsThatNeverWait:
     """(a) the dispatching thread runs the whole bag and no thread is left behind."""
 
-    def test_run_stays_on_the_calling_thread(self, never_stalls):
+    def test_run_stays_on_the_calling_thread(self):
         threads = set()
 
         class Census(EchoClient):
@@ -120,7 +148,7 @@ class TestCallsThatNeverWait:
         assert threads == {threading.get_ident()}
         assert threading.active_count() == baseline
 
-    def test_map_stays_on_the_calling_thread_in_order(self, never_stalls):
+    def test_map_stays_on_the_calling_thread_in_order(self):
         ran = []
         baseline = threading.active_count()
         outcomes = BatchExecutor(EchoClient(), max_concurrency=WIDTH).map(
@@ -130,7 +158,7 @@ class TestCallsThatNeverWait:
         assert ran == [(index, threading.get_ident()) for index in range(200)]
         assert threading.active_count() == baseline
 
-    def test_no_thread_outlives_a_failed_bag(self, never_stalls):
+    def test_no_thread_outlives_a_failed_bag(self):
         def boom():
             raise ValueError("boom")
 
@@ -162,6 +190,17 @@ class TestCallsThatWait:
         assert client.calls == 5 * WIDTH
         assert client.peak == WIDTH
 
+    @pytest.mark.parametrize("governed", [False, True], ids=["plain", "governed"])
+    def test_the_first_backend_call_brings_the_helpers_in_before_it_returns(self, governed):
+        # Through a session, so the gate says that the call waits: the bag's
+        # first call is still in flight when the other ``WIDTH - 1`` arrive.
+        client = BarrierClient(WIDTH)
+        session = PromptSession(client, governor=ConcurrencyGovernor() if governed else None)
+        prompts = [f"p{index}" for index in range(WIDTH)]
+        responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(prompts)
+        assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
+        assert client.peak == WIDTH and threading.get_ident() in client.threads
+
     def test_map_tasks_overlap_too(self):
         # Each task's call crosses the session's gate to a backend that waits.
         client = BarrierClient(WIDTH)
@@ -171,11 +210,16 @@ class TestCallsThatWait:
         assert [outcome.value for outcome in outcomes] == [f"echo:p{i}" for i in range(WIDTH)]
         assert client.peak == WIDTH
 
-    def test_the_remainder_after_a_fast_prefix_overlaps(self):
-        # (c) Helpers are not a decision taken once at the start of a bag.
+    def test_the_remainder_after_a_cached_prefix_overlaps(self):
+        # (c) Helpers are not a decision taken once at the start of a bag:
+        # the cached prefix goes out in runs, and the run that reaches the
+        # backend brings the helpers in while it is in flight.
         client = BarrierClient(WIDTH)
-        prompts = [f"fast{index}" for index in range(100)] + [f"slow{index}" for index in range(WIDTH)]
-        responses = BatchExecutor(client, max_concurrency=WIDTH).run(prompts)
+        session = PromptSession(client)
+        cached = [f"fast{index}" for index in range(100)]
+        session.complete_batch(cached)
+        prompts = cached + [f"slow{index}" for index in range(WIDTH)]
+        responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(prompts)
         assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
         assert client.peak == WIDTH
 
@@ -192,33 +236,29 @@ class TestCallsThatWait:
         session.batch_executor(max_concurrency=WIDTH).map([lambda i=i: task(i) for i in range(3)])
         assert len(client.threads) == 3 and max(peak) <= baseline + 2
 
+    def test_a_waves_steps_overlap_through_the_outward_walk(self):
+        # Two steps of two calls each, two wide: the first call of the first
+        # step brings in its own fan-out's helper and the wave's, whose step
+        # brings in its own; the four calls meet.
+        engine = DeclarativeEngine(MeetingLLM(4), default_model=MODEL, max_concurrency=2)
+        report = engine.run_pipeline(sort_wave(list(FLAVORS[:2]), list(FLAVORS[2:4])))
+        assert report.waves == [["half0", "half1"]] and engine.session.tracker.usage.calls == 4
+
 
 class TestCallsThatCompute:
-    def test_tasks_that_compute_start_no_helper(self, short_switch_interval):
-        # Each task starts no body for three stall windows, but the dispatching
-        # thread computes all along: a second thread would only take turns on
-        # the interpreter lock.  A host that deschedules the dispatching thread
-        # rightly looks stalled to the scout, so one of up to 40 bags must run
-        # alone; every bag must run each task once.
-        spin = 3 * executor_module._STALL_SECONDS
-        baseline = threading.active_count()
-
+    def test_tasks_that_compute_start_no_helper(self, started):
+        # Tasks that compute and reach no backend that waits run in turn on
+        # the dispatching thread: a second thread would only take turns on
+        # the interpreter lock.
         def task():
             began = time.thread_time()
-            while time.thread_time() - began < spin:
+            while time.thread_time() - began < 0.003:
                 pass
-            return threading.get_ident(), threading.active_count()
+            return threading.get_ident()
 
-        runners = []
-        for _ in range(40):
-            outcomes = BatchExecutor(EchoClient(), max_concurrency=WIDTH).map([task] * 3)
-            assert all(outcome.ok for outcome in outcomes)
-            assert threading.active_count() == baseline
-            runners.append({outcome.value for outcome in outcomes})
-            # The scout, which never fired, is the one thread besides the caller.
-            if runners[-1] == {(threading.get_ident(), baseline + 1)}:
-                break
-        assert runners[-1] == {(threading.get_ident(), baseline + 1)}, runners
+        outcomes = BatchExecutor(EchoClient(), max_concurrency=WIDTH).map([task] * 3)
+        assert [outcome.value for outcome in outcomes] == [threading.get_ident()] * 3
+        assert started == []
 
 
 @pytest.fixture
@@ -245,12 +285,9 @@ class TestOtherThreadsCompute:
 
     def test_zero_latency_bags_start_no_helper(self, spinner):
         # Each bag computes for several switch intervals, so the spinner takes
-        # the interpreter lock from the dispatching thread again and again
-        # (a scout that read the dispatching thread's clock alone started
-        # helpers for one bag in three to six).  A host that deschedules the
-        # dispatching thread rightly looks stalled (with both CPUs of a
-        # two-CPU host busy, one bag in 40 here), so one of up to five rounds
-        # must run alone.
+        # the interpreter lock from the dispatching thread again and again:
+        # nothing a busy host does to the dispatching thread brings helpers
+        # in, only a call to a backend that waits.
         prompts = [f"p{index}" for index in range(4000)]
 
         def round_of_bags() -> set[int]:
@@ -266,10 +303,19 @@ class TestOtherThreadsCompute:
                 assert [r.text for r in responses] == [f"echo:{prompt}" for prompt in prompts]
             return threads
 
-        rounds = []
-        while len(rounds) < 5 and rounds[-1:] != [{threading.get_ident()}]:
-            rounds.append(round_of_bags())
+        rounds = [round_of_bags()]
         assert rounds[-1] == {threading.get_ident()}, rounds
+
+    def test_a_session_over_the_simulator_never_starts_a_thread(self, spinner, started):
+        # Once, with no retry: a bag and a two-step wave, eight wide.
+        engine = DeclarativeEngine(
+            SimulatedLLM(flavor_oracle(), seed=21), default_model=MODEL, max_concurrency=WIDTH
+        )
+        prompts = [f"Is {index} a prime number?" for index in range(200)]
+        assert len(engine.session.batch_executor().run(prompts)) == 200
+        report = engine.run_pipeline(sort_wave(list(FLAVORS[:8]), list(FLAVORS[8:14])))
+        assert report.waves == [["half0", "half1"]] and engine.session.tracker.usage.calls == 214
+        assert started == []
 
     def test_a_backend_that_waits_still_goes_wide(self, spinner):
         client = BarrierClient(WIDTH)
@@ -284,18 +330,15 @@ class TestAmbientContext:
     """(d) whichever thread runs a body, it sees the dispatching context and keeps its writes."""
 
     @pytest.mark.parametrize("blocking", [False, True], ids=["caller-run", "helper-run"])
-    def test_labels_and_span_reach_every_task_and_writes_stay_inside_it(
-        self, blocking, monkeypatch
-    ):
-        if not blocking:
-            monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
+    def test_labels_and_span_reach_every_task_and_writes_stay_inside_it(self, blocking):
         scratch: contextvars.ContextVar[str] = contextvars.ContextVar("scratch", default="clean")
-        barrier = threading.Barrier(WIDTH, timeout=PATIENCE)
+        # A gate over a backend that waits: its calls meet, ``WIDTH`` at a time.
+        gate = BackendGate(BarrierClient(WIDTH))
         tracker = SpanTracker()
 
         def task():
             if blocking:
-                barrier.wait()
+                gate.complete("p")
             seen = (
                 current_labels().step,
                 current_labels().operator,
@@ -355,9 +398,8 @@ class TestOutcomesDoNotDependOnTheRegime:
         executor = BatchExecutor(gate, max_concurrency=2, budget=budget)
         return self.shape(executor.map([spend] * 6))
 
-    def test_failure_and_skipped(self, monkeypatch):
+    def test_failure_and_skipped(self):
         blocking = self.failure_outcomes(blocking=True)
-        monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
         assert blocking == self.failure_outcomes(blocking=False)
         assert blocking == [
             ("first", None, False),
@@ -366,13 +408,12 @@ class TestOutcomesDoNotDependOnTheRegime:
             (None, None, True),
         ]
 
-    def test_budget_stop(self, monkeypatch):
+    def test_budget_stop(self):
         blocking = self.budget_outcomes(blocking=True)
-        monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
         assert blocking == self.budget_outcomes(blocking=False)
         assert blocking == [("ran", None, False)] * 2 + [(None, "BudgetExceededError", True)] * 4
 
-    def test_run_raises_the_earliest_failure(self, monkeypatch):
+    def test_run_raises_the_earliest_failure(self):
         class Failing(BarrierClient):
             def complete(self, prompt, **params):
                 response = super().complete(prompt, **params)
@@ -383,9 +424,10 @@ class TestOutcomesDoNotDependOnTheRegime:
         prompts = ["p0", "p1", "p2", "first boom", "p4", "second boom", "p6", "p7"]
         with pytest.raises(ValueError, match="first boom"):
             BatchExecutor(Failing(WIDTH), max_concurrency=WIDTH).run(prompts)
-        monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
+        alone = Failing(1)
+        alone.waits = False  # the dispatching thread runs the bag, in order
         with pytest.raises(ValueError, match="first boom"):
-            BatchExecutor(Failing(1), max_concurrency=WIDTH).run(prompts)
+            BatchExecutor(alone, max_concurrency=WIDTH).run(prompts)
 
     def test_exhausted_budget_stops_run(self):
         budget = Budget(limit=1.0)

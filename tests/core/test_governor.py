@@ -294,6 +294,8 @@ class TestExecutorIntegration:
         governor = ConcurrencyGovernor(clock=clock, sleep=clock.sleep)
 
         class ParseFailClient:
+            waits = False
+
             def complete(self, prompt, **kwargs):
                 raise ResponseParseError("malformed")
 

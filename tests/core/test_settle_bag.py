@@ -11,12 +11,10 @@ with the calls that reached the backend.
 from __future__ import annotations
 
 import contextvars
-import sys
 import threading
 
 import pytest
 
-from repro.core import executor as executor_module
 from repro.core.budget import Budget
 from repro.core.engine import DeclarativeEngine
 from repro.core.executor import OPEN_BAG
@@ -48,22 +46,6 @@ FANNED_OUT = ("threads", "async")
 def width_of(driver: str) -> int:
     """``sync`` one by one (an enforced budget rules the native batch out)."""
     return 1 if driver == "sync" else WIDTH
-
-
-@pytest.fixture
-def never_stalls(monkeypatch):
-    """Calls that do not wait: the dispatching thread runs the bag, in order."""
-    monkeypatch.setattr(executor_module, "_STALL_SECONDS", 60.0)
-
-
-@pytest.fixture
-def short_switch_interval():
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def run_bag(session: PromptSession, driver: str, width: int, prompts, **executor_kwargs):
@@ -106,9 +88,7 @@ def left_behind(session: PromptSession, step) -> dict:
 
 class TestEquivalence:
     @pytest.mark.parametrize("driver", DRIVERS)
-    def test_dispatch_does_not_change_what_a_bag_leaves_behind(
-        self, driver, short_switch_interval
-    ):
+    def test_dispatch_does_not_change_what_a_bag_leaves_behind(self, driver):
         # Distinct prompts plus repeats of the first few: the repeats are
         # cache hits whichever way the bag is dispatched.
         prompts = rating_prompts(40)
@@ -169,6 +149,7 @@ class Scripted:
     """Answers instantly; the ``trip``-th call to start (0-based) runs ``action`` first."""
 
     default_model = MODEL
+    waits = False  # the dispatching thread runs the bag, in order
 
     def __init__(self, trip: int | None = None, action=None) -> None:
         self._inner = simulated_client()
@@ -212,9 +193,7 @@ def assert_books_agree(session: PromptSession, reached: int, *, errors: int = 0)
 
 class TestABagThatEndsEarly:
     @pytest.mark.parametrize("driver", FANNED_OUT)
-    def test_a_failing_call_is_recorded_after_the_calls_settled_before_it(
-        self, driver, never_stalls
-    ):
+    def test_a_failing_call_is_recorded_after_the_calls_settled_before_it(self, driver):
         def fail():
             raise ConnectionError("backend down")
 
@@ -230,7 +209,7 @@ class TestABagThatEndsEarly:
         }
 
     @pytest.mark.parametrize("driver", DRIVERS)
-    def test_a_budget_that_runs_out_mid_bag(self, driver, never_stalls):
+    def test_a_budget_that_runs_out_mid_bag(self, driver):
         prompts = rating_prompts(30)
         probe = PromptSession(simulated_client())
         probe.complete_batch(prompts[:10], model=MODEL)
@@ -243,7 +222,7 @@ class TestABagThatEndsEarly:
         assert_books_agree(session, client.reached)
 
     @pytest.mark.parametrize("driver", FANNED_OUT)
-    def test_ctrl_c_inside_a_unit(self, driver, never_stalls):
+    def test_ctrl_c_inside_a_unit(self, driver):
         def interrupt():
             raise KeyboardInterrupt
 
@@ -286,7 +265,7 @@ class TestABagThatEndsEarly:
 
 class TestTheScope:
     @pytest.mark.parametrize("driver", DRIVERS)
-    def test_a_long_bag_is_visible_in_the_ring_before_it_ends(self, driver, never_stalls):
+    def test_a_long_bag_is_visible_in_the_ring_before_it_ends(self, driver):
         seen: list[int] = []
 
         class Watching(Scripted):

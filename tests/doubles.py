@@ -54,6 +54,7 @@ class EchoClient:
     """
 
     default_model = "echo"
+    waits = False
 
     def __init__(self, budget: Budget | None = None, charge: float = 0.0) -> None:
         self.budget = budget
@@ -81,6 +82,8 @@ class CountingClient:
     The first ``rate_limited`` calls raise :class:`RateLimitError` instead,
     and ``temperatures`` collects the temperatures asked for.
     """
+
+    waits = False
 
     def __init__(self, inner: Any = None, *, rate_limited: int = 0) -> None:
         self._inner = inner
@@ -111,10 +114,12 @@ class CountingClient:
 class LatencyClient:
     """Adds a fixed wait to every call of ``inner``, like an API round-trip.
 
-    Longer than the executor's stall threshold, so a fanned-out bag really
-    goes wide; no ``complete_batch``, so every unit task pays its own wait.
-    Records the peak number of calls waiting at once.
+    It declares that it waits, so a fanned-out bag goes wide; no
+    ``complete_batch``, so every unit task pays its own wait.  Records the
+    peak number of calls waiting at once.
     """
+
+    waits = True
 
     def __init__(self, inner: Any, latency: float = 0.003) -> None:
         self._inner = inner
@@ -141,6 +146,8 @@ class LatencyClient:
 class FlakyClient:
     """Answers ``"garbled ???"`` for its first ``bad_attempts`` calls, then ``"Yes."``."""
 
+    waits = False
+
     def __init__(self, bad_attempts: int) -> None:
         self.bad_attempts = bad_attempts
         self.calls = 0
@@ -164,6 +171,8 @@ class DyingClient:
     ``die`` defaults to raising a simulated crash; a test that wants the
     process itself killed, or the call held at a barrier, passes its own.
     """
+
+    waits = False
 
     def __init__(self, inner: SimulatedLLM, fail_after: int | None, die=None) -> None:
         self._inner = inner
@@ -189,6 +198,8 @@ class DyingClient:
 class FailingOn:
     """The simulator, except that ``prompt`` raises a connection error; keeps
     the prompts it answered."""
+
+    waits = False
 
     def __init__(self, prompt: str, inner: SimulatedLLM | None = None) -> None:
         self._inner = inner or simulated_client()
@@ -226,6 +237,8 @@ SHAPES = ("full", "complete_only")
 
 
 class _CompleteOnly:
+    waits = False
+
     def __init__(self, inner: Any) -> None:
         self._inner = inner
         self.default_model = getattr(inner, "default_model", "default")

@@ -192,6 +192,8 @@ class EntryPointLeaf:
     """A full-protocol leaf logging the entry point of each call, with its
     prompt count; every answer passes the retrying wrapper's validator."""
 
+    waits = False
+
     def __init__(self) -> None:
         self.entries: list[tuple[str, int]] = []
 

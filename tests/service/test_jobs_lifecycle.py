@@ -33,6 +33,8 @@ class GatedClient:
     test is deterministic instead of racing a timer.
     """
 
+    waits = True
+
     def __init__(self, inner: SimulatedLLM, release_after: int) -> None:
         self._inner = inner
         self._lock = threading.Lock()

@@ -69,6 +69,8 @@ class OverlapClient:
     once any call returns, two jobs were in flight at once.
     """
 
+    waits = True
+
     def __init__(self, inner: SimulatedLLM) -> None:
         self._inner = inner
         self._lock = threading.Lock()

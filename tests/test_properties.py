@@ -204,6 +204,7 @@ class _CountingEchoClient:
     """Deterministic echo client that counts how many calls actually go out."""
 
     default_model = "echo"
+    waits = False
 
     def __init__(self) -> None:
         self.calls = 0

@@ -265,6 +265,7 @@ class TestJoinById:
     def test_a_failed_call_logs_a_warning_without_being_asked(self, caplog):
         class ExplodingClient:
             default_model = MODEL
+            waits = False
 
             def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
                 raise UnknownModelError("simulated outage")

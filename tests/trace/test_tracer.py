@@ -337,6 +337,7 @@ class TestSessionIntegration:
     def test_failed_calls_record_the_taxonomy_error(self):
         class ExplodingClient:
             default_model = "sim-gpt-3.5-turbo"
+            waits = False
 
             def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
                 raise UnknownModelError("simulated outage")
