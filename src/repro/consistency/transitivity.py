@@ -35,9 +35,6 @@ class _Adjacency:
         self._neighbors.setdefault(left, set()).add(right)
         self._neighbors.setdefault(right, set()).add(left)
 
-    def has_edge(self, left: Hashable, right: Hashable) -> bool:
-        return right in self._neighbors.get(left, ())
-
     def component_of(self, start: Hashable) -> set[Hashable]:
         """Every node reachable from ``start`` (which must be a node), itself included."""
         seen = {start}

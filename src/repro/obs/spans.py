@@ -519,10 +519,16 @@ class SpanTracker:
         except Exception:
             # A failing store must not take the pipeline down with it; the
             # spans stay dirty for the next try.
-            with self._lock:
-                self._dirty.update(sp.span_id for sp in pending if sp.span_id in self._spans)
+            self._mark_dirty(pending)
             return 0
+        db = getattr(self.store, "db", None)  # a transaction this write joined may roll back
+        if db is not None:
+            db.on_rollback(lambda: self._mark_dirty(pending))
         return len(pending)
+
+    def _mark_dirty(self, spans: list[Span]) -> None:
+        with self._lock:
+            self._dirty.update(sp.span_id for sp in spans if sp.span_id in self._spans)
 
     def clear(self) -> None:
         with self._lock:

@@ -49,7 +49,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from time import monotonic
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.exceptions import StoreError
 
@@ -189,8 +189,10 @@ class StoreDB:
         #: payload, size, max_entries, max_bytes)``, or ``None`` for a touch.
         self.pending: OrderedDict[str, tuple | None] = OrderedDict()
         self._pending_since = 0.0
-        # Rows the open transaction wrote; a ROLLBACK puts them back.
+        # Rows the open transaction wrote; a ROLLBACK puts them back, and
+        # runs what its writers registered (:meth:`on_rollback`).
         self._written: OrderedDict[str, tuple | None] | None = None
+        self._undo: list[Callable[[], None]] = []
         # Capped table -> (data_version, entries, bytes): an upper bound on
         # the table, so that a write counts it only when a cap may be passed.
         self._totals: dict[str, tuple[int, int, int]] = {}
@@ -367,11 +369,21 @@ class StoreDB:
                         for key, row in self.pending.items():
                             self._remember(self._written, key, row)
                         self.pending = self._written
+                    for undo in self._undo:
+                        undo()
                 raise
             finally:
                 self._depth -= 1
                 if self._depth == 0:
                     self._written = None
+                    self._undo.clear()
+
+    def on_rollback(self, undo: Callable[[], None]) -> None:
+        """Run ``undo`` if the transaction open on the calling thread rolls
+        back (outside one, what was written is committed: nothing to run)."""
+        with self._lock:
+            if self._depth:
+                self._undo.append(undo)
 
     def next_seq(self) -> int:
         """A monotonically increasing ordinal (LRU ordering without clocks).

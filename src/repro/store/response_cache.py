@@ -213,12 +213,6 @@ class PersistentResponseCache:
         self._db.flush()
         return int(self._db.execute("SELECT COUNT(*) FROM cache")[0][0])
 
-    def total_bytes(self) -> int:
-        """Total stored payload bytes of the whole file, every namespace's
-        included (what ``max_bytes`` is enforced over)."""
-        self._db.flush()
-        return int(self._db.execute("SELECT COALESCE(SUM(size), 0) FROM cache")[0][0])
-
     def clear(self) -> None:
         """Empty the cache of the whole file; refused on a namespace's view,
         whose clear would wipe every other namespace's entries too."""

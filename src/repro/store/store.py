@@ -255,9 +255,6 @@ class Store:
         kind, size, encoded = rows[0]
         return kind, _decode_graphs(encoded, int(size))
 
-    def vector_index_count(self) -> int:
-        return int(self.db.execute("SELECT COUNT(*) FROM vector_indexes")[0][0])
-
     # -- workload profiles --------------------------------------------------------
 
     def save_profile(
@@ -641,9 +638,6 @@ class Store:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY submitted_seq ASC"
         return [job_from_row(row) for row in self.db.execute(sql, parameters)]
-
-    def job_count(self) -> int:
-        return int(self.db.execute("SELECT COUNT(*) FROM jobs")[0][0])
 
     # -- lifecycle ----------------------------------------------------------------
 

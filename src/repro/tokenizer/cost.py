@@ -50,11 +50,6 @@ class Usage:
     completion_tokens: int = 0
     calls: int = 0
 
-    @property
-    def total_tokens(self) -> int:
-        """Total number of tokens, prompt plus completion."""
-        return self.prompt_tokens + self.completion_tokens
-
     def add(self, other: "Usage") -> None:
         """Accumulate another usage record into this one in place."""
         self.prompt_tokens += other.prompt_tokens

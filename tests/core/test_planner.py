@@ -24,6 +24,7 @@ from repro.llm.registry import default_registry
 from repro.llm.simulated import SimulatedLLM
 from repro.data.flavors import CHOCOLATEY, flavor_oracle
 from repro.operators.sort import SortOperator
+from tests.doubles import tokens
 
 
 class TestCostPlannerShapes:
@@ -172,7 +173,7 @@ class TestCostPlannerProperties:
             small, large = shape(items), shape(grown)
             assert small.calls <= large.calls
             assert small.dollars <= large.dollars + 1e-12
-            assert small.usage.total_tokens <= large.usage.total_tokens
+            assert tokens(small.usage) <= tokens(large.usage)
 
     @given(items=_items, extra=_extra_items)
     @settings(max_examples=60)
@@ -269,8 +270,8 @@ class TestCostPlannerProperties:
         assert quote.total_dollars == pytest.approx(
             sum(estimate.dollars for estimate in per_step)
         )
-        assert quote.total_usage.total_tokens == sum(
-            estimate.usage.total_tokens for estimate in per_step
+        assert tokens(quote.total_usage) == sum(
+            tokens(estimate.usage) for estimate in per_step
         )
         assert set(quote.steps) == {step.name for step in steps}
         assert quote.unquoted == ()

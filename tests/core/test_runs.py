@@ -23,8 +23,6 @@ from repro.core.session import PromptSession
 from tests.doubles import EchoClient, simulated_client
 
 WIDTH = 8
-#: Upper bound on any wait in this file; reaching it fails the test.
-PATIENCE = 5.0
 
 
 def prompts(count: int) -> list[str]:
@@ -106,9 +104,12 @@ def test_no_run_is_taken_where_it_is_not_safe(case, settles):
 
 
 class Waiting(EchoClient):
-    """A backend that waits, behind a session whose cache already holds
-    ``cached``: the bag goes out in runs until its first miss reaches the
-    gate, which then brings the helpers in while that run is in flight."""
+    """A backend that waits (it says so), noting the threads that called it.
+
+    Behind a session whose cache holds a prefix of the bag, the bag goes out
+    in runs until its first miss reaches the gate, which then brings the
+    helpers in while that run is in flight.
+    """
 
     waits = True
 

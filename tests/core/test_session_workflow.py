@@ -14,7 +14,7 @@ from repro.exceptions import BudgetExceededError, ConfigurationError, SpecError
 from repro.llm.prompts import RATING
 from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer.cost import to_dollars, to_nanos
-from tests.doubles import hop
+from tests.doubles import hop, tokens
 
 
 @pytest.fixture()
@@ -31,10 +31,10 @@ class TestPromptSession:
     def test_cache_deduplicates_identical_calls(self, session):
         prompt = RATING.render([FLAVORS[1]], (CHOCOLATEY,))
         session.complete(prompt)
-        before = session.tracker.usage.total_tokens
+        before = tokens(session.tracker.usage)
         session.complete(prompt)
         # The cached call contributes no new tokens.
-        assert session.tracker.usage.total_tokens == before
+        assert tokens(session.tracker.usage) == before
         assert session.cache.stats.hits == 1
 
     def test_budget_enforced(self):

@@ -46,6 +46,11 @@ def rating_prompts(count: int) -> list[str]:
     return [RATING.render([word], (CRITERION,)) for word in random_words(count, seed=5)]
 
 
+def tokens(usage: Usage) -> int:
+    """Prompt plus completion tokens of ``usage``."""
+    return usage.prompt_tokens + usage.completion_tokens
+
+
 class EchoClient:
     """Deterministic client: counts calls, optionally charges a budget.
 

@@ -20,6 +20,7 @@ from repro.llm.registry import default_registry
 from repro.llm.tracker import TrackedClient, UsageTracker
 from repro.tokenizer.cost import CostModel, PriceTable, Usage, to_dollars
 from repro.exceptions import ConfigurationError
+from tests.doubles import tokens
 
 
 class TestResponseCache:
@@ -63,7 +64,7 @@ class TestCachedClient:
         first = client.complete(prompt)
         second = client.complete(prompt)
         assert second.metadata.get("cache_hit") is True
-        assert second.usage.total_tokens == 0
+        assert tokens(second.usage) == 0
         assert second.text == first.text
 
     def test_nonzero_temperature_bypasses_cache(self, flavor_llm):

@@ -10,11 +10,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.engine import DeclarativeEngine
+from repro.core.session import PromptSession
+from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError
 from repro.obs import Span, SpanTracker, TraceRecord, summarize_records
 from repro.obs.spans import current_span_id
 from repro.store import Store
 from repro.wire import from_wire, to_wire
+from tests.doubles import simulated_client
 
 
 class TestSpanTree:
@@ -306,6 +310,26 @@ class TestPersistence:
         assert tracker.flush() == 2  # both spans stayed dirty
         assert sorted(sp.label for sp in store.saved) == ["c0", "s0"]
         assert tracker.flush() == 0
+
+    def test_a_flush_that_a_rollback_undoes_goes_out_with_the_next(self, tmp_path, monkeypatch):
+        # A run's last span flush shares one transaction with its profile
+        # save: when the save fails, the rollback takes back the final rows
+        # of the pipeline, wave and step spans, which stay dirty.
+        with Store(tmp_path / "spans.db") as store:
+            session = PromptSession(simulated_client(), store=store)
+            spec = PipelineSpec("one", [PipelineStep("only", run=lambda session, inputs: 1)])
+
+            def full_disk(*args, **kwargs):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(store, "save_profile", full_disk)
+            with pytest.raises(OSError):
+                DeclarativeEngine(session=session).run_pipeline(spec)
+            assert session.spans.flush() == 3
+            stored = store.load_spans(origin=session.spans.origin)
+            assert {(sp.kind, sp.status) for sp in stored} == {
+                ("pipeline", "ok"), ("wave", "ok"), ("step", "ok")
+            }
 
     def test_span_dict_roundtrip(self):
         sp = Span(

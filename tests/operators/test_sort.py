@@ -11,6 +11,7 @@ from repro.llm.registry import default_registry
 from repro.metrics.ranking import kendall_tau_b
 from repro.operators.sort import SortOperator
 from tests.conftest import ALPHABETICAL
+from tests.doubles import tokens
 
 
 @pytest.fixture()
@@ -92,7 +93,7 @@ class TestSingleShotStrategies:
     def test_pairwise_costs_more_than_single_prompt(self, flavor_sorter, flavors):
         single = flavor_sorter.run(flavors, strategy="single_prompt")
         pairwise = flavor_sorter.run(flavors, strategy="pairwise")
-        assert pairwise.usage.total_tokens > single.usage.total_tokens
+        assert tokens(pairwise.usage) > tokens(single.usage)
 
 
 class TestHybridSortInsert:

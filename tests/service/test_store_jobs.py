@@ -78,7 +78,7 @@ class TestJobRows:
         assert [j.job_id for j in store.list_jobs(tenant="acme")] == ["a1", "a2"]
         assert [j.job_id for j in store.list_jobs(status="queued")] == ["a2", "b1"]
         assert [j.job_id for j in store.list_jobs(tenant="acme", status="queued")] == ["a2"]
-        assert store.job_count() == 3
+        assert store.db.execute("SELECT COUNT(*) FROM jobs") == [(3,)]
 
     def test_rows_survive_reopen(self, store, tmp_path):
         store.save_job(JobRecord(job_id="j1", tenant="acme", status="stopped", resumable=True))

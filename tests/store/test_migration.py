@@ -374,7 +374,7 @@ def assert_upgraded_and_restores_for_free(path, cold, kept) -> None:
         embedder = CachedEmbedder(HashingEmbedder(), cache)
         build_index(items, embedder=embedder, store=store, name=INDEX)
         assert (cache.stats.hits, cache.stats.misses) == (len(items), 0)
-        assert store.vector_index_count() == 1
+        assert store.db.execute("SELECT COUNT(*) FROM vector_indexes") == [(1,)]
 
 
 def test_v5_file_keeps_cache_checkpoints_and_jobs_and_restores_for_free(tmp_path):

@@ -28,6 +28,7 @@ from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer import simple
 from repro.tokenizer.cost import CostModel, CostSummary, PriceTable, Usage, to_dollars, to_nanos
 from repro.tokenizer.simple import SimpleTokenizer
+from tests.doubles import tokens
 
 _PIECE_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -435,7 +436,7 @@ class TestUsage:
         assert usage.prompt_tokens == 0
         assert usage.completion_tokens == 0
         assert usage.calls == 0
-        assert usage.total_tokens == 0
+        assert tokens(usage) == 0
 
     def test_add_accumulates_in_place(self):
         usage = Usage(10, 5, 1)
