@@ -24,11 +24,11 @@ from benchmarks.conftest import print_table
 from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
 from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep, SortSpec
+from repro.llm.faulty import FaultyLLM
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
 from repro.query import Dataset
 from repro.store import Store
-from tests.doubles import DyingClient
 from tests.query.support import clean_behavior, product_corpus
 
 N_ENTITIES = 12
@@ -136,9 +136,8 @@ def test_resumed_run_spends_only_the_unfinished_subtree(tmp_path):
     # Kill the process right after the screen step finishes.
     crash_path = tmp_path / "crash.db"
     with Store(crash_path) as store:
-        crashing = PromptSession(
-            DyingClient(_letters_llm(), fail_after=screen_calls), store=store
-        )
+        crash = {screen_calls: RuntimeError("simulated crash")}
+        crashing = PromptSession(FaultyLLM(_letters_llm(), crash), store=store)
         with pytest.raises(RuntimeError, match="simulated crash"):
             DeclarativeEngine.from_session(crashing).run_pipeline(_pipeline())
 

@@ -32,28 +32,20 @@ from repro import SimulatedLLM
 from repro.core import BackendGate, ConcurrencyGovernor
 from repro.core.executor import AsyncBatchExecutor, BatchExecutor
 from repro.data.flavors import FLAVORS, flavor_oracle
+from repro.llm.faulty import FaultyLLM
 
 LATENCY_SECONDS = 0.02  # pretend each unit task is a 20 ms API round-trip
 CALLS = 192
 WIDTH = 64
 
 
-class LatencyClient:
+def latency_client() -> FaultyLLM:
     """Simulated backend that blocks its calling thread for the round-trip.
 
     Every answer comes from the same seeded simulator, so results are
     identical whichever executor sends the call.
     """
-
-    def __init__(self) -> None:
-        self._inner = SimulatedLLM(flavor_oracle(), seed=7)
-        self.default_model = self._inner.default_model
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        time.sleep(LATENCY_SECONDS)
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
+    return FaultyLLM(SimulatedLLM(flavor_oracle(), seed=7), delay=LATENCY_SECONDS)
 
 
 async def awaited_with_a_ticker(prompts: list[str]) -> tuple[list, int]:
@@ -68,7 +60,7 @@ async def awaited_with_a_ticker(prompts: list[str]) -> tuple[list, int]:
             await asyncio.sleep(0.005)
 
     ticking = asyncio.create_task(ticker())
-    responses = await AsyncBatchExecutor(LatencyClient(), max_concurrency=WIDTH).run(prompts)
+    responses = await AsyncBatchExecutor(latency_client(), max_concurrency=WIDTH).run(prompts)
     done.set()
     await ticking
     return responses, ticks
@@ -79,7 +71,7 @@ def saturate() -> None:
                enumerate(FLAVORS * (CALLS // len(FLAVORS)))]
 
     started = time.perf_counter()
-    thread_responses = BatchExecutor(LatencyClient(), max_concurrency=WIDTH).run(prompts)
+    thread_responses = BatchExecutor(latency_client(), max_concurrency=WIDTH).run(prompts)
     thread_elapsed = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -101,7 +93,7 @@ def governed_fanout() -> None:
     # concurrency 64.  The gate admits every call that reaches the backend;
     # a session puts one below its response cache.
     governor = ConcurrencyGovernor(rpm=1200, burst=1, max_in_flight=32)
-    executor = AsyncBatchExecutor(BackendGate(LatencyClient(), governor), max_concurrency=WIDTH)
+    executor = AsyncBatchExecutor(BackendGate(latency_client(), governor), max_concurrency=WIDTH)
     prompts = [f"governed task {i}" for i in range(48)]
     started = time.perf_counter()
     asyncio.run(executor.run(prompts))

@@ -20,30 +20,16 @@ import time
 
 from repro import SimulatedLLM
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
+from repro.llm.faulty import FaultyLLM
 from repro.metrics import kendall_tau_b
 from repro.operators import SortOperator
 
 LATENCY_SECONDS = 0.005  # pretend each unit task is a 5 ms API round-trip
 
 
-class LatencyClient:
-    """Adds a fixed delay per call, like a network round-trip would."""
-
-    def __init__(self, inner, latency: float) -> None:
-        self._inner = inner
-        self._latency = latency
-        self.default_model = getattr(inner, "default_model", "default")
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        time.sleep(self._latency)
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-
 def run_once(max_concurrency: int):
     operator = SortOperator(
-        LatencyClient(SimulatedLLM(flavor_oracle(), seed=42), LATENCY_SECONDS),
+        FaultyLLM(SimulatedLLM(flavor_oracle(), seed=42), delay=LATENCY_SECONDS),
         CHOCOLATEY,
         model="sim-gpt-3.5-turbo",
         max_concurrency=max_concurrency,

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro import DeclarativeEngine, PromptSession, SimulatedLLM, Store
 from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep, SortSpec
+from repro.llm.faulty import FaultyLLM
 from repro.llm.oracle import Oracle
 
 WORDS = [
@@ -62,23 +63,6 @@ def make_pipeline() -> PipelineSpec:
     )
 
 
-class CrashingClient:
-    """Wraps a client and dies after N calls — a stand-in for `kill -9`."""
-
-    def __init__(self, inner, fail_after: int) -> None:
-        self._inner = inner
-        self.fail_after = fail_after
-        self.calls = 0
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        if self.calls >= self.fail_after:
-            raise RuntimeError("simulated crash")
-        self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-
 def main() -> None:
     store_path = Path(tempfile.mkdtemp()) / "repro-store.db"
     print(f"store file: {store_path}\n")
@@ -86,13 +70,14 @@ def main() -> None:
     # -- 1. a run that dies mid-pipeline ---------------------------------------
     print("=== run 1: killed after the screen step ===")
     with Store(store_path) as store:
-        crashing = CrashingClient(make_llm(), fail_after=len(WORDS))
+        # The call after the screen step's raises: a stand-in for `kill -9`.
+        crashing = FaultyLLM(make_llm(), {len(WORDS): RuntimeError("simulated crash")})
         session = PromptSession(crashing, store=store)
         engine = DeclarativeEngine.from_session(session)
         try:
             engine.run_pipeline(make_pipeline())
         except RuntimeError as exc:
-            print(f"pipeline died: {exc} (after {crashing.calls} calls)")
+            print(f"pipeline died: {exc} (after {len(crashing.answered)} calls)")
         print(f"checkpoints on disk: {store.checkpoint_count()}")
 
     # -- 2. a fresh process resumes against the same store ---------------------

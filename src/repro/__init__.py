@@ -76,6 +76,7 @@ from repro.store import (
     fingerprint_spec,
 )
 from repro.exceptions import (
+    BackendConnectionError,
     BudgetExceededError,
     ContextLengthExceededError,
     RateLimitError,
@@ -99,6 +100,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsyncBatchExecutor",
+    "BackendConnectionError",
     "Budget",
     "BudgetExceededError",
     "CategorizeSpec",

@@ -76,6 +76,10 @@ class RateLimitError(ReproError):
         super().__init__(message)
 
 
+class BackendConnectionError(ReproError, ConnectionError):
+    """The LLM backend could not be reached; a built-in ``ConnectionError`` too."""
+
+
 class SpecError(ReproError):
     """A declarative task specification is invalid or incomplete."""
 

@@ -20,6 +20,7 @@ from repro.core.budget import Budget
 from repro.core.executor import AsyncBatchExecutor, BatchExecutor, BatchRequest
 from repro.core.session import PromptSession
 from repro.exceptions import BudgetExceededError, ConfigurationError
+from repro.llm.faulty import FaultyLLM
 from repro.obs import trace_label
 from tests.doubles import (
     CountingClient,
@@ -139,13 +140,8 @@ def test_the_lease_is_charged_and_a_spent_one_raises_out_of_the_await():
 
 
 def test_the_earliest_failed_request_is_the_one_raised():
-    class Failing(CountingClient):
-        def complete(self, prompt, **params):
-            if prompt.startswith("boom"):
-                raise ValueError(prompt)
-            return super().complete(prompt, **params)
-
-    executor = AsyncBatchExecutor(Failing(), max_concurrency=4)
+    booms = {prompt: ValueError(prompt) for prompt in ("boom-1", "boom-2")}
+    executor = AsyncBatchExecutor(FaultyLLM(CountingClient(), booms), max_concurrency=4)
     with pytest.raises(ValueError, match="boom-1"):
         asyncio.run(executor.run(["ok-0", "boom-1", "boom-2", "ok-3"]))
 
@@ -161,13 +157,7 @@ def test_a_budget_stops_a_sequential_bag_midway():
 
 
 def test_a_failure_stops_the_queued_requests_going_out():
-    class Failing(EchoClient):
-        def complete(self, prompt, **params):
-            if prompt == "boom":
-                raise ValueError("boom")
-            return super().complete(prompt, **params)
-
-    client = Failing()
+    client = FaultyLLM(EchoClient(), {"boom": ValueError("boom")})
     executor = AsyncBatchExecutor(client, max_concurrency=2)
     with pytest.raises(ValueError):
         asyncio.run(executor.run(["boom"] + [f"queued-{i}" for i in range(40)]))

@@ -22,6 +22,7 @@ from repro.data.words import random_words
 from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
 from repro.llm.base import sequential_complete_batch
 from repro.llm.cache import CachedClient
+from repro.llm.faulty import FaultyLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
 from tests.doubles import (
     CRITERION,
@@ -269,15 +270,7 @@ class TestConcurrentDuplicateHandling:
         assert responses[1].metadata.get("cache_hit") is True
 
     def test_unit_task_error_stops_dispatching_queued_tasks(self):
-        class FailingClient(EchoClient):
-            def complete(self, prompt, **kwargs):
-                if prompt == "boom":
-                    with self._lock:
-                        self.calls += 1
-                    raise ValueError("simulated API failure")
-                return super().complete(prompt, **kwargs)
-
-        client = FailingClient()
+        client = FaultyLLM(EchoClient(), {"boom": ValueError("simulated API failure")})
         executor = BatchExecutor(client, max_concurrency=2)
         with pytest.raises(ValueError):
             executor.run(["ok-1", "boom"] + [f"queued-{i}" for i in range(40)])

@@ -12,20 +12,19 @@ and width, in any order of its requests.
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
+from repro.exceptions import BackendConnectionError
 from repro.llm.cache import CachedClient
+from repro.llm.faulty import FaultyLLM
 from repro.llm.retry import RetryingClient
 from repro.obs import trace_label
 from repro.tokenizer.cost import to_dollars, to_nanos
-from tests.doubles import FailingOn, call, executor_for, rating_prompts, simulated_client
+from tests.doubles import call, executor_for, rating_prompts, simulated_client
 
 MODEL = "sim-gpt-3.5-turbo"
 STEP, OPERATOR = "screen", "sort:rating"
@@ -39,43 +38,7 @@ DRIVERS = {
 POOL = rating_prompts(60)
 
 
-class Tripping:
-    """Answers from the simulator; the ``trip``-th call to start raises ``error``.
-
-    ``latency`` makes every call wait, and the double says so (``waits``:
-    the gate then brings in the thread executor's helpers); ``answered``
-    holds the prompts that came back.
-    """
-
-    default_model = MODEL
-
-    def __init__(self, trip: int, error: type[BaseException], latency: float = 0.0) -> None:
-        self._inner = simulated_client()
-        self.trip = trip
-        self.error = error
-        self.latency = latency
-        self.waits = latency > 0
-        self.started = 0
-        self.answered: list[str] = []
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            tripped = self.started == self.trip
-            self.started += 1
-        if self.latency:
-            time.sleep(self.latency)
-        if tripped:
-            raise self.error("tripped")
-        response = self._inner.complete(
-            prompt, model=model or MODEL, temperature=temperature, max_tokens=max_tokens
-        )
-        with self._lock:
-            self.answered.append(prompt)
-        return response
-
-
-def assert_the_books_agree(session: PromptSession, client: Tripping, *, errors: int) -> None:
+def assert_the_books_agree(session: PromptSession, client: FaultyLLM, *, errors: int) -> None:
     """Tracker, budget, ring, metrics and stats all tell of the calls that came back."""
     reached = len(client.answered)
     records = session.spans.records()
@@ -102,7 +65,7 @@ def assert_the_books_agree(session: PromptSession, client: Tripping, *, errors: 
     picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=60),
     shrink=st.integers(1, 4),
     data=st.data(),
-    error=st.sampled_from([ConnectionError, KeyboardInterrupt]),
+    error=st.sampled_from([BackendConnectionError, KeyboardInterrupt]),
     use_cache=st.booleans(),
     driver=st.sampled_from(sorted(DRIVERS)),
 )
@@ -116,7 +79,8 @@ def test_a_bag_books_the_calls_that_reached_the_backend(
     # no call fails.
     trip = data.draw(st.integers(0, len(prompts)), label="trip")
     kind, width, stalling = DRIVERS[driver]
-    client = Tripping(trip, error, latency=0.002 if stalling else 0.0)
+    # The ``trip``-th call to start raises; a stalling backend makes every call wait.
+    client = FaultyLLM(simulated_client(), {trip: error}, delay=0.002 if stalling else 0.0)
     governor = ConcurrencyGovernor()
     session = PromptSession(client, use_cache=use_cache, governor=governor)
     with trace_label(step=STEP, operator=OPERATOR):
@@ -126,8 +90,8 @@ def test_a_bag_books_the_calls_that_reached_the_backend(
             tripped = False
         except error:
             tripped = True
-    assert tripped == (client.started > trip)
-    assert governor.stats.admitted == client.started and governor.in_flight == 0
+    assert tripped == (client.calls > trip)
+    assert governor.stats.admitted == client.calls and governor.in_flight == 0
     assert_the_books_agree(
         session, client, errors=int(tripped and issubclass(error, Exception))
     )
@@ -166,7 +130,7 @@ class TestAWrapperThatCannotMapThePrefixDropsIt:
     )
     def test_a_cache_above_it_caches_nothing_and_the_session_settles_nothing(self, wrap):
         prompts = rating_prompts(6)
-        backend = FailingOn(prompts[3])
+        backend = FaultyLLM(simulated_client(), {prompts[3]: ConnectionError("backend down")})
         cached = CachedClient(wrap(backend))
         session = PromptSession(cached, use_cache=False)
         with pytest.raises(ConnectionError):

@@ -35,6 +35,7 @@ from repro.exceptions import (
     RateLimitError,
     ResponseParseError,
 )
+from repro.llm.faulty import FaultyLLM
 from tests.doubles import CountingClient
 
 
@@ -275,7 +276,7 @@ class TestExecutorIntegration:
         governor = ConcurrencyGovernor(
             backoff_initial=1.0, clock=clock, sleep=clock.sleep
         )
-        client = CountingClient(rate_limited=2)
+        client = FaultyLLM(CountingClient(), {0: RateLimitError, 1: RateLimitError})
         executor = BatchExecutor(BackendGate(client, governor))
         with pytest.raises(RateLimitError):
             executor.run(["a"])
@@ -293,13 +294,8 @@ class TestExecutorIntegration:
         clock = FakeClock()
         governor = ConcurrencyGovernor(clock=clock, sleep=clock.sleep)
 
-        class ParseFailClient:
-            waits = False
-
-            def complete(self, prompt, **kwargs):
-                raise ResponseParseError("malformed")
-
-        executor = BatchExecutor(BackendGate(ParseFailClient(), governor))
+        client = FaultyLLM(CountingClient(), {"a": ResponseParseError("malformed")})
+        executor = BatchExecutor(BackendGate(client, governor))
         with pytest.raises(ResponseParseError):
             executor.run(["a"])
         assert governor.stats.rate_limit_events == 0
@@ -378,7 +374,7 @@ class TestTheGateSeesEveryBackendCall:
 
     def test_a_single_call_feeds_the_backoff(self):
         governor = ConcurrencyGovernor(sleep=lambda seconds: None)
-        gate = BackendGate(CountingClient(rate_limited=1), governor)
+        gate = BackendGate(FaultyLLM(CountingClient(), {0: RateLimitError}), governor)
         with pytest.raises(RateLimitError):
             gate.complete("a")
         assert gate.complete("a").text == "echo:a"

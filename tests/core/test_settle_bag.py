@@ -11,7 +11,6 @@ with the calls that reached the backend.
 from __future__ import annotations
 
 import contextvars
-import threading
 
 import pytest
 
@@ -22,17 +21,19 @@ from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.exceptions import BudgetExceededError
+from repro.llm.faulty import FaultyLLM
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import trace_label
 from tests.doubles import (
     DRIVERS,
-    FlakyClient,
     LatencyClient,
     call,
     executor_for,
+    garbled,
     hop,
     rating_prompts,
     simulated_client,
+    yes_backend,
     yes_no_validator,
 )
 
@@ -145,34 +146,6 @@ class TestEquivalence:
         assert len(engine.session.spans.records()) == sum(map(len, halves.values()))
 
 
-class Scripted:
-    """Answers instantly; the ``trip``-th call to start (0-based) runs ``action`` first."""
-
-    default_model = MODEL
-    waits = False  # the dispatching thread runs the bag, in order
-
-    def __init__(self, trip: int | None = None, action=None) -> None:
-        self._inner = simulated_client()
-        self.trip = trip
-        self.action = action
-        self.started = 0
-        self.reached = 0  # calls that came back from the backend
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            tripped = self.started == self.trip
-            self.started += 1
-        if tripped:
-            self.action()
-        response = self._inner.complete(
-            prompt, model=model or MODEL, temperature=temperature, max_tokens=max_tokens
-        )
-        with self._lock:
-            self.reached += 1
-        return response
-
-
 def assert_books_agree(session: PromptSession, reached: int, *, errors: int = 0) -> None:
     """Ring, metrics, stats and budget all tell of the ``reached`` calls paid for."""
     records = session.spans.records()
@@ -194,16 +167,13 @@ def assert_books_agree(session: PromptSession, reached: int, *, errors: int = 0)
 class TestABagThatEndsEarly:
     @pytest.mark.parametrize("driver", FANNED_OUT)
     def test_a_failing_call_is_recorded_after_the_calls_settled_before_it(self, driver):
-        def fail():
-            raise ConnectionError("backend down")
-
-        client = Scripted(6, fail)
+        client = FaultyLLM(simulated_client(), {6: ConnectionError("backend down")})
         session = PromptSession(client, use_cache=False)
         with pytest.raises(ConnectionError):
             run_bag(session, driver, WIDTH, rating_prompts(20))
         records = session.spans.records()
         assert [record.error for record in records[:7]] == [None] * 6 + ["ConnectionError"]
-        assert_books_agree(session, client.reached, errors=1)
+        assert_books_agree(session, len(client.answered), errors=1)
         assert session.metrics.snapshot()["repro_llm_call_errors_total"] == {
             '{tenant="",error="ConnectionError"}': 1
         }
@@ -213,54 +183,45 @@ class TestABagThatEndsEarly:
         prompts = rating_prompts(30)
         probe = PromptSession(simulated_client())
         probe.complete_batch(prompts[:10], model=MODEL)
-        client = Scripted()
+        client = FaultyLLM(simulated_client())
         session = PromptSession(client, budget=Budget(limit=probe.budget.spent * 0.95))
         with pytest.raises(BudgetExceededError):
             run_bag(session, driver, width_of(driver), prompts, budget=session.budget)
-        assert 0 < client.reached < len(prompts)
+        assert 0 < len(client.answered) < len(prompts)
         assert session.budget.spent >= session.budget.limit  # the breaching charge counts
-        assert_books_agree(session, client.reached)
+        assert_books_agree(session, len(client.answered))
 
     @pytest.mark.parametrize("driver", FANNED_OUT)
     def test_ctrl_c_inside_a_unit(self, driver):
-        def interrupt():
-            raise KeyboardInterrupt
-
-        client = Scripted(9, interrupt)
+        client = FaultyLLM(simulated_client(), {9: KeyboardInterrupt})
         session = PromptSession(client, use_cache=False)
         with pytest.raises(KeyboardInterrupt):
             run_bag(session, driver, WIDTH, rating_prompts(20))
-        assert client.reached == 9
-        assert_books_agree(session, client.reached)
+        assert len(client.answered) == 9
+        assert_books_agree(session, len(client.answered))
 
     # The two cases above on ``sync`` at width 1: the bag is one native batch.
 
     def test_a_failing_call_of_a_native_batch_is_recorded_after_the_calls_before_it(self):
-        def fail():
-            raise ConnectionError("backend down")
-
-        client = Scripted(6, fail)
+        client = FaultyLLM(simulated_client(), {6: ConnectionError("backend down")})
         session = PromptSession(client, use_cache=False)
         with pytest.raises(ConnectionError):
             run_bag(session, "sync", 1, rating_prompts(20))
         records = session.spans.records()
         assert [record.error for record in records] == [None] * 6 + ["ConnectionError"]
         assert records[6].prompt == rating_prompts(20)[6]
-        assert_books_agree(session, client.reached, errors=1)
+        assert_books_agree(session, len(client.answered), errors=1)
         assert session.metrics.snapshot()["repro_llm_call_errors_total"] == {
             '{tenant="",error="ConnectionError"}': 1
         }
 
     def test_ctrl_c_inside_a_native_batch(self):
-        def interrupt():
-            raise KeyboardInterrupt
-
-        client = Scripted(9, interrupt)
+        client = FaultyLLM(simulated_client(), {9: KeyboardInterrupt})
         session = PromptSession(client, use_cache=False)
         with pytest.raises(KeyboardInterrupt):
             run_bag(session, "sync", 1, rating_prompts(20))
-        assert client.reached == 9
-        assert_books_agree(session, client.reached)
+        assert len(client.answered) == 9
+        assert_books_agree(session, len(client.answered))
 
 
 class TestTheScope:
@@ -268,12 +229,14 @@ class TestTheScope:
     def test_a_long_bag_is_visible_in_the_ring_before_it_ends(self, driver):
         seen: list[int] = []
 
-        class Watching(Scripted):
+        class Watching(FaultyLLM):
             def complete(inner, prompt, **params):
                 seen.append(len(session.spans.records()))
                 return super().complete(prompt, **params)
 
-        session = PromptSession(Watching(), use_cache=False, budget=Budget(limit=1000.0))
+        session = PromptSession(
+            Watching(simulated_client()), use_cache=False, budget=Budget(limit=1000.0)
+        )
         session.spans.flush_every = bound = 8
         run_bag(session, driver, width_of(driver), rating_prompts(30), budget=session.budget)
         # Handed over a run at a time: never more than one run is owed ...
@@ -303,12 +266,12 @@ class TestTheScope:
     def test_a_context_that_outlives_its_bag_still_records(self, driver):
         kept: list[contextvars.Context] = []
 
-        class Keeping(Scripted):
+        class Keeping(FaultyLLM):
             def complete(inner, prompt, **params):
                 kept.append(contextvars.copy_context())
                 return super().complete(prompt, **params)
 
-        session = PromptSession(Keeping(), use_cache=False)
+        session = PromptSession(Keeping(simulated_client()), use_cache=False)
         run_bag(session, driver, WIDTH, rating_prompts(3))
         assert kept[-1].get(OPEN_BAG) is not None and OPEN_BAG.get() is None
         late = kept[-1].run(session.complete, "one more?", model=MODEL)
@@ -319,12 +282,12 @@ class TestTheScope:
     def test_under_a_validator_every_attempt_is_amended_as_it_returns(self, driver):
         bags: list[object] = []
 
-        class Flaky(FlakyClient):
+        class Watching(FaultyLLM):
             def complete(inner, prompt, **params):
                 bags.append(OPEN_BAG.get())
                 return super().complete(prompt, **params)
 
-        session = PromptSession(Flaky(bad_attempts=2), use_cache=False)
+        session = PromptSession(Watching(yes_backend(), garbled(2)), use_cache=False)
         step, responses = run_bag(
             session, driver, 1, ["a?", "b?"], validator=yes_no_validator, max_retries=2
         )

@@ -17,7 +17,7 @@ from typing import Any
 from repro.core.budget import Budget
 from repro.core.executor import AsyncBatchExecutor, BatchExecutor
 from repro.data.words import random_words
-from repro.exceptions import RateLimitError, ResponseParseError
+from repro.exceptions import ResponseParseError
 from repro.llm.base import LLMResponse
 from repro.llm.oracle import Oracle
 from repro.llm.prompts import RATING
@@ -55,15 +55,25 @@ class EchoClient:
     """Deterministic client: counts calls, optionally charges a budget.
 
     The response carries the call's model and temperature, so requests that
-    differ only in those can be told apart.
+    differ only in those can be told apart.  ``reply`` answers every call with
+    that text instead, at ``tokens`` (prompt, completion) tokens.
     """
 
     default_model = "echo"
     waits = False
 
-    def __init__(self, budget: Budget | None = None, charge: float = 0.0) -> None:
+    def __init__(
+        self,
+        budget: Budget | None = None,
+        charge: float = 0.0,
+        *,
+        reply: str | None = None,
+        tokens: tuple[int, int] = (1, 1),
+    ) -> None:
         self.budget = budget
         self.charge = charge
+        self.reply = reply
+        self.tokens = tokens
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -73,9 +83,9 @@ class EchoClient:
         if self.budget is not None:
             self.budget.charge(self.charge)
         return LLMResponse(
-            text=f"echo:{prompt}",
+            text=f"echo:{prompt}" if self.reply is None else self.reply,
             model=model or self.default_model,
-            usage=Usage(1, 1, 1),
+            usage=Usage(*self.tokens, 1),
             metadata={"temperature": temperature},
         )
 
@@ -84,16 +94,14 @@ class CountingClient:
     """Counts the calls that reach it (thread-safe); answers from ``inner``,
     or with an echo when there is none.
 
-    The first ``rate_limited`` calls raise :class:`RateLimitError` instead,
-    and ``temperatures`` collects the temperatures asked for.
+    ``temperatures`` collects the temperatures asked for.
     """
 
     waits = False
 
-    def __init__(self, inner: Any = None, *, rate_limited: int = 0) -> None:
+    def __init__(self, inner: Any = None) -> None:
         self._inner = inner
         self.default_model = getattr(inner, "default_model", "sim-gpt-3.5-turbo")
-        self.rate_limited = rate_limited
         self.calls = 0
         self.temperatures: set[float] = set()
         self._lock = threading.Lock()
@@ -101,10 +109,7 @@ class CountingClient:
     def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
         with self._lock:
             self.calls += 1
-            calls = self.calls
             self.temperatures.add(temperature)
-        if calls <= self.rate_limited:
-            raise RateLimitError(retry_after=0.0)
         if self._inner is not None:
             return self._inner.complete(
                 prompt, model=model, temperature=temperature, max_tokens=max_tokens
@@ -148,81 +153,19 @@ class LatencyClient:
         )
 
 
-class FlakyClient:
-    """Answers ``"garbled ???"`` for its first ``bad_attempts`` calls, then ``"Yes."``."""
-
-    waits = False
-
-    def __init__(self, bad_attempts: int) -> None:
-        self.bad_attempts = bad_attempts
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            self.calls += 1
-            calls = self.calls
-        return LLMResponse(
-            text="garbled ???" if calls <= self.bad_attempts else "Yes.",
-            model=model or "stub",
-            usage=Usage(prompt_tokens=10, completion_tokens=5, calls=1),
-            metadata={"temperature": temperature},
-        )
+def yes_backend() -> EchoClient:
+    """A backend that answers every call ``"Yes."``, at 10 prompt and 5
+    completion tokens: a fault plan's garbled answers keep that usage."""
+    return EchoClient(reply="Yes.", tokens=(10, 5))
 
 
-class DyingClient:
-    """Counts backend calls; once ``fail_after`` were made, every call runs ``die``.
-
-    ``die`` defaults to raising a simulated crash; a test that wants the
-    process itself killed, or the call held at a barrier, passes its own.
-    """
-
-    waits = False
-
-    def __init__(self, inner: SimulatedLLM, fail_after: int | None, die=None) -> None:
-        self._inner = inner
-        self.fail_after = fail_after
-        self.die = die or self._crash
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _crash() -> None:
-        raise RuntimeError("simulated crash: process killed")
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        with self._lock:
-            if self.calls == self.fail_after:
-                self.die()
-            self.calls += 1
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-
-class FailingOn:
-    """The simulator, except that ``prompt`` raises a connection error; keeps
-    the prompts it answered."""
-
-    waits = False
-
-    def __init__(self, prompt: str, inner: SimulatedLLM | None = None) -> None:
-        self._inner = inner or simulated_client()
-        self.default_model = self._inner.default_model
-        self.prompt = prompt
-        self.answered: list[str] = []
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        if prompt == self.prompt:
-            raise ConnectionError("backend down")
-        self.answered.append(prompt)
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
+def garbled(count: int) -> dict[int, str]:
+    """A fault plan that garbles the first ``count`` calls."""
+    return dict.fromkeys(range(count), "garbled ???")
 
 
 def yes_no_validator(text: str) -> bool:
-    """Rejects :class:`FlakyClient`'s garbled answers the way a parser would."""
+    """Rejects :func:`garbled` answers the way a parser would."""
     if "yes" not in text.lower() and "no" not in text.lower():
         raise ResponseParseError("no yes/no answer", text)
     return True

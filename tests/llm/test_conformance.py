@@ -24,6 +24,7 @@ from repro.core.governor import BackendGate, ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.llm.base import BaseClient, LLMResponse
 from repro.llm.cache import CachedClient
+from repro.llm.faulty import FaultyLLM
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
@@ -44,6 +45,15 @@ from tests.doubles import (
 PROMPTS = rating_prompts(6) + rating_prompts(3)
 
 Observed = dict[str, Any]
+
+#: The leaf shapes: a third-party client's, and the simulator behind a fault
+#: double with no plan, which must change nothing.
+LEAF_SHAPES = (*SHAPES, "faulty")
+
+
+def _leaf(shape: str) -> Any:
+    client = simulated_client()
+    return FaultyLLM(client) if shape == "faulty" else shaped(client, shape)
 
 
 def _odd_ratings_rejected(text: str) -> bool:
@@ -115,11 +125,11 @@ def _visible(responses: list) -> list[tuple]:
     ]
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", LEAF_SHAPES)
 @pytest.mark.parametrize("wrapper", WRAPPERS)
 def test_both_entry_points_agree(wrapper, shape):
     def run(entry_point: str) -> tuple[list[tuple], Observed]:
-        client, observe = WRAPPERS[wrapper](shaped(simulated_client(), shape))
+        client, observe = WRAPPERS[wrapper](_leaf(shape))
         return _visible(ask(client, entry_point, PROMPTS)), observe()
 
     reference = run("complete")
@@ -139,12 +149,12 @@ def _in_any_order(observed: Observed) -> Observed:
     }
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", LEAF_SHAPES)
 @pytest.mark.parametrize("wrapper", WRAPPERS)
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_every_executor_driver_agrees_with_the_loop(driver, wrapper, shape):
     def run(driven: bool) -> tuple[list[tuple], Observed]:
-        client, observe = WRAPPERS[wrapper](shaped(simulated_client(), shape))
+        client, observe = WRAPPERS[wrapper](_leaf(shape))
         if driven:
             responses = call(executor_for(driver, client), "run", PROMPTS)
         else:

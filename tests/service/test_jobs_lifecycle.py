@@ -16,6 +16,7 @@ import threading
 
 from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
+from repro.llm.faulty import FaultyLLM
 from repro.llm.simulated import SimulatedLLM
 from repro.service import ServiceApp, ServiceClient, TenantConfig, TenantRegistry
 from repro.store import Store
@@ -25,40 +26,19 @@ from _service_helpers import MODEL, corpus_oracle, demo_pipeline, make_client
 ACME_KEY = "key-acme"
 
 
-class GatedClient:
-    """Counts calls; blocks every call after ``release_after`` on a gate.
+def held_at_a_gate(calls: range) -> tuple[FaultyLLM, threading.Event]:
+    """The simulator, with the ``calls`` (by index) held at a gate until it is set.
 
-    This freezes a pipeline at an exact call boundary — here, between the
-    filter step (checkpointed) and the sort step (mid-flight) — so the kill
-    test is deterministic instead of racing a timer.
+    This freezes a pipeline at an exact call boundary — between a step that
+    checkpointed and one mid-flight — so a kill test is deterministic instead
+    of racing a timer.
     """
+    gate = threading.Event()
 
-    waits = True
+    def hold() -> None:
+        assert gate.wait(timeout=30), "gate never released"
 
-    def __init__(self, inner: SimulatedLLM, release_after: int) -> None:
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.calls = 0
-        self.release_after = release_after
-        self.gate = threading.Event()
-
-    def _tick(self) -> int:
-        with self._lock:
-            self.calls += 1
-            return self.calls
-
-    def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-        if self._tick() > self.release_after:
-            assert self.gate.wait(timeout=30), "gate never released"
-        return self._inner.complete(
-            prompt, model=model, temperature=temperature, max_tokens=max_tokens
-        )
-
-    def complete_batch(self, prompts, *, model=None, temperature=0.0, max_tokens=None):
-        return [
-            self.complete(p, model=model, temperature=temperature, max_tokens=max_tokens)
-            for p in prompts
-        ]
+    return FaultyLLM(SimulatedLLM(corpus_oracle(), seed=11), dict.fromkeys(calls, hold)), gate
 
 
 def tenant_configs():
@@ -125,7 +105,7 @@ class TestKillAndResume:
         assert filter_calls > 0 and sort_calls > 0
 
         # ---- process 1: run until filter is checkpointed, then kill -------
-        gated = GatedClient(SimulatedLLM(corpus_oracle(), seed=11), filter_calls)
+        gated, gate = held_at_a_gate(range(filter_calls, filter_calls + sort_calls))
         store1 = Store(tmp_path / "svc.db")
         registry1 = TenantRegistry(gated, tenant_configs(), store=store1)
         app1 = ServiceApp(registry1)
@@ -145,7 +125,7 @@ class TestKillAndResume:
             # cancels the job task, whose handler persists stopped+resumable.
             await app1.shutdown(drain=False)
             record = (await client1.get(f"/v1/jobs/{job_id}")).json()
-            gated.gate.set()  # unblock the stranded sort workers
+            gate.set()  # unblock the stranded sort workers
             return job_id, record
 
         job_id, killed = asyncio.run(process_one())

@@ -23,7 +23,7 @@ from repro.store import Store
 from repro.tokenizer.cost import to_nanos
 
 from _service_helpers import CRITERION, MODEL, PREDICATE, WORDS, corpus_oracle, make_client
-from test_jobs_lifecycle import ACME_KEY, GatedClient, poll_to_terminal, tenant_configs
+from test_jobs_lifecycle import ACME_KEY, held_at_a_gate, poll_to_terminal, tenant_configs
 
 OTHER_WORDS = ["avocado", "blueberry", "coconut", "date", "guava", "kiwi"]
 
@@ -102,7 +102,7 @@ class TestAFastShutdownMidChain:
         filter_calls = baseline.step_reports["filter"].calls
         sort_calls = baseline.step_reports["sort"].calls
         assert baseline.step_reports["rate"].calls > 0
-        gated = GatedClient(SimulatedLLM(corpus_oracle(), seed=11), filter_calls)
+        gated, gate = held_at_a_gate(range(filter_calls, filter_calls + sort_calls))
         with Store(tmp_path / "svc.db") as store:
             app = ServiceApp(TenantRegistry(gated, tenant_configs(), store=store))
             client = ServiceClient(app, api_key=ACME_KEY)
@@ -118,7 +118,7 @@ class TestAFastShutdownMidChain:
                 )
                 await app.shutdown(drain=False)
                 row = store.load_job(job_id)
-                gated.gate.set()  # the sort's calls return on the run's thread
+                gate.set()  # the sort's calls return on the run's thread
                 return job_id, row
 
             # asyncio.run returns once the run's thread has finished.

@@ -18,6 +18,7 @@ from repro.core.spec import (
     TopKSpec,
 )
 from repro.llm.base import LLMResponse
+from repro.llm.faulty import FaultyLLM
 from repro.llm.oracle import Oracle, prefix_margin
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.filter import FilterResult
@@ -26,7 +27,6 @@ from repro.operators.resolve import PairJudgment, PairJudgmentResult, ResolveRes
 from repro.operators.sort import SortResult
 from repro.store import Store, decode_result, encode_result, fingerprint_spec
 from repro.tokenizer.cost import Usage
-from tests.doubles import DyingClient
 
 MODEL = "sim-gpt-3.5-turbo"
 WORDS = ["apple", "banana", "cherry", "damson", "elder", "fig"]
@@ -261,7 +261,7 @@ class TestPipelineResume:
 
         path = tmp_path / "store.db"
         with Store(path) as store:
-            flaky = DyingClient(corpus_llm(), fail_after=filter_calls)
+            flaky = FaultyLLM(corpus_llm(), {filter_calls: RuntimeError("simulated crash")})
             session = PromptSession(flaky, store=store)
             engine = DeclarativeEngine(session=session)
             with pytest.raises(RuntimeError, match="simulated crash"):
@@ -340,7 +340,7 @@ class TestPipelineResume:
         # must warm-start its quotes from them.
         path = tmp_path / "store.db"
         with Store(path) as store:
-            flaky = DyingClient(corpus_llm(), fail_after=len(WORDS))
+            flaky = FaultyLLM(corpus_llm(), {len(WORDS): RuntimeError("simulated crash")})
             session = PromptSession(flaky, store=store)
             engine = DeclarativeEngine(session=session)
             with pytest.raises(RuntimeError):

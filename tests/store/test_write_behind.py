@@ -29,6 +29,7 @@ from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
 from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep
 from repro.llm.base import LLMResponse
+from repro.llm.faulty import FaultyLLM
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
 from repro.store import PersistentResponseCache, Store, fingerprint_spec
@@ -37,7 +38,6 @@ from repro.store.db import MAX_PENDING_ROWS
 from repro.store.jobs import JobRecord
 from repro.store.response_cache import encode_response
 from repro.tokenizer.cost import Usage
-from tests.doubles import DyingClient
 
 MODEL = "sim-gpt-3.5-turbo"
 THREADS = int(os.environ.get("REPRO_TEST_THREADS", "8"))
@@ -323,8 +323,8 @@ def kill_pipeline() -> PipelineSpec:
     )
 
 
-def run_kill_pipeline(store: Store | None, fail_after: int | None = None, die=None):
-    client = DyingClient(kill_llm(), fail_after, die)
+def run_kill_pipeline(store: Store | None, plan=None):
+    client = FaultyLLM(kill_llm(), plan)
     # Two wide, so that a step's calls are unit tasks, each cached as it returns
     # (one wide the step is one native batch: all of it is cached, or none).
     engine = DeclarativeEngine(session=PromptSession(client, store=store, max_concurrency=2))
@@ -342,7 +342,7 @@ class TestSettle:
         paid = len(SMALL) + 25
         with Store(path) as store, Store(path) as other:
             with pytest.raises(RuntimeError):
-                run_kill_pipeline(store, paid)
+                run_kill_pipeline(store, {paid: RuntimeError("simulated crash")})
             # Visible to another handle while this one is still open.
             assert len(other.response_cache()) == paid
             assert other.trace_count() >= paid
@@ -459,12 +459,12 @@ class TestConcurrentScopes:
     def test_two_tenants_overlapping_pipelines_pay_for_their_own_calls(self, path):
         gate = threading.Barrier(2, timeout=60)
         solo_client, _ = run_kill_pipeline(None)
-        clients: dict[str, DyingClient] = {}
+        clients: dict[str, FaultyLLM] = {}
         reports: dict[str, object] = {}
 
         def tenant(name: str, store: Store) -> None:
             # Both tenants are inside their first step before either calls.
-            client = DyingClient(kill_llm(), 0, gate.wait)
+            client = FaultyLLM(kill_llm(), {0: gate.wait})
             session = PromptSession(client, store=store.namespace(name), max_concurrency=2)
             clients[name] = client
             reports[name] = DeclarativeEngine(session=session).run_pipeline(kill_pipeline())
@@ -485,4 +485,4 @@ class TestConcurrentScopes:
 
 if __name__ == "__main__":
     with Store(sys.argv[1]) as killed_store:
-        run_kill_pipeline(killed_store, int(sys.argv[2]), lambda: os._exit(1))
+        run_kill_pipeline(killed_store, {int(sys.argv[2]): lambda: os._exit(1)})

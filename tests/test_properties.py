@@ -20,6 +20,7 @@ from repro.core.workflow import Workflow
 from repro.exceptions import BudgetExceededError
 from repro.llm.base import LLMResponse, answered_prefix, sequential_complete_batch
 from repro.llm.cache import CachedClient, ResponseCache, _cache_hit_copy
+from repro.llm.faulty import FaultyLLM
 from repro.llm.prompts import build_structured_prompt, parse_structured_prompt
 from repro.metrics.classification import BinaryConfusion, confusion_from_pairs
 from repro.metrics.ranking import kendall_tau_b
@@ -257,27 +258,6 @@ class TestCachedBatchProperties:
         assert batch_client.cache.stats.misses == loop_client.cache.stats.misses
 
 
-class _ExplodingEchoClient(EchoClient):
-    """An :class:`EchoClient` on which the prompt ``"boom"`` raises."""
-
-    def complete(self, prompt, **params):
-        if prompt == "boom":
-            raise ValueError("boom")
-        return super().complete(prompt, **params)
-
-
-class _RecordingEchoClient(_ExplodingEchoClient):
-    """An exploding echo client that records every prompt it is asked."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.asked: list[str] = []
-
-    def complete(self, prompt, **params):
-        self.asked.append(prompt)
-        return super().complete(prompt, **params)
-
-
 def _per_prompt_batch(cache, inner, model, prompts):
     """A cached batch as the per-prompt path serves it: one ``get`` per prompt
     (a duplicate of an in-batch miss waits), one inner batch for the misses,
@@ -344,7 +324,7 @@ class TestCachedBatchOverEitherCache:
                     stack.enter_context(store.db.step())
                 for prompt in warm:
                     cache.put("echo", prompt, LLMResponse(text=f"warm:{prompt}", model="echo"))
-                inner = _RecordingEchoClient()
+                inner = FaultyLLM(EchoClient(), {"boom": ValueError("boom")})
                 if serve == "batch":
                     try:
                         got, failed = CachedClient(inner, cache).complete_batch(prompts), False
@@ -356,7 +336,7 @@ class TestCachedBatchOverEitherCache:
                     (
                         failed,
                         [(r.text, r.usage, r.metadata) for r in got],
-                        inner.asked,
+                        (inner.calls, inner.answered),
                         (cache.stats.hits, cache.stats.misses),
                         _cache_state(cache, store),
                     )
@@ -400,7 +380,7 @@ class TestDriverEquivalenceProperties:
     @staticmethod
     def _drive(driver, concurrency, bag, afford, method):
         budget = Budget(limit=float(afford)) if afford is not None else None
-        client = _ExplodingEchoClient(budget=budget, charge=1.0)
+        client = FaultyLLM(EchoClient(budget=budget, charge=1.0), {"boom": ValueError("boom")})
         if method == "run":
             # Behind a cache: ``run`` keeps temperature-0 duplicates from
             # racing each other past it, so hits and misses must agree too.

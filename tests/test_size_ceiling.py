@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Lines of ``src/**/*.py``.
-SRC_LINES = 21_056
+SRC_LINES = 21_145
 #: Lines of ``docs/api.md``.
-API_DOC_LINES = 1_116
+API_DOC_LINES = 1_130
 
 
 def _lines(paths) -> int:

@@ -15,8 +15,9 @@ import re
 import pytest
 
 from repro.core.session import PromptSession
+from repro.llm.faulty import FaultyLLM
 from repro.obs import trace_label
-from tests.doubles import FailingOn, rating_prompts
+from tests.doubles import rating_prompts, simulated_client
 
 MODEL = "sim-gpt-3.5-turbo"
 PROMPTS = rating_prompts(8)
@@ -25,7 +26,8 @@ FAILING = PROMPTS[5]
 
 def failed(path: str, caplog) -> tuple[PromptSession, list[str]]:
     """A session after ``FAILING`` raised on ``path``, and its WARNING lines."""
-    session = PromptSession(FailingOn(FAILING))
+    backend = FaultyLLM(simulated_client(), {FAILING: ConnectionError("backend down")})
+    session = PromptSession(backend)
     with caplog.at_level(logging.WARNING, logger="repro.calls"):
         with trace_label(step="screen", operator="sort:rating"), pytest.raises(ConnectionError):
             if path == "per call":

@@ -19,11 +19,12 @@ from repro.core.engine import DeclarativeEngine
 from repro.core.session import PromptSession
 from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep
 from repro.llm.cache import CachedClient
+from repro.llm.faulty import FaultyLLM
 from repro.llm.oracle import Oracle
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
 from repro.operators.filter import FilterOperator
-from tests.doubles import DyingClient, hop
+from tests.doubles import hop
 
 MODEL = "sim-gpt-3.5-turbo"
 PREDICATE = "starts early in the alphabet"
@@ -39,11 +40,11 @@ KEPT = ["apple", "banana", "cherry", "fig", "apple", "cherry", "fig"]
 DRIVERS = {"sync": (1, False), "threads": (8, False), "asyncio": (8, True)}
 
 
-def backend() -> DyingClient:
+def backend() -> FaultyLLM:
     """The simulator behind a counter of the calls that reach it."""
     oracle = Oracle()
     oracle.register_predicate(PREDICATE, lambda item: item[0] in "abc")
-    return DyingClient(SimulatedLLM(oracle, seed=11), fail_after=None)
+    return FaultyLLM(SimulatedLLM(oracle, seed=11))
 
 
 def screen(session: PromptSession, hopped: bool = False):

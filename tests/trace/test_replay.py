@@ -9,10 +9,11 @@ from repro.core.executor import BatchExecutor
 from repro.core.session import PromptSession
 from repro.core.spec import SortSpec
 from repro.exceptions import ContextLengthExceededError, SpecError, TraceError
+from repro.llm.faulty import FaultyLLM
 from repro.obs import TraceRecord, replay_trace
 from repro.obs.replay import ReplayLLM
 from repro.query import Dataset
-from tests.doubles import FlakyClient, yes_no_validator
+from tests.doubles import garbled, yes_backend, yes_no_validator
 from tests.query.support import clean_engine, product_corpus
 
 
@@ -99,7 +100,7 @@ class TestRetryReplay:
         return [response.text for response in executor.run(["is it a duplicate?"])]
 
     def test_retry_attempts_are_annotated_on_the_trace(self):
-        session = PromptSession(FlakyClient(bad_attempts=1))
+        session = PromptSession(FaultyLLM(yes_backend(), garbled(1)))
         texts = self._run_with_retries(session)
         assert texts == ["Yes."]
         records = session.spans.records()
@@ -108,7 +109,7 @@ class TestRetryReplay:
         assert [record.parse_ok for record in records] == [False, True]
 
     def test_retry_containing_run_replays_identically(self):
-        session = PromptSession(FlakyClient(bad_attempts=1))
+        session = PromptSession(FaultyLLM(yes_backend(), garbled(1)))
         texts = self._run_with_retries(session)
         records = session.spans.records()
 

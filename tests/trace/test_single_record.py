@@ -26,6 +26,7 @@ from repro.core.session import PromptSession
 from repro.core.spec import SortSpec
 from repro.data.flavors import flavor_oracle
 from repro.exceptions import UnknownModelError
+from repro.llm.faulty import FaultyLLM
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import SpanTracker, TraceRecord, replay_trace, trace_label
 from repro.query import Dataset
@@ -263,14 +264,10 @@ class TestJoinById:
         assert not caplog.records
 
     def test_a_failed_call_logs_a_warning_without_being_asked(self, caplog):
-        class ExplodingClient:
-            default_model = MODEL
-            waits = False
-
-            def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-                raise UnknownModelError("simulated outage")
-
-        session = PromptSession(ExplodingClient(), use_cache=False)
+        outage = {"boom": UnknownModelError("simulated outage")}
+        session = PromptSession(
+            FaultyLLM(SimulatedLLM(flavor_oracle(), seed=7), outage), use_cache=False
+        )
         with caplog.at_level(logging.WARNING, logger="repro.calls"):
             with pytest.raises(UnknownModelError):
                 session.complete("boom", model=MODEL)

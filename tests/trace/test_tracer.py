@@ -11,6 +11,7 @@ import pytest
 from repro.core.session import PromptSession
 from repro.data.flavors import FLAVORS, flavor_oracle
 from repro.exceptions import UnknownModelError
+from repro.llm.faulty import FaultyLLM
 from repro.llm.simulated import SimulatedLLM
 from repro.obs.spans import (
     CALL_ATTRIBUTES,
@@ -335,14 +336,10 @@ class TestSessionIntegration:
         assert session.stats.latency_p50("sort:pairwise") is not None
 
     def test_failed_calls_record_the_taxonomy_error(self):
-        class ExplodingClient:
-            default_model = "sim-gpt-3.5-turbo"
-            waits = False
-
-            def complete(self, prompt, *, model=None, temperature=0.0, max_tokens=None):
-                raise UnknownModelError("simulated outage")
-
-        session = PromptSession(ExplodingClient(), use_cache=False)
+        outage = {"boom": UnknownModelError("simulated outage")}
+        session = PromptSession(
+            FaultyLLM(SimulatedLLM(flavor_oracle(), seed=7), outage), use_cache=False
+        )
         with pytest.raises(UnknownModelError):
             session.complete("boom", model="sim-gpt-3.5-turbo")
         records = session.spans.records()
