@@ -34,7 +34,7 @@ carry_answered`), so a bag that ends early leaves the same books whether it
 went out as one batch, in runs, or call by call.
 
 ``run`` is also the scope of a *bag* for the session's bookkeeping: a call is
-charged the moment it settles, but the telemetry it is owed (span, metrics,
+charged the moment it returns, but the telemetry it is owed (span, metrics,
 runtime stats) is left with the open :class:`SettleBag` and recorded in runs —
 so a bag settles once, however it is dispatched.
 
@@ -43,11 +43,11 @@ Two reliability hooks ride along:
 * *Retry integration* — pass a ``validator`` (plus ``max_retries``) and every
   unit task is wrapped in the :class:`~repro.llm.retry.RetryingClient`
   semantics, with aggregate stats exposed as :attr:`BatchExecutor.retry_stats`.
-* *Budget-aware early stopping* — pass the limited budget (or lease) the
-  client charges and the bag goes out one unit task at a time, each charged
-  before the next reaches the gate, which refuses it once the budget is spent.
-  Over a raw client, with no gate below, ``run`` refuses a spent budget
-  before its first call.
+* *Budget-aware early stopping* — the gate below the cache checks and
+  charges each backend call, so a bag stops before its next call once the
+  budget (or lease) it is charged to is spent, however it went out.  Over a
+  raw client, with no gate below, ``run`` refuses a spent budget before its
+  first call, and a limited one sends the bag one unit task at a time.
 """
 
 from __future__ import annotations
@@ -203,16 +203,21 @@ OPEN_FAN_OUT: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
 )
 
 
-def call_waits() -> None:
+def call_waits() -> bool:
     """Say that the calling thread is about to wait on a backend: each open
     fan-out it dispatches, from the innermost outward, ends its runs and
     brings in its helpers (once), so a wave's steps overlap too when their
-    operators' calls wait.  The gate calls it before each call that waits."""
+    operators' calls wait.  The gate calls it before each call that waits.
+
+    Whether the call is part of a fan-out's run: the run then ends there,
+    the gate returning its answers so far, and the fan-out queues the rest."""
     fan_out, thread = OPEN_FAN_OUT.get(), threading.get_ident()
+    ends = False
     while fan_out is not None:
         dispatcher, widen, fan_out = fan_out
         if dispatcher == thread:
-            widen()
+            ends = widen() or ends
+    return ends
 
 
 def backend_waits(client: Any) -> bool | None:
@@ -241,20 +246,20 @@ class BatchExecutor:
     passes :meth:`_native`, the dispatching thread sends *runs* of it as
     native batches: the first call goes alone, each run doubles the next up
     to ``_MAX_RUN`` calls, and the last ``max_concurrency - 1`` requests are
-    never part of a run.  Then every thread takes one unit task per turn.
-    A ``map`` task that reaches no backend that waits runs in turn on the
-    dispatching thread.
+    never part of a run; one whose call is about to wait ends there and
+    queues what it did not send.  Then every thread takes one unit task per
+    turn.  A ``map`` task that reaches no backend that waits runs in turn on
+    the dispatching thread.
 
-    What is per call and what is per bag: the session tracks, prices and
-    charges each call as it settles, so under a limited budget — where every
-    call is its own unit task — the gate sees each charge before the next
-    call reaches it.  ``run`` (both dispatch shapes) also opens one
-    :class:`SettleBag` scope: a session reached through it records the
-    settled calls — spans, ``repro_*`` metrics, runtime stats — in runs of
-    the ring's flush bound and, in a ``finally``, at the bag's end, so a
-    failure, a budget stop or Ctrl-C loses no record.  ``map`` opens none:
-    each operator run inside a wave opens its own.  Neither does an executor
-    with a ``validator``.
+    What is per call and what is per bag: the gate checks and charges each
+    backend call before the next goes out, and the session tracks each as
+    it settles, in a run or a unit task alike.  ``run`` (both dispatch
+    shapes) opens one :class:`SettleBag` scope: a session reached through it
+    records the settled calls — spans, ``repro_*`` metrics, runtime stats —
+    in runs of the ring's flush bound and, in a ``finally``, at the bag's
+    end, so a failure, a budget stop or Ctrl-C loses no record.  ``map``
+    opens none: each operator run inside a wave opens its own.  Neither does
+    an executor with a ``validator``.
 
     Args:
         client: the client every unit task is issued through (typically an
@@ -264,8 +269,7 @@ class BatchExecutor:
             are used only while calls wait.
         budget: optional budget (or per-step lease) the client's calls are
             charged to (a session client's own).  ``run`` makes it the gate's
-            ``CHARGE_TARGET``, and a limited one sends the bag one unit task
-            at a time; ``map`` checks it too.
+            ``CHARGE_TARGET``; ``map`` checks it too.
         validator: optional response-text validator enabling per-call retries
             (see :class:`~repro.llm.retry.RetryingClient`).
         max_retries: additional attempts per unit task when a validator is set.
@@ -340,16 +344,17 @@ class BatchExecutor:
     def _native(self, requests: Sequence[BatchRequest]) -> bool:
         """Whether calls of this bag may go to the client as native batches.
 
-        The common operator case: shared parameters and no budget limit to
-        check between calls.  Otherwise — heterogeneous parameters (e.g.
-        ensemble votes across models), or a limit that must be able to stop
-        the bag mid-way — every call is its own unit task, charged before
-        the next one goes out.
+        The common operator case: shared parameters.  Otherwise —
+        heterogeneous parameters (e.g. ensemble votes across models) — every
+        call is its own unit task.  A limit does not stop a native batch: the
+        gate checks and charges each of its backend calls.  Over a client
+        with no gate below, nothing does, and a limited budget keeps every
+        call its own unit task too.
         """
         first = requests[0]
         params = (first.model, first.temperature, first.max_tokens)
         return all((r.model, r.temperature, r.max_tokens) == params for r in requests) and (
-            self.budget is None or self.budget.unlimited
+            not self._ungated or self.budget.unlimited
         )
 
     def _run_sequential(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
@@ -491,6 +496,7 @@ class BatchExecutor:
         queue = deque(range(len(items)))
         stop = threading.Event()  # start no further task: a failure, or the bag is drained
         wide = False  # set by the hook, once: the runs end and the helpers join
+        running = ended = False  # a run is being sent; the hook has ended it
         helpers: list[threading.Thread] = []
 
         def unit(index: int) -> None:
@@ -507,20 +513,31 @@ class BatchExecutor:
                 stop.set()
 
         def batch(positions: list[int]) -> None:
-            # A run answers its requests in order; one that raised answered
-            # the prefix its error carries, and the error belongs to the
-            # request after it (the first, when the prefix is unknown).
+            # A run answers a prefix of its requests, in order.  One that the
+            # hook ended queues the rest before the helpers join (none may find
+            # the queue empty and leave meanwhile); one that raised carries its
+            # prefix, and the error belongs to the request after it (the first
+            # when unknown, the last when whole: a charge crossed the budget).
+            nonlocal running
             prompts = [items[index].prompt for index in positions]
+            error = None
+            running = True
             try:
                 responses = contextvars.copy_context().run(
                     self._batch, prompts, items[positions[0]]
                 )
             except BaseException as exc:  # noqa: BLE001 - reported to the caller
-                responses = answered_prefix(exc, prompts) or []
-                outcomes[positions[len(responses)]] = TaskOutcome(error=exc)
-                stop.set()
+                responses, error = answered_prefix(exc, prompts) or [], exc
+            running = False
             for index, response in zip(positions, responses):
                 outcomes[index] = TaskOutcome(value=response)
+            if error is not None:
+                failed = positions[min(len(responses), len(positions) - 1)]
+                outcomes[failed] = TaskOutcome(error=error)
+                stop.set()
+            elif ended:
+                queue.extendleft(reversed(positions[len(responses):]))
+                widen()
 
         def work() -> None:
             # What every helper runs, and the dispatching thread when it takes
@@ -547,16 +564,22 @@ class BatchExecutor:
                 size = min(2 * size, _MAX_RUN)
             work()
 
-        def widen() -> None:
+        def widen() -> bool:
             # The hook, called on the dispatching thread before one of its
-            # calls waits: a helper joins for each queued task, up to the width.
-            nonlocal wide
+            # calls waits: a helper joins for each queued task, up to the
+            # width.  Inside a run it only ends the run (``True``), and the
+            # run brings the helpers in once it has queued what it did not send.
+            nonlocal wide, ended
+            if running:
+                ended = True
+                return True
             if not (wide or stop.is_set()):
                 wide = True
                 for _ in range(min(self.max_concurrency - 1, len(queue))):
                     helper = threading.Thread(target=dispatching.copy().run, args=(work,))
                     helper.start()
                     helpers.append(helper)
+            return False
 
         # What each helper runs under, a copy each; taken before the hook is
         # published, so that no context holds the hook that holds it.

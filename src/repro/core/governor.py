@@ -1,4 +1,4 @@
-"""Admission control and the budget pre-check, at the one place calls reach the backend.
+"""Admission control and the budget's check and charge, at the one place calls reach the backend.
 
 Serving heavy multi-user traffic means the runtime — not each caller — has to
 respect the backend's operating envelope: requests-per-minute and
@@ -37,10 +37,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from repro.core.budget import CHARGE_TARGET
+from repro.config import DEFAULT_CHAT_MODEL
+from repro.core.budget import CHARGE_TARGET, Budget
 from repro.core.executor import backend_waits, call_waits
 from repro.exceptions import ConfigurationError, RateLimitError
-from repro.llm.base import BaseClient, Call, LLMResponse, carry_answered
+from repro.llm.base import BaseClient, Call, LLMResponse, answered_prefix, carry_answered
+from repro.tokenizer.cost import CostModel
 
 
 def estimated_prompt_tokens(prompt: str) -> int:
@@ -310,40 +312,75 @@ def is_rate_limit(error: BaseException) -> bool:
 class BackendGate(BaseClient):
     """A client wrapper directly around the backend, below a session's cache.
 
-    It refuses the calls it forwards with :class:`~repro.exceptions.
-    BudgetExceededError` once the budget they are charged to
-    (:data:`~repro.core.budget.CHARGE_TARGET`) is spent.  Before each call
-    to a backend that waits it calls :func:`~repro.core.executor.call_waits`,
-    so the open fan-outs bring their helpers in.  With a ``governor`` it
-    sends a batch one call at a time, each under its own admission and
-    slot, and reports to the backoff.
+    Every backend call crosses it, and no cache hit does, so it books the
+    spend: before each call it refuses it with :class:`~repro.exceptions.
+    BudgetExceededError` once the budget it is charged to
+    (:data:`~repro.core.budget.CHARGE_TARGET`) is spent, and, given a
+    ``cost_model``, it charges each call's price before the next goes out.
+    A limited target or a ``governor`` has a batch sent one call at a time,
+    under a governor each admitted on its own and reported to the backoff;
+    an unlimited, ungoverned one goes out whole, charged after.  A call whose
+    charge crosses the limit is made: the error carries it, answered.
+
+    Before a call to a backend that waits it calls :func:`~repro.core.
+    executor.call_waits`, so the open fan-outs bring their helpers in; a
+    fan-out's run then ends there, and the gate returns it no answer.  A gate
+    over another gate (a session's) leaves both to the one below.
     """
 
     refuses_spent_budget = True  # what the executor reads, duck-typed
 
-    def __init__(self, client, governor: ConcurrencyGovernor | None = None) -> None:
+    def __init__(
+        self,
+        client,
+        governor: ConcurrencyGovernor | None = None,
+        cost_model: CostModel | None = None,
+    ) -> None:
         self._client = client
         self.governor = governor
-        self._waits = bool(backend_waits(client))
+        waits = backend_waits(client)
+        self._waits = bool(waits)
+        self._cost_model = None if waits is None else cost_model
+        # What a call that names no model runs on: the innermost client's default.
+        while not hasattr(client, "default_model") and hasattr(client, "_client"):
+            client = client._client
+        self.default_model = getattr(client, "default_model", DEFAULT_CHAT_MODEL)
+
+    def _charge(self, target: Budget | None, responses: list[LLMResponse]) -> None:
+        """Charge ``target`` the price of ``responses``, all at once."""
+        cost_model = self._cost_model
+        if target is not None and cost_model is not None:
+            has_model, price = cost_model.has_model, cost_model.cost
+            spent = (price(r.model, r.usage) for r in responses if has_model(r.model))
+            target.charge_nanos(sum(spent))
 
     def _call(self, call: Call) -> list[LLMResponse]:
-        target = CHARGE_TARGET.get()
-        if target is not None:
-            target.check()
-        if self._waits:
-            call_waits()
-        governor = self.governor
-        if governor is None:
-            return call.to(self._client).run()
+        target, governor = CHARGE_TARGET.get(), self.governor
+        if self._waits and call_waits() and not call.single:
+            return []
+        if governor is None and (target is None or target.unlimited):
+            try:
+                responses = call.to(self._client).run()
+            except BaseException as exc:
+                self._charge(target, answered_prefix(exc, call.prompts) or [])
+                raise
+            self._charge(target, responses)
+            return responses
         responses: list[LLMResponse] = []
         try:
             for prompt in call.prompts:
-                tokens = estimated_prompt_tokens(prompt)
-                with governor.admit(call.model, estimated_tokens=tokens):
+                if target is not None:
+                    target.check()
+                if governor is None:
                     responses += call.to(self._client, [prompt], single=True).run()
-                governor.record_success()
+                else:
+                    tokens = estimated_prompt_tokens(prompt)
+                    with governor.admit(call.model, estimated_tokens=tokens):
+                        responses += call.to(self._client, [prompt], single=True).run()
+                    governor.record_success()
+                self._charge(target, responses[-1:])
         except BaseException as exc:
-            if is_rate_limit(exc):
+            if governor is not None and is_rate_limit(exc):
                 governor.record_failure(exc)
             carry_answered(exc, call.prompts, responses)
             raise

@@ -18,12 +18,12 @@ The client stack is ``CachedClient`` over the backend's
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.budget import CHARGE_TARGET, Budget
 from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import BackendGate, ConcurrencyGovernor
@@ -39,6 +39,13 @@ from repro.tokenizer.cost import CostModel, to_dollars
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import Store
+
+#: The books of the pipeline step the running context works for (``None``
+#: outside one): each call settled is tracked there too, so that a run's
+#: report counts its own calls, whatever else shares the session.
+STEP_USAGE: contextvars.ContextVar[UsageTracker | None] = contextvars.ContextVar(
+    "repro_step_usage", default=None
+)
 
 #: One structured line per call: DEBUG when it settled, WARNING when it raised.
 _LOG = logging.getLogger("repro.calls")
@@ -167,7 +174,8 @@ class PromptSession:
         self.spans = SpanTracker(store=store, on_drop=self.instruments.note_trace_dropped)
         if governor is not None:
             governor.bind_instruments(self.instruments)
-        gate = BackendGate(client, governor)
+        gate = BackendGate(client, governor, self.cost_model)
+        self._model = gate.default_model
         self._client: LLMClient = CachedClient(gate, self.cache) if use_cache else gate
 
     def complete(
@@ -198,15 +206,14 @@ class PromptSession:
     ) -> list[LLMResponse]:
         """Issue a whole batch through the session: cache, track, and charge it.
 
-        The gate refuses its backend calls once the budget is spent, and each
-        response is charged afterwards; to stop *between* calls, dispatch
-        through a :class:`~repro.core.executor.BatchExecutor` with the budget
-        attached (as operators the engine builds do).
+        The gate checks and charges each of its backend calls, so under a
+        limited budget the batch stops before the call after the one whose
+        charge crossed the limit.
 
         A batch that fails part-way books every call it made: the calls
         answered before the failure are tracked, charged, cached and recorded
         like a success, the failure is recorded against the prompt that
-        raised, and the backend's error is raised.
+        raised, and the backend's error (or the budget's) is raised.
         """
         return self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
 
@@ -220,9 +227,11 @@ class PromptSession:
         single: bool,
     ) -> list[LLMResponse]:
         """The session's one call path: dispatch, settle.  A ``single`` call
-        that raised answered nothing, so its failure names its prompt."""
+        that raised answered nothing, so its failure names its prompt, unless
+        the gate says it was answered (its charge crossed the limit).  A run
+        of an executor's may come back with a prefix of its answers."""
         target = budget if budget is not None else self.budget
-        model_name = model or DEFAULT_CHAT_MODEL
+        model_name = model or self._model
         token = CHARGE_TARGET.set(target)
         start = time.perf_counter()
         try:
@@ -230,12 +239,15 @@ class PromptSession:
                 self._client, prompts, model_name, temperature, max_tokens, single
             ).run()
         except BaseException as exc:
-            answered = [] if single else answered_prefix(exc, prompts)
-            self._settle_failure(prompts, answered, model_name, temperature, target, start, exc)
+            answered = answered_prefix(exc, prompts)
+            answered = [] if single and answered is None else answered
+            self._settle_failure(prompts, answered, model_name, temperature, start, exc)
             raise
         finally:
             CHARGE_TARGET.reset(token)
-        return self._settle(prompts, responses, temperature, target, start, time.perf_counter())
+        if responses:
+            self._settle(prompts, responses, temperature, start, time.perf_counter())
+        return responses
 
     def _settle_failure(
         self,
@@ -243,29 +255,26 @@ class PromptSession:
         answered: list[LLMResponse] | None,
         model: str,
         temperature: float,
-        target: Budget,
         start: float,
         error: BaseException,
     ) -> None:
         """Book a dispatch, started at ``start``, that raised ``error``.
 
         The calls it answered first (``answered``, a prefix of ``prompts``)
-        settle as a success would; a budget breach while charging them is
-        charged, but the caller sees ``error``.  The failure is recorded
-        against the prompt that raised, each call with an equal share of the
-        duration — unless ``error`` is Ctrl-C, an exit or a cancellation,
-        which the per-call path does not record either.  With ``answered``
-        unknown (``None``) the record names no prompt and takes it all.
+        settle as a success would.  The failure is recorded against the
+        prompt that raised, each call with an equal share of the duration —
+        unless ``error`` is Ctrl-C, an exit or a cancellation, which the
+        per-call path does not record either, or the budget's: the call the
+        gate refused was never made, the one whose charge crossed the limit
+        is the last answered.  With ``answered`` unknown (``None``) the
+        record names no prompt and takes it all.
         """
         end = time.perf_counter()
         made = len(answered) + 1 if answered else 1
         failed_at = end - (end - start) / made
         if answered:
-            try:
-                self._settle(prompts, answered, temperature, target, start, failed_at)
-            except BudgetExceededError:
-                pass
-        if isinstance(error, Exception):
+            self._settle(prompts, answered, temperature, start, failed_at)
+        if isinstance(error, Exception) and not isinstance(error, BudgetExceededError):
             prompt = "" if answered is None else prompts[len(answered)]
             self._trace_failure(prompt, model, temperature, failed_at, end, error)
 
@@ -274,35 +283,33 @@ class PromptSession:
         prompts: list[str],
         responses: list[LLMResponse],
         temperature: float,
-        target: Budget,
         start: float,
         end: float,
-    ) -> list[LLMResponse]:
+    ) -> None:
         """The post-call path, in its two halves.
 
-        *Per call, here and now* — what the dollars contract needs: the usage
-        tracker, the price and ``target.charge_nanos`` of every response, in the
-        calling thread before the call returns, so pre-checks, leases and
-        early stops see every cent at once.  *Telemetry* — the ``call`` span,
-        the ``AI_CALL`` line, the metrics, the runtime stats — is one entry
-        per dispatch handed to :meth:`_hand_over`: recorded at once outside
-        an executor's bag, with the rest of its run inside one.
+        *Per call, here and now*: the usage trackers (the session's, and
+        the running step's), in the calling thread before the call returns.  The charge is the gate's, made as each
+        backend call returns, so pre-checks, leases and early stops see every
+        cent before the next call.  *Telemetry* — the ``call`` span, the
+        ``AI_CALL`` line, the metrics (each call priced here), the runtime
+        stats — is one entry per dispatch handed to :meth:`_hand_over`:
+        recorded at once outside an executor's bag, with the rest of its run
+        inside one.
         """
-        share_ms = (end - start) * 1000.0 / len(responses) if responses else 0.0
+        share_ms = (end - start) * 1000.0 / len(responses)
         self.tracker.record_batch(responses)
+        step_usage = STEP_USAGE.get()
+        if step_usage is not None:
+            step_usage.record_batch(responses)
         labels = current_labels()
         step, operator = labels.step, labels.operator
         has_model, price = self.cost_model.has_model, self.cost_model.cost
         calls: list[tuple[str, str, dict]] = []
         hits = completion = spent = 0
-        # Charge every response before surfacing a limit breach: the calls
-        # were all made (and tracked), so stopping at the first raise would
-        # leave the budget understating real spend.
-        charge_error: BudgetExceededError | None = None
         for prompt, response in zip(prompts, responses):
             model, usage = response.model, response.usage
-            priced = has_model(model)
-            cost = price(model, usage) if priced else 0
+            cost = price(model, usage) if has_model(model) else 0
             cache_hit = bool(response.metadata.get("cache_hit"))
             hits += cache_hit
             spent += cost
@@ -330,18 +337,8 @@ class PromptSession:
                     },
                 )
             )
-            if priced:
-                try:
-                    target.charge_nanos(cost)
-                except BudgetExceededError as exc:
-                    charge_error = charge_error or exc
-        # Handed over whether or not charging breached the budget: the calls
-        # happened, and are replayable.
         settled = (current_span_id(self.spans), end - share_ms / 1000.0, end, len(calls))
         self._hand_over((calls, settled, labels, share_ms, responses, hits, spent, completion))
-        if charge_error is not None:
-            raise charge_error
-        return responses
 
     # -- recording ----------------------------------------------------------------
 
@@ -445,10 +442,7 @@ class PromptSession:
     ) -> None:
         """Hand over the record of a call, made from ``start`` to ``end``, that
         raised (class from the taxonomy) — through the bag like a success, so
-        the records of a bag stay in settle order.  A call the gate refused
-        was never made: it has no record."""
-        if isinstance(error, BudgetExceededError):
-            return
+        the records of a bag stay in settle order."""
         duration_ms = (end - start) * 1000.0
         labels = current_labels()
         fields = {

@@ -45,12 +45,13 @@ from typing import Any, Callable, Mapping
 from repro.core.budget import Budget
 from repro.core.dag import topological_waves, transitive_dependencies
 from repro.core.executor import TaskOutcome
-from repro.core.session import BudgetScopedSession, PromptSession
+from repro.core.session import STEP_USAGE, BudgetScopedSession, PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep
 from repro.exceptions import BudgetExceededError, SpecError
 from repro.core.planner import PipelineQuote
+from repro.llm.tracker import UsageTracker
 from repro.operators.base import OperatorResult
-from repro.tokenizer.cost import to_dollars, to_nanos
+from repro.tokenizer.cost import Usage, to_dollars, to_nanos
 from repro.wire import CODEC, FieldCodec, from_wire, to_wire
 
 #: A spec-step executor: ``(step, inputs, lease) -> result``.  Supplied by
@@ -77,11 +78,11 @@ class StepReport:
         name: the step's name.
         status: ``"completed"``, ``"stopped"`` (hit the budget mid-step), or
             ``"skipped"`` (never dispatched).
-        cost: dollars the step reported (spec steps only; callable steps
-            appear as 0 because concurrent siblings make a global-tracker
-            delta unattributable).  A restored step reports the *original*
-            run's cost — what the checkpoint saved, not new spend.
-        calls: LLM calls the step reported (spec steps only).
+        cost: dollars the step's own calls cost in this run, whatever ran
+            beside it (a validation sample's and a callable step's raw
+            session calls included).  A restored step reports the
+            *original* run's cost — what the checkpoint saved, not new spend.
+        calls: LLM calls the step made (a restored step: the original run's).
         allocation: the budget share apportioned to the step, if any.
         description: the step's human-readable summary, copied from the spec.
         restored: the result was served from a checkpoint store — this run
@@ -106,9 +107,9 @@ class StepReport:
 class WorkflowReport:
     """Execution record of a workflow run.
 
-    ``total_*`` fields are deltas over this run only — a session reused
-    across several workflows reports each run's own usage, not the
-    session-lifetime totals.
+    ``total_*`` fields are this run's own: the sum of its steps' books, so a
+    session shared by runs side by side reports each run's usage, not the
+    session's.
     """
 
     results: dict[str, Any] = field(default_factory=dict)
@@ -236,24 +237,20 @@ class Workflow:
                 planned = self._plan_round(state, session, spec_runner, quote, stop)
                 if planned is None:
                     break
-                runnable, thunks, leases = planned
+                runnable, thunks = planned
                 # The wave span is ambient while the executor dispatches the
                 # thunks (each pool submission copies the current context),
                 # so step spans opened inside workers parent correctly.
                 with spans.span("wave", f"wave {round_index}", steps=list(runnable)):
                     outcomes = executor.map(thunks)
                 round_index += 1
-                progressed, failure = self._absorb_outcomes(
-                    state, runnable, outcomes, leases, on_step
-                )
+                progressed, failure = self._absorb_outcomes(state, runnable, outcomes, on_step)
                 if failure is not None:
-                    self._finalize(
-                        state.report, session, state.usage_before, state.cost_before
-                    )
+                    self._finalize(state)
                     raise failure
                 if not progressed:
                     break  # defensive: nothing completed or stopped this round
-        self._finalize(state.report, session, state.usage_before, state.cost_before)
+        self._finalize(state)
         return state.report
 
     # -- internals ---------------------------------------------------------------
@@ -295,9 +292,6 @@ class Workflow:
             report=report,
             budget=budget,
             pending=[name for wave in waves for name in wave],
-            # Report this run's usage, not session-lifetime totals.
-            usage_before=session.tracker.usage,
-            cost_before=session.tracker.cost(),
             spans=session.spans,
             instruments=session.instruments,
         )
@@ -309,7 +303,7 @@ class Workflow:
         spec_runner: SpecRunner | None,
         quote: "PipelineQuote | None",
         stop: "threading.Event | None",
-    ) -> tuple[list[str], list[Callable[[], Any]], dict[str, Budget]] | None:
+    ) -> tuple[list[str], list[Callable[[], Any]]] | None:
         """Pick this round's runnable steps and build their thunks.
 
         Returns ``None`` when the run is over: ``stop`` is set or the shared
@@ -355,25 +349,21 @@ class Workflow:
         ]
         allocations = self._apportion(reachable, state.steps_by_name, budget, quote)
         thunks: list[Callable[[], Any]] = []
-        leases: dict[str, Budget] = {}
         for name in runnable:
             step = state.steps_by_name[name]
             inputs = {dep: report.results[dep] for dep in state.closures[name]}
             allocation = allocations.get(name)
             report.step_reports[name].allocation = allocation
             thunks.append(
-                self._make_thunk(
-                    step, session, inputs, budget, allocation, spec_runner, leases, state
-                )
+                self._make_thunk(step, session, inputs, budget, allocation, spec_runner, state)
             )
-        return runnable, thunks, leases
+        return runnable, thunks
 
     @staticmethod
     def _absorb_outcomes(
         state: "_ExecutionState",
         runnable: list[str],
         outcomes: list[Any],
-        leases: dict[str, Budget],
         on_step: StepObserver | None = None,
     ) -> tuple[bool, BaseException | None]:
         """Fold one round's outcomes into the report; (progressed, failure)."""
@@ -385,15 +375,19 @@ class Workflow:
             step_report = report.step_reports[name]
             if not outcome.skipped:
                 step_report.span_id = state.step_spans.get(name)
+            usage = state.usage.get(name)
+            if usage is not None:  # the step ran: what its own calls cost
+                step_report.cost, step_report.calls = to_dollars(usage.cost()), usage.calls
             if outcome.ok:
                 step_report.status = "completed"
                 report.results[name] = outcome.value
                 report.step_order.append(name)
                 if isinstance(outcome.value, OperatorResult):
-                    step_report.cost = outcome.value.cost
-                    step_report.calls = outcome.value.usage.calls
                     hit = bool(outcome.value.metadata.get("checkpoint_hit"))
                     step_report.restored = hit and state.steps_by_name[name].task is not None
+                    if usage is None or step_report.restored:
+                        step_report.cost = outcome.value.cost
+                        step_report.calls = outcome.value.usage.calls
                 pending.remove(name)
                 progressed = True
                 settled.append(step_report)
@@ -409,10 +403,6 @@ class Workflow:
                 # dependents are blocked, but independent branches keep
                 # their own allocations and continue.
                 step_report.status = "stopped"
-                if name in leases:
-                    # The partial spend before the cut-off, measured by
-                    # the step's own lease.
-                    step_report.cost = leases[name].spent
                 report.stopped_early = True
                 if not report.stop_reason:
                     report.stop_reason = str(outcome.error)
@@ -448,7 +438,7 @@ class Workflow:
             with state.spans.span("step", name, depends_on=list(state.dependencies[name])) as span:
                 state.step_spans[name] = span.span_id
         outcomes = [TaskOutcome(value=restored[name]) for name in names]
-        Workflow._absorb_outcomes(state, names, outcomes, {}, on_step)
+        Workflow._absorb_outcomes(state, names, outcomes, on_step)
         for name in reversed(list(state.pending)):  # dependents first
             if (
                 state.steps_by_name[name].run is not None
@@ -465,7 +455,6 @@ class Workflow:
         budget: Any,
         allocation: float | None,
         spec_runner: SpecRunner | None,
-        leases: dict[str, Budget],
         state: "_ExecutionState",
     ) -> Callable[[], Any]:
         inner: Callable[[], Any]
@@ -476,16 +465,9 @@ class Workflow:
             else:
                 # The lease is taken when the step *starts*, not when the
                 # wave is built, and the engine charges the step's calls
-                # through it — so it measures exactly this step's spending,
-                # sequential or concurrent.  It is parked in ``leases`` so a
-                # budget-stopped step's partial spend still reaches its
-                # report.
-                def run_with_lease() -> Any:
-                    lease = budget.lease(allocation)
-                    leases[step.name] = lease
-                    return spec_runner(step, inputs, lease)
-
-                inner = run_with_lease
+                # through it — so it caps exactly this step's spending,
+                # sequential or concurrent.
+                inner = lambda: spec_runner(step, inputs, budget.lease(allocation))  # noqa: E731
         else:
             assert step.run is not None
             if budget is not session.budget:
@@ -500,13 +482,19 @@ class Workflow:
         # The step span opens in the worker that actually runs the thunk
         # (its ambient parent is the wave span copied at submission), and
         # its id is parked on the state so _absorb_outcomes can stamp it
-        # onto the StepReport — the thunk may run on any thread.
+        # onto the StepReport — the thunk may run on any thread.  So are the
+        # step's books, which every call it settles is tracked into.
         def traced() -> Any:
-            with state.spans.span(
-                "step", step.name, depends_on=list(step.depends_on)
-            ) as span:
-                state.step_spans[step.name] = span.span_id
-                return inner()
+            usage = state.usage[step.name] = UsageTracker(cost_model=session.cost_model)
+            token = STEP_USAGE.set(usage)
+            try:
+                with state.spans.span(
+                    "step", step.name, depends_on=list(step.depends_on)
+                ) as span:
+                    state.step_spans[step.name] = span.span_id
+                    return inner()
+            finally:
+                STEP_USAGE.reset(token)
 
         return traced
 
@@ -547,16 +535,16 @@ class Workflow:
         return {name: to_dollars(int(left * weight / total)) for name, weight in weights.items()}
 
     @staticmethod
-    def _finalize(
-        report: WorkflowReport, session: PromptSession, usage_before: Any, cost_before: int
-    ) -> None:
-        usage_after = session.tracker.usage
-        report.total_cost = to_dollars(session.tracker.cost() - cost_before)
-        report.total_prompt_tokens = usage_after.prompt_tokens - usage_before.prompt_tokens
-        report.total_completion_tokens = (
-            usage_after.completion_tokens - usage_before.completion_tokens
-        )
-        report.total_calls = usage_after.calls - usage_before.calls
+    def _finalize(state: "_ExecutionState") -> None:
+        """The run's totals: the sum of the books of the steps it ran."""
+        usage, cost, report = Usage(), 0, state.report
+        for step_usage in state.usage.values():
+            usage.add(step_usage.usage)
+            cost += step_usage.cost()
+        report.total_cost = to_dollars(cost)
+        report.total_prompt_tokens = usage.prompt_tokens
+        report.total_completion_tokens = usage.completion_tokens
+        report.total_calls = usage.calls
 
 
 @dataclass
@@ -569,11 +557,10 @@ class _ExecutionState:
     report: WorkflowReport
     budget: Any
     pending: list[str]
-    usage_before: Any
-    #: The session tracker's cost in n$ when the run started.
-    cost_before: int
     #: The session's SpanTracker / SessionInstruments.
     spans: Any
     instruments: Any
     #: step name -> step span id, filled by the traced thunks as they run.
     step_spans: dict[str, int] = field(default_factory=dict)
+    #: step name -> the books of its calls, made by the traced thunks as they run.
+    usage: dict[str, UsageTracker] = field(default_factory=dict)

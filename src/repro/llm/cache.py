@@ -181,10 +181,12 @@ class CachedClient(BaseClient):
         reach it — the executors' dispatch-level dedup is what prevents that
         upstream.
 
-        When the inner call raises part-way, the misses it answered are
-        cached all the same, and the answered prefix of this call's prompts
-        — hits, answered misses and their in-batch duplicates, up to the
-        first miss left unanswered — goes up with the error
+        When the inner call answers a prefix of the misses — it raised
+        part-way, or returned early (a gate ending an executor's run) — the
+        misses it answered are cached all the same, and the answered prefix
+        of this call's prompts — hits, answered misses and their in-batch
+        duplicates, up to the first miss left unanswered, or all of them —
+        is returned, or goes up with the error
         (:func:`~repro.llm.base.carry_answered`).
         """
         if call.temperature != 0.0:
@@ -212,12 +214,10 @@ class CachedClient(BaseClient):
         except BaseException as exc:
             answered = answered_prefix(exc, sent)
             if answered is not None:
-                end = misses[sent[len(answered)]]
-                before = [index for index in repeats if index < end]
-                self._fill(results, prompts, key_model, keys, misses, answered, before)
-                carry_answered(exc, prompts, results[:end])
+                filled = self._fill(results, prompts, key_model, keys, misses, repeats, answered)
+                carry_answered(exc, prompts, filled)
             raise
-        return self._fill(results, prompts, key_model, keys, misses, responses, repeats)
+        return self._fill(results, prompts, key_model, keys, misses, repeats, responses)
 
     def _fill(
         self,
@@ -226,18 +226,24 @@ class CachedClient(BaseClient):
         key_model: str,
         keys: dict[str, Any],
         misses: dict[str, int],
-        responses: list[LLMResponse],
         repeats: list[int],
+        responses: list[LLMResponse],
     ) -> list[LLMResponse]:
-        """Cache the answered misses and put them in their places, then serve
-        each repeat of one as a hit on its first occurrence's response."""
+        """Cache the answered misses (``responses``, a prefix of them) and put
+        them in their places, serve each repeat of one before the first
+        unanswered miss as a hit on its first occurrence's response, and
+        return the answered prefix of ``results``."""
         cache = self.cache
         for (prompt, index), response in zip(misses.items(), responses):
             cache.put(key_model, prompt, response, keys.get(prompt))
             results[index] = response
+        end = len(prompts)
+        if len(responses) < len(misses):
+            end = list(misses.values())[len(responses)]
+            repeats = [index for index in repeats if index < end]
         if repeats:
             served = cache.get_many(key_model, [prompts[index] for index in repeats], keys)
             for index, cached in zip(repeats, served):
                 assert cached is not None  # its first occurrence was just put
                 results[index] = _cache_hit_copy(cached)
-        return results  # type: ignore[return-value]
+        return results[:end]  # type: ignore[return-value]

@@ -49,7 +49,8 @@ class FaultyLLM(BaseClient):
         self._inner = inner
         self.plan = dict(plan or {})
         self.delay = delay
-        self.default_model = getattr(inner, "default_model", "default")
+        if hasattr(inner, "default_model"):  # a session's model when a call names none
+            self.default_model = inner.default_model
         holds = any(callable(fault) and not _raises(fault) for fault in self.plan.values())
         self.waits = delay > 0 or holds or getattr(inner, "waits", True)
         self.calls = 0

@@ -34,6 +34,7 @@ from repro.core.session import SessionClient
 from repro.exceptions import UnknownStrategyError
 from repro.llm.base import LLMClient, LLMResponse
 from repro.llm.cache import CachedClient
+from repro.llm.registry import default_registry
 from repro.llm.tracker import UsageTracker
 from repro.tokenizer.cost import CostModel, Usage, to_dollars
 
@@ -77,13 +78,14 @@ class BaseOperator:
             response cache (recommended; several strategies re-ask pairs).
         max_concurrency: how many of the operator's independent unit tasks may
             be in flight at once; 1 (the default) runs them sequentially.
-        budget: optional budget the operator's client charges.  A limited
-            one sends each bag one unit task at a time, so the gate stops a
-            large batch mid-way, and a spent one the next call, instead of
-            after the fact.  The engine threads its session budget
-            through here; a pipeline step instead passes its per-step
-            lease (:meth:`~repro.core.budget.Budget.lease`), capping the
-            operator at the step's apportioned share of the remaining dollars.
+        budget: optional budget the operator's client charges.  The gate
+            checks and charges each backend call (under ``cost_model``, else
+            the default registry's prices), so a spent budget stops a large
+            batch before its next call, instead of after the fact.  The
+            engine threads its session budget through here; a pipeline step
+            instead passes its per-step lease (:meth:`~repro.core.budget.
+            Budget.lease`), capping the operator at the step's apportioned
+            share of the remaining dollars.
     """
 
     #: Operator name used in error messages; subclasses override.
@@ -103,7 +105,7 @@ class BaseOperator:
         self.tracker = UsageTracker(cost_model=cost_model)
         cached = _caches(client)
         if budget is not None and not isinstance(client, SessionClient):
-            client = BackendGate(client)
+            client = BackendGate(client, cost_model=cost_model or default_registry().cost_model())
         if use_cache and not cached:
             client = CachedClient(client)
         self._client = client

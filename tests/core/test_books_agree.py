@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.budget import Budget
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
-from repro.exceptions import BackendConnectionError
+from repro.exceptions import BackendConnectionError, BudgetExceededError
 from repro.llm.cache import CachedClient
 from repro.llm.faulty import FaultyLLM
 from repro.llm.retry import RetryingClient
@@ -140,3 +141,82 @@ class TestAWrapperThatCannotMapThePrefixDropsIt:
         (record,) = session.spans.records()
         assert (record.prompt, record.error) == ("", "ConnectionError")
         assert session.tracker.usage.calls == 0 and session.budget.spent == 0.0
+
+
+def limited(kind: str, session_limit: float | None, limit: float) -> tuple[Budget, Budget]:
+    """The session's budget and what a bag is charged to: the session's own
+    limited ``budget``, or a ``lease`` of ``limit`` over it."""
+    if kind == "budget":
+        budget = Budget(limit=limit)
+        return budget, budget
+    budget = Budget(limit=session_limit)
+    return budget, budget.lease(limit)
+
+
+def spend_of_the_first(count: int, prompts: list[str]) -> int:
+    """What the first ``count`` calls of ``prompts`` cost, in n$."""
+    probe = PromptSession(simulated_client())
+    probe.complete_batch(prompts[:count], model=MODEL)
+    return to_nanos(probe.budget.spent)
+
+
+class Watching(FaultyLLM):
+    """The fault double, counting the calls that started once ``watched`` was spent."""
+
+    watched: Budget | None = None
+    late = 0
+
+    def complete(self, prompt, **params):
+        if self.watched is not None and self.watched.exhausted:
+            self.late += 1
+        return super().complete(prompt, **params)
+
+
+@pytest.mark.parametrize("governed", [False, True], ids=["ungoverned", "governed"])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("kind", ["budget", "lease"])
+class TestUnderALimit:
+    """A limited budget or a lease, on every driver: the bag goes out as one
+    native batch (``sync@1``) or in runs, and the gate checks and charges
+    each backend call."""
+
+    PROMPTS = POOL[:40]
+
+    def run(self, session: PromptSession, charged: Budget, driver: str):
+        kind, width, _ = DRIVERS[driver]
+        with trace_label(step=STEP, operator=OPERATOR):
+            client = session.client(None if charged is session.budget else charged)
+            executor = executor_for(kind, client, concurrency=width, budget=charged)
+            return call(executor, "run", self.PROMPTS)
+
+    def test_spent_mid_bag_it_stops_before_the_next_backend_call(self, kind, driver, governed):
+        crossed = spend_of_the_first(12, self.PROMPTS)
+        budget, charged = limited(kind, 1000.0, to_dollars(crossed - 1))
+        _, width, stalling = DRIVERS[driver]
+        client = Watching(simulated_client(), delay=0.002 if stalling else 0.0)
+        client.watched = charged
+        governor = ConcurrencyGovernor() if governed else None
+        session = PromptSession(client, budget=budget, governor=governor)
+        with pytest.raises(BudgetExceededError):
+            self.run(session, charged, driver)
+        assert_the_books_agree(session, client, errors=0)
+        assert charged.spent == budget.spent == to_dollars(session.tracker.cost())
+        assert charged.exhausted and session.cache.stats.misses >= client.calls
+        if governed:
+            assert governor.stats.admitted == client.calls and governor.in_flight == 0
+        if stalling:  # the calls in flight when the limit was crossed finish
+            assert 12 <= client.calls < 12 + width and client.late < width
+        else:  # the crossing call is the twelfth, and the last
+            assert client.answered == self.PROMPTS[:12] and client.late == 0
+
+    def test_a_failing_batch_raises_the_backends_error(self, kind, driver, governed):
+        budget, charged = limited(kind, 1000.0, 100.0)
+        client = FaultyLLM(simulated_client(), {9: BackendConnectionError("down")})
+        governor = ConcurrencyGovernor() if governed else None
+        session = PromptSession(client, budget=budget, governor=governor)
+        with pytest.raises(BackendConnectionError):
+            self.run(session, charged, driver)
+        assert_the_books_agree(session, client, errors=1)
+        assert charged.spent == budget.spent > 0 and not charged.exhausted
+        if governed:
+            assert governor.stats.admitted == client.calls and governor.in_flight == 0

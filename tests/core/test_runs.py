@@ -4,10 +4,10 @@ Until one of its calls reaches a backend that waits,
 :class:`~repro.core.executor.BatchExecutor`'s dispatching thread takes runs
 of a fanned-out bag and sends each as one native batch — one session settle,
 one cache pass, one bag hand-over per run.  Only a bag that passes the
-native-batch rule (shared parameters, no enforced budget or lease) is sent
-so, and only until the backend gate has said that a call waits; an awaited
-bag is the same bag, one thread hop away.  A governor does not stop it: the
-session's gate admits the misses of each run.
+native-batch rule (shared parameters) is sent so, and only until the backend
+gate has said that a call waits; an awaited bag is the same bag, one thread
+hop away.  Neither a governor nor a limit stops it: the session's gate
+admits, checks and charges the misses of each run one by one.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor, BatchRequest
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
+from repro.exceptions import BudgetExceededError
+from repro.llm.faulty import FaultyLLM
+from repro.tokenizer.cost import to_dollars, to_nanos
 from tests.doubles import EchoClient, simulated_client
 
 WIDTH = 8
@@ -83,32 +86,54 @@ def test_a_governed_bag_goes_out_in_runs_and_each_backend_call_is_admitted(settl
     assert governor.stats.admitted == 60 and governor.in_flight == 0
 
 
-@pytest.mark.parametrize("case", ["budget", "lease", "mixed parameters"])
+@pytest.mark.parametrize("case", ["mixed parameters"])
 def test_no_run_is_taken_where_it_is_not_safe(case, settles):
     session = PromptSession(simulated_client())
-    requests: list = prompts(60)
-    options = {}
-    if case == "budget":
-        options["budget"] = Budget(limit=1000.0)
-    elif case == "lease":
-        options["budget"] = Budget(limit=1000.0).lease(100.0)
-    else:
-        requests = [
-            BatchRequest(prompt, max_tokens=None if index % 2 else 50)
-            for index, prompt in enumerate(requests)
-        ]
-    client = session.client(options.get("budget"))
-    executor = BatchExecutor(client, max_concurrency=WIDTH, **options)
-    assert len(executor.run(requests)) == 60
+    requests = [
+        BatchRequest(prompt, max_tokens=None if index % 2 else 50)
+        for index, prompt in enumerate(prompts(60))
+    ]
+    assert len(BatchExecutor(session.client(), max_concurrency=WIDTH).run(requests)) == 60
     assert settles == [1] * 60
 
 
+def spend_of_the_first(count: int, asked: list[str]) -> int:
+    """What the first ``count`` calls of ``asked`` cost, in n$."""
+    probe = PromptSession(simulated_client())
+    probe.complete_batch(asked[:count])
+    return to_nanos(probe.budget.spent)
+
+
+@pytest.mark.parametrize("case", ["budget", "lease"])
+def test_a_limited_bag_takes_runs_and_stops_before_its_next_backend_call_once_spent(
+    case, settles
+):
+    """The 20th call's charge crosses the limit, inside the run of 16 that
+    starts at the 16th: it is booked, and no later call is made."""
+    asked = prompts(60)
+    crossed = spend_of_the_first(20, asked)
+    limit = to_dollars(crossed - 1)
+    budget = Budget(limit=limit) if case == "budget" else Budget(limit=1000.0).lease(limit)
+    backend = FaultyLLM(simulated_client())
+    session = PromptSession(backend)
+    executor = BatchExecutor(session.client(budget), max_concurrency=WIDTH, budget=budget)
+    settles.clear()
+    with pytest.raises(BudgetExceededError):
+        executor.run(asked)
+    assert settles == [1, 2, 4, 8, 5]  # runs, the last cut at the crossing call
+    assert backend.answered == asked[:20] and backend.calls == 20
+    assert session.tracker.usage.calls == len(session.spans.records()) == 20
+    assert budget.spent == to_dollars(session.tracker.cost()) == to_dollars(crossed)
+
+
 class Waiting(EchoClient):
-    """A backend that waits (it says so), noting the threads that called it.
+    """A backend that waits (it says so), noting the threads that called it,
+    and the one that answered each prompt (``on``).
 
     Behind a session whose cache holds a prefix of the bag, the bag goes out
     in runs until its first miss reaches the gate, which then brings the
-    helpers in while that run is in flight.
+    helpers in and ends that run: its requests from that miss on go back to
+    the queue.
     """
 
     waits = True
@@ -116,10 +141,12 @@ class Waiting(EchoClient):
     def __init__(self) -> None:
         super().__init__()
         self.threads: set[int] = set()
+        self.on: dict[str, int] = {}
 
     def complete(self, prompt, **params):
         with self._lock:
             self.threads.add(threading.get_ident())
+            self.on[prompt] = threading.get_ident()
         return super().complete(prompt, **params)
 
 
@@ -144,9 +171,27 @@ def test_helpers_that_join_while_runs_are_taken_lose_no_call(warm, settles):
     assert len(client.threads) > 1
 
 
+def test_a_run_that_meets_a_miss_leaves_its_misses_to_the_helpers(settles):
+    """Behind a warm cache, the run of 32 that starts at the 32nd request holds
+    a miss at every other place.  Its first miss ends it, and the misses after
+    it reach more than one thread: two of them, each held until the other
+    arrives, meet (sent in series on one thread, the first would wait for
+    good, and the barrier breaks after its timeout)."""
+    bag = prompts(200)
+    meet = threading.Barrier(2, timeout=10)
+    backend = Waiting()
+    client = FaultyLLM(backend, {bag[34]: meet.wait, bag[36]: meet.wait})
+    session = warm_session(client, bag[:31] + bag[31::2])
+    settles.clear()
+    responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(bag)
+    assert [response.text for response in responses] == [f"echo:{p}" for p in bag]
+    assert settles[:6] == [1, 2, 4, 8, 16, 1]  # the run of 32 settled its first hit
+    assert len({backend.on[prompt] for prompt in bag[34:63:2]}) > 1
+
+
 def test_no_run_is_taken_once_the_gate_has_said_a_call_waits(settles, monkeypatch):
-    """The first miss, inside a run of cache hits, reaches the gate; from then
-    on no thread takes a run, though the run it was in is still in flight."""
+    """The first miss, inside a run of cache hits, reaches the gate, which
+    ends that run; from then on no thread takes a run."""
     baseline = threading.active_count()
     reached: list[bool] = []
     taken_after: list[int] = []

@@ -1,8 +1,8 @@
 """A bag settles once, however it is dispatched.
 
-A session charges every call as it settles and owes it one record (span,
-metrics, runtime stats); inside an executor's ``run`` the records are handed
-over in runs, at the bag's end at the latest.  What a run leaves behind must
+The gate charges every call as it returns, and the session owes it one
+record (span, metrics, runtime stats); inside an executor's ``run`` the
+records are handed over in runs, at the bag's end at the latest.  What a run leaves behind must
 not depend on how it was dispatched — and a bag that ends early (a failing
 call, a spent budget, Ctrl-C) must leave ring, metrics and budget agreeing
 with the calls that reached the backend.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.budget import Budget
 from repro.core.engine import DeclarativeEngine
-from repro.core.executor import OPEN_BAG
+from repro.core.executor import OPEN_BAG, BatchRequest
 from repro.core.session import PromptSession
 from repro.core.spec import PipelineSpec, PipelineStep, SortSpec
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
@@ -45,7 +45,7 @@ FANNED_OUT = ("threads", "async")
 
 
 def width_of(driver: str) -> int:
-    """``sync`` one by one (an enforced budget rules the native batch out)."""
+    """``sync`` at width 1 (one native batch, unless the parameters differ)."""
     return 1 if driver == "sync" else WIDTH
 
 
@@ -234,11 +234,14 @@ class TestTheScope:
                 seen.append(len(session.spans.records()))
                 return super().complete(prompt, **params)
 
-        session = PromptSession(
-            Watching(simulated_client()), use_cache=False, budget=Budget(limit=1000.0)
-        )
+        session = PromptSession(Watching(simulated_client()), use_cache=False)
         session.spans.flush_every = bound = 8
-        run_bag(session, driver, width_of(driver), rating_prompts(30), budget=session.budget)
+        # Mixed parameters: every call is its own unit task on every driver.
+        requests = [
+            BatchRequest(prompt, max_tokens=None if index % 2 else 50)
+            for index, prompt in enumerate(rating_prompts(30))
+        ]
+        run_bag(session, driver, width_of(driver), requests)
         # Handed over a run at a time: never more than one run is owed ...
         assert set(seen) == {0, 8, 16, 24}
         assert all(recorded > made - bound for made, recorded in enumerate(seen))

@@ -164,6 +164,8 @@ class TestTwoJobsOfOneTenant:
             assert record["status"] == "succeeded"
             expected = alone[name].to_dict()
             assert record["report"]["results"] == expected["results"]
+            totals = ("total_calls", "total_cost", "total_prompt_tokens", "total_completion_tokens")
+            assert [record["report"][key] for key in totals] == [expected[key] for key in totals]
             assert record["report"]["step_order"] == expected["step_order"]
             for step, report in record["report"]["step_reports"].items():
                 solo_step = expected["step_reports"][step]

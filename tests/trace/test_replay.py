@@ -10,6 +10,7 @@ from repro.core.session import PromptSession
 from repro.core.spec import SortSpec
 from repro.exceptions import ContextLengthExceededError, SpecError, TraceError
 from repro.llm.faulty import FaultyLLM
+from repro.llm.tracker import TrackedClient, UsageTracker
 from repro.obs import TraceRecord, replay_trace
 from repro.obs.replay import ReplayLLM
 from repro.query import Dataset
@@ -151,3 +152,20 @@ class TestRecordedErrors:
     def test_empty_trace_is_rejected(self):
         with pytest.raises(TraceError):
             replay_trace([])
+
+
+class TestTheSessionsDefaultModel:
+    """A call that names no model runs on the backend's ``default_model``."""
+
+    RECORD = TraceRecord(call_id=0, model="sim-gpt-4", prompt="p", response_text="x")
+
+    def test_a_replay_recorded_under_another_model_answers_through_a_session(self):
+        session = PromptSession(ReplayLLM([self.RECORD]))
+        response = session.complete("p")
+        assert (response.text, response.model) == ("x", "sim-gpt-4")
+        assert session.tracker.summary().by_model.keys() == {"sim-gpt-4"}
+
+    def test_through_a_wrapper_that_names_none(self):
+        wrapped = TrackedClient(ReplayLLM([self.RECORD]), UsageTracker())
+        session = PromptSession(wrapped, use_cache=False)
+        assert session.complete_batch(["p"])[0].text == "x"
