@@ -138,7 +138,8 @@ class Budget:
         return Budget(allocation, parent=self)
 
 
-#: What the calls being made are charged to (for the gate): set per bag and per call.
+#: What the calls being made are charged to (for the gate): set per call, by
+#: ``PromptSession._issue`` alone.
 CHARGE_TARGET: contextvars.ContextVar[Budget | None] = contextvars.ContextVar(
     "repro_charge_target", default=None
 )

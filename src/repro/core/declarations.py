@@ -802,7 +802,7 @@ class _Filter(OperatorDeclaration):
     def predicate_operator(self, planner, predicate: str, budget) -> FilterOperator:
         """The operator checking one of a spec's conjunctive predicates."""
         return self.operator(
-            planner.session.client(budget), predicate, **planner.operator_kwargs(budget)
+            planner.session.client(budget), predicate, **planner.operator_kwargs()
         )
 
     @staticmethod

@@ -25,8 +25,9 @@ waits (:func:`call_waits`).
 :class:`BatchExecutor` is the one driver; :class:`AsyncBatchExecutor` is its
 ``run`` for callers on an event loop, one ``asyncio.to_thread`` hop per bag.
 ``map``, which runs a pipeline's waves, is :class:`BatchExecutor`'s alone.
-Admission, pacing and the budget pre-check live below the cache, in the
-:class:`~repro.core.BackendGate` around the backend.
+Admission, pacing and the budget live below the cache, in the
+:class:`~repro.core.BackendGate` around the backend: an executor holds no
+budget, and its client names what its calls are charged to.
 
 A native batch that fails part-way has made the calls before the failing
 one: the session books them like a success (:func:`~repro.llm.base.
@@ -38,16 +39,9 @@ charged the moment it returns, but the telemetry it is owed (span, metrics,
 runtime stats) is left with the open :class:`SettleBag` and recorded in runs —
 so a bag settles once, however it is dispatched.
 
-Two reliability hooks ride along:
-
-* *Retry integration* — pass a ``validator`` (plus ``max_retries``) and every
-  unit task is wrapped in the :class:`~repro.llm.retry.RetryingClient`
-  semantics, with aggregate stats exposed as :attr:`BatchExecutor.retry_stats`.
-* *Budget-aware early stopping* — the gate below the cache checks and
-  charges each backend call, so a bag stops before its next call once the
-  budget (or lease) it is charged to is spent, however it went out.  Over a
-  raw client, with no gate below, ``run`` refuses a spent budget before its
-  first call, and a limited one sends the bag one unit task at a time.
+*Retry integration* rides along: pass a ``validator`` (plus ``max_retries``)
+and every unit task is wrapped in the :class:`~repro.llm.retry.RetryingClient`
+semantics, with aggregate stats exposed as :attr:`BatchExecutor.retry_stats`.
 """
 
 from __future__ import annotations
@@ -60,8 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.budget import CHARGE_TARGET, Budget
-from repro.exceptions import BudgetExceededError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.llm.base import Call, LLMResponse, answered_prefix
 from repro.llm.retry import RetryingClient, RetryStats
 
@@ -92,10 +85,7 @@ class TaskOutcome:
 
     Three states: the task ran and produced ``value``; the task ran and
     raised ``error`` (``skipped`` is False); or the task never ran
-    (``skipped`` is True) — because an earlier task in the batch failed
-    first, or because the attached budget was exhausted before dispatch (in
-    which case ``error`` carries the :class:`BudgetExceededError` from the
-    pre-dispatch check, so callers can tell the two skip causes apart).
+    (``skipped`` is True) because an earlier task in the batch failed first.
     """
 
     value: Any = None
@@ -105,15 +95,6 @@ class TaskOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None and not self.skipped
-
-
-class _BudgetPreCheckStop(Exception):
-    """Internal: a ``map`` task the budget turned away before it started,
-    reported as skipped rather than as a failure of the task."""
-
-    def __init__(self, error: BudgetExceededError) -> None:
-        super().__init__(str(error))
-        self.error = error
 
 
 class _QueueDepth:
@@ -182,13 +163,12 @@ OPEN_BAG: contextvars.ContextVar[SettleBag | None] = contextvars.ContextVar(
 
 
 @contextmanager
-def _settling(bag: SettleBag | None, budget: Budget | None) -> Iterator[None]:
-    """Open ``bag``, name ``budget`` the charge target; on exit, hand the bag over."""
-    token, charging = OPEN_BAG.set(bag), CHARGE_TARGET.set(budget)
+def _settling(bag: SettleBag | None) -> Iterator[None]:
+    """Open ``bag``; on exit, hand it over."""
+    token = OPEN_BAG.set(bag)
     try:
         yield
     finally:
-        CHARGE_TARGET.reset(charging)
         OPEN_BAG.reset(token)
         if bag is not None:
             bag.close()
@@ -223,10 +203,10 @@ def call_waits() -> bool:
 def backend_waits(client: Any) -> bool | None:
     """Whether the backend ``client``'s wrappers lead to waits, as its class
     declares ``waits`` (one without the attribute is taken to wait); ``None``
-    when they meet a gate first (a session client's, or a
-    ``refuses_spent_budget`` one), which refuses a spent budget and says when
-    a call waits."""
-    while not (hasattr(client, "charged") or getattr(client, "refuses_spent_budget", False)):
+    when they meet a gate first (a class that declares ``gated``: a session
+    client, a :class:`~repro.core.BackendGate`), which books the spend and
+    says when a call waits."""
+    while not getattr(type(client), "gated", False):
         if getattr(client, "_client", None) is None:
             return getattr(client, "waits", True)
         client = client._client
@@ -252,14 +232,15 @@ class BatchExecutor:
     the dispatching thread.
 
     What is per call and what is per bag: the gate checks and charges each
-    backend call before the next goes out, and the session tracks each as
-    it settles, in a run or a unit task alike.  ``run`` (both dispatch
-    shapes) opens one :class:`SettleBag` scope: a session reached through it
-    records the settled calls — spans, ``repro_*`` metrics, runtime stats —
-    in runs of the ring's flush bound and, in a ``finally``, at the bag's
-    end, so a failure, a budget stop or Ctrl-C loses no record.  ``map``
-    opens none: each operator run inside a wave opens its own.  Neither does
-    an executor with a ``validator``.
+    backend call before the next goes out, to what the client names (a
+    session client's lease, else its session's budget), and the session
+    tracks each as it settles, in a run or a unit task alike.  ``run`` (both
+    dispatch shapes) opens one :class:`SettleBag` scope: a session reached
+    through it records the settled calls — spans, ``repro_*`` metrics,
+    runtime stats — in runs of the ring's flush bound and, in a ``finally``,
+    at the bag's end, so a failure, a budget stop or Ctrl-C loses no record.
+    ``map`` opens none: each operator run inside a wave opens its own.
+    Neither does an executor with a ``validator``.
 
     Args:
         client: the client every unit task is issued through (typically an
@@ -267,9 +248,6 @@ class BatchExecutor:
         max_concurrency: how many unit tasks may be in flight at once — a
             ceiling, not a thread count: threads beyond the dispatching one
             are used only while calls wait.
-        budget: optional budget (or per-step lease) the client's calls are
-            charged to (a session client's own).  ``run`` makes it the gate's
-            ``CHARGE_TARGET``; ``map`` checks it too.
         validator: optional response-text validator enabling per-call retries
             (see :class:`~repro.llm.retry.RetryingClient`).
         max_retries: additional attempts per unit task when a validator is set.
@@ -284,7 +262,6 @@ class BatchExecutor:
         client: Any,
         *,
         max_concurrency: int = 1,
-        budget: Budget | None = None,
         validator: Callable[[str], Any] | None = None,
         max_retries: int = 2,
         retry_temperature: float = 0.7,
@@ -292,15 +269,10 @@ class BatchExecutor:
     ) -> None:
         if max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be at least 1")
-        if budget is not None and getattr(client, "charged", budget) is not budget:
-            raise ConfigurationError("budget= must be the budget the session client charges")
         self.max_concurrency = max_concurrency
-        self.budget = budget
-        # With no gate below (a raw client), ``run`` refuses a spent budget,
-        # and the client's class says whether its calls wait.
-        waits = backend_waits(client)
-        self._ungated = budget is not None and waits is not None
-        self._waits = bool(waits)
+        # With no gate below (a raw client), the client's class says whether
+        # its calls wait.
+        self._waits = bool(backend_waits(client))
         self.instruments = instruments
         if validator is not None:
             client = RetryingClient(
@@ -318,12 +290,13 @@ class BatchExecutor:
         """Execute every request and return the responses in input order.
 
         Plain strings are promoted to default-parameter :class:`BatchRequest`
-        objects.  Raises :class:`~repro.exceptions.BudgetExceededError` before
-        a further unit task reaches the backend once the budget is exhausted.
-        The first failure cancels queued (not in-flight) unit tasks and is
-        re-raised deterministically (the earliest request among those that
-        ran), and temperature-0 duplicates of one (model, prompt) wait for
-        the first occurrence instead of racing it past the cache.
+        objects.  The gate raises :class:`~repro.exceptions.BudgetExceededError`
+        before a further call reaches the backend once the budget the client
+        is charged to is exhausted.  The first failure cancels queued (not
+        in-flight) unit tasks and is re-raised deterministically (the earliest
+        request among those that ran), and temperature-0 duplicates of one
+        (model, prompt) wait for the first occurrence instead of racing it
+        past the cache.
         """
         normalized = [
             request if isinstance(request, BatchRequest) else BatchRequest(prompt=request)
@@ -331,12 +304,10 @@ class BatchExecutor:
         ]
         if not normalized:
             return []
-        if self._ungated:
-            self.budget.check()
         # One bag per run, however it is dispatched — except under a validator,
         # whose retry wrapper amends each call's span as soon as the call returns.
         bag = SettleBag() if self.retry_stats is None else None
-        with _QueueDepth(self.instruments, len(normalized)), _settling(bag, self.budget):
+        with _QueueDepth(self.instruments, len(normalized)), _settling(bag):
             if self.max_concurrency == 1 or len(normalized) == 1:
                 return self._run_sequential(normalized)
             return self._run_concurrent(normalized)
@@ -347,15 +318,11 @@ class BatchExecutor:
         The common operator case: shared parameters.  Otherwise —
         heterogeneous parameters (e.g. ensemble votes across models) — every
         call is its own unit task.  A limit does not stop a native batch: the
-        gate checks and charges each of its backend calls.  Over a client
-        with no gate below, nothing does, and a limited budget keeps every
-        call its own unit task too.
+        gate checks and charges each of its backend calls.
         """
         first = requests[0]
         params = (first.model, first.temperature, first.max_tokens)
-        return all((r.model, r.temperature, r.max_tokens) == params for r in requests) and (
-            not self._ungated or self.budget.unlimited
-        )
+        return all((r.model, r.temperature, r.max_tokens) == params for r in requests)
 
     def _run_sequential(self, requests: Sequence[BatchRequest]) -> list[LLMResponse]:
         if self._native(requests):
@@ -428,16 +395,11 @@ class BatchExecutor:
 
         Unlike :meth:`run`, failures do not raise.  Each task's result or
         exception comes back in its :class:`TaskOutcome`; after the first
-        failure — or once an attached budget is exhausted — the remaining
-        not-yet-started tasks are marked ``skipped`` (in-flight tasks still
-        finish), mirroring where the sequential loop would have stopped.  A
-        task that never ran because the budget died before it started is
-        reported as skipped *with the budget error attached* — and that
-        holds for **every** such task, on both the sequential and the
-        concurrent path, so callers can tell the two skip causes apart
-        without caring which path executed the batch.  ``KeyboardInterrupt``
-        and ``SystemExit`` are not outcomes: one raised inside a task is
-        re-raised once the tasks in flight finish, so Ctrl-C stops a pipeline.
+        failure the remaining not-yet-started tasks are marked ``skipped``
+        (in-flight tasks still finish), mirroring where the sequential loop
+        would have stopped.  ``KeyboardInterrupt`` and ``SystemExit`` are not
+        outcomes: one raised inside a task is re-raised once the tasks in
+        flight finish, so Ctrl-C stops a pipeline.
         """
         outcomes = [TaskOutcome(skipped=True) for _ in tasks]
         if not tasks:
@@ -446,41 +408,18 @@ class BatchExecutor:
             if self.max_concurrency == 1 or len(tasks) == 1:
                 for index, task in enumerate(tasks):
                     try:
-                        outcomes[index] = TaskOutcome(value=self._guarded(task))
+                        outcomes[index] = TaskOutcome(value=task())
                     except BaseException as exc:  # noqa: BLE001 - reported, not raised
                         outcomes[index] = TaskOutcome(error=exc)
                         break
             else:
-                outcomes = self._fan_out(self._guarded, tasks)
-        # A task the budget pre-check turned away never ran: it is reported
-        # as skipped with the budget error attached.  Ctrl-C is no failed task
-        # to report and carry on from: it surfaces, now that the bag settled.
-        budget_stop: BudgetExceededError | None = None
-        for index, outcome in enumerate(outcomes):
+                outcomes = self._fan_out(lambda task: task(), tasks)
+        # Ctrl-C is no failed task to report and carry on from: it surfaces,
+        # now that the bag settled.
+        for outcome in outcomes:
             if isinstance(outcome.error, (KeyboardInterrupt, SystemExit)):
                 raise outcome.error
-            if isinstance(outcome.error, _BudgetPreCheckStop):
-                outcomes[index] = TaskOutcome(error=outcome.error.error, skipped=True)
-                budget_stop = budget_stop or outcome.error.error
-        if budget_stop is not None:
-            # Once the budget died, *all* tasks it kept from running share
-            # that cause — including ones whose own pre-check never ran
-            # because they were still queued (fanned out) or later in the
-            # loop (sequential).  Tasks skipped for other reasons already
-            # carry their own error and are left alone.
-            for index, outcome in enumerate(outcomes):
-                if outcome.skipped and outcome.error is None:
-                    outcomes[index] = TaskOutcome(error=budget_stop, skipped=True)
         return outcomes
-
-    def _guarded(self, task: Callable[[], Any]) -> Any:
-        """One ``map`` task: the budget pre-check, then the task."""
-        if self.budget is not None:
-            try:
-                self.budget.check()
-            except BudgetExceededError as exc:
-                raise _BudgetPreCheckStop(exc) from None
-        return task()
 
     def _fan_out(
         self, task_of: Callable[[Any], Any], items: Sequence, runs: bool = False

@@ -315,8 +315,9 @@ class BackendGate(BaseClient):
     Every backend call crosses it, and no cache hit does, so it books the
     spend: before each call it refuses it with :class:`~repro.exceptions.
     BudgetExceededError` once the budget it is charged to
-    (:data:`~repro.core.budget.CHARGE_TARGET`) is spent, and, given a
-    ``cost_model``, it charges each call's price before the next goes out.
+    (:data:`~repro.core.budget.CHARGE_TARGET`, which the session names for
+    each call) is spent, and, given a ``cost_model``, it charges each call's
+    price before the next goes out.
     A limited target or a ``governor`` has a batch sent one call at a time,
     under a governor each admitted on its own and reported to the backoff;
     an unlimited, ungoverned one goes out whole, charged after.  A call whose
@@ -328,7 +329,9 @@ class BackendGate(BaseClient):
     over another gate (a session's) leaves both to the one below.
     """
 
-    refuses_spent_budget = True  # what the executor reads, duck-typed
+    #: What :func:`~repro.core.executor.backend_waits` stops at, as at a
+    #: session client: the one marker of a gate.
+    gated = True
 
     def __init__(
         self,

@@ -160,24 +160,20 @@ class PhysicalPlanner:
             )
         return self._planners[key]
 
-    def operator_kwargs(self, budget: "Budget | None" = None) -> dict:
-        """Keyword arguments the engine passes to every operator it builds.
-
-        A pipeline step passes its per-step lease so a spend limit stops a
-        large batch between unit tasks; otherwise the session budget is
-        charged.
-        """
+    def operator_kwargs(self) -> dict:
+        """Keyword arguments the engine passes to every operator it builds
+        (the budget is the session client's: :meth:`build_operator`)."""
         return {
             "model": self.default_model,
             "cost_model": self.session.cost_model,
             "max_concurrency": self.session.max_concurrency,
-            "budget": budget if budget is not None else self.session.budget,
         }
 
     def build_operator(self, spec: TaskSpec, budget: "Budget | None" = None) -> "BaseOperator":
-        """The spec's operator over the session client, charged to ``budget``."""
+        """The spec's operator over the session client, charged to ``budget``
+        (a pipeline step's lease), else to the session budget."""
         return declaration_for(spec).build(
-            spec, self.session.client(budget), **self.operator_kwargs(budget)
+            spec, self.session.client(budget), **self.operator_kwargs()
         )
 
     # -- resolution ------------------------------------------------------------------

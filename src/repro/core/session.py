@@ -72,30 +72,40 @@ _Settled = tuple[
 class SessionClient:
     """LLM client view bound to a session: cached, tracked, budget-enforced.
 
-    ``budget`` optionally redirects where calls are *charged*: a pipeline
-    step's client charges its per-step lease (which forwards every dollar to
-    the session budget), so the lease measures exactly the step's own
-    spending even while sibling steps run concurrently.  An
-    explicit ``budget=`` on a call still wins over the bound one.
+    ``budget`` names where its calls are *charged* — the one handle that
+    does: a pipeline step's client charges its per-step lease (which
+    forwards every dollar to the session budget), so the lease measures
+    exactly the step's own spending even while sibling steps run
+    concurrently.  ``None`` charges the session budget.
     """
+
+    #: What :func:`~repro.core.executor.backend_waits` stops at: the session's
+    #: gate below books the spend and says when a call waits.
+    gated = True
 
     session: "PromptSession"
     budget: Budget | None = None
-    def _bound(self, budget: Budget | None) -> Budget | None:
-        return budget if budget is not None else self.budget
 
-    @property
-    def charged(self) -> Budget:
-        """What this client's calls are charged to (an executor's ``budget``)."""
-        return self.budget if self.budget is not None else self.session.budget
-
-    def complete(self, prompt: str, *, budget: Budget | None = None, **params) -> LLMResponse:
-        return self.session.complete(prompt, budget=self._bound(budget), **params)
+    def complete(
+        self,
+        prompt: str,
+        *,
+        model: str | None = None,
+        temperature: float = 0.0,
+        max_tokens: int | None = None,
+    ) -> LLMResponse:
+        return self.session._issue([prompt], model, temperature, max_tokens, self.budget, True)[0]
 
     def complete_batch(
-        self, prompts: list[str], *, budget: Budget | None = None, **params
+        self,
+        prompts: list[str],
+        *,
+        model: str | None = None,
+        temperature: float = 0.0,
+        max_tokens: int | None = None,
     ) -> list[LLMResponse]:
-        return self.session.complete_batch(prompts, budget=self._bound(budget), **params)
+        prompts = prompt_list(prompts)
+        return self.session._issue(prompts, model, temperature, max_tokens, self.budget, False)
 
     @property
     def spans(self) -> SpanTracker:
@@ -185,15 +195,10 @@ class PromptSession:
         model: str | None = None,
         temperature: float = 0.0,
         max_tokens: int | None = None,
-        budget: Budget | None = None,
     ) -> LLMResponse:
-        """Issue one call through the session: cache, track, and charge it.
-
-        ``budget`` redirects the charge (a lease forwards
-        every dollar to the session budget, so nothing is lost); by default
-        the session's own budget is charged.
-        """
-        return self._issue([prompt], model, temperature, max_tokens, budget, True)[0]
+        """Issue one call through the session: cache, track, and charge it
+        to the session budget (:meth:`client` charges a lease instead)."""
+        return self._issue([prompt], model, temperature, max_tokens, None, True)[0]
 
     def complete_batch(
         self,
@@ -202,7 +207,6 @@ class PromptSession:
         model: str | None = None,
         temperature: float = 0.0,
         max_tokens: int | None = None,
-        budget: Budget | None = None,
     ) -> list[LLMResponse]:
         """Issue a whole batch through the session: cache, track, and charge it.
 
@@ -215,7 +219,7 @@ class PromptSession:
         like a success, the failure is recorded against the prompt that
         raised, and the backend's error (or the budget's) is raised.
         """
-        return self._issue(prompt_list(prompts), model, temperature, max_tokens, budget, False)
+        return self._issue(prompt_list(prompts), model, temperature, max_tokens, None, False)
 
     def _issue(
         self,
@@ -226,7 +230,8 @@ class PromptSession:
         budget: Budget | None,
         single: bool,
     ) -> list[LLMResponse]:
-        """The session's one call path: dispatch, settle.  A ``single`` call
+        """The session's one call path: name the charge target (``budget``,
+        else the session's), dispatch, settle.  A ``single`` call
         that raised answered nothing, so its failure names its prompt, unless
         the gate says it was answered (its charge crossed the limit).  A run
         of an executor's may come back with a prefix of its answers."""
@@ -466,42 +471,31 @@ class PromptSession:
         """
         return SessionClient(session=self, budget=budget)
 
-    def batch_executor(
-        self,
-        *,
-        max_concurrency: int | None = None,
-        budget: Budget | None = None,
-    ) -> BatchExecutor:
+    def batch_executor(self, *, max_concurrency: int | None = None) -> BatchExecutor:
         """An executor bound to this session's client.
 
         The DAG pipeline scheduler (:class:`~repro.core.workflow.Workflow`)
         runs each wave of independent steps through one of these; any caller
         fanning independent unit tasks through the session can do the same.
-        ``max_concurrency`` defaults to the session's setting.  Calls are
-        charged to ``budget`` when one is given, else to the session budget.
+        ``max_concurrency`` defaults to the session's setting.  Its calls are
+        charged as :meth:`client`'s are; to charge a lease, build a
+        :class:`BatchExecutor` over ``client(lease)``.
         """
-        return self._executor(BatchExecutor, max_concurrency, budget)
+        return self._executor(BatchExecutor, max_concurrency)
 
-    def async_batch_executor(
-        self,
-        *,
-        max_concurrency: int | None = None,
-        budget: Budget | None = None,
-    ) -> AsyncBatchExecutor:
+    def async_batch_executor(self, *, max_concurrency: int | None = None) -> AsyncBatchExecutor:
         """:meth:`batch_executor` for callers on an event loop: its ``run`` is
         awaited, one thread hop into :meth:`BatchExecutor.run`."""
-        return self._executor(AsyncBatchExecutor, max_concurrency, budget)
+        return self._executor(AsyncBatchExecutor, max_concurrency)
 
-    def _executor(self, kind: type, max_concurrency: int | None, budget: Budget | None):
-        client = self.client(budget)
+    def _executor(self, kind: type, max_concurrency: int | None):
         return kind(
-            client,
+            self.client(),
             # "is not None" rather than "or": an explicit invalid 0 must
             # reach the executor's validation, not be silently replaced.
             max_concurrency=(
                 max_concurrency if max_concurrency is not None else self.max_concurrency
             ),
-            budget=client.budget,
             instruments=self.instruments,
         )
 
@@ -541,7 +535,7 @@ class BudgetScopedSession(SessionClient):
     """
 
     def client(self, budget: Budget | None = None) -> SessionClient:
-        return self.session.client(self._bound(budget))
+        return self.session.client(budget if budget is not None else self.budget)
 
     # The session's executor factories, run on this view: their client and
     # budget come from :meth:`client`, so they are bound to this budget.

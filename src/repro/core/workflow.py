@@ -25,8 +25,9 @@ runs under a lease (:meth:`~repro.core.budget.Budget.lease`) capped at its
 share, so one runaway step cannot starve its siblings: a step that exhausts
 its lease is recorded as ``"stopped"`` and only its dependents are blocked,
 while independent branches keep running on their own allocations.  Once the shared
-budget itself is gone the pipeline *stops cleanly*: completed results are
-kept, never-dispatched steps are reported as skipped, and the report (not an
+budget itself is gone the pipeline *stops cleanly*: a step that finds it
+spent when it starts does not run, completed results are kept,
+never-dispatched steps are reported as skipped, and the report (not an
 exception) says why.
 
 Determinism: waves, step order, and each step's input dict depend only on
@@ -62,6 +63,9 @@ SpecRunner = Callable[[PipelineStep, Mapping[str, Any], Budget | None], Any]
 #: the moment the step settles (``completed`` or ``stopped``).  The service
 #: layer streams these to polling clients.
 StepObserver = Callable[["StepReport"], None]
+
+#: What a step thunk returns when the run's budget was spent before it started.
+_NOT_STARTED = object()
 
 #: A report's quote crosses the wire with its totals (:meth:`PipelineQuote.to_dict`).
 _QUOTE = FieldCodec(
@@ -226,7 +230,7 @@ class Workflow:
                 the report says it stopped early.
         """
         state = self._prepare_execution(session, spec_runner, quote)
-        executor = session.batch_executor(max_concurrency=max_concurrency, budget=state.budget)
+        executor = session.batch_executor(max_concurrency=max_concurrency)
         pipeline, spans = self.pipeline, state.spans
         with spans.span("pipeline", pipeline.name, steps=len(pipeline.steps)) as pipeline_span:
             state.report.span_id = pipeline_span.span_id
@@ -372,9 +376,14 @@ class Workflow:
         failure: BaseException | None = None
         settled: list[StepReport] = []
         for name, outcome in zip(runnable, outcomes):
+            if outcome.skipped or outcome.value is _NOT_STARTED:
+                # Never dispatched this round (a sibling failed first, or
+                # the budget died before the step started); stays pending —
+                # the next _plan_round either retries it or records the
+                # budget stop for the whole remainder.
+                continue
             step_report = report.step_reports[name]
-            if not outcome.skipped:
-                step_report.span_id = state.step_spans.get(name)
+            step_report.span_id = state.step_spans.get(name)
             usage = state.usage.get(name)
             if usage is not None:  # the step ran: what its own calls cost
                 step_report.cost, step_report.calls = to_dollars(usage.cost()), usage.calls
@@ -391,12 +400,6 @@ class Workflow:
                 pending.remove(name)
                 progressed = True
                 settled.append(step_report)
-            elif outcome.skipped:
-                # Never dispatched this round (a sibling failed first, or
-                # the budget died before the step started); stays pending —
-                # the next _plan_round either retries it or records the
-                # budget stop for the whole remainder.
-                continue
             elif isinstance(outcome.error, BudgetExceededError):
                 # The step ran out of money (its lease or the shared
                 # budget).  Contain the damage to the step: its
@@ -483,8 +486,12 @@ class Workflow:
         # (its ambient parent is the wave span copied at submission), and
         # its id is parked on the state so _absorb_outcomes can stamp it
         # onto the StepReport — the thunk may run on any thread.  So are the
-        # step's books, which every call it settles is tracked into.
+        # step's books, which every call it settles is tracked into.  A step
+        # that finds the run's budget spent when it starts does not run: a
+        # budget only runs down, so neither would any later step of the wave.
         def traced() -> Any:
+            if state.budget.exhausted:
+                return _NOT_STARTED
             usage = state.usage[step.name] = UsageTracker(cost_model=session.cost_model)
             token = STEP_USAGE.set(usage)
             try:

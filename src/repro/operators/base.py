@@ -15,8 +15,8 @@ through :meth:`BaseOperator._complete_batch` (or
 and a call whose prompt depends on an earlier answer through
 :meth:`BaseOperator._complete`, a bag of one.  So ``max_concurrency`` and a
 budget's early stop hold for every strategy: a call reaching the backend
-crosses the session's, or under a budget the operator's, ``BackendGate``.
-At the default ``max_concurrency`` of 1 execution is sequential and
+crosses the session's ``BackendGate``, which charges what the session client
+names.  At the default ``max_concurrency`` of 1 execution is sequential and
 deterministic, and at temperature 0 the concurrent path produces
 element-wise identical results.
 """
@@ -27,14 +27,11 @@ from dataclasses import dataclass, field
 from types import MethodType
 from typing import Any, Callable, Sequence
 
-from repro.core.budget import Budget
 from repro.core.executor import BatchExecutor, BatchRequest
-from repro.core.governor import BackendGate
 from repro.core.session import SessionClient
 from repro.exceptions import UnknownStrategyError
 from repro.llm.base import LLMClient, LLMResponse
 from repro.llm.cache import CachedClient
-from repro.llm.registry import default_registry
 from repro.llm.tracker import UsageTracker
 from repro.tokenizer.cost import CostModel, Usage, to_dollars
 
@@ -70,22 +67,18 @@ class BaseOperator:
         client: the LLM client unit tasks go out through.  One that caches
             already (a caching session's client, a ``CachedClient``) is used
             as it is: an in-run duplicate is a ``cache_hit`` call of the
-            session.  Anything else gets one private cache (``use_cache``);
-            under a ``budget``, any but a session's gets a ``BackendGate``.
+            session.  Anything else gets one private cache (``use_cache``).
+            The client names what its calls are charged to: the engine hands
+            every operator ``session.client(budget)``.  A raw client has no
+            budget; to give it one, wrap the backend in
+            ``PromptSession(backend, budget=...)`` and hand the operator
+            ``session.client()``.
         model: default model for this operator's unit tasks.
         cost_model: optional price table used to convert usage to dollars.
         use_cache: whether identical temperature-0 prompts are served from a
             response cache (recommended; several strategies re-ask pairs).
         max_concurrency: how many of the operator's independent unit tasks may
             be in flight at once; 1 (the default) runs them sequentially.
-        budget: optional budget the operator's client charges.  The gate
-            checks and charges each backend call (under ``cost_model``, else
-            the default registry's prices), so a spent budget stops a large
-            batch before its next call, instead of after the fact.  The
-            engine threads its session budget through here; a pipeline step
-            instead passes its per-step lease (:meth:`~repro.core.budget.
-            Budget.lease`), capping the operator at the step's apportioned
-            share of the remaining dollars.
     """
 
     #: Operator name used in error messages; subclasses override.
@@ -99,18 +92,14 @@ class BaseOperator:
         cost_model: CostModel | None = None,
         use_cache: bool = True,
         max_concurrency: int = 1,
-        budget: Budget | None = None,
     ) -> None:
         self.model = model
         self.tracker = UsageTracker(cost_model=cost_model)
-        cached = _caches(client)
-        if budget is not None and not isinstance(client, SessionClient):
-            client = BackendGate(client, cost_model=cost_model or default_registry().cost_model())
-        if use_cache and not cached:
+        if use_cache and not _caches(client):
             client = CachedClient(client)
         self._client = client
         self.max_concurrency = max_concurrency
-        self._executor = BatchExecutor(self._client, max_concurrency=max_concurrency, budget=budget)
+        self._executor = BatchExecutor(client, max_concurrency=max_concurrency)
         #: name -> (runner, whether it is a method of this operator to bind
         #: at dispatch).
         self._strategies: dict[str, tuple[Callable[..., Any], bool]] = {}

@@ -128,14 +128,14 @@ def test_the_lease_is_charged_and_a_spent_one_raises_out_of_the_await():
     backend = CountingClient(simulated_client())
     session = PromptSession(backend, budget=Budget(limit=100.0))
     lease = session.budget.lease(10.0)
-    asyncio.run(session.async_batch_executor(budget=lease).run(rating_prompts(8)))
+    asyncio.run(AsyncBatchExecutor(session.client(lease)).run(rating_prompts(8)))
     assert backend.calls == 8
     assert lease.spent == session.budget.spent > 0
 
     spent = session.budget.lease(0.001)
     spent.charge(0.001)
     with pytest.raises(BudgetExceededError):
-        asyncio.run(session.async_batch_executor(budget=spent).run(rating_prompts(16)[8:]))
+        asyncio.run(AsyncBatchExecutor(session.client(spent)).run(rating_prompts(16)[8:]))
     assert backend.calls == 8
 
 
@@ -149,7 +149,8 @@ def test_the_earliest_failed_request_is_the_one_raised():
 def test_a_budget_stops_a_sequential_bag_midway():
     budget = Budget(limit=1.0)
     client = EchoClient(budget=budget, charge=0.4)
-    executor = AsyncBatchExecutor(client, max_concurrency=1, budget=budget)
+    session = PromptSession(client, budget=budget)
+    executor = AsyncBatchExecutor(session.client(), max_concurrency=1)
     with pytest.raises(BudgetExceededError):
         asyncio.run(executor.run([f"p{i}" for i in range(10)]))
     # 0.4 + 0.4 fit, the third charge exceeds, the rest never go out.

@@ -15,20 +15,26 @@ import asyncio
 import pytest
 
 from repro.core.budget import Budget
-from repro.core.executor import DEFAULT_POOL_SIZE, BatchExecutor, BatchRequest
+from repro.core.executor import (
+    DEFAULT_POOL_SIZE,
+    AsyncBatchExecutor,
+    BatchExecutor,
+    BatchRequest,
+    backend_waits,
+)
 from repro.core.governor import BackendGate, ConcurrencyGovernor
-from repro.core.session import PromptSession
+from repro.core.session import BudgetScopedSession, PromptSession
 from repro.data.words import random_words
 from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitError
 from repro.llm.base import sequential_complete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.faulty import FaultyLLM
 from repro.llm.tracker import TrackedClient, UsageTracker
+from repro.operators import FilterOperator
 from tests.doubles import (
     CRITERION,
     DRIVERS,
     MAP_DRIVERS,
-    CountingClient,
     EchoClient,
     call,
     executor_for,
@@ -154,15 +160,17 @@ class TestBudgetEarlyStopping:
         budget.charge(1.0)
         client = EchoClient()
         session = PromptSession(client, budget=budget)
-        executor = BatchExecutor(session.client(), max_concurrency=1, budget=budget)
+        executor = BatchExecutor(session.client(), max_concurrency=1)
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(10)])
         assert client.calls == 0
 
     def test_budget_stops_batch_midway_sequentially(self):
+        # The backend charges the session's own budget: the gate checks it
+        # before each call.
         budget = Budget(limit=1.0)
         client = EchoClient(budget=budget, charge=0.4)
-        executor = BatchExecutor(client, budget=budget)
+        executor = BatchExecutor(PromptSession(client, budget=budget).client())
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(10)])
         # 0.4 + 0.4 fit the budget, the third charge exceeds it, and the
@@ -174,58 +182,80 @@ class TestBudgetEarlyStopping:
         budget.charge(0.5)
         client = EchoClient()
         session = PromptSession(client, budget=budget)
-        executor = BatchExecutor(session.client(), max_concurrency=4, budget=budget)
+        executor = BatchExecutor(session.client(), max_concurrency=4)
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(16)])
         assert client.calls == 0
 
     @pytest.mark.parametrize("concurrency", CONCURRENCIES)
     def test_a_gate_around_a_raw_client_refuses_a_spent_budget(self, concurrency):
-        # No session charges this budget; the executor names it as the
-        # charge target, and the gate refuses to spend past it.
-        budget = Budget(limit=1.0)
-        budget.charge(1.0)
+        # The session client names a spent lease over an unlimited session
+        # budget; the session's gate refuses to spend past it.
         client = EchoClient()
-        executor = BatchExecutor(BackendGate(client), max_concurrency=concurrency, budget=budget)
+        session = PromptSession(client)
+        lease = session.budget.lease(1.0)
+        lease.charge(1.0)
+        executor = BatchExecutor(session.client(lease), max_concurrency=concurrency)
         with pytest.raises(BudgetExceededError):
             executor.run([f"p{i}" for i in range(8)])
         assert client.calls == 0
 
-    def test_the_executor_leaves_the_refusal_to_a_gate_it_reaches(self):
-        # The gate says so through an attribute (the executor names no gate
-        # class), read down the wrapper chain like a session client's.
-        budget = Budget(limit=1.0)
-        assert BackendGate.refuses_spent_budget
-        assert not BatchExecutor(BackendGate(EchoClient()), budget=budget)._ungated
-        assert not BatchExecutor(CachedClient(BackendGate(EchoClient())), budget=budget)._ungated
-        assert BatchExecutor(EchoClient(), budget=budget)._ungated
-
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_a_bare_executor_over_a_raw_client_refuses_a_spent_budget(self, driver):
-        # No gate below: the executor itself refuses before the first call.
-        budget = Budget(limit=1.0)
-        budget.charge(1.0)
-        client = CountingClient()
-        executor = executor_for(driver, client, budget=budget)
-        with pytest.raises(BudgetExceededError):
-            call(executor, "run", ["p0", "p1", "p2"])
-        assert client.calls == 0
-
-    def test_a_budget_the_session_client_does_not_charge_is_refused(self):
-        session = PromptSession(EchoClient(), budget=Budget(limit=1.0))
-        lease = session.budget.lease(0.5)
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(session.client(), budget=lease)
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(session.client(lease), budget=session.budget)
-        assert BatchExecutor(session.client(lease), budget=lease).budget is lease
-        assert BatchExecutor(session.client(), budget=session.budget).budget is session.budget
-
     def test_unlimited_budget_never_stops(self):
         client = EchoClient()
-        executor = BatchExecutor(client, budget=Budget())
+        executor = BatchExecutor(PromptSession(client, budget=Budget()).client())
         assert len(executor.run([f"p{i}" for i in range(5)])) == 5
         assert client.calls == 5
+
+
+#: Every surface that once took a ``budget=`` of its own, called with one.
+BUDGET_SURFACES = {
+    "BatchExecutor": lambda session, budget: BatchExecutor(session.client(), budget=budget),
+    "AsyncBatchExecutor": lambda session, budget: AsyncBatchExecutor(
+        session.client(), budget=budget
+    ),
+    "BaseOperator": lambda session, budget: FilterOperator(session.client(), "p", budget=budget),
+    "PromptSession.complete": lambda session, budget: session.complete("p", budget=budget),
+    "PromptSession.complete_batch": lambda session, budget: session.complete_batch(
+        ["p"], budget=budget
+    ),
+    "SessionClient.complete": lambda session, budget: session.client().complete(
+        "p", budget=budget
+    ),
+    "SessionClient.complete_batch": lambda session, budget: session.client().complete_batch(
+        ["p"], budget=budget
+    ),
+    "batch_executor": lambda session, budget: session.batch_executor(budget=budget),
+    "async_batch_executor": lambda session, budget: session.async_batch_executor(budget=budget),
+}
+
+
+class TestTheOneBudgetHandle:
+    """The session client alone names what a call is charged to, and the
+    first class down a client chain that declares ``gated`` says when a call
+    waits."""
+
+    @pytest.mark.parametrize("surface", sorted(BUDGET_SURFACES))
+    def test_no_other_surface_takes_a_budget(self, surface):
+        client = EchoClient()
+        with pytest.raises(TypeError, match="budget"):
+            BUDGET_SURFACES[surface](PromptSession(client), Budget(limit=1.0))
+        assert client.calls == 0
+
+    def test_a_scoped_sessions_executor_charges_its_lease(self):
+        session = PromptSession(_simulated_client())
+        lease = session.budget.lease(10.0)
+        BudgetScopedSession(session, lease).batch_executor().run(_rating_prompts(4))
+        assert lease.spent == session.budget.spent > 0
+
+    def test_the_gated_class_attribute_is_the_one_gate_marker(self):
+        session = PromptSession(EchoClient())
+        scoped = BudgetScopedSession(session, session.budget.lease(1.0))
+        for gated in (BackendGate(EchoClient()), CachedClient(BackendGate(EchoClient()))):
+            assert backend_waits(gated) is None
+        assert backend_waits(session.client()) is None and backend_waits(scoped) is None
+        marked = EchoClient()
+        marked.gated = True  # an instance attribute marks no gate
+        assert backend_waits(marked) is False
 
 
 class TestConcurrentDuplicateHandling:
@@ -337,82 +367,8 @@ class TestBatchExecutorMap:
         assert ran == ["a"]
         assert outcomes[2].skipped and not outcomes[2].ok
 
-    @pytest.mark.parametrize("concurrency", CONCURRENCIES)
-    def test_exhausted_budget_stops_dispatch(self, concurrency):
-        budget = Budget(limit=1.0)
-        budget.charge(1.0)
-        executor = BatchExecutor(EchoClient(), max_concurrency=concurrency, budget=budget)
-        outcomes = executor.map([lambda: 1, lambda: 2])
-        # The tasks never ran: skipped, with the budget error attached to the
-        # one(s) that failed the pre-dispatch check.
-        assert not any(outcome.ok for outcome in outcomes)
-        assert all(outcome.skipped for outcome in outcomes)
-        errors = [outcome.error for outcome in outcomes if outcome.error is not None]
-        assert errors and all(isinstance(error, BudgetExceededError) for error in errors)
-
-    def test_budget_skip_outcome_parity_between_paths(self):
-        # Pin: every task an exhausted budget prevents from running carries
-        # the BudgetExceededError, on BOTH the sequential and the concurrent
-        # path — not just the first one the pre-dispatch check happened to
-        # reject.  Callers (the pipeline scheduler) rely on this to tell
-        # budget skips from sibling-failure skips without caring which path
-        # executed the batch.
-        def shapes(concurrency: int) -> list[tuple[bool, bool, str | None]]:
-            budget = Budget(limit=1.0)
-            budget.charge(1.0)
-            executor = BatchExecutor(
-                EchoClient(), max_concurrency=concurrency, budget=budget
-            )
-            outcomes = executor.map([lambda: 1, lambda: 2, lambda: 3, lambda: 4])
-            return [
-                (o.ok, o.skipped, type(o.error).__name__ if o.error else None)
-                for o in outcomes
-            ]
-
-        sequential = shapes(1)
-        concurrent = shapes(4)
-        assert sequential == concurrent
-        assert sequential == [(False, True, "BudgetExceededError")] * 4
-
-    def test_midway_exhaustion_attaches_error_to_every_budget_skip(self):
-        # Tasks charge the budget as they run; once it dies, every task the
-        # pre-dispatch check turned away must carry the error — and whatever
-        # the thread timing, the budget's death is always visible on at
-        # least one outcome (a skip with the error attached, or a mid-task
-        # breach reported as a failure).
-        for concurrency in CONCURRENCIES:
-            budget = Budget(limit=1.0)
-            executor = BatchExecutor(
-                EchoClient(), max_concurrency=concurrency, budget=budget
-            )
-
-            def spend() -> str:
-                budget.charge(0.5)
-                return "ran"
-
-            outcomes = executor.map([spend] * 6)
-            budget_errors = [
-                outcome
-                for outcome in outcomes
-                if isinstance(outcome.error, BudgetExceededError)
-            ]
-            assert budget_errors, f"budget death invisible at concurrency {concurrency}"
-            # A skipped outcome carries either nothing (a sibling failed
-            # mid-run first) or the budget error — never a different one.
-            for outcome in outcomes:
-                if outcome.skipped and outcome.error is not None:
-                    assert isinstance(outcome.error, BudgetExceededError)
-            # The sequential path is fully deterministic: two tasks fit the
-            # budget, the other four are budget-skips with the error.
-            if concurrency == 1:
-                assert [outcome.ok for outcome in outcomes] == [True] * 2 + [False] * 4
-                assert all(
-                    outcome.skipped and isinstance(outcome.error, BudgetExceededError)
-                    for outcome in outcomes[2:]
-                )
-
     @pytest.mark.parametrize("driver", MAP_DRIVERS)
-    def test_map_reports_the_first_failure_and_budget_skips(self, driver):
+    def test_map_reports_the_first_failure(self, driver):
         def boom():
             raise ValueError("boom")
 
@@ -421,10 +377,6 @@ class TestBatchExecutorMap:
         assert (outcomes[0].ok, outcomes[0].value) == (True, 1)
         assert isinstance(outcomes[1].error, ValueError) and not outcomes[1].skipped
         assert outcomes[2].skipped and outcomes[2].error is None
-        spent = Budget(limit=1.0)
-        spent.charge(1.0)
-        outcomes = executor_for(driver, EchoClient(), budget=spent).map([lambda: 1] * 4)
-        assert all(o.skipped and isinstance(o.error, BudgetExceededError) for o in outcomes)
 
     @pytest.mark.parametrize("driver", MAP_DRIVERS)
     def test_a_task_that_raises_cancelled_error_is_a_failed_outcome_at_every_width(

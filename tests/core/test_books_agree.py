@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.budget import Budget
+from repro.core.executor import BatchExecutor, BatchRequest
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.exceptions import BackendConnectionError, BudgetExceededError
@@ -25,7 +26,7 @@ from repro.llm.faulty import FaultyLLM
 from repro.llm.retry import RetryingClient
 from repro.obs import trace_label
 from repro.tokenizer.cost import to_dollars, to_nanos
-from tests.doubles import call, executor_for, rating_prompts, simulated_client
+from tests.doubles import ask, call, executor_for, rating_prompts, simulated_client
 
 MODEL = "sim-gpt-3.5-turbo"
 STEP, OPERATOR = "screen", "sort:rating"
@@ -186,7 +187,7 @@ class TestUnderALimit:
         kind, width, _ = DRIVERS[driver]
         with trace_label(step=STEP, operator=OPERATOR):
             client = session.client(None if charged is session.budget else charged)
-            executor = executor_for(kind, client, concurrency=width, budget=charged)
+            executor = executor_for(kind, client, concurrency=width)
             return call(executor, "run", self.PROMPTS)
 
     def test_spent_mid_bag_it_stops_before_the_next_backend_call(self, kind, driver, governed):
@@ -220,3 +221,35 @@ class TestUnderALimit:
         assert charged.spent == budget.spent > 0 and not charged.exhausted
         if governed:
             assert governor.stats.admitted == client.calls and governor.in_flight == 0
+
+
+class Keeping(FaultyLLM):
+    """The fault double keeping the budget it watches as ``charged``: an
+    attribute that marks no gate."""
+
+    charged: Budget | None = None
+
+
+@pytest.mark.parametrize("entry", ["complete", "complete_batch", "width 1", "width 8"])
+def test_a_backend_with_a_charged_attribute_is_charged_and_stopped(entry):
+    """Only the gate and the session client mark themselves ``gated``: the
+    session's gate over this double charges each call and refuses the call
+    after the one whose charge crossed the limit."""
+    prompts = POOL[:10]
+    crossed = spend_of_the_first(3, prompts)
+    budget = Budget(limit=to_dollars(crossed - 1))
+    client = Keeping(simulated_client())
+    client.charged = budget
+    session = PromptSession(client, budget=budget)
+    with trace_label(step=STEP, operator=OPERATOR), pytest.raises(BudgetExceededError):
+        if entry.startswith("width"):
+            executor = BatchExecutor(session.client(), max_concurrency=int(entry[6:]))
+            executor.run([BatchRequest(prompt, model=MODEL) for prompt in prompts])
+        else:
+            ask(session, entry, prompts, model=MODEL)
+    assert client.answered == prompts[:3]
+    assert budget.spent == to_dollars(crossed)
+    assert_the_books_agree(session, client, errors=0)
+    with pytest.raises(BudgetExceededError):
+        session.complete(POOL[20], model=MODEL)
+    assert client.calls == 3

@@ -361,7 +361,7 @@ class TestAmbientContext:
 
 
 class TestOutcomesDoNotDependOnTheRegime:
-    """(e) failure, skipped and budget-stop outcomes with and without helper threads."""
+    """(e) failure and skipped outcomes with and without helper threads."""
 
     @staticmethod
     def shape(outcomes):
@@ -386,18 +386,6 @@ class TestOutcomesDoNotDependOnTheRegime:
         executor = BatchExecutor(gate, max_concurrency=2)
         return self.shape(executor.map([first, boom, lambda: "third", lambda: "fourth"]))
 
-    def budget_outcomes(self, blocking: bool):
-        budget = Budget(limit=1.0)
-        gate = BackendGate(BarrierClient(2) if blocking else EchoClient())
-
-        def spend():
-            budget.charge(0.5)
-            gate.complete("spend")
-            return "ran"
-
-        executor = BatchExecutor(gate, max_concurrency=2, budget=budget)
-        return self.shape(executor.map([spend] * 6))
-
     def test_failure_and_skipped(self):
         blocking = self.failure_outcomes(blocking=True)
         assert blocking == self.failure_outcomes(blocking=False)
@@ -407,11 +395,6 @@ class TestOutcomesDoNotDependOnTheRegime:
             (None, None, True),
             (None, None, True),
         ]
-
-    def test_budget_stop(self):
-        blocking = self.budget_outcomes(blocking=True)
-        assert blocking == self.budget_outcomes(blocking=False)
-        assert blocking == [("ran", None, False)] * 2 + [(None, "BudgetExceededError", True)] * 4
 
     def test_run_raises_the_earliest_failure(self):
         class Failing(BarrierClient):
@@ -435,9 +418,7 @@ class TestOutcomesDoNotDependOnTheRegime:
         client = BarrierClient(WIDTH)
         session = PromptSession(client, budget=budget)
         with pytest.raises(BudgetExceededError):
-            BatchExecutor(session.client(), max_concurrency=WIDTH, budget=budget).run(
-                ["a", "b", "c"]
-            )
+            BatchExecutor(session.client(), max_concurrency=WIDTH).run(["a", "b", "c"])
         assert client.calls == 0
 
 

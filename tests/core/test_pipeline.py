@@ -584,6 +584,37 @@ class TestBudgetApportionment:
         assert _steps(report, "completed") == []
         assert report.total_calls == 0
 
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_a_step_that_finds_the_budget_spent_when_it_starts_does_not_run(self, concurrency):
+        """A ``run=`` step spends the session budget ahead of a spec step in
+        its wave: the spec step and its dependent are never dispatched."""
+
+        def spend(session_, inputs):
+            session_.budget.charge(session_.budget.remaining)
+            return "spent"
+
+        engine = _flavor_engine(budget=Budget(limit=0.001))
+        pipeline = PipelineSpec(
+            name="spent-ahead",
+            steps=[
+                PipelineStep("spend", run=spend),
+                PipelineStep("rank", task=SortSpec(items=LEFT, criterion=CHOCOLATEY, strategy="rating")),
+                PipelineStep("merge", run=lambda session_, inputs: True, depends_on=("rank",)),
+            ],
+        )
+        report = engine.run_pipeline(pipeline, max_concurrency=concurrency)
+        assert report.waves == [["spend", "rank"], ["merge"]]
+        assert _steps(report, "completed") == ["spend"]
+        assert _steps(report, "skipped") == ["rank", "merge"]
+        assert report.stopped_early and report.stop_reason == (
+            "budget exhausted before step(s) 'rank', 'merge': spent $0.001000 of $0.001000"
+        )
+        assert report.step_reports["rank"].calls == 0
+        assert report.step_reports["rank"].span_id is None
+        assert engine.session.tracker.usage.calls == 0
+        steps = [span.label for span in engine.session.spans.spans() if span.kind == "step"]
+        assert steps == ["spend"]
+
     def test_failure_in_a_step_raises_after_finalizing(self):
         def boom(session_, inputs):
             raise RuntimeError("step exploded")

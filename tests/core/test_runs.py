@@ -116,7 +116,7 @@ def test_a_limited_bag_takes_runs_and_stops_before_its_next_backend_call_once_sp
     budget = Budget(limit=limit) if case == "budget" else Budget(limit=1000.0).lease(limit)
     backend = FaultyLLM(simulated_client())
     session = PromptSession(backend)
-    executor = BatchExecutor(session.client(budget), max_concurrency=WIDTH, budget=budget)
+    executor = BatchExecutor(session.client(budget), max_concurrency=WIDTH)
     settles.clear()
     with pytest.raises(BudgetExceededError):
         executor.run(asked)

@@ -186,7 +186,7 @@ class TestABagThatEndsEarly:
         client = FaultyLLM(simulated_client())
         session = PromptSession(client, budget=Budget(limit=probe.budget.spent * 0.95))
         with pytest.raises(BudgetExceededError):
-            run_bag(session, driver, width_of(driver), prompts, budget=session.budget)
+            run_bag(session, driver, width_of(driver), prompts)
         assert 0 < len(client.answered) < len(prompts)
         assert session.budget.spent >= session.budget.limit  # the breaching charge counts
         assert_books_agree(session, len(client.answered))

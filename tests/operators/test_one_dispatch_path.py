@@ -26,6 +26,7 @@ from repro.core.budget import Budget
 from repro.core.declarations import DECLARATIONS, declaration_for
 from repro.core.engine import DeclarativeEngine
 from repro.core.governor import ConcurrencyGovernor
+from repro.core.session import PromptSession
 from repro.core.spec import (
     CategorizeSpec,
     ClusterSpec,
@@ -207,11 +208,13 @@ def test_a_spent_budget_answers_a_cached_rerun(case: Case, spent: str, state: st
 
 @pytest.mark.parametrize("use_cache", (True, False))
 def test_a_spent_budget_stops_an_operator_over_a_raw_client(use_cache: bool):
-    # No session below: the operator's own gate refuses a call once the
-    # budget is spent, by whoever spent it; a cached answer stays free.
+    # A raw client has no budget: a session over it gives the operator one,
+    # and the session's gate refuses a call once the budget is spent, by
+    # whoever spent it; a cached answer stays free.
     backend = counting_client()
-    budget = Budget(limit=1.0)
-    operator = FilterOperator(backend, NOT_COG, model=MODEL, budget=budget, use_cache=use_cache)
+    session = PromptSession(backend, budget=Budget(limit=1.0), use_cache=use_cache)
+    budget = session.budget
+    operator = FilterOperator(session.client(), NOT_COG, model=MODEL, use_cache=use_cache)
     first = operator.run(RECORDS[:4])
     assert backend.calls == 4
     budget.charge(1.0 - budget.spent)

@@ -361,10 +361,16 @@ _bags = st.lists(
 )
 
 
+def _response_shape(response: LLMResponse) -> tuple:
+    """A response without the id of its call span, which settle order sets."""
+    metadata = {k: v for k, v in response.metadata.items() if k != "trace_call_id"}
+    return (response.text, response.model, response.usage, metadata)
+
+
 def _outcome_shape(outcome):
     value = outcome.value
     if isinstance(value, LLMResponse):
-        value = (value.text, value.model, value.usage, value.metadata)
+        value = _response_shape(value)
     return (outcome.ok, outcome.skipped, type(outcome.error), value)
 
 
@@ -374,29 +380,28 @@ class TestDriverEquivalenceProperties:
 
     The bag has duplicate prompts and mixed models and temperatures;
     optionally one request fails, or the budget affords only the first few
-    calls (every backend call charges a dollar).
+    calls (every backend call charges the session's budget a dollar).
     """
 
     @staticmethod
     def _drive(driver, concurrency, bag, afford, method):
         budget = Budget(limit=float(afford)) if afford is not None else None
         client = FaultyLLM(EchoClient(budget=budget, charge=1.0), {"boom": ValueError("boom")})
+        # ``run`` goes behind the session's cache: it keeps temperature-0
+        # duplicates from racing each other past it, so hits and misses must
+        # agree too.  ``map`` tasks are opaque callables with no such
+        # protection, so their session has no cache: nothing they return
+        # depends on timing.
+        session = PromptSession(client, budget=budget, use_cache=method == "run")
+        executor = executor_for(driver, session.client(), concurrency=concurrency)
         if method == "run":
-            # Behind a cache: ``run`` keeps temperature-0 duplicates from
-            # racing each other past it, so hits and misses must agree too.
-            executor = executor_for(
-                driver, CachedClient(client), concurrency=concurrency, budget=budget
-            )
             try:
                 responses = call(executor, "run", bag)
             except (ValueError, BudgetExceededError) as exc:
                 return type(exc)
-            return [(r.text, r.model, r.usage, r.metadata) for r in responses]
-        # ``map`` tasks are opaque callables with no such protection, so they
-        # go to the backend directly: nothing they return depends on timing.
-        executor = executor_for(driver, client, concurrency=concurrency, budget=budget)
+            return [_response_shape(r) for r in responses]
         tasks = [
-            lambda request=request: client.complete(
+            lambda request=request: session.complete(
                 request.prompt, model=request.model, temperature=request.temperature
             )
             for request in bag
@@ -450,10 +455,10 @@ class TestDriverEquivalenceProperties:
             assert outcomes[: failing + 1] == reference[: failing + 1]
             assert all(ok or skipped for ok, skipped, _, _ in outcomes[failing + 1 :])
         else:
-            # Several tasks can pass the pre-check on the last dollar and
-            # breach mid-task, which cancels the queue behind them: what
-            # did not complete names the budget, or is a bare skip behind
-            # such a breach — and the budget's death shows on some outcome.
+            # The gate refuses the task after the last dollar, which cancels
+            # the queue behind it: what did not complete names the budget,
+            # or is a bare skip behind such a refusal — and the budget's
+            # death shows on some outcome.
             stopped = [(skipped, error) for ok, skipped, error, _ in outcomes if not ok]
             assert all(
                 error is BudgetExceededError or (skipped and error is type(None))
