@@ -224,12 +224,11 @@ class BatchExecutor:
     with no gate, the innermost client's ``waits`` does from the first task.
     All have exited when ``run``/``map`` returns.  Until then, when the bag
     passes :meth:`_native`, the dispatching thread sends *runs* of it as
-    native batches: the first call goes alone, each run doubles the next up
-    to ``_MAX_RUN`` calls, and the last ``max_concurrency - 1`` requests are
-    never part of a run; one whose call is about to wait ends there and
-    queues what it did not send.  Then every thread takes one unit task per
-    turn.  A ``map`` task that reaches no backend that waits runs in turn on
-    the dispatching thread.
+    native batches: the first call goes alone, then each run takes up to
+    ``_MAX_RUN`` calls.  A run whose call is about to wait ends there and
+    queues what it did not send, so a slow tail still finds a full width of
+    helpers.  Then every thread takes one unit task per turn.  A ``map`` task
+    that reaches no backend that waits runs in turn on the dispatching thread.
 
     What is per call and what is per bag: the gate checks and charges each
     backend call before the next goes out, to what the client names (a
@@ -490,17 +489,13 @@ class BatchExecutor:
 
         def dispatch() -> None:
             # The dispatching thread, until the hook fires (no helper takes
-            # before): each run doubles the next, up to ``_MAX_RUN``.  The last
-            # ``max_concurrency - 1`` requests stay out of runs, so that a slow
-            # remainder still finds a full width of helpers.
-            size, reserve = 1, self.max_concurrency - 1
+            # before): the first call alone (over a backend that waits, it
+            # brings the helpers in before a run reaches the cache), then runs
+            # of ``_MAX_RUN``.  The hook ends a run at its first waiting call
+            # and the run queues the rest, so a slow tail finds a full width.
+            unit(queue.popleft())
             while queue and not (wide or stop.is_set()):
-                taken = [queue.popleft() for _ in range(max(1, min(size, len(queue) - reserve)))]
-                if len(taken) > 1:
-                    batch(taken)
-                else:
-                    unit(taken[0])
-                size = min(2 * size, _MAX_RUN)
+                batch([queue.popleft() for _ in range(min(_MAX_RUN, len(queue)))])
             work()
 
         def widen() -> bool:

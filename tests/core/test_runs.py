@@ -17,11 +17,16 @@ import threading
 import pytest
 
 from repro.core.budget import Budget
+from repro.core.engine import DeclarativeEngine
 from repro.core.executor import BatchExecutor, BatchRequest
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
+from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep, SortSpec
+from repro.data.words import random_words
 from repro.exceptions import BudgetExceededError
 from repro.llm.faulty import FaultyLLM
+from repro.llm.oracle import Oracle
+from repro.llm.simulated import SimulatedLLM
 from repro.tokenizer.cost import to_dollars, to_nanos
 from tests.doubles import EchoClient, simulated_client
 
@@ -47,12 +52,13 @@ def settles(monkeypatch) -> list[int]:
 
 
 class Census:
-    """The simulator, noting the calling thread and how many threads were alive."""
+    """The simulator (or ``inner``), noting the calling thread and how many
+    threads were alive."""
 
     waits = False
 
-    def __init__(self) -> None:
-        self._inner = simulated_client()
+    def __init__(self, inner=None) -> None:
+        self._inner = inner or simulated_client()
         self.default_model = self._inner.default_model
         self.threads: set[int] = set()
         self.alive: set[int] = set()
@@ -72,10 +78,8 @@ def test_a_bag_that_never_waits_goes_out_in_runs_on_the_calling_thread(settles):
     assert client.threads == {threading.get_ident()}
     assert client.alive == {baseline}  # no helper
     assert threading.active_count() == baseline
-    assert sum(settles) == 600
-    assert len(settles) < 600 / 10 and max(settles) > 1
-    # The first call goes alone; so do the last ``WIDTH - 1``.
-    assert settles[0] == 1 and settles[-(WIDTH - 1):] == [1] * (WIDTH - 1)
+    # The first call goes alone, then runs of 32 to the end of the bag.
+    assert settles == [1] + [32] * 18 + [23]
 
 
 def test_a_governed_bag_goes_out_in_runs_and_each_backend_call_is_admitted(settles):
@@ -108,8 +112,8 @@ def spend_of_the_first(count: int, asked: list[str]) -> int:
 def test_a_limited_bag_takes_runs_and_stops_before_its_next_backend_call_once_spent(
     case, settles
 ):
-    """The 20th call's charge crosses the limit, inside the run of 16 that
-    starts at the 16th: it is booked, and no later call is made."""
+    """The 20th call's charge crosses the limit, inside the run of 32 that
+    starts at the 2nd: it is booked, and no later call is made."""
     asked = prompts(60)
     crossed = spend_of_the_first(20, asked)
     limit = to_dollars(crossed - 1)
@@ -120,7 +124,7 @@ def test_a_limited_bag_takes_runs_and_stops_before_its_next_backend_call_once_sp
     settles.clear()
     with pytest.raises(BudgetExceededError):
         executor.run(asked)
-    assert settles == [1, 2, 4, 8, 5]  # runs, the last cut at the crossing call
+    assert settles == [1, 19]  # runs, the last cut at the crossing call
     assert backend.answered == asked[:20] and backend.calls == 20
     assert session.tracker.usage.calls == len(session.spans.records()) == 20
     assert budget.spent == to_dollars(session.tracker.cost()) == to_dollars(crossed)
@@ -172,11 +176,12 @@ def test_helpers_that_join_while_runs_are_taken_lose_no_call(warm, settles):
 
 
 def test_a_run_that_meets_a_miss_leaves_its_misses_to_the_helpers(settles):
-    """Behind a warm cache, the run of 32 that starts at the 32nd request holds
-    a miss at every other place.  Its first miss ends it, and the misses after
-    it reach more than one thread: two of them, each held until the other
-    arrives, meet (sent in series on one thread, the first would wait for
-    good, and the barrier breaks after its timeout)."""
+    """Behind a warm cache that holds the first 32 requests and every other
+    one after them, the run of 32 that starts at the 2nd request ends at its
+    one miss, the 33rd, and the misses after it reach more than one thread:
+    two of them, each held until the other arrives, meet (sent in series on
+    one thread, the first would wait for good, and the barrier breaks after
+    its timeout)."""
     bag = prompts(200)
     meet = threading.Barrier(2, timeout=10)
     backend = Waiting()
@@ -185,7 +190,7 @@ def test_a_run_that_meets_a_miss_leaves_its_misses_to_the_helpers(settles):
     settles.clear()
     responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(bag)
     assert [response.text for response in responses] == [f"echo:{p}" for p in bag]
-    assert settles[:6] == [1, 2, 4, 8, 16, 1]  # the run of 32 settled its first hit
+    assert settles[:2] == [1, 31]  # the run of 32 settled its hits before the miss
     assert len({backend.on[prompt] for prompt in bag[34:63:2]}) > 1
 
 
@@ -226,11 +231,10 @@ def record_key(record) -> tuple:
             record.completion_tokens, round(record.cost, 12), record.cache_hit, record.error)
 
 
-def test_runs_double_from_one_call_up_to_32_at_the_real_stall_threshold(settles):
-    """Over the simulator, which declares that it does not wait, runs go 1,
-    2, 4, ... and never take more than 32 calls, so a 600-call bag settles
-    in 30 runs (the last ``WIDTH - 1`` calls alone), however busy the host:
-    asked of one bag."""
+def test_runs_take_32_calls_after_the_first(settles):
+    """Over the simulator, which declares that it does not wait, the first
+    call goes alone and each run after it takes 32 calls, so a 600-call bag
+    settles in 20 runs, however busy the host: asked of one bag."""
     asked = prompts(600)
     reference = PromptSession(simulated_client())
     expected = [response.text for response in BatchExecutor(reference.client()).run(asked)]
@@ -240,8 +244,66 @@ def test_runs_double_from_one_call_up_to_32_at_the_real_stall_threshold(settles)
     responses = BatchExecutor(session.client(), max_concurrency=WIDTH).run(asked)
     assert [response.text for response in responses] == expected
     assert sorted(map(record_key, session.spans.records())) == expected_records
-    assert sum(settles) == 600 and max(settles) <= 32
-    assert settles[-(WIDTH - 1):] == [1] * (WIDTH - 1)
-    best = list(settles)
-    assert len(best) <= 30, len(best)
-    assert best[:6] == [1, 2, 4, 8, 16, 32]
+    assert settles == [1] + [32] * 18 + [23]
+
+
+EARLY = "starts early in the alphabet"
+ALPHABETICAL = "alphabetical order"
+
+
+def job_oracle() -> Oracle:
+    oracle = Oracle()
+    oracle.register_predicate(EARLY, lambda word: word[0] in "abcdefghijklm")
+    oracle.register_key(ALPHABETICAL, key=lambda word: word)
+    return oracle
+
+
+def test_a_service_job_settles_four_times_on_the_calling_thread(settles):
+    """A job of the service's shape at its tenant width of 4: a per-item
+    filter of 8 words, then a pairwise sort of those 8 (28 pairs).  Each bag
+    goes out as its first call, then one run of the rest."""
+    for count in (8, 28):
+        settles.clear()
+        session = PromptSession(simulated_client())
+        assert len(BatchExecutor(session.client(), max_concurrency=4).run(prompts(count))) == count
+        assert settles == [1, count - 1]
+    words = random_words(8, seed=11)
+    spec = PipelineSpec(
+        name="job",
+        steps=[
+            PipelineStep(
+                "screen", task=FilterSpec(items=words, predicate=EARLY, strategy="per_item")
+            ),
+            PipelineStep(
+                "rank",
+                task=SortSpec(items=words, criterion=ALPHABETICAL, strategy="pairwise"),
+                depends_on=("screen",),
+            ),
+        ],
+    )
+    reports, baseline = [], threading.active_count()
+    for width in (1, 4):
+        client = Census(SimulatedLLM(job_oracle(), seed=3))
+        engine = DeclarativeEngine(session=PromptSession(client, max_concurrency=width))
+        settles.clear()
+        reports.append(engine.run_pipeline(spec))
+    alone, wide = reports
+    assert wide.results["screen"].kept == alone.results["screen"].kept
+    assert wide.results["rank"].order == alone.results["rank"].order
+    assert settles == [1, 7, 1, 27]
+    assert engine.session.tracker.usage.calls == 36
+    assert client.threads == {threading.get_ident()} and client.alive == {baseline}
+
+
+def test_a_slow_tail_still_finds_a_full_width_of_helpers():
+    """With no requests held back from the runs, the last 4 of 8 requests —
+    cache misses, each held until all 4 arrive — still go out on 4 threads:
+    the first miss ends its run, which queues the rest for the helpers (sent
+    with fewer in flight, the barrier breaks after its timeout)."""
+    bag = prompts(8)
+    meet = threading.Barrier(4, timeout=10)
+    client = FaultyLLM(EchoClient(), {prompt: meet.wait for prompt in bag[4:]})
+    session = warm_session(client, bag[:4])
+    responses = BatchExecutor(session.client(), max_concurrency=4).run(bag)
+    assert [response.text for response in responses] == [f"echo:{p}" for p in bag]
+    assert not meet.broken and sorted(client.answered[4:]) == bag[4:] and client.calls == 8
