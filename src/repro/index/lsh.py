@@ -123,6 +123,8 @@ class LSHIndex:
         #: fraction of the corpus when the hash spreads well.  Not persisted.
         self.probes = 0
         self.candidates_examined = 0
+        #: Distances :meth:`knn_graph` evaluated (an exact scan: n·(n − 1)).
+        self.pairs_ranked = 0
 
     @classmethod
     def for_corpus(
@@ -313,6 +315,7 @@ class LSHIndex:
         runs = np.unique(lengths, return_counts=True)
         for size, buckets in zip(runs[0].tolist(), runs[1].tolist()):
             high = low + size * buckets
+            self.pairs_ranked += buckets * size * (size - 1)
             limit = min(k, size - 1)
             if size > _HUGE_BUCKET:
                 # Oversized buckets rank in chunks of rows, which bounds any

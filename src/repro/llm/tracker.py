@@ -1,9 +1,9 @@
 """Usage tracking: token counts, their cost, and per-model breakdowns.
 
-Every operator threads its LLM calls through a :class:`UsageTracker`, which is
-what lets the declarative engine enforce budgets (Section 3) and lets the
-benchmark harnesses report the prompt/completion token columns of Tables 1
-and 4.
+A :class:`UsageTracker` is a book of LLM calls: the session settles every call
+into its own (the one budgets, metrics and reports reconcile against) and
+into its pipeline step's, and each operator run books its calls in a fresh
+one, its ``result.usage`` and ``result.cost`` (the columns of Tables 1-4).
 
 The tracker is thread-safe: the batched execution layer
 (:mod:`repro.core.executor`) records usage from a pool of worker threads, so
@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.llm.base import BaseClient, Call, LLMClient, LLMResponse, answered_prefix
+from repro.llm.base import LLMResponse
 from repro.tokenizer.cost import CostModel, CostSummary, Usage, to_dollars
 
 
@@ -97,24 +97,3 @@ class UsageTracker:
         with self._lock:
             self._by_model.clear()
 
-
-class TrackedClient(BaseClient):
-    """LLM client wrapper that records every call into a :class:`UsageTracker`."""
-
-    def __init__(self, client: LLMClient, tracker: UsageTracker) -> None:
-        self._client = client
-        self.tracker = tracker
-
-    def _call(self, call: Call) -> list[LLMResponse]:
-        """Forward the call to the inner client and record it atomically.
-
-        A batch that raises part-way records the answered prefix it carries
-        (:func:`~repro.llm.base.carry_answered`): those calls were made.
-        """
-        try:
-            responses = call.to(self._client).run()
-        except BaseException as exc:
-            self.tracker.record_batch(answered_prefix(exc, call.prompts) or ())
-            raise
-        self.tracker.record_batch(responses)
-        return responses

@@ -1,9 +1,10 @@
 """Shared plumbing for operators: results, strategy registries, LLM access.
 
-Every operator extends :class:`BaseOperator`, which owns a usage tracker fed
-by what its dispatches return (so token/cost accounting is automatic), a
-client whose calls cross one response cache, and a registry of named
-strategies.  Operator results extend
+Every operator extends :class:`BaseOperator`, which owns a client whose
+calls cross one response cache and a registry of named strategies.  Each
+run goes through :meth:`BaseOperator._run`, which keeps that run's book: a
+fresh usage tracker fed by what its dispatches return, read into the
+result when the strategy returns.  Operator results extend
 :class:`OperatorResult`, which carries the usage and dollar cost alongside the
 task output so benchmarks can report the cost columns of the paper's tables
 without extra bookkeeping.
@@ -94,6 +95,7 @@ class BaseOperator:
         max_concurrency: int = 1,
     ) -> None:
         self.model = model
+        #: The book of the current (or last) run: :meth:`_booked` starts one.
         self.tracker = UsageTracker(cost_model=cost_model)
         if use_cache and not _caches(client):
             client = CachedClient(client)
@@ -171,18 +173,19 @@ class BaseOperator:
         self.tracker.record_batch(responses)
         return responses
 
-    def _usage_snapshot(self) -> Usage:
-        """Copy of the usage accumulated so far (used to diff per-run usage)."""
-        self._cost_snapshot = self.tracker.cost()
-        return self.tracker.usage
+    # -- runs ------------------------------------------------------------------------
 
-    def _finalize(self, result: OperatorResult, usage_before: Usage) -> None:
-        """Fill in the usage/cost delta accumulated since ``usage_before``."""
-        total = self.tracker.usage
-        result.usage = Usage(
-            prompt_tokens=total.prompt_tokens - usage_before.prompt_tokens,
-            completion_tokens=total.completion_tokens - usage_before.completion_tokens,
-            calls=total.calls - usage_before.calls,
-        )
-        if self.tracker.cost_model is not None:
-            result.cost = to_dollars(self.tracker.cost() - getattr(self, "_cost_snapshot", 0))
+    def _run(self, strategy: str, *args: Any, **kwargs: Any) -> Any:
+        """Run the registered ``strategy`` on ``args`` as one booked run."""
+        return self._booked(strategy, self._strategy(strategy), *args, **kwargs)
+
+    def _booked(self, strategy: str, runner: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Call ``runner`` on a fresh ``self.tracker``; the result's ``usage`` and
+        ``cost`` are what the run's dispatches recorded there, and nothing else."""
+        self.tracker = book = UsageTracker(cost_model=self.tracker.cost_model)
+        result = runner(*args, **kwargs)
+        result.strategy = strategy
+        result.usage = book.usage
+        if book.cost_model is not None:
+            result.cost = to_dollars(book.cost())
+        return result

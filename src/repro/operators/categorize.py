@@ -49,11 +49,7 @@ class CategorizeOperator(BaseOperator):
     def run(self, items: Sequence[str], *, strategy: str = "per_item", **kwargs) -> CategorizeResult:
         """Categorize ``items`` with the named strategy."""
         item_list = [str(item) for item in items]
-        usage_before = self._usage_snapshot()
-        result: CategorizeResult = self._strategy(strategy)(item_list, **kwargs)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, item_list, **kwargs)
 
     # -- helpers --------------------------------------------------------------------
 

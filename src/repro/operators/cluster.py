@@ -50,11 +50,7 @@ class ClusterOperator(BaseOperator):
         item_list = [str(item) for item in items]
         if len(item_list) != len(set(item_list)):
             raise DatasetError("items must be unique strings")
-        usage_before = self._usage_snapshot()
-        result: ClusterResult = self._strategy(strategy)(item_list, **kwargs)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, item_list, **kwargs)
 
     def _group_prompt(self, items: list[str]) -> list[list[int]]:
         response = self._complete(GROUP_RECORDS.render(items))

@@ -56,11 +56,8 @@ class FilterOperator(BaseOperator):
     def run(self, items: Sequence[str], *, strategy: str = "per_item", **kwargs) -> FilterResult:
         """Filter ``items`` with the named strategy."""
         item_list = [str(item) for item in items]
-        usage_before = self._usage_snapshot()
-        result: FilterResult = self._strategy(strategy)(item_list, **kwargs)
-        result.strategy = strategy
+        result: FilterResult = self._run(strategy, item_list, **kwargs)
         result.kept = [item for item in item_list if result.decisions.get(item, False)]
-        self._finalize(result, usage_before)
         return result
 
     def _check(self, item: str, model: str | None, temperature: float = 0.0) -> bool:

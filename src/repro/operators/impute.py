@@ -77,7 +77,6 @@ class ImputeOperator(BaseOperator):
                 into each LLM prompt (0 reproduces the "no examples" rows of
                 Table 4, 3 the "3 examples" rows).
         """
-        usage_before = self._usage_snapshot()
         if strategy == "retrieval":
             # Neighbor lookup through a vector index over the reference set:
             # exact for small references, LSH once brute force would hurt.
@@ -97,10 +96,7 @@ class ImputeOperator(BaseOperator):
             )
         else:
             imputer = KNNImputer(data.reference, data.target_attribute, k=self.k)
-        result: ImputeResult = self._strategy(strategy)(data, imputer, n_examples)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, data, imputer, n_examples)
 
     # -- strategies ------------------------------------------------------------------
 

@@ -73,11 +73,7 @@ class JoinOperator(BaseOperator):
         right_list = [str(record) for record in right]
         if not left_list or not right_list:
             raise ConfigurationError("both sides of a join need at least one record")
-        usage_before = self._usage_snapshot()
-        result: JoinResult = self._strategy(strategy)(left_list, right_list, **kwargs)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, left_list, right_list, **kwargs)
 
     # -- helpers --------------------------------------------------------------------
 

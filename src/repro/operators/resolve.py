@@ -77,11 +77,7 @@ class ResolveOperator(BaseOperator):
         record_list = [str(record) for record in records]
         if len(record_list) != len(set(record_list)):
             raise DatasetError("records must be unique strings")
-        usage_before = self._usage_snapshot()
-        result: ResolveResult = self._strategy(strategy)(record_list, **kwargs)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, record_list, **kwargs)
 
     def _resolve_single_prompt(self, records: list[str]) -> ResolveResult:
         response = self._complete(GROUP_RECORDS.render(records))
@@ -177,20 +173,16 @@ class ResolveOperator(BaseOperator):
                 two-threshold Jaccard proxy is used when omitted.
         """
         pair_list = [(str(left), str(right)) for left, right in pairs]
-        usage_before = self._usage_snapshot()
-        if strategy == "pairwise":
-            result = self._judge_pairwise(pair_list)
-        elif strategy == "transitive":
-            result = self._judge_transitive(pair_list, corpus=corpus, neighbors_k=neighbors_k)
-        elif strategy == "proxy_hybrid":
-            result = self._judge_proxy_hybrid(pair_list, proxy=proxy)
-        else:
-            raise UnknownStrategyError(
-                self.operation, strategy, ["pairwise", "transitive", "proxy_hybrid"]
-            )
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        judges = {
+            "pairwise": lambda: self._judge_pairwise(pair_list),
+            "transitive": lambda: self._judge_transitive(
+                pair_list, corpus=corpus, neighbors_k=neighbors_k
+            ),
+            "proxy_hybrid": lambda: self._judge_proxy_hybrid(pair_list, proxy=proxy),
+        }
+        if strategy not in judges:
+            raise UnknownStrategyError(self.operation, strategy, list(judges))
+        return self._booked(strategy, judges[strategy])
 
     def _judge_pairwise(self, pairs: list[tuple[str, str]]) -> PairJudgmentResult:
         judgments = [

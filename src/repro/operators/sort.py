@@ -73,13 +73,8 @@ class SortOperator(BaseOperator):
         if len(item_list) != len(set(item_list)):
             raise DatasetError("sort items must be unique strings")
         if len(item_list) < 2:
-            result = SortResult(strategy=strategy, order=list(item_list))
-            return result
-        usage_before = self._usage_snapshot()
-        result: SortResult = self._strategy(strategy)(item_list, **kwargs)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+            return SortResult(strategy=strategy, order=list(item_list))
+        return self._run(strategy, item_list, **kwargs)
 
     # -- strategies ---------------------------------------------------------------
 

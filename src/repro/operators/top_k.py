@@ -59,11 +59,7 @@ class TopKOperator(BaseOperator):
             raise DatasetError("k must be at least 1")
         if k > len(item_list):
             raise DatasetError(f"k={k} exceeds the number of items ({len(item_list)})")
-        usage_before = self._usage_snapshot()
-        result: TopKResult = self._strategy(strategy)(item_list, k, **kwargs)
-        result.strategy = strategy
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, item_list, k, **kwargs)
 
     # -- helpers --------------------------------------------------------------------
 

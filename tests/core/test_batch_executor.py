@@ -29,7 +29,6 @@ from repro.exceptions import BudgetExceededError, ConfigurationError, RateLimitE
 from repro.llm.base import sequential_complete_batch
 from repro.llm.cache import CachedClient
 from repro.llm.faulty import FaultyLLM
-from repro.llm.tracker import TrackedClient, UsageTracker
 from repro.operators import FilterOperator
 from tests.doubles import (
     CRITERION,
@@ -98,31 +97,11 @@ class TestClientBatchEquivalence:
         assert batch_client.cache.stats.misses == loop_client.cache.stats.misses
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_tracked_client(self, size):
-        prompts = _rating_prompts(size)
-        batch_tracker, loop_tracker = UsageTracker(), UsageTracker()
-        batch = TrackedClient(_simulated_client(), batch_tracker).complete_batch(
-            prompts
-        )
-        loop = sequential_complete_batch(
-            TrackedClient(_simulated_client(), loop_tracker), prompts
-        )
-        assert [r.text for r in batch] == [r.text for r in loop]
-        assert batch_tracker.usage == loop_tracker.usage
-        assert batch_tracker.calls == size
-
-    @pytest.mark.parametrize("size", BATCH_SIZES)
     @pytest.mark.parametrize("concurrency", CONCURRENCIES)
     def test_executor_matches_sequential_loop(self, size, concurrency):
         prompts = _rating_prompts(size)
-        executor_client = TrackedClient(
-            CachedClient(_simulated_client()), UsageTracker()
-        )
-        executor = BatchExecutor(executor_client, max_concurrency=concurrency)
-        reference = sequential_complete_batch(
-            TrackedClient(CachedClient(_simulated_client()), UsageTracker()),
-            prompts,
-        )
+        executor = BatchExecutor(CachedClient(_simulated_client()), max_concurrency=concurrency)
+        reference = sequential_complete_batch(CachedClient(_simulated_client()), prompts)
         responses = executor.run(prompts)
         assert [r.text for r in responses] == [r.text for r in reference]
         assert [r.usage for r in responses] == [r.usage for r in reference]

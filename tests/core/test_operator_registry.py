@@ -369,14 +369,12 @@ class TallyOperator(BaseOperator):
         self.register_strategy("per_item", self._per_item)
 
     def run(self, items: Sequence[str], *, strategy: str = "per_item") -> TallyResult:
-        usage_before = self._usage_snapshot()
-        result = TallyResult(strategy=strategy, tally=self._strategy(strategy)(list(items)))
-        self._finalize(result, usage_before)
-        return result
+        return self._run(strategy, list(items))
 
-    def _per_item(self, items: list[str]) -> int:
+    def _per_item(self, items: list[str]) -> TallyResult:
         prompts = [predicate_check_prompt(item, self.predicate) for item in items]
-        return sum("yes" in r.text.lower() for r in self._complete_batch(prompts))
+        tally = sum("yes" in r.text.lower() for r in self._complete_batch(prompts))
+        return TallyResult(strategy="per_item", tally=tally)
 
 
 class TallyDeclaration(OperatorDeclaration):

@@ -17,7 +17,7 @@ from repro.llm.base import LLMResponse
 from repro.llm.cache import CachedClient, ResponseCache
 from repro.llm.prompts import PAIRWISE_COMPARISON, RATING
 from repro.llm.registry import default_registry
-from repro.llm.tracker import TrackedClient, UsageTracker
+from repro.llm.tracker import UsageTracker
 from repro.tokenizer.cost import CostModel, PriceTable, Usage, to_dollars
 from repro.exceptions import ConfigurationError
 from tests.doubles import tokens
@@ -79,9 +79,10 @@ class TestUsageTracker:
     def test_record_accumulates_per_model(self, flavor_llm):
         prices = default_registry().cost_model()
         tracker = UsageTracker(cost_model=prices)
-        client = TrackedClient(flavor_llm, tracker)
-        first = client.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
-        second = client.complete(RATING.render([FLAVORS[1]], (CHOCOLATEY,)), model="sim-claude")
+        first = flavor_llm.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
+        second = flavor_llm.complete(RATING.render([FLAVORS[1]], (CHOCOLATEY,)), model="sim-claude")
+        tracker.record(first)
+        tracker.record_batch([second])
         assert tracker.calls == 2
         assert tracker.prompt_tokens > 0
         # Each call is priced at its own model's rates, in whole n$.
@@ -96,7 +97,8 @@ class TestUsageTracker:
 
     def test_cost_zero_without_cost_model(self, flavor_llm):
         tracker = UsageTracker()
-        TrackedClient(flavor_llm, tracker).complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
+        tracker.record_batch([flavor_llm.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))])
+        assert tracker.calls == 1
         assert tracker.cost() == 0
 
     def test_cost_sums_whole_nano_dollars_over_priced_models(self):
@@ -121,7 +123,7 @@ class TestUsageTracker:
 
     def test_reset(self, flavor_llm):
         tracker = UsageTracker()
-        TrackedClient(flavor_llm, tracker).complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
+        tracker.record_batch([flavor_llm.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))])
         tracker.reset()
         assert tracker.calls == 0
 

@@ -2,7 +2,7 @@
 
 Every wrapper derives both entry points from one ``_call``, so at temperature 0
 a bag of prompts must come back with the same texts, usage, metadata and side
-effects (cache, tracker and retry counters) through ``complete`` in a loop
+effects (cache, session book and retry counters) through ``complete`` in a loop
 and through ``complete_batch`` — over an inner client implementing the full
 protocol or only ``complete``, and for each wrapper alone as for two stacked
 on one another.  The loop is the reference: a unit call is a ``Call`` of one
@@ -27,7 +27,6 @@ from repro.llm.cache import CachedClient
 from repro.llm.faulty import FaultyLLM
 from repro.llm.retry import RetryingClient
 from repro.llm.simulated import SimulatedLLM
-from repro.llm.tracker import TrackedClient, UsageTracker
 from repro.tokenizer.cost import Usage
 from tests.doubles import (
     DRIVERS,
@@ -63,11 +62,6 @@ def _odd_ratings_rejected(text: str) -> bool:
 def _cached(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
     client = CachedClient(leaf)
     return client, lambda: {"hits": client.cache.stats.hits, "misses": client.cache.stats.misses}
-
-
-def _tracked(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
-    tracker = UsageTracker()
-    return TrackedClient(leaf, tracker), lambda: {"usage": tracker.usage, "calls": tracker.calls}
 
 
 def _retrying(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
@@ -109,12 +103,11 @@ def _stacked(outer: Callable, inner: Callable) -> Callable:
 
 WRAPPERS = {
     "cached": _cached,
-    "tracked": _tracked,
     "retrying": _retrying,
     "session": _session,
     "cached-retrying": _stacked(_cached, _retrying),
     "retrying-cached": _stacked(_retrying, _cached),
-    "tracked-cached": _stacked(_tracked, _cached),
+    "session-cached": _stacked(_session, _cached),
     "session-retrying": _stacked(_session, _retrying),
 }
 
@@ -237,8 +230,8 @@ UNGOVERNED: dict[str, Callable[[Any], Any]] = {
 GOVERNED: dict[str, Callable[[Any], Any]] = {
     "gate-governed": lambda leaf: BackendGate(leaf, ConcurrencyGovernor()),
     "session-governed": lambda leaf: PromptSession(leaf, governor=ConcurrencyGovernor()).client(),
-    "tracked-session-governed": lambda leaf: TrackedClient(
-        PromptSession(leaf, governor=ConcurrencyGovernor()).client(), UsageTracker()
+    "retrying-session-governed": lambda leaf: RetryingClient(
+        PromptSession(leaf, governor=ConcurrencyGovernor()).client()
     ),
 }
 ROUTES = {**UNGOVERNED, **GOVERNED}

@@ -10,7 +10,7 @@ from repro.core.session import PromptSession
 from repro.core.spec import SortSpec
 from repro.exceptions import ContextLengthExceededError, SpecError, TraceError
 from repro.llm.faulty import FaultyLLM
-from repro.llm.tracker import TrackedClient, UsageTracker
+from repro.llm.retry import RetryingClient
 from repro.obs import TraceRecord, replay_trace
 from repro.obs.replay import ReplayLLM
 from repro.query import Dataset
@@ -166,6 +166,6 @@ class TestTheSessionsDefaultModel:
         assert session.tracker.summary().by_model.keys() == {"sim-gpt-4"}
 
     def test_through_a_wrapper_that_names_none(self):
-        wrapped = TrackedClient(ReplayLLM([self.RECORD]), UsageTracker())
+        wrapped = RetryingClient(ReplayLLM([self.RECORD]))
         session = PromptSession(wrapped, use_cache=False)
         assert session.complete_batch(["p"])[0].text == "x"
