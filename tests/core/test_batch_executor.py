@@ -97,6 +97,17 @@ class TestClientBatchEquivalence:
         assert batch_client.cache.stats.misses == loop_client.cache.stats.misses
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_session_book(self, size):
+        prompts = _rating_prompts(size)
+        batch_session = PromptSession(_simulated_client(), use_cache=False)
+        loop_session = PromptSession(_simulated_client(), use_cache=False)
+        batch = batch_session.client().complete_batch(prompts)
+        loop = sequential_complete_batch(loop_session.client(), prompts)
+        assert [r.text for r in batch] == [r.text for r in loop]
+        assert batch_session.tracker.usage == loop_session.tracker.usage
+        assert batch_session.tracker.calls == size
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
     @pytest.mark.parametrize("concurrency", CONCURRENCIES)
     def test_executor_matches_sequential_loop(self, size, concurrency):
         prompts = _rating_prompts(size)

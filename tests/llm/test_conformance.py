@@ -73,9 +73,7 @@ def _retrying(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
     return client, lambda: vars(client.stats).copy()
 
 
-def _session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
-    session = PromptSession(leaf)
-
+def _session_book(session: PromptSession) -> Callable[[], Observed]:
     def observe() -> Observed:
         records = session.spans.records()
         return {
@@ -87,7 +85,21 @@ def _session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
             "trace": [(record.prompt, record.cache_hit, record.cost) for record in records],
         }
 
-    return session.client(), observe
+    return observe
+
+
+def _session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
+    session = PromptSession(leaf)
+    return session.client(), _session_book(session)
+
+
+def _leased_session(leaf: Any) -> tuple[Any, Callable[[], Observed]]:
+    # A pipeline step's route: the session's client charged to a lease,
+    # which forwards every dollar to the session budget.
+    session = PromptSession(leaf)
+    lease = session.budget.lease(1.0)
+    observe = _session_book(session)
+    return session.client(lease), lambda: {**observe(), "lease": lease.spent}
 
 
 def _stacked(outer: Callable, inner: Callable) -> Callable:
@@ -109,6 +121,7 @@ WRAPPERS = {
     "retrying-cached": _stacked(_retrying, _cached),
     "session-cached": _stacked(_session, _cached),
     "session-retrying": _stacked(_session, _retrying),
+    "leased-session": _leased_session,
 }
 
 
@@ -220,14 +233,22 @@ class BaseClientLeaf(EntryPointLeaf, BaseClient):
 
 LEAVES = {"duck-typed": EntryPointLeaf, "base-client": BaseClientLeaf}
 
+#: Wrappers charged to a limited budget, whose gate sends a batch call by call.
+LIMITED = {"leased-session"}
 #: Routes that send a batch down whole: each wrapper alone, stacked, under
 #: the session, and the governor-less backend gate.
 UNGOVERNED: dict[str, Callable[[Any], Any]] = {
-    **{name: lambda leaf, build=build: build(leaf)[0] for name, build in WRAPPERS.items()},
+    **{
+        name: lambda leaf, build=build: build(leaf)[0]
+        for name, build in WRAPPERS.items()
+        if name not in LIMITED
+    },
     "gate": BackendGate,
 }
-#: Routes through a governed gate, which admits a batch call by call.
+#: Routes through a governed gate, which admits a batch call by call, and
+#: those charged to a limited budget, which the gate checks call by call.
 GOVERNED: dict[str, Callable[[Any], Any]] = {
+    **{name: lambda leaf, build=WRAPPERS[name]: build(leaf)[0] for name in LIMITED},
     "gate-governed": lambda leaf: BackendGate(leaf, ConcurrencyGovernor()),
     "session-governed": lambda leaf: PromptSession(leaf, governor=ConcurrencyGovernor()).client(),
     "retrying-session-governed": lambda leaf: RetryingClient(
