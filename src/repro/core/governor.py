@@ -18,8 +18,9 @@ Design notes:
 * **Token buckets** (:class:`TokenBucket`) implement the RPM/TPM quotas with
   a virtual-scheduling debit: each reservation deducts immediately and
   returns the wait the caller owes, so N concurrent reservations pace out at
-  exactly the configured rate instead of racing a refill check.  The clock is
-  injectable, which is what makes the RPM-cap unit tests wall-clock-free.
+  exactly the configured rate instead of racing a refill check.  Buckets,
+  cooldowns and waits read :mod:`repro.clock`, so a test that scripts that
+  one module runs the RPM-cap cases without wall-clock time.
 * **Adaptive backoff** consumes the existing exception taxonomy: a
   :class:`~repro.exceptions.RateLimitError` carrying ``retry_after`` imposes
   at least that cooldown; without a hint the governor backs off
@@ -32,11 +33,11 @@ Design notes:
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
+from repro import clock
 from repro.config import DEFAULT_CHAT_MODEL
 from repro.core.budget import CHARGE_TARGET, Budget
 from repro.core.executor import backend_waits, call_waits
@@ -61,16 +62,9 @@ class TokenBucket:
             so a fresh bucket admits the first call immediately and then
             paces at the configured rate rather than allowing a full minute's
             burst up front.
-        clock: monotonic time source; injectable for deterministic tests.
     """
 
-    def __init__(
-        self,
-        rate_per_minute: float,
-        *,
-        burst: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, rate_per_minute: float, *, burst: float | None = None) -> None:
         if rate_per_minute <= 0:
             raise ConfigurationError("rate_per_minute must be positive")
         self.rate_per_minute = rate_per_minute
@@ -78,9 +72,8 @@ class TokenBucket:
         self.burst = float(burst) if burst is not None else max(1.0, self._rate)
         if self.burst <= 0:
             raise ConfigurationError("burst must be positive")
-        self._clock = clock
         self._tokens = self.burst
-        self._stamp = clock()
+        self._stamp = clock.now()
         self._lock = threading.Lock()
 
     def reserve(self, tokens: float = 1.0) -> float:
@@ -94,7 +87,7 @@ class TokenBucket:
         if tokens < 0:
             raise ConfigurationError("cannot reserve a negative token amount")
         with self._lock:
-            now = self._clock()
+            now = clock.now()
             self._tokens = min(self.burst, self._tokens + (now - self._stamp) * self._rate)
             self._stamp = now
             self._tokens -= tokens
@@ -136,8 +129,6 @@ class ConcurrencyGovernor:
             failure with no ``retry_after`` hint.
         backoff_multiplier: growth factor for consecutive failures.
         backoff_max: ceiling on any single backoff delay.
-        clock: monotonic time source (injectable for tests).
-        sleep: wait primitive (injectable for tests).
     """
 
     def __init__(
@@ -151,8 +142,6 @@ class ConcurrencyGovernor:
         backoff_initial: float = 0.5,
         backoff_multiplier: float = 2.0,
         backoff_max: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if max_in_flight is not None and max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be at least 1")
@@ -168,12 +157,10 @@ class ConcurrencyGovernor:
         self.backoff_max = backoff_max
         self.stats = GovernorStats()
         self._instruments = None
-        self._clock = clock
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._rpm_buckets: dict[str, TokenBucket] = {}
         self._tpm_buckets: dict[str, TokenBucket] = {}
-        self._cooldown_until = clock()
+        self._cooldown_until = clock.now()
         self._consecutive_failures = 0
         self._in_flight = 0
         self._slots = (
@@ -187,7 +174,7 @@ class ConcurrencyGovernor:
         """Admit one dispatch: wait out quotas/backoff, hold one slot."""
         wait = self._admission_wait(model, estimated_tokens)
         if wait > 0:
-            self._sleep(wait)
+            clock.sleep(wait)
         if self._slots is not None:
             self._slots.acquire()
         self._note_dispatch(wait)
@@ -225,7 +212,7 @@ class ConcurrencyGovernor:
             )
             retry_after = float(getattr(error, "retry_after", 0.0) or 0.0)
             delay = max(delay, retry_after)
-            self._cooldown_until = max(self._cooldown_until, self._clock() + delay)
+            self._cooldown_until = max(self._cooldown_until, clock.now() + delay)
             self.stats.rate_limit_events += 1
         if self._instruments is not None:
             self._instruments.note_rate_limit()
@@ -258,7 +245,7 @@ class ConcurrencyGovernor:
         with self._lock:
             bucket = buckets.get(key)
             if bucket is None:
-                bucket = TokenBucket(rate, burst=self.burst, clock=self._clock)
+                bucket = TokenBucket(rate, burst=self.burst)
                 buckets[key] = bucket
             return bucket
 
@@ -278,7 +265,7 @@ class ConcurrencyGovernor:
         if tpm_bucket is not None and estimated_tokens > 0:
             wait = max(wait, tpm_bucket.reserve(estimated_tokens))
         with self._lock:
-            wait = max(wait, self._cooldown_until - self._clock())
+            wait = max(wait, self._cooldown_until - clock.now())
         return max(0.0, wait)
 
     def _note_dispatch(self, wait: float) -> None:

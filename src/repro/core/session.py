@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import contextvars
 import logging
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro import clock
 from repro.core.budget import CHARGE_TARGET, Budget
 from repro.core.executor import OPEN_BAG, AsyncBatchExecutor, BatchExecutor
 from repro.core.governor import BackendGate, ConcurrencyGovernor
@@ -238,7 +238,7 @@ class PromptSession:
         target = budget if budget is not None else self.budget
         model_name = model or self._model
         token = CHARGE_TARGET.set(target)
-        start = time.perf_counter()
+        start = clock.now()
         try:
             responses = Call(
                 self._client, prompts, model_name, temperature, max_tokens, single
@@ -251,7 +251,7 @@ class PromptSession:
         finally:
             CHARGE_TARGET.reset(token)
         if responses:
-            self._settle(prompts, responses, temperature, start, time.perf_counter())
+            self._settle(prompts, responses, temperature, start, clock.now())
         return responses
 
     def _settle_failure(
@@ -274,7 +274,7 @@ class PromptSession:
         is the last answered.  With ``answered`` unknown (``None``) the
         record names no prompt and takes it all.
         """
-        end = time.perf_counter()
+        end = clock.now()
         made = len(answered) + 1 if answered else 1
         failed_at = end - (end - start) / made
         if answered:

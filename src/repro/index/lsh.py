@@ -120,11 +120,11 @@ class LSHIndex:
         #: Probe instrumentation: lookups run and candidates distance-ranked
         #: across them, for ``RuntimeStats.record_probe_candidates``.  The
         #: candidate count is the *approximation* work actually done — a tiny
-        #: fraction of the corpus when the hash spreads well.  Not persisted.
+        #: fraction of the corpus when the hash spreads well; for
+        #: :meth:`knn_graph`, every distance its buckets rank (an exact scan
+        #: ranks n·(n − 1)).  Not persisted.
         self.probes = 0
         self.candidates_examined = 0
-        #: Distances :meth:`knn_graph` evaluated (an exact scan: n·(n − 1)).
-        self.pairs_ranked = 0
 
     @classmethod
     def for_corpus(
@@ -315,7 +315,7 @@ class LSHIndex:
         runs = np.unique(lengths, return_counts=True)
         for size, buckets in zip(runs[0].tolist(), runs[1].tolist()):
             high = low + size * buckets
-            self.pairs_ranked += buckets * size * (size - 1)
+            self.candidates_examined += buckets * size * (size - 1)
             limit = min(k, size - 1)
             if size > _HUGE_BUCKET:
                 # Oversized buckets rank in chunks of rows, which bounds any
@@ -393,7 +393,6 @@ class LSHIndex:
         distances = np.take_along_axis(distances, order, axis=1)
         kept = candidates >= 0
         kept[:, 1:] &= candidates[:, 1:] != candidates[:, :-1]
-        self.candidates_examined += int(kept.sum())
         # Rank each row on the raw bits of the non-negative float32 distance,
         # which order like the float; dropped slots sort last.  The stable
         # sort breaks distance ties on candidate id, so the result is

@@ -19,10 +19,10 @@ the simulator's (:class:`~repro.llm.behaviors.BehaviorConfig`).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import replace
 from typing import Any, Mapping
 
+from repro import clock
 from repro.llm.base import BaseClient, LLMResponse
 
 
@@ -69,7 +69,7 @@ class FaultyLLM(BaseClient):
             fault = self.plan.get(self.calls, self.plan.get(prompt))
             self.calls += 1
         if self.delay:
-            time.sleep(self.delay)
+            clock.sleep(self.delay)
         if _raises(fault):
             raise fault
         if callable(fault):

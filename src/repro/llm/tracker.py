@@ -35,12 +35,6 @@ class UsageTracker:
     _by_model: dict[str, Usage] = field(default_factory=dict)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
 
-    def record(self, response: LLMResponse) -> None:
-        """Record the usage of one response."""
-        with self._lock:
-            usage = self._by_model.setdefault(response.model, Usage())
-            usage.add(response.usage)
-
     def record_batch(self, responses: Iterable[LLMResponse]) -> None:
         """Record a whole batch of responses as one atomic delta."""
         with self._lock:
@@ -91,9 +85,3 @@ class UsageTracker:
                 if self.cost_model.has_model(model)
             }
         return CostSummary(by_model=by_model, dollars_by_model=dollars)
-
-    def reset(self) -> None:
-        """Forget all recorded usage."""
-        with self._lock:
-            self._by_model.clear()
-

@@ -33,10 +33,10 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from time import perf_counter
 from typing import TYPE_CHECKING, Any
 from uuid import uuid4
 
+from repro import clock
 from repro.exceptions import BudgetExceededError
 from repro.tokenizer.cost import to_dollars, to_nanos
 
@@ -125,8 +125,8 @@ def trace_label(
 class Span:
     """One timed region in the span tree.
 
-    ``start`` and ``end`` are ``perf_counter`` readings — monotonic and
-    comparable only within a process, which is all a waterfall needs.
+    ``start`` and ``end`` are :func:`repro.clock.now` readings — monotonic
+    and comparable only within a process, which is all a waterfall needs.
     ``end`` is ``None`` while the span is open.
     """
 
@@ -163,7 +163,7 @@ class TraceRecord:
         response_text: the full response text; ``None`` when the call raised.
         prompt_tokens / completion_tokens: token counts of the call.
         cost: dollars charged for the call under the session's cost model.
-        duration_ms: wall-clock duration via ``time.perf_counter`` (batch
+        duration_ms: wall-clock duration via :func:`repro.clock.now` (batch
             dispatches record the per-response share of the batch duration).
         cache_hit: whether the response came from the response cache.
         attempt: retry attempt index (0 = first try); annotated post-hoc by
@@ -318,7 +318,7 @@ class SpanTracker:
             parent_id=current_span_id(self),
             kind=kind,
             label=label,
-            start=perf_counter(),
+            start=clock.now(),
             attributes={key: _json_safe(value) for key, value in attributes.items()},
         )
         self._admit((sp,))
@@ -336,31 +336,18 @@ class SpanTracker:
         finally:
             _CURRENT.reset(token)
 
-    def record_span(
-        self,
-        kind: str,
-        label: str = "",
-        *,
-        duration_seconds: float = 0.0,
-        status: str = "ok",
-        parent_id: int | None = None,
-        **attributes: Any,
-    ) -> Span:
-        """Record an already-finished region as a leaf span.
+    def record_span(self, kind: str, label: str = "", **attributes: Any) -> Span:
+        """Record an instant leaf span, ``ok``, under the ambient span."""
 
-        The span is backdated by *duration_seconds* and parented to the
-        ambient span (or an explicit *parent_id*).
-        """
-
-        now = perf_counter()
+        now = clock.now()
         sp = Span(
             span_id=0,
-            parent_id=parent_id if parent_id is not None else current_span_id(self),
+            parent_id=current_span_id(self),
             kind=kind,
             label=label,
-            start=now - max(0.0, duration_seconds),
+            start=now,
             end=now,
-            status=status,
+            status="ok",
             attributes={key: _json_safe(value) for key, value in attributes.items()},
         )
         self._admit((sp,))
@@ -386,7 +373,7 @@ class SpanTracker:
 
         if settled is None:
             calls = list(calls)
-            now = perf_counter()
+            now = clock.now()
             settled = [(current_span_id(self), now, now, len(calls))]
         remaining = iter(calls)
         spans = [
@@ -413,7 +400,7 @@ class SpanTracker:
 
     def _close(self, sp: Span, *, status: str, error: str | None = None) -> None:
         with self._lock:
-            sp.end = perf_counter()
+            sp.end = clock.now()
             sp.status = status
             if error is not None:
                 sp.attributes["error"] = error

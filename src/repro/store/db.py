@@ -48,9 +48,9 @@ import sqlite3
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from time import monotonic
 from typing import Any, Callable, Iterable, Iterator
 
+from repro import clock
 from repro.exceptions import StoreError
 
 #: "repro declarative store" marker stamped into the SQLite application_id
@@ -449,11 +449,11 @@ class StoreDB:
         step defers it."""
         with self._lock:
             if not self.pending:
-                self._pending_since = monotonic()
+                self._pending_since = clock.now()
             self._remember(self.pending, key, row)
             if (
                 not self.defers(len(self.pending))
-                or monotonic() - self._pending_since >= MAX_PENDING_SECONDS
+                or clock.now() - self._pending_since >= MAX_PENDING_SECONDS
             ):
                 self.flush()
 

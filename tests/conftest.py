@@ -10,6 +10,7 @@ import gc
 
 import pytest
 
+import repro.clock
 from repro.data.citations import CitationCorpus, generate_citation_corpus
 from repro.data.flavors import CHOCOLATEY, FLAVORS, flavor_oracle
 from repro.data.products import ImputationDataset, generate_buy_dataset, generate_restaurant_dataset
@@ -17,6 +18,7 @@ from repro.data.words import random_words
 from repro.llm.oracle import Oracle, prefix_margin
 from repro.llm.registry import default_registry
 from repro.llm.simulated import SimulatedLLM
+from tests.doubles import ScriptedClock
 
 ALPHABETICAL = "alphabetical order"
 
@@ -32,6 +34,16 @@ def pytest_collection_finish(session: pytest.Session) -> None:
     """
     gc.collect()
     gc.freeze()
+
+
+@pytest.fixture()
+def scripted_clock(monkeypatch: pytest.MonkeyPatch) -> ScriptedClock:
+    """Script every timing read and wait of the package: :mod:`repro.clock`
+    reads a :class:`~tests.doubles.ScriptedClock` from 0.0 for the test."""
+    clock = ScriptedClock()
+    monkeypatch.setattr(repro.clock, "now", clock.now)
+    monkeypatch.setattr(repro.clock, "sleep", clock.sleep)
+    return clock
 
 
 @pytest.fixture()

@@ -425,14 +425,14 @@ class TestEveryDriver:
         assert vars(executor.retry_stats) == {"attempts": 5, "retries": 2, "failures": 1}
         assert responses[1].metadata["attempts"] == responses[1].usage.calls == 3
 
-    def test_governor_hears_of_successes_and_rate_limits(self, driver):
+    def test_governor_hears_of_successes_and_rate_limits(self, driver, scripted_clock):
         class Limited(EchoClient):
             def complete(self, prompt, **params):
                 if prompt == "limited":
                     raise RateLimitError(retry_after=0.0)
                 return super().complete(prompt, **params)
 
-        governor = ConcurrencyGovernor(sleep=lambda seconds: None)
+        governor = ConcurrencyGovernor()
         executor = executor_for(driver, BackendGate(Limited(), governor))
         assert len(call(executor, "run", ["a", "b", "c"])) == 3
         assert governor.stats.admitted == 3 and governor.stats.rate_limit_events == 0

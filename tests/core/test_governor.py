@@ -1,7 +1,7 @@
 """Tests for the rate-limited admission layer (`repro.core.governor`).
 
 Covers the token bucket's virtual-scheduling pacing, the governor's RPM/TPM
-caps (demonstrated wall-clock-free with an injected clock and sleep), the
+caps (demonstrated wall-clock-free under the ``scripted_clock`` fixture), the
 in-flight slot semaphore shared by sync and async dispatch, the adaptive
 backoff driven by :class:`~repro.exceptions.RateLimitError` (including
 ``retry_after`` hints), and the :class:`~repro.core.governor.BackendGate`
@@ -36,34 +36,19 @@ from repro.exceptions import (
     ResponseParseError,
 )
 from repro.llm.faulty import FaultyLLM
-from tests.doubles import CountingClient
-
-
-class FakeClock:
-    """A controllable monotonic clock whose sleep advances virtual time."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.sleeps: list[float] = []
-
-    def __call__(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
+from tests.doubles import CountingClient, ScriptedClock
 
 
 class StampedClient(CountingClient):
     """Records the virtual time of every call that reaches it."""
 
-    def __init__(self, clock: FakeClock) -> None:
+    def __init__(self, clock: ScriptedClock) -> None:
         super().__init__()
         self.clock = clock
         self.stamps: list[float] = []
 
     def complete(self, prompt, **params):
-        self.stamps.append(self.clock.now)
+        self.stamps.append(self.clock.now())
         return super().complete(prompt, **params)
 
 
@@ -90,29 +75,25 @@ class ParallelBatchClient(CountingClient):
 
 class TestTokenBucket:
     def test_burst_admits_first_call_immediately(self):
-        clock = FakeClock()
-        bucket = TokenBucket(60, clock=clock)  # 1/s, burst defaults to 1
+        bucket = TokenBucket(60)  # 1/s, burst defaults to 1
         assert bucket.reserve() == 0.0
 
-    def test_reservations_pace_linearly_at_the_rate(self):
-        clock = FakeClock()
-        bucket = TokenBucket(60, burst=1, clock=clock)
+    def test_reservations_pace_linearly_at_the_rate(self, scripted_clock):
+        bucket = TokenBucket(60, burst=1)
         # Four instantaneous reservations: the first rides the burst, the
         # k-th over-budget one owes k refill intervals (1s at 60/min).
         waits = [bucket.reserve() for _ in range(4)]
         assert waits == [0.0, 1.0, 2.0, 3.0]
 
-    def test_refill_restores_capacity(self):
-        clock = FakeClock()
-        bucket = TokenBucket(60, burst=1, clock=clock)
+    def test_refill_restores_capacity(self, scripted_clock):
+        bucket = TokenBucket(60, burst=1)
         bucket.reserve()
-        clock.now += 2.0  # refill past full; capacity stays capped at burst
+        scripted_clock.advance(2.0)  # refill past full; capacity stays capped at burst
         assert bucket.reserve() == 0.0
         assert bucket.reserve() == pytest.approx(1.0)
 
-    def test_token_weighted_reservations(self):
-        clock = FakeClock()
-        bucket = TokenBucket(600, burst=100, clock=clock)  # 10 tokens/s
+    def test_token_weighted_reservations(self, scripted_clock):
+        bucket = TokenBucket(600, burst=100)  # 10 tokens/s
         assert bucket.reserve(100) == 0.0  # burst covers it
         assert bucket.reserve(50) == pytest.approx(5.0)  # 50 tokens / 10 per s
 
@@ -134,15 +115,12 @@ class TestEstimatedPromptTokens:
 class TestRpmCap:
     """The governor demonstrably caps dispatch at the configured RPM."""
 
-    def test_dispatch_rate_never_exceeds_rpm(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(
-            rpm=120, burst=1, clock=clock, sleep=clock.sleep
-        )
+    def test_dispatch_rate_never_exceeds_rpm(self, scripted_clock):
+        governor = ConcurrencyGovernor(rpm=120, burst=1)
         stamps = []
         for _ in range(13):
             with governor.admit("m"):
-                stamps.append(clock.now)
+                stamps.append(scripted_clock.now())
         # 13 admissions at 120 RPM (0.5s spacing), the first free via the
         # burst: the run takes 12 intervals of virtual time, i.e. dispatch
         # proceeded at exactly — never above — the configured rate.
@@ -152,86 +130,69 @@ class TestRpmCap:
         assert governor.stats.admitted == 13
         assert governor.stats.throttled == 12
 
-    def test_tpm_quota_paces_by_estimated_tokens(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(
-            tpm=600, burst=10, clock=clock, sleep=clock.sleep
-        )
+    def test_tpm_quota_paces_by_estimated_tokens(self, scripted_clock):
+        governor = ConcurrencyGovernor(tpm=600, burst=10)
         with governor.admit("m", estimated_tokens=10):
             pass
-        assert clock.now == 0.0  # burst covered it
+        assert scripted_clock.now() == 0.0  # burst covered it
         with governor.admit("m", estimated_tokens=20):
             pass
         # 20 tokens over an empty bucket at 10 tokens/s → a 2s wait.
-        assert clock.now == pytest.approx(2.0)
+        assert scripted_clock.now() == pytest.approx(2.0)
 
-    def test_per_model_overrides_have_independent_buckets(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(
-            rpm=60,
-            model_rates={"fast": ModelRate(rpm=6000)},
-            burst=1,
-            clock=clock,
-            sleep=clock.sleep,
-        )
+    def test_per_model_overrides_have_independent_buckets(self, scripted_clock):
+        governor = ConcurrencyGovernor(rpm=60, model_rates={"fast": ModelRate(rpm=6000)}, burst=1)
         with governor.admit("slow"):
             pass
         with governor.admit("slow"):
             pass
-        slow_elapsed = clock.now
+        slow_elapsed = scripted_clock.now()
         assert slow_elapsed == pytest.approx(1.0)  # 60 RPM → 1s spacing
         for _ in range(10):
             with governor.admit("fast"):
                 pass
         # 6000 RPM → 10ms spacing; the slow model's bucket is untouched.
-        assert clock.now - slow_elapsed == pytest.approx(9 * 0.01)
+        assert scripted_clock.now() - slow_elapsed == pytest.approx(9 * 0.01)
 
-    def test_no_quotas_means_no_waiting(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(clock=clock, sleep=clock.sleep)
+    def test_no_quotas_means_no_waiting(self, scripted_clock):
+        governor = ConcurrencyGovernor()
         for _ in range(100):
             with governor.admit("m", estimated_tokens=1000):
                 pass
-        assert clock.now == 0.0
+        assert scripted_clock.now() == 0.0
         assert governor.stats.throttled == 0
 
 
 class TestBackoff:
     def test_exponential_schedule_without_hint(self):
-        clock = FakeClock()
         governor = ConcurrencyGovernor(
-            backoff_initial=0.5, backoff_multiplier=2.0, backoff_max=3.0, clock=clock
+            backoff_initial=0.5, backoff_multiplier=2.0, backoff_max=3.0
         )
         delays = [governor.record_failure(RateLimitError()) for _ in range(4)]
         assert delays == [0.5, 1.0, 2.0, 3.0]  # capped at backoff_max
 
-    def test_retry_after_hint_dominates_when_larger(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(backoff_initial=0.5, clock=clock, sleep=clock.sleep)
+    def test_retry_after_hint_dominates_when_larger(self, scripted_clock):
+        governor = ConcurrencyGovernor(backoff_initial=0.5)
         delay = governor.record_failure(RateLimitError(retry_after=7.5))
         assert delay == 7.5
         # The next admission waits out the whole hinted cooldown.
         with governor.admit("m"):
             pass
-        assert clock.sleeps == [pytest.approx(7.5)]
+        assert scripted_clock.sleeps == [pytest.approx(7.5)]
 
     def test_success_resets_the_streak(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(backoff_initial=0.5, clock=clock)
+        governor = ConcurrencyGovernor(backoff_initial=0.5)
         governor.record_failure(RateLimitError())
         governor.record_failure(RateLimitError())
         governor.record_success()
         assert governor.record_failure(RateLimitError()) == 0.5
 
-    def test_cooldown_delays_the_next_admission(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(
-            backoff_initial=2.0, clock=clock, sleep=clock.sleep
-        )
+    def test_cooldown_delays_the_next_admission(self, scripted_clock):
+        governor = ConcurrencyGovernor(backoff_initial=2.0)
         governor.record_failure(RateLimitError())
         with governor.admit("m"):
             pass
-        assert clock.now == pytest.approx(2.0)
+        assert scripted_clock.now() == pytest.approx(2.0)
         assert governor.stats.rate_limit_events == 1
 
     def test_invalid_backoff_configuration_rejected(self):
@@ -271,11 +232,8 @@ class TestInFlightSlots:
 
 
 class TestExecutorIntegration:
-    def test_rate_limit_failures_feed_the_backoff(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(
-            backoff_initial=1.0, clock=clock, sleep=clock.sleep
-        )
+    def test_rate_limit_failures_feed_the_backoff(self, scripted_clock):
+        governor = ConcurrencyGovernor(backoff_initial=1.0)
         client = FaultyLLM(CountingClient(), {0: RateLimitError, 1: RateLimitError})
         executor = BatchExecutor(BackendGate(client, governor))
         with pytest.raises(RateLimitError):
@@ -287,12 +245,11 @@ class TestExecutorIntegration:
         # 2 s), and one after a success waits nothing.
         executor.run(["a"])
         executor.run(["b"])
-        assert clock.sleeps == [1.0, 2.0]
+        assert scripted_clock.sleeps == [1.0, 2.0]
         assert governor.stats.admitted == 4
 
-    def test_non_rate_limit_failures_do_not_back_off(self):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(clock=clock, sleep=clock.sleep)
+    def test_non_rate_limit_failures_do_not_back_off(self, scripted_clock):
+        governor = ConcurrencyGovernor()
 
         client = FaultyLLM(CountingClient(), {"a": ResponseParseError("malformed")})
         executor = BatchExecutor(BackendGate(client, governor))
@@ -301,33 +258,31 @@ class TestExecutorIntegration:
         assert governor.stats.rate_limit_events == 0
         with governor.admit("m"):
             pass
-        assert clock.sleeps == []  # no cooldown to wait out
+        assert scripted_clock.sleeps == []  # no cooldown to wait out
 
-    def test_sequential_batch_respects_the_governor(self):
+    def test_sequential_batch_respects_the_governor(self, scripted_clock):
         # A homogeneous batch takes the native complete_batch path; the gate
         # admits each of its three calls on its own, so the quota still binds.
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(rpm=60, burst=1, clock=clock, sleep=clock.sleep)
+        governor = ConcurrencyGovernor(rpm=60, burst=1)
         client = CountingClient()
         executor = BatchExecutor(BackendGate(client, governor))
         executor.run(["a", "b", "c"])
         assert client.calls == 3
-        assert clock.now == pytest.approx(2.0)  # 3 calls at 1/s, first free
+        assert scripted_clock.now() == pytest.approx(2.0)  # 3 calls at 1/s, first free
 
     @pytest.mark.parametrize("route", ["executor", "session"])
-    def test_each_call_of_a_batch_is_admitted_and_paced_on_its_own(self, route):
+    def test_each_call_of_a_batch_is_admitted_and_paced_on_its_own(self, scripted_clock, route):
         # rpm=60 with a burst of 1 is one call a second, however the calls
         # were batched above the gate.
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(rpm=60, burst=1, clock=clock, sleep=clock.sleep)
-        client = StampedClient(clock)
+        governor = ConcurrencyGovernor(rpm=60, burst=1)
+        client = StampedClient(scripted_clock)
         prompts = ["a", "b", "c", "d"]
         if route == "executor":
             BatchExecutor(BackendGate(client, governor)).run(prompts)
         else:
             PromptSession(client, governor=governor).complete_batch(prompts)
         assert client.stamps == [0.0, 1.0, 2.0, 3.0]
-        assert clock.sleeps == [1.0, 1.0, 1.0]
+        assert scripted_clock.sleeps == [1.0, 1.0, 1.0]
         assert (governor.stats.admitted, governor.stats.throttled) == (4, 3)
 
     def test_each_call_of_a_batch_holds_its_own_slot(self):
@@ -341,9 +296,10 @@ class TestExecutorIntegration:
         assert client.peak <= 2 and governor.in_flight == 0
 
     @pytest.mark.parametrize("concurrency", [1, 4])
-    def test_only_calls_that_reach_the_backend_are_admitted_and_paced(self, concurrency):
-        clock = FakeClock()
-        governor = ConcurrencyGovernor(rpm=120, burst=1, clock=clock, sleep=clock.sleep)
+    def test_only_calls_that_reach_the_backend_are_admitted_and_paced(
+        self, scripted_clock, concurrency
+    ):
+        governor = ConcurrencyGovernor(rpm=120, burst=1)
         client = CountingClient()
         session = PromptSession(client, governor=governor)
         prompts = [f"Does item {index} pass the filter?" for index in range(12)]
@@ -351,11 +307,12 @@ class TestExecutorIntegration:
         cold = executor.run(prompts)
         # 12 calls at 2/s with a burst of 1: eleven half-second waits.
         assert (client.calls, governor.stats.admitted) == (12, 12)
-        assert sum(clock.sleeps) == pytest.approx(5.5)
-        clock.sleeps.clear()
+        assert sum(scripted_clock.sleeps) == pytest.approx(5.5)
+        scripted_clock.sleeps.clear()
         warm = executor.run(prompts)
         assert [r.text for r in warm] == [r.text for r in cold]
-        assert (client.calls, governor.stats.admitted, sum(clock.sleeps)) == (12, 12, 0.0)
+        waited = sum(scripted_clock.sleeps)
+        assert (client.calls, governor.stats.admitted, waited) == (12, 12, 0.0)
 
 
 class TestTheGateSeesEveryBackendCall:
@@ -372,12 +329,13 @@ class TestTheGateSeesEveryBackendCall:
         assert client.calls == governor.stats.admitted == 4
         assert governor.in_flight == 0
 
-    def test_a_single_call_feeds_the_backoff(self):
-        governor = ConcurrencyGovernor(sleep=lambda seconds: None)
+    def test_a_single_call_feeds_the_backoff(self, scripted_clock):
+        governor = ConcurrencyGovernor()
         gate = BackendGate(FaultyLLM(CountingClient(), {0: RateLimitError}), governor)
         with pytest.raises(RateLimitError):
             gate.complete("a")
         assert gate.complete("a").text == "echo:a"
+        assert scripted_clock.sleeps == [0.5]  # the backoff's first cooldown
         stats = governor.stats
         assert (stats.admitted, stats.rate_limit_events, governor.in_flight) == (2, 1, 0)
 

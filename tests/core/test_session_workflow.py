@@ -64,13 +64,6 @@ class TestPromptSession:
         response = session.complete(RATING.render([FLAVORS[3]], (CHOCOLATEY,)))
         assert response.model == DEFAULT_CHAT_MODEL
 
-    def test_tracker_reset_keeps_budget(self, session):
-        session.complete(RATING.render([FLAVORS[4]], (CHOCOLATEY,)))
-        spent = session.spent_dollars
-        session.tracker.reset()
-        assert session.tracker.calls == 0
-        assert session.spent_dollars == spent
-
     @pytest.mark.parametrize("max_tokens", [-3, -1, 0, 1, None])
     def test_no_call_lowers_spend(self, session, max_tokens):
         """Regression: ``max_tokens=-3`` billed -3 completion tokens, and the

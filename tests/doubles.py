@@ -153,6 +153,29 @@ class LatencyClient:
         )
 
 
+class ScriptedClock:
+    """Virtual time for :mod:`repro.clock`, installed by the ``scripted_clock``
+    fixture: ``now()`` reads it, ``sleep(seconds)`` advances it and records the
+    wait into ``sleeps``, ``advance(seconds)`` moves it without a record."""
+
+    def __init__(self) -> None:
+        self.time = 0.0
+        self.sleeps: list[float] = []
+        self._lock = threading.Lock()
+
+    def now(self) -> float:
+        return self.time
+
+    def sleep(self, seconds: float) -> None:
+        with self._lock:
+            self.sleeps.append(seconds)
+            self.time += seconds
+
+    def advance(self, seconds: float) -> None:
+        with self._lock:
+            self.time += seconds
+
+
 def yes_backend() -> EchoClient:
     """A backend that answers every call ``"Yes."``, at 10 prompt and 5
     completion tokens: a fault plan's garbled answers keep that usage."""

@@ -216,4 +216,8 @@ class TestLSHCounters:
         index.add(vectors)
         index.knn_graph(3)
         assert index.probes == len(vectors)
-        assert index.candidates_examined > 0
+        # Every distance ranked: each row against the rest of its bucket, per table.
+        ranked = sum(
+            len(rows) * (len(rows) - 1) for table in index._bucket_maps() for rows in table.values()
+        )
+        assert index.candidates_examined == ranked > 0

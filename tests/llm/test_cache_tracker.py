@@ -81,7 +81,7 @@ class TestUsageTracker:
         tracker = UsageTracker(cost_model=prices)
         first = flavor_llm.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))
         second = flavor_llm.complete(RATING.render([FLAVORS[1]], (CHOCOLATEY,)), model="sim-claude")
-        tracker.record(first)
+        tracker.record_batch([first])
         tracker.record_batch([second])
         assert tracker.calls == 2
         assert tracker.prompt_tokens > 0
@@ -120,12 +120,6 @@ class TestUsageTracker:
         tracker.record_batch([LLMResponse("", "embeddings", Usage(20, 0, 1))])
         assert tracker.usage.prompt_tokens == 120
         assert tracker.summary().by_model["embeddings"] == Usage(120, 0, 2)
-
-    def test_reset(self, flavor_llm):
-        tracker = UsageTracker()
-        tracker.record_batch([flavor_llm.complete(RATING.render([FLAVORS[0]], (CHOCOLATEY,)))])
-        tracker.reset()
-        assert tracker.calls == 0
 
 
 # Pinned in CI (see .github/workflows/ci.yml) so the hammer tests are
@@ -183,9 +177,7 @@ class TestUsageTrackerThreadSafety:
         def hammer(worker: int) -> None:
             model = f"model-{worker % 3}"
             for _ in range(per_worker):
-                tracker.record(
-                    LLMResponse(text="x", model=model, usage=Usage(3, 2, 1))
-                )
+                tracker.record_batch([LLMResponse(text="x", model=model, usage=Usage(3, 2, 1))])
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             list(pool.map(hammer, range(THREADS)))

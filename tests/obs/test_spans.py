@@ -99,20 +99,14 @@ class TestStatusMapping:
 
 
 class TestRecordSpan:
-    def test_backdated_leaf_parented_to_ambient(self):
+    def test_instant_leaf_parented_to_ambient(self, scripted_clock):
         tracker = SpanTracker()
         with tracker.span("step") as step:
-            leaf = tracker.record_span("call", "gpt", duration_seconds=0.25)
-        assert leaf.parent_id == step.span_id
-        assert leaf.status == "ok"
-        assert leaf.duration_seconds == pytest.approx(0.25, abs=0.01)
-
-    def test_explicit_parent_wins_over_ambient(self):
-        tracker = SpanTracker()
-        with tracker.span("step") as step:
-            pass
-        leaf = tracker.record_span("call", parent_id=step.span_id)
-        assert leaf.parent_id == step.span_id
+            scripted_clock.advance(0.25)
+            leaf = tracker.record_span("call", "gpt")
+        assert (leaf.parent_id, leaf.status) == (step.span_id, "ok")
+        assert (leaf.start, leaf.end) == (0.25, 0.25)
+        assert (step.start, step.end, step.duration_seconds) == (0.0, 0.25, 0.25)
 
     def test_non_json_attributes_are_coerced(self):
         tracker = SpanTracker()
@@ -243,7 +237,7 @@ class TestPersistence:
         store = Store(tmp_path / "spans.db")
         tracker = SpanTracker(store=store)
         with tracker.span("pipeline", "demo"):
-            tracker.record_span("call", "gpt", duration_seconds=0.1, tokens=42)
+            tracker.record_span("call", "gpt", tokens=42)
         written = tracker.flush()
         assert written == 2
         loaded = store.load_spans(origin=tracker.origin)

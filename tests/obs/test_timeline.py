@@ -80,7 +80,7 @@ class TestRenderTimeline:
         with tracker.span("pipeline", "demo"):
             with tracker.span("wave", "wave 0"):
                 with tracker.span("step", "sort"):
-                    tracker.record_span("call", "gpt", duration_seconds=0.01)
+                    tracker.record_span("call", "gpt")
         text = render_timeline(tracker)
         lines = text.splitlines()
         assert lines[0].startswith("pipeline:demo")

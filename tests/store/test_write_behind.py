@@ -106,17 +106,15 @@ class TestStepScope:
                     assert len(store.db.pending) == (index + 1) % 4
                 assert len(other.response_cache()) == 4
 
-    def test_age_bound_flushes_inside_a_step(self, path, monkeypatch):
-        now = [100.0]
-        monkeypatch.setattr(db_module, "monotonic", lambda: now[0])
+    def test_age_bound_flushes_inside_a_step(self, path, scripted_clock):
         with Store(path) as store, Store(path) as other:
             cache = store.response_cache()
             with store.db.step():
                 cache.put("m", "old", response("x"))
-                now[0] += db_module.MAX_PENDING_SECONDS / 2
+                scripted_clock.advance(db_module.MAX_PENDING_SECONDS / 2)
                 cache.put("m", "young", response("x"))
                 assert len(other.response_cache()) == 0
-                now[0] += db_module.MAX_PENDING_SECONDS / 2
+                scripted_clock.advance(db_module.MAX_PENDING_SECONDS / 2)
                 cache.put("m", "late", response("x"))
                 assert len(other.response_cache()) == 3
 
