@@ -7,6 +7,10 @@ time, and every timing the run records is exact.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
+import repro
 from repro.core.governor import ConcurrencyGovernor
 from repro.core.session import PromptSession
 from repro.llm.faulty import FaultyLLM
@@ -30,3 +34,22 @@ def test_governor_backend_session_and_spans_read_one_clock(scripted_clock):
     assert governor.stats.wait_seconds == 1.5
     assert scripted_clock.sleeps == [0.25, 0.75, 0.25, 0.75, 0.25]
     assert (step.start, step.end) == (0.0, 2.25)
+
+
+# A read or wait of the real clock, or a name bound from the one clock: either
+# escapes a test that scripts time through ``repro.clock``.
+_OTHER_CLOCK = re.compile(
+    r"perf_counter|monotonic\(|time\.sleep|^(import time|from time import)|from repro\.clock import"
+)
+
+
+def test_no_module_but_the_clock_reads_or_waits_on_time():
+    package = Path(repro.__file__).parent
+    hits = [
+        f"{path.relative_to(package)}:{number}: {line.strip()}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "clock.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _OTHER_CLOCK.search(line)
+    ]
+    assert hits == []

@@ -108,6 +108,14 @@ class TestRecordSpan:
         assert (leaf.start, leaf.end) == (0.25, 0.25)
         assert (step.start, step.end, step.duration_seconds) == (0.0, 0.25, 0.25)
 
+    def test_leaf_outside_any_span_is_a_root(self, scripted_clock):
+        tracker = SpanTracker()
+        with tracker.span("step"):
+            pass
+        scripted_clock.advance(0.5)
+        leaf = tracker.record_span("call", "gpt")
+        assert (leaf.parent_id, leaf.start, leaf.end) == (None, 0.5, 0.5)
+
     def test_non_json_attributes_are_coerced(self):
         tracker = SpanTracker()
         leaf = tracker.record_span("call", payload=object())
