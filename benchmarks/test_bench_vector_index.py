@@ -3,9 +3,9 @@
 Two pinned claims:
 
 * **Scale** — building the LSH index and deriving the full kNN candidate
-  graph over 50,000 near-duplicate product records ranks under 1% of the
-  n(n−1)/2 pairs of the brute-force pairwise embedding scan the blocker
-  used before the index layer existed (a 100x cut in counted work,
+  graph over 50,000 near-duplicate product records ranks under 0.5% of the
+  n(n−1) distances of the brute-force pairwise embedding scan the blocker
+  used before the index layer existed (a 200x cut in counted work,
   ``LSHIndex.candidates_examined``), while recovering at least 95% of the exact
   mutual-kNN candidate pairs.  The wall-clock speedup is printed, not
   asserted: a loaded host moves it.  The scan is infeasible to run outright
@@ -186,12 +186,12 @@ class TestVectorIndexAtScale:
         )
 
         assert recall >= 0.95, f"sampled mutual-pair recall {recall:.3f} below 0.95"
-        # The 100x is counted work, not seconds (the speedup above is printed
-        # only, since a loaded host moves it): the graph ranks under 1% of the
-        # n(n-1)/2 pairs the scan evaluates.
+        # The cut is counted work, not seconds (the speedup above is printed
+        # only, since a loaded host moves it): the graph ranks under 0.5% of
+        # the n(n-1) distances the scan evaluates, a 200x cut.
         ranked = index.candidates_examined
-        assert ranked < 0.01 * n * (n - 1) / 2, (
-            f"LSH ranked {ranked} distances, over 1% of the scan's {n * (n - 1) // 2} pairs"
+        assert ranked < 0.005 * n * (n - 1), (
+            f"LSH ranked {ranked} distances, over 0.5% of the scan's {n * (n - 1)}"
         )
 
 

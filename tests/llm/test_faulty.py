@@ -70,14 +70,6 @@ def test_a_hold_runs_outside_the_lock():
     assert (client.calls, client.answered) == (2, ["passes", "held"])
 
 
-def test_delay_waits_on_the_one_clock(scripted_clock):
-    client = FaultyLLM(EchoClient(), delay=0.25)
-    for prompt in PROMPTS[:3]:
-        client.complete(prompt)
-    assert scripted_clock.sleeps == [0.25, 0.25, 0.25]
-    assert scripted_clock.now() == 0.75
-
-
 @pytest.mark.parametrize("driver", ["threads", "async"])
 def test_calls_and_answered_are_exact_under_a_fanned_out_bag(driver):
     prompts = rating_prompts(24)
