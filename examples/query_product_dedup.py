@@ -15,7 +15,7 @@ about ~k·n candidate pairs instead of all O(n²).
 
 After the run, the session's :class:`~repro.core.physical.RuntimeStats`
 hold what actually happened — the predicate's observed selectivity, the
-dedup survivor ratio, per-strategy call counts — and quoting the *same*
+dedup survivor ratio, the blocked-pair rate — and quoting the *same*
 query on the *same* engine a second time prices every step from those
 observations instead of the static priors (the ``.explain()`` lines grow
 ``prior -> observed`` annotations).  That is the physical-planning
@@ -95,21 +95,15 @@ def main() -> None:
         f"actually executed         {result.total_calls:>4} calls / "
         f"${result.total_cost:.6f}"
     )
-    stats = engine.stats.snapshot()
-    # Which dedup statistic exists depends on the executed plan: the proxy
-    # rewrite judges candidate pairs (match rate), an unrewritten resolve
-    # clusters the whole corpus (survivor ratio).
-    match_rate = stats["pair_match_rate"]
-    survivors = stats["dedup_survivor_ratio"]
-    dedup_note = (
-        f"pair match rate {match_rate:.2f}"
-        if match_rate is not None
-        else f"dedup survivors {survivors:.2f}" if survivors is not None else "no dedup ran"
-    )
+    # The proxy rewrite's feedback records what its second quote prices the
+    # dedup from: clusters per listing, and candidate pairs per the
+    # blocker's k·n bound.
+    stats = engine.stats
     print(
         "\nobserved by the session: "
-        f"filter selectivity {stats['filter_selectivity']}, "
-        f"{dedup_note}, call counts {stats['call_count']}"
+        f"filter selectivity {stats.filter_selectivity('has a short brand word'):.2f}, "
+        f"dedup survivors {stats.dedup_survivor_ratio():.2f}, "
+        f"blocked pairs {stats.blocked_pair_rate():.2f} of the k·n bound"
     )
     print("\nsecond explain (prior -> observed annotations):")
     print(query.explain(planner=engine.planner()))

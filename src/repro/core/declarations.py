@@ -568,8 +568,9 @@ class _ResolvePairs(_ResolveRecords):
     def predicted(self, result: PairJudgmentResult, sample: ResolveSpec) -> list[bool]:
         return result.decisions
 
-    def observe(self, stats, spec: ResolveSpec, result: PairJudgmentResult) -> None:
-        stats.record_pair_match(judged=len(result.judgments), duplicates=sum(result.decisions))
+    # Judging given pairs says nothing about a corpus's survivor ratio, so
+    # this operation does not inherit the whole-corpus dedup's recorder.
+    observe = OperatorDeclaration.observe
 
 
 _RESOLVE_PAIRS = _ResolvePairs()

@@ -448,20 +448,6 @@ class CostPlanner:
         prompt_tokens = calls * (scaffold + tokens / pairs)
         return self._estimate("pair_judgments", calls, prompt_tokens, calls * answer)
 
-    # -- vector-index shapes ----------------------------------------------------------
-
-    #: Candidates an index probe ranks when no rate has been observed yet —
-    #: the LSH probe floor at its default k.
-    _DEFAULT_PROBE_CANDIDATES = 16.0
-
-    def probe_candidate_rate(self) -> float:
-        """Expected candidates ranked per probe (observed, or the prior)."""
-        if self.stats is not None:
-            observed = self.stats.probe_candidate_rate()
-            if observed is not None:
-                return observed
-        return self._DEFAULT_PROBE_CANDIDATES
-
     # -- declarative specs ------------------------------------------------------------
 
     def estimate_spec(self, spec: TaskSpec, *, observed_hits: bool = True) -> CostEstimate:

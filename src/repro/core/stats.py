@@ -1,10 +1,10 @@
 """Observed execution statistics, fed back into subsequent quotes.
 
 :class:`RuntimeStats` is a thread-safe store of what actually happened:
-per-predicate filter selectivities, dedup survivor ratios and pair match
-rates, join match selectivities, per-strategy call counts (estimated vs.
-actual), per-label call latencies and completion lengths, the session cache
-hit-rate and per-pipeline critical paths.  The engine records into it after every
+per-predicate filter selectivities, dedup survivor ratios, join match
+selectivities, blocked-pair rates, per-strategy actual/estimated call ratios,
+per-label call latencies and completion lengths, the session cache hit-rate
+and per-pipeline critical paths.  The engine records into it after every
 operator run; the :class:`~repro.core.planner.CostPlanner` and the query
 optimizer consult it on subsequent quotes so the second quote of a workload
 is priced from observations rather than from static priors.
@@ -16,13 +16,20 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import ConfigurationError
 
 #: Revision stamps, unique in the process: equal stamps are one stats
 #: object in one state (``Store.save_profile`` skips re-encoding on it).
 _REVISIONS = itertools.count()
+
+#: Kinds with one ratio per store, exported as one ``[numerator,
+#: denominator]`` pair each.
+_SCALARS = ("dedup", "join", "blocked_pairs", "cache")
+#: Kinds with one ratio per label (a predicate, an ``"<op>:<strategy>"``
+#: label or a pipeline name), exported as ``{label: pair}``.
+_LABELLED = ("filter", "calls", "completions", "critical_path")
 
 
 @dataclass
@@ -37,6 +44,16 @@ class _Ratio:
         if self.denominator <= 0:
             return None
         return self.numerator / self.denominator
+
+
+def _saved_pairs(state: Mapping[str, Any]) -> Iterator[tuple[tuple[str, str | None], Any]]:
+    """``((kind, label), pair)`` per kept kind of an exported state (others skipped)."""
+    for kind in _SCALARS:
+        if kind in state:
+            yield (kind, None), state[kind]
+    for kind in _LABELLED:
+        for label, pair in dict(state.get(kind, {})).items():
+            yield (kind, label), pair
 
 
 class RuntimeStats:
@@ -54,84 +71,53 @@ class RuntimeStats:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.revision = next(_REVISIONS)  # restamped by every recorder
-        self._filter: dict[str, _Ratio] = {}
-        self._dedup = _Ratio()
-        self._pair_match = _Ratio()
-        self._join = _Ratio()
-        self._blocked_pairs = _Ratio()
-        self._probe_candidates = _Ratio()
-        self._calls: dict[str, _Ratio] = {}
-        self._call_counts: dict[str, float] = {}
-        self._runs: dict[str, float] = {}
+        self._ratios: dict[tuple[str, str | None], _Ratio] = {}
         # Per-operator/strategy call durations (ms), most recent last; fed by
         # the session's call spans so quotes can carry wall-clock estimates.
         self._latency: dict[str, list[float]] = {}
-        # Per-operator/strategy completion tokens over live calls (a cache
-        # hit bills none), fed per recorded run; prices quoted completions.
-        self._completions: dict[str, _Ratio] = {}
-        # Session-global cache hits over requests, also fed per traced call;
-        # the planner discounts dollar quotes by the observed hit rate.
-        self._cache = _Ratio()
-        # Per-pipeline critical-path wall-clock seconds (mean over runs),
-        # fed by the engine's span tree after each pipeline execution.
-        self._critical_path: dict[str, _Ratio] = {}
 
-    # -- recorders -------------------------------------------------------------------
-
-    def _add(self, ratio: _Ratio | tuple[dict[str, _Ratio], str], numerator, denominator) -> None:
-        """Add to ``ratio`` (or ``table[key]``, made on first use), stamping a revision."""
+    def _add(self, kind: str, num: float, den: float, label: str | None = None) -> None:
+        """Add ``num / den`` to the ``(kind, label)`` ratio (made on first use),
+        stamping a revision."""
         with self._lock:
             self.revision = next(_REVISIONS)
-            if isinstance(ratio, tuple):
-                table, key = ratio
-                ratio = table.setdefault(key, _Ratio())
-            ratio.numerator += numerator
-            ratio.denominator += denominator
+            ratio = self._ratios.setdefault((kind, label), _Ratio())
+            ratio.numerator += num
+            ratio.denominator += den
+
+    def _value(self, kind: str, label: str | None = None) -> float | None:
+        """The ``(kind, label)`` ratio's observed value, or ``None``."""
+        with self._lock:
+            ratio = self._ratios.get((kind, label))
+            return ratio.value if ratio is not None else None
+
+    # -- recorders -------------------------------------------------------------------
 
     def record_filter(self, predicate: str, *, evaluated: int, kept: int) -> None:
         """Record one predicate pass: ``kept`` of ``evaluated`` items survived."""
         if evaluated > 0:
-            self._add((self._filter, predicate), kept, evaluated)
+            self._add("filter", kept, evaluated, predicate)
 
     def record_dedup(self, *, inputs: int, survivors: int) -> None:
         """Record a whole-corpus dedup: ``survivors`` clusters from ``inputs`` records."""
         if inputs > 0:
-            self._add(self._dedup, survivors, inputs)
-
-    def record_pair_match(self, *, judged: int, duplicates: int) -> None:
-        """Record a pair-judgment run: ``duplicates`` of ``judged`` pairs matched."""
-        if judged > 0:
-            self._add(self._pair_match, duplicates, judged)
+            self._add("dedup", survivors, inputs)
 
     def record_join(self, *, left: int, matched: int) -> None:
         """Record a semi-join: ``matched`` of ``left`` records found a partner."""
         if left > 0:
-            self._add(self._join, matched, left)
+            self._add("join", matched, left)
 
     def record_blocked_pairs(self, *, candidates: int, upper_bound: int) -> None:
         """Record a blocking run: the mutual-neighbor blocker emitted
         ``candidates`` pairs where the k·n bound allowed ``upper_bound``."""
         if upper_bound > 0:
-            self._add(self._blocked_pairs, candidates, upper_bound)
-
-    def record_probe_candidates(self, *, candidates: int, probed: int) -> None:
-        """Record vector-index probes: ``candidates`` rows were distance-ranked
-        across ``probed`` probes.  The rate is a mean candidate count per
-        probe (it can exceed 1), which is what prices an LSH probe against
-        the exact index's full-corpus rank."""
-        if probed > 0:
-            self._add(self._probe_candidates, candidates, probed)
+            self._add("blocked_pairs", candidates, upper_bound)
 
     def record_calls(self, label: str, *, estimated: int, actual: int) -> None:
         """Record a strategy run: the planner quoted ``estimated`` calls, it took ``actual``."""
-        with self._lock:
-            self.revision = next(_REVISIONS)
-            self._call_counts[label] = self._call_counts.get(label, 0.0) + actual
-            self._runs[label] = self._runs.get(label, 0.0) + 1
-            if estimated > 0:
-                ratio = self._calls.setdefault(label, _Ratio())
-                ratio.numerator += actual
-                ratio.denominator += estimated
+        if estimated > 0:
+            self._add("calls", actual, estimated, label)
 
     def record_latency(self, label: str, duration_ms: float) -> None:
         """Record one call's wall-clock duration under a strategy label."""
@@ -159,9 +145,9 @@ class RuntimeStats:
 
     def record_completions(self, label: str, *, tokens: int, calls: int) -> None:
         """Record ``calls`` live calls under a strategy label that returned
-        ``tokens`` completion tokens between them."""
+        ``tokens`` completion tokens between them (a cache hit bills none)."""
         if calls > 0:
-            self._add((self._completions, label), tokens, calls)
+            self._add("completions", tokens, calls, label)
 
     def record_critical_path(self, pipeline: str, seconds: float) -> None:
         """Record one pipeline run's observed critical-path wall-clock.
@@ -172,60 +158,35 @@ class RuntimeStats:
         branches overlap, so the sum of step durations overstates reality.
         """
         if seconds >= 0:
-            self._add((self._critical_path, pipeline), seconds, 1)
+            self._add("critical_path", seconds, 1, pipeline)
 
     def record_cache(self, *, hit: bool, requests: int = 1) -> None:
-        """Record cacheable session traffic: ``requests`` calls, hit or missed."""
+        """Record cacheable session traffic: ``requests`` calls, hit or missed.
+        The planner discounts dollar quotes by the observed hit rate."""
         if requests > 0:
-            self._add(self._cache, requests if hit else 0, requests)
+            self._add("cache", requests if hit else 0, requests)
 
     # -- observations ----------------------------------------------------------------
 
     def filter_selectivity(self, predicate: str) -> float | None:
         """Observed surviving fraction of ``predicate``, or ``None``."""
-        with self._lock:
-            ratio = self._filter.get(predicate)
-            return ratio.value if ratio is not None else None
+        return self._value("filter", predicate)
 
     def dedup_survivor_ratio(self) -> float | None:
         """Observed clusters-per-record ratio of whole-corpus dedups."""
-        with self._lock:
-            return self._dedup.value
-
-    def pair_match_rate(self) -> float | None:
-        """Observed duplicate fraction among judged pairs."""
-        with self._lock:
-            return self._pair_match.value
+        return self._value("dedup")
 
     def join_selectivity(self) -> float | None:
         """Observed fraction of left records with at least one join match."""
-        with self._lock:
-            return self._join.value
+        return self._value("join")
 
     def blocked_pair_rate(self) -> float | None:
         """Observed candidate-pair fraction of the blocker's k·n upper bound."""
-        with self._lock:
-            return self._blocked_pairs.value
-
-    def probe_candidate_rate(self) -> float | None:
-        """Observed mean candidates ranked per index probe, or ``None``."""
-        with self._lock:
-            return self._probe_candidates.value
+        return self._value("blocked_pairs")
 
     def call_ratio(self, label: str) -> float | None:
         """Observed actual/estimated call ratio for a strategy label."""
-        with self._lock:
-            ratio = self._calls.get(label)
-            return ratio.value if ratio is not None else None
-
-    def call_count(self, label: str) -> int:
-        """Total observed calls recorded under a strategy label.
-
-        Decay-weighted history merged from a workload profile contributes
-        fractionally; the reported count rounds to the nearest whole call.
-        """
-        with self._lock:
-            return int(round(self._call_counts.get(label, 0.0)))
+        return self._value("calls", label)
 
     def latency_percentile(self, label: str, quantile: float) -> float | None:
         """The ``quantile`` (in [0, 1]) of observed call durations, in ms.
@@ -249,94 +210,37 @@ class RuntimeStats:
 
     def completion_tokens_per_call(self, label: str) -> float | None:
         """Observed mean completion tokens of a live call under a strategy label."""
-        with self._lock:
-            ratio = self._completions.get(label)
-            return ratio.value if ratio is not None else None
+        return self._value("completions", label)
 
     def cache_hit_rate(self) -> float | None:
         """Observed cache-hit fraction of session traffic, or ``None``."""
-        with self._lock:
-            return self._cache.value
+        return self._value("cache")
 
     def critical_path_seconds(self, pipeline: str) -> float | None:
         """Mean observed critical-path seconds of a pipeline, or ``None``."""
-        with self._lock:
-            ratio = self._critical_path.get(pipeline)
-            return ratio.value if ratio is not None else None
-
-    @property
-    def empty(self) -> bool:
-        """Whether nothing has been recorded yet."""
-        with self._lock:
-            ratios = (self._dedup, self._pair_match, self._join, self._blocked_pairs,
-                      self._probe_candidates, self._cache)
-            return not (
-                self._filter or self._calls or self._call_counts or self._latency
-                or self._completions or self._critical_path
-                or any(ratio.denominator for ratio in ratios)
-            )
-
-    def snapshot(self) -> dict[str, Any]:
-        """A plain-dict view of every observed statistic (for debugging/explain)."""
-        with self._lock:
-            return {
-                "filter_selectivity": {
-                    predicate: ratio.value for predicate, ratio in self._filter.items()
-                },
-                "dedup_survivor_ratio": self._dedup.value,
-                "pair_match_rate": self._pair_match.value,
-                "join_selectivity": self._join.value,
-                "blocked_pair_rate": self._blocked_pairs.value,
-                "probe_candidate_rate": self._probe_candidates.value,
-                "call_ratio": {label: ratio.value for label, ratio in self._calls.items()},
-                "call_count": {
-                    label: int(round(count)) for label, count in self._call_counts.items()
-                },
-                "cache_hit_rate": self._cache.value,
-                "critical_path_seconds": {
-                    pipeline: ratio.value
-                    for pipeline, ratio in self._critical_path.items()
-                },
-                "latency_samples": {
-                    label: len(samples) for label, samples in self._latency.items()
-                },
-                "completion_tokens_per_call": {
-                    label: ratio.value for label, ratio in self._completions.items()
-                },
-            }
+        return self._value("critical_path", pipeline)
 
     # -- durable state (workload profiles) ---------------------------------------
 
     def export_state(self) -> dict[str, Any]:
-        """Every accumulator as plain JSON-shaped data (see ``repro.store``).
+        """Every statistic as plain JSON-shaped data (see ``repro.store``).
 
         The export carries raw numerator/denominator pairs rather than the
         derived ratios, so merging two states (or decay-scaling one) keeps
         the evidence-weighting exact: a ratio observed over 1000 items
         outweighs one observed over 10.
         """
-
-        def pair(ratio: _Ratio) -> list[float]:
-            return [ratio.numerator, ratio.denominator]
-
         with self._lock:
-            return {
-                "filter": {predicate: pair(r) for predicate, r in self._filter.items()},
-                "dedup": pair(self._dedup),
-                "pair_match": pair(self._pair_match),
-                "join": pair(self._join),
-                "blocked_pairs": pair(self._blocked_pairs),
-                "probe_candidates": pair(self._probe_candidates),
-                "calls": {label: pair(r) for label, r in self._calls.items()},
-                "call_counts": dict(self._call_counts),
-                "runs": dict(self._runs),
-                "cache": pair(self._cache),
-                "critical_path": {
-                    pipeline: pair(r) for pipeline, r in self._critical_path.items()
-                },
-                "latency": {label: list(samples) for label, samples in self._latency.items()},
-                "completions": {label: pair(r) for label, r in self._completions.items()},
-            }
+            state: dict[str, Any] = {kind: [0.0, 0.0] for kind in _SCALARS}
+            state.update((kind, {}) for kind in _LABELLED)
+            for (kind, label), ratio in self._ratios.items():
+                pair = [ratio.numerator, ratio.denominator]
+                if label is None:
+                    state[kind] = pair
+                else:
+                    state[kind][label] = pair
+            state["latency"] = {label: list(samples) for label, samples in self._latency.items()}
+            return state
 
     def merge_state(self, state: Mapping[str, Any], *, weight: float = 1.0) -> None:
         """Add an exported state's counts into this store, scaled by ``weight``.
@@ -345,44 +249,30 @@ class RuntimeStats:
         arrive with reduced evidence mass, so fresh observations of the
         same statistic overtake them instead of being averaged away.
         Scaling numerator and denominator alike leaves the merged *ratios*
-        identical to the saved ones until new evidence lands.
+        identical to the saved ones until new evidence lands.  Every value is
+        read before any is added: a malformed state raises and merges nothing.
         """
         if weight <= 0:
             return
-
-        def add(ratio: _Ratio, pair: Any) -> None:
-            numerator, denominator = pair
-            ratio.numerator += float(numerator) * weight
-            ratio.denominator += float(denominator) * weight
-
+        pairs = [
+            (key, float(numerator) * weight, float(denominator) * weight)
+            for key, (numerator, denominator) in _saved_pairs(state)
+        ]
+        latency = {
+            label: [float(value) for value in saved]
+            for label, saved in dict(state.get("latency", {})).items()
+        }
         with self._lock:
             self.revision = next(_REVISIONS)
-            for predicate, pair in dict(state.get("filter", {})).items():
-                add(self._filter.setdefault(predicate, _Ratio()), pair)
-            add(self._dedup, state.get("dedup", (0, 0)))
-            add(self._pair_match, state.get("pair_match", (0, 0)))
-            add(self._join, state.get("join", (0, 0)))
-            add(self._blocked_pairs, state.get("blocked_pairs", (0, 0)))
-            add(self._probe_candidates, state.get("probe_candidates", (0, 0)))
-            for label, pair in dict(state.get("calls", {})).items():
-                add(self._calls.setdefault(label, _Ratio()), pair)
-            for label, count in dict(state.get("call_counts", {})).items():
-                self._call_counts[label] = (
-                    self._call_counts.get(label, 0.0) + float(count) * weight
-                )
-            for label, count in dict(state.get("runs", {})).items():
-                self._runs[label] = self._runs.get(label, 0.0) + float(count) * weight
-            add(self._cache, state.get("cache", (0, 0)))
-            for pipeline, pair in dict(state.get("critical_path", {})).items():
-                add(self._critical_path.setdefault(pipeline, _Ratio()), pair)
-            for label, pair in dict(state.get("completions", {})).items():
-                add(self._completions.setdefault(label, _Ratio()), pair)
+            for key, numerator, denominator in pairs:
+                ratio = self._ratios.setdefault(key, _Ratio())
+                ratio.numerator += numerator
+                ratio.denominator += denominator
             # Latency samples have no numerator/denominator to scale, so
             # decay keeps a weight-sized share of the *most recent* saved
             # samples — history fades by shrinking its sample mass, and the
             # merged reservoir stays bounded.
-            for label, saved in dict(state.get("latency", {})).items():
-                saved = [float(value) for value in saved]
+            for label, saved in latency.items():
                 keep = int(round(len(saved) * min(1.0, weight)))
                 if keep <= 0:
                     continue
@@ -390,4 +280,3 @@ class RuntimeStats:
                 samples.extend(saved[-keep:])
                 if len(samples) > self.LATENCY_SAMPLE_CAP:
                     del samples[: len(samples) - self.LATENCY_SAMPLE_CAP]
-

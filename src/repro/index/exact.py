@@ -6,7 +6,8 @@ Gram-matrix arithmetic as the legacy ``HashingEmbedder.nearest_neighbors``
 scan, so an index-backed blocker produces *identical* candidate pairs to
 the scan it replaces (pinned by ``tests/index/test_blocker_index.py``).
 It is the ground truth the LSH index's recall is measured against, and the
-right choice for small corpora where approximation buys nothing.
+right choice for small corpora where approximation buys nothing.  Its work
+is fixed by the corpus size (n·(n − 1) per graph), so it counts none.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ class ExactIndex:
         self._vectors = np.zeros((0, dimensions), dtype=np.float64)
         self._ids: list[int] = []
         self._id_rows: dict[int, int] = {}
-        #: Probe instrumentation: how many lookups ran and how many stored
-        #: vectors they distance-ranked in total.  Consumers feed these into
-        #: ``RuntimeStats.record_probe_candidates`` so the planner learns the
-        #: observed candidates-per-probe rate.  Not persisted.
-        self.probes = 0
-        self.candidates_examined = 0
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -96,8 +91,6 @@ class ExactIndex:
             raise ConfigurationError(
                 f"expected a query of dimension {self.dimensions}, got {dense.shape[0]}"
             )
-        self.probes += 1
-        self.candidates_examined += len(self._ids)
         deltas = self._vectors - dense[None, :]
         distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
         order = np.lexsort((np.asarray(self._ids), distances))[: min(k, len(self._ids))]
@@ -117,8 +110,6 @@ class ExactIndex:
         count = len(self._ids)
         if count == 0 or k == 0:
             return {row_id: [] for row_id in self._ids}
-        self.probes += count
-        self.candidates_examined += count * (count - 1)
         matrix = self._vectors
         squared_norms = np.sum(matrix * matrix, axis=1)
         distances = squared_norms[:, None] + squared_norms[None, :] - 2.0 * (matrix @ matrix.T)

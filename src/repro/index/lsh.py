@@ -117,13 +117,10 @@ class LSHIndex:
         self._signatures = np.zeros((n_tables, 0), dtype=np.int64)
         #: Per table: signature -> row positions (built lazily for search).
         self._buckets: list[dict[int, np.ndarray]] | None = None
-        #: Probe instrumentation: lookups run and candidates distance-ranked
-        #: across them, for ``RuntimeStats.record_probe_candidates``.  The
-        #: candidate count is the *approximation* work actually done — a tiny
-        #: fraction of the corpus when the hash spreads well; for
-        #: :meth:`knn_graph`, every distance its buckets rank (an exact scan
-        #: ranks n·(n − 1)).  Not persisted.
-        self.probes = 0
+        #: Candidates distance-ranked so far: the *approximation* work
+        #: actually done — a tiny fraction of the corpus per :meth:`search`
+        #: when the hash spreads well; for :meth:`knn_graph`, every distance
+        #: its buckets rank (an exact scan ranks n·(n − 1)).  Not persisted.
         self.candidates_examined = 0
 
     @classmethod
@@ -271,7 +268,6 @@ class LSHIndex:
                 f"expected a query of dimension {self.dimensions}, got {dense.shape[0]}"
             )
         rows = self._candidate_rows(dense, k)
-        self.probes += 1
         self.candidates_examined += len(rows)
         if not rows:
             return []
@@ -371,7 +367,6 @@ class LSHIndex:
         count = len(self._ids)
         if count == 0 or k == 0:
             return {row_id: [] for row_id in self._ids}
-        self.probes += count
         # Rank in float32: within-bucket distance *ordering* is what matters
         # (the graph is approximate by construction) and halving the memory
         # traffic roughly halves the ranking wall-clock at 50k records.

@@ -347,7 +347,6 @@ def _emit_proxy_resolve(
         kind, graphs = stored if stored is not None else ("", {})
         graph = graphs.get(k)
         if graph is not None and len(graph) == len(items):
-            # The run that computed the graph recorded its probes.
             result = BlockingResult.from_neighbors(dict(enumerate(graph)))
             reused = True
         else:
@@ -358,16 +357,7 @@ def _emit_proxy_resolve(
                 name=name if stored is not None else None,  # no row, nothing to load
             )
             kind = str(getattr(index, "kind", "unknown"))
-            probes_before = int(getattr(index, "probes", 0))
-            candidates_before = int(getattr(index, "candidates_examined", 0))
             result = EmbeddingBlocker(k=k, embedder=embedder, index=index).block(items)
-            probed = int(getattr(index, "probes", 0)) - probes_before
-            if probed > 0:
-                session.stats.record_probe_candidates(
-                    candidates=int(getattr(index, "candidates_examined", 0))
-                    - candidates_before,
-                    probed=probed,
-                )
             if store is not None:
                 # One write: the index with every graph computed from it.
                 kept = graphs if reused else {}

@@ -16,6 +16,10 @@ evidence instead of being anchored to stale history.  Because the scaling
 multiplies numerator and denominator alike, the *ratios* a loaded profile
 reports are exactly the ratios that were saved: a cold session that loads a
 profile quotes identically to the warm session that wrote it.
+
+The state is ``RuntimeStats.export_state``'s layout: a saved kind the stats
+no longer keep is ignored on load, and a payload or state that is not in that
+layout raises :class:`~repro.exceptions.StoreError`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.exceptions import StoreError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.physical import RuntimeStats
 
-#: Bump when the exported state layout changes.
+#: Bump when a kept kind's exported layout changes (a dropped kind is ignored).
 PROFILE_VERSION = 1
 
 #: Default weight applied to saved observations when merging into a fresh
@@ -57,7 +61,10 @@ class WorkloadProfile:
         """Merge this profile into ``stats``, scaling saved counts by ``decay``."""
         if not 0.0 < decay <= 1.0:
             raise StoreError("profile decay must be in (0, 1]")
-        stats.merge_state(self.state, weight=decay)
+        try:
+            stats.merge_state(self.state, weight=decay)
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"malformed workload profile state: {exc}") from exc
 
     def to_json(self) -> str:
         return _PAYLOAD.encode({"version": self.version, "state": self.state})
@@ -68,10 +75,14 @@ class WorkloadProfile:
             data = json.loads(payload)
         except json.JSONDecodeError as exc:
             raise StoreError(f"malformed workload profile payload: {exc}") from exc
-        version = int(data.get("version", 0))
+        if not isinstance(data, dict):
+            raise StoreError("malformed workload profile payload: not an object")
+        version, state = data.get("version", 0), data.get("state", {})
+        if not isinstance(version, int) or not isinstance(state, dict):
+            raise StoreError("malformed workload profile payload: bad version or state")
         if version > PROFILE_VERSION:
             raise StoreError(
                 f"workload profile version {version} is newer than this "
                 f"library's {PROFILE_VERSION}"
             )
-        return cls(state=dict(data.get("state", {})), version=version)
+        return cls(state=state, version=version)

@@ -59,7 +59,8 @@ def assert_the_books_agree(session: PromptSession, client: FaultyLLM, *, errors:
     assert series["repro_budget_spent_dollars"]['{tenant=""}'] == spent
     assert sum(series.get("repro_llm_call_errors_total", {}).values()) == errors
     samples = {OPERATOR: len(records)} if records else {}
-    assert session.stats.snapshot()["latency_samples"] == samples
+    latency = session.stats.export_state()["latency"]
+    assert {label: len(kept) for label, kept in latency.items()} == samples
 
 
 @settings(max_examples=150, deadline=None)

@@ -229,28 +229,28 @@ class TestValidationDrivenSelection:
 class TestRuntimeStats:
     def test_empty_store_returns_none(self):
         stats = RuntimeStats()
-        assert stats.empty
         assert stats.filter_selectivity("anything") is None
         assert stats.dedup_survivor_ratio() is None
-        assert stats.pair_match_rate() is None
         assert stats.join_selectivity() is None
+        assert stats.blocked_pair_rate() is None
         assert stats.call_ratio("sort:pairwise") is None
-        assert stats.call_count("sort:pairwise") == 0
+        assert stats.completion_tokens_per_call("sort:pairwise") is None
+        assert stats.cache_hit_rate() is None
+        assert stats.critical_path_seconds("pipeline") is None
+        assert stats.latency_p50("sort:pairwise") is None
 
     def test_filter_selectivity_aggregates_across_runs(self):
         stats = RuntimeStats()
         stats.record_filter("p", evaluated=10, kept=5)
         stats.record_filter("p", evaluated=10, kept=10)
         assert stats.filter_selectivity("p") == pytest.approx(0.75)
-        assert not stats.empty
 
     def test_call_ratio_and_counts(self):
         stats = RuntimeStats()
         stats.record_calls("resolve:auto", estimated=100, actual=25)
         stats.record_calls("resolve:auto", estimated=100, actual=35)
         assert stats.call_ratio("resolve:auto") == pytest.approx(0.30)
-        assert stats.call_count("resolve:auto") == 60
-        assert stats.export_state()["runs"]["resolve:auto"] == 2
+        assert stats.export_state()["calls"] == {"resolve:auto": [60.0, 200.0]}
 
     def test_zero_denominators_are_ignored(self):
         stats = RuntimeStats()
@@ -260,13 +260,7 @@ class TestRuntimeStats:
         assert stats.filter_selectivity("p") is None
         assert stats.dedup_survivor_ratio() is None
         assert stats.call_ratio("x") is None
-        assert stats.call_count("x") == 5
-
-    def test_snapshot_is_plain_data(self):
-        stats = RuntimeStats()
-        stats.record_join(left=4, matched=1)
-        snapshot = stats.snapshot()
-        assert snapshot["join_selectivity"] == pytest.approx(0.25)
+        assert stats.export_state()["calls"] == {}
 
 
 class TestEngineFeedsStats:
@@ -307,9 +301,9 @@ class TestEngineFeedsStats:
         spec = ResolveSpec(records=items, budget_dollars=single_dollars * 1.05)
         result = engine.resolve(spec)
         assert result.strategy == "single_prompt"  # the downgrade happened
-        runs = engine.stats.export_state()["runs"]
-        assert runs.get("resolve:single_prompt") == 1
-        assert runs.get("resolve:pairwise", 0) == 0
+        labels = engine.stats.export_state()["calls"]
+        assert "resolve:single_prompt" in labels
+        assert "resolve:pairwise" not in labels
         explicit = ResolveSpec(records=items, strategy="pairwise")
         structural = CostPlanner(MODEL_NAME).estimate_spec(explicit)
         assert engine.planner().estimate_spec(explicit).calls == structural.calls
@@ -324,10 +318,9 @@ class TestEngineFeedsStats:
         engine.resolve(
             ResolveSpec(pairs=[(items[0], items[1])], records=items, neighbors_k=1)
         )
-        runs = engine.stats.export_state()["runs"]
-        assert runs.get("resolve:pairwise") == 1
-        assert runs.get("resolve:transitive") == 1
-        assert runs.get("resolve:auto", 0) == 0
+        labels = engine.stats.export_state()["calls"]
+        assert "resolve:pairwise" in labels and "resolve:transitive" in labels
+        assert "resolve:auto" not in labels
 
     def test_transitive_resolve_ratio_corrects_the_upper_bound(self):
         items, oracle = product_corpus(n_entities=6, variants=2)

@@ -81,7 +81,9 @@ def left_behind(session: PromptSession, step) -> dict:
         "cost_total": round(series["repro_llm_cost_dollars_total"]['{tenant=""}'], 12),
         "budget_gauge": round(series["repro_budget_spent_dollars"]['{tenant=""}'], 12),
         "cache_hit_rate": session.stats.cache_hit_rate(),
-        "latency_samples": session.stats.snapshot()["latency_samples"],
+        "latency_samples": {
+            label: len(kept) for label, kept in session.stats.export_state()["latency"].items()
+        },
         "tracker": (usage.prompt_tokens, usage.completion_tokens, usage.calls),
         "spent": round(session.budget.spent, 12),
     }
@@ -161,7 +163,8 @@ def assert_books_agree(session: PromptSession, reached: int, *, errors: int = 0)
     )
     assert series["repro_budget_spent_dollars"]['{tenant=""}'] == session.budget.spent
     assert sum(series.get("repro_llm_call_errors_total", {}).values()) == errors
-    assert session.stats.snapshot()["latency_samples"] == {OPERATOR: reached + errors}
+    latency = session.stats.export_state()["latency"]
+    assert {label: len(kept) for label, kept in latency.items()} == {OPERATOR: reached + errors}
 
 
 class TestABagThatEndsEarly:

@@ -106,27 +106,3 @@ class TestExactIndexPersistence:
         assert len(restored) == 0
         assert restored.dimensions == 5
 
-
-class TestExactIndexCounters:
-    def test_search_counts_probes_and_candidates(self):
-        index = ExactIndex(3)
-        index.add(_unit_rows(np.random.default_rng(8), 10, 3))
-        index.search(np.zeros(3), 2)
-        index.search(np.zeros(3), 2)
-        assert index.probes == 2
-        assert index.candidates_examined == 20
-
-    def test_knn_graph_counts_pairwise_work(self):
-        index = ExactIndex(3)
-        index.add(_unit_rows(np.random.default_rng(9), 6, 3))
-        index.knn_graph(2)
-        assert index.probes == 6
-        assert index.candidates_examined == 30  # 6 * 5
-
-    def test_counters_are_not_persisted(self):
-        index = ExactIndex(3)
-        index.add(_unit_rows(np.random.default_rng(10), 4, 3))
-        index.search(np.zeros(3), 1)
-        restored = ExactIndex.from_payload(index.to_payload())
-        assert restored.probes == 0
-        assert restored.candidates_examined == 0

@@ -205,7 +205,6 @@ class TestLSHCounters:
         index = LSHIndex.for_corpus(32, len(vectors), seed=0)
         index.add(vectors)
         index.search(vectors[0], 3)
-        assert index.probes == 1
         # A probe examines a fraction of the corpus, not all of it.
         assert 0 < index.candidates_examined < len(vectors)
 
@@ -215,7 +214,6 @@ class TestLSHCounters:
         index = LSHIndex.for_corpus(32, len(vectors), seed=0)
         index.add(vectors)
         index.knn_graph(3)
-        assert index.probes == len(vectors)
         # Every distance ranked: each row against the rest of its bucket, per table.
         ranked = sum(
             len(rows) * (len(rows) - 1) for table in index._bucket_maps() for rows in table.values()

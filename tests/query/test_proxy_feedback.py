@@ -75,13 +75,13 @@ class TestProxyResolveFeedsStats:
         with Store(tmp_path / "store.db") as store:
             engine = clean_engine(oracle)
             dedup_query(items).with_store(store).run(engine)
-            snapshot = engine.session.stats.snapshot()
+            ratio = engine.session.stats.dedup_survivor_ratio()
             baseline = engine.session.stats.export_state()["dedup"]
             # Two free replays: every judge step restores from checkpoints.
             dedup_query(items).with_store(store).run(engine)
             dedup_query(items).with_store(store).run(engine)
             after = engine.session.stats.export_state()["dedup"]
-        assert snapshot["dedup_survivor_ratio"] is not None
+        assert ratio is not None
         # The evidence mass is unchanged — restored steps record nothing.
         assert after == baseline
 
@@ -91,6 +91,6 @@ class TestProxyResolveFeedsStats:
         items, oracle = product_corpus(n_entities=1, variants=1)
         engine = clean_engine(oracle)
         dedup_query(items).run(engine)
-        ratio = engine.session.stats.snapshot()["dedup_survivor_ratio"]
+        ratio = engine.session.stats.dedup_survivor_ratio()
         # Either nothing recorded (no dedup ran) or exactly one recording.
         assert ratio is None or ratio == 1.0

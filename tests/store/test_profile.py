@@ -14,7 +14,7 @@ from repro.core.spec import FilterSpec, PipelineSpec, PipelineStep
 from repro.exceptions import StoreError
 from repro.llm.oracle import Oracle
 from repro.llm.simulated import SimulatedLLM
-from repro.store import Store, WorkloadProfile
+from repro.store import PROFILE_VERSION, Store, WorkloadProfile
 
 MODEL = "sim-gpt-3.5-turbo"
 PREDICATE = "mentions an animal"
@@ -45,7 +45,6 @@ def observed_stats() -> RuntimeStats:
     stats = RuntimeStats()
     stats.record_filter(PREDICATE, evaluated=100, kept=30)
     stats.record_dedup(inputs=60, survivors=20)
-    stats.record_pair_match(judged=50, duplicates=10)
     stats.record_join(left=40, matched=8)
     stats.record_blocked_pairs(candidates=66, upper_bound=100)
     stats.record_calls("sort:pairwise", estimated=10, actual=15)
@@ -72,12 +71,9 @@ class TestStateRoundTrip:
         fresh.merge_state(stats.export_state())
         assert fresh.filter_selectivity(PREDICATE) == pytest.approx(0.3)
         assert fresh.dedup_survivor_ratio() == pytest.approx(20 / 60)
-        assert fresh.pair_match_rate() == pytest.approx(0.2)
         assert fresh.join_selectivity() == pytest.approx(0.2)
         assert fresh.blocked_pair_rate() == pytest.approx(0.66)
         assert fresh.call_ratio("sort:pairwise") == pytest.approx(1.5)
-        assert fresh.call_count("sort:pairwise") == 15
-        assert fresh.export_state()["runs"]["sort:pairwise"] == 1
 
     def test_decay_scales_evidence_not_ratios(self):
         stats = observed_stats()
@@ -95,16 +91,60 @@ class TestStateRoundTrip:
     def test_merge_with_zero_weight_is_a_no_op(self):
         fresh = RuntimeStats()
         fresh.merge_state(observed_stats().export_state(), weight=0.0)
-        assert fresh.empty
+        assert fresh.filter_selectivity(PREDICATE) is None
+        assert fresh.export_state() == RuntimeStats().export_state()
 
     def test_profile_json_round_trip(self):
         profile = WorkloadProfile.from_stats(observed_stats())
         restored = WorkloadProfile.from_json(profile.to_json())
         assert restored.state == profile.state
 
-    def test_malformed_payload_raises(self):
-        with pytest.raises(StoreError):
-            WorkloadProfile.from_json("{not json")
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "{not json",
+            "[]",
+            "null",
+            '{"version": "x"}',
+            '{"version": 1, "state": [1]}',
+            '{"version": 1, "state": {"dedup": 5}}',
+            '{"version": 1, "state": {"dedup": [1, 2], "filter": {"p": [1, 2, 3]}}}',
+            '{"version": 1, "state": {"calls": [1]}}',
+            '{"version": 1, "state": {"latency": {"sort:pairwise": 5}}}',
+        ],
+    )
+    def test_malformed_payload_raises(self, payload):
+        stats = RuntimeStats()
+        with pytest.raises(StoreError, match="malformed"):
+            WorkloadProfile.from_json(payload).apply_to(stats)
+        assert stats.export_state() == RuntimeStats().export_state()  # nothing half-merged
+
+    def test_a_version_1_profile_of_every_saved_kind_loads(self):
+        # The layout as first written under PROFILE_VERSION 1, with the
+        # kinds (pair_match, probe_candidates, call_counts, runs) that the
+        # stats no longer keep: those are ignored, the rest load as saved.
+        payload = (
+            '{"state": {"blocked_pairs": [66.0, 100.0], "cache": [3.0, 4.0], '
+            '"call_counts": {"sort:pairwise": 15.0}, "calls": {"sort:pairwise": [15.0, 10.0]}, '
+            '"completions": {"sort:pairwise": [190.0, 10.0]}, '
+            '"critical_path": {"nightly": [2.5, 1.0]}, "dedup": [20.0, 60.0], '
+            '"filter": {"mentions an animal": [30.0, 100.0]}, "join": [8.0, 40.0], '
+            '"latency": {"sort:pairwise": [12.5, 7.5]}, "pair_match": [10.0, 50.0], '
+            '"probe_candidates": [480.0, 30.0], "runs": {"sort:pairwise": 1.0}}, "version": 1}'
+        )
+        profile = WorkloadProfile.from_json(payload)
+        assert len(profile.state) == 13 and profile.version == PROFILE_VERSION == 1
+        fresh = RuntimeStats()
+        profile.apply_to(fresh)
+        assert fresh.filter_selectivity(PREDICATE) == 0.3
+        assert fresh.dedup_survivor_ratio() == 20 / 60
+        assert fresh.call_ratio("sort:pairwise") == 1.5
+        assert fresh.completion_tokens_per_call("sort:pairwise") == 19.0
+        assert fresh.critical_path_seconds("nightly") == 2.5
+        assert fresh.join_selectivity() == 0.2
+        assert fresh.blocked_pair_rate() == 0.66
+        assert fresh.cache_hit_rate() == 0.75
+        assert fresh.latency_p50("sort:pairwise") == 7.5
 
     def test_newer_profile_version_raises(self):
         with pytest.raises(StoreError, match="newer"):
